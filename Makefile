@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test race bench bench-short bench-json interference-short fed-short smoke
+.PHONY: all ci fmt vet build test race bench bench-short bench-schema bench-json interference-short chaos-short fed-short smoke
 
 all: ci
 
 # Tier-1 gate (README "CI gate"): everything a change must keep green.
-ci: fmt vet build test race bench-short interference-short chaos-short fed-short smoke
+ci: fmt vet build test race bench-short bench-schema interference-short chaos-short fed-short smoke
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:
@@ -35,9 +35,14 @@ race:
 # simulator calendar) — catches perf regressions that break, not ones
 # that merely slow down.
 bench-short:
-	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
+	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle|ShmPlaneCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'DaemonThroughput' -benchtime 20x -benchmem ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar' -benchtime 100ms -benchmem ./...
+
+# The BENCHMARK.json harness is its own module (bench/); its tests pin
+# the metric schema and the spec table against BENCHMARK.json.
+bench-schema:
+	cd bench && $(GO) test ./...
 
 # CI-sized chaos run: fault injection under 8-client pipelined load on a
 # 2-shard daemon — no session lost, outputs byte-identical to a
@@ -67,10 +72,13 @@ interference-short:
 # memory-oversubscription sweep (sessions totaling 1x/2x/4x device
 # memory: swap traffic and p99 turnaround), and the QoS interference
 # co-location sweep (solo vs FIFO vs weighted-fair tail latency, batch
-# throughput cost, 1:2:4 fairness races), written as the PR10 JSON
-# artifact.
+# throughput cost, 1:2:4 fairness races), written as this PR's JSON
+# artifact: results/BENCH_pr$(PR).json. PR defaults to the commit count,
+# which only grows, so a new run never overwrites an older artifact; name
+# it after the PR with `make bench PR=15`.
+PR ?= $(shell git rev-list --count HEAD)
 bench:
-	$(GO) run ./cmd/gvmbench -benchjson results/BENCH_pr10.json
+	$(GO) run ./cmd/gvmbench -benchjson results/BENCH_pr$(PR).json
 
 # Regenerate the machine-readable hot-path numbers (alias of bench;
 # earlier PR artifacts are kept as historical records).

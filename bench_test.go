@@ -559,20 +559,15 @@ func BenchmarkIPCFrame_Binary(b *testing.B) {
 	}
 }
 
-// benchShmCopy round-trips 1 MiB through a file-backed segment — the
-// daemon's per-request SND/RCV data-plane traffic.
-func benchShmCopy(b *testing.B, unmap bool) {
+// BenchmarkShmCopy_Mmap round-trips 1 MiB through a mapped file-backed
+// segment — a client's StageIn/CollectOut copies on the shm plane.
+func BenchmarkShmCopy_Mmap(b *testing.B) {
 	const n = 1 << 20
 	s, err := shm.NewFile(b.TempDir(), "bench-seg", n)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	if unmap {
-		shm.Unmap(s)
-	} else if s.Bytes() == nil {
-		b.Skip("mmap unavailable on this platform")
-	}
 	src := make([]byte, n)
 	dst := make([]byte, n)
 	for i := range src {
@@ -589,6 +584,3 @@ func benchShmCopy(b *testing.B, unmap bool) {
 		}
 	}
 }
-
-func BenchmarkShmCopy_File(b *testing.B) { benchShmCopy(b, true) }
-func BenchmarkShmCopy_Mmap(b *testing.B) { benchShmCopy(b, false) }

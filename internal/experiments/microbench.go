@@ -208,41 +208,33 @@ func MicroBench() MicroBenchReport {
 		}
 	}))
 
-	for _, mode := range []string{"file", "mmap"} {
-		mode := mode
-		rep.Results = append(rep.Results, microResult("shm-copy-"+mode, func(b *testing.B) {
-			const n = 1 << 20
-			dir, err := os.MkdirTemp("", "gvmbench-shm")
-			if err != nil {
+	rep.Results = append(rep.Results, microResult("shm-copy-mmap", func(b *testing.B) {
+		const n = 1 << 20
+		dir, err := os.MkdirTemp("", "gvmbench-shm")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		s, err := shm.NewFile(dir, "bench-seg", n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		src := make([]byte, n)
+		dst := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.WriteAt(src, 0); err != nil {
 				b.Fatal(err)
 			}
-			defer os.RemoveAll(dir)
-			s, err := shm.NewFile(dir, "bench-seg", n)
-			if err != nil {
+			if err := s.ReadAt(dst, 0); err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			if mode == "file" {
-				shm.Unmap(s)
-			} else if s.Bytes() == nil {
-				b.Skip("mmap unavailable")
-			}
-			src := make([]byte, n)
-			dst := make([]byte, n)
-			for i := range src {
-				src[i] = byte(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.WriteAt(src, 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.ReadAt(dst, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	}
+		}
+	}))
 
 	rep.Results = append(rep.Results, microResult("sim-calendar-sched-drain-64", func(b *testing.B) {
 		env := sim.NewEnv()

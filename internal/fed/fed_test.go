@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -622,6 +623,38 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	trip(transport.Request{Verb: "RLS", Session: vid})
 	if ao, bo := nodeOpenSessions(a), nodeOpenSessions(b); ao != 0 || bo != 0 {
 		t.Errorf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
+	}
+}
+
+// TestRouterBadPreambleDrained: like gvmd, the router drains a
+// connection it turns away for its preamble before closing it, so bytes
+// the client sends behind the bad one do not fail with EPIPE or a reset.
+func TestRouterBadPreambleDrained(t *testing.T) {
+	n := startNode(t, "fed-preamble-n0", 1)
+	r, err := New(Config{Backends: []string{n.Addr()}, Placement: "least-sessions", PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start([]string{"unix://" + filepath.Join(t.TempDir(), "fed.sock")}); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	nc, _, err := transport.DialAddr(r.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte{'X'}); err != nil {
+		t.Fatal(err)
+	}
+	// The router half-closes once it has rejected the byte: EOF here means
+	// it is past the point where it used to close outright.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("read after rejection = %d, %v; want a clean EOF", n, err)
+	}
+	if _, err := nc.Write(make([]byte, 4096)); err != nil {
+		t.Fatalf("write behind a rejected preamble: %v", err)
 	}
 }
 

@@ -58,7 +58,11 @@ func (r *Router) accept(ln transport.Listener) {
 func (r *Router) serveConn(nc net.Conn) {
 	clientJSON, err := transport.ReadPreamble(nc)
 	if err != nil {
-		nc.Close()
+		if errors.Is(err, io.EOF) {
+			nc.Close()
+		} else {
+			transport.RejectConn(nc, nil, "")
+		}
 		return
 	}
 	conn := transport.NewConn(nc)

@@ -14,17 +14,40 @@ import (
 // block and must tolerate being called from either context.
 type DirectNotify func(verb Verb, st Status, errMsg string)
 
+// RebindStaging points a direct-staging session's pinned staging at
+// caller-owned memory; direct sessions have none of their own. The
+// daemon binds the regions of the session's mapped segment (shm and ring
+// planes), so a client writing the mapped file IS writing pinned staging,
+// SND/RCV move zero bytes and H2D/D2H work on the mapping in place — or
+// heap buffers (inline plane). The memory must stay valid until RLS is
+// acknowledged or ExtractSession returns; both wait out a flush in flight.
+func (m *Manager) RebindStaging(id int, in, out []byte) error {
+	s, ok := m.sessions[id]
+	if !ok {
+		return fmt.Errorf("gvm: RebindStaging: unknown session %d", id)
+	}
+	if !s.direct {
+		return fmt.Errorf("gvm: RebindStaging: session %d is not direct-staging", id)
+	}
+	if int64(len(in)) != s.spec.InBytes || int64(len(out)) != s.spec.OutBytes {
+		return fmt.Errorf("gvm: RebindStaging: session %d staging is %d+%d bytes, spec says %d+%d", id, len(in), len(out), s.spec.InBytes, s.spec.OutBytes)
+	}
+	if s.pinIn != nil {
+		s.pinIn = gpusim.WrapHost(in, m.cfg.PinnedStaging)
+	}
+	if s.pinOut != nil {
+		s.pinOut = gpusim.WrapHost(out, m.cfg.PinnedStaging)
+	}
+	return nil
+}
+
 // BindDirect attaches a zero-hop control surface to a direct-staging
-// session: verb completions flow through notify instead of a reply queue,
-// and (when in/out are non-nil) the session's pinned staging buffers are
-// rebound onto caller-owned memory — the daemon points them into the
-// session's mmap'd ring segment, so a client writing the mapped file IS
-// writing pinned staging and SND/RCV move zero bytes.
+// session: verb completions flow through notify instead of a reply queue.
 //
 // The session keeps its reply queue, so queue-path verbs (SUS/RES, or a
 // release issued by the daemon's hang-up sweep) still work alongside the
 // direct path.
-func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error {
+func (m *Manager) BindDirect(id int, notify DirectNotify) error {
 	s, ok := m.sessions[id]
 	if !ok {
 		return fmt.Errorf("gvm: BindDirect: unknown session %d", id)
@@ -35,32 +58,20 @@ func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error 
 	if notify == nil {
 		return fmt.Errorf("gvm: BindDirect: nil notify")
 	}
-	if in != nil && s.pinIn != nil {
-		if int64(len(in)) != s.spec.InBytes {
-			return fmt.Errorf("gvm: BindDirect: in is %d bytes, spec says %d", len(in), s.spec.InBytes)
-		}
-		s.pinIn = gpusim.WrapHost(in, m.cfg.PinnedStaging)
-	}
-	if out != nil && s.pinOut != nil {
-		if int64(len(out)) != s.spec.OutBytes {
-			return fmt.Errorf("gvm: BindDirect: out is %d bytes, spec says %d", len(out), s.spec.OutBytes)
-		}
-		s.pinOut = gpusim.WrapHost(out, m.cfg.PinnedStaging)
-	}
 	s.notify = notify
 	// Prebind the copy-completion closures so the hot path schedules them
 	// without allocating.
-	s.sndDone = func() {
-		if s.notify != nil {
-			s.notify(SND, ACK, "")
-		}
-	}
-	s.rcvDone = func() {
-		if s.notify != nil {
-			s.notify(RCV, ACK, "")
-		}
-	}
+	s.sndDone = func() { s.tell(SND, ACK, "") }
+	s.rcvDone = func() { s.tell(RCV, ACK, "") }
 	return nil
+}
+
+// tell delivers a direct completion, unless the session was torn down
+// while it was pending.
+func (s *session) tell(verb Verb, st Status, errMsg string) {
+	if s.notify != nil {
+		s.notify(verb, st, errMsg)
+	}
 }
 
 // DirectVerb issues one hot-path verb on a bound session, bypassing the
@@ -72,7 +83,7 @@ func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error 
 // errors — arrive through notify.
 //
 // Cost model vs the queue path: a ring client writes the mapped segment
-// directly, which IS the pinned staging buffer after BindDirect, so SND
+// directly, which IS the pinned staging buffer after RebindStaging, so SND
 // and RCV charge exactly one host copy each (the one real memcpy that
 // happened) and zero message-queue hops — the mqueue latency the paper
 // measures as virtualization overhead is what this path deletes.
@@ -106,9 +117,7 @@ func (m *Manager) DirectVerb(id int, verb Verb) error {
 		// any deferred direct completion.
 		m.env.Go("gvm-restore", func(p *sim.Proc) {
 			if err := m.restoreWithBackoff(p, s); err != nil {
-				if s.notify != nil {
-					s.notify(verb, ERR, err.Error())
-				}
+				s.tell(verb, ERR, err.Error())
 				return
 			}
 			// Adopted mid-cycle: replay or cancel the interrupted flush
@@ -156,58 +165,45 @@ func (m *Manager) directDispatch(s *session, verb Verb) error {
 			s.rcvDone()
 		}
 	case RLS:
-		notify := s.notify
-		m.teardown(s)
-		delete(m.sessions, s.id)
-		m.met.sessionsClosed.Inc()
-		m.met.openSessions.Dec()
-		notify(RLS, ACK, "")
+		// Release may wait out a flush still in flight and DirectVerb must
+		// not block: a transient process does the waiting.
+		m.env.Go("gvm-rls", func(p *sim.Proc) {
+			if notify := s.notify; m.release(p, s) && notify != nil {
+				notify(RLS, ACK, "")
+			}
+		})
 	case SUS:
 		// The evacuation D2H needs a process clock; conditions are checked
 		// inside the transient process, where they are authoritative.
 		m.env.Go("gvm-sus", func(p *sim.Proc) {
 			switch {
 			case s.running:
-				if s.notify != nil {
-					s.notify(SUS, ERR, "gvm: SUS while running")
-				}
+				s.tell(SUS, ERR, "gvm: SUS while running")
 			case s.susp != nil && s.evicted:
 				// Adopt the eviction engine's snapshot as a client-held
 				// suspension (evictions are transparent to the client).
 				s.evicted = false
 				m.met.suspensions.Inc()
-				if s.notify != nil {
-					s.notify(SUS, ACK, "")
-				}
+				s.tell(SUS, ACK, "")
 			case s.susp != nil:
-				if s.notify != nil {
-					s.notify(SUS, ERR, "gvm: already suspended")
-				}
+				s.tell(SUS, ERR, "gvm: already suspended")
 			default:
 				m.suspendSession(p, s)
 				m.met.suspensions.Inc()
-				if s.notify != nil {
-					s.notify(SUS, ACK, "")
-				}
+				s.tell(SUS, ACK, "")
 			}
 		})
 	case RES:
 		m.env.Go("gvm-res", func(p *sim.Proc) {
 			if s.susp == nil {
-				if s.notify != nil {
-					s.notify(RES, ERR, "gvm: RES without SUS")
-				}
+				s.tell(RES, ERR, "gvm: RES without SUS")
 				return
 			}
 			if err := m.resumeSession(p, s, false); err != nil {
-				if s.notify != nil {
-					s.notify(RES, ERR, err.Error())
-				}
+				s.tell(RES, ERR, err.Error())
 				return
 			}
-			if s.notify != nil {
-				s.notify(RES, ACK, "")
-			}
+			s.tell(RES, ACK, "")
 		})
 	default:
 		return fmt.Errorf("gvm: DirectVerb: unsupported verb %v", verb)

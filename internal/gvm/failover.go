@@ -126,6 +126,9 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 		}
 	}
 
+	if m.sessions[id] != s {
+		return nil, fmt.Errorf("gvm: ExtractSession: session %d was released while it quiesced", id)
+	}
 	if s.susp == nil {
 		m.suspendSession(p, s)
 	}
@@ -146,21 +149,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 
 	// Remove without sessionsClosed credit: openSessions moves shards,
 	// opened/closed totals see one lifetime.
-	s.notify = nil
-	s.stpDirectWait = false
-	if s.stream != nil {
-		s.stream.Close()
-		s.stream = nil
-	}
-	if s.seg != nil {
-		_ = s.seg.Close()
-		s.seg = nil
-	}
-	if s.devBytes > 0 {
-		m.dev.Unreserve(s.devBytes)
-		s.devBytes = 0
-	}
-	m.shmInUse -= s.footprint
+	m.teardown(s) // the arenas already left with the snapshot
 	delete(m.sessions, s.id)
 	m.met.openSessions.Dec()
 	if m.log != nil {
@@ -176,16 +165,21 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 // target is too loaded to restore right now the snapshot stays intact
 // and the next verb's transparent restore retries — adoption itself
 // only fails on an id collision (impossible under the node's striped id
-// scheme). The session was admitted on its source shard and the node
+// scheme) or a staging snapshot of the wrong size. The session was admitted on its source shard and the node
 // re-placed it against this shard's headroom, so no quota re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession, reply *Queue[Response]) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
 	}
+	// The staging snapshot becomes staging as is; it may be off the wire.
+	if (ext.PinIn != nil && int64(len(ext.PinIn)) != ext.Spec.InBytes) ||
+		(ext.PinOut != nil && int64(len(ext.PinOut)) != ext.Spec.OutBytes) {
+		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, spec says %d+%d",
+			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Spec.InBytes, ext.Spec.OutBytes)
+	}
 	prev := m.curProc
 	m.curProc = p
 	defer func() { m.curProc = prev }()
-	dev := m.dev
 	s := &session{
 		id: ext.ID, spec: ext.Spec, reply: reply, direct: ext.Direct,
 		memQuota: ext.MemQuota, priority: ext.Priority, weight: ext.Weight,
@@ -200,24 +194,17 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession, reply *Queue[
 	gl := metrics.L("gpu", strconv.Itoa(m.cfg.GPUIndex))
 	s.launches = m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl)
 	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
-	s.seg = shm.NewMemory(ext.Footprint, dev.Functional() && !ext.Direct)
+	s.seg = shm.NewMemory(ext.Footprint, m.dev.Functional() && !ext.Direct)
 	m.shmInUse += ext.Footprint
 	if ext.DevBytes > 0 {
 		s.devBytes = ext.DevBytes
-		dev.Reserve(ext.DevBytes)
+		m.dev.Reserve(ext.DevBytes)
 	}
-	if ext.Spec.InBytes > 0 {
-		s.pinIn = dev.AllocHost(ext.Spec.InBytes, m.cfg.PinnedStaging)
-		if s.pinIn.Data() != nil && ext.PinIn != nil {
-			copy(s.pinIn.Data(), ext.PinIn)
-		}
-	}
-	if ext.Spec.OutBytes > 0 {
-		s.pinOut = dev.AllocHost(ext.Spec.OutBytes, m.cfg.PinnedStaging)
-		if s.pinOut.Data() != nil && ext.PinOut != nil {
-			copy(s.pinOut.Data(), ext.PinOut)
-		}
-	}
+	// A direct session's staging is the snapshot's own buffers (no copy):
+	// an inline session keeps them, a mapped plane rebinds onto its
+	// segment, which held the same bytes all along.
+	s.pinIn = m.newStaging(ext.Spec.InBytes, ext.Direct, ext.PinIn)
+	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.Direct, ext.PinOut)
 	s.stream = m.ctx.NewStream()
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()

@@ -81,11 +81,12 @@ type Request struct {
 	Spec    *task.Spec       // REQ only
 	Reply   *Queue[Response] // REQ only; later requests use the session's queue
 	// Direct (REQ only) opens the session in direct-staging mode: the
-	// caller moves payload bytes straight into and out of the pinned
-	// staging buffers (Staging), so SND/RCV skip the shared-memory-segment
-	// copies while still charging the same virtual host-copy time. The
-	// daemon dispatcher uses this to keep O(bytes) work off the
-	// simulation-owner goroutine.
+	// pinned staging is caller-owned memory (RebindStaging) the caller
+	// moves payload bytes into and out of itself, so SND/RCV skip the
+	// shared-memory-segment copies while still charging the same virtual
+	// host-copy time. The daemon dispatcher uses this to keep O(bytes)
+	// work off the simulation-owner goroutine, and to make the client's
+	// mapped segment the staging.
 	Direct bool
 	// MemQuota (REQ only) is a hard per-session device-memory limit in
 	// bytes, enforced at every Malloc the session performs (HAMi-style).
@@ -659,12 +660,8 @@ func (m *Manager) handleREQ(p *sim.Proc, r Request) {
 			return
 		}
 	}
-	if r.Spec.InBytes > 0 {
-		s.pinIn = dev.AllocHost(r.Spec.InBytes, m.cfg.PinnedStaging)
-	}
-	if r.Spec.OutBytes > 0 {
-		s.pinOut = dev.AllocHost(r.Spec.OutBytes, m.cfg.PinnedStaging)
-	}
+	s.pinIn = m.newStaging(r.Spec.InBytes, r.Direct, nil)
+	s.pinOut = m.newStaging(r.Spec.OutBytes, r.Direct, nil)
 	if r.Spec.Build != nil {
 		b := &task.Buffers{In: s.devIn, Out: s.devOut, Alloc: alloc, Scratch: &s.scratch}
 		if s.kernels, err = r.Spec.Build(b); err != nil {
@@ -685,6 +682,23 @@ func (m *Manager) handleREQ(p *sim.Proc, r Request) {
 	m.met.openSessions.Inc()
 	m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
 	r.Reply.Send(p, Response{Status: ACK, Session: s.id})
+}
+
+// newStaging makes one direction's pinned staging buffer (nil for a
+// zero-sized direction) holding data, if any. Queue sessions get manager
+// memory; a direct session's is caller-owned (RebindStaging), so until
+// the bind it is just what an adoption carried over — never an
+// allocation the bind would drop.
+func (m *Manager) newStaging(n int64, direct bool, data []byte) *gpusim.HostBuffer {
+	if n <= 0 {
+		return nil
+	}
+	if direct {
+		return gpusim.WrapHost(data, m.cfg.PinnedStaging)
+	}
+	b := m.dev.AllocHost(n, m.cfg.PinnedStaging)
+	copy(b.Data(), data)
+	return b
 }
 
 // handleSND stages the client's input from its shared-memory segment
@@ -929,9 +943,7 @@ func (m *Manager) prepareOps(s *session) {
 		}
 		if s.stpDirectWait {
 			s.stpDirectWait = false
-			if s.notify != nil {
-				s.notify(STP, st, errMsg)
-			}
+			s.tell(STP, st, errMsg)
 		}
 	}
 }
@@ -990,11 +1002,27 @@ func (m *Manager) handleRCV(p *sim.Proc, s *session) {
 
 // handleRLS tears the session down.
 func (m *Manager) handleRLS(p *sim.Proc, s *session) {
+	m.release(p, s)
+	s.reply.Send(p, Response{Status: ACK, Session: s.id})
+}
+
+// release ends a session for RLS on either verb path. A flush still in
+// flight (RLS pipelined behind STR) finishes first: its queued copies and
+// launches use the device buffers teardown frees, and staging may alias a
+// mapped segment the caller unmaps once the release is acknowledged. It
+// reports false when the other verb path released the session meanwhile.
+func (m *Manager) release(p *sim.Proc, s *session) bool {
+	if s.stream != nil {
+		s.stream.Synchronize(p)
+	}
+	if m.sessions[s.id] != s {
+		return false
+	}
 	m.teardown(s)
 	delete(m.sessions, s.id)
 	m.met.sessionsClosed.Inc()
 	m.met.openSessions.Dec()
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
+	return true
 }
 
 // teardown frees a session's device memory and stream.
@@ -1043,10 +1071,11 @@ func (m *Manager) teardown(s *session) {
 	s.footprint = 0
 }
 
-// Staging exposes a direct session's pinned staging buffers: in receives
-// SND payloads before the H2D flush, out holds RCV results after the D2H
-// flush. Slices are nil for unknown sessions, timing-only devices, or
-// zero-sized directions. The caller owns synchronization: it must not
+// Staging exposes a session's pinned staging buffers: in receives SND
+// payloads before the H2D flush, out holds RCV results after the D2H
+// flush. Slices are nil for unknown sessions, timing-only devices,
+// zero-sized directions, and direct sessions nothing has been bound to
+// yet. The caller owns synchronization: it must not
 // touch in/out while the session's stream is flushing (between STR and a
 // completed STP), which the daemon's verb ordering guarantees.
 func (m *Manager) Staging(session int) (in, out []byte) {

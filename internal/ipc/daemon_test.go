@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,8 @@ func vecaddCycle(t *testing.T, c *Client, n, rank int) []byte {
 
 // TestTransportPlaneMatrix drives the same functional workload through
 // every transport with every data plane: one daemon, six ways in, one
-// right answer.
+// right answer — and the same bytes whether staging was the mapped
+// segment (shm) or a heap copy of the frame payload (inline).
 func TestTransportPlaneMatrix(t *testing.T) {
 	s := startServerOn(t, ServerConfig{
 		Listen: []string{
@@ -64,10 +66,19 @@ func TestTransportPlaneMatrix(t *testing.T) {
 	})
 	addrs := s.Addrs()
 	const n = 1024
+	outs := make(map[string][]byte)
+	defer func() {
+		for name, out := range outs {
+			if string(out) != string(outs["tcp/inline"]) {
+				t.Errorf("%s: RCV bytes differ from the tcp/inline reference", name)
+			}
+		}
+	}()
 	for i, addr := range addrs {
 		for _, plane := range []string{transport.PlaneShm, transport.PlaneInline} {
 			addr, plane := addr, plane
-			t.Run(fmt.Sprintf("%s/%s", []string{"unix", "tcp", "inproc"}[i], plane), func(t *testing.T) {
+			name := fmt.Sprintf("%s/%s", []string{"unix", "tcp", "inproc"}[i], plane)
+			t.Run(name, func(t *testing.T) {
 				c, err := DialOptions(addr, Options{ShmDir: s.cfg.ShmDir, Plane: plane})
 				if err != nil {
 					t.Fatal(err)
@@ -84,6 +95,7 @@ func TestTransportPlaneMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				out := vecaddCycle(t, c, n, 0)
+				outs[name] = out
 				res := cuda.Float32s(byteMem(out), 0, n)
 				for j := 0; j < n; j++ {
 					if res[j] != float32(j)+0.5 {
@@ -159,6 +171,51 @@ func TestCodecMismatchRejected(t *testing.T) {
 			t.Fatalf("error does not name the daemon's codec: %v", err)
 		}
 	})
+}
+
+// TestCodecMismatchRejectedInproc: on the synchronous in-process pipe
+// the client is still inside its REQ write when the daemon decides to
+// reject, so the rejection must consume that request before answering.
+func TestCodecMismatchRejectedInproc(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://codec-mismatch"}})
+	c, err := DialOptions(s.Addr(), Options{JSONWire: true, ShmDir: s.cfg.ShmDir, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
+	if err == nil || !strings.Contains(err.Error(), "codec mismatch") {
+		t.Fatalf("got %v, want codec mismatch error", err)
+	}
+}
+
+// TestBadPreambleDrained: a connection turned away for its preamble is
+// drained before it is closed, so what the client sends behind the bad
+// byte is not answered with EPIPE or a reset — it reads a clean EOF.
+func TestBadPreambleDrained(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Socket: tempSocket(t)})
+	nc, _, err := transport.DialAddr(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte{'X'}); err != nil {
+		t.Fatal(err)
+	}
+	// Let the daemon see and reject the byte before the rest arrives.
+	for deadline := 400; scrapeMetrics(t, s.Metrics())["ipc_frame_errors_total"] == 0; deadline-- {
+		if deadline == 0 {
+			t.Fatal("bad preamble never counted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := nc.Write(make([]byte, 4096)); err != nil {
+		t.Fatalf("write behind a rejected preamble: %v", err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("read after rejection = %d, %v; want a clean EOF", n, err)
+	}
 }
 
 // TestDisconnectMidSessionFreesResources kills a client between SND and

@@ -297,8 +297,9 @@ func TestDaemonMultiGPU(t *testing.T) {
 	}
 	defer s.Close()
 	const clients = 4
-	var wg sync.WaitGroup
+	var wg, placed sync.WaitGroup
 	errs := make([]error, clients)
+	placed.Add(clients)
 	for i := 0; i < clients; i++ {
 		i := i
 		wg.Add(1)
@@ -306,15 +307,21 @@ func TestDaemonMultiGPU(t *testing.T) {
 			defer wg.Done()
 			c, err := Dial(s.Addr(), dir)
 			if err != nil {
+				placed.Done()
 				errs[i] = err
 				return
 			}
 			defer c.Close()
 			sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}, i)
+			// No cycle starts before every session is placed: a pair that
+			// finished and hung up early would free its shard for both late
+			// arrivals' placements to split across, one per barrier.
+			placed.Done()
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			placed.Wait()
 			errs[i] = sess.RunCycle(nil, nil)
 		}()
 	}

@@ -519,25 +519,26 @@ func (s *Server) accept(ln transport.Listener) {
 func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
 	clientJSON, err := transport.ReadPreamble(nc)
 	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			s.cfg.Logger.Printf("gvmd: preamble: %v", err)
-			s.met.frameErrors.Inc()
+		if errors.Is(err, io.EOF) {
+			nc.Close()
+			return
 		}
-		nc.Close()
+		s.cfg.Logger.Printf("gvmd: preamble: %v", err)
+		s.met.frameErrors.Inc()
+		transport.RejectConn(nc, nil, "")
 		return
 	}
 	if clientJSON != s.cfg.JSONWire {
 		s.met.frameErrors.Inc()
 		// Reject in the CLIENT's codec so the mismatch surfaces as a
-		// clean error on its next read, not as frame garbage.
+		// clean error answering its first request, not as frame garbage.
 		msg := "ipc: codec mismatch: daemon speaks the binary wire (dial without DialJSON)"
 		reply := transport.NewConnJSON(nc)
 		if s.cfg.JSONWire {
 			msg = "ipc: codec mismatch: daemon speaks JSON wire (dial with DialJSON)"
 			reply = transport.NewConn(nc)
 		}
-		_ = reply.WriteResponse(transport.Response{Status: "ERR", Err: msg})
-		nc.Close()
+		transport.RejectConn(nc, reply, msg)
 		return
 	}
 	conn := transport.NewConn(nc)

@@ -1,0 +1,490 @@
+package ipc
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"gpuvirt/internal/cuda"
+	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/shm"
+	"gpuvirt/internal/transport"
+	"gpuvirt/internal/workloads"
+)
+
+// vecaddInput fills a vecadd input (a then b, n float32 each) with a
+// seed-dependent pattern and returns its bytes plus the expected output
+// bytes, so every cycle of every session can stage different data and a
+// stale or misrouted staging region fails the comparison.
+func vecaddInput(n, seed int) (in, want []byte) {
+	a := make([]float32, 2*n)
+	sum := make([]float32, n)
+	for i := 0; i < n; i++ {
+		a[i] = float32((i + seed) % 127)
+		a[n+i] = float32((i*3 + seed) % 131)
+		sum[i] = a[i] + a[n+i]
+	}
+	return cuda.HostFloat32Bytes(a), cuda.HostFloat32Bytes(sum)
+}
+
+// owningShard finds the shard whose manager holds session id.
+func owningShard(t *testing.T, s *Server, id int) int {
+	t.Helper()
+	for shard := 0; shard < s.node.NumShards(); shard++ {
+		var in []byte
+		if !s.submitProbe(shard, func() { in, _ = s.node.Shard(shard).Mgr.Staging(id) }) {
+			t.Fatal("server closed early")
+		}
+		if in != nil {
+			return shard
+		}
+	}
+	t.Fatalf("no shard holds session %d", id)
+	return -1
+}
+
+// TestShmPlaneStagingAliasesSegment: over the file-shm plane the session
+// segment IS the session's pinned staging — input region at offset 0,
+// output region at offset InBytes — before and after an intra-node
+// migration. The test holds its own mapping of the segment file (what a
+// client process has), so aliasing is observed the way a client would:
+// bytes written through one view appear in the other with no verb in
+// between.
+func TestShmPlaneStagingAliasesSegment(t *testing.T) {
+	for _, scheme := range []string{"unix", "inproc"} {
+		scheme := scheme
+		t.Run(scheme, func(t *testing.T) {
+			addr := "inproc://shm-alias"
+			if scheme == "unix" {
+				addr = "unix://" + tempSocket(t)
+			}
+			s := startServerOn(t, ServerConfig{Listen: []string{addr}, Functional: true, GPUs: 2})
+			c, err := Dial(s.Addr(), s.cfg.ShmDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			const n = 1024
+			sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess.Plane() != transport.PlaneShm {
+				t.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
+			}
+			view, err := shm.OpenFile(s.cfg.ShmDir, fmt.Sprintf("gvmd-seg-%d", sess.ID()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer view.Close()
+			inB, outB := sess.InBytes(), sess.OutBytes()
+
+			mark := byte(0)
+			checkAlias := func(when string) int {
+				t.Helper()
+				shard := owningShard(t, s, sess.ID())
+				mgr := s.node.Shard(shard).Mgr
+				mark++
+				// Segment -> staging.
+				seg := view.Bytes()
+				seg[0], seg[inB-1], seg[inB], seg[inB+outB-1] = mark, mark+1, mark+2, mark+3
+				var got [4]byte
+				var lens [2]int
+				s.submitProbe(shard, func() {
+					in, out := mgr.Staging(sess.ID())
+					lens = [2]int{len(in), len(out)}
+					if int64(len(in)) != inB || int64(len(out)) != outB {
+						return
+					}
+					got = [4]byte{in[0], in[inB-1], out[0], out[outB-1]}
+					// Staging -> segment.
+					in[1], out[1] = mark+4, mark+5
+				})
+				if int64(lens[0]) != inB || int64(lens[1]) != outB {
+					t.Fatalf("%s: staging is %d+%d bytes, want %d+%d", when, lens[0], lens[1], inB, outB)
+				}
+				if want := [4]byte{mark, mark + 1, mark + 2, mark + 3}; got != want {
+					t.Fatalf("%s: staging reads %v where the segment was written %v: staging does not alias the segment", when, got, want)
+				}
+				if seg[1] != mark+4 || seg[inB+1] != mark+5 {
+					t.Fatalf("%s: segment reads %d,%d where staging was written %d,%d", when, seg[1], seg[inB+1], mark+4, mark+5)
+				}
+				mark += 5
+				return shard
+			}
+
+			src := checkAlias("after REQ")
+			if err := s.Drain(src); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := 400; ; deadline-- {
+				if open, _, _ := shardStats(t, s, src); open == 0 {
+					break
+				}
+				if deadline == 0 {
+					t.Fatalf("session never left draining gpu %d", src)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if dst := checkAlias("after migration"); dst == src {
+				t.Fatalf("session still on gpu %d after Drain", src)
+			}
+
+			// The rebound session still computes, through the same segment.
+			in, want := vecaddInput(n, 5)
+			out := make([]byte, outB)
+			if err := sess.RunCycle(in, out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatal("wrong result after migration")
+			}
+			if err := sess.Release(); err != nil {
+				t.Fatal(err)
+			}
+			waitShardsClean(t, s)
+		})
+	}
+}
+
+// TestShmPlaneDrainUnderLoadByteIdentical is the shm plane's chaos
+// round: four pipelined clients stage different input every cycle over
+// unix:// while the shard under them is drained, so sessions migrate
+// with staging bound to their segments mid-stream. Every RCV must be
+// byte-identical to what the inline plane returns for the same input on
+// an undisturbed daemon.
+func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
+	const clients, cycles, n = 4, 12, 4096
+	// Inline reference, serial, no migration.
+	refSrv := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
+	rc, err := Dial(refSrv.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	want := make([][][]byte, clients)
+	for r := 0; r < clients; r++ {
+		sess, err := rc.Request(ref, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Plane() != transport.PlaneInline {
+			t.Fatalf("reference plane = %q", sess.Plane())
+		}
+		for cy := 0; cy < cycles; cy++ {
+			in, _ := vecaddInput(n, r*100+cy)
+			out := make([]byte, sess.OutBytes())
+			if err := sess.RunCycle(in, out); err != nil {
+				t.Fatal(err)
+			}
+			want[r] = append(want[r], out)
+		}
+		if err := sess.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := startServerOn(t, ServerConfig{
+		Listen:     []string{"unix://" + tempSocket(t)},
+		Functional: true,
+		GPUs:       2,
+	})
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	started := make(chan struct{}, clients)
+	draining := make(chan struct{})
+	for r := 0; r < clients; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = func() error {
+				c, err := Dial(s.Addr(), s.cfg.ShmDir)
+				if err != nil {
+					return err
+				}
+				defer c.Close()
+				sess, err := c.Request(ref, r)
+				if err != nil {
+					return err
+				}
+				if sess.Plane() != transport.PlaneShm {
+					return fmt.Errorf("plane = %q", sess.Plane())
+				}
+				out := make([]byte, sess.OutBytes())
+				for cy := 0; cy < cycles; cy++ {
+					in, _ := vecaddInput(n, r*100+cy)
+					if err := sess.RunCycle(in, out); err != nil {
+						return fmt.Errorf("cycle %d: %w", cy, err)
+					}
+					if !bytes.Equal(out, want[r][cy]) {
+						return fmt.Errorf("cycle %d: RCV differs from the inline reference", cy)
+					}
+					if cy == 1 {
+						// Warm and mid-stream: the remaining cycles race the
+						// evacuation.
+						started <- struct{}{}
+						<-draining
+					}
+				}
+				return sess.Release()
+			}()
+		}(r)
+	}
+	for r := 0; r < clients; r++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("clients never got going")
+		}
+	}
+	err = s.Drain(0)
+	close(draining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", r, err)
+		}
+	}
+	if got := scrapeMetrics(t, s.Metrics())["node_failovers_total"]; got < 1 {
+		t.Errorf("node_failovers_total = %d, want >= 1 (drain moved nobody)", got)
+	}
+	waitShardsClean(t, s)
+	if segs := ringSegments(t, s.cfg.ShmDir); len(segs) != 0 {
+		t.Fatalf("segments left behind: %v", segs)
+	}
+}
+
+// TestShmPlaneTeardownMidCycle abandons or releases bulk shm-plane
+// sessions at every point where staging — which is the mapped segment —
+// could still be in use, and checks the daemon survives (an access after
+// the unmap would be a SIGSEGV, not an error), the segment file is gone
+// and nothing stays open, resident or reserved.
+func TestShmPlaneTeardownMidCycle(t *testing.T) {
+	const n = 1 << 20
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	for _, tc := range []struct {
+		name string
+		ring bool
+		run  func(c *Client, sess *Session, in []byte) error
+	}{
+		{name: "hangup-after-SND", run: func(c *Client, sess *Session, in []byte) error {
+			return sess.SendInput(in)
+		}},
+		{name: "hangup-after-STR", run: func(c *Client, sess *Session, in []byte) error {
+			if err := sess.SendInput(in); err != nil {
+				return err
+			}
+			return sess.Start()
+		}},
+		{name: "hangup-after-BAT-SND-STR", run: func(c *Client, sess *Session, in []byte) error {
+			if err := sess.plane.StageIn(in, &Request{}); err != nil {
+				return err
+			}
+			_, err := c.Do([]Request{{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}})
+			return err
+		}},
+		// RLS right behind STR: the flush is still in flight when the
+		// release arrives, in the same owner turn.
+		{name: "RLS-behind-STR", run: func(c *Client, sess *Session, in []byte) error {
+			if err := sess.plane.StageIn(in, &Request{}); err != nil {
+				return err
+			}
+			resps, err := c.Do([]Request{{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}, {Verb: "RLS", Session: sess.id}})
+			if err != nil {
+				return err
+			}
+			for i, r := range resps {
+				if r.Status != "ACK" {
+					return fmt.Errorf("step %d: %s", i, r.Err)
+				}
+			}
+			return nil
+		}},
+		{name: "ring-RLS-behind-STR", ring: true, run: func(c *Client, sess *Session, in []byte) error {
+			if err := sess.plane.StageIn(in, nil); err != nil {
+				return err
+			}
+			resp, err := sess.ringTrip(Request{Verb: "BAT", Session: sess.id, Batch: []Request{
+				{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}, {Verb: "RLS", Session: sess.id}}})
+			if err != nil {
+				return err
+			}
+			for i, r := range resp.Batch {
+				if r.Status != "ACK" {
+					return fmt.Errorf("step %d: %s", i, r.Err)
+				}
+			}
+			return nil
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addr := "unix://" + tempSocket(t)
+			if tc.ring {
+				addr = "ring://" + filepath.Join(dir, "gvmd.sock")
+			}
+			s := startServerOn(t, ServerConfig{Listen: []string{addr}, ShmDir: dir, Functional: true})
+			c, err := Dial(s.Addr(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := c.Request(ref, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ringSegments(t, dir)) != 1 {
+				t.Fatalf("segments after REQ: %v", ringSegments(t, dir))
+			}
+			in, want := vecaddInput(n, 3)
+			if err := tc.run(c, sess, in); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+
+			waitShardsClean(t, s)
+			for deadline := 400; s.disp.OpenSessions() != 0 || len(ringSegments(t, dir)) != 0; deadline-- {
+				if deadline == 0 {
+					t.Fatalf("after teardown: %d dispatcher sessions, segments %v",
+						s.disp.OpenSessions(), ringSegments(t, dir))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			// The daemon is alive and a fresh session computes correctly.
+			c2, err := Dial(s.Addr(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			s2, err := c2.Request(ref, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]byte, s2.OutBytes())
+			if err := s2.RunCycle(in, out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatal("wrong result from the session after the teardown")
+			}
+			if err := s2.Release(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestShmPlaneOversubscribed is the benchmark's oversub shape over
+// unix://: 2 clients x 4 sessions of vecadd-4096 on a 100 KiB card at
+// overcommit 4, so every cycle lands on an evicted session whose staging
+// is its segment. Every result must be right, with restores happening.
+func TestShmPlaneOversubscribed(t *testing.T) {
+	const clients, sessions, rounds, n = 2, 4, 6, 4096
+	arch := fermi.TeslaC2070()
+	arch.MemBytes = 102400
+	s := startServerOn(t, ServerConfig{
+		Listen:     []string{"unix://" + tempSocket(t)},
+		Functional: true,
+		Arch:       arch,
+		Overcommit: 4,
+	})
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			errs[ci] = func() error {
+				c, err := Dial(s.Addr(), s.cfg.ShmDir)
+				if err != nil {
+					return err
+				}
+				defer c.Close()
+				var ss []*Session
+				for k := 0; k < sessions; k++ {
+					sess, err := c.Request(ref, ci*sessions+k)
+					if err != nil {
+						return fmt.Errorf("REQ %d: %w", k, err)
+					}
+					ss = append(ss, sess)
+				}
+				out := make([]byte, ss[0].OutBytes())
+				for r := 0; r < rounds; r++ {
+					for k, sess := range ss {
+						in, want := vecaddInput(n, ci*1000+r*10+k)
+						if err := sess.RunCycle(in, out); err != nil {
+							return fmt.Errorf("round %d session %d: %w", r, k, err)
+						}
+						if !bytes.Equal(out, want) {
+							return fmt.Errorf("round %d session %d: wrong result", r, k)
+						}
+					}
+				}
+				for _, sess := range ss {
+					if err := sess.Release(); err != nil {
+						return err
+					}
+				}
+				return nil
+			}()
+		}(ci)
+	}
+	wg.Wait()
+	for ci, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", ci, err)
+		}
+	}
+	if got := s.node.Shard(0).Mgr.Restores(); got == 0 {
+		t.Fatal("no restores: the card was not oversubscribed")
+	}
+	waitShardsClean(t, s)
+}
+
+// BenchmarkShmPlaneCycle is one warm pipelined bulk cycle (vecadd,
+// n=2^20: 8 MiB in, 4 MiB out, functional) over the file-shm plane — the
+// data-path counterpart of BenchmarkRingCycle's control-path number. The
+// only host copies left are the client's own StageIn/CollectOut.
+func BenchmarkShmPlaneCycle(b *testing.B) {
+	dir := b.TempDir()
+	s, err := NewServer(ServerConfig{Listen: []string{"inproc://bench-shm-plane"}, ShmDir: dir, Functional: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1 << 20}}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Release()
+	if sess.Plane() != transport.PlaneShm {
+		b.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
+	}
+	in := make([]byte, sess.InBytes())
+	out := make([]byte, sess.OutBytes())
+	if err := sess.RunCycle(in, out); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(sess.InBytes() + sess.OutBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := sess.RunCycle(in, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

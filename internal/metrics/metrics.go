@@ -270,6 +270,19 @@ func (r *Registry) register(name, help string, k kind, labels []Label, fn func()
 	return s
 }
 
+// families copies the family list, and each family's series list, under
+// the registry lock: a scrape walks the copy while sessions go on
+// registering new series (a first session of a weight class does).
+func (r *Registry) families() []family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make([]family, len(r.order))
+	for i, f := range r.order {
+		fams[i] = family{name: f.name, help: f.help, kind: f.kind, series: append([]*series(nil), f.series...)}
+	}
+	return fams
+}
+
 // value reads a counter/gauge series (fn-backed or atomic).
 func (s *series) value() int64 {
 	switch {
@@ -307,11 +320,8 @@ type Sample struct {
 // (the snapshot as a whole is not one consistent cut — no telemetry
 // scrape is).
 func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
 	var out []Sample
-	for _, f := range fams {
+	for _, f := range r.families() {
 		for _, s := range f.series {
 			smp := Sample{Name: f.name, Type: f.kind.String()}
 			if len(s.labels) > 0 {

@@ -17,11 +17,8 @@ import (
 
 // WritePrometheus writes the registry in Prometheus text format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for _, f := range r.families() {
 		if f.help != "" {
 			bw.WriteString("# HELP ")
 			bw.WriteString(f.name)

@@ -7,8 +7,9 @@ import (
 	"os"
 )
 
-// mapFile is unavailable on this platform; file segments use positioned
-// file I/O throughout.
+// mapFile is unavailable on this platform, so file-backed segments (and
+// with them the daemon's shm and ring planes) are too; tcp + inline still
+// works.
 func mapFile(f *os.File, n int64) ([]byte, error) {
 	return nil, errors.ErrUnsupported
 }

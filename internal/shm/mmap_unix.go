@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile maps n bytes of f shared read-write. A zero-length mapping is
-// invalid on most unixes, so empty segments stay on the file-I/O path.
+// invalid on most unixes, so empty segments are rejected.
 func mapFile(f *os.File, n int64) ([]byte, error) {
 	if n <= 0 || int64(int(n)) != n {
 		return nil, syscall.EINVAL

@@ -1,11 +1,14 @@
 // Package shm provides the virtual shared-memory segments the GVM uses as
 // its data plane: one segment per client process, written by the client
-// and staged into pinned host memory by the manager (paper Section V).
+// (paper Section V).
 //
-// Segments come in two flavors: in-memory segments for the simulator
-// (optionally timing-only, carrying no bytes), and file-backed segments
-// under /dev/shm for the real multi-process daemon, which is what POSIX
-// shared memory is on Linux.
+// Segments come in two flavors. In-memory segments serve the simulator
+// (optionally timing-only, carrying no bytes); there the manager stages
+// the segment into pinned host memory, as in the paper. File-backed
+// segments under /dev/shm — what POSIX shared memory is on Linux — serve
+// the real multi-process daemon, which maps them and binds each session's
+// pinned staging onto the mapping, so the segment IS the staging and no
+// second host copy exists.
 package shm
 
 import (
@@ -26,9 +29,8 @@ type Segment interface {
 	ReadAt(p []byte, off int64) error
 	// Bytes returns the backing slice: the in-memory buffer for
 	// functional memory segments, the mmap'd region for file-backed
-	// segments on platforms that support it. It returns nil for
-	// timing-only segments and when the mapping is unavailable, in which
-	// case callers must go through ReadAt/WriteAt.
+	// segments. It returns nil for timing-only segments. A file-backed
+	// segment's slice is invalid after Close.
 	Bytes() []byte
 	// Close releases the segment.
 	Close() error
@@ -92,8 +94,9 @@ func DefaultDir() string {
 }
 
 // NewFile creates (or truncates) a file-backed segment named name in dir
-// ("" = DefaultDir), sized to n bytes. This is the real-IPC data plane
-// used by the gvmd daemon; separate OS processes open the same name.
+// ("" = DefaultDir), sized to n > 0 bytes, and maps it. This is the
+// real-IPC data plane used by the gvmd daemon; separate OS processes open
+// the same name.
 func NewFile(dir, name string, n int64) (Segment, error) {
 	if dir == "" {
 		dir = DefaultDir()
@@ -107,12 +110,16 @@ func NewFile(dir, name string, n int64) (Segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("shm: size %s: %w", path, err)
 	}
-	s := &fileSegment{f: f, size: n, path: path, owner: true}
-	s.mapped, _ = mapFile(f, n) // fast path only; pread/pwrite fallback stays
-	return s, nil
+	mapped, err := mapFile(f, n)
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("shm: map %s (%d bytes): %w", path, n, err)
+	}
+	return &fileSegment{f: f, size: n, path: path, owner: true, mapped: mapped}, nil
 }
 
-// OpenFile attaches to an existing file-backed segment.
+// OpenFile attaches to (and maps) an existing file-backed segment.
 func OpenFile(dir, name string) (Segment, error) {
 	if dir == "" {
 		dir = DefaultDir()
@@ -127,9 +134,12 @@ func OpenFile(dir, name string) (Segment, error) {
 		f.Close()
 		return nil, err
 	}
-	s := &fileSegment{f: f, size: st.Size(), path: path}
-	s.mapped, _ = mapFile(f, s.size)
-	return s, nil
+	mapped, err := mapFile(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("shm: map %s (%d bytes): %w", path, st.Size(), err)
+	}
+	return &fileSegment{f: f, size: st.Size(), path: path, mapped: mapped}, nil
 }
 
 // RemoveStale deletes file-backed segments left in dir ("" = DefaultDir)
@@ -164,12 +174,9 @@ func RemoveStale(dir, prefix string) (int, error) {
 	return removed, firstErr
 }
 
-// fileSegment is a file under /dev/shm, mmap'd into the process when the
-// platform allows it. With the mapping in place, ReadAt/WriteAt are plain
-// memcpy and Bytes exposes the shared region directly, so daemon-mode
-// SND/RCV stop paying one pread/pwrite syscall per transfer; without it
-// (mmap failure or non-unix build) every access falls back to positioned
-// file I/O, which is always correct.
+// fileSegment is a file under /dev/shm, mmap'd into the process:
+// ReadAt/WriteAt are plain memcpy and Bytes exposes the shared region
+// directly.
 type fileSegment struct {
 	f      *os.File
 	size   int64
@@ -180,42 +187,33 @@ type fileSegment struct {
 
 func (s *fileSegment) Size() int64 { return s.size }
 
-func (s *fileSegment) WriteAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > s.size {
+func (s *fileSegment) check(n int, off int64) error {
+	if off < 0 || off+int64(n) > s.size {
 		return fmt.Errorf("shm: access outside segment %s", s.path)
 	}
-	if s.mapped != nil {
-		copy(s.mapped[off:], p)
-		return nil
+	if s.mapped == nil {
+		return fmt.Errorf("shm: segment %s is closed", s.path)
 	}
-	_, err := s.f.WriteAt(p, off)
-	return err
+	return nil
+}
+
+func (s *fileSegment) WriteAt(p []byte, off int64) error {
+	if err := s.check(len(p), off); err != nil {
+		return err
+	}
+	copy(s.mapped[off:], p)
+	return nil
 }
 
 func (s *fileSegment) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > s.size {
-		return fmt.Errorf("shm: access outside segment %s", s.path)
+	if err := s.check(len(p), off); err != nil {
+		return err
 	}
-	if s.mapped != nil {
-		copy(p, s.mapped[off:])
-		return nil
-	}
-	_, err := s.f.ReadAt(p, off)
-	return err
+	copy(p, s.mapped[off:])
+	return nil
 }
 
 func (s *fileSegment) Bytes() []byte { return s.mapped }
-
-// Unmap drops a file-backed segment's mapping, forcing every later access
-// through positioned file I/O. A no-op for other segment kinds. This
-// exists so benchmarks can measure the pread/pwrite fallback against the
-// mapped fast path on the same platform.
-func Unmap(s Segment) {
-	if fs, ok := s.(*fileSegment); ok && fs.mapped != nil {
-		_ = unmapFile(fs.mapped)
-		fs.mapped = nil
-	}
-}
 
 func (s *fileSegment) Close() error {
 	var err error

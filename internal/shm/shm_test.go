@@ -119,14 +119,14 @@ func TestFileSegmentBounds(t *testing.T) {
 	if err := s.ReadAt(make([]byte, 8), -1); err == nil {
 		t.Fatal("negative-offset read accepted")
 	}
-	if b := s.Bytes(); b != nil && int64(len(b)) != s.Size() {
+	if b := s.Bytes(); int64(len(b)) != s.Size() {
 		t.Fatalf("mapped slice is %d bytes, segment is %d", len(b), s.Size())
 	}
 }
 
-// TestFileSegmentMmapVisibility checks that the mmap fast path and the
-// file itself stay coherent: bytes written through Bytes() are visible to
-// a second attachment and vice versa.
+// TestFileSegmentMmapVisibility checks that two mappings of one segment
+// stay coherent: bytes written through Bytes() are visible to a second
+// attachment and vice versa.
 func TestFileSegmentMmapVisibility(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFile(dir, "seg-mmap", 64)
@@ -134,9 +134,6 @@ func TestFileSegmentMmapVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Bytes() == nil {
-		t.Skip("mmap unavailable on this platform; file-I/O fallback covered elsewhere")
-	}
 	o, err := OpenFile(dir, "seg-mmap")
 	if err != nil {
 		t.Fatal(err)
@@ -160,19 +157,34 @@ func TestFileSegmentMmapVisibility(t *testing.T) {
 	}
 }
 
-// TestFileSegmentEmpty: zero-length segments cannot be mapped and must
-// still behave (bounds errors, nil-safe Bytes).
+// TestFileSegmentEmpty: a zero-length segment cannot be mapped, so it is
+// rejected outright and leaves no file behind.
 func TestFileSegmentEmpty(t *testing.T) {
-	s, err := NewFile(t.TempDir(), "seg-empty", 0)
+	dir := t.TempDir()
+	if s, err := NewFile(dir, "seg-empty", 0); err == nil {
+		s.Close()
+		t.Fatal("NewFile accepted an empty segment")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-empty")); !os.IsNotExist(err) {
+		t.Fatal("rejected NewFile left its file behind")
+	}
+}
+
+// TestFileSegmentUseAfterClose: access through a closed (unmapped)
+// segment is an error, not a fault.
+func TestFileSegmentUseAfterClose(t *testing.T) {
+	s, err := NewFile(t.TempDir(), "seg-closed", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.WriteAt([]byte{1}, 0); err == nil {
-		t.Fatal("write into empty segment accepted")
-	}
-	if err := s.ReadAt(nil, 0); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.WriteAt([]byte{1}, 0); err == nil {
+		t.Fatal("write through a closed segment accepted")
+	}
+	if err := s.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("read through a closed segment accepted")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/node"
-	"gpuvirt/internal/shm"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/vgpu"
 	"gpuvirt/internal/workloads"
@@ -57,13 +56,12 @@ type ShardSubmitter func(shard int, fn func(p *sim.Proc)) bool
 // simulation uses, so gvm.Manager remains the single verb state machine.
 //
 // Serve runs on connection goroutines and splits every verb into a
-// connection-side phase (payload staging: data-plane copies in and out of
-// the manager's pinned buffers) and a minimal owner-side phase submitted
-// to the simulation owner (state mutation and virtual time only). The
-// owner's critical section is therefore O(scheduling), not O(bytes):
-// concurrent clients overlap their memcpys on their own goroutines while
-// the owner only serializes the simulation. Sessions are opened in gvm's
-// direct-staging mode, so no byte ever moves on the owner goroutine.
+// connection-side phase (payload staging: nothing for a mapped plane,
+// whose segment is the pinned staging; the inline plane's frame copy) and
+// a minimal owner-side phase submitted to the simulation owner (state
+// mutation and virtual time only). The owner's critical section is
+// therefore O(scheduling), not O(bytes). Sessions are opened in gvm's
+// direct-staging mode, so the owner never copies host to host.
 type Dispatcher struct {
 	cfg DispatcherConfig
 	met *dispMetrics
@@ -81,8 +79,8 @@ type dispMetrics struct {
 	other    *verbInst // catch-all for unknown verbs
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
-	copyIn   map[string]*metrics.Histogram // plane kind -> wall ns
-	copyOut  map[string]*metrics.Histogram
+	copyIn   *metrics.Histogram // inline plane's frame<->staging copy, wall ns
+	copyOut  *metrics.Histogram
 	batSteps *metrics.Histogram
 
 	// Failover instruments: sessions migrated off unhealthy/draining
@@ -112,8 +110,10 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 		verbs:    make(map[string]*verbInst),
 		bytesIn:  reg.Counter("gvmd_verb_bytes_total", "payload bytes staged by verb", metrics.L("verb", "SND"), metrics.L("dir", "in")),
 		bytesOut: reg.Counter("gvmd_verb_bytes_total", "payload bytes staged by verb", metrics.L("verb", "RCV"), metrics.L("dir", "out")),
-		copyIn:   make(map[string]*metrics.Histogram),
-		copyOut:  make(map[string]*metrics.Histogram),
+		// Only the inline plane copies: mapped planes' segments are the
+		// staging, so there is no daemon-side copy to time.
+		copyIn:   reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", PlaneInline), metrics.L("dir", "in")),
+		copyOut:  reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", PlaneInline), metrics.L("dir", "out")),
 		batSteps: reg.Histogram("gvmd_bat_steps", "sub-requests per BAT frame"),
 		failovers: reg.Counter("node_failovers_total",
 			"sessions live-migrated off unhealthy or draining shards"),
@@ -133,10 +133,6 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 		dm.verbs[v] = mk(v)
 	}
 	dm.other = mk("other")
-	for _, plane := range []string{PlaneShm, PlaneInline} {
-		dm.copyIn[plane] = reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", plane), metrics.L("dir", "in"))
-		dm.copyOut[plane] = reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", plane), metrics.L("dir", "out"))
-	}
 	reg.CounterFunc("transport_pool_gets_total", "frame-buffer pool gets", func() int64 { g, _, _, _ := PoolStats(); return g })
 	reg.CounterFunc("transport_pool_puts_total", "frame-buffer pool puts", func() int64 { _, p, _, _ := PoolStats(); return p })
 	reg.CounterFunc("transport_pool_hits_total", "frame-buffer pool hits", func() int64 { _, _, h, _ := PoolStats(); return h })
@@ -146,8 +142,7 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 
 // hostSession is the daemon-side state of one client session: the vgpu
 // handle doing the protocol work, the data plane moving payloads to and
-// from the client process, and the pinned staging the connection
-// goroutine copies into (SND) and out of (RCV) directly.
+// from the client process, and the pinned staging bound onto it.
 type hostSession struct {
 	id    int
 	inB   int64        // staging footprint reserved on the shard
@@ -180,8 +175,9 @@ type hostSession struct {
 	v         *vgpu.VGPU
 	shard     int // the node shard (GPU) hosting the session
 	plane     HostPlane
-	stageIn   []byte // pinned SND staging (nil when timing-only or 0 bytes)
-	stageOut  []byte // pinned RCV staging
+	// Pinned staging (bindStaging): a mapped plane's own regions, heap
+	// for the inline plane, nil on a timing-only daemon.
+	stageIn, stageOut []byte
 
 	started bool // owner-goroutine state: an STR has not been STP'd yet
 }
@@ -194,48 +190,98 @@ func (s *hostSession) loc() (shard int, v *vgpu.VGPU) {
 	return shard, v
 }
 
-// copyIn stages a SND payload from the data plane straight into the
-// session's pinned staging buffer. Connection-goroutine side.
-func (s *hostSession) copyIn(req *Request) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// adoptOwner lands an extracted session on mgr and binds its staging.
+// Owner-goroutine side.
+func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession, functional bool) (*vgpu.VGPU, error) {
+	v, err := vgpu.Adopt(p, mgr, ext)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.bindStaging(mgr, functional); err != nil {
+		_ = v.Release(p) // ext stays adoptable elsewhere
+		return nil, fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, mgr.GPUIndex(), err)
+	}
+	return v, nil
+}
+
+// bindStaging makes the session's data plane its pinned staging: a mapped
+// plane's client-visible regions, so SND/RCV move no bytes on this side
+// and H2D/D2H work on the client's mapping in place; heap buffers for the
+// inline plane (the ones an adoption carried over, else fresh). A ring
+// session's control surface is bound along with it. Owner-goroutine side,
+// after every open and adopt; a timing-only daemon stages nothing.
+func (s *hostSession) bindStaging(mgr *gvm.Manager, functional bool) error {
+	if functional {
+		in, out := s.plane.Regions()
+		if _, inline := s.plane.(inlineHostPlane); inline {
+			in, out = mgr.Staging(s.id)
+			if in == nil {
+				in = make([]byte, s.inB)
+			}
+			if out == nil {
+				out = make([]byte, s.outB)
+			}
+		}
+		if err := mgr.RebindStaging(s.id, in, out); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.stageIn, s.stageOut = in, out
+		s.mu.Unlock()
+	}
+	if rp, ok := s.plane.(*ringHostPlane); ok {
+		return mgr.BindDirect(s.id, rp.sess.notify)
+	}
+	return nil
+}
+
+// staged gates SND and RCV payload handling; the caller holds s.mu.
+func (s *hostSession) staged() error {
 	if s.closed {
 		return fmt.Errorf("transport: session %d is closed", s.id)
 	}
 	if s.migrating {
 		return errors.New(gvm.Retryable(fmt.Sprintf("transport: session %d migrating", s.id)))
 	}
-	if s.stageIn == nil {
-		return nil // timing-only: no bytes move
+	return nil
+}
+
+// copyIn lands a SND payload in the session's pinned staging: a mapped
+// plane's client already wrote it there, the inline plane's rides the
+// request frame. Connection-goroutine side.
+func (s *hostSession) copyIn(req *Request) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.staged(); err != nil || s.stageIn == nil {
+		return err // nil staging: timing-only, no bytes move
 	}
-	start := time.Now()
-	if err := s.plane.CopyIn(req, s.stageIn); err != nil {
-		return err
+	if _, inline := s.plane.(inlineHostPlane); inline {
+		if len(req.Data) != len(s.stageIn) {
+			return fmt.Errorf("transport: inline SND carried %d bytes, session stages %d", len(req.Data), len(s.stageIn))
+		}
+		start := time.Now()
+		copy(s.stageIn, req.Data)
+		s.met.copyIn.Observe(int64(time.Since(start)))
 	}
-	s.met.copyIn[s.plane.Kind()].Observe(int64(time.Since(start)))
 	s.met.bytesIn.Add(int64(len(s.stageIn)))
 	return nil
 }
 
-// copyOut publishes RCV results from pinned staging through the data
-// plane. Connection-goroutine side.
+// copyOut publishes RCV results from pinned staging: a mapped plane's
+// client reads them in place; the inline plane aliases them into the
+// response frame, which is written (writev) before the session can start
+// another cycle that would overwrite them. Connection-goroutine side.
 func (s *hostSession) copyOut(resp *Response) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("transport: session %d is closed", s.id)
-	}
-	if s.migrating {
-		return errors.New(gvm.Retryable(fmt.Sprintf("transport: session %d migrating", s.id)))
-	}
-	if s.stageOut == nil {
-		return nil
-	}
-	start := time.Now()
-	if err := s.plane.CopyOut(s.stageOut, resp); err != nil {
+	if err := s.staged(); err != nil || s.stageOut == nil {
 		return err
 	}
-	s.met.copyOut[s.plane.Kind()].Observe(int64(time.Since(start)))
+	if _, inline := s.plane.(inlineHostPlane); inline {
+		start := time.Now()
+		resp.Data = s.stageOut
+		s.met.copyOut.Observe(int64(time.Since(start)))
+	}
 	s.met.bytesOut.Add(int64(len(s.stageOut)))
 	return nil
 }
@@ -363,63 +409,73 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	}
 
 	// Admission + placement: the node picks the shard once, here; every
-	// later verb for the session routes straight to it.
-	shard, err := d.cfg.Node.Place(spec.InBytes, spec.OutBytes)
-	if err != nil {
-		return errResp(err), true
-	}
-	mgr := d.cfg.Node.Shard(shard).Mgr
-
-	// Owner phase: open the gvm session (direct staging — the dispatcher
-	// moves the bytes, the owner only accounts virtual time).
+	// later verb for the session routes straight to it. Owner phase: open
+	// the gvm session (direct staging: the owner only accounts virtual
+	// time, payload bytes never move on it). A shard that faults between
+	// the two fails the open on its own account: place again without it.
 	var (
-		v                 *vgpu.VGPU
-		stageIn, stageOut []byte
-		verr              error
-		vms               float64
+		shard int
+		mgr   *gvm.Manager
+		v     *vgpu.VGPU
+		verr  error
+		vms   float64
 	)
-	if !submit(shard, func(p *sim.Proc) {
-		v, verr = vgpu.ConnectOpts(p, mgr, spec, vgpu.Opts{
-			Direct: true, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
-		})
-		if verr == nil && d.cfg.Functional {
-			stageIn, stageOut = mgr.Staging(v.Session())
+	for {
+		if shard, err = d.cfg.Node.Place(spec.InBytes, spec.OutBytes); err != nil {
+			return errResp(err), true
 		}
-		vms = p.Now().Milliseconds()
-	}) {
+		mgr = d.cfg.Node.Shard(shard).Mgr
+		ok := submit(shard, func(p *sim.Proc) {
+			v, verr = vgpu.ConnectOpts(p, mgr, spec, vgpu.Opts{
+				Direct: true, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
+			})
+			vms = p.Now().Milliseconds()
+		})
+		if ok && verr == nil {
+			break
+		}
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
-		return Response{}, false
-	}
-	if verr != nil {
-		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
-		r := errResp(verr)
-		r.VirtualMS = vms
-		return r, true
+		if !ok {
+			return Response{}, false
+		}
+		if !d.cfg.Node.Health(shard).Evacuate() {
+			r := errResp(verr)
+			r.VirtualMS = vms
+			return r, true
+		}
 	}
 
-	if kind == PlaneRing {
-		return d.serveRingREQ(cs, submit, shard, mgr, v, spec.InBytes, spec.OutBytes, vms)
-	}
-
-	// Connection phase: create the data plane (shm file creation is real
-	// I/O and stays off the owner) and publish the session.
+	// Connection phase: create the data plane (segment creation is real
+	// I/O and stays off the owner).
 	s := &hostSession{
 		id: v.Session(), v: v, shard: shard,
 		inB: spec.InBytes, outB: spec.OutBytes,
-		owner: cs, met: d.met, stageIn: stageIn, stageOut: stageOut,
+		owner: cs, met: d.met,
 		ref: *req.Ref, rank: req.Rank,
 	}
 	name := fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id)
-	s.plane, err = NewHostPlane(kind, d.cfg.ShmDir, name, spec.InBytes, spec.OutBytes)
+	if kind == PlaneRing {
+		s.plane, err = d.cfg.Rings.newPlane(name, s.id, shard, mgr, s.inB, s.outB, func() { d.ringReleased(s) })
+	} else {
+		s.plane, err = NewHostPlane(kind, d.cfg.ShmDir, name, s.inB, s.outB)
+	}
+	// Owner phase: the plane becomes the session's pinned staging; a
+	// failure so far unwinds like a release.
+	if err == nil && !submit(shard, func(p *sim.Proc) { err = s.bindStaging(mgr, d.cfg.Functional) }) {
+		// No verb ever ran on the session, so nothing can touch the
+		// mapping this unmaps.
+		_ = s.plane.Close()
+		d.cfg.Node.Release(shard, s.inB, s.outB)
+		return Response{}, false
+	}
 	if err != nil {
-		submit(shard, func(p *sim.Proc) { _ = v.Release(p) })
-		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
+		submit(shard, func(p *sim.Proc) { d.closeOwner(p, s) })
 		return errResp(err), true
 	}
-	d.mu.Lock()
-	d.sessions[s.id] = s
-	d.mu.Unlock()
-	cs.owned = append(cs.owned, s.id)
+	d.publish(s, cs)
+	if rp, ok := s.plane.(*ringHostPlane); ok {
+		rp.rs.Register(rp.sess)
+	}
 	return Response{
 		Status:    "ACK",
 		Session:   s.id,
@@ -431,72 +487,16 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	}, true
 }
 
-// serveRingREQ finishes a REQ that negotiated the ring plane: it lays
-// the session's rings out in a fresh segment, rebinds gvm's pinned
-// staging onto the segment's staging regions (so SND/RCV payload bytes
-// are shared, not copied), and registers the session with its shard's
-// ring sweep. Connection-goroutine side, with one owner submit for the
-// bind.
-func (d *Dispatcher) serveRingREQ(cs *ConnState, submit ShardSubmitter, shard int, mgr *gvm.Manager, v *vgpu.VGPU, inB, outB int64, vms float64) (Response, bool) {
-	rh := d.cfg.Rings
-	id := v.Session()
-	name := fmt.Sprintf("%s-%d", d.cfg.SegPrefix, id)
-	rcfg := rh.Config()
-	abort := func() {
-		submit(shard, func(p *sim.Proc) { _ = v.Release(p) })
-		d.cfg.Node.Release(shard, inB, outB)
-	}
-	seg, err := shm.NewFile(d.cfg.ShmDir, name, shm.RingSegmentSize(rcfg, inB, outB))
-	if err != nil {
-		abort()
-		return errResp(err), true
-	}
-	sr, err := shm.InitSessionRing(seg, rcfg, inB, outB, rh.DoorName(), uint32(shard*shm.DoorStride))
-	if err != nil {
-		seg.Close()
-		abort()
-		return errResp(err), true
-	}
-	rs := rh.Shard(shard)
-	sess := &ringSession{id: id, shard: rs, mgr: mgr, seg: seg, sr: sr}
-	s := &hostSession{
-		id: id, v: v, shard: shard, inB: inB, outB: outB,
-		owner: cs, met: d.met,
-		plane: &ringHostPlane{name: name, rs: rs, sess: sess},
-	}
-	sess.onRelease = func() { d.ringReleased(s) }
-	var berr error
-	if !submit(shard, func(p *sim.Proc) {
-		berr = mgr.BindDirect(id, sr.In(), sr.Out(), sess.notify)
-	}) {
-		seg.Close()
-		d.cfg.Node.Release(shard, inB, outB)
-		return Response{}, false
-	}
-	if berr != nil {
-		seg.Close()
-		abort()
-		return errResp(berr), true
-	}
+// publish makes a fully opened session addressable by its connection.
+func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 	d.mu.Lock()
-	d.sessions[id] = s
+	d.sessions[s.id] = s
 	d.mu.Unlock()
-	cs.owned = append(cs.owned, id)
-	rs.Register(sess)
-	return Response{
-		Status:    "ACK",
-		Session:   id,
-		Plane:     PlaneRing,
-		Segment:   name,
-		InBytes:   inB,
-		OutBytes:  outB,
-		VirtualMS: vms,
-	}, true
+	cs.owned = append(cs.owned, s.id)
 }
 
 // ringReleased is the ring-RLS counterpart of releaseOwner: gvm already
-// tore the session down inside DirectVerb, so only dispatcher
-// bookkeeping remains. It runs on the owner goroutine (from the
+// tore the session down, so only dispatcher bookkeeping remains. It runs on the owner goroutine (from the
 // session's DirectNotify); the connection's owned list is left alone —
 // HangUp tolerates ids that have left the session table.
 func (d *Dispatcher) ringReleased(s *hostSession) {
@@ -753,10 +753,8 @@ func (d *Dispatcher) serveBAT(req Request, cs *ConnState, submit ShardSubmitter)
 }
 
 // releaseOwner tears one session down. Owning-shard owner-goroutine
-// side: unpublish first so no new connection phase can find it, then mark
-// it closed under its mutex (waiting out any staging copy in flight)
-// before releasing the gvm session, the data plane, and the node's
-// placement reservation.
+// side: unpublish first so no new connection phase can find it, then
+// close it.
 func (d *Dispatcher) releaseOwner(p *sim.Proc, s *hostSession) {
 	d.mu.Lock()
 	cur, live := d.sessions[s.id]
@@ -767,6 +765,15 @@ func (d *Dispatcher) releaseOwner(p *sim.Proc, s *hostSession) {
 	if !live || cur != s {
 		return // already released
 	}
+	d.closeOwner(p, s)
+}
+
+// closeOwner ends an unpublished session: mark it closed under its mutex
+// (waiting out any staging copy in flight), then release the gvm session,
+// the data plane and the placement — in that order, on the owner: staging
+// aliases a mapped plane's segment, and gvm's RLS returns only once no
+// stream operation that could touch it remains.
+func (d *Dispatcher) closeOwner(p *sim.Proc, s *hostSession) {
 	s.mu.Lock()
 	s.closed = true
 	plane, v, shard := s.plane, s.v, s.shard
@@ -907,32 +914,21 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	}
 
 	// adoptOn lands the extracted session on shard: adopt into the gvm
-	// manager, rebind the ring segment (or refresh the pinned staging
-	// pointers), and remap the dispatcher's routing. The ring session's
-	// mgr/shard fields are set inside the owner closure so the target
-	// sweep observes them through the Register happens-before edge.
+	// manager, bind its staging back onto the data plane (a mapped segment
+	// held the truth all along: nothing is copied back), and remap the
+	// dispatcher's routing. The ring session's mgr/shard fields are set in
+	// the owner closure so the target sweep observes them through the
+	// Register happens-before edge.
 	adoptOn := func(shard int) error {
 		mgr := d.cfg.Node.Shard(shard).Mgr
 		var (
-			nv        *vgpu.VGPU
-			aerr      error
-			sIn, sOut []byte
+			nv   *vgpu.VGPU
+			aerr error
 		)
 		if !submit(shard, func(p *sim.Proc) {
-			nv, aerr = vgpu.Adopt(p, mgr, ext)
-			if aerr != nil {
-				return
-			}
-			if rp != nil {
-				sr := rp.sess.sr
-				if berr := mgr.BindDirect(s.id, sr.In(), sr.Out(), rp.sess.notify); berr != nil {
-					aerr = fmt.Errorf("transport: rebind ring session %d on gpu %d: %w", s.id, shard, berr)
-					return
-				}
+			if nv, aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional); aerr == nil && rp != nil {
 				rp.sess.mgr = mgr
 				rp.sess.shard = d.cfg.Rings.Shard(shard)
-			} else if d.cfg.Functional {
-				sIn, sOut = mgr.Staging(s.id)
 			}
 		}) {
 			return errors.New("transport: shutdown during migration")
@@ -943,9 +939,7 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 		s.mu.Lock()
 		s.v = nv
 		s.shard = shard
-		if rp == nil {
-			s.stageIn, s.stageOut = sIn, sOut
-		} else {
+		if rp != nil {
 			rp.rs = d.cfg.Rings.Shard(shard)
 		}
 		s.mu.Unlock()

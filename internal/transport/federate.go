@@ -122,9 +122,9 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 			s.closed = true
 			plane := s.plane
 			s.mu.Unlock()
-			if plane != nil {
-				_ = plane.Close()
-			}
+			// ExtractSession quiesced the stream and dropped the gvm
+			// session, so nothing references a mapped plane's staging.
+			_ = plane.Close()
 			d.cfg.Node.Release(from, s.inB, s.outB)
 			if d.cfg.Log != nil {
 				d.cfg.Log.Info("session extracted for cross-node migration",
@@ -134,17 +134,12 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 		}
 	}
 	// Serialization failed: put the session back so it keeps serving.
-	mgr := d.cfg.Node.Shard(from).Mgr
 	var (
-		nv        *vgpu.VGPU
-		aerr      error
-		sIn, sOut []byte
+		nv   *vgpu.VGPU
+		aerr error
 	)
 	if !submit(from, func(p *sim.Proc) {
-		nv, aerr = vgpu.Adopt(p, mgr, ext)
-		if aerr == nil && d.cfg.Functional {
-			sIn, sOut = mgr.Staging(s.id)
-		}
+		nv, aerr = s.adoptOwner(p, fromMgr, ext, d.cfg.Functional)
 	}) {
 		return Response{}, false
 	}
@@ -153,7 +148,6 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 	}
 	s.mu.Lock()
 	s.v = nv
-	s.stageIn, s.stageOut = sIn, sOut
 	s.mu.Unlock()
 	return errResp(fmt.Errorf("transport: MIG encode session %d: %w", s.id, err)), true
 }
@@ -191,20 +185,21 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 		return errResp(err), true
 	}
 	mgr := d.cfg.Node.Shard(shard).Mgr
+	s := &hostSession{
+		shard: shard,
+		inB:   spec.InBytes, outB: spec.OutBytes,
+		owner: cs, met: d.met, plane: inlineHostPlane{},
+		ref: blob.Ref, rank: blob.Rank,
+		started: blob.Started, // pre-publication write, no lock needed
+	}
 	var (
-		id                int
-		v                 *vgpu.VGPU
-		aerr              error
-		stageIn, stageOut []byte
-		vms               float64
+		aerr error
+		vms  float64
 	)
 	if !submit(shard, func(p *sim.Proc) {
-		id = mgr.MintSessionID()
-		ext.SetID(id)
-		v, aerr = vgpu.Adopt(p, mgr, ext)
-		if aerr == nil && d.cfg.Functional {
-			stageIn, stageOut = mgr.Staging(id)
-		}
+		s.id = mgr.MintSessionID()
+		ext.SetID(s.id)
+		s.v, aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional)
 		vms = p.Now().Milliseconds()
 	}) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
@@ -216,25 +211,14 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 		r.VirtualMS = vms
 		return r, true
 	}
-	s := &hostSession{
-		id: id, v: v, shard: shard,
-		inB: spec.InBytes, outB: spec.OutBytes,
-		owner: cs, met: d.met, stageIn: stageIn, stageOut: stageOut,
-		ref: blob.Ref, rank: blob.Rank,
-		started: blob.Started, // pre-publication write, no lock needed
-	}
-	s.plane, _ = NewHostPlane(PlaneInline, "", "", spec.InBytes, spec.OutBytes)
-	d.mu.Lock()
-	d.sessions[id] = s
-	d.mu.Unlock()
-	cs.owned = append(cs.owned, id)
+	d.publish(s, cs)
 	if d.cfg.Log != nil {
 		d.cfg.Log.Info("session adopted from cross-node migration",
-			"session", id, "source-session", srcID, "gpu", shard)
+			"session", s.id, "source-session", srcID, "gpu", shard)
 	}
 	return Response{
 		Status:    "ACK",
-		Session:   id,
+		Session:   s.id,
 		Plane:     PlaneInline,
 		InBytes:   spec.InBytes,
 		OutBytes:  spec.OutBytes,

@@ -104,16 +104,19 @@ type HostPlane interface {
 	// Segment names the shared-memory segment advertised to the client
 	// ("" for the inline plane).
 	Segment() string
-	// CopyIn fills dst with the SND payload the client staged.
-	CopyIn(req *Request, dst []byte) error
-	// CopyOut publishes the RCV payload in src to the client. The inline
-	// plane aliases src into resp.Data without copying, so src must stay
-	// untouched until the response frame has been written.
-	CopyOut(src []byte, resp *Response) error
+	// Regions returns the client-visible input and output staging regions
+	// of a mapped plane (shm, ring). The session's pinned staging is bound
+	// onto them (hostSession.bindStaging), so SND and RCV move no bytes on
+	// the daemon side. The inline plane has none: its payloads ride the
+	// control frames and are copied through heap staging.
+	Regions() (in, out []byte)
+	// Close releases the plane. A mapped plane's Regions die with it, so
+	// it runs only after the gvm session bound onto them is gone.
 	Close() error
 }
 
-// NewHostPlane creates the daemon side of a session's data plane.
+// NewHostPlane creates the daemon side of a shm or inline data plane
+// (a ring plane carries its rings with it: RingHost.newPlane).
 func NewHostPlane(kind, dir, name string, inBytes, outBytes int64) (HostPlane, error) {
 	switch kind {
 	case PlaneShm:
@@ -125,7 +128,7 @@ func NewHostPlane(kind, dir, name string, inBytes, outBytes int64) (HostPlane, e
 		if err != nil {
 			return nil, err
 		}
-		return &shmHostPlane{seg: seg, name: name, inBytes: inBytes}, nil
+		return &shmHostPlane{seg: seg, name: name, inBytes: inBytes, outBytes: outBytes}, nil
 	case PlaneInline:
 		return inlineHostPlane{}, nil
 	default:
@@ -133,43 +136,27 @@ func NewHostPlane(kind, dir, name string, inBytes, outBytes int64) (HostPlane, e
 	}
 }
 
+// shmHostPlane is the ring plane's segment without the rings: input at
+// offset 0, output at offset inBytes, nothing else.
 type shmHostPlane struct {
-	seg     shm.Segment
-	name    string
-	inBytes int64
+	seg               shm.Segment
+	name              string
+	inBytes, outBytes int64
 }
 
 func (h *shmHostPlane) Kind() string    { return PlaneShm }
 func (h *shmHostPlane) Segment() string { return h.name }
 
-func (h *shmHostPlane) CopyIn(req *Request, dst []byte) error {
-	return h.seg.ReadAt(dst, 0)
-}
-
-func (h *shmHostPlane) CopyOut(src []byte, resp *Response) error {
-	return h.seg.WriteAt(src, h.inBytes)
+func (h *shmHostPlane) Regions() (in, out []byte) {
+	b := h.seg.Bytes()
+	return b[:h.inBytes:h.inBytes], b[h.inBytes : h.inBytes+h.outBytes]
 }
 
 func (h *shmHostPlane) Close() error { return h.seg.Close() }
 
 type inlineHostPlane struct{}
 
-func (inlineHostPlane) Kind() string    { return PlaneInline }
-func (inlineHostPlane) Segment() string { return "" }
-
-func (inlineHostPlane) CopyIn(req *Request, dst []byte) error {
-	if len(req.Data) != len(dst) {
-		return fmt.Errorf("transport: inline SND carried %d bytes, session stages %d", len(req.Data), len(dst))
-	}
-	copy(dst, req.Data)
-	return nil
-}
-
-func (inlineHostPlane) CopyOut(src []byte, resp *Response) error {
-	// Zero-copy: the response frame is written (writev) before the
-	// session can start another cycle that would overwrite src.
-	resp.Data = src
-	return nil
-}
-
-func (inlineHostPlane) Close() error { return nil }
+func (inlineHostPlane) Kind() string              { return PlaneInline }
+func (inlineHostPlane) Segment() string           { return "" }
+func (inlineHostPlane) Regions() (in, out []byte) { return nil, nil }
+func (inlineHostPlane) Close() error              { return nil }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -97,16 +96,6 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 	return h, nil
 }
 
-// DoorName returns the doorbell segment's file name, advertised to every
-// ring session so clients can map the shard doorbell.
-func (h *RingHost) DoorName() string { return h.doorName }
-
-// Config returns the per-session ring geometry.
-func (h *RingHost) Config() shm.RingConfig { return h.ring }
-
-// NumShards returns how many shard doorbells the host holds.
-func (h *RingHost) NumShards() int { return len(h.shards) }
-
 // Shard returns shard i's ring sweep state.
 func (h *RingHost) Shard(i int) *RingShard { return h.shards[i] }
 
@@ -127,6 +116,25 @@ func (h *RingHost) Close() error {
 		rs.sessions = nil
 	}
 	return h.doorSeg.Close()
+}
+
+// newPlane lays a new session's rings and staging regions out in a fresh
+// segment named name and returns its (not yet registered) host plane;
+// onRelease runs once gvm has released the session through a ring RLS.
+func (h *RingHost) newPlane(name string, id, shard int, mgr *gvm.Manager, inB, outB int64, onRelease func()) (HostPlane, error) {
+	seg, err := shm.NewFile(h.dir, name, shm.RingSegmentSize(h.ring, inB, outB))
+	if err != nil {
+		return nil, err
+	}
+	sr, err := shm.InitSessionRing(seg, h.ring, inB, outB, h.doorName, uint32(shard*shm.DoorStride))
+	if err != nil {
+		seg.Close()
+		return nil, err
+	}
+	rs := h.shards[shard]
+	return &ringHostPlane{name: name, rs: rs, sess: &ringSession{
+		id: id, shard: rs, mgr: mgr, seg: seg, sr: sr, onRelease: onRelease,
+	}}, nil
 }
 
 // RingAll rings every shard doorbell — the shutdown kick that pops
@@ -580,26 +588,17 @@ func (s *ringSession) closeOwner() {
 }
 
 // ringHostPlane is the dispatcher-facing HostPlane of a ring session.
-// The owner never copies payloads for ring sessions (staging is rebound
-// onto the client-visible segment), so the copy hooks only guard against
-// misuse; Close routes teardown through the shard owner so the segment
-// is unmapped exactly once, race-free with the sweep.
+// Close routes teardown through the shard owner so the segment is
+// unmapped exactly once, race-free with the sweep.
 type ringHostPlane struct {
 	name string
 	rs   *RingShard
 	sess *ringSession
 }
 
-func (h *ringHostPlane) Kind() string    { return PlaneRing }
-func (h *ringHostPlane) Segment() string { return h.name }
-
-func (h *ringHostPlane) CopyIn(req *Request, dst []byte) error {
-	return errors.New("transport: ring sessions stage payloads through the mapped segment, not the socket")
-}
-
-func (h *ringHostPlane) CopyOut(src []byte, resp *Response) error {
-	return errors.New("transport: ring sessions collect payloads through the mapped segment, not the socket")
-}
+func (h *ringHostPlane) Kind() string              { return PlaneRing }
+func (h *ringHostPlane) Segment() string           { return h.name }
+func (h *ringHostPlane) Regions() (in, out []byte) { return h.sess.sr.In(), h.sess.sr.Out() }
 
 func (h *ringHostPlane) Close() error {
 	h.rs.Unregister(h.sess)

@@ -148,7 +148,8 @@ func TestInprocConnSupportsDeadlines(t *testing.T) {
 }
 
 // TestPlaneRoundTrips drives each client plane against its host plane
-// directly, without a daemon in between.
+// directly, without a daemon in between: a mapped plane's regions ARE
+// the staging, the inline plane copies through heap staging.
 func TestPlaneRoundTrips(t *testing.T) {
 	in := []byte{1, 2, 3, 4}
 	out := []byte{9, 8, 7}
@@ -171,24 +172,35 @@ func TestPlaneRoundTrips(t *testing.T) {
 			}
 			defer client.Close()
 
-			// Client stages input; host copies it in.
+			stageIn, stageOut := host.Regions()
+			_, inline := host.(inlineHostPlane)
+			if inline {
+				if stageIn != nil || stageOut != nil {
+					t.Fatal("inline plane exposes regions")
+				}
+				stageIn, stageOut = make([]byte, len(in)), make([]byte, len(out))
+			} else if len(stageIn) != len(in) || len(stageOut) != len(out) {
+				t.Fatalf("regions are %d+%d bytes, want %d+%d", len(stageIn), len(stageOut), len(in), len(out))
+			}
+
+			// Client stages input; it lands in the host's staging.
 			req := Request{Verb: "SND"}
 			if err := client.StageIn(in, &req); err != nil {
 				t.Fatal(err)
 			}
-			dst := make([]byte, len(in))
-			if err := host.CopyIn(&req, dst); err != nil {
-				t.Fatal(err)
+			if inline {
+				copy(stageIn, req.Data)
 			}
-			if string(dst) != string(in) {
-				t.Fatalf("host read %v, want %v", dst, in)
+			if string(stageIn) != string(in) {
+				t.Fatalf("host staging holds %v, want %v", stageIn, in)
 			}
 
-			// Host publishes output; client collects it.
+			// Host staging receives output; client collects it.
 			var rcv Response
 			rcv.Plane = kind
-			if err := host.CopyOut(out, &rcv); err != nil {
-				t.Fatal(err)
+			copy(stageOut, out)
+			if inline {
+				rcv.Data = stageOut
 			}
 			buf := make([]byte, len(out))
 			if err := client.CollectOut(buf, &rcv); err != nil {

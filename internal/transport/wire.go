@@ -103,6 +103,31 @@ func ReadPreamble(r io.Reader) (jsonWire bool, err error) {
 	}
 }
 
+// rejectGrace bounds how long a server keeps reading from a connection
+// it is turning away.
+const rejectGrace = time.Second
+
+// RejectConn turns a freshly accepted connection away without failing
+// the client's own writes: it sends its first request right behind the
+// preamble, and closing a socket with that unread resets it (EPIPE or
+// ECONNRESET instead of the server's answer). So, bounded by rejectGrace:
+// when the client's codec is known (reply != nil) consume that request
+// and answer it with ERR msg; then half-close, discard at most MaxFrame
+// bytes more, and close.
+func RejectConn(nc net.Conn, reply *Conn, msg string) {
+	_ = nc.SetDeadline(time.Now().Add(rejectGrace))
+	if reply != nil {
+		_, _ = reply.ReadRequest()
+		_ = reply.WriteResponse(Response{Status: "ERR", Err: msg})
+		reply.Release()
+	}
+	if hc, ok := nc.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite()
+	}
+	_, _ = io.Copy(io.Discard, io.LimitReader(nc, MaxFrame))
+	nc.Close()
+}
+
 // Conn frames requests and responses over a stream connection. The
 // default codec is the length-prefixed binary format (frame.go), reusing
 // one encode and one decode buffer across frames; NewConnJSON selects the

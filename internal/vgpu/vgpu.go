@@ -48,20 +48,15 @@ func Connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec) (*VGPU, error) {
 	return connect(p, mgr, spec, Opts{})
 }
 
-// ConnectDirect opens the session in direct-staging mode: payload bytes
-// bypass the shared-memory segment and move straight through the
-// manager's pinned staging buffers (gvm.Manager.Staging), while every
-// verb still charges its usual virtual host-copy time. The daemon
-// dispatcher uses it to keep payload memcpys off the simulation-owner
-// goroutine; use SendInput/ReceiveOutput with nil buffers.
-func ConnectDirect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec) (*VGPU, error) {
-	return connect(p, mgr, spec, Opts{Direct: true})
-}
-
 // Opts are the optional REQ parameters a client may attach when opening
 // a session.
 type Opts struct {
-	// Direct selects direct-staging mode (see ConnectDirect).
+	// Direct selects direct-staging mode: payload bytes bypass the
+	// shared-memory segment and move through caller-owned pinned staging
+	// (gvm.Manager.RebindStaging), while every verb still charges its usual
+	// virtual host-copy time. The daemon dispatcher uses it to keep payload
+	// memcpys off the simulation-owner goroutine; use
+	// SendInput/ReceiveOutput with nil buffers.
 	Direct bool
 	// MemQuota is a hard per-session device-memory cap in bytes, enforced
 	// by the manager at every allocation. 0 = unlimited.
