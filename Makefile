@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test race bench bench-short bench-schema bench-json interference-short chaos-short fed-short smoke
+.PHONY: all ci fmt vet build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc
 
 all: ci
 
@@ -27,13 +27,28 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The race-detector runs leave one test to `make test`: the
+# futex-free-window half of TestRingCycleZeroAllocZeroSyscall asserts
+# scheduling, not correctness — both ring sides must spin through 100
+# cycles without being descheduled — and under the detector's slowdown on
+# a 2-CPU machine they are not (alone it fails 4 of 20 -race runs, at the
+# parent of this line's commit too).
+RACE_SKIP = -skip '^TestRingCycleZeroAllocZeroSyscall$$'
+
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $(RACE_SKIP) ./...
+
+# Merge gate for anything touching the daemon stack (ROADMAP item 1): the
+# four packages whose tests run real goroutines against each other, 20
+# times in shuffled order under the race detector. Zero flakes allowed.
+flake:
+	$(GO) test -race -shuffle=on -count=20 $(RACE_SKIP) ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, shm copies,
 # simulator calendar) — catches perf regressions that break, not ones
-# that merely slow down.
+# that merely slow down. Numbers a claim rests on come from
+# `bash bench/run.sh` (BENCHMARK.json), never from here.
 bench-short:
 	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle|ShmPlaneCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'DaemonThroughput' -benchtime 20x -benchmem ./internal/ipc/
@@ -64,28 +79,14 @@ fed-short:
 interference-short:
 	$(GO) test -run TestInterferenceShort -count=1 ./internal/experiments/
 
-# Full benchmark matrix: data-plane microbenchmarks plus daemon cycle
-# throughput at 1/2/4/8 clients over inproc/unix/tcp/ring, pipelined vs
-# serial, the shard-scaling sweep (1/2/4 GPUs x 1/4/8 clients), the
-# federated throughput sweep (gvmfed fronting 1/2 nodes x 1/4/8
-# clients, quantifying the proxy hop against the direct numbers), the
-# memory-oversubscription sweep (sessions totaling 1x/2x/4x device
-# memory: swap traffic and p99 turnaround), and the QoS interference
-# co-location sweep (solo vs FIFO vs weighted-fair tail latency, batch
-# throughput cost, 1:2:4 fairness races), written as this PR's JSON
-# artifact: results/BENCH_pr$(PR).json. PR defaults to the commit count,
-# which only grows, so a new run never overwrites an older artifact; name
-# it after the PR with `make bench PR=15`.
-PR ?= $(shell git rev-list --count HEAD)
-bench:
-	$(GO) run ./cmd/gvmbench -benchjson results/BENCH_pr$(PR).json
-
-# Regenerate the machine-readable hot-path numbers (alias of bench;
-# earlier PR artifacts are kept as historical records).
-bench-json: bench
-
 # End-to-end daemon smoke: gvmd on a TCP loopback port, a two-process
 # multiprocess round against it, non-empty turnaround output, and a
 # well-formed /metrics scrape with nonzero verb counters.
 smoke:
 	./scripts/smoke.sh
+
+# Size of the code a PR has to carry: non-test Go lines outside bench/
+# and exported identifiers per internal/ package. CHANGES.md entries quote
+# its deltas against the parent commit.
+loc:
+	./scripts/loc.sh

@@ -8,7 +8,6 @@
 package gpuvirt_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -525,21 +524,6 @@ func benchRequest() transport.Request {
 			Name:   "vecadd",
 			Params: map[string]int{"n": 50_000_000, "grid": 48829},
 		},
-	}
-}
-
-func BenchmarkIPCFrame_JSON(b *testing.B) {
-	req := benchRequest()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var got transport.Request
-		if err := json.Unmarshal(buf, &got); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,14 +3,12 @@
 //
 // Usage:
 //
-//	gvmbench                              # run everything
-//	gvmbench -experiment fig9             # run one artifact
-//	gvmbench -benchjson results/BENCH.json # data-plane microbenchmarks
+//	gvmbench                  # run everything
+//	gvmbench -experiment fig9 # run one artifact
 //
 // Artifacts: table2, fig9, table3, fig10, table4, fig11-15, fig16.
-// -benchjson measures the data-plane hot paths (functional kernel
-// execution serial vs parallel, IPC framing, shm copies, the simulator
-// calendar) and writes them as JSON instead of running artifacts.
+// Performance of the daemon stack is measured by bench/ (BENCHMARK.json),
+// not here.
 package main
 
 import (
@@ -23,17 +21,7 @@ import (
 
 func main() {
 	exp := flag.String("experiment", "all", "artifact to regenerate: table2|fig9|table3|fig10|table4|fig11-15|fig16|ext-cluster|ext-multigpu|all")
-	benchJSON := flag.String("benchjson", "", "write data-plane microbenchmark results as JSON to this path and exit")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := experiments.WriteMicroBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gvmbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("gvmbench: wrote %s\n", *benchJSON)
-		return
-	}
 
 	runners := []struct {
 		name string

@@ -54,7 +54,6 @@ func (l *listenFlags) Set(v string) error {
 func main() {
 	var listen listenFlags
 	flag.Var(&listen, "listen", "transport address to serve: unix:///path, tcp://host:port, ring:///path (repeatable; default unix:///tmp/gvmd.sock)")
-	socket := flag.String("socket", "", "legacy alias for -listen unix://<path>")
 	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
 	parties := flag.Int("parties", 1, "STR barrier width (number of SPMD processes)")
 	functional := flag.Bool("functional", true, "carry real data and compute real results")
@@ -65,7 +64,6 @@ func main() {
 	barrierTimeout := flag.Duration("barrier-timeout", 0, "flush partial STR batches after this long (0 = strict barrier)")
 	execWorkers := flag.Int("exec-workers", 0, "functional kernel execution worker pool (0 = GOMAXPROCS, 1 = serial)")
 	preemptRatio := flag.Float64("preempt-ratio", 0, "wave-boundary preemption threshold: a pending kernel preempts an active one iff weight > ratio*activeWeight (0 = default 1.0, negative disables)")
-	jsonWire := flag.Bool("json-wire", false, "speak newline-delimited JSON on the control socket (debugging; clients must use DialJSON)")
 	maxSessionBytes := flag.Int64("max-session-bytes", 0, "reject REQ whose staging footprint (InBytes+OutBytes) exceeds this many bytes (0 = no per-session limit)")
 	overcommit := flag.Float64("overcommit", 1.0, "admit sessions while reserved bytes stay within this factor of each GPU's memory; above 1.0 idle sessions are evicted to host snapshots on demand")
 	memBytes := flag.Int64("mem", 0, "override each simulated GPU's device memory in bytes (0 = architecture default; shrink it to demo -overcommit eviction)")
@@ -129,9 +127,6 @@ func main() {
 	if *memBytes > 0 {
 		arch.MemBytes = *memBytes
 	}
-	if *socket != "" {
-		listen = append(listenFlags{"unix://" + *socket}, listen...)
-	}
 	if len(listen) == 0 {
 		listen = listenFlags{"unix:///tmp/gvmd.sock"}
 	}
@@ -159,7 +154,6 @@ func main() {
 		Placement:       *placement,
 		ExecWorkers:     *execWorkers,
 		PreemptRatio:    *preemptRatio,
-		JSONWire:        *jsonWire,
 		MaxSessionBytes: *maxSessionBytes,
 		Overcommit:      *overcommit,
 		BarrierTimeout:  *barrierTimeout,

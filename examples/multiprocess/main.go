@@ -97,7 +97,7 @@ func parent(workers int, connect string, timeout, duration time.Duration, weight
 		shmDir = dir
 
 		srv, err := ipc.NewServer(ipc.ServerConfig{
-			Socket:      filepath.Join(dir, "gvmd.sock"),
+			Listen:      []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
 			Parties:     workers, // barrier: all workers' streams flush together
 			Functional:  true,
 			ShmDir:      dir,

@@ -10,8 +10,8 @@ import (
 	"gpuvirt/internal/sim"
 )
 
-// This file is the QoS interference experiment behind `gvmbench
-// -benchjson`: a latency-sensitive tenant issuing a short kernel on a
+// This file is the QoS interference experiment (`make interference-short`):
+// a latency-sensitive tenant issuing a short kernel on a
 // fixed period is co-located with backlogged batch tenants on a GPU
 // whose concurrency window is deliberately small (2 kernels, the
 // contended case). Under FIFO scheduling the latency tenant queues
@@ -28,27 +28,27 @@ import (
 // InterferenceRun is one co-location (or solo) measurement.
 type InterferenceRun struct {
 	// Mode is "solo", "fifo", or "weighted-w<N>".
-	Mode string `json:"mode"`
+	Mode string
 	// LatencyWeight is the latency tenant's scheduling weight (batch
 	// tenants always run at weight 1).
-	LatencyWeight int `json:"latency_weight"`
+	LatencyWeight int
 	// Latency-tenant cycle turnaround in virtual milliseconds.
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64
+	P99MS  float64
+	MeanMS float64
 	// P99VsSolo is P99MS over the solo run's P99MS (1.0 = no
 	// interference); 0 on the solo run itself.
-	P99VsSolo float64 `json:"p99_vs_solo,omitempty"`
+	P99VsSolo float64
 	// BatchKernels counts batch kernels completed over the run's horizon;
 	// BatchVsFIFO is this run's batch rate over the FIFO baseline's (1.0
 	// = no throughput cost).
-	BatchKernels int64   `json:"batch_kernels,omitempty"`
-	BatchVsFIFO  float64 `json:"batch_vs_fifo,omitempty"`
+	BatchKernels int64
+	BatchVsFIFO  float64
 	// Preemptions is the device's wave-boundary preemption count.
-	Preemptions int64 `json:"preemptions"`
+	Preemptions int64
 	// OutputDigest is an FNV-64a digest of every latency-tenant output
 	// buffer, cycle by cycle — identical across modes by construction.
-	OutputDigest string `json:"output_digest"`
+	OutputDigest string
 }
 
 // FairnessRun measures how SM throughput divides among three backlogged
@@ -56,25 +56,24 @@ type InterferenceRun struct {
 type FairnessRun struct {
 	// Mode is "fifo" (scheduler ignores the requested weights) or
 	// "weighted".
-	Mode    string  `json:"mode"`
-	Weights []int   `json:"weights"`
-	Kernels []int64 `json:"kernels"`
+	Mode    string
+	Weights []int
+	Kernels []int64
 	// JainIndex is Jain's fairness index over weight-normalized
 	// throughput: 1.0 means each tenant's share is exactly proportional
 	// to its weight.
-	JainIndex float64 `json:"jain_index"`
+	JainIndex float64
 }
 
-// InterferenceReport is the QoS section of the benchmark JSON.
+// InterferenceReport is the experiment's result.
 type InterferenceReport struct {
-	Short         bool              `json:"short,omitempty"`
-	LatencyCycles int               `json:"latency_cycles"`
-	PeriodMS      float64           `json:"period_ms"`
-	Runs          []InterferenceRun `json:"runs"`
-	Fairness      []FairnessRun     `json:"fairness"`
+	LatencyCycles int
+	PeriodMS      float64
+	Runs          []InterferenceRun
+	Fairness      []FairnessRun
 	// FunctionalMatch is true iff every latency-tenant output matched the
 	// CPU reference and every run produced the same digest.
-	FunctionalMatch bool `json:"functional_match"`
+	FunctionalMatch bool
 }
 
 // Latency tenant: one wave of 4-warp blocks, under-occupied, so its solo
@@ -366,19 +365,18 @@ func latMean(lat []sim.Duration) float64 {
 	return float64(sum) / float64(len(lat)) / 1e6
 }
 
-// InterferenceBench runs the co-location sweep: a solo latency baseline,
-// the FIFO co-located baseline (weights ignored, preemption disabled),
-// and weighted-fair co-location at latency weights 2/4/8, plus the
-// 1:2:4 fairness races. Short mode trims cycles and the sweep for CI.
-func InterferenceBench(short bool) (*InterferenceReport, error) {
-	cycles, period := 120, 160*sim.Millisecond
-	sweep := []int{2, 4, 8}
-	fairDur := sim.Second
-	if short {
-		cycles, sweep, fairDur = 40, []int{8}, 300*sim.Millisecond
-	}
+// InterferenceBench runs the CI-sized co-location sweep: a solo latency
+// baseline, the FIFO co-located baseline (weights ignored, preemption
+// disabled), weighted-fair co-location at latency weight 8, and the
+// 1:2:4 fairness races.
+func InterferenceBench() (*InterferenceReport, error) {
+	const (
+		cycles  = 40
+		period  = 160 * sim.Millisecond
+		weight  = 8
+		fairDur = 300 * sim.Millisecond
+	)
 	rep := &InterferenceReport{
-		Short:           short,
 		LatencyCycles:   cycles,
 		PeriodMS:        float64(period) / 1e6,
 		FunctionalMatch: true,
@@ -412,23 +410,20 @@ func InterferenceBench(short bool) (*InterferenceReport, error) {
 	})
 	rep.FunctionalMatch = rep.FunctionalMatch && fifo.verified && fifo.digest == solo.digest
 
-	for _, w := range sweep {
-		tr, err := interfRun(interfParams{latWeight: w, batchTenants: 2, cycles: cycles, period: period})
-		if err != nil {
-			return nil, fmt.Errorf("interference weighted w=%d: %w", w, err)
-		}
-		rate := tr.batchRate()
-		rep.Runs = append(rep.Runs, InterferenceRun{
-			Mode: fmt.Sprintf("weighted-w%d", w), LatencyWeight: w,
-			P50MS: latPercentile(tr.latencies, 0.5), P99MS: latPercentile(tr.latencies, 0.99),
-			MeanMS:       latMean(tr.latencies),
-			P99VsSolo:    latPercentile(tr.latencies, 0.99) / soloP99,
-			BatchKernels: tr.batchKernels, BatchVsFIFO: rate / fifoRate,
-			Preemptions:  tr.preemptions,
-			OutputDigest: fmt.Sprintf("%016x", tr.digest),
-		})
-		rep.FunctionalMatch = rep.FunctionalMatch && tr.verified && tr.digest == solo.digest
+	tr, err := interfRun(interfParams{latWeight: weight, batchTenants: 2, cycles: cycles, period: period})
+	if err != nil {
+		return nil, fmt.Errorf("interference weighted w=%d: %w", weight, err)
 	}
+	rep.Runs = append(rep.Runs, InterferenceRun{
+		Mode: fmt.Sprintf("weighted-w%d", weight), LatencyWeight: weight,
+		P50MS: latPercentile(tr.latencies, 0.5), P99MS: latPercentile(tr.latencies, 0.99),
+		MeanMS:       latMean(tr.latencies),
+		P99VsSolo:    latPercentile(tr.latencies, 0.99) / soloP99,
+		BatchKernels: tr.batchKernels, BatchVsFIFO: tr.batchRate() / fifoRate,
+		Preemptions:  tr.preemptions,
+		OutputDigest: fmt.Sprintf("%016x", tr.digest),
+	})
+	rep.FunctionalMatch = rep.FunctionalMatch && tr.verified && tr.digest == solo.digest
 
 	for _, honor := range []bool{false, true} {
 		fr, err := fairnessRun([]int{1, 2, 4}, honor, fairDur)

@@ -2,14 +2,14 @@ package experiments
 
 import "testing"
 
-// TestInterferenceShort runs the CI-sized interference experiment and
-// asserts the PR's acceptance criteria: under weighted-fair scheduling
+// TestInterferenceShort runs the interference experiment and
+// asserts the QoS acceptance criteria: under weighted-fair scheduling
 // the latency tenant's co-located p99 stays within 2x of solo while the
 // FIFO baseline exceeds 2x, batch throughput gives up at most 15%, the
 // weighted fairness race splits 1:2:4 almost exactly, and every run's
 // functional output is byte-identical.
 func TestInterferenceShort(t *testing.T) {
-	rep, err := InterferenceBench(true)
+	rep, err := InterferenceBench()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,7 +418,7 @@ func (r *Router) dialBackend(b *backend) (*transport.Conn, net.Conn, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := transport.WritePreamble(nc, false); err != nil {
+	if err := transport.WritePreamble(nc); err != nil {
 		nc.Close()
 		return nil, nil, err
 	}

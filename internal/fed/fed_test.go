@@ -540,7 +540,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := transport.WritePreamble(nc, false); err != nil {
+	if err := transport.WritePreamble(nc); err != nil {
 		t.Fatal(err)
 	}
 	conn := transport.NewConn(nc)
@@ -627,8 +627,9 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 }
 
 // TestRouterBadPreambleDrained: like gvmd, the router drains a
-// connection it turns away for its preamble before closing it, so bytes
-// the client sends behind the bad one do not fail with EPIPE or a reset.
+// connection it turns away for its preamble — garbage, or the retired
+// JSON codec's 'J' or '{' — before closing it, so bytes the client sends
+// behind the bad one do not fail with EPIPE or a reset.
 func TestRouterBadPreambleDrained(t *testing.T) {
 	n := startNode(t, "fed-preamble-n0", 1)
 	r, err := New(Config{Backends: []string{n.Addr()}, Placement: "least-sessions", PollInterval: time.Hour})
@@ -639,22 +640,24 @@ func TestRouterBadPreambleDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	nc, _, err := transport.DialAddr(r.Addrs()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if _, err := nc.Write([]byte{'X'}); err != nil {
-		t.Fatal(err)
-	}
-	// The router half-closes once it has rejected the byte: EOF here means
-	// it is past the point where it used to close outright.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		t.Fatalf("read after rejection = %d, %v; want a clean EOF", n, err)
-	}
-	if _, err := nc.Write(make([]byte, 4096)); err != nil {
-		t.Fatalf("write behind a rejected preamble: %v", err)
+	for _, first := range []byte{'X', 'J', '{'} {
+		nc, _, err := transport.DialAddr(r.Addrs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write([]byte{first}); err != nil {
+			t.Fatal(err)
+		}
+		// The router half-closes once it has rejected the byte: EOF here
+		// means it is past the point where it used to close outright.
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("%q: read after rejection = %d, %v; want a clean EOF", first, n, err)
+		}
+		if _, err := nc.Write(make([]byte, 4096)); err != nil {
+			t.Fatalf("%q: write behind a rejected preamble: %v", first, err)
+		}
 	}
 }
 

@@ -34,11 +34,6 @@ func lostSession(resp transport.Response) bool {
 			strings.Contains(resp.Err, "is closed"))
 }
 
-// batchVerbRank mirrors the daemon's BAT ordering rule so the router
-// rejects malformed batches with the same error a direct connection
-// would see.
-var batchVerbRank = map[string]int{"SND": 0, "STR": 1, "STP": 2, "RCV": 3, "RLS": 4}
-
 func (r *Router) accept(ln transport.Listener) {
 	defer r.wg.Done()
 	for {
@@ -52,23 +47,17 @@ func (r *Router) accept(ln transport.Listener) {
 	}
 }
 
-// serveConn runs one client connection's request loop. The router
-// accepts either control-plane codec — it re-frames every hop, so a JSON
-// debugging client can front binary backends.
+// serveConn runs one client connection's request loop.
 func (r *Router) serveConn(nc net.Conn) {
-	clientJSON, err := transport.ReadPreamble(nc)
-	if err != nil {
+	if err := transport.ReadPreamble(nc); err != nil {
 		if errors.Is(err, io.EOF) {
 			nc.Close()
 		} else {
-			transport.RejectConn(nc, nil, "")
+			transport.RejectConn(nc)
 		}
 		return
 	}
 	conn := transport.NewConn(nc)
-	if clientJSON {
-		conn = transport.NewConnJSON(nc)
-	}
 	cc := &clientConn{conn: conn}
 	defer func() {
 		conn.Close()
@@ -328,22 +317,17 @@ func (r *Router) serveBAT(req transport.Request, cc *clientConn) (transport.Resp
 	lastRank := make(map[int]int, 2)
 	for i := range req.Batch {
 		sub := &req.Batch[i]
-		rank, allowed := batchVerbRank[sub.Verb]
-		if !allowed {
-			return errResp(fmt.Errorf("transport: verb %q not allowed in BAT", sub.Verb)), nil
-		}
-		if len(sub.Batch) > 0 {
-			return errResp(errors.New("transport: nested BAT")), nil
+		// The daemon's own rule, so a malformed batch draws the error a
+		// direct connection would see.
+		rank, err := transport.BatchStepRank(sub, lastRank[sub.Session])
+		if err != nil {
+			return errResp(err), nil
 		}
 		s, err := r.lookup(sub.Session, cc)
 		if err != nil {
 			return errResp(err), nil
 		}
-		if last, seen := lastRank[sub.Session]; seen && rank <= last {
-			return errResp(fmt.Errorf(
-				"transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", sub.Session)), nil
-		}
-		if _, seen := lastRank[sub.Session]; !seen {
+		if lastRank[sub.Session] == 0 {
 			uniq = append(uniq, s)
 		}
 		lastRank[sub.Session] = rank

@@ -126,6 +126,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 		}
 	}
 
+	m.waitSettled(p, s)
 	if m.sessions[id] != s {
 		return nil, fmt.Errorf("gvm: ExtractSession: session %d was released while it quiesced", id)
 	}
@@ -171,11 +172,13 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession, reply *Queue[
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
 	}
-	// The staging snapshot becomes staging as is; it may be off the wire.
+	// The staging snapshot becomes staging as is, and the footprint sizes
+	// the session's segment; both may be off the wire.
 	if (ext.PinIn != nil && int64(len(ext.PinIn)) != ext.Spec.InBytes) ||
-		(ext.PinOut != nil && int64(len(ext.PinOut)) != ext.Spec.OutBytes) {
-		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, spec says %d+%d",
-			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Spec.InBytes, ext.Spec.OutBytes)
+		(ext.PinOut != nil && int64(len(ext.PinOut)) != ext.Spec.OutBytes) ||
+		ext.Footprint != ext.Spec.InBytes+ext.Spec.OutBytes {
+		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, footprint %d, spec says %d+%d",
+			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Footprint, ext.Spec.InBytes, ext.Spec.OutBytes)
 	}
 	prev := m.curProc
 	m.curProc = p

@@ -53,6 +53,16 @@ func (v Verb) String() string {
 	return verbNames[v]
 }
 
+// ParseVerb is the inverse of Verb.String over the same name table.
+func ParseVerb(name string) (Verb, bool) {
+	for v, n := range verbNames {
+		if n == name {
+			return Verb(v), true
+		}
+	}
+	return 0, false
+}
+
 // Status is a protocol response code.
 type Status int
 
@@ -1009,12 +1019,14 @@ func (m *Manager) handleRLS(p *sim.Proc, s *session) {
 // release ends a session for RLS on either verb path. A flush still in
 // flight (RLS pipelined behind STR) finishes first: its queued copies and
 // launches use the device buffers teardown frees, and staging may alias a
-// mapped segment the caller unmaps once the release is acknowledged. It
+// mapped segment the caller unmaps once the release is acknowledged. So
+// does an evacuation or restore another process is still copying. It
 // reports false when the other verb path released the session meanwhile.
 func (m *Manager) release(p *sim.Proc, s *session) bool {
 	if s.stream != nil {
 		s.stream.Synchronize(p)
 	}
+	m.waitSettled(p, s)
 	if m.sessions[s.id] != s {
 		return false
 	}

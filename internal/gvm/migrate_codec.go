@@ -69,6 +69,10 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
 	}
+	if len(w.Scratch) != len(w.ScrSizes) {
+		// resumeSession walks the two in step; a blob is wire input.
+		return nil, fmt.Errorf("gvm: decode extracted session: %d scratch buffers, %d sizes", len(w.Scratch), len(w.ScrSizes))
+	}
 	return &ExtractedSession{
 		ID: w.ID, Direct: w.Direct,
 		MemQuota: w.MemQuota, Priority: w.Priority, Weight: w.Weight,

@@ -39,6 +39,27 @@ type snapshot struct {
 	scratch  [][]byte
 	scrSizes []int64
 	total    int64
+	// moving is non-nil while an evacuation or a restore is still copying
+	// between the arena and this snapshot. The copies sleep in virtual
+	// time, so other owner-side processes (a second ring restore, the
+	// request loop, a migration) run meanwhile; to them the session is
+	// neither resident — its device pointers are being freed, or are not
+	// all back — nor restorable, and they wait for the event (waitSettled).
+	moving *sim.Event
+}
+
+// settle ends the copy window opened on sn.
+func (sn *snapshot) settle() {
+	ev := sn.moving
+	sn.moving = nil
+	ev.Fire(nil)
+}
+
+// waitSettled waits until no evacuation or restore of s is in flight.
+func (m *Manager) waitSettled(p *sim.Proc, s *session) {
+	for s.susp != nil && s.susp.moving != nil {
+		p.Wait(s.susp.moving)
+	}
 }
 
 // handleSUS serves a client-driven suspend. Unlike an eviction, a
@@ -84,12 +105,16 @@ func (m *Manager) handleRES(p *sim.Proc, s *session) {
 // snapshot and frees its device memory (resident bytes drop; the logical
 // reservation stays). The evacuation is a D2H transfer of the session's
 // whole footprint, charged on p's clock. The caller must have checked
-// !s.running && s.susp == nil.
+// !s.running && s.susp == nil. The snapshot is published before the first
+// copy sleeps: from then on s is no eviction victim, and a verb arriving
+// for it waits in the restore path instead of running on a half-freed
+// arena.
 func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 	ctx := m.ctx
 	dev := m.dev
 	start := p.Now()
-	snap := &snapshot{}
+	snap := &snapshot{moving: m.env.NewEvent()}
+	s.susp = snap
 	save := func(ptr cuda.DevPtr) ([]byte, int64) {
 		if ptr == 0 {
 			return nil, 0
@@ -118,7 +143,7 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 	s.devIn, s.devOut, s.scratch = 0, 0, nil
 	s.kernels = nil // pointers are stale; rebuilt on resume
 	s.ops = nil     // the prebound flush closures captured those kernels
-	s.susp = snap
+	snap.settle()
 	m.met.swapOutBytes.Add(snap.total)
 	m.cfg.trace("gvm", fmt.Sprintf("SUS s%d %dB", s.id, snap.total), start, p.Now())
 }
@@ -137,7 +162,15 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 	defer func() { m.curProc = prev }()
 	ctx := m.ctx
 	dev := m.dev
+	// The snapshot may still be filling (another process's evacuation of s
+	// is in flight); a release can win the wake-up that ends it.
+	m.waitSettled(p, s)
 	snap := s.susp
+	if snap == nil {
+		return fmt.Errorf("gvm: session %d was released while its restore waited", s.id)
+	}
+	snap.moving = m.env.NewEvent()
+	defer snap.settle()
 	start := p.Now()
 	// Snapshot-sized buffers are already counted in the session's
 	// reservation, so they come back through the raw context; only
@@ -290,6 +323,11 @@ func (m *Manager) restoreProgress(s *session) int {
 	}
 	best := progressNone
 	for _, o := range m.sessions {
+		if o != s && o.susp != nil && o.susp.moving != nil {
+			// Copies in flight end on the calendar, leaving o's arena freed
+			// (evacuation) or idle and evictable (restore).
+			return progressCalendar
+		}
 		if o == s || !o.running {
 			continue
 		}
@@ -321,8 +359,8 @@ func (m *Manager) evictForAlloc(need int64) bool {
 	if v == nil {
 		return false
 	}
+	v.evicted = true // before the copies sleep: a verb arriving meanwhile restores transparently
 	m.suspendSession(p, v)
-	v.evicted = true
 	m.met.evictions.Inc()
 	if m.log != nil {
 		m.log.Info("gvm evict", "session", v.id, "bytes", v.susp.total, "need", need)
@@ -333,7 +371,8 @@ func (m *Manager) evictForAlloc(need int64) bool {
 // evictionVictim picks the session to evict: lowest priority first,
 // least recently used within a priority, lowest id as the final
 // deterministic tie-break. Running sessions (which includes sessions
-// parked at the STR barrier), suspended sessions and sessions without
+// parked at the STR barrier), suspended sessions (which includes sessions
+// whose evacuation or restore is still in flight) and sessions without
 // device buffers are ineligible.
 func (m *Manager) evictionVictim() *session {
 	var best *session

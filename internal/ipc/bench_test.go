@@ -11,8 +11,9 @@ import (
 // BenchmarkDaemonThroughput measures full SND+STR+STP+RCV cycles against
 // a live daemon at several client counts, pipelined (one BAT round trip)
 // versus serial (four round trips), over every transport. One op is one
-// round: every client completes one cycle. The JSON artifact variant of
-// this matrix lives in internal/experiments (gvmbench -benchjson).
+// round: every client completes one cycle. It is a smoke benchmark (`make
+// bench-short`); the numbers performance claims are judged by come from
+// bench/ (BENCHMARK.json), which drives real child daemons.
 func BenchmarkDaemonThroughput(b *testing.B) {
 	for _, tr := range []struct{ name, addr string }{
 		{"inproc", "inproc://bench-daemon"},

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,15 +16,12 @@ import (
 
 // Options configures a client connection.
 type Options struct {
-	// JSONWire dials with the newline-delimited JSON debugging codec;
-	// the daemon must run with -json-wire.
-	JSONWire bool
 	// ShmDir is the daemon's shm data-plane directory ("" = /dev/shm).
 	// Only the shm plane uses it.
 	ShmDir string
-	// Plane forces a data plane (transport.PlaneShm or
-	// transport.PlaneInline); "" takes the transport's default — shm for
-	// unix/inproc, inline for tcp.
+	// Plane forces a data plane (transport.PlaneShm, transport.PlaneInline
+	// or transport.PlaneRing); "" takes the transport's default — shm for
+	// unix/inproc, inline for tcp, ring for ring.
 	Plane string
 	// Timeout bounds each request round trip's socket I/O (SetDeadline
 	// around write+read), so a hung or SIGSTOP'd daemon surfaces as an
@@ -34,9 +30,7 @@ type Options struct {
 	// frame and must be closed, not reused.
 	Timeout time.Duration
 	// NoPipeline disables verb pipelining: RunCycle issues its four verbs
-	// as separate round trips instead of one BAT frame. Pipelining also
-	// turns itself off for the connection when the daemon rejects BAT as
-	// an unknown verb (a pre-pipelining daemon over the JSON wire).
+	// as separate round trips instead of one BAT frame.
 	NoPipeline bool
 }
 
@@ -56,17 +50,11 @@ type Client struct {
 }
 
 // Dial connects to a daemon address — "unix:///path" (or a bare socket
-// path), "tcp://host:port", "inproc://name" — using the binary wire
-// codec. shmDir must match the daemon's data-plane directory ("" =
-// /dev/shm) when the shm plane is in play.
+// path), "tcp://host:port", "ring:///path", "inproc://name". shmDir must
+// match the daemon's data-plane directory ("" = /dev/shm) when the shm or
+// ring plane is in play.
 func Dial(addr, shmDir string) (*Client, error) {
 	return DialOptions(addr, Options{ShmDir: shmDir})
-}
-
-// DialJSON connects using the JSON debugging codec; the daemon must be
-// running with JSONWire set.
-func DialJSON(addr, shmDir string) (*Client, error) {
-	return DialOptions(addr, Options{ShmDir: shmDir, JSONWire: true})
 }
 
 // DialOptions connects to a daemon address with explicit options.
@@ -75,19 +63,15 @@ func DialOptions(addr string, o Options) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipc: dial %s: %w", addr, err)
 	}
-	if err := transport.WritePreamble(nc, o.JSONWire); err != nil {
+	if err := transport.WritePreamble(nc); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("ipc: dial %s: %w", addr, err)
-	}
-	conn := transport.NewConn(nc)
-	if o.JSONWire {
-		conn = transport.NewConnJSON(nc)
 	}
 	plane := o.Plane
 	if plane == "" {
 		plane = tr.DefaultPlane()
 	}
-	return &Client{conn: conn, nc: nc, shmDir: o.ShmDir, plane: plane, timeout: o.Timeout, noPipeline: o.NoPipeline}, nil
+	return &Client{conn: transport.NewConn(nc), nc: nc, shmDir: o.ShmDir, plane: plane, timeout: o.Timeout, noPipeline: o.NoPipeline}, nil
 }
 
 // Close drops the connection; the daemon releases any sessions left open.
@@ -255,34 +239,17 @@ type SessionOptions struct {
 	Weight int
 }
 
-// Request opens a VGPU session for the given workload reference. A
-// client that asked for the ring plane against a daemon without ring
-// support (the REQ fails with "unknown data plane") renegotiates the
-// connection down to the shm plane automatically, so ring:// addresses
-// degrade to the classic unix+shm path instead of erroring.
+// Request opens a VGPU session for the given workload reference.
 func (c *Client) Request(ref workloads.Ref, rank int) (*Session, error) {
 	return c.RequestOptions(ref, rank, SessionOptions{})
 }
 
 // RequestOptions opens a VGPU session with explicit session options.
 func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (*Session, error) {
-	c.mu.Lock()
-	reqPlane, timeout := c.plane, c.timeout
-	c.mu.Unlock()
-	req := Request{Verb: "REQ", Ref: &ref, Rank: rank, Plane: reqPlane,
-		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight}
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(Request{Verb: "REQ", Ref: &ref, Rank: rank, Plane: c.plane,
+		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight})
 	if err != nil {
-		if reqPlane == transport.PlaneRing && strings.Contains(err.Error(), "unknown data plane") {
-			c.mu.Lock()
-			c.plane = transport.PlaneShm
-			c.mu.Unlock()
-			req.Plane = transport.PlaneShm
-			resp, err = c.roundTrip(req)
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	plane, err := transport.OpenPlane(c.shmDir, resp)
 	if err != nil {
@@ -296,6 +263,9 @@ func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (
 		outBytes: resp.OutBytes,
 	}
 	if rp, ok := plane.(*transport.RingPlane); ok {
+		c.mu.Lock()
+		timeout := c.timeout
+		c.mu.Unlock()
 		rp.SetTimeout(timeout)
 		s.ring = rp
 	}
@@ -504,9 +474,8 @@ func (c *Client) Do(reqs []Request) ([]Response, error) {
 }
 
 // RunCycle performs one full cycle: send, start, wait, receive. By
-// default the four verbs travel pipelined in one BAT round trip; against
-// a daemon that predates pipelining (or with Options.NoPipeline) they
-// fall back to four serial round trips.
+// default the four verbs travel pipelined in one BAT round trip; with
+// Options.NoPipeline they take four serial round trips.
 func (s *Session) RunCycle(in, out []byte) error {
 	if in != nil && int64(len(in)) != s.inBytes {
 		return fmt.Errorf("ipc: input is %d bytes, session stages %d", len(in), s.inBytes)
@@ -514,10 +483,7 @@ func (s *Session) RunCycle(in, out []byte) error {
 	if out != nil && int64(len(out)) != s.outBytes {
 		return fmt.Errorf("ipc: output buffer is %d bytes, session stages %d", len(out), s.outBytes)
 	}
-	s.c.mu.Lock()
-	pipelined := !s.c.noPipeline
-	s.c.mu.Unlock()
-	if !pipelined {
+	if s.c.noPipeline {
 		return s.runCycleSerial(in, out)
 	}
 	if s.ring != nil {
@@ -553,13 +519,6 @@ func (s *Session) RunCycle(in, out []byte) error {
 		return nil
 	})
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown verb") {
-			// Pre-pipelining daemon: remember and fall back to serial.
-			s.c.mu.Lock()
-			s.c.noPipeline = true
-			s.c.mu.Unlock()
-			return s.runCycleSerial(in, out)
-		}
 		return err
 	}
 	s.VirtualMS = resps[3].VirtualMS

@@ -137,84 +137,39 @@ func TestTCPInlineMatchesUnixShm(t *testing.T) {
 	}
 }
 
-// TestCodecMismatchRejected covers both directions of the preamble
-// handshake: the daemon names the wire it speaks instead of failing with
-// frame garbage.
-func TestCodecMismatchRejected(t *testing.T) {
-	t.Run("json-client-binary-daemon", func(t *testing.T) {
-		s := startServerOn(t, ServerConfig{Socket: tempSocket(t)})
-		c, err := DialJSON(s.Addr(), s.cfg.ShmDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
-		if err == nil || !strings.Contains(err.Error(), "codec mismatch") {
-			t.Fatalf("got %v, want codec mismatch error", err)
-		}
-		if !strings.Contains(err.Error(), "binary wire") {
-			t.Fatalf("error does not name the daemon's codec: %v", err)
-		}
-	})
-	t.Run("binary-client-json-daemon", func(t *testing.T) {
-		s := startServerOn(t, ServerConfig{Socket: tempSocket(t), JSONWire: true})
-		c, err := Dial(s.Addr(), s.cfg.ShmDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
-		if err == nil || !strings.Contains(err.Error(), "codec mismatch") {
-			t.Fatalf("got %v, want codec mismatch error", err)
-		}
-		if !strings.Contains(err.Error(), "JSON wire") {
-			t.Fatalf("error does not name the daemon's codec: %v", err)
-		}
-	})
-}
-
-// TestCodecMismatchRejectedInproc: on the synchronous in-process pipe
-// the client is still inside its REQ write when the daemon decides to
-// reject, so the rejection must consume that request before answering.
-func TestCodecMismatchRejectedInproc(t *testing.T) {
-	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://codec-mismatch"}})
-	c, err := DialOptions(s.Addr(), Options{JSONWire: true, ShmDir: s.cfg.ShmDir, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
-	if err == nil || !strings.Contains(err.Error(), "codec mismatch") {
-		t.Fatalf("got %v, want codec mismatch error", err)
-	}
-}
-
-// TestBadPreambleDrained: a connection turned away for its preamble is
-// drained before it is closed, so what the client sends behind the bad
-// byte is not answered with EPIPE or a reset — it reads a clean EOF.
+// TestBadPreambleDrained: a connection turned away for its preamble —
+// garbage, or the first byte of the JSON codec this daemon once spoke,
+// announced ('J') or not ('{') — is drained before it is closed, so what
+// the client sends behind the bad byte is not answered with EPIPE or a
+// reset: it reads a clean EOF.
 func TestBadPreambleDrained(t *testing.T) {
-	s := startServerOn(t, ServerConfig{Socket: tempSocket(t)})
-	nc, _, err := transport.DialAddr(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if _, err := nc.Write([]byte{'X'}); err != nil {
-		t.Fatal(err)
-	}
-	// Let the daemon see and reject the byte before the rest arrives.
-	for deadline := 400; scrapeMetrics(t, s.Metrics())["ipc_frame_errors_total"] == 0; deadline-- {
-		if deadline == 0 {
-			t.Fatal("bad preamble never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := nc.Write(make([]byte, 4096)); err != nil {
-		t.Fatalf("write behind a rejected preamble: %v", err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		t.Fatalf("read after rejection = %d, %v; want a clean EOF", n, err)
+	for _, first := range []byte{'X', 'J', '{'} {
+		t.Run(string(first), func(t *testing.T) {
+			addr := "unix://" + tempSocket(t)
+			s := startServerOn(t, ServerConfig{Listen: []string{addr}})
+			nc, _, err := transport.DialAddr(s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write([]byte{first}); err != nil {
+				t.Fatal(err)
+			}
+			// Let the daemon see and reject the byte before the rest arrives.
+			for deadline := 400; scrapeMetrics(t, s.Metrics())["ipc_frame_errors_total"] == 0; deadline-- {
+				if deadline == 0 {
+					t.Fatal("bad preamble never counted")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if _, err := nc.Write(make([]byte, 4096)); err != nil {
+				t.Fatalf("write behind a rejected preamble: %v", err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("read after rejection = %d, %v; want a clean EOF", n, err)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,94 @@
+package ipc
+
+import (
+	"testing"
+	"time"
+
+	"gpuvirt/internal/transport"
+	"gpuvirt/internal/workloads"
+)
+
+// dialRaw connects to a daemon below the Client: preamble sent, frames up
+// to the caller — for tests that hang up mid-exchange or send verbs no
+// Client method issues.
+func dialRaw(t testing.TB, addr string) *transport.Conn {
+	t.Helper()
+	nc, _, err := transport.DialAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WritePreamble(nc); err != nil {
+		t.Fatal(err)
+	}
+	return transport.NewConn(nc)
+}
+
+// FuzzMigBlob sends arbitrary bytes as an ADP migration blob — which a
+// daemon unmarshals straight off the wire from whoever connects — to a
+// live functional daemon. The daemon must answer every one (adopting the
+// well-formed, rejecting the rest), stay up, and hold nothing once the
+// connection is gone. The seed is a real blob: a staged session pulled
+// off the same daemon with MIG.
+func FuzzMigBlob(f *testing.F) {
+	s, err := NewServer(ServerConfig{
+		Listen:     []string{"inproc://fuzz-migblob"},
+		ShmDir:     f.TempDir(),
+		Functional: true,
+		// A mutated workload size must be turned away by admission, not
+		// allocated.
+		MaxSessionBytes: 1 << 20,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	dial := func(t testing.TB) *transport.Conn {
+		c := dialRaw(t, s.Addr())
+		_ = c.SetDeadline(time.Now().Add(10 * time.Second)) // a hung daemon fails the input
+		return c
+	}
+	trip := func(t testing.TB, c *transport.Conn, req transport.Request) transport.Response {
+		if err := c.WriteRequest(req); err != nil {
+			t.Fatalf("%s: %v", req.Verb, err)
+		}
+		resp, err := c.ReadResponse()
+		if err != nil {
+			t.Fatalf("%s: daemon dropped the connection: %v", req.Verb, err)
+		}
+		return resp
+	}
+
+	src := dial(f)
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
+	req := trip(f, src, transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline})
+	if req.Status != "ACK" {
+		f.Fatalf("REQ: %s", req.Err)
+	}
+	in, _ := vecaddInput(64, 1)
+	if r := trip(f, src, transport.Request{Verb: "SND", Session: req.Session, Data: in}); r.Status != "ACK" {
+		f.Fatalf("SND: %s", r.Err)
+	}
+	mig := trip(f, src, transport.Request{Verb: "MIG", Session: req.Session})
+	if mig.Status != "ACK" {
+		f.Fatalf("MIG: %s", mig.Err)
+	}
+	f.Add(append([]byte(nil), mig.Data...))
+	src.Close()
+	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"ext":{"id":1,"footprint":768,"scratch":["AA=="]}}`))
+	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"ext":{"id":1,"footprint":-1}}`))
+	f.Add([]byte(`{"ref":{"name":"nope"},"ext":{}}`))
+	f.Add([]byte(`{"ext":`))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		c := dial(t)
+		resp := trip(t, c, transport.Request{Verb: "ADP", Data: blob})
+		if resp.Status == "ACK" {
+			// An adopted session is a session like any other.
+			if r := trip(t, c, transport.Request{Verb: "RLS", Session: resp.Session}); r.Status != "ACK" {
+				t.Fatalf("RLS of the adopted session: %s %s", r.Status, r.Err)
+			}
+		}
+		c.Close()
+		waitShardsClean(t, s)
+	})
+}

@@ -1,9 +1,9 @@
 // Package ipc binds the virtualization protocol to real OS processes:
 // a thin client (Dial/Session) and the gvmd server glue, both riding the
 // pluggable connection layer in internal/transport. The wire codec
-// (length-prefixed binary frames, with a newline-delimited JSON
-// debugging mode), the transports (unix, tcp, inproc) and the data
-// planes (file-backed shared memory, inline-over-the-wire) all live in
+// (length-prefixed binary frames), the transports (unix, tcp, ring,
+// inproc) and the data planes (file-backed shared memory,
+// inline-over-the-wire, shared-memory rings) all live in
 // internal/transport; the verb state machine lives once, in
 // transport.Dispatcher delegating to gvm.Manager. This package only
 // wires listeners and connections to that machinery — the daemon-mode

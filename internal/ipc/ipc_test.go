@@ -29,7 +29,7 @@ func startServer(t *testing.T, parties int, functional bool) *Server {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := NewServer(ServerConfig{
-		Socket:     tempSocket(t),
+		Listen:     []string{"unix://" + tempSocket(t)},
 		Parties:    parties,
 		Functional: functional,
 		ShmDir:     dir,
@@ -243,7 +243,7 @@ func TestDaemonBarrierTimeoutUnwedges(t *testing.T) {
 	// timeout the daemon flushes the partial batch and both complete.
 	dir := t.TempDir()
 	s, err := NewServer(ServerConfig{
-		Socket:         tempSocket(t),
+		Listen:         []string{"unix://" + tempSocket(t)},
 		Parties:        3,
 		ShmDir:         dir,
 		BarrierTimeout: 100 * sim.Millisecond,
@@ -287,7 +287,7 @@ func TestDaemonMultiGPU(t *testing.T) {
 	// each shard's barrier fills independently.
 	dir := t.TempDir()
 	s, err := NewServer(ServerConfig{
-		Socket:  tempSocket(t),
+		Listen:  []string{"unix://" + tempSocket(t)},
 		Parties: 2,
 		ShmDir:  dir,
 		GPUs:    2,

@@ -68,7 +68,7 @@ func TestPipelinedCycleOneRoundTrip(t *testing.T) {
 // error that names the limit, and a REQ within the limit still works.
 func TestMaxSessionBytes(t *testing.T) {
 	s := startServerOn(t, ServerConfig{
-		Socket:          tempSocket(t),
+		Listen:          []string{"unix://" + tempSocket(t)},
 		Functional:      true,
 		MaxSessionBytes: 16 << 10,
 	})
@@ -300,7 +300,7 @@ func runStressRace(t *testing.T, gpus int) {
 // and the dead client's session and device memory must be reclaimed.
 func TestDisconnectMidBAT(t *testing.T) {
 	s := startServerOn(t, ServerConfig{
-		Socket:         tempSocket(t),
+		Listen:         []string{"unix://" + tempSocket(t)},
 		Parties:        2,
 		Functional:     true,
 		BarrierTimeout: 100 * sim.Millisecond,
@@ -308,14 +308,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 
 	// The victim speaks the raw wire so it can write one BAT frame and
 	// hang up without ever reading the response.
-	nc, _, err := transport.DialAddr(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.WritePreamble(nc, false); err != nil {
-		t.Fatal(err)
-	}
-	vc := transport.NewConn(nc)
+	vc := dialRaw(t, s.Addr())
 	const n = 1024
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	if err := vc.WriteRequest(transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {

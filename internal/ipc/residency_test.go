@@ -24,11 +24,11 @@ func startTinyServer(t *testing.T, overcommit float64, ring bool) (*Server, stri
 		Arch:       arch,
 		Overcommit: overcommit,
 	}
+	scheme := "unix://"
 	if ring {
-		cfg.Listen = []string{"ring://" + filepath.Join(dir, "gvmd.sock")}
-	} else {
-		cfg.Socket = tempSocket(t)
+		scheme = "ring://"
 	}
+	cfg.Listen = []string{scheme + filepath.Join(dir, "gvmd.sock")}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

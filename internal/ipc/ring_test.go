@@ -116,8 +116,9 @@ func TestRingSerialVerbs(t *testing.T) {
 }
 
 // TestRingFallback asks a daemon that has no ring host for the ring
-// plane: the REQ must be rejected with the pre-ring wording and the
-// client must renegotiate down to the shm plane transparently.
+// plane: there is no silent fallback to a slower plane — the REQ fails
+// with one error naming the missing ring:// listener, leaves nothing
+// open, and the daemon goes on serving the planes it does have.
 func TestRingFallback(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(ServerConfig{
@@ -129,31 +130,30 @@ func TestRingFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, Plane: transport.PlaneRing})
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
+	// A ring:// address dials the unix socket and asks for the ring plane.
+	c, err := Dial("ring://"+filepath.Join(dir, "gvmd.sock"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
-	w, err := workloads.FromRef(ref)
+	if _, err := c.Request(ref, 0); err == nil || !strings.Contains(err.Error(), "ring:// listener") {
+		t.Fatalf("ring REQ against a ring-less daemon: %v, want an error naming the missing ring:// listener", err)
+	}
+	if got := srv.disp.OpenSessions(); got != 0 {
+		t.Fatalf("%d sessions open after the rejected REQ", got)
+	}
+	c2, err := Dial(srv.Addr(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := c.Request(ref, 0)
+	defer c2.Close()
+	sess, err := c2.Request(ref, 0)
 	if err != nil {
-		t.Fatalf("fallback REQ: %v", err)
+		t.Fatal(err)
 	}
 	if sess.Plane() != transport.PlaneShm {
-		t.Fatalf("plane = %q, want fallback to %q", sess.Plane(), transport.PlaneShm)
-	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
-	w.Fill(0, in)
-	if err := sess.RunCycle(in, out); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Check(0, out); err != nil {
-		t.Fatal(err)
+		t.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
 	}
 	if err := sess.Release(); err != nil {
 		t.Fatal(err)
@@ -260,6 +260,18 @@ func ringSegments(t *testing.T, dir string) []string {
 	return segs
 }
 
+// waitNoSegments waits for every session segment file to be unlinked: a
+// ring session's goes with the sweep after its RLS or hang-up, not with
+// the verb.
+func waitNoSegments(t *testing.T, dir string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(ringSegments(t, dir)) != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("segment files left behind: %v", ringSegments(t, dir))
+		}
+	}
+}
+
 // TestRingOrphanReclaim kills a client (socket close, no RLS) while its
 // session is mid-cycle over the ring. The daemon's hang-up path must
 // reclaim the session, its device memory, and unlink the segment file —
@@ -306,13 +318,7 @@ func TestRingOrphanReclaim(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close() // no Release: simulates a killed client process
-	deadline := time.Now().Add(5 * time.Second)
-	for len(ringSegments(t, dir)) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("session segment not reclaimed after hang-up; left: %v", ringSegments(t, dir))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitNoSegments(t, dir)
 	<-done
 
 	// The daemon stays healthy: a fresh client gets a fresh session.

@@ -23,9 +23,6 @@ import (
 
 // ServerConfig configures a daemon.
 type ServerConfig struct {
-	// Socket is the legacy single-unix-socket form; it is equivalent to
-	// prepending "unix://<Socket>" to Listen.
-	Socket string
 	// Listen is the set of transport addresses to serve:
 	// "unix:///tmp/gvmd.sock", "tcp://:7070", "inproc://name". A daemon
 	// may listen on several at once; sessions from every transport share
@@ -51,12 +48,6 @@ type ServerConfig struct {
 	// Placement names the policy assigning new sessions to shards (see
 	// node.PolicyNames; default least-sessions).
 	Placement string
-	// JSONWire selects the newline-delimited JSON control-plane codec
-	// instead of the default binary frames — a debugging aid (frames are
-	// readable with socat); clients must dial with DialJSON. Clients
-	// announce their codec in a one-byte preamble, so a mismatch is
-	// rejected with a clear error instead of a frame-decode failure.
-	JSONWire bool
 	// MaxSessionBytes caps one session's staging footprint
 	// (InBytes+OutBytes); REQ beyond the limit is rejected with a clear
 	// error. 0 = no per-session limit.
@@ -121,7 +112,7 @@ type Server struct {
 type serverMetrics struct {
 	connections *metrics.Gauge       // live client connections
 	disconnects *metrics.Counter     // connections that have ended
-	frameErrors *metrics.Counter     // bad preambles, codec mismatches, non-EOF read errors
+	frameErrors *metrics.Counter     // bad preambles, non-EOF read errors
 	queueWaitNS []*metrics.Histogram // per shard: wall ns a submit waited for its owner goroutine
 }
 
@@ -132,7 +123,7 @@ type workItem struct {
 }
 
 // NewServer creates and starts a daemon listening on every address in
-// cfg.Listen (plus cfg.Socket, if set).
+// cfg.Listen.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Arch.SMs == 0 {
 		cfg.Arch = fermi.TeslaC2070()
@@ -143,12 +134,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
-	addrs := cfg.Listen
-	if cfg.Socket != "" {
-		addrs = append([]string{"unix://" + cfg.Socket}, addrs...)
-	}
-	if len(addrs) == 0 {
-		return nil, errors.New("ipc: no listen address (set Socket or Listen)")
+	if len(cfg.Listen) == 0 {
+		return nil, errors.New("ipc: no listen address (set Listen)")
 	}
 	var lns []transport.Listener
 	closeAll := func() {
@@ -156,7 +143,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			ln.Close()
 		}
 	}
-	for _, addr := range addrs {
+	for _, addr := range cfg.Listen {
 		ln, err := transport.ListenAddr(addr)
 		if err != nil {
 			closeAll()
@@ -177,7 +164,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		met: serverMetrics{
 			connections: cfg.Metrics.Gauge("ipc_connections", "live client connections"),
 			disconnects: cfg.Metrics.Counter("ipc_disconnects_total", "client connections ended"),
-			frameErrors: cfg.Metrics.Counter("ipc_frame_errors_total", "bad preambles, codec mismatches and non-EOF frame read errors"),
+			frameErrors: cfg.Metrics.Counter("ipc_frame_errors_total", "bad preambles and non-EOF frame read errors"),
 		},
 	}
 	n, err := node.New(node.Config{
@@ -517,34 +504,17 @@ func (s *Server) accept(ln transport.Listener) {
 }
 
 func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
-	clientJSON, err := transport.ReadPreamble(nc)
-	if err != nil {
+	if err := transport.ReadPreamble(nc); err != nil {
 		if errors.Is(err, io.EOF) {
 			nc.Close()
 			return
 		}
 		s.cfg.Logger.Printf("gvmd: preamble: %v", err)
 		s.met.frameErrors.Inc()
-		transport.RejectConn(nc, nil, "")
-		return
-	}
-	if clientJSON != s.cfg.JSONWire {
-		s.met.frameErrors.Inc()
-		// Reject in the CLIENT's codec so the mismatch surfaces as a
-		// clean error answering its first request, not as frame garbage.
-		msg := "ipc: codec mismatch: daemon speaks the binary wire (dial without DialJSON)"
-		reply := transport.NewConnJSON(nc)
-		if s.cfg.JSONWire {
-			msg = "ipc: codec mismatch: daemon speaks JSON wire (dial with DialJSON)"
-			reply = transport.NewConn(nc)
-		}
-		transport.RejectConn(nc, reply, msg)
+		transport.RejectConn(nc)
 		return
 	}
 	conn := transport.NewConn(nc)
-	if s.cfg.JSONWire {
-		conn = transport.NewConnJSON(nc)
-	}
 	s.met.connections.Inc()
 	defer func() {
 		conn.Close()

@@ -93,14 +93,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 	})
 
 	// The victim speaks the raw wire: REQ, one unanswered BAT, hang up.
-	nc, _, err := transport.DialAddr(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.WritePreamble(nc, false); err != nil {
-		t.Fatal(err)
-	}
-	vc := transport.NewConn(nc)
+	vc := dialRaw(t, s.Addr())
 	const n = 1024
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	if err := vc.WriteRequest(transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {

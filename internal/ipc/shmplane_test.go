@@ -382,72 +382,110 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 	}
 }
 
-// TestShmPlaneOversubscribed is the benchmark's oversub shape over
-// unix://: 2 clients x 4 sessions of vecadd-4096 on a 100 KiB card at
-// overcommit 4, so every cycle lands on an evicted session whose staging
-// is its segment. Every result must be right, with restores happening.
+// TestShmPlaneOversubscribed is the benchmark's oversub shape — sessions
+// of vecadd-4096 (48 KiB of arenas each) on a 100 KiB card that holds two
+// — over the socket and the ring control plane. At overcommit 1 the two
+// admitted sessions fit and the residency engine must stay idle; at 4, 2
+// clients x 4 sessions make every cycle land on an evicted session whose
+// staging is its segment, so evictions, restores and swap bytes must all
+// be counted. On ring:// each restore runs on its own transient process,
+// so two of them overlap: the row that found evictForAlloc picking a
+// victim whose evacuation was still in flight. Every result must be
+// right and every shard, reservation and segment file back to zero.
 func TestShmPlaneOversubscribed(t *testing.T) {
-	const clients, sessions, rounds, n = 2, 4, 6, 4096
-	arch := fermi.TeslaC2070()
-	arch.MemBytes = 102400
-	s := startServerOn(t, ServerConfig{
-		Listen:     []string{"unix://" + tempSocket(t)},
-		Functional: true,
-		Arch:       arch,
-		Overcommit: 4,
-	})
-	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			errs[ci] = func() error {
-				c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	const clients, rounds, n = 2, 6, 4096
+	for _, tc := range []struct {
+		scheme     string
+		overcommit float64
+		sessions   int // per client
+	}{
+		{"unix", 1, 1},
+		{"unix", 4, 4},
+		{"ring", 1, 1},
+		{"ring", 4, 4},
+	} {
+		t.Run(fmt.Sprintf("%s-%gx", tc.scheme, tc.overcommit), func(t *testing.T) {
+			dir := t.TempDir()
+			arch := fermi.TeslaC2070()
+			arch.MemBytes = 102400
+			s := startServerOn(t, ServerConfig{
+				Listen:     []string{tc.scheme + "://" + filepath.Join(dir, "gvmd.sock")},
+				ShmDir:     dir,
+				Functional: true,
+				Arch:       arch,
+				Overcommit: tc.overcommit,
+			})
+			ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+			var wg sync.WaitGroup
+			errs := make([]error, clients)
+			for ci := 0; ci < clients; ci++ {
+				wg.Add(1)
+				go func(ci int) {
+					defer wg.Done()
+					errs[ci] = func() error {
+						c, err := Dial(s.Addr(), dir)
+						if err != nil {
+							return err
+						}
+						defer c.Close()
+						var ss []*Session
+						for k := 0; k < tc.sessions; k++ {
+							sess, err := c.Request(ref, ci*tc.sessions+k)
+							if err != nil {
+								return fmt.Errorf("REQ %d: %w", k, err)
+							}
+							ss = append(ss, sess)
+						}
+						out := make([]byte, ss[0].OutBytes())
+						for r := 0; r < rounds; r++ {
+							for k, sess := range ss {
+								in, want := vecaddInput(n, ci*1000+r*10+k)
+								if err := sess.RunCycle(in, out); err != nil {
+									return fmt.Errorf("round %d session %d: %w", r, k, err)
+								}
+								if !bytes.Equal(out, want) {
+									return fmt.Errorf("round %d session %d: wrong result", r, k)
+								}
+							}
+						}
+						for _, sess := range ss {
+							if err := sess.Release(); err != nil {
+								return err
+							}
+						}
+						return nil
+					}()
+				}(ci)
+			}
+			wg.Wait()
+			for ci, err := range errs {
 				if err != nil {
-					return err
+					t.Fatalf("client %d: %v", ci, err)
 				}
-				defer c.Close()
-				var ss []*Session
-				for k := 0; k < sessions; k++ {
-					sess, err := c.Request(ref, ci*sessions+k)
-					if err != nil {
-						return fmt.Errorf("REQ %d: %w", k, err)
-					}
-					ss = append(ss, sess)
-				}
-				out := make([]byte, ss[0].OutBytes())
-				for r := 0; r < rounds; r++ {
-					for k, sess := range ss {
-						in, want := vecaddInput(n, ci*1000+r*10+k)
-						if err := sess.RunCycle(in, out); err != nil {
-							return fmt.Errorf("round %d session %d: %w", r, k, err)
-						}
-						if !bytes.Equal(out, want) {
-							return fmt.Errorf("round %d session %d: wrong result", r, k)
-						}
+			}
+			mgr := s.node.Shard(0).Mgr
+			var swapOut, swapIn int64
+			for _, m := range s.Metrics().Snapshot() {
+				if m.Name == "gvm_swap_bytes_total" {
+					if m.Labels["dir"] == "out" {
+						swapOut += m.Value
+					} else {
+						swapIn += m.Value
 					}
 				}
-				for _, sess := range ss {
-					if err := sess.Release(); err != nil {
-						return err
-					}
-				}
-				return nil
-			}()
-		}(ci)
+			}
+			evictions, restores := mgr.Evictions(), mgr.Restores()
+			counts := fmt.Sprintf("%d evictions, %d restores, %d bytes out, %d in", evictions, restores, swapOut, swapIn)
+			switch {
+			case tc.overcommit > 1 && (evictions == 0 || restores == 0 || swapOut == 0 || swapIn == 0):
+				t.Fatalf("the card was not oversubscribed: %s", counts)
+			case tc.overcommit == 1 && (evictions != 0 || restores != 0 || swapOut != 0 || swapIn != 0):
+				t.Fatalf("sessions that fit were swapped: %s", counts)
+			}
+			waitShardsClean(t, s)
+			waitNoSegments(t, dir)
+		})
 	}
-	wg.Wait()
-	for ci, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", ci, err)
-		}
-	}
-	if got := s.node.Shard(0).Mgr.Restores(); got == 0 {
-		t.Fatal("no restores: the card was not oversubscribed")
-	}
-	waitShardsClean(t, s)
 }
 
 // BenchmarkShmPlaneCycle is one warm pipelined bulk cycle (vecadd,

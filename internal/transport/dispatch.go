@@ -37,9 +37,7 @@ type DispatcherConfig struct {
 	Metrics *metrics.Registry
 	// Rings, when non-nil, enables the ring data plane: REQ may negotiate
 	// PlaneRing and the session's later verbs travel through shared-memory
-	// rings swept by the shard owner loops. nil daemons reject PlaneRing
-	// with the same "unknown data plane" wording older daemons use, which
-	// is what drives the client's automatic unix+shm fallback.
+	// rings swept by the shard owner loops. nil daemons reject PlaneRing.
 	Rings *RingHost
 	// Log, when non-nil, receives one Debug line per served verb.
 	Log *slog.Logger
@@ -322,11 +320,31 @@ func (d *Dispatcher) Metrics() *metrics.Registry { return d.cfg.Metrics }
 
 func errResp(err error) Response { return Response{Status: "ERR", Err: err.Error()} }
 
-// batchVerbRank orders the verbs allowed inside a BAT frame. Each session
-// may run at most one cycle per batch (its verbs must appear in strictly
-// increasing rank), which is what makes the zero-copy RCV response safe:
-// nothing later in the batch can overwrite that session's staging.
-var batchVerbRank = map[string]int{"SND": 0, "STR": 1, "STP": 2, "RCV": 3, "RLS": 4}
+// batchVerbRank orders the verbs allowed inside a BAT frame (0: none yet).
+// Each session may run at most one cycle per batch (its verbs must appear
+// in strictly increasing rank), which is what makes the zero-copy RCV
+// response safe: nothing later in the batch can overwrite that session's
+// staging.
+var batchVerbRank = map[string]int{"SND": 1, "STR": 2, "STP": 3, "RCV": 4, "RLS": 5}
+
+// BatchStepRank checks one sub-request of a BAT frame against the rule
+// above and returns its rank; last is the rank of the same session's
+// previous step in the frame (0 for its first). The socket dispatcher, the
+// ring host and the federation router all go through it, so a malformed
+// batch draws the same error on every path.
+func BatchStepRank(sub *Request, last int) (int, error) {
+	rank, allowed := batchVerbRank[sub.Verb]
+	if !allowed {
+		return 0, fmt.Errorf("transport: verb %q not allowed in BAT", sub.Verb)
+	}
+	if len(sub.Batch) > 0 {
+		return 0, errors.New("transport: nested BAT")
+	}
+	if rank <= last {
+		return 0, fmt.Errorf("transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", sub.Session)
+	}
+	return rank, nil
+}
 
 // Serve services one request from a connection goroutine, submitting only
 // the verb's owner-side phase to the owning shard's simulation owner
@@ -400,9 +418,7 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	case PlaneShm, PlaneInline:
 	case PlaneRing:
 		if d.cfg.Rings == nil {
-			// Match the pre-ring wording exactly: the client's fallback
-			// treats "unknown data plane" as "renegotiate with shm".
-			return errResp(fmt.Errorf("transport: unknown data plane %q (want %q or %q)", kind, PlaneShm, PlaneInline)), true
+			return errResp(fmt.Errorf("transport: data plane %q needs a ring:// listener, and this daemon has none (want %q or %q)", kind, PlaneShm, PlaneInline)), true
 		}
 	default:
 		return errResp(fmt.Errorf("transport: unknown data plane %q (want %q, %q or %q)", kind, PlaneShm, PlaneInline, PlaneRing)), true
@@ -621,20 +637,13 @@ func (d *Dispatcher) serveBAT(req Request, cs *ConnState, submit ShardSubmitter)
 	lastRank := make(map[int]int, 2)
 	for i := range req.Batch {
 		sub := req.Batch[i]
-		rank, allowed := batchVerbRank[sub.Verb]
-		if !allowed {
-			return errResp(fmt.Errorf("transport: verb %q not allowed in BAT", sub.Verb)), true
-		}
-		if len(sub.Batch) > 0 {
-			return errResp(errors.New("transport: nested BAT")), true
+		rank, err := BatchStepRank(&sub, lastRank[sub.Session])
+		if err != nil {
+			return errResp(err), true
 		}
 		s, err := d.lookup(sub.Session, cs)
 		if err != nil {
 			return errResp(err), true
-		}
-		if last, seen := lastRank[sub.Session]; seen && rank <= last {
-			return errResp(fmt.Errorf(
-				"transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", sub.Session)), true
 		}
 		lastRank[sub.Session] = rank
 		// Inner steps count against their own verb series too, so a

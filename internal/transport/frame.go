@@ -36,10 +36,6 @@ import (
 // Strings are uvarint length + bytes; integers are zigzag varints; byte
 // payloads are a presence byte then uvarint length + bytes (nil and
 // empty slices round-trip distinctly).
-//
-// The header magic doubles as a mode detector: a JSON peer's first byte is
-// '{', a binary peer's is 0xB1, so either side can report a clean
-// mode-mismatch error instead of decoding garbage.
 const (
 	frameMagic   = 0xB1
 	kindRequest  = 'Q'

@@ -16,7 +16,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		{Verb: "STP", Session: -1},
 		{},
 	}
-	a, b := fuzzPipeConn(t, NewConn)
+	a, b := fuzzPipeConn(t)
 	for _, want := range reqs {
 		want := want
 		// Join the writer before the next iteration reuses the conn: a
@@ -120,7 +120,7 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 	}
 	// Read side: a crafted header claiming an oversized payload must be
 	// rejected from the length alone, without attempting the read.
-	a, b := fuzzPipeConn(t, NewConn)
+	a, b := fuzzPipeConn(t)
 	hdr := []byte{frameMagic, kindRequest, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(hdr[2:], MaxFrame+1)
 	go b.c.Write(hdr)
@@ -136,7 +136,7 @@ func TestBinaryTruncatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{1, headerLen - 1, headerLen, len(frame) - 1} {
-		a, b := fuzzPipeConn(t, NewConn)
+		a, b := fuzzPipeConn(t)
 		go func() {
 			b.c.Write(frame[:cut])
 			b.c.Close() // EOF mid-frame
@@ -153,25 +153,9 @@ func TestBinaryWrongKindRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := fuzzPipeConn(t, NewConn)
+	a, b := fuzzPipeConn(t)
 	go b.c.Write(frame)
 	if _, err := a.ReadRequest(); err == nil || !strings.Contains(err.Error(), "frame kind") {
 		t.Fatalf("response frame read as request: got %v, want kind error", err)
-	}
-}
-
-func TestModeMismatchDetected(t *testing.T) {
-	// A JSON peer talking to a binary reader: re-wrap the pipe's far end
-	// with the other codec.
-	a, b := fuzzPipeConn(t, NewConn)
-	go NewConnJSON(b.c).WriteRequest(Request{Verb: "REQ"})
-	if _, err := a.ReadRequest(); err == nil || !strings.Contains(err.Error(), "mode mismatch") {
-		t.Fatalf("binary reader vs JSON writer: got %v, want mode-mismatch error", err)
-	}
-	// A binary peer talking to a JSON reader.
-	c, d := fuzzPipeConn(t, NewConnJSON)
-	go NewConn(d.c).WriteResponse(Response{Status: "ACK"})
-	if _, err := c.ReadResponse(); err == nil || !strings.Contains(err.Error(), "mode mismatch") {
-		t.Fatalf("JSON reader vs binary writer: got %v, want mode-mismatch error", err)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
 	"testing"
@@ -10,40 +11,55 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// fuzzPipeConn adapts an in-memory pipe to exercise a frame codec.
-func fuzzPipeConn(t testing.TB, wrap func(net.Conn) *Conn) (*Conn, *Conn) {
+// fuzzPipeConn adapts an in-memory pipe to exercise the frame codec.
+func fuzzPipeConn(t testing.TB) (*Conn, *Conn) {
 	t.Helper()
 	a, b := net.Pipe()
 	_ = a.SetDeadline(time.Now().Add(2 * time.Second))
 	_ = b.SetDeadline(time.Now().Add(2 * time.Second))
-	ca, cb := wrap(a), wrap(b)
+	ca, cb := NewConn(a), NewConn(b)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb
 }
 
-// FuzzReadRequest feeds arbitrary bytes to the JSON request decoder: it
-// must either produce a request or an error, never panic.
+// FuzzReadRequest feeds an arbitrary byte stream to Conn.ReadRequest, the
+// path every socket client's bytes take: header, then a payload read of
+// the length the header claims. It must never panic or hang; a stream
+// that holds one whole frame must read exactly as the bare decoder
+// decodes that frame, and anything shorter must be an error.
 func FuzzReadRequest(f *testing.F) {
-	f.Add([]byte(`{"verb":"REQ","session":1}` + "\n"))
-	f.Add([]byte(`{"verb":"SND","session":-9}` + "\n"))
-	f.Add([]byte(`{}` + "\n"))
-	f.Add([]byte(`garbage` + "\n"))
-	f.Add([]byte(`{"verb":` + "\n"))
-	f.Add([]byte("\n"))
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		if !bytes.ContainsRune(frame, '\n') {
-			frame = append(frame, '\n')
-		}
-		a, b := fuzzPipeConn(t, NewConnJSON)
-		done := make(chan struct{})
+	whole, _ := EncodeRequestBinary(nil, Request{Verb: "SND", Session: 7, Data: []byte{1, 2, 3}})
+	f.Add(whole)
+	f.Add(whole[:headerLen-1])                                     // truncated header
+	f.Add(whole[:len(whole)-1])                                    // truncated payload
+	f.Add(append([]byte{frameMagic ^ 0xff}, whole[1:]...))         // bad magic
+	f.Add(append([]byte{frameMagic, kindResponse}, whole[2:]...))  // wrong kind
+	f.Add([]byte{frameMagic, kindRequest, 0xff, 0xff, 0xff, 0xff}) // oversize
+	f.Add([]byte{frameMagic, kindRequest, 0, 0, 0, 0})             // empty payload
+	f.Add([]byte(`{"verb":"REQ"}` + "\n"))                         // another protocol entirely
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		a, b := fuzzPipeConn(t)
 		go func() {
-			defer close(done)
-			_, _ = a.ReadRequest() // must not panic
+			_, _ = b.c.Write(stream)
+			b.c.Close() // EOF: a short stream must end the read, not hang it
 		}()
-		if _, err := b.c.Write(frame); err != nil {
-			return
+		got, err := a.ReadRequest()
+		if len(stream) >= headerLen {
+			if n := int64(binary.LittleEndian.Uint32(stream[2:6])); n <= int64(len(stream)-headerLen) {
+				want, werr := DecodeRequestBinary(stream[:headerLen+n])
+				if (err == nil) != (werr == nil) {
+					t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
+				}
+				if err == nil && !requestsEqual(got, want) {
+					t.Fatalf("stream read %+v, whole-frame decode %+v", got, want)
+				}
+				return
+			}
 		}
-		<-done
+		if err == nil {
+			t.Fatalf("a %d-byte stream short of one frame read as %+v", len(stream), got)
+		}
 	})
 }
 
@@ -79,8 +95,7 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 	})
 }
 
-// FuzzResponseRoundTrip: any response written must decode back equal, in
-// both codecs.
+// FuzzResponseRoundTrip: any response written must decode back equal.
 func FuzzResponseRoundTrip(f *testing.F) {
 	f.Add("ACK", 1, "", "shm", "seg-1", int64(10), int64(20), 1.5, []byte(nil))
 	f.Add("ERR", 0, "boom", "", "", int64(0), int64(0), 0.0, []byte{})
@@ -91,7 +106,7 @@ func FuzzResponseRoundTrip(f *testing.F) {
 			Plane: plane, Segment: seg, InBytes: in, OutBytes: out, VirtualMS: vms,
 			Data: data,
 		}
-		// Binary: loss-free for every float64, including NaN/Inf.
+		// Loss-free for every float64, including NaN/Inf.
 		frame, err := EncodeResponseBinary(nil, want)
 		if err != nil {
 			t.Fatalf("binary encode: %v", err)
@@ -102,27 +117,6 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		}
 		if !responsesEqual(got, want) {
 			t.Fatalf("binary round trip: got %+v, want %+v", got, want)
-		}
-		// JSON debugging mode over a pipe.
-		a, b := fuzzPipeConn(t, NewConnJSON)
-		go func() { _ = a.WriteResponse(want) }()
-		jgot, err := b.ReadResponse()
-		if err != nil {
-			// JSON cannot represent some float64 values (NaN/Inf) — the
-			// encoder errors rather than corrupting the stream.
-			return
-		}
-		// The JSON debug codec flattens empty payloads to nil (omitempty),
-		// so only the bytes are compared, not nil-ness.
-		jwant := want
-		if len(jwant.Data) == 0 {
-			jwant.Data = nil
-		}
-		if len(jgot.Data) == 0 {
-			jgot.Data = nil
-		}
-		if !responsesEqual(jgot, jwant) {
-			t.Fatalf("JSON round trip: got %+v, want %+v", jgot, jwant)
 		}
 	})
 }

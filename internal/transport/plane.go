@@ -37,13 +37,6 @@ func OpenPlane(shmDir string, resp Response) (DataPlane, error) {
 		return inlinePlane{}, nil
 	case PlaneRing:
 		return openRingPlane(shmDir, resp)
-	case "":
-		// Tolerate a daemon that predates plane negotiation: a segment
-		// name means shm, nothing means inline.
-		if resp.Segment != "" {
-			return OpenPlane(shmDir, Response{Plane: PlaneShm, Segment: resp.Segment, InBytes: resp.InBytes})
-		}
-		return inlinePlane{}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown data plane %q", resp.Plane)
 	}

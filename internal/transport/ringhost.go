@@ -371,23 +371,18 @@ func (s *ringSession) begin(rec []byte) {
 			s.fail("transport: empty BAT")
 			return
 		}
-		lastRank := -1
+		lastRank := 0
 		for i := range s.req.Batch {
 			sub := &s.req.Batch[i]
-			rank, allowed := batchVerbRank[sub.Verb]
-			if !allowed {
-				s.fail(fmt.Sprintf("transport: verb %q not allowed in BAT", sub.Verb))
-				return
-			}
 			if sub.Session != s.id {
 				s.fail(fmt.Sprintf("transport: ring BAT addresses session %d on session %d's ring", sub.Session, s.id))
 				return
 			}
-			if rank <= lastRank {
-				s.fail(fmt.Sprintf("transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", s.id))
+			var err error
+			if lastRank, err = BatchStepRank(sub, lastRank); err != nil {
+				s.fail(err.Error())
 				return
 			}
-			lastRank = rank
 		}
 		s.batch = true
 		if cap(s.batchResp) < len(s.req.Batch) {
@@ -412,23 +407,8 @@ func (s *ringSession) begin(rec []byte) {
 // (and anything unknown) are excluded: a ring belongs to one session
 // that already exists.
 func ringVerbOf(v string) (gvm.Verb, bool) {
-	switch v {
-	case "SND":
-		return gvm.SND, true
-	case "STR":
-		return gvm.STR, true
-	case "STP":
-		return gvm.STP, true
-	case "RCV":
-		return gvm.RCV, true
-	case "RLS":
-		return gvm.RLS, true
-	case "SUS":
-		return gvm.SUS, true
-	case "RES":
-		return gvm.RES, true
-	}
-	return 0, false
+	verb, ok := gvm.ParseVerb(v)
+	return verb, ok && verb != gvm.REQ
 }
 
 // advance issues verbs until one leaves its completion in the calendar

@@ -19,8 +19,8 @@
 //     implemented exactly once.
 //
 // Addresses are URLs: "unix:///tmp/gvmd.sock", "tcp://host:7070",
-// "inproc://name". A bare path with no scheme means unix, preserving the
-// historical gvmd -socket form.
+// "ring:///tmp/gvmd.sock", "inproc://name". A bare path with no scheme
+// means unix.
 package transport
 
 import (

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -14,93 +13,81 @@ import (
 
 // Request is a wire-encoded protocol request.
 type Request struct {
-	Verb    string         `json:"verb"` // REQ SND STR STP RCV RLS
-	Session int            `json:"session,omitempty"`
-	Ref     *workloads.Ref `json:"workload,omitempty"` // REQ only
-	Rank    int            `json:"rank,omitempty"`     // REQ only
+	Verb    string // REQ SND STR STP RCV RLS
+	Session int
+	Ref     *workloads.Ref // REQ only
+	Rank    int            // REQ only
 	// Plane names the data plane the client wants for the session (REQ
 	// only): PlaneShm, PlaneInline, or "" to accept the transport's
 	// default.
-	Plane string `json:"plane,omitempty"`
+	Plane string
 	// Data carries the SND payload on the inline data plane (nil on the
 	// shm plane, where the payload travels through the segment).
-	Data []byte `json:"data,omitempty"`
+	Data []byte
 	// Batch carries the sub-requests of a BAT container frame, executed
 	// in order in one daemon round trip (verb pipelining). Sub-requests
 	// must not nest batches. Empty for ordinary single-verb frames, whose
 	// wire form is unchanged from the pre-batch protocol.
-	Batch []Request `json:"batch,omitempty"`
+	Batch []Request
 	// MemQuota (REQ only) is an optional hard per-session device-memory
 	// limit in bytes, enforced by the manager at every allocation. 0 (the
 	// wire default) means unlimited; frames without the field are
 	// byte-identical to the pre-quota format.
-	MemQuota int64 `json:"mem_quota,omitempty"`
+	MemQuota int64
 	// Priority (REQ only) orders eviction under memory pressure: lower
 	// priority sessions are evicted first. 0 is the default class.
-	Priority int `json:"priority,omitempty"`
+	Priority int
 	// Weight (REQ only) is the session's weighted-fair share of SM
 	// compute time (and its preemption precedence). 0 (the wire default)
 	// derives the weight from Priority; frames without the field are
 	// byte-identical to the pre-QoS format.
-	Weight int `json:"weight,omitempty"`
+	Weight int
 }
 
 // Response is a wire-encoded protocol response.
 type Response struct {
-	Status  string `json:"status"` // ACK WAIT ERR
-	Session int    `json:"session,omitempty"`
-	Err     string `json:"err,omitempty"`
+	Status  string // ACK WAIT ERR
+	Session int
+	Err     string
 	// REQ extras: the chosen data plane, and — on the shm plane — where
 	// the segment lives and how big the staging areas are.
-	Plane    string `json:"plane,omitempty"`
-	Segment  string `json:"segment,omitempty"`
-	InBytes  int64  `json:"in_bytes,omitempty"`
-	OutBytes int64  `json:"out_bytes,omitempty"`
+	Plane    string
+	Segment  string
+	InBytes  int64
+	OutBytes int64
 	// Data carries the RCV payload on the inline data plane.
-	Data []byte `json:"data,omitempty"`
+	Data []byte
 	// VirtualMS is the simulated GPU clock at response time, so clients
 	// can report device-side timings.
-	VirtualMS float64 `json:"virtual_ms"`
+	VirtualMS float64
 	// Batch carries the per-sub-request responses of a BAT frame, in the
 	// order the sub-requests were given; processing stops at the first
 	// failing sub-request.
-	Batch []Response `json:"batch,omitempty"`
+	Batch []Response
 }
 
-// Codec preamble: the first byte a client sends after connecting names
-// its control-plane codec, so a daemon speaking the other codec rejects
-// the connection with a clear "codec mismatch" error instead of a
-// confusing frame-decode failure.
-const (
-	PreambleBinary byte = 'B'
-	PreambleJSON   byte = 'J'
-)
+// preamble is the first byte a client sends after connecting. It names
+// the wire format ('B', the binary frames of frame.go — the only one), so
+// a peer that is not a gvm client at all is turned away at byte one
+// instead of at a confusing frame-decode failure.
+const preamble byte = 'B'
 
-// WritePreamble sends the client's codec preamble byte.
-func WritePreamble(w io.Writer, jsonWire bool) error {
-	b := PreambleBinary
-	if jsonWire {
-		b = PreambleJSON
-	}
-	_, err := w.Write([]byte{b})
+// WritePreamble sends the client's preamble byte.
+func WritePreamble(w io.Writer) error {
+	_, err := w.Write([]byte{preamble})
 	return err
 }
 
-// ReadPreamble consumes a client's codec preamble byte and reports which
-// codec it declared.
-func ReadPreamble(r io.Reader) (jsonWire bool, err error) {
+// ReadPreamble consumes and checks a client's preamble byte.
+func ReadPreamble(r io.Reader) error {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return false, err
+		return err
 	}
-	switch b[0] {
-	case PreambleBinary:
-		return false, nil
-	case PreambleJSON:
-		return true, nil
-	default:
-		return false, fmt.Errorf("transport: bad codec preamble 0x%02x (want 'B' or 'J')", b[0])
+	if b[0] != preamble {
+		return fmt.Errorf("transport: bad preamble 0x%02x (want %q)", b[0], preamble)
 	}
+	return nil
 }
 
 // rejectGrace bounds how long a server keeps reading from a connection
@@ -110,17 +97,10 @@ const rejectGrace = time.Second
 // RejectConn turns a freshly accepted connection away without failing
 // the client's own writes: it sends its first request right behind the
 // preamble, and closing a socket with that unread resets it (EPIPE or
-// ECONNRESET instead of the server's answer). So, bounded by rejectGrace:
-// when the client's codec is known (reply != nil) consume that request
-// and answer it with ERR msg; then half-close, discard at most MaxFrame
-// bytes more, and close.
-func RejectConn(nc net.Conn, reply *Conn, msg string) {
+// ECONNRESET instead of a clean EOF). So, bounded by rejectGrace:
+// half-close, discard at most MaxFrame bytes, and close.
+func RejectConn(nc net.Conn) {
 	_ = nc.SetDeadline(time.Now().Add(rejectGrace))
-	if reply != nil {
-		_, _ = reply.ReadRequest()
-		_ = reply.WriteResponse(Response{Status: "ERR", Err: msg})
-		reply.Release()
-	}
 	if hc, ok := nc.(interface{ CloseWrite() error }); ok {
 		_ = hc.CloseWrite()
 	}
@@ -128,19 +108,14 @@ func RejectConn(nc net.Conn, reply *Conn, msg string) {
 	nc.Close()
 }
 
-// Conn frames requests and responses over a stream connection. The
-// default codec is the length-prefixed binary format (frame.go), reusing
-// one encode and one decode buffer across frames; NewConnJSON selects the
-// human-readable JSON mode for debugging. Both read paths sniff the
-// peer's first byte and report a clean mode-mismatch error rather than
-// decoding the other codec's bytes as garbage.
+// Conn frames requests and responses over a stream connection in the
+// length-prefixed binary format (frame.go), reusing one encode and one
+// decode buffer across frames.
 type Conn struct {
 	c    net.Conn
 	r    *bufio.Reader
-	json bool
-	enc  *json.Encoder // JSON mode only
-	we   frameEncoder  // binary mode: reused scatter-gather encoder
-	rbuf []byte        // binary mode: reused pooled payload buffer
+	we   frameEncoder // reused scatter-gather encoder
+	rbuf []byte       // reused pooled payload buffer
 	hdr  [headerLen]byte
 }
 
@@ -153,13 +128,6 @@ const rbufHighWater = 1 << 20
 // NewConn wraps a connection with the binary frame codec.
 func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, r: bufio.NewReader(c)}
-}
-
-// NewConnJSON wraps a connection with the newline-delimited JSON codec,
-// the debugging fallback (readable with socat/nc). Both peers must agree
-// on the mode.
-func NewConnJSON(c net.Conn) *Conn {
-	return &Conn{c: c, r: bufio.NewReader(c), json: true, enc: json.NewEncoder(c)}
 }
 
 // Close closes the underlying connection.
@@ -180,16 +148,10 @@ func (c *Conn) Release() {
 // each round trip so a hung daemon cannot block them forever.
 func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
-// JSON reports whether the connection speaks the JSON debugging codec.
-func (c *Conn) JSON() bool { return c.json }
-
 // WriteRequest sends one request frame. Payloads above the inline
 // threshold are not copied: they ride a writev (net.Buffers) straight
 // from req.Data, so the caller must not mutate it until the call returns.
 func (c *Conn) WriteRequest(req Request) error {
-	if c.json {
-		return c.enc.Encode(req)
-	}
 	if err := c.we.encodeRequest(req); err != nil {
 		// A failed encode (e.g. nested batch) aborts mid-frame: drop the
 		// payload aliases accumulated so far so the encoder is clean for
@@ -203,9 +165,6 @@ func (c *Conn) WriteRequest(req Request) error {
 // WriteResponse sends one response frame; the same no-copy rule as
 // WriteRequest applies to resp.Data.
 func (c *Conn) WriteResponse(resp Response) error {
-	if c.json {
-		return c.enc.Encode(resp)
-	}
 	if err := c.we.encodeResponse(resp); err != nil {
 		c.we.clearAliases()
 		return err
@@ -237,17 +196,6 @@ func (c *Conn) writeFrame() error {
 
 // ReadRequest receives one request frame.
 func (c *Conn) ReadRequest() (Request, error) {
-	if c.json {
-		var req Request
-		line, err := c.readJSONLine()
-		if err != nil {
-			return req, err
-		}
-		if err := json.Unmarshal(line, &req); err != nil {
-			return req, fmt.Errorf("transport: bad request frame: %w", err)
-		}
-		return req, nil
-	}
 	payload, err := c.readFrame(kindRequest)
 	if err != nil {
 		return Request{}, err
@@ -257,17 +205,6 @@ func (c *Conn) ReadRequest() (Request, error) {
 
 // ReadResponse receives one response frame.
 func (c *Conn) ReadResponse() (Response, error) {
-	if c.json {
-		var resp Response
-		line, err := c.readJSONLine()
-		if err != nil {
-			return resp, err
-		}
-		if err := json.Unmarshal(line, &resp); err != nil {
-			return resp, fmt.Errorf("transport: bad response frame: %w", err)
-		}
-		return resp, nil
-	}
 	payload, err := c.readFrame(kindResponse)
 	if err != nil {
 		return Response{}, err
@@ -275,24 +212,11 @@ func (c *Conn) ReadResponse() (Response, error) {
 	return decodeResponsePayload(payload)
 }
 
-// readJSONLine reads one newline-delimited JSON frame, detecting a binary
-// peer by its magic byte.
-func (c *Conn) readJSONLine() ([]byte, error) {
-	if b, err := c.r.Peek(1); err == nil && b[0] == frameMagic {
-		return nil, fmt.Errorf("transport: mode mismatch: peer sent a binary frame on a JSON connection")
-	}
-	return c.r.ReadBytes('\n')
-}
-
 // readFrame reads one binary frame of the given kind and returns its
 // payload in the connection's reused buffer (valid until the next read).
 func (c *Conn) readFrame(kind byte) ([]byte, error) {
-	b, err := c.r.Peek(1)
-	if err != nil {
+	if _, err := c.r.Peek(1); err != nil {
 		return nil, err // clean EOF between frames passes through
-	}
-	if b[0] == '{' {
-		return nil, fmt.Errorf("transport: mode mismatch: peer is speaking JSON on a binary connection")
 	}
 	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
 		return nil, fmt.Errorf("transport: truncated frame header: %w", err)

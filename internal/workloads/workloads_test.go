@@ -68,7 +68,7 @@ func TestPaperProblemSizesMatchTableIV(t *testing.T) {
 	}
 }
 
-func TestMicroBenchmarkSwitchCosts(t *testing.T) {
+func TestMicrobenchmarkSwitchCosts(t *testing.T) {
 	if PaperVectorAdd().SwitchCost.Seconds()*1e3 != 148.226 {
 		t.Fatal("VectorAdd switch cost != Table II's 148.226 ms")
 	}
