@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc
+.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc
 
 all: ci
 
 # Tier-1 gate (README "CI gate"): everything a change must keep green.
-ci: fmt vet build test race bench-short bench-schema interference-short chaos-short fed-short smoke
+ci: fmt vet one-engine build test race bench-short bench-schema interference-short chaos-short fed-short smoke
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:
@@ -19,6 +19,12 @@ vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 
+# One verb engine (DESIGN.md §3): internal/transport reaches gvm's verbs only
+# through frameRun — no vgpu handle, one DirectVerb call site — so a second
+# execution path cannot quietly come back.
+one-engine:
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
+
 build:
 	$(GO) build ./...
 
@@ -27,22 +33,14 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The race-detector runs leave one test to `make test`: the
-# futex-free-window half of TestRingCycleZeroAllocZeroSyscall asserts
-# scheduling, not correctness — both ring sides must spin through 100
-# cycles without being descheduled — and under the detector's slowdown on
-# a 2-CPU machine they are not (alone it fails 4 of 20 -race runs, at the
-# parent of this line's commit too).
-RACE_SKIP = -skip '^TestRingCycleZeroAllocZeroSyscall$$'
-
 race:
-	$(GO) test -race $(RACE_SKIP) ./...
+	$(GO) test -race ./...
 
 # Merge gate for anything touching the daemon stack (ROADMAP item 1): the
 # four packages whose tests run real goroutines against each other, 20
 # times in shuffled order under the race detector. Zero flakes allowed.
 flake:
-	$(GO) test -race -shuffle=on -count=20 $(RACE_SKIP) ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/
+	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, shm copies,

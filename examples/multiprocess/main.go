@@ -141,6 +141,7 @@ func parent(workers int, connect string, timeout, duration time.Duration, weight
 		os.Exit(1)
 	}
 	fmt.Println("parent: all workers verified their results through the daemon")
+	fmt.Println("parent: \"device clock\" is the daemon's virtual time — device DMA and kernels plus one host copy per SND/RCV, the same on every transport; the socket or ring itself costs wall-clock only")
 }
 
 func worker(addr string, rank int, timeout, duration time.Duration, weight, priority int) error {

@@ -239,9 +239,10 @@ func needsStagedInput(verb string) bool {
 	return verb == "STR" || verb == "STP" || verb == "RCV"
 }
 
-// serveVerb proxies one session verb over the session's sticky backend
-// connection. This is the warm hop: a struct copy, two id rewrites, and
-// the pooled zero-copy framing on both sides — no allocation.
+// serveVerb proxies one lone session verb over the session's sticky
+// backend connection: the one-step case of forwardRun. This is the warm
+// hop: a struct copy, two id rewrites, and the pooled zero-copy framing on
+// both sides — no allocation.
 //
 // The returned session (when non-nil) is still LOCKED: the response may
 // alias the sticky connection's read buffer, so the caller must write
@@ -253,46 +254,9 @@ func (r *Router) serveVerb(req transport.Request, cc *clientConn) (transport.Res
 		return errResp(err), nil
 	}
 	s.mu.Lock()
-	if s.closed {
-		return errResp(fmt.Errorf("fed: session %d is closed", s.vid)), s
-	}
-	if err := r.ensurePlacedLocked(s); err != nil {
-		return errResp(err), s
-	}
-	if !s.staged && s.inB > 0 && needsStagedInput(req.Verb) {
-		return retryableResp(fmt.Sprintf(
-			"fed: session %d was re-created on node %d and its input is not restaged; re-send the cycle from SND",
-			s.vid, s.b.idx)), s
-	}
-	fwd := req
-	fwd.Session = s.realID
-	resp, terr := r.trip(s, fwd)
-	if terr != nil {
-		r.markDead(s.b, terr)
-		r.dropBackendLocked(s, true)
-		return retryableResp(fmt.Sprintf("fed: %s: node %d lost mid-verb: %v", req.Verb, s.b.idx, terr)), s
-	}
-	if lostSession(resp) {
-		// The node answered but no longer knows the session: it restarted
-		// or tore down mid-shutdown between our frames. Same recovery as a
-		// connection drop — re-create on the next attempt.
-		node := s.b.idx
-		r.dropBackendLocked(s, true)
-		return retryableResp(fmt.Sprintf("fed: %s: node %d dropped session state: %s", req.Verb, node, resp.Err)), s
-	}
-	resp.Session = s.vid
-	if resp.Status == "ACK" {
-		switch req.Verb {
-		case "SND":
-			s.staged = true
-		case "RLS":
-			// A data-carrying response would still alias the buffer while
-			// it is written to the client; leave it to the GC then.
-			r.unregisterLocked(s, len(resp.Data) == 0)
-			cc.dropOwned(s.vid)
-		}
-	}
-	return resp, s
+	var out [1]transport.Response
+	r.forwardRun(s, false, []transport.Request{req}, out[:], false)
+	return out[0], s
 }
 
 // serveBAT proxies a pipelined batch: it partitions the sub-requests
@@ -365,7 +329,7 @@ func (r *Router) serveBAT(req transport.Request, cc *clientConn) (transport.Resp
 				break
 			}
 		}
-		r.forwardRun(rn.s, req.Batch[rn.start:rn.end], outs, recursLater)
+		r.forwardRun(rn.s, true, req.Batch[rn.start:rn.end], outs, recursLater)
 		for i := range outs {
 			if outs[i].Status == "ERR" {
 				failed = true
@@ -375,9 +339,13 @@ func (r *Router) serveBAT(req transport.Request, cc *clientConn) (transport.Resp
 	return out, uniq
 }
 
-// forwardRun proxies one contiguous same-session slice of a BAT. Caller
-// holds s.mu.
-func (r *Router) forwardRun(s *fedSession, subs []transport.Request, outs []transport.Response, copyData bool) {
+// forwardRun proxies one contiguous same-session run of verbs, filling
+// outs: a BAT's stretch travels as a BAT, a lone verb (bat == false, one
+// step) as the bare verb frame it arrived as — never a one-element BAT, so
+// a non-pipelining client costs the backend what it would cost directly.
+// copyData detaches response payloads from the sticky connection's read
+// buffer (a later run of the same frame reuses it). Caller holds s.mu.
+func (r *Router) forwardRun(s *fedSession, bat bool, subs []transport.Request, outs []transport.Response, copyData bool) {
 	fail := func(resp transport.Response) {
 		resp.Session = s.vid
 		for i := range outs {
@@ -402,49 +370,62 @@ func (r *Router) forwardRun(s *fedSession, subs []transport.Request, outs []tran
 			}
 		}
 	}
-	fwd := transport.Request{Verb: "BAT", Batch: make([]transport.Request, len(subs))}
-	for i := range subs {
-		fwd.Batch[i] = subs[i]
-		fwd.Batch[i].Session = s.realID
+	fwd := subs[0]
+	fwd.Session = s.realID
+	if bat {
+		fwd = transport.Request{Verb: "BAT", Batch: make([]transport.Request, len(subs))}
+		for i := range subs {
+			fwd.Batch[i] = subs[i]
+			fwd.Batch[i].Session = s.realID
+		}
 	}
 	resp, terr := r.trip(s, fwd)
 	if terr != nil {
 		r.markDead(s.b, terr)
 		r.dropBackendLocked(s, true)
-		fail(retryableResp(fmt.Sprintf("fed: BAT: node %d lost mid-batch: %v", s.b.idx, terr)))
+		fail(retryableResp(fmt.Sprintf("fed: %s: node %d lost mid-frame: %v", fwd.Verb, s.b.idx, terr)))
 		return
 	}
+	got := resp.Batch
+	if !bat {
+		got = []transport.Response{resp}
+	}
+	// The node answered but no longer knows the session: it restarted or
+	// tore the session down mid-shutdown between our frames. Same recovery
+	// as a connection drop — re-create on the next attempt.
+	lost := ""
 	if lostSession(resp) {
-		// The node answered but no longer knows the session: it restarted
-		// or tore the session down mid-shutdown between our frames. Same
-		// recovery as a connection drop — re-create on the next attempt.
+		lost = resp.Err
+	}
+	for i := range got {
+		if lostSession(got[i]) {
+			lost = got[i].Err
+		}
+	}
+	if lost != "" {
 		node := s.b.idx
 		r.dropBackendLocked(s, true)
-		fail(retryableResp(fmt.Sprintf("fed: BAT: node %d dropped session state: %s", node, resp.Err)))
+		fail(retryableResp(fmt.Sprintf("fed: %s: node %d dropped session state: %s", fwd.Verb, node, lost)))
 		return
 	}
-	if resp.Status != "ACK" {
+	if bat && resp.Status != "ACK" {
 		fail(transport.Response{Status: resp.Status, Err: resp.Err})
 		return
 	}
-	for i := range resp.Batch {
-		if lostSession(resp.Batch[i]) {
-			node := s.b.idx
-			r.dropBackendLocked(s, true)
-			fail(retryableResp(fmt.Sprintf("fed: BAT: node %d dropped session state: %s", node, resp.Batch[i].Err)))
-			return
-		}
-	}
-	if len(resp.Batch) != len(subs) {
-		fail(errResp(fmt.Errorf("fed: node %d returned %d responses for %d sub-requests", s.b.idx, len(resp.Batch), len(subs))))
+	if len(got) != len(subs) {
+		fail(errResp(fmt.Errorf("fed: node %d returned %d responses for %d sub-requests", s.b.idx, len(got), len(subs))))
 		return
 	}
-	released := false
+	released, aliased := false, false
 	for i := range subs {
-		outs[i] = resp.Batch[i]
+		outs[i] = got[i]
 		outs[i].Session = s.vid
-		if copyData && len(outs[i].Data) > 0 {
-			outs[i].Data = append([]byte(nil), outs[i].Data...)
+		if len(outs[i].Data) > 0 {
+			if copyData {
+				outs[i].Data = append([]byte(nil), outs[i].Data...)
+			} else {
+				aliased = true
+			}
 		}
 		if outs[i].Status == "ACK" {
 			switch subs[i].Verb {
@@ -456,9 +437,10 @@ func (r *Router) forwardRun(s *fedSession, subs []transport.Request, outs []tran
 		}
 	}
 	if released {
-		// The just-merged responses still alias the sticky connection's
-		// read buffer, so the buffer is left to the GC, not the pool.
-		r.unregisterLocked(s, false)
+		// A response still aliasing the sticky connection's read buffer is
+		// on its way to the client: leave that buffer to the GC then, not
+		// the pool.
+		r.unregisterLocked(s, !aliased)
 		s.owner.dropOwned(s.vid)
 	}
 }

@@ -2,11 +2,8 @@ package gvm
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
-	"gpuvirt/internal/metrics"
-	"gpuvirt/internal/shm"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 )
@@ -44,7 +41,6 @@ func retryableSessionErr(id, gpu int, cause error) string {
 type ExtractedSession struct {
 	ID       int
 	Spec     *task.Spec
-	Direct   bool
 	MemQuota int64
 	Priority int
 	Weight   int
@@ -73,7 +69,7 @@ func (e *ExtractedSession) Bytes() int64 {
 	return e.snap.total + int64(len(e.PinIn)) + int64(len(e.PinOut))
 }
 
-// ExtractSession quiesces session id at its next verb boundary,
+// ExtractSession quiesces daemon session id at its next verb boundary,
 // snapshots its device arenas (reusing the suspend engine) and staging
 // buffers, and removes it from this manager without the close
 // accounting — the session is moving, not ending. Must run on the
@@ -89,22 +85,16 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	if !ok {
 		return nil, fmt.Errorf("gvm: ExtractSession: unknown session %d", id)
 	}
-	prev := m.curProc
-	m.curProc = p
-	defer func() { m.curProc = prev }()
-
+	if s.reply != nil {
+		return nil, fmt.Errorf("gvm: ExtractSession: session %d is a queue session", id)
+	}
 	for i, bs := range m.strPending {
 		if bs != s {
 			continue
 		}
 		m.strPending = append(m.strPending[:i], m.strPending[i+1:]...)
 		s.running = false
-		msg := Retryable(fmt.Sprintf("gvm: session %d leaving the STR barrier: migrating off gpu %d", s.id, m.cfg.GPUIndex))
-		if s.notify != nil {
-			s.notify(STR, ERR, msg)
-		} else {
-			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: msg})
-		}
+		s.tell(STR, ERR, Retryable(fmt.Sprintf("gvm: session %d leaving the STR barrier: migrating off gpu %d", s.id, m.cfg.GPUIndex)))
 		break
 	}
 
@@ -134,7 +124,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 		m.suspendSession(p, s)
 	}
 	ext := &ExtractedSession{
-		ID: s.id, Spec: s.spec, Direct: s.direct,
+		ID: s.id, Spec: s.spec,
 		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
 		Done:      s.done,
 		Rerun:     s.failed != nil || s.rerunPending,
@@ -160,31 +150,29 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	return ext, nil
 }
 
-// AdoptSession installs an extracted session on this manager under its
-// original id, replying on the given queue from now on. The session
-// arrives in the evicted state and is materialized eagerly; if the
-// target is too loaded to restore right now the snapshot stays intact
-// and the next verb's transparent restore retries — adoption itself
-// only fails on an id collision (impossible under the node's striped id
-// scheme) or a staging snapshot of the wrong size. The session was admitted on its source shard and the node
+// AdoptSession installs an extracted session on this manager as a daemon
+// session under ext.ID; like an opened one it needs a BindDirect before it
+// takes verbs. The session arrives in the evicted state and is
+// materialized eagerly; if the target is too loaded to restore right now
+// the snapshot stays intact and the next verb's transparent restore
+// retries — adoption itself only fails on an id collision (impossible
+// under the node's striped id scheme) or a staging snapshot of the wrong
+// size. The session was admitted on its source shard and the node
 // re-placed it against this shard's headroom, so no quota re-check.
-func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession, reply *Queue[Response]) error {
+func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
 	}
-	// The staging snapshot becomes staging as is, and the footprint sizes
-	// the session's segment; both may be off the wire.
+	// The staging snapshot becomes staging as is, and the footprint is
+	// charged against the quota; both may be off the wire.
 	if (ext.PinIn != nil && int64(len(ext.PinIn)) != ext.Spec.InBytes) ||
 		(ext.PinOut != nil && int64(len(ext.PinOut)) != ext.Spec.OutBytes) ||
 		ext.Footprint != ext.Spec.InBytes+ext.Spec.OutBytes {
 		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, footprint %d, spec says %d+%d",
 			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Footprint, ext.Spec.InBytes, ext.Spec.OutBytes)
 	}
-	prev := m.curProc
-	m.curProc = p
-	defer func() { m.curProc = prev }()
 	s := &session{
-		id: ext.ID, spec: ext.Spec, reply: reply, direct: ext.Direct,
+		id: ext.ID, spec: ext.Spec,
 		memQuota: ext.MemQuota, priority: ext.Priority, weight: ext.Weight,
 		lastUsed:     p.Now(),
 		done:         ext.Done,
@@ -193,21 +181,17 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession, reply *Queue[
 		evicted:      true,
 		rerunPending: ext.Rerun,
 	}
-	cl := metrics.L("class", strconv.Itoa(weightClass(s.weight)))
-	gl := metrics.L("gpu", strconv.Itoa(m.cfg.GPUIndex))
-	s.launches = m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl)
-	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
-	s.seg = shm.NewMemory(ext.Footprint, m.dev.Functional() && !ext.Direct)
+	m.bindClassMetrics(s)
 	m.shmInUse += ext.Footprint
 	if ext.DevBytes > 0 {
 		s.devBytes = ext.DevBytes
 		m.dev.Reserve(ext.DevBytes)
 	}
-	// A direct session's staging is the snapshot's own buffers (no copy):
-	// an inline session keeps them, a mapped plane rebinds onto its
-	// segment, which held the same bytes all along.
-	s.pinIn = m.newStaging(ext.Spec.InBytes, ext.Direct, ext.PinIn)
-	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.Direct, ext.PinOut)
+	// Staging is the snapshot's own buffers (no copy): an inline session
+	// keeps them, a mapped plane rebinds onto its segment, which held the
+	// same bytes all along.
+	s.pinIn = m.newStaging(ext.Spec.InBytes, true, ext.PinIn)
+	s.pinOut = m.newStaging(ext.Spec.OutBytes, true, ext.PinOut)
 	s.stream = m.ctx.NewStream()
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()

@@ -13,9 +13,22 @@
 // and pinned staging buffers; and it barriers STR requests from all
 // parties before flushing every stream at once, so Fermi's concurrent
 // kernel execution and copy/compute overlap apply *across* processes.
+//
+// A session is one of two kinds, fixed when it opens. A queue session is
+// the paper's model — REQ on the request queue, a reply queue, the
+// manager's own segment, every message hop charged in virtual time — and
+// is what the simulation (vgpu, spmd, the experiments) drives. A daemon
+// session is what gvmd's front-ends hold for a real client: opened,
+// released, extracted and adopted through plain owner-side calls
+// (OpenSession, ReleaseSession, ExtractSession, AdoptSession), staging in
+// caller-owned memory, verbs through DirectVerb with outcomes on a notify
+// hook. Both run the same verb engine (serve → admit → dispatch): they
+// differ only in how time is charged (a process sleep or a calendar
+// event) and in where the outcome goes.
 package gvm
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/bits"
@@ -90,14 +103,6 @@ type Request struct {
 	Verb    Verb
 	Spec    *task.Spec       // REQ only
 	Reply   *Queue[Response] // REQ only; later requests use the session's queue
-	// Direct (REQ only) opens the session in direct-staging mode: the
-	// pinned staging is caller-owned memory (RebindStaging) the caller
-	// moves payload bytes into and out of itself, so SND/RCV skip the
-	// shared-memory-segment copies while still charging the same virtual
-	// host-copy time. The daemon dispatcher uses this to keep O(bytes)
-	// work off the simulation-owner goroutine, and to make the client's
-	// mapped segment the staging.
-	Direct bool
 	// MemQuota (REQ only) is a hard per-session device-memory limit in
 	// bytes, enforced at every Malloc the session performs (HAMi-style).
 	// 0 means unlimited.
@@ -267,11 +272,6 @@ type Manager struct {
 	strGen     uint64     // invalidates stale barrier-timeout timers
 	shmInUse   int64      // aggregate session footprint against the quota
 
-	// curProc is the process currently inside a manager handler. The
-	// allocator's evictor callback runs synchronously inside Malloc and
-	// needs a process to charge the evacuation D2H on; this is it.
-	curProc *sim.Proc
-
 	reg *metrics.Registry
 	met managerMetrics
 	log *slog.Logger
@@ -304,8 +304,8 @@ type managerMetrics struct {
 type session struct {
 	id      int
 	spec    *task.Spec
-	reply   *Queue[Response]
-	seg     shm.Segment
+	reply   *Queue[Response] // nil: a daemon session (outcomes go to notify)
+	seg     shm.Segment      // queue sessions only
 	devIn   cuda.DevPtr
 	devOut  cuda.DevPtr
 	scratch []cuda.DevPtr
@@ -317,8 +317,7 @@ type session struct {
 	running    bool
 	done       bool
 	strArrived sim.Time  // when this session's STR joined the barrier
-	direct     bool      // payloads bypass the segment (Request.Direct)
-	stpWaiting bool      // a blocking STP response is owed
+	stpWaiting bool      // an STP answer is owed at stream completion
 	footprint  int64     // bytes counted against the manager's quota
 	susp       *snapshot // non-nil while suspended (extension verbs SUS/RES)
 
@@ -357,12 +356,11 @@ type session struct {
 	ops      []func(p *sim.Proc)
 	finishCB func()
 
-	// Direct control surface (Manager.BindDirect): verb completions bypass
-	// the reply queue and fire these instead.
-	notify        DirectNotify
-	stpDirectWait bool   // a direct STP ack is owed at stream completion
-	sndDone       func() // prebound SND copy-completion
-	rcvDone       func() // prebound RCV copy-completion
+	// A daemon session's control surface (Manager.BindDirect): verb
+	// outcomes fire notify instead of travelling a reply queue.
+	notify  DirectNotify
+	sndDone func() // prebound SND copy-completion
+	rcvDone func() // prebound RCV copy-completion
 }
 
 // New creates a manager bound to a device. Call Start to bring it up.
@@ -518,8 +516,8 @@ func (m *Manager) Start() {
 		m.ctx.Acquire(p)
 		// Residency layer: when an allocation cannot fit, the allocator
 		// asks the manager to evict an idle session's arena to a host
-		// snapshot and retries. The callback runs inside Malloc on the
-		// owner goroutine, charging the evacuation on m.curProc's clock.
+		// snapshot and retries. The callback runs inside Malloc, charging
+		// the evacuation on the clock of the process that called it.
 		m.dev.SetEvictor(m.evictForAlloc)
 		m.cfg.trace("gvm", "init", start, p.Now())
 		m.ready.Fire(nil)
@@ -534,89 +532,206 @@ func (m *Manager) Start() {
 
 // handle services one request on the manager's clock.
 func (m *Manager) handle(p *sim.Proc, r Request) {
-	m.curProc = p
-	defer func() { m.curProc = nil }()
 	if r.Verb == REQ {
 		m.handleREQ(p, r)
 		return
 	}
 	s, ok := m.sessions[r.Session]
 	if !ok {
-		// A verb can race a migration: the session was extracted from this
-		// shard after the caller resolved it. When the request carries a
-		// reply queue, answer with a retryable error so the caller can
-		// re-resolve; otherwise drop (client bugs surface as timeouts in
-		// their own tests).
+		// A client bug; when the request carries a reply queue, answer so
+		// the caller does not park forever (otherwise it surfaces as a
+		// timeout in the caller's own test).
 		if r.Reply != nil {
 			r.Reply.Send(p, Response{Status: ERR, Session: r.Session,
 				Err: Retryable(fmt.Sprintf("gvm: unknown session %d on gpu %d", r.Session, m.cfg.GPUIndex))})
 		}
 		return
 	}
-	s.lastUsed = p.Now()
-	if s.failed != nil && r.Verb != RLS {
-		// The device faulted under this session's kernels. Everything but
-		// release bounces with a retryable error so the client backs off
-		// while the failover engine migrates the session.
-		s.reply.Send(p, Response{Status: ERR, Session: s.id,
-			Err: retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed)})
-		return
-	}
-	if s.susp != nil && (r.Verb == SND || r.Verb == STR || r.Verb == RCV ||
-		(r.Verb == STP && s.rerunPending)) {
-		if !s.evicted {
-			// Client-driven SUS: the client must issue an explicit RES.
-			s.reply.Send(p, Response{Status: ERR, Session: s.id,
-				Err: fmt.Sprintf("gvm: %v on suspended session %d", r.Verb, s.id)})
-			return
-		}
+	m.serve(p, s, r.Verb)
+}
+
+// serve runs one verb on a live session: the admission gate, a transparent
+// restore when the gate asks for one, then the verb itself. It is the one
+// verb engine behind both surfaces. The queue surface calls it with the
+// manager's process, which sleeps through every virtual cost; the daemon
+// surface (DirectVerb) calls it with p == nil and must not block, so costs
+// become calendar events and anything that has to wait — a restore, a
+// release, a suspend — runs on a transient process.
+func (m *Manager) serve(p *sim.Proc, s *session, verb Verb) {
+	s.lastUsed = m.env.Now()
+	errMsg, restore := m.admit(s, verb)
+	switch {
+	case errMsg != "":
+		s.answer(p, verb, ERR, errMsg)
+	case restore:
 		// Manager-driven eviction is transparent: restore the arena before
 		// serving the verb, waiting out pressure from running sessions.
 		// Failure (device still full, nothing evictable, nothing running)
 		// leaves the snapshot intact so the verb can be retried.
-		if err := m.restoreWithBackoff(p, s); err != nil {
-			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
-			return
-		}
+		m.onProc(p, "gvm-restore", func(p *sim.Proc) {
+			if err := m.restoreWithBackoff(p, s); err != nil {
+				s.answer(p, verb, ERR, err.Error())
+				return
+			}
+			m.dispatch(p, s, verb)
+		})
+	default:
+		m.dispatch(p, s, verb)
 	}
+}
+
+// admit is the gate every verb passes before it is served. It returns the
+// error that bounces the verb — the device faulted under the session's
+// kernels (everything but RLS, retryable until the failover engine has
+// moved the session), or the client suspended the session and owes an
+// explicit RES — or else whether an evicted arena must be restored first.
+func (m *Manager) admit(s *session, verb Verb) (errMsg string, restore bool) {
+	if s.failed != nil && verb != RLS {
+		return retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed), false
+	}
+	needsArena := verb == SND || verb == STR || verb == RCV || (verb == STP && s.rerunPending)
+	if s.susp == nil || !needsArena {
+		return "", false
+	}
+	if !s.evicted {
+		return fmt.Sprintf("gvm: %v on suspended session %d", verb, s.id), false
+	}
+	return "", true
+}
+
+// dispatch performs one admitted verb on a resident (or needing no arena)
+// session: the (state, verb) function of the protocol.
+func (m *Manager) dispatch(p *sim.Proc, s *session, verb Verb) {
 	// Adopted mid-cycle: replay or cancel the interrupted flush now that
 	// the arena is materialized, then serve the verb (an STP that
-	// triggered a replay lands in the poll path and sees WAIT).
-	m.gateRerun(s, r.Verb)
-	switch r.Verb {
+	// triggered a replay waits for it like for any running flush).
+	m.gateRerun(s, verb)
+	switch verb {
 	case SND:
-		m.handleSND(p, s)
+		if s.reply != nil {
+			m.handleSND(p, s)
+		} else {
+			m.after(m.HostCopyTime(s.spec.InBytes), s.sndDone)
+		}
 	case STR:
 		m.handleSTR(p, s)
 	case STP:
 		m.handleSTP(p, s)
 	case RCV:
-		m.handleRCV(p, s)
+		switch {
+		case !s.done:
+			s.answer(p, RCV, ERR, "gvm: RCV before completion")
+		case s.reply != nil:
+			m.handleRCV(p, s)
+		default:
+			m.after(m.HostCopyTime(s.spec.OutBytes), s.rcvDone)
+		}
 	case RLS:
-		m.handleRLS(p, s)
+		m.onProc(p, "gvm-rls", func(p *sim.Proc) {
+			notify := s.notify // teardown detaches it; the ack is its last call
+			if !m.release(p, s) {
+				return // ReleaseSession got there while this one waited
+			}
+			if notify != nil {
+				notify(RLS, ACK, "")
+			} else {
+				s.answer(p, RLS, ACK, "")
+			}
+		})
 	case SUS:
-		m.handleSUS(p, s)
+		m.onProc(p, "gvm-sus", func(p *sim.Proc) { s.settle(p, SUS, m.suspend(p, s)) })
 	case RES:
-		m.handleRES(p, s)
+		m.onProc(p, "gvm-res", func(p *sim.Proc) { s.settle(p, RES, m.resume(p, s)) })
 	default:
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: fmt.Sprintf("gvm: unknown verb %v", r.Verb)})
+		s.answer(p, verb, ERR, fmt.Sprintf("gvm: unknown verb %v", verb))
 	}
 }
 
-// handleREQ provisions a VGPU: shared-memory segment, device buffers,
-// pinned staging, a dedicated stream, and the prepared kernel sequence.
+// onProc runs fn on p when the caller has a process, and on a transient
+// one when it has none (the daemon surface, which must not block).
+func (m *Manager) onProc(p *sim.Proc, name string, fn func(p *sim.Proc)) {
+	if p != nil {
+		fn(p)
+		return
+	}
+	m.env.Go(name, fn)
+}
+
+// after charges d of virtual time as a calendar event ending in fn.
+func (m *Manager) after(d sim.Duration, fn func()) {
+	if d > 0 {
+		m.env.After(d, fn)
+	} else {
+		fn()
+	}
+}
+
+// answer delivers a verb's outcome where the session's kind wants it: a
+// queue session's as a message on its reply queue, the hop charged on p's
+// clock; a daemon session's through its notify hook (p may be nil).
+func (s *session) answer(p *sim.Proc, verb Verb, st Status, errMsg string) {
+	if s.reply == nil {
+		s.tell(verb, st, errMsg)
+		return
+	}
+	s.reply.Send(p, Response{Status: st, Session: s.id, Err: errMsg})
+}
+
+// settle answers ACK, or ERR when errMsg names a failure.
+func (s *session) settle(p *sim.Proc, verb Verb, errMsg string) {
+	st := ACK
+	if errMsg != "" {
+		st = ERR
+	}
+	s.answer(p, verb, st, errMsg)
+}
+
+// handleREQ serves REQ on the queue surface.
 func (m *Manager) handleREQ(p *sim.Proc, r Request) {
-	start := p.Now()
 	if r.Spec == nil || r.Reply == nil {
 		if r.Reply != nil {
 			r.Reply.Send(p, Response{Status: ERR, Err: "gvm: REQ needs Spec and Reply"})
 		}
 		return
 	}
-	fail := func(s *session, err error) {
-		m.teardown(s)
+	s, err := m.open(p, r)
+	if err != nil {
 		r.Reply.Send(p, Response{Status: ERR, Err: err.Error()})
+		return
 	}
+	r.Reply.Send(p, Response{Status: ACK, Session: s.id})
+}
+
+// OpenSession provisions a daemon session on the caller's process p (which
+// pays the REQ's resource-setup time) and returns its id: r carries the
+// Spec and the REQ options and no Reply. The session has no staging memory
+// and takes no verbs until BindDirect gives it both. Owner-goroutine side.
+func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
+	if r.Spec == nil || r.Reply != nil {
+		return 0, errors.New("gvm: OpenSession needs a Spec and takes no Reply queue")
+	}
+	m.met.requests.Inc()
+	s, err := m.open(p, r)
+	if err != nil {
+		return 0, err
+	}
+	return s.id, nil
+}
+
+// ReleaseSession ends a daemon session from outside the verb stream (a
+// hang-up, an unwound open, shutdown), waiting out whatever still uses its
+// buffers exactly as RLS does. It reports whether this call was the one
+// that released it. Owner-goroutine side, on the caller's process.
+func (m *Manager) ReleaseSession(p *sim.Proc, id int) bool {
+	s, ok := m.sessions[id]
+	return ok && m.release(p, s)
+}
+
+// open provisions a VGPU: device buffers, pinned staging, a dedicated
+// stream, the prepared kernel sequence and — for a queue session — its
+// shared-memory segment.
+func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
+	start := p.Now()
 	p.Sleep(m.cfg.ResourceSetup)
 	footprint := r.Spec.InBytes + r.Spec.OutBytes
 	quota := m.cfg.MaxSessionBytes
@@ -627,28 +742,21 @@ func (m *Manager) handleREQ(p *sim.Proc, r Request) {
 		}
 	}
 	if m.shmInUse+footprint > quota {
-		r.Reply.Send(p, Response{Status: ERR, Err: fmt.Sprintf(
+		return nil, fmt.Errorf(
 			"gvm: gpu %d session quota exceeded: %d bytes live + %d requested > %d",
-			m.cfg.GPUIndex, m.shmInUse, footprint, quota)})
-		return
+			m.cfg.GPUIndex, m.shmInUse, footprint, quota)
 	}
 	s := &session{
-		id: m.MintSessionID(), spec: r.Spec, reply: r.Reply, direct: r.Direct,
+		id: m.MintSessionID(), spec: r.Spec, reply: r.Reply,
 		memQuota: r.MemQuota, priority: r.Priority, lastUsed: p.Now(),
 		weight: sessionWeight(r),
 	}
-	// Weight-class instruments are prebound so the hot path pays no map
-	// lookups; the registry is idempotent, so sessions of one class on
-	// one shard share a series.
-	cl := metrics.L("class", strconv.Itoa(weightClass(s.weight)))
-	gl := metrics.L("gpu", strconv.Itoa(m.cfg.GPUIndex))
-	s.launches = m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl)
-	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
-	ctx := m.ctx
+	m.bindClassMetrics(s)
 	dev := m.dev
-	// Direct sessions never move bytes through the segment, so it stays
-	// timing-only regardless of the device mode.
-	s.seg = shm.NewMemory(footprint, dev.Functional() && !r.Direct)
+	daemon := r.Reply == nil
+	if !daemon {
+		s.seg = shm.NewMemory(footprint, dev.Functional())
+	}
 	m.shmInUse += footprint
 	s.footprint = footprint
 
@@ -657,68 +765,76 @@ func (m *Manager) handleREQ(p *sim.Proc, r Request) {
 	// the device's reserved-bytes gauge in step with what the session
 	// logically holds (the reservation survives eviction).
 	alloc := &sessionAllocator{m: m, s: s}
+	fail := func(err error) (*session, error) {
+		m.teardown(s)
+		return nil, err
+	}
 	var err error
 	if r.Spec.InBytes > 0 {
 		if s.devIn, err = alloc.Malloc(r.Spec.InBytes); err != nil {
-			fail(s, err)
-			return
+			return fail(err)
 		}
 	}
 	if r.Spec.OutBytes > 0 {
 		if s.devOut, err = alloc.Malloc(r.Spec.OutBytes); err != nil {
-			fail(s, err)
-			return
+			return fail(err)
 		}
 	}
-	s.pinIn = m.newStaging(r.Spec.InBytes, r.Direct, nil)
-	s.pinOut = m.newStaging(r.Spec.OutBytes, r.Direct, nil)
+	s.pinIn = m.newStaging(r.Spec.InBytes, daemon, nil)
+	s.pinOut = m.newStaging(r.Spec.OutBytes, daemon, nil)
 	if r.Spec.Build != nil {
 		b := &task.Buffers{In: s.devIn, Out: s.devOut, Alloc: alloc, Scratch: &s.scratch}
 		if s.kernels, err = r.Spec.Build(b); err != nil {
-			fail(s, err)
-			return
+			return fail(err)
 		}
 		for _, k := range s.kernels {
 			if err := k.Validate(dev.Arch()); err != nil {
-				fail(s, err)
-				return
+				return fail(err)
 			}
 		}
 	}
-	s.stream = ctx.NewStream()
+	s.stream = m.ctx.NewStream()
 	m.prepareOps(s)
 	m.sessions[s.id] = s
 	m.met.sessionsOpened.Inc()
 	m.met.openSessions.Inc()
 	m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
-	r.Reply.Send(p, Response{Status: ACK, Session: s.id})
+	return s, nil
+}
+
+// bindClassMetrics prebinds the session's weight-class instruments so the
+// hot path pays no map lookups; the registry is idempotent, so sessions of
+// one class on one shard share a series.
+func (m *Manager) bindClassMetrics(s *session) {
+	cl := metrics.L("class", strconv.Itoa(weightClass(s.weight)))
+	gl := metrics.L("gpu", strconv.Itoa(m.cfg.GPUIndex))
+	s.launches = m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl)
+	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
 }
 
 // newStaging makes one direction's pinned staging buffer (nil for a
-// zero-sized direction) holding data, if any. Queue sessions get manager
-// memory; a direct session's is caller-owned (RebindStaging), so until
-// the bind it is just what an adoption carried over — never an
-// allocation the bind would drop.
-func (m *Manager) newStaging(n int64, direct bool, data []byte) *gpusim.HostBuffer {
+// zero-sized direction). Queue sessions get manager memory; a daemon
+// session's is caller-owned (BindDirect), so until the bind it is just
+// what an adoption carried over (data) — never an allocation the bind
+// would drop.
+func (m *Manager) newStaging(n int64, daemon bool, data []byte) *gpusim.HostBuffer {
 	if n <= 0 {
 		return nil
 	}
-	if direct {
+	if daemon {
 		return gpusim.WrapHost(data, m.cfg.PinnedStaging)
 	}
-	b := m.dev.AllocHost(n, m.cfg.PinnedStaging)
-	copy(b.Data(), data)
-	return b
+	return m.dev.AllocHost(n, m.cfg.PinnedStaging)
 }
 
-// handleSND stages the client's input from its shared-memory segment
+// handleSND stages a queue session's input from its shared-memory segment
 // into the pinned host buffer (paper Figure 8: "Copies Data from Virtual
 // Shared Memory to Host Pinned Memory").
 func (m *Manager) handleSND(p *sim.Proc, s *session) {
 	start := p.Now()
 	n := s.spec.InBytes
 	p.Sleep(m.HostCopyTime(n))
-	if !s.direct && m.dev.Functional() && s.pinIn != nil {
+	if m.dev.Functional() && s.pinIn != nil {
 		if err := s.seg.ReadAt(s.pinIn.Data(), 0); err != nil {
 			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
 			return
@@ -735,14 +851,15 @@ func (m *Manager) handleSND(p *sim.Proc, s *session) {
 // async H2D from pinned memory, the kernel sequence, async D2H — and all
 // STRs are acknowledged (paper Figure 8's "Barrier to Synchronize STR
 // from All Processes" followed by "Starts Executing All CUDA streams").
+// A session parked here simply has no answer yet on either surface.
 func (m *Manager) handleSTR(p *sim.Proc, s *session) {
 	if s.running {
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: "gvm: STR while already running"})
+		s.answer(p, STR, ERR, "gvm: STR while already running")
 		return
 	}
 	s.running = true
 	s.done = false
-	s.strArrived = p.Now()
+	s.strArrived = m.env.Now()
 	m.strPending = append(m.strPending, s)
 	if len(m.strPending) < m.cfg.Parties {
 		if m.cfg.BarrierTimeout > 0 && len(m.strPending) == 1 {
@@ -775,24 +892,24 @@ func (m *Manager) armBarrierTimeout() {
 }
 
 // flushBatch flushes all sessions buffered at the barrier and ACKs their
-// STRs. timedOut marks a partial flush forced by BarrierTimeout. p may be
-// nil when a direct (ring) STR completed the barrier: direct sessions are
-// acknowledged inline through their notify hooks, and any queue sessions
-// sharing the batch get their replies from a transient process.
+// STRs. timedOut marks a partial flush forced by BarrierTimeout. p is nil
+// when a daemon session's STR completed the barrier: a manager serves one
+// kind of session, so the whole batch is then acknowledged inline through
+// notify hooks and no reply hop needs a clock.
 func (m *Manager) flushBatch(p *sim.Proc, timedOut bool) {
 	batch := m.strPending
 	if len(batch) == 0 {
 		return
 	}
 	if p == nil {
-		// The direct path never parks inside this call, so no second
-		// flushBatch can overlap it: recycle the retired array to keep the
-		// steady-state ring cycle allocation-free.
+		// Nothing parks inside this call, so no second flushBatch can
+		// overlap it: recycle the retired array to keep the steady-state
+		// daemon cycle allocation-free.
 		m.strPending = m.strScratch[:0]
 		m.strScratch = batch
 	} else {
-		// The queue path parks in reply.Send below; a barrier-timeout flush
-		// could interleave, so the batch must own its array.
+		// A queue session's ack parks in reply.Send below; a barrier-timeout
+		// flush could interleave, so the batch must own its array.
 		m.strPending = nil
 	}
 	m.strGen++
@@ -824,40 +941,9 @@ func (m *Manager) flushBatch(p *sim.Proc, timedOut bool) {
 	if m.cfg.Tracer != nil {
 		m.cfg.trace("gvm", fmt.Sprintf("STR flush x%d", len(batch)), now, m.env.Now())
 	}
-	queued := 0
 	for _, bs := range batch {
-		if bs.notify != nil {
-			bs.notify(STR, ACK, "")
-		} else {
-			queued++
-		}
+		bs.answer(p, STR, ACK, "")
 	}
-	if queued == 0 {
-		return
-	}
-	if p != nil {
-		for _, bs := range batch {
-			if bs.notify == nil {
-				bs.reply.Send(p, Response{Status: ACK, Session: bs.id})
-			}
-		}
-		return
-	}
-	// Mixed batch completed by a direct STR: ack the queue sessions from a
-	// transient process so their reply hops happen in virtual time. Copy
-	// them out first — the recycled batch array may be reused before the
-	// process finishes its sends.
-	rest := make([]*session, 0, queued)
-	for _, bs := range batch {
-		if bs.notify == nil {
-			rest = append(rest, bs)
-		}
-	}
-	m.env.Go("gvm-flush-reply", func(p *sim.Proc) {
-		for _, bs := range rest {
-			bs.reply.Send(p, Response{Status: ACK, Session: bs.id})
-		}
-	})
 }
 
 // sessionWeight derives a session's compute weight from its REQ: an
@@ -945,15 +1031,15 @@ func (m *Manager) prepareOps(s *session) {
 		}
 		if s.stpWaiting {
 			s.stpWaiting = false
+			if s.reply == nil {
+				s.tell(STP, st, errMsg)
+				return
+			}
 			// Reply from a transient process so the response hop happens
 			// in virtual time even though the manager loop may be busy.
 			m.env.Go("gvm-stp-reply", func(p *sim.Proc) {
-				s.reply.Send(p, Response{Status: st, Session: s.id, Err: errMsg})
+				s.answer(p, STP, st, errMsg)
 			})
-		}
-		if s.stpDirectWait {
-			s.stpDirectWait = false
-			s.tell(STP, st, errMsg)
 		}
 	}
 }
@@ -976,29 +1062,29 @@ func (m *Manager) flush(s *session) {
 }
 
 // handleSTP answers a status query: ACK when the stream has drained,
-// WAIT otherwise (or a deferred ACK with BlockingSTP).
+// otherwise WAIT (the paper's poll) — or, with BlockingSTP and for every
+// daemon session, nothing until the stream completes: no WAIT ever crosses
+// a daemon front-end.
 func (m *Manager) handleSTP(p *sim.Proc, s *session) {
 	switch {
 	case s.done:
-		s.reply.Send(p, Response{Status: ACK, Session: s.id})
-	case m.cfg.BlockingSTP:
+		s.answer(p, STP, ACK, "")
+	case !s.running:
+		s.answer(p, STP, ERR, "gvm: STP before STR")
+	case s.reply == nil || m.cfg.BlockingSTP:
 		s.stpWaiting = true
 	default:
-		s.reply.Send(p, Response{Status: WAIT, Session: s.id})
+		s.answer(p, STP, WAIT, "")
 	}
 }
 
-// handleRCV copies results from pinned staging into the client's
+// handleRCV copies a queue session's results from pinned staging into its
 // shared-memory segment (at offset InBytes).
 func (m *Manager) handleRCV(p *sim.Proc, s *session) {
-	if !s.done {
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: "gvm: RCV before completion"})
-		return
-	}
 	start := p.Now()
 	n := s.spec.OutBytes
 	p.Sleep(m.HostCopyTime(n))
-	if !s.direct && m.dev.Functional() && s.pinOut != nil {
+	if m.dev.Functional() && s.pinOut != nil {
 		if err := s.seg.WriteAt(s.pinOut.Data(), s.spec.InBytes); err != nil {
 			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
 			return
@@ -1010,18 +1096,12 @@ func (m *Manager) handleRCV(p *sim.Proc, s *session) {
 	s.reply.Send(p, Response{Status: ACK, Session: s.id})
 }
 
-// handleRLS tears the session down.
-func (m *Manager) handleRLS(p *sim.Proc, s *session) {
-	m.release(p, s)
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
-}
-
-// release ends a session for RLS on either verb path. A flush still in
+// release ends a session for RLS and ReleaseSession. A flush still in
 // flight (RLS pipelined behind STR) finishes first: its queued copies and
 // launches use the device buffers teardown frees, and staging may alias a
 // mapped segment the caller unmaps once the release is acknowledged. So
 // does an evacuation or restore another process is still copying. It
-// reports false when the other verb path released the session meanwhile.
+// reports false when the other of the two released the session meanwhile.
 func (m *Manager) release(p *sim.Proc, s *session) bool {
 	if s.stream != nil {
 		s.stream.Synchronize(p)
@@ -1049,7 +1129,6 @@ func (m *Manager) teardown(s *session) {
 		}
 	}
 	s.notify = nil
-	s.stpDirectWait = false
 	ctx := m.ctx
 	if s.devIn != 0 {
 		_ = ctx.Free(s.devIn)
@@ -1086,7 +1165,7 @@ func (m *Manager) teardown(s *session) {
 // Staging exposes a session's pinned staging buffers: in receives SND
 // payloads before the H2D flush, out holds RCV results after the D2H
 // flush. Slices are nil for unknown sessions, timing-only devices,
-// zero-sized directions, and direct sessions nothing has been bound to
+// zero-sized directions, and daemon sessions nothing has been bound to
 // yet. The caller owns synchronization: it must not
 // touch in/out while the session's stream is flushing (between STR and a
 // completed STP), which the daemon's verb ordering guarantees.
@@ -1104,8 +1183,9 @@ func (m *Manager) Staging(session int) (in, out []byte) {
 	return in, out
 }
 
-// Segment returns a session's shared-memory segment; the client-side API
-// uses it as the data plane. It returns nil for unknown sessions.
+// Segment returns a queue session's shared-memory segment; the client-side
+// API uses it as the data plane. It returns nil for unknown sessions and
+// for daemon sessions, which have none.
 func (m *Manager) Segment(session int) shm.Segment {
 	if s, ok := m.sessions[session]; ok {
 		return s.seg

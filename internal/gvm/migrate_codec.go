@@ -20,7 +20,6 @@ import (
 // the unexported arena snapshot.
 type extractedWire struct {
 	ID        int    `json:"id"`
-	Direct    bool   `json:"direct"`
 	MemQuota  int64  `json:"mem_quota,omitempty"`
 	Priority  int    `json:"priority,omitempty"`
 	Weight    int    `json:"weight,omitempty"`
@@ -47,7 +46,7 @@ func (e *ExtractedSession) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("gvm: encode extracted session %d: no snapshot", e.ID)
 	}
 	w := extractedWire{
-		ID: e.ID, Direct: e.Direct,
+		ID:       e.ID,
 		MemQuota: e.MemQuota, Priority: e.Priority, Weight: e.Weight,
 		Done: e.Done, Rerun: e.Rerun,
 		Footprint: e.Footprint, DevBytes: e.DevBytes,
@@ -74,7 +73,7 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 		return nil, fmt.Errorf("gvm: decode extracted session: %d scratch buffers, %d sizes", len(w.Scratch), len(w.ScrSizes))
 	}
 	return &ExtractedSession{
-		ID: w.ID, Direct: w.Direct,
+		ID:       w.ID,
 		MemQuota: w.MemQuota, Priority: w.Priority, Weight: w.Weight,
 		Done: w.Done, Rerun: w.Rerun,
 		Footprint: w.Footprint, DevBytes: w.DevBytes,

@@ -12,7 +12,7 @@ import (
 // decode to the same blob.
 func FuzzDecodeExtracted(f *testing.F) {
 	seed, err := (&ExtractedSession{
-		ID: 5, Direct: true, Priority: 1, Weight: 2, Done: true,
+		ID: 5, Priority: 1, Weight: 2, Done: true,
 		Footprint: 12, DevBytes: 1024,
 		PinIn: []byte{1, 2, 3, 4, 5, 6, 7, 8}, PinOut: []byte{9, 10, 11, 12},
 		snap: &snapshot{
@@ -26,6 +26,7 @@ func FuzzDecodeExtracted(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{"id":1,"scratch":["AA==","AA=="],"scr_sizes":[1]}`)) // sizes short of buffers
 	f.Add([]byte(`{"id":1,"footprint":-1,"snap_in_size":-5}`))
+	f.Add([]byte(`{"id":1,"direct":true}`)) // a key older daemons sent: unknown, ignored
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"id":`))
 	f.Add([]byte{})

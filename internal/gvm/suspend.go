@@ -41,7 +41,7 @@ type snapshot struct {
 	total    int64
 	// moving is non-nil while an evacuation or a restore is still copying
 	// between the arena and this snapshot. The copies sleep in virtual
-	// time, so other owner-side processes (a second ring restore, the
+	// time, so other owner-side processes (a second daemon restore, the
 	// request loop, a migration) run meanwhile; to them the session is
 	// neither resident — its device pointers are being freed, or are not
 	// all back — nor restorable, and they wait for the event (waitSettled).
@@ -62,43 +62,38 @@ func (m *Manager) waitSettled(p *sim.Proc, s *session) {
 	}
 }
 
-// handleSUS serves a client-driven suspend. Unlike an eviction, a
-// client-suspended session stays down until the client's explicit RES.
-func (m *Manager) handleSUS(p *sim.Proc, s *session) {
-	if s.running {
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: "gvm: SUS while running"})
-		return
+// suspend decides and performs a client-driven SUS, returning the error
+// text or "". Unlike an eviction, a client-suspended session stays down
+// until the client's explicit RES.
+func (m *Manager) suspend(p *sim.Proc, s *session) string {
+	switch {
+	case s.running:
+		return "gvm: SUS while running"
+	case s.susp != nil && !s.evicted:
+		return "gvm: already suspended"
+	case s.susp != nil:
+		// The eviction engine already evacuated the session; the client
+		// cannot know that (evictions are transparent), so SUS adopts the
+		// snapshot as a client-held suspension. No bytes move; the session
+		// now stays down until the client's explicit RES.
+		s.evicted = false
+	default:
+		m.suspendSession(p, s)
 	}
-	if s.susp != nil {
-		if s.evicted {
-			// The eviction engine already evacuated the session; the client
-			// cannot know that (evictions are transparent), so SUS adopts
-			// the snapshot as a client-held suspension. No bytes move; the
-			// session now stays down until the client's explicit RES.
-			s.evicted = false
-			m.met.suspensions.Inc()
-			s.reply.Send(p, Response{Status: ACK, Session: s.id})
-			return
-		}
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: "gvm: already suspended"})
-		return
-	}
-	m.suspendSession(p, s)
 	m.met.suspensions.Inc()
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
+	return ""
 }
 
-// handleRES serves a client-driven resume.
-func (m *Manager) handleRES(p *sim.Proc, s *session) {
+// resume decides and performs a client-driven RES, returning the error
+// text or "".
+func (m *Manager) resume(p *sim.Proc, s *session) string {
 	if s.susp == nil {
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: "gvm: RES without SUS"})
-		return
+		return "gvm: RES without SUS"
 	}
 	if err := m.resumeSession(p, s, false); err != nil {
-		s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
-		return
+		return err.Error()
 	}
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
+	return ""
 }
 
 // suspendSession evacuates the session's device buffers into a host-side
@@ -156,10 +151,7 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 // selects the metric pair (lazy restore vs client RES).
 func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) error {
 	// Restoring may itself need room: the allocator's evictor runs inside
-	// these Mallocs and charges evacuations on m.curProc.
-	prev := m.curProc
-	m.curProc = p
-	defer func() { m.curProc = prev }()
+	// these Mallocs and charges the evacuation on p, the running process.
 	ctx := m.ctx
 	dev := m.dev
 	// The snapshot may still be filling (another process's evacuation of s
@@ -264,8 +256,8 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 //     barrier with no timeout armed. Only queued owner work — the peer
 //     STR that completes the barrier, or an RLS already waiting behind
 //     the verb being served — can free it, and that work cannot run
-//     while this restore occupies the loop (queue path) or keeps the
-//     calendar busy (direct/adopt paths). Sleeping here is futile:
+//     while this restore occupies the loop (queue surface) or keeps the
+//     calendar busy (daemon surface, adoption). Sleeping here is futile:
 //     give up NOW with a retryable error so the owner drains its queue
 //     and the client re-issues the verb against freed memory.
 //   - progressNone: nothing running, nothing parked — every evictable
@@ -347,11 +339,14 @@ func (m *Manager) restoreProgress(s *session) int {
 }
 
 // evictForAlloc is the allocator's make-room callback: suspend the
-// least-valuable idle session and let the allocation retry. It returns
-// false when nothing is evictable (no current process, or every session
-// is running, already suspended, or holds no device bytes).
+// least-valuable idle session and let the allocation retry. The
+// evacuation is charged on the process that is running the Malloc —
+// restores of several sessions interleave across their virtual sleeps, so
+// only the environment knows which one that is. It returns false when
+// nothing is evictable (no process is running, or every session is
+// running, already suspended, or holds no device bytes).
 func (m *Manager) evictForAlloc(need int64) bool {
-	p := m.curProc
+	p := m.env.Current()
 	if p == nil {
 		return false
 	}

@@ -39,14 +39,16 @@ type Options struct {
 // frames, payloads through the session's data plane, and all protocol
 // state lives server-side in the shared dispatcher.
 type Client struct {
-	mu         sync.Mutex
-	conn       *transport.Conn
+	// Fixed at dial.
 	nc         net.Conn
 	shmDir     string
 	plane      string
 	timeout    time.Duration
 	noPipeline bool
-	trips      int64
+
+	mu    sync.Mutex // serializes round trips on conn
+	conn  *transport.Conn
+	trips int64
 }
 
 // Dial connects to a daemon address — "unix:///path" (or a bare socket
@@ -84,14 +86,6 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	c.conn.Release()
 	return err
-}
-
-// SetRequestTimeout sets the per-round-trip I/O deadline for subsequent
-// requests (0 disables it).
-func (c *Client) SetRequestTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
 }
 
 // RoundTrips returns how many request round trips the client has made;
@@ -210,14 +204,17 @@ type Session struct {
 	plane    transport.DataPlane
 	inBytes  int64
 	outBytes int64
-	// ring is set when the session negotiated the ring plane: every verb
-	// then travels as a record through the session's shared-memory rings
-	// and never touches the socket. ringMu serializes trips (the rings
-	// are strictly SPSC); ringReqs is the retained BAT sub-request
-	// backing that keeps a pipelined ring cycle allocation-free.
-	ring     *transport.RingPlane
-	ringMu   sync.Mutex
-	ringReqs [4]Request
+	// ring is the session's carrier when it negotiated the ring plane: every
+	// verb frame then travels as a record through the session's
+	// shared-memory rings and never touches the socket. nil: the client's
+	// connection carries them. Picked once, at REQ.
+	ring *transport.RingPlane
+	// mu serializes the session's trips (the rings are strictly SPSC) and
+	// guards the retained frame state below, which keeps a pipelined cycle
+	// free of per-cycle allocations on either carrier.
+	mu    sync.Mutex
+	cycle [4]Request // RunCycle's BAT sub-requests
+	resp  Response   // the socket carrier's last response
 	// VirtualMS is the simulated-GPU clock at the last response.
 	VirtualMS float64
 }
@@ -263,10 +260,7 @@ func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (
 		outBytes: resp.OutBytes,
 	}
 	if rp, ok := plane.(*transport.RingPlane); ok {
-		c.mu.Lock()
-		timeout := c.timeout
-		c.mu.Unlock()
-		rp.SetTimeout(timeout)
+		rp.SetTimeout(c.timeout)
 		s.ring = rp
 	}
 	return s, nil
@@ -284,36 +278,48 @@ func (s *Session) OutBytes() int64 { return s.outBytes }
 // Plane returns the data plane kind the session negotiated.
 func (s *Session) Plane() string { return s.plane.Kind() }
 
-func (s *Session) verb(verb string) error {
+// trip carries one frame to the daemon over the session's carrier and
+// returns its response, which is valid until the session's next trip. An
+// answer other than ACK is an error. The caller holds s.mu.
+func (s *Session) trip(req Request) (*Response, error) {
+	resp := &s.resp
+	var err error
+	if s.ring != nil {
+		resp, err = s.ring.Trip(req)
+	} else {
+		s.resp, err = s.c.roundTrip(req)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case resp.Status == "ERR":
+		return nil, fmt.Errorf("ipc: %s: %s", req.Verb, resp.Err)
+	case resp.Status != "ACK":
+		return nil, fmt.Errorf("ipc: %s: unexpected status %s", req.Verb, resp.Status)
+	}
+	return resp, nil
+}
+
+// call issues one verb frame, re-issuing it through failovers, and lets
+// collect (if any) read the response while it is valid.
+func (s *Session) call(req Request, collect func(*Response) error) error {
 	return retryFailover(func() error {
-		if s.ring != nil {
-			_, err := s.ringTrip(Request{Verb: verb, Session: s.id})
-			return err
-		}
-		resp, err := s.c.roundTrip(Request{Verb: verb, Session: s.id})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		resp, err := s.trip(req)
 		if err != nil {
 			return err
 		}
 		s.VirtualMS = resp.VirtualMS
+		if collect != nil {
+			return collect(resp)
+		}
 		return nil
 	})
 }
 
-// ringTrip performs one ring round trip under the session's trip lock.
-// The returned response is owned by the ring plane and valid until the
-// next trip.
-func (s *Session) ringTrip(req Request) (*transport.Response, error) {
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
-	resp, err := s.ring.Trip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status == "ERR" {
-		return nil, fmt.Errorf("ipc: %s: %s", req.Verb, resp.Err)
-	}
-	s.VirtualMS = resp.VirtualMS
-	return resp, nil
+func (s *Session) verb(verb string) error {
+	return s.call(Request{Verb: verb, Session: s.id}, nil)
 }
 
 // RingTrips returns how many ring round trips the session has made (0
@@ -323,8 +329,8 @@ func (s *Session) RingTrips() int64 {
 	if s.ring == nil {
 		return 0
 	}
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.ring.Trips()
 }
 
@@ -343,98 +349,25 @@ func (s *Session) SendInput(data []byte) error {
 	// The staged bytes survive a retry: the plane (or req.Data for the
 	// inline plane) still holds them, and the daemon restages from
 	// scratch on each attempt.
-	return retryFailover(func() error {
-		if s.ring != nil {
-			_, err := s.ringTrip(req)
-			return err
-		}
-		resp, err := s.c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		s.VirtualMS = resp.VirtualMS
-		return nil
-	})
+	return s.call(req, nil)
 }
 
 // Start issues STR; it returns once the daemon's barrier has flushed all
 // parties' streams.
 func (s *Session) Start() error { return s.verb("STR") }
 
-// Wait issues STP until completion. Because the daemon drains virtual
-// time after each flush, a single STP normally suffices; WAIT responses
-// back off in real time.
-func (s *Session) Wait() error {
-	if s.ring != nil {
-		// Ring STP is blocking-style: the daemon acks once the stream
-		// completes, so a single trip suffices and nothing ever polls.
-		return retryFailover(func() error {
-			resp, err := s.ringTrip(Request{Verb: "STP", Session: s.id})
-			if err != nil {
-				return err
-			}
-			if resp.Status != "ACK" {
-				return errors.New("ipc: unexpected STP status " + resp.Status)
-			}
-			return nil
-		})
-	}
-	delay := time.Millisecond
-	for {
-		var resp Response
-		err := retryFailover(func() error {
-			r, err := s.c.roundTrip(Request{Verb: "STP", Session: s.id})
-			if err != nil {
-				return err
-			}
-			resp = r
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		s.VirtualMS = resp.VirtualMS
-		switch resp.Status {
-		case "ACK":
-			return nil
-		case "WAIT":
-			time.Sleep(delay)
-			if delay < 50*time.Millisecond {
-				delay *= 2
-			}
-		default:
-			return errors.New("ipc: unexpected STP status " + resp.Status)
-		}
-	}
-}
+// Wait issues STP. On every transport the daemon answers it once the
+// stream has completed, so a single trip suffices and nothing ever polls.
+func (s *Session) Wait() error { return s.verb("STP") }
 
 // Receive issues RCV and collects the results through the data plane.
 func (s *Session) Receive(buf []byte) error {
 	if buf != nil && int64(len(buf)) != s.outBytes {
 		return fmt.Errorf("ipc: output buffer is %d bytes, session stages %d", len(buf), s.outBytes)
 	}
-	if s.ring != nil {
-		return retryFailover(func() error {
-			resp, err := s.ringTrip(Request{Verb: "RCV", Session: s.id})
-			if err != nil {
-				return err
-			}
-			return s.plane.CollectOut(buf, resp)
-		})
-	}
-	var resp Response
-	if err := retryFailover(func() error {
-		r, err := s.c.roundTrip(Request{Verb: "RCV", Session: s.id})
-		if err != nil {
-			return err
-		}
-		resp = r
-		return nil
-	}); err != nil {
-		return err
-	}
-	s.VirtualMS = resp.VirtualMS
-	return s.plane.CollectOut(buf, &resp)
+	return s.call(Request{Verb: "RCV", Session: s.id}, func(resp *Response) error {
+		return s.plane.CollectOut(buf, resp)
+	})
 }
 
 // Suspend issues SUS: the daemon evacuates the session's device arenas
@@ -474,8 +407,10 @@ func (c *Client) Do(reqs []Request) ([]Response, error) {
 }
 
 // RunCycle performs one full cycle: send, start, wait, receive. By
-// default the four verbs travel pipelined in one BAT round trip; with
-// Options.NoPipeline they take four serial round trips.
+// default the four verbs travel pipelined in one BAT frame — one round
+// trip on a socket; on the ring zero syscalls and zero allocations, the
+// only byte movement being the caller's own staging copies into and out of
+// the mapped segment. With Options.NoPipeline they take four serial trips.
 func (s *Session) RunCycle(in, out []byte) error {
 	if in != nil && int64(len(in)) != s.inBytes {
 		return fmt.Errorf("ipc: input is %d bytes, session stages %d", len(in), s.inBytes)
@@ -486,89 +421,41 @@ func (s *Session) RunCycle(in, out []byte) error {
 	if s.c.noPipeline {
 		return s.runCycleSerial(in, out)
 	}
-	if s.ring != nil {
-		return s.runCycleRing(in, out)
-	}
-
-	reqs := []Request{
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cycle = [4]Request{
 		{Verb: "SND", Session: s.id},
 		{Verb: "STR", Session: s.id},
 		{Verb: "STP", Session: s.id},
 		{Verb: "RCV", Session: s.id},
 	}
 	if in != nil {
-		if err := s.plane.StageIn(in, &reqs[0]); err != nil {
+		if err := s.plane.StageIn(in, &s.cycle[0]); err != nil {
 			return err
 		}
 	}
 	// A failover mid-batch fails one step with a retryable error (later
 	// steps report skipped); re-issuing the whole cycle is safe — SND
-	// restages the same bytes and the cycle is deterministic.
-	var resps []Response
-	err := retryFailover(func() error {
-		rs, err := s.c.Do(reqs)
-		if err != nil {
-			return err
-		}
-		for i, r := range rs {
-			if r.Status != "ACK" {
-				return fmt.Errorf("ipc: %s (pipelined): %s", reqs[i].Verb, r.Err)
-			}
-		}
-		resps = rs
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.VirtualMS = resps[3].VirtualMS
-	return s.plane.CollectOut(out, &resps[3])
-}
-
-// runCycleRing is the warm path the ring plane exists for: one BAT
-// record through the submission ring, one response record back — zero
-// syscalls, zero allocations, and the only byte movement is the
-// caller's own staging copies into and out of the mapped segment.
-func (s *Session) runCycleRing(in, out []byte) error {
-	if in != nil {
-		if err := s.plane.StageIn(in, nil); err != nil {
-			return err
-		}
-	}
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
-	s.ringReqs[0] = Request{Verb: "SND", Session: s.id}
-	s.ringReqs[1] = Request{Verb: "STR", Session: s.id}
-	s.ringReqs[2] = Request{Verb: "STP", Session: s.id}
-	s.ringReqs[3] = Request{Verb: "RCV", Session: s.id}
-	// A failover aborts the in-flight frame with a retryable error; the
-	// re-issued frame queues in the submission ring and the adopting
+	// restages the same bytes and the cycle is deterministic. On the ring
+	// the re-issued frame queues in the submission ring and the adopting
 	// shard's sweep serves it once the session lands there.
-	var resp *transport.Response
-	err := retryFailover(func() error {
-		r, err := s.ring.Trip(Request{Verb: "BAT", Session: s.id, Batch: s.ringReqs[:]})
+	return retryFailover(func() error {
+		resp, err := s.trip(Request{Verb: "BAT", Batch: s.cycle[:]})
 		if err != nil {
 			return err
 		}
-		if r.Status != "ACK" {
-			return fmt.Errorf("ipc: BAT: %s", r.Err)
+		if len(resp.Batch) != len(s.cycle) {
+			return fmt.Errorf("ipc: BAT returned %d responses for %d requests", len(resp.Batch), len(s.cycle))
 		}
-		if len(r.Batch) != len(s.ringReqs) {
-			return fmt.Errorf("ipc: ring BAT returned %d responses for %d requests", len(r.Batch), len(s.ringReqs))
-		}
-		for i := range r.Batch {
-			if r.Batch[i].Status != "ACK" {
-				return fmt.Errorf("ipc: %s (pipelined): %s", s.ringReqs[i].Verb, r.Batch[i].Err)
+		for i := range resp.Batch {
+			if resp.Batch[i].Status != "ACK" {
+				return fmt.Errorf("ipc: %s (pipelined): %s", s.cycle[i].Verb, resp.Batch[i].Err)
 			}
 		}
-		resp = r
-		return nil
+		rcv := &resp.Batch[3]
+		s.VirtualMS = rcv.VirtualMS
+		return s.plane.CollectOut(out, rcv)
 	})
-	if err != nil {
-		return err
-	}
-	s.VirtualMS = resp.Batch[3].VirtualMS
-	return s.plane.CollectOut(out, &resp.Batch[3])
 }
 
 func (s *Session) runCycleSerial(in, out []byte) error {

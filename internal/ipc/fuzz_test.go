@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -91,4 +92,50 @@ func FuzzMigBlob(f *testing.F) {
 		c.Close()
 		waitShardsClean(t, s)
 	})
+}
+
+// TestADPIgnoresRetiredBlobKeys pins what a daemon does with a migration
+// blob from one that still wrote the keys this format has dropped —
+// "started" beside the session state, "direct" inside it: they are unknown
+// JSON keys, ignored, and the blob is adopted. Where the session stood in
+// its cycle is gvm's state alone: staged and not started, so STP says so.
+func TestADPIgnoresRetiredBlobKeys(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://adp-retired-keys"}, Functional: true})
+	c := dialRaw(t, s.Addr())
+	defer c.Close()
+	trip := func(req transport.Request) transport.Response {
+		t.Helper()
+		if err := c.WriteRequest(req); err != nil {
+			t.Fatalf("%s: %v", req.Verb, err)
+		}
+		resp, err := c.ReadResponse()
+		if err != nil {
+			t.Fatalf("%s: %v", req.Verb, err)
+		}
+		return resp
+	}
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
+	req := trip(transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline})
+	in, _ := vecaddInput(64, 1)
+	trip(transport.Request{Verb: "SND", Session: req.Session, Data: in})
+	mig := trip(transport.Request{Verb: "MIG", Session: req.Session})
+	if mig.Status != "ACK" {
+		t.Fatalf("MIG: %s", mig.Err)
+	}
+	blob := string(mig.Data)
+	blob = strings.Replace(blob, `{"ref":`, `{"started":true,"ref":`, 1)
+	blob = strings.Replace(blob, `"ext":{`, `"ext":{"direct":true,`, 1)
+	if !strings.Contains(blob, `"started":true`) || !strings.Contains(blob, `"direct":true`) {
+		t.Fatalf("blob layout changed, keys not injected: %.80s", blob)
+	}
+	adp := trip(transport.Request{Verb: "ADP", Data: []byte(blob)})
+	if adp.Status != "ACK" {
+		t.Fatalf("ADP of a blob with retired keys: %s %s", adp.Status, adp.Err)
+	}
+	if r := trip(transport.Request{Verb: "STP", Session: adp.Session}); r.Status != "ERR" || !strings.Contains(r.Err, "STP before STR") {
+		t.Fatalf("STP on the adopted, never started session: %s %q", r.Status, r.Err)
+	}
+	if r := trip(transport.Request{Verb: "RLS", Session: adp.Session}); r.Status != "ACK" {
+		t.Fatalf("RLS: %s %s", r.Status, r.Err)
+	}
 }

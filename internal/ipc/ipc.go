@@ -4,10 +4,13 @@
 // (length-prefixed binary frames), the transports (unix, tcp, ring,
 // inproc) and the data planes (file-backed shared memory,
 // inline-over-the-wire, shared-memory rings) all live in
-// internal/transport; the verb state machine lives once, in
-// transport.Dispatcher delegating to gvm.Manager. This package only
-// wires listeners and connections to that machinery — the daemon-mode
-// counterpart of the in-simulation vgpu API.
+// internal/transport; the verb state machine lives once, in gvm.Manager,
+// and the daemon executes frames against it in one place, transport's
+// frame engine, behind the socket dispatcher and the ring host. This
+// package only wires listeners, connections and the shard owner loops to
+// that machinery, and gives clients Session — the daemon-mode
+// counterpart of the in-simulation vgpu API, which picks its carrier
+// (socket or ring) once at REQ and sends every frame over it.
 package ipc
 
 import "gpuvirt/internal/transport"

@@ -95,49 +95,112 @@ func TestMaxSessionBytes(t *testing.T) {
 	}
 }
 
-// TestBATMisuse pins the dispatcher's batch validation: malformed BAT
-// frames are rejected whole with a clear error, before any owner work.
+// TestBATMisuse pins what a malformed or mistimed frame draws from the
+// daemon, on both carriers: a frame that is wrong as a whole is rejected
+// whole, before any owner work; a verb the session's state does not allow
+// fails as its own step. The socket dispatcher and the ring host are two
+// front-ends of one engine, so every row both can express must answer the
+// same status and the same error text. (States a carrier cannot reach — a
+// second verb while the first still runs, since each carrier serves a
+// session's frames one at a time — are held to the same table one level
+// down, in gvm's TestProtocolTableOnBothSurfaces.)
 func TestBATMisuse(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
-	if err != nil {
-		t.Fatal(err)
+	bat := func(subs ...Request) Request { return Request{Verb: "BAT", Batch: subs} }
+	one := func(verb string) func(id, foreign int) Request {
+		return func(id, _ int) Request { return bat(Request{Verb: verb, Session: id}) }
 	}
-	defer c.Close()
-	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
-	if err != nil {
-		t.Fatal(err)
+	two := func(v1, v2 string) func(id, foreign int) Request {
+		return func(id, _ int) Request {
+			return bat(Request{Verb: v1, Session: id}, Request{Verb: v2, Session: id})
+		}
 	}
-	defer sess.Release()
-	id := sess.ID()
-
-	cases := []struct {
-		name string
-		reqs []Request
-		want string
+	const same = "=" // the ring must answer exactly what the socket does
+	rows := []struct {
+		name  string
+		frame func(id, foreign int) Request
+		unix  string // wanted in the socket's error text
+		ring  string // in the ring's: same, its own wording, or "" (cannot express the row)
 	}{
-		{"empty", nil, "empty BAT"},
-		{"req-inside", []Request{{Verb: "REQ"}}, "not allowed in BAT"},
-		{"duplicate-verb", []Request{
-			{Verb: "SND", Session: id}, {Verb: "SND", Session: id},
-		}, "once each"},
-		{"out-of-order", []Request{
-			{Verb: "STR", Session: id}, {Verb: "SND", Session: id},
-		}, "order"},
-		{"unknown-session", []Request{{Verb: "SND", Session: 999}}, "unknown session"},
+		{"empty", func(int, int) Request { return bat() }, "empty BAT", same},
+		{"req-inside", one("REQ"), "not allowed in BAT", same},
+		{"duplicate-verb", two("SND", "SND"), "once each", same},
+		{"out-of-order", two("STR", "SND"), "order", same},
+		{"verb-behind-RLS", two("RLS", "SND"), "order", same},
+		{"STP-before-STR", one("STP"), "STP before STR", same},
+		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same},
+		{"RES-without-SUS", func(id, _ int) Request { return Request{Verb: "RES", Session: id} }, "RES without SUS", same},
+		{"unknown-session", func(int, int) Request { return bat(Request{Verb: "SND", Session: 999}) }, "unknown session", ""},
+		{"foreign-session", func(_, foreign int) Request { return bat(Request{Verb: "SND", Session: foreign}) },
+			"belongs to another connection", "on session"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := c.Do(tc.reqs)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want error containing %q", err, tc.want)
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
+	// Per carrier: a session to misuse, and another connection's session on
+	// the same daemon.
+	ringSrv, _ := startRingServer(t, 1)
+	open := func(s *Server) *Session {
+		c, err := Dial(s.Addr(), s.cfg.ShmDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		sess, err := c.Request(ref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	type carrier struct{ sess, other *Session }
+	carriers := map[string]carrier{}
+	for name, s := range map[string]*Server{"unix": startServer(t, 1, true), "ring": ringSrv} {
+		carriers[name] = carrier{open(s), open(s)}
+	}
+	// ask sends the frame and returns its own error, else its first failing
+	// step's.
+	ask := func(c carrier, frame func(id, foreign int) Request) string {
+		resp, err := c.sess.trip(frame(c.sess.ID(), c.other.ID()))
+		if err != nil {
+			return err.Error()
+		}
+		for _, r := range resp.Batch {
+			if r.Status != "ACK" {
+				return r.Status + " " + r.Err
+			}
+		}
+		return ""
+	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			unix := ask(carriers["unix"], row.frame)
+			if !strings.Contains(unix, row.unix) {
+				t.Errorf("unix: got %q, want an error containing %q", unix, row.unix)
+			}
+			if row.ring == "" {
+				return
+			}
+			ring := ask(carriers["ring"], row.frame)
+			if row.ring == same && ring != unix {
+				t.Errorf("carriers disagree: unix %q, ring %q", unix, ring)
+			} else if row.ring != same && !strings.Contains(ring, row.ring) {
+				t.Errorf("ring: got %q, want an error containing %q", ring, row.ring)
 			}
 		})
 	}
 
-	// The session survives all that misuse and still runs a normal cycle.
-	if err := sess.RunCycle(make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())); err != nil {
-		t.Fatalf("session unusable after rejected batches: %v", err)
+	// The sessions survive all that misuse and still run a normal cycle;
+	// once released, an id means nothing anymore (a socket can still say so
+	// — a released session's ring is gone).
+	for name, c := range carriers {
+		if err := c.sess.RunCycle(make([]byte, c.sess.InBytes()), make([]byte, c.sess.OutBytes())); err != nil {
+			t.Fatalf("%s session unusable after rejected frames: %v", name, err)
+		}
+		if err := c.sess.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := carriers["unix"]
+	if _, err := c.sess.trip(Request{Verb: "SND", Session: c.sess.ID()}); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Errorf("verb after RLS: got %v, want unknown session", err)
 	}
 }
 

@@ -400,6 +400,13 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 		t.Fatalf("warm ring cycle allocates %v objects/op, want 0", allocs)
 	}
 
+	// The futex-free window asserts scheduling, not correctness — both ring
+	// sides must spin through 100 cycles without being descheduled — and
+	// under the race detector's slowdown on a 2-CPU machine they are not.
+	if raceDetector {
+		t.Log("race detector on: skipping the futex-free-window half")
+		return
+	}
 	const windows, cyclesPerWindow = 5, 100
 	clean := false
 	for w := 0; w < windows && !clean; w++ {

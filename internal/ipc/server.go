@@ -83,12 +83,13 @@ type ServerConfig struct {
 
 // Server is the gvmd daemon: it owns a node of per-GPU manager shards
 // and serves the six-verb protocol to real OS processes over any set of
-// transports (unix, tcp, inproc). All verb handling lives in the shared
-// transport.Dispatcher; each shard's simulation work runs on that
-// shard's own owner goroutine — connection handlers submit closures to
-// the owning shard and wait, so the deterministic single-threaded
-// discipline of each simulator is preserved under concurrent clients
-// while distinct shards run in parallel.
+// transports (unix, tcp, inproc, ring). All verb handling lives in
+// package transport (one frame engine behind the socket Dispatcher and
+// the RingHost); each shard's simulation work runs on that shard's own
+// owner goroutine — connection handlers submit closures to the owning
+// shard and wait, so the deterministic single-threaded discipline of each
+// simulator is preserved under concurrent clients while distinct shards
+// run in parallel.
 type Server struct {
 	cfg ServerConfig
 	lns []transport.Listener
@@ -360,11 +361,11 @@ func (s *Server) owner(shard int) {
 	}
 }
 
-// runItem executes one submitted closure on the shard's simulation and
-// drains the virtual calendar it scheduled.
+// runItem executes one submitted closure on a process of the shard's
+// simulation and drains the virtual calendar it scheduled.
 func (s *Server) runItem(env *sim.Env, shard int, it workItem) {
 	env.Go("ipc-request", func(p *sim.Proc) {
-		p.Daemonize() // may park at the STR barrier until peers arrive
+		p.Daemonize() // a frame's hand-off may sleep at the STR barrier until peers arrive
 		it.fn(p)
 		close(it.done)
 	})
@@ -406,9 +407,9 @@ func (s *Server) ringOwner(shard int, env *sim.Env) {
 		if rs.Sweep() {
 			progress = true
 		}
-		// Drain any calendar events the sweep scheduled (direct verbs
-		// charge their virtual cost as calendar events and complete
-		// through notifies fired during this drain).
+		// Drain any calendar events the sweep scheduled (verbs charge
+		// their virtual cost as calendar events and complete through
+		// notifies fired during this drain).
 		if err := env.Run(); err != nil {
 			s.cfg.Logger.Printf("gvmd: gpu %d simulation error: %v", shard, err)
 		}

@@ -311,7 +311,7 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 			if err := sess.plane.StageIn(in, nil); err != nil {
 				return err
 			}
-			resp, err := sess.ringTrip(Request{Verb: "BAT", Session: sess.id, Batch: []Request{
+			resp, err := sess.trip(Request{Verb: "BAT", Batch: []Request{
 				{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}, {Verb: "RLS", Session: sess.id}}})
 			if err != nil {
 				return err

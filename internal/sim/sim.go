@@ -82,6 +82,7 @@ type Env struct {
 	nowHead int
 	seq     uint64
 	parked  chan struct{} // a resumed process signals here when it blocks or exits
+	cur     *Proc         // the process holding control right now (nil: the scheduler)
 	blocked int           // processes alive but waiting on something other than time
 	procs   int           // processes alive
 	running bool
@@ -133,6 +134,13 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// Current returns the process that holds control right now, or nil when the
+// caller runs on the scheduler (a timer callback, or code outside Run).
+// Synchronous callbacks reached from several processes use it to charge
+// virtual time on whichever one is actually running, which a variable saved
+// before a Sleep cannot tell them: other processes run during the sleep.
+func (e *Env) Current() *Proc { return e.cur }
 
 // schedule enters fn into the calendar at instant at. Instants at or before
 // the current time take the same-instant FIFO fast path.
@@ -198,8 +206,10 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // handoff transfers control to p and blocks the scheduler until p either
 // parks (blocks on virtual time / an event) or exits.
 func (e *Env) handoff(p *Proc) {
+	e.cur = p
 	p.wake <- struct{}{}
 	<-e.parked
+	e.cur = nil
 }
 
 // park suspends the calling process, returning control to the scheduler,

@@ -337,3 +337,53 @@ func TestDaemonBlockedIsNotDeadlock(t *testing.T) {
 		t.Fatalf("blocked daemon reported as deadlock: %v", err)
 	}
 }
+
+// TestCurrentTracksTheRunningProcess interleaves two processes across
+// Sleep, Wait and Go: Current is whichever one holds control at that
+// moment, and nil on the scheduler (timer callbacks, outside Run).
+func TestCurrentTracksTheRunningProcess(t *testing.T) {
+	e := NewEnv()
+	if e.Current() != nil {
+		t.Fatal("Current outside Run is not nil")
+	}
+	ev := e.NewEvent()
+	check := func(p *Proc, where string) {
+		t.Helper()
+		if got := e.Current(); got != p {
+			t.Errorf("%s: Current = %v, want %s", where, got, p.Name())
+		}
+	}
+	var child *Proc
+	a := e.Go("a", func(p *Proc) {
+		check(p, "a start")
+		p.Sleep(2 * Millisecond) // b runs meanwhile
+		check(p, "a after Sleep")
+		child = e.Go("child", func(c *Proc) { check(c, "child") })
+		check(p, "a after Go") // spawning does not hand control over
+		p.Wait(ev)
+		check(p, "a after Wait")
+	})
+	e.Go("b", func(p *Proc) {
+		check(p, "b start")
+		p.Sleep(Millisecond)
+		check(p, "b after Sleep") // a is parked in its own Sleep
+		p.Sleep(4 * Millisecond)
+		check(p, "b before Fire")
+		ev.Fire(nil)
+		check(p, "b after Fire") // a resumes only once b parks or exits
+	})
+	e.After(3*Millisecond, func() {
+		if got := e.Current(); got != nil {
+			t.Errorf("timer callback: Current = %s, want nil", got.Name())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a == nil || child == nil {
+		t.Fatal("processes never ran")
+	}
+	if e.Current() != nil {
+		t.Fatal("Current after Run is not nil")
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/node"
 	"gpuvirt/internal/sim"
-	"gpuvirt/internal/vgpu"
 	"gpuvirt/internal/workloads"
 )
 
@@ -43,23 +42,25 @@ type DispatcherConfig struct {
 	Log *slog.Logger
 }
 
-// ShardSubmitter runs fn on shard's simulation-owner goroutine and waits
-// for it; it returns false if the server shut down before fn completed.
+// ShardSubmitter runs fn on a process of shard's simulation-owner
+// goroutine and waits for it; it returns false if the server shut down
+// before fn completed. fn may park on the shard's virtual clock or events:
+// the owner keeps serving other submissions meanwhile.
 type ShardSubmitter func(shard int, fn func(p *sim.Proc)) bool
 
-// Dispatcher is the one server-side implementation of the
-// REQ/SND/STR/STP/RCV/RLS protocol for real clients. Every transport —
-// in-process, unix socket, tcp — decodes frames into Requests and hands
-// them to Serve; the dispatcher drives the same vgpu client API the
-// simulation uses, so gvm.Manager remains the single verb state machine.
+// Dispatcher is the socket front-end of the daemon and the owner of its
+// session table. Every stream transport — in-process, unix socket, tcp —
+// decodes frames into Requests and hands them to Serve; session verbs run
+// through the same frameRun engine the ring host uses, on gvm daemon
+// sessions, so gvm.Manager remains the single verb state machine.
 //
-// Serve runs on connection goroutines and splits every verb into a
-// connection-side phase (payload staging: nothing for a mapped plane,
-// whose segment is the pinned staging; the inline plane's frame copy) and
-// a minimal owner-side phase submitted to the simulation owner (state
-// mutation and virtual time only). The owner's critical section is
-// therefore O(scheduling), not O(bytes). Sessions are opened in gvm's
-// direct-staging mode, so the owner never copies host to host.
+// Serve runs on connection goroutines and splits every verb frame into a
+// connection-side phase (who may address what; payload staging: nothing
+// for a mapped plane, whose segment is the pinned staging; the inline
+// plane's frame copy) and one owner hand-off per contiguous same-shard
+// stretch of the frame, which starts a frameRun and is woken by its
+// completion. The owner's critical section is therefore O(scheduling),
+// not O(bytes), and the owner never copies host to host.
 type Dispatcher struct {
 	cfg DispatcherConfig
 	met *dispMetrics
@@ -138,15 +139,16 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 	return dm
 }
 
-// hostSession is the daemon-side state of one client session: the vgpu
-// handle doing the protocol work, the data plane moving payloads to and
-// from the client process, and the pinned staging bound onto it.
+// hostSession is the daemon-side state of one client session on either
+// front-end: where its gvm daemon session lives, the data plane moving
+// payloads to and from the client process, and the pinned staging bound
+// onto it.
 type hostSession struct {
 	id    int
-	inB   int64        // staging footprint reserved on the shard
-	outB  int64        //   (returned to the node on release)
-	owner *ConnState   // the connection that opened the session
-	met   *dispMetrics // the owning dispatcher's instruments
+	inB   int64       // staging footprint reserved on the shard
+	outB  int64       //   (returned to the node on release)
+	owner *ConnState  // the connection that opened the session
+	d     *Dispatcher // the session table it is published in
 	// ref/rank identify the session's workload in wire-serializable form;
 	// the cross-node MIG path ships them with the extracted state so the
 	// adopting node can rebuild the (non-serializable) kernel spec.
@@ -163,54 +165,53 @@ type hostSession struct {
 	migMu sync.Mutex
 
 	// mu guards the connection-side staging state (plane + buffers) and
-	// the session's location (shard + vgpu handle, remapped atomically
-	// by failover) against teardown: release marks the session closed
-	// under mu before closing the plane, and staging copies check closed
-	// under mu first. It is never held across a Submitter call.
+	// the session's location (remapped by failover) against teardown:
+	// retire marks the session closed under mu before closing the plane,
+	// and staging copies check closed under mu first. It is never held
+	// across a Submitter call.
 	mu        sync.Mutex
 	closed    bool
 	migrating bool // a failover is moving the session between shards
-	v         *vgpu.VGPU
-	shard     int // the node shard (GPU) hosting the session
+	shard     int  // the node shard (GPU) hosting the session
 	plane     HostPlane
 	// Pinned staging (bindStaging): a mapped plane's own regions, heap
 	// for the inline plane, nil on a timing-only daemon.
 	stageIn, stageOut []byte
 
-	started bool // owner-goroutine state: an STR has not been STP'd yet
+	run *frameRun // owner-goroutine state: the run awaiting this session's verb
 }
 
 // loc snapshots the session's current placement.
-func (s *hostSession) loc() (shard int, v *vgpu.VGPU) {
+func (s *hostSession) loc() int {
 	s.mu.Lock()
-	shard, v = s.shard, s.v
-	s.mu.Unlock()
-	return shard, v
+	defer s.mu.Unlock()
+	return s.shard
 }
 
 // adoptOwner lands an extracted session on mgr and binds its staging.
 // Owner-goroutine side.
-func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession, functional bool) (*vgpu.VGPU, error) {
-	v, err := vgpu.Adopt(p, mgr, ext)
-	if err != nil {
-		return nil, err
+func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession, functional bool) error {
+	if err := mgr.AdoptSession(p, ext); err != nil {
+		return err
 	}
 	if err := s.bindStaging(mgr, functional); err != nil {
-		_ = v.Release(p) // ext stays adoptable elsewhere
-		return nil, fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, mgr.GPUIndex(), err)
+		mgr.ReleaseSession(p, s.id) // ext stays adoptable elsewhere
+		return fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, mgr.GPUIndex(), err)
 	}
-	return v, nil
+	return nil
 }
 
-// bindStaging makes the session's data plane its pinned staging: a mapped
-// plane's client-visible regions, so SND/RCV move no bytes on this side
-// and H2D/D2H work on the client's mapping in place; heap buffers for the
-// inline plane (the ones an adoption carried over, else fresh). A ring
-// session's control surface is bound along with it. Owner-goroutine side,
-// after every open and adopt; a timing-only daemon stages nothing.
+// bindStaging gives the gvm session its daemon side: the data plane as
+// pinned staging — a mapped plane's client-visible regions, so SND/RCV
+// move no bytes on this side and H2D/D2H work on the client's mapping in
+// place; heap buffers for the inline plane (the ones an adoption carried
+// over, else fresh); nothing on a timing-only daemon — and the session's
+// notify as its control surface. Owner-goroutine side, after every open
+// and adopt, whatever the plane.
 func (s *hostSession) bindStaging(mgr *gvm.Manager, functional bool) error {
+	var in, out []byte
 	if functional {
-		in, out := s.plane.Regions()
+		in, out = s.plane.Regions()
 		if _, inline := s.plane.(inlineHostPlane); inline {
 			in, out = mgr.Staging(s.id)
 			if in == nil {
@@ -220,16 +221,13 @@ func (s *hostSession) bindStaging(mgr *gvm.Manager, functional bool) error {
 				out = make([]byte, s.outB)
 			}
 		}
-		if err := mgr.RebindStaging(s.id, in, out); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.stageIn, s.stageOut = in, out
-		s.mu.Unlock()
 	}
-	if rp, ok := s.plane.(*ringHostPlane); ok {
-		return mgr.BindDirect(s.id, rp.sess.notify)
+	if err := mgr.BindDirect(s.id, in, out, s.notify); err != nil {
+		return err
 	}
+	s.mu.Lock()
+	s.stageIn, s.stageOut = in, out
+	s.mu.Unlock()
 	return nil
 }
 
@@ -259,9 +257,9 @@ func (s *hostSession) copyIn(req *Request) error {
 		}
 		start := time.Now()
 		copy(s.stageIn, req.Data)
-		s.met.copyIn.Observe(int64(time.Since(start)))
+		s.d.met.copyIn.Observe(int64(time.Since(start)))
 	}
-	s.met.bytesIn.Add(int64(len(s.stageIn)))
+	s.d.met.bytesIn.Add(int64(len(s.stageIn)))
 	return nil
 }
 
@@ -278,9 +276,9 @@ func (s *hostSession) copyOut(resp *Response) error {
 	if _, inline := s.plane.(inlineHostPlane); inline {
 		start := time.Now()
 		resp.Data = s.stageOut
-		s.met.copyOut.Observe(int64(time.Since(start)))
+		s.d.met.copyOut.Observe(int64(time.Since(start)))
 	}
-	s.met.bytesOut.Add(int64(len(s.stageOut)))
+	s.d.met.bytesOut.Add(int64(len(s.stageOut)))
 	return nil
 }
 
@@ -331,7 +329,7 @@ var batchVerbRank = map[string]int{"SND": 1, "STR": 2, "STP": 3, "RCV": 4, "RLS"
 // above and returns its rank; last is the rank of the same session's
 // previous step in the frame (0 for its first). The socket dispatcher, the
 // ring host and the federation router all go through it, so a malformed
-// batch draws the same error on every path.
+// batch draws the same error on every carrier.
 func BatchStepRank(sub *Request, last int) (int, error) {
 	rank, allowed := batchVerbRank[sub.Verb]
 	if !allowed {
@@ -346,8 +344,8 @@ func BatchStepRank(sub *Request, last int) (int, error) {
 	return rank, nil
 }
 
-// Serve services one request from a connection goroutine, submitting only
-// the verb's owner-side phase to the owning shard's simulation owner
+// Serve services one request from a connection goroutine, handing only
+// its owner-side phase to the owning shard's simulation owner
 // (session→shard resolves once at REQ; every later verb routes by the
 // session's recorded shard). It returns ok == false when the server shut
 // down before the request completed (the connection should close without
@@ -359,10 +357,8 @@ func (d *Dispatcher) Serve(req Request, cs *ConnState, submit ShardSubmitter) (r
 	switch req.Verb {
 	case "REQ":
 		resp, ok = d.serveREQ(req, cs, submit)
-	case "BAT":
-		resp, ok = d.serveBAT(req, cs, submit)
-	case "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES":
-		resp, ok = d.serveVerb(req, cs, submit)
+	case "BAT", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES":
+		resp, ok = d.serveFrame(req, cs, submit)
 	case "STA":
 		resp, ok = d.serveSTA(), true
 	case "MIG":
@@ -395,6 +391,10 @@ func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
 	if s.owner != cs {
 		return nil, fmt.Errorf("transport: session %d belongs to another connection", id)
 	}
+	if _, ring := s.plane.(*ringHostPlane); ring {
+		// One front-end per session: its ring may have a frame in flight.
+		return nil, fmt.Errorf("transport: session %d takes its verbs through its ring", id)
+	}
 	return s, nil
 }
 
@@ -426,13 +426,13 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 
 	// Admission + placement: the node picks the shard once, here; every
 	// later verb for the session routes straight to it. Owner phase: open
-	// the gvm session (direct staging: the owner only accounts virtual
-	// time, payload bytes never move on it). A shard that faults between
-	// the two fails the open on its own account: place again without it.
+	// the gvm daemon session (the owner only accounts virtual time, payload
+	// bytes never move on it). A shard that faults between the two fails
+	// the open on its own account: place again without it.
 	var (
 		shard int
 		mgr   *gvm.Manager
-		v     *vgpu.VGPU
+		id    int
 		verr  error
 		vms   float64
 	)
@@ -442,8 +442,8 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		}
 		mgr = d.cfg.Node.Shard(shard).Mgr
 		ok := submit(shard, func(p *sim.Proc) {
-			v, verr = vgpu.ConnectOpts(p, mgr, spec, vgpu.Opts{
-				Direct: true, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
+			id, verr = mgr.OpenSession(p, gvm.Request{
+				Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
 			})
 			vms = p.Now().Milliseconds()
 		})
@@ -464,14 +464,14 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	// Connection phase: create the data plane (segment creation is real
 	// I/O and stays off the owner).
 	s := &hostSession{
-		id: v.Session(), v: v, shard: shard,
+		id: id, shard: shard,
 		inB: spec.InBytes, outB: spec.OutBytes,
-		owner: cs, met: d.met,
+		owner: cs, d: d,
 		ref: *req.Ref, rank: req.Rank,
 	}
 	name := fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id)
 	if kind == PlaneRing {
-		s.plane, err = d.cfg.Rings.newPlane(name, s.id, shard, mgr, s.inB, s.outB, func() { d.ringReleased(s) })
+		s.plane, err = d.cfg.Rings.newPlane(name, s, mgr)
 	} else {
 		s.plane, err = NewHostPlane(kind, d.cfg.ShmDir, name, s.inB, s.outB)
 	}
@@ -480,12 +480,11 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	if err == nil && !submit(shard, func(p *sim.Proc) { err = s.bindStaging(mgr, d.cfg.Functional) }) {
 		// No verb ever ran on the session, so nothing can touch the
 		// mapping this unmaps.
-		_ = s.plane.Close()
-		d.cfg.Node.Release(shard, s.inB, s.outB)
+		d.retire(s)
 		return Response{}, false
 	}
 	if err != nil {
-		submit(shard, func(p *sim.Proc) { d.closeOwner(p, s) })
+		submit(shard, func(p *sim.Proc) { d.release(p, s) })
 		return errResp(err), true
 	}
 	d.publish(s, cs)
@@ -511,182 +510,90 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 	cs.owned = append(cs.owned, s.id)
 }
 
-// ringReleased is the ring-RLS counterpart of releaseOwner: gvm already
-// tore the session down, so only dispatcher bookkeeping remains. It runs on the owner goroutine (from the
-// session's DirectNotify); the connection's owned list is left alone —
-// HangUp tolerates ids that have left the session table.
-func (d *Dispatcher) ringReleased(s *hostSession) {
-	d.mu.Lock()
-	if cur := d.sessions[s.id]; cur != s {
-		d.mu.Unlock()
-		return
-	}
-	delete(d.sessions, s.id)
-	d.mu.Unlock()
-	s.mu.Lock()
-	s.closed = true
-	shard := s.shard
-	s.mu.Unlock()
-	d.cfg.Node.Release(shard, s.inB, s.outB)
-}
-
-func (d *Dispatcher) serveVerb(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
-	s, err := d.lookup(req.Session, cs)
-	if err != nil {
-		return errResp(err), true
-	}
-	// Failover on touch: if the session's shard has been marked for
-	// evacuation, move the session before dispatching — the verb then
-	// runs on the healthy target instead of bouncing.
-	d.rescueIfUnhealthy(s, submit)
-	if req.Verb == "SND" {
-		if err := s.copyIn(&req); err != nil {
-			return errResp(err), true
-		}
-	}
-	resp := Response{Status: "ACK", Session: s.id}
-	var verr error
-	s.migMu.Lock()
-	shard, _ := s.loc()
-	if !submit(shard, func(p *sim.Proc) {
-		if cur, _ := s.loc(); cur != shard {
-			// Unreachable while migMu pins the placement; kept as a
-			// tripwire for future call paths that skip the lock.
-			verr = errors.New(gvm.Retryable("transport: session migrated during dispatch"))
-			return
-		}
-		verr = d.ownerVerb(p, s, req.Verb)
-		resp.VirtualMS = p.Now().Milliseconds()
-	}) {
-		s.migMu.Unlock()
-		return Response{}, false
-	}
-	s.migMu.Unlock()
-	if verr != nil {
-		r := errResp(verr)
-		r.VirtualMS = resp.VirtualMS
-		return r, true
-	}
-	switch req.Verb {
-	case "RCV":
-		if err := s.copyOut(&resp); err != nil {
-			return errResp(err), true
-		}
-	case "RLS":
-		cs.dropOwned(s.id)
-	}
-	return resp, true
-}
-
-// ownerVerb is the owner-side phase of one data verb: pure simulation
-// state and virtual time, no payload bytes. SND and RCV run the vgpu
-// calls with nil buffers — only the virtual host-copy sleeps remain,
-// because direct sessions skip gvm's segment copies too.
-func (d *Dispatcher) ownerVerb(p *sim.Proc, s *hostSession, verb string) error {
-	switch verb {
-	case "SND":
-		return s.v.SendInput(p, nil)
-	case "STR":
-		if err := s.v.Start(p); err != nil {
-			return err
-		}
-		s.started = true
-		return nil
-	case "STP":
-		// The owner drains the calendar after every flush, so by the
-		// time an STP arrives execution has finished in virtual time.
-		if !s.started {
-			return errors.New("transport: STP before STR")
-		}
-		if err := s.v.Wait(p); err != nil {
-			return err
-		}
-		s.started = false
-		return nil
-	case "RCV":
-		return s.v.ReceiveOutput(p, nil)
-	case "RLS":
-		d.releaseOwner(p, s)
-		return nil
-	case "SUS":
-		return s.v.Suspend(p)
-	case "RES":
-		return s.v.Resume(p)
-	default:
-		return fmt.Errorf("transport: unknown verb %q", verb)
-	}
-}
-
-// serveBAT runs a pipelined verb batch: every sub-verb's connection phase
-// plus one owner round trip PER RUN of consecutive same-shard steps, so a
-// full SPMD cycle (SND+STR+STP+RCV) against one session costs a single
-// submission instead of four. A batch addressing sessions on several
-// shards submits once per contiguous same-shard run, in batch order.
-func (d *Dispatcher) serveBAT(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
-	if len(req.Batch) == 0 {
+// serveFrame serves a session verb or a pipelined BAT of them. Connection
+// phase: resolve every step to a session this connection may address,
+// check a batch's shape, rescue sessions off unhealthy shards, stage SND
+// payloads. Owner phase: one hand-off per RUN of consecutive same-shard
+// steps — it starts a frameRun and sleeps until the run's last response
+// is in — so a full SPMD cycle (SND+STR+STP+RCV) against one session costs
+// a single submission; a batch spanning shards submits once per stretch,
+// in batch order, stopping at the first failure. Connection phase again:
+// publish RCV results, finish RLS bookkeeping.
+func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
+	bat := req.Verb == "BAT"
+	subs := req.Batch
+	if !bat {
+		subs = []Request{req}
+	} else if len(subs) == 0 {
 		return errResp(errors.New("transport: empty BAT")), true
 	}
-	type step struct {
-		req  Request
-		s    *hostSession
-		resp Response
-		err  error
-		ran  bool
+	steps := make([]runStep, len(subs))
+	resps := make([]Response, len(subs))
+	var lastRank map[int]int
+	if bat {
+		lastRank = make(map[int]int, 2)
 	}
-	steps := make([]step, len(req.Batch))
-	lastRank := make(map[int]int, 2)
-	for i := range req.Batch {
-		sub := req.Batch[i]
-		rank, err := BatchStepRank(&sub, lastRank[sub.Session])
-		if err != nil {
-			return errResp(err), true
+	// Sessions belong to exactly one connection and a connection serves one
+	// frame at a time, so no two in-flight frames share a session — locking
+	// the migMus in frame order below cannot deadlock against another frame
+	// (migrate only ever holds one).
+	uniq := make([]*hostSession, 0, 2)
+	for i := range subs {
+		sub := &subs[i]
+		if bat {
+			rank, err := BatchStepRank(sub, lastRank[sub.Session])
+			if err != nil {
+				return errResp(err), true
+			}
+			lastRank[sub.Session] = rank
 		}
 		s, err := d.lookup(sub.Session, cs)
 		if err != nil {
 			return errResp(err), true
 		}
-		lastRank[sub.Session] = rank
-		// Inner steps count against their own verb series too, so a
-		// scrape's SND/STR/STP/RCV counters reflect protocol traffic
-		// whether or not the client pipelines.
-		d.met.verb(sub.Verb).reqs.Inc()
-		steps[i] = step{req: sub, s: s}
-	}
-	d.met.batSteps.Observe(int64(len(steps)))
-
-	// Failover on touch, once per distinct session in the batch. Sessions
-	// belong to exactly one connection and a connection serves one frame
-	// at a time, so no two in-flight batches share a session — locking
-	// the migMus in batch order below cannot deadlock against another
-	// batch (migrate only ever holds one).
-	uniq := make([]*hostSession, 0, len(lastRank))
-	seenSess := make(map[int]bool, len(lastRank))
-	for i := range steps {
-		if s := steps[i].s; !seenSess[s.id] {
-			seenSess[s.id] = true
+		verb, _ := sessionVerb(sub.Verb) // Serve and BatchStepRank let no other through
+		steps[i] = runStep{s: s, verb: verb}
+		seen := false
+		for _, u := range uniq {
+			seen = seen || u == s
+		}
+		if !seen {
 			uniq = append(uniq, s)
 		}
 	}
+	if bat {
+		// Inner steps count against their own verb series too, so a
+		// scrape's SND/STR/STP/RCV counters reflect protocol traffic
+		// whether or not the client pipelines.
+		for i := range subs {
+			d.met.verb(subs[i].Verb).reqs.Inc()
+		}
+		d.met.batSteps.Observe(int64(len(steps)))
+	}
+
+	// Failover on touch: a session whose shard has been marked for
+	// evacuation moves before the frame is dispatched — its verbs then run
+	// on the healthy target instead of bouncing.
 	for _, s := range uniq {
 		d.rescueIfUnhealthy(s, submit)
 	}
 
-	// Connection phase: stage every SND payload into pinned memory.
+	// Connection phase: land every SND payload in pinned staging. A step
+	// that cannot stage ends the frame there.
 	limit := len(steps)
 	for i := range steps {
-		if steps[i].req.Verb == "SND" {
-			if err := steps[i].s.copyIn(&steps[i].req); err != nil {
-				steps[i].err = err
-				limit = i
-				break
-			}
+		if steps[i].verb != gvm.SND {
+			continue
+		}
+		if err := steps[i].s.copyIn(&subs[i]); err != nil {
+			resps[i] = Response{Status: "ERR", Session: subs[i].Session, Err: err.Error()}
+			limit = i
+			break
 		}
 	}
 
-	// Owner phase: one submission per contiguous same-shard run of staged
-	// steps, stopping the whole batch at the first failure. Every
-	// session's migMu is held across the phase so its placement cannot
-	// change between the shard snapshot and the owner closure running.
+	// Owner phase. Every session's migMu is held across it so a placement
+	// cannot change between the shard snapshot and its run.
 	for _, s := range uniq {
 		s.migMu.Lock()
 	}
@@ -695,99 +602,79 @@ func (d *Dispatcher) serveBAT(req Request, cs *ConnState, submit ShardSubmitter)
 			s.migMu.Unlock()
 		}
 	}
-	shardOf := make(map[int]int, len(uniq))
-	for _, s := range uniq {
-		sh, _ := s.loc()
-		shardOf[s.id] = sh
-	}
-	var vms float64
-	failed := false
-	for i := 0; i < limit && !failed; {
-		j := i
-		shard := shardOf[steps[i].s.id]
-		for j < limit && shardOf[steps[j].s.id] == shard {
+	for i := 0; i < limit; {
+		shard := steps[i].s.loc()
+		j := i + 1
+		for j < limit && steps[j].s.loc() == shard {
 			j++
 		}
+		var run frameRun
+		mgr := d.cfg.Node.Shard(shard).Mgr
 		lo, hi := i, j
 		if !submit(shard, func(p *sim.Proc) {
-			for k := lo; k < hi; k++ {
-				st := &steps[k]
-				st.ran = true
-				st.err = d.ownerVerb(p, st.s, st.req.Verb)
-				st.resp.VirtualMS = p.Now().Milliseconds()
-				if st.err != nil {
-					failed = true
-					break
-				}
-			}
-			vms = p.Now().Milliseconds()
+			finished := p.Env().NewEvent()
+			run.start(mgr, steps[lo:hi], resps[lo:hi], func() { finished.Fire(nil) })
+			p.Wait(finished)
 		}) {
 			unlock()
 			return Response{}, false
+		}
+		if run.failed {
+			break
 		}
 		i = j
 	}
 	unlock()
 
-	// Connection phase: collect RCV results, finish RLS bookkeeping,
-	// assemble per-step responses.
-	out := Response{Status: "ACK", VirtualMS: vms, Batch: make([]Response, len(steps))}
-	for i := range steps {
-		st := &steps[i]
-		sub := &out.Batch[i]
-		sub.Session = st.req.Session
-		sub.VirtualMS = st.resp.VirtualMS
+	for i := range resps {
+		r := &resps[i]
 		switch {
-		case st.err != nil:
-			sub.Status = "ERR"
-			sub.Err = st.err.Error()
-			d.met.verb(st.req.Verb).errs.Inc()
-		case !st.ran:
-			sub.Status = "ERR"
-			sub.Err = "transport: skipped after earlier BAT failure"
-		default:
-			sub.Status = "ACK"
-			switch st.req.Verb {
-			case "RCV":
-				if err := st.s.copyOut(sub); err != nil {
-					sub.Status = "ERR"
-					sub.Err = err.Error()
-				}
-			case "RLS":
-				cs.dropOwned(st.req.Session)
+		case r.Status == "":
+			*r = skipped(subs[i].Session)
+			continue
+		case r.Status == "ACK" && steps[i].verb == gvm.RCV:
+			if err := steps[i].s.copyOut(r); err != nil {
+				r.Status, r.Err = "ERR", err.Error()
 			}
+		case r.Status == "ACK" && steps[i].verb == gvm.RLS:
+			cs.dropOwned(subs[i].Session)
+		}
+		if bat && r.Status == "ERR" {
+			d.met.verb(subs[i].Verb).errs.Inc()
 		}
 	}
-	return out, true
+	return frameResponse(bat, resps), true
 }
 
-// releaseOwner tears one session down. Owning-shard owner-goroutine
-// side: unpublish first so no new connection phase can find it, then
-// close it.
-func (d *Dispatcher) releaseOwner(p *sim.Proc, s *hostSession) {
+// release ends a session from outside the verb stream — a hang-up, an
+// unwound REQ, shutdown: gvm lets go first (waiting out any flush that
+// still reads or writes staging), then the daemon side retires. Owning
+// shard's owner-goroutine side.
+func (d *Dispatcher) release(p *sim.Proc, s *hostSession) {
+	d.cfg.Node.Shard(s.loc()).Mgr.ReleaseSession(p, s.id)
+	d.retire(s)
+}
+
+// retire is the one tail of every way a session ends once gvm no longer
+// holds it (an acknowledged RLS, release, a MIG extraction): unpublish it
+// and mark it closed under its mutex (waiting out any staging copy in
+// flight), close the data plane — staging aliased a mapped plane's
+// segment, which is why gvm went first — and return the placement, in that
+// order. Idempotent: an RLS in a frame and a hang-up may both get here.
+func (d *Dispatcher) retire(s *hostSession) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	plane, shard := s.plane, s.shard
+	s.mu.Unlock()
 	d.mu.Lock()
-	cur, live := d.sessions[s.id]
-	if live && cur == s {
+	if d.sessions[s.id] == s {
 		delete(d.sessions, s.id)
 	}
 	d.mu.Unlock()
-	if !live || cur != s {
-		return // already released
-	}
-	d.closeOwner(p, s)
-}
-
-// closeOwner ends an unpublished session: mark it closed under its mutex
-// (waiting out any staging copy in flight), then release the gvm session,
-// the data plane and the placement — in that order, on the owner: staging
-// aliases a mapped plane's segment, and gvm's RLS returns only once no
-// stream operation that could touch it remains.
-func (d *Dispatcher) closeOwner(p *sim.Proc, s *hostSession) {
-	s.mu.Lock()
-	s.closed = true
-	plane, v, shard := s.plane, s.v, s.shard
-	s.mu.Unlock()
-	_ = v.Release(p)
 	if plane != nil {
 		_ = plane.Close()
 	}
@@ -804,8 +691,7 @@ func (d *Dispatcher) HangUp(cs *ConnState, submit ShardSubmitter) {
 		d.mu.RUnlock()
 		if s != nil && s.owner == cs {
 			s.migMu.Lock()
-			shard, _ := s.loc()
-			submit(shard, func(p *sim.Proc) { d.releaseOwner(p, s) })
+			submit(s.loc(), func(p *sim.Proc) { d.release(p, s) })
 			s.migMu.Unlock()
 		}
 	}
@@ -824,8 +710,7 @@ func (d *Dispatcher) ReleaseAll(submit ShardSubmitter) {
 	for _, s := range live {
 		s := s
 		s.migMu.Lock()
-		shard, _ := s.loc()
-		submit(shard, func(p *sim.Proc) { d.releaseOwner(p, s) })
+		submit(s.loc(), func(p *sim.Proc) { d.release(p, s) })
 		s.migMu.Unlock()
 	}
 }
@@ -837,8 +722,7 @@ func (d *Dispatcher) ReleaseAll(submit ShardSubmitter) {
 // Failures are logged, not returned: the verb proceeds and reports its
 // own (retryable) error.
 func (d *Dispatcher) rescueIfUnhealthy(s *hostSession, submit ShardSubmitter) {
-	shard, _ := s.loc()
-	if !d.cfg.Node.Health(shard).Evacuate() {
+	if !d.cfg.Node.Health(s.loc()).Evacuate() {
 		return
 	}
 	if err := d.migrate(s, submit); err != nil && d.cfg.Log != nil {
@@ -854,7 +738,7 @@ func (d *Dispatcher) EvacuateShard(shard int, submit ShardSubmitter) {
 	d.mu.RLock()
 	victims := make([]*hostSession, 0, len(d.sessions))
 	for _, s := range d.sessions {
-		if sh, _ := s.loc(); sh == shard {
+		if s.loc() == shard {
 			victims = append(victims, s)
 		}
 	}
@@ -903,16 +787,18 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	start := time.Now()
 	fromMgr := d.cfg.Node.Shard(from).Mgr
 
-	// Source owner: pull a ring session out of its shard's sweep (the
-	// in-flight frame, if any, answers a retryable error; the client's
-	// mapping stays valid), then quiesce and extract the gvm session.
+	// Source owner: end a frame in flight (abortRun), pull a ring session
+	// out of its shard's sweep (the client's mapping stays valid, and after
+	// adoption the same ringSession re-registers on the target's sweep),
+	// then quiesce and extract the gvm session.
 	var (
 		ext  *gvm.ExtractedSession
 		xerr error
 	)
 	if !submit(from, func(p *sim.Proc) {
+		s.abortRun(from)
 		if rp != nil {
-			rp.sess.detach()
+			rp.sess.shard.remove(rp.sess)
 		}
 		ext, xerr = fromMgr.ExtractSession(p, s.id)
 	}) {
@@ -930,12 +816,9 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	// Register happens-before edge.
 	adoptOn := func(shard int) error {
 		mgr := d.cfg.Node.Shard(shard).Mgr
-		var (
-			nv   *vgpu.VGPU
-			aerr error
-		)
+		var aerr error
 		if !submit(shard, func(p *sim.Proc) {
-			if nv, aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional); aerr == nil && rp != nil {
+			if aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional); aerr == nil && rp != nil {
 				rp.sess.mgr = mgr
 				rp.sess.shard = d.cfg.Rings.Shard(shard)
 			}
@@ -946,7 +829,6 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 			return aerr
 		}
 		s.mu.Lock()
-		s.v = nv
 		s.shard = shard
 		if rp != nil {
 			rp.rs = d.cfg.Rings.Shard(shard)

@@ -8,7 +8,6 @@ import (
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/node"
 	"gpuvirt/internal/sim"
-	"gpuvirt/internal/vgpu"
 	"gpuvirt/internal/workloads"
 )
 
@@ -26,7 +25,9 @@ import (
 //
 // MIG/ADP reuse PR9's ExtractSession/AdoptSession machinery one level
 // up: intra-node failover moves a session between shards behind one
-// dispatcher; these verbs move it between dispatchers.
+// dispatcher; these verbs move it between dispatchers. Where the session
+// stood in its cycle travels inside the gvm state (done, rerun): the
+// dispatcher keeps none of its own.
 
 // MigBlob is the cross-node migration payload: the serialized gvm
 // session state plus everything the adopting node needs that cannot
@@ -38,7 +39,6 @@ type MigBlob struct {
 	Rank     int             `json:"rank"`
 	InBytes  int64           `json:"in_bytes"`
 	OutBytes int64           `json:"out_bytes"`
-	Started  bool            `json:"started,omitempty"` // an STR has not been STP'd yet
 	Ext      json.RawMessage `json:"ext"`
 }
 
@@ -57,7 +57,9 @@ func (d *Dispatcher) serveSTA() Response {
 // the serialized MigBlob. The session leaves this node entirely: it is
 // unpublished from the dispatcher, its plane closed, its placement
 // reservation released. The router must send MIG on the session's own
-// (sticky) connection — the ownership check holds like any other verb.
+// (sticky) connection — the ownership check holds like any other verb, and
+// with it the rule that a ring session takes nothing over the socket: its
+// mapped segment names this node's doorbells and could not follow anyway.
 func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
 	s, err := d.lookup(req.Session, cs)
 	if err != nil {
@@ -71,12 +73,6 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 		s.mu.Unlock()
 		return errResp(fmt.Errorf("transport: session %d is closed", s.id)), true
 	}
-	if _, isRing := s.plane.(*ringHostPlane); isRing {
-		// A ring client's mapped segment names this node's doorbells;
-		// the mapping cannot follow the session to another process.
-		s.mu.Unlock()
-		return errResp(fmt.Errorf("transport: session %d uses the ring plane; cross-node migration needs inline", s.id)), true
-	}
 	s.migrating = true
 	from := s.shard
 	s.mu.Unlock()
@@ -88,14 +84,10 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 
 	fromMgr := d.cfg.Node.Shard(from).Mgr
 	var (
-		ext     *gvm.ExtractedSession
-		xerr    error
-		started bool
+		ext  *gvm.ExtractedSession
+		xerr error
 	)
-	if !submit(from, func(p *sim.Proc) {
-		ext, xerr = fromMgr.ExtractSession(p, s.id)
-		started = s.started // owner-goroutine state, read under the owner
-	}) {
+	if !submit(from, func(p *sim.Proc) { ext, xerr = fromMgr.ExtractSession(p, s.id) }) {
 		return Response{}, false
 	}
 	if xerr != nil {
@@ -107,25 +99,16 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 		blob, err = json.Marshal(MigBlob{
 			Ref: s.ref, Rank: s.rank,
 			InBytes: s.inB, OutBytes: s.outB,
-			Started: started,
-			Ext:     extB,
+			Ext: extB,
 		})
 		if err == nil {
 			// Point of no return: the session has left this node. The
 			// sticky connection stays up (the router owns its lifetime)
-			// but the id no longer resolves here.
-			d.mu.Lock()
-			delete(d.sessions, s.id)
-			d.mu.Unlock()
+			// but the id no longer resolves here. ExtractSession quiesced
+			// the stream and dropped the gvm session, so nothing references
+			// a mapped plane's staging.
 			cs.dropOwned(s.id)
-			s.mu.Lock()
-			s.closed = true
-			plane := s.plane
-			s.mu.Unlock()
-			// ExtractSession quiesced the stream and dropped the gvm
-			// session, so nothing references a mapped plane's staging.
-			_ = plane.Close()
-			d.cfg.Node.Release(from, s.inB, s.outB)
+			d.retire(s)
 			if d.cfg.Log != nil {
 				d.cfg.Log.Info("session extracted for cross-node migration",
 					"session", s.id, "gpu", from, "bytes", ext.Bytes())
@@ -134,21 +117,13 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 		}
 	}
 	// Serialization failed: put the session back so it keeps serving.
-	var (
-		nv   *vgpu.VGPU
-		aerr error
-	)
-	if !submit(from, func(p *sim.Proc) {
-		nv, aerr = s.adoptOwner(p, fromMgr, ext, d.cfg.Functional)
-	}) {
+	var aerr error
+	if !submit(from, func(p *sim.Proc) { aerr = s.adoptOwner(p, fromMgr, ext, d.cfg.Functional) }) {
 		return Response{}, false
 	}
 	if aerr != nil {
 		return errResp(fmt.Errorf("transport: session %d stranded: encode: %v; re-adopt on gpu %d: %v", s.id, err, from, aerr)), true
 	}
-	s.mu.Lock()
-	s.v = nv
-	s.mu.Unlock()
 	return errResp(fmt.Errorf("transport: MIG encode session %d: %w", s.id, err)), true
 }
 
@@ -188,9 +163,8 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 	s := &hostSession{
 		shard: shard,
 		inB:   spec.InBytes, outB: spec.OutBytes,
-		owner: cs, met: d.met, plane: inlineHostPlane{},
+		owner: cs, d: d, plane: inlineHostPlane{},
 		ref: blob.Ref, rank: blob.Rank,
-		started: blob.Started, // pre-publication write, no lock needed
 	}
 	var (
 		aerr error
@@ -199,7 +173,7 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 	if !submit(shard, func(p *sim.Proc) {
 		s.id = mgr.MintSessionID()
 		ext.SetID(s.id)
-		s.v, aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional)
+		aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional)
 		vms = p.Now().Milliseconds()
 	}) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)

@@ -118,23 +118,22 @@ func (h *RingHost) Close() error {
 	return h.doorSeg.Close()
 }
 
-// newPlane lays a new session's rings and staging regions out in a fresh
-// segment named name and returns its (not yet registered) host plane;
-// onRelease runs once gvm has released the session through a ring RLS.
-func (h *RingHost) newPlane(name string, id, shard int, mgr *gvm.Manager, inB, outB int64, onRelease func()) (HostPlane, error) {
-	seg, err := shm.NewFile(h.dir, name, shm.RingSegmentSize(h.ring, inB, outB))
+// newPlane lays host's rings and staging regions out in a fresh segment
+// named name and returns the session's (not yet registered) host plane.
+func (h *RingHost) newPlane(name string, host *hostSession, mgr *gvm.Manager) (HostPlane, error) {
+	seg, err := shm.NewFile(h.dir, name, shm.RingSegmentSize(h.ring, host.inB, host.outB))
 	if err != nil {
 		return nil, err
 	}
-	sr, err := shm.InitSessionRing(seg, h.ring, inB, outB, h.doorName, uint32(shard*shm.DoorStride))
+	sr, err := shm.InitSessionRing(seg, h.ring, host.inB, host.outB, h.doorName, uint32(host.shard*shm.DoorStride))
 	if err != nil {
 		seg.Close()
 		return nil, err
 	}
-	rs := h.shards[shard]
-	return &ringHostPlane{name: name, rs: rs, sess: &ringSession{
-		id: id, shard: rs, mgr: mgr, seg: seg, sr: sr, onRelease: onRelease,
-	}}, nil
+	rs := h.shards[host.shard]
+	sess := &ringSession{host: host, shard: rs, mgr: mgr, seg: seg, sr: sr}
+	sess.deliver = sess.finish
+	return &ringHostPlane{name: name, rs: rs, sess: sess}, nil
 }
 
 // RingAll rings every shard doorbell — the shutdown kick that pops
@@ -253,22 +252,11 @@ func (rs *RingShard) Sweep() bool {
 			}
 		})
 	}
-	live := rs.sessions[:0]
 	for _, s := range rs.sessions {
 		if s.step() {
 			progress = true
 		}
-		if s.done {
-			rs.open.Dec()
-			s.closeOwner()
-			continue
-		}
-		live = append(live, s)
 	}
-	for i := len(live); i < len(rs.sessions); i++ {
-		rs.sessions[i] = nil
-	}
-	rs.sessions = live
 	if progress {
 		rs.sweeps.Inc()
 	}
@@ -285,41 +273,31 @@ func (rs *RingShard) remove(sess *ringSession) {
 	}
 }
 
-// ringSession is the daemon-side state machine of one ring-plane
-// session: it consumes request frames from the submission ring, drives
-// them through gvm's direct verb path, and produces response frames on
-// the completion ring. All fields are owner-goroutine-only; completions
-// arrive via gvm.DirectNotify on the same goroutine (inline in
-// DirectVerb or from a calendar event during the owner's drain).
+// ringSession is the ring front-end of one session: it consumes request
+// frames from the submission ring, checks each addresses this session and
+// nothing else, runs it through the frame engine, and produces the
+// response frame on the completion ring. All fields are
+// owner-goroutine-only.
 type ringSession struct {
-	id    int
+	host  *hostSession
 	shard *RingShard
 	mgr   *gvm.Manager
 	seg   shm.Segment
 	sr    *shm.SessionRing
 
-	// onRelease runs once gvm has released the session through the ring
-	// RLS path (dispatcher bookkeeping: session table + node placement).
-	onRelease func()
-
 	enc frameEncoder
 	rec []byte  // retained response-frame scratch
 	req Request // retained decode target; Batch backing reused
 
-	// In-flight frame state. idx is the step currently executing (an
-	// index into req.Batch for BAT frames, ignored for single verbs).
-	active    bool
-	batch     bool
-	idx       int
-	waiting   bool // a DirectVerb completion is pending in the calendar
-	issuing   bool // inside advance(): inline notifies must not recurse
-	failed    bool
-	one       Response   // single-verb response
-	batchResp []Response // retained per-step response backing
-	pending   bool       // encoded response waiting for completion-ring space
-	released  bool       // gvm session released (ring RLS acked)
-	done      bool       // ready for the sweep to unmap
-	closed    bool
+	// The frame in flight, all retained so a warm cycle allocates nothing.
+	run     frameRun
+	steps   []runStep
+	resps   []Response
+	deliver func() // finish, bound once
+	active  bool
+	bat     bool
+	pending bool // encoded response waiting for completion-ring space
+	closed  bool
 }
 
 // step is one sweep pass over the session: deliver a stalled completion
@@ -331,10 +309,10 @@ func (s *ringSession) step() bool {
 			return false // still blocked on completion-ring space
 		}
 		s.pending = false
-		s.completed()
+		shm.DoorRing(s.sr.ClientDoor())
 		progress = true
 	}
-	for !s.active && !s.pending && !s.done {
+	for !s.active && !s.pending {
 		rec, ok := s.sr.Sub.Peek()
 		if !ok {
 			break
@@ -354,207 +332,80 @@ func (s *ringSession) begin(rec []byte) {
 	s.sr.Sub.Release()
 	s.shard.records.Inc()
 	if err != nil {
-		s.fail(fmt.Sprintf("transport: ring record: %v", err))
+		s.reject(fmt.Sprintf("transport: ring record: %v", err))
 		return
 	}
-	s.req.Data = nil
-	for i := range s.req.Batch {
-		s.req.Batch[i].Data = nil
-	}
-	s.active = true
-	s.idx = 0
-	s.failed = false
-	s.one = Response{}
-	switch {
-	case s.req.Verb == "BAT":
-		if len(s.req.Batch) == 0 {
-			s.fail("transport: empty BAT")
+	s.bat = s.req.Verb == "BAT"
+	subs := s.req.Batch
+	if !s.bat {
+		if _, ok := sessionVerb(s.req.Verb); !ok {
+			s.reject(fmt.Sprintf("transport: verb %q not allowed on a session ring", s.req.Verb))
 			return
 		}
-		lastRank := 0
-		for i := range s.req.Batch {
-			sub := &s.req.Batch[i]
-			if sub.Session != s.id {
-				s.fail(fmt.Sprintf("transport: ring BAT addresses session %d on session %d's ring", sub.Session, s.id))
-				return
-			}
-			var err error
+		// A lone verb is a frame of one step (in the retained Batch backing).
+		s.req.Batch = append(subs[:0], Request{Verb: s.req.Verb, Session: s.req.Session})
+		subs = s.req.Batch
+	} else if len(subs) == 0 {
+		s.reject("transport: empty BAT")
+		return
+	}
+	s.steps = s.steps[:0]
+	lastRank := 0
+	for i := range subs {
+		sub := &subs[i]
+		if sub.Session != s.host.id {
+			s.reject(fmt.Sprintf("transport: ring record addresses session %d on session %d's ring", sub.Session, s.host.id))
+			return
+		}
+		if s.bat {
 			if lastRank, err = BatchStepRank(sub, lastRank); err != nil {
-				s.fail(err.Error())
+				s.reject(err.Error())
 				return
 			}
 		}
-		s.batch = true
-		if cap(s.batchResp) < len(s.req.Batch) {
-			s.batchResp = make([]Response, len(s.req.Batch))
-		}
-		s.batchResp = s.batchResp[:len(s.req.Batch)]
-	default:
-		if _, ok := ringVerbOf(s.req.Verb); !ok {
-			s.fail(fmt.Sprintf("transport: verb %q not allowed on a session ring", s.req.Verb))
-			return
-		}
-		if s.req.Session != s.id {
-			s.fail(fmt.Sprintf("transport: ring record addresses session %d on session %d's ring", s.req.Session, s.id))
-			return
-		}
-		s.batch = false
+		verb, _ := sessionVerb(sub.Verb)
+		s.steps = append(s.steps, runStep{s: s.host, verb: verb})
 	}
-	s.advance()
-}
-
-// ringVerbOf maps a wire verb onto gvm's direct verb set. REQ and BAT
-// (and anything unknown) are excluded: a ring belongs to one session
-// that already exists.
-func ringVerbOf(v string) (gvm.Verb, bool) {
-	verb, ok := gvm.ParseVerb(v)
-	return verb, ok && verb != gvm.REQ
-}
-
-// advance issues verbs until one leaves its completion in the calendar
-// (waiting) or the frame is finished. It is driven from begin and —
-// for calendar completions — from notify.
-func (s *ringSession) advance() {
-	s.issuing = true
-	for s.active && !s.waiting {
-		if s.failed || (s.batch && s.idx >= len(s.req.Batch)) || (!s.batch && s.idx >= 1) {
-			s.finish()
-			break
-		}
-		verbStr := s.req.Verb
-		if s.batch {
-			verbStr = s.req.Batch[s.idx].Verb
-		}
-		verb, _ := ringVerbOf(verbStr)
-		s.waiting = true
-		if err := s.mgr.DirectVerb(s.id, verb); err != nil {
-			// Synchronous errors are caller bugs (unknown/unbound
-			// session); report them like a protocol ERR.
-			s.waiting = false
-			s.record("ERR", err.Error())
-			s.failed = true
-		}
+	if cap(s.resps) < len(subs) {
+		s.resps = make([]Response, len(subs))
 	}
-	s.issuing = false
-}
-
-// notify is the session's gvm.DirectNotify: it records the completed
-// step and, when the completion arrived from a calendar event rather
-// than inline in DirectVerb, resumes issuing.
-func (s *ringSession) notify(verb gvm.Verb, st gvm.Status, errMsg string) {
-	if s.closed || !s.active || !s.waiting {
-		return // stale completion after teardown
-	}
-	s.waiting = false
-	s.record(st.String(), errMsg)
-	if st != gvm.ACK {
-		s.failed = true
-	}
-	if verb == gvm.RLS && st == gvm.ACK {
-		s.released = true
-		if s.onRelease != nil {
-			s.onRelease()
-		}
-	}
-	if !s.issuing {
-		s.advance()
-	}
-}
-
-// record stores the current step's response and moves to the next step.
-func (s *ringSession) record(status, errMsg string) {
-	r := Response{
-		Status:    status,
-		Session:   s.id,
-		Err:       errMsg,
-		VirtualMS: s.mgr.Env().Now().Milliseconds(),
-	}
-	if s.batch {
-		if s.idx < len(s.batchResp) {
-			s.batchResp[s.idx] = r
-		}
-	} else {
-		s.one = r
-	}
-	s.idx++
-}
-
-// fail aborts the in-flight frame with a single ERR response (used for
-// records that never reached execution: decode or validation errors).
-func (s *ringSession) fail(msg string) {
+	s.resps = s.resps[:len(subs)]
 	s.active = true
-	s.batch = false
-	s.one = Response{Status: "ERR", Session: s.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()}
+	s.run.start(s.mgr, s.steps, s.resps, s.deliver)
+}
+
+// reject answers a record that never reached execution (decode or
+// validation errors) with a single ERR response.
+func (s *ringSession) reject(msg string) {
+	s.bat = false
+	s.resps = append(s.resps[:0], Response{Status: "ERR", Session: s.host.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()})
 	s.finish()
 }
 
-// finish encodes the frame's response and pushes it to the completion
-// ring (deferring to the sweep when the ring is full).
+// finish encodes the frame's response, pushes it to the completion ring
+// (deferring to the sweep when the ring is full) and rings the client.
+// After a ring RLS the session has retired and the next sweep unmaps it;
+// the client's own mapping outlives ours, so it still reads the response.
 func (s *ringSession) finish() {
 	s.active = false
-	var resp Response
-	if s.batch {
-		for k := s.idx; k < len(s.batchResp); k++ {
-			s.batchResp[k] = Response{
-				Status:  "ERR",
-				Session: s.id,
-				Err:     "transport: skipped after earlier BAT failure",
-			}
-		}
-		resp = Response{
-			Status:    "ACK",
-			Session:   s.id,
-			VirtualMS: s.mgr.Env().Now().Milliseconds(),
-			Batch:     s.batchResp,
-		}
-	} else {
-		resp = s.one
-	}
-	if err := s.enc.encodeResponse(resp); err != nil {
-		_ = s.enc.encodeResponse(Response{Status: "ERR", Session: s.id, Err: err.Error()})
+	if err := s.enc.encodeResponse(frameResponse(s.bat, s.resps)); err != nil {
+		_ = s.enc.encodeResponse(Response{Status: "ERR", Session: s.host.id, Err: err.Error()})
 	}
 	s.rec = s.enc.flatten(s.rec[:0])
 	s.enc.clearAliases()
 	if len(s.rec) > s.sr.Cpl.MaxRecord() {
 		_ = s.enc.encodeResponse(Response{
-			Status: "ERR", Session: s.id,
+			Status: "ERR", Session: s.host.id,
 			Err: fmt.Sprintf("transport: ring response %d bytes exceeds slot capacity %d", len(s.rec), s.sr.Cpl.MaxRecord()),
 		})
 		s.rec = s.enc.flatten(s.rec[:0])
 		s.enc.clearAliases()
 	}
 	if s.sr.Cpl.Push(s.rec) {
-		s.completed()
+		shm.DoorRing(s.sr.ClientDoor())
 	} else {
 		s.pending = true
 	}
-}
-
-// completed rings the client's doorbell for a delivered response; after
-// a ring RLS the session is finished and the next sweep unmaps it (the
-// client's own mapping outlives ours, so it still reads the response).
-func (s *ringSession) completed() {
-	shm.DoorRing(s.sr.ClientDoor())
-	if s.released {
-		s.done = true
-	}
-}
-
-// detach pulls the session out of its shard's sweep WITHOUT unmapping
-// the segment — the client keeps its mapping, and after adoption the
-// same ringSession re-registers on the failover target's sweep. An
-// in-flight frame cannot complete here anymore (its gvm session is
-// about to leave this shard), so it finishes with a retryable error;
-// the client re-submits the frame and the target's sweep serves it.
-// Source-shard owner-goroutine only.
-func (s *ringSession) detach() {
-	if s.active {
-		s.waiting = false
-		s.record("ERR", gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, s.shard.index)))
-		s.failed = true
-		s.finish()
-	}
-	s.shard.remove(s)
 }
 
 // closeOwner unmaps the session segment. Idempotent; owner-goroutine

@@ -3,20 +3,27 @@
 // fused inside package ipc:
 //
 //   - Transport — how a client reaches the daemon: dial/listen plus the
-//     round-trip framing that runs on the resulting connection. Three
+//     round-trip framing that runs on the resulting connection. Four
 //     transports are registered: unix (Unix-domain sockets, the classic
-//     gvmd path), tcp (remote rCUDA-style access across nodes), and
-//     inproc (a socket-free in-process pipe for tests and co-located
-//     deployments).
+//     gvmd path), tcp (remote rCUDA-style access across nodes), inproc
+//     (a socket-free in-process pipe for tests and co-located
+//     deployments) and ring (a unix socket for REQ, shared-memory rings
+//     for everything after).
 //   - DataPlane / HostPlane — how SND/RCV payload bytes move: through a
 //     file-backed shared-memory segment (PlaneShm, for clients that
-//     share a filesystem with the daemon) or inline inside the control
-//     frame (PlaneInline, for remote clients with no shared /dev/shm).
-//   - Dispatcher — the one server-side verb state machine. Every
-//     transport feeds decoded Requests to the same Dispatcher, which
-//     delegates to gvm.Manager through the same vgpu client API the
-//     simulation uses, so the REQ/SND/STR/STP/RCV/RLS protocol is
-//     implemented exactly once.
+//     share a filesystem with the daemon), inline inside the control
+//     frame (PlaneInline, for remote clients with no shared /dev/shm),
+//     or through the ring segment's staging regions (PlaneRing).
+//   - The verb engine — frameRun (exec.go), the one place the daemon
+//     executes session verbs: it walks a frame's steps through
+//     gvm.Manager.DirectVerb on gvm daemon sessions, driven by their
+//     completions. Its two front-ends are thin: the socket Dispatcher
+//     (which also owns the session table, REQ, teardown and failover)
+//     resolves who may address what, stages inline payloads and hands
+//     each same-shard stretch of a frame to the shard owner once; the
+//     RingHost decodes records off a session's own ring and encodes the
+//     responses back. The package does not import internal/vgpu — that
+//     is the simulation's client API, and `make one-engine` keeps it so.
 //
 // Addresses are URLs: "unix:///tmp/gvmd.sock", "tcp://host:7070",
 // "ring:///tmp/gvmd.sock", "inproc://name". A bare path with no scheme

@@ -3,6 +3,13 @@
 // each SPMD process and drives the REQ/SND/STR/STP/RCV/RLS protocol of
 // Figure 8 against the manager, handling shared-memory data exchange and
 // handshake synchronization transparently.
+//
+// This is the queue surface of the manager — the paper's model, with its
+// message-queue hops, segment copies and STP polling charged in virtual
+// time — and the reference the daemon's front-ends are tested against. The
+// daemon itself does not come through here: it holds daemon sessions
+// (gvm.Manager.OpenSession / DirectVerb), which skip the simulated hops a
+// real socket or ring already pays in wall-clock.
 package vgpu
 
 import (
@@ -51,13 +58,6 @@ func Connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec) (*VGPU, error) {
 // Opts are the optional REQ parameters a client may attach when opening
 // a session.
 type Opts struct {
-	// Direct selects direct-staging mode: payload bytes bypass the
-	// shared-memory segment and move through caller-owned pinned staging
-	// (gvm.Manager.RebindStaging), while every verb still charges its usual
-	// virtual host-copy time. The daemon dispatcher uses it to keep payload
-	// memcpys off the simulation-owner goroutine; use
-	// SendInput/ReceiveOutput with nil buffers.
-	Direct bool
 	// MemQuota is a hard per-session device-memory cap in bytes, enforced
 	// by the manager at every allocation. 0 = unlimited.
 	MemQuota int64
@@ -85,7 +85,7 @@ func connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec, o Opts) (*VGPU, err
 		poll: DefaultPollPolicy(),
 	}
 	mgr.RequestQueue().Send(p, gvm.Request{
-		Verb: gvm.REQ, Spec: spec, Reply: v.resp, Direct: o.Direct,
+		Verb: gvm.REQ, Spec: spec, Reply: v.resp,
 		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight,
 	})
 	r := v.resp.Recv(p)
@@ -94,27 +94,6 @@ func connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec, o Opts) (*VGPU, err
 	}
 	v.session = r.Session
 	v.seg = mgr.Segment(r.Session)
-	return v, nil
-}
-
-// Adopt installs a session extracted from another shard's manager
-// (gvm.Manager.ExtractSession) on mgr — the failover target — and
-// returns a fresh handle bound to mgr's clock. The session keeps its
-// id; no REQ is issued, so placement admission is the caller's job
-// (the dispatcher re-places through the node before adopting). Must
-// run on mgr's owner goroutine, like every manager call.
-func Adopt(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession) (*VGPU, error) {
-	v := &VGPU{
-		mgr:     mgr,
-		spec:    ext.Spec,
-		resp:    gvm.NewQueue[gvm.Response](mgr.Env(), 0, mgr.MsgLatency()),
-		session: ext.ID,
-		poll:    DefaultPollPolicy(),
-	}
-	if err := mgr.AdoptSession(p, ext, v.resp); err != nil {
-		return nil, err
-	}
-	v.seg = mgr.Segment(ext.ID)
 	return v, nil
 }
 
