@@ -37,19 +37,22 @@ race:
 	$(GO) test -race ./...
 
 # Merge gate for anything touching the daemon stack (ROADMAP item 1): the
-# four packages whose tests run real goroutines against each other, 20
-# times in shuffled order under the race detector. Zero flakes allowed.
+# four packages whose tests run real goroutines against each other, plus
+# gpusim — a swap hands an arena's backing store across the gpusim/gvm
+# boundary, and a cross-shard migration from one device's owner goroutine
+# to another's — 20 times in shuffled order under the race detector. Zero
+# flakes allowed.
 flake:
-	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/
+	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
-# framing, wire round trip, daemon cycle throughput, shm copies,
-# simulator calendar) — catches perf regressions that break, not ones
+# framing, wire round trip, daemon cycle throughput, the evict+restore
+# cycle, shm copies, simulator calendar) — catches perf regressions that break, not ones
 # that merely slow down. Numbers a claim rests on come from
 # `bash bench/run.sh` (BENCHMARK.json), never from here.
 bench-short:
 	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle|ShmPlaneCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
-	$(GO) test -run '^$$' -bench 'DaemonThroughput' -benchtime 20x -benchmem ./internal/ipc/
+	$(GO) test -run '^$$' -bench 'DaemonThroughput|OversubCycle' -benchtime 20x -benchmem ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar' -benchtime 100ms -benchmem ./...
 
 # The BENCHMARK.json harness is its own module (bench/); its tests pin

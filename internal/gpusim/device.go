@@ -8,6 +8,15 @@
 // bodies compute real results — used by tests and examples. In timing-only
 // mode no bytes move and only the virtual clock advances — used by the
 // paper-scale experiments, where buffers reach hundreds of megabytes.
+//
+// Device memory is host memory, one slice per live allocation, and three
+// rules govern it: a Malloc always hands out zeroed memory; a swap
+// (Context.SwapOut / SwapIn) moves ownership of an allocation's slice to
+// the caller and back instead of copying it, while the virtual clock still
+// charges the full PCIe transfer each way; and a slice is only ever
+// attached to an allocation of exactly its length. So evacuating a tenant
+// costs the host nothing proportional to its footprint, and no tenant can
+// read what another left behind.
 package gpusim
 
 import (
@@ -236,26 +245,35 @@ func (d *Device) Bytes(p cuda.DevPtr, n int64) []byte {
 	panic(fmt.Sprintf("gpusim: device memory access outside any allocation: ptr=%#x n=%d", uint64(p), n))
 }
 
-// attachBacking registers functional backing for a fresh allocation.
-func (d *Device) attachBacking(p cuda.DevPtr, n int64) {
+// attachBacking registers functional backing for a fresh n-byte
+// allocation: data when the caller hands one over (SwapIn; len(data) == n),
+// zeroed memory otherwise.
+func (d *Device) attachBacking(p cuda.DevPtr, n int64, data []byte) {
 	if !d.functional {
 		return
+	}
+	if data == nil {
+		data = make([]byte, n)
 	}
 	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].start > p })
 	d.bufs = append(d.bufs, devBuf{})
 	copy(d.bufs[i+1:], d.bufs[i:])
-	d.bufs[i] = devBuf{start: p, data: make([]byte, n)}
+	d.bufs[i] = devBuf{start: p, data: data}
 }
 
-// detachBacking drops an allocation's backing on free.
-func (d *Device) detachBacking(p cuda.DevPtr) {
+// detachBacking drops a freed allocation's backing and returns it (nil on
+// a timing-only device).
+func (d *Device) detachBacking(p cuda.DevPtr) []byte {
 	if !d.functional {
-		return
+		return nil
 	}
 	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].start >= p })
-	if i < len(d.bufs) && d.bufs[i].start == p {
-		d.bufs = append(d.bufs[:i], d.bufs[i+1:]...)
+	if i == len(d.bufs) || d.bufs[i].start != p {
+		return nil
 	}
+	data := d.bufs[i].data
+	d.bufs = append(d.bufs[:i], d.bufs[i+1:]...)
+	return data
 }
 
 func (d *Device) emit(lane, label string, start, end sim.Time) {
@@ -399,19 +417,28 @@ func (c *Context) Release() {
 	next.grant.Fire(nil)
 }
 
-// Malloc allocates device memory for this context. On a device with a
-// memory or fatal fault it fails with a *FaultError.
-func (c *Context) Malloc(n int64) (cuda.DevPtr, error) {
+// Malloc allocates device memory for this context; in functional mode it
+// is zeroed. On a device with a memory or fatal fault it fails with a
+// *FaultError.
+func (c *Context) Malloc(n int64) (cuda.DevPtr, error) { return c.malloc(n, nil) }
+
+// malloc allocates n bytes backed by data (SwapIn), or by fresh zeroed
+// memory when data is nil. Device memory is never attached short: data of
+// any other length than the rounded allocation is an error.
+func (c *Context) malloc(n int64, data []byte) (cuda.DevPtr, error) {
 	c.mustLive()
 	if err := c.dev.faultFor(XidMemory, XidFatal); err != nil {
 		return 0, err
+	}
+	rounded := c.dev.alloc.RoundUp(n)
+	if data != nil && int64(len(data)) != rounded {
+		return 0, fmt.Errorf("gpusim: %d bytes of backing for a %d-byte allocation", len(data), rounded)
 	}
 	p, err := c.dev.alloc.Alloc(n)
 	if err != nil {
 		return 0, err
 	}
-	rounded, _ := c.dev.alloc.SizeOf(p)
-	c.dev.attachBacking(p, rounded)
+	c.dev.attachBacking(p, rounded, data)
 	return p, nil
 }
 
@@ -431,12 +458,18 @@ func (c *Context) SizeOf(p cuda.DevPtr) (int64, bool) {
 
 // Free releases device memory.
 func (c *Context) Free(p cuda.DevPtr) error {
+	_, err := c.free(p)
+	return err
+}
+
+// free releases the allocation at p and returns the backing store it had
+// (nil on a timing-only device).
+func (c *Context) free(p cuda.DevPtr) ([]byte, error) {
 	c.mustLive()
 	if err := c.dev.alloc.Free(p); err != nil {
-		return err
+		return nil, err
 	}
-	c.dev.detachBacking(p)
-	return nil
+	return c.dev.detachBacking(p), nil
 }
 
 // HostBuffer is host memory used as a source or destination of transfers.
@@ -533,6 +566,46 @@ func (c *Context) MemcpyH2D(p *sim.Proc, dst cuda.DevPtr, src *HostBuffer, n int
 // MemcpyD2H is the synchronous device-to-host copy.
 func (c *Context) MemcpyD2H(p *sim.Proc, dst *HostBuffer, src cuda.DevPtr, n int64) {
 	c.memcpyD2H(p, dst, 0, src, n)
+}
+
+// swapHost is the host end of a swap transfer: pinned, so the copy engines
+// charge the pinned PCIe rate, and without data, so they move no bytes —
+// the bytes change owner instead.
+var swapHost = &HostBuffer{pinned: true}
+
+// SwapOut evacuates the allocation at ptr to the host: the full
+// device-to-host transfer is charged on p exactly as a pinned MemcpyD2H of
+// the allocation would be, then the allocation is freed and its backing
+// store — already host memory — is returned as the evacuated contents
+// (nil on a timing-only device) with its size. The caller owns the slice
+// from here on; whoever Mallocs the freed range gets fresh zeroed memory.
+func (c *Context) SwapOut(p *sim.Proc, ptr cuda.DevPtr) ([]byte, int64, error) {
+	size, ok := c.dev.alloc.SizeOf(ptr)
+	if !ok {
+		return nil, 0, fmt.Errorf("gpusim: swap-out of unallocated device pointer %#x", uint64(ptr))
+	}
+	c.memcpyD2H(p, swapHost, 0, ptr, size)
+	// The transfer slept: if another swap-out or Free won, this one fails.
+	data, err := c.free(ptr)
+	if err != nil {
+		return nil, 0, err
+	}
+	return data, size, nil
+}
+
+// SwapIn is SwapOut's inverse: it allocates n bytes like Malloc (evictor
+// and fault checks included) with data as the allocation's backing store —
+// the caller must not touch data while the allocation lives — and charges
+// the full host-to-device transfer on p exactly as a pinned MemcpyH2D
+// would. With nil data (a timing-only snapshot) the allocation is zeroed
+// like any other.
+func (c *Context) SwapIn(p *sim.Proc, data []byte, n int64) (cuda.DevPtr, error) {
+	ptr, err := c.malloc(n, data)
+	if err != nil {
+		return 0, err
+	}
+	c.memcpyH2D(p, ptr, swapHost, 0, n)
+	return ptr, nil
 }
 
 // Launch runs a kernel synchronously on the calling process: it pays the

@@ -534,3 +534,181 @@ func TestAllocatorTotal(t *testing.T) {
 		t.Fatalf("Total = %d", a.Total())
 	}
 }
+
+// TestSwapTransfersOwnershipAndIsolates pins the swap contract: the
+// evacuated contents are the allocation's own backing store, whoever
+// allocates the freed range meanwhile reads zeros and cannot reach them
+// (MASK's isolation rule), a swap-in elsewhere returns them untouched, and
+// the clock and byte counters read exactly what MemcpyD2H+Free and
+// Malloc+MemcpyH2D of the same size charge.
+func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
+	const n = 1000 // rounds up to 1024
+	env, dev := newTestDevice(t, true)
+	var outCost, inCost sim.Duration
+	env.Go("swap", func(p *sim.Proc) {
+		tenant := dev.CreateContext(p)
+		other := dev.CreateContext(p)
+		ptr := tenant.MustMalloc(n)
+		mem := dev.Bytes(ptr, n)
+		for i := range mem {
+			mem[i] = byte(i%251 + 1)
+		}
+
+		start := p.Now()
+		snap, size, err := tenant.SwapOut(p, ptr)
+		outCost = p.Now().Sub(start)
+		if err != nil || size != 1024 || int64(len(snap)) != size {
+			t.Errorf("SwapOut = %d bytes, size %d, err %v; want the 1024-byte allocation", len(snap), size, err)
+			return
+		}
+		if &snap[0] != &mem[0] {
+			t.Error("SwapOut copied: the snapshot is not the allocation's backing store")
+		}
+		if dev.MemInUse() != 0 {
+			t.Errorf("MemInUse = %d after swap-out, want 0", dev.MemInUse())
+		}
+
+		// Another tenant takes the freed range.
+		theirs := other.MustMalloc(n)
+		if theirs != ptr {
+			t.Errorf("first-fit handed out %#x, want the freed %#x", uint64(theirs), uint64(ptr))
+			return
+		}
+		for i, b := range dev.Bytes(theirs, size) {
+			if b != 0 {
+				t.Errorf("fresh allocation byte %d = %#x: it sees the evicted tenant's memory", i, b)
+				return
+			}
+		}
+		for i := range dev.Bytes(theirs, size) {
+			dev.Bytes(theirs, size)[i] = 0xEE
+		}
+
+		start = p.Now()
+		back, err := tenant.SwapIn(p, snap, size)
+		inCost = p.Now().Sub(start)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if back == theirs {
+			t.Error("swap-in landed on a live allocation")
+			return
+		}
+		got := dev.Bytes(back, n)
+		if &got[0] != &snap[0] {
+			t.Error("SwapIn copied: the allocation is not backed by the snapshot")
+		}
+		for i, b := range got {
+			if b != byte(i%251+1) {
+				t.Errorf("restored byte %d = %#x, want %#x", i, b, byte(i%251+1))
+				return
+			}
+		}
+		if dev.BytesD2H != size || dev.BytesH2D != size {
+			t.Errorf("BytesD2H/H2D = %d/%d, want %d/%d", dev.BytesD2H, dev.BytesH2D, size, size)
+		}
+	})
+	run(t, env)
+
+	// The same sizes through the copying calls on an identical device.
+	env, dev = newTestDevice(t, true)
+	env.Go("copy", func(p *sim.Proc) {
+		ctx := dev.CreateContext(p)
+		ptr := ctx.MustMalloc(n)
+		size, _ := ctx.SizeOf(ptr)
+		host := dev.AllocHost(size, true)
+		start := p.Now()
+		ctx.MemcpyD2H(p, host, ptr, size)
+		if err := ctx.Free(ptr); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := p.Now().Sub(start); got != outCost {
+			t.Errorf("SwapOut charged %v, MemcpyD2H+Free %v", outCost, got)
+		}
+		start = p.Now()
+		ctx.MemcpyH2D(p, ctx.MustMalloc(size), host, size)
+		if got := p.Now().Sub(start); got != inCost {
+			t.Errorf("SwapIn charged %v, Malloc+MemcpyH2D %v", inCost, got)
+		}
+	})
+	run(t, env)
+}
+
+// TestSwapMisuseErrors: swapping out what is not allocated (a wild pointer,
+// a freed one, the same one twice) and swapping in a buffer that does not
+// fill its allocation are errors, not panics, and leave the device as it
+// was.
+func TestSwapMisuseErrors(t *testing.T) {
+	for _, functional := range []bool{true, false} {
+		env, dev := newTestDevice(t, functional)
+		env.Go("misuse", func(p *sim.Proc) {
+			ctx := dev.CreateContext(p)
+			if _, _, err := ctx.SwapOut(p, 0x4000); err == nil {
+				t.Error("SwapOut of a wild pointer succeeded")
+			}
+			freed := ctx.MustMalloc(512)
+			if err := ctx.Free(freed); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := ctx.SwapOut(p, freed); err == nil {
+				t.Error("SwapOut of a freed pointer succeeded")
+			}
+			ptr := ctx.MustMalloc(512)
+			data, size, err := ctx.SwapOut(p, ptr)
+			if err != nil || size != 512 || (data != nil) != functional {
+				t.Errorf("functional=%v: SwapOut = %d bytes, size %d, err %v", functional, len(data), size, err)
+				return
+			}
+			if _, _, err := ctx.SwapOut(p, ptr); err == nil {
+				t.Error("second SwapOut of one pointer succeeded")
+			}
+			before := dev.BytesH2D
+			if _, err := ctx.SwapIn(p, make([]byte, 100), 512); err == nil {
+				t.Error("SwapIn attached 100 bytes as a 512-byte allocation")
+			}
+			if dev.MemInUse() != 0 || dev.BytesH2D != before {
+				t.Errorf("rejected SwapIn left %d bytes in use, charged %d", dev.MemInUse(), dev.BytesH2D-before)
+			}
+			// A timing-only snapshot (nil data) restores as zeroed memory.
+			back, err := ctx.SwapIn(p, nil, 512)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, b := range dev.Bytes(back, 512) { // nil on a timing-only device
+				if b != 0 {
+					t.Error("SwapIn without data is not zeroed")
+					return
+				}
+			}
+		})
+		run(t, env)
+	}
+}
+
+// TestSwapOutRace: two processes evacuating one allocation both sleep
+// through the transfer; the backing store goes to exactly one of them.
+func TestSwapOutRace(t *testing.T) {
+	env, dev := newTestDevice(t, true)
+	won := 0
+	env.Go("setup", func(p *sim.Proc) {
+		ctx := dev.CreateContext(p)
+		ptr := ctx.MustMalloc(4096)
+		for i := 0; i < 2; i++ {
+			env.Go("swapper", func(p *sim.Proc) {
+				if data, _, err := ctx.SwapOut(p, ptr); err == nil && len(data) == 4096 {
+					won++
+				} else if err == nil {
+					t.Errorf("SwapOut succeeded with %d bytes", len(data))
+				}
+			})
+		}
+	})
+	run(t, env)
+	if won != 1 || dev.MemInUse() != 0 {
+		t.Fatalf("%d swap-outs won the allocation, %d bytes still in use; want 1 and 0", won, dev.MemInUse())
+	}
+}

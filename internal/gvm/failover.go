@@ -156,8 +156,8 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 // materialized eagerly; if the target is too loaded to restore right now
 // the snapshot stays intact and the next verb's transparent restore
 // retries — adoption itself only fails on an id collision (impossible
-// under the node's striped id scheme) or a staging snapshot of the wrong
-// size. The session was admitted on its source shard and the node
+// under the node's striped id scheme) or a staging or arena snapshot of the
+// wrong size. The session was admitted on its source shard and the node
 // re-placed it against this shard's headroom, so no quota re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
@@ -170,6 +170,16 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 		ext.Footprint != ext.Spec.InBytes+ext.Spec.OutBytes {
 		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, footprint %d, spec says %d+%d",
 			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Footprint, ext.Spec.InBytes, ext.Spec.OutBytes)
+	}
+	// So may the arena snapshot, whose buffers become device memory as they
+	// are: each must be a whole allocation, and in/out the ones the spec's
+	// kernels and copies address.
+	if err := ext.snap.validate(m.dev.RoundUp); err != nil {
+		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot: %w", ext.ID, err)
+	}
+	if wantIn, wantOut := m.dev.RoundUp(ext.Spec.InBytes), m.dev.RoundUp(ext.Spec.OutBytes); ext.snap.inSize != wantIn || ext.snap.outSize != wantOut {
+		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot is %d+%d bytes, spec needs %d+%d",
+			ext.ID, ext.snap.inSize, ext.snap.outSize, wantIn, wantOut)
 	}
 	s := &session{
 		id: ext.ID, spec: ext.Spec,

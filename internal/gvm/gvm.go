@@ -798,7 +798,9 @@ func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
 	m.sessions[s.id] = s
 	m.met.sessionsOpened.Inc()
 	m.met.openSessions.Inc()
-	m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
+	if m.cfg.Tracer != nil {
+		m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
+	}
 	return s, nil
 }
 
@@ -1129,19 +1131,7 @@ func (m *Manager) teardown(s *session) {
 		}
 	}
 	s.notify = nil
-	ctx := m.ctx
-	if s.devIn != 0 {
-		_ = ctx.Free(s.devIn)
-		s.devIn = 0
-	}
-	if s.devOut != 0 {
-		_ = ctx.Free(s.devOut)
-		s.devOut = 0
-	}
-	for _, ptr := range s.scratch {
-		_ = ctx.Free(ptr)
-	}
-	s.scratch = nil
+	m.freeSessionBuffers(s)
 	if s.stream != nil {
 		s.stream.Close()
 		s.stream = nil

@@ -68,9 +68,16 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
 	}
-	if len(w.Scratch) != len(w.ScrSizes) {
-		// resumeSession walks the two in step; a blob is wire input.
-		return nil, fmt.Errorf("gvm: decode extracted session: %d scratch buffers, %d sizes", len(w.Scratch), len(w.ScrSizes))
+	snap := &snapshot{
+		in: w.SnapIn, out: w.SnapOut,
+		inSize: w.SnapInSize, outSize: w.SnapOutSize,
+		scratch: w.Scratch, scrSizes: w.ScrSizes,
+		total: w.SnapTotal,
+	}
+	// A blob is wire input; the target's allocation granularity is checked
+	// at adoption.
+	if err := snap.validate(func(n int64) int64 { return n }); err != nil {
+		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
 	}
 	return &ExtractedSession{
 		ID:       w.ID,
@@ -78,12 +85,7 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 		Done: w.Done, Rerun: w.Rerun,
 		Footprint: w.Footprint, DevBytes: w.DevBytes,
 		PinIn: w.PinIn, PinOut: w.PinOut,
-		snap: &snapshot{
-			in: w.SnapIn, out: w.SnapOut,
-			inSize: w.SnapInSize, outSize: w.SnapOutSize,
-			scratch: w.Scratch, scrSizes: w.ScrSizes,
-			total: w.SnapTotal,
-		},
+		snap: snap,
 	}, nil
 }
 

@@ -146,14 +146,20 @@ func newSurface(t *testing.T, daemon bool, p *sim.Proc, m *Manager, spec *task.S
 		t.Fatalf("OpenSession: %v", err)
 	}
 	sf.id = id
-	sf.in, sf.out = make([]byte, spec.InBytes), make([]byte, spec.OutBytes)
-	if err := m.BindDirect(id, sf.in, sf.out, func(_ Verb, st Status, msg string) {
+	sf.bind(make([]byte, spec.InBytes), make([]byte, spec.OutBytes))
+	return sf
+}
+
+// bind makes in/out the daemon session's staging and the surface its
+// control surface.
+func (sf *surface) bind(in, out []byte) {
+	sf.in, sf.out = in, out
+	if err := sf.m.BindDirect(sf.id, in, out, func(_ Verb, st Status, msg string) {
 		sf.st, sf.msg = st, msg
 		sf.outcome.Fire(nil)
 	}); err != nil {
-		t.Fatalf("BindDirect: %v", err)
+		sf.t.Fatalf("BindDirect: %v", err)
 	}
-	return sf
 }
 
 // verb issues v and returns its final outcome; the queue surface's WAIT
@@ -274,14 +280,9 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 	}
 }
 
-// runRow plays one table row on one surface of a fresh functional manager.
-func runRow(t *testing.T, daemon bool, row protocolRow) (st Status, msg, next string, rcv []byte) {
-	env := sim.NewEnv()
-	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070(), Functional: true})
-	m := New(env, Config{Device: dev, PinnedStaging: true})
-	m.Start()
-	w := workloads.VectorAdd(surfaceTestN)
-	spec := w.Spec(0)
+// slowKernels costs spec's kernels up by surfaceTestScale, so a flush stays
+// "running" long enough to be observed.
+func slowKernels(spec *task.Spec) *task.Spec {
 	build := spec.Build
 	spec.Build = func(b *task.Buffers) ([]*cuda.Kernel, error) {
 		ks, err := build(b)
@@ -290,6 +291,17 @@ func runRow(t *testing.T, daemon bool, row protocolRow) (st Status, msg, next st
 		}
 		return ks, err
 	}
+	return spec
+}
+
+// runRow plays one table row on one surface of a fresh functional manager.
+func runRow(t *testing.T, daemon bool, row protocolRow) (st Status, msg, next string, rcv []byte) {
+	env := sim.NewEnv()
+	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070(), Functional: true})
+	m := New(env, Config{Device: dev, PinnedStaging: true})
+	m.Start()
+	w := workloads.VectorAdd(surfaceTestN)
+	spec := slowKernels(w.Spec(0))
 	input := make([]byte, spec.InBytes)
 	w.Fill(0, input)
 	env.Go("driver", func(p *sim.Proc) {

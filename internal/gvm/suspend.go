@@ -24,6 +24,16 @@ import (
 // restored transparently on its next SND/STR/RCV. A session's logical
 // reservation (devBytes) survives eviction — "admitted" no longer
 // implies "resident".
+//
+// A swap moves ownership, not bytes: the simulated device's memory is host
+// memory already, so an evacuation (gpusim.Context.SwapOut) hands each
+// allocation's backing store to the snapshot and a restore (SwapIn) hands
+// it back as the new allocation's backing. The virtual clock still charges
+// the full PCIe transfer both ways, and whoever allocates the freed range
+// meanwhile gets fresh zeroed memory, never the evicted tenant's bytes.
+// The snapshot keeps its slices until the session is resident again, so a
+// restore that fails part-way only detaches what it attached and stays
+// retryable.
 
 // The two extension verbs.
 const (
@@ -31,7 +41,9 @@ const (
 	RES                       // resume: restore GPU state
 )
 
-// snapshot is a suspended session's saved device state.
+// snapshot is a suspended session's saved device state: per device buffer
+// its rounded size and, from a functional device, the backing store it had
+// (nil from a timing-only one).
 type snapshot struct {
 	in, out  []byte
 	inSize   int64
@@ -46,6 +58,25 @@ type snapshot struct {
 	// neither resident — its device pointers are being freed, or are not
 	// all back — nor restorable, and they wait for the event (waitSettled).
 	moving *sim.Event
+}
+
+// validate checks what the restore path relies on when the snapshot came
+// off the wire (a MIG blob): one size per scratch buffer, and every buffer
+// either absent or exactly its declared size, which is a whole allocation
+// under roundUp — a restore makes the buffer device memory as it is, and a
+// short one would fault the first kernel that touches its tail.
+func (sn *snapshot) validate(roundUp func(int64) int64) error {
+	if len(sn.scratch) != len(sn.scrSizes) {
+		return fmt.Errorf("%d scratch buffers, %d sizes", len(sn.scratch), len(sn.scrSizes))
+	}
+	sizes := append([]int64{sn.inSize, sn.outSize}, sn.scrSizes...)
+	for i, data := range append([][]byte{sn.in, sn.out}, sn.scratch...) {
+		if size := sizes[i]; size < 0 || roundUp(size) != size || (data != nil && int64(len(data)) != size) {
+			return fmt.Errorf("buffer %d (in, out, scratch...): %d bytes of data for a declared size of %d (a whole allocation is %d)",
+				i, len(data), size, roundUp(size))
+		}
+	}
+	return nil
 }
 
 // settle ends the copy window opened on sn.
@@ -105,8 +136,6 @@ func (m *Manager) resume(p *sim.Proc, s *session) string {
 // for it waits in the restore path instead of running on a half-freed
 // arena.
 func (m *Manager) suspendSession(p *sim.Proc, s *session) {
-	ctx := m.ctx
-	dev := m.dev
 	start := p.Now()
 	snap := &snapshot{moving: m.env.NewEvent()}
 	s.susp = snap
@@ -114,18 +143,8 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 		if ptr == 0 {
 			return nil, 0
 		}
-		size, ok := ctx.SizeOf(ptr)
-		if !ok {
-			return nil, 0
-		}
-		staging := dev.AllocHost(size, true)
-		ctx.MemcpyD2H(p, staging, ptr, size)
+		data, size, _ := m.ctx.SwapOut(p, ptr) // a pointer the session does not hold saves as nothing
 		snap.total += size
-		var data []byte
-		if dev.Functional() {
-			data = append([]byte(nil), staging.Data()...)
-		}
-		_ = ctx.Free(ptr)
 		return data, size
 	}
 	snap.in, snap.inSize = save(s.devIn)
@@ -140,7 +159,9 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 	s.ops = nil     // the prebound flush closures captured those kernels
 	snap.settle()
 	m.met.swapOutBytes.Add(snap.total)
-	m.cfg.trace("gvm", fmt.Sprintf("SUS s%d %dB", s.id, snap.total), start, p.Now())
+	if m.cfg.Tracer != nil {
+		m.cfg.trace("gvm", fmt.Sprintf("SUS s%d %dB", s.id, snap.total), start, p.Now())
+	}
 }
 
 // resumeSession reallocates the session's device buffers, restores their
@@ -151,9 +172,7 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 // selects the metric pair (lazy restore vs client RES).
 func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) error {
 	// Restoring may itself need room: the allocator's evictor runs inside
-	// these Mallocs and charges the evacuation on p, the running process.
-	ctx := m.ctx
-	dev := m.dev
+	// these SwapIns and charges the evacuation on p, the running process.
 	// The snapshot may still be filling (another process's evacuation of s
 	// is in flight); a release can win the wake-up that ends it.
 	m.waitSettled(p, s)
@@ -172,16 +191,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 		if size == 0 {
 			return 0, nil
 		}
-		ptr, err := ctx.Malloc(size)
-		if err != nil {
-			return 0, err
-		}
-		staging := dev.AllocHost(size, true)
-		if dev.Functional() && data != nil {
-			copy(staging.Data(), data)
-		}
-		ctx.MemcpyH2D(p, ptr, staging, size)
-		return ptr, nil
+		return m.ctx.SwapIn(p, data, size)
 	}
 	var err error
 	if s.devIn, err = restore(snap.in, snap.inSize); err != nil {
@@ -226,7 +236,9 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 		m.met.resumes.Inc()
 	}
 	m.met.swapInBytes.Add(snap.total)
-	m.cfg.trace("gvm", fmt.Sprintf("RES s%d %dB", s.id, snap.total), start, p.Now())
+	if m.cfg.Tracer != nil {
+		m.cfg.trace("gvm", fmt.Sprintf("RES s%d %dB", s.id, snap.total), start, p.Now())
+	}
 	return nil
 }
 
@@ -424,8 +436,9 @@ func (a *sessionAllocator) Free(p cuda.DevPtr) error {
 	return nil
 }
 
-// freeSessionBuffers releases whatever device buffers a partially
-// restored session holds, keeping its snapshot intact. The logical
+// freeSessionBuffers releases whatever device buffers a session holds. For
+// a partially restored one that only detaches them: the snapshot still owns
+// the slices it lent as backing, so it stays intact. The logical
 // reservation is untouched: the session still holds its bytes, they are
 // just not resident.
 func (m *Manager) freeSessionBuffers(s *session) {

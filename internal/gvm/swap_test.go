@@ -1,0 +1,190 @@
+package gvm
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/gpusim"
+	"gpuvirt/internal/sim"
+	"gpuvirt/internal/workloads"
+)
+
+// A swap hands the arena's backing store to the snapshot and back
+// (suspend.go), so the snapshot must survive whatever interrupts a
+// restore, and a migration must carry exactly the arena's bytes. Both
+// tests run a real vecadd cycle first, so the arenas hold input and
+// results rather than zeros.
+
+// swapTestManager is a functional manager on a card of memBytes.
+func swapTestManager(memBytes int64) (*sim.Env, *gpusim.Device, *Manager) {
+	env := sim.NewEnv()
+	arch := fermi.TeslaC2070()
+	arch.MemBytes = memBytes
+	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
+	m := New(env, Config{Device: dev, PinnedStaging: true, MaxSessionBytes: 1 << 30})
+	m.Start()
+	return env, dev, m
+}
+
+// arenas copies the resident session's device buffers.
+func arenas(dev *gpusim.Device, s *session) (in, out []byte) {
+	in = append(in, dev.Bytes(s.devIn, s.spec.InBytes)...)
+	out = append(out, dev.Bytes(s.devOut, s.spec.OutBytes)...)
+	return in, out
+}
+
+// TestFailedPartialRestoreKeepsSnapshot: the card has room for the evicted
+// session's first buffer but not its second, and the only other session is
+// mid-flush, so nothing is evictable. The restore fails after it attached
+// the first buffer; it must give the device back exactly what it took,
+// keep the snapshot whole, and the retry — once the flush is over — must
+// bring back byte-identical arenas.
+func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
+	w := workloads.VectorAdd(surfaceTestN)
+	spec := w.Spec(0) // 8 KiB in, 4 KiB out
+	slow := slowKernels(w.Spec(1))
+	// Both sessions' arenas would need 24 KiB; with the pinning session
+	// resident, 8 KiB stay free: the input buffer fits, the output does not.
+	env, dev, m := swapTestManager(256 + 20<<10)
+	input := make([]byte, spec.InBytes)
+	w.Fill(0, input)
+	env.Go("driver", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		victim := newSurface(t, true, p, m, spec)
+		victim.enter(p, "done", input)
+		s := m.sessions[victim.id]
+		wantIn, wantOut := arenas(dev, s)
+		s.evicted = true // what evictForAlloc does to its victim
+		m.suspendSession(p, s)
+		if dev.MemInUse() != 0 {
+			t.Fatalf("MemInUse = %d after the eviction, want 0", dev.MemInUse())
+		}
+
+		pin := newSurface(t, true, p, m, slow)
+		pin.enter(p, "running", input)
+		resident, copied := dev.MemInUse(), dev.BytesH2D
+
+		err := m.resumeSession(p, s, true)
+		if err == nil || !strings.Contains(err.Error(), "out of device memory") {
+			t.Fatalf("restore beside a running session: %v, want out of device memory", err)
+		}
+		if got := dev.BytesH2D - copied; got != spec.InBytes {
+			t.Fatalf("failed restore transferred %d bytes, want the input buffer's %d: it did not fail on the second buffer", got, spec.InBytes)
+		}
+		if s.susp == nil || s.devIn != 0 || s.devOut != 0 || dev.MemInUse() != resident {
+			t.Fatalf("failed restore left devIn=%#x devOut=%#x, %d bytes resident (want %d), snapshot %v",
+				uint64(s.devIn), uint64(s.devOut), dev.MemInUse(), resident, s.susp != nil)
+		}
+		if !bytes.Equal(s.susp.in[:spec.InBytes], wantIn) || !bytes.Equal(s.susp.out[:spec.OutBytes], wantOut) {
+			t.Fatal("failed restore damaged the snapshot")
+		}
+
+		pin.must(p, STP) // the flush is over: the pinning session is evictable
+		if err := m.resumeSession(p, s, true); err != nil {
+			t.Fatalf("retried restore: %v", err)
+		}
+		gotIn, gotOut := arenas(dev, s)
+		if !bytes.Equal(gotIn, wantIn) || !bytes.Equal(gotOut, wantOut) {
+			t.Fatal("retried restore is not byte-identical")
+		}
+		victim.must(p, RCV)
+		if err := w.Check(0, victim.results()); err != nil {
+			t.Errorf("RCV after the retried restore: %v", err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrationRoundTripMovesArena: ExtractSession → Encode →
+// DecodeExtracted → AdoptSession onto a second device keeps arenas and
+// results byte-identical and leaves nothing on the source; a blob whose
+// arena buffer is shorter than its declared size, or whose size is not a
+// whole allocation on the target or not the one the spec's kernels address,
+// is refused before anything is attached.
+func TestMigrationRoundTripMovesArena(t *testing.T) {
+	w := workloads.VectorAdd(surfaceTestN)
+	spec := w.Spec(0)
+	input := make([]byte, spec.InBytes)
+	w.Fill(0, input)
+
+	var blob, wantIn, wantOut []byte
+	env, src, m := swapTestManager(1 << 20)
+	env.Go("source", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		sf := newSurface(t, true, p, m, spec)
+		sf.enter(p, "done", input)
+		wantIn, wantOut = arenas(src, m.sessions[sf.id])
+		ext, err := m.ExtractSession(p, sf.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = ext.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if src.MemInUse() != 0 || src.MemReserved() != 0 || m.OpenSessions() != 0 {
+		t.Fatalf("source after extraction: %d bytes in use, %d reserved, %d sessions; want 0",
+			src.MemInUse(), src.MemReserved(), m.OpenSessions())
+	}
+
+	decode := func() *ExtractedSession {
+		ext, err := DecodeExtracted(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.Spec = spec
+		return ext
+	}
+	env, dst, m := swapTestManager(1 << 20)
+	env.Go("target", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		short := decode()
+		short.snap.out = short.snap.out[:len(short.snap.out)-1]
+		odd := decode()
+		odd.snap.in, odd.snap.inSize = odd.snap.in[:100], 100
+		small := decode()
+		small.snap.in, small.snap.inSize = small.snap.in[:256], 256
+		for name, bad := range map[string]*ExtractedSession{"a short buffer": short, "an unrounded size": odd, "an input arena smaller than the spec's": small} {
+			if err := m.AdoptSession(p, bad); err == nil {
+				t.Errorf("AdoptSession accepted a blob with %s", name)
+			}
+			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.OpenSessions() != 0 {
+				t.Fatalf("refused blob (%s) left %d bytes in use, %d reserved, %d sessions",
+					name, dst.MemInUse(), dst.MemReserved(), m.OpenSessions())
+			}
+		}
+
+		ext := decode()
+		if err := m.AdoptSession(p, ext); err != nil {
+			t.Fatal(err)
+		}
+		s := m.sessions[ext.ID]
+		if s.susp != nil {
+			t.Fatal("adopted session was not materialized on an empty card")
+		}
+		gotIn, gotOut := arenas(dst, s)
+		if !bytes.Equal(gotIn, wantIn) || !bytes.Equal(gotOut, wantOut) {
+			t.Fatal("migrated arenas are not byte-identical")
+		}
+		sf := &surface{t: t, env: env, m: m, id: ext.ID}
+		sf.bind(m.Staging(ext.ID))
+		sf.must(p, RCV)
+		if err := w.Check(0, sf.results()); err != nil {
+			t.Errorf("RCV on the target: %v", err)
+		}
+		sf.must(p, RLS)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.MemInUse() != 0 || dst.MemReserved() != 0 {
+		t.Fatalf("target after release: %d bytes in use, %d reserved", dst.MemInUse(), dst.MemReserved())
+	}
+}

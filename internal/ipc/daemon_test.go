@@ -15,7 +15,7 @@ import (
 )
 
 // startServerOn starts a daemon on an explicit listener set.
-func startServerOn(t *testing.T, cfg ServerConfig) *Server {
+func startServerOn(t testing.TB, cfg ServerConfig) *Server {
 	t.Helper()
 	if cfg.ShmDir == "" {
 		cfg.ShmDir = t.TempDir()

@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"encoding/base64"
 	"strings"
 	"testing"
 	"time"
@@ -28,8 +29,11 @@ func dialRaw(t testing.TB, addr string) *transport.Conn {
 // daemon unmarshals straight off the wire from whoever connects — to a
 // live functional daemon. The daemon must answer every one (adopting the
 // well-formed, rejecting the rest), stay up, and hold nothing once the
-// connection is gone. The seed is a real blob: a staged session pulled
-// off the same daemon with MIG.
+// connection is gone. An adoption makes the blob's arena buffers device
+// memory as they are, so what it adopts must also take a whole cycle —
+// copies and kernels over every byte the spec addresses — without the
+// daemon dying on a short arena. The seed is a real blob: a staged session
+// pulled off the same daemon with MIG.
 func FuzzMigBlob(f *testing.F) {
 	s, err := NewServer(ServerConfig{
 		Listen:     []string{"inproc://fuzz-migblob"},
@@ -78,13 +82,26 @@ func FuzzMigBlob(f *testing.F) {
 	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"ext":{"id":1,"footprint":768,"scratch":["AA=="]}}`))
 	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"ext":{"id":1,"footprint":-1}}`))
 	f.Add([]byte(`{"ref":{"name":"nope"},"ext":{}}`))
+	// Arena buffers that do not fill their allocation: 3 bytes declared as
+	// the 512-byte input arena, and 100 bytes honestly declared as 100.
+	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"in_bytes":512,"out_bytes":256,"ext":{"id":1,"footprint":768,"dev_bytes":768,"snap_in":"AQID","snap_in_size":512,"snap_out_size":256,"snap_total":768}}`))
+	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"in_bytes":512,"out_bytes":256,"ext":{"id":1,"footprint":768,"dev_bytes":768,"snap_in":"` +
+		base64.StdEncoding.EncodeToString(make([]byte, 100)) + `","snap_in_size":100,"snap_out_size":256,"snap_total":356}}`))
 	f.Add([]byte(`{"ext":`))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		c := dial(t)
 		resp := trip(t, c, transport.Request{Verb: "ADP", Data: blob})
 		if resp.Status == "ACK" {
-			// An adopted session is a session like any other.
+			// An adopted session is a session like any other: it runs a
+			// cycle (whatever each verb answers, it answers) and releases.
+			for _, verb := range []string{"SND", "STR", "STP", "RCV"} {
+				req := transport.Request{Verb: verb, Session: resp.Session}
+				if verb == "SND" {
+					req.Data = make([]byte, resp.InBytes)
+				}
+				trip(t, c, req)
+			}
 			if r := trip(t, c, transport.Request{Verb: "RLS", Session: resp.Session}); r.Status != "ACK" {
 				t.Fatalf("RLS of the adopted session: %s %s", r.Status, r.Err)
 			}

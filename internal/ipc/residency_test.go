@@ -1,12 +1,15 @@
 package ipc
 
 import (
+	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/workloads"
 )
 
@@ -242,5 +245,94 @@ func TestDaemonQuotaAndPriorityOnREQ(t *testing.T) {
 	}
 	if err := sess.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The `oversub` workload (BENCHMARK.json) in-process: eight vecadd sessions
+// of 48 KiB of arenas each on a 100 KiB card that holds two, so driven
+// round-robin every cycle lands on an evicted session and pays one
+// eviction and one restore.
+const (
+	oversubSessions  = 8
+	oversubN         = 4096
+	oversubFootprint = 3 * 4 * oversubN // two input vectors and the sum
+)
+
+// startOversub boots the oversubscribed daemon behind a unix socket, opens
+// and warms the sessions, and returns the function that runs cycle i —
+// on session i mod 8, output verified — with the shard's manager.
+func startOversub(tb testing.TB) (cycle func(i int), mgr *gvm.Manager) {
+	tb.Helper()
+	dir := tb.TempDir()
+	arch := fermi.TeslaC2070()
+	arch.MemBytes = 100 << 10
+	s := startServerOn(tb, ServerConfig{
+		Listen:     []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
+		ShmDir:     dir,
+		Functional: true,
+		Arch:       arch,
+		Overcommit: 4,
+	})
+	c, err := Dial(s.Addr(), dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	var (
+		sess      [oversubSessions]*Session
+		ins, want [oversubSessions][]byte
+	)
+	out := make([]byte, 4*oversubN)
+	cycle = func(i int) {
+		k := i % oversubSessions
+		if err := sess[k].RunCycle(ins[k], out); err != nil {
+			tb.Fatalf("cycle %d: %v", i, err)
+		}
+		if !bytes.Equal(out, want[k]) {
+			tb.Fatalf("cycle %d: session %d read back wrong results", i, k)
+		}
+	}
+	for k := range sess {
+		if sess[k], err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": oversubN}}, k); err != nil {
+			tb.Fatal(err)
+		}
+		ins[k], want[k] = vecaddInput(oversubN, k)
+		cycle(k)
+	}
+	return cycle, s.node.Shard(0).Mgr
+}
+
+// BenchmarkOversubCycle is one warm cycle on an evicted session: a verb
+// round trip plus one eviction and one restore of a 48 KiB arena. B/op is
+// the regression guard's number — a swap moves ownership of the arena's
+// backing store, so it stays far below the footprint.
+func BenchmarkOversubCycle(b *testing.B) {
+	cycle, _ := startOversub(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+}
+
+// TestSwapCycleAllocatesNoArena fails tier-1, not a benchmark run, when a
+// staging copy comes back to the swap path: the whole process — client,
+// daemon, simulator — allocates under a quarter of the session footprint
+// per evict+restore cycle.
+func TestSwapCycleAllocatesNoArena(t *testing.T) {
+	const cycles = 64
+	cycle, mgr := startOversub(t)
+	evictions := mgr.Evictions()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := mgr.Evictions() - evictions; got < cycles*9/10 {
+		t.Fatalf("%d evictions in %d cycles: the card was not oversubscribed", got, cycles)
+	}
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= oversubFootprint/4 {
+		t.Fatalf("%d heap bytes allocated per evict+restore cycle, want under a quarter of the %d-byte arena", perCycle, oversubFootprint)
 	}
 }

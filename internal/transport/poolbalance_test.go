@@ -27,18 +27,16 @@ func TestPoolBalanceRoundTrips(t *testing.T) {
 		client, server := NewConn(cc), NewConn(sc)
 		done := make(chan error, 1)
 		go func() {
-			defer server.Release()
-			for {
+			var werr error
+			for werr == nil {
 				req, err := server.ReadRequest()
 				if err != nil {
-					done <- nil // client closed
-					return
+					break // client closed
 				}
-				if err := server.WriteResponse(Response{Status: "ACK", Data: req.Data}); err != nil {
-					done <- err
-					return
-				}
+				werr = server.WriteResponse(Response{Status: "ACK", Data: req.Data})
 			}
+			server.Release() // before done: the balance is read right after it
+			done <- werr
 		}()
 		for _, n := range []int{16, 4097, rbufHighWater + 1, 64, 1 << 16} {
 			payload := make([]byte, n)
