@@ -21,9 +21,16 @@ vet:
 
 # One verb engine (DESIGN.md §3): internal/transport reaches gvm's verbs only
 # through frameRun — no vgpu handle, one DirectVerb call site — so a second
-# execution path cannot quietly come back.
+# execution path cannot quietly come back. And one frame rule: the socket
+# dispatcher, the ring host and the fed router each call transport.FrameSteps
+# (exec.go), and none of transport or fed keeps rank bookkeeping of its own
+# (lastRank, batchVerbRank) beside it.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
+	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
+	for f in internal/transport/dispatch.go internal/transport/ringhost.go internal/fed/proxy.go; do \
+		grep -q 'FrameSteps(' $$f || bad="$$bad $$f:no-FrameSteps-call"; done; \
+	[ -z "$$bad" ] || { echo "the frame rule has forked (rank bookkeeping outside transport.FrameSteps, or a front-end not calling it):$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -54,7 +54,7 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	hop := func() {
-		resp, locked := r.serveVerb(transport.Request{Verb: "SND", Session: 1, Data: payload}, cc)
+		resp, locked := r.serveFrame(transport.Request{Verb: "SND", Session: 1, Data: payload}, cc)
 		if locked == nil {
 			t.Fatal("hop did not return the locked session")
 		}

@@ -8,9 +8,11 @@
 // schema) into one node-level Load and runs the SAME node.Placer +
 // node.Policy machinery the daemon itself uses for shards — the router
 // picks the node, the node's own policy picks the GPU. Every session
-// gets its own sticky backend connection: REQ opens it, later verbs are
-// proxied over it with the pooled zero-copy framing (the warm proxy hop
-// allocates nothing), and STR barriers on one session can never block
+// gets its own sticky backend connection: REQ opens it, later frames —
+// each one session's verbs, checked by the daemon's own frame rule
+// (transport.FrameSteps) before the router looks the session up — are
+// proxied over it whole with the pooled zero-copy framing (the warm proxy
+// hop allocates nothing), and STR barriers on one session can never block
 // another session's traffic.
 //
 // Failover extends PR9's live migration across nodes. When a backend

@@ -62,50 +62,22 @@ func (r *Router) recreateLocked(s *fedSession) error {
 		Plane:    transport.PlaneInline,
 		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
 	}
-	footprint := s.inB + s.outB
-	var lastErr error
-	for attempt := 0; attempt <= len(r.backends); attempt++ {
-		b, perr := r.place(footprint)
-		if perr != nil {
-			if lastErr != nil {
-				perr = fmt.Errorf("%v (last backend error: %v)", perr, lastErr)
-			}
-			return errors.New(gvm.Retryable(fmt.Sprintf(
-				"fed: session %d lost node %d and cannot be re-placed: %v", s.vid, old.idx, perr)))
-		}
-		conn, nc, derr := r.dialBackend(b)
-		if derr != nil {
-			r.unplace(b, footprint)
-			r.markDead(b, derr)
-			lastErr = derr
-			continue
-		}
-		resp, terr := tripConn(conn, fwd)
-		if terr != nil {
-			nc.Close()
-			conn.Release()
-			r.unplace(b, footprint)
-			r.markDead(b, terr)
-			lastErr = terr
-			continue
-		}
-		if resp.Status != "ACK" {
-			nc.Close()
-			conn.Release()
-			r.unplace(b, footprint)
-			return fmt.Errorf("fed: re-place session %d on node %d: %s", s.vid, b.idx, resp.Err)
-		}
-		s.attachLocked(b, resp.Session, conn, nc)
-		s.staged = false // the input died with the old node
-		r.met.failovers.Inc()
-		if r.cfg.Log != nil {
-			r.cfg.Log.Info("session re-created after node death",
-				"vsession", s.vid, "from-node", old.idx, "to-node", b.idx, "backend-session", resp.Session)
-		}
-		return nil
+	b, conn, nc, resp, err := r.openOn(fwd, s.inB+s.outB)
+	if err != nil {
+		return errors.New(gvm.Retryable(fmt.Sprintf(
+			"fed: session %d lost node %d and cannot be re-placed: %v", s.vid, old.idx, err)))
 	}
-	return errors.New(gvm.Retryable(fmt.Sprintf(
-		"fed: session %d lost node %d and every re-placement attempt failed: %v", s.vid, old.idx, lastErr)))
+	if conn == nil {
+		return fmt.Errorf("fed: re-place session %d on node %d: %s", s.vid, b.idx, resp.Err)
+	}
+	s.attachLocked(b, resp.Session, conn, nc)
+	s.staged = false // the input died with the old node
+	r.met.failovers.Inc()
+	if r.cfg.Log != nil {
+		r.cfg.Log.Info("session re-created after node death",
+			"vsession", s.vid, "from-node", old.idx, "to-node", b.idx, "backend-session", resp.Session)
+	}
+	return nil
 }
 
 // migrateLocked live-migrates the session off its draining node:
@@ -137,34 +109,16 @@ func (r *Router) migrateLocked(s *fedSession) error {
 	blob := append([]byte(nil), resp.Data...)
 	r.dropBackendLocked(s, true)
 
+	// A node that refuses the adoption leaves the others to try.
 	adp := transport.Request{Verb: "ADP", Data: blob}
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
-		b, perr := r.place(footprint)
-		if perr != nil {
-			lastErr = perr
+		b, conn, nc, aresp, err := r.openOn(adp, footprint)
+		if err != nil {
+			lastErr = err
 			break
 		}
-		conn, nc, derr := r.dialBackend(b)
-		if derr != nil {
-			r.unplace(b, footprint)
-			r.markDead(b, derr)
-			lastErr = derr
-			continue
-		}
-		aresp, aerr := tripConn(conn, adp)
-		if aerr != nil {
-			nc.Close()
-			conn.Release()
-			r.unplace(b, footprint)
-			r.markDead(b, aerr)
-			lastErr = aerr
-			continue
-		}
-		if aresp.Status != "ACK" {
-			nc.Close()
-			conn.Release()
-			r.unplace(b, footprint)
+		if conn == nil {
 			lastErr = errors.New(aresp.Err)
 			continue
 		}

@@ -390,11 +390,11 @@ func (s *Session) Release() error {
 	return err
 }
 
-// Do sends a batch of verbs as one BAT frame — one daemon round trip —
+// Do sends one session's steps as one BAT frame — one daemon round trip —
 // and returns the per-verb responses in order. The daemon stops at the
-// first failing verb; later responses report themselves skipped. Each
-// session may run at most one cycle (SND<STR<STP<RCV<RLS, each at most
-// once, in order) per batch.
+// first failing verb; later responses report themselves skipped. A frame
+// is one session's verbs (transport.FrameSteps): every request names the
+// same session, each of SND<STR<STP<RCV<RLS at most once, in order.
 func (c *Client) Do(reqs []Request) ([]Response, error) {
 	resp, err := c.roundTrip(Request{Verb: "BAT", Batch: reqs})
 	if err != nil {

@@ -324,3 +324,71 @@ func TestInprocTransport(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseWithFrameParkedAtBarrier shuts a daemon down while one client
+// sits at a strict two-party STR barrier no peer will ever complete: on
+// either front-end Close must return, the client's call with it, and the
+// session's device memory, placement and segment be released.
+func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
+	for _, scheme := range []string{"unix", "ring"} {
+		scheme := scheme
+		t.Run(scheme, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewServer(ServerConfig{
+				Listen:  []string{scheme + "://" + tempSocket(t)},
+				ShmDir:  dir,
+				Parties: 2, Functional: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			c, err := Dial(s.Addr(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked := make(chan error, 1)
+			go func() { parked <- sess.Start() }()
+			// REQ and STR are the two requests gvm has seen once the STR is in;
+			// the probe then orders us behind the owner pass that parked it.
+			for mgr := s.node.Shard(0).Mgr; mgr.Requests() < 2; {
+				time.Sleep(time.Millisecond)
+			}
+			s.submitProbe(0, func() {})
+
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Close still hangs after 2 s with a frame parked at the barrier")
+			}
+			select {
+			case err := <-parked:
+				if err == nil {
+					t.Error("the parked STR was acknowledged")
+				}
+			case <-time.After(2 * time.Second):
+				t.Error("the client's parked STR never returned")
+			}
+			if open := s.disp.OpenSessions(); open != 0 {
+				t.Errorf("%d dispatcher sessions left", open)
+			}
+			sh := s.node.Shard(0)
+			if open, inUse, reserved := sh.Mgr.OpenSessions(), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
+				t.Errorf("gpu 0: %d open sessions, %d bytes in use, %d reserved", open, inUse, reserved)
+			}
+			if segs := ringSegments(t, dir); len(segs) != 0 {
+				t.Errorf("segments left: %v", segs)
+			}
+		})
+	}
+}

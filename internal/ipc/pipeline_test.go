@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gpuvirt/internal/cuda"
+	"gpuvirt/internal/fed"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -96,68 +97,102 @@ func TestMaxSessionBytes(t *testing.T) {
 }
 
 // TestBATMisuse pins what a malformed or mistimed frame draws from the
-// daemon, on both carriers: a frame that is wrong as a whole is rejected
+// daemon, on every carrier: a frame that is wrong as a whole is rejected
 // whole, before any owner work; a verb the session's state does not allow
-// fails as its own step. The socket dispatcher and the ring host are two
-// front-ends of one engine, so every row both can express must answer the
-// same status and the same error text. (States a carrier cannot reach — a
-// second verb while the first still runs, since each carrier serves a
-// session's frames one at a time — are held to the same table one level
-// down, in gvm's TestProtocolTableOnBothSurfaces.)
+// fails as its own step. The socket dispatcher, the ring host and the
+// federation router check a frame with one function (transport.FrameSteps)
+// in front of one engine, so every row a carrier can express must answer
+// the same status and the same error text as the direct socket. (States a
+// carrier cannot reach — a second verb while the first still runs, since
+// each carrier serves a session's frames one at a time — are held to the
+// same table one level down, in gvm's TestProtocolTableOnBothSurfaces.)
 func TestBATMisuse(t *testing.T) {
+	// own is the session the frame travels on, sibling another session of
+	// the same connection, foreign another connection's.
+	type ids struct{ own, sibling, foreign int }
 	bat := func(subs ...Request) Request { return Request{Verb: "BAT", Batch: subs} }
-	one := func(verb string) func(id, foreign int) Request {
-		return func(id, _ int) Request { return bat(Request{Verb: verb, Session: id}) }
+	one := func(verb string) func(ids) Request {
+		return func(id ids) Request { return bat(Request{Verb: verb, Session: id.own}) }
 	}
-	two := func(v1, v2 string) func(id, foreign int) Request {
-		return func(id, _ int) Request {
-			return bat(Request{Verb: v1, Session: id}, Request{Verb: v2, Session: id})
+	two := func(v1, v2 string) func(ids) Request {
+		return func(id ids) Request {
+			return bat(Request{Verb: v1, Session: id.own}, Request{Verb: v2, Session: id.own})
 		}
 	}
-	const same = "=" // the ring must answer exactly what the socket does
+	const same = "=" // the carrier must answer exactly what the socket does
 	rows := []struct {
 		name  string
-		frame func(id, foreign int) Request
+		frame func(ids) Request
 		unix  string // wanted in the socket's error text
 		ring  string // in the ring's: same, its own wording, or "" (cannot express the row)
+		fed   string // in the router's, likewise
 	}{
-		{"empty", func(int, int) Request { return bat() }, "empty BAT", same},
-		{"req-inside", one("REQ"), "not allowed in BAT", same},
-		{"duplicate-verb", two("SND", "SND"), "once each", same},
-		{"out-of-order", two("STR", "SND"), "order", same},
-		{"verb-behind-RLS", two("RLS", "SND"), "order", same},
-		{"STP-before-STR", one("STP"), "STP before STR", same},
-		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same},
-		{"RES-without-SUS", func(id, _ int) Request { return Request{Verb: "RES", Session: id} }, "RES without SUS", same},
-		{"unknown-session", func(int, int) Request { return bat(Request{Verb: "SND", Session: 999}) }, "unknown session", ""},
-		{"foreign-session", func(_, foreign int) Request { return bat(Request{Verb: "SND", Session: foreign}) },
-			"belongs to another connection", "on session"},
+		{"empty", func(ids) Request { return bat() }, "empty BAT", same, same},
+		{"req-inside", one("REQ"), "not allowed in BAT", same, same},
+		{"duplicate-verb", two("SND", "SND"), "once each", same, same},
+		{"out-of-order", two("STR", "SND"), "order", same, same},
+		{"verb-behind-RLS", two("RLS", "SND"), "order", same, same},
+		{"two-sessions", func(id ids) Request {
+			return bat(Request{Verb: "SND", Session: id.own}, Request{Verb: "SND", Session: id.sibling})
+		}, "a frame carries one session's verbs", same, same},
+		{"STP-before-STR", one("STP"), "STP before STR", same, same},
+		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same, same},
+		{"RES-without-SUS", func(id ids) Request { return Request{Verb: "RES", Session: id.own} }, "RES without SUS", same, same},
+		// Whose session an id names is each front-end's own table.
+		{"unknown-session", func(ids) Request { return bat(Request{Verb: "SND", Session: 999}) },
+			"transport: unknown session 999", "", "fed: unknown session 999"},
+		{"foreign-session", func(id ids) Request { return bat(Request{Verb: "SND", Session: id.foreign}) },
+			"belongs to another connection", "on session", "belongs to another connection"},
 	}
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
-	// Per carrier: a session to misuse, and another connection's session on
-	// the same daemon.
+	// Per carrier: a session to misuse, a second one on its connection, and
+	// another connection's session — opened in that order everywhere, so the
+	// ids an error names agree too.
+	type carrier struct{ sess, sibling, other *Session }
+	open := func(addr, dir string) carrier {
+		dial := func() *Client {
+			c, err := Dial(addr, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		}
+		request := func(c *Client) *Session {
+			sess, err := c.Request(ref, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sess
+		}
+		mine := dial()
+		return carrier{request(mine), request(mine), request(dial())}
+	}
 	ringSrv, _ := startRingServer(t, 1)
-	open := func(s *Server) *Session {
-		c, err := Dial(s.Addr(), s.cfg.ShmDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		sess, err := c.Request(ref, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
+	unixSrv, backend := startServer(t, 1, true), startServer(t, 1, true)
+	router, err := fed.New(fed.Config{Backends: []string{backend.Addr()}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	type carrier struct{ sess, other *Session }
-	carriers := map[string]carrier{}
-	for name, s := range map[string]*Server{"unix": startServer(t, 1, true), "ring": ringSrv} {
-		carriers[name] = carrier{open(s), open(s)}
+	if err := router.Start([]string{"unix://" + tempSocket(t)}); err != nil {
+		t.Fatal(err)
 	}
-	// ask sends the frame and returns its own error, else its first failing
-	// step's.
-	ask := func(c carrier, frame func(id, foreign int) Request) string {
-		resp, err := c.sess.trip(frame(c.sess.ID(), c.other.ID()))
+	t.Cleanup(func() { router.Close() })
+	carriers := map[string]carrier{
+		"unix": open(unixSrv.Addr(), unixSrv.cfg.ShmDir),
+		"ring": open(ringSrv.Addr(), ringSrv.cfg.ShmDir),
+		"fed":  open(router.Addr(), ""),
+	}
+	// ask sends the frame — its SND staged the way the session's plane
+	// stages one — and returns its own error, else its first failing step's.
+	ask := func(c carrier, frame func(ids) Request) string {
+		req := frame(ids{c.sess.ID(), c.sibling.ID(), c.other.ID()})
+		if len(req.Batch) > 0 && req.Batch[0].Verb == "SND" && req.Batch[0].Session == c.sess.ID() {
+			if err := c.sess.plane.StageIn(make([]byte, c.sess.InBytes()), &req.Batch[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := c.sess.trip(req)
 		if err != nil {
 			return err.Error()
 		}
@@ -175,14 +210,16 @@ func TestBATMisuse(t *testing.T) {
 			if !strings.Contains(unix, row.unix) {
 				t.Errorf("unix: got %q, want an error containing %q", unix, row.unix)
 			}
-			if row.ring == "" {
-				return
-			}
-			ring := ask(carriers["ring"], row.frame)
-			if row.ring == same && ring != unix {
-				t.Errorf("carriers disagree: unix %q, ring %q", unix, ring)
-			} else if row.ring != same && !strings.Contains(ring, row.ring) {
-				t.Errorf("ring: got %q, want an error containing %q", ring, row.ring)
+			for name, want := range map[string]string{"ring": row.ring, "fed": row.fed} {
+				if want == "" {
+					continue
+				}
+				got := ask(carriers[name], row.frame)
+				if want == same && got != unix {
+					t.Errorf("carriers disagree: unix %q, %s %q", unix, name, got)
+				} else if want != same && !strings.Contains(got, want) {
+					t.Errorf("%s: got %q, want an error containing %q", name, got, want)
+				}
 			}
 		})
 	}

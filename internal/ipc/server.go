@@ -95,6 +95,12 @@ type Server struct {
 	lns []transport.Listener
 
 	work []chan workItem // one owner queue per shard
+	// Shutdown is two steps. stop closes first and fails every hand-off a
+	// connection or the failover engine has pending or makes from then on
+	// (submit) — a frame parked at the STR barrier would otherwise hold its
+	// session, and the release below, forever. quit closes once every
+	// session is released and ends the owner loops.
+	stop chan struct{}
 	quit chan struct{}
 
 	node  *node.Node
@@ -161,6 +167,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		lns:  lns,
+		stop: make(chan struct{}),
 		quit: make(chan struct{}),
 		met: serverMetrics{
 			connections: cfg.Metrics.Gauge("ipc_connections", "live client connections"),
@@ -315,12 +322,13 @@ func (s *Server) Close() error {
 			err = cerr
 		}
 	}
-	// Tear down sessions abandoned by still-connected clients before the
-	// owners stop, so every shard's segments and device memory are freed.
-	s.disp.ReleaseAll(s.submit)
 	// Signal shutdown instead of closing the work channels: connection
 	// handlers (including deferred session cleanup) may still be trying
 	// to submit, and a send racing a close is a data race.
+	close(s.stop)
+	// Tear down sessions abandoned by still-connected clients before the
+	// owners stop, so every shard's segments and device memory are freed.
+	s.disp.ReleaseAll(func(shard int, fn func(p *sim.Proc)) bool { return s.submitUntil(s.quit, shard, fn) })
 	close(s.quit)
 	if s.rings != nil {
 		// Kick every parked owner loop and waker out of its futex wait so
@@ -470,16 +478,21 @@ func (s *Server) waker(rs *transport.RingShard) {
 // submit runs fn on a simulation process of the given shard and waits
 // for it. It returns false if the server shut down before fn completed.
 func (s *Server) submit(shard int, fn func(p *sim.Proc)) bool {
+	return s.submitUntil(s.stop, shard, fn)
+}
+
+// submitUntil is submit giving up when end closes.
+func (s *Server) submitUntil(end <-chan struct{}, shard int, fn func(p *sim.Proc)) bool {
 	item := workItem{fn: fn, done: make(chan struct{}), enqueued: time.Now()}
 	select {
 	case s.work[shard] <- item:
-	case <-s.quit:
+	case <-end:
 		return false
 	}
 	select {
 	case <-item.done:
 		return true
-	case <-s.quit:
+	case <-end:
 		return false
 	}
 }

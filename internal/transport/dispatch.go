@@ -57,10 +57,10 @@ type ShardSubmitter func(shard int, fn func(p *sim.Proc)) bool
 // Serve runs on connection goroutines and splits every verb frame into a
 // connection-side phase (who may address what; payload staging: nothing
 // for a mapped plane, whose segment is the pinned staging; the inline
-// plane's frame copy) and one owner hand-off per contiguous same-shard
-// stretch of the frame, which starts a frameRun and is woken by its
-// completion. The owner's critical section is therefore O(scheduling),
-// not O(bytes), and the owner never copies host to host.
+// plane's frame copy) and one owner hand-off per frame, which starts the
+// session's frameRun and is woken by its completion. The owner's critical
+// section is therefore O(scheduling), not O(bytes), and the owner never
+// copies host to host.
 type Dispatcher struct {
 	cfg DispatcherConfig
 	met *dispMetrics
@@ -178,7 +178,7 @@ type hostSession struct {
 	// for the inline plane, nil on a timing-only daemon.
 	stageIn, stageOut []byte
 
-	run *frameRun // owner-goroutine state: the run awaiting this session's verb
+	run frameRun // the session's one frame in flight, on either front-end
 }
 
 // loc snapshots the session's current placement.
@@ -317,32 +317,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 func (d *Dispatcher) Metrics() *metrics.Registry { return d.cfg.Metrics }
 
 func errResp(err error) Response { return Response{Status: "ERR", Err: err.Error()} }
-
-// batchVerbRank orders the verbs allowed inside a BAT frame (0: none yet).
-// Each session may run at most one cycle per batch (its verbs must appear
-// in strictly increasing rank), which is what makes the zero-copy RCV
-// response safe: nothing later in the batch can overwrite that session's
-// staging.
-var batchVerbRank = map[string]int{"SND": 1, "STR": 2, "STP": 3, "RCV": 4, "RLS": 5}
-
-// BatchStepRank checks one sub-request of a BAT frame against the rule
-// above and returns its rank; last is the rank of the same session's
-// previous step in the frame (0 for its first). The socket dispatcher, the
-// ring host and the federation router all go through it, so a malformed
-// batch draws the same error on every carrier.
-func BatchStepRank(sub *Request, last int) (int, error) {
-	rank, allowed := batchVerbRank[sub.Verb]
-	if !allowed {
-		return 0, fmt.Errorf("transport: verb %q not allowed in BAT", sub.Verb)
-	}
-	if len(sub.Batch) > 0 {
-		return 0, errors.New("transport: nested BAT")
-	}
-	if rank <= last {
-		return 0, fmt.Errorf("transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", sub.Session)
-	}
-	return rank, nil
-}
 
 // Serve services one request from a connection goroutine, handing only
 // its owner-side phase to the owning shard's simulation owner
@@ -510,147 +484,97 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 	cs.owned = append(cs.owned, s.id)
 }
 
-// serveFrame serves a session verb or a pipelined BAT of them. Connection
-// phase: resolve every step to a session this connection may address,
-// check a batch's shape, rescue sessions off unhealthy shards, stage SND
-// payloads. Owner phase: one hand-off per RUN of consecutive same-shard
-// steps — it starts a frameRun and sleeps until the run's last response
-// is in — so a full SPMD cycle (SND+STR+STP+RCV) against one session costs
-// a single submission; a batch spanning shards submits once per stretch,
-// in batch order, stopping at the first failure. Connection phase again:
-// publish RCV results, finish RLS bookkeeping.
+// serveFrame serves a session verb or a pipelined BAT of them: one
+// session's verbs (FrameSteps). Connection phase: check the frame, resolve
+// its session to one this connection may address, rescue it off an
+// unhealthy shard, stage a SND payload. Owner phase: exactly one hand-off —
+// it starts the session's frameRun and sleeps until the run's last response
+// is in — so a full SPMD cycle (SND+STR+STP+RCV) costs a single submission.
+// Connection phase again: publish RCV results, finish RLS bookkeeping.
 func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
-	bat := req.Verb == "BAT"
-	subs := req.Batch
-	if !bat {
-		subs = []Request{req}
-	} else if len(subs) == 0 {
-		return errResp(errors.New("transport: empty BAT")), true
+	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
+	id, verbs, bat, err := FrameSteps(&req, buf[:0])
+	if err != nil {
+		return errResp(err), true
 	}
-	steps := make([]runStep, len(subs))
-	resps := make([]Response, len(subs))
-	var lastRank map[int]int
-	if bat {
-		lastRank = make(map[int]int, 2)
-	}
-	// Sessions belong to exactly one connection and a connection serves one
-	// frame at a time, so no two in-flight frames share a session — locking
-	// the migMus in frame order below cannot deadlock against another frame
-	// (migrate only ever holds one).
-	uniq := make([]*hostSession, 0, 2)
-	for i := range subs {
-		sub := &subs[i]
-		if bat {
-			rank, err := BatchStepRank(sub, lastRank[sub.Session])
-			if err != nil {
-				return errResp(err), true
-			}
-			lastRank[sub.Session] = rank
-		}
-		s, err := d.lookup(sub.Session, cs)
-		if err != nil {
-			return errResp(err), true
-		}
-		verb, _ := sessionVerb(sub.Verb) // Serve and BatchStepRank let no other through
-		steps[i] = runStep{s: s, verb: verb}
-		seen := false
-		for _, u := range uniq {
-			seen = seen || u == s
-		}
-		if !seen {
-			uniq = append(uniq, s)
-		}
+	s, err := d.lookup(id, cs)
+	if err != nil {
+		return errResp(err), true
 	}
 	if bat {
 		// Inner steps count against their own verb series too, so a
 		// scrape's SND/STR/STP/RCV counters reflect protocol traffic
 		// whether or not the client pipelines.
-		for i := range subs {
-			d.met.verb(subs[i].Verb).reqs.Inc()
+		for _, v := range verbs {
+			d.met.verb(v.String()).reqs.Inc()
 		}
-		d.met.batSteps.Observe(int64(len(steps)))
+		d.met.batSteps.Observe(int64(len(verbs)))
 	}
 
 	// Failover on touch: a session whose shard has been marked for
 	// evacuation moves before the frame is dispatched — its verbs then run
 	// on the healthy target instead of bouncing.
-	for _, s := range uniq {
-		d.rescueIfUnhealthy(s, submit)
+	d.rescueIfUnhealthy(s, submit)
+
+	// Connection phase: land the SND payload in pinned staging. SND can only
+	// lead a frame, so a frame that cannot stage does no owner work at all.
+	var resps []Response
+	if verbs[0] == gvm.SND {
+		sub := &req
+		if bat {
+			sub = &req.Batch[0]
+		}
+		if err := s.copyIn(sub); err != nil {
+			resps = make([]Response, len(verbs))
+			resps[0] = Response{Status: "ERR", Session: id, Err: err.Error()}
+			for i := 1; i < len(resps); i++ {
+				resps[i] = skipped(id)
+			}
+		}
 	}
 
-	// Connection phase: land every SND payload in pinned staging. A step
-	// that cannot stage ends the frame there.
-	limit := len(steps)
-	for i := range steps {
-		if steps[i].verb != gvm.SND {
-			continue
-		}
-		if err := steps[i].s.copyIn(&subs[i]); err != nil {
-			resps[i] = Response{Status: "ERR", Session: subs[i].Session, Err: err.Error()}
-			limit = i
-			break
-		}
-	}
-
-	// Owner phase. Every session's migMu is held across it so a placement
-	// cannot change between the shard snapshot and its run.
-	for _, s := range uniq {
+	// Owner phase. The session's migMu is held across it so its placement
+	// cannot change between the shard snapshot and the run.
+	if resps == nil {
 		s.migMu.Lock()
-	}
-	unlock := func() {
-		for _, s := range uniq {
-			s.migMu.Unlock()
-		}
-	}
-	for i := 0; i < limit; {
-		shard := steps[i].s.loc()
-		j := i + 1
-		for j < limit && steps[j].s.loc() == shard {
-			j++
-		}
-		var run frameRun
+		s.run.verbs = append(s.run.verbs[:0], verbs...)
+		shard := s.loc()
 		mgr := d.cfg.Node.Shard(shard).Mgr
-		lo, hi := i, j
-		if !submit(shard, func(p *sim.Proc) {
+		ok := submit(shard, func(p *sim.Proc) {
 			finished := p.Env().NewEvent()
-			run.start(mgr, steps[lo:hi], resps[lo:hi], func() { finished.Fire(nil) })
+			s.run.start(s, mgr, func() { finished.Fire(nil) })
 			p.Wait(finished)
-		}) {
-			unlock()
+		})
+		s.migMu.Unlock()
+		if !ok {
 			return Response{}, false
 		}
-		if run.failed {
-			break
-		}
-		i = j
+		resps = s.run.resps
 	}
-	unlock()
 
 	for i := range resps {
 		r := &resps[i]
 		switch {
-		case r.Status == "":
-			*r = skipped(subs[i].Session)
-			continue
-		case r.Status == "ACK" && steps[i].verb == gvm.RCV:
-			if err := steps[i].s.copyOut(r); err != nil {
+		case r.Status == "ACK" && verbs[i] == gvm.RCV:
+			if err := s.copyOut(r); err != nil {
 				r.Status, r.Err = "ERR", err.Error()
 			}
-		case r.Status == "ACK" && steps[i].verb == gvm.RLS:
-			cs.dropOwned(subs[i].Session)
+		case r.Status == "ACK" && verbs[i] == gvm.RLS:
+			cs.dropOwned(id)
 		}
 		if bat && r.Status == "ERR" {
-			d.met.verb(subs[i].Verb).errs.Inc()
+			d.met.verb(verbs[i].String()).errs.Inc()
 		}
 	}
 	return frameResponse(bat, resps), true
 }
 
 // release ends a session from outside the verb stream — a hang-up, an
-// unwound REQ, shutdown: gvm lets go first (waiting out any flush that
-// still reads or writes staging), then the daemon side retires. Owning
-// shard's owner-goroutine side.
+// unwound REQ, shutdown: a frame still in flight answers (abortRun), gvm
+// lets go (waiting out any flush that still reads or writes staging), then
+// the daemon side retires. Owning shard's owner-goroutine side.
 func (d *Dispatcher) release(p *sim.Proc, s *hostSession) {
+	s.abortRun(fmt.Sprintf("transport: session %d released with a frame in flight", s.id))
 	d.cfg.Node.Shard(s.loc()).Mgr.ReleaseSession(p, s.id)
 	d.retire(s)
 }
@@ -751,115 +675,136 @@ func (d *Dispatcher) EvacuateShard(shard int, submit ShardSubmitter) {
 	}
 }
 
-// migrate live-migrates one session off its current shard: quiesce and
-// extract on the source owner (gvm.Manager.ExtractSession snapshots the
-// session's arenas with the suspend machinery), re-place through the
-// node's live policy — which only sees healthy shards — adopt on the
-// target owner, and atomically remap the session's routing. Verbs that
-// race the move answer retryable errors; an interrupted execution cycle
-// re-runs on the target, which is byte-identical because kernels are
-// deterministic functions of the staged input. If no healthy shard can
-// take the session it is re-adopted on the source so teardown keeps
-// working, and the error reports the stranding.
-func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
+// errShutdown reports that the server stopped in the middle of a move.
+var errShutdown = errors.New("transport: shutdown during migration")
 
+// extract is the first half of every move — failover to another shard
+// (migrate), MIG to another node: latch the session as migrating, so verbs
+// racing the move answer retryable errors, then on the source owner end a
+// frame in flight (abortRun), pull a ring session out of its shard's sweep
+// (the client's mapping stays valid, and after adoption the same ringSession
+// re-registers on the target's sweep), and quiesce and extract the gvm
+// session. The caller holds s.migMu and calls s.settle when the move is
+// over, however it ended. A session already closed returns no state and no
+// error.
+func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.ExtractedSession, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil
-	}
-	from := s.shard
-	if !d.cfg.Node.Health(from).Evacuate() {
-		s.mu.Unlock()
-		return nil // another migration already moved it
+		return 0, nil, nil
 	}
 	s.migrating = true
-	rp, _ := s.plane.(*ringHostPlane)
+	from := s.shard
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.migrating = false
-		s.mu.Unlock()
-	}()
-
-	start := time.Now()
-	fromMgr := d.cfg.Node.Shard(from).Mgr
-
-	// Source owner: end a frame in flight (abortRun), pull a ring session
-	// out of its shard's sweep (the client's mapping stays valid, and after
-	// adoption the same ringSession re-registers on the target's sweep),
-	// then quiesce and extract the gvm session.
+	mgr := d.cfg.Node.Shard(from).Mgr
+	rp, _ := s.plane.(*ringHostPlane)
 	var (
-		ext  *gvm.ExtractedSession
-		xerr error
+		ext *gvm.ExtractedSession
+		err error
 	)
 	if !submit(from, func(p *sim.Proc) {
-		s.abortRun(from)
+		s.abortRun(gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, from)))
 		if rp != nil {
 			rp.sess.shard.remove(rp.sess)
 		}
-		ext, xerr = fromMgr.ExtractSession(p, s.id)
+		ext, err = mgr.ExtractSession(p, s.id)
 	}) {
-		return errors.New("transport: shutdown during migration")
+		return from, nil, errShutdown
 	}
-	if xerr != nil {
-		return fmt.Errorf("transport: extract session %d from gpu %d: %w", s.id, from, xerr)
-	}
+	return from, ext, err
+}
 
-	// adoptOn lands the extracted session on shard: adopt into the gvm
-	// manager, bind its staging back onto the data plane (a mapped segment
-	// held the truth all along: nothing is copied back), and remap the
-	// dispatcher's routing. The ring session's mgr/shard fields are set in
-	// the owner closure so the target sweep observes them through the
-	// Register happens-before edge.
-	adoptOn := func(shard int) error {
-		mgr := d.cfg.Node.Shard(shard).Mgr
-		var aerr error
-		if !submit(shard, func(p *sim.Proc) {
-			if aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional); aerr == nil && rp != nil {
-				rp.sess.mgr = mgr
-				rp.sess.shard = d.cfg.Rings.Shard(shard)
-			}
-		}) {
-			return errors.New("transport: shutdown during migration")
+// settle ends the migrating latch extract set.
+func (s *hostSession) settle() {
+	s.mu.Lock()
+	s.migrating = false
+	s.mu.Unlock()
+}
+
+// adopt is the second half of every move: land ext on shard — adopt into
+// its gvm manager and bind the staging back onto the data plane (a mapped
+// segment held the truth all along: nothing is copied back) — then remap
+// the session's routing. A ring session's mgr/shard fields are set in the
+// owner closure so the target sweep observes them through the Register
+// happens-before edge. The caller holds the placement on shard; the
+// result is the shard's virtual time at landing.
+func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int, submit ShardSubmitter) (float64, error) {
+	mgr := d.cfg.Node.Shard(shard).Mgr
+	rp, _ := s.plane.(*ringHostPlane)
+	var (
+		vms float64
+		err error
+	)
+	if !submit(shard, func(p *sim.Proc) {
+		if err = s.adoptOwner(p, mgr, ext, d.cfg.Functional); err == nil && rp != nil {
+			rp.sess.mgr = mgr
+			rp.sess.shard = d.cfg.Rings.Shard(shard)
 		}
-		if aerr != nil {
-			return aerr
-		}
-		s.mu.Lock()
-		s.shard = shard
-		if rp != nil {
-			rp.rs = d.cfg.Rings.Shard(shard)
-		}
-		s.mu.Unlock()
-		if rp != nil {
-			d.cfg.Rings.Shard(shard).Register(rp.sess)
-		}
-		return nil
+		vms = p.Now().Milliseconds()
+	}) {
+		return 0, errShutdown
+	}
+	if err != nil {
+		return vms, err
+	}
+	s.mu.Lock()
+	s.shard = shard
+	if rp != nil {
+		rp.rs = d.cfg.Rings.Shard(shard)
+	}
+	s.mu.Unlock()
+	if rp != nil {
+		d.cfg.Rings.Shard(shard).Register(rp.sess)
+	}
+	return vms, nil
+}
+
+// migrate live-migrates one session off its current shard: extract on the
+// source owner, re-place through the node's live policy — which only sees
+// healthy shards — and adopt on the target owner. Verbs that race the move
+// answer retryable errors; an interrupted execution cycle re-runs on the
+// target, which is byte-identical because kernels are deterministic
+// functions of the staged input. If no healthy shard can take the session
+// it is re-adopted on the source so teardown keeps working, and the error
+// reports the stranding.
+func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
+	if !d.cfg.Node.Health(s.loc()).Evacuate() {
+		return nil // another migration already moved it
+	}
+	start := time.Now()
+	from, ext, err := d.extract(s, submit)
+	defer s.settle()
+	switch {
+	case err == errShutdown:
+		return err
+	case err != nil:
+		return fmt.Errorf("transport: extract session %d from gpu %d: %w", s.id, from, err)
+	case ext == nil:
+		return nil // closed meanwhile
 	}
 
 	to, perr := d.cfg.Node.Place(s.inB, s.outB)
 	if perr != nil {
 		// Nowhere healthy to go: park the session back on the source so
 		// release paths still reclaim its memory, and report the strand.
-		if rerr := adoptOn(from); rerr != nil {
+		if _, rerr := d.adopt(s, ext, from, submit); rerr != nil {
 			return fmt.Errorf("transport: session %d stranded: placement: %v; re-adopt on gpu %d: %v",
 				s.id, perr, from, rerr)
 		}
 		return fmt.Errorf("transport: no healthy shard for session %d: %w", s.id, perr)
 	}
-	if aerr := adoptOn(to); aerr != nil {
+	if _, aerr := d.adopt(s, ext, to, submit); aerr != nil {
 		d.cfg.Node.Release(to, s.inB, s.outB)
-		if rerr := adoptOn(from); rerr != nil {
+		if _, rerr := d.adopt(s, ext, from, submit); rerr != nil {
 			return fmt.Errorf("transport: session %d stranded: adopt on gpu %d: %v; re-adopt on gpu %d: %v",
 				s.id, to, aerr, from, rerr)
 		}
 		return fmt.Errorf("transport: adopt session %d on gpu %d: %w", s.id, to, aerr)
 	}
 	d.cfg.Node.Release(from, s.inB, s.outB)
-	if rp != nil {
+	if _, ring := s.plane.(*ringHostPlane); ring {
 		// The client's ring header still names the source shard's door;
 		// forward its rings to the adopting shard so the target owner
 		// wakes on new submissions.

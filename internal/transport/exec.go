@@ -1,46 +1,85 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 
 	"gpuvirt/internal/gvm"
 )
 
-// runStep is one verb of a frame, resolved to the session it addresses.
-type runStep struct {
-	s    *hostSession
-	verb gvm.Verb
+// FrameSteps is the protocol's frame rule, written once for every carrier:
+// a frame is one session's verbs. It is a lone session verb, or a non-empty
+// BAT of cycle verbs (SND, STR, STP, RCV, RLS — no REQ, no nesting) that
+// all address one session and appear at most once each, in cycle order.
+// The order is what makes the zero-copy RCV response safe (nothing later in
+// the frame can overwrite the session's staging); the one session is what
+// keeps a frame from waiting on itself at the STR barrier, where a second
+// session's STR queued behind the first's in the same frame could never
+// arrive. The socket dispatcher, the ring host and the federation router
+// all call it before any session work, so a malformed frame draws the same
+// error on all three.
+//
+// The steps are appended to verbs[:0], five at most.
+func FrameSteps(req *Request, verbs []gvm.Verb) (session int, _ []gvm.Verb, bat bool, err error) {
+	verbs = verbs[:0]
+	if req.Verb != "BAT" {
+		verb, ok := gvm.ParseVerb(req.Verb)
+		if !ok || verb == gvm.REQ {
+			return 0, nil, false, fmt.Errorf("transport: verb %q is not a session verb", req.Verb)
+		}
+		return req.Session, append(verbs, verb), false, nil
+	}
+	if len(req.Batch) == 0 {
+		return 0, nil, true, errors.New("transport: empty BAT")
+	}
+	session = req.Batch[0].Session
+	last := gvm.REQ // gvm declares the verbs in cycle order: a step's rank is its verb
+	for i := range req.Batch {
+		sub := &req.Batch[i]
+		verb, ok := gvm.ParseVerb(sub.Verb)
+		switch {
+		case !ok || verb < gvm.SND || verb > gvm.RLS:
+			err = fmt.Errorf("transport: verb %q not allowed in BAT", sub.Verb)
+		case len(sub.Batch) > 0:
+			err = errors.New("transport: nested BAT")
+		case sub.Session != session:
+			err = fmt.Errorf("transport: BAT addresses sessions %d and %d; a frame carries one session's verbs", session, sub.Session)
+		case verb <= last:
+			err = fmt.Errorf("transport: BAT verbs for session %d must appear once each, in SND<STR<STP<RCV<RLS order", session)
+		}
+		if err != nil {
+			return 0, nil, true, err
+		}
+		last = verb
+		verbs = append(verbs, verb)
+	}
+	return session, verbs, true, nil
 }
 
-// frameRun is the daemon's verb engine: it walks a run of steps — a whole
-// frame, or a socket BAT's contiguous same-shard stretch — through
-// gvm.Manager.DirectVerb on one shard, one step at a time, and is the only
-// code that does. Each outcome comes back through the addressed session's
+// frameRun is the daemon's verb engine: it walks a frame's steps through
+// gvm.Manager.DirectVerb on the session's shard, one step at a time, and is
+// the only code that does. Each outcome comes back through the session's
 // DirectNotify, inline or from the shard's calendar, and resumes the walk;
 // the first step that does not ACK fails the run and everything behind it
 // answers "skipped". A step parked at the STR barrier simply has no
 // outcome yet, so neither has the run. The front-ends stay thin: they
-// decode, check who may address what, start a run, and carry resps back.
+// decode, check who may address what, start the run, and carry resps back.
 //
-// All methods are owner-goroutine-only.
+// A session has one frame in flight on either carrier, so the run lives in
+// its hostSession and keeps verbs and resps across frames: a warm frame
+// allocates nothing here. The front-end fills verbs (FrameSteps) before
+// start; from then until done everything is owner-goroutine-only.
 type frameRun struct {
+	s     *hostSession
 	mgr   *gvm.Manager
-	steps []runStep
+	verbs []gvm.Verb
 	resps []Response // one per step; a run leaves none empty
 	done  func()     // called once, when every step has its response
 
 	idx     int  // the step executing (or next to)
-	waiting bool // steps[idx]'s outcome is pending in the calendar
+	waiting bool // verbs[idx]'s outcome is pending in the calendar
 	issuing bool // inside advance: inline outcomes must not recurse
 	failed  bool
-}
-
-// sessionVerb maps a wire verb onto the verbs a session takes. REQ and BAT
-// (and anything unknown) are excluded: the one opens a session, the other
-// is a container.
-func sessionVerb(v string) (gvm.Verb, bool) {
-	verb, ok := gvm.ParseVerb(v)
-	return verb, ok && verb != gvm.REQ
 }
 
 // skipped is the response of a step an earlier failure kept from running.
@@ -64,10 +103,15 @@ func frameResponse(bat bool, resps []Response) Response {
 	return out
 }
 
-// start runs steps on mgr's shard, filling resps and then calling done —
-// possibly before start returns.
-func (r *frameRun) start(mgr *gvm.Manager, steps []runStep, resps []Response, done func()) {
-	*r = frameRun{mgr: mgr, steps: steps, resps: resps, done: done}
+// start runs s's staged verbs on mgr's shard, filling resps and then
+// calling done — possibly before start returns.
+func (r *frameRun) start(s *hostSession, mgr *gvm.Manager, done func()) {
+	r.s, r.mgr, r.done = s, mgr, done
+	r.idx, r.failed = 0, false
+	if cap(r.resps) < len(r.verbs) {
+		r.resps = make([]Response, len(r.verbs))
+	}
+	r.resps = r.resps[:len(r.verbs)]
 	r.advance()
 }
 
@@ -76,21 +120,18 @@ func (r *frameRun) start(mgr *gvm.Manager, steps []runStep, resps []Response, do
 func (r *frameRun) advance() {
 	r.issuing = true
 	for !r.waiting {
-		if r.failed || r.idx == len(r.steps) {
-			for k := r.idx; k < len(r.steps); k++ {
-				r.resps[k] = skipped(r.steps[k].s.id)
+		if r.failed || r.idx == len(r.verbs) {
+			for ; r.idx < len(r.verbs); r.idx++ {
+				r.resps[r.idx] = skipped(r.s.id)
 			}
-			r.idx = len(r.steps)
 			r.done()
 			break
 		}
-		st := r.steps[r.idx]
-		st.s.run = r
 		r.waiting = true
-		if err := r.mgr.DirectVerb(st.s.id, st.verb); err != nil {
+		if err := r.mgr.DirectVerb(r.s.id, r.verbs[r.idx]); err != nil {
 			// Synchronous errors mean the session is not (or no longer) on
 			// this manager; they answer like a protocol ERR.
-			r.complete(st.s, gvm.ERR, err.Error())
+			r.complete(gvm.ERR, err.Error())
 		}
 	}
 	r.issuing = false
@@ -99,20 +140,19 @@ func (r *frameRun) advance() {
 // complete records the outcome of the step the run is waiting on and,
 // when it arrived from the calendar rather than inline, resumes the walk.
 // An RLS that gvm acknowledged takes the session's daemon side with it.
-func (r *frameRun) complete(s *hostSession, st gvm.Status, errMsg string) {
-	if !r.waiting || r.steps[r.idx].s != s {
-		return // not what this run is waiting for
+func (r *frameRun) complete(st gvm.Status, errMsg string) {
+	if !r.waiting {
+		return // no step is waiting for an outcome
 	}
 	r.waiting = false
-	s.run = nil
 	if st != gvm.ACK {
 		r.failed = true
-	} else if r.steps[r.idx].verb == gvm.RLS {
-		s.d.retire(s)
+	} else if r.verbs[r.idx] == gvm.RLS {
+		r.s.d.retire(r.s)
 	}
 	r.resps[r.idx] = Response{
 		Status:    st.String(),
-		Session:   s.id,
+		Session:   r.s.id,
 		Err:       errMsg,
 		VirtualMS: r.mgr.Env().Now().Milliseconds(),
 	}
@@ -122,22 +162,20 @@ func (r *frameRun) complete(s *hostSession, st gvm.Status, errMsg string) {
 	}
 }
 
-// notify is the session's gvm.DirectNotify: the outcome belongs to the run
-// that issued the session's verb.
+// notify is the session's gvm.DirectNotify: the outcome belongs to the
+// step its run is waiting on.
 func (s *hostSession) notify(_ gvm.Verb, st gvm.Status, errMsg string) {
-	if r := s.run; r != nil {
-		r.complete(s, st, errMsg)
-	}
+	s.run.complete(st, errMsg)
 }
 
 // abortRun is the one rule for a frame in flight when its session leaves
-// the shard (failover, drain): the frame cannot complete here anymore, so
-// the step it waits on answers a retryable error at once and the rest are
-// skipped; the client re-submits the frame and the session's new home
-// serves it. The socket dispatcher serializes migrations behind its frames
-// (hostSession.migMu), so in practice only ring frames are ever caught.
-func (s *hostSession) abortRun(shard int) {
-	if r := s.run; r != nil {
-		r.complete(s, gvm.ERR, gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, shard)))
-	}
+// the shard: the frame cannot complete here anymore, so the step it waits
+// on answers errMsg at once and the rest are skipped. A move (failover,
+// drain) answers a retryable error — the client re-submits the frame and
+// the session's new home serves it; a release (hang-up, shutdown) a final
+// one. The socket dispatcher serializes both behind its frames
+// (hostSession.migMu), so in practice only ring frames, and socket frames
+// the server abandoned at shutdown, are ever caught.
+func (s *hostSession) abortRun(errMsg string) {
+	s.run.complete(gvm.ERR, errMsg)
 }

@@ -67,31 +67,15 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errResp(fmt.Errorf("transport: session %d is closed", s.id)), true
-	}
-	s.migrating = true
-	from := s.shard
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.migrating = false
-		s.mu.Unlock()
-	}()
-
-	fromMgr := d.cfg.Node.Shard(from).Mgr
-	var (
-		ext  *gvm.ExtractedSession
-		xerr error
-	)
-	if !submit(from, func(p *sim.Proc) { ext, xerr = fromMgr.ExtractSession(p, s.id) }) {
+	from, ext, err := d.extract(s, submit)
+	defer s.settle()
+	switch {
+	case err == errShutdown:
 		return Response{}, false
-	}
-	if xerr != nil {
-		return errResp(fmt.Errorf("transport: MIG extract session %d from gpu %d: %w", s.id, from, xerr)), true
+	case err != nil:
+		return errResp(fmt.Errorf("transport: MIG extract session %d from gpu %d: %w", s.id, from, err)), true
+	case ext == nil:
+		return errResp(fmt.Errorf("transport: session %d is closed", s.id)), true
 	}
 	extB, err := ext.Encode()
 	if err == nil {
@@ -117,11 +101,9 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 		}
 	}
 	// Serialization failed: put the session back so it keeps serving.
-	var aerr error
-	if !submit(from, func(p *sim.Proc) { aerr = s.adoptOwner(p, fromMgr, ext, d.cfg.Functional) }) {
+	if _, aerr := d.adopt(s, ext, from, submit); aerr == errShutdown {
 		return Response{}, false
-	}
-	if aerr != nil {
+	} else if aerr != nil {
 		return errResp(fmt.Errorf("transport: session %d stranded: encode: %v; re-adopt on gpu %d: %v", s.id, err, from, aerr)), true
 	}
 	return errResp(fmt.Errorf("transport: MIG encode session %d: %w", s.id, err)), true
@@ -166,21 +148,17 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 		owner: cs, d: d, plane: inlineHostPlane{},
 		ref: blob.Ref, rank: blob.Rank,
 	}
-	var (
-		aerr error
-		vms  float64
-	)
-	if !submit(shard, func(p *sim.Proc) {
-		s.id = mgr.MintSessionID()
-		ext.SetID(s.id)
-		aerr = s.adoptOwner(p, mgr, ext, d.cfg.Functional)
-		vms = p.Now().Milliseconds()
-	}) {
+	if !submit(shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
 		return Response{}, false
 	}
+	ext.SetID(s.id)
+	vms, aerr := d.adopt(s, ext, shard, submit)
 	if aerr != nil {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
+		if aerr == errShutdown {
+			return Response{}, false
+		}
 		r := errResp(fmt.Errorf("transport: ADP adopt on gpu %d: %w", shard, aerr))
 		r.VirtualMS = vms
 		return r, true

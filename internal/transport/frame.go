@@ -325,21 +325,21 @@ func EncodeResponseBinary(dst []byte, resp Response) ([]byte, error) {
 // returned request's Data (and sub-request Data) alias the frame buffer;
 // they are valid only as long as the caller keeps frame intact.
 func DecodeRequestBinary(frame []byte) (Request, error) {
-	payload, err := framePayload(frame, kindRequest)
-	if err != nil {
+	var req Request
+	if err := DecodeRequestBinaryInto(&req, frame); err != nil {
 		return Request{}, err
 	}
-	return decodeRequestPayload(payload)
+	return req, nil
 }
 
 // DecodeResponseBinary parses one complete binary response frame; the
 // same aliasing rule as DecodeRequestBinary applies.
 func DecodeResponseBinary(frame []byte) (Response, error) {
-	payload, err := framePayload(frame, kindResponse)
-	if err != nil {
+	var resp Response
+	if err := DecodeResponseBinaryInto(&resp, frame); err != nil {
 		return Response{}, err
 	}
-	return decodeResponsePayload(payload)
+	return resp, nil
 }
 
 // DecodeRequestBinaryInto parses one complete binary request frame into
@@ -353,6 +353,12 @@ func DecodeRequestBinaryInto(req *Request, frame []byte) error {
 	if err != nil {
 		return err
 	}
+	return decodeRequestInto(req, payload)
+}
+
+// decodeRequestInto is the one request decoder: every way a request frame
+// is read (whole-frame, into a retained value, off a Conn) ends here.
+func decodeRequestInto(req *Request, payload []byte) error {
 	batch := req.Batch[:0]
 	r := frameReader{b: payload}
 	*req = r.requestFields()
@@ -384,6 +390,11 @@ func DecodeResponseBinaryInto(resp *Response, frame []byte) error {
 	if err != nil {
 		return err
 	}
+	return decodeResponseInto(resp, payload)
+}
+
+// decodeResponseInto is the one response decoder.
+func decodeResponseInto(resp *Response, payload []byte) error {
 	batch := resp.Batch[:0]
 	r := frameReader{b: payload}
 	*resp = r.responseFields()
@@ -561,29 +572,6 @@ func (r *frameReader) requestFields() Request {
 	return req
 }
 
-func decodeRequestPayload(payload []byte) (Request, error) {
-	r := frameReader{b: payload}
-	req := r.requestFields()
-	if r.err == nil && r.off < len(r.b) {
-		n := r.uvarint()
-		if n > uint64(len(r.b)) { // each sub-request takes >= 6 bytes
-			r.fail("batch count %d overruns payload", n)
-		} else if n > 0 {
-			req.Batch = make([]Request, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				req.Batch = append(req.Batch, r.requestFields())
-			}
-		}
-	}
-	if r.err == nil && r.off < len(r.b) {
-		r.requestExt(&req)
-	}
-	if err := r.finish(); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
 // requestExt decodes the optional trailing extension section: an
 // extension-flags uvarint, then one varint per set flag. Unknown flags
 // fail the frame — their encoding length is unknowable, so skipping them
@@ -616,24 +604,4 @@ func (r *frameReader) responseFields() Response {
 	resp.VirtualMS = r.f64()
 	resp.Data = r.bytesVal()
 	return resp
-}
-
-func decodeResponsePayload(payload []byte) (Response, error) {
-	r := frameReader{b: payload}
-	resp := r.responseFields()
-	if r.err == nil && r.off < len(r.b) {
-		n := r.uvarint()
-		if n > uint64(len(r.b)) {
-			r.fail("batch count %d overruns payload", n)
-		} else {
-			resp.Batch = make([]Response, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				resp.Batch = append(resp.Batch, r.responseFields())
-			}
-		}
-	}
-	if err := r.finish(); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
 }

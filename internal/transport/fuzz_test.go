@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/workloads"
 )
 
@@ -117,6 +118,56 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		}
 		if !responsesEqual(got, want) {
 			t.Fatalf("binary round trip: got %+v, want %+v", got, want)
+		}
+	})
+}
+
+// FuzzFrameSteps feeds every request frame that decodes to the frame rule
+// all three carriers share: it must never panic, and whatever it accepts is
+// one session's verbs — a lone session verb, or BAT steps that all name the
+// session it returns, in strictly increasing cycle order.
+func FuzzFrameSteps(f *testing.F) {
+	bat := func(subs ...Request) []byte {
+		frame, err := EncodeRequestBinary(nil, Request{Verb: "BAT", Batch: subs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	f.Add(bat())                                                                   // empty BAT
+	f.Add(bat(Request{Verb: "BAT", Session: 1}))                                   // a BAT inside (all of nesting the wire can say)
+	f.Add(bat(Request{Verb: "REQ", Session: 1}))                                   // REQ inside
+	f.Add(bat(Request{Verb: "SND", Session: 1}, Request{Verb: "STR", Session: 2})) // two sessions
+	f.Add(bat(Request{Verb: "SND", Session: 1}, Request{Verb: "SND", Session: 1})) // duplicate verb
+	f.Add(bat(Request{Verb: "SND", Session: 1, Data: []byte{1}}, Request{Verb: "STR", Session: 1},
+		Request{Verb: "STP", Session: 1}, Request{Verb: "RCV", Session: 1})) // a cycle
+	lone, _ := EncodeRequestBinary(nil, Request{Verb: "SUS", Session: 4})
+	f.Add(lone)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		req, err := DecodeRequestBinary(frame)
+		if err != nil {
+			return
+		}
+		session, verbs, bat, err := FrameSteps(&req, nil)
+		if err != nil {
+			return
+		}
+		if !bat {
+			if req.Verb == "BAT" || len(verbs) != 1 || session != req.Session || verbs[0] == gvm.REQ || verbs[0].String() != req.Verb {
+				t.Fatalf("lone %+v accepted as session %d, steps %v", req, session, verbs)
+			}
+			return
+		}
+		if req.Verb != "BAT" || len(verbs) == 0 || len(verbs) != len(req.Batch) {
+			t.Fatalf("%q frame of %d sub-requests accepted as a BAT of %d steps", req.Verb, len(req.Batch), len(verbs))
+		}
+		for i, sub := range req.Batch {
+			if sub.Session != session {
+				t.Fatalf("step %d addresses session %d in a frame accepted for session %d", i, sub.Session, session)
+			}
+			if verbs[i].String() != sub.Verb || verbs[i] < gvm.SND || verbs[i] > gvm.RLS || (i > 0 && verbs[i] <= verbs[i-1]) {
+				t.Fatalf("steps %v accepted for %+v", verbs, req.Batch)
+			}
 		}
 	})
 }

@@ -274,9 +274,9 @@ func (rs *RingShard) remove(sess *ringSession) {
 }
 
 // ringSession is the ring front-end of one session: it consumes request
-// frames from the submission ring, checks each addresses this session and
-// nothing else, runs it through the frame engine, and produces the
-// response frame on the completion ring. All fields are
+// frames from the submission ring, checks each is a frame for this session
+// and nothing else, runs it through the session's frameRun, and produces
+// the response frame on the completion ring. All fields are
 // owner-goroutine-only.
 type ringSession struct {
 	host  *hostSession
@@ -289,12 +289,8 @@ type ringSession struct {
 	rec []byte  // retained response-frame scratch
 	req Request // retained decode target; Batch backing reused
 
-	// The frame in flight, all retained so a warm cycle allocates nothing.
-	run     frameRun
-	steps   []runStep
-	resps   []Response
 	deliver func() // finish, bound once
-	active  bool
+	active  bool   // a frame is running (host.run)
 	bat     bool
 	pending bool // encoded response waiting for completion-ring space
 	closed  bool
@@ -335,60 +331,38 @@ func (s *ringSession) begin(rec []byte) {
 		s.reject(fmt.Sprintf("transport: ring record: %v", err))
 		return
 	}
-	s.bat = s.req.Verb == "BAT"
-	subs := s.req.Batch
-	if !s.bat {
-		if _, ok := sessionVerb(s.req.Verb); !ok {
-			s.reject(fmt.Sprintf("transport: verb %q not allowed on a session ring", s.req.Verb))
-			return
-		}
-		// A lone verb is a frame of one step (in the retained Batch backing).
-		s.req.Batch = append(subs[:0], Request{Verb: s.req.Verb, Session: s.req.Session})
-		subs = s.req.Batch
-	} else if len(subs) == 0 {
-		s.reject("transport: empty BAT")
+	run := &s.host.run
+	id, verbs, bat, err := FrameSteps(&s.req, run.verbs)
+	if err != nil {
+		s.reject(err.Error())
 		return
 	}
-	s.steps = s.steps[:0]
-	lastRank := 0
-	for i := range subs {
-		sub := &subs[i]
-		if sub.Session != s.host.id {
-			s.reject(fmt.Sprintf("transport: ring record addresses session %d on session %d's ring", sub.Session, s.host.id))
-			return
-		}
-		if s.bat {
-			if lastRank, err = BatchStepRank(sub, lastRank); err != nil {
-				s.reject(err.Error())
-				return
-			}
-		}
-		verb, _ := sessionVerb(sub.Verb)
-		s.steps = append(s.steps, runStep{s: s.host, verb: verb})
+	if id != s.host.id {
+		s.reject(fmt.Sprintf("transport: ring record addresses session %d on session %d's ring", id, s.host.id))
+		return
 	}
-	if cap(s.resps) < len(subs) {
-		s.resps = make([]Response, len(subs))
-	}
-	s.resps = s.resps[:len(subs)]
-	s.active = true
-	s.run.start(s.mgr, s.steps, s.resps, s.deliver)
+	run.verbs, s.bat, s.active = verbs, bat, true
+	run.start(s.host, s.mgr, s.deliver)
 }
 
 // reject answers a record that never reached execution (decode or
 // validation errors) with a single ERR response.
 func (s *ringSession) reject(msg string) {
-	s.bat = false
-	s.resps = append(s.resps[:0], Response{Status: "ERR", Session: s.host.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()})
-	s.finish()
+	s.respond(Response{Status: "ERR", Session: s.host.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()})
 }
 
-// finish encodes the frame's response, pushes it to the completion ring
-// (deferring to the sweep when the ring is full) and rings the client.
-// After a ring RLS the session has retired and the next sweep unmaps it;
-// the client's own mapping outlives ours, so it still reads the response.
+// finish answers the frame whose run just completed. After a ring RLS the
+// session has retired and the next sweep unmaps it; the client's own
+// mapping outlives ours, so it still reads the response.
 func (s *ringSession) finish() {
 	s.active = false
-	if err := s.enc.encodeResponse(frameResponse(s.bat, s.resps)); err != nil {
+	s.respond(frameResponse(s.bat, s.host.run.resps))
+}
+
+// respond encodes a frame's response, pushes it to the completion ring
+// (deferring to the sweep when the ring is full) and rings the client.
+func (s *ringSession) respond(resp Response) {
+	if err := s.enc.encodeResponse(resp); err != nil {
 		_ = s.enc.encodeResponse(Response{Status: "ERR", Session: s.host.id, Err: err.Error()})
 	}
 	s.rec = s.enc.flatten(s.rec[:0])

@@ -17,13 +17,16 @@
 //   - The verb engine — frameRun (exec.go), the one place the daemon
 //     executes session verbs: it walks a frame's steps through
 //     gvm.Manager.DirectVerb on gvm daemon sessions, driven by their
-//     completions. Its two front-ends are thin: the socket Dispatcher
-//     (which also owns the session table, REQ, teardown and failover)
-//     resolves who may address what, stages inline payloads and hands
-//     each same-shard stretch of a frame to the shard owner once; the
-//     RingHost decodes records off a session's own ring and encodes the
-//     responses back. The package does not import internal/vgpu — that
-//     is the simulation's client API, and `make one-engine` keeps it so.
+//     completions. A frame is one session's verbs: FrameSteps is that
+//     rule, written once and called by every carrier — the two
+//     front-ends here and the federation router — before any session
+//     work. The front-ends are thin: the socket Dispatcher (which also
+//     owns the session table, REQ, teardown and failover) resolves who
+//     may address what, stages an inline payload and hands the frame to
+//     the session's shard owner once; the RingHost decodes records off a
+//     session's own ring and encodes the responses back. The package
+//     does not import internal/vgpu — that is the simulation's client
+//     API, and `make one-engine` keeps it so.
 //
 // Addresses are URLs: "unix:///tmp/gvmd.sock", "tcp://host:7070",
 // "ring:///tmp/gvmd.sock", "inproc://name". A bare path with no scheme

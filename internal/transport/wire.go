@@ -196,20 +196,28 @@ func (c *Conn) writeFrame() error {
 
 // ReadRequest receives one request frame.
 func (c *Conn) ReadRequest() (Request, error) {
+	var req Request
 	payload, err := c.readFrame(kindRequest)
+	if err == nil {
+		err = decodeRequestInto(&req, payload)
+	}
 	if err != nil {
 		return Request{}, err
 	}
-	return decodeRequestPayload(payload)
+	return req, nil
 }
 
 // ReadResponse receives one response frame.
 func (c *Conn) ReadResponse() (Response, error) {
+	var resp Response
 	payload, err := c.readFrame(kindResponse)
+	if err == nil {
+		err = decodeResponseInto(&resp, payload)
+	}
 	if err != nil {
 		return Response{}, err
 	}
-	return decodeResponsePayload(payload)
+	return resp, nil
 }
 
 // readFrame reads one binary frame of the given kind and returns its
