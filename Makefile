@@ -24,13 +24,19 @@ vet:
 # execution path cannot quietly come back. And one frame rule: the socket
 # dispatcher, the ring host and the fed router each call transport.FrameSteps
 # (exec.go), and none of transport or fed keeps rank bookkeeping of its own
-# (lastRank, batchVerbRank) beside it.
+# (lastRank, batchVerbRank) beside it. And one data plane: a session's plane
+# is one concrete type per side (transport.Plane, hostPlane), so no non-test
+# file of transport or ipc asks a plane which implementation it is, and no
+# interface with a StageIn or Regions method exists for a second one to
+# implement.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
 	for f in internal/transport/dispatch.go internal/transport/ringhost.go internal/fed/proxy.go; do \
 		grep -q 'FrameSteps(' $$f || bad="$$bad $$f:no-FrameSteps-call"; done; \
 	[ -z "$$bad" ] || { echo "the frame rule has forked (rank bookkeeping outside transport.FrameSteps, or a front-end not calling it):$$bad"; exit 1; }
+	@bad=$$(grep -nE '\.\(\*?([A-Za-z]+\.)?[A-Za-z]*Plane\)|^[[:space:]]+(StageIn|Regions)\(' internal/transport/*.go internal/ipc/*.go | grep -v '_test\.go:'); \
+	[ -z "$$bad" ] || { echo "the data plane has forked (a type assertion on a plane, or an interface declaring StageIn/Regions, in non-test transport/ipc code):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -46,7 +46,7 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 
 	cc := &clientConn{}
 	s := &fedSession{vid: 1, owner: cc, staged: true, inB: 64 << 10, outB: 64 << 10}
-	s.attachLocked(r.backends[0], 42, conn, routerEnd)
+	s.attachLocked(r.backends[0], 42, conn)
 	r.sessions[1] = s
 
 	payload := make([]byte, 64<<10)

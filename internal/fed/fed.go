@@ -30,7 +30,6 @@ package fed
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,9 +46,8 @@ type Config struct {
 	// Backends are the gvmd nodes to front, in URL form (tcp://host:port,
 	// unix:///path, inproc://name). At least one.
 	Backends []string
-	// Placement names the NODE-level policy (same registry as gvmd
-	// -placement: least-sessions, round-robin, least-memory,
-	// weighted-bytes, slo). Default least-sessions.
+	// Placement names the NODE-level policy (node.PolicyNames, the same
+	// set as gvmd -placement). Default least-sessions.
 	Placement string
 	// PollInterval is the advertisement poll period (default 200ms).
 	PollInterval time.Duration
@@ -109,8 +107,7 @@ type backend struct {
 	bytesAtPoll    int64
 	sessionsAtPoll int64
 	// ctl is the polling connection (lazily dialed, redialed on error).
-	ctl   *transport.Conn
-	ctlNC net.Conn
+	ctl *transport.Conn
 }
 
 func (b *backend) getState() nodeState {
@@ -171,7 +168,6 @@ type fedSession struct {
 	b      *backend
 	realID int
 	conn   *transport.Conn
-	nc     net.Conn
 	// placed reports whether the session currently holds a reservation in
 	// b's counters (false between losing a backend and landing on the
 	// next one).
@@ -387,17 +383,17 @@ func (r *Router) Close() error {
 		s.mu.Lock()
 		if !s.closed {
 			s.closed = true
-			if s.nc != nil {
-				_ = s.nc.Close()
+			if s.conn != nil {
+				_ = s.conn.Close()
 			}
 		}
 		s.mu.Unlock()
 	}
 	for _, b := range r.backends {
 		b.mu.Lock()
-		if b.ctlNC != nil {
-			_ = b.ctlNC.Close()
-			b.ctl, b.ctlNC = nil, nil
+		if b.ctl != nil {
+			_ = b.ctl.Close()
+			b.ctl = nil
 		}
 		b.mu.Unlock()
 	}
@@ -414,19 +410,6 @@ func (r *Router) nodeLoads() []node.Load {
 	return loads
 }
 
-// dialBackend opens one binary-codec connection to a backend.
-func (r *Router) dialBackend(b *backend) (*transport.Conn, net.Conn, error) {
-	nc, _, err := transport.DialAddr(b.addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := transport.WritePreamble(nc); err != nil {
-		nc.Close()
-		return nil, nil, err
-	}
-	return transport.NewConn(nc), nc, nil
-}
-
 // markDead escalates a backend to dead (idempotent). Sessions routed to
 // it are re-created lazily on their next verb; in-flight verbs answer
 // retryable errors the clients replay.
@@ -434,9 +417,9 @@ func (r *Router) markDead(b *backend, cause error) {
 	b.mu.Lock()
 	was := b.state
 	b.state = stateDead
-	if b.ctlNC != nil {
-		_ = b.ctlNC.Close()
-		b.ctl, b.ctlNC = nil, nil
+	if b.ctl != nil {
+		_ = b.ctl.Close()
+		b.ctl = nil
 	}
 	b.mu.Unlock()
 	if was != stateDead && r.cfg.Log != nil {
@@ -495,8 +478,8 @@ func (r *Router) unplace(b *backend, footprint int64) {
 
 // attachLocked binds a session to its (new) backend incarnation; the
 // caller already holds the reservation from place. Caller holds s.mu.
-func (s *fedSession) attachLocked(b *backend, realID int, conn *transport.Conn, nc net.Conn) {
-	s.b, s.realID, s.conn, s.nc = b, realID, conn, nc
+func (s *fedSession) attachLocked(b *backend, realID int, conn *transport.Conn) {
+	s.b, s.realID, s.conn = b, realID, conn
 	s.placed = true
 }
 
@@ -507,12 +490,12 @@ func (s *fedSession) attachLocked(b *backend, realID int, conn *transport.Conn, 
 // response's Data is still in flight to the client (it aliases that
 // buffer), letting the GC reclaim it instead.
 func (r *Router) dropBackendLocked(s *fedSession, releaseBuf bool) {
-	if s.nc != nil {
-		_ = s.nc.Close()
+	if s.conn != nil {
+		_ = s.conn.Close()
 		if releaseBuf {
 			s.conn.Release()
 		}
-		s.conn, s.nc = nil, nil
+		s.conn = nil
 	}
 	if s.placed {
 		s.placed = false

@@ -62,7 +62,7 @@ func (r *Router) recreateLocked(s *fedSession) error {
 		Plane:    transport.PlaneInline,
 		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
 	}
-	b, conn, nc, resp, err := r.openOn(fwd, s.inB+s.outB)
+	b, conn, resp, err := r.openOn(fwd, s.inB+s.outB)
 	if err != nil {
 		return errors.New(gvm.Retryable(fmt.Sprintf(
 			"fed: session %d lost node %d and cannot be re-placed: %v", s.vid, old.idx, err)))
@@ -70,7 +70,7 @@ func (r *Router) recreateLocked(s *fedSession) error {
 	if conn == nil {
 		return fmt.Errorf("fed: re-place session %d on node %d: %s", s.vid, b.idx, resp.Err)
 	}
-	s.attachLocked(b, resp.Session, conn, nc)
+	s.attachLocked(b, resp.Session, conn)
 	s.staged = false // the input died with the old node
 	r.met.failovers.Inc()
 	if r.cfg.Log != nil {
@@ -113,7 +113,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 	adp := transport.Request{Verb: "ADP", Data: blob}
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
-		b, conn, nc, aresp, err := r.openOn(adp, footprint)
+		b, conn, aresp, err := r.openOn(adp, footprint)
 		if err != nil {
 			lastErr = err
 			break
@@ -122,7 +122,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 			lastErr = errors.New(aresp.Err)
 			continue
 		}
-		s.attachLocked(b, aresp.Session, conn, nc)
+		s.attachLocked(b, aresp.Session, conn)
 		r.met.failovers.Inc()
 		r.met.migratedBytes.Add(int64(len(blob)))
 		if r.cfg.Log != nil {

@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"net"
 	"time"
 
 	"gpuvirt/internal/node"
@@ -33,18 +32,18 @@ func (r *Router) pollLoop() {
 
 // installCtl stores a freshly dialed control connection, unless a verb
 // goroutine marked the backend dead since the dial — markDead already
-// closed (a nil) b.ctlNC, and dead nodes are never polled again, so an
+// closed (a nil) b.ctl, and dead nodes are never polled again, so an
 // installed connection would sit open until Router.Close. Reports
 // whether the backend is still worth polling.
-func (b *backend) installCtl(ctl *transport.Conn, nc net.Conn) bool {
+func (b *backend) installCtl(ctl *transport.Conn) bool {
 	b.mu.Lock()
 	if b.state == stateDead {
 		b.mu.Unlock()
-		nc.Close()
+		ctl.Close()
 		ctl.Release()
 		return false
 	}
-	b.ctl, b.ctlNC = ctl, nc
+	b.ctl = ctl
 	b.mu.Unlock()
 	return true
 }
@@ -59,48 +58,46 @@ func (r *Router) pollBackend(b *backend) {
 		b.mu.Unlock()
 		return
 	}
-	ctl, nc := b.ctl, b.ctlNC
+	ctl := b.ctl
 	b.mu.Unlock()
 	if ctl == nil {
 		var err error
-		ctl, nc, err = r.dialBackend(b)
-		if err != nil {
+		if ctl, _, err = transport.Dial(b.addr); err != nil {
 			r.markDead(b, err)
 			return
 		}
-		if !b.installCtl(ctl, nc) {
+		if !b.installCtl(ctl) {
 			return
 		}
 	}
 	resp, err := tripConn(ctl, transport.Request{Verb: "STA"})
 	if err != nil {
-		nc.Close()
+		ctl.Close()
 		ctl.Release()
 		b.mu.Lock()
-		b.ctl, b.ctlNC = nil, nil
+		b.ctl = nil
 		b.mu.Unlock()
 		// One redial covers a benign dropped control connection; a node
 		// that cannot be re-reached is dead.
-		ctl2, nc2, derr := r.dialBackend(b)
+		ctl2, _, derr := transport.Dial(b.addr)
 		if derr != nil {
 			r.markDead(b, derr)
 			return
 		}
 		resp, err = tripConn(ctl2, transport.Request{Verb: "STA"})
 		if err != nil {
-			nc2.Close()
+			ctl2.Close()
 			ctl2.Release()
 			r.markDead(b, err)
 			return
 		}
-		if !b.installCtl(ctl2, nc2) {
+		if !b.installCtl(ctl2) {
 			return
 		}
 	}
 	if resp.Status != "ACK" {
-		// A daemon predating STA answers "unknown verb": leave its load
-		// at the zero value (always placeable by headroom 0... no —
-		// MemFree 0 keeps it last in line) and its state alive.
+		// A node that refuses STA stays alive with the zero load it started
+		// with: no headroom, so placement never picks it.
 		return
 	}
 	ad, err := node.UnmarshalAd(resp.Data)

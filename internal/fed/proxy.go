@@ -131,7 +131,7 @@ func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Respo
 	footprint := spec.InBytes + spec.OutBytes
 	fwd := req
 	fwd.Plane = transport.PlaneInline
-	b, conn, nc, resp, err := r.openOn(fwd, footprint)
+	b, conn, resp, err := r.openOn(fwd, footprint)
 	if err != nil {
 		return errResp(fmt.Errorf("fed: %v", err))
 	}
@@ -157,7 +157,7 @@ func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Respo
 		resp.Data = append([]byte(nil), resp.Data...)
 	}
 	s.mu.Lock()
-	s.attachLocked(b, resp.Session, conn, nc)
+	s.attachLocked(b, resp.Session, conn)
 	vid := r.register(s)
 	s.mu.Unlock()
 	cc.owned = append(cc.owned, vid)
@@ -177,34 +177,34 @@ func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Respo
 // node said ACK (the caller attaches it and keeps the reservation), with
 // conn == nil — connection closed, reservation returned — when the node
 // refused.
-func (r *Router) openOn(fwd transport.Request, footprint int64) (b *backend, conn *transport.Conn, nc net.Conn, resp transport.Response, err error) {
+func (r *Router) openOn(fwd transport.Request, footprint int64) (b *backend, conn *transport.Conn, resp transport.Response, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
 		if b, err = r.place(footprint); err != nil {
 			if lastErr != nil {
 				err = fmt.Errorf("%v (last backend error: %v)", err, lastErr)
 			}
-			return nil, nil, nil, resp, err
+			return nil, nil, resp, err
 		}
-		if conn, nc, err = r.dialBackend(b); err == nil {
+		if conn, _, err = transport.Dial(b.addr); err == nil {
 			start := time.Now()
 			if resp, err = tripConn(conn, fwd); err == nil {
 				r.met.lat(fwd.Verb).Observe(int64(time.Since(start)))
 				if resp.Status == "ACK" {
-					return b, conn, nc, resp, nil
+					return b, conn, resp, nil
 				}
 			}
-			nc.Close()
+			conn.Close()
 			conn.Release()
 		}
 		r.unplace(b, footprint)
 		if err == nil {
-			return b, nil, nil, resp, nil // the node refused
+			return b, nil, resp, nil // the node refused
 		}
 		r.markDead(b, err)
 		lastErr = err
 	}
-	return nil, nil, nil, resp, fmt.Errorf("every placement attempt failed: %v", lastErr)
+	return nil, nil, resp, fmt.Errorf("every placement attempt failed: %v", lastErr)
 }
 
 // tripConn performs one round trip on a backend connection that is not

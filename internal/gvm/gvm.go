@@ -166,8 +166,6 @@ type Config struct {
 	// design). Disabling it is an ablation: pageable staging transfers
 	// more slowly and, on real hardware, would forbid async overlap.
 	PinnedStaging bool
-	// QueueCap bounds the request and response queues (0 = unbounded).
-	QueueCap int
 	// MaxSessionBytes caps the aggregate shared-memory (and staging)
 	// footprint of live sessions; REQ beyond the cap is rejected. The
 	// paper: "the shared memory size is user-customizable to ensure the
@@ -385,7 +383,7 @@ func New(env *sim.Env, cfg Config) *Manager {
 		env:      env,
 		cfg:      cfg,
 		dev:      cfg.Device,
-		req:      NewQueue[Request](env, cfg.QueueCap, cfg.MsgLatency),
+		req:      NewQueue[Request](env, 0, cfg.MsgLatency),
 		ready:    env.NewEvent(),
 		sessions: make(map[int]*session),
 		nextID:   cfg.GPUIndex + 1 - stride, // first id handed out is GPUIndex+1

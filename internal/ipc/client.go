@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -40,14 +39,13 @@ type Options struct {
 // state lives server-side in the shared dispatcher.
 type Client struct {
 	// Fixed at dial.
-	nc         net.Conn
+	conn       *transport.Conn
 	shmDir     string
 	plane      string
 	timeout    time.Duration
 	noPipeline bool
 
 	mu    sync.Mutex // serializes round trips on conn
-	conn  *transport.Conn
 	trips int64
 }
 
@@ -61,27 +59,22 @@ func Dial(addr, shmDir string) (*Client, error) {
 
 // DialOptions connects to a daemon address with explicit options.
 func DialOptions(addr string, o Options) (*Client, error) {
-	nc, tr, err := transport.DialAddr(addr)
+	conn, plane, err := transport.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("ipc: dial %s: %w", addr, err)
 	}
-	if err := transport.WritePreamble(nc); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("ipc: dial %s: %w", addr, err)
+	if o.Plane != "" {
+		plane = o.Plane
 	}
-	plane := o.Plane
-	if plane == "" {
-		plane = tr.DefaultPlane()
-	}
-	return &Client{conn: transport.NewConn(nc), nc: nc, shmDir: o.ShmDir, plane: plane, timeout: o.Timeout, noPipeline: o.NoPipeline}, nil
+	return &Client{conn: conn, shmDir: o.ShmDir, plane: plane, timeout: o.Timeout, noPipeline: o.NoPipeline}, nil
 }
 
 // Close drops the connection; the daemon releases any sessions left open.
 func (c *Client) Close() error {
-	// Close the raw connection first: it unblocks any round trip stuck in
-	// a read. Then taking mu waits that round trip out, after which no
-	// read is in flight and the pooled read buffer can be released.
-	err := c.nc.Close()
+	// Close the connection first, without mu: it unblocks any round trip
+	// stuck in a read. Then taking mu waits that round trip out, after which
+	// no read is in flight and the pooled read buffer can be released.
+	err := c.conn.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.conn.Release()
@@ -199,16 +192,16 @@ func retryFailover(fn func() error) error {
 // the paper's API layer for real processes. Its method set mirrors
 // vgpu.VGPU; payload movement is delegated to the session's data plane.
 type Session struct {
-	c        *Client
-	id       int
-	plane    transport.DataPlane
+	c  *Client
+	id int
+	// plane moves the payloads and, when the session negotiated the ring
+	// plane, is its carrier too (plane.Ring): every verb frame then travels
+	// as a record through the session's shared-memory rings and never
+	// touches the socket. Otherwise the client's connection carries them.
+	// Picked once, at REQ.
+	plane    *transport.Plane
 	inBytes  int64
 	outBytes int64
-	// ring is the session's carrier when it negotiated the ring plane: every
-	// verb frame then travels as a record through the session's
-	// shared-memory rings and never touches the socket. nil: the client's
-	// connection carries them. Picked once, at REQ.
-	ring *transport.RingPlane
 	// mu serializes the session's trips (the rings are strictly SPSC) and
 	// guards the retained frame state below, which keeps a pipelined cycle
 	// free of per-cycle allocations on either carrier.
@@ -250,20 +243,22 @@ func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (
 	}
 	plane, err := transport.OpenPlane(c.shmDir, resp)
 	if err != nil {
+		// The daemon opened the session; without its plane it is of no use
+		// here, and left open it would hold its device reservation, staging
+		// and segment file until the connection drops.
+		_, _ = c.roundTrip(Request{Verb: "RLS", Session: resp.Session})
 		return nil, err
 	}
-	s := &Session{
+	if plane.Ring != nil {
+		plane.Ring.SetTimeout(c.timeout)
+	}
+	return &Session{
 		c:        c,
 		id:       resp.Session,
 		plane:    plane,
 		inBytes:  resp.InBytes,
 		outBytes: resp.OutBytes,
-	}
-	if rp, ok := plane.(*transport.RingPlane); ok {
-		rp.SetTimeout(c.timeout)
-		s.ring = rp
-	}
-	return s, nil
+	}, nil
 }
 
 // ID returns the daemon-assigned session id.
@@ -284,8 +279,8 @@ func (s *Session) Plane() string { return s.plane.Kind() }
 func (s *Session) trip(req Request) (*Response, error) {
 	resp := &s.resp
 	var err error
-	if s.ring != nil {
-		resp, err = s.ring.Trip(req)
+	if ring := s.plane.Ring; ring != nil {
+		resp, err = ring.Trip(req)
 	} else {
 		s.resp, err = s.c.roundTrip(req)
 	}
@@ -326,12 +321,12 @@ func (s *Session) verb(verb string) error {
 // for socket sessions); tests use it to assert verbs stayed off the
 // socket.
 func (s *Session) RingTrips() int64 {
-	if s.ring == nil {
+	if s.plane.Ring == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ring.Trips()
+	return s.plane.Ring.Trips()
 }
 
 // SendInput stages the input through the data plane and issues SND.

@@ -2,11 +2,11 @@
 // a thin client (Dial/Session) and the gvmd server glue, both riding the
 // pluggable connection layer in internal/transport. The wire codec
 // (length-prefixed binary frames), the transports (unix, tcp, ring,
-// inproc) and the data planes (file-backed shared memory,
-// inline-over-the-wire, shared-memory rings) all live in
-// internal/transport; the verb state machine lives once, in gvm.Manager,
-// and the daemon executes frames against it in one place, transport's
-// frame engine, behind the socket dispatcher and the ring host. This
+// inproc) and the data plane (transport.Plane: a file-backed shared-memory
+// segment, with the session's rings in it or without, or inline over the
+// wire) all live in internal/transport; the verb state machine lives once,
+// in gvm.Manager, and the daemon executes frames against it in one place,
+// transport's frame engine, behind the socket dispatcher and the ring host. This
 // package only wires listeners, connections and the shard owner loops to
 // that machinery, and gives clients Session — the daemon-mode
 // counterpart of the in-simulation vgpu API, which picks its carrier

@@ -203,7 +203,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	// a doorbell segment out and runs each shard owner as a sweep loop
 	// instead of a blocking queue receiver.
 	for _, ln := range lns {
-		if ln.Scheme() == "ring" {
+		if ln.DefaultPlane() == transport.PlaneRing {
 			rh, rerr := transport.NewRingHost(transport.RingHostConfig{
 				ShmDir:  cfg.ShmDir,
 				Shards:  n.NumShards(),
@@ -499,12 +499,6 @@ func (s *Server) submitUntil(end <-chan struct{}, shard int, fn func(p *sim.Proc
 
 func (s *Server) accept(ln transport.Listener) {
 	defer s.wg.Done()
-	tr, err := transport.Lookup(ln.Scheme())
-	if err != nil {
-		s.cfg.Logger.Printf("gvmd: %v", err)
-		return
-	}
-	defaultPlane := tr.DefaultPlane()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -513,7 +507,7 @@ func (s *Server) accept(ln transport.Listener) {
 		// Connection handlers are not tracked by wg: a handler may be
 		// parked at the STR barrier waiting for peers, and Close must
 		// not wait for it.
-		go s.serveConn(conn, defaultPlane)
+		go s.serveConn(conn, ln.DefaultPlane())
 	}
 }
 

@@ -526,3 +526,41 @@ func BenchmarkShmPlaneCycle(b *testing.B) {
 		}
 	}
 }
+
+// TestRequestAttachFailureReleasesSession: a client that cannot map the
+// segment the daemon advertised (its ShmDir is not the daemon's) fails the
+// Request — and gives the session the daemon had already opened back at once,
+// not when the connection drops: no session, no device reservation and no
+// segment file are left behind on a connection that stays open, and the same
+// connection opens a session once it looks in the right directory.
+func TestRequestAttachFailureReleasesSession(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"unix://" + tempSocket(t)}, Functional: true})
+	c, err := Dial(s.Addr(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
+	for try := 0; try < 3; try++ {
+		if _, err := c.Request(ref, 0); err == nil {
+			t.Fatal("Request attached a segment from the wrong directory")
+		}
+		if got := s.disp.OpenSessions(); got != 0 {
+			t.Fatalf("try %d: %d sessions open after the failed Request", try, got)
+		}
+		if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
+			t.Fatalf("try %d: gvm sessions=%d, device in use=%d reserved=%d after the failed Request", try, open, inUse, reserved)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-*")); len(segs) != 0 {
+			t.Fatalf("try %d: segment files left behind: %v", try, segs)
+		}
+	}
+	c.shmDir = s.cfg.ShmDir
+	sess, err := c.Request(ref, 0)
+	if err != nil {
+		t.Fatalf("Request with the daemon's directory, after the failed ones: %v", err)
+	}
+	if err := sess.Release(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -42,9 +42,8 @@ type Load struct {
 
 // Policy picks the shard for a new session. Pick receives the admissible
 // candidates (every shard whose free device memory fits the footprint,
-// ascending shard index) and returns an index INTO cands. The node calls
-// Pick under its placement lock, so policies may keep unguarded state
-// (e.g. a round-robin cursor).
+// ascending shard index) and returns an index INTO cands. A policy is a
+// pure function of the loads it is shown.
 type Policy interface {
 	Name() string
 	Pick(cands []Load, footprint int64) int
@@ -53,7 +52,6 @@ type Policy interface {
 // Policy names accepted by PolicyByName (and gvmd -placement).
 const (
 	LeastSessions = "least-sessions"
-	RoundRobin    = "round-robin"
 	LeastMemory   = "least-memory"
 	WeightedBytes = "weighted-bytes"
 	SLO           = "slo"
@@ -61,16 +59,14 @@ const (
 
 // PolicyNames lists the built-in policies in flag-help order.
 func PolicyNames() []string {
-	return []string{LeastSessions, RoundRobin, LeastMemory, WeightedBytes, SLO}
+	return []string{LeastSessions, LeastMemory, WeightedBytes, SLO}
 }
 
-// PolicyByName returns a fresh instance of a built-in policy.
+// PolicyByName returns a built-in policy.
 func PolicyByName(name string) (Policy, error) {
 	switch name {
 	case "", LeastSessions:
 		return leastSessions{}, nil
-	case RoundRobin:
-		return &roundRobin{}, nil
 	case LeastMemory:
 		return leastMemory{}, nil
 	case WeightedBytes:
@@ -83,7 +79,8 @@ func PolicyByName(name string) (Policy, error) {
 }
 
 // leastSessions picks the shard with the fewest placed sessions (ties go
-// to the lowest index) — the pre-shard daemon's placement behaviour.
+// to the lowest index) — the pre-shard daemon's placement behaviour. Until
+// something is released it deals arrivals out in shard order.
 type leastSessions struct{}
 
 func (leastSessions) Name() string { return LeastSessions }
@@ -96,18 +93,6 @@ func (leastSessions) Pick(cands []Load, _ int64) int {
 		}
 	}
 	return best
-}
-
-// roundRobin cycles through the candidates regardless of load: useful
-// when sessions are uniform and arrival order should dictate spread.
-type roundRobin struct{ cursor int }
-
-func (*roundRobin) Name() string { return RoundRobin }
-
-func (r *roundRobin) Pick(cands []Load, _ int64) int {
-	i := r.cursor % len(cands)
-	r.cursor++
-	return i
 }
 
 // leastMemory picks the shard with the most free device memory (i.e. the

@@ -60,16 +60,6 @@ func TestPolicyPicks(t *testing.T) {
 			t.Errorf("%s picked cands[%d], want cands[%d]", tc.policy, got, tc.want)
 		}
 	}
-	// Round-robin ignores load and cycles through the candidates.
-	rr, err := PolicyByName(RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{0, 1, 2, 0, 1} {
-		if got := rr.Pick(cands, 64); got != want {
-			t.Fatalf("round-robin pick %d = cands[%d], want cands[%d]", i, got, want)
-		}
-	}
 }
 
 // TestPolicyTieBreak pins the deterministic tie rule: equal loads go to
@@ -154,9 +144,9 @@ func TestPlacementSkewProperty(t *testing.T) {
 			}
 			shards := make([]int, k)
 			for i, f := range footprints {
-				// Round-robin balances arrivals, not bytes: give it (and
-				// least-sessions) uniform footprints so its bound is exact.
-				if policy == RoundRobin || policy == LeastSessions {
+				// Least-sessions balances arrivals, not bytes: give it
+				// uniform footprints so its bound is exact.
+				if policy == LeastSessions {
 					f = 1 << 20
 					footprints[i] = f
 				}
@@ -165,6 +155,11 @@ func TestPlacementSkewProperty(t *testing.T) {
 					t.Fatalf("%s/%d gpus: place %d: %v", policy, gpus, i, err)
 				}
 				shards[i] = idx
+				// With nothing released and every shard fitting, the lowest-index
+				// tie-break deals arrivals out in shard order.
+				if policy == LeastSessions && idx != i%gpus {
+					t.Fatalf("%s/%d gpus: placement %d landed on shard %d, want %d", policy, gpus, i, idx, i%gpus)
+				}
 				var minS, maxS, minB, maxB int64
 				for j, l := range nd.Loads() {
 					if j == 0 || l.Sessions < minS {
@@ -181,7 +176,7 @@ func TestPlacementSkewProperty(t *testing.T) {
 					}
 				}
 				switch policy {
-				case LeastSessions, RoundRobin:
+				case LeastSessions:
 					if maxS-minS > 1 {
 						t.Fatalf("%s/%d gpus after %d placements: session skew %d, bound 1",
 							policy, gpus, i+1, maxS-minS)

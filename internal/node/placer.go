@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Placer is one level of the two-level placement hierarchy: the shared
@@ -15,14 +14,13 @@ import (
 // written once composes at node level and shard level with no
 // duplicated code.
 //
-// Select is serialized under the Placer's own lock, which is what lets
-// stateful policies (round-robin's cursor) stay unguarded.
+// A Placer holds no state of its own: making select-and-reserve atomic is
+// its caller's lock (Node.mu, Router.placeMu).
 type Placer struct {
 	// Noun names one placement target in rejection errors: "GPU" at the
 	// node→shard level, "node" at the federation→node level.
 	Noun string
 
-	mu     sync.Mutex
 	policy Policy
 }
 
@@ -41,11 +39,7 @@ func NewPlacer(policyName, noun string) (*Placer, error) {
 func (pl *Placer) noun() string { return strings.ToLower(pl.Noun) }
 
 // Policy returns the active policy's name.
-func (pl *Placer) Policy() string {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.policy.Name()
-}
+func (pl *Placer) Policy() string { return pl.policy.Name() }
 
 // Select runs this level's admission filter and placement policy over
 // the current loads and returns the chosen target's id (Load.Shard).
@@ -55,8 +49,6 @@ func (pl *Placer) Policy() string {
 // its free bytes, so an Unhealthy target is distinguishable from a full
 // one.
 func (pl *Placer) Select(all []Load, footprint int64) (int, error) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	cands := make([]Load, 0, len(all))
 	placeable := 0
 	for _, l := range all {

@@ -140,9 +140,8 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 }
 
 // hostSession is the daemon-side state of one client session on either
-// front-end: where its gvm daemon session lives, the data plane moving
-// payloads to and from the client process, and the pinned staging bound
-// onto it.
+// front-end: where its gvm daemon session lives and the data plane moving
+// payloads to and from the client process, which is its pinned staging.
 type hostSession struct {
 	id    int
 	inB   int64       // staging footprint reserved on the shard
@@ -164,8 +163,8 @@ type hostSession struct {
 	// Submitter call cannot deadlock.
 	migMu sync.Mutex
 
-	// mu guards the connection-side staging state (plane + buffers) and
-	// the session's location (remapped by failover) against teardown:
+	// mu guards the connection-side staging state (the plane's staging)
+	// and the session's location (remapped by failover) against teardown:
 	// retire marks the session closed under mu before closing the plane,
 	// and staging copies check closed under mu first. It is never held
 	// across a Submitter call.
@@ -173,10 +172,7 @@ type hostSession struct {
 	closed    bool
 	migrating bool // a failover is moving the session between shards
 	shard     int  // the node shard (GPU) hosting the session
-	plane     HostPlane
-	// Pinned staging (bindStaging): a mapped plane's own regions, heap
-	// for the inline plane, nil on a timing-only daemon.
-	stageIn, stageOut []byte
+	plane     hostPlane
 
 	run frameRun // the session's one frame in flight, on either front-end
 }
@@ -190,11 +186,11 @@ func (s *hostSession) loc() int {
 
 // adoptOwner lands an extracted session on mgr and binds its staging.
 // Owner-goroutine side.
-func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession, functional bool) error {
+func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession) error {
 	if err := mgr.AdoptSession(p, ext); err != nil {
 		return err
 	}
-	if err := s.bindStaging(mgr, functional); err != nil {
+	if err := s.bindStaging(mgr); err != nil {
 		mgr.ReleaseSession(p, s.id) // ext stays adoptable elsewhere
 		return fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, mgr.GPUIndex(), err)
 	}
@@ -208,27 +204,24 @@ func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.Extract
 // over, else fresh); nothing on a timing-only daemon — and the session's
 // notify as its control surface. Owner-goroutine side, after every open
 // and adopt, whatever the plane.
-func (s *hostSession) bindStaging(mgr *gvm.Manager, functional bool) error {
-	var in, out []byte
-	if functional {
-		in, out = s.plane.Regions()
-		if _, inline := s.plane.(inlineHostPlane); inline {
-			in, out = mgr.Staging(s.id)
-			if in == nil {
-				in = make([]byte, s.inB)
-			}
-			if out == nil {
-				out = make([]byte, s.outB)
-			}
+func (s *hostSession) bindStaging(mgr *gvm.Manager) error {
+	s.mu.Lock()
+	pl := &s.plane
+	switch {
+	case !s.d.cfg.Functional:
+		pl.in, pl.out = nil, nil
+	case pl.seg == nil:
+		pl.in, pl.out = mgr.Staging(s.id)
+		if pl.in == nil {
+			pl.in = make([]byte, s.inB)
+		}
+		if pl.out == nil {
+			pl.out = make([]byte, s.outB)
 		}
 	}
-	if err := mgr.BindDirect(s.id, in, out, s.notify); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.stageIn, s.stageOut = in, out
+	in, out := pl.in, pl.out
 	s.mu.Unlock()
-	return nil
+	return mgr.BindDirect(s.id, in, out, s.notify)
 }
 
 // staged gates SND and RCV payload handling; the caller holds s.mu.
@@ -248,18 +241,19 @@ func (s *hostSession) staged() error {
 func (s *hostSession) copyIn(req *Request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.staged(); err != nil || s.stageIn == nil {
+	in := s.plane.in
+	if err := s.staged(); err != nil || in == nil {
 		return err // nil staging: timing-only, no bytes move
 	}
-	if _, inline := s.plane.(inlineHostPlane); inline {
-		if len(req.Data) != len(s.stageIn) {
-			return fmt.Errorf("transport: inline SND carried %d bytes, session stages %d", len(req.Data), len(s.stageIn))
+	if s.plane.seg == nil {
+		if len(req.Data) != len(in) {
+			return fmt.Errorf("transport: inline SND carried %d bytes, session stages %d", len(req.Data), len(in))
 		}
 		start := time.Now()
-		copy(s.stageIn, req.Data)
+		copy(in, req.Data)
 		s.d.met.copyIn.Observe(int64(time.Since(start)))
 	}
-	s.d.met.bytesIn.Add(int64(len(s.stageIn)))
+	s.d.met.bytesIn.Add(int64(len(in)))
 	return nil
 }
 
@@ -270,15 +264,16 @@ func (s *hostSession) copyIn(req *Request) error {
 func (s *hostSession) copyOut(resp *Response) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.staged(); err != nil || s.stageOut == nil {
+	out := s.plane.out
+	if err := s.staged(); err != nil || out == nil {
 		return err
 	}
-	if _, inline := s.plane.(inlineHostPlane); inline {
+	if s.plane.seg == nil {
 		start := time.Now()
-		resp.Data = s.stageOut
+		resp.Data = out
 		s.d.met.copyOut.Observe(int64(time.Since(start)))
 	}
-	s.d.met.bytesOut.Add(int64(len(s.stageOut)))
+	s.d.met.bytesOut.Add(int64(len(out)))
 	return nil
 }
 
@@ -365,7 +360,7 @@ func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
 	if s.owner != cs {
 		return nil, fmt.Errorf("transport: session %d belongs to another connection", id)
 	}
-	if _, ring := s.plane.(*ringHostPlane); ring {
+	if s.plane.ring != nil {
 		// One front-end per session: its ring may have a frame in flight.
 		return nil, fmt.Errorf("transport: session %d takes its verbs through its ring", id)
 	}
@@ -388,14 +383,9 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	if kind == "" {
 		kind = PlaneShm
 	}
-	switch kind {
-	case PlaneShm, PlaneInline:
-	case PlaneRing:
-		if d.cfg.Rings == nil {
-			return errResp(fmt.Errorf("transport: data plane %q needs a ring:// listener, and this daemon has none (want %q or %q)", kind, PlaneShm, PlaneInline)), true
-		}
-	default:
-		return errResp(fmt.Errorf("transport: unknown data plane %q (want %q, %q or %q)", kind, PlaneShm, PlaneInline, PlaneRing)), true
+	plane, err := newHostPlane(kind, d.cfg.Rings, spec.InBytes, spec.OutBytes)
+	if err != nil {
+		return errResp(err), true
 	}
 
 	// Admission + placement: the node picks the shard once, here; every
@@ -440,18 +430,13 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	s := &hostSession{
 		id: id, shard: shard,
 		inB: spec.InBytes, outB: spec.OutBytes,
-		owner: cs, d: d,
+		owner: cs, d: d, plane: plane,
 		ref: *req.Ref, rank: req.Rank,
 	}
-	name := fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id)
-	if kind == PlaneRing {
-		s.plane, err = d.cfg.Rings.newPlane(name, s, mgr)
-	} else {
-		s.plane, err = NewHostPlane(kind, d.cfg.ShmDir, name, s.inB, s.outB)
-	}
+	err = s.plane.create(d.cfg.ShmDir, fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id), s, mgr)
 	// Owner phase: the plane becomes the session's pinned staging; a
 	// failure so far unwinds like a release.
-	if err == nil && !submit(shard, func(p *sim.Proc) { err = s.bindStaging(mgr, d.cfg.Functional) }) {
+	if err == nil && !submit(shard, func(p *sim.Proc) { err = s.bindStaging(mgr) }) {
 		// No verb ever ran on the session, so nothing can touch the
 		// mapping this unmaps.
 		d.retire(s)
@@ -462,14 +447,14 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		return errResp(err), true
 	}
 	d.publish(s, cs)
-	if rp, ok := s.plane.(*ringHostPlane); ok {
-		rp.rs.Register(rp.sess)
+	if s.plane.ring != nil {
+		d.cfg.Rings.Shard(shard).Register(s.plane.ring)
 	}
 	return Response{
 		Status:    "ACK",
 		Session:   s.id,
-		Plane:     s.plane.Kind(),
-		Segment:   s.plane.Segment(),
+		Plane:     s.plane.kind,
+		Segment:   s.plane.name,
 		InBytes:   spec.InBytes,
 		OutBytes:  spec.OutBytes,
 		VirtualMS: vms,
@@ -599,9 +584,7 @@ func (d *Dispatcher) retire(s *hostSession) {
 		delete(d.sessions, s.id)
 	}
 	d.mu.Unlock()
-	if plane != nil {
-		_ = plane.Close()
-	}
+	_ = plane.Close(shard)
 	d.cfg.Node.Release(shard, s.inB, s.outB)
 }
 
@@ -697,15 +680,14 @@ func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.E
 	from := s.shard
 	s.mu.Unlock()
 	mgr := d.cfg.Node.Shard(from).Mgr
-	rp, _ := s.plane.(*ringHostPlane)
 	var (
 		ext *gvm.ExtractedSession
 		err error
 	)
 	if !submit(from, func(p *sim.Proc) {
 		s.abortRun(gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, from)))
-		if rp != nil {
-			rp.sess.shard.remove(rp.sess)
+		if s.plane.ring != nil {
+			d.cfg.Rings.Shard(from).remove(s.plane.ring)
 		}
 		ext, err = mgr.ExtractSession(p, s.id)
 	}) {
@@ -724,21 +706,20 @@ func (s *hostSession) settle() {
 // adopt is the second half of every move: land ext on shard — adopt into
 // its gvm manager and bind the staging back onto the data plane (a mapped
 // segment held the truth all along: nothing is copied back) — then remap
-// the session's routing. A ring session's mgr/shard fields are set in the
-// owner closure so the target sweep observes them through the Register
+// the session's routing. A ring session's manager is set in the owner
+// closure so the target sweep observes it through the Register
 // happens-before edge. The caller holds the placement on shard; the
 // result is the shard's virtual time at landing.
 func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int, submit ShardSubmitter) (float64, error) {
 	mgr := d.cfg.Node.Shard(shard).Mgr
-	rp, _ := s.plane.(*ringHostPlane)
+	ring := s.plane.ring
 	var (
 		vms float64
 		err error
 	)
 	if !submit(shard, func(p *sim.Proc) {
-		if err = s.adoptOwner(p, mgr, ext, d.cfg.Functional); err == nil && rp != nil {
-			rp.sess.mgr = mgr
-			rp.sess.shard = d.cfg.Rings.Shard(shard)
+		if err = s.adoptOwner(p, mgr, ext); err == nil && ring != nil {
+			ring.mgr = mgr
 		}
 		vms = p.Now().Milliseconds()
 	}) {
@@ -749,12 +730,9 @@ func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int,
 	}
 	s.mu.Lock()
 	s.shard = shard
-	if rp != nil {
-		rp.rs = d.cfg.Rings.Shard(shard)
-	}
 	s.mu.Unlock()
-	if rp != nil {
-		d.cfg.Rings.Shard(shard).Register(rp.sess)
+	if ring != nil {
+		d.cfg.Rings.Shard(shard).Register(ring)
 	}
 	return vms, nil
 }
@@ -804,7 +782,7 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 		return fmt.Errorf("transport: adopt session %d on gpu %d: %w", s.id, to, aerr)
 	}
 	d.cfg.Node.Release(from, s.inB, s.outB)
-	if _, ring := s.plane.(*ringHostPlane); ring {
+	if s.plane.ring != nil {
 		// The client's ring header still names the source shard's door;
 		// forward its rings to the adopting shard so the target owner
 		// wakes on new submissions.

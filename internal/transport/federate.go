@@ -145,7 +145,7 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 	s := &hostSession{
 		shard: shard,
 		inB:   spec.InBytes, outB: spec.OutBytes,
-		owner: cs, d: d, plane: inlineHostPlane{},
+		owner: cs, d: d, plane: hostPlane{kind: PlaneInline},
 		ref: blob.Ref, rank: blob.Rank,
 	}
 	if !submit(shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {

@@ -3,153 +3,191 @@ package transport
 import (
 	"fmt"
 
+	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/shm"
 )
 
-// DataPlane is the client-side binding of one session's payload path:
-// how SND input bytes reach the daemon and how RCV output bytes come
-// back. The control plane (verb frames) is the same either way.
-type DataPlane interface {
-	Kind() string
-	// StageIn makes data visible to the daemon ahead of SND: the shm
-	// plane copies it into the shared segment, the inline plane attaches
-	// it to the request frame. data may be nil in timing-only mode.
-	StageIn(data []byte, req *Request) error
-	// CollectOut recovers RCV results into buf: the shm plane reads the
-	// segment, the inline plane copies out of the response frame. buf may
-	// be nil in timing-only mode.
-	CollectOut(buf []byte, resp *Response) error
-	Close() error
+// A session's data plane is how its SND input reaches the daemon and its RCV
+// output comes back: a segment both processes map, or the control frames
+// themselves. The mapped segment is one mechanism in two layouts — bare
+// input|output for PlaneShm, a header and the session's rings ahead of the
+// same two regions for PlaneRing — and each side of the wire holds it as one
+// type, Plane on the client and hostPlane on the daemon: no segment is the
+// inline plane, a ring is the ring plane. The kinds are told apart in each
+// side's constructor and nowhere else.
+
+// bareRegions are the staging regions of a segment that holds nothing else:
+// input at offset 0, output at offset inB.
+func bareRegions(seg shm.Segment, inB, outB int64) (in, out []byte, err error) {
+	b := seg.Bytes()
+	if inB < 0 || outB < 0 || inB+outB > int64(len(b)) {
+		return nil, nil, fmt.Errorf("transport: a %d-byte segment cannot stage %d+%d bytes", len(b), inB, outB)
+	}
+	return b[:inB:inB], b[inB : inB+outB], nil
+}
+
+// Plane is the client side of one session's data plane.
+type Plane struct {
+	kind    string
+	seg     shm.Segment // nil: the inline plane
+	in, out []byte      // seg's staging regions
+	// Ring is the session's carrier on the ring plane — every verb frame
+	// travels through the segment's rings — and nil on the others, whose
+	// frames take the client's connection.
+	Ring *RingPlane
 }
 
 // OpenPlane attaches the client side of the data plane a REQ response
-// selected. shmDir must match the daemon's segment directory for the shm
-// plane ("" = /dev/shm).
-func OpenPlane(shmDir string, resp Response) (DataPlane, error) {
+// selected. shmDir must match the daemon's segment directory for the mapped
+// planes ("" = /dev/shm).
+func OpenPlane(shmDir string, resp Response) (*Plane, error) {
+	p := &Plane{kind: resp.Plane}
+	var err error
 	switch resp.Plane {
-	case PlaneShm:
-		seg, err := shm.OpenFile(shmDir, resp.Segment)
-		if err != nil {
-			return nil, fmt.Errorf("transport: attach shm data plane: %w", err)
-		}
-		return &shmPlane{seg: seg, inBytes: resp.InBytes}, nil
 	case PlaneInline:
-		return inlinePlane{}, nil
+	case PlaneShm:
+		if p.seg, err = shm.OpenFile(shmDir, resp.Segment); err == nil {
+			p.in, p.out, err = bareRegions(p.seg, resp.InBytes, resp.OutBytes)
+		}
 	case PlaneRing:
-		return openRingPlane(shmDir, resp)
+		if p.seg, err = shm.OpenFile(shmDir, resp.Segment); err == nil {
+			if p.Ring, err = openRingPlane(shmDir, p.seg); err == nil {
+				p.in, p.out = p.Ring.sr.In(), p.Ring.sr.Out()
+			}
+		}
 	default:
 		return nil, fmt.Errorf("transport: unknown data plane %q", resp.Plane)
 	}
-}
-
-// shmPlane exchanges payloads through a file-backed shared-memory
-// segment: input at offset 0, output at offset inBytes.
-type shmPlane struct {
-	seg     shm.Segment
-	inBytes int64
-}
-
-func (p *shmPlane) Kind() string { return PlaneShm }
-
-func (p *shmPlane) StageIn(data []byte, req *Request) error {
-	if data == nil {
-		return nil
+	if err != nil {
+		p.Close()
+		return nil, fmt.Errorf("transport: attach %s data plane: %w", resp.Plane, err)
 	}
-	return p.seg.WriteAt(data, 0)
+	return p, nil
 }
 
-func (p *shmPlane) CollectOut(buf []byte, resp *Response) error {
-	if buf == nil {
-		return nil
+// Kind names the plane the session negotiated.
+func (p *Plane) Kind() string { return p.kind }
+
+// StageIn makes data visible to the daemon ahead of SND: a mapped plane
+// copies it into the segment's input region — which the daemon bound as the
+// session's pinned staging, so this memcpy is the whole host-side data path —
+// and the inline plane attaches it to the request frame. data may be nil in
+// timing-only mode.
+func (p *Plane) StageIn(data []byte, req *Request) error {
+	switch {
+	case p.seg == nil:
+		req.Data = data
+	case data != nil:
+		if len(data) != len(p.in) {
+			return fmt.Errorf("transport: %s StageIn got %d bytes, staging holds %d", p.kind, len(data), len(p.in))
+		}
+		copy(p.in, data)
 	}
-	return p.seg.ReadAt(buf, p.inBytes)
-}
-
-func (p *shmPlane) Close() error { return p.seg.Close() }
-
-// inlinePlane rides payloads inside the control frames; nothing to
-// attach, nothing to clean up. One payload is bounded by MaxFrame.
-type inlinePlane struct{}
-
-func (inlinePlane) Kind() string { return PlaneInline }
-
-func (inlinePlane) StageIn(data []byte, req *Request) error {
-	req.Data = data
 	return nil
 }
 
-func (inlinePlane) CollectOut(buf []byte, resp *Response) error {
+// CollectOut recovers RCV results into buf: out of the segment's output
+// region, or for the inline plane out of the response frame. buf may be nil
+// in timing-only mode.
+func (p *Plane) CollectOut(buf []byte, resp *Response) error {
 	if buf == nil {
 		return nil
 	}
-	if len(resp.Data) != len(buf) {
-		return fmt.Errorf("transport: inline RCV carried %d bytes, want %d", len(resp.Data), len(buf))
+	src := p.out
+	if p.seg == nil {
+		src = resp.Data
 	}
-	copy(buf, resp.Data)
+	if len(src) != len(buf) {
+		return fmt.Errorf("transport: %s RCV carried %d bytes, want %d", p.kind, len(src), len(buf))
+	}
+	copy(buf, src)
 	return nil
 }
 
-func (inlinePlane) Close() error { return nil }
-
-// HostPlane is the daemon-side half of a session's data plane.
-type HostPlane interface {
-	Kind() string
-	// Segment names the shared-memory segment advertised to the client
-	// ("" for the inline plane).
-	Segment() string
-	// Regions returns the client-visible input and output staging regions
-	// of a mapped plane (shm, ring). The session's pinned staging is bound
-	// onto them (hostSession.bindStaging), so SND and RCV move no bytes on
-	// the daemon side. The inline plane has none: its payloads ride the
-	// control frames and are copied through heap staging.
-	Regions() (in, out []byte)
-	// Close releases the plane. A mapped plane's Regions die with it, so
-	// it runs only after the gvm session bound onto them is gone.
-	Close() error
+// Close detaches the plane from the daemon's segment.
+func (p *Plane) Close() error {
+	if p.seg == nil {
+		return nil
+	}
+	var err error
+	if p.Ring != nil {
+		err = p.Ring.doorSeg.Close()
+	}
+	if cerr := p.seg.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// NewHostPlane creates the daemon side of a shm or inline data plane
-// (a ring plane carries its rings with it: RingHost.newPlane).
-func NewHostPlane(kind, dir, name string, inBytes, outBytes int64) (HostPlane, error) {
+// hostPlane is the daemon side of one session's data plane. A mapped plane's
+// regions are the session's pinned staging (hostSession.bindStaging), so SND
+// and RCV move no bytes on this side; the inline plane's payloads ride the
+// control frames and are copied through heap staging, which in/out then hold.
+type hostPlane struct {
+	kind    string
+	size    int64        // bytes of segment the kind lays out, 0 for the inline plane
+	name    string       // the segment file advertised to the client
+	seg     shm.Segment  // nil: the inline plane
+	in, out []byte       // the session's pinned staging, guarded by hostSession.mu
+	ring    *ringSession // non-nil: the ring plane, seg carries the session's rings
+}
+
+// newHostPlane checks that the daemon serves plane kind and sizes its segment
+// for a session staging inB+outB bytes. The plane comes back unmapped: REQ
+// refuses a kind before it places anything, and a segment is named after the
+// session id only an opened session has (create).
+func newHostPlane(kind string, rings *RingHost, inB, outB int64) (hostPlane, error) {
 	switch kind {
-	case PlaneShm:
-		size := inBytes + outBytes
-		if size < 1 {
-			size = 1
-		}
-		seg, err := shm.NewFile(dir, name, size)
-		if err != nil {
-			return nil, err
-		}
-		return &shmHostPlane{seg: seg, name: name, inBytes: inBytes, outBytes: outBytes}, nil
 	case PlaneInline:
-		return inlineHostPlane{}, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown data plane %q (want %q or %q)", kind, PlaneShm, PlaneInline)
+		return hostPlane{kind: kind}, nil
+	case PlaneShm:
+		return hostPlane{kind: kind, size: max(1, inB+outB)}, nil
+	case PlaneRing:
+		if rings == nil {
+			return hostPlane{}, fmt.Errorf("transport: data plane %q needs a ring:// listener, and this daemon has none (want %q or %q)", kind, PlaneShm, PlaneInline)
+		}
+		return hostPlane{kind: kind, size: shm.RingSegmentSize(rings.ring, inB, outB), ring: &ringSession{rh: rings}}, nil
 	}
+	return hostPlane{}, fmt.Errorf("transport: unknown data plane %q (want %q, %q or %q)", kind, PlaneShm, PlaneInline, PlaneRing)
 }
 
-// shmHostPlane is the ring plane's segment without the rings: input at
-// offset 0, output at offset inBytes, nothing else.
-type shmHostPlane struct {
-	seg               shm.Segment
-	name              string
-	inBytes, outBytes int64
+// create maps host's segment in dir under name — nothing for the inline
+// plane. A ring session is left for the caller to register on mgr's shard.
+func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manager) error {
+	if pl.size == 0 {
+		return nil
+	}
+	seg, err := shm.NewFile(dir, name, pl.size)
+	if err != nil {
+		return err
+	}
+	if rs := pl.ring; rs != nil {
+		rs.host, rs.mgr, rs.deliver = host, mgr, rs.finish
+		if rs.sr, err = shm.InitSessionRing(seg, rs.rh.ring, host.inB, host.outB, rs.rh.doorName, uint32(host.shard*shm.DoorStride)); err == nil {
+			pl.in, pl.out = rs.sr.In(), rs.sr.Out()
+		}
+	} else {
+		pl.in, pl.out, err = bareRegions(seg, host.inB, host.outB)
+	}
+	if err != nil {
+		seg.Close()
+		return err
+	}
+	pl.name, pl.seg = name, seg
+	return nil
 }
 
-func (h *shmHostPlane) Kind() string    { return PlaneShm }
-func (h *shmHostPlane) Segment() string { return h.name }
-
-func (h *shmHostPlane) Regions() (in, out []byte) {
-	b := h.seg.Bytes()
-	return b[:h.inBytes:h.inBytes], b[h.inBytes : h.inBytes+h.outBytes]
+// Close releases the plane of a session on shard; its regions die with it,
+// so it runs only after the gvm session bound onto them is gone. A ring
+// segment is unmapped by the shard owner's next sweep, race-free with the
+// sweep that reads its rings; any other by the caller.
+func (pl *hostPlane) Close(shard int) error {
+	switch {
+	case pl.seg == nil:
+		return nil
+	case pl.ring != nil:
+		pl.ring.rh.Shard(shard).Unregister(pl.ring)
+		return nil
+	}
+	return pl.seg.Close()
 }
-
-func (h *shmHostPlane) Close() error { return h.seg.Close() }
-
-type inlineHostPlane struct{}
-
-func (inlineHostPlane) Kind() string              { return PlaneInline }
-func (inlineHostPlane) Segment() string           { return "" }
-func (inlineHostPlane) Regions() (in, out []byte) { return nil, nil }
-func (inlineHostPlane) Close() error              { return nil }

@@ -18,21 +18,19 @@ const (
 	ringParkSlice  = 100 * time.Millisecond
 )
 
-// RingPlane is the client side of the zero-syscall control plane: after
-// REQ negotiates PlaneRing, every verb of the session travels as a
-// binary frame through the submission ring and its response comes back
-// through the completion ring, both inside one mmap'd segment shared
-// with the daemon. Payloads move through the segment's staging regions,
-// which the daemon has rebound as the session's pinned staging — so a
-// warm SND→STR→STP→RCV cycle crosses the kernel zero times and copies
-// each payload byte exactly once (the client's own StageIn/CollectOut
-// memcpy, which IS the host<->staging copy).
+// RingPlane is the client side of the zero-syscall control plane, a ring
+// session's carrier: after REQ negotiates PlaneRing, every verb of the
+// session travels as a binary frame through the submission ring and its
+// response comes back through the completion ring, both inside the mmap'd
+// segment the session's Plane holds. Payloads move through that segment's
+// staging regions, which the daemon has bound as the session's pinned staging
+// — so a warm SND→STR→STP→RCV cycle crosses the kernel zero times and copies
+// each payload byte exactly once (the client's own StageIn/CollectOut memcpy,
+// which IS the host<->staging copy).
 //
-// RingPlane also implements DataPlane so the session's payload helpers
-// work unchanged; a Trip is not safe for concurrent use (the rings are
-// strictly SPSC) — ipc.Session serializes trips with its own mutex.
+// A Trip is not safe for concurrent use (the rings are strictly SPSC) —
+// ipc.Session serializes trips with its own mutex.
 type RingPlane struct {
-	seg     shm.Segment
 	doorSeg shm.Segment
 	sr      *shm.SessionRing
 	door    *atomic.Uint32 // shard submission doorbell (rung after Push)
@@ -44,34 +42,25 @@ type RingPlane struct {
 	timeout time.Duration
 }
 
-// openRingPlane attaches the client half of a ring session advertised by
-// a REQ response: the session segment, its rings, and the shard doorbell
-// word the daemon told us to ring after each submission.
-func openRingPlane(shmDir string, resp Response) (*RingPlane, error) {
-	seg, err := shm.OpenFile(shmDir, resp.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("transport: attach ring plane: %w", err)
-	}
+// openRingPlane attaches the rings laid out in a ring session's segment and
+// the shard doorbell word its header tells the client to ring after each
+// submission. seg stays the caller's to close.
+func openRingPlane(shmDir string, seg shm.Segment) (*RingPlane, error) {
 	sr, err := shm.AttachSessionRing(seg)
 	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("transport: attach ring plane: %w", err)
+		return nil, err
 	}
 	doorSeg, err := shm.OpenFile(shmDir, sr.DoorFile())
 	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("transport: attach ring doorbell: %w", err)
+		return nil, fmt.Errorf("doorbell: %w", err)
 	}
 	door, err := shm.DoorWordAt(doorSeg, sr.DoorOff())
 	if err != nil {
 		doorSeg.Close()
-		seg.Close()
-		return nil, fmt.Errorf("transport: attach ring doorbell: %w", err)
+		return nil, fmt.Errorf("doorbell: %w", err)
 	}
-	return &RingPlane{seg: seg, doorSeg: doorSeg, sr: sr, door: door}, nil
+	return &RingPlane{doorSeg: doorSeg, sr: sr, door: door}, nil
 }
-
-func (p *RingPlane) Kind() string { return PlaneRing }
 
 // SetTimeout bounds each Trip's wait for a response (0 = wait forever).
 // The deadline is only consulted on the slow (parked) path, so the warm
@@ -80,42 +69,6 @@ func (p *RingPlane) SetTimeout(d time.Duration) { p.timeout = d }
 
 // Trips returns how many ring round trips the plane has made.
 func (p *RingPlane) Trips() int64 { return p.trips }
-
-// StageIn copies SND input into the segment's staging region, which the
-// daemon rebound as the session's pinned staging — this one memcpy is
-// the entire host-side data path.
-func (p *RingPlane) StageIn(data []byte, req *Request) error {
-	if data == nil {
-		return nil
-	}
-	in := p.sr.In()
-	if len(data) != len(in) {
-		return fmt.Errorf("transport: ring StageIn got %d bytes, staging holds %d", len(data), len(in))
-	}
-	copy(in, data)
-	return nil
-}
-
-// CollectOut copies RCV results out of the segment's staging region.
-func (p *RingPlane) CollectOut(buf []byte, resp *Response) error {
-	if buf == nil {
-		return nil
-	}
-	out := p.sr.Out()
-	if len(buf) != len(out) {
-		return fmt.Errorf("transport: ring CollectOut buffer is %d bytes, staging holds %d", len(buf), len(out))
-	}
-	copy(buf, out)
-	return nil
-}
-
-func (p *RingPlane) Close() error {
-	err := p.doorSeg.Close()
-	if cerr := p.seg.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // Trip submits one request record and waits for its response record.
 // The returned Response is owned by the plane and valid only until the

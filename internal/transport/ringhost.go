@@ -39,7 +39,6 @@ type RingHostConfig struct {
 // armed the sleep bit gets a futex wake, a busy owner sees nothing but
 // the counter — the steady state is syscall-free on both sides.
 type RingHost struct {
-	dir      string
 	ring     shm.RingConfig
 	doorSeg  shm.Segment
 	doorName string
@@ -65,7 +64,7 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: ring doorbell segment: %w", err)
 	}
-	h := &RingHost{dir: cfg.ShmDir, ring: cfg.Ring, doorSeg: seg, doorName: name}
+	h := &RingHost{ring: cfg.Ring, doorSeg: seg, doorName: name}
 	h.shards = make([]*RingShard, cfg.Shards)
 	for i := range h.shards {
 		door, derr := shm.DoorWordAt(seg, uint32(i*shm.DoorStride))
@@ -75,8 +74,6 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 		}
 		gpu := metrics.L("gpu", strconv.Itoa(i))
 		rs := &RingShard{
-			host:    h,
-			index:   i,
 			door:    door,
 			armCh:   make(chan uint32, 1),
 			wakeCh:  make(chan struct{}, 1),
@@ -118,24 +115,6 @@ func (h *RingHost) Close() error {
 	return h.doorSeg.Close()
 }
 
-// newPlane lays host's rings and staging regions out in a fresh segment
-// named name and returns the session's (not yet registered) host plane.
-func (h *RingHost) newPlane(name string, host *hostSession, mgr *gvm.Manager) (HostPlane, error) {
-	seg, err := shm.NewFile(h.dir, name, shm.RingSegmentSize(h.ring, host.inB, host.outB))
-	if err != nil {
-		return nil, err
-	}
-	sr, err := shm.InitSessionRing(seg, h.ring, host.inB, host.outB, h.doorName, uint32(host.shard*shm.DoorStride))
-	if err != nil {
-		seg.Close()
-		return nil, err
-	}
-	rs := h.shards[host.shard]
-	sess := &ringSession{host: host, shard: rs, mgr: mgr, seg: seg, sr: sr}
-	sess.deliver = sess.finish
-	return &ringHostPlane{name: name, rs: rs, sess: sess}, nil
-}
-
 // RingAll rings every shard doorbell — the shutdown kick that pops
 // parked owner loops and wakers out of their futex waits promptly.
 func (h *RingHost) RingAll() {
@@ -156,9 +135,7 @@ type ringEvent struct {
 // owner-private session list the sweep walks. All methods except
 // Register/Unregister are owner-goroutine-only.
 type RingShard struct {
-	host  *RingHost
-	index int
-	door  *atomic.Uint32
+	door *atomic.Uint32
 
 	events node.Drain[ringEvent]
 
@@ -253,7 +230,7 @@ func (rs *RingShard) Sweep() bool {
 		})
 	}
 	for _, s := range rs.sessions {
-		if s.step() {
+		if s.step(rs) {
 			progress = true
 		}
 	}
@@ -276,14 +253,14 @@ func (rs *RingShard) remove(sess *ringSession) {
 // ringSession is the ring front-end of one session: it consumes request
 // frames from the submission ring, checks each is a frame for this session
 // and nothing else, runs it through the session's frameRun, and produces
-// the response frame on the completion ring. All fields are
+// the response frame on the completion ring. The rings live in the segment
+// of the session's data plane (hostPlane.create). All fields but rh are
 // owner-goroutine-only.
 type ringSession struct {
-	host  *hostSession
-	shard *RingShard
-	mgr   *gvm.Manager
-	seg   shm.Segment
-	sr    *shm.SessionRing
+	rh   *RingHost
+	host *hostSession
+	mgr  *gvm.Manager // the shard sweeping the session; a move re-points it (Dispatcher.adopt)
+	sr   *shm.SessionRing
 
 	enc frameEncoder
 	rec []byte  // retained response-frame scratch
@@ -296,9 +273,9 @@ type ringSession struct {
 	closed  bool
 }
 
-// step is one sweep pass over the session: deliver a stalled completion
-// first, then (when idle) consume the next submission.
-func (s *ringSession) step() bool {
+// step is one pass of rs's sweep over the session: deliver a stalled
+// completion first, then (when idle) consume the next submission.
+func (s *ringSession) step(rs *RingShard) bool {
 	progress := false
 	if s.pending {
 		if !s.sr.Cpl.Push(s.rec) {
@@ -314,6 +291,7 @@ func (s *ringSession) step() bool {
 			break
 		}
 		progress = true
+		rs.records.Inc()
 		s.begin(rec)
 	}
 	return progress
@@ -326,7 +304,6 @@ func (s *ringSession) step() bool {
 func (s *ringSession) begin(rec []byte) {
 	err := DecodeRequestBinaryInto(&s.req, rec)
 	s.sr.Sub.Release()
-	s.shard.records.Inc()
 	if err != nil {
 		s.reject(fmt.Sprintf("transport: ring record: %v", err))
 		return
@@ -389,23 +366,5 @@ func (s *ringSession) closeOwner() {
 		return
 	}
 	s.closed = true
-	_ = s.seg.Close()
-}
-
-// ringHostPlane is the dispatcher-facing HostPlane of a ring session.
-// Close routes teardown through the shard owner so the segment is
-// unmapped exactly once, race-free with the sweep.
-type ringHostPlane struct {
-	name string
-	rs   *RingShard
-	sess *ringSession
-}
-
-func (h *ringHostPlane) Kind() string              { return PlaneRing }
-func (h *ringHostPlane) Segment() string           { return h.name }
-func (h *ringHostPlane) Regions() (in, out []byte) { return h.sess.sr.In(), h.sess.sr.Out() }
-
-func (h *ringHostPlane) Close() error {
-	h.rs.Unregister(h.sess)
-	return nil
+	_ = s.host.plane.seg.Close()
 }

@@ -1,19 +1,21 @@
-// Package transport is the pluggable connection layer of the daemon-mode
+// Package transport is the connection layer of the daemon-mode
 // virtualization stack. It separates three concerns that used to be
 // fused inside package ipc:
 //
-//   - Transport — how a client reaches the daemon: dial/listen plus the
-//     round-trip framing that runs on the resulting connection. Four
-//     transports are registered: unix (Unix-domain sockets, the classic
-//     gvmd path), tcp (remote rCUDA-style access across nodes), inproc
-//     (a socket-free in-process pipe for tests and co-located
-//     deployments) and ring (a unix socket for REQ, shared-memory rings
-//     for everything after).
-//   - DataPlane / HostPlane — how SND/RCV payload bytes move: through a
+//   - The transport — how a client reaches the daemon: dial/listen
+//     (Dial, ListenAddr) plus the round-trip framing that runs on the
+//     resulting connection (Conn). There are four, one row each of the
+//     schemes table: unix (Unix-domain sockets, the classic gvmd path),
+//     tcp (remote rCUDA-style access across nodes), inproc (a socket-free
+//     in-process pipe for tests and co-located deployments) and ring (a
+//     unix socket for REQ, shared-memory rings for everything after).
+//   - The data plane — how SND/RCV payload bytes move: through a
 //     file-backed shared-memory segment (PlaneShm, for clients that
 //     share a filesystem with the daemon), inline inside the control
 //     frame (PlaneInline, for remote clients with no shared /dev/shm),
-//     or through the ring segment's staging regions (PlaneRing).
+//     or through the ring segment's staging regions (PlaneRing). A
+//     session's plane is one type on each side of the wire — Plane on the
+//     client, hostPlane on the daemon (plane.go) — whatever its kind.
 //   - The verb engine — frameRun (exec.go), the one place the daemon
 //     executes session verbs: it walks a frame's steps through
 //     gvm.Manager.DirectVerb on gvm daemon sessions, driven by their
@@ -58,52 +60,32 @@ const (
 	PlaneRing = "ring"
 )
 
-// Transport binds the verb protocol to one kind of connection.
-type Transport interface {
-	// Scheme names the transport in addresses ("unix", "tcp", "inproc").
-	Scheme() string
-	// Dial opens a client connection to target (the address with the
-	// scheme stripped).
-	Dial(target string) (net.Conn, error)
-	// Listen binds a server listener on target.
-	Listen(target string) (Listener, error)
-	// DefaultPlane is the data plane a session gets when the client does
-	// not force one: shm for co-located transports, inline for remote.
-	DefaultPlane() string
-}
-
-// Listener accepts connections for one transport binding.
+// Listener accepts connections on one bound address.
 type Listener interface {
 	Accept() (net.Conn, error)
 	Close() error
 	// Addr returns the bound address in URL form (with the actual port
 	// for tcp://...:0 requests).
 	Addr() string
-	Scheme() string
+	// DefaultPlane is the data plane a session opened over this listener
+	// gets when the client does not force one.
+	DefaultPlane() string
 }
 
-var registry = struct {
-	sync.Mutex
-	m map[string]Transport
-}{m: make(map[string]Transport)}
+// scheme is one way to reach a daemon: the net network an address scheme
+// dials and listens on ("" is the in-process pipe) and the data plane its
+// sessions default to — shm for co-located schemes, inline for remote.
+type scheme struct{ network, plane string }
 
-// Register adds a transport to the scheme registry, replacing any
-// previous transport with the same scheme.
-func Register(t Transport) {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.m[t.Scheme()] = t
-}
-
-// Lookup resolves a scheme to its registered transport.
-func Lookup(scheme string) (Transport, error) {
-	registry.Lock()
-	defer registry.Unlock()
-	t, ok := registry.m[scheme]
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown scheme %q (have unix, tcp, inproc, ring)", scheme)
-	}
-	return t, nil
+// ring is the zero-syscall control plane's scheme: dial and listener are
+// ordinary unix sockets (the preamble and REQ still travel there), but its
+// sessions default to the ring plane, so after REQ every verb moves through
+// the session's shared-memory rings and never touches the socket again.
+var schemes = map[string]scheme{
+	"unix":   {"unix", PlaneShm},
+	"tcp":    {"tcp", PlaneInline},
+	"ring":   {"unix", PlaneRing},
+	"inproc": {"", PlaneShm},
 }
 
 // SplitAddr splits "scheme://target" into its parts. An address with no
@@ -115,107 +97,86 @@ func SplitAddr(addr string) (scheme, target string) {
 	return "unix", addr
 }
 
-// DialAddr connects to a transport address and returns the connection
-// together with the transport that produced it (for its DefaultPlane).
-func DialAddr(addr string) (net.Conn, Transport, error) {
-	scheme, target := SplitAddr(addr)
-	t, err := Lookup(scheme)
-	if err != nil {
-		return nil, nil, err
+func lookupScheme(name string) (scheme, error) {
+	sch, ok := schemes[name]
+	if !ok {
+		return scheme{}, fmt.Errorf("transport: unknown scheme %q (have unix, tcp, inproc, ring)", name)
 	}
-	nc, err := t.Dial(target)
+	return sch, nil
+}
+
+// DialAddr opens a raw connection to a transport address and returns it with
+// the scheme's default data plane. The codec preamble is the caller's to
+// send; Dial does both.
+func DialAddr(addr string) (net.Conn, string, error) {
+	name, target := SplitAddr(addr)
+	sch, err := lookupScheme(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	return nc, t, nil
+	var nc net.Conn
+	if sch.network == "" {
+		nc, err = dialInproc(target)
+	} else {
+		nc, err = net.Dial(sch.network, target)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	return nc, sch.plane, nil
+}
+
+// Dial connects to a daemon (or router) address, sends the codec preamble
+// and returns the framed connection with the scheme's default data plane.
+func Dial(addr string) (*Conn, string, error) {
+	nc, plane, err := DialAddr(addr)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := WritePreamble(nc); err != nil {
+		nc.Close()
+		return nil, "", err
+	}
+	return NewConn(nc), plane, nil
 }
 
 // ListenAddr binds a listener on a transport address.
 func ListenAddr(addr string) (Listener, error) {
-	scheme, target := SplitAddr(addr)
-	t, err := Lookup(scheme)
+	name, target := SplitAddr(addr)
+	sch, err := lookupScheme(name)
 	if err != nil {
 		return nil, err
 	}
-	return t.Listen(target)
+	if sch.network == "" {
+		return listenInproc(target)
+	}
+	ln, err := net.Listen(sch.network, target)
+	if err != nil {
+		return nil, err
+	}
+	return netListener{Listener: ln, scheme: name, plane: sch.plane}, nil
 }
 
-// netListener adapts a net.Listener to the Listener interface.
+// netListener is a socket listener under its scheme's name and default plane.
 type netListener struct {
-	ln     net.Listener
-	scheme string
+	net.Listener
+	scheme, plane string
 }
 
-func (l netListener) Accept() (net.Conn, error) { return l.ln.Accept() }
-func (l netListener) Close() error              { return l.ln.Close() }
-func (l netListener) Addr() string              { return l.scheme + "://" + l.ln.Addr().String() }
-func (l netListener) Scheme() string            { return l.scheme }
+func (l netListener) Addr() string         { return l.scheme + "://" + l.Listener.Addr().String() }
+func (l netListener) DefaultPlane() string { return l.plane }
 
-type unixTransport struct{}
-
-func (unixTransport) Scheme() string       { return "unix" }
-func (unixTransport) DefaultPlane() string { return PlaneShm }
-func (unixTransport) Dial(target string) (net.Conn, error) {
-	return net.Dial("unix", target)
-}
-func (unixTransport) Listen(target string) (Listener, error) {
-	ln, err := net.Listen("unix", target)
-	if err != nil {
-		return nil, err
-	}
-	return netListener{ln: ln, scheme: "unix"}, nil
-}
-
-type tcpTransport struct{}
-
-func (tcpTransport) Scheme() string       { return "tcp" }
-func (tcpTransport) DefaultPlane() string { return PlaneInline }
-func (tcpTransport) Dial(target string) (net.Conn, error) {
-	return net.Dial("tcp", target)
-}
-func (tcpTransport) Listen(target string) (Listener, error) {
-	ln, err := net.Listen("tcp", target)
-	if err != nil {
-		return nil, err
-	}
-	return netListener{ln: ln, scheme: "tcp"}, nil
-}
-
-// ringTransport is the zero-syscall control plane's scheme: the listener
-// and dial are ordinary unix sockets (REQ negotiation and codec preamble
-// still travel there), but sessions default to the ring data plane, so
-// after REQ every verb moves through the session's shared-memory rings
-// and never touches the socket again.
-type ringTransport struct{}
-
-func (ringTransport) Scheme() string       { return "ring" }
-func (ringTransport) DefaultPlane() string { return PlaneRing }
-func (ringTransport) Dial(target string) (net.Conn, error) {
-	return net.Dial("unix", target)
-}
-func (ringTransport) Listen(target string) (Listener, error) {
-	ln, err := net.Listen("unix", target)
-	if err != nil {
-		return nil, err
-	}
-	return netListener{ln: ln, scheme: "ring"}, nil
-}
-
-// inprocTransport serves dials from the same process through synchronous
-// in-memory pipes — no OS socket, no filesystem. Names live in a
-// process-global registry.
-type inprocTransport struct {
-	mu  sync.Mutex
+// inproc serves dials from the same process through synchronous in-memory
+// pipes — no OS socket, no filesystem. Names are process-global.
+var inproc = struct {
+	sync.Mutex
 	lns map[string]*inprocListener
-}
+}{lns: make(map[string]*inprocListener)}
 
-func (t *inprocTransport) Scheme() string       { return "inproc" }
-func (t *inprocTransport) DefaultPlane() string { return PlaneShm }
-
-func (t *inprocTransport) Dial(name string) (net.Conn, error) {
-	t.mu.Lock()
-	l := t.lns[name]
-	t.mu.Unlock()
+func dialInproc(name string) (net.Conn, error) {
+	inproc.Lock()
+	l := inproc.lns[name]
+	inproc.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("transport: no inproc listener %q", name)
 	}
@@ -229,22 +190,21 @@ func (t *inprocTransport) Dial(name string) (net.Conn, error) {
 	}
 }
 
-func (t *inprocTransport) Listen(name string) (Listener, error) {
+func listenInproc(name string) (Listener, error) {
 	if name == "" {
 		return nil, errors.New("transport: inproc listener needs a name")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.lns[name]; ok {
+	inproc.Lock()
+	defer inproc.Unlock()
+	if _, ok := inproc.lns[name]; ok {
 		return nil, fmt.Errorf("transport: inproc name %q already in use", name)
 	}
-	l := &inprocListener{t: t, name: name, ch: make(chan net.Conn), done: make(chan struct{})}
-	t.lns[name] = l
+	l := &inprocListener{name: name, ch: make(chan net.Conn), done: make(chan struct{})}
+	inproc.lns[name] = l
 	return l, nil
 }
 
 type inprocListener struct {
-	t    *inprocTransport
 	name string
 	ch   chan net.Conn
 	done chan struct{}
@@ -261,21 +221,14 @@ func (l *inprocListener) Accept() (net.Conn, error) {
 }
 
 func (l *inprocListener) Close() error {
-	l.t.mu.Lock()
-	if l.t.lns[l.name] == l {
-		delete(l.t.lns, l.name)
+	inproc.Lock()
+	if inproc.lns[l.name] == l {
+		delete(inproc.lns, l.name)
 	}
-	l.t.mu.Unlock()
+	inproc.Unlock()
 	l.once.Do(func() { close(l.done) })
 	return nil
 }
 
-func (l *inprocListener) Addr() string   { return "inproc://" + l.name }
-func (l *inprocListener) Scheme() string { return "inproc" }
-
-func init() {
-	Register(unixTransport{})
-	Register(tcpTransport{})
-	Register(ringTransport{})
-	Register(&inprocTransport{lns: make(map[string]*inprocListener)})
-}
+func (l *inprocListener) Addr() string         { return "inproc://" + l.name }
+func (l *inprocListener) DefaultPlane() string { return schemes["inproc"].plane }

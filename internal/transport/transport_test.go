@@ -43,11 +43,11 @@ func TestDefaultPlanes(t *testing.T) {
 		"inproc": PlaneShm,
 		"tcp":    PlaneInline,
 	} {
-		tr, err := Lookup(scheme)
+		sch, err := lookupScheme(scheme)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		if got := tr.DefaultPlane(); got != want {
+		if got := sch.plane; got != want {
 			t.Errorf("%s default plane = %q, want %q", scheme, got, want)
 		}
 	}
@@ -147,33 +147,48 @@ func TestInprocConnSupportsDeadlines(t *testing.T) {
 	}
 }
 
-// TestPlaneRoundTrips drives each client plane against its host plane
-// directly, without a daemon in between: a mapped plane's regions ARE
-// the staging, the inline plane copies through heap staging.
+// TestPlaneRoundTrips drives the client plane against the host plane of
+// every kind directly, without a dispatcher in between: a mapped plane's
+// regions ARE the staging, the inline plane copies through heap staging.
 func TestPlaneRoundTrips(t *testing.T) {
 	in := []byte{1, 2, 3, 4}
 	out := []byte{9, 8, 7}
-	for _, kind := range []string{PlaneShm, PlaneInline} {
+	for _, kind := range []string{PlaneShm, PlaneInline, PlaneRing} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
-			host, err := NewHostPlane(kind, dir, "seg-test", int64(len(in)), int64(len(out)))
+			var rings *RingHost
+			if kind == PlaneRing {
+				var err error
+				if rings, err = NewRingHost(RingHostConfig{ShmDir: dir}); err != nil {
+					t.Fatal(err)
+				}
+				defer rings.Close() // the sweep that would unmap the session never runs here
+			}
+			host, err := newHostPlane(kind, rings, int64(len(in)), int64(len(out)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer host.Close()
-			if host.Kind() != kind {
-				t.Fatalf("host plane kind = %q", host.Kind())
+			s := &hostSession{inB: int64(len(in)), outB: int64(len(out)), plane: host}
+			if err := s.plane.create(dir, "seg-test", s, nil); err != nil {
+				t.Fatal(err)
 			}
-			resp := Response{Plane: kind, Segment: host.Segment(), InBytes: int64(len(in)), OutBytes: int64(len(out))}
+			defer s.plane.Close(0)
+			resp := Response{Plane: s.plane.kind, Segment: s.plane.name, InBytes: s.inB, OutBytes: s.outB}
 			client, err := OpenPlane(dir, resp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer client.Close()
+			if client.Kind() != kind || (client.Ring != nil) != (kind == PlaneRing) {
+				t.Fatalf("client plane kind = %q, ring carrier %v", client.Kind(), client.Ring != nil)
+			}
 
-			stageIn, stageOut := host.Regions()
-			_, inline := host.(inlineHostPlane)
+			stageIn, stageOut := s.plane.in, s.plane.out
+			inline := s.plane.seg == nil
+			if inline != (kind == PlaneInline) {
+				t.Fatalf("%s plane: segment mapped = %v", kind, !inline)
+			}
 			if inline {
 				if stageIn != nil || stageOut != nil {
 					t.Fatal("inline plane exposes regions")
@@ -209,14 +224,27 @@ func TestPlaneRoundTrips(t *testing.T) {
 			if string(buf) != string(out) {
 				t.Fatalf("client read %v, want %v", buf, out)
 			}
+
+			// A mapped region takes exactly its size, whatever the kind.
+			if !inline {
+				if err := client.StageIn(in[:len(in)-1], &req); err == nil || !strings.Contains(err.Error(), "bytes") {
+					t.Fatalf("short StageIn accepted: %v", err)
+				}
+				if err := client.CollectOut(make([]byte, len(out)+1), &rcv); err == nil || !strings.Contains(err.Error(), "bytes") {
+					t.Fatalf("long CollectOut buffer accepted: %v", err)
+				}
+			}
 		})
 	}
 }
 
 func TestShmHostPlaneRemovesSegment(t *testing.T) {
 	dir := t.TempDir()
-	host, err := NewHostPlane(PlaneShm, dir, "seg-rm", 8, 8)
+	host, err := newHostPlane(PlaneShm, nil, 8, 8)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.create(dir, "seg-rm", &hostSession{inB: 8, outB: 8}, nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "seg-rm")
@@ -225,7 +253,7 @@ func TestShmHostPlaneRemovesSegment(t *testing.T) {
 		t.Fatalf("segment file missing while plane open: %v", err)
 	}
 	seg.Close()
-	if err := host.Close(); err != nil {
+	if err := host.Close(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := shm.OpenFile(dir, "seg-rm"); err == nil {
@@ -234,7 +262,10 @@ func TestShmHostPlaneRemovesSegment(t *testing.T) {
 }
 
 func TestInlinePlaneSizeMismatch(t *testing.T) {
-	p := inlinePlane{}
+	p, err := OpenPlane("", Response{Plane: PlaneInline})
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 4)
 	resp := Response{Data: []byte{1, 2}}
 	if err := p.CollectOut(buf, &resp); err == nil || !strings.Contains(err.Error(), "bytes") {
