@@ -28,7 +28,10 @@ vet:
 # is one concrete type per side (transport.Plane, hostPlane), so no non-test
 # file of transport or ipc asks a plane which implementation it is, and no
 # interface with a StageIn or Regions method exists for a second one to
-# implement.
+# implement. And one session kind: gvm holds no transport — no segment, no
+# message queue, no engine function that sleeps on its caller's process —
+# and the mqueue front-end (vgpu) reaches the engine's verbs through one
+# DirectVerb call site, like transport.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
@@ -37,6 +40,10 @@ one-engine:
 	[ -z "$$bad" ] || { echo "the frame rule has forked (rank bookkeeping outside transport.FrameSteps, or a front-end not calling it):$$bad"; exit 1; }
 	@bad=$$(grep -nE '\.\(\*?([A-Za-z]+\.)?[A-Za-z]*Plane\)|^[[:space:]]+(StageIn|Regions)\(' internal/transport/*.go internal/ipc/*.go | grep -v '_test\.go:'); \
 	[ -z "$$bad" ] || { echo "the data plane has forked (a type assertion on a plane, or an interface declaring StageIn/Regions, in non-test transport/ipc code):"; echo "$$bad"; exit 1; }
+	@bad=$$(grep -nE 'reply|Queue\[|onProc|^func (\([^)]*\) )?(serve|dispatch|flushBatch)\([^)]*\*sim\.Proc' internal/gvm/*.go | grep -v '_test\.go:'); \
+	! $(GO) list -f '{{join .Imports "\n"}}' ./internal/gvm | grep -q internal/shm || bad="$$bad internal/gvm:imports-internal/shm"; \
+	[ $$(ls internal/vgpu/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || bad="$$bad internal/vgpu:second-DirectVerb(-call-site"; \
+	[ -z "$$bad" ] || { echo "gvm has a second session kind again (a transport inside internal/gvm — shm import, reply, Queue[, onProc, an engine func taking *sim.Proc — or a second DirectVerb( call site in internal/vgpu):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -53,10 +60,11 @@ race:
 # four packages whose tests run real goroutines against each other, plus
 # gpusim — a swap hands an arena's backing store across the gpusim/gvm
 # boundary, and a cross-shard migration from one device's owner goroutine
-# to another's — 20 times in shuffled order under the race detector. Zero
+# to another's — and vgpu, which runs the engine's calendar from a second
+# front-end — 20 times in shuffled order under the race detector. Zero
 # flakes allowed.
 flake:
-	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/
+	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, the evict+restore

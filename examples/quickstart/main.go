@@ -40,9 +40,11 @@ func main() {
 	}
 
 	// One manager owns the device's only context; its STR barrier spans
-	// all four workers so their streams flush together.
+	// all four workers so their streams flush together. The workers reach
+	// it over the paper's transport (message queues, a segment each).
 	mgr := gvm.New(env, gvm.Config{Device: dev, Parties: workers})
 	mgr.Start()
+	host := vgpu.Serve(mgr, vgpu.Config{})
 
 	spec := &task.Spec{
 		Name:     "vecadd",
@@ -59,7 +61,7 @@ func main() {
 			p.Wait(mgr.Ready())
 			start := p.Now()
 
-			v, err := vgpu.Connect(p, mgr, spec)
+			v, err := host.Connect(p, spec)
 			if err != nil {
 				log.Fatalf("worker %d: %v", w, err)
 			}

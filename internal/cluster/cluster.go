@@ -54,6 +54,7 @@ type Node struct {
 	Cores int
 	Dev   *gpusim.Device // nil on GPU-less nodes
 	Mgr   *gvm.Manager   // nil on GPU-less nodes
+	front *vgpu.Host     // Mgr's mqueue front-end
 }
 
 // HasGPU reports whether the node hosts a GPU.
@@ -109,6 +110,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 			n.Dev = dev
 			n.Mgr = gvm.New(env, gvm.Config{Device: dev, Parties: parties})
 			n.Mgr.Start()
+			n.front = vgpu.Serve(n.Mgr, vgpu.Config{})
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -161,7 +163,7 @@ func (c *Cluster) Connect(p *sim.Proc, from, on int, spec *task.Spec) (*VGPU, er
 	}
 	v := &VGPU{ic: c.ic, remote: from != on, spec: spec}
 	v.hop(p, 0) // REQ out
-	inner, err := vgpu.Connect(p, node.Mgr, spec)
+	inner, err := node.front.Connect(p, spec)
 	if err != nil {
 		return nil, err
 	}

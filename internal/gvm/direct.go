@@ -13,22 +13,20 @@ import (
 // implementations must not block and must tolerate either context.
 type DirectNotify func(verb Verb, st Status, errMsg string)
 
-// BindDirect gives a daemon session its two caller-owned halves: pinned
-// staging (in, out) and the control surface (notify). The daemon binds the
-// regions of the session's mapped segment (shm and ring planes), so a
-// client writing the mapped file IS writing pinned staging, SND/RCV move
-// zero bytes and H2D/D2H work on the mapping in place — or heap buffers
-// (inline plane). A timing-only daemon passes nil staging and the session
-// stays data-less. The memory must stay valid until the release is
-// acknowledged or ExtractSession returns; both wait out a flush in flight.
-// Every open and every adoption is followed by one BindDirect.
+// BindDirect gives a session its two caller-owned halves: pinned staging
+// (in, out) and the control surface (notify). The daemon binds the regions
+// of the session's mapped segment (shm and ring planes), so a client
+// writing the mapped file IS writing pinned staging, SND/RCV move zero
+// bytes and H2D/D2H work on the mapping in place — or heap buffers (inline
+// plane, the mqueue front-end). A timing-only device gets nil staging and
+// the session stays data-less. The memory must stay valid until the release
+// is acknowledged or ExtractSession returns; both wait out a flush in
+// flight. Every open and every adoption is followed by one BindDirect.
 func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error {
 	s, ok := m.sessions[id]
 	switch {
 	case !ok:
 		return fmt.Errorf("gvm: BindDirect: unknown session %d", id)
-	case s.reply != nil:
-		return fmt.Errorf("gvm: BindDirect: session %d is a queue session", id)
 	case notify == nil:
 		return fmt.Errorf("gvm: BindDirect: nil notify")
 	}
@@ -46,35 +44,34 @@ func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error 
 	s.notify = notify
 	// Prebind the copy-completion closures so the hot path schedules them
 	// without allocating.
-	s.sndDone = func() { s.tell(SND, ACK, "") }
-	s.rcvDone = func() { s.tell(RCV, ACK, "") }
+	s.sndDone = func() { m.copied(s, SND, s.spec.InBytes) }
+	s.rcvDone = func() { m.copied(s, RCV, s.spec.OutBytes) }
 	return nil
 }
 
-// tell delivers a daemon session's outcome, unless the session was torn
-// down while it was pending.
+// tell delivers a verb's outcome, unless the session was torn down while
+// it was pending.
 func (s *session) tell(verb Verb, st Status, errMsg string) {
 	if s.notify != nil {
 		s.notify(verb, st, errMsg)
 	}
 }
 
-// DirectVerb issues one verb on a bound daemon session: the daemon
-// surface of the verb engine (serve). No message queue is involved — the
-// verb's virtual cost is charged as calendar events on the shard's clock
-// and the outcome arrives via the session's DirectNotify. It must run on
-// the owner goroutine, between or during env.Run drains, and never blocks.
-// The synchronous error covers only caller bugs (unknown or unbound
-// session, a verb that is not a session verb); protocol outcomes —
+// DirectVerb issues one verb on a bound session: the way into the verb
+// engine (serve). The verb's virtual cost is charged as calendar events on
+// the shard's clock and the outcome arrives via the session's DirectNotify.
+// It must run on the owner goroutine, between or during env.Run drains, and
+// never blocks. The synchronous error covers only caller bugs (unknown or
+// unbound session, a verb that is not a session verb); protocol outcomes —
 // including errors — arrive through notify.
 //
-// Cost model vs the queue surface: the client wrote the bytes into what
-// IS the pinned staging buffer (or the front-end copied them there), so
-// SND and RCV charge exactly one host copy each — the one real memcpy that
-// happened — and zero message-queue hops: the mqueue latency the paper
-// measures as virtualization overhead is paid by a real daemon in
-// wall-clock on its socket or ring, not a second time in virtual time. STP
-// is blocking-style: the ack fires from the stream's completion callback.
+// Cost model: the client wrote the bytes into what IS the pinned staging
+// buffer (or the front-end copied them there), so SND and RCV charge
+// exactly one host copy each and zero message hops. A transport's own
+// costs are its front-end's: gvmd pays its socket or ring in wall-clock,
+// and the mqueue model (vgpu) charges the paper's hops, the client's
+// segment copy and the STP poll in virtual time on top. STP is
+// blocking-style: the ack fires from the stream's completion callback.
 func (m *Manager) DirectVerb(id int, verb Verb) error {
 	s, ok := m.sessions[id]
 	switch {
@@ -86,6 +83,6 @@ func (m *Manager) DirectVerb(id int, verb Verb) error {
 		return fmt.Errorf("gvm: DirectVerb: unsupported verb %v", verb)
 	}
 	m.met.requests.Inc()
-	m.serve(nil, s, verb)
+	m.serve(s, verb)
 	return nil
 }

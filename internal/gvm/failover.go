@@ -69,7 +69,7 @@ func (e *ExtractedSession) Bytes() int64 {
 	return e.snap.total + int64(len(e.PinIn)) + int64(len(e.PinOut))
 }
 
-// ExtractSession quiesces daemon session id at its next verb boundary,
+// ExtractSession quiesces session id at its next verb boundary,
 // snapshots its device arenas (reusing the suspend engine) and staging
 // buffers, and removes it from this manager without the close
 // accounting — the session is moving, not ending. Must run on the
@@ -84,9 +84,6 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	s, ok := m.sessions[id]
 	if !ok {
 		return nil, fmt.Errorf("gvm: ExtractSession: unknown session %d", id)
-	}
-	if s.reply != nil {
-		return nil, fmt.Errorf("gvm: ExtractSession: session %d is a queue session", id)
 	}
 	for i, bs := range m.strPending {
 		if bs != s {
@@ -150,15 +147,15 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	return ext, nil
 }
 
-// AdoptSession installs an extracted session on this manager as a daemon
-// session under ext.ID; like an opened one it needs a BindDirect before it
-// takes verbs. The session arrives in the evicted state and is
-// materialized eagerly; if the target is too loaded to restore right now
-// the snapshot stays intact and the next verb's transparent restore
-// retries — adoption itself only fails on an id collision (impossible
-// under the node's striped id scheme) or a staging or arena snapshot of the
-// wrong size. The session was admitted on its source shard and the node
-// re-placed it against this shard's headroom, so no quota re-check.
+// AdoptSession installs an extracted session on this manager under ext.ID;
+// like an opened one it needs a BindDirect before it takes verbs. The
+// session arrives in the evicted state and is materialized eagerly; if the
+// target is too loaded to restore right now the snapshot stays intact and
+// the next verb's transparent restore retries — adoption itself only fails
+// on an id collision (impossible under the node's striped id scheme) or a
+// staging or arena snapshot of the wrong size. The session was admitted on
+// its source shard and the node re-placed it against this shard's
+// headroom, so no quota re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
@@ -172,14 +169,17 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Footprint, ext.Spec.InBytes, ext.Spec.OutBytes)
 	}
 	// So may the arena snapshot, whose buffers become device memory as they
-	// are: each must be a whole allocation, and in/out the ones the spec's
-	// kernels and copies address.
+	// are: each must be a whole allocation, in/out the ones the spec's
+	// kernels and copies address, and scratch the ones its builder asks for.
 	if err := ext.snap.validate(m.dev.RoundUp); err != nil {
 		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot: %w", ext.ID, err)
 	}
 	if wantIn, wantOut := m.dev.RoundUp(ext.Spec.InBytes), m.dev.RoundUp(ext.Spec.OutBytes); ext.snap.inSize != wantIn || ext.snap.outSize != wantOut {
 		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot is %d+%d bytes, spec needs %d+%d",
 			ext.ID, ext.snap.inSize, ext.snap.outSize, wantIn, wantOut)
+	}
+	if err := ext.snap.fitsBuild(ext.Spec, m.dev.RoundUp); err != nil {
+		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot: %w", ext.ID, err)
 	}
 	s := &session{
 		id: ext.ID, spec: ext.Spec,
@@ -200,8 +200,8 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	// Staging is the snapshot's own buffers (no copy): an inline session
 	// keeps them, a mapped plane rebinds onto its segment, which held the
 	// same bytes all along.
-	s.pinIn = m.newStaging(ext.Spec.InBytes, true, ext.PinIn)
-	s.pinOut = m.newStaging(ext.Spec.OutBytes, true, ext.PinOut)
+	s.pinIn = m.newStaging(ext.Spec.InBytes, ext.PinIn)
+	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.PinOut)
 	s.stream = m.ctx.NewStream()
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()

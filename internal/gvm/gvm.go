@@ -2,11 +2,11 @@
 // Manager, a run-time layer that owns the only GPU context and exposes a
 // Virtual GPU (VGPU) to every SPMD process in the node.
 //
-// Structure (paper Figure 7): the base layer is the manager process, one
-// POSIX-style shared-memory segment per client (data plane), and
-// request/response message queues (control plane). Clients drive the
-// six-verb protocol of Figure 8 — REQ, SND, STR, STP, RCV, RLS — through
-// the API layer in package vgpu.
+// Structure (paper Figure 7): the base layer is the manager, which clients
+// reach over a transport — the paper's is one POSIX-style shared-memory
+// segment per client (data plane) and request/response message queues
+// (control plane), modelled by package vgpu; gvmd's are sockets and rings —
+// to drive the six-verb protocol of Figure 8: REQ, SND, STR, STP, RCV, RLS.
 //
 // The manager pre-initializes the device and its single context, so
 // clients never pay Tinit; it gives each client a dedicated CUDA stream
@@ -14,17 +14,17 @@
 // parties before flushing every stream at once, so Fermi's concurrent
 // kernel execution and copy/compute overlap apply *across* processes.
 //
-// A session is one of two kinds, fixed when it opens. A queue session is
-// the paper's model — REQ on the request queue, a reply queue, the
-// manager's own segment, every message hop charged in virtual time — and
-// is what the simulation (vgpu, spmd, the experiments) drives. A daemon
-// session is what gvmd's front-ends hold for a real client: opened,
-// released, extracted and adopted through plain owner-side calls
-// (OpenSession, ReleaseSession, ExtractSession, AdoptSession), staging in
-// caller-owned memory, verbs through DirectVerb with outcomes on a notify
-// hook. Both run the same verb engine (serve → admit → dispatch): they
-// differ only in how time is charged (a process sleep or a calendar
-// event) and in where the outcome goes.
+// There is one kind of session, and the manager holds no transport: a
+// front-end (the mqueue model in vgpu, gvmd's socket dispatcher and ring
+// host) opens, releases, extracts and adopts sessions through plain
+// owner-side calls (OpenSession, ReleaseSession, ExtractSession,
+// AdoptSession), lends each one staging memory and a notify hook
+// (BindDirect), and issues its verbs through DirectVerb. The verb engine
+// (serve → admit → dispatch) never blocks its caller: a verb's virtual
+// cost is a calendar event, anything that has to wait — a restore, a
+// release, a suspend — runs on a transient process, and every outcome
+// goes to the session's notify hook. What a message hop, a second copy or
+// a status poll costs is the front-end's to charge.
 package gvm
 
 import (
@@ -38,7 +38,6 @@ import (
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/metrics"
-	"gpuvirt/internal/shm"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 	"gpuvirt/internal/trace"
@@ -97,34 +96,24 @@ func (s Status) String() string {
 	}
 }
 
-// Request is a control-plane message from a client to the manager.
+// Request is what a REQ carries: the task and the session's options.
 type Request struct {
-	Session int
-	Verb    Verb
-	Spec    *task.Spec       // REQ only
-	Reply   *Queue[Response] // REQ only; later requests use the session's queue
-	// MemQuota (REQ only) is a hard per-session device-memory limit in
+	Spec *task.Spec
+	// MemQuota is a hard per-session device-memory limit in
 	// bytes, enforced at every Malloc the session performs (HAMi-style).
 	// 0 means unlimited.
 	MemQuota int64
-	// Priority (REQ only) orders eviction victims: lower-priority
+	// Priority orders eviction victims: lower-priority
 	// sessions are evicted first when the device cannot fit an
 	// allocation. Equal priorities fall back to LRU. 0 is the default.
 	Priority int
-	// Weight (REQ only) is the session's share of SM compute time
+	// Weight is the session's share of SM compute time
 	// relative to co-resident sessions, and its precedence for
 	// concurrent-kernel-window admission and wave-boundary preemption.
 	// 0 derives the weight from Priority (max(1, Priority+1)); explicit
 	// values are clamped to [1, gpusim.MaxLaunchWeight]. 1 everywhere
 	// reproduces the unweighted scheduler exactly.
 	Weight int
-}
-
-// Response is a control-plane message from the manager to a client.
-type Response struct {
-	Status  Status
-	Session int
-	Err     string
 }
 
 // Config configures a manager.
@@ -153,15 +142,9 @@ type Config struct {
 	// shm<->pinned staging copies. Default 24 GB/s (dual-socket X5560
 	// aggregate memcpy, matching the paper's node).
 	HostCopyBW float64
-	// MsgLatency is the one-way control-message latency. Default 20 us.
-	MsgLatency sim.Duration
 	// ResourceSetup is the manager-side cost of REQ handling (stream,
 	// buffer and kernel preparation). Default 300 us.
 	ResourceSetup sim.Duration
-	// BlockingSTP makes the manager defer the STP response until the
-	// stream completes instead of answering WAIT (an ablation of the
-	// paper's poll-based handshake).
-	BlockingSTP bool
 	// PinnedStaging uses pinned host staging buffers (the paper's
 	// design). Disabling it is an ablation: pageable staging transfers
 	// more slowly and, on real hardware, would forbid async overlap.
@@ -240,9 +223,6 @@ func (c Config) withDefaults() Config {
 	if c.HostCopyBW == 0 {
 		c.HostCopyBW = 24e9
 	}
-	if c.MsgLatency == 0 {
-		c.MsgLatency = 20 * sim.Microsecond
-	}
 	if c.ResourceSetup == 0 {
 		c.ResourceSetup = 300 * sim.Microsecond
 	}
@@ -260,13 +240,12 @@ type Manager struct {
 	dev *gpusim.Device
 	ctx *gpusim.Context
 
-	req      *Queue[Request]
 	ready    *sim.Event
 	sessions map[int]*session
 	nextID   int // last id handed out; advances by the id stride
 
 	strPending []*session // sessions buffered at the STR barrier
-	strScratch []*session // retired barrier array recycled by direct flushes
+	strScratch []*session // retired barrier array, recycled by the next flush
 	strGen     uint64     // invalidates stale barrier-timeout timers
 	shmInUse   int64      // aggregate session footprint against the quota
 
@@ -302,8 +281,6 @@ type managerMetrics struct {
 type session struct {
 	id      int
 	spec    *task.Spec
-	reply   *Queue[Response] // nil: a daemon session (outcomes go to notify)
-	seg     shm.Segment      // queue sessions only
 	devIn   cuda.DevPtr
 	devOut  cuda.DevPtr
 	scratch []cuda.DevPtr
@@ -354,8 +331,8 @@ type session struct {
 	ops      []func(p *sim.Proc)
 	finishCB func()
 
-	// A daemon session's control surface (Manager.BindDirect): verb
-	// outcomes fire notify instead of travelling a reply queue.
+	// The session's control surface (Manager.BindDirect): every verb
+	// outcome fires notify.
 	notify  DirectNotify
 	sndDone func() // prebound SND copy-completion
 	rcvDone func() // prebound RCV copy-completion
@@ -383,7 +360,6 @@ func New(env *sim.Env, cfg Config) *Manager {
 		env:      env,
 		cfg:      cfg,
 		dev:      cfg.Device,
-		req:      NewQueue[Request](env, 0, cfg.MsgLatency),
 		ready:    env.NewEvent(),
 		sessions: make(map[int]*session),
 		nextID:   cfg.GPUIndex + 1 - stride, // first id handed out is GPUIndex+1
@@ -482,16 +458,9 @@ func (m *Manager) MintSessionID() int {
 	return m.nextID
 }
 
-// Ready fires once the manager has initialized the device, created its
-// single GPU context, and begun serving requests. Clients connecting
-// earlier simply queue.
+// Ready fires once the manager has initialized the device and created its
+// single GPU context; sessions can be opened from then on.
 func (m *Manager) Ready() *sim.Event { return m.ready }
-
-// RequestQueue returns the manager's request queue; clients send REQ here.
-func (m *Manager) RequestQueue() *Queue[Request] { return m.req }
-
-// MsgLatency returns the configured control-message hop latency.
-func (m *Manager) MsgLatency() sim.Duration { return m.cfg.MsgLatency }
 
 // HostCopyTime returns the virtual time for a host memcpy of n bytes.
 func (m *Manager) HostCopyTime(n int64) sim.Duration {
@@ -501,9 +470,8 @@ func (m *Manager) HostCopyTime(n int64) sim.Duration {
 	return sim.Duration(float64(n) / m.cfg.HostCopyBW * 1e9)
 }
 
-// Start spawns the manager process: device + context initialization (the
-// only Tinit in the system, which clients never pay), then the request
-// service loop.
+// Start spawns the manager's initialization: device + context creation, the
+// only Tinit in the system, which clients never pay.
 func (m *Manager) Start() {
 	m.env.Go("gvm", func(p *sim.Proc) {
 		start := p.Now()
@@ -519,62 +487,34 @@ func (m *Manager) Start() {
 		m.dev.SetEvictor(m.evictForAlloc)
 		m.cfg.trace("gvm", "init", start, p.Now())
 		m.ready.Fire(nil)
-		p.Daemonize()
-		for {
-			req := m.req.Recv(p)
-			m.met.requests.Inc()
-			m.handle(p, req)
-		}
 	})
-}
-
-// handle services one request on the manager's clock.
-func (m *Manager) handle(p *sim.Proc, r Request) {
-	if r.Verb == REQ {
-		m.handleREQ(p, r)
-		return
-	}
-	s, ok := m.sessions[r.Session]
-	if !ok {
-		// A client bug; when the request carries a reply queue, answer so
-		// the caller does not park forever (otherwise it surfaces as a
-		// timeout in the caller's own test).
-		if r.Reply != nil {
-			r.Reply.Send(p, Response{Status: ERR, Session: r.Session,
-				Err: Retryable(fmt.Sprintf("gvm: unknown session %d on gpu %d", r.Session, m.cfg.GPUIndex))})
-		}
-		return
-	}
-	m.serve(p, s, r.Verb)
 }
 
 // serve runs one verb on a live session: the admission gate, a transparent
 // restore when the gate asks for one, then the verb itself. It is the one
-// verb engine behind both surfaces. The queue surface calls it with the
-// manager's process, which sleeps through every virtual cost; the daemon
-// surface (DirectVerb) calls it with p == nil and must not block, so costs
-// become calendar events and anything that has to wait — a restore, a
-// release, a suspend — runs on a transient process.
-func (m *Manager) serve(p *sim.Proc, s *session, verb Verb) {
+// verb engine behind every front-end and must not block, so costs are
+// calendar events and anything that has to wait — a restore, a release, a
+// suspend — runs on a transient process.
+func (m *Manager) serve(s *session, verb Verb) {
 	s.lastUsed = m.env.Now()
 	errMsg, restore := m.admit(s, verb)
 	switch {
 	case errMsg != "":
-		s.answer(p, verb, ERR, errMsg)
+		s.tell(verb, ERR, errMsg)
 	case restore:
 		// Manager-driven eviction is transparent: restore the arena before
 		// serving the verb, waiting out pressure from running sessions.
 		// Failure (device still full, nothing evictable, nothing running)
 		// leaves the snapshot intact so the verb can be retried.
-		m.onProc(p, "gvm-restore", func(p *sim.Proc) {
+		m.env.Go("gvm-restore", func(p *sim.Proc) {
 			if err := m.restoreWithBackoff(p, s); err != nil {
-				s.answer(p, verb, ERR, err.Error())
+				s.tell(verb, ERR, err.Error())
 				return
 			}
-			m.dispatch(p, s, verb)
+			m.dispatch(s, verb)
 		})
 	default:
-		m.dispatch(p, s, verb)
+		m.dispatch(s, verb)
 	}
 }
 
@@ -599,60 +539,37 @@ func (m *Manager) admit(s *session, verb Verb) (errMsg string, restore bool) {
 
 // dispatch performs one admitted verb on a resident (or needing no arena)
 // session: the (state, verb) function of the protocol.
-func (m *Manager) dispatch(p *sim.Proc, s *session, verb Verb) {
+func (m *Manager) dispatch(s *session, verb Verb) {
 	// Adopted mid-cycle: replay or cancel the interrupted flush now that
 	// the arena is materialized, then serve the verb (an STP that
 	// triggered a replay waits for it like for any running flush).
 	m.gateRerun(s, verb)
 	switch verb {
 	case SND:
-		if s.reply != nil {
-			m.handleSND(p, s)
-		} else {
-			m.after(m.HostCopyTime(s.spec.InBytes), s.sndDone)
-		}
+		m.after(m.HostCopyTime(s.spec.InBytes), s.sndDone)
 	case STR:
-		m.handleSTR(p, s)
+		m.handleSTR(s)
 	case STP:
-		m.handleSTP(p, s)
+		m.handleSTP(s)
 	case RCV:
-		switch {
-		case !s.done:
-			s.answer(p, RCV, ERR, "gvm: RCV before completion")
-		case s.reply != nil:
-			m.handleRCV(p, s)
-		default:
+		if !s.done {
+			s.tell(RCV, ERR, "gvm: RCV before completion")
+		} else {
 			m.after(m.HostCopyTime(s.spec.OutBytes), s.rcvDone)
 		}
 	case RLS:
-		m.onProc(p, "gvm-rls", func(p *sim.Proc) {
+		m.env.Go("gvm-rls", func(p *sim.Proc) {
 			notify := s.notify // teardown detaches it; the ack is its last call
 			if !m.release(p, s) {
 				return // ReleaseSession got there while this one waited
 			}
-			if notify != nil {
-				notify(RLS, ACK, "")
-			} else {
-				s.answer(p, RLS, ACK, "")
-			}
+			notify(RLS, ACK, "")
 		})
 	case SUS:
-		m.onProc(p, "gvm-sus", func(p *sim.Proc) { s.settle(p, SUS, m.suspend(p, s)) })
+		m.env.Go("gvm-sus", func(p *sim.Proc) { s.settle(SUS, m.suspend(p, s)) })
 	case RES:
-		m.onProc(p, "gvm-res", func(p *sim.Proc) { s.settle(p, RES, m.resume(p, s)) })
-	default:
-		s.answer(p, verb, ERR, fmt.Sprintf("gvm: unknown verb %v", verb))
+		m.env.Go("gvm-res", func(p *sim.Proc) { s.settle(RES, m.resume(p, s)) })
 	}
-}
-
-// onProc runs fn on p when the caller has a process, and on a transient
-// one when it has none (the daemon surface, which must not block).
-func (m *Manager) onProc(p *sim.Proc, name string, fn func(p *sim.Proc)) {
-	if p != nil {
-		fn(p)
-		return
-	}
-	m.env.Go(name, fn)
 }
 
 // after charges d of virtual time as a calendar event ending in fn.
@@ -664,59 +581,16 @@ func (m *Manager) after(d sim.Duration, fn func()) {
 	}
 }
 
-// answer delivers a verb's outcome where the session's kind wants it: a
-// queue session's as a message on its reply queue, the hop charged on p's
-// clock; a daemon session's through its notify hook (p may be nil).
-func (s *session) answer(p *sim.Proc, verb Verb, st Status, errMsg string) {
-	if s.reply == nil {
-		s.tell(verb, st, errMsg)
-		return
-	}
-	s.reply.Send(p, Response{Status: st, Session: s.id, Err: errMsg})
-}
-
-// settle answers ACK, or ERR when errMsg names a failure.
-func (s *session) settle(p *sim.Proc, verb Verb, errMsg string) {
+// settle tells ACK, or ERR when errMsg names a failure.
+func (s *session) settle(verb Verb, errMsg string) {
 	st := ACK
 	if errMsg != "" {
 		st = ERR
 	}
-	s.answer(p, verb, st, errMsg)
+	s.tell(verb, st, errMsg)
 }
 
-// handleREQ serves REQ on the queue surface.
-func (m *Manager) handleREQ(p *sim.Proc, r Request) {
-	if r.Spec == nil || r.Reply == nil {
-		if r.Reply != nil {
-			r.Reply.Send(p, Response{Status: ERR, Err: "gvm: REQ needs Spec and Reply"})
-		}
-		return
-	}
-	s, err := m.open(p, r)
-	if err != nil {
-		r.Reply.Send(p, Response{Status: ERR, Err: err.Error()})
-		return
-	}
-	r.Reply.Send(p, Response{Status: ACK, Session: s.id})
-}
-
-// OpenSession provisions a daemon session on the caller's process p (which
-// pays the REQ's resource-setup time) and returns its id: r carries the
-// Spec and the REQ options and no Reply. The session has no staging memory
-// and takes no verbs until BindDirect gives it both. Owner-goroutine side.
-func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
-	if r.Spec == nil || r.Reply != nil {
-		return 0, errors.New("gvm: OpenSession needs a Spec and takes no Reply queue")
-	}
-	m.met.requests.Inc()
-	s, err := m.open(p, r)
-	if err != nil {
-		return 0, err
-	}
-	return s.id, nil
-}
-
-// ReleaseSession ends a daemon session from outside the verb stream (a
+// ReleaseSession ends a session from outside the verb stream (a
 // hang-up, an unwound open, shutdown), waiting out whatever still uses its
 // buffers exactly as RLS does. It reports whether this call was the one
 // that released it. Owner-goroutine side, on the caller's process.
@@ -725,10 +599,16 @@ func (m *Manager) ReleaseSession(p *sim.Proc, id int) bool {
 	return ok && m.release(p, s)
 }
 
-// open provisions a VGPU: device buffers, pinned staging, a dedicated
-// stream, the prepared kernel sequence and — for a queue session — its
-// shared-memory segment.
-func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
+// OpenSession serves REQ: on the caller's process p (which pays the
+// resource-setup time) it provisions a VGPU — device buffers, a dedicated
+// stream and the prepared kernel sequence — and returns its id. The session
+// has no staging memory and takes no verbs until BindDirect gives it both.
+// Owner-goroutine side.
+func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
+	if r.Spec == nil {
+		return 0, errors.New("gvm: OpenSession needs a Spec")
+	}
+	m.met.requests.Inc()
 	start := p.Now()
 	p.Sleep(m.cfg.ResourceSetup)
 	footprint := r.Spec.InBytes + r.Spec.OutBytes
@@ -740,21 +620,16 @@ func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
 		}
 	}
 	if m.shmInUse+footprint > quota {
-		return nil, fmt.Errorf(
+		return 0, fmt.Errorf(
 			"gvm: gpu %d session quota exceeded: %d bytes live + %d requested > %d",
 			m.cfg.GPUIndex, m.shmInUse, footprint, quota)
 	}
 	s := &session{
-		id: m.MintSessionID(), spec: r.Spec, reply: r.Reply,
+		id: m.MintSessionID(), spec: r.Spec,
 		memQuota: r.MemQuota, priority: r.Priority, lastUsed: p.Now(),
 		weight: sessionWeight(r),
 	}
 	m.bindClassMetrics(s)
-	dev := m.dev
-	daemon := r.Reply == nil
-	if !daemon {
-		s.seg = shm.NewMemory(footprint, dev.Functional())
-	}
 	m.shmInUse += footprint
 	s.footprint = footprint
 
@@ -763,9 +638,9 @@ func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
 	// the device's reserved-bytes gauge in step with what the session
 	// logically holds (the reservation survives eviction).
 	alloc := &sessionAllocator{m: m, s: s}
-	fail := func(err error) (*session, error) {
+	fail := func(err error) (int, error) {
 		m.teardown(s)
-		return nil, err
+		return 0, err
 	}
 	var err error
 	if r.Spec.InBytes > 0 {
@@ -778,15 +653,15 @@ func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
 			return fail(err)
 		}
 	}
-	s.pinIn = m.newStaging(r.Spec.InBytes, daemon, nil)
-	s.pinOut = m.newStaging(r.Spec.OutBytes, daemon, nil)
+	s.pinIn = m.newStaging(r.Spec.InBytes, nil)
+	s.pinOut = m.newStaging(r.Spec.OutBytes, nil)
 	if r.Spec.Build != nil {
 		b := &task.Buffers{In: s.devIn, Out: s.devOut, Alloc: alloc, Scratch: &s.scratch}
 		if s.kernels, err = r.Spec.Build(b); err != nil {
 			return fail(err)
 		}
 		for _, k := range s.kernels {
-			if err := k.Validate(dev.Arch()); err != nil {
+			if err := k.Validate(m.dev.Arch()); err != nil {
 				return fail(err)
 			}
 		}
@@ -799,7 +674,7 @@ func (m *Manager) open(p *sim.Proc, r Request) (*session, error) {
 	if m.cfg.Tracer != nil {
 		m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
 	}
-	return s, nil
+	return s.id, nil
 }
 
 // bindClassMetrics prebinds the session's weight-class instruments so the
@@ -813,37 +688,25 @@ func (m *Manager) bindClassMetrics(s *session) {
 }
 
 // newStaging makes one direction's pinned staging buffer (nil for a
-// zero-sized direction). Queue sessions get manager memory; a daemon
-// session's is caller-owned (BindDirect), so until the bind it is just
-// what an adoption carried over (data) — never an allocation the bind
-// would drop.
-func (m *Manager) newStaging(n int64, daemon bool, data []byte) *gpusim.HostBuffer {
+// zero-sized direction). Staging is caller-owned (BindDirect), so until the
+// bind it is just what an adoption carried over (data) — never an
+// allocation the bind would drop.
+func (m *Manager) newStaging(n int64, data []byte) *gpusim.HostBuffer {
 	if n <= 0 {
 		return nil
 	}
-	if daemon {
-		return gpusim.WrapHost(data, m.cfg.PinnedStaging)
-	}
-	return m.dev.AllocHost(n, m.cfg.PinnedStaging)
+	return gpusim.WrapHost(data, m.cfg.PinnedStaging)
 }
 
-// handleSND stages a queue session's input from its shared-memory segment
-// into the pinned host buffer (paper Figure 8: "Copies Data from Virtual
-// Shared Memory to Host Pinned Memory").
-func (m *Manager) handleSND(p *sim.Proc, s *session) {
-	start := p.Now()
-	n := s.spec.InBytes
-	p.Sleep(m.HostCopyTime(n))
-	if m.dev.Functional() && s.pinIn != nil {
-		if err := s.seg.ReadAt(s.pinIn.Data(), 0); err != nil {
-			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
-			return
-		}
-	}
+// copied ends the host copy SND or RCV charged (paper Figure 8: "Copies
+// Data from Virtual Shared Memory to Host Pinned Memory" and back): the
+// bytes themselves are already where the front-end put them.
+func (m *Manager) copied(s *session, verb Verb, n int64) {
 	if m.cfg.Tracer != nil {
-		m.cfg.trace("gvm", fmt.Sprintf("SND s%d %dB", s.id, n), start, p.Now())
+		now := m.env.Now()
+		m.cfg.trace("gvm", fmt.Sprintf("%v s%d %dB", verb, s.id, n), now.Add(-m.HostCopyTime(n)), now)
 	}
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
+	s.tell(verb, ACK, "")
 }
 
 // handleSTR buffers the request at the barrier; when all parties have
@@ -851,10 +714,10 @@ func (m *Manager) handleSND(p *sim.Proc, s *session) {
 // async H2D from pinned memory, the kernel sequence, async D2H — and all
 // STRs are acknowledged (paper Figure 8's "Barrier to Synchronize STR
 // from All Processes" followed by "Starts Executing All CUDA streams").
-// A session parked here simply has no answer yet on either surface.
-func (m *Manager) handleSTR(p *sim.Proc, s *session) {
+// A session parked here simply has no answer yet.
+func (m *Manager) handleSTR(s *session) {
 	if s.running {
-		s.answer(p, STR, ERR, "gvm: STR while already running")
+		s.tell(STR, ERR, "gvm: STR while already running")
 		return
 	}
 	s.running = true
@@ -867,7 +730,7 @@ func (m *Manager) handleSTR(p *sim.Proc, s *session) {
 		}
 		return // barrier: wait for the remaining parties
 	}
-	m.flushBatch(p, false)
+	m.flushBatch(false)
 }
 
 // armBarrierTimeout arms a timeout for the current barrier generation: if
@@ -886,32 +749,24 @@ func (m *Manager) armBarrierTimeout() {
 			if m.strGen != gen || len(m.strPending) == 0 {
 				return
 			}
-			m.flushBatch(p, true)
+			m.flushBatch(true)
 		})
 	})
 }
 
 // flushBatch flushes all sessions buffered at the barrier and ACKs their
-// STRs. timedOut marks a partial flush forced by BarrierTimeout. p is nil
-// when a daemon session's STR completed the barrier: a manager serves one
-// kind of session, so the whole batch is then acknowledged inline through
-// notify hooks and no reply hop needs a clock.
-func (m *Manager) flushBatch(p *sim.Proc, timedOut bool) {
+// STRs. timedOut marks a partial flush forced by BarrierTimeout. The whole
+// batch is acknowledged inline through the sessions' notify hooks.
+func (m *Manager) flushBatch(timedOut bool) {
 	batch := m.strPending
 	if len(batch) == 0 {
 		return
 	}
-	if p == nil {
-		// Nothing parks inside this call, so no second flushBatch can
-		// overlap it: recycle the retired array to keep the steady-state
-		// daemon cycle allocation-free.
-		m.strPending = m.strScratch[:0]
-		m.strScratch = batch
-	} else {
-		// A queue session's ack parks in reply.Send below; a barrier-timeout
-		// flush could interleave, so the batch must own its array.
-		m.strPending = nil
-	}
+	// Nothing parks inside this call, so no second flushBatch can overlap
+	// it: recycle the retired array to keep the steady-state cycle
+	// allocation-free.
+	m.strPending = m.strScratch[:0]
+	m.strScratch = batch
 	m.strGen++
 	m.met.flushes.Inc()
 	if timedOut {
@@ -942,7 +797,7 @@ func (m *Manager) flushBatch(p *sim.Proc, timedOut bool) {
 		m.cfg.trace("gvm", fmt.Sprintf("STR flush x%d", len(batch)), now, m.env.Now())
 	}
 	for _, bs := range batch {
-		bs.answer(p, STR, ACK, "")
+		bs.tell(STR, ACK, "")
 	}
 }
 
@@ -1031,15 +886,7 @@ func (m *Manager) prepareOps(s *session) {
 		}
 		if s.stpWaiting {
 			s.stpWaiting = false
-			if s.reply == nil {
-				s.tell(STP, st, errMsg)
-				return
-			}
-			// Reply from a transient process so the response hop happens
-			// in virtual time even though the manager loop may be busy.
-			m.env.Go("gvm-stp-reply", func(p *sim.Proc) {
-				s.answer(p, STP, st, errMsg)
-			})
+			s.tell(STP, st, errMsg)
 		}
 	}
 }
@@ -1062,38 +909,18 @@ func (m *Manager) flush(s *session) {
 }
 
 // handleSTP answers a status query: ACK when the stream has drained,
-// otherwise WAIT (the paper's poll) — or, with BlockingSTP and for every
-// daemon session, nothing until the stream completes: no WAIT ever crosses
-// a daemon front-end.
-func (m *Manager) handleSTP(p *sim.Proc, s *session) {
+// otherwise nothing until it completes. The manager never answers WAIT:
+// the paper's poll is the mqueue front-end's (vgpu), which answers it
+// while one STP is parked here.
+func (m *Manager) handleSTP(s *session) {
 	switch {
 	case s.done:
-		s.answer(p, STP, ACK, "")
+		s.tell(STP, ACK, "")
 	case !s.running:
-		s.answer(p, STP, ERR, "gvm: STP before STR")
-	case s.reply == nil || m.cfg.BlockingSTP:
-		s.stpWaiting = true
+		s.tell(STP, ERR, "gvm: STP before STR")
 	default:
-		s.answer(p, STP, WAIT, "")
+		s.stpWaiting = true
 	}
-}
-
-// handleRCV copies a queue session's results from pinned staging into its
-// shared-memory segment (at offset InBytes).
-func (m *Manager) handleRCV(p *sim.Proc, s *session) {
-	start := p.Now()
-	n := s.spec.OutBytes
-	p.Sleep(m.HostCopyTime(n))
-	if m.dev.Functional() && s.pinOut != nil {
-		if err := s.seg.WriteAt(s.pinOut.Data(), s.spec.InBytes); err != nil {
-			s.reply.Send(p, Response{Status: ERR, Session: s.id, Err: err.Error()})
-			return
-		}
-	}
-	if m.cfg.Tracer != nil {
-		m.cfg.trace("gvm", fmt.Sprintf("RCV s%d %dB", s.id, n), start, p.Now())
-	}
-	s.reply.Send(p, Response{Status: ACK, Session: s.id})
 }
 
 // release ends a session for RLS and ReleaseSession. A flush still in
@@ -1134,10 +961,6 @@ func (m *Manager) teardown(s *session) {
 		s.stream.Close()
 		s.stream = nil
 	}
-	if s.seg != nil {
-		_ = s.seg.Close()
-		s.seg = nil
-	}
 	// The logical reservation is returned whether the arena was resident
 	// or sitting in a host snapshot.
 	if s.devBytes > 0 {
@@ -1153,8 +976,8 @@ func (m *Manager) teardown(s *session) {
 // Staging exposes a session's pinned staging buffers: in receives SND
 // payloads before the H2D flush, out holds RCV results after the D2H
 // flush. Slices are nil for unknown sessions, timing-only devices,
-// zero-sized directions, and daemon sessions nothing has been bound to
-// yet. The caller owns synchronization: it must not
+// zero-sized directions, and sessions nothing has been bound to yet. The
+// caller owns synchronization: it must not
 // touch in/out while the session's stream is flushing (between STR and a
 // completed STP), which the daemon's verb ordering guarantees.
 func (m *Manager) Staging(session int) (in, out []byte) {
@@ -1169,16 +992,6 @@ func (m *Manager) Staging(session int) (in, out []byte) {
 		out = s.pinOut.Data()
 	}
 	return in, out
-}
-
-// Segment returns a queue session's shared-memory segment; the client-side
-// API uses it as the data plane. It returns nil for unknown sessions and
-// for daemon sessions, which have none.
-func (m *Manager) Segment(session int) shm.Segment {
-	if s, ok := m.sessions[session]; ok {
-		return s.seg
-	}
-	return nil
 }
 
 // OpenSessions returns the number of live sessions. It reads the

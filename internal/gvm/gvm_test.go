@@ -60,58 +60,56 @@ func TestManagerInitializationPaysTinitOnce(t *testing.T) {
 
 func TestREQWithoutSpecErrors(t *testing.T) {
 	env, m := newManager(t, nil)
-	var got Response
+	var err error
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		reply := NewQueue[Response](env, 0, 0)
-		m.RequestQueue().Send(p, Request{Verb: REQ, Reply: reply})
-		got = reply.Recv(p)
+		_, err = m.OpenSession(p, Request{})
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	if rerr := env.Run(); rerr != nil {
+		t.Fatal(rerr)
 	}
-	if got.Status != ERR {
-		t.Fatalf("status = %v, want ERR", got.Status)
+	if err == nil {
+		t.Fatal("OpenSession accepted a REQ without a Spec")
+	}
+	if m.OpenSessions() != 0 {
+		t.Fatalf("OpenSessions = %d after the refused REQ", m.OpenSessions())
 	}
 }
 
 func TestUnknownSessionDropped(t *testing.T) {
 	env, m := newManager(t, nil)
+	var err error
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		// SND against a session that does not exist: silently dropped
-		// (the sender would time out in a real system; in the simulation
-		// it just gets no reply).
-		m.RequestQueue().Send(p, Request{Session: 12345, Verb: SND})
+		// SND against a session that does not exist: refused to the caller
+		// (a front-end answers its client; vgpu's
+		// TestUnknownSessionAnswered) and dropped, nothing served.
+		err = m.DirectVerb(12345, SND)
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	if rerr := env.Run(); rerr != nil {
+		t.Fatal(rerr)
 	}
-	if m.Requests() != 1 {
-		t.Fatalf("Requests = %d", m.Requests())
+	if err == nil {
+		t.Fatal("DirectVerb served a session that does not exist")
+	}
+	if m.Requests() != 0 {
+		t.Fatalf("Requests = %d, the dropped verb was counted as served", m.Requests())
 	}
 }
 
 func TestUnknownVerbErrors(t *testing.T) {
 	env, m := newManager(t, nil)
-	var got Response
+	var err error
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		reply := NewQueue[Response](env, 0, 0)
-		m.RequestQueue().Send(p, Request{Verb: REQ, Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}, Reply: reply})
-		r := reply.Recv(p)
-		if r.Status != ACK {
-			t.Error("REQ failed")
-			return
-		}
-		m.RequestQueue().Send(p, Request{Session: r.Session, Verb: Verb(42)})
-		got = reply.Recv(p)
+		b := OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}})
+		err = m.DirectVerb(b.ID, Verb(42))
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	if rerr := env.Run(); rerr != nil {
+		t.Fatal(rerr)
 	}
-	if got.Status != ERR {
-		t.Fatalf("status = %v, want ERR for unknown verb", got.Status)
+	if err == nil {
+		t.Fatal("DirectVerb accepted an unknown verb")
 	}
 }
 
@@ -130,25 +128,12 @@ func TestSessionAccounting(t *testing.T) {
 	env, m := newManager(t, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		reply := NewQueue[Response](env, 0, 0)
-		m.RequestQueue().Send(p, Request{Verb: REQ, Spec: &task.Spec{Name: "t", InBytes: 64, OutBytes: 64}, Reply: reply})
-		r := reply.Recv(p)
-		if r.Status != ACK {
-			t.Error("REQ failed")
-			return
-		}
+		b := OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 64, OutBytes: 64}})
 		if m.OpenSessions() != 1 {
 			t.Errorf("OpenSessions = %d", m.OpenSessions())
 		}
-		if m.Segment(r.Session) == nil {
-			t.Error("Segment returned nil for a live session")
-		}
-		if m.Segment(999) != nil {
-			t.Error("Segment returned something for a bogus session")
-		}
-		m.RequestQueue().Send(p, Request{Session: r.Session, Verb: RLS})
-		if rr := reply.Recv(p); rr.Status != ACK {
-			t.Errorf("RLS: %v", rr.Status)
+		if st, msg := b.Verb(p, RLS); st != ACK {
+			t.Errorf("RLS: %v %s", st, msg)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -164,9 +149,6 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.HostCopyBW != 24e9 {
 		t.Fatalf("HostCopyBW default = %v", c.HostCopyBW)
-	}
-	if c.MsgLatency != 20*sim.Microsecond {
-		t.Fatalf("MsgLatency default = %v", c.MsgLatency)
 	}
 	if c.Parties != 1 {
 		t.Fatalf("Parties default = %d", c.Parties)

@@ -53,10 +53,10 @@ type snapshot struct {
 	total    int64
 	// moving is non-nil while an evacuation or a restore is still copying
 	// between the arena and this snapshot. The copies sleep in virtual
-	// time, so other owner-side processes (a second daemon restore, the
-	// request loop, a migration) run meanwhile; to them the session is
-	// neither resident — its device pointers are being freed, or are not
-	// all back — nor restorable, and they wait for the event (waitSettled).
+	// time, so other owner-side processes (a second restore, a front-end's
+	// loop, a migration) run meanwhile; to them the session is neither
+	// resident — its device pointers are being freed, or are not all back —
+	// nor restorable, and they wait for the event (waitSettled).
 	moving *sim.Event
 }
 
@@ -78,6 +78,41 @@ func (sn *snapshot) validate(roundUp func(int64) int64) error {
 	}
 	return nil
 }
+
+// fitsBuild checks a wire snapshot's scratch buffers against the builder
+// that will address them. A restore replays them, in order, as the
+// allocations the builder asks for (bufReplay), whatever size it asks, so
+// each must be exactly the allocation the builder would have got: a kernel
+// runs off the end of a smaller one. The builder is run dry, against an
+// allocator that only records sizes.
+func (sn *snapshot) fitsBuild(spec *task.Spec, roundUp func(int64) int64) error {
+	var asked sizeRecorder
+	if spec.Build != nil {
+		var scratch []cuda.DevPtr
+		if _, err := spec.Build(&task.Buffers{In: 1, Out: 1, Alloc: &asked, Scratch: &scratch}); err != nil {
+			return err
+		}
+	}
+	if len(sn.scrSizes) > len(asked) {
+		return fmt.Errorf("%d scratch buffers, the task builds %d", len(sn.scrSizes), len(asked))
+	}
+	for i, size := range sn.scrSizes {
+		if want := roundUp(asked[i]); size != want {
+			return fmt.Errorf("scratch buffer %d is %d bytes, the task builds it as %d", i, size, want)
+		}
+	}
+	return nil
+}
+
+// sizeRecorder is a dry build's allocator: the sizes asked for, in order.
+type sizeRecorder []int64
+
+func (r *sizeRecorder) Malloc(n int64) (cuda.DevPtr, error) {
+	*r = append(*r, n)
+	return 1, nil
+}
+
+func (r *sizeRecorder) Free(cuda.DevPtr) error { return nil }
 
 // settle ends the copy window opened on sn.
 func (sn *snapshot) settle() {
@@ -215,8 +250,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 	// authoritative, rebuilding uses the restored scratch pointers via a
 	// replaying allocator.
 	if s.spec.Build != nil {
-		replay := &replayScratch{ptrs: s.scratch}
-		b := &bufReplay{in: s.devIn, out: s.devOut, fresh: &sessionAllocator{m: m, s: s}, replay: replay}
+		b := &bufReplay{in: s.devIn, out: s.devOut, fresh: &sessionAllocator{m: m, s: s}, ptrs: s.scratch}
 		ks, err := b.build(s)
 		if err != nil {
 			m.freeSessionBuffers(s)
@@ -258,8 +292,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 // never work, stalling the failover engine's quiesce behind it.
 //
 // The give-up condition distinguishes HOW the blocking memory can come
-// free (audited for the failover restore path, which runs off the
-// request loop):
+// free (audited for the failover restore path):
 //
 //   - progressCalendar: a running flush's completion, or a parked
 //     barrier's timeout flush, is a calendar event — it fires while this
@@ -268,10 +301,10 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 //     barrier with no timeout armed. Only queued owner work — the peer
 //     STR that completes the barrier, or an RLS already waiting behind
 //     the verb being served — can free it, and that work cannot run
-//     while this restore occupies the loop (queue surface) or keeps the
-//     calendar busy (daemon surface, adoption). Sleeping here is futile:
-//     give up NOW with a retryable error so the owner drains its queue
-//     and the client re-issues the verb against freed memory.
+//     while the front-end waits out this verb (the mqueue loop) or this
+//     restore keeps the calendar busy (a drain, adoption). Sleeping here
+//     is futile: give up NOW with a retryable error so the owner drains
+//     its queue and the client re-issues the verb against freed memory.
 //   - progressNone: nothing running, nothing parked — every evictable
 //     victim was already evicted by the failed resume, so no amount of
 //     waiting helps. Surface the error.
@@ -457,30 +490,21 @@ func (m *Manager) freeSessionBuffers(s *session) {
 	s.scratch = nil
 }
 
-// replayScratch hands back the restored scratch allocations in the order
-// the original builder requested them, so the rebuilt kernels address
-// the restored data.
-type replayScratch struct {
-	ptrs []cuda.DevPtr
-	next int
-}
-
+// bufReplay hands back the restored scratch allocations (ptrs) in the order
+// the original builder requested them, so the rebuilt kernels address the
+// restored data. A snapshot off the wire was held to those requests' sizes
+// at adoption (snapshot.fitsBuild).
 type bufReplay struct {
 	in, out cuda.DevPtr
-	fresh   allocator // beyond-the-replay allocations (quota-checked)
-	replay  *replayScratch
-}
-
-type allocator interface {
-	Malloc(n int64) (cuda.DevPtr, error)
-	Free(p cuda.DevPtr) error
+	ptrs    []cuda.DevPtr
+	next    int
+	fresh   task.Allocator // beyond-the-replay allocations (quota-checked)
 }
 
 func (b *bufReplay) Malloc(n int64) (cuda.DevPtr, error) {
-	if b.replay.next < len(b.replay.ptrs) {
-		p := b.replay.ptrs[b.replay.next]
-		b.replay.next++
-		return p, nil
+	if b.next < len(b.ptrs) {
+		b.next++
+		return b.ptrs[b.next-1], nil
 	}
 	// The builder asked for more scratch than the original run: allocate
 	// fresh memory (it carries no restored state, and it is new bytes —
@@ -499,8 +523,8 @@ func (b *bufReplay) build(s *session) ([]*cuda.Kernel, error) {
 		// freshly reserved by this rebuild. The replayed pointers are still
 		// owned by the session (s.scratch) and are released — reservation
 		// intact — by the caller's freeSessionBuffers.
-		if b.replay.next < len(extra) {
-			for _, p := range extra[b.replay.next:] {
+		if b.next < len(extra) {
+			for _, p := range extra[b.next:] {
 				_ = b.fresh.Free(p)
 			}
 		}

@@ -42,9 +42,9 @@ func arenas(dev *gpusim.Device, s *session) (in, out []byte) {
 // keep the snapshot whole, and the retry — once the flush is over — must
 // bring back byte-identical arenas.
 func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
-	w := workloads.VectorAdd(surfaceTestN)
+	w := workloads.VectorAdd(SurfaceTestN)
 	spec := w.Spec(0) // 8 KiB in, 4 KiB out
-	slow := slowKernels(w.Spec(1))
+	slow := SlowKernels(w.Spec(1))
 	// Both sessions' arenas would need 24 KiB; with the pinning session
 	// resident, 8 KiB stay free: the input buffer fits, the output does not.
 	env, dev, m := swapTestManager(256 + 20<<10)
@@ -52,9 +52,9 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 	w.Fill(0, input)
 	env.Go("driver", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		victim := newSurface(t, true, p, m, spec)
-		victim.enter(p, "done", input)
-		s := m.sessions[victim.id]
+		victim := OpenBare(t, p, m, Request{Spec: spec})
+		victim.run(p, input, STP)
+		s := m.sessions[victim.ID]
 		wantIn, wantOut := arenas(dev, s)
 		s.evicted = true // what evictForAlloc does to its victim
 		m.suspendSession(p, s)
@@ -62,8 +62,8 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 			t.Fatalf("MemInUse = %d after the eviction, want 0", dev.MemInUse())
 		}
 
-		pin := newSurface(t, true, p, m, slow)
-		pin.enter(p, "running", input)
+		pin := OpenBare(t, p, m, Request{Spec: slow})
+		pin.run(p, input, STR)
 		resident, copied := dev.MemInUse(), dev.BytesH2D
 
 		err := m.resumeSession(p, s, true)
@@ -90,7 +90,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 			t.Fatal("retried restore is not byte-identical")
 		}
 		victim.must(p, RCV)
-		if err := w.Check(0, victim.results()); err != nil {
+		if err := w.Check(0, victim.Out); err != nil {
 			t.Errorf("RCV after the retried restore: %v", err)
 		}
 	})
@@ -106,7 +106,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 // whole allocation on the target or not the one the spec's kernels address,
 // is refused before anything is attached.
 func TestMigrationRoundTripMovesArena(t *testing.T) {
-	w := workloads.VectorAdd(surfaceTestN)
+	w := workloads.VectorAdd(SurfaceTestN)
 	spec := w.Spec(0)
 	input := make([]byte, spec.InBytes)
 	w.Fill(0, input)
@@ -115,10 +115,10 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 	env, src, m := swapTestManager(1 << 20)
 	env.Go("source", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		sf := newSurface(t, true, p, m, spec)
-		sf.enter(p, "done", input)
-		wantIn, wantOut = arenas(src, m.sessions[sf.id])
-		ext, err := m.ExtractSession(p, sf.id)
+		sf := OpenBare(t, p, m, Request{Spec: spec})
+		sf.run(p, input, STP)
+		wantIn, wantOut = arenas(src, m.sessions[sf.ID])
+		ext, err := m.ExtractSession(p, sf.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,10 +173,10 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 		if !bytes.Equal(gotIn, wantIn) || !bytes.Equal(gotOut, wantOut) {
 			t.Fatal("migrated arenas are not byte-identical")
 		}
-		sf := &surface{t: t, env: env, m: m, id: ext.ID}
+		sf := &BareSession{t: t, m: m, ID: ext.ID}
 		sf.bind(m.Staging(ext.ID))
 		sf.must(p, RCV)
-		if err := w.Check(0, sf.results()); err != nil {
+		if err := w.Check(0, sf.Out); err != nil {
 			t.Errorf("RCV on the target: %v", err)
 		}
 		sf.must(p, RLS)
@@ -186,5 +186,94 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 	}
 	if dst.MemInUse() != 0 || dst.MemReserved() != 0 {
 		t.Fatalf("target after release: %d bytes in use, %d reserved", dst.MemInUse(), dst.MemReserved())
+	}
+}
+
+// TestAdoptRefusesScratchOfTheWrongSize: a restore replays the snapshot's
+// scratch buffers as the allocations the kernel builder asks for, so a blob
+// that is consistent — every buffer exactly its declared size, every size a
+// whole allocation — but declares a scratch buffer smaller than the task
+// builds it (or two of them swapped) used to be adopted, and the first STR
+// ran a kernel off the end of the small allocation: a panic on the shard
+// owner, reachable off the wire through ADP. It must be refused before
+// anything is attached.
+func TestAdoptRefusesScratchOfTheWrongSize(t *testing.T) {
+	w := workloads.ClassSIS() // scratch: a 512 KiB block histogram, ~8 KiB of offsets
+	spec := w.Spec(0)
+	input := make([]byte, spec.InBytes)
+	w.Fill(0, input)
+
+	var blob []byte
+	env, _, m := swapTestManager(4 << 20)
+	env.Go("source", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		sf := OpenBare(t, p, m, Request{Spec: spec})
+		sf.run(p, input, STP)
+		ext, err := m.ExtractSession(p, sf.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = ext.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	decode := func() *ExtractedSession {
+		ext, err := DecodeExtracted(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.Spec = spec
+		return ext
+	}
+	env, dst, m := swapTestManager(4 << 20)
+	env.Go("target", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		shrunk := decode()
+		sn := shrunk.snap
+		sn.scratch[0], sn.scrSizes[0] = sn.scratch[0][:256], 256
+		swapped := decode()
+		sn = swapped.snap
+		sn.scratch[0], sn.scratch[1] = sn.scratch[1], sn.scratch[0]
+		sn.scrSizes[0], sn.scrSizes[1] = sn.scrSizes[1], sn.scrSizes[0]
+		extra := decode()
+		sn = extra.snap
+		sn.scratch, sn.scrSizes = append(sn.scratch, make([]byte, 256)), append(sn.scrSizes, 256)
+		for name, bad := range map[string]*ExtractedSession{"a shrunk scratch buffer": shrunk, "swapped scratch buffers": swapped, "a scratch buffer the task does not build": extra} {
+			// Errorf and return, not Fatalf: a sim process that exits by
+			// Goexit hangs the environment, and this test must fail fast.
+			if err := bad.snap.validate(dst.RoundUp); err != nil {
+				t.Errorf("%s: the blob is not even consistent: %v", name, err)
+				return
+			}
+			if err := m.AdoptSession(p, bad); err == nil || IsRetryable(err.Error()) {
+				t.Errorf("AdoptSession of a blob with %s: %v, want a final refusal", name, err)
+				return
+			}
+			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.OpenSessions() != 0 {
+				t.Errorf("refused blob (%s) left %d bytes in use, %d reserved, %d sessions",
+					name, dst.MemInUse(), dst.MemReserved(), m.OpenSessions())
+				return
+			}
+		}
+
+		ext := decode()
+		if err := m.AdoptSession(p, ext); err != nil {
+			t.Error(err)
+			return
+		}
+		sf := &BareSession{t: t, m: m, ID: ext.ID}
+		sf.bind(m.Staging(ext.ID))
+		sf.run(p, input, RCV) // the adopted session's scratch is the task's: a whole cycle runs
+		if err := w.Check(0, sf.Out); err != nil {
+			t.Errorf("cycle on the target: %v", err)
+		}
+		sf.must(p, RLS)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

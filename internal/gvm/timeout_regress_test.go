@@ -30,22 +30,12 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 	var sA, sC *session
 	env.Go("driver", func(p *sim.Proc) {
 		p.Wait(m.Ready())
-		reply := NewQueue[Response](env, 4, 0)
 		open := func() *session {
-			m.RequestQueue().Send(p, Request{Verb: REQ,
-				Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}, Reply: reply})
-			r := reply.Recv(p)
-			if r.Status != ACK {
-				t.Errorf("REQ failed: %s", r.Err)
-				return nil
-			}
-			return m.sessions[r.Session]
+			return m.sessions[OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}}).ID]
 		}
-		if sA, sC = open(), open(); sA == nil || sC == nil {
-			return
-		}
+		sA, sC = open(), open()
 		// A is the lone arrival of generation 0: arms the timer.
-		m.handleSTR(p, sA)
+		m.handleSTR(sA)
 		fireAt := p.Now().Add(timeout)
 		// Schedule the surgery from a strictly later callback so its
 		// calendar seq exceeds the timer's: at fireAt the engine runs

@@ -87,6 +87,12 @@ func FuzzMigBlob(f *testing.F) {
 	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"in_bytes":512,"out_bytes":256,"ext":{"id":1,"footprint":768,"dev_bytes":768,"snap_in":"AQID","snap_in_size":512,"snap_out_size":256,"snap_total":768}}`))
 	f.Add([]byte(`{"ref":{"name":"vecadd","params":{"n":64}},"in_bytes":512,"out_bytes":256,"ext":{"id":1,"footprint":768,"dev_bytes":768,"snap_in":"` +
 		base64.StdEncoding.EncodeToString(make([]byte, 100)) + `","snap_in_size":100,"snap_out_size":256,"snap_total":356}}`))
+	// A consistent blob whose scratch is not what the task builds: class-S IS
+	// replays its 512 KiB block histogram onto a 256-byte allocation. Adopted,
+	// its first STR ran a kernel off the end of that allocation and panicked
+	// the shard owner.
+	f.Add([]byte(`{"ref":{"name":"is"},"in_bytes":262144,"out_bytes":262144,"ext":{"id":1,"done":true,"footprint":524288,"dev_bytes":532992,` +
+		`"snap_in_size":262144,"snap_out_size":262144,"scratch":[null,null],"scr_sizes":[256,8448],"snap_total":532992}}`))
 	f.Add([]byte(`{"ext":`))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {

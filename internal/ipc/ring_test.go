@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -358,14 +359,48 @@ func TestRingOrphanReclaim(t *testing.T) {
 	}
 }
 
-// TestRingCycleZeroAllocZeroSyscall is the tentpole's acceptance test:
-// a warm pipelined cycle over the ring allocates nothing and crosses
-// the kernel zero times. Syscall-freedom is observed through the futex
-// counters behind the doorbells — if neither side ever parks, the whole
-// cycle ran on shared-memory atomics alone. Scheduling noise can park a
-// side on a busy host, so the syscall half samples a few windows and
-// requires one to be completely futex-free.
+// TestRingCycleZeroAllocZeroSyscall is the ring plane's acceptance test: a
+// warm pipelined cycle allocates nothing and crosses the kernel zero times.
+// The only syscalls a ring cycle can make are the futexes behind the
+// doorbells, and whether a side ever parks on one is the scheduler's
+// choice, not the code's; what the code decides is that a side which is
+// awake costs its peer nothing. So the syscall half drives both ends of a
+// session ring itself, in lockstep, and holds the futex counters to
+// exactly zero: a push to a peer that has not advertised sleeping pays no
+// wake, a pop of a ready slot no wait.
 func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
+	// First, while this process runs no daemon: the counters are
+	// process-wide, and an idle shard parks on its doorbell in slices.
+	cfg := shm.DefaultRingConfig()
+	seg := shm.NewMemory(shm.RingSegmentSize(cfg, 0, 0), true)
+	host, err := shm.InitSessionRing(seg, cfg, 0, 0, "door", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := shm.AttachSessionRing(seg) // the client's view
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shardDoor atomic.Uint32 // in a daemon, a word of the doorbell segment
+	rec := make([]byte, 154)    // a warm cycle's request + response frames
+	waits0, wakes0 := shm.FutexStats()
+	for i := 0; i < 100; i++ {
+		ok := peer.Sub.Push(rec)
+		shm.DoorRing(&shardDoor) // the shard is sweeping, not armed
+		_, got := host.Sub.Peek()
+		host.Sub.Release()
+		ok = ok && got && host.Cpl.Push(rec)
+		shm.DoorRing(host.ClientDoor()) // the client is spinning, not armed
+		_, got = peer.Cpl.Peek()
+		peer.Cpl.Release()
+		if !ok || !got {
+			t.Fatalf("cycle %d: the ring dropped a record", i)
+		}
+	}
+	if waits, wakes := shm.FutexStats(); waits != waits0 || wakes != wakes0 {
+		t.Fatalf("100 cycles between two awake sides paid %d futex waits and %d wakes, want 0 and 0", waits-waits0, wakes-wakes0)
+	}
+
 	srv, dir := startRingServer(t, 1)
 	c, err := Dial(srv.Addr(), dir)
 	if err != nil {
@@ -373,8 +408,7 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 	}
 	defer c.Close()
 	// The copy workload has no kernels: the cycle is pure control plane
-	// plus the two staging copies, so any allocation or futex is the
-	// ring's own.
+	// plus the two staging copies, so any allocation is the ring's own.
 	ref := workloads.Ref{Name: "copy", Params: map[string]int{"n": 4096}}
 	sess, err := c.Request(ref, 0)
 	if err != nil {
@@ -398,34 +432,6 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("warm ring cycle allocates %v objects/op, want 0", allocs)
-	}
-
-	// The futex-free window asserts scheduling, not correctness — both ring
-	// sides must spin through 100 cycles without being descheduled — and
-	// under the race detector's slowdown on a 2-CPU machine they are not.
-	if raceDetector {
-		t.Log("race detector on: skipping the futex-free-window half")
-		return
-	}
-	const windows, cyclesPerWindow = 5, 100
-	clean := false
-	for w := 0; w < windows && !clean; w++ {
-		waits0, wakes0 := shm.FutexStats()
-		for i := 0; i < cyclesPerWindow; i++ {
-			if err := sess.RunCycle(in, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		waits1, wakes1 := shm.FutexStats()
-		if waits1 == waits0 && wakes1 == wakes0 {
-			clean = true
-		} else {
-			t.Logf("window %d: %d futex waits, %d wakes over %d cycles",
-				w, waits1-waits0, wakes1-wakes0, cyclesPerWindow)
-		}
-	}
-	if !clean {
-		t.Fatalf("no futex-free window in %d attempts of %d warm cycles", windows, cyclesPerWindow)
 	}
 }
 

@@ -103,6 +103,7 @@ type Config struct {
 type Node struct {
 	cfg    Config
 	shards []*Shard
+	fronts []*vgpu.Host // per shard, SharedEnv nodes only (Connect's way in)
 	reg    *metrics.Registry
 
 	mu     sync.Mutex
@@ -215,12 +216,16 @@ func New(cfg Config) (*Node, error) {
 // Start spawns every shard's manager. With per-shard environments it
 // also drains each one so every manager is Ready on return; with
 // SharedEnv the caller runs the environment itself (the managers come up
-// alongside the caller's own processes).
+// alongside the caller's own processes), and each shard also gets the
+// simulation's mqueue front-end.
 func (n *Node) Start() error {
 	for _, sh := range n.shards {
 		sh.Mgr.Start()
 	}
 	if n.cfg.SharedEnv != nil {
+		for _, sh := range n.shards {
+			n.fronts = append(n.fronts, vgpu.Serve(sh.Mgr, vgpu.Config{}))
+		}
 		return nil
 	}
 	for _, sh := range n.shards {
@@ -320,18 +325,13 @@ func (n *Node) Release(idx int, inBytes, outBytes int64) {
 	n.placedBytes[idx].Add(-(inBytes + outBytes))
 }
 
-// Connect places spec's session and opens a VGPU bound to the chosen
-// shard's manager — the simulation-mode equivalent of the daemon's REQ
-// path (vgpu keeps its API; only the manager it binds to is decided
-// here). The caller should pair a successful Connect with
-// Release(shard, spec.InBytes, spec.OutBytes) after VGPU.Release.
+// Connect places spec's session and opens a VGPU through the chosen
+// shard's mqueue front-end — the simulation-mode equivalent of the daemon's
+// REQ path, for a started SharedEnv node (vgpu keeps its API; only the
+// manager it reaches is decided here). The caller should pair a successful
+// Connect with Release(shard, spec.InBytes, spec.OutBytes) after
+// VGPU.Release.
 func (n *Node) Connect(p *sim.Proc, spec *task.Spec) (*vgpu.VGPU, int, error) {
-	return n.ConnectOpts(p, spec, vgpu.Opts{})
-}
-
-// ConnectOpts is Connect with explicit session options (weight, priority,
-// memory quota) forwarded to the shard's manager.
-func (n *Node) ConnectOpts(p *sim.Proc, spec *task.Spec, o vgpu.Opts) (*vgpu.VGPU, int, error) {
 	if spec == nil {
 		return nil, -1, fmt.Errorf("node: nil task spec")
 	}
@@ -339,7 +339,7 @@ func (n *Node) ConnectOpts(p *sim.Proc, spec *task.Spec, o vgpu.Opts) (*vgpu.VGP
 	if err != nil {
 		return nil, -1, err
 	}
-	v, err := vgpu.ConnectOpts(p, n.shards[idx].Mgr, spec, o)
+	v, err := n.fronts[idx].Connect(p, spec)
 	if err != nil {
 		n.Release(idx, spec.InBytes, spec.OutBytes)
 		return nil, -1, err

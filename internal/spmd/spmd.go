@@ -163,13 +163,12 @@ func RunVirt(cfg Config) (Result, error) {
 		Device:        dev,
 		Parties:       parties,
 		HostCopyBW:    cfg.HostCopyBW,
-		MsgLatency:    cfg.MsgLatency,
-		BlockingSTP:   cfg.BlockingSTP,
 		PinnedStaging: !cfg.PageableStaging,
 		FlushPolicy:   cfg.FlushPolicy,
 		Tracer:        cfg.Tracer,
 	})
 	mgr.Start()
+	host := vgpu.Serve(mgr, vgpu.Config{MsgLatency: cfg.MsgLatency, BlockingSTP: cfg.BlockingSTP})
 	res := Result{Mode: "virt", N: cfg.N, PerProcess: make([]sim.Duration, cfg.N)}
 	errs := make([]error, cfg.N)
 	polls := make([]int, cfg.N)
@@ -179,7 +178,7 @@ func RunVirt(cfg Config) (Result, error) {
 			p.Wait(mgr.Ready())
 			t0 := p.Now()
 			spec := cfg.SpecFor(i)
-			v, err := vgpu.Connect(p, mgr, spec)
+			v, err := host.Connect(p, spec)
 			if err != nil {
 				errs[i] = err
 				return

@@ -140,7 +140,7 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 }
 
 // hostSession is the daemon-side state of one client session on either
-// front-end: where its gvm daemon session lives and the data plane moving
+// front-end: where its gvm session lives and the data plane moving
 // payloads to and from the client process, which is its pinned staging.
 type hostSession struct {
 	id    int
@@ -390,7 +390,7 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 
 	// Admission + placement: the node picks the shard once, here; every
 	// later verb for the session routes straight to it. Owner phase: open
-	// the gvm daemon session (the owner only accounts virtual time, payload
+	// the gvm session (the owner only accounts virtual time, payload
 	// bytes never move on it). A shard that faults between the two fails
 	// the open on its own account: place again without it.
 	var (

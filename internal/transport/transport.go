@@ -18,7 +18,7 @@
 //     client, hostPlane on the daemon (plane.go) — whatever its kind.
 //   - The verb engine — frameRun (exec.go), the one place the daemon
 //     executes session verbs: it walks a frame's steps through
-//     gvm.Manager.DirectVerb on gvm daemon sessions, driven by their
+//     gvm.Manager.DirectVerb on gvm sessions, driven by their
 //     completions. A frame is one session's verbs: FrameSteps is that
 //     rule, written once and called by every carrier — the two
 //     front-ends here and the federation router — before any session

@@ -44,6 +44,7 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	outs := make([][][]byte, sessions)
 	for s := 0; s < sessions; s++ {
 		s := s
@@ -51,7 +52,7 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 		env.Go(fmt.Sprintf("client-%d", s), func(p *sim.Proc) {
 			rng := seed + uint32(s)*977
 			p.Wait(mgr.Ready())
-			v, err := Connect(p, mgr, vecSpec(n))
+			v, err := host.Connect(p, vecSpec(n))
 			if err != nil {
 				t.Errorf("session %d: %v", s, err)
 				return
@@ -149,9 +150,10 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v1, err := Connect(p, mgr, vecSpec(n))
+		v1, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -162,7 +164,7 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 			return
 		}
 		// v2's REQ must evict idle v1 — including its staged input.
-		v2, err := Connect(p, mgr, vecSpec(n))
+		v2, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Errorf("second REQ did not evict the idle session: %v", err)
 			return
@@ -230,10 +232,11 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 		Parties: 2, BarrierTimeout: 250 * sim.Millisecond,
 	})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	var in []float32
 	env.Go("holder", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -262,7 +265,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 	})
 	env.Go("suspended", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -334,21 +337,22 @@ func TestPriorityOrdersEviction(t *testing.T) {
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		high, err := ConnectOpts(p, mgr, vecSpec(n), Opts{Priority: 10})
+		high, err := host.ConnectOpts(p, gvm.Request{Spec: vecSpec(n), Priority: 10})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		p.Sleep(10 * sim.Millisecond) // make high the LRU victim candidate
-		low, err := ConnectOpts(p, mgr, vecSpec(n), Opts{Priority: 0})
+		low, err := host.ConnectOpts(p, gvm.Request{Spec: vecSpec(n), Priority: 0})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		p.Sleep(10 * sim.Millisecond)
-		third, err := Connect(p, mgr, vecSpec(n))
+		third, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Errorf("third REQ did not evict: %v", err)
 			return
@@ -393,11 +397,12 @@ func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		// Arenas alone exceed the quota: REQ is rejected.
 		spec := &task.Spec{Name: "q", InBytes: 1 << 20, OutBytes: 512 << 10}
-		if _, err := ConnectOpts(p, mgr, spec, Opts{MemQuota: 1 << 20}); err == nil {
+		if _, err := host.ConnectOpts(p, gvm.Request{Spec: spec, MemQuota: 1 << 20}); err == nil {
 			t.Error("REQ exceeded its quota and was accepted")
 		}
 		// Arenas fit, but a Build-time scratch pushes past the quota.
@@ -408,11 +413,11 @@ func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 				return nil, err
 			},
 		}
-		if _, err := ConnectOpts(p, mgr, scratchSpec, Opts{MemQuota: 2 << 20}); err == nil {
+		if _, err := host.ConnectOpts(p, gvm.Request{Spec: scratchSpec, MemQuota: 2 << 20}); err == nil {
 			t.Error("scratch allocation exceeded the quota and was accepted")
 		}
 		// The same spec under a sufficient quota works.
-		v, err := ConnectOpts(p, mgr, scratchSpec, Opts{MemQuota: 4 << 20})
+		v, err := host.ConnectOpts(p, gvm.Request{Spec: scratchSpec, MemQuota: 4 << 20})
 		if err != nil {
 			t.Errorf("in-quota REQ rejected: %v", err)
 			return

@@ -9,10 +9,10 @@ import (
 
 func TestCommandStreamFullCycle(t *testing.T) {
 	const n = 1024
-	env, _, mgr := newRig(t, true, 1, nil)
+	env, _, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -46,10 +46,10 @@ func TestCommandStreamFullCycle(t *testing.T) {
 
 func TestCommandStreamRepeatedExecution(t *testing.T) {
 	const n = 256
-	env, dev, mgr := newRig(t, true, 1, nil)
+	env, dev, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -84,10 +84,10 @@ func TestCommandStreamRepeatedExecution(t *testing.T) {
 }
 
 func TestCommandStreamStopsAtFirstError(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(1024))
+		v, err := host.Connect(p, vecSpec(1024))
 		if err != nil {
 			t.Error(err)
 			return
@@ -104,10 +104,10 @@ func TestCommandStreamStopsAtFirstError(t *testing.T) {
 }
 
 func TestCommandStreamReset(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(64))
+		v, err := host.Connect(p, vecSpec(64))
 		if err != nil {
 			t.Error(err)
 			return

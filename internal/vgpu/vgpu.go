@@ -1,15 +1,17 @@
-// Package vgpu is the user-process API layer of the virtualization
-// infrastructure (paper Figure 7, top layer): it exposes a Virtual GPU to
-// each SPMD process and drives the REQ/SND/STR/STP/RCV/RLS protocol of
-// Figure 8 against the manager, handling shared-memory data exchange and
-// handshake synchronization transparently.
+// Package vgpu is the paper's transport, both ends of it. VGPU is the
+// user-process API layer of the virtualization infrastructure (paper Figure
+// 7, top layer): it exposes a Virtual GPU to each SPMD process and drives
+// the REQ/SND/STR/STP/RCV/RLS protocol of Figure 8 against the manager,
+// handling shared-memory data exchange and handshake synchronization
+// transparently. Host (host.go) is the manager process those clients talk
+// to: the message queues, the per-session shared-memory segment and the
+// WAIT poll of Section V, as a front-end of the gvm verb engine.
 //
-// This is the queue surface of the manager — the paper's model, with its
-// message-queue hops, segment copies and STP polling charged in virtual
-// time — and the reference the daemon's front-ends are tested against. The
-// daemon itself does not come through here: it holds daemon sessions
-// (gvm.Manager.OpenSession / DirectVerb), which skip the simulated hops a
-// real socket or ring already pays in wall-clock.
+// This is the model the simulation (spmd, the experiments) runs — every
+// message hop, the client's segment copy and the STP poll back-off charged
+// in virtual time on top of what the engine charges — and the reference
+// gvmd's front-ends are tested against. The daemon does not come through
+// here: a real socket or ring pays its hops in wall-clock.
 package vgpu
 
 import (
@@ -37,9 +39,9 @@ func DefaultPollPolicy() PollPolicy {
 
 // VGPU is one process's virtual GPU handle.
 type VGPU struct {
-	mgr     *gvm.Manager
+	host    *Host
 	spec    *task.Spec
-	resp    *gvm.Queue[gvm.Response]
+	resp    *mqueue[response]
 	session int
 	seg     shm.Segment
 	poll    PollPolicy
@@ -51,49 +53,28 @@ type VGPU struct {
 // Connect issues REQ and returns a ready VGPU. It blocks until the
 // manager is up (clients arriving during manager initialization queue,
 // they do not fail).
-func Connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec) (*VGPU, error) {
-	return connect(p, mgr, spec, Opts{})
+func (h *Host) Connect(p *sim.Proc, spec *task.Spec) (*VGPU, error) {
+	return h.ConnectOpts(p, gvm.Request{Spec: spec})
 }
 
-// Opts are the optional REQ parameters a client may attach when opening
-// a session.
-type Opts struct {
-	// MemQuota is a hard per-session device-memory cap in bytes, enforced
-	// by the manager at every allocation. 0 = unlimited.
-	MemQuota int64
-	// Priority orders eviction under memory pressure: lower-priority
-	// sessions are evicted first. 0 is the default class.
-	Priority int
-	// Weight is the session's weighted-fair share of SM compute time and
-	// its preemption precedence. 0 derives the weight from Priority.
-	Weight int
-}
-
-// ConnectOpts issues REQ with explicit session options.
-func ConnectOpts(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec, o Opts) (*VGPU, error) {
-	return connect(p, mgr, spec, o)
-}
-
-func connect(p *sim.Proc, mgr *gvm.Manager, spec *task.Spec, o Opts) (*VGPU, error) {
-	if spec == nil {
+// ConnectOpts issues a REQ that carries session options beside the task.
+func (h *Host) ConnectOpts(p *sim.Proc, open gvm.Request) (*VGPU, error) {
+	if open.Spec == nil {
 		return nil, errors.New("vgpu: nil task spec")
 	}
 	v := &VGPU{
-		mgr:  mgr,
-		spec: spec,
-		resp: gvm.NewQueue[gvm.Response](mgr.Env(), 0, mgr.MsgLatency()),
+		host: h,
+		spec: open.Spec,
+		resp: newMqueue[response](h.mgr.Env(), h.cfg.MsgLatency),
 		poll: DefaultPollPolicy(),
 	}
-	mgr.RequestQueue().Send(p, gvm.Request{
-		Verb: gvm.REQ, Spec: spec, Reply: v.resp,
-		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight,
-	})
-	r := v.resp.Recv(p)
-	if r.Status != gvm.ACK {
-		return nil, fmt.Errorf("vgpu: REQ rejected: %s", r.Err)
+	h.req.send(p, request{verb: gvm.REQ, reply: v.resp, open: open})
+	r := v.resp.recv(p)
+	if r.status != gvm.ACK {
+		return nil, fmt.Errorf("vgpu: REQ rejected: %s", r.err)
 	}
-	v.session = r.Session
-	v.seg = mgr.Segment(r.Session)
+	v.session = r.session
+	v.seg = r.seg
 	return v, nil
 }
 
@@ -114,17 +95,15 @@ func (v *VGPU) SetPollPolicy(p PollPolicy) {
 // Session returns the manager-assigned session id.
 func (v *VGPU) Session() int { return v.session }
 
-func (v *VGPU) call(p *sim.Proc, verb gvm.Verb) gvm.Response {
-	// Reply rides along so even an unknown-session verb (a race with a
-	// failover migration) gets an answer instead of parking forever.
-	v.mgr.RequestQueue().Send(p, gvm.Request{Session: v.session, Verb: verb, Reply: v.resp})
-	return v.resp.Recv(p)
+func (v *VGPU) call(p *sim.Proc, verb gvm.Verb) response {
+	v.host.req.send(p, request{verb: verb, session: v.session, reply: v.resp})
+	return v.resp.recv(p)
 }
 
 func (v *VGPU) ack(p *sim.Proc, verb gvm.Verb) error {
 	r := v.call(p, verb)
-	if r.Status != gvm.ACK {
-		return fmt.Errorf("vgpu: %v: %v %s", verb, r.Status, r.Err)
+	if r.status != gvm.ACK {
+		return fmt.Errorf("vgpu: %v: %v %s", verb, r.status, r.err)
 	}
 	return nil
 }
@@ -136,7 +115,7 @@ func (v *VGPU) SendInput(p *sim.Proc, data []byte) error {
 	if data != nil && int64(len(data)) != v.spec.InBytes {
 		return fmt.Errorf("vgpu: input is %d bytes, spec says %d", len(data), v.spec.InBytes)
 	}
-	p.Sleep(v.mgr.HostCopyTime(v.spec.InBytes))
+	p.Sleep(v.host.mgr.HostCopyTime(v.spec.InBytes))
 	if data != nil && v.seg != nil {
 		if err := v.seg.WriteAt(data, 0); err != nil {
 			return err
@@ -155,7 +134,7 @@ func (v *VGPU) Wait(p *sim.Proc) error {
 	for {
 		r := v.call(p, gvm.STP)
 		v.Polls++
-		switch r.Status {
+		switch r.status {
 		case gvm.ACK:
 			return nil
 		case gvm.WAIT:
@@ -165,7 +144,7 @@ func (v *VGPU) Wait(p *sim.Proc) error {
 				delay = v.poll.Max
 			}
 		default:
-			return fmt.Errorf("vgpu: STP: %s", r.Err)
+			return fmt.Errorf("vgpu: STP: %s", r.err)
 		}
 	}
 }
@@ -179,7 +158,7 @@ func (v *VGPU) ReceiveOutput(p *sim.Proc, buf []byte) error {
 	if err := v.ack(p, gvm.RCV); err != nil {
 		return err
 	}
-	p.Sleep(v.mgr.HostCopyTime(v.spec.OutBytes))
+	p.Sleep(v.host.mgr.HostCopyTime(v.spec.OutBytes))
 	if buf != nil && v.seg != nil {
 		return v.seg.ReadAt(buf, v.spec.InBytes)
 	}

@@ -14,7 +14,14 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-func newRig(t *testing.T, functional bool, parties int, mut func(*gvm.Config)) (*sim.Env, *gpusim.Device, *gvm.Manager) {
+// newRig is a started manager with its mqueue front-end.
+func newRig(t *testing.T, functional bool, parties int, mut func(*gvm.Config)) (*sim.Env, *gpusim.Device, *gvm.Manager, *Host) {
+	t.Helper()
+	env, dev, mgr := newManager(t, functional, parties, mut)
+	return env, dev, mgr, Serve(mgr, Config{})
+}
+
+func newManager(t *testing.T, functional bool, parties int, mut func(*gvm.Config)) (*sim.Env, *gpusim.Device, *gvm.Manager) {
 	t.Helper()
 	env := sim.NewEnv()
 	arch := fermi.TeslaC2070()
@@ -48,10 +55,10 @@ func vecSpec(n int) *task.Spec {
 
 func TestFullProtocolFunctional(t *testing.T) {
 	const n = 2048
-	env, _, mgr := newRig(t, true, 1, nil)
+	env, _, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -94,12 +101,12 @@ func memBytes(b []byte) cuda.Memory { return sliceMem(b) }
 
 func TestEightClientsBarrierAndConcurrency(t *testing.T) {
 	const n = 1 << 16
-	env, dev, mgr := newRig(t, false, 8, nil)
+	env, dev, mgr, host := newRig(t, false, 8, nil)
 	var ends []sim.Time
 	for i := 0; i < 8; i++ {
 		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
-			v, err := Connect(p, mgr, vecSpec(n))
+			v, err := host.Connect(p, vecSpec(n))
 			if err != nil {
 				t.Error(err)
 				return
@@ -135,11 +142,11 @@ func TestBarrierActuallyBlocksEarlyClients(t *testing.T) {
 	// With Parties=2 a lone STR must not flush; the first client's Start
 	// completes only after the second client arrives much later.
 	const n = 1 << 12
-	env, _, mgr := newRig(t, false, 2, nil)
+	env, _, mgr, host := newRig(t, false, 2, nil)
 	var firstStartDone sim.Time
 	env.Go("early", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -161,7 +168,7 @@ func TestBarrierActuallyBlocksEarlyClients(t *testing.T) {
 	env.Go("late", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		p.Sleep(500 * sim.Millisecond)
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -191,11 +198,12 @@ func TestBarrierActuallyBlocksEarlyClients(t *testing.T) {
 func TestBlockingSTPNoPolling(t *testing.T) {
 	const n = 1 << 20
 	run := func(blocking bool) int {
-		env, _, mgr := newRig(t, false, 1, func(c *gvm.Config) { c.BlockingSTP = blocking })
+		env, _, mgr := newManager(t, false, 1, nil)
+		host := Serve(mgr, Config{BlockingSTP: blocking})
 		polls := 0
 		env.Go("client", func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
-			v, err := Connect(p, mgr, vecSpec(n))
+			v, err := host.Connect(p, vecSpec(n))
 			if err != nil {
 				t.Error(err)
 				return
@@ -220,7 +228,7 @@ func TestBlockingSTPNoPolling(t *testing.T) {
 }
 
 func TestREQRejectsInvalidKernel(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	spec := &task.Spec{
 		Name: "bad", InBytes: 16, OutBytes: 16,
 		Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
@@ -229,7 +237,7 @@ func TestREQRejectsInvalidKernel(t *testing.T) {
 	}
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		if _, err := Connect(p, mgr, spec); err == nil {
+		if _, err := host.Connect(p, spec); err == nil {
 			t.Error("Connect accepted an invalid kernel")
 		}
 	})
@@ -242,11 +250,11 @@ func TestREQRejectsInvalidKernel(t *testing.T) {
 }
 
 func TestREQRejectsOOM(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	spec := &task.Spec{Name: "huge", InBytes: 64 << 30, OutBytes: 16}
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		if _, err := Connect(p, mgr, spec); err == nil {
+		if _, err := host.Connect(p, spec); err == nil {
 			t.Error("Connect accepted a 64 GiB allocation on a 6 GiB card")
 		}
 	})
@@ -256,10 +264,10 @@ func TestREQRejectsOOM(t *testing.T) {
 }
 
 func TestRCVBeforeCompletionErrors(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(1<<12))
+		v, err := host.Connect(p, vecSpec(1<<12))
 		if err != nil {
 			t.Error(err)
 			return
@@ -275,10 +283,10 @@ func TestRCVBeforeCompletionErrors(t *testing.T) {
 }
 
 func TestDoubleSTRErrors(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(1<<22))
+		v, err := host.Connect(p, vecSpec(1<<22))
 		if err != nil {
 			t.Error(err)
 			return
@@ -305,10 +313,10 @@ func TestDoubleSTRErrors(t *testing.T) {
 }
 
 func TestInputSizeValidation(t *testing.T) {
-	env, _, mgr := newRig(t, true, 1, nil)
+	env, _, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(1024))
+		v, err := host.Connect(p, vecSpec(1024))
 		if err != nil {
 			t.Error(err)
 			return
@@ -326,10 +334,10 @@ func TestInputSizeValidation(t *testing.T) {
 }
 
 func TestConnectNilSpec(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		if _, err := Connect(p, mgr, nil); err == nil {
+		if _, err := host.Connect(p, nil); err == nil {
 			t.Error("Connect accepted nil spec")
 		}
 	})
@@ -339,7 +347,7 @@ func TestConnectNilSpec(t *testing.T) {
 }
 
 func TestScratchBuffersFreedOnRelease(t *testing.T) {
-	env, dev, mgr := newRig(t, false, 1, nil)
+	env, dev, mgr, host := newRig(t, false, 1, nil)
 	spec := &task.Spec{
 		Name: "scratchy", InBytes: 1024, OutBytes: 1024,
 		Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
@@ -353,7 +361,7 @@ func TestScratchBuffersFreedOnRelease(t *testing.T) {
 	}
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, spec)
+		v, err := host.Connect(p, spec)
 		if err != nil {
 			t.Error(err)
 			return
@@ -386,18 +394,18 @@ func TestPollPolicyClamping(t *testing.T) {
 }
 
 func TestSessionQuotaRejectsOverCommit(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, func(c *gvm.Config) { c.MaxSessionBytes = 1 << 20 })
+	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.MaxSessionBytes = 1 << 20 })
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		// First session fits the 1 MiB quota.
 		small := &task.Spec{Name: "small", InBytes: 512 << 10, OutBytes: 128 << 10}
-		v, err := Connect(p, mgr, small)
+		v, err := host.Connect(p, small)
 		if err != nil {
 			t.Errorf("first session rejected: %v", err)
 			return
 		}
 		// Second would exceed the aggregate quota.
-		if _, err := Connect(p, mgr, small); err == nil {
+		if _, err := host.Connect(p, small); err == nil {
 			t.Error("quota-exceeding session accepted")
 		}
 		// Releasing the first frees quota for a third.
@@ -405,7 +413,7 @@ func TestSessionQuotaRejectsOverCommit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := Connect(p, mgr, small); err != nil {
+		if _, err := host.Connect(p, small); err != nil {
 			t.Errorf("session after quota release rejected: %v", err)
 		}
 	})
@@ -417,14 +425,14 @@ func TestSessionQuotaRejectsOverCommit(t *testing.T) {
 func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 	// Parties=3 but only two clients ever arrive: with BarrierTimeout the
 	// manager flushes the partial batch instead of wedging the node.
-	env, _, mgr := newRig(t, false, 3, func(c *gvm.Config) {
+	env, _, mgr, host := newRig(t, false, 3, func(c *gvm.Config) {
 		c.BarrierTimeout = 250 * sim.Millisecond
 	})
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
 		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
-			v, err := Connect(p, mgr, vecSpec(1<<16))
+			v, err := host.Connect(p, vecSpec(1<<16))
 			if err != nil {
 				t.Error(err)
 				return
@@ -448,13 +456,13 @@ func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 }
 
 func TestBarrierTimeoutNotFiredWhenAllArrive(t *testing.T) {
-	env, _, mgr := newRig(t, false, 2, func(c *gvm.Config) {
+	env, _, mgr, host := newRig(t, false, 2, func(c *gvm.Config) {
 		c.BarrierTimeout = 10 * sim.Second
 	})
 	for i := 0; i < 2; i++ {
 		env.Go("client", func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
-			v, err := Connect(p, mgr, vecSpec(1<<16))
+			v, err := host.Connect(p, vecSpec(1<<16))
 			if err != nil {
 				t.Error(err)
 				return
@@ -480,10 +488,10 @@ func TestSuspendResumePreservesState(t *testing.T) {
 	// the restored input. The device footprint drops to zero while
 	// suspended.
 	const n = 1024
-	env, dev, mgr := newRig(t, true, 1, nil)
+	env, dev, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(n))
+		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
 			t.Error(err)
 			return
@@ -559,16 +567,17 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 	// Lift the shm quota so device memory is the binding constraint.
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
 	mgr.Start()
+	host := Serve(mgr, Config{})
 	spec := &task.Spec{Name: "big", InBytes: 1 << 20, OutBytes: 512 << 10}
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v1, err := Connect(p, mgr, spec)
+		v1, err := host.Connect(p, spec)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// The device is full, but v1 is idle: REQ evicts it and fits.
-		v2, err := Connect(p, mgr, spec)
+		v2, err := host.Connect(p, spec)
 		if err != nil {
 			t.Errorf("second session rejected on a full device: %v", err)
 			return
@@ -607,10 +616,10 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 }
 
 func TestSuspendErrors(t *testing.T) {
-	env, _, mgr := newRig(t, false, 1, nil)
+	env, _, mgr, host := newRig(t, false, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
-		v, err := Connect(p, mgr, vecSpec(1024))
+		v, err := host.Connect(p, vecSpec(1024))
 		if err != nil {
 			t.Error(err)
 			return
@@ -638,11 +647,11 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 	// hierarchy); a suspend/resume round trip mid-workload must still
 	// produce host-validated results.
 	w := workloads.MG(16, 3, 2)
-	env, _, mgr := newRig(t, true, 1, nil)
+	env, _, mgr, host := newRig(t, true, 1, nil)
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		spec := w.Spec(0)
-		v, err := Connect(p, mgr, spec)
+		v, err := host.Connect(p, spec)
 		if err != nil {
 			t.Error(err)
 			return
@@ -689,7 +698,7 @@ func TestFlushPolicySJFImprovesMeanTurnaround(t *testing.T) {
 	// the engine queue and every small task waits; SJF reorders the
 	// flush so the small tasks finish first, cutting mean turnaround.
 	run := func(policy gvm.FlushPolicy) (mean, max float64) {
-		env, _, mgr := newRig(t, false, 8, func(c *gvm.Config) { c.FlushPolicy = policy })
+		env, _, mgr, host := newRig(t, false, 8, func(c *gvm.Config) { c.FlushPolicy = policy })
 		var times []float64
 		for i := 0; i < 8; i++ {
 			i := i
@@ -706,7 +715,7 @@ func TestFlushPolicySJFImprovesMeanTurnaround(t *testing.T) {
 					p.Sleep(10*sim.Millisecond + sim.Duration(i)*sim.Microsecond)
 				}
 				t0 := p.Now()
-				v, err := Connect(p, mgr, vecSpec(n))
+				v, err := host.Connect(p, vecSpec(n))
 				if err != nil {
 					t.Error(err)
 					return
