@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc
+.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc pairs
 
 all: ci
 
@@ -112,3 +112,13 @@ smoke:
 # its deltas against the parent commit.
 loc:
 	./scripts/loc.sh
+
+# The paired-run protocol a performance claim rests on: PARENT (default the
+# last commit) against this working tree on every BENCHMARK.json workload,
+# alternating order; medians, pairs won, parent IQR, bounds, failed
+# operations, every run, exact counters. Redirect into results/pairs/prNN.txt.
+# Takes about a minute per run — 10 pairs x 4 workloads is over an hour; pass
+# PAIRS_ARGS='-workload bulk-shm -pairs 4 -seconds 10' for less.
+PARENT ?= HEAD
+pairs:
+	./scripts/pairs.sh $(PARENT) $(PAIRS_ARGS)

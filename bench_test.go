@@ -514,6 +514,29 @@ func BenchmarkFunctionalExec_BlackScholes(b *testing.B) {
 	})
 }
 
+// BenchmarkFunctionalExec_VecAdd is the bulk-shm workload's kernel on the
+// daemon's default (serial) executor: n = 2^20, 8 MiB read and 4 MiB
+// written per op, so MB/s reads against the copies around it.
+func BenchmarkFunctionalExec_VecAdd(b *testing.B) {
+	const n = 1 << 20
+	m := newBenchArena(16 << 20)
+	pa, pb, pc := m.alloc(n*4), m.alloc(n*4), m.alloc(n*4)
+	av, bv := cuda.Float32s(m, pa, n), cuda.Float32s(m, pb, n)
+	for i := range av {
+		av[i] = float32(i%13) / 13
+		bv[i] = float32(i%11) / 11
+	}
+	k := kernels.NewVecAdd(pa, pb, pc, n)
+	b.SetBytes(12 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cuda.Serial.Run(k, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchRequest is a representative control-plane message (the REQ verb
 // carries the largest payload of the six).
 func benchRequest() transport.Request {

@@ -92,7 +92,9 @@ type Memory interface {
 }
 
 // BlockCtx is the execution context handed to a functional kernel for one
-// thread block.
+// thread block. The executor builds one BlockCtx per block range and only
+// rewrites BlockIdx between blocks, so a body must not retain its BlockCtx
+// (or a pointer into it) past the call, and must not mutate it.
 type BlockCtx struct {
 	BlockIdx Dim3 // this block's coordinates within the grid
 	GridDim  Dim3
@@ -104,6 +106,24 @@ type BlockCtx struct {
 // GlobalBase returns the flat global index of thread (0,0,0) of this block
 // for 1-D launches: blockIdx.X * blockDim.X.
 func (c *BlockCtx) GlobalBase() int { return c.BlockIdx.X * c.BlockDim.X }
+
+// Strip returns the global element range [lo, hi) this block owns in a 1-D
+// elementwise launch over n elements, one element per thread: the block's
+// BlockDim.X elements from GlobalBase, clipped to n. A block wholly past n
+// gets lo == hi.
+func (c *BlockCtx) Strip(n int) (lo, hi int) {
+	lo = c.GlobalBase()
+	hi = min(lo+c.BlockDim.X, n)
+	return min(lo, hi), hi
+}
+
+// Float32Strip views elements [lo, hi) of the float32 array argument i
+// points to. Resolving only the strip keeps the view's length the block's
+// own, so a body that re-slices its views to one common length indexes
+// them with no per-element bounds check.
+func (c *BlockCtx) Float32Strip(i, lo, hi int) []float32 {
+	return Float32s(c.Mem, c.Ptr(i)+DevPtr(4*lo), hi-lo)
+}
 
 // Arg returns argument i (panics if out of range, like a bad kernel call).
 func (c *BlockCtx) Arg(i int) any { return c.Args[i] }

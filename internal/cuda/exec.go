@@ -92,20 +92,19 @@ func (e *Executor) Run(k *Kernel, mem Memory) error {
 
 // runBlockRange executes the kernel body for flat block indices [lo, hi)
 // in ascending order. Flat order matches RunFunctional: x fastest, then
-// y, then z.
+// y, then z. The range shares one BlockCtx whose BlockIdx is rewritten per
+// block (each executor worker runs its own range, so none is shared across
+// goroutines); bodies honor the BlockCtx contract and never keep it.
 func (k *Kernel) runBlockRange(mem Memory, lo, hi int) {
 	g := k.Grid.Norm()
-	bd := k.Block.Norm()
+	bc := BlockCtx{
+		GridDim:  g,
+		BlockDim: k.Block.Norm(),
+		Mem:      mem,
+		Args:     k.Args,
+	}
 	for i := lo; i < hi; i++ {
-		x := i % g.X
-		y := (i / g.X) % g.Y
-		z := i / (g.X * g.Y)
-		k.Func(&BlockCtx{
-			BlockIdx: Dim3{X: x, Y: y, Z: z},
-			GridDim:  g,
-			BlockDim: bd,
-			Mem:      mem,
-			Args:     k.Args,
-		})
+		bc.BlockIdx = Dim3{X: i % g.X, Y: (i / g.X) % g.Y, Z: i / (g.X * g.Y)}
+		k.Func(&bc)
 	}
 }

@@ -166,3 +166,34 @@ func TestNewExecutorDefaultsToGOMAXPROCS(t *testing.T) {
 		t.Fatalf("NewExecutor(5).Workers() = %d, want 5", w)
 	}
 }
+
+// TestRunAllocsIndependentOfGrid: a serial Run shares one BlockCtx across
+// its block range, so what it allocates does not grow with the grid.
+func TestRunAllocsIndependentOfGrid(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		k, mem := markKernel(Dim(blocks))
+		var m Memory = mem // box once, outside the measured call
+		return testing.AllocsPerRun(20, func() {
+			if err := Serial.Run(k, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(4096)
+	if one != many || many > 1 {
+		t.Fatalf("allocs per Run: %v for 1 block, %v for 4096; want equal and <= 1", one, many)
+	}
+}
+
+// TestBlockCtxStrip: a block's strip is its BlockDim.X elements clipped to
+// n, and empty — never inverted — for a block wholly past n.
+func TestBlockCtxStrip(t *testing.T) {
+	for _, tc := range []struct{ block, n, lo, hi int }{
+		{0, 10, 0, 4}, {2, 10, 8, 10}, {2, 12, 8, 12}, {3, 10, 10, 10}, {0, 0, 0, 0},
+	} {
+		c := BlockCtx{BlockIdx: Dim3{X: tc.block}, BlockDim: Dim(4)}
+		if lo, hi := c.Strip(tc.n); lo != tc.lo || hi != tc.hi {
+			t.Errorf("block %d of 4 threads over n=%d: strip [%d,%d), want [%d,%d)", tc.block, tc.n, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}

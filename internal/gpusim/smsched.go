@@ -52,6 +52,13 @@ type smScheduler struct {
 	pending []*launchState // waiting for a window slot; admitted by weight, FIFO within a weight
 	active  []*launchState // admitted kernels, arrival order
 	nextSM  int            // round-robin cursor
+	// timerGen identifies the one live completion timer: armTimers and
+	// abortAll bump it, and a timer that fires under an older generation
+	// is stale and does nothing.
+	timerGen uint64
+	// timerFree recycles fired timers, so re-arming every wave of a large
+	// grid allocates nothing.
+	timerFree []*smTimer
 	// preemptRatio gates wave-boundary preemption: a pending kernel
 	// preempts an active one iff pendingWeight > ratio·activeWeight.
 	// <= 0 disables preemption.
@@ -118,7 +125,6 @@ type smState struct {
 	usedBlocks int
 	groups     []*smGroup
 	lastUpdate sim.Time
-	timerGen   uint64
 	// freshFrom marks where this dispatch pass's new groups begin in
 	// groups, so same-instant placements of one kernel merge without a
 	// scratch map.
@@ -393,8 +399,8 @@ func (s *smScheduler) groupRates(sm *smState) []float64 {
 }
 
 // reschedule is called after any state change: it collects finished
-// groups, dispatches new blocks, and re-arms each SM's next-completion
-// timer. It must run with SMs already advanced to now (callers go through
+// groups, dispatches new blocks, and re-arms the next-completion timer.
+// It must run with SMs already advanced to now (callers go through
 // onEvent or the launch path, which advance first).
 func (s *smScheduler) reschedule() {
 	s.advanceAll()
@@ -500,8 +506,8 @@ func (s *smScheduler) abortAll(err error) {
 		}
 		sm.groups = sm.groups[:0]
 		sm.freshFrom = 0
-		sm.timerGen++ // invalidate armed completion timers
 	}
+	s.timerGen++ // invalidate the armed completion timer
 	aborted := append(append([]*launchState(nil), s.active...), s.pending...)
 	s.active = s.active[:0]
 	s.pending = s.pending[:0]
@@ -737,15 +743,37 @@ func (s *smScheduler) fits(sm *smState, ls *launchState) bool {
 	return int(ls.perSM[sm.idx])+1 <= ls.occ.BlocksPerSM
 }
 
-// armTimers schedules each SM's next group completion.
+// smTimer is one scheduled completion-timer event. fire is bound to run
+// once, when the timer is first made, so scheduling a recycled timer costs
+// no closure.
+type smTimer struct {
+	s    *smScheduler
+	gen  uint64
+	fire func()
+}
+
+func (t *smTimer) run() {
+	s := t.s
+	live := t.gen == s.timerGen
+	s.timerFree = append(s.timerFree, t)
+	if live {
+		s.reschedule()
+	}
+}
+
+// armTimers schedules the next group completion on any SM. One timer
+// serves the whole array: a firing timer reschedules every SM and re-arms,
+// so of the completions pending at any instant only the earliest ever
+// acts — a timer per SM armed up to len(sms)-1 events per wave that could
+// never pass their generation check.
 func (s *smScheduler) armTimers() {
+	s.timerGen++
+	next := math.Inf(1)
 	for _, sm := range s.sms {
-		sm.timerGen++
 		if len(sm.groups) == 0 {
 			continue
 		}
 		rates := s.groupRates(sm)
-		next := math.Inf(1)
 		for i, g := range sm.groups {
 			rate := rates[i]
 			if rate <= 0 {
@@ -755,18 +783,20 @@ func (s *smScheduler) armTimers() {
 				next = t
 			}
 		}
-		if math.IsInf(next, 1) {
-			continue
-		}
-		gen := sm.timerGen
-		smRef := sm
-		s.env.After(sim.Duration(next*1e9)+1, func() {
-			if smRef.timerGen != gen {
-				return
-			}
-			s.reschedule()
-		})
 	}
+	if math.IsInf(next, 1) {
+		return
+	}
+	var t *smTimer
+	if n := len(s.timerFree); n > 0 {
+		t = s.timerFree[n-1]
+		s.timerFree = s.timerFree[:n-1]
+	} else {
+		t = &smTimer{s: s}
+		t.fire = t.run
+	}
+	t.gen = s.timerGen
+	s.env.After(sim.Duration(next*1e9)+1, t.fire)
 }
 
 // Utilization returns the fraction of SM block slots currently occupied,

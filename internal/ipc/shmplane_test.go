@@ -488,35 +488,44 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 	}
 }
 
+// warmShmCycle opens a functional vecadd session of n elements over the
+// file-shm plane of an in-process daemon, runs one cycle to warm every pool
+// and returns the session with buffers sized for RunCycle.
+func warmShmCycle(tb testing.TB, n int) (sess *Session, in, out []byte) {
+	tb.Helper()
+	dir := tb.TempDir()
+	s, err := NewServer(ServerConfig{Listen: []string{fmt.Sprintf("inproc://shm-cycle-%d", n)}, ShmDir: dir, Functional: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	c, err := Dial(s.Addr(), dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	sess, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sess.Release() })
+	if sess.Plane() != transport.PlaneShm {
+		tb.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
+	}
+	in = make([]byte, sess.InBytes())
+	out = make([]byte, sess.OutBytes())
+	if err := sess.RunCycle(in, out); err != nil {
+		tb.Fatal(err)
+	}
+	return sess, in, out
+}
+
 // BenchmarkShmPlaneCycle is one warm pipelined bulk cycle (vecadd,
 // n=2^20: 8 MiB in, 4 MiB out, functional) over the file-shm plane — the
 // data-path counterpart of BenchmarkRingCycle's control-path number. The
 // only host copies left are the client's own StageIn/CollectOut.
 func BenchmarkShmPlaneCycle(b *testing.B) {
-	dir := b.TempDir()
-	s, err := NewServer(ServerConfig{Listen: []string{"inproc://bench-shm-plane"}, ShmDir: dir, Functional: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr(), dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1 << 20}}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sess.Release()
-	if sess.Plane() != transport.PlaneShm {
-		b.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
-	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
-	if err := sess.RunCycle(in, out); err != nil {
-		b.Fatal(err)
-	}
+	sess, in, out := warmShmCycle(b, 1<<20)
 	b.SetBytes(sess.InBytes() + sess.OutBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -524,6 +533,26 @@ func BenchmarkShmPlaneCycle(b *testing.B) {
 		if err := sess.RunCycle(in, out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestShmPlaneCycleAllocBudget: what a warm bulk cycle allocates — client,
+// daemon and simulator together — is the control path's handful of objects
+// and does not grow with the grid: 64 blocks or 1 024, 5 waves or 74, the
+// count is the same. A BlockCtx per block or a timer per wave would show
+// here as +1 024 or +69.
+func TestShmPlaneCycleAllocBudget(t *testing.T) {
+	allocs := func(n int) float64 {
+		sess, in, out := warmShmCycle(t, n)
+		return testing.AllocsPerRun(16, func() {
+			if err := sess.RunCycle(in, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<16), allocs(1<<20)
+	if small != large || large > 128 {
+		t.Fatalf("allocs per warm cycle: %v at n=2^16, %v at n=2^20; want equal and <= 128", small, large)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,46 @@ func TestVecAddMatchesHost(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("c[%d] = %g, want %g", i, got[i], want[i])
+		}
+	}
+}
+
+// TestVecAddStripTails: each block adds exactly its strip [base,
+// min(base+BlockDim.X, n)). Around every block-size boundary the output is
+// the host reference bit for bit under 1 and 4 workers, and an output
+// allocation one block longer than n keeps its fill past element n — the
+// last strip is clipped to n, never rounded up to the block.
+func TestVecAddStripTails(t *testing.T) {
+	const fill = 0xA5
+	for _, n := range []int{1, 1023, 1024, 1025, 1<<20 + 7} {
+		a := make([]float32, n)
+		b := make([]float32, n)
+		for i := range a {
+			a[i] = float32(i%977) * 0.37
+			b[i] = float32(n-i) / 3
+		}
+		want := make([]float32, n)
+		VecAddHost(want, a, b)
+		for _, workers := range []int{1, 4} {
+			mem := newTestMem(3*int64(n+VecAddThreadsPerBlock)*4 + 1024)
+			pa, pb := mem.putF32(a), mem.putF32(b)
+			outBytes := int64(n+VecAddThreadsPerBlock) * 4
+			pc := mem.alloc(outBytes)
+			out := mem.Bytes(pc, outBytes)
+			for i := range out {
+				out[i] = fill
+			}
+			if err := cuda.NewExecutor(workers).Run(NewVecAdd(pa, pb, pc, n), mem); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out[:n*4], cuda.HostFloat32Bytes(want)) {
+				t.Errorf("n=%d workers=%d: output differs from VecAddHost", n, workers)
+			}
+			for i, v := range out[n*4:] {
+				if v != fill {
+					t.Fatalf("n=%d workers=%d: byte %d past the last element was written", n, workers, i)
+				}
+			}
 		}
 	}
 }

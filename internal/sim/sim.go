@@ -142,6 +142,12 @@ func (e *Env) Now() Time { return e.now }
 // before a Sleep cannot tell them: other processes run during the sleep.
 func (e *Env) Current() *Proc { return e.cur }
 
+// Scheduled returns how many future-instant entries the calendar has taken
+// since the environment was made — the sequence counter that breaks ties
+// between entries due at one instant. Same-instant work takes the FIFO and
+// is not counted. Tests use it to bound how many events an operation costs.
+func (e *Env) Scheduled() uint64 { return e.seq }
+
 // schedule enters fn into the calendar at instant at. Instants at or before
 // the current time take the same-instant FIFO fast path.
 func (e *Env) schedule(at Time, fn func()) {
