@@ -31,7 +31,10 @@ vet:
 # implement. And one session kind: gvm holds no transport — no segment, no
 # message queue, no engine function that sleeps on its caller's process —
 # and the mqueue front-end (vgpu) reaches the engine's verbs through one
-# DirectVerb call site, like transport.
+# DirectVerb call site, like transport. And one process switch: a sim process
+# is a coroutine on a pooled worker (internal/sim/proc.go), so non-test
+# internal/sim holds no channel and starts no goroutine of its own — the
+# two-channel goroutine hand-off cannot come back beside iter.Pull.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
@@ -44,6 +47,8 @@ one-engine:
 	! $(GO) list -f '{{join .Imports "\n"}}' ./internal/gvm | grep -q internal/shm || bad="$$bad internal/gvm:imports-internal/shm"; \
 	[ $$(ls internal/vgpu/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || bad="$$bad internal/vgpu:second-DirectVerb(-call-site"; \
 	[ -z "$$bad" ] || { echo "gvm has a second session kind again (a transport inside internal/gvm — shm import, reply, Queue[, onProc, an engine func taking *sim.Proc — or a second DirectVerb( call site in internal/vgpu):"; echo "$$bad"; exit 1; }
+	@bad=$$(grep -nE '^[^/]*(\bchan\b|\bgo (func|[a-zA-Z_.]+\())' internal/sim/*.go | grep -v '_test\.go:'); \
+	[ -z "$$bad" ] || { echo "internal/sim has a second switch mechanism (a channel or a go statement in non-test code; a process switch is the worker coroutine's next/yield):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -61,20 +66,21 @@ race:
 # gpusim — a swap hands an arena's backing store across the gpusim/gvm
 # boundary, and a cross-shard migration from one device's owner goroutine
 # to another's — and vgpu, which runs the engine's calendar from a second
-# front-end — 20 times in shuffled order under the race detector. Zero
-# flakes allowed.
+# front-end, and sim, whose worker coroutines every one of those Envs
+# shares through one free list — 20 times in shuffled order under the race
+# detector. Zero flakes allowed.
 flake:
-	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/
+	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/ ./internal/sim/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, the evict+restore
-# cycle, shm copies, simulator calendar) — catches perf regressions that break, not ones
+# cycle, shm copies, simulator calendar and process switch) — catches perf regressions that break, not ones
 # that merely slow down. Numbers a claim rests on come from
 # `bash bench/run.sh` (BENCHMARK.json), never from here.
 bench-short:
 	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle|ShmPlaneCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'DaemonThroughput|OversubCycle' -benchtime 20x -benchmem ./internal/ipc/
-	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar' -benchtime 100ms -benchmem ./...
+	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar|Proc' -benchtime 100ms -benchmem ./...
 
 # The BENCHMARK.json harness is its own module (bench/); its tests pin
 # the metric schema and the spec table against BENCHMARK.json.

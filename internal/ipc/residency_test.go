@@ -9,7 +9,6 @@ import (
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
-	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/workloads"
 )
 
@@ -260,13 +259,13 @@ const (
 
 // startOversub boots the oversubscribed daemon behind a unix socket, opens
 // and warms the sessions, and returns the function that runs cycle i —
-// on session i mod 8, output verified — with the shard's manager.
-func startOversub(tb testing.TB) (cycle func(i int), mgr *gvm.Manager) {
+// on session i mod 8, output verified — with the daemon.
+func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 	tb.Helper()
 	dir := tb.TempDir()
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 100 << 10
-	s := startServerOn(tb, ServerConfig{
+	s = startServerOn(tb, ServerConfig{
 		Listen:     []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
 		ShmDir:     dir,
 		Functional: true,
@@ -299,7 +298,7 @@ func startOversub(tb testing.TB) (cycle func(i int), mgr *gvm.Manager) {
 		ins[k], want[k] = vecaddInput(oversubN, k)
 		cycle(k)
 	}
-	return cycle, s.node.Shard(0).Mgr
+	return cycle, s
 }
 
 // BenchmarkOversubCycle is one warm cycle on an evicted session: a verb
@@ -321,7 +320,8 @@ func BenchmarkOversubCycle(b *testing.B) {
 // per evict+restore cycle.
 func TestSwapCycleAllocatesNoArena(t *testing.T) {
 	const cycles = 64
-	cycle, mgr := startOversub(t)
+	cycle, s := startOversub(t)
+	mgr := s.node.Shard(0).Mgr
 	evictions := mgr.Evictions()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -561,35 +562,58 @@ func TestShmPlaneCycleAllocBudget(t *testing.T) {
 // Request — and gives the session the daemon had already opened back at once,
 // not when the connection drops: no session, no device reservation and no
 // segment file are left behind on a connection that stays open, and the same
-// connection opens a session once it looks in the right directory.
+// connection opens a session once it looks in the right directory. A ring
+// session too: the RLS it cannot send through the ring it failed to attach
+// goes over the socket, the one socket verb a ring session is served.
 func TestRequestAttachFailureReleasesSession(t *testing.T) {
-	s := startServerOn(t, ServerConfig{Listen: []string{"unix://" + tempSocket(t)}, Functional: true})
-	c, err := Dial(s.Addr(), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
-	for try := 0; try < 3; try++ {
-		if _, err := c.Request(ref, 0); err == nil {
-			t.Fatal("Request attached a segment from the wrong directory")
-		}
-		if got := s.disp.OpenSessions(); got != 0 {
-			t.Fatalf("try %d: %d sessions open after the failed Request", try, got)
-		}
-		if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
-			t.Fatalf("try %d: gvm sessions=%d, device in use=%d reserved=%d after the failed Request", try, open, inUse, reserved)
-		}
-		if segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-*")); len(segs) != 0 {
-			t.Fatalf("try %d: segment files left behind: %v", try, segs)
-		}
-	}
-	c.shmDir = s.cfg.ShmDir
-	sess, err := c.Request(ref, 0)
-	if err != nil {
-		t.Fatalf("Request with the daemon's directory, after the failed ones: %v", err)
-	}
-	if err := sess.Release(); err != nil {
-		t.Fatal(err)
+	for _, scheme := range []string{"unix", "ring"} {
+		t.Run(scheme, func(t *testing.T) {
+			s := startServerOn(t, ServerConfig{Listen: []string{scheme + "://" + tempSocket(t)}, Functional: true})
+			c, err := Dial(s.Addr(), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
+			for try := 0; try < 3; try++ {
+				if _, err := c.Request(ref, 0); err == nil {
+					t.Fatal("Request attached a segment from the wrong directory")
+				}
+				if got := s.disp.OpenSessions(); got != 0 {
+					t.Fatalf("try %d: %d sessions open after the failed Request", try, got)
+				}
+				if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
+					t.Fatalf("try %d: gvm sessions=%d, device in use=%d reserved=%d after the failed Request", try, open, inUse, reserved)
+				}
+				// Session segments are gvmd-seg-<id>; a ring daemon's own
+				// gvmd-seg-door-<pid> lives as long as it does.
+				if segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-[0-9]*")); len(segs) != 0 {
+					t.Fatalf("try %d: segment files left behind: %v", try, segs)
+				}
+			}
+			c.shmDir = s.cfg.ShmDir
+			sess, err := c.Request(ref, 0)
+			if err != nil {
+				t.Fatalf("Request with the daemon's directory, after the failed ones: %v", err)
+			}
+			out := make([]byte, sess.OutBytes())
+			if err := sess.RunCycle(make([]byte, sess.InBytes()), out); err != nil {
+				t.Fatalf("cycle on the session opened after the failed ones: %v", err)
+			}
+			if scheme == "ring" {
+				// The lone RLS is the only socket verb a ring session takes.
+				for _, req := range []Request{
+					{Verb: "STP", Session: sess.id},
+					{Verb: "BAT", Batch: []Request{{Verb: "RCV", Session: sess.id}, {Verb: "RLS", Session: sess.id}}},
+				} {
+					if _, err := c.roundTrip(req); err == nil || !strings.Contains(err.Error(), "through its ring") {
+						t.Fatalf("socket %s on an attached ring session: %v, want it refused", req.Verb, err)
+					}
+				}
+			}
+			if err := sess.Release(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

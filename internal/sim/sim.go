@@ -2,11 +2,16 @@
 // simulation engine.
 //
 // The engine drives a virtual clock. Work is expressed either as timer
-// callbacks (At/After) or as processes: ordinary functions running on their
-// own goroutines that may block on virtual time (Sleep), on events (Wait),
-// on resources, stores and barriers. At any instant exactly one goroutine —
-// the scheduler or a single resumed process — executes, so simulations are
-// fully deterministic and need no locking of simulation state.
+// callbacks (At/After) or as processes: ordinary functions that may block on
+// virtual time (Sleep), on events (Wait), on resources, stores and barriers.
+// A process is a coroutine, not a goroutine of its own: its body runs on a
+// pooled worker (an iter.Pull coroutine, proc.go), parking is the worker's
+// yield and resuming is its next, so a process switch is a direct
+// goroutine-to-goroutine switch that never enters the Go scheduler. At any
+// instant exactly one of them — the scheduler or a single resumed process —
+// executes, so simulations are fully deterministic and need no locking of
+// simulation state. A sleep nothing can interleave with does not switch at
+// all (WaitUntil).
 //
 // Ties in the event calendar are broken by schedule order (FIFO), which
 // keeps multi-process interleavings stable across runs.
@@ -76,16 +81,16 @@ func (it item) less(o item) bool {
 // scheduled before the clock reached it, so they always precede nowQ
 // entries, and nowQ itself is FIFO by construction.
 type Env struct {
-	now     Time
-	cal     []item // future events, min-heap on (at, seq)
-	nowQ    []func()
-	nowHead int
-	seq     uint64
-	parked  chan struct{} // a resumed process signals here when it blocks or exits
-	cur     *Proc         // the process holding control right now (nil: the scheduler)
-	blocked int           // processes alive but waiting on something other than time
-	procs   int           // processes alive
-	running bool
+	now      Time
+	cal      []item // future events, min-heap on (at, seq)
+	nowQ     []func()
+	nowHead  int
+	seq      uint64
+	horizon  Time   // the running RunUntil's horizon: the clock never passes it
+	cur      *Proc  // the process holding control right now (nil: the scheduler)
+	blocked  int    // processes alive but waiting on something other than time
+	switches uint64 // hand-offs made
+	running  bool
 }
 
 // pushCal inserts a future entry into the heap (sift-up).
@@ -129,7 +134,7 @@ func (e *Env) popCal() {
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{parked: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -147,6 +152,12 @@ func (e *Env) Current() *Proc { return e.cur }
 // between entries due at one instant. Same-instant work takes the FIFO and
 // is not counted. Tests use it to bound how many events an operation costs.
 func (e *Env) Scheduled() uint64 { return e.seq }
+
+// Switches returns how many times the scheduler has handed control to a
+// process (each hand-off is a switch into the process and one back) since the
+// environment was made. A sleep that advances the clock in place (WaitUntil)
+// is not one. Tests use it to pin how many process switches an operation costs.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // schedule enters fn into the calendar at instant at. Instants at or before
 // the current time take the same-instant FIFO fast path.
@@ -166,100 +177,6 @@ func (e *Env) At(at Time, fn func()) { e.schedule(at, fn) }
 // After schedules fn to run d from now.
 func (e *Env) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 
-// Proc is a simulation process: user code running on its own goroutine,
-// resumed by the scheduler one at a time.
-type Proc struct {
-	env    *Env
-	name   string
-	wake   chan struct{}
-	daemon bool
-	// resume is the one handoff closure every park/unpark of this process
-	// schedules, bound once at spawn so the hot path (Sleep, WaitUntil,
-	// unblock) enters the calendar without allocating a fresh closure.
-	resume func()
-}
-
-// Daemonize marks the process as a daemon: a daemon blocked on a condition
-// does not count toward deadlock detection, so service loops (e.g. queue
-// consumers) may outlive the simulation without erroring Run.
-func (p *Proc) Daemonize() { p.daemon = true }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Go spawns a new process running fn, starting at the current instant
-// (after already-scheduled events at this instant).
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
-	p.resume = func() { e.handoff(p) }
-	e.procs++
-	go func() {
-		<-p.wake // wait for first resume
-		fn(p)
-		e.procs--
-		e.parked <- struct{}{} // yield control back for good
-	}()
-	e.schedule(e.now, p.resume)
-	return p
-}
-
-// handoff transfers control to p and blocks the scheduler until p either
-// parks (blocks on virtual time / an event) or exits.
-func (e *Env) handoff(p *Proc) {
-	e.cur = p
-	p.wake <- struct{}{}
-	<-e.parked
-	e.cur = nil
-}
-
-// park suspends the calling process, returning control to the scheduler,
-// until something resumes it via a calendar entry calling handoff.
-func (p *Proc) park() {
-	p.env.parked <- struct{}{}
-	<-p.wake
-}
-
-// Sleep suspends the process for virtual duration d (non-negative).
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.WaitUntil(p.env.now.Add(d))
-}
-
-// WaitUntil suspends the process until virtual instant t.
-func (p *Proc) WaitUntil(t Time) {
-	p.env.schedule(t, p.resume)
-	p.park()
-}
-
-// Yield reschedules the process after all events already pending at the
-// current instant.
-func (p *Proc) Yield() { p.WaitUntil(p.env.now) }
-
-// block marks the process as blocked on a non-time condition and parks.
-// resume must eventually be arranged by the condition's owner.
-func (p *Proc) block() {
-	if p.daemon {
-		p.park()
-		return
-	}
-	p.env.blocked++
-	p.park()
-	p.env.blocked--
-}
-
-// unblock schedules p to resume at the current instant.
-func (e *Env) unblock(p *Proc) {
-	e.schedule(e.now, p.resume)
-}
-
 // Run executes calendar entries in time order until the calendar is empty.
 // It returns an error if processes remain blocked on conditions that can
 // never fire (deadlock).
@@ -273,7 +190,10 @@ func (e *Env) RunUntil(horizon Time) error {
 		return fmt.Errorf("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	e.horizon = horizon
+	// cur is reset here too: a process body that panics (or calls Goexit)
+	// unwinds through handoff on this goroutine.
+	defer func() { e.running, e.cur = false, nil }()
 	for {
 		// Heap entries due now were scheduled before the clock reached this
 		// instant, so they precede everything queued in nowQ.

@@ -350,7 +350,8 @@ func (d *Dispatcher) Serve(req Request, cs *ConnState, submit ShardSubmitter) (r
 	return resp, ok
 }
 
-func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
+// owned resolves id to a live session that cs opened.
+func (d *Dispatcher) owned(id int, cs *ConnState) (*hostSession, error) {
 	d.mu.RLock()
 	s := d.sessions[id]
 	d.mu.RUnlock()
@@ -360,11 +361,17 @@ func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
 	if s.owner != cs {
 		return nil, fmt.Errorf("transport: session %d belongs to another connection", id)
 	}
-	if s.plane.ring != nil {
+	return s, nil
+}
+
+// lookup resolves id to a session cs may drive over the socket.
+func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
+	s, err := d.owned(id, cs)
+	if err == nil && s.plane.ring != nil {
 		// One front-end per session: its ring may have a frame in flight.
 		return nil, fmt.Errorf("transport: session %d takes its verbs through its ring", id)
 	}
-	return s, nil
+	return s, err
 }
 
 func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
@@ -482,6 +489,17 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 	if err != nil {
 		return errResp(err), true
 	}
+	if !bat && verbs[0] == gvm.RLS {
+		// The one socket verb a ring session takes: a client that could not
+		// attach the ring it was given cannot send its RLS through it, and
+		// the session would hold its reservation, staging and segment file
+		// until the connection drops. Served as that one session's hang-up.
+		if s, err := d.owned(id, cs); err == nil && s.plane.ring != nil {
+			vms, ok := d.drop(s, submit)
+			cs.dropOwned(id)
+			return Response{Status: "ACK", Session: id, VirtualMS: vms}, ok
+		}
+	}
 	s, err := d.lookup(id, cs)
 	if err != nil {
 		return errResp(err), true
@@ -555,13 +573,31 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 }
 
 // release ends a session from outside the verb stream — a hang-up, an
-// unwound REQ, shutdown: a frame still in flight answers (abortRun), gvm
-// lets go (waiting out any flush that still reads or writes staging), then
-// the daemon side retires. Owning shard's owner-goroutine side.
+// unwound REQ, a ring session's socket RLS, shutdown: a frame still in flight
+// answers (abortRun), gvm lets go (waiting out any flush that still reads or
+// writes staging), then the daemon side retires. Owning shard's
+// owner-goroutine side.
 func (d *Dispatcher) release(p *sim.Proc, s *hostSession) {
 	s.abortRun(fmt.Sprintf("transport: session %d released with a frame in flight", s.id))
 	d.cfg.Node.Shard(s.loc()).Mgr.ReleaseSession(p, s.id)
 	d.retire(s)
+}
+
+// drop releases s on its owning shard, holding migMu so the session is not
+// between shards meanwhile; it returns the shard's virtual time afterwards,
+// or false if the server shut down first (the closure may then still run:
+// its result is not read). Connection-goroutine side.
+func (d *Dispatcher) drop(s *hostSession, submit ShardSubmitter) (float64, bool) {
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
+	var vms float64
+	if !submit(s.loc(), func(p *sim.Proc) {
+		d.release(p, s)
+		vms = p.Now().Milliseconds()
+	}) {
+		return 0, false
+	}
+	return vms, true
 }
 
 // retire is the one tail of every way a session ends once gvm no longer
@@ -597,9 +633,7 @@ func (d *Dispatcher) HangUp(cs *ConnState, submit ShardSubmitter) {
 		s := d.sessions[id]
 		d.mu.RUnlock()
 		if s != nil && s.owner == cs {
-			s.migMu.Lock()
-			submit(s.loc(), func(p *sim.Proc) { d.release(p, s) })
-			s.migMu.Unlock()
+			d.drop(s, submit)
 		}
 	}
 	cs.owned = nil
@@ -615,10 +649,7 @@ func (d *Dispatcher) ReleaseAll(submit ShardSubmitter) {
 	}
 	d.mu.RUnlock()
 	for _, s := range live {
-		s := s
-		s.migMu.Lock()
-		submit(s.loc(), func(p *sim.Proc) { d.release(p, s) })
-		s.migMu.Unlock()
+		d.drop(s, submit)
 	}
 }
 

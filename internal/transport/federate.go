@@ -58,8 +58,9 @@ func (d *Dispatcher) serveSTA() Response {
 // unpublished from the dispatcher, its plane closed, its placement
 // reservation released. The router must send MIG on the session's own
 // (sticky) connection — the ownership check holds like any other verb, and
-// with it the rule that a ring session takes nothing over the socket: its
-// mapped segment names this node's doorbells and could not follow anyway.
+// with it the rule that a ring session takes nothing but a lone RLS over the
+// socket: its mapped segment names this node's doorbells and could not follow
+// anyway.
 func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
 	s, err := d.lookup(req.Session, cs)
 	if err != nil {

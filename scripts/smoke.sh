@@ -178,7 +178,10 @@ gvmd_pid=""
 # 1.6 MiB device) and -overcommit 2.0 admits all four anyway; the
 # residency engine must evict idle sessions to host snapshots and
 # restore them transparently, and every worker still verifies its
-# results byte-for-byte.
+# results byte-for-byte. The workers keep cycling for -duration so that
+# all four sessions are certainly open at once: with a single cycle each
+# (a few ms) whether three ever overlap, and so whether anything is
+# evicted, was up to process start-up timing.
 echo "smoke: starting gvmd with -overcommit 2.0 on a shrunken card"
 addrfile="$workdir/gvmd-oc.addr"
 logfile="$workdir/gvmd-oc.log"
@@ -205,7 +208,7 @@ addr=$(head -n1 "$addrfile")
 metrics_url=$(grep '^http://' "$addrfile" | head -n1)
 echo "smoke: overcommit gvmd is serving on $addr (metrics at $metrics_url)"
 
-out=$("$bindir/multiprocess" -workers 4 -connect "$addr")
+out=$("$bindir/multiprocess" -workers 4 -connect "$addr" -duration 300ms)
 echo "$out"
 turnarounds=$(echo "$out" | grep -c "turnaround" || true)
 if [ "$turnarounds" -ne 4 ]; then
