@@ -34,7 +34,14 @@ vet:
 # DirectVerb call site, like transport. And one process switch: a sim process
 # is a coroutine on a pooled worker (internal/sim/proc.go), so non-test
 # internal/sim holds no channel and starts no goroutine of its own — the
-# two-channel goroutine hand-off cannot come back beside iter.Pull.
+# two-channel goroutine hand-off cannot come back beside iter.Pull. And one
+# way onto a shard: its owner is whoever holds its lock for a turn
+# (ipc.Server.turn), so non-test internal/ipc declares no work queue, calls
+# Env.Run() in that one function only, and starts no goroutine but the ring
+# daemon's sweep loop and waker, the accept and connection loops and the
+# background evacuation — a per-shard owner goroutine cannot come back; and
+# one process name for cold owner work, started in one place
+# (transport.Dispatcher.onShard), never per frame.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
@@ -49,6 +56,13 @@ one-engine:
 	[ -z "$$bad" ] || { echo "gvm has a second session kind again (a transport inside internal/gvm — shm import, reply, Queue[, onProc, an engine func taking *sim.Proc — or a second DirectVerb( call site in internal/vgpu):"; echo "$$bad"; exit 1; }
 	@bad=$$(grep -nE '^[^/]*(\bchan\b|\bgo (func|[a-zA-Z_.]+\())' internal/sim/*.go | grep -v '_test\.go:'); \
 	[ -z "$$bad" ] || { echo "internal/sim has a second switch mechanism (a channel or a go statement in non-test code; a process switch is the worker coroutine's next/yield):"; echo "$$bad"; exit 1; }
+	@src=$$(ls internal/ipc/*.go | grep -v _test.go); \
+	bad=$$(grep -nE 'workItem|chan +(workItem|func)|\[\]chan ' $$src); \
+	gos=$$(grep -hoE '^[^/]*\bgo [a-zA-Z0-9_.]+\(' $$src | sed -E 's/.*\bgo //' | sort -u | grep -vxE 's\.(ringOwner|waker|accept|serveConn|disp\.EvacuateShard)\('); \
+	[ -z "$$gos" ] || bad="$$bad goroutine-started:$$gos"; \
+	[ $$(cat $$src | grep -cE '\.Run\(\)') -eq 1 ] || bad="$$bad internal/ipc:Env.Run()-outside-the-turn"; \
+	[ $$(ls internal/ipc/*.go internal/transport/*.go | grep -v _test.go | xargs cat | grep -c '"ipc-request"') -le 1 ] || bad="$$bad a-second-ipc-request-process"; \
+	[ -z "$$bad" ] || { echo "a second way onto a shard (a work queue, a goroutine outside the allowed five, Env.Run() outside Server.turn, or a second ipc-request process site):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -64,8 +78,8 @@ race:
 # Merge gate for anything touching the daemon stack (ROADMAP item 1): the
 # four packages whose tests run real goroutines against each other, plus
 # gpusim — a swap hands an arena's backing store across the gpusim/gvm
-# boundary, and a cross-shard migration from one device's owner goroutine
-# to another's — and vgpu, which runs the engine's calendar from a second
+# boundary, and a cross-shard migration from a turn on one device
+# to a turn on another — and vgpu, which runs the engine's calendar from a second
 # front-end, and sim, whose worker coroutines every one of those Envs
 # shares through one free list — 20 times in shuffled order under the race
 # detector. Zero flakes allowed.

@@ -59,7 +59,7 @@ func main() {
 	functional := flag.Bool("functional", true, "carry real data and compute real results")
 	shmDir := flag.String("shm", "", "shared-memory directory (default /dev/shm)")
 	archName := flag.String("arch", "c2070", "gpu architecture: c2070|c2050|gtx480|c1060")
-	gpus := flag.Int("gpus", 1, "number of per-GPU manager shards the daemon runs (each with its own owner goroutine and STR barrier)")
+	gpus := flag.Int("gpus", 1, "number of per-GPU manager shards the daemon runs (each behind its own owner lock, with its own STR barrier)")
 	placement := flag.String("placement", "least-sessions", "session placement policy across shards: "+strings.Join(node.PolicyNames(), "|"))
 	barrierTimeout := flag.Duration("barrier-timeout", 0, "flush partial STR batches after this long (0 = strict barrier)")
 	execWorkers := flag.Int("exec-workers", 0, "functional kernel execution worker pool (0 = GOMAXPROCS, 1 = serial)")

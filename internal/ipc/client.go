@@ -36,7 +36,9 @@ type Options struct {
 // Client is a real-process connection to a gvmd daemon. It is the thin
 // transport binding of the one vgpu-style client API: verbs travel as
 // frames, payloads through the session's data plane, and all protocol
-// state lives server-side in the shared dispatcher.
+// state lives server-side in the shared dispatcher. A response lives in the
+// connection's retained read buffers until the client's next round trip, so
+// a Client's sessions are driven from one goroutine at a time.
 type Client struct {
 	// Fixed at dial.
 	conn       *transport.Conn
@@ -398,7 +400,9 @@ func (c *Client) Do(reqs []Request) ([]Response, error) {
 	if len(resp.Batch) != len(reqs) {
 		return nil, fmt.Errorf("ipc: BAT returned %d responses for %d requests", len(resp.Batch), len(reqs))
 	}
-	return resp.Batch, nil
+	// resp.Batch is the connection's retained backing, overwritten by the
+	// client's next round trip; the caller keeps its own.
+	return append([]Response(nil), resp.Batch...), nil
 }
 
 // RunCycle performs one full cycle: send, start, wait, receive. By

@@ -7,7 +7,7 @@
 // wire) all live in internal/transport; the verb state machine lives once,
 // in gvm.Manager, and the daemon executes frames against it in one place,
 // transport's frame engine, behind the socket dispatcher and the ring host. This
-// package only wires listeners, connections and the shard owner loops to
+// package only wires listeners, connections and the shards' owner locks to
 // that machinery, and gives clients Session — the daemon-mode
 // counterpart of the in-simulation vgpu API, which picks its carrier
 // (socket or ring) once at REQ and sends every frame over it.

@@ -182,11 +182,18 @@ func TestDisconnectCleansUpSessions(t *testing.T) {
 	t.Fatal("abandoned session never released")
 }
 
-// submitProbe runs fn on one shard's owner goroutine (test helper): it
-// synchronizes with that shard's pending owner work before reading.
+// submitProbe runs fn in a turn of its own as one shard's owner (test
+// helper): it synchronizes with that shard's owner work before reading.
 func (s *Server) submitProbe(shard int, fn func()) bool {
-	return s.submit(shard, func(p *sim.Proc) { fn() })
+	return s.submit(shard, fn, probed)
 }
+
+// probed is submitProbe's done: a probe is over when its turn is.
+var probed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func TestMultipleCyclesOneSession(t *testing.T) {
 	s := startServer(t, 1, true)

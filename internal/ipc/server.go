@@ -42,7 +42,7 @@ type ServerConfig struct {
 	PreemptRatio float64
 	// GPUs is the number of per-GPU manager shards the daemon runs
 	// (default 1). Each shard is an independent sim.Env + device +
-	// gvm.Manager with its own owner goroutine, so shards serve verbs in
+	// gvm.Manager behind its own owner lock, so shards serve verbs in
 	// parallel; Parties is the STR barrier width of EACH shard.
 	GPUs int
 	// Placement names the policy assigning new sessions to shards (see
@@ -85,21 +85,21 @@ type ServerConfig struct {
 // and serves the six-verb protocol to real OS processes over any set of
 // transports (unix, tcp, inproc, ring). All verb handling lives in
 // package transport (one frame engine behind the socket Dispatcher and
-// the RingHost); each shard's simulation work runs on that shard's own
-// owner goroutine — connection handlers submit closures to the owning
-// shard and wait, so the deterministic single-threaded discipline of each
-// simulator is preserved under concurrent clients while distinct shards
-// run in parallel.
+// the RingHost); each shard's simulation is owned by whoever holds that
+// shard's lock — a connection handler takes a turn (turn) for its own
+// frame and serves it on its own stack — so the deterministic
+// single-threaded discipline of each simulator is preserved under
+// concurrent clients while distinct shards run in parallel.
 type Server struct {
 	cfg ServerConfig
 	lns []transport.Listener
 
-	work []chan workItem // one owner queue per shard
-	// Shutdown is two steps. stop closes first and fails every hand-off a
-	// connection or the failover engine has pending or makes from then on
+	owner []sync.Mutex // per shard: its holder is the shard's owner for one turn
+	// Shutdown is two steps. stop closes first and fails every turn a
+	// connection or the failover engine is waiting out or takes from then on
 	// (submit) — a frame parked at the STR barrier would otherwise hold its
 	// session, and the release below, forever. quit closes once every
-	// session is released and ends the owner loops.
+	// session is released and ends the ring owner loops.
 	stop chan struct{}
 	quit chan struct{}
 
@@ -120,13 +120,7 @@ type serverMetrics struct {
 	connections *metrics.Gauge       // live client connections
 	disconnects *metrics.Counter     // connections that have ended
 	frameErrors *metrics.Counter     // bad preambles, non-EOF read errors
-	queueWaitNS []*metrics.Histogram // per shard: wall ns a submit waited for its owner goroutine
-}
-
-type workItem struct {
-	fn       func(p *sim.Proc)
-	done     chan struct{}
-	enqueued time.Time
+	queueWaitNS []*metrics.Histogram // per shard: wall ns a submit waited for the shard's lock
 }
 
 // NewServer creates and starts a daemon listening on every address in
@@ -200,8 +194,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	// A ring:// listener turns the ring control plane on: the daemon lays
-	// a doorbell segment out and runs each shard owner as a sweep loop
-	// instead of a blocking queue receiver.
+	// a doorbell segment out and runs a sweep loop per shard (ringOwner)
+	// beside the connections' own turns.
 	for _, ln := range lns {
 		if ln.DefaultPlane() == transport.PlaneRing {
 			rh, rerr := transport.NewRingHost(transport.RingHostConfig{
@@ -225,32 +219,29 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Log:        cfg.Slog,
 		Rings:      s.rings,
 	})
-	s.work = make([]chan workItem, n.NumShards())
+	s.owner = make([]sync.Mutex, n.NumShards())
 	s.met.queueWaitNS = make([]*metrics.Histogram, n.NumShards())
-	for i := range s.work {
-		s.work[i] = make(chan workItem)
+	for i := range s.owner {
 		s.met.queueWaitNS[i] = cfg.Metrics.Histogram("gvmd_owner_queue_wait_ns",
-			"wall ns a request waited for the shard's simulation-owner goroutine",
+			"wall ns a submission waited for its turn as the shard's simulation owner",
 			metrics.L("gpu", strconv.Itoa(i)))
 	}
 	// Failover: a shard escalating to a state that demands evacuation
 	// (Unhealthy after a hang/fatal fault, or Draining) hands every one
 	// of its sessions to the dispatcher's live-migration engine. The
-	// handler fires on the shard's own goroutine mid-escalation, so the
-	// evacuation — which submits owner work — runs in the background.
+	// handler fires mid-escalation, inside a turn on the shard, so the
+	// evacuation — which takes turns itself — runs in the background.
 	n.SetFaultHandler(func(shard int, h node.HealthState) {
 		if !h.Evacuate() {
 			return
 		}
 		go s.disp.EvacuateShard(shard, s.submit)
 	})
-	s.wg.Add(n.NumShards() + len(lns))
-	for i := range s.work {
-		go s.owner(i)
-	}
+	s.wg.Add(len(lns))
 	if s.rings != nil {
-		s.wg.Add(n.NumShards())
+		s.wg.Add(2 * n.NumShards())
 		for i := 0; i < n.NumShards(); i++ {
+			go s.ringOwner(i)
 			go s.waker(s.rings.Shard(i))
 		}
 	}
@@ -322,13 +313,19 @@ func (s *Server) Close() error {
 			err = cerr
 		}
 	}
-	// Signal shutdown instead of closing the work channels: connection
-	// handlers (including deferred session cleanup) may still be trying
-	// to submit, and a send racing a close is a data race.
 	close(s.stop)
+	// Barrier: a turn re-checks stop under its shard's lock, so once every
+	// lock has been through our hands no connection's or failover's turn is
+	// running or will start: the shards are the releases' and the ring loops'.
+	for i := range s.owner {
+		s.owner[i].Lock()
+		s.owner[i].Unlock()
+	}
 	// Tear down sessions abandoned by still-connected clients before the
-	// owners stop, so every shard's segments and device memory are freed.
-	s.disp.ReleaseAll(func(shard int, fn func(p *sim.Proc)) bool { return s.submitUntil(s.quit, shard, fn) })
+	// ring owners stop, so every shard's segments and device memory are freed.
+	s.disp.ReleaseAll(func(shard int, start func(), done <-chan struct{}) bool {
+		return s.submitUntil(s.quit, shard, start, done)
+	})
 	close(s.quit)
 	if s.rings != nil {
 		// Kick every parked owner loop and waker out of its futex wait so
@@ -337,8 +334,8 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	if s.rings != nil {
-		// The owner loops have stopped; reclaim every remaining session
-		// segment and the doorbell segment.
+		// The owner loops have stopped and no turn runs anymore; reclaim
+		// every remaining session segment and the doorbell segment.
 		if rerr := s.rings.Close(); err == nil {
 			err = rerr
 		}
@@ -346,82 +343,65 @@ func (s *Server) Close() error {
 	return err
 }
 
-// owner executes closures submitted to one shard on that shard's
-// simulation processes, one batch at a time, preserving the simulator's
-// single-threaded discipline per shard (distinct shards run in
-// parallel).
-func (s *Server) owner(shard int) {
-	defer s.wg.Done()
+// turn makes the calling goroutine shard's simulation owner for one
+// iteration — the caller's work, a sweep of the shard's session rings on a
+// ring daemon, the calendar run dry — under the shard's lock, so the simulator
+// stays single-threaded per shard and nothing is handed to another goroutine.
+// end is re-checked under the lock: ok is false, and nothing ran, if it had
+// closed. swept reports whether the ring sweep made progress.
+func (s *Server) turn(end <-chan struct{}, shard int, start func()) (ok, swept bool) {
+	mu := &s.owner[shard]
+	if start == nil {
+		mu.Lock()
+	} else {
+		asked := time.Now()
+		mu.Lock()
+		s.met.queueWaitNS[shard].Observe(int64(time.Since(asked)))
+	}
+	defer mu.Unlock()
+	select {
+	case <-end:
+		return false, false
+	default:
+	}
 	env := s.node.Shard(shard).Env
-	if s.rings != nil {
-		s.ringOwner(shard, env)
-		return
-	}
-	for {
-		var it workItem
-		select {
-		case <-s.quit:
-			return
-		case it = <-s.work[shard]:
+	run := func() {
+		if err := env.Run(); err != nil {
+			s.cfg.Logger.Printf("gvmd: gpu %d simulation error: %v", shard, err)
 		}
-		s.met.queueWaitNS[shard].Observe(int64(time.Since(it.enqueued)))
-		s.runItem(env, shard, it)
 	}
+	if start != nil {
+		start()
+		run()
+	}
+	// After the work, so that a ring session the work retired (a socket RLS,
+	// a hang-up) is unmapped by this very turn: the ring owner may be parked.
+	if s.rings != nil && s.rings.Shard(shard).Sweep() {
+		swept = true
+		run() // verbs charge their virtual cost as calendar events
+	}
+	return true, swept
 }
 
-// runItem executes one submitted closure on a process of the shard's
-// simulation and drains the virtual calendar it scheduled.
-func (s *Server) runItem(env *sim.Env, shard int, it workItem) {
-	env.Go("ipc-request", func(p *sim.Proc) {
-		p.Daemonize() // a frame's hand-off may sleep at the STR barrier until peers arrive
-		it.fn(p)
-		close(it.done)
-	})
-	if err := env.Run(); err != nil {
-		s.cfg.Logger.Printf("gvmd: gpu %d simulation error: %v", shard, err)
-	}
-}
-
-// ringOwner is the shard owner loop of a ring daemon: instead of
-// blocking on the work channel it alternates draining submitted work,
-// sweeping the shard's session rings, and running the calendar, then
-// spins briefly and finally parks on the shard doorbell. The futex wait
-// itself runs on the shard's waker goroutine so the owner can keep
-// select-ing on work submissions and shutdown while parked — clients
-// ring the doorbell after every ring submission, so a parked owner
-// wakes in one futex round trip while a busy owner never syscalls.
-func (s *Server) ringOwner(shard int, env *sim.Env) {
+// ringOwner is a ring daemon's per-shard sweep loop: it takes turns with no
+// work of its own until one comes back dry, then spins briefly and finally
+// parks on the shard doorbell. The futex wait itself runs on the shard's
+// waker goroutine so a parked loop still sees shutdown — clients ring the
+// doorbell after every ring submission, so a parked loop wakes in one futex
+// round trip while a busy one never syscalls. Socket work does not pass
+// through here: a connection takes its own turn.
+func (s *Server) ringOwner(shard int) {
+	defer s.wg.Done()
 	rs := s.rings.Shard(shard)
 	door := rs.Door()
 	const spinBudget = 128
 	idle := 0
 	for {
-		progress := false
-		for {
-			var it workItem
-			select {
-			case it = <-s.work[shard]:
-			case <-s.quit:
-				return
-			default:
-			}
-			if it.fn == nil {
-				break
-			}
-			s.met.queueWaitNS[shard].Observe(int64(time.Since(it.enqueued)))
-			s.runItem(env, shard, it)
-			progress = true
+		ok, swept := s.turn(s.quit, shard, nil)
+		if !ok {
+			return
 		}
-		if rs.Sweep() {
-			progress = true
-		}
-		// Drain any calendar events the sweep scheduled (verbs charge
-		// their virtual cost as calendar events and complete through
-		// notifies fired during this drain).
-		if err := env.Run(); err != nil {
-			s.cfg.Logger.Printf("gvmd: gpu %d simulation error: %v", shard, err)
-		}
-		if progress {
+		if swept {
 			idle = 0
 			continue
 		}
@@ -433,7 +413,7 @@ func (s *Server) ringOwner(shard int, env *sim.Env) {
 		// Arm the doorbell's sleep bit, then re-check: a submission
 		// published before the bit was visible must not be slept past.
 		armed := shm.DoorArm(door)
-		if rs.Sweep() {
+		if _, swept := s.turn(s.quit, shard, nil); swept {
 			shm.DoorDisarm(door)
 			continue
 		}
@@ -446,10 +426,6 @@ func (s *Server) ringOwner(shard int, env *sim.Env) {
 		select {
 		case <-s.quit:
 			return
-		case it := <-s.work[shard]:
-			shm.DoorDisarm(door)
-			s.met.queueWaitNS[shard].Observe(int64(time.Since(it.enqueued)))
-			s.runItem(env, shard, it)
 		case <-rs.WakeCh():
 			shm.DoorDisarm(door)
 		}
@@ -457,8 +433,8 @@ func (s *Server) ringOwner(shard int, env *sim.Env) {
 }
 
 // waker is a shard's parking proxy: it performs the bounded futex waits
-// on the shard doorbell so the owner loop stays responsive to channel
-// work while parked, and nudges the owner when the doorbell rings.
+// on the shard doorbell so the parked owner loop stays responsive to
+// shutdown, and nudges it when the doorbell rings.
 func (s *Server) waker(rs *transport.RingShard) {
 	defer s.wg.Done()
 	for {
@@ -475,22 +451,25 @@ func (s *Server) waker(rs *transport.RingShard) {
 	}
 }
 
-// submit runs fn on a simulation process of the given shard and waits
-// for it. It returns false if the server shut down before fn completed.
-func (s *Server) submit(shard int, fn func(p *sim.Proc)) bool {
-	return s.submitUntil(s.stop, shard, fn)
+// submit is the daemon's transport.ShardSubmitter: the one way onto a shard.
+func (s *Server) submit(shard int, start func(), done <-chan struct{}) bool {
+	return s.submitUntil(s.stop, shard, start, done)
 }
 
-// submitUntil is submit giving up when end closes.
-func (s *Server) submitUntil(end <-chan struct{}, shard int, fn func(p *sim.Proc)) bool {
-	item := workItem{fn: fn, done: make(chan struct{}), enqueued: time.Now()}
-	select {
-	case s.work[shard] <- item:
-	case <-end:
+// submitUntil takes a turn on shard for start and then, the lock released,
+// waits for done — only when the work did not finish inside its own turn (a
+// frame parked at the STR barrier is finished by a peer's) — or for end.
+func (s *Server) submitUntil(end <-chan struct{}, shard int, start func(), done <-chan struct{}) bool {
+	if ok, _ := s.turn(end, shard, start); !ok {
 		return false
 	}
 	select {
-	case <-item.done:
+	case <-done:
+		return true
+	default:
+	}
+	select {
+	case <-done:
 		return true
 	case <-end:
 		return false
@@ -546,9 +525,9 @@ func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
 			}
 			return
 		}
-		// The dispatcher runs payload staging here on the connection
-		// goroutine and submits only each verb's owner-side phase, so the
-		// owner's critical section stays O(scheduling), not O(bytes).
+		// The dispatcher runs payload staging here, outside the shard's
+		// lock, and takes a turn only for the frame's owner-side phase, so
+		// the critical section stays O(scheduling), not O(bytes).
 		resp, ok := s.disp.Serve(req, cs, s.submit)
 		if !ok {
 			return

@@ -6,8 +6,30 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// ownerSwitches reads shard 0's process hand-off counter on its owner
-// goroutine. The probe runs on a process of its own: one hand-off.
+// oneSession opens one vecadd session (n = 1024) on s over a connection of
+// its own and returns its cycle.
+func oneSession(t *testing.T, s *Server, dir string) func(int) {
+	t.Helper()
+	c, err := Dial(s.Addr(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Release() })
+	in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+	return func(int) {
+		if err := sess.RunCycle(in, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ownerSwitches reads shard 0's process hand-off counter in a turn of its
+// own as the shard's owner; the probe is no process and costs no hand-off.
 func ownerSwitches(tb testing.TB, s *Server) uint64 {
 	tb.Helper()
 	var n uint64
@@ -19,33 +41,15 @@ func ownerSwitches(tb testing.TB, s *Server) uint64 {
 
 // TestWarmCycleProcessSwitches pins what one warm cycle costs the daemon in
 // process hand-offs (sim.Env.Switches), the layer a process switch is paid
-// in. The counts are exact: the calendar is deterministic and the owner runs
-// it dry between frames. On the engine of commit 132900c, where every sleep
-// parked its process, the same three cycles read 5 / 7 / 12. What is left is
-// one hand-off per wait something else can run in: the stream runner's two,
-// the socket's per-frame request process (two more, which the ring host does
-// without) and the restore's one.
+// in. The counts are exact: the calendar is deterministic and every turn runs
+// it dry. On the engine of commit 132900c, where every sleep parked its
+// process, the same three cycles read 5 / 7 / 12; with a per-frame request
+// process on the socket (commit e9a3620) 2 / 4 / 5. What is left is one
+// hand-off per wait something else can run in: the stream runner's two and
+// the restore's one — a socket frame starts its run as the ring sweep does,
+// with no process of its own.
 func TestWarmCycleProcessSwitches(t *testing.T) {
 	const cycles = 16
-	vecadd := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}
-	oneSession := func(t *testing.T, s *Server, dir string) func(int) {
-		c, err := Dial(s.Addr(), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		sess, err := c.Request(vecadd, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sess.Release() })
-		in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
-		return func(int) {
-			if err := sess.RunCycle(in, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for _, tc := range []struct {
 		name  string
 		start func(t *testing.T) (cycle func(i int), s *Server)
@@ -58,10 +62,10 @@ func TestWarmCycleProcessSwitches(t *testing.T) {
 		{"unix", func(t *testing.T) (func(int), *Server) {
 			s := startServer(t, 1, true)
 			return oneSession(t, s, s.cfg.ShmDir), s
-		}, 4},
+		}, 2},
 		{"oversub", func(t *testing.T) (func(int), *Server) {
 			return startOversub(t)
-		}, 5},
+		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cycle, s := tc.start(t)
@@ -72,10 +76,43 @@ func TestWarmCycleProcessSwitches(t *testing.T) {
 			for i := 0; i < cycles; i++ {
 				cycle(i)
 			}
-			got := ownerSwitches(t, s) - before - 1 // the second probe's own
+			got := ownerSwitches(t, s) - before
 			if got != cycles*tc.want {
 				t.Fatalf("%d process hand-offs in %d warm cycles (%.2f per cycle), want exactly %d per cycle",
 					got, cycles, float64(got)/cycles, tc.want)
+			}
+		})
+	}
+}
+
+// daemonCycleAllocs is what a warm cycle allocates in the daemon whatever
+// carries it: the kernel's completion Event and its waiter, one BlockCtx and
+// one launch record, all inside gpusim.
+const daemonCycleAllocs = 4
+
+// TestSocketCycleDaemonAllocs is TestWarmCycleProcessSwitches' allocation
+// twin: a warm unix:// BAT cycle allocates in the daemon exactly what a ring
+// cycle does — what the engine allocates — and nothing for being carried by a
+// socket: no done channel, no closure, no request process, no Batch backing.
+// Client and daemon share the test's heap; the client side of a warm cycle
+// allocates nothing on either carrier, so the count is the daemon's.
+func TestSocketCycleDaemonAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) (s *Server, dir string)
+	}{
+		{"ring", func(t *testing.T) (*Server, string) { return startRingServer(t, 1) }},
+		{"unix", func(t *testing.T) (*Server, string) {
+			s := startServer(t, 1, true)
+			return s, s.cfg.ShmDir
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, dir := tc.start(t)
+			cycle := oneSession(t, s, dir)
+			got := testing.AllocsPerRun(64, func() { cycle(0) })
+			if got != daemonCycleAllocs {
+				t.Fatalf("%v allocations per warm cycle, want exactly %d", got, daemonCycleAllocs)
 			}
 		})
 	}

@@ -128,9 +128,9 @@ func (n *Node) DrainAll() {
 // SetFaultHandler installs the callback invoked whenever a shard's
 // health escalates (fault injection or Drain). The handler runs on the
 // goroutine that caused the escalation — for device faults that is the
-// shard's owner goroutine, so it must not block on work routed through
-// that same owner; the ipc server's handler hands off to a background
-// goroutine. Install before serving traffic.
+// goroutine holding the shard's owner lock, so it must not block on work
+// that needs that same lock; the ipc server's handler hands off to a
+// background goroutine. Install before serving traffic.
 func (n *Node) SetFaultHandler(fn func(shard int, h HealthState)) {
 	n.mu.Lock()
 	n.faultHandler = fn

@@ -8,8 +8,8 @@
 //
 // Shards are fully independent: separate virtual clocks, separate STR
 // barrier generations (Config.Parties is the width of EACH shard's
-// barrier), separate staging pools. The daemon runs one owner goroutine
-// per shard, so shards execute in parallel on real CPUs; simulation-mode
+// barrier), separate staging pools. The daemon guards each shard with its
+// own owner lock, so shards execute in parallel on real CPUs; simulation-mode
 // callers may instead share one Env across every shard (SharedEnv) and
 // keep the single-threaded discipline.
 package node
@@ -84,7 +84,7 @@ type Config struct {
 	// SharedEnv, when non-nil, puts every shard on this one environment
 	// instead of a private one per shard: simulation-mode callers (the
 	// experiments) drive all shards under one virtual clock. The daemon
-	// leaves it nil so each shard's owner goroutine runs in parallel.
+	// leaves it nil so the shards' owners run in parallel.
 	SharedEnv *sim.Env
 	// Metrics receives every shard's manager series (gpu-labelled) plus
 	// the node's placement gauges. nil creates a private registry.

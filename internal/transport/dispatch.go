@@ -36,17 +36,34 @@ type DispatcherConfig struct {
 	Metrics *metrics.Registry
 	// Rings, when non-nil, enables the ring data plane: REQ may negotiate
 	// PlaneRing and the session's later verbs travel through shared-memory
-	// rings swept by the shard owner loops. nil daemons reject PlaneRing.
+	// rings swept under the shards' owner locks. nil daemons reject PlaneRing.
 	Rings *RingHost
 	// Log, when non-nil, receives one Debug line per served verb.
 	Log *slog.Logger
 }
 
-// ShardSubmitter runs fn on a process of shard's simulation-owner
-// goroutine and waits for it; it returns false if the server shut down
-// before fn completed. fn may park on the shard's virtual clock or events:
-// the owner keeps serving other submissions meanwhile.
-type ShardSubmitter func(shard int, fn func(p *sim.Proc)) bool
+// ShardSubmitter is the one way onto a shard: the calling goroutine becomes
+// the shard's simulation owner for a turn — under the shard's lock it calls
+// start and runs the calendar dry — and then, the lock released, waits for
+// done, which start's work signals when it is over: in that turn, or in some
+// other goroutine's later one (a frame parked at the STR barrier is finished
+// by the turn that brings its peer). False: the server shut down first. A
+// frame starts its session's frameRun directly (hostSession.begin, as the
+// ring sweep does); cold work needs a *sim.Proc and goes through onShard.
+type ShardSubmitter func(shard int, start func(), done <-chan struct{}) bool
+
+// onShard runs fn on a process of shard's simulation, inside the caller's own
+// turn, and waits for it. fn may park on the shard's virtual clock or events.
+func (d *Dispatcher) onShard(submit ShardSubmitter, shard int, fn func(p *sim.Proc)) bool {
+	done := make(chan struct{})
+	return submit(shard, func() {
+		d.cfg.Node.Shard(shard).Env.Go("ipc-request", func(p *sim.Proc) {
+			p.Daemonize() // it may wait on events only another turn fires
+			fn(p)
+			close(done)
+		})
+	}, done)
+}
 
 // Dispatcher is the socket front-end of the daemon and the owner of its
 // session table. Every stream transport — in-process, unix socket, tcp —
@@ -57,9 +74,9 @@ type ShardSubmitter func(shard int, fn func(p *sim.Proc)) bool
 // Serve runs on connection goroutines and splits every verb frame into a
 // connection-side phase (who may address what; payload staging: nothing
 // for a mapped plane, whose segment is the pinned staging; the inline
-// plane's frame copy) and one owner hand-off per frame, which starts the
-// session's frameRun and is woken by its completion. The owner's critical
-// section is therefore O(scheduling), not O(bytes), and the owner never
+// plane's frame copy) and one turn as the shard's owner per frame, in which
+// the connection goroutine itself starts the session's frameRun. The shard's
+// critical section is therefore O(scheduling), not O(bytes), and never
 // copies host to host.
 type Dispatcher struct {
 	cfg DispatcherConfig
@@ -78,8 +95,7 @@ type dispMetrics struct {
 	other    *verbInst // catch-all for unknown verbs
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
-	copyIn   *metrics.Histogram // inline plane's frame<->staging copy, wall ns
-	copyOut  *metrics.Histogram
+	copyIn   *metrics.Histogram // inline plane's frame->staging copy, wall ns
 	batSteps *metrics.Histogram
 
 	// Failover instruments: sessions migrated off unhealthy/draining
@@ -109,10 +125,9 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 		verbs:    make(map[string]*verbInst),
 		bytesIn:  reg.Counter("gvmd_verb_bytes_total", "payload bytes staged by verb", metrics.L("verb", "SND"), metrics.L("dir", "in")),
 		bytesOut: reg.Counter("gvmd_verb_bytes_total", "payload bytes staged by verb", metrics.L("verb", "RCV"), metrics.L("dir", "out")),
-		// Only the inline plane copies: mapped planes' segments are the
-		// staging, so there is no daemon-side copy to time.
+		// The one daemon-side copy: a mapped plane's segment is the staging,
+		// and an inline RCV aliases staging into the response frame.
 		copyIn:   reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", PlaneInline), metrics.L("dir", "in")),
-		copyOut:  reg.Histogram("gvmd_copy_ns", "wall-clock data-plane copy time", metrics.L("plane", PlaneInline), metrics.L("dir", "out")),
 		batSteps: reg.Histogram("gvmd_bat_steps", "sub-requests per BAT frame"),
 		failovers: reg.Counter("node_failovers_total",
 			"sessions live-migrated off unhealthy or draining shards"),
@@ -158,16 +173,16 @@ type hostSession struct {
 	// teardown: migrate holds it across both owner submits (source
 	// extract, target adopt), and every owner-phase caller holds it
 	// around its submit so a verb never runs while the session is
-	// between shards. Lock order: migMu before mu; neither is ever
-	// taken by an owner-goroutine closure, so holding migMu across a
+	// between shards. Lock order: migMu, the shard's owner lock (a Submitter
+	// call), mu; migMu is never taken inside a turn, so holding it across a
 	// Submitter call cannot deadlock.
 	migMu sync.Mutex
 
 	// mu guards the connection-side staging state (the plane's staging)
 	// and the session's location (remapped by failover) against teardown:
 	// retire marks the session closed under mu before closing the plane,
-	// and staging copies check closed under mu first. It is never held
-	// across a Submitter call.
+	// and staging copies check closed under mu first. It is a leaf: taken
+	// inside a turn (retire), never held across a Submitter call.
 	mu        sync.Mutex
 	closed    bool
 	migrating bool // a failover is moving the session between shards
@@ -175,6 +190,12 @@ type hostSession struct {
 	plane     hostPlane
 
 	run frameRun // the session's one frame in flight, on either front-end
+
+	// The socket front-end's way into run, bound once (publish): serveFrame
+	// submits begin, which starts run on the session's shard; run's
+	// completion — in that turn or a peer's — leaves done its one token.
+	begin func()
+	done  chan struct{} // capacity 1: one frame in flight
 }
 
 // loc snapshots the session's current placement.
@@ -185,7 +206,7 @@ func (s *hostSession) loc() int {
 }
 
 // adoptOwner lands an extracted session on mgr and binds its staging.
-// Owner-goroutine side.
+// Owner side (inside a turn).
 func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession) error {
 	if err := mgr.AdoptSession(p, ext); err != nil {
 		return err
@@ -202,8 +223,8 @@ func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.Extract
 // move no bytes on this side and H2D/D2H work on the client's mapping in
 // place; heap buffers for the inline plane (the ones an adoption carried
 // over, else fresh); nothing on a timing-only daemon — and the session's
-// notify as its control surface. Owner-goroutine side, after every open
-// and adopt, whatever the plane.
+// notify as its control surface. Owner side, after every open and adopt,
+// whatever the plane.
 func (s *hostSession) bindStaging(mgr *gvm.Manager) error {
 	s.mu.Lock()
 	pl := &s.plane
@@ -269,9 +290,7 @@ func (s *hostSession) copyOut(resp *Response) error {
 		return err
 	}
 	if s.plane.seg == nil {
-		start := time.Now()
 		resp.Data = out
-		s.d.met.copyOut.Observe(int64(time.Since(start)))
 	}
 	s.d.met.bytesOut.Add(int64(len(out)))
 	return nil
@@ -313,10 +332,10 @@ func (d *Dispatcher) Metrics() *metrics.Registry { return d.cfg.Metrics }
 
 func errResp(err error) Response { return Response{Status: "ERR", Err: err.Error()} }
 
-// Serve services one request from a connection goroutine, handing only
-// its owner-side phase to the owning shard's simulation owner
-// (session→shard resolves once at REQ; every later verb routes by the
-// session's recorded shard). It returns ok == false when the server shut
+// Serve services one request from a connection goroutine, which takes a
+// turn as the owning shard's simulation owner for the request's owner-side
+// phase only (session→shard resolves once at REQ; every later verb routes
+// by the session's recorded shard). It returns ok == false when the server shut
 // down before the request completed (the connection should close without
 // replying).
 func (d *Dispatcher) Serve(req Request, cs *ConnState, submit ShardSubmitter) (resp Response, ok bool) {
@@ -412,7 +431,7 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 			return errResp(err), true
 		}
 		mgr = d.cfg.Node.Shard(shard).Mgr
-		ok := submit(shard, func(p *sim.Proc) {
+		ok := d.onShard(submit, shard, func(p *sim.Proc) {
 			id, verr = mgr.OpenSession(p, gvm.Request{
 				Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
 			})
@@ -443,14 +462,14 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	err = s.plane.create(d.cfg.ShmDir, fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id), s, mgr)
 	// Owner phase: the plane becomes the session's pinned staging; a
 	// failure so far unwinds like a release.
-	if err == nil && !submit(shard, func(p *sim.Proc) { err = s.bindStaging(mgr) }) {
+	if err == nil && !d.onShard(submit, shard, func(*sim.Proc) { err = s.bindStaging(mgr) }) {
 		// No verb ever ran on the session, so nothing can touch the
 		// mapping this unmaps.
 		d.retire(s)
 		return Response{}, false
 	}
 	if err != nil {
-		submit(shard, func(p *sim.Proc) { d.release(p, s) })
+		d.onShard(submit, shard, func(p *sim.Proc) { d.release(p, s) })
 		return errResp(err), true
 	}
 	d.publish(s, cs)
@@ -468,8 +487,17 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	}, true
 }
 
-// publish makes a fully opened session addressable by its connection.
+// publish makes a fully opened session addressable by its connection, its
+// socket frames' entry into the engine bound.
 func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
+	s.done = make(chan struct{}, 1)
+	finished := func() {
+		select {
+		case s.done <- struct{}{}:
+		default: // a turn never blocks here
+		}
+	}
+	s.begin = func() { s.run.start(s, d.cfg.Node.Shard(s.loc()).Mgr, finished) }
 	d.mu.Lock()
 	d.sessions[s.id] = s
 	d.mu.Unlock()
@@ -479,9 +507,10 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 // serveFrame serves a session verb or a pipelined BAT of them: one
 // session's verbs (FrameSteps). Connection phase: check the frame, resolve
 // its session to one this connection may address, rescue it off an
-// unhealthy shard, stage a SND payload. Owner phase: exactly one hand-off —
-// it starts the session's frameRun and sleeps until the run's last response
-// is in — so a full SPMD cycle (SND+STR+STP+RCV) costs a single submission.
+// unhealthy shard, stage a SND payload. Owner phase: exactly one turn — this
+// goroutine starts the session's frameRun under the shard's lock; a run parked
+// at the STR barrier finishes in a peer's turn and is waited for off the lock
+// — so a full SPMD cycle (SND+STR+STP+RCV) costs a single submission.
 // Connection phase again: publish RCV results, finish RLS bookkeeping.
 func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
 	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
@@ -541,13 +570,7 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 	if resps == nil {
 		s.migMu.Lock()
 		s.run.verbs = append(s.run.verbs[:0], verbs...)
-		shard := s.loc()
-		mgr := d.cfg.Node.Shard(shard).Mgr
-		ok := submit(shard, func(p *sim.Proc) {
-			finished := p.Env().NewEvent()
-			s.run.start(s, mgr, func() { finished.Fire(nil) })
-			p.Wait(finished)
-		})
+		ok := submit(s.loc(), s.begin, s.done)
 		s.migMu.Unlock()
 		if !ok {
 			return Response{}, false
@@ -575,8 +598,8 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 // release ends a session from outside the verb stream — a hang-up, an
 // unwound REQ, a ring session's socket RLS, shutdown: a frame still in flight
 // answers (abortRun), gvm lets go (waiting out any flush that still reads or
-// writes staging), then the daemon side retires. Owning shard's
-// owner-goroutine side.
+// writes staging), then the daemon side retires. Owner side, on the session's
+// shard.
 func (d *Dispatcher) release(p *sim.Proc, s *hostSession) {
 	s.abortRun(fmt.Sprintf("transport: session %d released with a frame in flight", s.id))
 	d.cfg.Node.Shard(s.loc()).Mgr.ReleaseSession(p, s.id)
@@ -591,7 +614,7 @@ func (d *Dispatcher) drop(s *hostSession, submit ShardSubmitter) (float64, bool)
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	var vms float64
-	if !submit(s.loc(), func(p *sim.Proc) {
+	if !d.onShard(submit, s.loc(), func(p *sim.Proc) {
 		d.release(p, s)
 		vms = p.Now().Milliseconds()
 	}) {
@@ -715,7 +738,7 @@ func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.E
 		ext *gvm.ExtractedSession
 		err error
 	)
-	if !submit(from, func(p *sim.Proc) {
+	if !d.onShard(submit, from, func(p *sim.Proc) {
 		s.abortRun(gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, from)))
 		if s.plane.ring != nil {
 			d.cfg.Rings.Shard(from).remove(s.plane.ring)
@@ -748,7 +771,7 @@ func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int,
 		vms float64
 		err error
 	)
-	if !submit(shard, func(p *sim.Proc) {
+	if !d.onShard(submit, shard, func(p *sim.Proc) {
 		if err = s.adoptOwner(p, mgr, ext); err == nil && ring != nil {
 			ring.mgr = mgr
 		}

@@ -68,7 +68,8 @@ func FrameSteps(req *Request, verbs []gvm.Verb) (session int, _ []gvm.Verb, bat 
 // A session has one frame in flight on either carrier, so the run lives in
 // its hostSession and keeps verbs and resps across frames: a warm frame
 // allocates nothing here. The front-end fills verbs (FrameSteps) before
-// start; from then until done everything is owner-goroutine-only.
+// start; from then until done everything is owner-only (inside a turn on the
+// session's shard).
 type frameRun struct {
 	s     *hostSession
 	mgr   *gvm.Manager

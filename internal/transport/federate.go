@@ -149,7 +149,7 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 		owner: cs, d: d, plane: hostPlane{kind: PlaneInline},
 		ref: blob.Ref, rank: blob.Rank,
 	}
-	if !submit(shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {
+	if !d.onShard(submit, shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
 		return Response{}, false
 	}

@@ -362,6 +362,7 @@ func decodeRequestInto(req *Request, payload []byte) error {
 	batch := req.Batch[:0]
 	r := frameReader{b: payload}
 	*req = r.requestFields()
+	req.Batch = batch // a frame with no batch section keeps the backing too
 	if r.err == nil && r.off < len(r.b) {
 		n := r.uvarint()
 		if n > uint64(len(r.b)) { // each sub-request takes >= 6 bytes
@@ -398,6 +399,7 @@ func decodeResponseInto(resp *Response, payload []byte) error {
 	batch := resp.Batch[:0]
 	r := frameReader{b: payload}
 	*resp = r.responseFields()
+	resp.Batch = batch
 	if r.err == nil && r.off < len(r.b) {
 		n := r.uvarint()
 		if n > uint64(len(r.b)) {

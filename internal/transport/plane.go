@@ -179,8 +179,9 @@ func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manage
 
 // Close releases the plane of a session on shard; its regions die with it,
 // so it runs only after the gvm session bound onto them is gone. A ring
-// segment is unmapped by the shard owner's next sweep, race-free with the
-// sweep that reads its rings; any other by the caller.
+// segment is unmapped by its shard's next sweep — the one ending the turn that
+// retired it — race-free with the sweep that reads its rings; any other by
+// the caller.
 func (pl *hostPlane) Close(shard int) error {
 	switch {
 	case pl.seg == nil:

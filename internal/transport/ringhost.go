@@ -22,7 +22,7 @@ type RingHostConfig struct {
 	// daemon's startup RemoveStale sweep reclaims orphans of crashed
 	// daemons along with ordinary session segments).
 	Prefix string
-	// Shards is how many per-GPU owner loops the daemon runs; each gets
+	// Shards is how many per-GPU sweep loops the daemon runs; each gets
 	// its own doorbell word on its own cache line.
 	Shards int
 	// Ring sizes every session's rings (zero value: DefaultRingConfig).
@@ -97,7 +97,7 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 func (h *RingHost) Shard(i int) *RingShard { return h.shards[i] }
 
 // Close releases every remaining session segment and the doorbell
-// segment. Call only after the owner loops have stopped.
+// segment. Call only once no turn can run on any shard anymore.
 func (h *RingHost) Close() error {
 	for _, rs := range h.shards {
 		rs.events.Drain(func(ev ringEvent) {
@@ -130,16 +130,16 @@ type ringEvent struct {
 	close bool
 }
 
-// RingShard is one owner loop's ring state: its doorbell word, the MPSC
+// RingShard is one shard's ring state: its doorbell word, the MPSC
 // drain connection goroutines register sessions through, and the
 // owner-private session list the sweep walks. All methods except
-// Register/Unregister are owner-goroutine-only.
+// Register/Unregister are owner-only: called inside a turn on the shard.
 type RingShard struct {
 	door *atomic.Uint32
 
 	events node.Drain[ringEvent]
 
-	sessions []*ringSession // owner-goroutine private
+	sessions []*ringSession // owner-private
 
 	armCh  chan uint32   // owner -> waker: doorbell word to sleep on
 	wakeCh chan struct{} // waker -> owner: the doorbell rang while parked
@@ -211,9 +211,9 @@ func (rs *RingShard) Unregister(sess *ringSession) {
 
 // Sweep applies queued register/unregister events, retries completions
 // waiting for ring space, and gives every session's submission ring a
-// consume pass. It reports whether it made progress; the owner loop
+// consume pass. It reports whether it made progress; the shard's sweep loop
 // keeps sweeping (interleaved with calendar drains) until a sweep comes
-// back dry, then spins, then parks on the doorbell.
+// back dry, then spins, then parks; a socket turn sweeps once after its work.
 func (rs *RingShard) Sweep() bool {
 	progress := false
 	rs.forward()
@@ -255,7 +255,7 @@ func (rs *RingShard) remove(sess *ringSession) {
 // and nothing else, runs it through the session's frameRun, and produces
 // the response frame on the completion ring. The rings live in the segment
 // of the session's data plane (hostPlane.create). All fields but rh are
-// owner-goroutine-only.
+// owner-only.
 type ringSession struct {
 	rh   *RingHost
 	host *hostSession
@@ -359,7 +359,7 @@ func (s *ringSession) respond(resp Response) {
 	}
 }
 
-// closeOwner unmaps the session segment. Idempotent; owner-goroutine
+// closeOwner unmaps the session segment. Idempotent; owner
 // (or post-shutdown RingHost.Close) only.
 func (s *ringSession) closeOwner() {
 	if s.closed {

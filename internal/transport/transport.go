@@ -24,8 +24,8 @@
 //     front-ends here and the federation router — before any session
 //     work. The front-ends are thin: the socket Dispatcher (which also
 //     owns the session table, REQ, teardown and failover) resolves who
-//     may address what, stages an inline payload and hands the frame to
-//     the session's shard owner once; the RingHost decodes records off a
+//     may address what, stages an inline payload and starts the frame in
+//     one turn as the session's shard owner; the RingHost decodes records off a
 //     session's own ring and encodes the responses back. The package
 //     does not import internal/vgpu — that is the simulation's client
 //     API, and `make one-engine` keeps it so.

@@ -109,14 +109,18 @@ func RejectConn(nc net.Conn) {
 }
 
 // Conn frames requests and responses over a stream connection in the
-// length-prefixed binary format (frame.go), reusing one encode and one
-// decode buffer across frames.
+// length-prefixed binary format (frame.go), reusing one encode buffer, one
+// decode buffer and one Batch backing array across frames.
 type Conn struct {
 	c    net.Conn
 	r    *bufio.Reader
 	we   frameEncoder // reused scatter-gather encoder
 	rbuf []byte       // reused pooled payload buffer
 	hdr  [headerLen]byte
+	// The retained decode targets, for their Batch backing: like rbuf, what a
+	// read returned is valid until the next read. A connection uses one.
+	req  Request
+	resp Response
 }
 
 // rbufHighWater caps the read buffer a connection retains between frames.
@@ -140,7 +144,7 @@ func (c *Conn) Close() error { return c.c.Close() }
 // live bytes back to the pool.
 func (c *Conn) Release() {
 	putBuf(c.rbuf)
-	c.rbuf = nil
+	c.rbuf, c.req, c.resp = nil, Request{}, Response{} // their Data aliased rbuf
 }
 
 // SetDeadline bounds both reads and writes on the underlying connection;
@@ -194,30 +198,30 @@ func (c *Conn) writeFrame() error {
 	return err
 }
 
-// ReadRequest receives one request frame.
+// ReadRequest receives one request frame. Its Data and Batch live in the
+// connection's retained buffers: valid until the next read.
 func (c *Conn) ReadRequest() (Request, error) {
-	var req Request
 	payload, err := c.readFrame(kindRequest)
 	if err == nil {
-		err = decodeRequestInto(&req, payload)
+		err = decodeRequestInto(&c.req, payload)
 	}
 	if err != nil {
 		return Request{}, err
 	}
-	return req, nil
+	return c.req, nil
 }
 
-// ReadResponse receives one response frame.
+// ReadResponse receives one response frame; ReadRequest's lifetime rule
+// applies to its Data and Batch.
 func (c *Conn) ReadResponse() (Response, error) {
-	var resp Response
 	payload, err := c.readFrame(kindResponse)
 	if err == nil {
-		err = decodeResponseInto(&resp, payload)
+		err = decodeResponseInto(&c.resp, payload)
 	}
 	if err != nil {
 		return Response{}, err
 	}
-	return resp, nil
+	return c.resp, nil
 }
 
 // readFrame reads one binary frame of the given kind and returns its
