@@ -41,9 +41,14 @@ vet:
 # daemon's sweep loop and waker, the accept and connection loops and the
 # background evacuation — a per-shard owner goroutine cannot come back; and
 # one process name for cold owner work, started in one place
-# (transport.Dispatcher.onShard), never per frame.
+# (transport.Dispatcher.onShard), never per frame. And one read buffer: a
+# transport.Conn reads a frame into its own buffer and decodes it there, so
+# non-test internal/transport does not import bufio — a second buffer in
+# front of it splits a frame over its size into two reads and copies bytes
+# out of itself.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
 	@bad=$$(grep -lE 'lastRank|[bB]atch(Verb|Step)Rank' internal/transport/*.go internal/fed/*.go | grep -v -e _test.go -e internal/transport/exec.go); \
 	for f in internal/transport/dispatch.go internal/transport/ringhost.go internal/fed/proxy.go; do \
 		grep -q 'FrameSteps(' $$f || bad="$$bad $$f:no-FrameSteps-call"; done; \

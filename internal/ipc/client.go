@@ -22,8 +22,8 @@ type Options struct {
 	// or transport.PlaneRing); "" takes the transport's default — shm for
 	// unix/inproc, inline for tcp, ring for ring.
 	Plane string
-	// Timeout bounds each request round trip's socket I/O (SetDeadline
-	// around write+read), so a hung or SIGSTOP'd daemon surfaces as an
+	// Timeout bounds each request round trip's socket I/O (one SetDeadline
+	// before write+read), so a hung or SIGSTOP'd daemon surfaces as an
 	// error instead of blocking the client forever. 0 (the default)
 	// disables the deadline. A timed-out connection may hold a partial
 	// frame and must be closed, not reused.
@@ -97,8 +97,10 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	defer c.mu.Unlock()
 	c.trips++
 	if c.timeout > 0 {
+		// Set once per trip and never cleared: every read and write on conn
+		// happens here under mu, so the last trip's deadline, long past
+		// while the client idles, is replaced before any I/O it could fail.
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
 	if err := c.conn.WriteRequest(req); err != nil {
 		return Response{}, c.wrapTimeout(req.Verb, err)

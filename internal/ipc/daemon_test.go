@@ -306,6 +306,26 @@ func TestRequestTimeout(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIdleClientOutlivesTimeout: a round trip sets the connection's
+// deadline and leaves it in force, so after idling past Timeout a client
+// holds an expired deadline — its next trip must replace it before any
+// I/O, not fail on it.
+func TestIdleClientOutlivesTimeout(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
+	const timeout = 250 * time.Millisecond
+	c, err := DialOptions(s.Addr(), Options{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 256
+	want := vecaddCycle(t, c, n, 0)
+	time.Sleep(timeout + timeout/2)
+	if got := vecaddCycle(t, c, n, 0); string(got) != string(want) {
+		t.Fatal("the cycle after an idle spell differs from the first")
+	}
+}
+
 // TestInprocTransport exercises the in-process transport end to end:
 // same daemon, no socket files involved.
 func TestInprocTransport(t *testing.T) {

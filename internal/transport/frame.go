@@ -54,21 +54,49 @@ const (
 	inlineDataThreshold = 4096
 )
 
-// internTable holds every string constant the protocol puts on the wire;
-// decoding returns these canonical values instead of allocating, which is
-// what keeps the steady-state SND/RCV decode path at zero allocations.
-var internTable = [...]string{
-	"REQ", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES", "BAT",
-	"STA", "MIG", "ADP",
-	"ACK", "WAIT", "ERR",
-	PlaneShm, PlaneInline, PlaneRing,
-}
-
+// intern returns the canonical value of every string constant the protocol
+// puts on the wire instead of allocating, which is what keeps the
+// steady-state decode path at zero allocations. A string switch compiles
+// to a dispatch on length and a discriminating byte, then one comparison:
+// constant time, however many constants there are.
 func intern(b []byte) string {
-	for _, s := range &internTable {
-		if string(b) == s {
-			return s
-		}
+	switch string(b) {
+	case "REQ":
+		return "REQ"
+	case "SND":
+		return "SND"
+	case "STR":
+		return "STR"
+	case "STP":
+		return "STP"
+	case "RCV":
+		return "RCV"
+	case "RLS":
+		return "RLS"
+	case "SUS":
+		return "SUS"
+	case "RES":
+		return "RES"
+	case "BAT":
+		return "BAT"
+	case "STA":
+		return "STA"
+	case "MIG":
+		return "MIG"
+	case "ADP":
+		return "ADP"
+	case "ACK":
+		return "ACK"
+	case "WAIT":
+		return "WAIT"
+	case "ERR":
+		return "ERR"
+	case PlaneShm:
+		return PlaneShm
+	case PlaneInline:
+		return PlaneInline
+	case PlaneRing:
+		return PlaneRing
 	}
 	return string(b)
 }

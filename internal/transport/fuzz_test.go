@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -24,31 +25,31 @@ func fuzzPipeConn(t testing.TB) (*Conn, *Conn) {
 }
 
 // FuzzReadRequest feeds an arbitrary byte stream to Conn.ReadRequest, the
-// path every socket client's bytes take: header, then a payload read of
-// the length the header claims. It must never panic or hang; a stream
-// that holds one whole frame must read exactly as the bare decoder
-// decodes that frame, and anything shorter must be an error.
+// path every socket client's bytes take, in reads of random sizes (seeded
+// by the second input; chunkConn): header, then a payload of the length
+// the header claims. It must never panic or hang; a stream that holds one
+// whole frame must read exactly as the bare decoder decodes that frame,
+// and anything shorter must fail as a truncated frame would.
 func FuzzReadRequest(f *testing.F) {
 	whole, _ := EncodeRequestBinary(nil, Request{Verb: "SND", Session: 7, Data: []byte{1, 2, 3}})
-	f.Add(whole)
-	f.Add(whole[:headerLen-1])                                     // truncated header
-	f.Add(whole[:len(whole)-1])                                    // truncated payload
-	f.Add(append([]byte{frameMagic ^ 0xff}, whole[1:]...))         // bad magic
-	f.Add(append([]byte{frameMagic, kindResponse}, whole[2:]...))  // wrong kind
-	f.Add([]byte{frameMagic, kindRequest, 0xff, 0xff, 0xff, 0xff}) // oversize
-	f.Add([]byte{frameMagic, kindRequest, 0, 0, 0, 0})             // empty payload
-	f.Add([]byte(`{"verb":"REQ"}` + "\n"))                         // another protocol entirely
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		a, b := fuzzPipeConn(t)
-		go func() {
-			_, _ = b.c.Write(stream)
-			b.c.Close() // EOF: a short stream must end the read, not hang it
-		}()
+	f.Add(whole, int64(0))
+	f.Add(whole[:headerLen-1], int64(1))                                     // truncated header
+	f.Add(whole[:len(whole)-1], int64(2))                                    // truncated payload
+	f.Add(append([]byte{frameMagic ^ 0xff}, whole[1:]...), int64(3))         // bad magic
+	f.Add(append([]byte{frameMagic, kindResponse}, whole[2:]...), int64(4))  // wrong kind
+	f.Add([]byte{frameMagic, kindRequest, 0xff, 0xff, 0xff, 0xff}, int64(5)) // oversize
+	f.Add([]byte{frameMagic, kindRequest, 0, 0, 0, 0}, int64(6))             // empty payload
+	f.Add([]byte(`{"verb":"REQ"}`+"\n"), int64(7))                           // another protocol entirely
+	f.Add([]byte{}, int64(8))
+	f.Fuzz(func(t *testing.T, stream []byte, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewConn(&chunkConn{stream: stream, next: func() int { return 1 + rng.Intn(headerLen+len(stream)) }})
+		defer a.Release()
 		got, err := a.ReadRequest()
+		var n uint32
 		if len(stream) >= headerLen {
-			if n := int64(binary.LittleEndian.Uint32(stream[2:6])); n <= int64(len(stream)-headerLen) {
-				want, werr := DecodeRequestBinary(stream[:headerLen+n])
+			if n = binary.LittleEndian.Uint32(stream[2:6]); int64(n) <= int64(len(stream)-headerLen) {
+				want, werr := DecodeRequestBinary(stream[:headerLen+int(n)])
 				if (err == nil) != (werr == nil) {
 					t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
 				}
@@ -60,6 +61,20 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		if err == nil {
 			t.Fatalf("a %d-byte stream short of one frame read as %+v", len(stream), got)
+		}
+		want := "transport: truncated frame: unexpected EOF"
+		switch {
+		case len(stream) == 0:
+			want = "EOF"
+		case len(stream) < headerLen:
+			want = "transport: truncated frame header: unexpected EOF"
+		case stream[0] != frameMagic || stream[1] != kindRequest || n > MaxFrame:
+			return // a bad header fails before any payload is read
+		case len(stream) == headerLen:
+			want = "transport: truncated frame: EOF"
+		}
+		if err.Error() != want {
+			t.Fatalf("a %d-byte stream short of one frame failed with %q, want %q", len(stream), err, want)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -110,28 +109,35 @@ func RejectConn(nc net.Conn) {
 
 // Conn frames requests and responses over a stream connection in the
 // length-prefixed binary format (frame.go), reusing one encode buffer, one
-// decode buffer and one Batch backing array across frames.
+// read buffer and one Batch backing array across frames.
 type Conn struct {
-	c    net.Conn
-	r    *bufio.Reader
-	we   frameEncoder // reused scatter-gather encoder
-	rbuf []byte       // reused pooled payload buffer
-	hdr  [headerLen]byte
+	c  net.Conn
+	we frameEncoder // reused scatter-gather encoder
+	// rbuf is the connection's one read buffer, pooled, used at full length:
+	// rbuf[rd:wr] arrived and is not consumed yet. A frame is decoded where
+	// it landed, so what a read returns aliases rbuf.
+	rbuf   []byte
+	rd, wr int
 	// The retained decode targets, for their Batch backing: like rbuf, what a
 	// read returned is valid until the next read. A connection uses one.
 	req  Request
 	resp Response
 }
 
-// rbufHighWater caps the read buffer a connection retains between frames.
-// One giant inline frame would otherwise pin up to MaxFrame bytes for the
-// connection's lifetime; above the mark the buffer goes back to the pool
-// after use and the next small frame draws a small one.
-const rbufHighWater = 1 << 20
+const (
+	// rbufHighWater caps the read buffer a connection retains between frames.
+	// One giant inline frame would otherwise pin up to MaxFrame bytes for the
+	// connection's lifetime; above the mark the buffer goes back to the pool
+	// as soon as a frame no longer needs it, for a small one.
+	rbufHighWater = 1 << 20
+	// rbufMin is the smallest read buffer a connection draws: room for every
+	// control frame in one read.
+	rbufMin = 4 << 10
+)
 
 // NewConn wraps a connection with the binary frame codec.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, r: bufio.NewReader(c)}
+	return &Conn{c: c}
 }
 
 // Close closes the underlying connection.
@@ -144,7 +150,8 @@ func (c *Conn) Close() error { return c.c.Close() }
 // live bytes back to the pool.
 func (c *Conn) Release() {
 	putBuf(c.rbuf)
-	c.rbuf, c.req, c.resp = nil, Request{}, Response{} // their Data aliased rbuf
+	c.rbuf, c.rd, c.wr = nil, 0, 0
+	c.req, c.resp = Request{}, Response{} // their Data aliased rbuf
 }
 
 // SetDeadline bounds both reads and writes on the underlying connection;
@@ -225,36 +232,87 @@ func (c *Conn) ReadResponse() (Response, error) {
 }
 
 // readFrame reads one binary frame of the given kind and returns its
-// payload in the connection's reused buffer (valid until the next read).
+// payload where it landed in the connection's read buffer (valid until the
+// next read). A frame that arrives in one segment costs one read and no
+// copy; bytes of the next frame read with it wait in the buffer.
 func (c *Conn) readFrame(kind byte) ([]byte, error) {
-	if _, err := c.r.Peek(1); err != nil {
-		return nil, err // clean EOF between frames passes through
+	if c.rd == c.wr {
+		c.rd, c.wr = 0, 0 // nothing pending: the frame lands at the front
 	}
-	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
-		return nil, fmt.Errorf("transport: truncated frame header: %w", err)
+	if err := c.fill(headerLen); err != nil {
+		if c.rd == c.wr {
+			return nil, err // clean EOF between frames passes through
+		}
+		return nil, fmt.Errorf("transport: truncated frame header: %w", midFrame(err))
 	}
-	if c.hdr[0] != frameMagic {
-		return nil, fmt.Errorf("transport: bad frame magic 0x%02x", c.hdr[0])
+	hdr := c.rbuf[c.rd : c.rd+headerLen]
+	if hdr[0] != frameMagic {
+		return nil, fmt.Errorf("transport: bad frame magic 0x%02x", hdr[0])
 	}
-	if c.hdr[1] != kind {
-		return nil, fmt.Errorf("transport: unexpected frame kind %q (want %q)", c.hdr[1], kind)
+	if hdr[1] != kind {
+		return nil, fmt.Errorf("transport: unexpected frame kind %q (want %q)", hdr[1], kind)
 	}
-	n := binary.LittleEndian.Uint32(c.hdr[2:])
+	n := binary.LittleEndian.Uint32(hdr[2:])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame payload %d bytes exceeds MaxFrame %d", n, MaxFrame)
 	}
-	// Swap the retained buffer when it is too small, or when it is above
-	// the high-water mark and this frame no longer needs that much. Any
-	// payload aliases handed out by the previous read are dead by contract
-	// ("valid until the next read"), so returning the old buffer to the
-	// pool here is safe.
-	if cap(c.rbuf) < int(n) || (cap(c.rbuf) > rbufHighWater && int(n) <= rbufHighWater) {
-		putBuf(c.rbuf)
-		c.rbuf = getBuf(int(n))
+	end := headerLen + int(n)
+	// Above the high-water mark, the buffer goes back to the pool as soon as
+	// what is pending fits a small one. Whatever the previous read returned
+	// is dead by contract, so the old buffer is free to go.
+	if keep := max(end, c.wr-c.rd); cap(c.rbuf) > rbufHighWater && keep <= rbufHighWater {
+		c.move(keep)
 	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	if err := c.fill(end); err != nil {
+		if c.wr-c.rd > headerLen {
+			err = midFrame(err)
+		}
 		return nil, fmt.Errorf("transport: truncated frame: %w", err)
 	}
-	return buf, nil
+	payload := c.rbuf[c.rd+headerLen : c.rd+end : c.rd+end]
+	c.rd += end
+	return payload, nil
+}
+
+// fill reads until rbuf[rd:wr] holds need bytes, each read taking as much
+// as the buffer holds. Only when the frame does not fit behind rd does it
+// make room: compacting the pending bytes to the front, or moving them to
+// a bigger buffer.
+func (c *Conn) fill(need int) error {
+	if c.rd+need > len(c.rbuf) {
+		if need > len(c.rbuf) {
+			c.move(need)
+		} else {
+			c.wr = copy(c.rbuf, c.rbuf[c.rd:c.wr])
+			c.rd = 0
+		}
+	}
+	for c.wr-c.rd < need {
+		m, err := c.c.Read(c.rbuf[c.wr:])
+		c.wr += m
+		if err != nil && c.wr-c.rd < need {
+			return err
+		}
+	}
+	return nil
+}
+
+// move copies the pending bytes to the front of a pooled buffer of at
+// least size bytes and returns the old buffer to the pool.
+func (c *Conn) move(size int) {
+	b := getBuf(max(size, rbufMin))
+	b = b[:cap(b)]
+	c.wr = copy(b, c.rbuf[c.rd:c.wr])
+	c.rd = 0
+	putBuf(c.rbuf)
+	c.rbuf = b
+}
+
+// midFrame is io.ReadFull's rule: EOF after part of what was asked for is
+// io.ErrUnexpectedEOF.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

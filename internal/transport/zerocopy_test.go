@@ -207,21 +207,57 @@ func TestBufPoolClasses(t *testing.T) {
 	putBuf(huge) // must not panic or pool it
 }
 
-// TestInterning pins that protocol constants decode to canonical strings
-// without allocating, and arbitrary strings still round-trip.
+// TestInterning pins that every protocol constant — verb, status, plane —
+// decodes to its canonical string without allocating, in every string
+// field of a request and a response, and that other strings, a 3-byte one
+// included, still round-trip.
 func TestInterning(t *testing.T) {
-	req := Request{Verb: "RCV", Session: 2, Plane: PlaneInline,
-		Ref: &workloads.Ref{Name: "very-custom-workload"}}
-	frame, err := EncodeRequestBinary(nil, req)
-	if err != nil {
-		t.Fatal(err)
+	constants := []string{
+		"REQ", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES", "BAT", "STA", "MIG", "ADP",
+		"ACK", "WAIT", "ERR",
+		PlaneShm, PlaneInline, PlaneRing,
 	}
-	got, err := DecodeRequestBinary(frame)
-	if err != nil {
-		t.Fatal(err)
+	var req Request
+	var resp Response
+	for _, k := range constants {
+		qf, err := EncodeRequestBinary(nil, Request{Verb: k, Plane: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := EncodeResponseBinary(nil, Response{Status: k, Err: k, Plane: k, Segment: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := DecodeRequestBinaryInto(&req, qf); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeResponseBinaryInto(&resp, sf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if req.Verb != k || req.Plane != k || resp.Status != k || resp.Err != k || resp.Plane != k || resp.Segment != k {
+			t.Fatalf("%q decoded as %+v / %+v", k, req, resp)
+		}
+		if allocs != 0 {
+			t.Errorf("%q decodes with %.0f allocations, want 0: not interned", k, allocs)
+		}
 	}
-	if got.Verb != "RCV" || got.Plane != PlaneInline || got.Ref.Name != "very-custom-workload" {
-		t.Fatalf("decoded %+v", got)
+	for _, want := range []Request{
+		{Verb: "XYZ", Session: 2, Plane: "XYZ"},
+		{Verb: "RCV", Session: 2, Plane: PlaneInline, Ref: &workloads.Ref{Name: "very-custom-workload"}},
+	} {
+		frame, err := EncodeRequestBinary(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRequestBinary(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !requestsEqual(got, want) {
+			t.Fatalf("decoded %+v, want %+v", got, want)
+		}
 	}
 }
 

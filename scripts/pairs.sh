@@ -8,13 +8,15 @@
 # first). Per end-to-end metric of BENCHMARK.json it prints both medians,
 # the delta against the metric's bound, the pairs the change won (ties count
 # for neither), the parent's interquartile range and every run made; then
-# the failed operations, and the exact counters of one traced run per side.
+# the failed operations, and the exact counters and the socket layers'
+# syscall and CPU counters of one traced run per side. It exits non-zero
+# when a row reads WORSE (a median past its bound), after printing every row.
 # Defaults: every workload, 10 pairs, BENCHMARK.json's run_seconds. Progress
 # goes to stderr. It reads bench/ and BENCHMARK.json and writes neither.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,13p' "$0" >&2; exit 2; }
+usage() { sed -n '2,15p' "$0" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 rev=$1; shift
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
@@ -61,12 +63,13 @@ stats() {
 counters='gpusim.virtual_ms_per_cycle ipc.round_trips_per_cycle transport.frame_bytes_per_cycle
 gvm.restores_per_cycle gvm.evictions_per_cycle gvm.swap_bytes_per_cycle gpusim.launches_per_cycle
 ipc.daemon_mallocs_per_cycle ipc.daemon_alloc_bytes_per_cycle ipc.daemon_gc_per_kcycle
+ipc.daemon_syscalls_per_cycle fed.router_syscalls_per_cycle fed.router_user_us_per_cycle
 cuda.exec_vecadd_ns cuda.exec_vecadd_gbps'
 
 echo "# Paired benchmark runs: parent $sha vs change (working tree at $(git rev-parse --short HEAD)), bash bench/run.sh --workload W --seed <pair> --seconds $seconds,"
 echo "# $pairs alternating pairs per workload (odd pairs parent first), $(nproc)-CPU container, $(go env GOVERSION). Every run made is listed."
 echo "# Columns: workload, metric, medians, delta vs BENCHMARK.json bound, pairs in which the change read better, parent IQR, every run in pair order."
-traced=
+traced= worse=
 for w in $workloads; do
 	p_json=() c_json=()
 	for i in $(seq 1 "$pairs"); do
@@ -89,11 +92,13 @@ for w in $workloads; do
 		done
 		read -r pm pq1 pq3 <<<"$(stats "${p_runs[@]}")"
 		read -r cm _ _ <<<"$(stats "${c_runs[@]}")"
-		awk -v w="$w" -v m="$metric" -v pm="$pm" -v cm="$cm" -v q1="$pq1" -v q3="$pq3" -v b="$better" -v bound="$bound" \
+		row=$(awk -v w="$w" -v m="$metric" -v pm="$pm" -v cm="$cm" -v q1="$pq1" -v q3="$pq3" -v b="$better" -v bound="$bound" \
 			-v won="$won" -v n="$pairs" -v pr="${p_runs[*]}" -v cr="${c_runs[*]}" 'BEGIN {
 			d = (cm - pm) / pm; worse = (b == "lower" ? d : -d)
 			printf "%-10s %-14s parent med %s change med %s delta %+.2f%% (bound %g%%, %s) change better in %d/%d pairs; parent IQR %.4g; parent runs %s | change runs %s\n",
-				w, m, pm, cm, 100 * d, 100 * bound, (worse > bound ? "WORSE" : "OK"), won, n, q3 - q1, pr, cr }'
+				w, m, pm, cm, 100 * d, 100 * bound, (worse > bound ? "WORSE" : "OK"), won, n, q3 - q1, pr, cr }')
+		echo "$row"
+		[[ $row != *", WORSE)"* ]] || worse+=" $w/$metric"
 	done < <(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' BENCHMARK.json)
 	pf=$(printf '%s\n' "${p_json[@]}" | jq -s 'map(.failed) | add')
 	cf=$(printf '%s\n' "${c_json[@]}" | jq -s 'map(.failed) | add')
@@ -117,3 +122,7 @@ done
 echo
 echo "# Exact counters and the claimed layer, one traced run per side (--trace 1 --seconds 5 --seed 1): parent / change"
 printf '%s' "$traced"
+if [ -n "$worse" ]; then
+	echo "pairs.sh: WORSE than the parent past the bound:$worse" >&2
+	exit 1
+fi
