@@ -38,14 +38,18 @@ vet:
 # way onto a shard: its owner is whoever holds its lock for a turn
 # (ipc.Server.turn), so non-test internal/ipc declares no work queue, calls
 # Env.Run() in that one function only, and starts no goroutine but the ring
-# daemon's sweep loop and waker, the accept and connection loops and the
-# background evacuation — a per-shard owner goroutine cannot come back; and
+# daemon's sweep loop (which parks on its doorbell itself), the accept and
+# connection loops and the background evacuation — a per-shard owner
+# goroutine cannot come back; and
 # one process name for cold owner work, started in one place
 # (transport.Dispatcher.onShard), never per frame. And one read buffer: a
 # transport.Conn reads a frame into its own buffer and decodes it there, so
 # non-test internal/transport does not import bufio — a second buffer in
 # front of it splits a frame over its size into two reads and copies bytes
-# out of itself.
+# out of itself. And one session state: gvm's session holds its protocol
+# state as one value (phase and residency) that the (state, verb) table
+# reads, so it declares none of the retired running, done, evicted or
+# rerunPending bool fields beside it.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -63,11 +67,14 @@ one-engine:
 	[ -z "$$bad" ] || { echo "internal/sim has a second switch mechanism (a channel or a go statement in non-test code; a process switch is the worker coroutine's next/yield):"; echo "$$bad"; exit 1; }
 	@src=$$(ls internal/ipc/*.go | grep -v _test.go); \
 	bad=$$(grep -nE 'workItem|chan +(workItem|func)|\[\]chan ' $$src); \
-	gos=$$(grep -hoE '^[^/]*\bgo [a-zA-Z0-9_.]+\(' $$src | sed -E 's/.*\bgo //' | sort -u | grep -vxE 's\.(ringOwner|waker|accept|serveConn|disp\.EvacuateShard)\('); \
+	gos=$$(grep -hoE '^[^/]*\bgo [a-zA-Z0-9_.]+\(' $$src | sed -E 's/.*\bgo //' | sort -u | grep -vxE 's\.(ringOwner|accept|serveConn|disp\.EvacuateShard)\('); \
 	[ -z "$$gos" ] || bad="$$bad goroutine-started:$$gos"; \
 	[ $$(cat $$src | grep -cE '\.Run\(\)') -eq 1 ] || bad="$$bad internal/ipc:Env.Run()-outside-the-turn"; \
 	[ $$(ls internal/ipc/*.go internal/transport/*.go | grep -v _test.go | xargs cat | grep -c '"ipc-request"') -le 1 ] || bad="$$bad a-second-ipc-request-process"; \
-	[ -z "$$bad" ] || { echo "a second way onto a shard (a work queue, a goroutine outside the allowed five, Env.Run() outside Server.turn, or a second ipc-request process site):"; echo "$$bad"; exit 1; }
+	[ -z "$$bad" ] || { echo "a second way onto a shard (a work queue, a goroutine outside the allowed four, Env.Run() outside Server.turn, or a second ipc-request process site):"; echo "$$bad"; exit 1; }
+	@bad=$$(awk '/^type session struct/ { f = 1 } f && /^}/ { f = 0 } f' $$(ls internal/gvm/*.go | grep -v _test.go) | \
+		grep -E '^[[:space:]]*([A-Za-z_]+[[:space:]]*,[[:space:]]*)*(running|done|evicted|rerunPending)([[:space:]]*,[[:space:]]*[A-Za-z_]+)*[[:space:]]+bool\b'); \
+	[ -z "$$bad" ] || { echo "gvm's session keeps its protocol state in flags again (a running, done, evicted or rerunPending bool beside the state value the table reads):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -553,6 +553,7 @@ func benchRequest() transport.Request {
 func BenchmarkIPCFrame_Binary(b *testing.B) {
 	req := benchRequest()
 	var buf []byte
+	var got transport.Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -560,7 +561,7 @@ func BenchmarkIPCFrame_Binary(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := transport.DecodeRequestBinary(buf); err != nil {
+		if err := transport.DecodeRequestBinaryInto(&got, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

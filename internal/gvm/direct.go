@@ -83,6 +83,7 @@ func (m *Manager) DirectVerb(id int, verb Verb) error {
 		return fmt.Errorf("gvm: DirectVerb: unsupported verb %v", verb)
 	}
 	m.met.requests.Inc()
+	s.lastUsed = m.env.Now()
 	m.serve(s, verb)
 	return nil
 }

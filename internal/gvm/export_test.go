@@ -34,48 +34,70 @@ func SlowKernels(spec *task.Spec) *task.Spec {
 
 // What the external protocol-table test (surface_test.go, which imports
 // vgpu and so cannot live in this package) needs of a session's insides:
-// a probe of its state and injectors for the states no verb leads to.
+// gvm's own table, the name of a session's state, and injectors for the
+// states no verb leads to.
 
-// StateOf names where session id stands, from the manager's own fields.
-// gvm does not track SND, so staged is the harness's.
-func (m *Manager) StateOf(id int, staged bool) string {
-	s, ok := m.sessions[id]
-	switch {
-	case !ok:
-		return "gone"
-	case s.failed != nil:
-		return "failed"
-	case s.susp != nil && s.evicted:
-		return "evicted"
-	case s.susp != nil:
-		return "suspended"
-	case s.running:
-		return "running"
-	case s.done:
-		return "done"
-	case s.rerunPending:
-		return "rerun"
-	case staged:
-		return "staged"
-	default:
-		return "idle"
+// ProtocolRow is one cell of gvm's protocol table as DESIGN.md §3 carries
+// it: a verb arriving in a prior state answers status (with errSub in the
+// error text) and leaves the session in next.
+type ProtocolRow struct {
+	Prior  string
+	Verb   Verb
+	Status Status
+	ErrSub string
+	Next   string
+}
+
+// ProtocolTable is state.step over the eight named states, its preludes (a
+// restore, a replay) followed through to the verb's answer. Suspended and
+// evicted are a done session's.
+func ProtocolTable() []ProtocolRow {
+	var rows []ProtocolRow
+	for _, st := range []state{{idle, resident}, {staged, resident}, {running, resident}, {done, resident},
+		{done, suspended}, {done, evicted}, {failed, resident}, {rerun, resident}} {
+		for v := SND; v <= RES; v++ {
+			a, text, next := st.step(v)
+			for a == restoreFirst || a == replayFirst {
+				a, text, next = next.step(v)
+			}
+			row := ProtocolRow{Prior: st.String(), Verb: v, Status: ERR, ErrSub: text, Next: next.String()}
+			switch a {
+			case refuse:
+			case refuseSuspended:
+				row.ErrSub = v.String() + " on suspended session"
+			case bounce:
+				row.ErrSub = RetryableMark
+			default:
+				row.Status = ACK
+			}
+			rows = append(rows, row)
+		}
 	}
+	return rows
+}
+
+// StateOf names where session id stands: gvm's own state name, or gone.
+func (m *Manager) StateOf(id int) string {
+	if s, ok := m.sessions[id]; ok {
+		return s.st.String()
+	}
+	return "gone"
 }
 
 // InjectEvicted does to session id what evictForAlloc does to its victim.
 func (m *Manager) InjectEvicted(p *sim.Proc, id int) {
-	s := m.sessions[id]
-	s.evicted = true
-	m.suspendSession(p, s)
+	m.suspendSession(p, m.sessions[id], evicted)
 }
 
 // InjectFailed leaves session id as a device fault under its kernels does.
 func (m *Manager) InjectFailed(id int) {
-	m.sessions[id].failed = errors.New("injected device fault")
+	s := m.sessions[id]
+	s.failed = errors.New("injected device fault")
+	s.st.phase = failed
 }
 
 // InjectRerun leaves session id as AdoptSession leaves an interrupted cycle.
-func (m *Manager) InjectRerun(id int) { m.sessions[id].rerunPending = true }
+func (m *Manager) InjectRerun(id int) { m.sessions[id].st.phase = rerun }
 
 // BareSession is one session driven through the manager's own calls, the
 // way a front-end drives it: the bare surface of the engine.

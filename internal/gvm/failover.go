@@ -13,7 +13,8 @@ import (
 // shard, and AdoptSession rebuilds it, same id, on a healthy one. The
 // pair reuses the suspend/eviction machinery (suspend.go): extraction is
 // a suspend whose snapshot leaves the manager, adoption is an arrival in
-// the evicted state whose next restore materializes it. D2H copies work
+// the evicted state whose next restore materializes it — or, for a session
+// its client suspended, in the suspended state. D2H copies work
 // on a faulted device (only allocations and launches fail), so state is
 // always evacuable.
 
@@ -39,20 +40,11 @@ func retryableSessionErr(id, gpu int, cause error) string {
 // ExtractedSession is a session's portable state between ExtractSession
 // on the source shard and AdoptSession on the target.
 type ExtractedSession struct {
-	ID       int
-	Spec     *task.Spec
-	MemQuota int64
-	Priority int
-	Weight   int
-	// Done preserves the completed-cycle flag (an idle session whose
-	// client has not collected results yet must still answer STP/RCV on
-	// the target).
-	Done bool
-	// Rerun marks an interrupted cycle (the device fault aborted its
-	// kernels, or the session was still waiting to materialize a
-	// previous rerun): the target re-runs the flush after restoring, so
-	// the client's in-flight poll completes with correct results.
-	Rerun     bool
+	ID        int
+	Spec      *task.Spec
+	MemQuota  int64
+	Priority  int
+	Weight    int
 	Footprint int64
 	DevBytes  int64
 	// PinIn/PinOut carry the pinned staging contents: SND input that
@@ -60,8 +52,17 @@ type ExtractedSession struct {
 	// serves without re-touching the device.
 	PinIn, PinOut []byte
 
-	snap *snapshot
+	// state is where the session stood as its client saw it: a cycle the
+	// device fault interrupted is a rerun (the target re-runs the flush, so
+	// the client's in-flight poll completes with correct results), and an
+	// eviction, the manager's own paging, does not travel — only a client's
+	// suspension does.
+	state state
+	snap  *snapshot
 }
+
+// State names the state the session left its shard in (DESIGN.md §3).
+func (e *ExtractedSession) State() string { return e.state.String() }
 
 // Bytes returns the total host bytes the migration moves (arena
 // snapshot plus staging copies) — the node_migrated_bytes_total unit.
@@ -90,7 +91,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 			continue
 		}
 		m.strPending = append(m.strPending[:i], m.strPending[i+1:]...)
-		s.running = false
+		s.st.phase = idle
 		s.tell(STR, ERR, Retryable(fmt.Sprintf("gvm: session %d leaving the STR barrier: migrating off gpu %d", s.id, m.cfg.GPUIndex)))
 		break
 	}
@@ -102,7 +103,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	const quiesceMax = 60 * sim.Second
 	delay := 100 * sim.Microsecond
 	var waited sim.Duration
-	for s.running {
+	for s.st.phase == running {
 		if waited >= quiesceMax {
 			return nil, fmt.Errorf("gvm: ExtractSession: session %d still running after %v", id, quiesceMax)
 		}
@@ -117,16 +118,21 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	if m.sessions[id] != s {
 		return nil, fmt.Errorf("gvm: ExtractSession: session %d was released while it quiesced", id)
 	}
-	if s.susp == nil {
-		m.suspendSession(p, s)
+	st := s.st
+	if st.phase == failed {
+		st.phase = rerun
+	}
+	if st.res == resident {
+		m.suspendSession(p, s, suspended)
+	}
+	if st.res == evicted {
+		st.res = resident
 	}
 	ext := &ExtractedSession{
 		ID: s.id, Spec: s.spec,
 		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
-		Done:      s.done,
-		Rerun:     s.failed != nil || s.rerunPending,
 		Footprint: s.footprint, DevBytes: s.devBytes,
-		snap: s.susp,
+		state: st, snap: s.susp,
 	}
 	if s.pinIn != nil && s.pinIn.Data() != nil {
 		ext.PinIn = append([]byte(nil), s.pinIn.Data()...)
@@ -142,16 +148,17 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	m.met.openSessions.Dec()
 	if m.log != nil {
 		m.log.Info("gvm extract", "session", ext.ID, "gpu", m.cfg.GPUIndex,
-			"bytes", ext.Bytes(), "rerun", ext.Rerun)
+			"bytes", ext.Bytes(), "state", ext.State())
 	}
 	return ext, nil
 }
 
 // AdoptSession installs an extracted session on this manager under ext.ID;
-// like an opened one it needs a BindDirect before it takes verbs. The
-// session arrives in the evicted state and is materialized eagerly; if the
-// target is too loaded to restore right now the snapshot stays intact and
-// the next verb's transparent restore retries — adoption itself only fails
+// like an opened one it needs a BindDirect before it takes verbs. A session
+// its client suspended arrives suspended and stays down until RES. Any
+// other arrives evicted and is materialized eagerly; if the target is too
+// loaded to restore right now the snapshot stays intact and the next
+// verb's transparent restore retries — adoption itself only fails
 // on an id collision (impossible under the node's striped id scheme) or a
 // staging or arena snapshot of the wrong size. The session was admitted on
 // its source shard and the node re-placed it against this shard's
@@ -184,12 +191,10 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	s := &session{
 		id: ext.ID, spec: ext.Spec,
 		memQuota: ext.MemQuota, priority: ext.Priority, weight: ext.Weight,
-		lastUsed:     p.Now(),
-		done:         ext.Done,
-		footprint:    ext.Footprint,
-		susp:         ext.snap,
-		evicted:      true,
-		rerunPending: ext.Rerun,
+		lastUsed:  p.Now(),
+		st:        ext.state,
+		footprint: ext.Footprint,
+		susp:      ext.snap,
 	}
 	m.bindClassMetrics(s)
 	m.shmInUse += ext.Footprint
@@ -205,6 +210,10 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	s.stream = m.ctx.NewStream()
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()
+	if s.st.res == suspended {
+		return nil
+	}
+	s.st.res = evicted
 	if err := m.restoreWithBackoff(p, s); err != nil {
 		// Lazy path: the snapshot is intact, the next verb retries.
 		if m.log != nil {
@@ -215,33 +224,13 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	// A pending rerun is NOT replayed here: the client may already be
 	// re-issuing its whole batch, and its SND stages bytes into pinned
 	// memory on the connection goroutine — racing an adoption-started
-	// flush's H2D read. gateRerun resolves the rerun on the client's next
-	// verb instead, where the protocol serializes staging and flush.
+	// flush's H2D read. The protocol resolves the rerun on the client's next
+	// verb instead (state.step), where staging and flush are serialized: an
+	// SND or STR supersedes the interrupted cycle, an STP or RCV replays it.
 	if m.log != nil {
-		m.log.Info("gvm adopt", "session", s.id, "gpu", m.cfg.GPUIndex, "rerun", ext.Rerun)
+		m.log.Info("gvm adopt", "session", s.id, "gpu", m.cfg.GPUIndex, "state", ext.State())
 	}
 	return nil
-}
-
-// gateRerun resolves a pending cycle re-run before serving a verb on a
-// materialized (restored, idle) session. The client's own SND or STR
-// supersedes the interrupted flush — it is re-driving the cycle with
-// freshly staged input, so replaying the old one would race that
-// staging and run the cycle twice. STP or RCV mean the client is
-// waiting on the interrupted cycle's results, so the flush re-runs now
-// and the poll path observes its completion as usual.
-func (m *Manager) gateRerun(s *session, verb Verb) {
-	if !s.rerunPending || s.susp != nil || s.running {
-		return
-	}
-	switch verb {
-	case SND, STR:
-		s.rerunPending = false
-		s.failed = nil
-		s.done = false
-	case STP, RCV:
-		m.rerunFlush(s)
-	}
 }
 
 // rerunFlush re-runs an interrupted cycle on a freshly restored session:
@@ -250,10 +239,7 @@ func (m *Manager) gateRerun(s *session, verb Verb) {
 // would have produced. The flush completes asynchronously as the shard's
 // calendar drains; the client's STP poll observes completion as usual.
 func (m *Manager) rerunFlush(s *session) {
-	s.rerunPending = false
-	s.failed = nil
-	s.running = true
-	s.done = false
+	s.st.phase = running
 	s.strArrived = m.env.Now()
 	m.flush(s)
 }

@@ -20,11 +20,11 @@
 // owner-side calls (OpenSession, ReleaseSession, ExtractSession,
 // AdoptSession), lends each one staging memory and a notify hook
 // (BindDirect), and issues its verbs through DirectVerb. The verb engine
-// (serve → admit → dispatch) never blocks its caller: a verb's virtual
-// cost is a calendar event, anything that has to wait — a restore, a
-// release, a suspend — runs on a transient process, and every outcome
-// goes to the session's notify hook. What a message hop, a second copy or
-// a status poll costs is the front-end's to charge.
+// (serve, reading the protocol table state.step) never blocks its caller:
+// a verb's virtual cost is a calendar event, anything that has to wait — a
+// restore, a release, a suspend — runs on a transient process, and every
+// outcome goes to the session's notify hook. What a message hop, a second
+// copy or a status poll costs is the front-end's to charge.
 package gvm
 
 import (
@@ -94,6 +94,122 @@ func (s Status) String() string {
 	default:
 		return "ERR"
 	}
+}
+
+// A session's protocol state is two small values: its phase, where it
+// stands in its cycle, and its residency, where its arena is. Eviction and
+// suspension keep the phase — a session paged out idle is idle again once
+// restored — so the state a client can name is the residency while the
+// arena is off the device and the phase otherwise, except that a failed
+// session is failed wherever its arena is.
+type phase uint8
+
+const (
+	idle    phase = iota // opened, or its cycle abandoned
+	staged               // SND staged input; no cycle started
+	running              // STR joined the barrier, or the flush is on the stream
+	done                 // the cycle completed; results sit in staging
+	failed               // a device fault hit the cycle (session.failed says which)
+	rerun                // adopted mid-cycle: the interrupted cycle is still owed
+	gone                 // released
+)
+
+type residency uint8
+
+const (
+	resident  residency = iota
+	suspended           // the client's SUS paged the arena out; only RES brings it back
+	evicted             // the manager paged it out; the next verb that needs it restores it
+)
+
+type state struct {
+	phase phase
+	res   residency
+}
+
+var (
+	phaseNames     = [...]string{"idle", "staged", "running", "done", "failed", "rerun", "gone"}
+	residencyNames = [...]string{"resident", "suspended", "evicted"}
+)
+
+// String names the state as DESIGN.md §3's table does.
+func (st state) String() string {
+	if st.res == resident || st.phase == failed {
+		return phaseNames[st.phase]
+	}
+	return residencyNames[st.res]
+}
+
+// act is what the verb engine does with a verb: refuse it, perform it, or
+// first restore the arena or replay the interrupted cycle and step again.
+type act uint8
+
+const (
+	refuse          act = iota // ERR with step's text
+	refuseSuspended            // ERR "<verb> on suspended session <id>"
+	bounce                     // ERR: the device fault, retryable until failover moves the session
+	restoreFirst               // restore the evicted arena, then step again
+	replayFirst                // re-run the interrupted flush, then step again
+	copyIn                     // SND: one host copy into staging, ACK
+	join                       // STR: join the barrier, ACK at the flush
+	ackNow                     // STP: ACK, the cycle is over
+	park                       // STP: ACK when the flush completes (never WAIT: polling is the front-end's)
+	copyOut                    // RCV: one host copy out of staging, ACK
+	free                       // RLS: tear down once nothing uses the buffers, ACK
+	pageOut                    // SUS: page the arena out unless it is already, ACK
+	pageIn                     // RES: restore the arena, ACK
+)
+
+// step is the protocol: the one (state, verb) → (answer, next) function the
+// verb engine consults, one guard per rule, first match wins. It says what
+// the engine does with verb v on a session in state st, the error text when
+// it refuses, and the state the session is in once v is answered — or, for
+// restoreFirst and replayFirst, the state the prelude leaves it in, from
+// which v steps again. DESIGN.md §3's table is this function over the eight
+// named states.
+func (st state) step(v Verb) (a act, text string, next state) {
+	needsArena := v == SND || v == STR || v == RCV || (v == STP && st.phase == rerun)
+	switch {
+	case v == RLS:
+		return free, "", state{phase: gone}
+	case st.phase == failed:
+		return bounce, "", st
+	case needsArena && st.res == suspended:
+		return refuseSuspended, "", st
+	case needsArena && st.res == evicted:
+		return restoreFirst, "", state{st.phase, resident}
+	case st.phase == rerun && (v == STP || v == RCV):
+		// The client waits on the interrupted cycle's results; its own SND or
+		// STR supersedes that cycle instead, re-driving it.
+		return replayFirst, "", state{running, st.res}
+	case v == SND && (st.phase == idle || st.phase == rerun):
+		return copyIn, "", state{staged, st.res}
+	case v == SND:
+		return copyIn, "", st
+	case v == STR && st.phase == running:
+		return refuse, "STR while already running", st
+	case v == STR:
+		return join, "", state{running, st.res}
+	case v == STP && st.phase == done:
+		return ackNow, "", st
+	case v == STP && st.phase == running:
+		return park, "", state{done, st.res}
+	case v == STP:
+		return refuse, "STP before STR", st
+	case v == RCV && st.phase == done:
+		return copyOut, "", st
+	case v == RCV:
+		return refuse, "RCV before completion", st
+	case v == SUS && st.phase == running:
+		return refuse, "SUS while running", st
+	case v == SUS && st.res == suspended:
+		return refuse, "already suspended", st
+	case v == SUS:
+		return pageOut, "", state{st.phase, suspended}
+	case st.res == resident: // RES
+		return refuse, "RES without SUS", st
+	}
+	return pageIn, "", state{st.phase, resident}
 }
 
 // Request is what a REQ carries: the task and the session's options.
@@ -289,31 +405,18 @@ type session struct {
 	stream  *gpusim.Stream
 	kernels []*cuda.Kernel
 
-	running    bool
-	done       bool
+	st         state     // the protocol state step consults
 	strArrived sim.Time  // when this session's STR joined the barrier
 	stpWaiting bool      // an STP answer is owed at stream completion
 	footprint  int64     // bytes counted against the manager's quota
-	susp       *snapshot // non-nil while suspended (extension verbs SUS/RES)
+	susp       *snapshot // the paged-out arena while not resident
+	// failed is the first device fault that hit this session's kernels:
+	// the cause its failed phase answers with until the failover engine
+	// migrates it to a healthy shard, where the cycle re-runs.
+	failed error
 
-	// Failover state. failed records the first device fault that hit
-	// this session's kernels; while set, every verb except RLS answers a
-	// retryable error until the failover engine migrates the session to
-	// a healthy shard (migration clears it — the cycle re-runs there).
-	// rerunPending marks an adopted session whose interrupted cycle
-	// still needs re-running here: AdoptSession could not materialize it
-	// immediately, so the transparent-restore gate performs the flush on
-	// the next verb.
-	failed       error
-	rerunPending bool
-
-	// Residency-layer state: a session's device reservation (devBytes,
-	// the rounded bytes it logically holds) outlives eviction — evicted
-	// means the manager moved the arena to the host snapshot to make
-	// room, and the next SND/STR/RCV restores it transparently. A
-	// client-driven SUS sets susp but not evicted: it still requires an
-	// explicit RES.
-	evicted  bool
+	// A session's device reservation (devBytes, the rounded bytes it
+	// logically holds) outlives eviction and suspension.
 	lastUsed sim.Time // LRU clock for victim selection
 	priority int      // lower evicts first (Request.Priority)
 	weight   int      // SM compute-time share (Request.Weight, normalized)
@@ -490,18 +593,23 @@ func (m *Manager) Start() {
 	})
 }
 
-// serve runs one verb on a live session: the admission gate, a transparent
-// restore when the gate asks for one, then the verb itself. It is the one
-// verb engine behind every front-end and must not block, so costs are
-// calendar events and anything that has to wait — a restore, a release, a
-// suspend — runs on a transient process.
+// serve performs what the protocol (state.step) says verb does in the
+// session's state. It is the one verb engine behind every front-end and must
+// not block, so costs are calendar events and anything that has to wait — a
+// restore, a release, a suspend — runs on a transient process. The state
+// moves where the verb's work does: at once for SND and STR, when the flush
+// completes for a parked STP, and on their processes for RLS, SUS, RES and a
+// restore.
 func (m *Manager) serve(s *session, verb Verb) {
-	s.lastUsed = m.env.Now()
-	errMsg, restore := m.admit(s, verb)
-	switch {
-	case errMsg != "":
-		s.tell(verb, ERR, errMsg)
-	case restore:
+	a, text, next := s.st.step(verb)
+	switch a {
+	case refuse:
+		s.tell(verb, ERR, "gvm: "+text)
+	case refuseSuspended:
+		s.tell(verb, ERR, fmt.Sprintf("gvm: %v on suspended session %d", verb, s.id))
+	case bounce:
+		s.tell(verb, ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed))
+	case restoreFirst:
 		// Manager-driven eviction is transparent: restore the arena before
 		// serving the verb, waiting out pressure from running sessions.
 		// Failure (device still full, nothing evictable, nothing running)
@@ -511,53 +619,24 @@ func (m *Manager) serve(s *session, verb Verb) {
 				s.tell(verb, ERR, err.Error())
 				return
 			}
-			m.dispatch(s, verb)
+			m.serve(s, verb)
 		})
-	default:
-		m.dispatch(s, verb)
-	}
-}
-
-// admit is the gate every verb passes before it is served. It returns the
-// error that bounces the verb — the device faulted under the session's
-// kernels (everything but RLS, retryable until the failover engine has
-// moved the session), or the client suspended the session and owes an
-// explicit RES — or else whether an evicted arena must be restored first.
-func (m *Manager) admit(s *session, verb Verb) (errMsg string, restore bool) {
-	if s.failed != nil && verb != RLS {
-		return retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed), false
-	}
-	needsArena := verb == SND || verb == STR || verb == RCV || (verb == STP && s.rerunPending)
-	if s.susp == nil || !needsArena {
-		return "", false
-	}
-	if !s.evicted {
-		return fmt.Sprintf("gvm: %v on suspended session %d", verb, s.id), false
-	}
-	return "", true
-}
-
-// dispatch performs one admitted verb on a resident (or needing no arena)
-// session: the (state, verb) function of the protocol.
-func (m *Manager) dispatch(s *session, verb Verb) {
-	// Adopted mid-cycle: replay or cancel the interrupted flush now that
-	// the arena is materialized, then serve the verb (an STP that
-	// triggered a replay waits for it like for any running flush).
-	m.gateRerun(s, verb)
-	switch verb {
-	case SND:
+	case replayFirst:
+		m.rerunFlush(s)
+		m.serve(s, verb)
+	case copyIn:
+		s.st = next
 		m.after(m.HostCopyTime(s.spec.InBytes), s.sndDone)
-	case STR:
+	case join:
+		s.st = next
 		m.handleSTR(s)
-	case STP:
-		m.handleSTP(s)
-	case RCV:
-		if !s.done {
-			s.tell(RCV, ERR, "gvm: RCV before completion")
-		} else {
-			m.after(m.HostCopyTime(s.spec.OutBytes), s.rcvDone)
-		}
-	case RLS:
+	case ackNow:
+		s.tell(STP, ACK, "")
+	case park:
+		s.stpWaiting = true
+	case copyOut:
+		m.after(m.HostCopyTime(s.spec.OutBytes), s.rcvDone)
+	case free:
 		m.env.Go("gvm-rls", func(p *sim.Proc) {
 			notify := s.notify // teardown detaches it; the ack is its last call
 			if !m.release(p, s) {
@@ -565,10 +644,27 @@ func (m *Manager) dispatch(s *session, verb Verb) {
 			}
 			notify(RLS, ACK, "")
 		})
-	case SUS:
-		m.env.Go("gvm-sus", func(p *sim.Proc) { s.settle(SUS, m.suspend(p, s)) })
-	case RES:
-		m.env.Go("gvm-res", func(p *sim.Proc) { s.settle(RES, m.resume(p, s)) })
+	case pageOut:
+		// Unlike an eviction, a client's suspension stays down until its
+		// explicit RES. An evicted arena's snapshot simply becomes the
+		// suspension: the client cannot know of the eviction, and no bytes
+		// move.
+		m.env.Go("gvm-sus", func(p *sim.Proc) {
+			if s.st.res == resident {
+				m.suspendSession(p, s, suspended)
+			}
+			s.st.res = suspended
+			m.met.suspensions.Inc()
+			s.tell(SUS, ACK, "")
+		})
+	case pageIn:
+		m.env.Go("gvm-res", func(p *sim.Proc) {
+			if err := m.resumeSession(p, s, false); err != nil {
+				s.tell(RES, ERR, err.Error())
+				return
+			}
+			s.tell(RES, ACK, "")
+		})
 	}
 }
 
@@ -579,15 +675,6 @@ func (m *Manager) after(d sim.Duration, fn func()) {
 	} else {
 		fn()
 	}
-}
-
-// settle tells ACK, or ERR when errMsg names a failure.
-func (s *session) settle(verb Verb, errMsg string) {
-	st := ACK
-	if errMsg != "" {
-		st = ERR
-	}
-	s.tell(verb, st, errMsg)
 }
 
 // ReleaseSession ends a session from outside the verb stream (a
@@ -716,12 +803,6 @@ func (m *Manager) copied(s *session, verb Verb, n int64) {
 // from All Processes" followed by "Starts Executing All CUDA streams").
 // A session parked here simply has no answer yet.
 func (m *Manager) handleSTR(s *session) {
-	if s.running {
-		s.tell(STR, ERR, "gvm: STR while already running")
-		return
-	}
-	s.running = true
-	s.done = false
 	s.strArrived = m.env.Now()
 	m.strPending = append(m.strPending, s)
 	if len(m.strPending) < m.cfg.Parties {
@@ -870,18 +951,17 @@ func (m *Manager) prepareOps(s *session) {
 		s.ops = append(s.ops, func(p *sim.Proc) { ctx.MemcpyD2H(p, s.pinOut, s.devOut, s.spec.OutBytes) })
 	}
 	s.finishCB = func() {
-		s.running = false
-		s.done = true
+		st, errMsg := ACK, ""
 		if s.failed == nil {
+			s.st.phase = done
 			turn := int64(m.env.Now() - s.strArrived)
 			m.met.turnaroundNS.Observe(turn)
 			s.turnClassNS.Observe(turn)
-		}
-		st, errMsg := ACK, ""
-		if s.failed != nil {
+		} else {
 			// The cycle died on a device fault: answer pending polls with a
 			// retryable error so the client backs off while the failover
 			// engine migrates the session (the rerun happens there).
+			s.st.phase = failed
 			st, errMsg = ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed)
 		}
 		if s.stpWaiting {
@@ -905,21 +985,6 @@ func (m *Manager) flush(s *session) {
 			cb = s.finishCB
 		}
 		s.stream.EnqueueCB(op, cb)
-	}
-}
-
-// handleSTP answers a status query: ACK when the stream has drained,
-// otherwise nothing until it completes. The manager never answers WAIT:
-// the paper's poll is the mqueue front-end's (vgpu), which answers it
-// while one STP is parked here.
-func (m *Manager) handleSTP(s *session) {
-	switch {
-	case s.done:
-		s.tell(STP, ACK, "")
-	case !s.running:
-		s.tell(STP, ERR, "gvm: STP before STR")
-	default:
-		s.stpWaiting = true
 	}
 }
 
@@ -968,7 +1033,7 @@ func (m *Manager) teardown(s *session) {
 		s.devBytes = 0
 	}
 	s.susp = nil
-	s.evicted = false
+	s.st = state{phase: gone}
 	m.shmInUse -= s.footprint
 	s.footprint = 0
 }

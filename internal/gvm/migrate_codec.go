@@ -11,7 +11,10 @@ import (
 // plane, and lands it on the target node with ADP (the dispatcher calls
 // DecodeExtracted and adopts). The encoding is JSON — migration is a
 // cold path moving megabyte arenas, so self-describing beats clever —
-// with []byte fields riding base64. Spec is deliberately NOT carried:
+// with []byte fields riding base64. The session's state rides as the
+// phase keys done and rerun (a staged session travels as idle: the two
+// answer every verb alike, and its input rides in pin_in) plus suspended
+// when its client suspended it. Spec is deliberately NOT carried:
 // kernel builders are closures, so the router ships the workload
 // reference and rank alongside the blob and the target rebuilds the
 // spec from its own registry.
@@ -25,6 +28,7 @@ type extractedWire struct {
 	Weight    int    `json:"weight,omitempty"`
 	Done      bool   `json:"done,omitempty"`
 	Rerun     bool   `json:"rerun,omitempty"`
+	Suspended bool   `json:"suspended,omitempty"`
 	Footprint int64  `json:"footprint"`
 	DevBytes  int64  `json:"dev_bytes"`
 	PinIn     []byte `json:"pin_in,omitempty"`
@@ -48,7 +52,11 @@ func (e *ExtractedSession) Encode() ([]byte, error) {
 	w := extractedWire{
 		ID:       e.ID,
 		MemQuota: e.MemQuota, Priority: e.Priority, Weight: e.Weight,
-		Done: e.Done, Rerun: e.Rerun,
+		// A rerun's cycle ran to its end, into the fault: the blob says done
+		// beside rerun, as it always has.
+		Done:      e.state.phase == done || e.state.phase == rerun,
+		Rerun:     e.state.phase == rerun,
+		Suspended: e.state.res == suspended,
 		Footprint: e.Footprint, DevBytes: e.DevBytes,
 		PinIn: e.PinIn, PinOut: e.PinOut,
 		SnapIn: e.snap.in, SnapOut: e.snap.out,
@@ -79,14 +87,23 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 	if err := snap.validate(func(n int64) int64 { return n }); err != nil {
 		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
 	}
-	return &ExtractedSession{
+	ext := &ExtractedSession{
 		ID:       w.ID,
 		MemQuota: w.MemQuota, Priority: w.Priority, Weight: w.Weight,
-		Done: w.Done, Rerun: w.Rerun,
 		Footprint: w.Footprint, DevBytes: w.DevBytes,
 		PinIn: w.PinIn, PinOut: w.PinOut,
 		snap: snap,
-	}, nil
+	}
+	switch {
+	case w.Rerun:
+		ext.state.phase = rerun
+	case w.Done:
+		ext.state.phase = done
+	}
+	if w.Suspended {
+		ext.state.res = suspended
+	}
+	return ext, nil
 }
 
 // SetID rebinds the extracted session to a new id before adoption. A

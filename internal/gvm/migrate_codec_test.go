@@ -13,7 +13,7 @@ import (
 // memory), and must re-encode and decode to the same blob.
 func FuzzDecodeExtracted(f *testing.F) {
 	seed, err := (&ExtractedSession{
-		ID: 5, Priority: 1, Weight: 2, Done: true,
+		ID: 5, Priority: 1, Weight: 2, state: state{phase: done},
 		Footprint: 12, DevBytes: 1024,
 		PinIn: []byte{1, 2, 3, 4, 5, 6, 7, 8}, PinOut: []byte{9, 10, 11, 12},
 		snap: &snapshot{

@@ -107,10 +107,9 @@ var protocolTable = []protocolRow{
 // own calls, as gvmd's front-ends make them — or through the vgpu
 // front-end, as a client of the paper's transport.
 type surface struct {
-	t      *testing.T
-	m      *gvm.Manager
-	id     int
-	staged bool // the harness's only own state: gvm does not track SND
+	t  *testing.T
+	m  *gvm.Manager
+	id int
 
 	bare *gvm.BareSession // bare surface
 	// vgpu front-end
@@ -205,7 +204,6 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 	sndIn := func() {
 		sf.stage(input)
 		sf.must(p, gvm.SND)
-		sf.staged = true
 	}
 	cycle := func() {
 		sndIn()
@@ -236,7 +234,7 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 	default:
 		sf.t.Fatalf("unknown prior state %q", prior)
 	}
-	if got := sf.m.StateOf(sf.id, sf.staged); got != prior {
+	if got := sf.m.StateOf(sf.id); got != prior {
 		sf.t.Fatalf("built state %q, want %q", got, prior)
 	}
 }
@@ -256,10 +254,7 @@ func runRow(t *testing.T, bare bool, row protocolRow) (st gvm.Status, msg, next 
 		sf := newSurface(t, bare, p, m, spec)
 		sf.enter(p, row.prior, input)
 		st, msg = sf.verb(p, row.verb)
-		if st == gvm.ACK && row.verb == gvm.SND {
-			sf.staged = true
-		}
-		next = m.StateOf(sf.id, sf.staged)
+		next = m.StateOf(sf.id)
 		if st == gvm.ACK && row.verb == gvm.RCV {
 			rcv = sf.results()
 			if err := w.Check(0, rcv); err != nil {
@@ -307,11 +302,11 @@ func TestProtocolTableOnBothSurfaces(t *testing.T) {
 	}
 }
 
-// renderProtocolTable is the table as DESIGN.md carries it.
-func renderProtocolTable() string {
+// renderProtocolTable is a protocol table as DESIGN.md carries it.
+func renderProtocolTable(rows []protocolRow) string {
 	var b strings.Builder
 	b.WriteString("| prior state | verb | answer | next state |\n|---|---|---|---|\n")
-	for _, r := range protocolTable {
+	for _, r := range rows {
 		answer := r.status.String()
 		switch {
 		case r.errSub == gvm.RetryableMark:
@@ -324,14 +319,27 @@ func renderProtocolTable() string {
 	return b.String()
 }
 
-// TestProtocolTableMatchesDesignDoc fails when DESIGN.md's protocol table
-// and protocolTable drift apart; the failure prints the block to paste.
+// TestProtocolTableMatchesDesignDoc renders DESIGN.md's protocol table from
+// gvm's own (state, verb) function and holds it row for row to the test's
+// independently written protocolTable; a failure prints the block to paste.
 func TestProtocolTableMatchesDesignDoc(t *testing.T) {
+	var engine []protocolRow
+	for _, r := range gvm.ProtocolTable() {
+		engine = append(engine, protocolRow{r.Prior, r.Verb, r.Status, r.ErrSub, r.Next})
+	}
+	if len(engine) != len(protocolTable) {
+		t.Fatalf("gvm's table has %d rows, the test's %d", len(engine), len(protocolTable))
+	}
+	for i, want := range protocolTable {
+		if engine[i] != want {
+			t.Errorf("row %d: gvm has %+v, the test %+v", i, engine[i], want)
+		}
+	}
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := renderProtocolTable(); !strings.Contains(string(doc), want) {
-		t.Fatalf("DESIGN.md does not carry the protocol table as the test has it; paste:\n%s", want)
+	if want := renderProtocolTable(engine); !strings.Contains(string(doc), want) {
+		t.Fatalf("DESIGN.md does not carry gvm's protocol table; paste:\n%s", want)
 	}
 }

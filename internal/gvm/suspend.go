@@ -128,52 +128,19 @@ func (m *Manager) waitSettled(p *sim.Proc, s *session) {
 	}
 }
 
-// suspend decides and performs a client-driven SUS, returning the error
-// text or "". Unlike an eviction, a client-suspended session stays down
-// until the client's explicit RES.
-func (m *Manager) suspend(p *sim.Proc, s *session) string {
-	switch {
-	case s.running:
-		return "gvm: SUS while running"
-	case s.susp != nil && !s.evicted:
-		return "gvm: already suspended"
-	case s.susp != nil:
-		// The eviction engine already evacuated the session; the client
-		// cannot know that (evictions are transparent), so SUS adopts the
-		// snapshot as a client-held suspension. No bytes move; the session
-		// now stays down until the client's explicit RES.
-		s.evicted = false
-	default:
-		m.suspendSession(p, s)
-	}
-	m.met.suspensions.Inc()
-	return ""
-}
-
-// resume decides and performs a client-driven RES, returning the error
-// text or "".
-func (m *Manager) resume(p *sim.Proc, s *session) string {
-	if s.susp == nil {
-		return "gvm: RES without SUS"
-	}
-	if err := m.resumeSession(p, s, false); err != nil {
-		return err.Error()
-	}
-	return ""
-}
-
 // suspendSession evacuates the session's device buffers into a host-side
 // snapshot and frees its device memory (resident bytes drop; the logical
-// reservation stays). The evacuation is a D2H transfer of the session's
-// whole footprint, charged on p's clock. The caller must have checked
-// !s.running && s.susp == nil. The snapshot is published before the first
-// copy sleeps: from then on s is no eviction victim, and a verb arriving
-// for it waits in the restore path instead of running on a half-freed
-// arena.
-func (m *Manager) suspendSession(p *sim.Proc, s *session) {
+// reservation stays), leaving it with residency res. The evacuation is a
+// D2H transfer of the session's whole footprint, charged on p's clock, of a
+// resident session that is not running. The snapshot and the residency are
+// published before the first copy sleeps: from then on s is no eviction
+// victim, and a verb arriving for it waits in the restore path (or is
+// refused, suspended) instead of running on a half-freed arena.
+func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
 	start := p.Now()
 	snap := &snapshot{moving: m.env.NewEvent()}
 	s.susp = snap
+	s.st.res = res
 	save := func(ptr cuda.DevPtr) ([]byte, int64) {
 		if ptr == 0 {
 			return nil, 0
@@ -259,7 +226,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 		s.kernels = ks
 	}
 	s.susp = nil
-	s.evicted = false
+	s.st.res = resident
 	// The flush closures captured the old kernel objects; rebind them to
 	// the rebuilt sequence so a post-restore STR launches live kernels.
 	s.ops = nil
@@ -365,7 +332,7 @@ func (m *Manager) restoreProgress(s *session) int {
 			// (evacuation) or idle and evictable (restore).
 			return progressCalendar
 		}
-		if o == s || !o.running {
+		if o == s || o.st.phase != running {
 			continue
 		}
 		if !parked(o) {
@@ -399,8 +366,7 @@ func (m *Manager) evictForAlloc(need int64) bool {
 	if v == nil {
 		return false
 	}
-	v.evicted = true // before the copies sleep: a verb arriving meanwhile restores transparently
-	m.suspendSession(p, v)
+	m.suspendSession(p, v, evicted) // a verb arriving meanwhile restores transparently
 	m.met.evictions.Inc()
 	if m.log != nil {
 		m.log.Info("gvm evict", "session", v.id, "bytes", v.susp.total, "need", need)
@@ -411,13 +377,13 @@ func (m *Manager) evictForAlloc(need int64) bool {
 // evictionVictim picks the session to evict: lowest priority first,
 // least recently used within a priority, lowest id as the final
 // deterministic tie-break. Running sessions (which includes sessions
-// parked at the STR barrier), suspended sessions (which includes sessions
-// whose evacuation or restore is still in flight) and sessions without
-// device buffers are ineligible.
+// parked at the STR barrier), sessions not resident (which includes
+// sessions whose evacuation or restore is still in flight) and sessions
+// without device buffers are ineligible.
 func (m *Manager) evictionVictim() *session {
 	var best *session
 	for _, s := range m.sessions {
-		if s.running || s.susp != nil {
+		if s.st.phase == running || s.st.res != resident {
 			continue
 		}
 		if s.devIn == 0 && s.devOut == 0 && len(s.scratch) == 0 {

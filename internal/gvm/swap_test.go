@@ -56,8 +56,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		victim.run(p, input, STP)
 		s := m.sessions[victim.ID]
 		wantIn, wantOut := arenas(dev, s)
-		s.evicted = true // what evictForAlloc does to its victim
-		m.suspendSession(p, s)
+		m.suspendSession(p, s, evicted) // what evictForAlloc does to its victim
 		if dev.MemInUse() != 0 {
 			t.Fatalf("MemInUse = %d after the eviction, want 0", dev.MemInUse())
 		}

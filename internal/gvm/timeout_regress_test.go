@@ -35,6 +35,7 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 		}
 		sA, sC = open(), open()
 		// A is the lone arrival of generation 0: arms the timer.
+		sA.st.phase = running
 		m.handleSTR(sA)
 		fireAt := p.Now().Add(timeout)
 		// Schedule the surgery from a strictly later callback so its
@@ -44,11 +45,11 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 		env.After(timeout/2, func() {
 			env.At(fireAt, func() {
 				// Generation 0 completed normally...
-				sA.running = false
+				sA.st.phase = done
 				m.strPending = nil
 				m.strGen++
 				// ...and generation 1's first STR is now pending.
-				sC.running = true
+				sC.st.phase = running
 				m.strPending = []*session{sC}
 			})
 		})
@@ -62,7 +63,7 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 	if len(m.strPending) != 1 || m.strPending[0] != sC {
 		t.Fatalf("new generation's pending STR was consumed (pending = %d sessions)", len(m.strPending))
 	}
-	if !sC.running || sC.done {
+	if sC.st.phase != running {
 		t.Fatal("new generation's session was flushed by the stale timer")
 	}
 }

@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"bytes"
 	"encoding/base64"
 	"strings"
 	"testing"
@@ -161,4 +162,73 @@ func TestADPIgnoresRetiredBlobKeys(t *testing.T) {
 	if r := trip(transport.Request{Verb: "RLS", Session: adp.Session}); r.Status != "ACK" {
 		t.Fatalf("RLS: %s %s", r.Status, r.Err)
 	}
+}
+
+// TestADPSuspendedKey pins the one key a migration blob carries for a
+// session its client suspended: "suspended" rides only then, the session
+// adopts still suspended and RES brings it back; a blob without the key —
+// what a daemon wrote before the key existed — adopts as it always did,
+// materialized, its results ready for RCV.
+func TestADPSuspendedKey(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://adp-suspended-key"}, Functional: true})
+	c := dialRaw(t, s.Addr())
+	defer c.Close()
+	trip := func(req transport.Request) transport.Response {
+		t.Helper()
+		if err := c.WriteRequest(req); err != nil {
+			t.Fatalf("%s: %v", req.Verb, err)
+		}
+		resp, err := c.ReadResponse()
+		if err != nil {
+			t.Fatalf("%s: %v", req.Verb, err)
+		}
+		return resp
+	}
+	must := func(req transport.Request) transport.Response {
+		t.Helper()
+		r := trip(req)
+		if r.Status != "ACK" {
+			t.Fatalf("%s: %s %s", req.Verb, r.Status, r.Err)
+		}
+		return r
+	}
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
+	in, want := vecaddInput(64, 1)
+	migrate := func(suspend bool) string {
+		t.Helper()
+		id := must(transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline}).Session
+		for _, v := range []string{"SND", "STR", "STP"} {
+			must(transport.Request{Verb: v, Session: id, Data: in})
+		}
+		if suspend {
+			must(transport.Request{Verb: "SUS", Session: id})
+		}
+		blob := string(must(transport.Request{Verb: "MIG", Session: id}).Data)
+		if got := strings.Contains(blob, `"suspended"`); got != suspend {
+			t.Fatalf("suspended=%v session's blob carries the key: %v", suspend, got)
+		}
+		return blob
+	}
+	rcv := func(id int) {
+		t.Helper()
+		if r := must(transport.Request{Verb: "RCV", Session: id}); !bytes.Equal(r.Data, want) {
+			t.Fatal("RCV of the adopted session: wrong bytes")
+		}
+		must(transport.Request{Verb: "RLS", Session: id})
+	}
+
+	migrate(false)
+	blob := migrate(true)
+	id := must(transport.Request{Verb: "ADP", Data: []byte(blob)}).Session
+	if r := trip(transport.Request{Verb: "RCV", Session: id}); r.Status != "ERR" || !strings.Contains(r.Err, "RCV on suspended session") {
+		t.Fatalf("RCV on the adopted suspended session: %s %q", r.Status, r.Err)
+	}
+	must(transport.Request{Verb: "RES", Session: id})
+	rcv(id)
+
+	old := strings.Replace(migrate(true), `,"suspended":true`, "", 1)
+	if strings.Contains(old, `"suspended"`) {
+		t.Fatalf("blob layout changed, key not removed: %.120s", old)
+	}
+	rcv(must(transport.Request{Verb: "ADP", Data: []byte(old)}).Session)
 }

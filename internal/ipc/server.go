@@ -239,10 +239,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	})
 	s.wg.Add(len(lns))
 	if s.rings != nil {
-		s.wg.Add(2 * n.NumShards())
+		s.wg.Add(n.NumShards())
 		for i := 0; i < n.NumShards(); i++ {
 			go s.ringOwner(i)
-			go s.waker(s.rings.Shard(i))
 		}
 	}
 	for _, ln := range lns {
@@ -328,8 +327,8 @@ func (s *Server) Close() error {
 	})
 	close(s.quit)
 	if s.rings != nil {
-		// Kick every parked owner loop and waker out of its futex wait so
-		// shutdown does not ride out a park slice.
+		// Kick every parked owner loop out of its futex wait so shutdown
+		// does not ride out a park slice.
 		s.rings.RingAll()
 	}
 	s.wg.Wait()
@@ -385,15 +384,15 @@ func (s *Server) turn(end <-chan struct{}, shard int, start func()) (ok, swept b
 
 // ringOwner is a ring daemon's per-shard sweep loop: it takes turns with no
 // work of its own until one comes back dry, then spins briefly and finally
-// parks on the shard doorbell. The futex wait itself runs on the shard's
-// waker goroutine so a parked loop still sees shutdown — clients ring the
-// doorbell after every ring submission, so a parked loop wakes in one futex
-// round trip while a busy one never syscalls. Socket work does not pass
-// through here: a connection takes its own turn.
+// parks on the shard doorbell itself. The futex wait is bounded and the next
+// turn re-checks quit, so a parked loop still sees shutdown (Close rings
+// every doorbell after closing quit) — clients ring the doorbell after every
+// ring submission, so a parked loop wakes in one futex round trip while a
+// busy one never syscalls. Socket work does not pass through here: a
+// connection takes its own turn.
 func (s *Server) ringOwner(shard int) {
 	defer s.wg.Done()
-	rs := s.rings.Shard(shard)
-	door := rs.Door()
+	door := s.rings.Shard(shard).Door()
 	const spinBudget = 128
 	idle := 0
 	for {
@@ -413,41 +412,13 @@ func (s *Server) ringOwner(shard int) {
 		// Arm the doorbell's sleep bit, then re-check: a submission
 		// published before the bit was visible must not be slept past.
 		armed := shm.DoorArm(door)
-		if _, swept := s.turn(s.quit, shard, nil); swept {
-			shm.DoorDisarm(door)
-			continue
-		}
-		select {
-		case rs.ArmCh() <- armed:
-		default:
-			// The waker already holds (or is sleeping on) an armed value;
-			// any doorbell ring still changes the word and wakes it.
-		}
-		select {
-		case <-s.quit:
+		if ok, swept = s.turn(s.quit, shard, nil); !ok {
 			return
-		case <-rs.WakeCh():
-			shm.DoorDisarm(door)
 		}
-	}
-}
-
-// waker is a shard's parking proxy: it performs the bounded futex waits
-// on the shard doorbell so the parked owner loop stays responsive to
-// shutdown, and nudges it when the doorbell rings.
-func (s *Server) waker(rs *transport.RingShard) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case armed := <-rs.ArmCh():
-			shm.DoorSleep(rs.Door(), armed, 100*time.Millisecond)
-			select {
-			case rs.WakeCh() <- struct{}{}:
-			default:
-			}
+		if !swept {
+			shm.DoorSleep(door, armed, 100*time.Millisecond)
 		}
+		shm.DoorDisarm(door)
 	}
 }
 

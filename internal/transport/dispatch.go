@@ -849,7 +849,7 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	if d.cfg.Log != nil {
 		d.cfg.Log.Info("session failover",
 			"session", s.id, "from", from, "to", to,
-			"bytes", ext.Bytes(), "rerun", ext.Rerun)
+			"bytes", ext.Bytes(), "state", ext.State())
 	}
 	return nil
 }

@@ -349,33 +349,12 @@ func EncodeResponseBinary(dst []byte, resp Response) ([]byte, error) {
 	return e.flatten(dst), nil
 }
 
-// DecodeRequestBinary parses one complete binary request frame. The
-// returned request's Data (and sub-request Data) alias the frame buffer;
-// they are valid only as long as the caller keeps frame intact.
-func DecodeRequestBinary(frame []byte) (Request, error) {
-	var req Request
-	if err := DecodeRequestBinaryInto(&req, frame); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
-// DecodeResponseBinary parses one complete binary response frame; the
-// same aliasing rule as DecodeRequestBinary applies.
-func DecodeResponseBinary(frame []byte) (Response, error) {
-	var resp Response
-	if err := DecodeResponseBinaryInto(&resp, frame); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
 // DecodeRequestBinaryInto parses one complete binary request frame into
 // *req, reusing req.Batch's backing array across calls — the allocation-
 // free decode the ring control plane runs per record. Every field of
-// *req is overwritten. On error *req is unspecified. The same aliasing
-// rule as DecodeRequestBinary applies: req.Data and sub-request Data
-// alias frame.
+// *req is overwritten. On error *req is unspecified. req.Data and
+// sub-request Data alias frame: they are valid only as long as the caller
+// keeps frame intact.
 func DecodeRequestBinaryInto(req *Request, frame []byte) error {
 	payload, err := framePayload(frame, kindRequest)
 	if err != nil {

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// decodeRequest and decodeResponse parse one whole frame into a fresh value.
+func decodeRequest(frame []byte) (Request, error) {
+	var req Request
+	err := DecodeRequestBinaryInto(&req, frame)
+	return req, err
+}
+
+func decodeResponse(frame []byte) (Response, error) {
+	var resp Response
+	err := DecodeResponseBinaryInto(&resp, frame)
+	return resp, err
+}
+
 func TestBinaryRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Verb: "REQ", Ref: refp("mm", map[string]int{"n": 2048, "nit": 3}), Rank: 7},
@@ -58,7 +71,7 @@ func TestBinaryRequestExtensionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		got, err := DecodeRequestBinary(frame)
+		got, err := decodeRequest(frame)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
@@ -94,7 +107,7 @@ func TestBinaryRequestExtensionUnknownFlagRejected(t *testing.T) {
 		t.Fatalf("flags byte = %#x, want 0x02 (layout changed?)", frame[len(frame)-2])
 	}
 	frame[len(frame)-2] = 0x08
-	if _, err := DecodeRequestBinary(frame); err == nil ||
+	if _, err := decodeRequest(frame); err == nil ||
 		!strings.Contains(err.Error(), "unknown request extension") {
 		t.Fatalf("unknown flag: got %v, want extension-flags rejection", err)
 	}

@@ -49,7 +49,7 @@ func FuzzReadRequest(f *testing.F) {
 		var n uint32
 		if len(stream) >= headerLen {
 			if n = binary.LittleEndian.Uint32(stream[2:6]); int64(n) <= int64(len(stream)-headerLen) {
-				want, werr := DecodeRequestBinary(stream[:headerLen+int(n)])
+				want, werr := decodeRequest(stream[:headerLen+int(n)])
 				if (err == nil) != (werr == nil) {
 					t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
 				}
@@ -92,7 +92,7 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		req, err := DecodeRequestBinary(frame) // must not panic
+		req, err := decodeRequest(frame) // must not panic
 		if err != nil {
 			return
 		}
@@ -101,7 +101,7 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded request failed: %v", err)
 		}
-		again, err := DecodeRequestBinary(enc)
+		again, err := decodeRequest(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -127,7 +127,7 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary encode: %v", err)
 		}
-		got, err := DecodeResponseBinary(frame)
+		got, err := decodeResponse(frame)
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
@@ -159,7 +159,7 @@ func FuzzFrameSteps(f *testing.F) {
 	lone, _ := EncodeRequestBinary(nil, Request{Verb: "SUS", Session: 4})
 	f.Add(lone)
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		req, err := DecodeRequestBinary(frame)
+		req, err := decodeRequest(frame)
 		if err != nil {
 			return
 		}

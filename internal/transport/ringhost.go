@@ -75,8 +75,6 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 		gpu := metrics.L("gpu", strconv.Itoa(i))
 		rs := &RingShard{
 			door:    door,
-			armCh:   make(chan uint32, 1),
-			wakeCh:  make(chan struct{}, 1),
 			records: cfg.Metrics.Counter("gvmd_ring_records_total", "submission-ring records consumed", gpu),
 			sweeps:  cfg.Metrics.Counter("gvmd_ring_sweeps_total", "ring sweeps that made progress", gpu),
 			open:    cfg.Metrics.Gauge("gvmd_ring_sessions", "live ring-plane sessions", gpu),
@@ -116,7 +114,7 @@ func (h *RingHost) Close() error {
 }
 
 // RingAll rings every shard doorbell — the shutdown kick that pops
-// parked owner loops and wakers out of their futex waits promptly.
+// parked owner loops out of their futex waits promptly.
 func (h *RingHost) RingAll() {
 	for _, rs := range h.shards {
 		shm.DoorRing(rs.door)
@@ -140,9 +138,6 @@ type RingShard struct {
 	events node.Drain[ringEvent]
 
 	sessions []*ringSession // owner-private
-
-	armCh  chan uint32   // owner -> waker: doorbell word to sleep on
-	wakeCh chan struct{} // waker -> owner: the doorbell rang while parked
 
 	// fwd holds the doorbells of shards that adopted sessions migrated
 	// off this shard. A migrated ring client keeps ringing THIS shard's
@@ -187,12 +182,6 @@ func (rs *RingShard) forward() {
 
 // Door returns the shard's submission doorbell word.
 func (rs *RingShard) Door() *atomic.Uint32 { return rs.door }
-
-// ArmCh is the owner->waker handoff of the armed doorbell value.
-func (rs *RingShard) ArmCh() chan uint32 { return rs.armCh }
-
-// WakeCh is the waker->owner doorbell-rang signal.
-func (rs *RingShard) WakeCh() chan struct{} { return rs.wakeCh }
 
 // Register hands a new session ring to the shard owner and rings the
 // doorbell so a parked owner picks it up. Any goroutine may call it.

@@ -31,7 +31,7 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequestBinary(frame)
+	got, err := decodeRequest(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResponseBinary(frame)
+	got, err := decodeResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestInterning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRequestBinary(frame)
+		got, err := decodeRequest(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
