@@ -49,7 +49,12 @@ vet:
 # out of itself. And one session state: gvm's session holds its protocol
 # state as one value (phase and residency) that the (state, verb) table
 # reads, so it declares none of the retired running, done, evicted or
-# rerunPending bool fields beside it.
+# rerunPending bool fields beside it. And one way to build a manager: node
+# builds the daemon's and the experiments' shards, spmd the paper's
+# single-GPU runs and examples/quickstart shows the bare calls, so no other
+# non-test code calls gvm.New( or vgpu.Serve( — a hand-built copy beside
+# them is how a manager once staged pageable unnoticed — and gvm.Config
+# declares no PinnedStaging, whose zero value was that ablation.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -75,6 +80,11 @@ one-engine:
 	@bad=$$(awk '/^type session struct/ { f = 1 } f && /^}/ { f = 0 } f' $$(ls internal/gvm/*.go | grep -v _test.go) | \
 		grep -E '^[[:space:]]*([A-Za-z_]+[[:space:]]*,[[:space:]]*)*(running|done|evicted|rerunPending)([[:space:]]*,[[:space:]]*[A-Za-z_]+)*[[:space:]]+bool\b'); \
 	[ -z "$$bad" ] || { echo "gvm's session keeps its protocol state in flags again (a running, done, evicted or rerunPending bool beside the state value the table reads):"; echo "$$bad"; exit 1; }
+	@bad=$$(grep -rnE '\b(gvm\.New|vgpu\.Serve)\(' --include='*.go' cmd examples internal | \
+		grep -v -e '_test\.go:' -e '^internal/node/' -e '^internal/spmd/' -e '^examples/quickstart/'); \
+	awk '/^type Config struct/ { f = 1 } f && /^}/ { f = 0 } f' $$(ls internal/gvm/*.go | grep -v _test.go) | \
+		grep -qE '^[[:space:]]*PinnedStaging\b' && bad="$$bad gvm.Config:declares-PinnedStaging"; \
+	[ -z "$$bad" ] || { echo "a second way to build a manager (gvm.New( or vgpu.Serve( outside internal/node, internal/spmd and examples/quickstart), or gvm.Config.PinnedStaging is back (the zero Config must stage pinned):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

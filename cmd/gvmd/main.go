@@ -17,7 +17,7 @@
 //	gvmd -listen ring:///tmp/gvmd.sock -listen tcp://:7070
 //
 // Clients connect with internal/ipc.Dial using the same address syntax
-// (see examples/multiprocess and examples/cluster -real).
+// (see examples/multiprocess).
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/alloc profiles of the daemon hot path")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (e.g. localhost:9090; also mounted on the -pprof mux)")
 	faultInject := flag.String("fault-inject", "", "inject simulated XID faults on kernel launches, e.g. 'gpu=0,after=25,kind=hang' or 'rate=0.01,seed=7,kinds=hang|fatal' (faulted shards are evacuated by live session migration)")
-	logLevel := flag.String("log-level", "", "structured verb logging to stderr: debug (one line per verb), info (one line per flush), warn, error; empty disables")
+	logLevel := flag.String("log-level", "error", "structured logging to stderr: debug (one line per verb), info (one line per flush), warn, error (simulation errors, bad preambles, frame read errors); empty disables")
 	flag.Parse()
 
 	reg := metrics.NewRegistry()
@@ -138,7 +138,7 @@ func main() {
 			os.Remove(target)
 		}
 	}
-	if n, err := shm.RemoveStale(*shmDir, "gvmd-seg-"); err != nil {
+	if n, err := shm.RemoveStale(*shmDir, transport.SegPrefix); err != nil {
 		log.Printf("gvmd: stale segment cleanup: %v", err)
 	} else if n > 0 {
 		log.Printf("gvmd: removed %d stale shm segment(s)", n)
@@ -158,7 +158,6 @@ func main() {
 		Overcommit:      *overcommit,
 		BarrierTimeout:  *barrierTimeout,
 		FaultPlan:       faultPlan,
-		Logger:          log.New(os.Stderr, "gvmd: ", log.LstdFlags),
 		Metrics:         reg,
 		Slog:            logger,
 	})
@@ -233,7 +232,7 @@ func main() {
 	if *addrFile != "" {
 		os.Remove(*addrFile)
 	}
-	shm.RemoveStale(*shmDir, "gvmd-seg-")
+	shm.RemoveStale(*shmDir, transport.SegPrefix)
 }
 
 func slogByLevel(level string) (*slog.Logger, error) {

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"gpuvirt/internal/sim"
+	"gpuvirt/internal/workloads"
 )
 
 func TestTableIIReproducesPaper(t *testing.T) {
@@ -210,6 +213,20 @@ func TestFigures11to15Shapes(t *testing.T) {
 	}
 }
 
+// clusterRows runs the ext-cluster experiment and splits out its local-GVM,
+// InfiniBand and gigabit-Ethernet rows.
+func clusterRows(t *testing.T) (local, ib, ge ClusterRow) {
+	t.Helper()
+	rows, err := ExtensionCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	return rows[0], rows[1], rows[2]
+}
+
 func TestExtensionCluster(t *testing.T) {
 	rows, err := ExtensionCluster()
 	if err != nil {
@@ -218,18 +235,63 @@ func TestExtensionCluster(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	local, ib, ge := rows[0], rows[1], rows[2]
-	if local.NetworkMS != 0 || local.RemoteProcs != 0 {
-		t.Fatalf("local row has network activity: %+v", local)
-	}
-	if ib.TurnaroundMS <= local.TurnaroundMS {
-		t.Fatalf("InfiniBand remote (%.1f) not slower than local (%.1f)", ib.TurnaroundMS, local.TurnaroundMS)
-	}
-	if ge.TurnaroundMS <= ib.TurnaroundMS {
-		t.Fatalf("GigE (%.1f) not slower than InfiniBand (%.1f)", ge.TurnaroundMS, ib.TurnaroundMS)
+	if ib, ge := rows[1], rows[2]; ib.RemoteProcs != 8 || ge.RemoteProcs != 8 {
+		t.Fatalf("remote rows have %d and %d remote processes, want 8", ib.RemoteProcs, ge.RemoteProcs)
 	}
 	if !strings.Contains(RenderExtensionCluster(rows), "REMOTE GPU ACCESS") {
 		t.Fatal("render missing header")
+	}
+}
+
+func TestInterconnectTransferTime(t *testing.T) {
+	ic := interconnect{bandwidth: 1e9, latency: 10 * sim.Microsecond}
+	if got := ic.transferTime(0); got != 10*sim.Microsecond {
+		t.Fatalf("latency-only message = %v", got)
+	}
+	if got := ic.transferTime(1e9); got != sim.Second+10*sim.Microsecond {
+		t.Fatalf("1 GB message = %v", got)
+	}
+	if qdrInfiniBand.bandwidth <= gigabitEthernet.bandwidth {
+		t.Fatal("InfiniBand should be faster than GigE")
+	}
+}
+
+func TestLocalJobMatchesSingleNode(t *testing.T) {
+	// One GPU node, local processes only: no network time.
+	local, _, _ := clusterRows(t)
+	if local.NetworkMS != 0 || local.RemoteProcs != 0 {
+		t.Fatalf("local row has network activity: %+v", local)
+	}
+	if local.TurnaroundMS <= 0 {
+		t.Fatal("no turnaround measured")
+	}
+}
+
+func TestRemoteAccessPaysNetworkCosts(t *testing.T) {
+	_, ib, ge := clusterRows(t)
+	// Each remote process ships its input and its output across the wire.
+	spec := workloads.VectorAdd(10_000_000).Spec(0)
+	payload := qdrInfiniBand.transferTime(spec.InBytes) + qdrInfiniBand.transferTime(spec.OutBytes)
+	if floor := 8 * payload.Seconds() * 1e3; ib.NetworkMS < floor {
+		t.Fatalf("InfiniBand network time %.1f ms < 8 payloads' wire time %.1f ms", ib.NetworkMS, floor)
+	}
+	// A slower network hurts more.
+	if ge.TurnaroundMS <= ib.TurnaroundMS || ge.NetworkMS <= ib.NetworkMS {
+		t.Fatalf("GigE (%.1f ms, %.1f ms on the wire) not slower than InfiniBand (%.1f ms, %.1f ms)",
+			ge.TurnaroundMS, ge.NetworkMS, ib.TurnaroundMS, ib.NetworkMS)
+	}
+}
+
+func TestLocalVirtualizationBeatsRemoteAccess(t *testing.T) {
+	// The paper's argument against related work [11]: 8 processes on one
+	// GPU node through the local GVM vs 8 processes on GPU-less nodes
+	// reaching the same GPU remotely.
+	local, ib, ge := clusterRows(t)
+	if ib.TurnaroundMS <= local.TurnaroundMS {
+		t.Fatalf("InfiniBand remote (%.1f) not slower than local (%.1f)", ib.TurnaroundMS, local.TurnaroundMS)
+	}
+	if ge.TurnaroundMS <= local.TurnaroundMS {
+		t.Fatalf("GigE remote (%.1f) not slower than local (%.1f)", ge.TurnaroundMS, local.TurnaroundMS)
 	}
 }
 

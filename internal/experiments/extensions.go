@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
-	"gpuvirt/internal/cluster"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/node"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
+	"gpuvirt/internal/vgpu"
 	"gpuvirt/internal/workloads"
 )
 
@@ -25,46 +26,143 @@ type ClusterRow struct {
 	RemoteProcs  int
 }
 
-// ExtensionCluster compares 8 SPMD processes sharing one GPU three ways:
-// on the GPU node through the local GVM, and from GPU-less nodes over
-// QDR InfiniBand and gigabit Ethernet (rCUDA-style remote access).
-func ExtensionCluster() ([]ClusterRow, error) {
-	w := workloads.VectorAdd(10_000_000)
-	spec := func(node, rank int) *task.Spec { return w.Spec(rank) }
-	run := func(name string, cfg cluster.Config, procs int) (ClusterRow, error) {
-		env := sim.NewEnv()
-		c, err := cluster.New(env, cfg)
-		if err != nil {
-			return ClusterRow{}, err
-		}
-		res, err := c.RunJob(procs, spec)
-		if err != nil {
-			return ClusterRow{}, err
-		}
-		return ClusterRow{
-			Setup:        name,
-			TurnaroundMS: res.Turnaround.Seconds() * 1e3,
-			NetworkMS:    res.NetworkTime.Seconds() * 1e3,
-			RemoteProcs:  res.RemoteProcs,
-		}, nil
+// interconnect is the system network of the remote-GPU rows, modelled at
+// the message level: every message pays the one-way latency, and its
+// payload the bandwidth.
+type interconnect struct {
+	bandwidth float64 // bytes/s
+	latency   sim.Duration
+}
+
+// qdrInfiniBand is a 2011-era cluster interconnect (the Tianhe-1A class
+// systems the paper cites used proprietary links of similar order);
+// gigabitEthernet is the commodity alternative.
+var (
+	qdrInfiniBand   = interconnect{bandwidth: 3.2e9, latency: 2 * sim.Microsecond}
+	gigabitEthernet = interconnect{bandwidth: 118e6, latency: 30 * sim.Microsecond}
+)
+
+// transferTime is the time to move n bytes as one message.
+func (ic interconnect) transferTime(n int64) sim.Duration {
+	if n <= 0 {
+		return ic.latency
 	}
+	return ic.latency + sim.Duration(float64(n)/ic.bandwidth*1e9)
+}
+
+// ExtensionCluster compares 8 SPMD processes sharing one GPU three ways:
+// on the GPU node through the local GVM, and from eight GPU-less nodes
+// over QDR InfiniBand and gigabit Ethernet (rCUDA-style remote access,
+// the paper's related work [11]). In a remote row the GPU node runs one
+// process of its own beside the eight remote ones, and its manager
+// flushes every STR on arrival (Parties 1), since arrival times differ by
+// network latencies.
+func ExtensionCluster() ([]ClusterRow, error) {
+	w := workloads.VectorAdd(10_000_000) // 80 MB in, 40 MB out per process
 	var rows []ClusterRow
 	for _, c := range []struct {
-		name  string
-		cfg   cluster.Config
-		procs int
+		setup                  string
+		parties, local, remote int
+		ic                     interconnect
 	}{
-		{"local GVM (paper)", cluster.Config{Nodes: 1, GPUNodes: 1, CoresPerNode: 8, Parties: 8}, 8},
-		{"remote, QDR InfiniBand", cluster.Config{Nodes: 9, GPUNodes: 1, CoresPerNode: 1, Interconnect: cluster.QDRInfiniBand()}, 1},
-		{"remote, gigabit Ethernet", cluster.Config{Nodes: 9, GPUNodes: 1, CoresPerNode: 1, Interconnect: cluster.GigabitEthernet()}, 1},
+		{"local GVM (paper)", 8, 8, 0, interconnect{}},
+		{"remote, QDR InfiniBand", 1, 1, 8, qdrInfiniBand},
+		{"remote, gigabit Ethernet", 1, 1, 8, gigabitEthernet},
 	} {
-		row, err := run(c.name, c.cfg, c.procs)
+		turnaround, wire, err := clusterJob(w, c.parties, c.local, c.remote, c.ic)
 		if err != nil {
-			return nil, fmt.Errorf("cluster %s: %w", c.name, err)
+			return nil, fmt.Errorf("cluster %s: %w", c.setup, err)
 		}
-		rows = append(rows, row)
+		rows = append(rows, ClusterRow{
+			Setup:        c.setup,
+			TurnaroundMS: turnaround.Seconds() * 1e3,
+			NetworkMS:    wire.Seconds() * 1e3,
+			RemoteProcs:  c.remote,
+		})
 	}
 	return rows, nil
+}
+
+// clusterJob runs one cycle of w in each of `local` processes on a
+// one-GPU node and then `remote` processes reaching that node across ic.
+// It returns the slowest process's turnaround, counted from the manager
+// being ready and REQ included, and the remote processes' summed time on
+// the wire. A remote process pays one message per protocol hop: REQ and
+// its ACK, SND with the input and its ACK, STR and its ACK, two per STP
+// poll, RCV and the ACK with the output, RLS and its ACK.
+func clusterJob(w workloads.Workload, parties, local, remote int, ic interconnect) (turnaround, wire sim.Duration, err error) {
+	env := sim.NewEnv()
+	nd, err := node.New(node.Config{GPUs: 1, Parties: parties, SharedEnv: env})
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := nd.Start(); err != nil {
+		return 0, 0, err
+	}
+	errs := make([]error, local+remote)
+	for i := range errs {
+		far := i >= local
+		env.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+			var spent sim.Duration
+			hop := func(n int64) {
+				if far {
+					d := ic.transferTime(n)
+					p.Sleep(d)
+					spent += d
+				}
+			}
+			p.Wait(nd.Shard(0).Mgr.Ready())
+			t0 := p.Now()
+			spec := w.Spec(i)
+			hop(0) // REQ
+			v, shard, err := nd.Connect(p, spec)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			hop(0) // ACK
+			if errs[i] = remoteCycle(p, v, spec, hop); errs[i] != nil {
+				return
+			}
+			turnaround = max(turnaround, p.Now().Sub(t0))
+			wire += spent
+			hop(0) // RLS
+			errs[i] = v.Release(p)
+			hop(0) // ACK
+			nd.Release(shard, spec.InBytes, spec.OutBytes)
+		})
+	}
+	if err := env.Run(); err != nil {
+		return 0, 0, err
+	}
+	return turnaround, wire, errors.Join(errs...)
+}
+
+// remoteCycle is VGPU.RunCycle with every protocol message charged to hop.
+func remoteCycle(p *sim.Proc, v *vgpu.VGPU, spec *task.Spec, hop func(n int64)) error {
+	hop(spec.InBytes) // SND
+	if err := v.SendInput(p, nil); err != nil {
+		return err
+	}
+	hop(0) // ACK
+	hop(0) // STR
+	if err := v.Start(p); err != nil {
+		return err
+	}
+	hop(0) // ACK
+	polls := v.Polls
+	if err := v.Wait(p); err != nil {
+		return err
+	}
+	for n := 2 * (v.Polls - polls); n > 0; n-- {
+		hop(0) // STP, WAIT or ACK
+	}
+	hop(0) // RCV
+	if err := v.ReceiveOutput(p, nil); err != nil {
+		return err
+	}
+	hop(spec.OutBytes) // ACK
+	return nil
 }
 
 // RenderExtensionCluster formats the cluster comparison.

@@ -35,10 +35,10 @@ func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error 
 			return fmt.Errorf("gvm: BindDirect: session %d staging is %d+%d bytes, spec says %d+%d", id, len(in), len(out), s.spec.InBytes, s.spec.OutBytes)
 		}
 		if s.pinIn != nil {
-			s.pinIn = gpusim.WrapHost(in, m.cfg.PinnedStaging)
+			s.pinIn = gpusim.WrapHost(in, !m.cfg.PageableStaging)
 		}
 		if s.pinOut != nil {
-			s.pinOut = gpusim.WrapHost(out, m.cfg.PinnedStaging)
+			s.pinOut = gpusim.WrapHost(out, !m.cfg.PageableStaging)
 		}
 	}
 	s.notify = notify

@@ -28,6 +28,7 @@
 package gvm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -261,10 +262,11 @@ type Config struct {
 	// ResourceSetup is the manager-side cost of REQ handling (stream,
 	// buffer and kernel preparation). Default 300 us.
 	ResourceSetup sim.Duration
-	// PinnedStaging uses pinned host staging buffers (the paper's
-	// design). Disabling it is an ablation: pageable staging transfers
-	// more slowly and, on real hardware, would forbid async overlap.
-	PinnedStaging bool
+	// PageableStaging stages through pageable host buffers instead of the
+	// pinned ones of the paper's design, which the zero value keeps. It is
+	// an ablation: pageable staging transfers more slowly and, on real
+	// hardware, would forbid async overlap.
+	PageableStaging bool
 	// MaxSessionBytes caps the aggregate shared-memory (and staging)
 	// footprint of live sessions; REQ beyond the cap is rejected. The
 	// paper: "the shared memory size is user-customizable to ensure the
@@ -447,7 +449,7 @@ func New(env *sim.Env, cfg Config) *Manager {
 	if cfg.Device == nil {
 		panic("gvm: Config.Device is required")
 	}
-	if !cfg.PinnedStaging && cfg.Device.Arch().ConcurrentCopyExec {
+	if cfg.PageableStaging && cfg.Device.Arch().ConcurrentCopyExec {
 		// Pageable staging is allowed (ablation) but flagged in traces.
 		cfg.trace("gvm", "pageable staging (ablation)", env.Now(), env.Now())
 	}
@@ -774,6 +776,13 @@ func (m *Manager) bindClassMetrics(s *session) {
 	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
 }
 
+// logs reports whether the manager's logger takes lines at level. The
+// flush and eviction lines come every cycle, and a slog call boxes its
+// arguments, an allocation, before its handler can drop them.
+func (m *Manager) logs(level slog.Level) bool {
+	return m.log != nil && m.log.Enabled(context.Background(), level)
+}
+
 // newStaging makes one direction's pinned staging buffer (nil for a
 // zero-sized direction). Staging is caller-owned (BindDirect), so until the
 // bind it is just what an adoption carried over (data) — never an
@@ -782,7 +791,7 @@ func (m *Manager) newStaging(n int64, data []byte) *gpusim.HostBuffer {
 	if n <= 0 {
 		return nil
 	}
-	return gpusim.WrapHost(data, m.cfg.PinnedStaging)
+	return gpusim.WrapHost(data, !m.cfg.PageableStaging)
 }
 
 // copied ends the host copy SND or RCV charged (paper Figure 8: "Copies
@@ -857,7 +866,7 @@ func (m *Manager) flushBatch(timedOut bool) {
 	for _, bs := range batch {
 		m.met.barrierWaitNS.Observe(int64(now - bs.strArrived))
 	}
-	if m.log != nil {
+	if m.logs(slog.LevelInfo) {
 		m.log.Info("gvm flush",
 			"sessions", len(batch), "timed_out", timedOut, "gen", m.strGen)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
+	"gpuvirt/internal/workloads"
 )
 
 func newManager(t *testing.T, mut func(*Config)) (*sim.Env, *Manager) {
@@ -142,6 +143,38 @@ func TestSessionAccounting(t *testing.T) {
 	if m.SessionsOpened() != 1 || m.SessionsClosed() != 1 || m.OpenSessions() != 0 {
 		t.Fatalf("accounting: opened=%d closed=%d live=%d",
 			m.SessionsOpened(), m.SessionsClosed(), m.OpenSessions())
+	}
+}
+
+// TestZeroConfigStagesPinned: the zero Config is the paper's design. One
+// timing-only vecadd(2^20) cycle on the bare engine is cheaper than with
+// PageableStaging by exactly the PCIe gap, pageable minus pinned, of its
+// 8 MiB H2D and 4 MiB D2H.
+func TestZeroConfigStagesPinned(t *testing.T) {
+	spec := workloads.VectorAdd(1 << 20).Spec(0)
+	cycle := func(mut func(*Config)) sim.Duration {
+		env, m := newManager(t, mut)
+		var d sim.Duration
+		env.Go("front-end", func(p *sim.Proc) {
+			p.Wait(m.Ready())
+			b := OpenBare(t, p, m, Request{Spec: spec})
+			t0 := p.Now()
+			b.run(p, nil, RCV)
+			d = p.Now().Sub(t0)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	pinned := cycle(nil)
+	pageable := cycle(func(c *Config) { c.PageableStaging = true })
+	arch := fermi.TeslaC2070()
+	gap := arch.TransferTime(spec.InBytes, true, false) - arch.TransferTime(spec.InBytes, true, true) +
+		arch.TransferTime(spec.OutBytes, false, false) - arch.TransferTime(spec.OutBytes, false, true)
+	if pageable-pinned != gap {
+		t.Fatalf("cycle with pageable staging %v, zero Config %v: gap %v, want the PCIe pageable-pinned gap %v",
+			pageable, pinned, pageable-pinned, gap)
 	}
 }
 

@@ -243,7 +243,7 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 func runRow(t *testing.T, bare bool, row protocolRow) (st gvm.Status, msg, next string, rcv []byte) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070(), Functional: true})
-	m := gvm.New(env, gvm.Config{Device: dev, PinnedStaging: true})
+	m := gvm.New(env, gvm.Config{Device: dev})
 	m.Start()
 	w := workloads.VectorAdd(gvm.SurfaceTestN)
 	spec := gvm.SlowKernels(w.Spec(0))

@@ -2,6 +2,7 @@ package gvm
 
 import (
 	"fmt"
+	"log/slog"
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/gpusim"
@@ -368,7 +369,7 @@ func (m *Manager) evictForAlloc(need int64) bool {
 	}
 	m.suspendSession(p, v, evicted) // a verb arriving meanwhile restores transparently
 	m.met.evictions.Inc()
-	if m.log != nil {
+	if m.logs(slog.LevelInfo) {
 		m.log.Info("gvm evict", "session", v.id, "bytes", v.susp.total, "need", need)
 	}
 	return true

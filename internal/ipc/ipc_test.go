@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -8,6 +9,9 @@ import (
 	"gpuvirt/internal/cuda"
 	"time"
 
+	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/gpusim"
+	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/workloads"
 )
@@ -77,6 +81,72 @@ func TestSingleClientFunctionalVecAdd(t *testing.T) {
 	}
 	if err := sess.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDaemonCycleIsBareCycle: a daemon's shards are managers of the zero
+// gvm.Config, so one timing-only vecadd(2^20) cycle advances a daemon's
+// virtual clock by exactly what the same cycle costs on a bare engine
+// built from that zero Config: pinned staging, no front-end cost.
+func TestDaemonCycleIsBareCycle(t *testing.T) {
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1 << 20}}
+	spec := workloads.VectorAdd(1 << 20).Spec(0)
+
+	env := sim.NewEnv()
+	m := gvm.New(env, gvm.Config{Device: gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})})
+	m.Start()
+	var bare sim.Duration
+	env.Go("front-end", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		id, err := m.OpenSession(p, gvm.Request{Spec: spec})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var outcome *sim.Event
+		if err := m.BindDirect(id, nil, nil, func(v gvm.Verb, st gvm.Status, msg string) {
+			if st != gvm.ACK {
+				t.Errorf("%v: %v %s", v, st, msg)
+			}
+			outcome.Fire(nil)
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		t0 := p.Now()
+		for _, v := range []gvm.Verb{gvm.SND, gvm.STR, gvm.STP, gvm.RCV} {
+			outcome = env.NewEvent()
+			if err := m.DirectVerb(id, v); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Wait(outcome)
+		}
+		bare = p.Now().Sub(t0)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := startServer(t, 1, false)
+	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Request(ref, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock [2]float64
+	for i := range clock {
+		if err := sess.RunCycle(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		clock[i] = sess.VirtualMS
+	}
+	if got := sim.Duration(math.Round((clock[1] - clock[0]) * 1e6)); got != bare {
+		t.Fatalf("daemon cycle advanced the virtual clock %v, bare zero-Config cycle %v", got, bare)
 	}
 }
 

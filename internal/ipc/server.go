@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"runtime"
@@ -66,7 +65,6 @@ type ServerConfig struct {
 	// effectively degrades to per-request flushing. Use it as a liveness
 	// guard, not as a grace period.
 	BarrierTimeout sim.Duration
-	Logger         *log.Logger
 	// FaultPlan, when non-nil, installs seeded fault injectors on the
 	// shards' launch paths (gvmd -fault-inject). Injected faults escalate
 	// shard health; Unhealthy shards are evacuated automatically by live
@@ -76,8 +74,9 @@ type ServerConfig struct {
 	// the server's own connection instruments; a /metrics scrape of it
 	// covers the whole daemon path. nil creates one (Server.Metrics()).
 	Metrics *metrics.Registry
-	// Slog receives structured logging: one Debug line per verb served
-	// and one Info line per barrier flush. nil disables it.
+	// Slog receives structured logging: one Debug line per verb served,
+	// one Info line per barrier flush, and an Error line per simulation
+	// error, bad preamble or frame read error. nil disables it.
 	Slog *slog.Logger
 }
 
@@ -131,9 +130,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Parties == 0 {
 		cfg.Parties = 1
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	if len(cfg.Listen) == 0 {
 		return nil, errors.New("ipc: no listen address (set Listen)")
@@ -366,7 +362,9 @@ func (s *Server) turn(end <-chan struct{}, shard int, start func()) (ok, swept b
 	env := s.node.Shard(shard).Env
 	run := func() {
 		if err := env.Run(); err != nil {
-			s.cfg.Logger.Printf("gvmd: gpu %d simulation error: %v", shard, err)
+			if s.cfg.Slog != nil {
+				s.cfg.Slog.Error("simulation error", "gpu", shard, "err", err)
+			}
 		}
 	}
 	if start != nil {
@@ -467,7 +465,9 @@ func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
 			nc.Close()
 			return
 		}
-		s.cfg.Logger.Printf("gvmd: preamble: %v", err)
+		if s.cfg.Slog != nil {
+			s.cfg.Slog.Error("bad preamble", "err", err)
+		}
 		s.met.frameErrors.Inc()
 		transport.RejectConn(nc)
 		return
@@ -491,7 +491,9 @@ func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
 		req, err := conn.ReadRequest()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				s.cfg.Logger.Printf("gvmd: read: %v", err)
+				if s.cfg.Slog != nil {
+					s.cfg.Slog.Error("frame read", "err", err)
+				}
 				s.met.frameErrors.Inc()
 			}
 			return

@@ -160,12 +160,12 @@ func RunVirt(cfg Config) (Result, error) {
 		parties = cfg.PartiesOverride
 	}
 	mgr := gvm.New(env, gvm.Config{
-		Device:        dev,
-		Parties:       parties,
-		HostCopyBW:    cfg.HostCopyBW,
-		PinnedStaging: !cfg.PageableStaging,
-		FlushPolicy:   cfg.FlushPolicy,
-		Tracer:        cfg.Tracer,
+		Device:          dev,
+		Parties:         parties,
+		HostCopyBW:      cfg.HostCopyBW,
+		PageableStaging: cfg.PageableStaging,
+		FlushPolicy:     cfg.FlushPolicy,
+		Tracer:          cfg.Tracer,
 	})
 	mgr.Start()
 	host := vgpu.Serve(mgr, vgpu.Config{MsgLatency: cfg.MsgLatency, BlockingSTP: cfg.BlockingSTP})

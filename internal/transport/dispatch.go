@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
@@ -28,8 +29,6 @@ type DispatcherConfig struct {
 	Functional bool
 	// ShmDir is where shm-plane segments live ("" = /dev/shm).
 	ShmDir string
-	// SegPrefix names shm-plane segment files (default "gvmd-seg").
-	SegPrefix string
 	// Metrics receives the dispatcher's per-verb instruments. nil creates
 	// a private registry; the daemon passes the registry it shares with
 	// gvm and ipc so one /metrics scrape covers the whole path.
@@ -316,11 +315,14 @@ func (cs *ConnState) dropOwned(id int) {
 	}
 }
 
+// SegPrefix begins the name of every shm file a daemon creates: a session's
+// segment is SegPrefix + "<id>", the ring doorbell SegPrefix + "door-<pid>".
+// One prefix lets gvmd's start-up and shutdown sweeps (shm.RemoveStale)
+// reclaim them all.
+const SegPrefix = "gvmd-seg-"
+
 // NewDispatcher creates a dispatcher serving cfg.Node's shards.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	if cfg.SegPrefix == "" {
-		cfg.SegPrefix = "gvmd-seg"
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -459,7 +461,7 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		owner: cs, d: d, plane: plane,
 		ref: *req.Ref, rank: req.Rank,
 	}
-	err = s.plane.create(d.cfg.ShmDir, fmt.Sprintf("%s-%d", d.cfg.SegPrefix, s.id), s, mgr)
+	err = s.plane.create(d.cfg.ShmDir, SegPrefix+strconv.Itoa(s.id), s, mgr)
 	// Owner phase: the plane becomes the session's pinned staging; a
 	// failure so far unwinds like a release.
 	if err == nil && !d.onShard(submit, shard, func(*sim.Proc) { err = s.bindStaging(mgr) }) {

@@ -146,7 +146,7 @@ func newHostPlane(kind string, rings *RingHost, inB, outB int64) (hostPlane, err
 		if rings == nil {
 			return hostPlane{}, fmt.Errorf("transport: data plane %q needs a ring:// listener, and this daemon has none (want %q or %q)", kind, PlaneShm, PlaneInline)
 		}
-		return hostPlane{kind: kind, size: shm.RingSegmentSize(rings.ring, inB, outB), ring: &ringSession{rh: rings}}, nil
+		return hostPlane{kind: kind, size: shm.RingSegmentSize(shm.DefaultRingConfig(), inB, outB), ring: &ringSession{rh: rings}}, nil
 	}
 	return hostPlane{}, fmt.Errorf("transport: unknown data plane %q (want %q, %q or %q)", kind, PlaneShm, PlaneInline, PlaneRing)
 }
@@ -163,7 +163,7 @@ func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manage
 	}
 	if rs := pl.ring; rs != nil {
 		rs.host, rs.mgr, rs.deliver = host, mgr, rs.finish
-		if rs.sr, err = shm.InitSessionRing(seg, rs.rh.ring, host.inB, host.outB, rs.rh.doorName, uint32(host.shard*shm.DoorStride)); err == nil {
+		if rs.sr, err = shm.InitSessionRing(seg, shm.DefaultRingConfig(), host.inB, host.outB, rs.rh.doorName, uint32(host.shard*shm.DoorStride)); err == nil {
 			pl.in, pl.out = rs.sr.In(), rs.sr.Out()
 		}
 	} else {

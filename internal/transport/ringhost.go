@@ -18,15 +18,9 @@ type RingHostConfig struct {
 	// ShmDir is where the doorbell segment lives ("" = /dev/shm); it must
 	// match the dispatcher's segment directory.
 	ShmDir string
-	// Prefix names the doorbell segment file (default "gvmd-seg", so the
-	// daemon's startup RemoveStale sweep reclaims orphans of crashed
-	// daemons along with ordinary session segments).
-	Prefix string
 	// Shards is how many per-GPU sweep loops the daemon runs; each gets
 	// its own doorbell word on its own cache line.
 	Shards int
-	// Ring sizes every session's rings (zero value: DefaultRingConfig).
-	Ring shm.RingConfig
 	// Metrics receives the ring instruments (nil creates a private
 	// registry).
 	Metrics *metrics.Registry
@@ -37,34 +31,31 @@ type RingHostConfig struct {
 // per owner loop that sweeps the shard's session rings. Clients ring a
 // shard's doorbell after every submission; an owner that went idle and
 // armed the sleep bit gets a futex wake, a busy owner sees nothing but
-// the counter — the steady state is syscall-free on both sides.
+// the counter — the steady state is syscall-free on both sides. Every
+// session's rings are shm.DefaultRingConfig's size.
 type RingHost struct {
-	ring     shm.RingConfig
 	doorSeg  shm.Segment
 	doorName string
 	shards   []*RingShard
 }
 
 // NewRingHost creates the doorbell segment and one RingShard per shard.
+// The doorbell file is named SegPrefix + "door-<pid>", so the daemon's
+// startup sweep reclaims a crashed daemon's along with its session
+// segments.
 func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
-	if cfg.Prefix == "" {
-		cfg.Prefix = "gvmd-seg"
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
-	}
-	if cfg.Ring.Slots == 0 && cfg.Ring.SlotSize == 0 {
-		cfg.Ring = shm.DefaultRingConfig()
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	name := fmt.Sprintf("%s-door-%d", cfg.Prefix, os.Getpid())
+	name := fmt.Sprintf("%sdoor-%d", SegPrefix, os.Getpid())
 	seg, err := shm.NewFile(cfg.ShmDir, name, shm.DoorSegmentSize(cfg.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("transport: ring doorbell segment: %w", err)
 	}
-	h := &RingHost{ring: cfg.Ring, doorSeg: seg, doorName: name}
+	h := &RingHost{doorSeg: seg, doorName: name}
 	h.shards = make([]*RingShard, cfg.Shards)
 	for i := range h.shards {
 		door, derr := shm.DoorWordAt(seg, uint32(i*shm.DoorStride))
