@@ -54,7 +54,13 @@ vet:
 # single-GPU runs and examples/quickstart shows the bare calls, so no other
 # non-test code calls gvm.New( or vgpu.Serve( — a hand-built copy beside
 # them is how a manager once staged pageable unnoticed — and gvm.Config
-# declares no PinnedStaging, whose zero value was that ablation.
+# declares no PinnedStaging, whose zero value was that ablation. And one
+# way a ring session changes shards: a shard's ring sweep list is owner state
+# that only turns on that shard change (join, leave, the sweep after a
+# retire), and a moved client rings the door its ring header names — so
+# non-test internal/transport uses no node.Drain side channel, RingShard
+# declares no mutex and no Register, Unregister or Forward method, and
+# internal/node declares no Drain type for a queue to come back through.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -85,6 +91,11 @@ one-engine:
 	awk '/^type Config struct/ { f = 1 } f && /^}/ { f = 0 } f' $$(ls internal/gvm/*.go | grep -v _test.go) | \
 		grep -qE '^[[:space:]]*PinnedStaging\b' && bad="$$bad gvm.Config:declares-PinnedStaging"; \
 	[ -z "$$bad" ] || { echo "a second way to build a manager (gvm.New( or vgpu.Serve( outside internal/node, internal/spmd and examples/quickstart), or gvm.Config.PinnedStaging is back (the zero Config must stage pinned):"; echo "$$bad"; exit 1; }
+	@src=$$(ls internal/transport/*.go | grep -v _test.go); \
+	bad=$$( { grep -nE '\bnode\.Drain\b|^func \([A-Za-z_]+ \*RingShard\) (Register|Unregister|Forward)\(' $$src; \
+		awk '/^type RingShard struct/ { f = 1 } f && /^}/ { f = 0 } f && /sync\.(RW)?Mutex/ { print FILENAME ":" FNR ": RingShard declares a mutex" }' $$src; \
+		grep -nE '^type Drain\b' $$(ls internal/node/*.go | grep -v _test.go); } ); \
+	[ -z "$$bad" ] || { echo "a ring session changes shards outside a turn again (node.Drain in internal/transport, a mutex or a Register/Unregister/Forward method on RingShard, or a Drain type in internal/node):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -126,9 +137,10 @@ bench-schema:
 # CI-sized chaos run: fault injection under 8-client pipelined load on a
 # 2-shard daemon — no session lost, outputs byte-identical to a
 # fault-free serial reference, both shards drained after release — plus
-# the byte-identical mid-job drain migration.
+# the byte-identical mid-job drain migration over inproc:// and ring://, and
+# ring REQs racing a drain of their shard.
 chaos-short:
-	$(GO) test -race -run 'TestChaosFaultInjection8Clients|TestDrainMigratesMidJobByteIdentical' -count=1 ./internal/ipc/
+	$(GO) test -race -run 'TestChaosFaultInjection8Clients|TestDrainMigratesMidJobByteIdentical|TestRingREQRacesDrain' -count=1 ./internal/ipc/
 
 # CI-sized federation run: the gvmfed router's policy matrix
 # (byte-identical to direct single-node), the cross-node mid-job live

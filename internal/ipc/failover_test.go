@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/node"
+	"gpuvirt/internal/shm"
 	"gpuvirt/internal/workloads"
 )
 
@@ -65,14 +67,30 @@ func waitShardsClean(t *testing.T, s *Server) {
 // shard A, the operator drains shard A mid-flight, and the client's
 // STP/RCV — transparently re-issued after the retryable migration
 // errors — must be served from shard B with the exact bytes a
-// migration-free run produces.
+// migration-free run produces. Over ring:// the session's ring moves with
+// it: it leaves A's sweep, joins B's, and once released leaves nothing
+// behind — no segment file, and no doorbell rung or futex woken for it
+// while both sweep loops are parked.
 func TestDrainMigratesMidJobByteIdentical(t *testing.T) {
+	for _, scheme := range []string{"inproc", "ring"} {
+		t.Run(scheme, func(t *testing.T) {
+			var s *Server
+			if scheme == "ring" {
+				s, _ = startRingServer(t, 2)
+			} else {
+				s = startServerOn(t, ServerConfig{
+					Listen:     []string{"inproc://drain-midjob"},
+					Functional: true,
+					GPUs:       2,
+				})
+			}
+			drainMidJob(t, s)
+		})
+	}
+}
+
+func drainMidJob(t *testing.T, s *Server) {
 	const n = 1024
-	s := startServerOn(t, ServerConfig{
-		Listen:     []string{"inproc://drain-midjob"},
-		Functional: true,
-		GPUs:       2,
-	})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
@@ -125,6 +143,7 @@ func TestDrainMigratesMidJobByteIdentical(t *testing.T) {
 	if src < 0 {
 		t.Fatal("no shard owns the session after STR")
 	}
+	dst := 1 - src
 	if err := s.Drain(src); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +166,7 @@ func TestDrainMigratesMidJobByteIdentical(t *testing.T) {
 	// The session now lives on the other shard, and the source is empty.
 	for deadline := 400; ; deadline-- {
 		srcOpen, _, _ := shardStats(t, s, src)
-		dstOpen, _, _ := shardStats(t, s, 1-src)
+		dstOpen, _, _ := shardStats(t, s, dst)
 		if srcOpen == 0 && dstOpen == 1 {
 			break
 		}
@@ -167,11 +186,123 @@ func TestDrainMigratesMidJobByteIdentical(t *testing.T) {
 	if got := samples["node_migration_latency_ns_count"]; got < 1 {
 		t.Errorf("node_migration_latency_ns_count = %d, want >= 1", got)
 	}
+	ringSessions := func(samples map[string]int64) (onSrc, onDst int64) {
+		return samples[fmt.Sprintf(`gvmd_ring_sessions{gpu="%d"}`, src)],
+			samples[fmt.Sprintf(`gvmd_ring_sessions{gpu="%d"}`, dst)]
+	}
+	if s.rings != nil {
+		if onSrc, onDst := ringSessions(samples); onSrc != 0 || onDst != 1 {
+			t.Errorf("ring sessions after the move: %d on the source's sweep, %d on the target's; want 0 and 1", onSrc, onDst)
+		}
+	}
 
 	if err := sess.Release(); err != nil {
 		t.Fatal(err)
 	}
 	waitShardsClean(t, s)
+	if s.rings == nil {
+		return
+	}
+	waitNoSegments(t, s.cfg.ShmDir)
+	if onSrc, onDst := ringSessions(scrapeMetrics(t, s.Metrics())); onSrc != 0 || onDst != 0 {
+		t.Errorf("ring sessions after RLS: %d on the source's sweep, %d on the target's; want 0 and 0", onSrc, onDst)
+	}
+
+	// Both sweep loops park (each has armed its doorbell); from then on the
+	// idle daemon rings no doorbell and pays no futex wake: the move left no
+	// forwarding behind.
+	for deadline := time.Now().Add(5 * time.Second); s.rings.Shard(src).Door().Load()&1 == 0 || s.rings.Shard(dst).Door().Load()&1 == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep loops never parked together")
+		}
+	}
+	bell := fmt.Sprintf(`gvmd_ring_doorbells_total{gpu="%d"}`, dst)
+	bells0 := scrapeMetrics(t, s.Metrics())[bell]
+	_, wakes0 := shm.FutexStats()
+	time.Sleep(300 * time.Millisecond)
+	bells := scrapeMetrics(t, s.Metrics())[bell] - bells0
+	_, wakes := shm.FutexStats()
+	if bells != 0 || wakes != wakes0 {
+		t.Errorf("idle after the move: the target's doorbell rang %d times and %d futex wakes were paid in 300ms, want 0 and 0", bells, wakes-wakes0)
+	}
+}
+
+// TestRingREQRacesDrain races a ring REQ against Server.Drain(0) on fresh
+// two-shard daemons: the drain starts 0–45 µs after the REQ publishes its
+// session on gpu 0, while the REQ is still on its way back to the client.
+// The evacuation moves the session, and its ring ends up on exactly one
+// shard's sweep — once it could be left on gpu 0's too, both sweeps then
+// consuming one SPSC ring — and the session serves a cycle and its RLS. The
+// client's Timeout turns a hang into a failure.
+func TestRingREQRacesDrain(t *testing.T) {
+	const tries = 20
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
+	w, err := workloads.FromRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < tries; try++ {
+		delay := time.Duration(try%10) * 5 * time.Microsecond
+		func() {
+			s, dir := startRingServer(t, 2)
+			defer s.Close()
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir, Timeout: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var (
+				sess   *Session
+				reqErr error
+				over   atomic.Bool
+			)
+			requested := make(chan struct{})
+			go func() {
+				defer close(requested)
+				sess, reqErr = c.Request(ref, 0)
+				over.Store(true)
+			}()
+			for s.disp.OpenSessions() == 0 && !over.Load() {
+			}
+			for start := time.Now(); time.Since(start) < delay; {
+			}
+			if err := s.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+			<-requested
+			if reqErr != nil {
+				t.Fatalf("try %d (drain after %v): REQ: %v", try, delay, reqErr)
+			}
+			// A second evacuation waits out the background one (the session's
+			// migMu), so the session has come to rest; a probe turn on each
+			// shard then sweeps.
+			s.disp.EvacuateShard(0, s.submit)
+			for shard := 0; shard < 2; shard++ {
+				if !s.submitProbe(shard, func() {}) {
+					t.Fatal("server closed early")
+				}
+			}
+			samples := scrapeMetrics(t, s.Metrics())
+			if got := samples["node_failovers_total"]; got != 1 {
+				t.Fatalf("try %d (drain after %v): node_failovers_total = %d, want 1", try, delay, got)
+			}
+			if sum := samples[`gvmd_ring_sessions{gpu="0"}`] + samples[`gvmd_ring_sessions{gpu="1"}`]; sum != 1 {
+				t.Fatalf("try %d (drain after %v): the session's ring is on %d shards' sweeps, want 1", try, delay, sum)
+			}
+			in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+			w.Fill(0, in)
+			if err := sess.RunCycle(in, out); err != nil {
+				t.Fatalf("try %d (drain after %v): cycle: %v", try, delay, err)
+			}
+			if err := w.Check(0, out); err != nil {
+				t.Fatalf("try %d (drain after %v): %v", try, delay, err)
+			}
+			if err := sess.Release(); err != nil {
+				t.Fatalf("try %d (drain after %v): RLS: %v", try, delay, err)
+			}
+			waitNoSegments(t, dir)
+		}()
+	}
 }
 
 // TestChaosFaultInjection8Clients is the chaos check: fault injection

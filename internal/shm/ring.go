@@ -179,8 +179,8 @@ type SessionRing struct {
 	buf        []byte
 	in, out    []byte
 	clientDoor *atomic.Uint32
+	doorOff    *atomic.Uint32 // the header word naming the shard doorbell
 	doorFile   string
-	doorOff    uint32
 }
 
 // In returns the input staging region (nil when the session moves no
@@ -198,8 +198,15 @@ func (s *SessionRing) ClientDoor() *atomic.Uint32 { return s.clientDoor }
 // submission; DoorOff is the doorbell word's byte offset inside it.
 func (s *SessionRing) DoorFile() string { return s.doorFile }
 
-// DoorOff returns the shard doorbell's byte offset within DoorFile.
-func (s *SessionRing) DoorOff() uint32 { return s.doorOff }
+// DoorOff returns the shard doorbell's byte offset within DoorFile, as the
+// header names it now: an atomic load, because the daemon rewrites it when
+// the session moves to another shard. Untrusted: check it before use.
+func (s *SessionRing) DoorOff() uint32 { return s.doorOff.Load() }
+
+// SetDoorOff points the session's client at another shard doorbell of the
+// same DoorFile: the server side stores it when it moves the session, and
+// the client's next DoorOff load sees it.
+func (s *SessionRing) SetDoorOff(off uint32) { s.doorOff.Store(off) }
 
 func u32at(b []byte, off int) *atomic.Uint32 {
 	return (*atomic.Uint32)(unsafe.Pointer(&b[off]))
@@ -251,17 +258,17 @@ func InitSessionRing(seg Segment, c RingConfig, inBytes, outBytes int64, doorFil
 	le.PutUint64(buf[offInBytes:], uint64(inBytes))
 	le.PutUint64(buf[offOutOff:], uint64(outOff))
 	le.PutUint64(buf[offOutBytes:], uint64(outBytes))
-	le.PutUint32(buf[offDoorOff:], doorOff)
 	buf[offDoorFile] = byte(len(doorFile))
 	copy(buf[offDoorFile+1:], doorFile)
 
 	sr := &SessionRing{
 		buf:        buf,
 		clientDoor: u32at(buf, offClientDoor),
+		doorOff:    u32at(buf, offDoorOff),
 		doorFile:   doorFile,
-		doorOff:    doorOff,
 	}
 	sr.clientDoor.Store(0)
+	sr.doorOff.Store(doorOff)
 	initRing(&sr.Sub, buf[subOff:subOff+ring], c)
 	initRing(&sr.Cpl, buf[cplOff:cplOff+ring], c)
 	if inBytes > 0 {
@@ -333,8 +340,8 @@ func AttachSessionRing(seg Segment) (*SessionRing, error) {
 	sr := &SessionRing{
 		buf:        buf,
 		clientDoor: u32at(buf, offClientDoor),
+		doorOff:    u32at(buf, offDoorOff),
 		doorFile:   string(buf[offDoorFile+1 : offDoorFile+1+nameLen]),
-		doorOff:    le.Uint32(buf[offDoorOff:]),
 	}
 	initRingAttach(&sr.Sub, buf[subOff:subOff+ring], c)
 	initRingAttach(&sr.Cpl, buf[cplOff:cplOff+ring], c)

@@ -27,6 +27,11 @@ func TestRingPushPeekRelease(t *testing.T) {
 	if cli.DoorFile() != "door-seg" || cli.DoorOff() != 64 {
 		t.Fatalf("attach read doorbell %q/%d", cli.DoorFile(), cli.DoorOff())
 	}
+	// A move rewrites the door offset in the header; the client's view sees it.
+	srv.SetDoorOff(128)
+	if cli.DoorOff() != 128 {
+		t.Fatalf("client reads door offset %d after the server set 128", cli.DoorOff())
+	}
 	// Client submits, server consumes.
 	if !cli.Sub.Push([]byte("hello")) {
 		t.Fatal("push failed on an empty ring")

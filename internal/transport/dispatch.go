@@ -204,27 +204,30 @@ func (s *hostSession) loc() int {
 	return s.shard
 }
 
-// adoptOwner lands an extracted session on mgr and binds its staging.
-// Owner side (inside a turn).
-func (s *hostSession) adoptOwner(p *sim.Proc, mgr *gvm.Manager, ext *gvm.ExtractedSession) error {
+// adoptOwner lands an extracted session on shard and binds its staging.
+// Owner side (inside a turn on shard).
+func (s *hostSession) adoptOwner(p *sim.Proc, shard int, ext *gvm.ExtractedSession) error {
+	mgr := s.d.cfg.Node.Shard(shard).Mgr
 	if err := mgr.AdoptSession(p, ext); err != nil {
 		return err
 	}
-	if err := s.bindStaging(mgr); err != nil {
+	if err := s.bindStaging(shard); err != nil {
 		mgr.ReleaseSession(p, s.id) // ext stays adoptable elsewhere
-		return fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, mgr.GPUIndex(), err)
+		return fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, shard, err)
 	}
 	return nil
 }
 
-// bindStaging gives the gvm session its daemon side: the data plane as
-// pinned staging — a mapped plane's client-visible regions, so SND/RCV
+// bindStaging gives the gvm session on shard its daemon side: the data plane
+// as pinned staging — a mapped plane's client-visible regions, so SND/RCV
 // move no bytes on this side and H2D/D2H work on the client's mapping in
 // place; heap buffers for the inline plane (the ones an adoption carried
 // over, else fresh); nothing on a timing-only daemon — and the session's
-// notify as its control surface. Owner side, after every open and adopt,
-// whatever the plane.
-func (s *hostSession) bindStaging(mgr *gvm.Manager) error {
+// notify as its control surface; a ring session then joins the shard's
+// sweep. Owner side (a turn on shard), after every open and adopt, whatever
+// the plane.
+func (s *hostSession) bindStaging(shard int) error {
+	mgr := s.d.cfg.Node.Shard(shard).Mgr
 	s.mu.Lock()
 	pl := &s.plane
 	switch {
@@ -241,7 +244,13 @@ func (s *hostSession) bindStaging(mgr *gvm.Manager) error {
 	}
 	in, out := pl.in, pl.out
 	s.mu.Unlock()
-	return mgr.BindDirect(s.id, in, out, s.notify)
+	if err := mgr.BindDirect(s.id, in, out, s.notify); err != nil {
+		return err
+	}
+	if s.plane.ring != nil {
+		s.d.cfg.Rings.Shard(shard).join(s.plane.ring, mgr)
+	}
+	return nil
 }
 
 // staged gates SND and RCV payload handling; the caller holds s.mu.
@@ -461,10 +470,11 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		owner: cs, d: d, plane: plane,
 		ref: *req.Ref, rank: req.Rank,
 	}
-	err = s.plane.create(d.cfg.ShmDir, SegPrefix+strconv.Itoa(s.id), s, mgr)
-	// Owner phase: the plane becomes the session's pinned staging; a
-	// failure so far unwinds like a release.
-	if err == nil && !d.onShard(submit, shard, func(*sim.Proc) { err = s.bindStaging(mgr) }) {
+	err = s.plane.create(d.cfg.ShmDir, SegPrefix+strconv.Itoa(s.id), s)
+	// Owner phase: the plane becomes the session's pinned staging, and a ring
+	// joins the shard's sweep before the session is published; a failure so
+	// far unwinds like a release.
+	if err == nil && !d.onShard(submit, shard, func(*sim.Proc) { err = s.bindStaging(shard) }) {
 		// No verb ever ran on the session, so nothing can touch the
 		// mapping this unmaps.
 		d.retire(s)
@@ -475,9 +485,6 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		return errResp(err), true
 	}
 	d.publish(s, cs)
-	if s.plane.ring != nil {
-		d.cfg.Rings.Shard(shard).Register(s.plane.ring)
-	}
 	return Response{
 		Status:    "ACK",
 		Session:   s.id,
@@ -645,7 +652,7 @@ func (d *Dispatcher) retire(s *hostSession) {
 		delete(d.sessions, s.id)
 	}
 	d.mu.Unlock()
-	_ = plane.Close(shard)
+	_ = plane.Close()
 	d.cfg.Node.Release(shard, s.inB, s.outB)
 }
 
@@ -720,9 +727,9 @@ var errShutdown = errors.New("transport: shutdown during migration")
 // extract is the first half of every move — failover to another shard
 // (migrate), MIG to another node: latch the session as migrating, so verbs
 // racing the move answer retryable errors, then on the source owner end a
-// frame in flight (abortRun), pull a ring session out of its shard's sweep
-// (the client's mapping stays valid, and after adoption the same ringSession
-// re-registers on the target's sweep), and quiesce and extract the gvm
+// frame in flight (abortRun), take a ring session off its shard's sweep
+// (the client's mapping stays valid, and the adopting turn puts the same
+// ringSession on the target's sweep), and quiesce and extract the gvm
 // session. The caller holds s.migMu and calls s.settle when the move is
 // over, however it ended. A session already closed returns no state and no
 // error.
@@ -743,7 +750,7 @@ func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.E
 	if !d.onShard(submit, from, func(p *sim.Proc) {
 		s.abortRun(gvm.Retryable(fmt.Sprintf("transport: session %d migrating off gpu %d", s.id, from)))
 		if s.plane.ring != nil {
-			d.cfg.Rings.Shard(from).remove(s.plane.ring)
+			s.plane.ring.leave()
 		}
 		ext, err = mgr.ExtractSession(p, s.id)
 	}) {
@@ -759,38 +766,30 @@ func (s *hostSession) settle() {
 	s.mu.Unlock()
 }
 
-// adopt is the second half of every move: land ext on shard — adopt into
-// its gvm manager and bind the staging back onto the data plane (a mapped
-// segment held the truth all along: nothing is copied back) — then remap
-// the session's routing. A ring session's manager is set in the owner
-// closure so the target sweep observes it through the Register
-// happens-before edge. The caller holds the placement on shard; the
-// result is the shard's virtual time at landing.
+// adopt is the second half of every move, one turn on shard: adopt ext into
+// the shard's gvm manager, bind the staging back onto the data plane (a
+// mapped segment held the truth all along: nothing is copied back; a ring
+// joins the shard's sweep, its header now naming the shard's door), and
+// remap the session's routing — in the turn, because the sweep that ends it
+// may already run one of the session's ring frames, an RLS among them. The
+// caller holds the placement on shard; the result is the shard's virtual
+// time at landing.
 func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int, submit ShardSubmitter) (float64, error) {
-	mgr := d.cfg.Node.Shard(shard).Mgr
-	ring := s.plane.ring
 	var (
 		vms float64
 		err error
 	)
 	if !d.onShard(submit, shard, func(p *sim.Proc) {
-		if err = s.adoptOwner(p, mgr, ext); err == nil && ring != nil {
-			ring.mgr = mgr
+		if err = s.adoptOwner(p, shard, ext); err == nil {
+			s.mu.Lock()
+			s.shard = shard
+			s.mu.Unlock()
 		}
 		vms = p.Now().Milliseconds()
 	}) {
 		return 0, errShutdown
 	}
-	if err != nil {
-		return vms, err
-	}
-	s.mu.Lock()
-	s.shard = shard
-	s.mu.Unlock()
-	if ring != nil {
-		d.cfg.Rings.Shard(shard).Register(ring)
-	}
-	return vms, nil
+	return vms, err
 }
 
 // migrate live-migrates one session off its current shard: extract on the
@@ -838,12 +837,6 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 		return fmt.Errorf("transport: adopt session %d on gpu %d: %w", s.id, to, aerr)
 	}
 	d.cfg.Node.Release(from, s.inB, s.outB)
-	if s.plane.ring != nil {
-		// The client's ring header still names the source shard's door;
-		// forward its rings to the adopting shard so the target owner
-		// wakes on new submissions.
-		d.cfg.Rings.Shard(from).Forward(d.cfg.Rings.Shard(to).Door())
-	}
 
 	d.met.failovers.Inc()
 	d.met.migratedBytes.Add(ext.Bytes())

@@ -226,7 +226,7 @@ func (e *frameEncoder) flatten(dst []byte) []byte {
 	return dst
 }
 
-func (e *frameEncoder) encodeRequest(req Request) error {
+func (e *frameEncoder) encodeRequest(req *Request) error {
 	e.reset()
 	e.buf = append(e.buf, frameMagic, kindRequest, 0, 0, 0, 0)
 	if err := e.requestFields(req); err != nil {
@@ -245,7 +245,7 @@ func (e *frameEncoder) encodeRequest(req Request) error {
 				// REQ is disallowed inside BAT, and the fields are REQ-only.
 				return fmt.Errorf("transport: MemQuota/Priority/Weight on batch sub-request %s", req.Batch[i].Verb)
 			}
-			if err := e.requestFields(req.Batch[i]); err != nil {
+			if err := e.requestFields(&req.Batch[i]); err != nil {
 				return err
 			}
 		}
@@ -275,7 +275,7 @@ func (e *frameEncoder) encodeRequest(req Request) error {
 	return e.finish()
 }
 
-func (e *frameEncoder) requestFields(req Request) error {
+func (e *frameEncoder) requestFields(req *Request) error {
 	e.str(req.Verb)
 	e.varint(int64(req.Session))
 	e.varint(int64(req.Rank))
@@ -300,7 +300,7 @@ func (e *frameEncoder) requestFields(req Request) error {
 	return nil
 }
 
-func (e *frameEncoder) encodeResponse(resp Response) error {
+func (e *frameEncoder) encodeResponse(resp *Response) error {
 	e.reset()
 	e.buf = append(e.buf, frameMagic, kindResponse, 0, 0, 0, 0)
 	e.responseFields(resp)
@@ -310,13 +310,13 @@ func (e *frameEncoder) encodeResponse(resp Response) error {
 			if len(resp.Batch[i].Batch) > 0 {
 				return fmt.Errorf("transport: nested batch in response frame")
 			}
-			e.responseFields(resp.Batch[i])
+			e.responseFields(&resp.Batch[i])
 		}
 	}
 	return e.finish()
 }
 
-func (e *frameEncoder) responseFields(resp Response) {
+func (e *frameEncoder) responseFields(resp *Response) {
 	e.str(resp.Status)
 	e.varint(int64(resp.Session))
 	e.str(resp.Err)
@@ -334,7 +334,7 @@ func (e *frameEncoder) responseFields(resp Response) {
 // serves tests, fuzzing and offline tooling.
 func EncodeRequestBinary(dst []byte, req Request) ([]byte, error) {
 	var e frameEncoder
-	if err := e.encodeRequest(req); err != nil {
+	if err := e.encodeRequest(&req); err != nil {
 		return nil, err
 	}
 	return e.flatten(dst), nil
@@ -343,7 +343,7 @@ func EncodeRequestBinary(dst []byte, req Request) ([]byte, error) {
 // EncodeResponseBinary appends a complete binary response frame to dst.
 func EncodeResponseBinary(dst []byte, resp Response) ([]byte, error) {
 	var e frameEncoder
-	if err := e.encodeResponse(resp); err != nil {
+	if err := e.encodeResponse(&resp); err != nil {
 		return nil, err
 	}
 	return e.flatten(dst), nil

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/shm"
 )
 
@@ -152,8 +151,9 @@ func newHostPlane(kind string, rings *RingHost, inB, outB int64) (hostPlane, err
 }
 
 // create maps host's segment in dir under name — nothing for the inline
-// plane. A ring session is left for the caller to register on mgr's shard.
-func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manager) error {
+// plane. A ring session joins its shard's sweep when its staging is bound
+// (hostSession.bindStaging).
+func (pl *hostPlane) create(dir, name string, host *hostSession) error {
 	if pl.size == 0 {
 		return nil
 	}
@@ -162,7 +162,7 @@ func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manage
 		return err
 	}
 	if rs := pl.ring; rs != nil {
-		rs.host, rs.mgr, rs.deliver = host, mgr, rs.finish
+		rs.host, rs.deliver = host, rs.finish
 		if rs.sr, err = shm.InitSessionRing(seg, shm.DefaultRingConfig(), host.inB, host.outB, rs.rh.doorName, uint32(host.shard*shm.DoorStride)); err == nil {
 			pl.in, pl.out = rs.sr.In(), rs.sr.Out()
 		}
@@ -177,17 +177,17 @@ func (pl *hostPlane) create(dir, name string, host *hostSession, mgr *gvm.Manage
 	return nil
 }
 
-// Close releases the plane of a session on shard; its regions die with it,
-// so it runs only after the gvm session bound onto them is gone. A ring
-// segment is unmapped by its shard's next sweep — the one ending the turn that
-// retired it — race-free with the sweep that reads its rings; any other by
-// the caller.
-func (pl *hostPlane) Close(shard int) error {
+// Close releases the plane; its regions die with it, so it runs only after
+// the gvm session bound onto them is gone. A ring segment on a shard's sweep
+// is unmapped by that sweep — the one ending the turn that retired it —
+// race-free with the sweep that reads its rings (ringSession.retire); any
+// other by the caller.
+func (pl *hostPlane) Close() error {
 	switch {
 	case pl.seg == nil:
 		return nil
 	case pl.ring != nil:
-		pl.ring.rh.Shard(shard).Unregister(pl.ring)
+		pl.ring.retire()
 		return nil
 	}
 	return pl.seg.Close()

@@ -34,6 +34,7 @@ type RingPlane struct {
 	doorSeg shm.Segment
 	sr      *shm.SessionRing
 	door    *atomic.Uint32 // shard submission doorbell (rung after Push)
+	doorOff uint32         // door's offset in doorSeg
 
 	enc     frameEncoder
 	rec     []byte   // retained contiguous-frame scratch
@@ -43,8 +44,8 @@ type RingPlane struct {
 }
 
 // openRingPlane attaches the rings laid out in a ring session's segment and
-// the shard doorbell word its header tells the client to ring after each
-// submission. seg stays the caller's to close.
+// the shard doorbell segment its header names. seg stays the caller's to
+// close.
 func openRingPlane(shmDir string, seg shm.Segment) (*RingPlane, error) {
 	sr, err := shm.AttachSessionRing(seg)
 	if err != nil {
@@ -54,12 +55,28 @@ func openRingPlane(shmDir string, seg shm.Segment) (*RingPlane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("doorbell: %w", err)
 	}
-	door, err := shm.DoorWordAt(doorSeg, sr.DoorOff())
-	if err != nil {
+	p := &RingPlane{doorSeg: doorSeg, sr: sr}
+	if _, err := p.doorbell(); err != nil {
 		doorSeg.Close()
-		return nil, fmt.Errorf("doorbell: %w", err)
+		return nil, err
 	}
-	return &RingPlane{doorSeg: doorSeg, sr: sr, door: door}, nil
+	return p, nil
+}
+
+// doorbell returns the shard doorbell the ring header names now. A move to
+// another shard rewrites that offset (RingShard.join), so Trip re-reads it
+// after every Push; DESIGN.md §3 ("The door a client rings") has the
+// ordering argument. The offset comes from shared memory and is
+// bounds-checked before use.
+func (p *RingPlane) doorbell() (*atomic.Uint32, error) {
+	if off := p.sr.DoorOff(); p.door == nil || off != p.doorOff {
+		door, err := shm.DoorWordAt(p.doorSeg, off)
+		if err != nil {
+			return nil, fmt.Errorf("doorbell: %w", err)
+		}
+		p.door, p.doorOff = door, off
+	}
+	return p.door, nil
 }
 
 // SetTimeout bounds each Trip's wait for a response (0 = wait forever).
@@ -76,7 +93,7 @@ func (p *RingPlane) Trips() int64 { return p.trips }
 // reused). Requests must not carry Data — ring payloads travel through
 // the staging regions.
 func (p *RingPlane) Trip(req Request) (*Response, error) {
-	if err := p.enc.encodeRequest(req); err != nil {
+	if err := p.enc.encodeRequest(&req); err != nil {
 		return nil, err
 	}
 	p.rec = p.enc.flatten(p.rec[:0])
@@ -102,7 +119,11 @@ func (p *RingPlane) Trip(req Request) (*Response, error) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	shm.DoorRing(p.door)
+	door, err := p.doorbell()
+	if err != nil {
+		return nil, err
+	}
+	shm.DoorRing(door)
 	p.trips++
 
 	rec, err := p.awaitCpl()

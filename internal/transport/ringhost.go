@@ -3,13 +3,12 @@ package transport
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/metrics"
-	"gpuvirt/internal/node"
 	"gpuvirt/internal/shm"
 )
 
@@ -58,7 +57,8 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 	h := &RingHost{doorSeg: seg, doorName: name}
 	h.shards = make([]*RingShard, cfg.Shards)
 	for i := range h.shards {
-		door, derr := shm.DoorWordAt(seg, uint32(i*shm.DoorStride))
+		off := uint32(i * shm.DoorStride)
+		door, derr := shm.DoorWordAt(seg, off)
 		if derr != nil {
 			seg.Close()
 			return nil, derr
@@ -66,6 +66,7 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 		gpu := metrics.L("gpu", strconv.Itoa(i))
 		rs := &RingShard{
 			door:    door,
+			off:     off,
 			records: cfg.Metrics.Counter("gvmd_ring_records_total", "submission-ring records consumed", gpu),
 			sweeps:  cfg.Metrics.Counter("gvmd_ring_sweeps_total", "ring sweeps that made progress", gpu),
 			open:    cfg.Metrics.Gauge("gvmd_ring_sessions", "live ring-plane sessions", gpu),
@@ -85,19 +86,12 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 // Shard returns shard i's ring sweep state.
 func (h *RingHost) Shard(i int) *RingShard { return h.shards[i] }
 
-// Close releases every remaining session segment and the doorbell
-// segment. Call only once no turn can run on any shard anymore.
+// Close unmaps every session segment still on a shard's sweep and the
+// doorbell segment. Call only once no turn can run on any shard anymore.
 func (h *RingHost) Close() error {
 	for _, rs := range h.shards {
-		rs.events.Drain(func(ev ringEvent) {
-			if ev.close {
-				ev.sess.closeOwner()
-			} else {
-				rs.sessions = append(rs.sessions, ev.sess)
-			}
-		})
 		for _, s := range rs.sessions {
-			s.closeOwner()
+			s.unmap()
 		}
 		rs.sessions = nil
 	}
@@ -112,122 +106,63 @@ func (h *RingHost) RingAll() {
 	}
 }
 
-// ringEvent is one registration-side-channel entry: a session ring to
-// start sweeping, or (close) one to stop sweeping and unmap.
-type ringEvent struct {
-	sess  *ringSession
-	close bool
-}
-
-// RingShard is one shard's ring state: its doorbell word, the MPSC
-// drain connection goroutines register sessions through, and the
-// owner-private session list the sweep walks. All methods except
-// Register/Unregister are owner-only: called inside a turn on the shard.
+// RingShard is one shard's ring state: its doorbell word and the session
+// rings its sweep walks. It is owner state — only a turn on the shard reads
+// or changes it — so a session joins (Dispatcher's REQ bind and adopt
+// turns), leaves (extract's turn) and is unmapped (the sweep after a retire)
+// inside turns, and the sweep takes no lock.
 type RingShard struct {
 	door *atomic.Uint32
+	off  uint32 // door's offset in the doorbell segment
 
-	events node.Drain[ringEvent]
-
-	sessions []*ringSession // owner-private
-
-	// fwd holds the doorbells of shards that adopted sessions migrated
-	// off this shard. A migrated ring client keeps ringing THIS shard's
-	// door (the door offset was baked into its ring header at attach and
-	// cached at map time), so every sweep forwards the ring to the
-	// adopting shards' doors. Guarded by fwdMu (written by the failover
-	// engine's goroutine, read by the owner's sweep).
-	fwdMu sync.Mutex
-	fwd   []*atomic.Uint32
+	sessions []*ringSession
 
 	records *metrics.Counter
 	sweeps  *metrics.Counter
 	open    *metrics.Gauge
 }
 
-// Forward registers a doorbell to ring on every sweep of this shard —
-// the failover engine's bridge for migrated ring clients, whose mapped
-// ring header still names this shard's door. Any goroutine may call it;
-// it rings the target once immediately in case the client already rang.
-func (rs *RingShard) Forward(door *atomic.Uint32) {
-	rs.fwdMu.Lock()
-	for _, d := range rs.fwd {
-		if d == door {
-			rs.fwdMu.Unlock()
-			return
-		}
-	}
-	rs.fwd = append(rs.fwd, door)
-	rs.fwdMu.Unlock()
-	shm.DoorRing(door)
-}
-
-// forward rings every adopted-session doorbell (no-op until a migration
-// installs one).
-func (rs *RingShard) forward() {
-	rs.fwdMu.Lock()
-	for _, d := range rs.fwd {
-		shm.DoorRing(d)
-	}
-	rs.fwdMu.Unlock()
-}
-
 // Door returns the shard's submission doorbell word.
 func (rs *RingShard) Door() *atomic.Uint32 { return rs.door }
 
-// Register hands a new session ring to the shard owner and rings the
-// doorbell so a parked owner picks it up. Any goroutine may call it.
-func (rs *RingShard) Register(sess *ringSession) {
-	rs.events.Push(ringEvent{sess: sess})
-	shm.DoorRing(rs.door)
+// join puts s on the shard's sweep, its frames to run on mgr, and rewrites
+// the door offset in its ring header so the client rings this shard from its
+// next submission on; a record it already pushed is found by this turn's
+// sweep, which comes after the rewrite. Owner-only.
+func (rs *RingShard) join(s *ringSession, mgr *gvm.Manager) {
+	s.on, s.mgr = rs, mgr
+	s.sr.SetDoorOff(rs.off)
+	rs.sessions = append(rs.sessions, s)
+	rs.open.Inc()
 }
 
-// Unregister tells the shard owner to stop sweeping sess and unmap its
-// segment. Any goroutine may call it; the segment stays mapped until the
-// owner applies the event, so a sweep never races the unmap.
-func (rs *RingShard) Unregister(sess *ringSession) {
-	rs.events.Push(ringEvent{sess: sess, close: true})
-	shm.DoorRing(rs.door)
-}
-
-// Sweep applies queued register/unregister events, retries completions
-// waiting for ring space, and gives every session's submission ring a
-// consume pass. It reports whether it made progress; the shard's sweep loop
-// keeps sweeping (interleaved with calendar drains) until a sweep comes
-// back dry, then spins, then parks; a socket turn sweeps once after its work.
+// Sweep retries completions waiting for ring space, gives every session's
+// submission ring a consume pass, and unmaps the sessions retired since the
+// last sweep after that last step. It reports whether it made progress; the
+// shard's sweep loop keeps sweeping (interleaved with calendar drains) until
+// a sweep comes back dry, then spins, then parks; a socket turn sweeps once
+// after its work.
 func (rs *RingShard) Sweep() bool {
 	progress := false
-	rs.forward()
-	if !rs.events.Empty() {
-		rs.events.Drain(func(ev ringEvent) {
-			progress = true
-			if ev.close {
-				rs.remove(ev.sess)
-				ev.sess.closeOwner()
-			} else {
-				rs.sessions = append(rs.sessions, ev.sess)
-				rs.open.Inc()
-			}
-		})
-	}
+	live := rs.sessions[:0]
 	for _, s := range rs.sessions {
 		if s.step(rs) {
 			progress = true
 		}
+		if s.retired {
+			rs.open.Dec()
+			s.unmap()
+			progress = true
+			continue
+		}
+		live = append(live, s)
 	}
+	clear(rs.sessions[len(live):])
+	rs.sessions = live
 	if progress {
 		rs.sweeps.Inc()
 	}
 	return progress
-}
-
-func (rs *RingShard) remove(sess *ringSession) {
-	for i, s := range rs.sessions {
-		if s == sess {
-			rs.sessions = append(rs.sessions[:i], rs.sessions[i+1:]...)
-			rs.open.Dec()
-			return
-		}
-	}
 }
 
 // ringSession is the ring front-end of one session: it consumes request
@@ -239,7 +174,8 @@ func (rs *RingShard) remove(sess *ringSession) {
 type ringSession struct {
 	rh   *RingHost
 	host *hostSession
-	mgr  *gvm.Manager // the shard sweeping the session; a move re-points it (Dispatcher.adopt)
+	on   *RingShard   // the shard sweeping the session; nil before join, between shards
+	mgr  *gvm.Manager // on's manager
 	sr   *shm.SessionRing
 
 	enc frameEncoder
@@ -250,7 +186,34 @@ type ringSession struct {
 	active  bool   // a frame is running (host.run)
 	bat     bool
 	pending bool // encoded response waiting for completion-ring space
-	closed  bool
+	retired bool // the session is gone: on's next sweep unmaps the segment
+}
+
+// leave takes s off the sweep of the shard it is on, if any: the session is
+// moving. Owner-only, in a turn on that shard.
+func (s *ringSession) leave() {
+	rs := s.on
+	if rs == nil {
+		return
+	}
+	if i := slices.Index(rs.sessions, s); i >= 0 {
+		rs.sessions = slices.Delete(rs.sessions, i, i+1)
+		rs.open.Dec()
+	}
+	s.on = nil
+}
+
+// retire ends the daemon's side of a retired session's rings. A ring on a
+// shard's sweep is only marked — the retiring turn is on that shard, and its
+// sweep unmaps the segment after the session's last step, so no sweep ever
+// reads an unmapped ring; one on no sweep (never joined, or stranded between
+// shards) has no reader and is unmapped at once.
+func (s *ringSession) retire() {
+	if s.on == nil {
+		s.unmap()
+		return
+	}
+	s.retired = true
 }
 
 // step is one pass of rs's sweep over the session: deliver a stalled
@@ -265,7 +228,7 @@ func (s *ringSession) step(rs *RingShard) bool {
 		shm.DoorRing(s.sr.ClientDoor())
 		progress = true
 	}
-	for !s.active && !s.pending {
+	for !s.active && !s.pending && !s.retired {
 		rec, ok := s.sr.Sub.Peek()
 		if !ok {
 			break
@@ -319,13 +282,13 @@ func (s *ringSession) finish() {
 // respond encodes a frame's response, pushes it to the completion ring
 // (deferring to the sweep when the ring is full) and rings the client.
 func (s *ringSession) respond(resp Response) {
-	if err := s.enc.encodeResponse(resp); err != nil {
-		_ = s.enc.encodeResponse(Response{Status: "ERR", Session: s.host.id, Err: err.Error()})
+	if err := s.enc.encodeResponse(&resp); err != nil {
+		_ = s.enc.encodeResponse(&Response{Status: "ERR", Session: s.host.id, Err: err.Error()})
 	}
 	s.rec = s.enc.flatten(s.rec[:0])
 	s.enc.clearAliases()
 	if len(s.rec) > s.sr.Cpl.MaxRecord() {
-		_ = s.enc.encodeResponse(Response{
+		_ = s.enc.encodeResponse(&Response{
 			Status: "ERR", Session: s.host.id,
 			Err: fmt.Sprintf("transport: ring response %d bytes exceeds slot capacity %d", len(s.rec), s.sr.Cpl.MaxRecord()),
 		})
@@ -339,12 +302,6 @@ func (s *ringSession) respond(resp Response) {
 	}
 }
 
-// closeOwner unmaps the session segment. Idempotent; owner
-// (or post-shutdown RingHost.Close) only.
-func (s *ringSession) closeOwner() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	_ = s.host.plane.seg.Close()
-}
+// unmap unmaps (and unlinks) the session segment; once per ring, by retire,
+// the sweep or RingHost.Close.
+func (s *ringSession) unmap() { _ = s.host.plane.seg.Close() }

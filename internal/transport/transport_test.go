@@ -163,17 +163,17 @@ func TestPlaneRoundTrips(t *testing.T) {
 				if rings, err = NewRingHost(RingHostConfig{ShmDir: dir}); err != nil {
 					t.Fatal(err)
 				}
-				defer rings.Close() // the sweep that would unmap the session never runs here
+				defer rings.Close()
 			}
 			host, err := newHostPlane(kind, rings, int64(len(in)), int64(len(out)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := &hostSession{inB: int64(len(in)), outB: int64(len(out)), plane: host}
-			if err := s.plane.create(dir, "seg-test", s, nil); err != nil {
+			if err := s.plane.create(dir, "seg-test", s); err != nil {
 				t.Fatal(err)
 			}
-			defer s.plane.Close(0)
+			defer s.plane.Close()
 			resp := Response{Plane: s.plane.kind, Segment: s.plane.name, InBytes: s.inB, OutBytes: s.outB}
 			client, err := OpenPlane(dir, resp)
 			if err != nil {
@@ -238,13 +238,66 @@ func TestPlaneRoundTrips(t *testing.T) {
 	}
 }
 
+// TestRingDoorbellFollowsHeader: a ring client rings whichever shard
+// doorbell its ring header names when it submits — the daemon rewrites the
+// offset when it moves the session to another shard — and an offset outside
+// the doorbell segment fails the trip instead of faulting.
+func TestRingDoorbellFollowsHeader(t *testing.T) {
+	dir := t.TempDir()
+	rings, err := NewRingHost(RingHostConfig{ShmDir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rings.Close()
+	host, err := newHostPlane(PlaneRing, rings, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &hostSession{plane: host}
+	if err := s.plane.create(dir, "seg-door", s); err != nil {
+		t.Fatal(err)
+	}
+	defer s.plane.Close()
+	client, err := OpenPlane(dir, Response{Plane: PlaneRing, Segment: s.plane.name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sr := s.plane.ring.sr
+	ack, err := EncodeResponseBinary(nil, Response{Status: "ACK"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rung := func() [2]uint32 {
+		return [2]uint32{rings.Shard(0).Door().Load() >> 1, rings.Shard(1).Door().Load() >> 1}
+	}
+	for _, shard := range []int{0, 1, 0} {
+		sr.SetDoorOff(uint32(shard * shm.DoorStride))
+		before := rung()
+		if !sr.Cpl.Push(ack) { // the answer is waiting: Trip returns at once
+			t.Fatal("completion ring full")
+		}
+		if _, err := client.Ring.Trip(Request{Verb: "STP", Session: 1}); err != nil {
+			t.Fatal(err)
+		}
+		after := rung()
+		if after[shard]-before[shard] != 1 || after[1-shard] != before[1-shard] {
+			t.Fatalf("header names gpu %d's door: doorbells went %v -> %v", shard, before, after)
+		}
+	}
+	sr.SetDoorOff(1 << 20)
+	if _, err := client.Ring.Trip(Request{Verb: "STP", Session: 1}); err == nil || !strings.Contains(err.Error(), "doorbell") {
+		t.Fatalf("trip with the door offset outside the doorbell segment: %v, want a doorbell error", err)
+	}
+}
+
 func TestShmHostPlaneRemovesSegment(t *testing.T) {
 	dir := t.TempDir()
 	host, err := newHostPlane(PlaneShm, nil, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := host.create(dir, "seg-rm", &hostSession{inB: 8, outB: 8}, nil); err != nil {
+	if err := host.create(dir, "seg-rm", &hostSession{inB: 8, outB: 8}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "seg-rm")
@@ -253,7 +306,7 @@ func TestShmHostPlaneRemovesSegment(t *testing.T) {
 		t.Fatalf("segment file missing while plane open: %v", err)
 	}
 	seg.Close()
-	if err := host.Close(0); err != nil {
+	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := shm.OpenFile(dir, "seg-rm"); err == nil {

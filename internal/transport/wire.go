@@ -163,7 +163,7 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 // threshold are not copied: they ride a writev (net.Buffers) straight
 // from req.Data, so the caller must not mutate it until the call returns.
 func (c *Conn) WriteRequest(req Request) error {
-	if err := c.we.encodeRequest(req); err != nil {
+	if err := c.we.encodeRequest(&req); err != nil {
 		// A failed encode (e.g. nested batch) aborts mid-frame: drop the
 		// payload aliases accumulated so far so the encoder is clean for
 		// the next frame and pins nothing.
@@ -176,7 +176,7 @@ func (c *Conn) WriteRequest(req Request) error {
 // WriteResponse sends one response frame; the same no-copy rule as
 // WriteRequest applies to resp.Data.
 func (c *Conn) WriteResponse(resp Response) error {
-	if err := c.we.encodeResponse(resp); err != nil {
+	if err := c.we.encodeResponse(&resp); err != nil {
 		c.we.clearAliases()
 		return err
 	}
