@@ -61,6 +61,13 @@ vet:
 # non-test internal/transport uses no node.Drain side channel, RingShard
 # declares no mutex and no Register, Unregister or Forward method, and
 # internal/node declares no Drain type for a queue to come back through.
+# And one frame per carrier: a decoded frame is the carrier's one retained
+# value, passed by pointer from decode to encode and valid until the
+# carrier's next read, so no function (or func literal) in non-test
+# internal/transport, internal/ipc or internal/fed takes a Request or
+# Response by value or returns one with an error — a by-value hop copies
+# the frame and a second copy outlives the rule. The exception is the
+# contiguous Encode*Binary API that bench/ calls.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -96,6 +103,9 @@ one-engine:
 		awk '/^type RingShard struct/ { f = 1 } f && /^}/ { f = 0 } f && /sync\.(RW)?Mutex/ { print FILENAME ":" FNR ": RingShard declares a mutex" }' $$src; \
 		grep -nE '^type Drain\b' $$(ls internal/node/*.go | grep -v _test.go); } ); \
 	[ -z "$$bad" ] || { echo "a ring session changes shards outside a turn again (node.Drain in internal/transport, a mutex or a Register/Unregister/Forward method on RingShard, or a Drain type in internal/node):"; echo "$$bad"; exit 1; }
+	@bad=$$(grep -nE '^[^/]*\bfunc\b.*[( ](transport\.)?(Request|Response)[,)]' $$(ls internal/transport/*.go internal/ipc/*.go internal/fed/*.go | grep -v _test.go) | \
+		grep -vE '^internal/transport/frame\.go:[0-9]+:func Encode(Request|Response)Binary\('); \
+	[ -z "$$bad" ] || { echo "a frame travels by value (a Request or Response value parameter, or a (Request, error) / (Response, error) result, in non-test transport/ipc/fed; pass the carrier's retained frame by pointer):"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

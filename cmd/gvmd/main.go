@@ -67,15 +67,15 @@ func main() {
 	maxSessionBytes := flag.Int64("max-session-bytes", 0, "reject REQ whose staging footprint (InBytes+OutBytes) exceeds this many bytes (0 = no per-session limit)")
 	overcommit := flag.Float64("overcommit", 1.0, "admit sessions while reserved bytes stay within this factor of each GPU's memory; above 1.0 idle sessions are evicted to host snapshots on demand")
 	memBytes := flag.Int64("mem", 0, "override each simulated GPU's device memory in bytes (0 = architecture default; shrink it to demo -overcommit eviction)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/alloc profiles of the daemon hot path")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (e.g. localhost:9090; also mounted on the -pprof mux)")
+	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics and net/http/pprof at /debug/pprof/ (e.g. localhost:9090)")
 	faultInject := flag.String("fault-inject", "", "inject simulated XID faults on kernel launches, e.g. 'gpu=0,after=25,kind=hang' or 'rate=0.01,seed=7,kinds=hang|fatal' (faulted shards are evacuated by live session migration)")
 	logLevel := flag.String("log-level", "error", "structured logging to stderr: debug (one line per verb), info (one line per flush), warn, error (simulation errors, bad preambles, frame read errors); empty disables")
 	flag.Parse()
 
 	reg := metrics.NewRegistry()
-	// The -pprof mux serves /metrics too, so one debug listener covers
-	// profiles and telemetry.
+	// The -metrics listener serves the default mux, which the net/http/pprof
+	// import has given /debug/pprof/: one debug listener covers telemetry and
+	// profiles.
 	http.Handle("/metrics", metrics.Handler(reg))
 
 	logger, err := slogByLevel(*logLevel)
@@ -83,16 +83,6 @@ func main() {
 		log.Fatalf("gvmd: %v", err)
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			// DefaultServeMux carries the /debug/pprof handlers via the
-			// net/http/pprof import.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("gvmd: pprof: %v", err)
-			}
-		}()
-		log.Printf("gvmd: pprof on http://%s/debug/pprof/", *pprofAddr)
-	}
 	var metricsURL string
 	if *metricsAddr != "" {
 		// Bind explicitly (rather than ListenAndServe) so ":0" resolves to

@@ -59,8 +59,7 @@ func main() {
 	placement := flag.String("placement", "least-sessions", "node placement policy: "+strings.Join(node.PolicyNames(), "|"))
 	poll := flag.Duration("poll", 200*time.Millisecond, "backend advertisement poll interval")
 	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
+	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes) and net/http/pprof at /debug/pprof/")
 	logLevel := flag.String("log-level", "", "structured routing/failover logging to stderr: debug|info|warn|error; empty disables")
 	flag.Parse()
 
@@ -90,15 +89,9 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
+	// Served on the -metrics listener beside /debug/pprof/, which the
+	// net/http/pprof import registers on the same default mux.
 	http.Handle("/metrics", metrics.Handler(reg))
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("gvmfed: pprof: %v", err)
-			}
-		}()
-		log.Printf("gvmfed: pprof on http://%s/debug/pprof/", *pprofAddr)
-	}
 	var metricsURL string
 	if *metricsAddr != "" {
 		// Bind explicitly so ":0" resolves to a concrete port for the addr

@@ -37,7 +37,7 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 			}
 			// Respond with the request's payload aliasing the read buffer,
 			// exactly as the daemon's zero-copy RCV path does.
-			if err := peer.WriteResponse(transport.Response{Status: "ACK", Session: req.Session, Data: req.Data}); err != nil {
+			if err := peer.WriteResponse(&transport.Response{Status: "ACK", Session: req.Session, Data: req.Data}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -54,7 +54,7 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	hop := func() {
-		resp, locked := r.serveFrame(transport.Request{Verb: "SND", Session: 1, Data: payload}, cc)
+		resp, locked := r.serveFrame(&transport.Request{Verb: "SND", Session: 1, Data: payload}, cc)
 		if locked == nil {
 			t.Fatal("hop did not return the locked session")
 		}

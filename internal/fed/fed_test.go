@@ -547,7 +547,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 
 	trip := func(req transport.Request) transport.Response {
 		t.Helper()
-		if err := conn.WriteRequest(req); err != nil {
+		if err := conn.WriteRequest(&req); err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
 		resp, err := conn.ReadResponse()
@@ -557,7 +557,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 		if resp.Status != "ACK" {
 			t.Fatalf("%s: %s", req.Verb, resp.Err)
 		}
-		return resp
+		return *resp
 	}
 	opened := trip(transport.Request{Verb: "REQ", Ref: &ref, Rank: 0})
 	vid := opened.Session
@@ -577,7 +577,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 
 	// RCV goes out but its response stays unread: the router trips the
 	// backend, then parks in WriteResponse on the synchronous pipe.
-	if err := conn.WriteRequest(transport.Request{Verb: "RCV", Session: vid}); err != nil {
+	if err := conn.WriteRequest(&transport.Request{Verb: "RCV", Session: vid}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the proxy reach the parked write

@@ -57,7 +57,7 @@ func (r *Router) ensurePlacedLocked(s *fedSession) error {
 func (r *Router) recreateLocked(s *fedSession) error {
 	old := s.b
 	r.dropBackendLocked(s, true)
-	fwd := transport.Request{
+	fwd := &transport.Request{
 		Verb: "REQ", Ref: &s.ref, Rank: s.rank,
 		Plane:    transport.PlaneInline,
 		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
@@ -94,7 +94,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 	if _, err := r.placer.Select(r.nodeLoads(), footprint); err != nil {
 		return fmt.Errorf("fed: no target for migration: %v", err)
 	}
-	resp, terr := r.trip(s, transport.Request{Verb: "MIG", Session: s.realID})
+	resp, terr := r.trip(s, &transport.Request{Verb: "MIG", Session: s.realID})
 	if terr != nil {
 		// The draining node died mid-extract; fall back to re-creation.
 		r.markDead(src, terr)
@@ -110,7 +110,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 	r.dropBackendLocked(s, true)
 
 	// A node that refuses the adoption leaves the others to try.
-	adp := transport.Request{Verb: "ADP", Data: blob}
+	adp := &transport.Request{Verb: "ADP", Data: blob}
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
 		b, conn, aresp, err := r.openOn(adp, footprint)

@@ -70,7 +70,7 @@ func (r *Router) pollBackend(b *backend) {
 			return
 		}
 	}
-	resp, err := tripConn(ctl, transport.Request{Verb: "STA"})
+	resp, err := tripConn(ctl, &transport.Request{Verb: "STA"})
 	if err != nil {
 		ctl.Close()
 		ctl.Release()
@@ -84,7 +84,7 @@ func (r *Router) pollBackend(b *backend) {
 			r.markDead(b, derr)
 			return
 		}
-		resp, err = tripConn(ctl2, transport.Request{Verb: "STA"})
+		resp, err = tripConn(ctl2, &transport.Request{Verb: "STA"})
 		if err != nil {
 			ctl2.Close()
 			ctl2.Release()

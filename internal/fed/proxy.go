@@ -13,14 +13,14 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-func errResp(err error) transport.Response {
-	return transport.Response{Status: "ERR", Err: err.Error()}
+func errResp(err error) *transport.Response {
+	return &transport.Response{Status: "ERR", Err: err.Error()}
 }
 
 // retryableResp marks an error the client should replay after backoff —
 // the session is mid-move between nodes, or just landed on a fresh one.
-func retryableResp(msg string) transport.Response {
-	return transport.Response{Status: "ERR", Err: gvm.Retryable(msg)}
+func retryableResp(msg string) *transport.Response {
+	return &transport.Response{Status: "ERR", Err: gvm.Retryable(msg)}
 }
 
 // lostSession reports whether a backend response means the node no
@@ -28,7 +28,7 @@ func retryableResp(msg string) transport.Response {
 // down mid-shutdown between our frames. Either way the state is gone
 // and recovery is the same as a dropped connection: re-create on a
 // survivor and let the client replay.
-func lostSession(resp transport.Response) bool {
+func lostSession(resp *transport.Response) bool {
 	return resp.Status == "ERR" &&
 		(strings.Contains(resp.Err, "unknown session") ||
 			strings.Contains(resp.Err, "is closed"))
@@ -72,17 +72,17 @@ func (r *Router) serveConn(nc net.Conn) {
 			}
 			return
 		}
-		// A frame's response can alias its session's sticky backend
-		// connection's pooled read buffer (trip: "valid until the next trip"),
-		// and the poller's background evacuate() migrates sessions
-		// concurrently — its MIG trip reads into that same buffer and its
-		// teardown hands the buffer back to the pool. serveFrame therefore
-		// returns with the session still LOCKED; the lock drops only after
-		// the response bytes have left for the client.
-		var resp transport.Response
+		// A frame's response is usually its session's sticky backend
+		// connection's retained one (trip: "valid until the next trip"), and
+		// the poller's background evacuate() migrates sessions concurrently —
+		// its MIG trip reads into that same response and buffer, and its
+		// teardown hands the buffer back to the pool. serveREQ and serveFrame
+		// therefore return with the session still LOCKED; the lock drops only
+		// after the response bytes have left for the client.
+		var resp *transport.Response
 		var locked *fedSession
 		if req.Verb == "REQ" {
-			resp = r.serveREQ(req, cc)
+			resp, locked = r.serveREQ(req, cc)
 		} else {
 			resp, locked = r.serveFrame(req, cc)
 		}
@@ -118,27 +118,26 @@ func (r *Router) hangUp(cc *clientConn) {
 // serveREQ places a new session at the node level and opens its sticky
 // backend connection. The data plane is forced inline: the client's
 // payloads must travel through the router, and a shm or ring segment
-// names a path on the backend's machine that the client cannot map.
-func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Response {
+// names a path on the backend's machine that the client cannot map. Like
+// serveFrame, it returns the opened session still LOCKED.
+func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Response, *fedSession) {
 	if req.Ref == nil {
-		return errResp(errors.New("fed: REQ needs a workload reference"))
+		return errResp(errors.New("fed: REQ needs a workload reference")), nil
 	}
 	w, err := workloads.FromRef(*req.Ref)
 	if err != nil {
-		return errResp(err)
+		return errResp(err), nil
 	}
 	spec := w.Spec(req.Rank)
-	footprint := spec.InBytes + spec.OutBytes
-	fwd := req
-	fwd.Plane = transport.PlaneInline
-	b, conn, resp, err := r.openOn(fwd, footprint)
+	req.Plane = transport.PlaneInline
+	b, conn, resp, err := r.openOn(req, spec.InBytes+spec.OutBytes)
 	if err != nil {
-		return errResp(fmt.Errorf("fed: %v", err))
+		return errResp(fmt.Errorf("fed: %v", err)), nil
 	}
 	if conn == nil {
 		// The node's own admission said no; its error already names each
 		// shard's health and headroom.
-		return resp
+		return resp, nil
 	}
 	s := &fedSession{
 		owner: cc,
@@ -150,23 +149,16 @@ func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Respo
 		// Only a dead-node re-creation clears this.
 		staged: true,
 	}
-	if len(resp.Data) > 0 {
-		// Once the session is registered the background evacuation can
-		// trip on this connection; don't let the response alias its
-		// read buffer past the unlock below.
-		resp.Data = append([]byte(nil), resp.Data...)
-	}
 	s.mu.Lock()
 	s.attachLocked(b, resp.Session, conn)
 	vid := r.register(s)
-	s.mu.Unlock()
 	cc.owned = append(cc.owned, vid)
 	if r.cfg.Log != nil {
 		r.cfg.Log.Debug("session placed",
 			"vsession", vid, "node", b.idx, "backend-session", resp.Session, "policy", r.placer.Policy())
 	}
 	resp.Session = vid
-	return resp
+	return resp, s
 }
 
 // openOn is the one way a session gets a backend: place footprint at the
@@ -176,8 +168,8 @@ func (r *Router) serveREQ(req transport.Request, cc *clientConn) transport.Respo
 // tried. It returns the node's answer: with the open connection when the
 // node said ACK (the caller attaches it and keeps the reservation), with
 // conn == nil — connection closed, reservation returned — when the node
-// refused.
-func (r *Router) openOn(fwd transport.Request, footprint int64) (b *backend, conn *transport.Conn, resp transport.Response, err error) {
+// refused (a refusal carries no Data, so it outlives its connection).
+func (r *Router) openOn(fwd *transport.Request, footprint int64) (b *backend, conn *transport.Conn, resp *transport.Response, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
 		if b, err = r.place(footprint); err != nil {
@@ -209,24 +201,25 @@ func (r *Router) openOn(fwd transport.Request, footprint int64) (b *backend, con
 
 // tripConn performs one round trip on a backend connection that is not
 // (yet) a session's sticky one: openOn's first frame, the poller's STA.
-func tripConn(conn *transport.Conn, req transport.Request) (transport.Response, error) {
+func tripConn(conn *transport.Conn, req *transport.Request) (*transport.Response, error) {
 	if err := conn.WriteRequest(req); err != nil {
-		return transport.Response{}, err
+		return nil, err
 	}
 	return conn.ReadResponse()
 }
 
 // trip performs one metered round trip on a session's sticky
-// connection. Caller holds s.mu. The response's Data aliases the
-// connection's read buffer: valid until the next trip on this session.
-func (r *Router) trip(s *fedSession, req transport.Request) (transport.Response, error) {
+// connection. Caller holds s.mu. The response is the connection's
+// retained one, its Data in the connection's read buffer: valid until the
+// next trip on this session.
+func (r *Router) trip(s *fedSession, req *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	if err := s.conn.WriteRequest(req); err != nil {
-		return transport.Response{}, err
+		return nil, err
 	}
 	resp, err := s.conn.ReadResponse()
 	if err != nil {
-		return transport.Response{}, err
+		return nil, err
 	}
 	r.met.lat(req.Verb).Observe(int64(time.Since(start)))
 	return resp, nil
@@ -251,9 +244,9 @@ func needsStagedInput(verb gvm.Verb) bool {
 // alias the sticky connection's read buffer, so the caller must write
 // it to the client before unlocking, or a concurrent evacuation could
 // overwrite or pool the buffer mid-write.
-func (r *Router) serveFrame(req transport.Request, cc *clientConn) (transport.Response, *fedSession) {
+func (r *Router) serveFrame(req *transport.Request, cc *clientConn) (*transport.Response, *fedSession) {
 	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
-	vid, verbs, bat, err := transport.FrameSteps(&req, buf[:0])
+	vid, verbs, bat, err := transport.FrameSteps(req, buf[:0])
 	if err != nil {
 		return errResp(err), nil
 	}
@@ -262,7 +255,7 @@ func (r *Router) serveFrame(req transport.Request, cc *clientConn) (transport.Re
 		return errResp(err), nil
 	}
 	s.mu.Lock()
-	return r.forwardRun(s, &req, verbs, bat), s
+	return r.forwardRun(s, req, verbs, bat), s
 }
 
 // forwardRun forwards a checked frame as it arrived — a BAT as a BAT, a
@@ -271,15 +264,15 @@ func (r *Router) serveFrame(req transport.Request, cc *clientConn) (transport.Re
 // and returns the node's answer under the session's virtual id. A frame
 // the router cannot forward fails whole: every step answers the one error.
 // Caller holds s.mu.
-func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.Verb, bat bool) transport.Response {
-	fail := func(resp transport.Response) transport.Response {
+func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.Verb, bat bool) *transport.Response {
+	fail := func(resp *transport.Response) *transport.Response {
 		resp.Session = s.vid
 		if !bat {
 			return resp
 		}
-		out := transport.Response{Status: "ACK", Batch: make([]transport.Response, len(verbs))}
+		out := &transport.Response{Status: "ACK", Batch: make([]transport.Response, len(verbs))}
 		for i := range out.Batch {
-			out.Batch[i] = resp
+			out.Batch[i] = *resp
 		}
 		return out
 	}
@@ -304,7 +297,7 @@ func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.V
 	for i := range req.Batch {
 		req.Batch[i].Session = s.realID
 	}
-	resp, terr := r.trip(s, *req)
+	resp, terr := r.trip(s, req)
 	if terr != nil {
 		r.markDead(s.b, terr)
 		r.dropBackendLocked(s, true)
@@ -318,7 +311,7 @@ func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.V
 		lost = resp.Err
 	}
 	for i := range resp.Batch {
-		if lostSession(resp.Batch[i]) {
+		if lostSession(&resp.Batch[i]) {
 			lost = resp.Batch[i].Err
 		}
 	}
@@ -327,20 +320,21 @@ func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.V
 		r.dropBackendLocked(s, true)
 		return fail(retryableResp(fmt.Sprintf("fed: %s: node %d dropped session state: %s", req.Verb, node, lost)))
 	}
-	steps := resp.Batch
-	if !bat {
-		steps = []transport.Response{resp}
-	} else if resp.Status != "ACK" {
-		return fail(transport.Response{Status: resp.Status, Err: resp.Err})
+	if bat && resp.Status != "ACK" {
+		return fail(&transport.Response{Status: resp.Status, Err: resp.Err})
 	}
-	if len(steps) != len(verbs) {
-		return fail(errResp(fmt.Errorf("fed: node %d returned %d responses for %d sub-requests", s.b.idx, len(steps), len(verbs))))
+	if bat && len(resp.Batch) != len(verbs) {
+		return fail(errResp(fmt.Errorf("fed: node %d returned %d responses for %d sub-requests", s.b.idx, len(resp.Batch), len(verbs))))
 	}
 	released, aliased := false, false
-	for i := range steps {
-		steps[i].Session = s.vid
-		aliased = aliased || len(steps[i].Data) > 0
-		if steps[i].Status == "ACK" {
+	for i := range verbs {
+		step := resp // a lone verb's one step is the frame's answer
+		if bat {
+			step = &resp.Batch[i]
+		}
+		step.Session = s.vid
+		aliased = aliased || len(step.Data) > 0
+		if step.Status == "ACK" {
 			switch verbs[i] {
 			case gvm.SND:
 				s.staged = true
@@ -355,9 +349,6 @@ func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.V
 		// the pool.
 		r.unregisterLocked(s, !aliased)
 		s.owner.dropOwned(s.vid)
-	}
-	if !bat {
-		return steps[0]
 	}
 	return resp
 }

@@ -255,13 +255,6 @@ type Config struct {
 	// together — on a multi-shard node, the width of THIS shard's
 	// barrier. 1 disables barrier batching.
 	Parties int
-	// HostCopyBW is host memcpy bandwidth (bytes/s) for client<->shm and
-	// shm<->pinned staging copies. Default 24 GB/s (dual-socket X5560
-	// aggregate memcpy, matching the paper's node).
-	HostCopyBW float64
-	// ResourceSetup is the manager-side cost of REQ handling (stream,
-	// buffer and kernel preparation). Default 300 us.
-	ResourceSetup sim.Duration
 	// PageableStaging stages through pageable host buffers instead of the
 	// pinned ones of the paper's design, which the zero value keeps. It is
 	// an ablation: pageable staging transfers more slowly and, on real
@@ -337,13 +330,17 @@ func (m *Manager) estimateCost(s *session) float64 {
 	return sec
 }
 
+// The manager's two fixed host-side costs. hostCopyBW is host memcpy
+// bandwidth (bytes/s) for client<->shm and shm<->pinned staging copies:
+// dual-socket X5560 aggregate memcpy, matching the paper's node.
+// resourceSetup is the manager-side cost of REQ handling (stream, buffer
+// and kernel preparation).
+const (
+	hostCopyBW    = 24e9
+	resourceSetup = 300 * sim.Microsecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.HostCopyBW == 0 {
-		c.HostCopyBW = 24e9
-	}
-	if c.ResourceSetup == 0 {
-		c.ResourceSetup = 300 * sim.Microsecond
-	}
 	if c.Parties == 0 {
 		c.Parties = 1
 	}
@@ -572,7 +569,7 @@ func (m *Manager) HostCopyTime(n int64) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return sim.Duration(float64(n) / m.cfg.HostCopyBW * 1e9)
+	return sim.Duration(float64(n) / hostCopyBW * 1e9)
 }
 
 // Start spawns the manager's initialization: device + context creation, the
@@ -699,7 +696,7 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 	}
 	m.met.requests.Inc()
 	start := p.Now()
-	p.Sleep(m.cfg.ResourceSetup)
+	p.Sleep(resourceSetup)
 	footprint := r.Spec.InBytes + r.Spec.OutBytes
 	quota := m.cfg.MaxSessionBytes
 	if quota == 0 {

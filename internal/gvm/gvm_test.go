@@ -115,10 +115,12 @@ func TestUnknownVerbErrors(t *testing.T) {
 }
 
 func TestHostCopyTime(t *testing.T) {
-	env, m := newManager(t, func(c *Config) { c.HostCopyBW = 1e9 })
-	_ = env
-	if got := m.HostCopyTime(1e9); got != sim.Second {
-		t.Fatalf("HostCopyTime(1GB @ 1GB/s) = %v, want 1s", got)
+	_, m := newManager(t, nil)
+	if got := m.HostCopyTime(24e9); got != sim.Second {
+		t.Fatalf("HostCopyTime(24GB @ 24GB/s) = %v, want 1s", got)
+	}
+	if got := m.HostCopyTime(24e6); got != sim.Millisecond {
+		t.Fatalf("HostCopyTime(24MB @ 24GB/s) = %v, want 1ms", got)
 	}
 	if m.HostCopyTime(0) != 0 || m.HostCopyTime(-5) != 0 {
 		t.Fatal("non-positive sizes should cost nothing")
@@ -179,14 +181,7 @@ func TestZeroConfigStagesPinned(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.HostCopyBW != 24e9 {
-		t.Fatalf("HostCopyBW default = %v", c.HostCopyBW)
-	}
-	if c.Parties != 1 {
+	if c := (Config{}).withDefaults(); c.Parties != 1 {
 		t.Fatalf("Parties default = %d", c.Parties)
-	}
-	if c.ResourceSetup != 300*sim.Microsecond {
-		t.Fatalf("ResourceSetup default = %v", c.ResourceSetup)
 	}
 }

@@ -36,9 +36,9 @@ type Options struct {
 // Client is a real-process connection to a gvmd daemon. It is the thin
 // transport binding of the one vgpu-style client API: verbs travel as
 // frames, payloads through the session's data plane, and all protocol
-// state lives server-side in the shared dispatcher. A response lives in the
-// connection's retained read buffers until the client's next round trip, so
-// a Client's sessions are driven from one goroutine at a time.
+// state lives server-side in the shared dispatcher. A response is the
+// connection's retained one until the client's next round trip, so a
+// Client's sessions are driven from one goroutine at a time.
 type Client struct {
 	// Fixed at dial.
 	conn       *transport.Conn
@@ -91,8 +91,9 @@ func (c *Client) RoundTrips() int64 {
 	return c.trips
 }
 
-// roundTrip sends one request and reads its response.
-func (c *Client) roundTrip(req Request) (Response, error) {
+// roundTrip sends one request and reads its response, which is the
+// connection's retained one: valid until the client's next round trip.
+func (c *Client) roundTrip(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.trips++
@@ -103,11 +104,11 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
 	if err := c.conn.WriteRequest(req); err != nil {
-		return Response{}, c.wrapTimeout(req.Verb, err)
+		return nil, c.wrapTimeout(req.Verb, err)
 	}
 	resp, err := c.conn.ReadResponse()
 	if err != nil {
-		return Response{}, c.wrapTimeout(req.Verb, err)
+		return nil, c.wrapTimeout(req.Verb, err)
 	}
 	if resp.Status == "ERR" {
 		return resp, fmt.Errorf("ipc: %s: %s", req.Verb, resp.Err)
@@ -207,11 +208,10 @@ type Session struct {
 	inBytes  int64
 	outBytes int64
 	// mu serializes the session's trips (the rings are strictly SPSC) and
-	// guards the retained frame state below, which keeps a pipelined cycle
-	// free of per-cycle allocations on either carrier.
+	// guards cycle, which keeps a pipelined cycle free of per-cycle
+	// allocations on either carrier.
 	mu    sync.Mutex
 	cycle [4]Request // RunCycle's BAT sub-requests
-	resp  Response   // the socket carrier's last response
 	// VirtualMS is the simulated-GPU clock at the last response.
 	VirtualMS float64
 }
@@ -240,7 +240,7 @@ func (c *Client) Request(ref workloads.Ref, rank int) (*Session, error) {
 
 // RequestOptions opens a VGPU session with explicit session options.
 func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (*Session, error) {
-	resp, err := c.roundTrip(Request{Verb: "REQ", Ref: &ref, Rank: rank, Plane: c.plane,
+	resp, err := c.roundTrip(&Request{Verb: "REQ", Ref: &ref, Rank: rank, Plane: c.plane,
 		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight})
 	if err != nil {
 		return nil, err
@@ -250,7 +250,7 @@ func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (
 		// The daemon opened the session; without its plane it is of no use
 		// here, and left open it would hold its device reservation, staging
 		// and segment file until the connection drops.
-		_, _ = c.roundTrip(Request{Verb: "RLS", Session: resp.Session})
+		_, _ = c.roundTrip(&Request{Verb: "RLS", Session: resp.Session})
 		return nil, err
 	}
 	if plane.Ring != nil {
@@ -278,15 +278,14 @@ func (s *Session) OutBytes() int64 { return s.outBytes }
 func (s *Session) Plane() string { return s.plane.Kind() }
 
 // trip carries one frame to the daemon over the session's carrier and
-// returns its response, which is valid until the session's next trip. An
-// answer other than ACK is an error. The caller holds s.mu.
-func (s *Session) trip(req Request) (*Response, error) {
-	resp := &s.resp
-	var err error
+// returns its response, the carrier's retained one: valid until the
+// carrier's next trip. An answer other than ACK is an error. The caller
+// holds s.mu.
+func (s *Session) trip(req *Request) (resp *Response, err error) {
 	if ring := s.plane.Ring; ring != nil {
 		resp, err = ring.Trip(req)
 	} else {
-		s.resp, err = s.c.roundTrip(req)
+		resp, err = s.c.roundTrip(req)
 	}
 	switch {
 	case err != nil:
@@ -301,7 +300,7 @@ func (s *Session) trip(req Request) (*Response, error) {
 
 // call issues one verb frame, re-issuing it through failovers, and lets
 // collect (if any) read the response while it is valid.
-func (s *Session) call(req Request, collect func(*Response) error) error {
+func (s *Session) call(req *Request, collect func(*Response) error) error {
 	return retryFailover(func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -318,7 +317,7 @@ func (s *Session) call(req Request, collect func(*Response) error) error {
 }
 
 func (s *Session) verb(verb string) error {
-	return s.call(Request{Verb: verb, Session: s.id}, nil)
+	return s.call(&Request{Verb: verb, Session: s.id}, nil)
 }
 
 // RingTrips returns how many ring round trips the session has made (0
@@ -348,7 +347,7 @@ func (s *Session) SendInput(data []byte) error {
 	// The staged bytes survive a retry: the plane (or req.Data for the
 	// inline plane) still holds them, and the daemon restages from
 	// scratch on each attempt.
-	return s.call(req, nil)
+	return s.call(&req, nil)
 }
 
 // Start issues STR; it returns once the daemon's barrier has flushed all
@@ -364,7 +363,7 @@ func (s *Session) Receive(buf []byte) error {
 	if buf != nil && int64(len(buf)) != s.outBytes {
 		return fmt.Errorf("ipc: output buffer is %d bytes, session stages %d", len(buf), s.outBytes)
 	}
-	return s.call(Request{Verb: "RCV", Session: s.id}, func(resp *Response) error {
+	return s.call(&Request{Verb: "RCV", Session: s.id}, func(resp *Response) error {
 		return s.plane.CollectOut(buf, resp)
 	})
 }
@@ -387,24 +386,6 @@ func (s *Session) Release() error {
 		err = cerr
 	}
 	return err
-}
-
-// Do sends one session's steps as one BAT frame — one daemon round trip —
-// and returns the per-verb responses in order. The daemon stops at the
-// first failing verb; later responses report themselves skipped. A frame
-// is one session's verbs (transport.FrameSteps): every request names the
-// same session, each of SND<STR<STP<RCV<RLS at most once, in order.
-func (c *Client) Do(reqs []Request) ([]Response, error) {
-	resp, err := c.roundTrip(Request{Verb: "BAT", Batch: reqs})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(reqs) {
-		return nil, fmt.Errorf("ipc: BAT returned %d responses for %d requests", len(resp.Batch), len(reqs))
-	}
-	// resp.Batch is the connection's retained backing, overwritten by the
-	// client's next round trip; the caller keeps its own.
-	return append([]Response(nil), resp.Batch...), nil
 }
 
 // RunCycle performs one full cycle: send, start, wait, receive. By
@@ -441,7 +422,7 @@ func (s *Session) RunCycle(in, out []byte) error {
 	// the re-issued frame queues in the submission ring and the adopting
 	// shard's sweep serves it once the session lands there.
 	return retryFailover(func() error {
-		resp, err := s.trip(Request{Verb: "BAT", Batch: s.cycle[:]})
+		resp, err := s.trip(&Request{Verb: "BAT", Batch: s.cycle[:]})
 		if err != nil {
 			return err
 		}

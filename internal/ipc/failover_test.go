@@ -275,7 +275,9 @@ func TestRingREQRacesDrain(t *testing.T) {
 			}
 			// A second evacuation waits out the background one (the session's
 			// migMu), so the session has come to rest; a probe turn on each
-			// shard then sweeps.
+			// shard then sweeps. It does not wait when the background move has
+			// already remapped the session, which it does before counting
+			// itself: poll the counter.
 			s.disp.EvacuateShard(0, s.submit)
 			for shard := 0; shard < 2; shard++ {
 				if !s.submitProbe(shard, func() {}) {
@@ -283,6 +285,10 @@ func TestRingREQRacesDrain(t *testing.T) {
 				}
 			}
 			samples := scrapeMetrics(t, s.Metrics())
+			for deadline := 400; samples["node_failovers_total"] == 0 && deadline > 0; deadline-- {
+				time.Sleep(5 * time.Millisecond)
+				samples = scrapeMetrics(t, s.Metrics())
+			}
 			if got := samples["node_failovers_total"]; got != 1 {
 				t.Fatalf("try %d (drain after %v): node_failovers_total = %d, want 1", try, delay, got)
 			}

@@ -54,14 +54,14 @@ func FuzzMigBlob(f *testing.F) {
 		return c
 	}
 	trip := func(t testing.TB, c *transport.Conn, req transport.Request) transport.Response {
-		if err := c.WriteRequest(req); err != nil {
+		if err := c.WriteRequest(&req); err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
 		resp, err := c.ReadResponse()
 		if err != nil {
 			t.Fatalf("%s: daemon dropped the connection: %v", req.Verb, err)
 		}
-		return resp
+		return *resp
 	}
 
 	src := dial(f)
@@ -129,14 +129,14 @@ func TestADPIgnoresRetiredBlobKeys(t *testing.T) {
 	defer c.Close()
 	trip := func(req transport.Request) transport.Response {
 		t.Helper()
-		if err := c.WriteRequest(req); err != nil {
+		if err := c.WriteRequest(&req); err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
 		resp, err := c.ReadResponse()
 		if err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
-		return resp
+		return *resp
 	}
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
 	req := trip(transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline})
@@ -175,14 +175,14 @@ func TestADPSuspendedKey(t *testing.T) {
 	defer c.Close()
 	trip := func(req transport.Request) transport.Response {
 		t.Helper()
-		if err := c.WriteRequest(req); err != nil {
+		if err := c.WriteRequest(&req); err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
 		resp, err := c.ReadResponse()
 		if err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
-		return resp
+		return *resp
 	}
 	must := func(req transport.Request) transport.Response {
 		t.Helper()

@@ -217,11 +217,11 @@ func TestProtocolMisuse(t *testing.T) {
 		t.Fatal("STP before STR accepted")
 	}
 	// Unknown session.
-	if _, err := c.roundTrip(Request{Verb: "SND", Session: 9999}); err == nil {
+	if _, err := c.roundTrip(&Request{Verb: "SND", Session: 9999}); err == nil {
 		t.Fatal("unknown session accepted")
 	}
 	// Unknown verb.
-	if _, err := c.roundTrip(Request{Verb: "BOGUS", Session: sess.ID()}); err == nil {
+	if _, err := c.roundTrip(&Request{Verb: "BOGUS", Session: sess.ID()}); err == nil {
 		t.Fatal("unknown verb accepted")
 	}
 }

@@ -192,7 +192,7 @@ func TestBATMisuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		resp, err := c.sess.trip(req)
+		resp, err := c.sess.trip(&req)
 		if err != nil {
 			return err.Error()
 		}
@@ -236,7 +236,7 @@ func TestBATMisuse(t *testing.T) {
 		}
 	}
 	c := carriers["unix"]
-	if _, err := c.sess.trip(Request{Verb: "SND", Session: c.sess.ID()}); err == nil || !strings.Contains(err.Error(), "unknown session") {
+	if _, err := c.sess.trip(&Request{Verb: "SND", Session: c.sess.ID()}); err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Errorf("verb after RLS: got %v, want unknown session", err)
 	}
 }
@@ -411,7 +411,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 	vc := dialRaw(t, s.Addr())
 	const n = 1024
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	if err := vc.WriteRequest(transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {
+	if err := vc.WriteRequest(&transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := vc.ReadResponse()
@@ -422,7 +422,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 		t.Fatalf("victim REQ: %s %s", resp.Status, resp.Err)
 	}
 	id := resp.Session
-	if err := vc.WriteRequest(transport.Request{Verb: "BAT", Batch: []transport.Request{
+	if err := vc.WriteRequest(&transport.Request{Verb: "BAT", Batch: []transport.Request{
 		{Verb: "SND", Session: id, Data: make([]byte, resp.InBytes)},
 		{Verb: "STR", Session: id},
 		{Verb: "STP", Session: id},

@@ -96,7 +96,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 	vc := dialRaw(t, s.Addr())
 	const n = 1024
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	if err := vc.WriteRequest(transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {
+	if err := vc.WriteRequest(&transport.Request{Verb: "REQ", Ref: &ref, Rank: 0, Plane: transport.PlaneInline}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := vc.ReadResponse()
@@ -107,7 +107,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 		t.Fatalf("victim REQ: %s %s", resp.Status, resp.Err)
 	}
 	id := resp.Session
-	if err := vc.WriteRequest(transport.Request{Verb: "BAT", Batch: []transport.Request{
+	if err := vc.WriteRequest(&transport.Request{Verb: "BAT", Batch: []transport.Request{
 		{Verb: "SND", Session: id, Data: make([]byte, resp.InBytes)},
 		{Verb: "STR", Session: id},
 		{Verb: "STP", Session: id},

@@ -121,12 +121,14 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			if err := s.Drain(src); err != nil {
 				t.Fatal(err)
 			}
+			// Wait for the target to hold it: between the source's extract and
+			// the target's adopt no shard does.
 			for deadline := 400; ; deadline-- {
-				if open, _, _ := shardStats(t, s, src); open == 0 {
+				if open, _, _ := shardStats(t, s, 1-src); open == 1 {
 					break
 				}
 				if deadline == 0 {
-					t.Fatalf("session never left draining gpu %d", src)
+					t.Fatalf("session never moved off draining gpu %d", src)
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
@@ -268,61 +270,53 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 // the unmap would be a SIGSEGV, not an error), the segment file is gone
 // and nothing stays open, resident or reserved.
 func TestShmPlaneTeardownMidCycle(t *testing.T) {
+	// batSteps stages in through the session's mapped plane and sends verbs
+	// as one BAT frame over its carrier; every step must ACK.
+	batSteps := func(sess *Session, in []byte, verbs ...string) error {
+		if err := sess.plane.StageIn(in, nil); err != nil {
+			return err
+		}
+		req := Request{Verb: "BAT"}
+		for _, v := range verbs {
+			req.Batch = append(req.Batch, Request{Verb: v, Session: sess.id})
+		}
+		resp, err := sess.trip(&req)
+		if err != nil {
+			return err
+		}
+		for i, r := range resp.Batch {
+			if r.Status != "ACK" {
+				return fmt.Errorf("step %d: %s", i, r.Err)
+			}
+		}
+		return nil
+	}
 	const n = 1 << 20
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	for _, tc := range []struct {
 		name string
 		ring bool
-		run  func(c *Client, sess *Session, in []byte) error
+		run  func(sess *Session, in []byte) error
 	}{
-		{name: "hangup-after-SND", run: func(c *Client, sess *Session, in []byte) error {
+		{name: "hangup-after-SND", run: func(sess *Session, in []byte) error {
 			return sess.SendInput(in)
 		}},
-		{name: "hangup-after-STR", run: func(c *Client, sess *Session, in []byte) error {
+		{name: "hangup-after-STR", run: func(sess *Session, in []byte) error {
 			if err := sess.SendInput(in); err != nil {
 				return err
 			}
 			return sess.Start()
 		}},
-		{name: "hangup-after-BAT-SND-STR", run: func(c *Client, sess *Session, in []byte) error {
-			if err := sess.plane.StageIn(in, &Request{}); err != nil {
-				return err
-			}
-			_, err := c.Do([]Request{{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}})
-			return err
+		{name: "hangup-after-BAT-SND-STR", run: func(sess *Session, in []byte) error {
+			return batSteps(sess, in, "SND", "STR")
 		}},
 		// RLS right behind STR: the flush is still in flight when the
 		// release arrives, in the same owner turn.
-		{name: "RLS-behind-STR", run: func(c *Client, sess *Session, in []byte) error {
-			if err := sess.plane.StageIn(in, &Request{}); err != nil {
-				return err
-			}
-			resps, err := c.Do([]Request{{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}, {Verb: "RLS", Session: sess.id}})
-			if err != nil {
-				return err
-			}
-			for i, r := range resps {
-				if r.Status != "ACK" {
-					return fmt.Errorf("step %d: %s", i, r.Err)
-				}
-			}
-			return nil
+		{name: "RLS-behind-STR", run: func(sess *Session, in []byte) error {
+			return batSteps(sess, in, "SND", "STR", "RLS")
 		}},
-		{name: "ring-RLS-behind-STR", ring: true, run: func(c *Client, sess *Session, in []byte) error {
-			if err := sess.plane.StageIn(in, nil); err != nil {
-				return err
-			}
-			resp, err := sess.trip(Request{Verb: "BAT", Batch: []Request{
-				{Verb: "SND", Session: sess.id}, {Verb: "STR", Session: sess.id}, {Verb: "RLS", Session: sess.id}}})
-			if err != nil {
-				return err
-			}
-			for i, r := range resp.Batch {
-				if r.Status != "ACK" {
-					return fmt.Errorf("step %d: %s", i, r.Err)
-				}
-			}
-			return nil
+		{name: "ring-RLS-behind-STR", ring: true, run: func(sess *Session, in []byte) error {
+			return batSteps(sess, in, "SND", "STR", "RLS")
 		}},
 	} {
 		tc := tc
@@ -345,7 +339,7 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 				t.Fatalf("segments after REQ: %v", ringSegments(t, dir))
 			}
 			in, want := vecaddInput(n, 3)
-			if err := tc.run(c, sess, in); err != nil {
+			if err := tc.run(sess, in); err != nil {
 				t.Fatal(err)
 			}
 			c.Close()
@@ -606,7 +600,7 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 					{Verb: "STP", Session: sess.id},
 					{Verb: "BAT", Batch: []Request{{Verb: "RCV", Session: sess.id}, {Verb: "RLS", Session: sess.id}}},
 				} {
-					if _, err := c.roundTrip(req); err == nil || !strings.Contains(err.Error(), "through its ring") {
+					if _, err := c.roundTrip(&req); err == nil || !strings.Contains(err.Error(), "through its ring") {
 						t.Fatalf("socket %s on an attached ring session: %v, want it refused", req.Verb, err)
 					}
 				}

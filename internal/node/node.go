@@ -79,8 +79,6 @@ type Config struct {
 	// BarrierTimeout bounds each shard's partial-barrier wait (gvm
 	// semantics, per shard).
 	BarrierTimeout sim.Duration
-	// FlushPolicy orders each shard's barrier batches.
-	FlushPolicy gvm.FlushPolicy
 	// SharedEnv, when non-nil, puts every shard on this one environment
 	// instead of a private one per shard: simulation-mode callers (the
 	// experiments) drive all shards under one virtual clock. The daemon
@@ -177,7 +175,6 @@ func New(cfg Config) (*Node, error) {
 			Parties:         cfg.Parties,
 			Overcommit:      cfg.Overcommit,
 			BarrierTimeout:  cfg.BarrierTimeout,
-			FlushPolicy:     cfg.FlushPolicy,
 			Metrics:         reg,
 			Log:             cfg.Log,
 		})

@@ -44,8 +44,6 @@ type Config struct {
 	CheckOutput func(i int, buf []byte) error
 
 	// Virtualization-layer knobs (ignored by RunDirect).
-	HostCopyBW      float64
-	MsgLatency      sim.Duration
 	BlockingSTP     bool
 	PageableStaging bool
 	// PartiesOverride changes the STR barrier width from its default of
@@ -162,13 +160,12 @@ func RunVirt(cfg Config) (Result, error) {
 	mgr := gvm.New(env, gvm.Config{
 		Device:          dev,
 		Parties:         parties,
-		HostCopyBW:      cfg.HostCopyBW,
 		PageableStaging: cfg.PageableStaging,
 		FlushPolicy:     cfg.FlushPolicy,
 		Tracer:          cfg.Tracer,
 	})
 	mgr.Start()
-	host := vgpu.Serve(mgr, vgpu.Config{MsgLatency: cfg.MsgLatency, BlockingSTP: cfg.BlockingSTP})
+	host := vgpu.Serve(mgr, vgpu.Config{BlockingSTP: cfg.BlockingSTP})
 	res := Result{Mode: "virt", N: cfg.N, PerProcess: make([]sim.Duration, cfg.N)}
 	errs := make([]error, cfg.N)
 	polls := make([]int, cfg.N)

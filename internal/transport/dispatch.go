@@ -313,6 +313,7 @@ type ConnState struct {
 	// PlaneShm for co-located transports, PlaneInline for tcp.
 	DefaultPlane string
 	owned        []int
+	resp         Response // a BAT frame's answer, valid until the connection's next frame
 }
 
 func (cs *ConnState) dropOwned(id int) {
@@ -341,15 +342,15 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 // Metrics returns the registry holding the dispatcher's instruments.
 func (d *Dispatcher) Metrics() *metrics.Registry { return d.cfg.Metrics }
 
-func errResp(err error) Response { return Response{Status: "ERR", Err: err.Error()} }
+func errResp(err error) *Response { return &Response{Status: "ERR", Err: err.Error()} }
 
 // Serve services one request from a connection goroutine, which takes a
 // turn as the owning shard's simulation owner for the request's owner-side
 // phase only (session→shard resolves once at REQ; every later verb routes
 // by the session's recorded shard). It returns ok == false when the server shut
 // down before the request completed (the connection should close without
-// replying).
-func (d *Dispatcher) Serve(req Request, cs *ConnState, submit ShardSubmitter) (resp Response, ok bool) {
+// replying). The response is valid until cs's next request.
+func (d *Dispatcher) Serve(req *Request, cs *ConnState, submit ShardSubmitter) (resp *Response, ok bool) {
 	vi := d.met.verb(req.Verb)
 	vi.reqs.Inc()
 	start := time.Now()
@@ -372,7 +373,7 @@ func (d *Dispatcher) Serve(req Request, cs *ConnState, submit ShardSubmitter) (r
 	if ok && resp.Status == "ERR" {
 		vi.errs.Inc()
 	}
-	if log := d.cfg.Log; log != nil && log.Enabled(context.Background(), slog.LevelDebug) {
+	if log := d.cfg.Log; ok && log != nil && log.Enabled(context.Background(), slog.LevelDebug) {
 		log.Debug("verb served",
 			"verb", req.Verb, "session", req.Session, "status", resp.Status,
 			"dur", dur, "err", resp.Err)
@@ -404,7 +405,7 @@ func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
 	return s, err
 }
 
-func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
+func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	if req.Ref == nil {
 		return errResp(errors.New("transport: REQ needs a workload reference")), true
 	}
@@ -453,7 +454,7 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		}
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
 		if !ok {
-			return Response{}, false
+			return nil, false
 		}
 		if !d.cfg.Node.Health(shard).Evacuate() {
 			r := errResp(verr)
@@ -478,14 +479,14 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 		// No verb ever ran on the session, so nothing can touch the
 		// mapping this unmaps.
 		d.retire(s)
-		return Response{}, false
+		return nil, false
 	}
 	if err != nil {
 		d.onShard(submit, shard, func(p *sim.Proc) { d.release(p, s) })
 		return errResp(err), true
 	}
 	d.publish(s, cs)
-	return Response{
+	return &Response{
 		Status:    "ACK",
 		Session:   s.id,
 		Plane:     s.plane.kind,
@@ -521,9 +522,9 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 // at the STR barrier finishes in a peer's turn and is waited for off the lock
 // — so a full SPMD cycle (SND+STR+STP+RCV) costs a single submission.
 // Connection phase again: publish RCV results, finish RLS bookkeeping.
-func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
+func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
-	id, verbs, bat, err := FrameSteps(&req, buf[:0])
+	id, verbs, bat, err := FrameSteps(req, buf[:0])
 	if err != nil {
 		return errResp(err), true
 	}
@@ -535,7 +536,7 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 		if s, err := d.owned(id, cs); err == nil && s.plane.ring != nil {
 			vms, ok := d.drop(s, submit)
 			cs.dropOwned(id)
-			return Response{Status: "ACK", Session: id, VirtualMS: vms}, ok
+			return &Response{Status: "ACK", Session: id, VirtualMS: vms}, ok
 		}
 	}
 	s, err := d.lookup(id, cs)
@@ -561,7 +562,7 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 	// lead a frame, so a frame that cannot stage does no owner work at all.
 	var resps []Response
 	if verbs[0] == gvm.SND {
-		sub := &req
+		sub := req
 		if bat {
 			sub = &req.Batch[0]
 		}
@@ -582,7 +583,7 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 		ok := submit(s.loc(), s.begin, s.done)
 		s.migMu.Unlock()
 		if !ok {
-			return Response{}, false
+			return nil, false
 		}
 		resps = s.run.resps
 	}
@@ -601,7 +602,7 @@ func (d *Dispatcher) serveFrame(req Request, cs *ConnState, submit ShardSubmitte
 			d.met.verb(verbs[i].String()).errs.Inc()
 		}
 	}
-	return frameResponse(bat, resps), true
+	return frameResponse(bat, resps, &cs.resp), true
 }
 
 // release ends a session from outside the verb stream — a hang-up, an

@@ -89,19 +89,20 @@ func skipped(session int) Response {
 }
 
 // frameResponse assembles a frame's wire response from its steps': a lone
-// verb answers for itself, a BAT acknowledges the batch — at the virtual
-// time of the last step that ran — and nests every step's own outcome.
-func frameResponse(bat bool, resps []Response) Response {
+// verb answers for itself, a BAT acknowledges the batch in env, the
+// carrier's retained response — at the virtual time of the last step that
+// ran — and nests every step's own outcome.
+func frameResponse(bat bool, resps []Response, env *Response) *Response {
 	if !bat {
-		return resps[0]
+		return &resps[0]
 	}
-	out := Response{Status: "ACK", Batch: resps}
+	*env = Response{Status: "ACK", Batch: resps}
 	for i := range resps {
 		if resps[i].VirtualMS > 0 {
-			out.VirtualMS = resps[i].VirtualMS
+			env.VirtualMS = resps[i].VirtualMS
 		}
 	}
-	return out
+	return env
 }
 
 // start runs s's staged verbs on mgr's shard, filling resps and then

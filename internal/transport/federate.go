@@ -45,12 +45,12 @@ type MigBlob struct {
 // serveSTA answers the node's current capacity/health advertisement.
 // Connection-goroutine side, no owner submit: every input is an atomic
 // gauge or quantile read.
-func (d *Dispatcher) serveSTA() Response {
+func (d *Dispatcher) serveSTA() *Response {
 	ad, err := node.MarshalAd(d.cfg.Node.Advertise())
 	if err != nil {
 		return errResp(err)
 	}
-	return Response{Status: "ACK", Data: ad}
+	return &Response{Status: "ACK", Data: ad}
 }
 
 // serveMIG extracts a session for cross-node migration and answers with
@@ -61,7 +61,7 @@ func (d *Dispatcher) serveSTA() Response {
 // with it the rule that a ring session takes nothing but a lone RLS over the
 // socket: its mapped segment names this node's doorbells and could not follow
 // anyway.
-func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
+func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	s, err := d.lookup(req.Session, cs)
 	if err != nil {
 		return errResp(err), true
@@ -72,7 +72,7 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 	defer s.settle()
 	switch {
 	case err == errShutdown:
-		return Response{}, false
+		return nil, false
 	case err != nil:
 		return errResp(fmt.Errorf("transport: MIG extract session %d from gpu %d: %w", s.id, from, err)), true
 	case ext == nil:
@@ -98,12 +98,12 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 				d.cfg.Log.Info("session extracted for cross-node migration",
 					"session", s.id, "gpu", from, "bytes", ext.Bytes())
 			}
-			return Response{Status: "ACK", Session: s.id, Data: blob}, true
+			return &Response{Status: "ACK", Session: s.id, Data: blob}, true
 		}
 	}
 	// Serialization failed: put the session back so it keeps serving.
 	if _, aerr := d.adopt(s, ext, from, submit); aerr == errShutdown {
-		return Response{}, false
+		return nil, false
 	} else if aerr != nil {
 		return errResp(fmt.Errorf("transport: session %d stranded: encode: %v; re-adopt on gpu %d: %v", s.id, err, from, aerr)), true
 	}
@@ -116,7 +116,7 @@ func (d *Dispatcher) serveMIG(req Request, cs *ConnState, submit ShardSubmitter)
 // sizes. The adopting connection becomes the session's owner — the
 // router sends ADP as the first frame on the session's new sticky
 // connection.
-func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter) (Response, bool) {
+func (d *Dispatcher) serveADP(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	if len(req.Data) == 0 {
 		return errResp(errors.New("transport: ADP needs a migration blob")), true
 	}
@@ -151,14 +151,14 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 	}
 	if !d.onShard(submit, shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
-		return Response{}, false
+		return nil, false
 	}
 	ext.SetID(s.id)
 	vms, aerr := d.adopt(s, ext, shard, submit)
 	if aerr != nil {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
 		if aerr == errShutdown {
-			return Response{}, false
+			return nil, false
 		}
 		r := errResp(fmt.Errorf("transport: ADP adopt on gpu %d: %w", shard, aerr))
 		r.VirtualMS = vms
@@ -169,7 +169,7 @@ func (d *Dispatcher) serveADP(req Request, cs *ConnState, submit ShardSubmitter)
 		d.cfg.Log.Info("session adopted from cross-node migration",
 			"session", s.id, "source-session", srcID, "gpu", shard)
 	}
-	return Response{
+	return &Response{
 		Status:    "ACK",
 		Session:   s.id,
 		Plane:     PlaneInline,

@@ -229,9 +229,7 @@ func (e *frameEncoder) flatten(dst []byte) []byte {
 func (e *frameEncoder) encodeRequest(req *Request) error {
 	e.reset()
 	e.buf = append(e.buf, frameMagic, kindRequest, 0, 0, 0, 0)
-	if err := e.requestFields(req); err != nil {
-		return err
-	}
+	e.requestFields(req)
 	ext := req.MemQuota != 0 || req.Priority != 0 || req.Weight != 0
 	if len(req.Batch) > 0 || ext {
 		// The extension section sits after the batch section, so a frame
@@ -245,9 +243,7 @@ func (e *frameEncoder) encodeRequest(req *Request) error {
 				// REQ is disallowed inside BAT, and the fields are REQ-only.
 				return fmt.Errorf("transport: MemQuota/Priority/Weight on batch sub-request %s", req.Batch[i].Verb)
 			}
-			if err := e.requestFields(&req.Batch[i]); err != nil {
-				return err
-			}
+			e.requestFields(&req.Batch[i])
 		}
 	}
 	if ext {
@@ -275,7 +271,7 @@ func (e *frameEncoder) encodeRequest(req *Request) error {
 	return e.finish()
 }
 
-func (e *frameEncoder) requestFields(req *Request) error {
+func (e *frameEncoder) requestFields(req *Request) {
 	e.str(req.Verb)
 	e.varint(int64(req.Session))
 	e.varint(int64(req.Rank))
@@ -297,7 +293,6 @@ func (e *frameEncoder) requestFields(req *Request) error {
 	}
 	e.str(req.Plane)
 	e.bytes(req.Data)
-	return nil
 }
 
 func (e *frameEncoder) encodeResponse(resp *Response) error {
@@ -364,11 +359,13 @@ func DecodeRequestBinaryInto(req *Request, frame []byte) error {
 }
 
 // decodeRequestInto is the one request decoder: every way a request frame
-// is read (whole-frame, into a retained value, off a Conn) ends here.
+// is read (whole-frame, into a retained value, off a Conn) ends here. It
+// writes every field in place: of an earlier frame, only the Batch backing
+// stays.
 func decodeRequestInto(req *Request, payload []byte) error {
 	batch := req.Batch[:0]
 	r := frameReader{b: payload}
-	*req = r.requestFields()
+	r.requestFields(req)
 	req.Batch = batch // a frame with no batch section keeps the backing too
 	if r.err == nil && r.off < len(r.b) {
 		n := r.uvarint()
@@ -378,8 +375,9 @@ func decodeRequestInto(req *Request, payload []byte) error {
 			if uint64(cap(batch)) < n {
 				batch = make([]Request, 0, n)
 			}
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				batch = append(batch, r.requestFields())
+			for i := 0; i < int(n) && r.err == nil; i++ {
+				batch = batch[:i+1]
+				r.requestFields(&batch[i])
 			}
 			req.Batch = batch
 		}
@@ -405,7 +403,7 @@ func DecodeResponseBinaryInto(resp *Response, frame []byte) error {
 func decodeResponseInto(resp *Response, payload []byte) error {
 	batch := resp.Batch[:0]
 	r := frameReader{b: payload}
-	*resp = r.responseFields()
+	r.responseFields(resp)
 	resp.Batch = batch
 	if r.err == nil && r.off < len(r.b) {
 		n := r.uvarint()
@@ -415,8 +413,9 @@ func decodeResponseInto(resp *Response, payload []byte) error {
 			if uint64(cap(batch)) < n {
 				batch = make([]Response, 0, n)
 			}
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				batch = append(batch, r.responseFields())
+			for i := 0; i < int(n) && r.err == nil; i++ {
+				batch = batch[:i+1]
+				r.responseFields(&batch[i])
 			}
 			resp.Batch = batch
 		}
@@ -556,11 +555,13 @@ func (r *frameReader) finish() error {
 	return r.err
 }
 
-func (r *frameReader) requestFields() Request {
-	var req Request
+// requestFields decodes one request's fields into *req and zeroes the ones
+// the caller fills: Batch and the extensions.
+func (r *frameReader) requestFields(req *Request) {
 	req.Verb = r.str()
 	req.Session = int(r.varint())
 	req.Rank = int(r.varint())
+	req.Ref = nil
 	if r.byteVal() != 0 {
 		ref := &workloads.Ref{Name: r.str()}
 		if n := r.uvarint(); n > 0 {
@@ -578,7 +579,8 @@ func (r *frameReader) requestFields() Request {
 	}
 	req.Plane = r.str()
 	req.Data = r.bytesVal()
-	return req
+	req.Batch = nil
+	req.MemQuota, req.Priority, req.Weight = 0, 0, 0
 }
 
 // requestExt decodes the optional trailing extension section: an
@@ -601,8 +603,8 @@ func (r *frameReader) requestExt(req *Request) {
 	}
 }
 
-func (r *frameReader) responseFields() Response {
-	var resp Response
+// responseFields decodes one response's fields into *resp, Batch zeroed.
+func (r *frameReader) responseFields(resp *Response) {
 	resp.Status = r.str()
 	resp.Session = int(r.varint())
 	resp.Err = r.str()
@@ -612,5 +614,5 @@ func (r *frameReader) responseFields() Response {
 	resp.OutBytes = r.varint()
 	resp.VirtualMS = r.f64()
 	resp.Data = r.bytesVal()
-	return resp
+	resp.Batch = nil
 }

@@ -38,7 +38,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		wrote := make(chan struct{})
 		go func() {
 			defer close(wrote)
-			if err := a.WriteRequest(want); err != nil {
+			if err := a.WriteRequest(&want); err != nil {
 				t.Errorf("write %+v: %v", want, err)
 			}
 		}()
@@ -47,8 +47,8 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 			t.Fatalf("read %+v: %v", want, err)
 		}
 		<-wrote
-		if !requestsEqual(got, want) {
-			t.Fatalf("round trip: got %+v, want %+v", got, want)
+		if !requestsEqual(*got, want) {
+			t.Fatalf("round trip: got %+v, want %+v", *got, want)
 		}
 	}
 }
@@ -170,5 +170,107 @@ func TestBinaryWrongKindRejected(t *testing.T) {
 	go b.c.Write(frame)
 	if _, err := a.ReadRequest(); err == nil || !strings.Contains(err.Error(), "frame kind") {
 		t.Fatalf("response frame read as request: got %v, want kind error", err)
+	}
+}
+
+// fullRequest and fullResponse set every field the wire carries, Batch
+// included: the value a reused decode target may still hold.
+var (
+	fullRequest = Request{
+		Verb: "BAT", Session: 5, Rank: 3, Ref: refp("mm", map[string]int{"n": 64}), Plane: PlaneRing,
+		Data: []byte{1, 2}, MemQuota: 1 << 20, Priority: 2, Weight: 3,
+		Batch: []Request{{Verb: "SND", Session: 5, Data: []byte{3}}, {Verb: "STR", Session: 5}},
+	}
+	fullResponse = Response{
+		Status: "ERR", Session: 5, Err: "boom", Plane: PlaneShm, Segment: "gvmd-seg-5",
+		InBytes: 8, OutBytes: 4, VirtualMS: 1.5, Data: []byte{1, 2},
+		Batch: []Response{{Status: "ACK", Session: 5, Data: []byte{3}}, {Status: "ERR", Session: 5, Err: "boom"}},
+	}
+)
+
+// prefill decodes fullRequest or fullResponse, by v's type, into v.
+func prefill(t testing.TB, v any) {
+	t.Helper()
+	var frame []byte
+	var err error
+	switch v := v.(type) {
+	case *Request:
+		if frame, err = EncodeRequestBinary(nil, fullRequest); err == nil {
+			err = DecodeRequestBinaryInto(v, frame)
+		}
+	case *Response:
+		if frame, err = EncodeResponseBinary(nil, fullResponse); err == nil {
+			err = DecodeResponseBinaryInto(v, frame)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeIntoReusedValue: a decode target is a carrier's one retained
+// value, so decoding frame B into the value that held frame A must give
+// what decoding B into a zero value gives — for every ordered pair. Each
+// field group is set by some frame and absent from another.
+func TestDecodeIntoReusedValue(t *testing.T) {
+	reqs := []Request{
+		{Verb: "REQ", Session: 2, Rank: 1, Ref: refp("mm", map[string]int{"n": 64, "nit": 2}), Plane: PlaneRing,
+			MemQuota: 4096, Priority: 3, Weight: 2},
+		{Verb: "SND", Session: 7, Plane: PlaneInline, Data: []byte{1, 2, 3}},
+		{Verb: "BAT", Batch: []Request{
+			{Verb: "SND", Session: 7, Data: []byte{4}}, {Verb: "STR", Session: 7},
+			{Verb: "STP", Session: 7}, {Verb: "RCV", Session: 7},
+		}},
+		{Verb: "RLS", Session: 7},
+	}
+	resps := []Response{
+		{Status: "ACK", Session: 2, Plane: PlaneShm, Segment: "gvmd-seg-2", InBytes: 8192, OutBytes: 4096, VirtualMS: 0.3},
+		{Status: "ACK", Session: 7, Data: []byte{5, 6, 7}, VirtualMS: 1.25},
+		{Status: "ACK", VirtualMS: 2, Batch: []Response{
+			{Status: "ACK", Session: 7, VirtualMS: 1}, {Status: "ERR", Session: 7, Err: "boom", VirtualMS: 2},
+			{Status: "ERR", Session: 7, Err: "transport: skipped after earlier BAT failure"},
+		}},
+	}
+	encode := func(v any) []byte {
+		var frame []byte
+		var err error
+		switch v := v.(type) {
+		case Request:
+			frame, err = EncodeRequestBinary(nil, v)
+		case Response:
+			frame, err = EncodeResponseBinary(nil, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	for i, a := range reqs {
+		for j, b := range reqs {
+			var v Request
+			if err := DecodeRequestBinaryInto(&v, encode(a)); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeRequestBinaryInto(&v, encode(b)); err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := decodeRequest(encode(b)); !requestsEqual(v, want) {
+				t.Errorf("request %d decoded over request %d: %+v, want %+v", j, i, v, want)
+			}
+		}
+	}
+	for i, a := range resps {
+		for j, b := range resps {
+			var v Response
+			if err := DecodeResponseBinaryInto(&v, encode(a)); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeResponseBinaryInto(&v, encode(b)); err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := decodeResponse(encode(b)); !responsesEqual(v, want) {
+				t.Errorf("response %d decoded over response %d: %+v, want %+v", j, i, v, want)
+			}
+		}
 	}
 }

@@ -28,8 +28,9 @@ func fuzzPipeConn(t testing.TB) (*Conn, *Conn) {
 // path every socket client's bytes take, in reads of random sizes (seeded
 // by the second input; chunkConn): header, then a payload of the length
 // the header claims. It must never panic or hang; a stream that holds one
-// whole frame must read exactly as the bare decoder decodes that frame,
-// and anything shorter must fail as a truncated frame would.
+// whole frame must read — into a connection whose retained request still
+// holds a rich frame — exactly as the bare decoder decodes that frame into
+// a zero value, and anything shorter must fail as a truncated frame would.
 func FuzzReadRequest(f *testing.F) {
 	whole, _ := EncodeRequestBinary(nil, Request{Verb: "SND", Session: 7, Data: []byte{1, 2, 3}})
 	f.Add(whole, int64(0))
@@ -45,6 +46,7 @@ func FuzzReadRequest(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := NewConn(&chunkConn{stream: stream, next: func() int { return 1 + rng.Intn(headerLen+len(stream)) }})
 		defer a.Release()
+		prefill(t, &a.req)
 		got, err := a.ReadRequest()
 		var n uint32
 		if len(stream) >= headerLen {
@@ -53,8 +55,8 @@ func FuzzReadRequest(f *testing.F) {
 				if (err == nil) != (werr == nil) {
 					t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
 				}
-				if err == nil && !requestsEqual(got, want) {
-					t.Fatalf("stream read %+v, whole-frame decode %+v", got, want)
+				if err == nil && !requestsEqual(*got, want) {
+					t.Fatalf("stream read %+v, whole-frame decode %+v", *got, want)
 				}
 				return
 			}
@@ -111,7 +113,8 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 	})
 }
 
-// FuzzResponseRoundTrip: any response written must decode back equal.
+// FuzzResponseRoundTrip: any response written must decode back equal, into
+// a zero value and into one that held a rich frame alike.
 func FuzzResponseRoundTrip(f *testing.F) {
 	f.Add("ACK", 1, "", "shm", "seg-1", int64(10), int64(20), 1.5, []byte(nil))
 	f.Add("ERR", 0, "boom", "", "", int64(0), int64(0), 0.0, []byte{})
@@ -133,6 +136,14 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		}
 		if !responsesEqual(got, want) {
 			t.Fatalf("binary round trip: got %+v, want %+v", got, want)
+		}
+		var reused Response
+		prefill(t, &reused)
+		if err := DecodeResponseBinaryInto(&reused, frame); err != nil {
+			t.Fatalf("binary decode into a reused value: %v", err)
+		}
+		if !responsesEqual(reused, want) {
+			t.Fatalf("decode into a reused value: got %+v, want %+v", reused, want)
 		}
 	})
 }
@@ -191,9 +202,20 @@ func refp(name string, params map[string]int) *workloads.Ref {
 	return &workloads.Ref{Name: name, Params: params}
 }
 
+// requestsEqual and responsesEqual compare every field, Batch by content:
+// a decode target keeps its Batch backing, so an empty Batch may be nil or
+// not.
 func requestsEqual(a, b Request) bool {
 	if a.Verb != b.Verb || a.Session != b.Session || a.Rank != b.Rank || a.Plane != b.Plane {
 		return false
+	}
+	if len(a.Batch) != len(b.Batch) {
+		return false
+	}
+	for i := range a.Batch {
+		if !requestsEqual(a.Batch[i], b.Batch[i]) {
+			return false
+		}
 	}
 	if a.MemQuota != b.MemQuota || a.Priority != b.Priority || a.Weight != b.Weight {
 		return false
@@ -219,6 +241,14 @@ func requestsEqual(a, b Request) bool {
 }
 
 func responsesEqual(a, b Response) bool {
+	if len(a.Batch) != len(b.Batch) {
+		return false
+	}
+	for i := range a.Batch {
+		if !responsesEqual(a.Batch[i], b.Batch[i]) {
+			return false
+		}
+	}
 	return a.Status == b.Status && a.Session == b.Session && a.Err == b.Err &&
 		a.Plane == b.Plane && a.Segment == b.Segment &&
 		a.InBytes == b.InBytes && a.OutBytes == b.OutBytes &&

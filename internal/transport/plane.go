@@ -39,7 +39,7 @@ type Plane struct {
 // OpenPlane attaches the client side of the data plane a REQ response
 // selected. shmDir must match the daemon's segment directory for the mapped
 // planes ("" = /dev/shm).
-func OpenPlane(shmDir string, resp Response) (*Plane, error) {
+func OpenPlane(shmDir string, resp *Response) (*Plane, error) {
 	p := &Plane{kind: resp.Plane}
 	var err error
 	switch resp.Plane {

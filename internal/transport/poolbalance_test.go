@@ -33,7 +33,7 @@ func TestPoolBalanceRoundTrips(t *testing.T) {
 				if err != nil {
 					break // client closed
 				}
-				werr = server.WriteResponse(Response{Status: "ACK", Data: req.Data})
+				werr = server.WriteResponse(&Response{Status: "ACK", Data: req.Data})
 			}
 			server.Release() // before done: the balance is read right after it
 			done <- werr
@@ -41,7 +41,7 @@ func TestPoolBalanceRoundTrips(t *testing.T) {
 		for _, n := range []int{16, 4097, rbufHighWater + 1, 64, 1 << 16} {
 			payload := make([]byte, n)
 			payload[0], payload[n-1] = 0xab, 0xcd
-			if err := client.WriteRequest(Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
+			if err := client.WriteRequest(&Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
 				t.Errorf("write %d bytes: %v", n, err)
 				break
 			}
@@ -111,7 +111,7 @@ func TestEncodeErrorLeavesEncoderClean(t *testing.T) {
 	bad := Request{Verb: "BAT", Batch: []Request{{
 		Verb: "BAT", Data: payload, Batch: []Request{{Verb: "SND"}},
 	}}}
-	err := client.WriteRequest(bad)
+	err := client.WriteRequest(&bad)
 	if err == nil || !strings.Contains(err.Error(), "nested batch") {
 		t.Fatalf("err = %v, want nested-batch error", err)
 	}
@@ -130,9 +130,9 @@ func TestEncodeErrorLeavesEncoderClean(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		server.WriteResponse(Response{Status: "ACK", Session: req.Session})
+		server.WriteResponse(&Response{Status: "ACK", Session: req.Session})
 	}()
-	if err := client.WriteRequest(Request{Verb: "STP", Session: 7}); err != nil {
+	if err := client.WriteRequest(&Request{Verb: "STP", Session: 7}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := client.ReadResponse()
@@ -176,7 +176,7 @@ func TestShortWriteClearsAliases(t *testing.T) {
 		client.Release()
 	}()
 	payload := make([]byte, 8192) // forces the multi-segment writev path
-	if err := client.WriteRequest(Request{Verb: "SND", Session: 1, Data: payload}); err == nil {
+	if err := client.WriteRequest(&Request{Verb: "SND", Session: 1, Data: payload}); err == nil {
 		t.Fatal("injected write failure did not surface")
 	}
 	if len(client.we.segs) != 0 {

@@ -92,8 +92,8 @@ func (p *RingPlane) Trips() int64 { return p.trips }
 // next Trip (its strings are interned constants, its Batch backing is
 // reused). Requests must not carry Data — ring payloads travel through
 // the staging regions.
-func (p *RingPlane) Trip(req Request) (*Response, error) {
-	if err := p.enc.encodeRequest(&req); err != nil {
+func (p *RingPlane) Trip(req *Request) (*Response, error) {
+	if err := p.enc.encodeRequest(req); err != nil {
 		return nil, err
 	}
 	p.rec = p.enc.flatten(p.rec[:0])

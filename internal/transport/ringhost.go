@@ -178,9 +178,10 @@ type ringSession struct {
 	mgr  *gvm.Manager // on's manager
 	sr   *shm.SessionRing
 
-	enc frameEncoder
-	rec []byte  // retained response-frame scratch
-	req Request // retained decode target; Batch backing reused
+	enc  frameEncoder
+	rec  []byte   // retained response-frame scratch
+	req  Request  // retained decode target; Batch backing reused
+	resp Response // retained answer to a BAT or a rejected record
 
 	deliver func() // finish, bound once
 	active  bool   // a frame is running (host.run)
@@ -268,7 +269,8 @@ func (s *ringSession) begin(rec []byte) {
 // reject answers a record that never reached execution (decode or
 // validation errors) with a single ERR response.
 func (s *ringSession) reject(msg string) {
-	s.respond(Response{Status: "ERR", Session: s.host.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()})
+	s.resp = Response{Status: "ERR", Session: s.host.id, Err: msg, VirtualMS: s.mgr.Env().Now().Milliseconds()}
+	s.respond(&s.resp)
 }
 
 // finish answers the frame whose run just completed. After a ring RLS the
@@ -276,13 +278,13 @@ func (s *ringSession) reject(msg string) {
 // mapping outlives ours, so it still reads the response.
 func (s *ringSession) finish() {
 	s.active = false
-	s.respond(frameResponse(s.bat, s.host.run.resps))
+	s.respond(frameResponse(s.bat, s.host.run.resps, &s.resp))
 }
 
 // respond encodes a frame's response, pushes it to the completion ring
 // (deferring to the sweep when the ring is full) and rings the client.
-func (s *ringSession) respond(resp Response) {
-	if err := s.enc.encodeResponse(&resp); err != nil {
+func (s *ringSession) respond(resp *Response) {
+	if err := s.enc.encodeResponse(resp); err != nil {
 		_ = s.enc.encodeResponse(&Response{Status: "ERR", Session: s.host.id, Err: err.Error()})
 	}
 	s.rec = s.enc.flatten(s.rec[:0])

@@ -45,7 +45,7 @@ func readStream(t *testing.T, stream []byte, next func() int) ([][]byte, error) 
 		if err != nil {
 			return got, err
 		}
-		frame, eerr := EncodeRequestBinary(nil, req)
+		frame, eerr := EncodeRequestBinary(nil, *req)
 		if eerr != nil {
 			t.Fatal(eerr)
 		}
@@ -161,7 +161,7 @@ func TestReadSegmentationBigFrame(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got, _ := EncodeRequestBinary(nil, req); string(got) != string(want) {
+		if got, _ := EncodeRequestBinary(nil, *req); string(got) != string(want) {
 			t.Fatalf("frame %d decoded differently", i)
 		}
 	}
@@ -272,7 +272,7 @@ func TestWarmFrameIsOneRead(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		// Each write completes into the socket buffer before the read starts,
 		// so what a read can take is the whole frame.
-		if err := client.WriteRequest(req); err != nil {
+		if err := client.WriteRequest(&req); err != nil {
 			t.Fatal(err)
 		}
 		reads := cb.reads
@@ -280,7 +280,7 @@ func TestWarmFrameIsOneRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqReads := cb.reads - reads
-		if err := server.WriteResponse(resp); err != nil {
+		if err := server.WriteResponse(&resp); err != nil {
 			t.Fatal(err)
 		}
 		reads = ca.reads

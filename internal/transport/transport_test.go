@@ -175,7 +175,7 @@ func TestPlaneRoundTrips(t *testing.T) {
 			}
 			defer s.plane.Close()
 			resp := Response{Plane: s.plane.kind, Segment: s.plane.name, InBytes: s.inB, OutBytes: s.outB}
-			client, err := OpenPlane(dir, resp)
+			client, err := OpenPlane(dir, &resp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestRingDoorbellFollowsHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.plane.Close()
-	client, err := OpenPlane(dir, Response{Plane: PlaneRing, Segment: s.plane.name})
+	client, err := OpenPlane(dir, &Response{Plane: PlaneRing, Segment: s.plane.name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestRingDoorbellFollowsHeader(t *testing.T) {
 		if !sr.Cpl.Push(ack) { // the answer is waiting: Trip returns at once
 			t.Fatal("completion ring full")
 		}
-		if _, err := client.Ring.Trip(Request{Verb: "STP", Session: 1}); err != nil {
+		if _, err := client.Ring.Trip(&Request{Verb: "STP", Session: 1}); err != nil {
 			t.Fatal(err)
 		}
 		after := rung()
@@ -286,7 +286,7 @@ func TestRingDoorbellFollowsHeader(t *testing.T) {
 		}
 	}
 	sr.SetDoorOff(1 << 20)
-	if _, err := client.Ring.Trip(Request{Verb: "STP", Session: 1}); err == nil || !strings.Contains(err.Error(), "doorbell") {
+	if _, err := client.Ring.Trip(&Request{Verb: "STP", Session: 1}); err == nil || !strings.Contains(err.Error(), "doorbell") {
 		t.Fatalf("trip with the door offset outside the doorbell segment: %v, want a doorbell error", err)
 	}
 }
@@ -315,7 +315,7 @@ func TestShmHostPlaneRemovesSegment(t *testing.T) {
 }
 
 func TestInlinePlaneSizeMismatch(t *testing.T) {
-	p, err := OpenPlane("", Response{Plane: PlaneInline})
+	p, err := OpenPlane("", &Response{Plane: PlaneInline})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func RejectConn(nc net.Conn) {
 
 // Conn frames requests and responses over a stream connection in the
 // length-prefixed binary format (frame.go), reusing one encode buffer, one
-// read buffer and one Batch backing array across frames.
+// read buffer and one decoded frame across frames.
 type Conn struct {
 	c  net.Conn
 	we frameEncoder // reused scatter-gather encoder
@@ -118,8 +118,8 @@ type Conn struct {
 	// it landed, so what a read returns aliases rbuf.
 	rbuf   []byte
 	rd, wr int
-	// The retained decode targets, for their Batch backing: like rbuf, what a
-	// read returned is valid until the next read. A connection uses one.
+	// The retained decode targets, which a read returns: like rbuf, valid
+	// until the next read. A connection uses one.
 	req  Request
 	resp Response
 }
@@ -147,11 +147,12 @@ func (c *Conn) Close() error { return c.c.Close() }
 // once, when no read can be in flight — the reading goroutine after its
 // loop exits, or a peer that has already closed and joined the reader.
 // Releasing while a concurrent ReadRequest still aliases rbuf would hand
-// live bytes back to the pool.
+// live bytes back to the pool. The frame the last read returned stays
+// readable but for its payloads (Data, in it and in its Batch), which alias
+// the buffer.
 func (c *Conn) Release() {
 	putBuf(c.rbuf)
 	c.rbuf, c.rd, c.wr = nil, 0, 0
-	c.req, c.resp = Request{}, Response{} // their Data aliased rbuf
 }
 
 // SetDeadline bounds both reads and writes on the underlying connection;
@@ -162,8 +163,8 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 // WriteRequest sends one request frame. Payloads above the inline
 // threshold are not copied: they ride a writev (net.Buffers) straight
 // from req.Data, so the caller must not mutate it until the call returns.
-func (c *Conn) WriteRequest(req Request) error {
-	if err := c.we.encodeRequest(&req); err != nil {
+func (c *Conn) WriteRequest(req *Request) error {
+	if err := c.we.encodeRequest(req); err != nil {
 		// A failed encode (e.g. nested batch) aborts mid-frame: drop the
 		// payload aliases accumulated so far so the encoder is clean for
 		// the next frame and pins nothing.
@@ -175,8 +176,8 @@ func (c *Conn) WriteRequest(req Request) error {
 
 // WriteResponse sends one response frame; the same no-copy rule as
 // WriteRequest applies to resp.Data.
-func (c *Conn) WriteResponse(resp Response) error {
-	if err := c.we.encodeResponse(&resp); err != nil {
+func (c *Conn) WriteResponse(resp *Response) error {
+	if err := c.we.encodeResponse(resp); err != nil {
 		c.we.clearAliases()
 		return err
 	}
@@ -205,30 +206,31 @@ func (c *Conn) writeFrame() error {
 	return err
 }
 
-// ReadRequest receives one request frame. Its Data and Batch live in the
-// connection's retained buffers: valid until the next read.
-func (c *Conn) ReadRequest() (Request, error) {
+// ReadRequest receives one request frame, decoded into the connection's
+// retained request: it, its Data and its Batch are valid until the next
+// read, and the caller may rewrite its fields meanwhile.
+func (c *Conn) ReadRequest() (*Request, error) {
 	payload, err := c.readFrame(kindRequest)
 	if err == nil {
 		err = decodeRequestInto(&c.req, payload)
 	}
 	if err != nil {
-		return Request{}, err
+		return nil, err
 	}
-	return c.req, nil
+	return &c.req, nil
 }
 
-// ReadResponse receives one response frame; ReadRequest's lifetime rule
-// applies to its Data and Batch.
-func (c *Conn) ReadResponse() (Response, error) {
+// ReadResponse receives one response frame into the connection's retained
+// response; ReadRequest's lifetime rule applies.
+func (c *Conn) ReadResponse() (*Response, error) {
 	payload, err := c.readFrame(kindResponse)
 	if err == nil {
 		err = decodeResponseInto(&c.resp, payload)
 	}
 	if err != nil {
-		return Response{}, err
+		return nil, err
 	}
-	return c.resp, nil
+	return &c.resp, nil
 }
 
 // readFrame reads one binary frame of the given kind and returns its

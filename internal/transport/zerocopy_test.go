@@ -133,14 +133,14 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			}
 			// Respond with the request's payload (aliases the read
 			// buffer, exactly as the daemon's zero-copy RCV path does).
-			if err := server.WriteResponse(Response{Status: "ACK", Session: req.Session, Data: req.Data}); err != nil {
+			if err := server.WriteResponse(&Response{Status: "ACK", Session: req.Session, Data: req.Data}); err != nil {
 				echoErr <- err
 				return
 			}
 		}
 	}()
 	roundTrip := func() {
-		if err := client.WriteRequest(Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
+		if err := client.WriteRequest(&Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := client.ReadResponse()
@@ -170,8 +170,8 @@ func TestReadBufferShrinks(t *testing.T) {
 	client, server := connPair(t)
 	go func() {
 		big := Request{Verb: "SND", Session: 1, Data: make([]byte, 4<<20)}
-		_ = client.WriteRequest(big)
-		_ = client.WriteRequest(Request{Verb: "STR", Session: 1})
+		_ = client.WriteRequest(&big)
+		_ = client.WriteRequest(&Request{Verb: "STR", Session: 1})
 	}()
 	if _, err := server.ReadRequest(); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func BenchmarkIPCPipeRoundTrip(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if err := server.WriteResponse(Response{Status: "ACK", Data: req.Data}); err != nil {
+			if err := server.WriteResponse(&Response{Status: "ACK", Data: req.Data}); err != nil {
 				return
 			}
 		}
@@ -285,7 +285,7 @@ func BenchmarkIPCPipeRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.WriteRequest(Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
+		if err := client.WriteRequest(&Request{Verb: "SND", Session: 1, Data: payload}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := client.ReadResponse(); err != nil {

@@ -4,7 +4,7 @@
 # Passes only if every worker verifies its results and reports a
 # turnaround time, and the daemon's /metrics endpoint serves well-formed
 # Prometheus text with nonzero verb counters and sessions placed on BOTH
-# gpu labels after the round.
+# gpu labels after the round, and the same listener serves net/http/pprof.
 set -eu
 
 # fetch URL: curl if present, wget fallback.
@@ -17,6 +17,18 @@ fetch() {
         echo "smoke: neither curl nor wget available" >&2
         return 1
     fi
+}
+
+# check_pprof METRICS_URL WHO: the -metrics listener also serves
+# net/http/pprof (the one debug listener); its allocation profile in text
+# form ends in the runtime.MemStats trailer the benchmark reads.
+check_pprof() {
+    prof=$(fetch "${1%/metrics}/debug/pprof/allocs?debug=1")
+    if ! echo "$prof" | grep -q '^# runtime.MemStats'; then
+        echo "smoke: $2's metrics listener serves no /debug/pprof/allocs MemStats trailer" >&2
+        exit 1
+    fi
+    echo "smoke: $2 pprof OK"
 }
 
 workdir=$(mktemp -d)
@@ -111,6 +123,7 @@ for gpu in 0 1; do
     fi
 done
 echo "smoke: metrics OK (STR count = $str_count, sessions on both shards)"
+check_pprof "$metrics_url" gvmd
 
 kill "$gvmd_pid"
 wait "$gvmd_pid" 2>/dev/null || true
@@ -407,6 +420,7 @@ if [ -z "$dead" ] || [ "$dead" -ne 1 ]; then
     exit 1
 fi
 echo "smoke: federation metrics OK (failovers = $failovers, one node dead, one alive)"
+check_pprof "$fed_metrics_url" gvmfed
 
 fed_cleanup
 node_b_pid=""
