@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke loc pairs
+.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke repro loc pairs
 
 all: ci
 
 # Tier-1 gate (README "CI gate"): everything a change must keep green.
-ci: fmt vet one-engine build test race bench-short bench-schema interference-short chaos-short fed-short smoke
+ci: fmt vet one-engine build test race bench-short bench-schema interference-short chaos-short fed-short smoke repro
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:
@@ -171,9 +171,15 @@ interference-short:
 smoke:
 	./scripts/smoke.sh
 
-# Size of the code a PR has to carry: non-test Go lines outside bench/
-# and exported identifiers per internal/ package. CHANGES.md entries quote
-# its deltas against the parent commit.
+# gvmbench's full output is the evaluation EXPERIMENTS.md quotes, and it
+# regenerates byte for byte: the simulation is deterministic.
+repro:
+	$(GO) run ./cmd/gvmbench -experiment all | cmp - results/gvmbench_full.txt
+
+# Size of the code a PR has to carry: non-test Go lines outside bench/,
+# exported identifiers per internal/ package, and the findings of the
+# test-only-code guard (TestNoTestOnlyCode). CHANGES.md entries quote its
+# deltas against the parent commit.
 loc:
 	./scripts/loc.sh
 

@@ -156,8 +156,9 @@ func BenchmarkSmaxBound(b *testing.B) {
 	}
 	var s float64
 	for i := 0; i < b.N; i++ {
-		for n := 1; n <= 1024; n *= 2 {
-			s = p.WithNtask(n).Speedup()
+		q := p
+		for q.Ntask = 1; q.Ntask <= 1024; q.Ntask *= 2 {
+			s = q.Speedup()
 		}
 	}
 	b.ReportMetric(s, "speedup-n1024")
@@ -479,7 +480,7 @@ func BenchmarkFunctionalExec_MM(b *testing.B) {
 			av[i] = float32(i%13) / 13
 			bv[i] = float32(i%11) / 11
 		}
-		return []*cuda.Kernel{kernels.NewMM(pa, pb, pc, n)}
+		return []*cuda.Kernel{kernels.NewMMTiled(pa, pb, pc, n, kernels.MMTile)}
 	})
 }
 

@@ -134,9 +134,6 @@ func (c *BlockCtx) Ptr(i int) DevPtr { return c.Args[i].(DevPtr) }
 // Int returns argument i as an int.
 func (c *BlockCtx) Int(i int) int { return c.Args[i].(int) }
 
-// Float32Arg returns argument i as a float32.
-func (c *BlockCtx) Float32Arg(i int) float32 { return c.Args[i].(float32) }
-
 // Float64Arg returns argument i as a float64.
 func (c *BlockCtx) Float64Arg(i int) float64 { return c.Args[i].(float64) }
 

@@ -36,15 +36,6 @@ func Int32s(m Memory, p DevPtr, n int) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
 }
 
-// Uint64s views n uint64 values of device memory at p.
-func Uint64s(m Memory, p DevPtr, n int) []uint64 {
-	b := m.Bytes(p, int64(n)*8)
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
-}
-
 // HostFloat32Bytes reinterprets a float32 slice as its byte representation
 // (little-endian on all supported platforms), for host<->device copies.
 func HostFloat32Bytes(v []float32) []byte {

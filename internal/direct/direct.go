@@ -33,11 +33,8 @@ type Process struct {
 // SwitchCost overrides the architecture's context-switch cost when
 // nonzero (the paper's Table II measures per-application switch costs).
 func Attach(p *sim.Proc, dev *gpusim.Device, spec *task.Spec, switchCost sim.Duration) (*Process, error) {
-	pr := &Process{dev: dev, spec: spec}
+	pr := &Process{dev: dev, spec: spec, ctx: dev.CreateContext(p)}
 	var err error
-	if pr.ctx, err = dev.TryCreateContext(p); err != nil {
-		return nil, err
-	}
 	pr.ctx.SwitchCost = switchCost
 	if spec.InBytes > 0 {
 		if pr.devIn, err = pr.ctx.Malloc(spec.InBytes); err != nil {

@@ -207,12 +207,6 @@ func (a Arch) Validate() error {
 // TotalCores returns SMs x CoresPerSM.
 func (a Arch) TotalCores() int { return a.SMs * a.CoresPerSM }
 
-// PeakSPFlops returns the single-precision peak in FLOP/s (2 flops per
-// core per clock via FMA).
-func (a Arch) PeakSPFlops() float64 {
-	return 2 * float64(a.TotalCores()) * a.ClockHz
-}
-
 // TransferTime returns the virtual time to move n bytes across the host
 // link in the given direction, using pinned or pageable buffers.
 func (a Arch) TransferTime(n int64, toDevice, pinned bool) sim.Duration {

@@ -52,9 +52,6 @@ func NewAllocator(total, align int64) *Allocator {
 	}
 }
 
-// Total returns the size of the managed address space.
-func (a *Allocator) Total() int64 { return a.total }
-
 // InUse returns the number of bytes currently allocated (after rounding).
 func (a *Allocator) InUse() int64 { return a.inUse.Load() }
 
@@ -103,9 +100,6 @@ func (a *Allocator) LargestFree() int64 {
 	}
 	return max
 }
-
-// Allocations returns the number of live allocations.
-func (a *Allocator) Allocations() int { return len(a.used) }
 
 // Alloc reserves n bytes and returns the device address, or an
 // out-of-memory error. Zero or negative sizes are rejected. When an
@@ -181,29 +175,4 @@ func (a *Allocator) Free(ptr cuda.DevPtr) error {
 func (a *Allocator) SizeOf(ptr cuda.DevPtr) (int64, bool) {
 	n, ok := a.used[ptr]
 	return n, ok
-}
-
-// checkInvariants verifies the free list is sorted, coalesced, in-range
-// and disjoint from allocations; used by tests.
-func (a *Allocator) checkInvariants() error {
-	var freeTotal int64
-	for i, s := range a.free {
-		if s.size <= 0 || s.off < a.align || s.off+s.size > a.total {
-			return fmt.Errorf("span %d out of range: %+v", i, s)
-		}
-		if i > 0 {
-			prev := a.free[i-1]
-			if prev.off+prev.size > s.off {
-				return fmt.Errorf("spans %d,%d overlap", i-1, i)
-			}
-			if prev.off+prev.size == s.off {
-				return fmt.Errorf("spans %d,%d not coalesced", i-1, i)
-			}
-		}
-		freeTotal += s.size
-	}
-	if freeTotal+a.inUse.Load() != a.total-a.align {
-		return fmt.Errorf("accounting: free %d + used %d != %d", freeTotal, a.inUse.Load(), a.total-a.align)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -35,8 +36,8 @@ func TestAllocBasic(t *testing.T) {
 	if err := a.Free(p2); err != nil {
 		t.Fatal(err)
 	}
-	if a.InUse() != 0 || a.Allocations() != 0 {
-		t.Fatalf("allocator not empty after frees: %d bytes, %d allocs", a.InUse(), a.Allocations())
+	if a.InUse() != 0 || len(a.used) != 0 {
+		t.Fatalf("allocator not empty after frees: %d bytes, %d allocs", a.InUse(), len(a.used))
 	}
 	if err := a.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -174,4 +175,29 @@ func TestQuickAllocatorInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkInvariants verifies the free list is sorted, coalesced, in-range
+// and disjoint from allocations.
+func (a *Allocator) checkInvariants() error {
+	var freeTotal int64
+	for i, s := range a.free {
+		if s.size <= 0 || s.off < a.align || s.off+s.size > a.total {
+			return fmt.Errorf("span %d out of range: %+v", i, s)
+		}
+		if i > 0 {
+			prev := a.free[i-1]
+			if prev.off+prev.size > s.off {
+				return fmt.Errorf("spans %d,%d overlap", i-1, i)
+			}
+			if prev.off+prev.size == s.off {
+				return fmt.Errorf("spans %d,%d not coalesced", i-1, i)
+			}
+		}
+		freeTotal += s.size
+	}
+	if freeTotal+a.inUse.Load() != a.total-a.align {
+		return fmt.Errorf("accounting: free %d + used %d != %d", freeTotal, a.inUse.Load(), a.total-a.align)
+	}
+	return nil
 }

@@ -30,38 +30,10 @@ import (
 	"gpuvirt/internal/trace"
 )
 
-// ComputeMode mirrors the CUDA device compute modes (nvidia-smi -c).
-type ComputeMode int
-
-const (
-	// ComputeDefault allows any number of contexts to share the device
-	// ("sharing compute mode", the paper's baseline configuration).
-	ComputeDefault ComputeMode = iota
-	// ComputeExclusive admits a single context — the configuration a
-	// GVM deployment would use so no process can bypass the manager.
-	ComputeExclusive
-	// ComputeProhibited admits no contexts at all.
-	ComputeProhibited
-)
-
-func (m ComputeMode) String() string {
-	switch m {
-	case ComputeDefault:
-		return "default"
-	case ComputeExclusive:
-		return "exclusive"
-	case ComputeProhibited:
-		return "prohibited"
-	default:
-		return fmt.Sprintf("ComputeMode(%d)", int(m))
-	}
-}
-
 // Config configures a simulated device.
 type Config struct {
 	Arch       fermi.Arch
 	Functional bool          // allocate backing memory and run kernel bodies
-	Mode       ComputeMode   // context admission policy (default: shared)
 	Tracer     *trace.Tracer // optional execution tracer
 	// ExecWorkers sizes the worker pool that runs functional kernel
 	// bodies: 0 = GOMAXPROCS (parallel across blocks, bit-identical for
@@ -97,8 +69,6 @@ type Device struct {
 
 	driver       *sim.Resource // serializes device init and context creation
 	initialized  bool
-	mode         ComputeMode
-	liveCtxs     int
 	nextCtxID    int
 	nextStreamID int
 
@@ -146,7 +116,6 @@ func New(env *sim.Env, cfg Config) (*Device, error) {
 		env:        env,
 		arch:       cfg.Arch,
 		functional: cfg.Functional,
-		mode:       cfg.Mode,
 		tracer:     cfg.Tracer,
 		exec:       cuda.NewExecutor(cfg.ExecWorkers),
 		alloc:      NewAllocator(cfg.Arch.MemBytes, 256),
@@ -300,52 +269,25 @@ type Context struct {
 	SwitchCost sim.Duration
 }
 
-// TryCreateContext initializes the device (first call only) and creates
-// a context, paying the driver costs on the calling process's virtual
-// time. Creation is serialized on the driver lock, so N processes
-// initializing simultaneously pay DeviceInitCost + N x ContextCreateCost
-// in total, which is the paper's Tinit. The device's compute mode may
-// refuse admission: exclusive mode admits one live context, prohibited
-// mode none — exactly CUDA's semantics.
-func (d *Device) TryCreateContext(p *sim.Proc) (*Context, error) {
+// CreateContext initializes the device (first call only) and creates a
+// context, paying the driver costs on the calling process's virtual time.
+// Creation is serialized on the driver lock, so N processes initializing
+// simultaneously pay DeviceInitCost + N x ContextCreateCost in total, which
+// is the paper's Tinit.
+func (d *Device) CreateContext(p *sim.Proc) *Context {
 	start := p.Now()
 	d.driver.Acquire(p, 1)
 	defer d.driver.Release(1)
-	switch d.mode {
-	case ComputeProhibited:
-		return nil, fmt.Errorf("gpusim: %s: compute mode prohibits contexts", d.arch.Name)
-	case ComputeExclusive:
-		if d.liveCtxs > 0 {
-			return nil, fmt.Errorf("gpusim: %s: exclusive compute mode, a context already exists", d.arch.Name)
-		}
-	}
 	if !d.initialized {
 		p.Sleep(d.arch.DeviceInitCost)
 		d.initialized = true
 	}
 	p.Sleep(d.arch.ContextCreateCost)
 	d.nextCtxID++
-	d.liveCtxs++
 	c := &Context{dev: d, id: d.nextCtxID}
 	d.emit("driver", fmt.Sprintf("ctx%d create", c.id), start, p.Now())
-	return c, nil
-}
-
-// CreateContext is TryCreateContext for callers that own the device's
-// admission policy (the manager, tests); it panics on refusal.
-func (d *Device) CreateContext(p *sim.Proc) *Context {
-	c, err := d.TryCreateContext(p)
-	if err != nil {
-		panic(err)
-	}
 	return c
 }
-
-// Mode returns the device's compute mode.
-func (d *Device) Mode() ComputeMode { return d.mode }
-
-// LiveContexts returns the number of undestroyed contexts.
-func (d *Device) LiveContexts() int { return d.liveCtxs }
 
 // ID returns the context's device-unique id.
 func (c *Context) ID() int { return c.id }
@@ -353,14 +295,8 @@ func (c *Context) ID() int { return c.id }
 // Device returns the device the context belongs to.
 func (c *Context) Device() *Device { return c.dev }
 
-// Destroy marks the context dead; further operations panic. The
-// device-admission slot is returned (relevant in exclusive compute mode).
-func (c *Context) Destroy() {
-	if !c.destroyed {
-		c.destroyed = true
-		c.dev.liveCtxs--
-	}
-}
+// Destroy marks the context dead; further operations panic.
+func (c *Context) Destroy() { c.destroyed = true }
 
 func (c *Context) mustLive() {
 	if c.destroyed {
@@ -501,9 +437,6 @@ func WrapHost(data []byte, pinned bool) *HostBuffer {
 
 // Size returns the buffer's size in bytes.
 func (b *HostBuffer) Size() int64 { return b.size }
-
-// Pinned reports whether the buffer is page-locked.
-func (b *HostBuffer) Pinned() bool { return b.pinned }
 
 // Data returns the backing slice (nil in timing-only mode).
 func (b *HostBuffer) Data() []byte { return b.data }

@@ -361,64 +361,8 @@ func TestDeviceBytesOutOfRangePanics(t *testing.T) {
 func TestHostBufferWrap(t *testing.T) {
 	data := []byte{1, 2, 3}
 	b := WrapHost(data, true)
-	if b.Size() != 3 || !b.Pinned() || &b.Data()[0] != &data[0] {
+	if b.Size() != 3 || !b.pinned || &b.Data()[0] != &data[0] {
 		t.Fatal("WrapHost did not alias the slice")
-	}
-}
-
-func TestComputeModes(t *testing.T) {
-	env := sim.NewEnv()
-	arch := fermi.TeslaC2070()
-
-	excl := MustNew(env, Config{Arch: arch, Mode: ComputeExclusive})
-	proh := MustNew(env, Config{Arch: arch, Mode: ComputeProhibited})
-	env.Go("p", func(p *sim.Proc) {
-		// Exclusive: first context admitted, second refused, admitted
-		// again after Destroy.
-		c1, err := excl.TryCreateContext(p)
-		if err != nil {
-			t.Errorf("first exclusive context refused: %v", err)
-			return
-		}
-		if _, err := excl.TryCreateContext(p); err == nil {
-			t.Error("second context admitted in exclusive mode")
-		}
-		c1.Destroy()
-		if _, err := excl.TryCreateContext(p); err != nil {
-			t.Errorf("context after Destroy refused: %v", err)
-		}
-		// Prohibited: nothing admitted.
-		if _, err := proh.TryCreateContext(p); err == nil {
-			t.Error("context admitted in prohibited mode")
-		}
-	})
-	run(t, env)
-	if excl.Mode() != ComputeExclusive || excl.LiveContexts() != 1 {
-		t.Fatalf("mode=%v live=%d", excl.Mode(), excl.LiveContexts())
-	}
-}
-
-func TestComputeModeStrings(t *testing.T) {
-	if ComputeDefault.String() != "default" ||
-		ComputeExclusive.String() != "exclusive" ||
-		ComputeProhibited.String() != "prohibited" {
-		t.Fatal("mode names wrong")
-	}
-	if ComputeMode(9).String() == "" {
-		t.Fatal("unknown mode has empty name")
-	}
-}
-
-func TestDoubleDestroyCountsOnce(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	env.Go("p", func(p *sim.Proc) {
-		c := dev.CreateContext(p)
-		c.Destroy()
-		c.Destroy()
-	})
-	run(t, env)
-	if dev.LiveContexts() != 0 {
-		t.Fatalf("LiveContexts = %d after double destroy", dev.LiveContexts())
 	}
 }
 
@@ -472,67 +416,6 @@ func TestFreeUnknownPointerErrors(t *testing.T) {
 		}
 	})
 	run(t, env)
-}
-
-func TestStreamAccessors(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	env.Go("p", func(p *sim.Proc) {
-		c := dev.CreateContext(p)
-		c.Acquire(p)
-		defer c.Release()
-		s := c.NewStream()
-		if s.ID() == 0 {
-			t.Error("stream ID zero")
-		}
-		if s.Context() != c {
-			t.Error("stream context wrong")
-		}
-		if s.Busy() != 0 {
-			t.Error("fresh stream busy")
-		}
-		d := c.MustMalloc(1024)
-		h := dev.AllocHost(1024, true)
-		s.MemcpyH2DAsync(d, h, 1024)
-		if s.Busy() != 1 {
-			t.Errorf("Busy = %d after enqueue", s.Busy())
-		}
-		s.Synchronize(p)
-	})
-	run(t, env)
-}
-
-func TestSchedulerUtilization(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	env.Go("p", func(p *sim.Proc) {
-		if dev.sched.Utilization() != 0 {
-			t.Error("idle utilization != 0")
-		}
-		c := dev.CreateContext(p)
-		c.Acquire(p)
-		defer c.Release()
-		k := &cuda.Kernel{Name: "u", Grid: cuda.Dim(14), Block: cuda.Dim(128), CyclesPerThread: 1e6}
-		done, err := c.LaunchAsync(p, k)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		p.Sleep(sim.Microsecond)
-		if u := dev.sched.Utilization(); u <= 0 || u > 1 {
-			t.Errorf("mid-run utilization = %v", u)
-		}
-		p.Wait(done)
-		if dev.sched.Utilization() != 0 {
-			t.Error("utilization after completion != 0")
-		}
-	})
-	run(t, env)
-}
-
-func TestAllocatorTotal(t *testing.T) {
-	a := NewAllocator(1<<20, 256)
-	if a.Total() != 1<<20 {
-		t.Fatalf("Total = %d", a.Total())
-	}
 }
 
 // TestSwapTransfersOwnershipAndIsolates pins the swap contract: the
@@ -711,4 +594,44 @@ func TestSwapOutRace(t *testing.T) {
 	if won != 1 || dev.MemInUse() != 0 {
 		t.Fatalf("%d swap-outs won the allocation, %d bytes still in use; want 1 and 0", won, dev.MemInUse())
 	}
+}
+
+func TestSchedulerUtilization(t *testing.T) {
+	env, dev := newTestDevice(t, false)
+	env.Go("p", func(p *sim.Proc) {
+		if utilization(dev.sched) != 0 {
+			t.Error("idle utilization != 0")
+		}
+		c := dev.CreateContext(p)
+		c.Acquire(p)
+		defer c.Release()
+		k := &cuda.Kernel{Name: "u", Grid: cuda.Dim(14), Block: cuda.Dim(128), CyclesPerThread: 1e6}
+		done, err := c.LaunchAsync(p, k)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(sim.Microsecond)
+		if u := utilization(dev.sched); u <= 0 || u > 1 {
+			t.Errorf("mid-run utilization = %v", u)
+		}
+		p.Wait(done)
+		if utilization(dev.sched) != 0 {
+			t.Error("utilization after completion != 0")
+		}
+	})
+	run(t, env)
+}
+
+// utilization returns the fraction of SM block slots currently occupied.
+func utilization(s *smScheduler) float64 {
+	used, total := 0, 0
+	for _, sm := range s.sms {
+		used += sm.usedBlocks
+		total += s.arch.MaxBlocksPerSM
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(used) / float64(total)
 }

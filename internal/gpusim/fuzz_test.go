@@ -40,8 +40,8 @@ func FuzzAllocator(f *testing.F) {
 				t.Fatalf("final free: %v", err)
 			}
 		}
-		if a.InUse() != 0 || a.Allocations() != 0 {
-			t.Fatalf("leaked: %d bytes, %d allocations", a.InUse(), a.Allocations())
+		if a.InUse() != 0 || len(a.used) != 0 {
+			t.Fatalf("leaked: %d bytes, %d allocations", a.InUse(), len(a.used))
 		}
 	})
 }

@@ -798,17 +798,3 @@ func (s *smScheduler) armTimers() {
 	t.gen = s.timerGen
 	s.env.After(sim.Duration(next*1e9)+1, t.fire)
 }
-
-// Utilization returns the fraction of SM block slots currently occupied,
-// for tests and reporting.
-func (s *smScheduler) Utilization() float64 {
-	used, total := 0, 0
-	for _, sm := range s.sms {
-		used += sm.usedBlocks
-		total += s.arch.MaxBlocksPerSM
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(used) / float64(total)
-}

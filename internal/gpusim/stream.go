@@ -3,7 +3,6 @@ package gpusim
 import (
 	"fmt"
 
-	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/sim"
 )
 
@@ -14,7 +13,7 @@ import (
 // to overlap work from different SPMD processes.
 //
 // A dedicated runner process drains the FIFO; the issuing process returns
-// immediately from the *Async calls.
+// immediately from EnqueueCB.
 type Stream struct {
 	ctx  *Context
 	id   int
@@ -24,9 +23,8 @@ type Stream struct {
 }
 
 type streamOp struct {
-	run  func(p *sim.Proc)
-	done *sim.Event // optional per-op completion event
-	cb   func()     // optional completion callback (alloc-free alternative)
+	run func(p *sim.Proc)
+	cb  func() // optional completion callback
 }
 
 // NewStream creates a stream in this context and starts its runner.
@@ -42,12 +40,6 @@ func (c *Context) NewStream() *Stream {
 	return s
 }
 
-// ID returns the stream's process-unique id.
-func (s *Stream) ID() int { return s.id }
-
-// Context returns the owning context.
-func (s *Stream) Context() *Context { return s.ctx }
-
 func (s *Stream) runner(p *sim.Proc) {
 	p.Daemonize() // an idle runner waiting for work is not a deadlock
 	for {
@@ -56,9 +48,6 @@ func (s *Stream) runner(p *sim.Proc) {
 			return
 		}
 		op.run(p)
-		if op.done != nil {
-			op.done.Fire(nil)
-		}
 		if op.cb != nil {
 			op.cb()
 		}
@@ -75,15 +64,7 @@ func (s *Stream) Close() {
 	s.ops.TryPut(streamOp{})
 }
 
-func (s *Stream) enqueue(run func(p *sim.Proc)) *sim.Event {
-	done := s.ctx.dev.env.NewEvent()
-	s.busy++
-	s.ops.TryPut(streamOp{run: run, done: done}) // unbounded store: never fails
-	return done
-}
-
-// EnqueueCB enqueues run with an optional completion callback in place of
-// the per-op completion event: the alloc-free form of enqueue. The GVM's
+// EnqueueCB enqueues run with an optional completion callback. The GVM's
 // flush hot path uses it with closures prebound at session setup so a
 // steady-state cycle enqueues stream work without a single allocation. cb
 // (may be nil) runs on the scheduler goroutine right after run completes.
@@ -91,36 +72,6 @@ func (s *Stream) EnqueueCB(run func(p *sim.Proc), cb func()) {
 	s.busy++
 	s.ops.TryPut(streamOp{run: run, cb: cb})
 }
-
-// MemcpyH2DAsync enqueues a host-to-device copy of n bytes and returns
-// its completion event.
-func (s *Stream) MemcpyH2DAsync(dst cuda.DevPtr, src *HostBuffer, n int64) *sim.Event {
-	return s.enqueue(func(p *sim.Proc) { s.ctx.memcpyH2D(p, dst, src, 0, n) })
-}
-
-// MemcpyD2HAsync enqueues a device-to-host copy of n bytes.
-func (s *Stream) MemcpyD2HAsync(dst *HostBuffer, src cuda.DevPtr, n int64) *sim.Event {
-	return s.enqueue(func(p *sim.Proc) { s.ctx.memcpyD2H(p, dst, 0, src, n) })
-}
-
-// LaunchAsync enqueues a kernel launch. Invalid kernels surface when the
-// operation executes (the runner panics), so callers should Validate
-// kernels up front — the GVM does this when a client registers work.
-func (s *Stream) LaunchAsync(k *cuda.Kernel) *sim.Event {
-	return s.enqueue(func(p *sim.Proc) {
-		done, err := s.ctx.LaunchAsync(p, k)
-		if err != nil {
-			panic(fmt.Sprintf("gpusim: stream %d: %v", s.id, err))
-		}
-		p.Wait(done)
-	})
-}
-
-// Busy reports the number of queued plus in-flight operations.
-func (s *Stream) Busy() int { return s.busy }
-
-// Query reports whether the stream has drained (cudaStreamQuery).
-func (s *Stream) Query() bool { return s.busy == 0 }
 
 // Synchronize blocks the calling process until the stream drains.
 func (s *Stream) Synchronize(p *sim.Proc) {
@@ -130,44 +81,4 @@ func (s *Stream) Synchronize(p *sim.Proc) {
 		}
 		p.Wait(s.idle)
 	}
-}
-
-// GPUEvent is a CUDA-event-style marker recorded into a stream: it
-// completes when every operation enqueued before it has executed, and it
-// remembers the virtual instant at which that happened — the device-side
-// timing primitive (cudaEventRecord / cudaEventElapsedTime).
-type GPUEvent struct {
-	done *sim.Event
-	at   sim.Time
-}
-
-// RecordEvent enqueues a marker at the stream's current tail.
-func (s *Stream) RecordEvent() *GPUEvent {
-	ev := &GPUEvent{done: s.ctx.dev.env.NewEvent()}
-	s.enqueue(func(p *sim.Proc) {
-		ev.at = p.Now()
-		ev.done.Fire(nil)
-	})
-	return ev
-}
-
-// Query reports whether the marker has executed (cudaEventQuery).
-func (e *GPUEvent) Query() bool { return e.done.Fired() }
-
-// Synchronize blocks the process until the marker executes.
-func (e *GPUEvent) Synchronize(p *sim.Proc) { p.Wait(e.done) }
-
-// Time returns the virtual instant the marker executed; it panics when
-// the event has not completed (like reading an unrecorded cudaEvent).
-func (e *GPUEvent) Time() sim.Time {
-	if !e.done.Fired() {
-		panic("gpusim: Time on an incomplete GPUEvent")
-	}
-	return e.at
-}
-
-// Elapsed returns the device time between two completed events
-// (cudaEventElapsedTime); negative if b executed before e.
-func (e *GPUEvent) Elapsed(b *GPUEvent) sim.Duration {
-	return b.Time().Sub(e.Time())
 }

@@ -8,6 +8,20 @@ import (
 	"gpuvirt/internal/sim"
 )
 
+// h2dAsync and launchAsync enqueue a copy and a kernel the way gvm's flush
+// does: EnqueueCB with a closure over the context's blocking call.
+func h2dAsync(s *Stream, d cuda.DevPtr, h *HostBuffer, n int64) {
+	s.EnqueueCB(func(p *sim.Proc) { s.ctx.MemcpyH2D(p, d, h, n) }, nil)
+}
+
+func launchAsync(s *Stream, k *cuda.Kernel, cb func()) {
+	s.EnqueueCB(func(p *sim.Proc) {
+		if err := s.ctx.Launch(p, k); err != nil {
+			panic(err)
+		}
+	}, cb)
+}
+
 func TestStreamInOrderExecution(t *testing.T) {
 	env, dev := newTestDevice(t, false)
 	arch := dev.Arch()
@@ -22,17 +36,11 @@ func TestStreamInOrderExecution(t *testing.T) {
 		h := dev.AllocHost(n, true)
 		k := &cuda.Kernel{Name: "k", Grid: cuda.Dim(arch.SMs), Block: cuda.Dim(1024), CyclesPerThread: 1e5}
 		start := p.Now()
-		s.MemcpyH2DAsync(d, h, n)
-		s.LaunchAsync(k)
-		s.MemcpyD2HAsync(h, d, n)
-		if s.Query() {
-			t.Error("stream reports idle with queued work")
-		}
+		h2dAsync(s, d, h, n)
+		launchAsync(s, k, nil)
+		s.EnqueueCB(func(p *sim.Proc) { c.MemcpyD2H(p, h, d, n) }, nil)
 		s.Synchronize(p)
 		total = p.Now().Sub(start)
-		if !s.Query() {
-			t.Error("stream reports busy after Synchronize")
-		}
 	})
 	run(t, env)
 	// In-stream operations serialize: total >= sum of the parts.
@@ -65,8 +73,8 @@ func TestTwoStreamsOverlapCopyAndCompute(t *testing.T) {
 		d := c.MustMalloc(n)
 		h := dev.AllocHost(n, true)
 		start := p.Now()
-		sa.LaunchAsync(k)
-		sb.MemcpyH2DAsync(d, h, n)
+		launchAsync(sa, k, nil)
+		h2dAsync(sb, d, h, n)
 		sa.Synchronize(p)
 		sb.Synchronize(p)
 		makespan = p.Now().Sub(start)
@@ -104,8 +112,8 @@ func TestNoOverlapOnPreFermi(t *testing.T) {
 		d := c.MustMalloc(n)
 		h := dev.AllocHost(n, true)
 		start := p.Now()
-		sa.LaunchAsync(k)
-		sb.MemcpyH2DAsync(d, h, n)
+		launchAsync(sa, k, nil)
+		h2dAsync(sb, d, h, n)
 		sa.Synchronize(p)
 		sb.Synchronize(p)
 		makespan = p.Now().Sub(start)
@@ -140,9 +148,7 @@ func TestStreamsFromManyProcessesConcurrentKernels(t *testing.T) {
 		done := env.NewEvent()
 		left := 8
 		for i := 0; i < 8; i++ {
-			s := c.NewStream()
-			ev := s.LaunchAsync(mk())
-			ev.OnFire(func(any) {
+			launchAsync(c.NewStream(), mk(), func() {
 				left--
 				if left == 0 {
 					done.Fire(nil)
@@ -169,89 +175,4 @@ func TestStreamClose(t *testing.T) {
 		s.Close()
 	})
 	run(t, env) // deadlock-free: the runner exits on the sentinel
-}
-
-func TestGPUEventsTimeStreamSections(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	arch := dev.Arch()
-	var n int64 = 4 << 20
-	env.Go("main", func(p *sim.Proc) {
-		c := dev.CreateContext(p)
-		c.Acquire(p)
-		defer c.Release()
-		s := c.NewStream()
-		d := c.MustMalloc(n)
-		h := dev.AllocHost(n, true)
-		start := s.RecordEvent()
-		s.MemcpyH2DAsync(d, h, n)
-		afterCopy := s.RecordEvent()
-		k := &cuda.Kernel{Name: "k", Grid: cuda.Dim(arch.SMs), Block: cuda.Dim(1024), CyclesPerThread: 1e5}
-		s.LaunchAsync(k)
-		end := s.RecordEvent()
-		if start.Query() && s.Busy() > 0 {
-			// The first marker may already have run (it was at the head),
-			// but the later ones cannot have.
-			if end.Query() {
-				t.Error("tail event complete while stream busy")
-			}
-		}
-		s.Synchronize(p)
-		if !start.Query() || !afterCopy.Query() || !end.Query() {
-			t.Error("events incomplete after Synchronize")
-		}
-		copyT := start.Elapsed(afterCopy)
-		if want := arch.TransferTime(n, true, true); copyT != want {
-			t.Errorf("event-timed copy = %v, want %v", copyT, want)
-		}
-		if kernelT := afterCopy.Elapsed(end); kernelT <= 0 {
-			t.Errorf("kernel section = %v", kernelT)
-		}
-		if start.Elapsed(end) != start.Elapsed(afterCopy)+afterCopy.Elapsed(end) {
-			t.Error("event sections do not add up")
-		}
-	})
-	run(t, env)
-}
-
-func TestGPUEventTimeBeforeCompletionPanics(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	env.Go("main", func(p *sim.Proc) {
-		c := dev.CreateContext(p)
-		c.Acquire(p)
-		defer c.Release()
-		s := c.NewStream()
-		d := c.MustMalloc(1 << 20)
-		h := dev.AllocHost(1<<20, false)
-		s.MemcpyH2DAsync(d, h, 1<<20)
-		ev := s.RecordEvent()
-		defer func() {
-			if recover() == nil {
-				t.Error("Time on incomplete event did not panic")
-			}
-			s.Synchronize(p)
-		}()
-		_ = ev.Time()
-	})
-	run(t, env)
-}
-
-func TestGPUEventSynchronize(t *testing.T) {
-	env, dev := newTestDevice(t, false)
-	arch := dev.Arch()
-	var n int64 = 4 << 20
-	env.Go("main", func(p *sim.Proc) {
-		c := dev.CreateContext(p)
-		c.Acquire(p)
-		defer c.Release()
-		s := c.NewStream()
-		d := c.MustMalloc(n)
-		h := dev.AllocHost(n, false)
-		s.MemcpyH2DAsync(d, h, n)
-		ev := s.RecordEvent()
-		ev.Synchronize(p)
-		if got, want := sim.Duration(p.Now()), arch.TransferTime(n, true, false); got < want {
-			t.Errorf("Synchronize returned at %v, before the copy finished (%v)", got, want)
-		}
-	})
-	run(t, env)
 }

@@ -503,32 +503,11 @@ func New(env *sim.Env, cfg Config) *Manager {
 // one from Config.Metrics, or the private one created in its absence).
 func (m *Manager) Metrics() *metrics.Registry { return m.reg }
 
-// Requests returns how many requests the manager has received.
-func (m *Manager) Requests() int { return int(m.met.requests.Value()) }
-
 // SessionsOpened returns how many sessions REQ has provisioned.
 func (m *Manager) SessionsOpened() int { return int(m.met.sessionsOpened.Value()) }
 
-// SessionsClosed returns how many sessions RLS has torn down.
-func (m *Manager) SessionsClosed() int { return int(m.met.sessionsClosed.Value()) }
-
 // Flushes returns how many barrier batches have flushed.
 func (m *Manager) Flushes() int { return int(m.met.flushes.Value()) }
-
-// BarrierTimeouts returns how many flushes BarrierTimeout forced.
-func (m *Manager) BarrierTimeouts() int { return int(m.met.barrierTimeouts.Value()) }
-
-// Suspensions returns how many SUS verbs have completed.
-func (m *Manager) Suspensions() int { return int(m.met.suspensions.Value()) }
-
-// Resumes returns how many RES verbs have completed.
-func (m *Manager) Resumes() int { return int(m.met.resumes.Value()) }
-
-// Evictions returns how many sessions the manager evicted to make room.
-func (m *Manager) Evictions() int { return int(m.met.evictions.Value()) }
-
-// Restores returns how many evicted sessions were restored lazily.
-func (m *Manager) Restores() int { return int(m.met.restores.Value()) }
 
 func (c Config) trace(lane, label string, start, end sim.Time) {
 	if c.Tracer != nil {

@@ -93,8 +93,8 @@ func TestUnknownSessionDropped(t *testing.T) {
 	if err == nil {
 		t.Fatal("DirectVerb served a session that does not exist")
 	}
-	if m.Requests() != 0 {
-		t.Fatalf("Requests = %d, the dropped verb was counted as served", m.Requests())
+	if m.met.requests.Value() != 0 {
+		t.Fatalf("Requests = %d, the dropped verb was counted as served", m.met.requests.Value())
 	}
 }
 
@@ -142,9 +142,9 @@ func TestSessionAccounting(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.SessionsOpened() != 1 || m.SessionsClosed() != 1 || m.OpenSessions() != 0 {
+	if m.SessionsOpened() != 1 || m.met.sessionsClosed.Value() != 1 || m.OpenSessions() != 0 {
 		t.Fatalf("accounting: opened=%d closed=%d live=%d",
-			m.SessionsOpened(), m.SessionsClosed(), m.OpenSessions())
+			m.SessionsOpened(), m.met.sessionsClosed.Value(), m.OpenSessions())
 	}
 }
 

@@ -38,8 +38,8 @@ func TestRestoreBlockedByParkedBarrierIsRetryable(t *testing.T) {
 		// D's arenas cannot fit alongside A+C+B: the evictor picks idle,
 		// priority-0 B and snapshots it to the host.
 		d := openKB(t, p, m, "D", 100, 5)
-		if m.Evictions() != 1 {
-			t.Errorf("evictions = %d, want 1 (B evicted by D's REQ)", m.Evictions())
+		if m.met.evictions.Value() != 1 {
+			t.Errorf("evictions = %d, want 1 (B evicted by D's REQ)", m.met.evictions.Value())
 		}
 
 		// A and D park at the 3-party barrier: running, resident, and not
@@ -104,8 +104,8 @@ func TestRestoreWaitsOutRunningFlush(t *testing.T) {
 		p.Wait(m.Ready())
 		a := openKB(t, p, m, "A", 160, 5)
 		b := openKB(t, p, m, "B", 100, 0)
-		if m.Evictions() != 1 {
-			t.Errorf("evictions = %d, want 1 (A's REQ evicts nothing, B 100K forces A out? no — B is the victim)", m.Evictions())
+		if m.met.evictions.Value() != 1 {
+			t.Errorf("evictions = %d, want 1 (A's REQ evicts nothing, B 100K forces A out? no — B is the victim)", m.met.evictions.Value())
 		}
 		// B was evicted by its own REQ? No: A 160K + B 100K > 256K, so B's
 		// REQ evicts idle A instead (A has priority 5 but is the only
@@ -181,8 +181,8 @@ func TestInterleavedDaemonRestoresEvictOnTheirOwnProcess(t *testing.T) {
 		for i := 0; i < smalls; i++ {
 			open(p, fmt.Sprintf("small%d", i), small)
 		}
-		if m.Evictions() != 2 {
-			t.Fatalf("evictions after setup = %d, want 2 (both bigs paged out)", m.Evictions())
+		if m.met.evictions.Value() != 2 {
+			t.Fatalf("evictions after setup = %d, want 2 (both bigs paged out)", m.met.evictions.Value())
 		}
 		// The bigs' verbs must be younger than the last open, or LRU's id
 		// tie-break would pick a just-restored big over a small.
@@ -208,10 +208,10 @@ func TestInterleavedDaemonRestoresEvictOnTheirOwnProcess(t *testing.T) {
 	}
 	// Each big arena needs three victims' worth of contiguous room: every
 	// small session goes, none twice.
-	if got := m.Evictions(); got != 2+smalls {
+	if got := m.met.evictions.Value(); got != 2+smalls {
 		t.Errorf("evictions = %d, want %d", got, 2+smalls)
 	}
-	if got := m.Restores(); got != 2 {
+	if got := m.met.restores.Value(); got != 2 {
 		t.Errorf("restores = %d, want 2", got)
 	}
 	// Evacuating three victims and refilling the arena takes PCIe time on

@@ -105,8 +105,8 @@ func TestEvictedIdleStaysIdle(t *testing.T) {
 		sf := OpenBare(t, p, m, Request{Spec: spec})
 		m.InjectEvicted(p, sf.ID)
 		expectErr(t, p, sf, RCV, "RCV before completion")
-		if m.Restores() != 1 || dev.MemInUse() == 0 {
-			t.Errorf("RCV restored %d times, %d bytes resident; want the arena back", m.Restores(), dev.MemInUse())
+		if m.met.restores.Value() != 1 || dev.MemInUse() == 0 {
+			t.Errorf("RCV restored %d times, %d bytes resident; want the arena back", m.met.restores.Value(), dev.MemInUse())
 		}
 		expectErr(t, p, sf, STP, "STP before STR")
 		if got := m.StateOf(sf.ID); got != "idle" {

@@ -57,7 +57,7 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.BarrierTimeouts(); n != 0 {
+	if n := m.met.barrierTimeouts.Value(); n != 0 {
 		t.Fatalf("stale timer flushed the new generation (BarrierTimeouts = %d)", n)
 	}
 	if len(m.strPending) != 1 || m.strPending[0] != sC {

@@ -376,7 +376,7 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 			go func() { parked <- sess.Start() }()
 			// REQ and STR are the two requests gvm has seen once the STR is in;
 			// the probe then orders us behind the owner pass that parked it.
-			for mgr := s.node.Shard(0).Mgr; mgr.Requests() < 2; {
+			for mgr := s.node.Shard(0).Mgr; gvmCount(mgr, "requests") < 2; {
 				time.Sleep(time.Millisecond)
 			}
 			s.submitProbe(0, func() {})

@@ -322,7 +322,6 @@ func runStressRace(t *testing.T, gpus int) {
 				t.Errorf("scrape: %v", err)
 				return
 			}
-			s.Metrics().Snapshot()
 		}
 	}()
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/gvm"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/workloads"
 )
 
@@ -66,8 +69,8 @@ func TestDaemonSuspendResumeOverWire(t *testing.T) {
 		t.Fatalf("SUS over the wire: %v", err)
 	}
 	mgr := srv.node.Shard(0).Mgr
-	if mgr.Suspensions() != 1 {
-		t.Fatalf("suspensions = %d, want 1", mgr.Suspensions())
+	if gvmCount(mgr, "suspensions") != 1 {
+		t.Fatalf("suspensions = %d, want 1", gvmCount(mgr, "suspensions"))
 	}
 	// Verbs on a client-suspended session fail until the explicit RES.
 	if err := sess.Start(); err == nil {
@@ -175,7 +178,7 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 		t.Fatalf("REQ within the overcommit quota rejected: %v", err)
 	}
 	mgr := srv.node.Shard(0).Mgr
-	if mgr.Evictions() == 0 {
+	if gvmCount(mgr, "evictions") == 0 {
 		t.Fatal("second session became resident without evicting the first")
 	}
 	mk := func(seed int) ([]float32, []byte) {
@@ -203,8 +206,8 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 		}
 	}
 	// Each cycle's BAT hit a swapped-out session: restores accumulated.
-	if mgr.Restores() < 3 {
-		t.Fatalf("restores = %d, want >= 3 (one per ping-pong)", mgr.Restores())
+	if gvmCount(mgr, "restores") < 3 {
+		t.Fatalf("restores = %d, want >= 3 (one per ping-pong)", gvmCount(mgr, "restores"))
 	}
 	if err := s1.Release(); err != nil {
 		t.Fatal(err)
@@ -322,17 +325,24 @@ func TestSwapCycleAllocatesNoArena(t *testing.T) {
 	const cycles = 64
 	cycle, s := startOversub(t)
 	mgr := s.node.Shard(0).Mgr
-	evictions := mgr.Evictions()
+	evictions := gvmCount(mgr, "evictions")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < cycles; i++ {
 		cycle(i)
 	}
 	runtime.ReadMemStats(&after)
-	if got := mgr.Evictions() - evictions; got < cycles*9/10 {
+	if got := gvmCount(mgr, "evictions") - evictions; got < cycles*9/10 {
 		t.Fatalf("%d evictions in %d cycles: the card was not oversubscribed", got, cycles)
 	}
 	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= oversubFootprint/4 {
 		t.Fatalf("%d heap bytes allocated per evict+restore cycle, want under a quarter of the %d-byte arena", perCycle, oversubFootprint)
 	}
+}
+
+// gvmCount reads the manager's gvm_<name>_total{labels} counter from its
+// registry: registering a series again returns the live one.
+func gvmCount(m *gvm.Manager, name string, labels ...metrics.Label) int {
+	labels = append(labels, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))
+	return int(m.Metrics().Counter("gvm_"+name+"_total", "", labels...).Value())
 }

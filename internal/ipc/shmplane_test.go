@@ -11,6 +11,7 @@ import (
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/shm"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -459,17 +460,9 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 				}
 			}
 			mgr := s.node.Shard(0).Mgr
-			var swapOut, swapIn int64
-			for _, m := range s.Metrics().Snapshot() {
-				if m.Name == "gvm_swap_bytes_total" {
-					if m.Labels["dir"] == "out" {
-						swapOut += m.Value
-					} else {
-						swapIn += m.Value
-					}
-				}
-			}
-			evictions, restores := mgr.Evictions(), mgr.Restores()
+			swapOut := gvmCount(mgr, "swap_bytes", metrics.L("dir", "out"))
+			swapIn := gvmCount(mgr, "swap_bytes", metrics.L("dir", "in"))
+			evictions, restores := gvmCount(mgr, "evictions"), gvmCount(mgr, "restores")
 			counts := fmt.Sprintf("%d evictions, %d restores, %d bytes out, %d in", evictions, restores, swapOut, swapIn)
 			switch {
 			case tc.overcommit > 1 && (evictions == 0 || restores == 0 || swapOut == 0 || swapIn == 0):

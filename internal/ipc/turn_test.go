@@ -63,10 +63,10 @@ func TestParkedFrameHoldsNoShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr0 := s.node.Shard(0).Mgr
-	seen := mgr0.Requests()
+	seen := gvmCount(mgr0, "requests")
 	parked := make(chan error, 1)
 	go func() { parked <- a.Start() }()
-	for mgr0.Requests() == seen {
+	for gvmCount(mgr0, "requests") == seen {
 		time.Sleep(time.Millisecond)
 	}
 	// The STR has reached gvm; a turn of our own orders us behind the one

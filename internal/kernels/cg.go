@@ -141,26 +141,6 @@ func CGHostSolve(m *CSR, x []float64, steps int) (z []float64, rnorm float64) {
 	return z, math.Sqrt(sum)
 }
 
-// CGHostBenchmark runs the full NAS-style outer iteration on the host and
-// returns the final zeta estimate.
-func CGHostBenchmark(m *CSR, niter int, shift float64) float64 {
-	n := m.N
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	var zeta float64
-	for it := 0; it < niter; it++ {
-		z, _ := CGHostSolve(m, x, CGInnerSteps)
-		zeta = shift + 1/dot(x, z)
-		norm := math.Sqrt(dot(z, z))
-		for i := range x {
-			x[i] = z[i] / norm
-		}
-	}
-	return zeta
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -196,14 +176,6 @@ const (
 // CGZeta reads the final zeta estimate from the scalars slab retrieved
 // off the device (float64 slice of length >= cgScalarCount).
 func CGZeta(scalars []float64) float64 { return scalars[cgScalarZeta] }
-
-// CGBufferBytes returns the device bytes needed for matrix m with the
-// given launch grid.
-func CGBufferBytes(m *CSR, gridBlocks int) int64 {
-	n := int64(m.N)
-	return 4*(n+1) + 4*int64(m.NNZ()) + 8*int64(m.NNZ()) +
-		5*8*n + 16*int64(gridBlocks) + 8*cgScalarCount
-}
 
 // cgStrip returns the row range a block owns.
 func cgStrip(bc *cuda.BlockCtx, n int) (lo, hi int) {

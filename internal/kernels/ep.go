@@ -67,15 +67,6 @@ type EPResult struct {
 	Q      [EPBins]int64
 }
 
-// Pairs returns the number of accepted Gaussian pairs.
-func (r EPResult) Pairs() int64 {
-	var n int64
-	for _, q := range r.Q {
-		n += q
-	}
-	return n
-}
-
 // Add accumulates another tally into r.
 func (r *EPResult) Add(o EPResult) {
 	r.Sx += o.Sx

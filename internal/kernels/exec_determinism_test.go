@@ -46,7 +46,7 @@ func execCases() []execCase {
 			}
 			pa, pb := mem.putF32(a), mem.putF32(b)
 			pc := mem.alloc(n * n * 4)
-			return mem, []*cuda.Kernel{NewMM(pa, pb, pc, n)}
+			return mem, []*cuda.Kernel{NewMMTiled(pa, pb, pc, n, MMTile)}
 		}},
 		{"blackscholes", func() (*testMem, []*cuda.Kernel) {
 			const n = 20000

@@ -64,12 +64,6 @@ type ISBuffers struct {
 	GlobalOff  cuda.DevPtr // int32 x (Buckets+1), exclusive prefix sums
 }
 
-// ISBufferBytes returns the scratch bytes (block histograms + offsets)
-// the sort needs beyond its key buffers.
-func ISBufferBytes(buckets, gridBlocks int) int64 {
-	return int64(4*gridBlocks*buckets) + int64(4*(buckets+1))
-}
-
 // isStrip returns the key range a block owns.
 func isStrip(bc *cuda.BlockCtx, n int) (lo, hi int) {
 	blocks := bc.GridDim.Count()

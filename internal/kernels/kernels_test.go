@@ -214,7 +214,7 @@ func TestMMMatchesHost(t *testing.T) {
 	}
 	pa, pb := mem.putF32(a), mem.putF32(b)
 	pc := mem.alloc(n * n * 4)
-	runKernels(t, mem, NewMM(pa, pb, pc, n))
+	runKernels(t, mem, NewMMTiled(pa, pb, pc, n, MMTile))
 	want := make([]float32, n*n)
 	MMHost(want, a, b, n)
 	got := cuda.Float32s(mem, pc, n*n)
@@ -231,7 +231,7 @@ func TestMMRejectsBadSize(t *testing.T) {
 			t.Fatal("expected panic for non-tile-multiple size")
 		}
 	}()
-	NewMM(0, 0, 0, 100)
+	NewMMTiled(0, 0, 0, 100, MMTile)
 }
 
 // --- Black-Scholes ---
@@ -504,24 +504,14 @@ func TestCGKernelsMatchHostSolve(t *testing.T) {
 
 func TestCGHostBenchmarkStable(t *testing.T) {
 	m := MakeCGMatrix(200, 5, 10, 13)
-	z1 := CGHostBenchmark(m, 5, 10)
-	z2 := CGHostBenchmark(m, 15, 10)
+	_, z1 := CGHostOuter(m, 5, CGInnerSteps, 10)
+	_, z2 := CGHostOuter(m, 15, CGInnerSteps, 10)
 	// The power iteration converges: later estimate close to earlier one.
 	if math.Abs(z1-z2) > 0.05*math.Abs(z2) {
 		t.Fatalf("zeta not converging: %g vs %g", z1, z2)
 	}
 	if z2 <= 10 {
 		t.Fatalf("zeta = %g, must exceed the shift", z2)
-	}
-}
-
-func TestCGBufferBytesPositive(t *testing.T) {
-	m := MakeCGMatrix(100, 5, 10, 1)
-	if CGBufferBytes(m, 8) <= 0 {
-		t.Fatal("CGBufferBytes not positive")
-	}
-	if MGBufferBytes(32, 4) <= 0 {
-		t.Fatal("MGBufferBytes not positive")
 	}
 }
 
@@ -567,4 +557,20 @@ func TestEPLargerClassParallelEqualsHost(t *testing.T) {
 		t.Fatalf("parallel tally diverges: got (%.10g, %.10g) %v, want (%.10g, %.10g) %v",
 			got.Sx, got.Sy, got.Q, want.Sx, want.Sy, want.Q)
 	}
+}
+
+// VecAddHost is the host reference: dst[i] = a[i] + b[i].
+func VecAddHost(dst, a, b []float32) {
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// Pairs returns the number of accepted Gaussian pairs.
+func (r EPResult) Pairs() int64 {
+	var n int64
+	for _, q := range r.Q {
+		n += q
+	}
+	return n
 }

@@ -41,19 +41,6 @@ type MGState struct {
 // Finest returns the finest level.
 func (s *MGState) Finest() MGLevel { return s.Levels[len(s.Levels)-1] }
 
-// MGBufferBytes returns the total device memory an MG solve of edge n
-// with the given number of levels needs.
-func MGBufferBytes(n, levels int) int64 {
-	var total int64
-	edge := n
-	for l := 0; l < levels; l++ {
-		total += 3 * int64(edge) * int64(edge) * int64(edge) * 8
-		edge /= 2
-	}
-	total += int64(mgGridBlocks(n)) * 8 // norm partials
-	return total
-}
-
 // mgGridBlocks is the launch grid for a level of edge n: n z-slabs split
 // into two y-halves (class S: 32 -> 64 blocks, the paper's grid size).
 func mgGridBlocks(n int) int { return 2 * n }

@@ -14,12 +14,6 @@ import "gpuvirt/internal/cuda"
 // corresponds to 32x32 tiles; NewMMTiled accepts either.
 const MMTile = 16
 
-// NewMM builds C = A x B for n x n row-major float32 matrices with the
-// default 16x16 tiles.
-func NewMM(a, b, c cuda.DevPtr, n int) *cuda.Kernel {
-	return NewMMTiled(a, b, c, n, MMTile)
-}
-
 // NewMMTiled builds the tiled SGEMM with a chosen tile edge (tile^2
 // threads per block, at most 1024).
 //

@@ -73,10 +73,3 @@ func vecAddBlock(bc *cuda.BlockCtx) {
 		c[i] = a[i] + b[i]
 	}
 }
-
-// VecAddHost is the host reference: dst[i] = a[i] + b[i].
-func VecAddHost(dst, a, b []float32) {
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}

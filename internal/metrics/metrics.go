@@ -1,7 +1,7 @@
 // Package metrics is the daemon's telemetry registry: atomic counters,
 // gauges and fixed-bucket (log2) histograms that cost one atomic
 // operation per update and allocate nothing on the hot path, plus a
-// Prometheus-text-format encoder (prom.go) and a JSON-friendly Snapshot.
+// Prometheus-text-format encoder (prom.go).
 //
 // Instruments are registered once (registration is idempotent: asking
 // for the same name+labels returns the same instrument) and updated from
@@ -103,9 +103,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Bucket returns bucket i's own (non-cumulative) count.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i].Load() }
 
 // BucketBound returns bucket i's inclusive upper bound (2^i).
 func BucketBound(i int) int64 { return 1 << uint(i) }
@@ -294,57 +291,4 @@ func (s *series) value() int64 {
 		return s.g.Value()
 	}
 	return 0
-}
-
-// Bucket is one histogram bucket in a snapshot: the cumulative count of
-// observations at or below the inclusive upper bound LE.
-type Bucket struct {
-	LE    int64 `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// Sample is one instrument's state at snapshot time, shaped for JSON
-// embedding (gvmbench writes these into its results artifact).
-type Sample struct {
-	Name    string            `json:"name"`
-	Type    string            `json:"type"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   int64             `json:"value,omitempty"`
-	Sum     int64             `json:"sum,omitempty"`
-	Count   int64             `json:"count,omitempty"`
-	Buckets []Bucket          `json:"buckets,omitempty"`
-}
-
-// Snapshot captures every instrument's current value. It is safe to call
-// concurrently with updates; each individual value is read atomically
-// (the snapshot as a whole is not one consistent cut — no telemetry
-// scrape is).
-func (r *Registry) Snapshot() []Sample {
-	var out []Sample
-	for _, f := range r.families() {
-		for _, s := range f.series {
-			smp := Sample{Name: f.name, Type: f.kind.String()}
-			if len(s.labels) > 0 {
-				smp.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					smp.Labels[l.Key] = l.Value
-				}
-			}
-			if f.kind == kindHistogram {
-				var cum int64
-				for i := 0; i < HistBuckets; i++ {
-					if n := s.h.buckets[i].Load(); n > 0 {
-						cum += n
-						smp.Buckets = append(smp.Buckets, Bucket{LE: BucketBound(i), Count: cum})
-					}
-				}
-				smp.Sum = s.h.Sum()
-				smp.Count = s.h.Count()
-			} else {
-				smp.Value = s.value()
-			}
-			out = append(out, smp)
-		}
-	}
-	return out
 }

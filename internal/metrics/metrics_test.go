@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"sync"
@@ -65,9 +66,9 @@ func TestHistogramBuckets(t *testing.T) {
 		{-3, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11},
 	}
 	for _, c := range cases {
-		before := h.Bucket(c.bucket)
+		before := h.buckets[c.bucket].Load()
 		h.Observe(c.v)
-		if h.Bucket(c.bucket) != before+1 {
+		if h.buckets[c.bucket].Load() != before+1 {
 			t.Fatalf("Observe(%d) did not land in bucket %d (le=%d)", c.v, c.bucket, BucketBound(c.bucket))
 		}
 	}
@@ -88,11 +89,11 @@ func TestHistogramBuckets(t *testing.T) {
 	// permanently skew every later Quantile toward the max bound.
 	var big Histogram
 	big.Observe(1 << 45)
-	if got := big.Bucket(HistBuckets - 1); got != 1 {
+	if got := big.buckets[HistBuckets-1].Load(); got != 1 {
 		t.Fatalf("overflow observation: last bucket = %d, want 1", got)
 	}
 	for i := 0; i < HistBuckets-1; i++ {
-		if big.Bucket(i) != 0 {
+		if big.buckets[i].Load() != 0 {
 			t.Fatalf("overflow observation landed in bucket %d", i)
 		}
 	}
@@ -103,7 +104,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 // TestHistogramOverflowRoundTrip pins the overflow-clamp fix: an
 // observation beyond the last finite bound must round-trip through
-// Quantile and Snapshot like any other observation. Pre-fix, Observe
+// Quantile and a scrape like any other observation. Pre-fix, Observe
 // added it to count/sum but no bucket, so a histogram holding only
 // overflow observations reported cumulative buckets that never reach
 // count and (with rank computed from count) every quantile flashed to
@@ -125,7 +126,7 @@ func TestHistogramOverflowRoundTrip(t *testing.T) {
 	}
 	var sum int64
 	for i := 0; i < HistBuckets; i++ {
-		sum += h.Bucket(i)
+		sum += h.buckets[i].Load()
 	}
 	if sum != h.Count() {
 		t.Fatalf("bucket sum %d != count %d after overflow", sum, h.Count())
@@ -133,10 +134,12 @@ func TestHistogramOverflowRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	rh := r.Histogram("ovf_ns", "")
 	rh.Observe(1 << 45)
-	snap := r.Snapshot()
-	bs := snap[0].Buckets
-	if len(bs) == 0 || bs[len(bs)-1].Count != snap[0].Count {
-		t.Fatalf("snapshot cumulative buckets %+v never reach count %d", bs, snap[0].Count)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if last := fmt.Sprintf("ovf_ns_bucket{le=\"%d\"} 1\n", BucketBound(HistBuckets-1)); !strings.Contains(sb.String(), last) {
+		t.Fatalf("scrape's cumulative buckets never reach the count (no %q):\n%s", last, sb.String())
 	}
 }
 
@@ -236,37 +239,12 @@ func TestFuncInstruments(t *testing.T) {
 	n := int64(41)
 	r.CounterFunc("fn_total", "func counter", func() int64 { return n })
 	n++
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Value != 42 {
-		t.Fatalf("func counter snapshot = %+v, want value 42", snap)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "", L("verb", "SND")).Add(3)
-	r.Gauge("b", "").Set(-7)
-	h := r.Histogram("lat_ns", "")
-	h.Observe(3)
-	h.Observe(100)
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d samples, want 3", len(snap))
-	}
-	if snap[0].Name != "a_total" || snap[0].Value != 3 || snap[0].Labels["verb"] != "SND" {
-		t.Fatalf("counter sample wrong: %+v", snap[0])
-	}
-	if snap[1].Value != -7 {
-		t.Fatalf("gauge sample wrong: %+v", snap[1])
-	}
-	hs := snap[2]
-	if hs.Count != 2 || hs.Sum != 103 {
-		t.Fatalf("histogram sample wrong: %+v", hs)
-	}
-	// Buckets are cumulative: the last one must equal the count when no
-	// observation exceeded the finite range.
-	if len(hs.Buckets) == 0 || hs.Buckets[len(hs.Buckets)-1].Count != 2 {
-		t.Fatalf("histogram buckets wrong: %+v", hs.Buckets)
+	if !strings.Contains(sb.String(), "\nfn_total 42\n") {
+		t.Fatalf("func counter scrape = %q, want value 42", sb.String())
 	}
 }
 
@@ -343,7 +321,6 @@ func TestConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 50; j++ {
-			r.Snapshot()
 			var sb strings.Builder
 			_ = r.WritePrometheus(&sb)
 		}

@@ -61,17 +61,6 @@ func (p Params) TotalVirt() sim.Duration {
 	return sim.Duration(p.Ntask)*max(p.TdataIn, p.TdataOut) + p.Tcomp + min(p.TdataIn, p.TdataOut)
 }
 
-// totalVirtComputeBound is equation (2)'s branch condition form: used by
-// tests to verify the MAX/MIN combination in TotalVirt.
-func (p Params) totalVirtComputeBound() sim.Duration {
-	if p.TdataIn >= p.TdataOut {
-		// Equation (2).
-		return sim.Duration(p.Ntask)*p.TdataIn + p.Tcomp + p.TdataOut
-	}
-	// Equation (3).
-	return p.TdataIn + p.Tcomp + sim.Duration(p.Ntask)*p.TdataOut
-}
-
 // Speedup is equation (5): Ttotal_no_vt / Ttotal_vt.
 func (p Params) Speedup() float64 {
 	tv := p.TotalVirt()
@@ -93,12 +82,6 @@ func (p Params) Smax() float64 {
 		return 0 // no I/O: unbounded in the model; callers special-case
 	}
 	return float64(p.TctxSwitch+p.CycleTime()) / float64(m)
-}
-
-// WithNtask returns a copy with a different task count.
-func (p Params) WithNtask(n int) Params {
-	p.Ntask = n
-	return p
 }
 
 // Deviation returns the relative deviation of the theoretical speedup

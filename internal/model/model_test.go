@@ -84,7 +84,8 @@ func TestQuickSpeedupConvergesToSmax(t *testing.T) {
 			Tcomp:      sim.Duration(tcomp),
 		}
 		smax := p.Smax()
-		s1e6 := p.WithNtask(1_000_000).Speedup()
+		p.Ntask = 1_000_000
+		s1e6 := p.Speedup()
 		return math.Abs(s1e6-smax) < 0.01*smax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -206,4 +207,16 @@ func TestCycleTime(t *testing.T) {
 	if p.CycleTime() != 28 {
 		t.Fatalf("CycleTime = %d, want 28", p.CycleTime())
 	}
+}
+
+// totalVirtComputeBound is equations (2) and (3) as the paper writes them,
+// one per dominant transfer direction: the reference TotalVirt's MAX/MIN
+// form is checked against.
+func (p Params) totalVirtComputeBound() sim.Duration {
+	if p.TdataIn >= p.TdataOut {
+		// Equation (2).
+		return sim.Duration(p.Ntask)*p.TdataIn + p.Tcomp + p.TdataOut
+	}
+	// Equation (3).
+	return p.TdataIn + p.Tcomp + sim.Duration(p.Ntask)*p.TdataOut
 }

@@ -248,16 +248,6 @@ func (n *Node) Shards() []*Shard { return n.shards }
 // Policy returns the active placement policy's name.
 func (n *Node) Policy() string { return n.placer.Policy() }
 
-// SessionShard maps a session id back to the shard that minted it (ids
-// are striped GPUIndex+1, GPUIndex+1+GPUs, ...). It does not check
-// liveness.
-func (n *Node) SessionShard(id int) int {
-	if id < 1 {
-		return -1
-	}
-	return (id - 1) % len(n.shards)
-}
-
 // Overcommit returns the node's quota-admission factor (>= defaulted).
 func (n *Node) Overcommit() float64 { return n.cfg.Overcommit }
 

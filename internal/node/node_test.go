@@ -2,11 +2,14 @@ package node
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
+	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/kernels"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 )
@@ -69,16 +72,16 @@ func TestNodeSpreadsSessions(t *testing.T) {
 		t.Fatalf("kernels split %d/%d, want 2/2",
 			nd.Shard(0).Dev.KernelsRun, nd.Shard(1).Dev.KernelsRun)
 	}
-	// Session ids are striped per shard, so they never collide across
-	// shards and SessionShard recovers the owner from the id alone.
+	// Session ids are striped per shard (GPUIndex+1, GPUIndex+1+GPUs, ...),
+	// so they never collide across shards and the id alone names the owner.
 	seen := map[int]bool{}
 	for i, id := range ids {
 		if seen[id] {
 			t.Fatalf("session id %d minted twice", id)
 		}
 		seen[id] = true
-		if got := nd.SessionShard(id); got != placed[i] {
-			t.Errorf("SessionShard(%d) = %d, but the session was placed on shard %d", id, got, placed[i])
+		if got := (id - 1) % len(nd.shards); got != placed[i] {
+			t.Errorf("session %d's id stripes to shard %d, but it was placed on shard %d", id, got, placed[i])
 		}
 	}
 }
@@ -219,10 +222,10 @@ func TestSuspendResumeAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if got := nd.Shard(i).Mgr.Suspensions(); got != 1 {
+		if got := gvmCount(nd.Shard(i).Mgr, "suspensions"); got != 1 {
 			t.Errorf("shard %d suspensions = %d, want 1", i, got)
 		}
-		if got := nd.Shard(i).Mgr.Resumes(); got != 1 {
+		if got := gvmCount(nd.Shard(i).Mgr, "resumes"); got != 1 {
 			t.Errorf("shard %d resumes = %d, want 1", i, got)
 		}
 	}
@@ -231,4 +234,10 @@ func TestSuspendResumeAcrossShards(t *testing.T) {
 			t.Errorf("shard %d placement not drained: %d sessions, %d bytes", l.Shard, l.Sessions, l.Bytes)
 		}
 	}
+}
+
+// gvmCount reads the manager's gvm_<name>_total counter from its registry:
+// registering a series again returns the live one.
+func gvmCount(m *gvm.Manager, name string) int {
+	return int(m.Metrics().Counter("gvm_"+name+"_total", "", metrics.L("gpu", strconv.Itoa(m.GPUIndex()))).Value())
 }

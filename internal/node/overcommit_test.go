@@ -56,7 +56,7 @@ func TestOvercommitAdmitsBeyondCapacity(t *testing.T) {
 			t.Errorf("session within the 2x quota rejected: %v", err)
 			return
 		}
-		if nd.Shard(0).Mgr.Evictions() == 0 {
+		if gvmCount(nd.Shard(0).Mgr, "evictions") == 0 {
 			t.Error("second session became resident without an eviction")
 		}
 		// Third exceeds the quota: the NODE rejects it (the managers never
@@ -154,9 +154,9 @@ func TestOvercommitStressTenX(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Evictions() == 0 || mgr.Restores() == 0 {
+	if gvmCount(mgr, "evictions") == 0 || gvmCount(mgr, "restores") == 0 {
 		t.Fatalf("10x packing ran without swapping: evictions=%d restores=%d",
-			mgr.Evictions(), mgr.Restores())
+			gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
 	}
 	if mgr.OpenSessions() != 0 {
 		t.Fatalf("%d sessions leaked", mgr.OpenSessions())

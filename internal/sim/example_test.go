@@ -47,21 +47,3 @@ func ExampleResource() {
 	// user 1 done at 5ms
 	// user 2 done at 10ms
 }
-
-// A barrier releases all parties when the last one arrives.
-func ExampleBarrier() {
-	env := sim.NewEnv()
-	b := env.NewBarrier(2)
-	env.Go("fast", func(p *sim.Proc) {
-		b.Wait(p)
-		fmt.Printf("fast released at %v\n", p.Now())
-	})
-	env.Go("slow", func(p *sim.Proc) {
-		p.Sleep(30 * sim.Millisecond)
-		b.Wait(p)
-	})
-	if err := env.Run(); err != nil {
-		panic(err)
-	}
-	// Output: fast released at 30ms
-}

@@ -163,7 +163,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) WaitUntil(t Time) {
 	e := p.env
 	if t < e.now {
-		t = e.now // an instant in the past is a Yield
+		t = e.now // an instant in the past is a yield
 	}
 	if e.nowHead == len(e.nowQ) && (len(e.cal) == 0 || e.cal[0].at > t) && t <= e.horizon {
 		if t > e.now {
@@ -175,10 +175,6 @@ func (p *Proc) WaitUntil(t Time) {
 	e.schedule(t, p.resume)
 	p.park()
 }
-
-// Yield reschedules the process after all events already pending at the
-// current instant.
-func (p *Proc) Yield() { p.WaitUntil(p.env.now) }
 
 // block marks the process as blocked on a non-time condition and parks.
 // resume must eventually be arranged by the condition's owner.

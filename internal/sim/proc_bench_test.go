@@ -3,14 +3,15 @@ package sim
 import "testing"
 
 // BenchmarkProcSwitch is the cost of one hand-off: two processes alternate
-// through Yield, so every Yield finds the other one queued and must switch.
+// through WaitUntil(now), so every such yield finds the other one queued and
+// must switch.
 // switches/op stays 1; ns/op is the scheduler-to-process-and-back round trip.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEnv()
 	for i := 0; i < 2; i++ {
 		e.Go("ping", func(p *Proc) {
 			for n := 0; n < b.N/2; n++ {
-				p.Yield()
+				p.WaitUntil(p.Now())
 			}
 		})
 	}

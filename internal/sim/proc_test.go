@@ -79,9 +79,9 @@ func TestYieldOnEmptyQueueKeepsControl(t *testing.T) {
 	steps := 0
 	e.Go("lone", func(p *Proc) {
 		for ; steps < 4; steps++ {
-			p.Yield()
+			p.WaitUntil(p.Now())
 			if e.Now() != 0 || e.Current() != p {
-				t.Errorf("after Yield %d: now=%v current=%v", steps, e.Now(), e.Current())
+				t.Errorf("after yield %d: now=%v current=%v", steps, e.Now(), e.Current())
 			}
 		}
 	})
@@ -152,7 +152,7 @@ func TestWorkersBoundedAcrossEnvs(t *testing.T) {
 			k := k
 			e.Go("short", func(p *Proc) {
 				p.Sleep(Duration(k)) // all eight are alive at once
-				p.Yield()
+				p.WaitUntil(p.Now())
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -180,7 +180,7 @@ func TestWorkersSharedByConcurrentEnvs(t *testing.T) {
 					e.Go("p", func(p *Proc) {
 						p.Sleep(Duration(k))
 						sum += k
-						p.Yield()
+						p.WaitUntil(p.Now())
 					})
 				}
 				if err := e.Run(); err != nil || sum != 10 {
@@ -198,7 +198,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	var dead *worker
 	e.Go("bad", func(p *Proc) {
 		p.Sleep(1)
-		p.Yield()
+		p.WaitUntil(p.Now())
 		dead = p.w
 		panic("boom")
 	})

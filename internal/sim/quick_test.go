@@ -165,46 +165,6 @@ func TestQuickRandDeterminism(t *testing.T) {
 	}
 }
 
-// Property: barrier with n parties and arbitrary arrival offsets releases
-// everyone at the max arrival instant.
-func TestQuickBarrierReleaseAtMax(t *testing.T) {
-	f := func(offs []uint16) bool {
-		if len(offs) == 0 {
-			return true
-		}
-		if len(offs) > 32 {
-			offs = offs[:32]
-		}
-		e := NewEnv()
-		b := e.NewBarrier(len(offs))
-		var releases []Time
-		var max Duration
-		for _, o := range offs {
-			d := Duration(o) * Microsecond
-			if d > max {
-				max = d
-			}
-			e.Go("p", func(p *Proc) {
-				p.Sleep(d)
-				b.Wait(p)
-				releases = append(releases, p.Now())
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		for _, tm := range releases {
-			if tm != Time(max) {
-				return false
-			}
-		}
-		return len(releases) == len(offs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Sanity: heap interface behaves like a sorted multiset of instants.
 func TestQuickCalendarMatchesSort(t *testing.T) {
 	f := func(offsets []uint16) bool {

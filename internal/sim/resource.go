@@ -29,12 +29,6 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.cap - r.inUse }
-
-// QueueLen returns the number of waiting acquisitions.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Acquire blocks the process until n units (1 <= n <= cap) are granted.
 // Grants are strictly FIFO: a large request at the head blocks later small
 // requests (no barging), which matches hardware queue semantics.
@@ -49,18 +43,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	w := &resWaiter{n: n, grant: r.env.NewEvent()}
 	r.queue = append(r.queue, w)
 	p.Wait(w.grant)
-}
-
-// TryAcquire acquires n units without blocking, reporting success.
-func (r *Resource) TryAcquire(n int) bool {
-	if n < 1 || n > r.cap {
-		panic("sim: invalid acquire count")
-	}
-	if len(r.queue) == 0 && r.inUse+n <= r.cap {
-		r.inUse += n
-		return true
-	}
-	return false
 }
 
 // Release returns n units and grants queued waiters in FIFO order.
@@ -78,45 +60,4 @@ func (r *Resource) Release(n int) {
 		r.inUse += w.n
 		w.grant.Fire(nil)
 	}
-}
-
-// Barrier releases all waiting processes at once when n processes have
-// arrived, then resets for the next generation (reusable barrier).
-type Barrier struct {
-	env   *Env
-	n     int
-	count int
-	gen   *Event
-}
-
-// NewBarrier returns a reusable barrier for n parties (n >= 1).
-func (e *Env) NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier party count must be >= 1")
-	}
-	return &Barrier{env: e, n: n, gen: e.NewEvent()}
-}
-
-// Parties returns the number of parties the barrier waits for.
-func (b *Barrier) Parties() int { return b.n }
-
-// Waiting returns the number of parties currently blocked at the barrier.
-func (b *Barrier) Waiting() int { return b.count }
-
-// Wait blocks the process until n parties have arrived. The last arriver
-// releases everyone and does not block. Returns the generation's arrival
-// index (0-based).
-func (b *Barrier) Wait(p *Proc) int {
-	idx := b.count
-	b.count++
-	if b.count == b.n {
-		old := b.gen
-		b.count = 0
-		b.gen = b.env.NewEvent()
-		old.Fire(nil)
-		return idx
-	}
-	gen := b.gen
-	p.Wait(gen)
-	return idx
 }

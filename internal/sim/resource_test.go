@@ -59,28 +59,13 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire on full resource succeeded")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourcePanicsOnBadArgs(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource(2)
-	mustPanic(t, func() { r.Release(1) })     // nothing held
-	mustPanic(t, func() { r.TryAcquire(3) })  // over capacity
-	mustPanic(t, func() { r.TryAcquire(0) })  // zero
-	mustPanic(t, func() { e.NewResource(0) }) // bad capacity
+	mustPanic(t, func() { r.Release(1) })      // nothing held
+	mustPanic(t, func() { r.Acquire(nil, 3) }) // over capacity
+	mustPanic(t, func() { r.Acquire(nil, 0) }) // zero
+	mustPanic(t, func() { e.NewResource(0) })  // bad capacity
 	mustPanic(t, func() { NewEnv().NewResource(-1) })
 }
 
@@ -92,72 +77,4 @@ func mustPanic(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
-}
-
-func TestBarrierReleasesTogether(t *testing.T) {
-	e := NewEnv()
-	b := e.NewBarrier(3)
-	var times []Time
-	for i := 0; i < 3; i++ {
-		d := Duration(i+1) * 10 * Millisecond
-		e.Go("p", func(p *Proc) {
-			p.Sleep(d)
-			b.Wait(p)
-			times = append(times, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 3 {
-		t.Fatalf("%d parties released, want 3", len(times))
-	}
-	for _, tm := range times {
-		if tm != Time(30*Millisecond) {
-			t.Fatalf("party released at %v, want 30ms (last arrival)", tm)
-		}
-	}
-}
-
-func TestBarrierReusableGenerations(t *testing.T) {
-	e := NewEnv()
-	b := e.NewBarrier(2)
-	rounds := 0
-	for i := 0; i < 2; i++ {
-		e.Go("p", func(p *Proc) {
-			for r := 0; r < 5; r++ {
-				p.Sleep(Millisecond)
-				if b.Wait(p) == 0 && p.Name() != "" {
-					rounds++
-				}
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 5 {
-		t.Fatalf("rounds = %d, want 5", rounds)
-	}
-}
-
-func TestBarrierArrivalIndex(t *testing.T) {
-	e := NewEnv()
-	b := e.NewBarrier(2)
-	var idxs []int
-	e.Go("first", func(p *Proc) { idxs = append(idxs, b.Wait(p)) })
-	e.Go("second", func(p *Proc) {
-		p.Sleep(Millisecond)
-		idxs = append(idxs, b.Wait(p))
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// second arrives last -> index 1 and releases first.
-	if len(idxs) != 2 {
-		t.Fatalf("idxs = %v", idxs)
-	}
-	if idxs[0] != 1 || idxs[1] != 0 {
-		t.Fatalf("idxs = %v, want [1 0] (last arriver returns first)", idxs)
-	}
 }

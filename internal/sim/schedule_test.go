@@ -12,7 +12,7 @@ import (
 // which order — is the engine's contract: every figure gvmbench prints is a
 // function of it. This test pins it independently of how a process switch is
 // implemented: a seeded generator builds a small program of processes
-// (Sleep, Yield, Wait, Fire, WaitAny, After timers, Resource, Store, nested
+// (Sleep, WaitUntil, Wait, Fire, waitAny, After timers, Resource, Store, nested
 // Go; a third of the seeds run the calendar in RunUntil slices), every step
 // logs (virtual time, current process, step), and the log's hash must equal
 // the table in schedule_table_test.go. The table was produced by running this
@@ -61,10 +61,10 @@ func (s *schedRun) body(seed uint64, depth int) func(p *Proc) {
 				p.Sleep(Duration(r.Intn(5)))
 			case 3:
 				s.log(i, "yield")
-				p.Yield()
+				p.WaitUntil(p.Now())
 			case 4:
 				s.log(i, "until")
-				p.WaitUntil(Time(r.Intn(40))) // often in the past: a Yield
+				p.WaitUntil(Time(r.Intn(40))) // often in the past: a yield
 			case 5:
 				k := r.Intn(len(s.evs))
 				s.log(i, "wait")
@@ -76,7 +76,7 @@ func (s *schedRun) body(seed uint64, depth int) func(p *Proc) {
 			case 7:
 				a, b := r.Intn(len(s.evs)), r.Intn(len(s.evs))
 				s.log(i, "any")
-				s.log(i, fmt.Sprint("any=", p.WaitAny(s.evs[a], s.evs[b])))
+				s.log(i, fmt.Sprint("any=", waitAny(p, s.evs[a], s.evs[b])))
 			case 8:
 				d, k, id := Duration(r.Intn(6)), r.Intn(2*len(s.evs)), i
 				s.log(i, "after")
@@ -119,6 +119,33 @@ func (s *schedRun) body(seed uint64, depth int) func(p *Proc) {
 		}
 		s.log(steps, "exit")
 	}
+}
+
+// waitAny suspends the process until at least one of the events has fired,
+// and returns the index of the earliest-fired event among them. Once the
+// winner fires, the callbacks registered on the losing events are detached,
+// so long-lived events do not accumulate dead closures from repeated calls.
+// Its schedule is part of the pinned table.
+func waitAny(p *Proc, evs ...*Event) int {
+	for i, ev := range evs {
+		if ev.fired {
+			return i
+		}
+	}
+	done := p.env.NewEvent()
+	ids := make([]int, len(evs))
+	for i, ev := range evs {
+		i := i
+		ids[i] = len(ev.cbs)
+		ev.cbs = append(ev.cbs, func(any) { done.Fire(i) })
+	}
+	idx := p.Wait(done).(int)
+	for i, ev := range evs {
+		if i != idx && !ev.fired && ids[i] < len(ev.cbs) {
+			ev.cbs[ids[i]] = nil
+		}
+	}
+	return idx
 }
 
 // scheduleHash runs the program of one seed to completion and returns the

@@ -243,9 +243,6 @@ type Event struct {
 // NewEvent returns a fresh unfired event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Value returns the value the event fired with (nil before firing).
 func (ev *Event) Value() any { return ev.val }
 
@@ -267,7 +264,7 @@ func (ev *Event) Fire(v any) {
 	}
 	ev.waiters = ev.waiters[:0]
 	for i, cb := range ev.cbs {
-		if cb != nil { // detached (e.g. a WaitAny loser)
+		if cb != nil { // detached by its registrant
 			cb(v)
 		}
 		ev.cbs[i] = nil
@@ -304,38 +301,4 @@ func (p *Proc) Wait(ev *Event) any {
 	ev.waiters = append(ev.waiters, p)
 	p.block()
 	return ev.val
-}
-
-// WaitAll suspends the process until every given event has fired.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
-}
-
-// WaitAny suspends the process until at least one of the events has fired,
-// and returns the index of the earliest-fired event among them. Once the
-// winner fires, the callbacks registered on the losing events are detached,
-// so long-lived events do not accumulate dead closures from repeated
-// WaitAny calls.
-func (p *Proc) WaitAny(evs ...*Event) int {
-	for i, ev := range evs {
-		if ev.fired {
-			return i
-		}
-	}
-	done := p.env.NewEvent()
-	ids := make([]int, len(evs))
-	for i, ev := range evs {
-		i := i
-		ids[i] = len(ev.cbs)
-		ev.cbs = append(ev.cbs, func(any) { done.Fire(i) })
-	}
-	idx := p.Wait(done).(int)
-	for i, ev := range evs {
-		if i != idx && !ev.fired && ids[i] < len(ev.cbs) {
-			ev.cbs[ids[i]] = nil
-		}
-	}
-	return idx
 }

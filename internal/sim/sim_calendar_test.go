@@ -111,7 +111,7 @@ func TestWaitAnyDetachesLosers(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			winner := e.NewEvent()
 			e.After(1, func() { winner.Fire(r) })
-			if idx := p.WaitAny(winner, longLived); idx != 0 {
+			if idx := waitAny(p, winner, longLived); idx != 0 {
 				t.Errorf("round %d: WaitAny returned %d, want 0", r, idx)
 			}
 		}
@@ -136,7 +136,7 @@ func TestWaitAnyStillFiresAfterDetach(t *testing.T) {
 	var first int
 	e.Go("waiter", func(p *Proc) {
 		e.After(1, func() { a.Fire("a") })
-		first = p.WaitAny(a, b)
+		first = waitAny(p, a, b)
 		// b lost and was detached; firing it later must still wake a
 		// direct waiter and run remaining callbacks.
 		done := false

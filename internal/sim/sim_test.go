@@ -175,7 +175,7 @@ func TestWaitAnyReturnsEarliest(t *testing.T) {
 	e := NewEnv()
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
 	var idx int = -1
-	e.Go("w", func(p *Proc) { idx = p.WaitAny(a, b, c) })
+	e.Go("w", func(p *Proc) { idx = waitAny(p, a, b, c) })
 	e.After(10*Millisecond, func() { b.Fire(nil) })
 	e.After(20*Millisecond, func() { a.Fire(nil) })
 	e.After(30*Millisecond, func() { c.Fire(nil) })
@@ -184,24 +184,6 @@ func TestWaitAnyReturnsEarliest(t *testing.T) {
 	}
 	if idx != 1 {
 		t.Fatalf("WaitAny = %d, want 1", idx)
-	}
-}
-
-func TestWaitAllBlocksForAll(t *testing.T) {
-	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
-	var doneAt Time
-	e.Go("w", func(p *Proc) {
-		p.WaitAll(a, b)
-		doneAt = p.Now()
-	})
-	e.After(10*Millisecond, func() { a.Fire(nil) })
-	e.After(25*Millisecond, func() { b.Fire(nil) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != Time(25*Millisecond) {
-		t.Fatalf("WaitAll completed at %v, want 25ms", doneAt)
 	}
 }
 
@@ -258,7 +240,7 @@ func TestYieldRunsAfterPendingEvents(t *testing.T) {
 	var order []string
 	e.Go("y", func(p *Proc) {
 		p.Env().At(0, func() { order = append(order, "pending") })
-		p.Yield()
+		p.WaitUntil(p.Now())
 		order = append(order, "yielded")
 	})
 	if err := e.Run(); err != nil {

@@ -117,14 +117,6 @@ func (s *Store[T]) Get(p *Proc) T {
 	return v
 }
 
-// TryGet dequeues without blocking; ok reports whether an item was present.
-func (s *Store[T]) TryGet() (v T, ok bool) {
-	if s.head == len(s.items) {
-		return v, false
-	}
-	return s.pop(), true
-}
-
 func (s *Store[T]) pop() T {
 	v := s.items[s.head]
 	var zero T

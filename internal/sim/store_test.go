@@ -77,18 +77,14 @@ func TestStorePutBlocksWhenFull(t *testing.T) {
 func TestStoreTryOps(t *testing.T) {
 	e := NewEnv()
 	s := NewStore[int](e, 1)
-	if _, ok := s.TryGet(); ok {
-		t.Fatal("TryGet on empty store succeeded")
-	}
 	if !s.TryPut(9) {
 		t.Fatal("TryPut on empty store failed")
 	}
 	if s.TryPut(10) {
 		t.Fatal("TryPut on full store succeeded")
 	}
-	v, ok := s.TryGet()
-	if !ok || v != 9 {
-		t.Fatalf("TryGet = %d,%v", v, ok)
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after one TryPut into a capacity-1 store", s.Len())
 	}
 }
 

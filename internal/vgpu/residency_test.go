@@ -2,12 +2,14 @@ package vgpu
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/gvm"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 )
@@ -115,15 +117,15 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 func TestRandomizedSuspendResumeInterleavings(t *testing.T) {
 	const sessions, cycles = 3, 3
 	ref, refMgr, _ := runResidencyMix(t, 256<<20, sessions, cycles, 1, 0)
-	if refMgr.Evictions() != 0 {
-		t.Fatalf("reference run evicted %d sessions on an unconstrained card", refMgr.Evictions())
+	if gvmCount(refMgr, "evictions") != 0 {
+		t.Fatalf("reference run evicted %d sessions on an unconstrained card", gvmCount(refMgr, "evictions"))
 	}
 	for _, seed := range []uint32{2, 77, 4242} {
 		got, mgr, dev := runResidencyMix(t, 96<<10, sessions, cycles, seed, 40)
-		if mgr.Evictions() == 0 {
+		if gvmCount(mgr, "evictions") == 0 {
 			t.Errorf("seed %d: no evictions on a 96 KiB card under 3x pressure", seed)
 		}
-		if mgr.Restores()+mgr.Resumes() == 0 {
+		if gvmCount(mgr, "restores")+gvmCount(mgr, "resumes") == 0 {
 			t.Errorf("seed %d: nothing was ever restored", seed)
 		}
 		for s := 0; s < sessions; s++ {
@@ -169,8 +171,8 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 			t.Errorf("second REQ did not evict the idle session: %v", err)
 			return
 		}
-		if mgr.Evictions() != 1 || mgr.Restores() != 0 {
-			t.Errorf("evictions=%d restores=%d after REQ, want 1/0", mgr.Evictions(), mgr.Restores())
+		if gvmCount(mgr, "evictions") != 1 || gvmCount(mgr, "restores") != 0 {
+			t.Errorf("evictions=%d restores=%d after REQ, want 1/0", gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
 		}
 		// v1's next verb transparently restores it (evicting v2 in turn)
 		// and the pre-eviction input survives the round trip.
@@ -194,12 +196,12 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 				return
 			}
 		}
-		if mgr.Restores() == 0 {
+		if gvmCount(mgr, "restores") == 0 {
 			t.Error("transparent restore did not count as a restore")
 		}
-		if mgr.Resumes() != 0 || mgr.Suspensions() != 0 {
+		if gvmCount(mgr, "resumes") != 0 || gvmCount(mgr, "suspensions") != 0 {
 			t.Errorf("transparent path leaked into client SUS/RES counters: resumes=%d suspensions=%d",
-				mgr.Resumes(), mgr.Suspensions())
+				gvmCount(mgr, "resumes"), gvmCount(mgr, "suspensions"))
 		}
 		if err := v1.Release(p); err != nil {
 			t.Error(err)
@@ -357,8 +359,8 @@ func TestPriorityOrdersEviction(t *testing.T) {
 			t.Errorf("third REQ did not evict: %v", err)
 			return
 		}
-		if mgr.Evictions() != 1 {
-			t.Errorf("evictions = %d, want 1", mgr.Evictions())
+		if gvmCount(mgr, "evictions") != 1 {
+			t.Errorf("evictions = %d, want 1", gvmCount(mgr, "evictions"))
 		}
 		// high (priority 10) must still be resident: its verb restores
 		// nothing. low (priority 0) was the victim despite being more
@@ -367,15 +369,15 @@ func TestPriorityOrdersEviction(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if mgr.Restores() != 0 {
-			t.Errorf("high-priority session was evicted (restores = %d)", mgr.Restores())
+		if gvmCount(mgr, "restores") != 0 {
+			t.Errorf("high-priority session was evicted (restores = %d)", gvmCount(mgr, "restores"))
 		}
 		if err := low.SendInput(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
-		if mgr.Restores() != 1 {
-			t.Errorf("low-priority session was not the victim (restores = %d)", mgr.Restores())
+		if gvmCount(mgr, "restores") != 1 {
+			t.Errorf("low-priority session was not the victim (restores = %d)", gvmCount(mgr, "restores"))
 		}
 		for _, v := range []*VGPU{high, low, third} {
 			if err := v.Release(p); err != nil {
@@ -435,4 +437,10 @@ func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 	if dev.MemReserved() != 0 || dev.MemInUse() != 0 {
 		t.Fatalf("leak after quota rejections: reserved=%d resident=%d", dev.MemReserved(), dev.MemInUse())
 	}
+}
+
+// gvmCount reads the manager's gvm_<name>_total counter from its registry:
+// registering a series again returns the live one.
+func gvmCount(m *gvm.Manager, name string) int {
+	return int(m.Metrics().Counter("gvm_"+name+"_total", "", metrics.L("gpu", strconv.Itoa(m.GPUIndex()))).Value())
 }

@@ -24,18 +24,12 @@ import (
 	"gpuvirt/internal/task"
 )
 
-// PollPolicy controls the STP status-polling loop (paper Figure 8:
-// "If (WAIT), Resends STP").
-type PollPolicy struct {
-	Initial sim.Duration // first back-off delay
-	Max     sim.Duration // back-off cap
-	Factor  int          // multiplicative back-off (>= 1)
-}
-
-// DefaultPollPolicy backs off 100us -> 2ms, doubling.
-func DefaultPollPolicy() PollPolicy {
-	return PollPolicy{Initial: 100 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2}
-}
+// The STP poll back-off (paper Figure 8: "If (WAIT), Resends STP"): 100 us,
+// doubling, capped at 2 ms.
+const (
+	pollInitial = 100 * sim.Microsecond
+	pollMax     = 2 * sim.Millisecond
+)
 
 // VGPU is one process's virtual GPU handle.
 type VGPU struct {
@@ -44,7 +38,6 @@ type VGPU struct {
 	resp    *mqueue[response]
 	session int
 	seg     shm.Segment
-	poll    PollPolicy
 
 	// Polls counts STP round-trips (reported as overhead statistics).
 	Polls int
@@ -66,7 +59,6 @@ func (h *Host) ConnectOpts(p *sim.Proc, open gvm.Request) (*VGPU, error) {
 		host: h,
 		spec: open.Spec,
 		resp: newMqueue[response](h.mgr.Env(), h.cfg.MsgLatency),
-		poll: DefaultPollPolicy(),
 	}
 	h.req.send(p, request{verb: gvm.REQ, reply: v.resp, open: open})
 	r := v.resp.recv(p)
@@ -76,20 +68,6 @@ func (h *Host) ConnectOpts(p *sim.Proc, open gvm.Request) (*VGPU, error) {
 	v.session = r.session
 	v.seg = r.seg
 	return v, nil
-}
-
-// SetPollPolicy overrides the STP polling back-off.
-func (v *VGPU) SetPollPolicy(p PollPolicy) {
-	if p.Factor < 1 {
-		p.Factor = 1
-	}
-	if p.Initial <= 0 {
-		p.Initial = sim.Microsecond
-	}
-	if p.Max < p.Initial {
-		p.Max = p.Initial
-	}
-	v.poll = p
 }
 
 // Session returns the manager-assigned session id.
@@ -130,7 +108,7 @@ func (v *VGPU) Start(p *sim.Proc) error { return v.ack(p, gvm.STR) }
 
 // Wait polls STP until the VGPU's execution completes.
 func (v *VGPU) Wait(p *sim.Proc) error {
-	delay := v.poll.Initial
+	delay := pollInitial
 	for {
 		r := v.call(p, gvm.STP)
 		v.Polls++
@@ -139,9 +117,9 @@ func (v *VGPU) Wait(p *sim.Proc) error {
 			return nil
 		case gvm.WAIT:
 			p.Sleep(delay)
-			delay *= sim.Duration(v.poll.Factor)
-			if delay > v.poll.Max {
-				delay = v.poll.Max
+			delay *= 2
+			if delay > pollMax {
+				delay = pollMax
 			}
 		default:
 			return fmt.Errorf("vgpu: STP: %s", r.err)

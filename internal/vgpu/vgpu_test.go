@@ -385,14 +385,6 @@ func TestScratchBuffersFreedOnRelease(t *testing.T) {
 	}
 }
 
-func TestPollPolicyClamping(t *testing.T) {
-	v := &VGPU{}
-	v.SetPollPolicy(PollPolicy{Initial: -1, Max: -5, Factor: 0})
-	if v.poll.Factor < 1 || v.poll.Initial <= 0 || v.poll.Max < v.poll.Initial {
-		t.Fatalf("poll policy not clamped: %+v", v.poll)
-	}
-}
-
 func TestSessionQuotaRejectsOverCommit(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.MaxSessionBytes = 1 << 20 })
 	env.Go("client", func(p *sim.Proc) {
@@ -450,8 +442,8 @@ func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("%d clients completed, want 2 (timeout flush)", len(done))
 	}
-	if mgr.BarrierTimeouts() != 1 {
-		t.Fatalf("BarrierTimeouts = %d, want 1", mgr.BarrierTimeouts())
+	if gvmCount(mgr, "barrier_timeouts") != 1 {
+		t.Fatalf("BarrierTimeouts = %d, want 1", gvmCount(mgr, "barrier_timeouts"))
 	}
 }
 
@@ -475,8 +467,8 @@ func TestBarrierTimeoutNotFiredWhenAllArrive(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.BarrierTimeouts() != 0 {
-		t.Fatalf("BarrierTimeouts = %d, want 0", mgr.BarrierTimeouts())
+	if gvmCount(mgr, "barrier_timeouts") != 0 {
+		t.Fatalf("BarrierTimeouts = %d, want 0", gvmCount(mgr, "barrier_timeouts"))
 	}
 	if mgr.Flushes() != 1 {
 		t.Fatalf("Flushes = %d, want 1", mgr.Flushes())
@@ -548,8 +540,8 @@ func TestSuspendResumePreservesState(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Suspensions() != 1 || mgr.Resumes() != 1 {
-		t.Fatalf("suspensions=%d resumes=%d", mgr.Suspensions(), mgr.Resumes())
+	if gvmCount(mgr, "suspensions") != 1 || gvmCount(mgr, "resumes") != 1 {
+		t.Fatalf("suspensions=%d resumes=%d", gvmCount(mgr, "suspensions"), gvmCount(mgr, "resumes"))
 	}
 }
 
@@ -582,8 +574,8 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 			t.Errorf("second session rejected on a full device: %v", err)
 			return
 		}
-		if mgr.Evictions() != 1 {
-			t.Errorf("evictions = %d, want 1", mgr.Evictions())
+		if gvmCount(mgr, "evictions") != 1 {
+			t.Errorf("evictions = %d, want 1", gvmCount(mgr, "evictions"))
 		}
 		// v1's arena sits in a host snapshot; its logical reservation
 		// persists, so reserved now exceeds resident.
@@ -596,8 +588,8 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 			t.Errorf("resume: %v", err)
 			return
 		}
-		if mgr.Evictions() != 2 {
-			t.Errorf("evictions = %d, want 2", mgr.Evictions())
+		if gvmCount(mgr, "evictions") != 2 {
+			t.Errorf("evictions = %d, want 2", gvmCount(mgr, "evictions"))
 		}
 		if err := v2.Release(p); err != nil {
 			t.Error(err)

@@ -3,7 +3,9 @@
 #   - non-test Go lines outside bench/ (the figure ROADMAP aim 2 tracks),
 #   - per internal/ package: non-test lines and exported identifiers
 #     (top-level funcs, types, vars, consts, and methods on exported types;
-#     struct fields are not counted).
+#     struct fields are not counted),
+#   - the test-only-code guard's findings and allowlist size
+#     (TestNoTestOnlyCode in deadcode_test.go; "none" in a tree without it).
 # Run it on two checkouts and subtract to get a PR's deltas:
 #   scripts/loc.sh > after.txt; scripts/loc.sh /path/to/parent > before.txt
 set -euo pipefail
@@ -34,3 +36,9 @@ for pkg in internal/*/; do
 	printf '%-24s %8d %9d\n' "${pkg%/}" "$lines" "$exp"
 done
 printf '%-24s %8s %9d\n' 'internal/ total' '' "$total"
+
+guard=none
+if [ -f deadcode_test.go ]; then
+	guard=$({ go test -run '^TestNoTestOnlyCode$' -count=1 -v . || true; } | grep -o 'test-only declarations: .*' || echo 'test-only declarations: scan failed')
+fi
+printf '\n%s\n' "$guard"
