@@ -67,7 +67,13 @@ vet:
 # internal/transport, internal/ipc or internal/fed takes a Request or
 # Response by value or returns one with an error — a by-value hop copies
 # the frame and a second copy outlives the rule. The exception is the
-# contiguous Encode*Binary API that bench/ calls.
+# contiguous Encode*Binary API that bench/ calls. And one wire codec: every
+# verb travels as a binary frame, and a migrating session as the binary
+# blob gvm.ExtractedSession.Encode writes (MIG's answer, ADP's Data), so no
+# non-test file of internal/transport or internal/gvm imports encoding/json
+# — base64 inside JSON inside a frame is how a migration once cost 8/3 of
+# its footprint. node's STA advertisement keeps its JSON: it is
+# operator-facing.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -106,6 +112,7 @@ one-engine:
 	@bad=$$(grep -nE '^[^/]*\bfunc\b.*[( ](transport\.)?(Request|Response)[,)]' $$(ls internal/transport/*.go internal/ipc/*.go internal/fed/*.go | grep -v _test.go) | \
 		grep -vE '^internal/transport/frame\.go:[0-9]+:func Encode(Request|Response)Binary\('); \
 	[ -z "$$bad" ] || { echo "a frame travels by value (a Request or Response value parameter, or a (Request, error) / (Response, error) result, in non-test transport/ipc/fed; pass the carrier's retained frame by pointer):"; echo "$$bad"; exit 1; }
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport ./internal/gvm | grep -qx encoding/json || { echo "a second wire codec (non-test internal/transport or internal/gvm imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob)"; exit 1; }
 
 build:
 	$(GO) build ./...

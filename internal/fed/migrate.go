@@ -104,13 +104,15 @@ func (r *Router) migrateLocked(s *fedSession) error {
 		// e.g. a ring-plane session that cannot leave its node.
 		return fmt.Errorf("fed: MIG session %d on node %d: %s", s.vid, src.idx, resp.Err)
 	}
-	// The blob aliases the sticky connection's read buffer; it must
-	// survive the connection teardown below.
-	blob := append([]byte(nil), resp.Data...)
-	r.dropBackendLocked(s, true)
-
+	// ADP is the session's REQ record with the blob as its Data. The blob
+	// aliases the sticky connection's read buffer, so the source stays
+	// attached until an adoption has sent it.
+	adp := &transport.Request{
+		Verb: "ADP", Ref: &s.ref, Rank: s.rank,
+		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
+		Data: resp.Data,
+	}
 	// A node that refuses the adoption leaves the others to try.
-	adp := &transport.Request{Verb: "ADP", Data: blob}
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
 		b, conn, aresp, err := r.openOn(adp, footprint)
@@ -122,13 +124,14 @@ func (r *Router) migrateLocked(s *fedSession) error {
 			lastErr = errors.New(aresp.Err)
 			continue
 		}
+		r.dropBackendLocked(s, true)
 		s.attachLocked(b, aresp.Session, conn)
 		r.met.failovers.Inc()
-		r.met.migratedBytes.Add(int64(len(blob)))
+		r.met.migratedBytes.Add(int64(len(adp.Data)))
 		if r.cfg.Log != nil {
 			r.cfg.Log.Info("session migrated across nodes",
 				"vsession", s.vid, "from-node", src.idx, "to-node", b.idx,
-				"backend-session", aresp.Session, "blob-bytes", len(blob))
+				"backend-session", aresp.Session, "blob-bytes", len(adp.Data))
 		}
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 )
@@ -40,13 +41,10 @@ func retryableSessionErr(id, gpu int, cause error) string {
 // ExtractedSession is a session's portable state between ExtractSession
 // on the source shard and AdoptSession on the target.
 type ExtractedSession struct {
-	ID        int
-	Spec      *task.Spec
-	MemQuota  int64
-	Priority  int
-	Weight    int
-	Footprint int64
-	DevBytes  int64
+	ID int
+	// Request is what the session was opened with; a cross-node adopter
+	// rebuilds it from ADP's REQ fields.
+	Request
 	// PinIn/PinOut carry the pinned staging contents: SND input that
 	// must survive to the rerun's H2D, and completed results that RCV
 	// serves without re-touching the device.
@@ -129,10 +127,9 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 		st.res = resident
 	}
 	ext := &ExtractedSession{
-		ID: s.id, Spec: s.spec,
-		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
-		Footprint: s.footprint, DevBytes: s.devBytes,
-		state: st, snap: s.susp,
+		ID:      s.id,
+		Request: Request{Spec: s.spec, MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight},
+		state:   st, snap: s.susp,
 	}
 	if s.pinIn != nil && s.pinIn.Data() != nil {
 		ext.PinIn = append([]byte(nil), s.pinIn.Data()...)
@@ -160,48 +157,29 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 // loaded to restore right now the snapshot stays intact and the next
 // verb's transparent restore retries — adoption itself only fails
 // on an id collision (impossible under the node's striped id scheme) or a
-// staging or arena snapshot of the wrong size. The session was admitted on
-// its source shard and the node re-placed it against this shard's
+// buffer that is not the size ext.Spec gives it. The session was admitted
+// on its source shard and the node re-placed it against this shard's
 // headroom, so no quota re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
 	}
-	// The staging snapshot becomes staging as is, and the footprint is
-	// charged against the quota; both may be off the wire.
-	if (ext.PinIn != nil && int64(len(ext.PinIn)) != ext.Spec.InBytes) ||
-		(ext.PinOut != nil && int64(len(ext.PinOut)) != ext.Spec.OutBytes) ||
-		ext.Footprint != ext.Spec.InBytes+ext.Spec.OutBytes {
-		return fmt.Errorf("gvm: AdoptSession: session %d staging snapshot is %d+%d bytes, footprint %d, spec says %d+%d",
-			ext.ID, len(ext.PinIn), len(ext.PinOut), ext.Footprint, ext.Spec.InBytes, ext.Spec.OutBytes)
-	}
-	// So may the arena snapshot, whose buffers become device memory as they
-	// are: each must be a whole allocation, in/out the ones the spec's
-	// kernels and copies address, and scratch the ones its builder asks for.
-	if err := ext.snap.validate(m.dev.RoundUp); err != nil {
-		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot: %w", ext.ID, err)
-	}
-	if wantIn, wantOut := m.dev.RoundUp(ext.Spec.InBytes), m.dev.RoundUp(ext.Spec.OutBytes); ext.snap.inSize != wantIn || ext.snap.outSize != wantOut {
-		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot is %d+%d bytes, spec needs %d+%d",
-			ext.ID, ext.snap.inSize, ext.snap.outSize, wantIn, wantOut)
-	}
-	if err := ext.snap.fitsBuild(ext.Spec, m.dev.RoundUp); err != nil {
-		return fmt.Errorf("gvm: AdoptSession: session %d arena snapshot: %w", ext.ID, err)
+	if err := ext.size(m.dev.RoundUp); err != nil {
+		return fmt.Errorf("gvm: AdoptSession: session %d: %w", ext.ID, err)
 	}
 	s := &session{
 		id: ext.ID, spec: ext.Spec,
-		memQuota: ext.MemQuota, priority: ext.Priority, weight: ext.Weight,
-		lastUsed:  p.Now(),
-		st:        ext.state,
-		footprint: ext.Footprint,
+		memQuota: ext.MemQuota, priority: ext.Priority, weight: sessionWeight(ext.Request),
+		lastUsed: p.Now(),
+		st:       ext.state,
+		// The footprint and the reservation are what OpenSession charged.
+		footprint: ext.Spec.InBytes + ext.Spec.OutBytes,
+		devBytes:  ext.snap.total,
 		susp:      ext.snap,
 	}
 	m.bindClassMetrics(s)
-	m.shmInUse += ext.Footprint
-	if ext.DevBytes > 0 {
-		s.devBytes = ext.DevBytes
-		m.dev.Reserve(ext.DevBytes)
-	}
+	m.shmInUse += s.footprint
+	m.dev.Reserve(s.devBytes)
 	// Staging is the snapshot's own buffers (no copy): an inline session
 	// keeps them, a mapped plane rebinds onto its segment, which held the
 	// same bytes all along.
@@ -232,6 +210,55 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	}
 	return nil
 }
+
+// size gives the snapshot the sizes e.Spec allocates on a device that
+// rounds allocations with roundUp — the arenas, and the scratch its
+// builder asks for, run dry against an allocator that only records sizes
+// — and holds every buffer to them: each is absent (a timing-only source)
+// or exactly its allocation. A restore makes an arena buffer device memory
+// as it is and replays the scratch, in order, as the builder's allocations
+// (bufReplay), so a short one would fault the first kernel that runs off
+// its end; staging becomes the session's staging as it is.
+func (e *ExtractedSession) size(roundUp func(int64) int64) error {
+	var asked sizeRecorder
+	if e.Spec.Build != nil {
+		var scratch []cuda.DevPtr
+		if _, err := e.Spec.Build(&task.Buffers{In: 1, Out: 1, Alloc: &asked, Scratch: &scratch}); err != nil {
+			return err
+		}
+	}
+	sn := e.snap
+	if len(sn.scratch) > len(asked) {
+		return fmt.Errorf("%d scratch buffers, the task builds %d", len(sn.scratch), len(asked))
+	}
+	sn.inSize, sn.outSize = roundUp(e.Spec.InBytes), roundUp(e.Spec.OutBytes)
+	sn.scrSizes = sn.scrSizes[:0]
+	for i := range sn.scratch {
+		sn.scrSizes = append(sn.scrSizes, roundUp(asked[i]))
+	}
+	sn.total = 0
+	want := append([]int64{e.Spec.InBytes, e.Spec.OutBytes, sn.inSize, sn.outSize}, sn.scrSizes...)
+	for i, b := range e.buffers() {
+		if b != nil && int64(len(b)) != want[i] {
+			return fmt.Errorf("buffer %d (staged in, staged out, arena in, arena out, scratch...) is %d bytes, the task allocates %d",
+				i, len(b), want[i])
+		}
+		if i >= 2 {
+			sn.total += want[i] // the arena total
+		}
+	}
+	return nil
+}
+
+// sizeRecorder is a dry build's allocator: the sizes asked for, in order.
+type sizeRecorder []int64
+
+func (r *sizeRecorder) Malloc(n int64) (cuda.DevPtr, error) {
+	*r = append(*r, n)
+	return 1, nil
+}
+
+func (r *sizeRecorder) Free(cuda.DevPtr) error { return nil }
 
 // rerunFlush re-runs an interrupted cycle on a freshly restored session:
 // the kernels are deterministic functions of the (migrated) staging

@@ -1,113 +1,117 @@
 package gvm
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 )
 
 // Wire codec for cross-node session migration: the federation router
 // pulls a session off a draining node with the MIG verb (the dispatcher
-// answers with Encode's bytes), carries the blob over the control
-// plane, and lands it on the target node with ADP (the dispatcher calls
-// DecodeExtracted and adopts). The encoding is JSON — migration is a
-// cold path moving megabyte arenas, so self-describing beats clever —
-// with []byte fields riding base64. The session's state rides as the
-// phase keys done and rerun (a staged session travels as idle: the two
-// answer every verb alike, and its input rides in pin_in) plus suspended
-// when its client suspended it. Spec is deliberately NOT carried:
-// kernel builders are closures, so the router ships the workload
-// reference and rank alongside the blob and the target rebuilds the
-// spec from its own registry.
+// answers with Encode's bytes) and lands it on the target node with ADP
+// (the dispatcher calls DecodeExtracted and adopts). The blob carries only
+// what the target cannot work out for itself: a state byte (a staged
+// session travels as idle: the two answer every verb alike, and its input
+// rides as staged in), the scratch count, then staged in, staged out,
+// arena in, arena out and each scratch buffer, each a presence byte and,
+// if present, a uvarint length and the bytes. Kernel builders are
+// closures, so ADP's REQ fields carry the workload reference, rank and
+// scheduling options, the target rebuilds the spec from its own registry,
+// and AdoptSession derives every size from that spec.
 
-// extractedWire is ExtractedSession flattened for the wire, including
-// the unexported arena snapshot.
-type extractedWire struct {
-	ID        int    `json:"id"`
-	MemQuota  int64  `json:"mem_quota,omitempty"`
-	Priority  int    `json:"priority,omitempty"`
-	Weight    int    `json:"weight,omitempty"`
-	Done      bool   `json:"done,omitempty"`
-	Rerun     bool   `json:"rerun,omitempty"`
-	Suspended bool   `json:"suspended,omitempty"`
-	Footprint int64  `json:"footprint"`
-	DevBytes  int64  `json:"dev_bytes"`
-	PinIn     []byte `json:"pin_in,omitempty"`
-	PinOut    []byte `json:"pin_out,omitempty"`
+// The state byte's bits.
+const (
+	wireDone = 1 << iota
+	wireRerun
+	wireSuspended
+)
 
-	SnapIn      []byte   `json:"snap_in,omitempty"`
-	SnapOut     []byte   `json:"snap_out,omitempty"`
-	SnapInSize  int64    `json:"snap_in_size"`
-	SnapOutSize int64    `json:"snap_out_size"`
-	Scratch     [][]byte `json:"scratch,omitempty"`
-	ScrSizes    []int64  `json:"scr_sizes,omitempty"`
-	SnapTotal   int64    `json:"snap_total"`
+// maxWireScratch bounds a blob's scratch count: an absent buffer is one
+// byte on the wire but a 24-byte slice decoded, and a task builds a handful
+// (the registry's most is MG's 11).
+const maxWireScratch = 1 << 12
+
+// buffers lists the session's buffers in wire order.
+func (e *ExtractedSession) buffers() [][]byte {
+	return append([][]byte{e.PinIn, e.PinOut, e.snap.in, e.snap.out}, e.snap.scratch...)
 }
 
 // Encode serializes the extracted session (arena snapshot included) for
 // cross-node transport.
-func (e *ExtractedSession) Encode() ([]byte, error) {
-	if e.snap == nil {
-		return nil, fmt.Errorf("gvm: encode extracted session %d: no snapshot", e.ID)
+func (e *ExtractedSession) Encode() []byte {
+	var st byte
+	switch e.state.phase {
+	case done:
+		st = wireDone
+	case rerun:
+		st = wireRerun
 	}
-	w := extractedWire{
-		ID:       e.ID,
-		MemQuota: e.MemQuota, Priority: e.Priority, Weight: e.Weight,
-		// A rerun's cycle ran to its end, into the fault: the blob says done
-		// beside rerun, as it always has.
-		Done:      e.state.phase == done || e.state.phase == rerun,
-		Rerun:     e.state.phase == rerun,
-		Suspended: e.state.res == suspended,
-		Footprint: e.Footprint, DevBytes: e.DevBytes,
-		PinIn: e.PinIn, PinOut: e.PinOut,
-		SnapIn: e.snap.in, SnapOut: e.snap.out,
-		SnapInSize: e.snap.inSize, SnapOutSize: e.snap.outSize,
-		Scratch: e.snap.scratch, ScrSizes: e.snap.scrSizes,
-		SnapTotal: e.snap.total,
+	if e.state.res == suspended {
+		st |= wireSuspended
 	}
-	return json.Marshal(w)
+	bufs := e.buffers()
+	n := 1 + binary.MaxVarintLen64
+	for _, b := range bufs {
+		n += 1 + binary.MaxVarintLen64 + len(b)
+	}
+	out := binary.AppendUvarint(append(make([]byte, 0, n), st), uint64(len(e.snap.scratch)))
+	for _, b := range bufs {
+		if b == nil {
+			out = append(out, 0)
+		} else {
+			out = append(binary.AppendUvarint(append(out, 1), uint64(len(b))), b...)
+		}
+	}
+	return out
 }
 
-// DecodeExtracted rebuilds an extracted session from Encode's bytes.
-// Spec is left nil — the caller must set it (rebuilt from the workload
-// reference) before adoption. SetID rebinds the session id when the
-// target mints a fresh one (cross-node, source ids can collide).
+// DecodeExtracted rebuilds an extracted session from Encode's bytes,
+// copying each buffer out of data (a connection reuses its read buffer).
+// The caller sets ID and Request before adoption.
 func DecodeExtracted(data []byte) (*ExtractedSession, error) {
-	var w extractedWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
+	bad := func(format string, a ...any) (*ExtractedSession, error) {
+		return nil, fmt.Errorf("gvm: decode extracted session: "+format, a...)
 	}
-	snap := &snapshot{
-		in: w.SnapIn, out: w.SnapOut,
-		inSize: w.SnapInSize, outSize: w.SnapOutSize,
-		scratch: w.Scratch, scrSizes: w.ScrSizes,
-		total: w.SnapTotal,
+	if len(data) == 0 {
+		return bad("no state byte")
 	}
-	// A blob is wire input; the target's allocation granularity is checked
-	// at adoption.
-	if err := snap.validate(func(n int64) int64 { return n }); err != nil {
-		return nil, fmt.Errorf("gvm: decode extracted session: %w", err)
+	st := data[0]
+	if st&^(wireDone|wireRerun|wireSuspended) != 0 || st&(wireDone|wireRerun) == wireDone|wireRerun {
+		return bad("bad state byte 0x%02x", st)
 	}
-	ext := &ExtractedSession{
-		ID:       w.ID,
-		MemQuota: w.MemQuota, Priority: w.Priority, Weight: w.Weight,
-		Footprint: w.Footprint, DevBytes: w.DevBytes,
-		PinIn: w.PinIn, PinOut: w.PinOut,
-		snap: snap,
-	}
-	switch {
-	case w.Rerun:
-		ext.state.phase = rerun
-	case w.Done:
+	ext := &ExtractedSession{snap: &snapshot{}}
+	if st&wireDone != 0 {
 		ext.state.phase = done
+	} else if st&wireRerun != 0 {
+		ext.state.phase = rerun
 	}
-	if w.Suspended {
+	if st&wireSuspended != 0 {
 		ext.state.res = suspended
 	}
+	nscr, k := binary.Uvarint(data[1:])
+	// Each buffer takes at least its presence byte.
+	if k <= 0 || nscr > uint64(len(data)-1-k) || nscr > maxWireScratch {
+		return bad("bad scratch count")
+	}
+	data = data[1+k:]
+	bufs := make([][]byte, 4+nscr)
+	for i := range bufs {
+		switch {
+		case len(data) > 0 && data[0] == 0:
+			data = data[1:]
+		case len(data) > 0 && data[0] == 1:
+			size, k := binary.Uvarint(data[1:])
+			if k <= 0 || size > uint64(len(data)-1-k) {
+				return bad("buffer %d: truncated", i)
+			}
+			data = data[1+k:]
+			bufs[i], data = append(make([]byte, 0, size), data[:size]...), data[size:]
+		default:
+			return bad("buffer %d: truncated or a bad presence byte", i)
+		}
+	}
+	if len(data) != 0 {
+		return bad("%d trailing bytes", len(data))
+	}
+	ext.PinIn, ext.PinOut, ext.snap.in, ext.snap.out, ext.snap.scratch = bufs[0], bufs[1], bufs[2], bufs[3], bufs[4:]
 	return ext, nil
 }
-
-// SetID rebinds the extracted session to a new id before adoption. A
-// cross-node adopter mints a fresh local id (the source node's striped
-// id space overlaps the target's), while intra-node failover keeps the
-// original.
-func (e *ExtractedSession) SetID(id int) { e.ID = id }

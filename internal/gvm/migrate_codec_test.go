@@ -2,69 +2,78 @@ package gvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"gpuvirt/internal/task"
+	"gpuvirt/internal/workloads"
 )
 
-// FuzzDecodeExtracted feeds arbitrary bytes to the MIG blob's session
-// half, which a daemon decodes off the wire on ADP: decoding must never
-// panic, what it accepts must hold the invariants the restore path walks
-// without checking (one size per scratch buffer; every arena buffer absent
-// or exactly its declared size, since a restore attaches it as device
-// memory), and must re-encode and decode to the same blob.
+// FuzzDecodeExtracted feeds arbitrary bytes to the MIG blob decoder, which
+// a daemon runs straight off the wire on ADP: decoding must never panic,
+// what it accepts must re-encode and decode to the same blob, and what
+// adoption then sizes against a spec must hold the invariant the restore
+// path walks without checking — one size per scratch buffer, and every
+// buffer absent or exactly its allocation, since a restore attaches it as
+// device memory.
 func FuzzDecodeExtracted(f *testing.F) {
-	seed, err := (&ExtractedSession{
-		ID: 5, Priority: 1, Weight: 2, state: state{phase: done},
-		Footprint: 12, DevBytes: 1024,
-		PinIn: []byte{1, 2, 3, 4, 5, 6, 7, 8}, PinOut: []byte{9, 10, 11, 12},
-		snap: &snapshot{
-			in: []byte{1, 2}, inSize: 2, out: []byte{3}, outSize: 1,
-			scratch: [][]byte{{4}, nil}, scrSizes: []int64{1, 256}, total: 260,
-		},
-	}).Encode()
-	if err != nil {
-		f.Fatal(err)
+	roundUp := func(n int64) int64 { return (n + 255) &^ 255 }
+	vecadd, is := workloads.VectorAdd(64).Spec(0), workloads.ClassSIS().Spec(0)
+	blob := func(st state, pinIn, pinOut, in, out []byte, scratch ...[]byte) []byte {
+		return (&ExtractedSession{state: st, PinIn: pinIn, PinOut: pinOut,
+			snap: &snapshot{in: in, out: out, scratch: scratch}}).Encode()
 	}
-	f.Add(seed)
-	f.Add([]byte(`{"id":1,"scratch":["AA==","AA=="],"scr_sizes":[1]}`)) // sizes short of buffers
-	f.Add([]byte(`{"id":1,"footprint":-1,"snap_in_size":-5}`))
-	f.Add([]byte(`{"id":1,"direct":true}`)) // a key older daemons sent: unknown, ignored
-	// Arena buffers against their declared sizes: short, long, consistent.
-	f.Add([]byte(`{"id":1,"snap_in":"AQID","snap_in_size":256}`))
-	f.Add([]byte(`{"id":1,"scratch":["AQID"],"scr_sizes":[2]}`))
-	f.Add([]byte(`{"id":1,"scratch":["AQID",null],"scr_sizes":[3,512],"snap_out":""}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"id":`))
+	staged := blob(state{}, make([]byte, 512), make([]byte, 256), make([]byte, 512), make([]byte, 256))
+	f.Add(staged)
+	f.Add(blob(state{phase: done, res: suspended}, nil, nil, nil, nil))
+	f.Add(blob(state{phase: rerun}, make([]byte, 512), nil, make([]byte, 512), make([]byte, 256)))
+	// Arena input that does not fill the 512-byte allocation vecadd needs.
+	f.Add(blob(state{}, nil, nil, []byte{1, 2, 3}, nil))
+	f.Add(blob(state{}, nil, nil, make([]byte, 100), nil))
+	// Class-S IS scratch that is not what the task builds: its block
+	// histogram shrunk to 256 bytes, its two buffers swapped, one too many.
+	f.Add(blob(state{phase: done}, nil, nil, nil, nil, make([]byte, 256), nil))
+	f.Add(blob(state{phase: done}, nil, nil, nil, nil, make([]byte, 8448), nil))
+	f.Add(blob(state{phase: done}, nil, nil, nil, nil, nil, nil, nil))
+	f.Add(staged[:len(staged)-1])                      // truncated
+	f.Add(append(staged[:len(staged):len(staged)], 0)) // trailing
+	f.Add([]byte{wireDone | wireRerun, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(append(binary.AppendUvarint([]byte{0}, maxWireScratch+1), make([]byte, 4+maxWireScratch+1)...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ext, err := DecodeExtracted(data) // must not panic
 		if err != nil {
 			return
 		}
-		if len(ext.snap.scratch) != len(ext.snap.scrSizes) {
-			t.Fatalf("accepted %d scratch buffers with %d sizes", len(ext.snap.scratch), len(ext.snap.scrSizes))
+		if len(ext.snap.scratch) > maxWireScratch {
+			t.Fatalf("accepted %d scratch buffers", len(ext.snap.scratch))
 		}
-		fits := func(data []byte, size int64) {
-			if size < 0 || (data != nil && int64(len(data)) != size) {
-				t.Fatalf("accepted a %d-byte arena buffer declared as %d", len(data), size)
-			}
-		}
-		fits(ext.snap.in, ext.snap.inSize)
-		fits(ext.snap.out, ext.snap.outSize)
-		for i, data := range ext.snap.scratch {
-			fits(data, ext.snap.scrSizes[i])
-		}
-		_ = ext.Bytes()
-		enc, err := ext.Encode()
-		if err != nil {
-			t.Fatalf("re-encode of a decoded session: %v", err)
-		}
+		enc := ext.Encode()
 		again, err := DecodeExtracted(enc)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		enc2, err := again.Encode()
-		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("unstable round trip (%v):\n%s\n%s", err, enc, enc2)
+		if !bytes.Equal(enc, again.Encode()) || again.State() != ext.State() {
+			t.Fatalf("unstable round trip:\n%x\n%x", enc, again.Encode())
+		}
+		for _, spec := range []*task.Spec{vecadd, is} {
+			ext.Spec = spec
+			if ext.size(roundUp) != nil {
+				continue
+			}
+			sn := ext.snap
+			if len(sn.scrSizes) != len(sn.scratch) {
+				t.Fatalf("sized %d scratch buffers with %d sizes", len(sn.scratch), len(sn.scrSizes))
+			}
+			want := append([]int64{spec.InBytes, spec.OutBytes, sn.inSize, sn.outSize}, sn.scrSizes...)
+			for i, b := range ext.buffers() {
+				if b != nil && int64(len(b)) != want[i] {
+					t.Fatalf("%s: accepted a %d-byte buffer %d of size %d", spec.Name, len(b), i, want[i])
+				}
+			}
+			_ = ext.Bytes()
 		}
 	})
 }

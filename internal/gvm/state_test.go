@@ -50,11 +50,7 @@ func TestSuspendedSurvivesMigration(t *testing.T) {
 		return ext
 	}
 	encoded := func() *ExtractedSession {
-		blob, err := extract().Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext, err := DecodeExtracted(blob)
+		ext, err := DecodeExtracted(extract().Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

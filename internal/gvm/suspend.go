@@ -61,60 +61,6 @@ type snapshot struct {
 	moving *sim.Event
 }
 
-// validate checks what the restore path relies on when the snapshot came
-// off the wire (a MIG blob): one size per scratch buffer, and every buffer
-// either absent or exactly its declared size, which is a whole allocation
-// under roundUp — a restore makes the buffer device memory as it is, and a
-// short one would fault the first kernel that touches its tail.
-func (sn *snapshot) validate(roundUp func(int64) int64) error {
-	if len(sn.scratch) != len(sn.scrSizes) {
-		return fmt.Errorf("%d scratch buffers, %d sizes", len(sn.scratch), len(sn.scrSizes))
-	}
-	sizes := append([]int64{sn.inSize, sn.outSize}, sn.scrSizes...)
-	for i, data := range append([][]byte{sn.in, sn.out}, sn.scratch...) {
-		if size := sizes[i]; size < 0 || roundUp(size) != size || (data != nil && int64(len(data)) != size) {
-			return fmt.Errorf("buffer %d (in, out, scratch...): %d bytes of data for a declared size of %d (a whole allocation is %d)",
-				i, len(data), size, roundUp(size))
-		}
-	}
-	return nil
-}
-
-// fitsBuild checks a wire snapshot's scratch buffers against the builder
-// that will address them. A restore replays them, in order, as the
-// allocations the builder asks for (bufReplay), whatever size it asks, so
-// each must be exactly the allocation the builder would have got: a kernel
-// runs off the end of a smaller one. The builder is run dry, against an
-// allocator that only records sizes.
-func (sn *snapshot) fitsBuild(spec *task.Spec, roundUp func(int64) int64) error {
-	var asked sizeRecorder
-	if spec.Build != nil {
-		var scratch []cuda.DevPtr
-		if _, err := spec.Build(&task.Buffers{In: 1, Out: 1, Alloc: &asked, Scratch: &scratch}); err != nil {
-			return err
-		}
-	}
-	if len(sn.scrSizes) > len(asked) {
-		return fmt.Errorf("%d scratch buffers, the task builds %d", len(sn.scrSizes), len(asked))
-	}
-	for i, size := range sn.scrSizes {
-		if want := roundUp(asked[i]); size != want {
-			return fmt.Errorf("scratch buffer %d is %d bytes, the task builds it as %d", i, size, want)
-		}
-	}
-	return nil
-}
-
-// sizeRecorder is a dry build's allocator: the sizes asked for, in order.
-type sizeRecorder []int64
-
-func (r *sizeRecorder) Malloc(n int64) (cuda.DevPtr, error) {
-	*r = append(*r, n)
-	return 1, nil
-}
-
-func (r *sizeRecorder) Free(cuda.DevPtr) error { return nil }
-
 // settle ends the copy window opened on sn.
 func (sn *snapshot) settle() {
 	ev := sn.moving
@@ -459,8 +405,8 @@ func (m *Manager) freeSessionBuffers(s *session) {
 
 // bufReplay hands back the restored scratch allocations (ptrs) in the order
 // the original builder requested them, so the rebuilt kernels address the
-// restored data. A snapshot off the wire was held to those requests' sizes
-// at adoption (snapshot.fitsBuild).
+// restored data. An adopted snapshot was held to those requests' sizes
+// (ExtractedSession.size).
 type bufReplay struct {
 	in, out cuda.DevPtr
 	ptrs    []cuda.DevPtr

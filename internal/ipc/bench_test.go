@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
 
@@ -93,5 +94,41 @@ func benchCycles(b *testing.B, addr, shmDir string, clients int, serial bool) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkCrossNodeMigration measures one cross-node move of a staged
+// 16 MiB-footprint vecadd between two inproc daemons: MIG off one (extract
+// and encode), then ADP onto the other (decode and adopt). The session
+// goes back and forth, so one op is one MIG plus one ADP.
+func BenchmarkCrossNodeMigration(b *testing.B) {
+	const n = 1398101 // 12 bytes an element: a 16 MiB footprint
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	var conns [2]*transport.Conn
+	for i := range conns {
+		s := startServerOn(b, ServerConfig{Listen: []string{fmt.Sprintf("inproc://bench-mig-%d", i)}, Functional: true})
+		conns[i] = dialRaw(b, s.Addr())
+		defer conns[i].Close()
+	}
+	trip := func(c *transport.Conn, req *transport.Request) *transport.Response {
+		if err := c.WriteRequest(req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := c.ReadResponse()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Status != "ACK" {
+			b.Fatalf("%s: %s", req.Verb, resp.Err)
+		}
+		return resp
+	}
+	id := trip(conns[0], &transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline}).Session
+	trip(conns[0], &transport.Request{Verb: "SND", Session: id, Data: make([]byte, 2*n*4)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The blob aliases the source connection's read buffer until its next read.
+		blob := trip(conns[i%2], &transport.Request{Verb: "MIG", Session: id}).Data
+		id = trip(conns[(i+1)%2], &transport.Request{Verb: "ADP", Ref: &ref, Data: blob}).Session
 	}
 }

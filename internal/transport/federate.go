@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -21,26 +20,18 @@ import (
 //	      session's own sticky connection when the node is draining.
 //	ADP — adopt a MIG blob under a freshly minted local id: the inverse
 //	      end, sent by the router on the session's new sticky connection
-//	      to the surviving node.
+//	      to the surviving node. Shaped like a REQ (reference, rank and
+//	      scheduling options in REQ's fields), its Data is the blob.
 //
 // MIG/ADP reuse PR9's ExtractSession/AdoptSession machinery one level
 // up: intra-node failover moves a session between shards behind one
 // dispatcher; these verbs move it between dispatchers. Where the session
-// stood in its cycle travels inside the gvm state (done, rerun): the
-// dispatcher keeps none of its own.
+// stood in its cycle is gvm state: the dispatcher keeps none of its own.
 
-// MigBlob is the cross-node migration payload: the serialized gvm
-// session state plus everything the adopting node needs that cannot
-// ride inside it — the workload reference and rank (kernel builders are
-// closures; the target rebuilds the spec from its own registry) and the
-// staging footprint for placement.
-type MigBlob struct {
-	Ref      workloads.Ref   `json:"ref"`
-	Rank     int             `json:"rank"`
-	InBytes  int64           `json:"in_bytes"`
-	OutBytes int64           `json:"out_bytes"`
-	Ext      json.RawMessage `json:"ext"`
-}
+// migFrameRoom is the part of a frame MIG keeps free beside the blob, for
+// the other fields of its answer and of the router's ADP: verb, workload
+// reference, rank and scheduling options.
+const migFrameRoom = 4 << 10
 
 // serveSTA answers the node's current capacity/health advertisement.
 // Connection-goroutine side, no owner submit: every input is an atomic
@@ -54,13 +45,14 @@ func (d *Dispatcher) serveSTA() *Response {
 }
 
 // serveMIG extracts a session for cross-node migration and answers with
-// the serialized MigBlob. The session leaves this node entirely: it is
-// unpublished from the dispatcher, its plane closed, its placement
-// reservation released. The router must send MIG on the session's own
-// (sticky) connection — the ownership check holds like any other verb, and
-// with it the rule that a ring session takes nothing but a lone RLS over the
-// socket: its mapped segment names this node's doorbells and could not follow
-// anyway.
+// the serialized session (gvm.ExtractedSession.Encode). The session leaves
+// this node entirely: it is unpublished from the dispatcher, its plane
+// closed, its placement reservation released. The router must send MIG on
+// the session's own (sticky) connection — the ownership check holds like
+// any other verb, and with it the rule that a ring session takes nothing
+// but a lone RLS over the socket: its mapped segment names this node's
+// doorbells and could not follow anyway. A blob no frame can carry — the
+// answer here, the router's ADP next — is refused, and the session stays.
 func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	s, err := d.lookup(req.Session, cs)
 	if err != nil {
@@ -78,36 +70,28 @@ func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter
 	case ext == nil:
 		return errResp(fmt.Errorf("transport: session %d is closed", s.id)), true
 	}
-	extB, err := ext.Encode()
-	if err == nil {
-		var blob []byte
-		blob, err = json.Marshal(MigBlob{
-			Ref: s.ref, Rank: s.rank,
-			InBytes: s.inB, OutBytes: s.outB,
-			Ext: extB,
-		})
-		if err == nil {
-			// Point of no return: the session has left this node. The
-			// sticky connection stays up (the router owns its lifetime)
-			// but the id no longer resolves here. ExtractSession quiesced
-			// the stream and dropped the gvm session, so nothing references
-			// a mapped plane's staging.
-			cs.dropOwned(s.id)
-			d.retire(s)
-			if d.cfg.Log != nil {
-				d.cfg.Log.Info("session extracted for cross-node migration",
-					"session", s.id, "gpu", from, "bytes", ext.Bytes())
-			}
-			return &Response{Status: "ACK", Session: s.id, Data: blob}, true
+	blob := ext.Encode()
+	if len(blob) > MaxFrame-migFrameRoom {
+		// Too large to travel: put the session back so it keeps serving.
+		err = fmt.Errorf("transport: MIG session %d: its %d-byte blob does not fit a %d-byte frame", s.id, len(blob), MaxFrame)
+		if _, aerr := d.adopt(s, ext, from, submit); aerr == errShutdown {
+			return nil, false
+		} else if aerr != nil {
+			err = fmt.Errorf("%v; re-adopt on gpu %d: %v", err, from, aerr)
 		}
+		return errResp(err), true
 	}
-	// Serialization failed: put the session back so it keeps serving.
-	if _, aerr := d.adopt(s, ext, from, submit); aerr == errShutdown {
-		return nil, false
-	} else if aerr != nil {
-		return errResp(fmt.Errorf("transport: session %d stranded: encode: %v; re-adopt on gpu %d: %v", s.id, err, from, aerr)), true
+	// Point of no return: the session has left this node. The sticky
+	// connection stays up (the router owns its lifetime) but the id no
+	// longer resolves here. ExtractSession quiesced the stream and dropped
+	// the gvm session, so nothing references a mapped plane's staging.
+	cs.dropOwned(s.id)
+	d.retire(s)
+	if d.cfg.Log != nil {
+		d.cfg.Log.Info("session extracted for cross-node migration",
+			"session", s.id, "gpu", from, "bytes", ext.Bytes())
 	}
-	return errResp(fmt.Errorf("transport: MIG encode session %d: %w", s.id, err)), true
+	return &Response{Status: "ACK", Session: s.id, Data: blob}, true
 }
 
 // serveADP adopts a MIG blob under a freshly minted local session id
@@ -117,24 +101,19 @@ func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter
 // router sends ADP as the first frame on the session's new sticky
 // connection.
 func (d *Dispatcher) serveADP(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
-	if len(req.Data) == 0 {
-		return errResp(errors.New("transport: ADP needs a migration blob")), true
+	if req.Ref == nil {
+		return errResp(errors.New("transport: ADP needs a workload reference")), true
 	}
-	var blob MigBlob
-	if err := json.Unmarshal(req.Data, &blob); err != nil {
-		return errResp(fmt.Errorf("transport: ADP decode: %w", err)), true
-	}
-	ext, err := gvm.DecodeExtracted(blob.Ext)
+	w, err := workloads.FromRef(*req.Ref)
 	if err != nil {
 		return errResp(err), true
 	}
-	w, err := workloads.FromRef(blob.Ref)
+	ext, err := gvm.DecodeExtracted(req.Data)
 	if err != nil {
 		return errResp(err), true
 	}
-	spec := w.Spec(blob.Rank)
-	ext.Spec = spec
-	srcID := ext.ID
+	spec := w.Spec(req.Rank)
+	ext.Request = gvm.Request{Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight}
 
 	// Two-level placement, lower level: the router picked this node, the
 	// node's own policy picks the shard.
@@ -147,13 +126,13 @@ func (d *Dispatcher) serveADP(req *Request, cs *ConnState, submit ShardSubmitter
 		shard: shard,
 		inB:   spec.InBytes, outB: spec.OutBytes,
 		owner: cs, d: d, plane: hostPlane{kind: PlaneInline},
-		ref: blob.Ref, rank: blob.Rank,
+		ref: *req.Ref, rank: req.Rank,
 	}
 	if !d.onShard(submit, shard, func(*sim.Proc) { s.id = mgr.MintSessionID() }) {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
 		return nil, false
 	}
-	ext.SetID(s.id)
+	ext.ID = s.id
 	vms, aerr := d.adopt(s, ext, shard, submit)
 	if aerr != nil {
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
@@ -167,7 +146,7 @@ func (d *Dispatcher) serveADP(req *Request, cs *ConnState, submit ShardSubmitter
 	d.publish(s, cs)
 	if d.cfg.Log != nil {
 		d.cfg.Log.Info("session adopted from cross-node migration",
-			"session", s.id, "source-session", srcID, "gpu", shard)
+			"session", s.id, "gpu", shard)
 	}
 	return &Response{
 		Status:    "ACK",

@@ -14,29 +14,30 @@ import (
 type Request struct {
 	Verb    string // REQ SND STR STP RCV RLS
 	Session int
-	Ref     *workloads.Ref // REQ only
-	Rank    int            // REQ only
+	Ref     *workloads.Ref // REQ and ADP only
+	Rank    int            // REQ and ADP only
 	// Plane names the data plane the client wants for the session (REQ
 	// only): PlaneShm, PlaneInline, or "" to accept the transport's
 	// default.
 	Plane string
 	// Data carries the SND payload on the inline data plane (nil on the
-	// shm plane, where the payload travels through the segment).
+	// shm plane, where the payload travels through the segment), and ADP's
+	// migration blob.
 	Data []byte
 	// Batch carries the sub-requests of a BAT container frame, executed
 	// in order in one daemon round trip (verb pipelining). Sub-requests
 	// must not nest batches. Empty for ordinary single-verb frames, whose
 	// wire form is unchanged from the pre-batch protocol.
 	Batch []Request
-	// MemQuota (REQ only) is an optional hard per-session device-memory
-	// limit in bytes, enforced by the manager at every allocation. 0 (the
-	// wire default) means unlimited; frames without the field are
-	// byte-identical to the pre-quota format.
+	// MemQuota (REQ and ADP only) is an optional hard per-session
+	// device-memory limit in bytes, enforced by the manager at every
+	// allocation. 0 (the wire default) means unlimited; frames without the
+	// field are byte-identical to the pre-quota format.
 	MemQuota int64
-	// Priority (REQ only) orders eviction under memory pressure: lower
-	// priority sessions are evicted first. 0 is the default class.
+	// Priority (REQ and ADP only) orders eviction under memory pressure:
+	// lower priority sessions are evicted first. 0 is the default class.
 	Priority int
-	// Weight (REQ only) is the session's weighted-fair share of SM
+	// Weight (REQ and ADP only) is the session's weighted-fair share of SM
 	// compute time (and its preemption precedence). 0 (the wire default)
 	// derives the weight from Priority; frames without the field are
 	// byte-identical to the pre-QoS format.
