@@ -73,7 +73,15 @@ vet:
 # non-test file of internal/transport or internal/gvm imports encoding/json
 # — base64 inside JSON inside a frame is how a migration once cost 8/3 of
 # its footprint. node's STA advertisement keeps its JSON: it is
-# operator-facing.
+# operator-facing. And one landing path and one move fence: a session lands
+# on a node one way, serveREQ — an ADP is a REQ whose Data is a MIG blob, and
+# gvm's AdoptSession mints its id — so non-test internal/transport declares
+# no serveADP or adoptOwner beside it and internal/gvm exports no
+# MintSessionID for a second landing to re-id through; and a socket frame is
+# fenced from a move by the session's migMu alone, held from SND's staging
+# copy to RCV's, so hostSession declares no migrating latch and no settle
+# method to lift it — a latch beside the lock is how a SND raced a move and
+# bounced.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -112,6 +120,11 @@ one-engine:
 	@bad=$$(grep -nE '^[^/]*\bfunc\b.*[( ](transport\.)?(Request|Response)[,)]' $$(ls internal/transport/*.go internal/ipc/*.go internal/fed/*.go | grep -v _test.go) | \
 		grep -vE '^internal/transport/frame\.go:[0-9]+:func Encode(Request|Response)Binary\('); \
 	[ -z "$$bad" ] || { echo "a frame travels by value (a Request or Response value parameter, or a (Request, error) / (Response, error) result, in non-test transport/ipc/fed; pass the carrier's retained frame by pointer):"; echo "$$bad"; exit 1; }
+	@src=$$(ls internal/transport/*.go | grep -v _test.go); \
+	bad=$$( { grep -nE '^func (\([^)]*\) )?(serveADP|adoptOwner)\(|^func \([A-Za-z_]+ \*hostSession\) settle\(' $$src; \
+		awk '/^type hostSession struct/ { f = 1 } f && /^}/ { f = 0 } f && /^[[:space:]]*([A-Za-z_]+[[:space:]]*,[[:space:]]*)*migrating([[:space:]]*,|[[:space:]])/ { print FILENAME ":" FNR ": hostSession declares migrating" }' $$src; \
+		grep -nE '^func \([^)]*\) MintSessionID\(' $$(ls internal/gvm/*.go | grep -v _test.go); } ); \
+	[ -z "$$bad" ] || { echo "a second landing path or a second move fence (serveADP or adoptOwner in internal/transport, a migrating field or settle method on hostSession, or an exported gvm MintSessionID):"; echo "$$bad"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport ./internal/gvm | grep -qx encoding/json || { echo "a second wire codec (non-test internal/transport or internal/gvm imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob)"; exit 1; }
 
 build:

@@ -17,7 +17,6 @@ import (
 
 // Process is one SPMD process's direct (non-virtualized) GPU attachment.
 type Process struct {
-	dev     *gpusim.Device
 	ctx     *gpusim.Context
 	spec    *task.Spec
 	devIn   cuda.DevPtr
@@ -33,7 +32,7 @@ type Process struct {
 // SwitchCost overrides the architecture's context-switch cost when
 // nonzero (the paper's Table II measures per-application switch costs).
 func Attach(p *sim.Proc, dev *gpusim.Device, spec *task.Spec, switchCost sim.Duration) (*Process, error) {
-	pr := &Process{dev: dev, spec: spec, ctx: dev.CreateContext(p)}
+	pr := &Process{spec: spec, ctx: dev.CreateContext(p)}
 	var err error
 	pr.ctx.SwitchCost = switchCost
 	if spec.InBytes > 0 {

@@ -197,7 +197,6 @@ type fedSession struct {
 // clientConn identifies one accepted client connection; sessions are
 // owned by the connection that opened them, like the daemon's ConnState.
 type clientConn struct {
-	conn  *transport.Conn
 	owned []int
 }
 

@@ -58,7 +58,7 @@ func (r *Router) serveConn(nc net.Conn) {
 		return
 	}
 	conn := transport.NewConn(nc)
-	cc := &clientConn{conn: conn}
+	cc := &clientConn{}
 	defer func() {
 		conn.Close()
 		conn.Release()

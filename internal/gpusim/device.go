@@ -74,7 +74,7 @@ type Device struct {
 
 	arbOwner     *Context // context currently owning the device
 	arbHolder    bool
-	arbQueue     []arbWaiter
+	arbQueue     []*sim.Event // queued contexts' grants, FIFO
 	sched        *smScheduler
 	preemptRatio float64
 
@@ -101,11 +101,6 @@ type Device struct {
 // Preemptions returns the wave-boundary preemption count. Safe to call
 // from any goroutine.
 func (d *Device) Preemptions() int64 { return d.preemptions.Load() }
-
-type arbWaiter struct {
-	ctx   *Context
-	grant *sim.Event
-}
 
 // New creates a simulated device. The architecture must validate.
 func New(env *sim.Env, cfg Config) (*Device, error) {
@@ -323,9 +318,9 @@ func (c *Context) Acquire(p *sim.Proc) {
 	c.mustLive()
 	d := c.dev
 	if d.arbHolder {
-		w := arbWaiter{ctx: c, grant: d.env.NewEvent()}
-		d.arbQueue = append(d.arbQueue, w)
-		p.Wait(w.grant)
+		grant := d.env.NewEvent()
+		d.arbQueue = append(d.arbQueue, grant)
+		p.Wait(grant)
 	} else {
 		d.arbHolder = true
 	}
@@ -350,7 +345,7 @@ func (c *Context) Release() {
 	}
 	next := d.arbQueue[0]
 	d.arbQueue = d.arbQueue[1:]
-	next.grant.Fire(nil)
+	next.Fire(nil)
 }
 
 // Malloc allocates device memory for this context; in functional mode it

@@ -150,22 +150,28 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	return ext, nil
 }
 
-// AdoptSession installs an extracted session on this manager under ext.ID;
-// like an opened one it needs a BindDirect before it takes verbs. A session
+// AdoptSession installs an extracted session on this manager under ext.ID,
+// or, when ext.ID is 0 (a session off the wire, whose source-node id may
+// collide with a live local one), under a freshly minted id it writes back
+// to ext.ID. Like an opened session it needs a BindDirect before it takes
+// verbs. A session
 // its client suspended arrives suspended and stays down until RES. Any
 // other arrives evicted and is materialized eagerly; if the target is too
 // loaded to restore right now the snapshot stays intact and the next
 // verb's transparent restore retries — adoption itself only fails
 // on an id collision (impossible under the node's striped id scheme) or a
-// buffer that is not the size ext.Spec gives it. The session was admitted
-// on its source shard and the node re-placed it against this shard's
-// headroom, so no quota re-check.
+// buffer that is not the size ext.Spec gives it, and then mints nothing.
+// The session was admitted on its source shard and the node re-placed it
+// against this shard's headroom, so no quota re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
 	}
 	if err := ext.size(m.dev.RoundUp); err != nil {
 		return fmt.Errorf("gvm: AdoptSession: session %d: %w", ext.ID, err)
+	}
+	if ext.ID == 0 {
+		ext.ID = m.mintSessionID()
 	}
 	s := &session{
 		id: ext.ID, spec: ext.Spec,

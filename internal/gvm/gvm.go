@@ -525,12 +525,11 @@ func (m *Manager) Device() *gpusim.Device { return m.dev }
 // value of every manager series' gpu label).
 func (m *Manager) GPUIndex() int { return m.cfg.GPUIndex }
 
-// MintSessionID advances the manager's striped id counter and returns a
-// fresh session id. REQ mints through it; the cross-node adoption path
-// also calls it to re-id an ExtractedSession whose source-node id may
-// collide with a live local one. Owner-goroutine side (it mutates
-// manager state), like AdoptSession.
-func (m *Manager) MintSessionID() int {
+// mintSessionID advances the manager's striped id counter and returns a
+// fresh session id: OpenSession's, and AdoptSession's for a session that
+// crossed nodes (its source-node id may collide with a live local one).
+// Owner side (it mutates manager state).
+func (m *Manager) mintSessionID() int {
 	stride := m.cfg.SessionIDStride
 	if stride < 1 {
 		stride = 1
@@ -690,7 +689,7 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 			m.cfg.GPUIndex, m.shmInUse, footprint, quota)
 	}
 	s := &session{
-		id: m.MintSessionID(), spec: r.Spec,
+		id: m.mintSessionID(), spec: r.Spec,
 		memQuota: r.MemQuota, priority: r.Priority, lastUsed: p.Now(),
 		weight: sessionWeight(r),
 	}

@@ -66,7 +66,8 @@ func (e *ExtractedSession) Encode() []byte {
 
 // DecodeExtracted rebuilds an extracted session from Encode's bytes,
 // copying each buffer out of data (a connection reuses its read buffer).
-// The caller sets ID and Request before adoption.
+// The caller sets Request before adoption; ID stays 0, so AdoptSession
+// mints the session a local id.
 func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 	bad := func(format string, a ...any) (*ExtractedSession, error) {
 		return nil, fmt.Errorf("gvm: decode extracted session: "+format, a...)

@@ -11,6 +11,7 @@ import (
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/node"
 	"gpuvirt/internal/shm"
+	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
 
@@ -144,11 +145,9 @@ func drainMidJob(t *testing.T, s *Server) {
 		t.Fatal("no shard owns the session after STR")
 	}
 	dst := 1 - src
-	if err := s.Drain(src); err != nil {
-		t.Fatal(err)
-	}
+	s.node.SetHealth(src, node.Draining)
 	if got := s.node.Health(src); got != node.Draining {
-		t.Fatalf("gpu %d health = %v after Drain, want draining", src, got)
+		t.Fatalf("gpu %d health = %v after the drain, want draining", src, got)
 	}
 
 	// STP and RCV complete from the target shard; the bytes must match.
@@ -227,7 +226,75 @@ func drainMidJob(t *testing.T, s *Server) {
 	}
 }
 
-// TestRingREQRacesDrain races a ring REQ against Server.Drain(0) on fresh
+// TestDrainAllServesInPlace: a node drained whole (gvmd's SIGUSR1) has no
+// healthy shard to move a session to, so every session keeps serving where
+// it is and its arenas never leave the device. Each session's next cycle —
+// which first tries to rescue it off its draining shard — returns the right
+// bytes, and no shard swaps a byte out. A move that extracted before it
+// looked for a target took every arena D2H and back for nothing.
+func TestDrainAllServesInPlace(t *testing.T) {
+	const n = 4096
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	for _, gpus := range []int{1, 2} {
+		for _, plane := range []string{transport.PlaneShm, transport.PlaneInline} {
+			t.Run(fmt.Sprintf("gpus=%d/%s", gpus, plane), func(t *testing.T) {
+				s := startServerOn(t, ServerConfig{
+					Listen:     []string{fmt.Sprintf("inproc://drainall-in-place-%d-%s", gpus, plane)},
+					Functional: true,
+					GPUs:       gpus,
+				})
+				c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, Plane: plane})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				out := make([]byte, 4*n)
+				cycle := func(sess *Session, seed int) {
+					t.Helper()
+					in, want := vecaddInput(n, seed)
+					if err := sess.RunCycle(in, out); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out, want) {
+						t.Fatalf("session %d: wrong bytes", sess.ID())
+					}
+				}
+				sessions := make([]*Session, 2*gpus)
+				for i := range sessions {
+					if sessions[i], err = c.Request(ref, 0); err != nil {
+						t.Fatal(err)
+					}
+					cycle(sessions[i], i)
+				}
+				for _, l := range s.node.Loads() {
+					if l.Sessions != 2 {
+						t.Fatalf("gpu %d holds %d sessions, want 2", l.Shard, l.Sessions)
+					}
+				}
+
+				s.DrainAll()
+				for i, sess := range sessions {
+					cycle(sess, len(sessions)+i)
+				}
+				samples := scrapeMetrics(t, s.Metrics())
+				for gpu := 0; gpu < gpus; gpu++ {
+					key := fmt.Sprintf(`gvm_swap_bytes_total{dir="out",gpu="%d"}`, gpu)
+					if got, ok := samples[key]; !ok || got != 0 {
+						t.Errorf("%s = %d (exported: %v), want 0: a drain with nowhere to go moved arenas", key, got, ok)
+					}
+				}
+				for _, sess := range sessions {
+					if err := sess.Release(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitShardsClean(t, s)
+			})
+		}
+	}
+}
+
+// TestRingREQRacesDrain races a ring REQ against a drain of gpu 0 on fresh
 // two-shard daemons: the drain starts 0–45 µs after the REQ publishes its
 // session on gpu 0, while the REQ is still on its way back to the client.
 // The evacuation moves the session, and its ring ends up on exactly one
@@ -266,9 +333,7 @@ func TestRingREQRacesDrain(t *testing.T) {
 			}
 			for start := time.Now(); time.Since(start) < delay; {
 			}
-			if err := s.Drain(0); err != nil {
-				t.Fatal(err)
-			}
+			s.node.SetHealth(0, node.Draining)
 			<-requested
 			if reqErr != nil {
 				t.Fatalf("try %d (drain after %v): REQ: %v", try, delay, reqErr)

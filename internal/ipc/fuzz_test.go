@@ -34,8 +34,10 @@ func dialRaw(t testing.TB, addr string) *transport.Conn {
 // stay up, and hold nothing once the connection is gone. An adoption makes
 // the blob's arena buffers device memory as they are, so what it adopts
 // must also take a whole cycle — copies and kernels over every byte the
-// spec addresses — without the daemon dying on a short arena. The seed is
-// a real blob: a staged session pulled off the same daemon with MIG.
+// spec addresses — without the daemon dying on a short arena; one it
+// refuses leaves every shard's placed sessions and bytes where they were.
+// The seed is a real blob: a staged session pulled off the same daemon with
+// MIG.
 func FuzzMigBlob(f *testing.F) {
 	s, err := NewServer(ServerConfig{
 		Listen:     []string{"inproc://fuzz-migblob"},
@@ -98,7 +100,16 @@ func FuzzMigBlob(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		c := dial(t)
+		before := s.Node().Loads()
 		resp := trip(t, c, transport.Request{Verb: "ADP", Ref: &ref, Data: blob})
+		if resp.Status == "ERR" {
+			for i, l := range s.Node().Loads() {
+				if l.Sessions != before[i].Sessions || l.Bytes != before[i].Bytes {
+					t.Fatalf("ADP answered %q but left gpu %d placing %d sessions, %d bytes (before: %d, %d)",
+						resp.Err, i, l.Sessions, l.Bytes, before[i].Sessions, before[i].Bytes)
+				}
+			}
+		}
 		if resp.Status == "ACK" {
 			// An adopted session is a session like any other: it runs a
 			// cycle (whatever each verb answers, it answers) and releases.

@@ -255,19 +255,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
 // (there is no "the device" on a multi-GPU daemon).
 func (s *Server) Node() *node.Node { return s.node }
 
-// Drain marks a shard Draining — no new placements land on it — and
-// live-migrates its sessions to the remaining healthy shards. gvmd
-// triggers it on SIGUSR1 for graceful maintenance; already-Unhealthy
-// shards keep their state (health only escalates).
-func (s *Server) Drain(shard int) error {
-	if shard < 0 || shard >= s.node.NumShards() {
-		return fmt.Errorf("ipc: drain: no such gpu %d", shard)
-	}
-	s.node.Drain(shard)
-	go s.disp.EvacuateShard(shard, s.submit)
-	return nil
-}
-
 // DrainAll gracefully decommissions the whole node: every shard stops
 // taking placements at once. gvmd triggers it on SIGUSR1. Intra-node
 // failover has nowhere to go, so sessions keep serving in place; a

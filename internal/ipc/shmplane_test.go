@@ -12,6 +12,7 @@ import (
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/metrics"
+	"gpuvirt/internal/node"
 	"gpuvirt/internal/shm"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -119,9 +120,7 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			}
 
 			src := checkAlias("after REQ")
-			if err := s.Drain(src); err != nil {
-				t.Fatal(err)
-			}
+			s.node.SetHealth(src, node.Draining)
 			// Wait for the target to hold it: between the source's extract and
 			// the target's adopt no shard does.
 			for deadline := 400; ; deadline-- {
@@ -245,11 +244,8 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 			t.Fatal("clients never got going")
 		}
 	}
-	err = s.Drain(0)
+	s.node.SetHealth(0, node.Draining)
 	close(draining)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {

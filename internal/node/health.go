@@ -94,10 +94,6 @@ func (n *Node) SetHealth(i int, h HealthState) {
 	}
 }
 
-// Drain marks shard i for graceful decommission: no new placements and
-// the fault handler (the failover engine) migrates its sessions away.
-func (n *Node) Drain(i int) { n.SetHealth(i, Draining) }
-
 // DrainAll drains the whole node: every shard is marked Draining before
 // any fault handler fires, so the per-shard evacuations that follow
 // cannot ping-pong sessions onto a sibling that is about to drain too.
@@ -126,11 +122,11 @@ func (n *Node) DrainAll() {
 }
 
 // SetFaultHandler installs the callback invoked whenever a shard's
-// health escalates (fault injection or Drain). The handler runs on the
-// goroutine that caused the escalation — for device faults that is the
-// goroutine holding the shard's owner lock, so it must not block on work
-// that needs that same lock; the ipc server's handler hands off to a
-// background goroutine. Install before serving traffic.
+// health escalates (a device fault, SetHealth or DrainAll). The handler
+// runs on the goroutine that caused the escalation — for device faults
+// that is the goroutine holding the shard's owner lock, so it must not
+// block on work that needs that same lock; the ipc server's handler hands
+// off to a background goroutine. Install before serving traffic.
 func (n *Node) SetFaultHandler(fn func(shard int, h HealthState)) {
 	n.mu.Lock()
 	n.faultHandler = fn

@@ -84,22 +84,22 @@ func TestSetHealthEscalatesOnly(t *testing.T) {
 	}
 }
 
-// TestDrainIsAnEscalation checks Drain is the graceful evacuation entry:
-// it marks the shard Draining via the same escalate-only machine, so an
-// already-Unhealthy shard keeps its state.
+// TestDrainIsAnEscalation checks a drain is the graceful evacuation entry:
+// SetHealth marks the shard Draining via the same escalate-only machine, so
+// an already-Unhealthy shard keeps its state.
 func TestDrainIsAnEscalation(t *testing.T) {
 	nd, err := New(Config{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.Drain(0)
+	nd.SetHealth(0, Draining)
 	if got := nd.Health(0); got != Draining {
-		t.Fatalf("health after Drain = %v, want draining", got)
+		t.Fatalf("health after a drain = %v, want draining", got)
 	}
 	nd.SetHealth(1, Unhealthy)
-	nd.Drain(1)
+	nd.SetHealth(1, Draining)
 	if got := nd.Health(1); got != Unhealthy {
-		t.Fatalf("Drain downgraded an unhealthy shard to %v", got)
+		t.Fatalf("a drain downgraded an unhealthy shard to %v", got)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestPlaceSkipsUnplaceableShards(t *testing.T) {
 			t.Fatalf("placement %d landed on gpu %d, want 1 (the only healthy shard)", i, idx)
 		}
 	}
-	nd.Drain(1)
+	nd.SetHealth(1, Draining)
 	_, err = nd.Place(1<<10, 1<<10)
 	if err == nil {
 		t.Fatal("Place succeeded with every shard unplaceable")

@@ -131,7 +131,7 @@ func TestAdvertisementRoundTrip(t *testing.T) {
 	if _, err := nd.Place(1<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	nd.Drain(1)
+	nd.SetHealth(1, Draining)
 
 	ad := nd.Advertise()
 	if ad.V != AdvertVersion {

@@ -176,7 +176,6 @@ type SessionRing struct {
 	Sub Ring // client produces, server consumes
 	Cpl Ring // server produces, client consumes
 
-	buf        []byte
 	in, out    []byte
 	clientDoor *atomic.Uint32
 	doorOff    *atomic.Uint32 // the header word naming the shard doorbell
@@ -262,7 +261,6 @@ func InitSessionRing(seg Segment, c RingConfig, inBytes, outBytes int64, doorFil
 	copy(buf[offDoorFile+1:], doorFile)
 
 	sr := &SessionRing{
-		buf:        buf,
 		clientDoor: u32at(buf, offClientDoor),
 		doorOff:    u32at(buf, offDoorOff),
 		doorFile:   doorFile,
@@ -338,7 +336,6 @@ func AttachSessionRing(seg Segment) (*SessionRing, error) {
 		return nil, fmt.Errorf("shm: doorbell segment name length %d out of range", nameLen)
 	}
 	sr := &SessionRing{
-		buf:        buf,
 		clientDoor: u32at(buf, offClientDoor),
 		doorOff:    u32at(buf, offDoorOff),
 		doorFile:   string(buf[offDoorFile+1 : offDoorFile+1+nameLen]),

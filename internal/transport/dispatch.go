@@ -162,19 +162,15 @@ type hostSession struct {
 	outB  int64       //   (returned to the node on release)
 	owner *ConnState  // the connection that opened the session
 	d     *Dispatcher // the session table it is published in
-	// ref/rank identify the session's workload in wire-serializable form;
-	// the cross-node MIG path ships them with the extracted state so the
-	// adopting node can rebuild the (non-serializable) kernel spec.
-	ref  workloads.Ref
-	rank int
 
-	// migMu serializes failover migrations against verb dispatch and
-	// teardown: migrate holds it across both owner submits (source
-	// extract, target adopt), and every owner-phase caller holds it
-	// around its submit so a verb never runs while the session is
-	// between shards. Lock order: migMu, the shard's owner lock (a Submitter
-	// call), mu; migMu is never taken inside a turn, so holding it across a
-	// Submitter call cannot deadlock.
+	// migMu is the one fence between a move and everything else: migrate and
+	// MIG hold it across both owner submits (source extract, target adopt),
+	// a socket frame from its SND's staging copy through its RCV's, and
+	// teardown around its submit — so no frame or release ever sees the
+	// session between shards; a frame that races a move waits for it. Lock
+	// order: migMu, the shard's owner lock (a Submitter call), mu; migMu is
+	// never taken inside a turn, so holding it across a Submitter call
+	// cannot deadlock.
 	migMu sync.Mutex
 
 	// mu guards the connection-side staging state (the plane's staging)
@@ -182,11 +178,10 @@ type hostSession struct {
 	// retire marks the session closed under mu before closing the plane,
 	// and staging copies check closed under mu first. It is a leaf: taken
 	// inside a turn (retire), never held across a Submitter call.
-	mu        sync.Mutex
-	closed    bool
-	migrating bool // a failover is moving the session between shards
-	shard     int  // the node shard (GPU) hosting the session
-	plane     hostPlane
+	mu     sync.Mutex
+	closed bool
+	shard  int // the node shard (GPU) hosting the session
+	plane  hostPlane
 
 	run frameRun // the session's one frame in flight, on either front-end
 
@@ -202,20 +197,6 @@ func (s *hostSession) loc() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.shard
-}
-
-// adoptOwner lands an extracted session on shard and binds its staging.
-// Owner side (inside a turn on shard).
-func (s *hostSession) adoptOwner(p *sim.Proc, shard int, ext *gvm.ExtractedSession) error {
-	mgr := s.d.cfg.Node.Shard(shard).Mgr
-	if err := mgr.AdoptSession(p, ext); err != nil {
-		return err
-	}
-	if err := s.bindStaging(shard); err != nil {
-		mgr.ReleaseSession(p, s.id) // ext stays adoptable elsewhere
-		return fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, shard, err)
-	}
-	return nil
 }
 
 // bindStaging gives the gvm session on shard its daemon side: the data plane
@@ -257,9 +238,6 @@ func (s *hostSession) bindStaging(shard int) error {
 func (s *hostSession) staged() error {
 	if s.closed {
 		return fmt.Errorf("transport: session %d is closed", s.id)
-	}
-	if s.migrating {
-		return errors.New(gvm.Retryable(fmt.Sprintf("transport: session %d migrating", s.id)))
 	}
 	return nil
 }
@@ -355,7 +333,7 @@ func (d *Dispatcher) Serve(req *Request, cs *ConnState, submit ShardSubmitter) (
 	vi.reqs.Inc()
 	start := time.Now()
 	switch req.Verb {
-	case "REQ":
+	case "REQ", "ADP":
 		resp, ok = d.serveREQ(req, cs, submit)
 	case "BAT", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES":
 		resp, ok = d.serveFrame(req, cs, submit)
@@ -363,8 +341,6 @@ func (d *Dispatcher) Serve(req *Request, cs *ConnState, submit ShardSubmitter) (
 		resp, ok = d.serveSTA(), true
 	case "MIG":
 		resp, ok = d.serveMIG(req, cs, submit)
-	case "ADP":
-		resp, ok = d.serveADP(req, cs, submit)
 	default:
 		resp, ok = errResp(fmt.Errorf("transport: unknown verb %q", req.Verb)), true
 	}
@@ -405,16 +381,31 @@ func (d *Dispatcher) lookup(id int, cs *ConnState) (*hostSession, error) {
 	return s, err
 }
 
+// serveREQ is the one way a session lands on this node. A REQ opens a fresh
+// one. An ADP — a REQ whose Data is a MIG blob (federate.go) — adopts the
+// blob's session under a freshly minted local id (the source node's striped
+// ids can collide with live local ones) on the inline plane, whose staging
+// is the blob's own buffers. Either way the adopting connection owns the
+// session and the answer names its id, plane and staging sizes.
 func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	if req.Ref == nil {
-		return errResp(errors.New("transport: REQ needs a workload reference")), true
+		return errResp(fmt.Errorf("transport: %s needs a workload reference", req.Verb)), true
 	}
 	w, err := workloads.FromRef(*req.Ref)
 	if err != nil {
 		return errResp(err), true
 	}
 	spec := w.Spec(req.Rank)
+	r := gvm.Request{Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight}
 	kind := req.Plane
+	var ext *gvm.ExtractedSession
+	if req.Verb == "ADP" {
+		if ext, err = gvm.DecodeExtracted(req.Data); err != nil {
+			return errResp(err), true
+		}
+		ext.Request = r
+		kind = PlaneInline
+	}
 	if kind == "" {
 		kind = cs.DefaultPlane
 	}
@@ -426,11 +417,12 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		return errResp(err), true
 	}
 
-	// Admission + placement: the node picks the shard once, here; every
-	// later verb for the session routes straight to it. Owner phase: open
-	// the gvm session (the owner only accounts virtual time, payload
-	// bytes never move on it). A shard that faults between the two fails
-	// the open on its own account: place again without it.
+	// Admission + placement: the node picks the shard once, here (for an
+	// ADP the router picked the node, the node's own policy picks the
+	// shard); every later verb for the session routes straight to it. Owner
+	// phase: open or adopt the gvm session (the owner only accounts virtual
+	// time, payload bytes never move on it). A shard that faults between the
+	// two fails the landing on its own account: place again without it.
 	var (
 		shard int
 		mgr   *gvm.Manager
@@ -444,9 +436,11 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		}
 		mgr = d.cfg.Node.Shard(shard).Mgr
 		ok := d.onShard(submit, shard, func(p *sim.Proc) {
-			id, verr = mgr.OpenSession(p, gvm.Request{
-				Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
-			})
+			if ext == nil {
+				id, verr = mgr.OpenSession(p, r)
+			} else if verr = mgr.AdoptSession(p, ext); verr == nil {
+				id = ext.ID
+			}
 			vms = p.Now().Milliseconds()
 		})
 		if ok && verr == nil {
@@ -469,7 +463,6 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		id: id, shard: shard,
 		inB: spec.InBytes, outB: spec.OutBytes,
 		owner: cs, d: d, plane: plane,
-		ref: *req.Ref, rank: req.Rank,
 	}
 	err = s.plane.create(d.cfg.ShmDir, SegPrefix+strconv.Itoa(s.id), s)
 	// Owner phase: the plane becomes the session's pinned staging, and a ring
@@ -521,7 +514,9 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 // goroutine starts the session's frameRun under the shard's lock; a run parked
 // at the STR barrier finishes in a peer's turn and is waited for off the lock
 // — so a full SPMD cycle (SND+STR+STP+RCV) costs a single submission.
-// Connection phase again: publish RCV results, finish RLS bookkeeping.
+// Connection phase again: publish RCV results, finish RLS bookkeeping. The
+// session's migMu is held from the staging copy to the RCV publish, so a
+// move waits for the frame and the frame for a move.
 func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitter) (*Response, bool) {
 	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
 	id, verbs, bat, err := FrameSteps(req, buf[:0])
@@ -557,6 +552,8 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 	// evacuation moves before the frame is dispatched — its verbs then run
 	// on the healthy target instead of bouncing.
 	d.rescueIfUnhealthy(s, submit)
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
 
 	// Connection phase: land the SND payload in pinned staging. SND can only
 	// lead a frame, so a frame that cannot stage does no owner work at all.
@@ -575,14 +572,10 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 		}
 	}
 
-	// Owner phase. The session's migMu is held across it so its placement
-	// cannot change between the shard snapshot and the run.
+	// Owner phase, on the shard the session stays on until migMu is let go.
 	if resps == nil {
-		s.migMu.Lock()
 		s.run.verbs = append(s.run.verbs[:0], verbs...)
-		ok := submit(s.loc(), s.begin, s.done)
-		s.migMu.Unlock()
-		if !ok {
+		if !submit(s.loc(), s.begin, s.done) {
 			return nil, false
 		}
 		resps = s.run.resps
@@ -690,8 +683,8 @@ func (d *Dispatcher) ReleaseAll(submit ShardSubmitter) {
 // for evacuation (Unhealthy or Draining). Verb paths call it before
 // dispatching so a session on a faulted shard moves at the next client
 // touch even if the background evacuation has not reached it yet.
-// Failures are logged, not returned: the verb proceeds and reports its
-// own (retryable) error.
+// Failures are logged, not returned: the verb proceeds where the session
+// is — with no healthy target it serves in place, untouched.
 func (d *Dispatcher) rescueIfUnhealthy(s *hostSession, submit ShardSubmitter) {
 	if !d.cfg.Node.Health(s.loc()).Evacuate() {
 		return
@@ -702,9 +695,10 @@ func (d *Dispatcher) rescueIfUnhealthy(s *hostSession, submit ShardSubmitter) {
 }
 
 // EvacuateShard live-migrates every session off shard. The daemon wires
-// it to the node's fault handler (and to drain requests) so a shard
-// going Unhealthy empties itself in the background; verbs arriving for
-// a session mid-move answer retryable errors the client retries.
+// it to the node's fault handler so a shard going Unhealthy or Draining
+// empties itself in the background; a socket frame arriving for a session
+// mid-move waits for it, a ring frame in flight answers a retryable error
+// the client retries.
 func (d *Dispatcher) EvacuateShard(shard int, submit ShardSubmitter) {
 	d.mu.RLock()
 	victims := make([]*hostSession, 0, len(d.sessions))
@@ -726,21 +720,18 @@ func (d *Dispatcher) EvacuateShard(shard int, submit ShardSubmitter) {
 var errShutdown = errors.New("transport: shutdown during migration")
 
 // extract is the first half of every move — failover to another shard
-// (migrate), MIG to another node: latch the session as migrating, so verbs
-// racing the move answer retryable errors, then on the source owner end a
-// frame in flight (abortRun), take a ring session off its shard's sweep
-// (the client's mapping stays valid, and the adopting turn puts the same
-// ringSession on the target's sweep), and quiesce and extract the gvm
-// session. The caller holds s.migMu and calls s.settle when the move is
-// over, however it ended. A session already closed returns no state and no
-// error.
+// (migrate), MIG to another node: on the source owner end a ring frame in
+// flight with a retryable error (abortRun; a socket frame cannot be in
+// flight, the caller holds s.migMu), take a ring session off its shard's
+// sweep (the client's mapping stays valid, and the adopting turn puts the
+// same ringSession on the target's sweep), and quiesce and extract the gvm
+// session. A session already closed returns no state and no error.
 func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.ExtractedSession, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return 0, nil, nil
 	}
-	s.migrating = true
 	from := s.shard
 	s.mu.Unlock()
 	mgr := d.cfg.Node.Shard(from).Mgr
@@ -760,78 +751,65 @@ func (d *Dispatcher) extract(s *hostSession, submit ShardSubmitter) (int, *gvm.E
 	return from, ext, err
 }
 
-// settle ends the migrating latch extract set.
-func (s *hostSession) settle() {
-	s.mu.Lock()
-	s.migrating = false
-	s.mu.Unlock()
-}
-
 // adopt is the second half of every move, one turn on shard: adopt ext into
 // the shard's gvm manager, bind the staging back onto the data plane (a
 // mapped segment held the truth all along: nothing is copied back; a ring
 // joins the shard's sweep, its header now naming the shard's door), and
 // remap the session's routing — in the turn, because the sweep that ends it
 // may already run one of the session's ring frames, an RLS among them. The
-// caller holds the placement on shard; the result is the shard's virtual
-// time at landing.
-func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int, submit ShardSubmitter) (float64, error) {
-	var (
-		vms float64
-		err error
-	)
+// caller holds s.migMu and the placement on shard.
+func (d *Dispatcher) adopt(s *hostSession, ext *gvm.ExtractedSession, shard int, submit ShardSubmitter) error {
+	mgr := d.cfg.Node.Shard(shard).Mgr
+	var err error
 	if !d.onShard(submit, shard, func(p *sim.Proc) {
-		if err = s.adoptOwner(p, shard, ext); err == nil {
-			s.mu.Lock()
-			s.shard = shard
-			s.mu.Unlock()
+		if err = mgr.AdoptSession(p, ext); err != nil {
+			return
 		}
-		vms = p.Now().Milliseconds()
+		if err = s.bindStaging(shard); err != nil {
+			mgr.ReleaseSession(p, s.id) // ext stays adoptable elsewhere
+			err = fmt.Errorf("transport: bind session %d staging on gpu %d: %w", s.id, shard, err)
+			return
+		}
+		s.mu.Lock()
+		s.shard = shard
+		s.mu.Unlock()
 	}) {
-		return 0, errShutdown
+		return errShutdown
 	}
-	return vms, err
+	return err
 }
 
-// migrate live-migrates one session off its current shard: extract on the
-// source owner, re-place through the node's live policy — which only sees
-// healthy shards — and adopt on the target owner. Verbs that race the move
-// answer retryable errors; an interrupted execution cycle re-runs on the
-// target, which is byte-identical because kernels are deterministic
-// functions of the staged input. If no healthy shard can take the session
-// it is re-adopted on the source so teardown keeps working, and the error
-// reports the stranding.
+// migrate live-migrates one session off its current shard: reserve a
+// target through the node's live policy — which only sees healthy shards —
+// then extract on the source owner and adopt on the target owner. A session
+// with nowhere healthy to go is left where it is, untouched: it keeps
+// serving in place. A frame that races the move waits for it (migMu); an
+// interrupted execution cycle re-runs on the target, which is
+// byte-identical because kernels are deterministic functions of the staged
+// input. An adoption the target refuses re-adopts on the source, so
+// teardown keeps working, and the error reports it.
 func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	if !d.cfg.Node.Health(s.loc()).Evacuate() {
 		return nil // another migration already moved it
 	}
+	to, err := d.cfg.Node.Place(s.inB, s.outB)
+	if err != nil {
+		return fmt.Errorf("transport: no healthy shard for session %d: %w", s.id, err)
+	}
 	start := time.Now()
 	from, ext, err := d.extract(s, submit)
-	defer s.settle()
-	switch {
-	case err == errShutdown:
-		return err
-	case err != nil:
-		return fmt.Errorf("transport: extract session %d from gpu %d: %w", s.id, from, err)
-	case ext == nil:
-		return nil // closed meanwhile
-	}
-
-	to, perr := d.cfg.Node.Place(s.inB, s.outB)
-	if perr != nil {
-		// Nowhere healthy to go: park the session back on the source so
-		// release paths still reclaim its memory, and report the strand.
-		if _, rerr := d.adopt(s, ext, from, submit); rerr != nil {
-			return fmt.Errorf("transport: session %d stranded: placement: %v; re-adopt on gpu %d: %v",
-				s.id, perr, from, rerr)
-		}
-		return fmt.Errorf("transport: no healthy shard for session %d: %w", s.id, perr)
-	}
-	if _, aerr := d.adopt(s, ext, to, submit); aerr != nil {
+	if ext == nil {
 		d.cfg.Node.Release(to, s.inB, s.outB)
-		if _, rerr := d.adopt(s, ext, from, submit); rerr != nil {
+		if err != nil && err != errShutdown {
+			err = fmt.Errorf("transport: extract session %d from gpu %d: %w", s.id, from, err)
+		}
+		return err // nil: closed meanwhile
+	}
+	if aerr := d.adopt(s, ext, to, submit); aerr != nil {
+		d.cfg.Node.Release(to, s.inB, s.outB)
+		if rerr := d.adopt(s, ext, from, submit); rerr != nil {
 			return fmt.Errorf("transport: session %d stranded: adopt on gpu %d: %v; re-adopt on gpu %d: %v",
 				s.id, to, aerr, from, rerr)
 		}
