@@ -81,7 +81,13 @@ vet:
 # fenced from a move by the session's migMu alone, held from SND's staging
 # copy to RCV's, so hostSession declares no migrating latch and no settle
 # method to lift it — a latch beside the lock is how a SND raced a move and
-# bounced.
+# bounced. And one launch: gpusim.Context.Launch dispatches, waits and
+# returns the kernel's fault, so its launch record can be recycled the
+# moment its launcher wakes — non-test internal/gpusim declares no other
+# exported Launch... method or type (the retired LaunchAsync,
+# LaunchAsyncOpts, LaunchOptions), and non-test internal/gvm reaches its
+# kernels only through Context.Launch, naming no other Launch... identifier:
+# an async launch beside it is how an aborted kernel once read as success.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -125,6 +131,10 @@ one-engine:
 		awk '/^type hostSession struct/ { f = 1 } f && /^}/ { f = 0 } f && /^[[:space:]]*([A-Za-z_]+[[:space:]]*,[[:space:]]*)*migrating([[:space:]]*,|[[:space:]])/ { print FILENAME ":" FNR ": hostSession declares migrating" }' $$src; \
 		grep -nE '^func \([^)]*\) MintSessionID\(' $$(ls internal/gvm/*.go | grep -v _test.go); } ); \
 	[ -z "$$bad" ] || { echo "a second landing path or a second move fence (serveADP or adoptOwner in internal/transport, a migrating field or settle method on hostSession, or an exported gvm MintSessionID):"; echo "$$bad"; exit 1; }
+	@bad=$$( { grep -nE '^func \([^)]*\) Launch[A-Z][A-Za-z]*\(|^type Launch[A-Z][A-Za-z]*\b' $$(ls internal/gpusim/*.go | grep -v _test.go); \
+		grep -nE '\bLaunch[A-Z][A-Za-z]*' $$(ls internal/gvm/*.go | grep -v _test.go); } ); \
+	grep -q '\.Launch(' $$(ls internal/gvm/*.go | grep -v _test.go) || bad="$$bad internal/gvm:no-Context.Launch-call"; \
+	[ -z "$$bad" ] || { echo "a second kernel launch (an exported Launch... method or type beside Context.Launch in non-test internal/gpusim, or non-test internal/gvm reaching kernels other than through Context.Launch):"; echo "$$bad"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport ./internal/gvm | grep -qx encoding/json || { echo "a second wire codec (non-test internal/transport or internal/gvm imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob)"; exit 1; }
 
 build:
@@ -144,10 +154,12 @@ race:
 # boundary, and a cross-shard migration from a turn on one device
 # to a turn on another — and vgpu, which runs the engine's calendar from a second
 # front-end, and sim, whose worker coroutines every one of those Envs
-# shares through one free list — 20 times in shuffled order under the race
-# detector. Zero flakes allowed.
+# shares through one free list, and cuda, whose kernels keep the block
+# context a serial run reuses beside the parallel executor's per-worker
+# ones — 20 times in shuffled order under the race detector. Zero flakes
+# allowed.
 flake:
-	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/ ./internal/sim/
+	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/ ./internal/sim/ ./internal/cuda/
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, the evict+restore

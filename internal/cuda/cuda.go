@@ -92,9 +92,10 @@ type Memory interface {
 }
 
 // BlockCtx is the execution context handed to a functional kernel for one
-// thread block. The executor builds one BlockCtx per block range and only
-// rewrites BlockIdx between blocks, so a body must not retain its BlockCtx
-// (or a pointer into it) past the call, and must not mutate it.
+// thread block. A serial run reuses the one BlockCtx its kernel keeps, each
+// executor worker fills one of its own, and only BlockIdx is rewritten
+// between blocks, so a body must not retain its BlockCtx (or a pointer into
+// it) past the call, and must not mutate it.
 type BlockCtx struct {
 	BlockIdx Dim3 // this block's coordinates within the grid
 	GridDim  Dim3
@@ -170,6 +171,11 @@ type Kernel struct {
 	// this false promise block-disjoint writes and may be executed by any
 	// number of workers with bit-identical results.
 	SerialOnly bool
+
+	// bc is the block context every serial run of the kernel reuses, so a
+	// launch allocates none; one kernel therefore runs serially on one
+	// goroutine at a time, as a launch on a device's owner does.
+	bc BlockCtx
 }
 
 // Threads returns the total number of threads in the launch.
@@ -230,6 +236,6 @@ func (k *Kernel) RunFunctional(mem Memory) error {
 	if k.Func == nil {
 		return fmt.Errorf("cuda: kernel %q has no functional body", k.Name)
 	}
-	k.runBlockRange(mem, 0, k.Blocks())
+	k.runBlockRange(&k.bc, mem, 0, k.Blocks())
 	return nil
 }

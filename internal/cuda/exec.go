@@ -78,7 +78,8 @@ func (e *Executor) Run(k *Kernel, mem Memory) error {
 					panics[w] = r
 				}
 			}()
-			k.runBlockRange(mem, lo, hi)
+			var bc BlockCtx
+			k.runBlockRange(&bc, mem, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -91,13 +92,14 @@ func (e *Executor) Run(k *Kernel, mem Memory) error {
 }
 
 // runBlockRange executes the kernel body for flat block indices [lo, hi)
-// in ascending order. Flat order matches RunFunctional: x fastest, then
-// y, then z. The range shares one BlockCtx whose BlockIdx is rewritten per
-// block (each executor worker runs its own range, so none is shared across
-// goroutines); bodies honor the BlockCtx contract and never keep it.
-func (k *Kernel) runBlockRange(mem Memory, lo, hi int) {
+// in ascending order through bc. Flat order matches RunFunctional: x
+// fastest, then y, then z. The range shares bc, whose BlockIdx is rewritten
+// per block; bodies honor the BlockCtx contract and never keep it. bc is
+// the kernel's own for a serial run and a worker's own on the pool, so
+// none is shared across goroutines.
+func (k *Kernel) runBlockRange(bc *BlockCtx, mem Memory, lo, hi int) {
 	g := k.Grid.Norm()
-	bc := BlockCtx{
+	*bc = BlockCtx{
 		GridDim:  g,
 		BlockDim: k.Block.Norm(),
 		Mem:      mem,
@@ -105,6 +107,6 @@ func (k *Kernel) runBlockRange(mem Memory, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		bc.BlockIdx = Dim3{X: i % g.X, Y: (i / g.X) % g.Y, Z: i / (g.X * g.Y)}
-		k.Func(&bc)
+		k.Func(bc)
 	}
 }

@@ -83,7 +83,7 @@ func (pr *Process) RunCycle(p *sim.Proc) error {
 		pr.ctx.MemcpyH2D(p, pr.devIn, pr.hostIn, pr.spec.InBytes)
 	}
 	for _, k := range pr.kernels {
-		if err := pr.ctx.Launch(p, k); err != nil {
+		if err := pr.ctx.Launch(p, k, 1); err != nil {
 			return err
 		}
 	}
@@ -106,7 +106,7 @@ func (pr *Process) RunPhases(p *sim.Proc) (tin, tcomp, tout sim.Duration, err er
 	tin = p.Now().Sub(mark)
 	mark = p.Now()
 	for _, k := range pr.kernels {
-		if err = pr.ctx.Launch(p, k); err != nil {
+		if err = pr.ctx.Launch(p, k, 1); err != nil {
 			return tin, 0, 0, err
 		}
 	}

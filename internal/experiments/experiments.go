@@ -208,7 +208,7 @@ func pureGPUTime(w workloads.Workload) (sim.Duration, error) {
 			ctx.MemcpyH2D(p, devIn, pinIn, spec.InBytes)
 		}
 		for _, k := range ks {
-			if err := ctx.Launch(p, k); err != nil {
+			if err := ctx.Launch(p, k, 1); err != nil {
 				runErr = err
 				return
 			}

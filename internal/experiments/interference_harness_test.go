@@ -202,12 +202,10 @@ func interfRun(p interfParams) (interfTrial, error) {
 					},
 				}
 				start := pr.Now()
-				ev, err := c.LaunchAsyncOpts(pr, k, gpusim.LaunchOptions{Weight: p.latWeight})
-				if err != nil {
+				if err := c.Launch(pr, k, p.latWeight); err != nil {
 					errs = append(errs, err)
 					return
 				}
-				pr.Wait(ev)
 				res.latencies = append(res.latencies, pr.Now().Sub(start))
 				c.MemcpyD2H(pr, gpusim.WrapHost(cuda.HostFloat32Bytes(hout), false), out, interfHotN*4)
 				for i, v := range hout {
@@ -230,7 +228,7 @@ func interfRun(p interfParams) (interfTrial, error) {
 					CyclesPerThread: interfBatchCycles,
 				}
 				for !stop {
-					if err := c.Launch(pr, k); err != nil {
+					if err := c.Launch(pr, k, 1); err != nil {
 						errs = append(errs, err)
 						return
 					}
@@ -292,12 +290,10 @@ func fairnessRun(ws []int, honorWeights bool, dur sim.Duration) (FairnessRun, er
 					lw = 1
 				}
 				for pr.Now() < end {
-					ev, err := c.LaunchAsyncOpts(pr, k, gpusim.LaunchOptions{Weight: lw})
-					if err != nil {
+					if err := c.Launch(pr, k, lw); err != nil {
 						errs = append(errs, err)
 						return
 					}
-					pr.Wait(ev)
 					done[t]++
 				}
 			})

@@ -536,44 +536,38 @@ func (c *Context) SwapIn(p *sim.Proc, data []byte, n int64) (cuda.DevPtr, error)
 	return ptr, nil
 }
 
-// Launch runs a kernel synchronously on the calling process: it pays the
-// launch overhead, dispatches the kernel to the SM scheduler, and blocks
-// until the kernel completes.
-func (c *Context) Launch(p *sim.Proc, k *cuda.Kernel) error {
-	done, err := c.LaunchAsync(p, k)
-	if err != nil {
-		return err
-	}
-	p.Wait(done)
-	return nil
-}
-
-// LaunchAsync pays the launch overhead on the calling process and enqueues
-// the kernel for execution at the default weight; the returned event fires
-// at completion.
-func (c *Context) LaunchAsync(p *sim.Proc, k *cuda.Kernel) (*sim.Event, error) {
-	return c.LaunchAsyncOpts(p, k, LaunchOptions{})
-}
-
-// LaunchOptions carries per-launch QoS parameters.
-type LaunchOptions struct {
-	// Weight is the kernel's share of SM issue throughput relative to
-	// co-resident kernels, and its precedence for window admission and
-	// wave-boundary preemption. 0 or 1 is the default (all pre-QoS
-	// behavior, bit-identical); values are clamped to [1, MaxLaunchWeight].
-	Weight int
-}
-
 // MaxLaunchWeight bounds per-launch weights so the weight-class metric
 // label set stays small and integer arithmetic in the scheduler cannot
 // overflow.
 const MaxLaunchWeight = 1024
 
-// LaunchAsyncOpts is LaunchAsync with explicit QoS options. On a device
-// with a hang or fatal fault the launch fails synchronously with a
-// *FaultError; an injector installed via SetFaultInjector is ticked
-// first, so a launch may itself trip the fault it then fails with.
-func (c *Context) LaunchAsyncOpts(p *sim.Proc, k *cuda.Kernel, o LaunchOptions) (*sim.Event, error) {
+// Launch runs a kernel synchronously on the calling process and returns
+// once it has completed. weight is the kernel's share of SM issue
+// throughput relative to co-resident kernels, and its precedence for
+// window admission and wave-boundary preemption: 0 or 1 is the default
+// (all pre-QoS behavior, bit-identical), and values are clamped to
+// [1, MaxLaunchWeight]. On a device with a hang or fatal fault the launch
+// fails at once with a *FaultError; an injector installed via
+// SetFaultInjector is ticked first, so a launch may itself trip the fault
+// it then fails with. A kernel such a fault aborts in flight fails with the
+// fault's *FaultError too.
+func (c *Context) Launch(p *sim.Proc, k *cuda.Kernel, weight int) error {
+	ls, err := c.dispatch(p, k, weight)
+	if err != nil {
+		return err
+	}
+	v := p.Wait(ls.done)
+	c.dev.sched.recycle(ls)
+	if err, ok := v.(error); ok {
+		return err
+	}
+	return nil
+}
+
+// dispatch is Launch up to the wait: it validates k, ticks the injector,
+// checks faults, pays the launch overhead and hands the kernel to the SM
+// scheduler, returning its launch record.
+func (c *Context) dispatch(p *sim.Proc, k *cuda.Kernel, weight int) (*launchState, error) {
 	c.mustLive()
 	if err := k.Validate(c.dev.arch); err != nil {
 		return nil, err
@@ -582,7 +576,7 @@ func (c *Context) LaunchAsyncOpts(p *sim.Proc, k *cuda.Kernel, o LaunchOptions) 
 	if err := c.dev.faultFor(XidHang, XidFatal); err != nil {
 		return nil, err
 	}
-	w := o.Weight
+	w := weight
 	if w < 1 {
 		w = 1
 	} else if w > MaxLaunchWeight {
@@ -592,17 +586,9 @@ func (c *Context) LaunchAsyncOpts(p *sim.Proc, k *cuda.Kernel, o LaunchOptions) 
 	p.Sleep(d.arch.KernelLaunchOverhead)
 	if d.exclusive != nil {
 		// Architectures without copy/compute overlap serialize the kernel
-		// against transfers: hold the exclusive engine for the duration.
+		// against transfers: it holds the exclusive engine until the
+		// scheduler completes it (smScheduler.complete).
 		d.exclusive.Acquire(p, 1)
-		done := d.sched.launch(c, k, w)
-		release := d.env.NewEvent()
-		done.OnFire(func(v any) {
-			d.exclusive.Release(1)
-			// Forward the payload: an aborted kernel's *FaultError must
-			// reach the waiter through the wrapper event too.
-			release.Fire(v)
-		})
-		return release, nil
 	}
 	return d.sched.launch(c, k, w), nil
 }

@@ -606,7 +606,7 @@ func TestSchedulerUtilization(t *testing.T) {
 		c.Acquire(p)
 		defer c.Release()
 		k := &cuda.Kernel{Name: "u", Grid: cuda.Dim(14), Block: cuda.Dim(128), CyclesPerThread: 1e6}
-		done, err := c.LaunchAsync(p, k)
+		done, err := startLaunch(c, p, k, 1)
 		if err != nil {
 			t.Error(err)
 			return

@@ -96,13 +96,8 @@ func TestMemoryFaultFailsMallocsNotCopies(t *testing.T) {
 		c.MemcpyD2H(p, host, ptr, 1024)
 		// Kernels still launch: memory faults degrade, they do not hang.
 		k := &cuda.Kernel{Name: "k", Grid: cuda.Dim(1), Block: cuda.Dim(128), CyclesPerThread: 1e3}
-		done, err := c.LaunchAsync(p, k)
-		if err != nil {
+		if err := c.Launch(p, k, 1); err != nil {
 			t.Errorf("launch on memory-faulted device: %v", err)
-			return
-		}
-		if v := p.Wait(done); v != nil {
-			t.Errorf("kernel on memory-faulted device completed with %v", v)
 		}
 	})
 	run(t, env)
@@ -118,7 +113,7 @@ func TestHangFaultAbortsInFlightKernels(t *testing.T) {
 		c.Acquire(p)
 		defer c.Release()
 		k := &cuda.Kernel{Name: "long", Grid: cuda.Dim(28), Block: cuda.Dim(1024), CyclesPerThread: 1e6}
-		done, err := c.LaunchAsync(p, k)
+		done, err := startLaunch(c, p, k, 1)
 		if err != nil {
 			t.Errorf("launch: %v", err)
 			return
@@ -137,7 +132,7 @@ func TestHangFaultAbortsInFlightKernels(t *testing.T) {
 		if !ok || fe.Kind != XidHang {
 			t.Errorf("aborted kernel payload = %v, want xid hang FaultError", err)
 		}
-		if _, err := c.LaunchAsync(p, k); err == nil {
+		if err := c.Launch(p, k, 1); err == nil {
 			t.Error("launch succeeded on a hung device")
 		}
 	})
@@ -158,18 +153,14 @@ func TestFaultInjectorAfterN(t *testing.T) {
 		c.Acquire(p)
 		defer c.Release()
 		k := &cuda.Kernel{Name: "k", Grid: cuda.Dim(1), Block: cuda.Dim(128), CyclesPerThread: 1e3}
-		done, err := c.LaunchAsync(p, k)
-		if err != nil {
+		if err := c.Launch(p, k, 1); err != nil {
 			t.Errorf("launch 1: %v", err)
 			return
-		}
-		if v := p.Wait(done); v != nil {
-			t.Errorf("launch 1 completed with %v", v)
 		}
 		if dev.Fault() != FaultNone {
 			t.Error("fault fired before its launch count")
 		}
-		if _, err := c.LaunchAsync(p, k); err == nil {
+		if err := c.Launch(p, k, 1); err == nil {
 			t.Error("launch 2 should trip the injector and fail")
 		} else if fe, ok := IsFault(err); !ok || fe.Kind != XidHang {
 			t.Errorf("launch 2 error = %v, want xid hang", err)
@@ -193,7 +184,7 @@ func TestFaultInjectorRateSeeded(t *testing.T) {
 		defer c.Release()
 		k := &cuda.Kernel{Name: "k", Grid: cuda.Dim(1), Block: cuda.Dim(128), CyclesPerThread: 1e3}
 		// rate=1: the very first launch must fault.
-		if _, err := c.LaunchAsync(p, k); err == nil {
+		if err := c.Launch(p, k, 1); err == nil {
 			t.Error("rate=1 injector did not fire on the first launch")
 		} else if fe, ok := IsFault(err); !ok || fe.Kind != XidFatal {
 			t.Errorf("error = %v, want xid fatal", err)

@@ -68,6 +68,10 @@ type smScheduler struct {
 	groupFree []*smGroup
 	// perSMFree recycles the per-kernel resident-block count slices.
 	perSMFree [][]int32
+	// launchFree recycles launch records with their completion events, so
+	// a synchronous launch allocates neither (Context.Launch returns its
+	// record once the launcher has woken).
+	launchFree []*launchState
 
 	// Scratch buffers reused across reschedules (never escape).
 	orderScratch []*launchState
@@ -110,7 +114,11 @@ type launchState struct {
 
 	start       sim.Time
 	memFloorEnd sim.Time
-	done        *sim.Event
+	// done fires at completion with nil or an abort's *FaultError. It and
+	// fire, bound to fireLaunch(this record) when the record is made, stay
+	// with the record across reuse.
+	done *sim.Event
+	fire func()
 }
 
 // resident returns how many of the kernel's blocks currently occupy SMs.
@@ -151,10 +159,10 @@ func newSMScheduler(env *sim.Env, dev *Device) *smScheduler {
 	return s
 }
 
-// launch registers a kernel for execution and returns its completion
-// event. The caller has already paid the launch overhead and normalized
-// the weight to >= 1.
-func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Event {
+// launch registers a kernel for execution and returns its launch record,
+// whose done event fires at completion. The caller has already paid the
+// launch overhead and normalized the weight to >= 1.
+func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *launchState {
 	occ, err := s.arch.Occupancy(k.Resources())
 	if err != nil {
 		// Validate is called before launch; reaching here is a bug.
@@ -170,7 +178,8 @@ func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Even
 	if shm > 0 && s.arch.SharedAllocUnit > 1 {
 		shm = (shm + s.arch.SharedAllocUnit - 1) / s.arch.SharedAllocUnit * s.arch.SharedAllocUnit
 	}
-	ls := &launchState{
+	ls := s.takeLaunch()
+	*ls = launchState{
 		ctx:         ctx,
 		k:           k,
 		occ:         occ,
@@ -182,7 +191,8 @@ func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Even
 		total:       k.Blocks(),
 		perSM:       s.takePerSM(),
 		start:       s.env.Now(),
-		done:        s.env.NewEvent(),
+		done:        ls.done,
+		fire:        ls.fire,
 	}
 	if mem := k.TotalMemBytes(); mem > 0 && s.arch.MemBandwidth > 0 {
 		ls.memFloorEnd = ls.start.Add(sim.Duration(mem / s.arch.MemBandwidth * 1e9))
@@ -193,7 +203,32 @@ func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Even
 		s.pending = append(s.pending, ls)
 	}
 	s.reschedule()
-	return ls.done
+	return ls
+}
+
+func (s *smScheduler) takeLaunch() *launchState {
+	if n := len(s.launchFree); n > 0 {
+		ls := s.launchFree[n-1]
+		s.launchFree[n-1] = nil
+		s.launchFree = s.launchFree[:n-1]
+		return ls
+	}
+	ls := &launchState{done: s.env.NewEvent()}
+	ls.fire = func() { s.fireLaunch(ls) }
+	return ls
+}
+
+// recycle returns a completed launch's record to the free list. Only its
+// launcher may call it, once its wait on done has returned: by then no SM
+// group, timer, window slot, pending entry or abort list names the record,
+// and the launcher, done's sole consumer, may Reset it.
+func (s *smScheduler) recycle(ls *launchState) {
+	done, fire := ls.done, ls.fire
+	done.Reset()
+	*ls = launchState{done: done, fire: fire}
+	if len(s.launchFree) < 32 {
+		s.launchFree = append(s.launchFree, ls)
+	}
 }
 
 func (s *smScheduler) admit(ls *launchState) {
@@ -462,15 +497,15 @@ func (s *smScheduler) finishAt(ls *launchState, i int) {
 	s.admitNext()
 	s.dev.KernelsRun++
 	if s.env.Now() < ls.memFloorEnd {
-		s.env.At(ls.memFloorEnd, func() { s.fireLaunch(ls) })
+		s.env.At(ls.memFloorEnd, ls.fire)
 	} else {
 		s.fireLaunch(ls)
 	}
 }
 
 // fireLaunch runs the kernel's functional body (in functional mode) and
-// fires its completion event; it is finish's tail, split out so the
-// common no-memory-floor case pays no closure.
+// completes the launch; it is finish's tail, split out so a memory-floored
+// kernel can run it later through the record's bound fire.
 func (s *smScheduler) fireLaunch(ls *launchState) {
 	if s.dev.functional && ls.k.Func != nil {
 		// Device.Bytes only reads the allocation table, so concurrent
@@ -483,14 +518,26 @@ func (s *smScheduler) fireLaunch(ls *launchState) {
 	if s.dev.tracing() {
 		s.dev.emit("sm", fmt.Sprintf("ctx%d kernel %s", ls.ctx.id, ls.k.Name), ls.start, s.env.Now())
 	}
-	ls.done.Fire(nil)
+	s.complete(ls, nil)
+}
+
+// complete fires ls's done with err (nil, or an abort's *FaultError). On an
+// architecture without copy/compute overlap the kernel has held the
+// exclusive engine since its launch: it is released first, so a transfer
+// queued behind the kernel is granted at this instant ahead of the
+// launcher's wake.
+func (s *smScheduler) complete(ls *launchState, err error) {
+	if s.dev.exclusive != nil {
+		s.dev.exclusive.Release(1)
+	}
+	ls.done.Fire(err)
 }
 
 // abortAll kills every in-flight kernel (hang/fatal fault injection):
 // resident blocks are discarded, SM budgets returned, the window and
-// pending queue emptied, and each kernel's done event fires with err as
-// its payload — no functional body runs and no KernelsRun credit is
-// given, so waiters observe the fault instead of a silent success.
+// pending queue emptied, and each kernel completes with err — no
+// functional body runs and no KernelsRun credit is given, so its launcher
+// observes the fault instead of a silent success.
 func (s *smScheduler) abortAll(err error) {
 	s.advanceAll()
 	for _, sm := range s.sms {
@@ -514,7 +561,7 @@ func (s *smScheduler) abortAll(err error) {
 	s.window = 0
 	for _, ls := range aborted {
 		s.releasePerSM(ls)
-		ls.done.Fire(err)
+		s.complete(ls, err)
 	}
 }
 

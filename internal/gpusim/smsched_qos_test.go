@@ -27,12 +27,15 @@ func launchQoS(t *testing.T, cfg Config, ws []int, ks ...*cuda.Kernel) (makespan
 		events := make([]*sim.Event, len(ks))
 		for i, k := range ks {
 			i := i
-			ev, err := c.LaunchAsyncOpts(p, k, LaunchOptions{Weight: ws[i]})
+			ev, err := startLaunch(c, p, k, ws[i])
 			if err != nil {
 				t.Errorf("launch %s: %v", k.Name, err)
 				return
 			}
-			ev.OnFire(func(any) { each[i] = env.Now().Sub(start) })
+			env.Go(k.Name, func(q *sim.Proc) {
+				q.Wait(ev)
+				each[i] = q.Now().Sub(start)
+			})
 			events[i] = ev
 		}
 		for _, ev := range events {
@@ -191,7 +194,7 @@ func TestWeightsPreserveFunctionalResults(t *testing.T) {
 						}
 					},
 				}
-				ev, err := c.LaunchAsyncOpts(p, k, LaunchOptions{Weight: ws[i]})
+				ev, err := startLaunch(c, p, k, ws[i])
 				if err != nil {
 					t.Errorf("launch: %v", err)
 					return

@@ -65,7 +65,7 @@ func launchAndTime(t *testing.T, arch fermi.Arch, ks ...*cuda.Kernel) (makespan 
 		for i, k := range ks {
 			i, k := i, k
 			env.Go("launcher", func(p *sim.Proc) {
-				if err := c.Launch(p, k); err != nil {
+				if err := c.Launch(p, k, 1); err != nil {
 					t.Errorf("launch %s: %v", k.Name, err)
 				}
 				each[i] = p.Now().Sub(start)
@@ -224,7 +224,7 @@ func TestLaunchInvalidKernelFails(t *testing.T) {
 		c.Acquire(p)
 		defer c.Release()
 		bad := &cuda.Kernel{Name: "bad", Grid: cuda.Dim(1), Block: cuda.Dim(4096)}
-		if err := c.Launch(p, bad); err == nil {
+		if err := c.Launch(p, bad, 1); err == nil {
 			t.Error("launch of 4096-thread block succeeded")
 		}
 	})
@@ -271,7 +271,7 @@ func TestFunctionalKernelComputes(t *testing.T) {
 				}
 			},
 		}
-		if err := c.Launch(p, k); err != nil {
+		if err := c.Launch(p, k, 1); err != nil {
 			t.Fatal(err)
 		}
 		hout := make([]float32, n)

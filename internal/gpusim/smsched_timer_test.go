@@ -30,7 +30,7 @@ func TestLaunchSchedulesOneEventPerWave(t *testing.T) {
 		c.Acquire(p)
 		defer c.Release()
 		before := env.Scheduled()
-		if err := c.Launch(p, k); err != nil {
+		if err := c.Launch(p, k, 1); err != nil {
 			t.Error(err)
 		}
 		events = env.Scheduled() - before
@@ -81,7 +81,7 @@ func TestOneTimerSameSchedule(t *testing.T) {
 			c.Acquire(p)
 			defer c.Release()
 			if abort {
-				ev, err := c.LaunchAsync(p, victim)
+				ev, err := startLaunch(c, p, victim, 1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -93,7 +93,7 @@ func TestOneTimerSameSchedule(t *testing.T) {
 				}
 			}
 			start, before := p.Now(), env.Scheduled()
-			if err := c.Launch(p, next); err != nil {
+			if err := c.Launch(p, next, 1); err != nil {
 				t.Error(err)
 			}
 			took, events = p.Now().Sub(start), env.Scheduled()-before

@@ -16,7 +16,7 @@ func h2dAsync(s *Stream, d cuda.DevPtr, h *HostBuffer, n int64) {
 
 func launchAsync(s *Stream, k *cuda.Kernel, cb func()) {
 	s.EnqueueCB(func(p *sim.Proc) {
-		if err := s.ctx.Launch(p, k); err != nil {
+		if err := s.ctx.Launch(p, k, 1); err != nil {
 			panic(err)
 		}
 	}, cb)

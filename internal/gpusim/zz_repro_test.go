@@ -23,12 +23,12 @@ func TestReproZeroWorkPreempt(t *testing.T) {
 		defer c.Release()
 		a := &cuda.Kernel{Name: "light", Grid: cuda.Dim(420), Block: cuda.Dim(256), CyclesPerThread: 1e5}
 		z := &cuda.Kernel{Name: "heavyzero", Grid: cuda.Dim(4), Block: cuda.Dim(256), CyclesPerThread: 0}
-		evA, err := c.LaunchAsyncOpts(p, a, LaunchOptions{Weight: 1})
+		evA, err := startLaunch(c, p, a, 1)
 		if err != nil {
 			t.Errorf("launch a: %v", err)
 			return
 		}
-		evZ, err := c.LaunchAsyncOpts(p, z, LaunchOptions{Weight: 4})
+		evZ, err := startLaunch(c, p, z, 4)
 		if err != nil {
 			t.Errorf("launch z: %v", err)
 			return

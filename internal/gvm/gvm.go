@@ -912,8 +912,9 @@ func (m *Manager) prepareOps(s *session) {
 				return // an earlier op already hit the device fault
 			}
 			s.launches.Inc()
-			done, err := ctx.LaunchAsyncOpts(p, k, gpusim.LaunchOptions{Weight: s.weight})
-			if err != nil {
+			// A hang or fatal fault fails the launch, or aborts the kernel
+			// in flight; either way Launch returns its *FaultError.
+			if err := ctx.Launch(p, k, s.weight); err != nil {
 				if _, ok := gpusim.IsFault(err); ok {
 					s.failed = err
 					return
@@ -921,13 +922,6 @@ func (m *Manager) prepareOps(s *session) {
 				// Non-fault launch errors are manager bugs: the kernel was
 				// validated at REQ and resources are stream-serialized.
 				panic(fmt.Sprintf("gvm: session %d: %v", s.id, err))
-			}
-			// A hang/fatal fault aborts in-flight kernels by firing their
-			// completion events with a *FaultError payload.
-			if v := p.Wait(done); v != nil {
-				if e, ok := v.(error); ok {
-					s.failed = e
-				}
 			}
 		})
 	}

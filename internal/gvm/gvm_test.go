@@ -48,7 +48,10 @@ func TestNewRequiresDevice(t *testing.T) {
 func TestManagerInitializationPaysTinitOnce(t *testing.T) {
 	env, m := newManager(t, nil)
 	var readyAt sim.Time = -1
-	m.Ready().OnFire(func(any) { readyAt = env.Now() })
+	env.Go("probe", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		readyAt = p.Now()
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -262,18 +262,21 @@ const (
 
 // startOversub boots the oversubscribed daemon behind a unix socket, opens
 // and warms the sessions, and returns the function that runs cycle i —
-// on session i mod 8, output verified — with the daemon.
+// on session i mod 8, output verified — with the daemon. Its kernels run
+// serially, as the benchmark's one-CPU daemon runs them, so what a cycle
+// allocates does not depend on the host's core count.
 func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 	tb.Helper()
 	dir := tb.TempDir()
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 100 << 10
 	s = startServerOn(tb, ServerConfig{
-		Listen:     []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
-		ShmDir:     dir,
-		Functional: true,
-		Arch:       arch,
-		Overcommit: 4,
+		Listen:      []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
+		ShmDir:      dir,
+		Functional:  true,
+		Arch:        arch,
+		Overcommit:  4,
+		ExecWorkers: 1,
 	})
 	c, err := Dial(s.Addr(), dir)
 	if err != nil {

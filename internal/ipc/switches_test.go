@@ -86,33 +86,55 @@ func TestWarmCycleProcessSwitches(t *testing.T) {
 }
 
 // daemonCycleAllocs is what a warm cycle allocates in the daemon whatever
-// carries it: the kernel's completion Event and its waiter, one BlockCtx and
-// one launch record, all inside gpusim.
-const daemonCycleAllocs = 4
+// carries it: nothing. A kernel launch reuses its launch record, the
+// record's completion event with its waiter backing, and the kernel's block
+// context. Go's heap goal never drops below 4 MiB, so any per-cycle garbage
+// at all holds about 5 MB of a daemon's RSS.
+const daemonCycleAllocs = 0
+
+// oversubCycleAllocs is what a warm cycle on an evicted session allocates
+// (serial executor): the restore path — the session's rebuilt kernels and
+// prepared ops, the snapshot, the restore process — which still allocates.
+const oversubCycleAllocs = 24
 
 // TestSocketCycleDaemonAllocs is TestWarmCycleProcessSwitches' allocation
-// twin: a warm unix:// BAT cycle allocates in the daemon exactly what a ring
-// cycle does — what the engine allocates — and nothing for being carried by a
-// socket: no done channel, no closure, no request process, no Batch backing.
-// Client and daemon share the test's heap; the client side of a warm cycle
-// allocates nothing on either carrier, so the count is the daemon's.
+// twin: a warm BAT cycle allocates in the daemon exactly what a ring cycle
+// does — what the engine allocates — and nothing for being carried by a
+// socket, unix:// with the shm plane or tcp:// with the inline one: no done
+// channel, no closure, no request process, no Batch backing. Client and
+// daemon share the test's heap; the client side of a warm cycle allocates
+// nothing on any carrier, so the count is the daemon's. The oversub row
+// pins the evict+restore cycle at its exact count, so the restore path
+// cannot grow while it is still open.
 func TestSocketCycleDaemonAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		start func(t *testing.T) (s *Server, dir string)
+		start func(t *testing.T) (cycle func(i int))
+		want  float64
 	}{
-		{"ring", func(t *testing.T) (*Server, string) { return startRingServer(t, 1) }},
-		{"unix", func(t *testing.T) (*Server, string) {
+		{"ring", func(t *testing.T) func(int) {
+			s, dir := startRingServer(t, 1)
+			return oneSession(t, s, dir)
+		}, daemonCycleAllocs},
+		{"unix", func(t *testing.T) func(int) {
 			s := startServer(t, 1, true)
-			return s, s.cfg.ShmDir
-		}},
+			return oneSession(t, s, s.cfg.ShmDir)
+		}, daemonCycleAllocs},
+		{"tcp", func(t *testing.T) func(int) {
+			s := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
+			return oneSession(t, s, s.cfg.ShmDir)
+		}, daemonCycleAllocs},
+		{"oversub", func(t *testing.T) func(int) {
+			cycle, _ := startOversub(t)
+			return cycle
+		}, oversubCycleAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, dir := tc.start(t)
-			cycle := oneSession(t, s, dir)
-			got := testing.AllocsPerRun(64, func() { cycle(0) })
-			if got != daemonCycleAllocs {
-				t.Fatalf("%v allocations per warm cycle, want exactly %d", got, daemonCycleAllocs)
+			cycle := tc.start(t)
+			i := 0
+			got := testing.AllocsPerRun(64, func() { cycle(i); i++ })
+			if got != tc.want {
+				t.Fatalf("%v allocations per warm cycle, want exactly %v", got, tc.want)
 			}
 		})
 	}

@@ -237,7 +237,9 @@ type Event struct {
 	fired   bool
 	val     any
 	waiters []*Proc
-	cbs     []func(any)
+	// cbs are callbacks run at fire time, after the waiters wake. Only
+	// sim's own tests register any; everything else waits.
+	cbs []func(any)
 }
 
 // NewEvent returns a fresh unfired event.
@@ -254,8 +256,8 @@ func (ev *Event) Fire(v any) {
 	}
 	ev.fired = true
 	ev.val = v
-	// Nothing re-registers on a fired event (Wait and OnFire both take
-	// the already-fired fast path), so the slices can be truncated in
+	// Nothing re-registers on a fired event (Wait and a callback both
+	// take the already-fired fast path), so the slices can be truncated in
 	// place: the backing arrays survive for the next use after Reset,
 	// keeping repeated block/wake cycles allocation-free.
 	for i, p := range ev.waiters {
@@ -280,16 +282,6 @@ func (ev *Event) Fire(v any) {
 func (ev *Event) Reset() {
 	ev.fired = false
 	ev.val = nil
-}
-
-// OnFire registers a callback run (on the scheduler goroutine) when the
-// event fires; if already fired the callback runs immediately.
-func (ev *Event) OnFire(cb func(v any)) {
-	if ev.fired {
-		cb(ev.val)
-		return
-	}
-	ev.cbs = append(ev.cbs, cb)
 }
 
 // Wait suspends the process until the event fires and returns the event's

@@ -150,6 +150,17 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 	}
 }
 
+// OnFire registers a callback run (on the scheduler goroutine) when the
+// event fires; if already fired the callback runs immediately. Only tests
+// register callbacks: production code waits on an event with Proc.Wait.
+func (ev *Event) OnFire(cb func(v any)) {
+	if ev.fired {
+		cb(ev.val)
+		return
+	}
+	ev.cbs = append(ev.cbs, cb)
+}
+
 func TestOnFireCallback(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
