@@ -88,6 +88,12 @@ vet:
 # LaunchAsyncOpts, LaunchOptions), and non-test internal/gvm reaches its
 # kernels only through Context.Launch, naming no other Launch... identifier:
 # an async launch beside it is how an aborted kernel once read as success.
+# And one restore: a session keeps its device addresses across an eviction,
+# so its kernels and flush ops are built once (REQ or adoption) and a restore
+# only puts its buffers back — non-test internal/gvm declares no bufReplay,
+# gvm's resumeSession calls neither .Build( nor prepareOps(, and
+# gpusim.Context.SwapIn places an address the caller already holds, so it
+# returns only an error, never a fresh pointer a rebuild would have to chase.
 one-engine:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -q internal/vgpu && [ $$(ls internal/transport/*.go | grep -v _test.go | xargs cat | grep -c 'DirectVerb(') -le 1 ] || { echo "internal/transport: a second verb path (imports internal/vgpu, or calls DirectVerb( in more than one place)"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport | grep -qx bufio || { echo "internal/transport imports bufio: a connection has one read buffer (transport.Conn.rbuf), decoded in place"; exit 1; }
@@ -135,6 +141,11 @@ one-engine:
 		grep -nE '\bLaunch[A-Z][A-Za-z]*' $$(ls internal/gvm/*.go | grep -v _test.go); } ); \
 	grep -q '\.Launch(' $$(ls internal/gvm/*.go | grep -v _test.go) || bad="$$bad internal/gvm:no-Context.Launch-call"; \
 	[ -z "$$bad" ] || { echo "a second kernel launch (an exported Launch... method or type beside Context.Launch in non-test internal/gpusim, or non-test internal/gvm reaching kernels other than through Context.Launch):"; echo "$$bad"; exit 1; }
+	@src=$$(ls internal/gvm/*.go | grep -v _test.go); \
+	bad=$$( { grep -nE '\bbufReplay\b' $$src; \
+		awk '/^func \(m \*Manager\) resumeSession\(/ { f = 1 } f && /^}/ { f = 0 } f && /\.Build\(|prepareOps\(/ { print FILENAME ":" FNR ": " $$0 }' $$src; } ); \
+	grep -qE '^func \(c \*Context\) SwapIn\([^)]*\) error \{' $$(ls internal/gpusim/*.go | grep -v _test.go) || bad="$$bad internal/gpusim:Context.SwapIn-does-not-return-only-error"; \
+	[ -z "$$bad" ] || { echo "a restore rebuilds again (bufReplay in non-test internal/gvm, a .Build( or prepareOps( call in resumeSession, or gpusim.Context.SwapIn returning more than an error):"; echo "$$bad"; exit 1; }
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/transport ./internal/gvm | grep -qx encoding/json || { echo "a second wire codec (non-test internal/transport or internal/gvm imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob)"; exit 1; }
 
 build:

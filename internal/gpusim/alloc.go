@@ -170,9 +170,3 @@ func (a *Allocator) Free(ptr cuda.DevPtr) error {
 	}
 	return nil
 }
-
-// SizeOf returns the rounded size of the live allocation at ptr.
-func (a *Allocator) SizeOf(ptr cuda.DevPtr) (int64, bool) {
-	n, ok := a.used[ptr]
-	return n, ok
-}

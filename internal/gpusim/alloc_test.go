@@ -160,9 +160,9 @@ func TestQuickAllocatorInvariants(t *testing.T) {
 		}
 		// All live allocations must be mutually disjoint.
 		for i := range live {
-			si, _ := a.SizeOf(live[i])
+			si := a.used[live[i]]
 			for j := i + 1; j < len(live); j++ {
-				sj, _ := a.SizeOf(live[j])
+				sj := a.used[live[j]]
 				lo, hi := int64(live[i]), int64(live[i])+si
 				lo2, hi2 := int64(live[j]), int64(live[j])+sj
 				if lo < hi2 && lo2 < hi {

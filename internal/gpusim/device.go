@@ -9,7 +9,16 @@
 // mode no bytes move and only the virtual clock advances — used by the
 // paper-scale experiments, where buffers reach hundreds of megabytes.
 //
-// Device memory is host memory, one slice per live allocation, and three
+// An allocation has two halves. Its address is its own for life: Malloc
+// hands it out from a per-device range that starts above any card's
+// physical memory and is never reused. Its placement is where its bytes sit
+// on the card right now, a first-fit range of physical memory, and it is
+// what a swap takes away and gives back. A kernel built against an address
+// therefore stays valid across an eviction, and a stale pointer cannot
+// alias another tenant's fresh allocation at the same physical offset:
+// touching an allocation that is off the card panics.
+//
+// Device memory is host memory, one slice per placed allocation, and three
 // rules govern it: a Malloc always hands out zeroed memory; a swap
 // (Context.SwapOut / SwapIn) moves ownership of an allocation's slice to
 // the caller and back instead of copying it, while the virtual clock still
@@ -57,11 +66,13 @@ type Device struct {
 	tracer     *trace.Tracer
 	exec       *cuda.Executor // runs functional kernel bodies
 
-	// Functional-mode backing memory, one slice per live allocation,
-	// sorted by device address. Memory use is proportional to what is
-	// allocated, not to the card's capacity.
-	bufs  []devBuf
-	alloc *Allocator
+	// Live allocations sorted by address (addresses only grow, so a new
+	// one is appended), each with its placement and, in functional mode,
+	// its backing memory. Memory use is proportional to what is allocated,
+	// not to the card's capacity. alloc places them on the card.
+	bufs     []devBuf
+	nextAddr cuda.DevPtr
+	alloc    *Allocator
 
 	h2dEngine *sim.Resource
 	d2hEngine *sim.Resource
@@ -114,6 +125,7 @@ func New(env *sim.Env, cfg Config) (*Device, error) {
 		tracer:     cfg.Tracer,
 		exec:       cuda.NewExecutor(cfg.ExecWorkers),
 		alloc:      NewAllocator(cfg.Arch.MemBytes, 256),
+		nextAddr:   addrBase,
 		driver:     env.NewResource(1),
 	}
 	switch {
@@ -182,15 +194,29 @@ func (d *Device) RoundUp(n int64) int64 { return d.alloc.RoundUp(n) }
 // Allocator.SetEvictor.
 func (d *Device) SetEvictor(fn func(need int64) bool) { d.alloc.SetEvictor(fn) }
 
-// devBuf is one functional-mode allocation's backing store.
+// addrBase is where a device's address range starts: above the physical
+// memory of any card, so no address is ever mistaken for a placement.
+const addrBase cuda.DevPtr = 1 << 40
+
+// devBuf is one live allocation: its address and rounded size, and while it
+// is on the card its placement (0 while off it) and, on a functional
+// device, its backing store.
 type devBuf struct {
-	start cuda.DevPtr
+	addr  cuda.DevPtr
+	size  int64
+	place cuda.DevPtr
 	data  []byte
+}
+
+// find returns the index of the allocation whose address is p.
+func (d *Device) find(p cuda.DevPtr) (int, bool) {
+	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].addr >= p })
+	return i, i < len(d.bufs) && d.bufs[i].addr == p
 }
 
 // Bytes implements cuda.Memory: a mutable view of device memory. In
 // timing-only mode it returns nil. The range must lie within a single
-// live allocation.
+// allocation that is on the card.
 func (d *Device) Bytes(p cuda.DevPtr, n int64) []byte {
 	if !d.functional {
 		return nil
@@ -198,46 +224,18 @@ func (d *Device) Bytes(p cuda.DevPtr, n int64) []byte {
 	if p == 0 || n < 0 {
 		panic(fmt.Sprintf("gpusim: device memory access ptr=%#x n=%d", uint64(p), n))
 	}
-	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].start > p }) - 1
+	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].addr > p }) - 1
 	if i >= 0 {
 		b := d.bufs[i]
-		off := int64(p - b.start)
-		if off+n <= int64(len(b.data)) {
+		off := int64(p - b.addr)
+		if off+n <= b.size {
+			if b.place == 0 {
+				panic(fmt.Sprintf("gpusim: device memory access to swapped-out allocation %#x: ptr=%#x n=%d", uint64(b.addr), uint64(p), n))
+			}
 			return b.data[off : off+n : off+n]
 		}
 	}
 	panic(fmt.Sprintf("gpusim: device memory access outside any allocation: ptr=%#x n=%d", uint64(p), n))
-}
-
-// attachBacking registers functional backing for a fresh n-byte
-// allocation: data when the caller hands one over (SwapIn; len(data) == n),
-// zeroed memory otherwise.
-func (d *Device) attachBacking(p cuda.DevPtr, n int64, data []byte) {
-	if !d.functional {
-		return
-	}
-	if data == nil {
-		data = make([]byte, n)
-	}
-	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].start > p })
-	d.bufs = append(d.bufs, devBuf{})
-	copy(d.bufs[i+1:], d.bufs[i:])
-	d.bufs[i] = devBuf{start: p, data: data}
-}
-
-// detachBacking drops a freed allocation's backing and returns it (nil on
-// a timing-only device).
-func (d *Device) detachBacking(p cuda.DevPtr) []byte {
-	if !d.functional {
-		return nil
-	}
-	i := sort.Search(len(d.bufs), func(i int) bool { return d.bufs[i].start >= p })
-	if i == len(d.bufs) || d.bufs[i].start != p {
-		return nil
-	}
-	data := d.bufs[i].data
-	d.bufs = append(d.bufs[:i], d.bufs[i+1:]...)
-	return data
 }
 
 func (d *Device) emit(lane, label string, start, end sim.Time) {
@@ -348,29 +346,89 @@ func (c *Context) Release() {
 	next.Fire(nil)
 }
 
-// Malloc allocates device memory for this context; in functional mode it
-// is zeroed. On a device with a memory or fatal fault it fails with a
-// *FaultError.
-func (c *Context) Malloc(n int64) (cuda.DevPtr, error) { return c.malloc(n, nil) }
-
-// malloc allocates n bytes backed by data (SwapIn), or by fresh zeroed
-// memory when data is nil. Device memory is never attached short: data of
-// any other length than the rounded allocation is an error.
-func (c *Context) malloc(n int64, data []byte) (cuda.DevPtr, error) {
-	c.mustLive()
-	if err := c.dev.faultFor(XidMemory, XidFatal); err != nil {
-		return 0, err
-	}
-	rounded := c.dev.alloc.RoundUp(n)
-	if data != nil && int64(len(data)) != rounded {
-		return 0, fmt.Errorf("gpusim: %d bytes of backing for a %d-byte allocation", len(data), rounded)
-	}
-	p, err := c.dev.alloc.Alloc(n)
+// Malloc allocates device memory for this context: a fresh address, placed
+// on the card and, in functional mode, zeroed. On a device with a memory or
+// fatal fault it fails with a *FaultError.
+func (c *Context) Malloc(n int64) (cuda.DevPtr, error) {
+	ptr, err := c.Address(n)
 	if err != nil {
 		return 0, err
 	}
-	c.dev.attachBacking(p, rounded, data)
-	return p, nil
+	if err := c.place(ptr, nil); err != nil {
+		_ = c.Free(ptr) // the address, which is off the card
+		return 0, err
+	}
+	return ptr, nil
+}
+
+// Address allocates n bytes off the card: an address kernels can be built
+// against, which SwapIn places. Until then it holds no device memory.
+func (c *Context) Address(n int64) (cuda.DevPtr, error) {
+	c.mustLive()
+	if n <= 0 {
+		return 0, fmt.Errorf("gpusim: alloc of %d bytes", n)
+	}
+	d := c.dev
+	ptr := d.nextAddr
+	size := d.alloc.RoundUp(n)
+	d.nextAddr += cuda.DevPtr(size)
+	d.bufs = append(d.bufs, devBuf{addr: ptr, size: size})
+	return ptr, nil
+}
+
+// place puts the off-card allocation at ptr on the card, backed by data
+// (SwapIn), or by fresh zeroed memory when data is nil. Device memory is
+// never attached short: data of any other length than the allocation is an
+// error.
+func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
+	c.mustLive()
+	d := c.dev
+	if err := d.faultFor(XidMemory, XidFatal); err != nil {
+		return err
+	}
+	i, ok := d.find(ptr)
+	if !ok || d.bufs[i].place != 0 {
+		return fmt.Errorf("gpusim: swap-in of device pointer %#x, which is not an allocation off the card", uint64(ptr))
+	}
+	size := d.bufs[i].size
+	if data != nil && int64(len(data)) != size {
+		return fmt.Errorf("gpusim: %d bytes of backing for a %d-byte allocation", len(data), size)
+	}
+	// The evictor may sleep in here, and other processes may free or place
+	// allocations meanwhile: look ptr up again once it returns.
+	at, err := d.alloc.Alloc(size)
+	if err != nil {
+		return err
+	}
+	if i, ok = d.find(ptr); !ok || d.bufs[i].place != 0 {
+		_ = d.alloc.Free(at)
+		return fmt.Errorf("gpusim: device pointer %#x was freed or placed while it was being placed", uint64(ptr))
+	}
+	if d.functional && data == nil {
+		data = make([]byte, size)
+	}
+	d.bufs[i].place, d.bufs[i].data = at, data
+	return nil
+}
+
+// Unplace takes the allocation at ptr off the card without a transfer and
+// returns its backing store (nil on a timing-only device): the address
+// stays the caller's, to place again with SwapIn. A restore that fails
+// part-way uses it to give back what it placed.
+func (c *Context) Unplace(ptr cuda.DevPtr) ([]byte, error) {
+	c.mustLive()
+	d := c.dev
+	i, ok := d.find(ptr)
+	if !ok || d.bufs[i].place == 0 {
+		return nil, fmt.Errorf("gpusim: device pointer %#x is not an allocation on the card", uint64(ptr))
+	}
+	b := &d.bufs[i]
+	if err := d.alloc.Free(b.place); err != nil {
+		return nil, err
+	}
+	data := b.data
+	b.place, b.data = 0, nil
+	return data, nil
 }
 
 // MustMalloc is Malloc that panics on out-of-memory.
@@ -382,25 +440,30 @@ func (c *Context) MustMalloc(n int64) cuda.DevPtr {
 	return p
 }
 
-// SizeOf returns the rounded size of a live allocation.
+// SizeOf returns the rounded size of a live allocation, on the card or off.
 func (c *Context) SizeOf(p cuda.DevPtr) (int64, bool) {
-	return c.dev.alloc.SizeOf(p)
-}
-
-// Free releases device memory.
-func (c *Context) Free(p cuda.DevPtr) error {
-	_, err := c.free(p)
-	return err
-}
-
-// free releases the allocation at p and returns the backing store it had
-// (nil on a timing-only device).
-func (c *Context) free(p cuda.DevPtr) ([]byte, error) {
-	c.mustLive()
-	if err := c.dev.alloc.Free(p); err != nil {
-		return nil, err
+	i, ok := c.dev.find(p)
+	if !ok {
+		return 0, false
 	}
-	return c.dev.detachBacking(p), nil
+	return c.dev.bufs[i].size, true
+}
+
+// Free releases device memory: the allocation's placement, if it is on the
+// card, and its address, which is never handed out again.
+func (c *Context) Free(p cuda.DevPtr) error {
+	c.mustLive()
+	i, ok := c.dev.find(p)
+	if !ok {
+		return fmt.Errorf("gpusim: free of unallocated device pointer %#x", uint64(p))
+	}
+	if c.dev.bufs[i].place != 0 {
+		if _, err := c.Unplace(p); err != nil {
+			return err
+		}
+	}
+	c.dev.bufs = append(c.dev.bufs[:i], c.dev.bufs[i+1:]...)
+	return nil
 }
 
 // HostBuffer is host memory used as a source or destination of transfers.
@@ -503,37 +566,40 @@ var swapHost = &HostBuffer{pinned: true}
 
 // SwapOut evacuates the allocation at ptr to the host: the full
 // device-to-host transfer is charged on p exactly as a pinned MemcpyD2H of
-// the allocation would be, then the allocation is freed and its backing
-// store — already host memory — is returned as the evacuated contents
-// (nil on a timing-only device) with its size. The caller owns the slice
-// from here on; whoever Mallocs the freed range gets fresh zeroed memory.
+// the allocation would be, then its placement is taken off the card and its
+// backing store — already host memory — is returned as the evacuated
+// contents (nil on a timing-only device) with its size. The caller owns the
+// slice from here on, and the address stays the caller's to SwapIn; whoever
+// Mallocs the freed placement gets a different address and fresh zeroed
+// memory.
 func (c *Context) SwapOut(p *sim.Proc, ptr cuda.DevPtr) ([]byte, int64, error) {
-	size, ok := c.dev.alloc.SizeOf(ptr)
-	if !ok {
-		return nil, 0, fmt.Errorf("gpusim: swap-out of unallocated device pointer %#x", uint64(ptr))
+	i, ok := c.dev.find(ptr)
+	if !ok || c.dev.bufs[i].place == 0 {
+		return nil, 0, fmt.Errorf("gpusim: swap-out of device pointer %#x, which is not an allocation on the card", uint64(ptr))
 	}
+	size := c.dev.bufs[i].size
 	c.memcpyD2H(p, swapHost, 0, ptr, size)
-	// The transfer slept: if another swap-out or Free won, this one fails.
-	data, err := c.free(ptr)
+	// The transfer slept: if another swap-out or a Free won, this one fails.
+	data, err := c.Unplace(ptr)
 	if err != nil {
 		return nil, 0, err
 	}
 	return data, size, nil
 }
 
-// SwapIn is SwapOut's inverse: it allocates n bytes like Malloc (evictor
-// and fault checks included) with data as the allocation's backing store —
-// the caller must not touch data while the allocation lives — and charges
-// the full host-to-device transfer on p exactly as a pinned MemcpyH2D
-// would. With nil data (a timing-only snapshot) the allocation is zeroed
-// like any other.
-func (c *Context) SwapIn(p *sim.Proc, data []byte, n int64) (cuda.DevPtr, error) {
-	ptr, err := c.malloc(n, data)
-	if err != nil {
-		return 0, err
+// SwapIn is SwapOut's inverse: it places the off-card allocation at ptr
+// back on the card like Malloc would (evictor and fault checks included)
+// with data as its backing store — the caller must not touch data while the
+// allocation is on the card — and charges the full host-to-device transfer
+// on p exactly as a pinned MemcpyH2D would. With nil data (a timing-only
+// snapshot) the allocation is zeroed like any other.
+func (c *Context) SwapIn(p *sim.Proc, ptr cuda.DevPtr, data []byte) error {
+	if err := c.place(ptr, data); err != nil {
+		return err
 	}
-	c.memcpyH2D(p, ptr, swapHost, 0, n)
-	return ptr, nil
+	size, _ := c.SizeOf(ptr)
+	c.memcpyH2D(p, ptr, swapHost, 0, size)
+	return nil
 }
 
 // MaxLaunchWeight bounds per-launch weights so the weight-class metric

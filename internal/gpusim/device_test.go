@@ -418,12 +418,29 @@ func TestFreeUnknownPointerErrors(t *testing.T) {
 	run(t, env)
 }
 
+// placement returns where the allocation at ptr sits on the card (0: off
+// it).
+func placement(dev *Device, ptr cuda.DevPtr) cuda.DevPtr {
+	if i, ok := dev.find(ptr); ok {
+		return dev.bufs[i].place
+	}
+	return 0
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
 // TestSwapTransfersOwnershipAndIsolates pins the swap contract: the
 // evacuated contents are the allocation's own backing store, whoever
-// allocates the freed range meanwhile reads zeros and cannot reach them
-// (MASK's isolation rule), a swap-in elsewhere returns them untouched, and
-// the clock and byte counters read exactly what MemcpyD2H+Free and
-// Malloc+MemcpyH2D of the same size charge.
+// allocates the freed placement meanwhile gets another address, reads
+// zeros and cannot reach them (MASK's isolation rule) while the evicted
+// address faults, a swap-in of that address elsewhere on the card returns
+// them untouched, and the clock and byte counters read exactly what
+// MemcpyD2H+Free and Malloc+MemcpyH2D of the same size charge.
 func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 	const n = 1000 // rounds up to 1024
 	env, dev := newTestDevice(t, true)
@@ -436,6 +453,7 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 		for i := range mem {
 			mem[i] = byte(i%251 + 1)
 		}
+		freed := placement(dev, ptr)
 
 		start := p.Now()
 		snap, size, err := tenant.SwapOut(p, ptr)
@@ -450,11 +468,18 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 		if dev.MemInUse() != 0 {
 			t.Errorf("MemInUse = %d after swap-out, want 0", dev.MemInUse())
 		}
+		if !panics(func() { dev.Bytes(ptr, n) }) {
+			t.Error("Bytes on a swapped-out address did not fault")
+		}
 
-		// Another tenant takes the freed range.
+		// Another tenant takes the freed placement, under an address of its own.
 		theirs := other.MustMalloc(n)
-		if theirs != ptr {
-			t.Errorf("first-fit handed out %#x, want the freed %#x", uint64(theirs), uint64(ptr))
+		if theirs == ptr {
+			t.Errorf("Malloc handed out the swapped-out address %#x again", uint64(ptr))
+			return
+		}
+		if placement(dev, theirs) != freed {
+			t.Errorf("first-fit placed the new allocation at %#x, want the freed %#x", uint64(placement(dev, theirs)), uint64(freed))
 			return
 		}
 		for i, b := range dev.Bytes(theirs, size) {
@@ -466,25 +491,34 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 		for i := range dev.Bytes(theirs, size) {
 			dev.Bytes(theirs, size)[i] = 0xEE
 		}
+		if !panics(func() { dev.Bytes(ptr, n) }) {
+			t.Error("the stale address reaches the new tenant's allocation")
+		}
 
 		start = p.Now()
-		back, err := tenant.SwapIn(p, snap, size)
+		err = tenant.SwapIn(p, ptr, snap)
 		inCost = p.Now().Sub(start)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if back == theirs {
-			t.Error("swap-in landed on a live allocation")
+		if at := placement(dev, ptr); at == 0 || at == freed {
+			t.Errorf("swap-in placed the address at %#x, want a free placement other than %#x", uint64(at), uint64(freed))
 			return
 		}
-		got := dev.Bytes(back, n)
+		got := dev.Bytes(ptr, n)
 		if &got[0] != &snap[0] {
 			t.Error("SwapIn copied: the allocation is not backed by the snapshot")
 		}
 		for i, b := range got {
 			if b != byte(i%251+1) {
 				t.Errorf("restored byte %d = %#x, want %#x", i, b, byte(i%251+1))
+				return
+			}
+		}
+		for i, b := range dev.Bytes(theirs, size) {
+			if b != 0xEE {
+				t.Errorf("the new tenant's byte %d = %#x after the swap-in, want 0xee", i, b)
 				return
 			}
 		}
@@ -519,10 +553,11 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 	run(t, env)
 }
 
-// TestSwapMisuseErrors: swapping out what is not allocated (a wild pointer,
-// a freed one, the same one twice) and swapping in a buffer that does not
-// fill its allocation are errors, not panics, and leave the device as it
-// was.
+// TestSwapMisuseErrors: swapping out what is not on the card (a wild
+// pointer, a freed one, the same one twice), swapping in what is not an
+// allocation off it (a wild pointer, one already placed) and swapping in a
+// buffer that does not fill its allocation are errors, not panics, and
+// leave the device as it was.
 func TestSwapMisuseErrors(t *testing.T) {
 	for _, functional := range []bool{true, false} {
 		env, dev := newTestDevice(t, functional)
@@ -540,6 +575,9 @@ func TestSwapMisuseErrors(t *testing.T) {
 				t.Error("SwapOut of a freed pointer succeeded")
 			}
 			ptr := ctx.MustMalloc(512)
+			if err := ctx.SwapIn(p, ptr, nil); err == nil {
+				t.Error("SwapIn of an allocation already on the card succeeded")
+			}
 			data, size, err := ctx.SwapOut(p, ptr)
 			if err != nil || size != 512 || (data != nil) != functional {
 				t.Errorf("functional=%v: SwapOut = %d bytes, size %d, err %v", functional, len(data), size, err)
@@ -549,19 +587,24 @@ func TestSwapMisuseErrors(t *testing.T) {
 				t.Error("second SwapOut of one pointer succeeded")
 			}
 			before := dev.BytesH2D
-			if _, err := ctx.SwapIn(p, make([]byte, 100), 512); err == nil {
+			if err := ctx.SwapIn(p, ptr, make([]byte, 100)); err == nil {
 				t.Error("SwapIn attached 100 bytes as a 512-byte allocation")
+			}
+			if err := ctx.SwapIn(p, 0x4000, nil); err == nil {
+				t.Error("SwapIn of a wild pointer succeeded")
+			}
+			if err := ctx.SwapIn(p, freed, nil); err == nil {
+				t.Error("SwapIn of a freed pointer succeeded")
 			}
 			if dev.MemInUse() != 0 || dev.BytesH2D != before {
 				t.Errorf("rejected SwapIn left %d bytes in use, charged %d", dev.MemInUse(), dev.BytesH2D-before)
 			}
 			// A timing-only snapshot (nil data) restores as zeroed memory.
-			back, err := ctx.SwapIn(p, nil, 512)
-			if err != nil {
+			if err := ctx.SwapIn(p, ptr, nil); err != nil {
 				t.Error(err)
 				return
 			}
-			for _, b := range dev.Bytes(back, 512) { // nil on a timing-only device
+			for _, b := range dev.Bytes(ptr, 512) { // nil on a timing-only device
 				if b != 0 {
 					t.Error("SwapIn without data is not zeroed")
 					return
@@ -570,6 +613,66 @@ func TestSwapMisuseErrors(t *testing.T) {
 		})
 		run(t, env)
 	}
+}
+
+// TestAddressOffTheCard: an address made off the card (what an adopted
+// session is built against) holds no device memory and faults until SwapIn
+// places it; Unplace takes a placement away, and its backing with it,
+// without a transfer; Free releases an address on the card or off it; and
+// no address is ever handed out twice.
+func TestAddressOffTheCard(t *testing.T) {
+	env, dev := newTestDevice(t, true)
+	env.Go("off", func(p *sim.Proc) {
+		ctx := dev.CreateContext(p)
+		a, err := ctx.Address(1000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if size, ok := ctx.SizeOf(a); !ok || size != 1024 || dev.MemInUse() != 0 {
+			t.Errorf("Address: SizeOf = %d, %v, MemInUse %d; want 1024, true, 0", size, ok, dev.MemInUse())
+		}
+		if !panics(func() { dev.Bytes(a, 1) }) {
+			t.Error("Bytes on an address off the card did not fault")
+		}
+		if err := ctx.SwapIn(p, a, nil); err != nil || dev.MemInUse() != 1024 {
+			t.Errorf("SwapIn of a fresh address: %v, MemInUse %d", err, dev.MemInUse())
+			return
+		}
+		dev.Bytes(a, 1024)[0] = 7
+		start, d2h := p.Now(), dev.BytesD2H
+		if data, err := ctx.Unplace(a); err != nil || len(data) != 1024 || data[0] != 7 {
+			t.Errorf("Unplace = %d bytes (first %v), %v; want the placed backing", len(data), data[:min(len(data), 1)], err)
+		}
+		if dev.MemInUse() != 0 || p.Now() != start || dev.BytesD2H != d2h {
+			t.Errorf("Unplace left %d bytes in use, took %v, moved %d bytes; want 0, 0, 0",
+				dev.MemInUse(), p.Now().Sub(start), dev.BytesD2H-d2h)
+		}
+		if !panics(func() { dev.Bytes(a, 1) }) {
+			t.Error("Bytes on an unplaced address did not fault")
+		}
+		if _, err := ctx.Unplace(a); err == nil {
+			t.Error("second Unplace of one address succeeded")
+		}
+		if err := ctx.Free(a); err != nil {
+			t.Errorf("Free of an address off the card: %v", err)
+		}
+		if _, ok := ctx.SizeOf(a); ok {
+			t.Error("SizeOf found a freed address")
+		}
+		if err := ctx.SwapIn(p, a, nil); err == nil {
+			t.Error("SwapIn of a freed address succeeded")
+		}
+		if err := ctx.Free(a); err == nil {
+			t.Error("second Free of one address succeeded")
+		}
+		b := ctx.MustMalloc(1000)
+		if b == a || dev.Bytes(b, 1)[0] != 0 {
+			t.Errorf("Malloc after the free handed out %#x (freed %#x), first byte %d; want a new, zeroed address",
+				uint64(b), uint64(a), dev.Bytes(b, 1)[0])
+		}
+	})
+	run(t, env)
 }
 
 // TestSwapOutRace: two processes evacuating one allocation both sleep

@@ -166,3 +166,55 @@ func TestRecycledLaunchRecordCarriesNothingOver(t *testing.T) {
 		}
 	}
 }
+
+// TestHangAbortsAKernelOnItsMemoryFloor: a kernel whose blocks are done but
+// whose memory-bandwidth floor has not passed is still in flight, so a hang
+// in that window fails its Launch with the *FaultError, its body never runs
+// and it earns no KernelsRun credit. The floor's timer cannot be cancelled:
+// when it fires it must not complete the launch that ran next.
+func TestHangAbortsAKernelOnItsMemoryFloor(t *testing.T) {
+	env, dev := newTestDevice(t, true)
+	arch := dev.Arch()
+	// One block of trivial work moving 288 MB: done by its floor, 2 ms at
+	// 144 GB/s, long after its block.
+	floor := sim.Duration(32 * 9e6 / arch.MemBandwidth * 1e9)
+	ran := map[string]int{}
+	floored := func(name string) *cuda.Kernel {
+		return &cuda.Kernel{Name: name, Grid: cuda.Dim(1), Block: cuda.Dim(32), CyclesPerThread: 1,
+			MemBytesPerThread: 9e6, Func: func(*cuda.BlockCtx) { ran[name]++ }}
+	}
+	env.Go("t", func(p *sim.Proc) {
+		c := dev.CreateContext(p)
+		c.Acquire(p)
+		defer c.Release()
+		env.Go("fault", func(q *sim.Proc) {
+			q.Sleep(floor / 2) // the block is long done, the floor is not
+			dev.InjectFault(XidHang)
+			// The device comes back, and a second floored kernel runs while
+			// the first one's floor timer is still armed.
+			dev.fault.Store(int32(FaultNone))
+			start := q.Now()
+			if err := c.Launch(q, floored("next"), 1); err != nil {
+				t.Errorf("Launch after the device came back: %v", err)
+			}
+			if got, want := q.Now().Sub(start), arch.KernelLaunchOverhead+floor; got != want {
+				t.Errorf("the next floored kernel returned after %v, want its own floor's %v", got, want)
+			}
+		})
+		start := p.Now()
+		err := c.Launch(p, floored("first"), 1)
+		if fe, ok := IsFault(err); !ok || fe.Kind != XidHang {
+			t.Errorf("Launch of a kernel a hang aborted on its memory floor returned %v, want an xid hang FaultError", err)
+		}
+		if got := p.Now().Sub(start); got != floor/2 {
+			t.Errorf("the aborted Launch returned after %v, want the hang's %v", got, floor/2)
+		}
+	})
+	run(t, env)
+	if ran["first"] != 0 || ran["next"] != 1 {
+		t.Errorf("bodies ran %v, want the aborted kernel's never and the next one's once", ran)
+	}
+	if dev.KernelsRun != 1 {
+		t.Errorf("KernelsRun = %d, want 1: an aborted kernel earns no credit", dev.KernelsRun)
+	}
+}

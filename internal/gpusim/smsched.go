@@ -51,6 +51,7 @@ type smScheduler struct {
 	window  int            // kernels currently admitted
 	pending []*launchState // waiting for a window slot; admitted by weight, FIFO within a weight
 	active  []*launchState // admitted kernels, arrival order
+	floored []*launchState // blocks done, waiting out their memory floor
 	nextSM  int            // round-robin cursor
 	// timerGen identifies the one live completion timer: armTimers and
 	// abortAll bump it, and a timer that fires under an older generation
@@ -114,8 +115,11 @@ type launchState struct {
 
 	start       sim.Time
 	memFloorEnd sim.Time
+	// floorAborted marks a kernel an abort completed while it waited out
+	// its memory floor: the floor timer still names the record.
+	floorAborted bool
 	// done fires at completion with nil or an abort's *FaultError. It and
-	// fire, bound to fireLaunch(this record) when the record is made, stay
+	// fire, bound to floorEnded(this record) when the record is made, stay
 	// with the record across reuse.
 	done *sim.Event
 	fire func()
@@ -214,15 +218,19 @@ func (s *smScheduler) takeLaunch() *launchState {
 		return ls
 	}
 	ls := &launchState{done: s.env.NewEvent()}
-	ls.fire = func() { s.fireLaunch(ls) }
+	ls.fire = func() { s.floorEnded(ls) }
 	return ls
 }
 
 // recycle returns a completed launch's record to the free list. Only its
 // launcher may call it, once its wait on done has returned: by then no SM
 // group, timer, window slot, pending entry or abort list names the record,
-// and the launcher, done's sole consumer, may Reset it.
+// and the launcher, done's sole consumer, may Reset it. A record aborted on
+// its memory floor is not reused: its floor timer still fires it.
 func (s *smScheduler) recycle(ls *launchState) {
+	if ls.floorAborted {
+		return // the floor timer cannot be cancelled: the record is its for good
+	}
 	done, fire := ls.done, ls.fire
 	done.Reset()
 	*ls = launchState{done: done, fire: fire}
@@ -495,18 +503,35 @@ func (s *smScheduler) finishAt(ls *launchState, i int) {
 	s.active = append(s.active[:i], s.active[i+1:]...)
 	s.releasePerSM(ls)
 	s.admitNext()
-	s.dev.KernelsRun++
 	if s.env.Now() < ls.memFloorEnd {
+		// Still in flight until its floor: an abort meanwhile fails it.
+		s.floored = append(s.floored, ls)
 		s.env.At(ls.memFloorEnd, ls.fire)
 	} else {
 		s.fireLaunch(ls)
 	}
 }
 
+// floorEnded is a floored kernel's timer: it completes the kernel, unless an
+// abort already did.
+func (s *smScheduler) floorEnded(ls *launchState) {
+	if ls.floorAborted {
+		return
+	}
+	for i, f := range s.floored {
+		if f == ls {
+			s.floored = append(s.floored[:i], s.floored[i+1:]...)
+			break
+		}
+	}
+	s.fireLaunch(ls)
+}
+
 // fireLaunch runs the kernel's functional body (in functional mode) and
 // completes the launch; it is finish's tail, split out so a memory-floored
 // kernel can run it later through the record's bound fire.
 func (s *smScheduler) fireLaunch(ls *launchState) {
+	s.dev.KernelsRun++
 	if s.dev.functional && ls.k.Func != nil {
 		// Device.Bytes only reads the allocation table, so concurrent
 		// block bodies may resolve pointers safely while they write
@@ -534,10 +559,10 @@ func (s *smScheduler) complete(ls *launchState, err error) {
 }
 
 // abortAll kills every in-flight kernel (hang/fatal fault injection):
-// resident blocks are discarded, SM budgets returned, the window and
-// pending queue emptied, and each kernel completes with err — no
-// functional body runs and no KernelsRun credit is given, so its launcher
-// observes the fault instead of a silent success.
+// resident blocks are discarded, SM budgets returned, the window, pending
+// queue and memory-floor waits emptied, and each kernel completes with err
+// — no functional body runs and no KernelsRun credit is given, so its
+// launcher observes the fault instead of a silent success.
 func (s *smScheduler) abortAll(err error) {
 	s.advanceAll()
 	for _, sm := range s.sms {
@@ -556,6 +581,11 @@ func (s *smScheduler) abortAll(err error) {
 	}
 	s.timerGen++ // invalidate the armed completion timer
 	aborted := append(append([]*launchState(nil), s.active...), s.pending...)
+	for _, ls := range s.floored {
+		ls.floorAborted = true
+		s.complete(ls, err)
+	}
+	s.floored = s.floored[:0]
 	s.active = s.active[:0]
 	s.pending = s.pending[:0]
 	s.window = 0

@@ -126,10 +126,11 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	if st.res == evicted {
 		st.res = resident
 	}
+	snap := s.snap // the session's own is dropped with it below
 	ext := &ExtractedSession{
 		ID:      s.id,
 		Request: Request{Spec: s.spec, MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight},
-		state:   st, snap: s.susp,
+		state:   st, snap: &snap,
 	}
 	if s.pinIn != nil && s.pinIn.Data() != nil {
 		ext.PinIn = append([]byte(nil), s.pinIn.Data()...)
@@ -140,7 +141,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 
 	// Remove without sessionsClosed credit: openSessions moves shards,
 	// opened/closed totals see one lifetime.
-	m.teardown(s) // the arenas already left with the snapshot
+	m.teardown(s) // the arenas already left with the snapshot; this frees their addresses
 	delete(m.sessions, s.id)
 	m.met.openSessions.Dec()
 	if m.log != nil {
@@ -154,15 +155,17 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 // or, when ext.ID is 0 (a session off the wire, whose source-node id may
 // collide with a live local one), under a freshly minted id it writes back
 // to ext.ID. Like an opened session it needs a BindDirect before it takes
-// verbs. A session
-// its client suspended arrives suspended and stays down until RES. Any
-// other arrives evicted and is materialized eagerly; if the target is too
-// loaded to restore right now the snapshot stays intact and the next
-// verb's transparent restore retries — adoption itself only fails
-// on an id collision (impossible under the node's striped id scheme) or a
-// buffer that is not the size ext.Spec gives it, and then mints nothing.
-// The session was admitted on its source shard and the node re-placed it
-// against this shard's headroom, so no quota re-check.
+// verbs. Its buffers get addresses off the card and its kernels and flush
+// ops are built against them once; the snapshot then goes back on the card
+// exactly as an evicted session's does. A session its client suspended
+// arrives suspended and stays down until RES. Any other arrives evicted and
+// is materialized eagerly; if the target is too loaded to restore right now
+// the snapshot stays intact and the next verb's transparent restore retries
+// — adoption itself only fails on an id collision (impossible under the
+// node's striped id scheme) or a buffer that is not the size ext.Spec gives
+// it, and then mints nothing. The session was admitted on its source shard
+// and the node re-placed it against this shard's headroom, so no quota
+// re-check.
 func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if _, exists := m.sessions[ext.ID]; exists {
 		return fmt.Errorf("gvm: AdoptSession: session id %d already live on gpu %d", ext.ID, m.cfg.GPUIndex)
@@ -170,28 +173,37 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	if err := ext.size(m.dev.RoundUp); err != nil {
 		return fmt.Errorf("gvm: AdoptSession: session %d: %w", ext.ID, err)
 	}
-	if ext.ID == 0 {
-		ext.ID = m.mintSessionID()
-	}
 	s := &session{
-		id: ext.ID, spec: ext.Spec,
+		spec:     ext.Spec,
 		memQuota: ext.MemQuota, priority: ext.Priority, weight: sessionWeight(ext.Request),
 		lastUsed: p.Now(),
 		st:       ext.state,
-		// The footprint and the reservation are what OpenSession charged.
+		// The footprint is what OpenSession charged; the build reserves the
+		// device bytes as it asks for them.
 		footprint: ext.Spec.InBytes + ext.Spec.OutBytes,
-		devBytes:  ext.snap.total,
-		susp:      ext.snap,
 	}
-	m.bindClassMetrics(s)
 	m.shmInUse += s.footprint
-	m.dev.Reserve(s.devBytes)
+	if err := m.build(s, &sessionAllocator{m: m, s: s, offCard: true}); err != nil {
+		m.teardown(s)
+		return fmt.Errorf("gvm: AdoptSession: session %d: %w", ext.ID, err)
+	}
+	if ext.ID == 0 {
+		ext.ID = m.mintSessionID()
+	}
+	s.id = ext.ID
+	s.snap = *ext.snap
+	s.snap.settled = nil // the source shard's
+	for len(s.snap.scratch) < len(s.scratch) {
+		s.snap.scratch = append(s.snap.scratch, nil) // built beyond what travelled: placed zeroed
+	}
+	s.snap.total = s.devBytes
+	s.susp = &s.snap
+	m.bindClassMetrics(s)
 	// Staging is the snapshot's own buffers (no copy): an inline session
 	// keeps them, a mapped plane rebinds onto its segment, which held the
 	// same bytes all along.
 	s.pinIn = m.newStaging(ext.Spec.InBytes, ext.PinIn)
 	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.PinOut)
-	s.stream = m.ctx.NewStream()
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()
 	if s.st.res == suspended {
@@ -222,9 +234,9 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 // builder asks for, run dry against an allocator that only records sizes
 // — and holds every buffer to them: each is absent (a timing-only source)
 // or exactly its allocation. A restore makes an arena buffer device memory
-// as it is and replays the scratch, in order, as the builder's allocations
-// (bufReplay), so a short one would fault the first kernel that runs off
-// its end; staging becomes the session's staging as it is.
+// as it is, the scratch, in order, as the builder's allocations, so a short
+// one would fault the first kernel that runs off its end; staging becomes
+// the session's staging as it is.
 func (e *ExtractedSession) size(roundUp func(int64) int64) error {
 	var asked sizeRecorder
 	if e.Spec.Build != nil {

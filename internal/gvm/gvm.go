@@ -408,7 +408,8 @@ type session struct {
 	strArrived sim.Time  // when this session's STR joined the barrier
 	stpWaiting bool      // an STP answer is owed at stream completion
 	footprint  int64     // bytes counted against the manager's quota
-	susp       *snapshot // the paged-out arena while not resident
+	susp       *snapshot // &snap while the arena is off the card, else nil
+	snap       snapshot  // the session's one snapshot, reused by every eviction
 	// failed is the first device fault that hit this session's kernels:
 	// the cause its failed phase answers with until the failover engine
 	// migrates it to a healthy shard, where the cycle re-runs.
@@ -432,6 +433,11 @@ type session struct {
 	// allocating a closure or event per operation.
 	ops      []func(p *sim.Proc)
 	finishCB func()
+	// restore is the transparent restore's process body, bound at the
+	// session's first one, and restoreVerb the verb it serves once the arena
+	// is back: a session has one verb in flight, so one of each suffices.
+	restore     func(p *sim.Proc)
+	restoreVerb Verb
 
 	// The session's control surface (Manager.BindDirect): every verb
 	// outcome fires notify.
@@ -591,13 +597,18 @@ func (m *Manager) serve(s *session, verb Verb) {
 		// serving the verb, waiting out pressure from running sessions.
 		// Failure (device still full, nothing evictable, nothing running)
 		// leaves the snapshot intact so the verb can be retried.
-		m.env.Go("gvm-restore", func(p *sim.Proc) {
-			if err := m.restoreWithBackoff(p, s); err != nil {
-				s.tell(verb, ERR, err.Error())
-				return
+		if s.restore == nil {
+			s.restore = func(p *sim.Proc) {
+				verb := s.restoreVerb
+				if err := m.restoreWithBackoff(p, s); err != nil {
+					s.tell(verb, ERR, err.Error())
+					return
+				}
+				m.serve(s, verb)
 			}
-			m.serve(s, verb)
-		})
+		}
+		s.restoreVerb = verb
+		m.env.Go("gvm-restore", s.restore)
 	case replayFirst:
 		m.rerunFlush(s)
 		m.serve(s, verb)
@@ -697,41 +708,16 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 	m.shmInUse += footprint
 	s.footprint = footprint
 
+	s.pinIn = m.newStaging(r.Spec.InBytes, nil)
+	s.pinOut = m.newStaging(r.Spec.OutBytes, nil)
 	// All of a session's device allocations flow through its quota
 	// allocator: it enforces the hard MemQuota at Malloc time and keeps
 	// the device's reserved-bytes gauge in step with what the session
 	// logically holds (the reservation survives eviction).
-	alloc := &sessionAllocator{m: m, s: s}
-	fail := func(err error) (int, error) {
+	if err := m.build(s, &sessionAllocator{m: m, s: s}); err != nil {
 		m.teardown(s)
 		return 0, err
 	}
-	var err error
-	if r.Spec.InBytes > 0 {
-		if s.devIn, err = alloc.Malloc(r.Spec.InBytes); err != nil {
-			return fail(err)
-		}
-	}
-	if r.Spec.OutBytes > 0 {
-		if s.devOut, err = alloc.Malloc(r.Spec.OutBytes); err != nil {
-			return fail(err)
-		}
-	}
-	s.pinIn = m.newStaging(r.Spec.InBytes, nil)
-	s.pinOut = m.newStaging(r.Spec.OutBytes, nil)
-	if r.Spec.Build != nil {
-		b := &task.Buffers{In: s.devIn, Out: s.devOut, Alloc: alloc, Scratch: &s.scratch}
-		if s.kernels, err = r.Spec.Build(b); err != nil {
-			return fail(err)
-		}
-		for _, k := range s.kernels {
-			if err := k.Validate(m.dev.Arch()); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	s.stream = m.ctx.NewStream()
-	m.prepareOps(s)
 	m.sessions[s.id] = s
 	m.met.sessionsOpened.Inc()
 	m.met.openSessions.Inc()
@@ -739,6 +725,37 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 		m.cfg.trace("gvm", fmt.Sprintf("REQ s%d (%s)", s.id, r.Spec.Name), start, p.Now())
 	}
 	return s.id, nil
+}
+
+// build gives a session its device buffers through alloc, builds its kernel
+// sequence against their addresses and prepares its flush ops: once per
+// session, since an eviction keeps the addresses.
+func (m *Manager) build(s *session, alloc task.Allocator) error {
+	var err error
+	if s.spec.InBytes > 0 {
+		if s.devIn, err = alloc.Malloc(s.spec.InBytes); err != nil {
+			return err
+		}
+	}
+	if s.spec.OutBytes > 0 {
+		if s.devOut, err = alloc.Malloc(s.spec.OutBytes); err != nil {
+			return err
+		}
+	}
+	if s.spec.Build != nil {
+		b := &task.Buffers{In: s.devIn, Out: s.devOut, Alloc: alloc, Scratch: &s.scratch}
+		if s.kernels, err = s.spec.Build(b); err != nil {
+			return err
+		}
+		for _, k := range s.kernels {
+			if err := k.Validate(m.dev.Arch()); err != nil {
+				return err
+			}
+		}
+	}
+	s.stream = m.ctx.NewStream()
+	m.prepareOps(s)
+	return nil
 }
 
 // bindClassMetrics prebinds the session's weight-class instruments so the
@@ -894,12 +911,12 @@ func weightClass(w int) int {
 }
 
 // prepareOps prebinds the session's flush sequence — H2D, the kernel
-// chain, D2H — and its completion callback. Building these once at REQ
-// keeps every subsequent flush free of per-operation closure and event
-// allocations. The copy closures read the session's fields at run time,
-// so BindDirect may rebind staging underneath them; the kernel closures
-// capture the kernel objects themselves, so a restore that rebuilds
-// s.kernels must re-run prepareOps (resumeSession does).
+// chain, D2H — and its completion callback. Building these once per session
+// keeps every flush free of per-operation closure and event allocations.
+// The copy closures read the session's fields at run time, so BindDirect
+// may rebind staging underneath them; the kernel closures capture the
+// kernel objects themselves, which stay valid across evictions because the
+// session keeps its device addresses (a restore builds nothing).
 func (m *Manager) prepareOps(s *session) {
 	ctx := m.ctx
 	if s.spec.InBytes > 0 {

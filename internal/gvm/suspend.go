@@ -7,7 +7,6 @@ import (
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/sim"
-	"gpuvirt/internal/task"
 )
 
 // Suspend/resume extends the six-verb protocol with the facility the
@@ -29,12 +28,14 @@ import (
 // A swap moves ownership, not bytes: the simulated device's memory is host
 // memory already, so an evacuation (gpusim.Context.SwapOut) hands each
 // allocation's backing store to the snapshot and a restore (SwapIn) hands
-// it back as the new allocation's backing. The virtual clock still charges
-// the full PCIe transfer both ways, and whoever allocates the freed range
-// meanwhile gets fresh zeroed memory, never the evicted tenant's bytes.
-// The snapshot keeps its slices until the session is resident again, so a
-// restore that fails part-way only detaches what it attached and stays
-// retryable.
+// it back. The virtual clock still charges the full PCIe transfer both
+// ways, and whoever allocates the freed placement meanwhile gets fresh
+// zeroed memory at an address of its own, never the evicted tenant's bytes.
+// The session keeps its device addresses across the eviction, so its
+// kernels and prepared flush ops stay valid and a restore only puts its
+// buffers back on the card. The snapshot keeps its slices until the session
+// is resident again, so a restore that fails part-way only takes back off
+// the card what it placed and stays retryable.
 
 // The two extension verbs.
 const (
@@ -44,7 +45,9 @@ const (
 
 // snapshot is a suspended session's saved device state: per device buffer
 // its rounded size and, from a functional device, the backing store it had
-// (nil from a timing-only one).
+// (nil from a timing-only one). Each session has one (session.snap),
+// reused by every eviction; a restored one lets go of its slices, so it
+// never aliases live device memory.
 type snapshot struct {
 	in, out  []byte
 	inSize   int64
@@ -52,60 +55,70 @@ type snapshot struct {
 	scratch  [][]byte
 	scrSizes []int64
 	total    int64
-	// moving is non-nil while an evacuation or a restore is still copying
+	// moving is true while an evacuation or a restore is still copying
 	// between the arena and this snapshot. The copies sleep in virtual
 	// time, so other owner-side processes (a second restore, a front-end's
 	// loop, a migration) run meanwhile; to them the session is neither
-	// resident — its device pointers are being freed, or are not all back —
-	// nor restorable, and they wait for the event (waitSettled).
-	moving *sim.Event
+	// resident — its buffers are leaving the card, or are not all back —
+	// nor restorable, and they wait for settled (waitSettled).
+	moving  bool
+	settled *sim.Event
+}
+
+// begin opens a copy window on sn.
+func (sn *snapshot) begin(env *sim.Env) {
+	if sn.settled == nil {
+		sn.settled = env.NewEvent()
+	} else {
+		sn.settled.Reset()
+	}
+	sn.moving = true
 }
 
 // settle ends the copy window opened on sn.
 func (sn *snapshot) settle() {
-	ev := sn.moving
-	sn.moving = nil
-	ev.Fire(nil)
+	sn.moving = false
+	sn.settled.Fire(nil)
 }
 
 // waitSettled waits until no evacuation or restore of s is in flight.
 func (m *Manager) waitSettled(p *sim.Proc, s *session) {
-	for s.susp != nil && s.susp.moving != nil {
-		p.Wait(s.susp.moving)
+	for s.susp != nil && s.susp.moving {
+		p.Wait(s.susp.settled)
 	}
 }
 
-// suspendSession evacuates the session's device buffers into a host-side
-// snapshot and frees its device memory (resident bytes drop; the logical
-// reservation stays), leaving it with residency res. The evacuation is a
-// D2H transfer of the session's whole footprint, charged on p's clock, of a
-// resident session that is not running. The snapshot and the residency are
-// published before the first copy sleeps: from then on s is no eviction
+// suspendSession evacuates the session's device buffers into its snapshot
+// and takes them off the card (resident bytes drop; the logical reservation
+// and the addresses stay), leaving it with residency res. The evacuation is
+// a D2H transfer of the session's whole footprint, charged on p's clock, of
+// a resident session that is not running. The snapshot and the residency
+// are published before the first copy sleeps: from then on s is no eviction
 // victim, and a verb arriving for it waits in the restore path (or is
-// refused, suspended) instead of running on a half-freed arena.
+// refused, suspended) instead of running on a half-evacuated arena.
 func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
 	start := p.Now()
-	snap := &snapshot{moving: m.env.NewEvent()}
+	snap := &s.snap
+	snap.begin(m.env)
 	s.susp = snap
 	s.st.res = res
+	snap.total = 0
 	save := func(ptr cuda.DevPtr) ([]byte, int64) {
 		if ptr == 0 {
 			return nil, 0
 		}
-		data, size, _ := m.ctx.SwapOut(p, ptr) // a pointer the session does not hold saves as nothing
+		data, size, _ := m.ctx.SwapOut(p, ptr) // a pointer not on the card saves as nothing
 		snap.total += size
 		return data, size
 	}
 	snap.in, snap.inSize = save(s.devIn)
 	snap.out, snap.outSize = save(s.devOut)
+	snap.scratch, snap.scrSizes = snap.scratch[:0], snap.scrSizes[:0]
 	for _, ptr := range s.scratch {
 		data, size := save(ptr)
 		snap.scratch = append(snap.scratch, data)
 		snap.scrSizes = append(snap.scrSizes, size)
 	}
-	s.devIn, s.devOut, s.scratch = 0, 0, nil
-	s.kernels = nil // pointers are stale; rebuilt on resume
-	s.ops = nil     // the prebound flush closures captured those kernels
 	snap.settle()
 	m.met.swapOutBytes.Add(snap.total)
 	if m.cfg.Tracer != nil {
@@ -113,12 +126,13 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
 	}
 }
 
-// resumeSession reallocates the session's device buffers, restores their
-// contents, rebuilds the kernel sequence against the new addresses and
-// re-prepares the flush ops. On failure (device memory still exhausted
-// with nothing evictable) every partial allocation is released and the
-// snapshot stays intact, so the resume can be retried. evictedRestore
-// selects the metric pair (lazy restore vs client RES).
+// resumeSession puts the session's device buffers back on the card at the
+// addresses they always had, each with its snapshot contents. The kernels
+// and flush ops were built against those addresses and are not touched. On
+// failure (device memory still exhausted with nothing evictable) every
+// buffer it placed is taken back off the card and the snapshot stays
+// intact, so the resume can be retried. evictedRestore selects the metric
+// pair (lazy restore vs client RES).
 func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) error {
 	// Restoring may itself need room: the allocator's evictor runs inside
 	// these SwapIns and charges the evacuation on p, the running process.
@@ -129,55 +143,36 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 	if snap == nil {
 		return fmt.Errorf("gvm: session %d was released while its restore waited", s.id)
 	}
-	snap.moving = m.env.NewEvent()
+	snap.begin(m.env)
 	defer snap.settle()
 	start := p.Now()
-	// Snapshot-sized buffers are already counted in the session's
-	// reservation, so they come back through the raw context; only
-	// scratch beyond the original set (fresh bytes) goes through the
-	// quota allocator below.
-	restore := func(data []byte, size int64) (cuda.DevPtr, error) {
-		if size == 0 {
-			return 0, nil
+	place := func(ptr cuda.DevPtr, data []byte) error {
+		if ptr == 0 {
+			return nil
 		}
-		return m.ctx.SwapIn(p, data, size)
+		return m.ctx.SwapIn(p, ptr, data)
 	}
-	var err error
-	if s.devIn, err = restore(snap.in, snap.inSize); err != nil {
-		m.freeSessionBuffers(s)
+	err := place(s.devIn, snap.in)
+	if err == nil {
+		err = place(s.devOut, snap.out)
+	}
+	for i := 0; err == nil && i < len(s.scratch); i++ {
+		err = place(s.scratch[i], snap.scratch[i])
+	}
+	if err != nil {
+		// Take back what this restore placed. Unplace fails, harmlessly, on
+		// a buffer it had not reached: that one is off the card already.
+		_, _ = m.ctx.Unplace(s.devIn)
+		_, _ = m.ctx.Unplace(s.devOut)
+		for _, ptr := range s.scratch {
+			_, _ = m.ctx.Unplace(ptr)
+		}
 		return err
 	}
-	if s.devOut, err = restore(snap.out, snap.outSize); err != nil {
-		m.freeSessionBuffers(s)
-		return err
-	}
-	for i, data := range snap.scratch {
-		ptr, err := restore(data, snap.scrSizes[i])
-		if err != nil {
-			m.freeSessionBuffers(s)
-			return err
-		}
-		s.scratch = append(s.scratch, ptr)
-	}
-	// Rebuild the kernel sequence against the restored addresses. The
-	// builder may allocate fresh scratch; to keep the restored contents
-	// authoritative, rebuilding uses the restored scratch pointers via a
-	// replaying allocator.
-	if s.spec.Build != nil {
-		b := &bufReplay{in: s.devIn, out: s.devOut, fresh: &sessionAllocator{m: m, s: s}, ptrs: s.scratch}
-		ks, err := b.build(s)
-		if err != nil {
-			m.freeSessionBuffers(s)
-			return err
-		}
-		s.kernels = ks
-	}
+	snap.in, snap.out = nil, nil
+	clear(snap.scratch)
 	s.susp = nil
 	s.st.res = resident
-	// The flush closures captured the old kernel objects; rebind them to
-	// the rebuilt sequence so a post-restore STR launches live kernels.
-	s.ops = nil
-	m.prepareOps(s)
 	if evictedRestore {
 		m.met.restores.Inc()
 	} else {
@@ -274,7 +269,7 @@ func (m *Manager) restoreProgress(s *session) int {
 	}
 	best := progressNone
 	for _, o := range m.sessions {
-		if o != s && o.susp != nil && o.susp.moving != nil {
+		if o != s && o.susp != nil && o.susp.moving {
 			// Copies in flight end on the calendar, leaving o's arena freed
 			// (evacuation) or idle and evictable (restore).
 			return progressCalendar
@@ -349,10 +344,12 @@ func (m *Manager) evictionVictim() *session {
 // flow through: it enforces the session's hard memory quota (HAMi-style,
 // at Malloc time) and keeps the session's logical reservation — and the
 // device's reserved-bytes gauge — in step with what the session holds.
-// Restore-path reallocations of already-reserved bytes bypass it.
+// offCard hands out addresses off the card instead, for an adopted
+// session's restore to place.
 type sessionAllocator struct {
-	m *Manager
-	s *session
+	m       *Manager
+	s       *session
+	offCard bool
 }
 
 func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) {
@@ -361,7 +358,11 @@ func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) {
 		return 0, fmt.Errorf("gvm: session %d memory quota exceeded: %d bytes held + %d requested > quota %d",
 			a.s.id, a.s.devBytes, rounded, a.s.memQuota)
 	}
-	ptr, err := a.m.ctx.Malloc(n)
+	malloc := a.m.ctx.Malloc
+	if a.offCard {
+		malloc = a.m.ctx.Address
+	}
+	ptr, err := malloc(n)
 	if err != nil {
 		return 0, err
 	}
@@ -382,11 +383,8 @@ func (a *sessionAllocator) Free(p cuda.DevPtr) error {
 	return nil
 }
 
-// freeSessionBuffers releases whatever device buffers a session holds. For
-// a partially restored one that only detaches them: the snapshot still owns
-// the slices it lent as backing, so it stays intact. The logical
-// reservation is untouched: the session still holds its bytes, they are
-// just not resident.
+// freeSessionBuffers releases the session's device buffers, on the card or
+// off it. The logical reservation is untouched: teardown returns it.
 func (m *Manager) freeSessionBuffers(s *session) {
 	ctx := m.ctx
 	if s.devIn != 0 {
@@ -401,51 +399,4 @@ func (m *Manager) freeSessionBuffers(s *session) {
 		_ = ctx.Free(ptr)
 	}
 	s.scratch = nil
-}
-
-// bufReplay hands back the restored scratch allocations (ptrs) in the order
-// the original builder requested them, so the rebuilt kernels address the
-// restored data. An adopted snapshot was held to those requests' sizes
-// (ExtractedSession.size).
-type bufReplay struct {
-	in, out cuda.DevPtr
-	ptrs    []cuda.DevPtr
-	next    int
-	fresh   task.Allocator // beyond-the-replay allocations (quota-checked)
-}
-
-func (b *bufReplay) Malloc(n int64) (cuda.DevPtr, error) {
-	if b.next < len(b.ptrs) {
-		b.next++
-		return b.ptrs[b.next-1], nil
-	}
-	// The builder asked for more scratch than the original run: allocate
-	// fresh memory (it carries no restored state, and it is new bytes —
-	// quota-checked and reserved).
-	return b.fresh.Malloc(n)
-}
-
-func (b *bufReplay) Free(p cuda.DevPtr) error { return b.fresh.Free(p) }
-
-func (b *bufReplay) build(s *session) ([]*cuda.Kernel, error) {
-	var extra []cuda.DevPtr
-	bufs := &task.Buffers{In: b.in, Out: b.out, Alloc: b, Scratch: &extra}
-	ks, err := s.spec.Build(bufs)
-	if err != nil {
-		// Release only the allocations beyond the replayed set: those were
-		// freshly reserved by this rebuild. The replayed pointers are still
-		// owned by the session (s.scratch) and are released — reservation
-		// intact — by the caller's freeSessionBuffers.
-		if b.next < len(extra) {
-			for _, p := range extra[b.next:] {
-				_ = b.fresh.Free(p)
-			}
-		}
-		return nil, err
-	}
-	// Track any extra scratch beyond the replayed set. Replayed pointers
-	// were appended too (the builder goes through NewScratch for all of
-	// them), so rebuild the session scratch list from the builder's view.
-	s.scratch = extra
-	return ks, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/sim"
@@ -35,12 +36,25 @@ func arenas(dev *gpusim.Device, s *session) (in, out []byte) {
 	return in, out
 }
 
+// onCard reports whether the allocation at ptr is on the card: Bytes on an
+// address that is off it panics.
+func onCard(dev *gpusim.Device, ptr cuda.DevPtr) (on bool) {
+	defer func() {
+		if recover() != nil {
+			on = false
+		}
+	}()
+	dev.Bytes(ptr, 1)
+	return true
+}
+
 // TestFailedPartialRestoreKeepsSnapshot: the card has room for the evicted
 // session's first buffer but not its second, and the only other session is
-// mid-flush, so nothing is evictable. The restore fails after it attached
+// mid-flush, so nothing is evictable. The restore fails after it placed
 // the first buffer; it must give the device back exactly what it took,
-// keep the snapshot whole, and the retry — once the flush is over — must
-// bring back byte-identical arenas.
+// leave the session its addresses with none of them on the card, keep the
+// snapshot whole, and the retry — once the flush is over — must bring back
+// byte-identical arenas.
 func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 	w := workloads.VectorAdd(SurfaceTestN)
 	spec := w.Spec(0) // 8 KiB in, 4 KiB out
@@ -56,6 +70,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		victim.run(p, input, STP)
 		s := m.sessions[victim.ID]
 		wantIn, wantOut := arenas(dev, s)
+		addrIn, addrOut := s.devIn, s.devOut
 		m.suspendSession(p, s, evicted) // what evictForAlloc does to its victim
 		if dev.MemInUse() != 0 {
 			t.Fatalf("MemInUse = %d after the eviction, want 0", dev.MemInUse())
@@ -72,9 +87,11 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		if got := dev.BytesH2D - copied; got != spec.InBytes {
 			t.Fatalf("failed restore transferred %d bytes, want the input buffer's %d: it did not fail on the second buffer", got, spec.InBytes)
 		}
-		if s.susp == nil || s.devIn != 0 || s.devOut != 0 || dev.MemInUse() != resident {
-			t.Fatalf("failed restore left devIn=%#x devOut=%#x, %d bytes resident (want %d), snapshot %v",
-				uint64(s.devIn), uint64(s.devOut), dev.MemInUse(), resident, s.susp != nil)
+		if s.susp == nil || s.devIn != addrIn || s.devOut != addrOut || onCard(dev, s.devIn) || onCard(dev, s.devOut) ||
+			dev.MemInUse() != resident {
+			t.Fatalf("failed restore left devIn=%#x (on the card %v) devOut=%#x (on the card %v), %d bytes resident (want %d), snapshot %v; want the addresses %#x and %#x, off the card",
+				uint64(s.devIn), onCard(dev, s.devIn), uint64(s.devOut), onCard(dev, s.devOut), dev.MemInUse(), resident, s.susp != nil,
+				uint64(addrIn), uint64(addrOut))
 		}
 		if !bytes.Equal(s.susp.in[:spec.InBytes], wantIn) || !bytes.Equal(s.susp.out[:spec.OutBytes], wantOut) {
 			t.Fatal("failed restore damaged the snapshot")
@@ -271,6 +288,84 @@ func TestAdoptRefusesScratchOfTheWrongSize(t *testing.T) {
 			t.Errorf("cycle on the target: %v", err)
 		}
 		sf.must(p, RLS)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvictionKeepsAddressesKernelsAndOps: a session keeps its device
+// addresses, its kernels and its prepared flush ops across evictions — on
+// the shard that opened it and on one that adopted it, which builds them
+// once — so a restore builds nothing, and every cycle after a restore reads
+// back byte-identical results.
+func TestEvictionKeepsAddressesKernelsAndOps(t *testing.T) {
+	w := workloads.VectorAdd(SurfaceTestN)
+	spec := w.Spec(0)
+	input := make([]byte, spec.InBytes)
+	w.Fill(0, input)
+	var want []byte
+	// cycles evicts b's session three times, each followed by a whole
+	// cycle whose SND restores it.
+	cycles := func(p *sim.Proc, m *Manager, b *BareSession) {
+		s := m.sessions[b.ID]
+		devIn, k0, op0 := s.devIn, s.kernels[0], &s.ops[0]
+		restores := m.met.restores.Value()
+		for i := 0; i < 3; i++ {
+			m.suspendSession(p, s, evicted)
+			b.run(p, input, RCV)
+			if s.devIn != devIn || s.kernels[0] != k0 || &s.ops[0] != op0 {
+				t.Errorf("restore %d: devIn %#x, kernel %p, op %p; before the eviction %#x, %p, %p",
+					i, uint64(s.devIn), s.kernels[0], &s.ops[0], uint64(devIn), k0, op0)
+			}
+			if !bytes.Equal(b.Out, want) {
+				t.Errorf("restore %d: the cycle's results differ from the first cycle's", i)
+			}
+		}
+		if got := m.met.restores.Value() - restores; got != 3 {
+			t.Errorf("%d restores in three evicted cycles, want 3", got)
+		}
+	}
+
+	var blob []byte
+	env, _, m := swapTestManager(1 << 20)
+	env.Go("source", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		b := OpenBare(t, p, m, Request{Spec: spec})
+		b.run(p, input, RCV)
+		if err := w.Check(0, b.Out); err != nil {
+			t.Errorf("first cycle: %v", err)
+			return
+		}
+		want = append([]byte(nil), b.Out...)
+		cycles(p, m, b)
+		ext, err := m.ExtractSession(p, b.ID)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		blob = ext.Encode()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	env, _, m = swapTestManager(1 << 20)
+	env.Go("target", func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		ext, err := DecodeExtracted(blob)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ext.Spec = spec
+		if err := m.AdoptSession(p, ext); err != nil {
+			t.Error(err)
+			return
+		}
+		b := &BareSession{t: t, m: m, ID: ext.ID}
+		b.bind(m.Staging(ext.ID))
+		cycles(p, m, b)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -308,9 +308,11 @@ func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 }
 
 // BenchmarkOversubCycle is one warm cycle on an evicted session: a verb
-// round trip plus one eviction and one restore of a 48 KiB arena. B/op is
-// the regression guard's number — a swap moves ownership of the arena's
-// backing store, so it stays far below the footprint.
+// round trip plus one eviction and one restore of a 48 KiB arena. A swap
+// moves ownership of the arena's backing store and a restore puts the
+// buffers back at the addresses the session's kernels were built against,
+// so B/op and allocs/op read 0 (TestSocketCycleDaemonAllocs holds them
+// there).
 func BenchmarkOversubCycle(b *testing.B) {
 	cycle, _ := startOversub(b)
 	b.ReportAllocs()

@@ -86,16 +86,14 @@ func TestWarmCycleProcessSwitches(t *testing.T) {
 }
 
 // daemonCycleAllocs is what a warm cycle allocates in the daemon whatever
-// carries it: nothing. A kernel launch reuses its launch record, the
-// record's completion event with its waiter backing, and the kernel's block
-// context. Go's heap goal never drops below 4 MiB, so any per-cycle garbage
-// at all holds about 5 MB of a daemon's RSS.
+// carries it, and whether or not its session was evicted: nothing. A kernel
+// launch reuses its launch record, the record's completion event with its
+// waiter backing, and the kernel's block context; a restore puts the
+// session's buffers back at the addresses its kernels and flush ops were
+// built against, into the session's one snapshot, on a reused process.
+// Go's heap goal never drops below 4 MiB, so any per-cycle garbage at all
+// holds about 5 MB of a daemon's RSS.
 const daemonCycleAllocs = 0
-
-// oversubCycleAllocs is what a warm cycle on an evicted session allocates
-// (serial executor): the restore path — the session's rebuilt kernels and
-// prepared ops, the snapshot, the restore process — which still allocates.
-const oversubCycleAllocs = 24
 
 // TestSocketCycleDaemonAllocs is TestWarmCycleProcessSwitches' allocation
 // twin: a warm BAT cycle allocates in the daemon exactly what a ring cycle
@@ -104,8 +102,7 @@ const oversubCycleAllocs = 24
 // channel, no closure, no request process, no Batch backing. Client and
 // daemon share the test's heap; the client side of a warm cycle allocates
 // nothing on any carrier, so the count is the daemon's. The oversub row
-// pins the evict+restore cycle at its exact count, so the restore path
-// cannot grow while it is still open.
+// holds the evict+restore cycle (serial executor) to the same nothing.
 func TestSocketCycleDaemonAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -127,7 +124,7 @@ func TestSocketCycleDaemonAllocs(t *testing.T) {
 		{"oversub", func(t *testing.T) func(int) {
 			cycle, _ := startOversub(t)
 			return cycle
-		}, oversubCycleAllocs},
+		}, daemonCycleAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cycle := tc.start(t)

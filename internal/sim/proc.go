@@ -109,10 +109,21 @@ func releaseWorker(w *worker) {
 }
 
 // Go spawns a new process running fn, starting at the current instant
-// (after already-scheduled events at this instant).
+// (after already-scheduled events at this instant). The returned *Proc is
+// valid until fn returns: a finished process is reused by a later Go of the
+// same Env, so a transient process costs no allocation once one has run,
+// and an Env keeps as many as it ever ran at once.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn}
-	p.resume = func() { e.handoff(p) }
+	var p *Proc
+	if n := len(e.procFree); n > 0 {
+		p = e.procFree[n-1]
+		e.procFree[n-1] = nil
+		e.procFree = e.procFree[:n-1]
+	} else {
+		p = &Proc{env: e}
+		p.resume = func() { e.handoff(p) }
+	}
+	p.name, p.fn = name, fn
 	e.schedule(e.now, p.resume)
 	return p
 }
@@ -121,7 +132,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // parks (blocks on virtual time / an event) or exits. A worker is released
 // here, after next has come back, never by the worker itself: once it is on
 // the free list another Env's goroutine may resume it, which must not happen
-// while it is still running towards its yield.
+// while it is still running towards its yield. A finished p goes onto the
+// Env's own free list here too, for Go to reuse.
 func (e *Env) handoff(p *Proc) {
 	w := p.w
 	if w == nil {
@@ -136,6 +148,8 @@ func (e *Env) handoff(p *Proc) {
 	e.cur = nil
 	if w.p == nil {
 		releaseWorker(w)
+		p.name, p.daemon = "", false
+		e.procFree = append(e.procFree, p)
 	}
 }
 

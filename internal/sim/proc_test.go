@@ -258,3 +258,49 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 		t.Fatalf("the next process on the same Env: err=%v ran=%v", err, ran)
 	}
 }
+
+// TestTransientProcessAllocatesNothing: once one process has finished, Go
+// reuses it, so spawning and running a trivial transient process — the
+// daemon's restore process, its cold-work process — allocates nothing.
+func TestTransientProcessAllocatesNothing(t *testing.T) {
+	e := NewEnv()
+	ran := 0
+	body := func(*Proc) { ran++ }
+	spawn := func() {
+		e.Go("transient", body)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn() // warm-up: the first Proc, its worker and the queue's backing
+	if got := testing.AllocsPerRun(100, spawn); got != 0 {
+		t.Fatalf("%v allocations per transient process, want 0", got)
+	}
+	if ran != 102 {
+		t.Fatalf("body ran %d times, want 102", ran)
+	}
+}
+
+// TestReusedProcCarriesNothingOver: a reused Proc has the name its new Go
+// gave it and is no daemon, so blocking forever in it is a deadlock again.
+func TestReusedProcCarriesNothingOver(t *testing.T) {
+	e := NewEnv()
+	first := e.Go("daemon", func(p *Proc) { p.Daemonize() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	second := e.Go("worker", func(p *Proc) {
+		name = p.Name()
+		p.Wait(e.NewEvent()) // never fires
+	})
+	if second != first {
+		t.Fatal("Go did not reuse the finished process")
+	}
+	if err := e.Run(); err == nil {
+		t.Fatal("a process blocked forever in a reused daemon's Proc is not a deadlock")
+	}
+	if name != "worker" {
+		t.Fatalf("reused Proc is named %q, want %q", name, "worker")
+	}
+}

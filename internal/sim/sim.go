@@ -91,6 +91,7 @@ type Env struct {
 	blocked  int    // processes alive but waiting on something other than time
 	switches uint64 // hand-offs made
 	running  bool
+	procFree []*Proc // finished processes, reused by Go
 }
 
 // pushCal inserts a future entry into the heap (sift-up).
