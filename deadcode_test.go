@@ -1,5 +1,6 @@
 // The dead-code guard: no production declaration may exist only for tests.
-// `make loc` quotes this test's -v line.
+// `make loc` quotes this test's -v lines: the guard's findings and the
+// exported identifiers per internal/ package.
 package gpuvirt_test
 
 import (
@@ -10,9 +11,11 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -48,10 +51,8 @@ type decl struct {
 // not. Declarations found dead are taken out of the counts and the scan
 // repeats, so a helper only dead code calls is dead too.
 func TestNoTestOnlyCode(t *testing.T) {
-	dead, err := testOnlyDecls(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := repoTree(t)
+	dead := testOnlyDecls(tr)
 	if len(testOnlyAllowed) > 5 {
 		t.Errorf("the allowlist has %d entries; it holds at most 5", len(testOnlyAllowed))
 	}
@@ -72,21 +73,95 @@ func TestNoTestOnlyCode(t *testing.T) {
 		}
 	}
 	t.Logf("test-only declarations: %d findings (%d lines), allowlist %d", findings, lines, len(testOnlyAllowed))
+	t.Logf("exported identifiers: %s", exportedIdents(tr))
 }
 
-// testOnlyDecls parses every non-test .go file under root and returns the
-// declarations the fixed-point scan finds dead, allowlisted ones included,
-// sorted by key.
-func testOnlyDecls(root string) ([]*decl, error) {
-	fset := token.NewFileSet()
+// exportedIdents renders, per internal/ package, how many exported names its
+// non-test files declare, as "internal/cuda=37 internal/direct=7 …": top-level
+// funcs, types, vars and consts, grouped or not, and the exported methods of
+// exported types. Struct fields and interface methods are not counted.
+func exportedIdents(tr *srcTree) string {
 	counts := map[string]int{}
-	var decls []*decl
-	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+	for _, sf := range tr.files {
+		dir := path.Dir(sf.path)
+		if path.Dir(dir) != "internal" {
+			continue
+		}
+		n := counts[dir]
+		for _, d := range sf.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && (d.Recv == nil || ast.IsExported(recvType(d.Recv.List[0].Type))) {
+					n++
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							n++
+						}
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							if id.IsExported() {
+								n++
+							}
+						}
+					}
+				}
+			}
+		}
+		counts[dir] = n
+	}
+	var out []string
+	for dir, n := range counts {
+		out = append(out, fmt.Sprintf("%s=%d", dir, n))
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// srcFile is one non-test Go file of the tree, parsed with its comments.
+type srcFile struct {
+	path string // slash-separated, relative to the repository root
+	src  []byte
+	ast  *ast.File
+}
+
+// srcTree is every non-test .go file of the repository: cmd/, examples/ and
+// bench/ included, whatever their build tags.
+type srcTree struct {
+	fset  *token.FileSet
+	files []*srcFile
+}
+
+var (
+	repoOnce sync.Once
+	repo     *srcTree
+	repoErr  error
+)
+
+// repoTree is the repository's tree, parsed once per test binary: every
+// root test reads the same parse.
+func repoTree(t *testing.T) *srcTree {
+	t.Helper()
+	repoOnce.Do(func() { repo, repoErr = loadTree() })
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
+}
+
+// loadTree reads and parses every non-test .go file under the current
+// directory, skipping hidden directories and testdata.
+func loadTree() (*srcTree, error) {
+	tr := &srcTree{fset: token.NewFileSet()}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if e.IsDir() {
-			if n := e.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata") {
+			if n := e.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -98,15 +173,31 @@ func testOnlyDecls(root string) ([]*decl, error) {
 		if err != nil {
 			return err
 		}
-		fd, err := scanFile(fset, path, src, counts)
+		sf, err := tr.parse(filepath.ToSlash(path), src)
 		if err != nil {
 			return err
 		}
-		decls = append(decls, fd...)
+		tr.files = append(tr.files, sf)
 		return nil
 	})
+	return tr, err
+}
+
+func (tr *srcTree) parse(path string, src []byte) (*srcFile, error) {
+	f, err := parser.ParseFile(tr.fset, path, src, parser.ParseComments)
 	if err != nil {
 		return nil, err
+	}
+	return &srcFile{path: path, src: src, ast: f}, nil
+}
+
+// testOnlyDecls returns the declarations of the tree that the fixed-point
+// scan finds dead, allowlisted ones included, sorted by key.
+func testOnlyDecls(tr *srcTree) []*decl {
+	counts := map[string]int{}
+	var decls []*decl
+	for _, sf := range tr.files {
+		decls = append(decls, scanFile(tr.fset, sf, counts)...)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -127,16 +218,13 @@ func testOnlyDecls(root string) ([]*decl, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out, nil
+	return out
 }
 
 // scanFile adds the file's identifier tokens to counts and returns its
 // candidate declarations.
-func scanFile(fset *token.FileSet, path string, src []byte, counts map[string]int) ([]*decl, error) {
-	f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
+func scanFile(fset *token.FileSet, sf *srcFile, counts map[string]int) []*decl {
+	f, src := sf.ast, sf.src
 	tf := fset.File(f.Pos())
 	type ident struct {
 		off  int
@@ -202,7 +290,7 @@ func scanFile(fset *token.FileSet, path string, src []byte, counts map[string]in
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 func recvType(e ast.Expr) string {
