@@ -345,18 +345,19 @@ var archRows = []archRow{
 	},
 	{
 		name: "one-wire-codec",
-		msg:  "a second wire codec (non-test internal/transport or internal/gvm imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob)",
-		why: "One wire codec: every verb travels as a binary frame, and a migrating session as the binary blob " +
-			"gvm.ExtractedSession.Encode writes (MIG's answer, ADP's Data), so no non-test file of internal/transport or " +
-			"internal/gvm imports encoding/json — base64 inside JSON inside a frame is how a migration once cost 8/3 of " +
-			"its footprint. node's STA advertisement keeps its JSON: it is operator-facing.",
+		msg:  "a second wire codec (a non-test file of internal/, cmd/ or examples/ imports encoding/json; a migrating session travels as gvm.ExtractedSession.Encode's binary blob, a load report as node.AppendLoad's record)",
+		why: "One wire codec: every verb travels as a binary frame, a migrating session as the binary blob " +
+			"gvm.ExtractedSession.Encode writes (MIG's answer, ADP's Data) and a node's STA answer as the binary load " +
+			"record node.AppendLoad writes, so no non-test file of the module imports encoding/json — base64 inside " +
+			"JSON inside a frame is how a migration once cost 8/3 of its footprint.",
 		checks: []archCheck{
-			imports{in: []string{"internal/transport", "internal/gvm"}, paths: []string{"encoding/json"}},
+			imports{in: []string{"internal/...", "cmd/...", "examples/..."}, paths: []string{"encoding/json"}},
 		},
 		mutations: []archEdit{
 			{file: "internal/gvm/migrate_codec.go", find: "import (", repl: "import (\n\t_ \"encoding/json\""},
 			{file: "internal/transport/exec.go", find: "import (", repl: "import (\n\tjs \"encoding/json\""},
-			{file: "internal/gvm", to: "internal/engine"},
+			{file: "internal/node/advert.go", find: "import (", repl: "import (\n\t\"encoding/json\""},
+			{file: "cmd/gvmd/main.go", find: "import (", repl: "import (\n\t_ \"encoding/json\""},
 		},
 	},
 }

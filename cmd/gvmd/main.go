@@ -160,17 +160,11 @@ func main() {
 	if *addrFile != "" {
 		// Written only after every listener is bound, so a waiter that
 		// sees the file can connect immediately. The metrics URL rides
-		// along as an extra http:// line for scrapers to discover, and the
-		// last line is the v2 capacity/health advertisement (one JSON
-		// object) a federation router reads to seed node-level placement.
-		// v1 readers (head -n1 for the address, grep ^http:// for the
-		// scrape URL) are unaffected.
+		// along as an extra http:// line for scrapers to discover (head
+		// -n1 for the address, grep ^http:// for the scrape URL).
 		lines := append([]string{}, addrs...)
 		if metricsURL != "" {
 			lines = append(lines, metricsURL)
-		}
-		if ad, err := node.MarshalAd(srv.Node().Advertise()); err == nil {
-			lines = append(lines, string(ad))
 		}
 		if err := os.WriteFile(*addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			srv.Close()
@@ -181,7 +175,7 @@ func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	// SIGUSR1 gracefully drains the WHOLE node: every shard stops taking
-	// placements at once and the daemon's advertisement turns
+	// placements at once and the daemon's load report turns
 	// unplaceable. Behind gvmfed that is the maintenance signal — the
 	// router sees the next poll and live-migrates every session to the
 	// other nodes; standalone, sessions keep serving in place until their

@@ -5,12 +5,13 @@
 // policies gvmd uses across its GPU shards (two-level placement: the
 // router picks the node, the node's policy picks the GPU).
 //
-// The router polls every backend's capacity/health advertisement (the
-// STA verb) to drive placement and failure detection. A node that
-// drains (gvmd SIGUSR1) has its sessions live-migrated to the other
-// nodes — extract (MIG), re-place, adopt (ADP) — without the clients
-// noticing; a node that dies has its sessions re-created on survivors
-// and the clients' jittered retry loops replay their cycles.
+// The router polls every backend's load report (the STA verb: the node's
+// shards folded into one binary node-level load record) to drive
+// placement and failure detection. A node that drains (gvmd SIGUSR1) has
+// its sessions live-migrated to the other nodes — extract (MIG),
+// re-place, adopt (ADP) — without the clients noticing; a node that dies
+// has its sessions re-created on survivors and the clients' jittered
+// retry loops replay their cycles.
 //
 // Usage:
 //
@@ -57,7 +58,7 @@ func main() {
 	flag.Var(&backends, "backend", "backend gvmd address, e.g. tcp://host:7070 (repeatable)")
 	flag.Var(&backendFiles, "backend-file", "read one backend gvmd address from this -addr-file (first line; repeatable)")
 	placement := flag.String("placement", "least-sessions", "node placement policy: "+strings.Join(node.PolicyNames(), "|"))
-	poll := flag.Duration("poll", 200*time.Millisecond, "backend advertisement poll interval")
+	poll := flag.Duration("poll", 200*time.Millisecond, "backend load-report poll interval")
 	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes) and net/http/pprof at /debug/pprof/")
 	logLevel := flag.String("log-level", "", "structured routing/failover logging to stderr: debug|info|warn|error; empty disables")
@@ -163,8 +164,7 @@ func main() {
 }
 
 // readAddrFile pulls the daemon address out of a gvmd -addr-file: the
-// first line (later lines are the metrics URL and the v2 advertisement
-// trailer).
+// first line (a later http:// line is the metrics URL).
 func readAddrFile(path string) (string, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -3,13 +3,13 @@
 // speaks the same six-verb protocol to clients, so a worker pointed at
 // gvmfed cannot tell it from a single gvmd.
 //
-// Placement is hierarchical: the router turns each backend node's
-// polled capacity/health advertisement (the STA verb / addr-file v2
-// schema) into one node-level Load and runs the SAME node.Placer +
-// node.Policy machinery the daemon itself uses for shards — the router
-// picks the node, the node's own policy picks the GPU. Every session
-// gets its own sticky backend connection: REQ opens it, later frames —
-// each one session's verbs, checked by the daemon's own frame rule
+// Placement is hierarchical: each backend node answers the router's STA
+// poll with its shards folded into one node-level Load (a binary load
+// record), and the router runs the SAME node.Placer + node.Policy
+// machinery the daemon itself uses for shards — the router picks the
+// node, the node's own policy picks the GPU. Every session gets its own
+// sticky backend connection: REQ opens it, later frames — each one
+// session's verbs, checked by the daemon's own frame rule
 // (transport.FrameSteps) before the router looks the session up — are
 // proxied over it whole with the pooled zero-copy framing (the warm proxy
 // hop allocates nothing), and STR barriers on one session can never block
@@ -49,7 +49,7 @@ type Config struct {
 	// Placement names the NODE-level policy (node.PolicyNames, the same
 	// set as gvmd -placement). Default least-sessions.
 	Placement string
-	// PollInterval is the advertisement poll period (default 200ms).
+	// PollInterval is the load-report poll period (default 200ms).
 	PollInterval time.Duration
 	// Metrics receives the fed_* series. nil creates a private registry.
 	Metrics *metrics.Registry
@@ -87,23 +87,23 @@ type backend struct {
 
 	// sessions is the fed_placed_sessions{node} gauge — the router's own
 	// count of sessions currently routed to this backend (fresher than
-	// the polled advertisement).
+	// the polled load report).
 	sessions *metrics.Gauge
 	// bytes is the staging footprint the router has placed here.
 	bytes atomic.Int64
 
 	mu    sync.Mutex
 	state nodeState
-	// ad is the last polled advertisement folded into a node-level Load
-	// (zero until the first successful poll).
-	ad node.Load
+	// polled is the node-level Load the node last reported (zero until
+	// the first successful poll).
+	polled node.Load
 	// bytesAtPoll/sessionsAtPoll snapshot the router's own counters at
-	// the moment ad was taken, so load() can correct the advertisement
+	// the moment polled was taken, so load() can correct the report
 	// by the DELTA placed since the poll. Correcting by the absolute
 	// counters would assume every session on the backend is ours —
 	// wrong the moment the node also serves direct clients or a second
 	// router, whose bytes would then inflate the computed headroom past
-	// the advertisement.
+	// the report.
 	bytesAtPoll    int64
 	sessionsAtPoll int64
 	// ctl is the polling connection (lazily dialed, redialed on error).
@@ -116,17 +116,16 @@ func (b *backend) getState() nodeState {
 	return b.state
 }
 
-// load folds the backend's last advertisement and the router's own
+// load folds the backend's last load report and the router's own
 // placement counters into one node-level Load for the Placer. The
-// router's counters correct the advertisement's staleness: sessions
-// placed (or released) THROUGH THIS ROUTER since the last poll move
-// the headroom before the next poll confirms it. Only the delta since
-// the poll is applied — the advertisement already accounts for
-// everything on the node at poll time, including sessions the router
-// never placed.
+// router's counters correct the report's staleness: sessions placed (or
+// released) THROUGH THIS ROUTER since the last poll move the headroom
+// before the next poll confirms it. Only the delta since the poll is
+// applied — the report already accounts for everything on the node at
+// poll time, including sessions the router never placed.
 func (b *backend) load() node.Load {
 	b.mu.Lock()
-	l := b.ad
+	l := b.polled
 	st := b.state
 	bytesAtPoll, sessionsAtPoll := b.bytesAtPoll, b.sessionsAtPoll
 	b.mu.Unlock()

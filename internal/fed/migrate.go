@@ -146,7 +146,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 }
 
 // evacuate drains every session off a backend in the background,
-// normally triggered by the poller seeing the node advertise itself
+// normally triggered by the poller seeing the node report itself
 // unplaceable (whole-node SIGUSR1 drain). Verbs touching a session
 // meanwhile migrate it themselves first — s.mu arbitrates.
 func (r *Router) evacuate(b *backend) {

@@ -85,7 +85,13 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	}
 
 	src.DrainAll()
-	for deadline := 1000; nodeOpenSessions(dst) != 1 || nodeOpenSessions(src) != 0; deadline-- {
+	// The target counts the session as soon as ADP lands; the router counts
+	// the move only once ADP's answer is back, so wait for both.
+	moved := func() bool {
+		return nodeOpenSessions(dst) == 1 && nodeOpenSessions(src) == 0 &&
+			scrape(t, r.Metrics())["fed_migrated_bytes_total"] != 0
+	}
+	for deadline := 1000; !moved(); deadline-- {
 		if deadline == 0 {
 			t.Fatalf("session never left the draining node: src %d open, dst %d open",
 				nodeOpenSessions(src), nodeOpenSessions(dst))

@@ -7,12 +7,12 @@ import (
 	"gpuvirt/internal/transport"
 )
 
-// Advertisement polling: every PollInterval the router sends STA on a
-// per-backend control connection and folds the reply into the backend's
-// node-level Load. The poll is also the health probe — a node that
-// stops answering goes dead, and a node that advertises itself
-// unplaceable (whole-node drain, every shard faulted) goes draining and
-// gets a background evacuation.
+// Load polling: every PollInterval the router sends STA on a per-backend
+// control connection and decodes the reply, the node's own folded
+// node-level Load, as the backend's load. The poll is also the health
+// probe — a node that stops answering goes dead, and a node that reports
+// itself unplaceable (whole-node drain, every shard faulted) goes
+// draining and gets a background evacuation.
 
 func (r *Router) pollLoop() {
 	defer r.wg.Done()
@@ -49,8 +49,8 @@ func (b *backend) installCtl(ctl *transport.Conn) bool {
 }
 
 // pollBackend performs one STA round trip on the backend's control
-// connection (dialing or redialing it as needed) and applies the
-// advertisement. Dial failure marks the node dead; dead nodes are not
+// connection (dialing or redialing it as needed) and applies the load
+// report. Dial failure marks the node dead; dead nodes are not
 // polled again (their state never de-escalates).
 func (r *Router) pollBackend(b *backend) {
 	b.mu.Lock()
@@ -100,18 +100,17 @@ func (r *Router) pollBackend(b *backend) {
 		// with: no headroom, so placement never picks it.
 		return
 	}
-	ad, err := node.UnmarshalAd(resp.Data)
+	load, err := node.DecodeLoad(resp.Data)
 	if err != nil {
 		if r.cfg.Log != nil {
-			r.cfg.Log.Warn("bad advertisement", "node", b.idx, "err", err)
+			r.cfg.Log.Warn("bad load report", "node", b.idx, "err", err)
 		}
 		return
 	}
-	load := node.NodeLoad(b.idx, ad)
 	b.mu.Lock()
-	b.ad = load
-	// Snapshot the router's own counters alongside the advertisement:
-	// load() corrects the ad by the delta placed since this moment.
+	b.polled = load
+	// Snapshot the router's own counters alongside the report: load()
+	// corrects it by the delta placed since this moment.
 	b.bytesAtPoll = b.bytes.Load()
 	b.sessionsAtPoll = b.sessions.Value()
 	drained := b.state == stateAlive && !load.Health.Placeable()

@@ -184,9 +184,6 @@ func (d *Device) Reserve(n int64) { d.alloc.Reserve(n) }
 // Unreserve returns n logical bytes to the pool.
 func (d *Device) Unreserve(n int64) { d.alloc.Unreserve(n) }
 
-// LargestFree returns the largest contiguous free span of device memory.
-func (d *Device) LargestFree() int64 { return d.alloc.LargestFree() }
-
 // RoundUp returns n rounded up to the allocator's alignment.
 func (d *Device) RoundUp(n int64) int64 { return d.alloc.RoundUp(n) }
 
@@ -281,12 +278,6 @@ func (d *Device) CreateContext(p *sim.Proc) *Context {
 	d.emit("driver", fmt.Sprintf("ctx%d create", c.id), start, p.Now())
 	return c
 }
-
-// ID returns the context's device-unique id.
-func (c *Context) ID() int { return c.id }
-
-// Device returns the device the context belongs to.
-func (c *Context) Device() *Device { return c.dev }
 
 // Destroy marks the context dead; further operations panic.
 func (c *Context) Destroy() { c.destroyed = true }

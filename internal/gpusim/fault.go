@@ -85,9 +85,6 @@ func IsFault(err error) (*FaultError, bool) {
 // and telemetry. The node layer assigns it at shard construction.
 func (d *Device) SetIndex(i int) { d.index = i }
 
-// Index returns the device's GPU index (0 when never set).
-func (d *Device) Index() int { return d.index }
-
 // Fault returns the device's current fault state. Safe to call from any
 // goroutine.
 func (d *Device) Fault() FaultKind { return FaultKind(d.fault.Load()) }

@@ -264,14 +264,8 @@ type Config struct {
 	// footprint of live sessions; REQ beyond the cap is rejected. The
 	// paper: "the shared memory size is user-customizable to ensure the
 	// total size does not exceed the GPU memory size". 0 defaults to the
-	// device's memory size, scaled by Overcommit.
+	// device's memory size; a node passes its shard's overcommit quota.
 	MaxSessionBytes int64
-	// Overcommit scales the default MaxSessionBytes quota (the node's
-	// -overcommit factor): under overcommit the manager hosts more
-	// sessions than fit the card, paging idle arenas to host snapshots,
-	// so the aggregate staging cap must grow in step. Values <= 1 (and 0)
-	// leave the classic device-sized default.
-	Overcommit float64
 	// BarrierTimeout bounds how long buffered STR requests wait for the
 	// remaining parties. When it expires the manager flushes the partial
 	// batch, so a crashed SPMD rank cannot wedge the node. 0 disables
@@ -502,6 +496,9 @@ func New(env *sim.Env, cfg Config) *Manager {
 		func() int64 { return dev.MemResident() }, gl)
 	reg.GaugeFunc("gvm_reserved_bytes", "logical session bytes reserved (may exceed capacity under overcommit)",
 		func() int64 { return dev.MemReserved() }, gl)
+	// Class 1 is every unweighted session's, so a fresh scrape shows both
+	// per-class families at 0.
+	m.classMetrics(1)
 	return m
 }
 
@@ -690,9 +687,6 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 	quota := m.cfg.MaxSessionBytes
 	if quota == 0 {
 		quota = m.dev.Arch().MemBytes
-		if m.cfg.Overcommit > 1 {
-			quota = int64(m.cfg.Overcommit * float64(quota))
-		}
 	}
 	if m.shmInUse+footprint > quota {
 		return 0, fmt.Errorf(
@@ -759,13 +753,18 @@ func (m *Manager) build(s *session, alloc task.Allocator) error {
 }
 
 // bindClassMetrics prebinds the session's weight-class instruments so the
-// hot path pays no map lookups; the registry is idempotent, so sessions of
-// one class on one shard share a series.
+// hot path pays no map lookups.
 func (m *Manager) bindClassMetrics(s *session) {
-	cl := metrics.L("class", strconv.Itoa(weightClass(s.weight)))
+	s.launches, s.turnClassNS = m.classMetrics(weightClass(s.weight))
+}
+
+// classMetrics returns one weight class's instruments on this shard; the
+// registry is idempotent, so sessions of one class share a series.
+func (m *Manager) classMetrics(class int) (*metrics.Counter, *metrics.Histogram) {
+	cl := metrics.L("class", strconv.Itoa(class))
 	gl := metrics.L("gpu", strconv.Itoa(m.cfg.GPUIndex))
-	s.launches = m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl)
-	s.turnClassNS = m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
+	return m.reg.Counter("gpusim_sched_launches_total", "kernel launches by weight class", gl, cl),
+		m.reg.Histogram("gvm_turnaround_class_ns", "virtual ns from STR arrival to cycle completion, by weight class", gl, cl)
 }
 
 // logs reports whether the manager's logger takes lines at level. The

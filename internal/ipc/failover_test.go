@@ -163,10 +163,12 @@ func drainMidJob(t *testing.T, s *Server) {
 	}
 
 	// The session now lives on the other shard, and the source is empty.
+	// The target counts the session as soon as it adopts it; the move's
+	// metrics follow the adoption's turn, its latency last, so wait for both.
 	for deadline := 400; ; deadline-- {
 		srcOpen, _, _ := shardStats(t, s, src)
 		dstOpen, _, _ := shardStats(t, s, dst)
-		if srcOpen == 0 && dstOpen == 1 {
+		if srcOpen == 0 && dstOpen == 1 && scrapeMetrics(t, s.Metrics())["node_migration_latency_ns_count"] >= 1 {
 			break
 		}
 		if deadline == 0 {

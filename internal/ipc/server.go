@@ -258,7 +258,7 @@ func (s *Server) Node() *node.Node { return s.node }
 // DrainAll gracefully decommissions the whole node: every shard stops
 // taking placements at once. gvmd triggers it on SIGUSR1. Intra-node
 // failover has nowhere to go, so sessions keep serving in place; a
-// fronting gvmfed sees the node advertise itself unplaceable and
+// fronting gvmfed sees the node report itself unplaceable and
 // live-migrates the sessions to other nodes.
 func (s *Server) DrainAll() {
 	s.node.DrainAll()

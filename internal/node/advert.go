@@ -1,127 +1,66 @@
 package node
 
-import "encoding/json"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
 
-// The capacity/health advertisement is the machine-readable snapshot a
-// gvmd node exports for the federation router: gvmd writes one as the
-// trailing JSON line of its -addr-file (the "addr-file v2" format — the
-// plain address lines stay first, so v1 readers that take line one are
-// unaffected) and serves a live one on every STA verb, which gvmfed
-// polls to drive node-level placement. The schema deliberately mirrors
-// Load: the router turns an Advertisement into one node-level Load and
-// feeds it to the same Placer/Policy machinery the node itself uses for
-// shards.
+// The load report is what a gvmd node answers STA with: its shards folded
+// into the one node-level Load the federation router places against with
+// the same Placer/Policy machinery the node uses for its shards. It
+// travels as one binary record of six varints — health, sessions, bytes,
+// headroom, resident, p99 — inside the answer's frame.
 
-// AdvertVersion is the advertisement schema version.
-const AdvertVersion = 2
-
-// ShardAd is one shard's slice of a node advertisement.
-type ShardAd struct {
-	// GPU is the shard index on its node.
-	GPU int `json:"gpu"`
-	// Health is the shard's HealthState name ("healthy", "degraded",
-	// "draining", "unhealthy").
-	Health string `json:"health"`
-	// Sessions is the number of sessions placed on the shard.
-	Sessions int64 `json:"sessions"`
-	// ReservedBytes is the placed staging footprint.
-	ReservedBytes int64 `json:"reserved_bytes"`
-	// FreeBytes is the reservation headroom under the overcommit quota.
-	FreeBytes int64 `json:"free_bytes"`
-	// ResidentBytes is physically resident device memory.
-	ResidentBytes int64 `json:"resident_bytes"`
-	// CapacityBytes is the admission quota (overcommit x device memory).
-	CapacityBytes int64 `json:"capacity_bytes"`
-	// P99TurnNS is the shard's observed p99 turnaround in virtual ns.
-	P99TurnNS int64 `json:"p99_turn_ns"`
-}
-
-// Advertisement is one node's capacity/health export.
-type Advertisement struct {
-	V          int       `json:"v"`
-	GPUs       int       `json:"gpus"`
-	Arch       string    `json:"arch"`
-	Placement  string    `json:"placement"`
-	Overcommit float64   `json:"overcommit"`
-	Shards     []ShardAd `json:"shards"`
-}
-
-// Advertise snapshots the node's current capacity and health. Safe from
-// any goroutine (every input is an atomic gauge or a quantile read).
-func (n *Node) Advertise() Advertisement {
-	ad := Advertisement{
-		V:          AdvertVersion,
-		GPUs:       len(n.shards),
-		Arch:       n.cfg.Arch.Name,
-		Placement:  n.Policy(),
-		Overcommit: n.cfg.Overcommit,
-	}
-	for i, l := range n.Loads() {
-		ad.Shards = append(ad.Shards, ShardAd{
-			GPU:           i,
-			Health:        l.Health.String(),
-			Sessions:      l.Sessions,
-			ReservedBytes: l.Bytes,
-			FreeBytes:     l.MemFree,
-			ResidentBytes: l.Resident,
-			CapacityBytes: n.quota(n.shards[i]),
-			P99TurnNS:     l.P99TurnNS,
-		})
-	}
-	return ad
-}
-
-// MarshalAd renders an advertisement as one JSON line (no trailing
-// newline), the STA response payload and the -addr-file v2 trailer.
-func MarshalAd(ad Advertisement) ([]byte, error) { return json.Marshal(ad) }
-
-// UnmarshalAd parses an advertisement.
-func UnmarshalAd(data []byte) (Advertisement, error) {
-	var ad Advertisement
-	err := json.Unmarshal(data, &ad)
-	return ad, err
-}
-
-// ParseHealth maps a health state name back to its HealthState; unknown
-// names conservatively parse as Unhealthy.
-func ParseHealth(s string) HealthState {
-	switch s {
-	case "healthy":
-		return Healthy
-	case "degraded":
-		return Degraded
-	case "draining":
-		return Draining
-	default:
-		return Unhealthy
-	}
-}
-
-// NodeLoad folds an advertisement into one node-level Load for the
-// federation Placer: sessions and reserved bytes summed over every
-// shard, headroom summed over PLACEABLE shards only (a draining shard's
-// free bytes are not headroom anyone can use), p99 the worst placeable
-// shard's. The node's health is the best shard's — one healthy shard
-// keeps the node placeable, while a node whose every shard is draining
-// or dead reports the worst state so the router evacuates it.
-func NodeLoad(idx int, ad Advertisement) Load {
-	l := Load{Shard: idx, Health: Unhealthy}
-	best := Unhealthy
-	for _, sh := range ad.Shards {
-		h := ParseHealth(sh.Health)
-		if h < best {
-			best = h
-		}
+// NodeLoad folds the node's shards into one node-level Load: sessions,
+// reserved and resident bytes summed over every shard, headroom summed
+// over PLACEABLE shards only (a draining shard's free bytes are not
+// headroom anyone can use), p99 the worst placeable shard's. The node's
+// health is the best shard's — one healthy shard keeps the node
+// placeable, while a node whose every shard is draining or dead reports
+// the worst state so the router evacuates it. Safe from any goroutine
+// (every input is an atomic gauge or a quantile read).
+func (n *Node) NodeLoad() Load {
+	l := Load{Health: Unhealthy}
+	for _, sh := range n.Loads() {
+		l.Health = min(l.Health, sh.Health)
 		l.Sessions += sh.Sessions
-		l.Bytes += sh.ReservedBytes
-		l.Resident += sh.ResidentBytes
-		if h.Placeable() {
-			l.MemFree += sh.FreeBytes
-			if sh.P99TurnNS > l.P99TurnNS {
-				l.P99TurnNS = sh.P99TurnNS
-			}
+		l.Bytes += sh.Bytes
+		l.Resident += sh.Resident
+		if sh.Health.Placeable() {
+			l.MemFree += sh.MemFree
+			l.P99TurnNS = max(l.P99TurnNS, sh.P99TurnNS)
 		}
 	}
-	l.Health = best
 	return l
+}
+
+// AppendLoad appends l's load record to b. Shard is not part of it: the
+// reader knows which target it asked.
+func AppendLoad(b []byte, l Load) []byte {
+	for _, v := range [...]int64{int64(l.Health), l.Sessions, l.Bytes, l.MemFree, l.Resident, l.P99TurnNS} {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// DecodeLoad parses one load record. A truncated record or trailing bytes
+// is an error; a health value outside the four states reads as Unhealthy.
+func DecodeLoad(data []byte) (Load, error) {
+	var v [6]int64
+	for i := range v {
+		x, k := binary.Varint(data)
+		if k <= 0 {
+			return Load{}, fmt.Errorf("node: load record field %d is truncated or overflows 64 bits", i)
+		}
+		v[i], data = x, data[k:]
+	}
+	if len(data) > 0 {
+		return Load{}, errors.New("node: trailing bytes after load record")
+	}
+	h := HealthState(v[0])
+	if v[0] < int64(Healthy) || v[0] > int64(Unhealthy) {
+		h = Unhealthy
+	}
+	return Load{Health: h, Sessions: v[1], Bytes: v[2], MemFree: v[3], Resident: v[4], P99TurnNS: v[5]}, nil
 }

@@ -99,7 +99,7 @@ func (n *Node) SetHealth(i int, h HealthState) {
 // cannot ping-pong sessions onto a sibling that is about to drain too.
 // With no placeable shard left the intra-node failover engine leaves
 // sessions serving in place; a federation router sees the node
-// advertise itself unplaceable and migrates the sessions across nodes.
+// report itself unplaceable and migrates the sessions across nodes.
 func (n *Node) DrainAll() {
 	n.mu.Lock()
 	changed := make([]int, 0, len(n.health))

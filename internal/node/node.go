@@ -102,7 +102,6 @@ type Node struct {
 	cfg    Config
 	shards []*Shard
 	fronts []*vgpu.Host // per shard, SharedEnv nodes only (Connect's way in)
-	reg    *metrics.Registry
 
 	mu     sync.Mutex
 	placer *Placer
@@ -153,7 +152,7 @@ func New(cfg Config) (*Node, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	n := &Node{cfg: cfg, reg: reg, placer: placer}
+	n := &Node{cfg: cfg, placer: placer}
 	for i := 0; i < cfg.GPUs; i++ {
 		env := cfg.SharedEnv
 		if env == nil {
@@ -168,12 +167,15 @@ func New(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node: gpu %d: %w", i, err)
 		}
+		// The manager's aggregate cap is the shard's admission quota: every
+		// footprint it counts was first reserved by Place, so the cap
+		// never binds before Place's does.
 		mgr := gvm.New(env, gvm.Config{
 			Device:          dev,
 			GPUIndex:        i,
 			SessionIDStride: cfg.GPUs,
 			Parties:         cfg.Parties,
-			Overcommit:      cfg.Overcommit,
+			MaxSessionBytes: n.quota(),
 			BarrierTimeout:  cfg.BarrierTimeout,
 			Metrics:         reg,
 			Log:             cfg.Log,
@@ -233,9 +235,6 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Metrics returns the registry shared by the node and its shards.
-func (n *Node) Metrics() *metrics.Registry { return n.reg }
-
 // NumShards returns the shard count.
 func (n *Node) NumShards() int { return len(n.shards) }
 
@@ -248,13 +247,11 @@ func (n *Node) Shards() []*Shard { return n.shards }
 // Policy returns the active placement policy's name.
 func (n *Node) Policy() string { return n.placer.Policy() }
 
-// Overcommit returns the node's quota-admission factor (>= defaulted).
-func (n *Node) Overcommit() float64 { return n.cfg.Overcommit }
-
-// quota returns one shard's admission capacity: Overcommit x device
-// memory, the ceiling its reserved (placed) bytes may reach.
-func (n *Node) quota(sh *Shard) int64 {
-	return int64(n.cfg.Overcommit * float64(sh.Dev.Arch().MemBytes))
+// quota returns a shard's admission capacity: Overcommit x device memory,
+// the ceiling its reserved (placed) bytes may reach. Every shard shares
+// the node's architecture, so every shard has the same quota.
+func (n *Node) quota() int64 {
+	return int64(n.cfg.Overcommit * float64(n.cfg.Arch.MemBytes))
 }
 
 // Loads snapshots every shard's placement load in index order.
@@ -266,7 +263,7 @@ func (n *Node) Loads() []Load {
 			Health:    HealthState(n.health[i].Value()),
 			Sessions:  n.placedSessions[i].Value(),
 			Bytes:     n.placedBytes[i].Value(),
-			MemFree:   n.quota(sh) - n.placedBytes[i].Value(),
+			MemFree:   n.quota() - n.placedBytes[i].Value(),
 			Resident:  sh.Dev.MemResident(),
 			P99TurnNS: n.turnNS[i].Quantile(0.99),
 		}

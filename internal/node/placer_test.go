@@ -120,10 +120,12 @@ func TestDrainAllMarksEveryShard(t *testing.T) {
 	}
 }
 
-// TestAdvertisementRoundTrip checks the addr-file v2 / STA schema: a
-// node's advertisement survives MarshalAd/UnmarshalAd, and NodeLoad
-// folds it into one federation-level Load.
-func TestAdvertisementRoundTrip(t *testing.T) {
+// TestNodeLoadRoundTrip checks the STA load report: Node.NodeLoad folds
+// the shards into one node-level Load (sessions and bytes over every
+// shard, headroom over the placeable ones, health the best shard's), and
+// the record AppendLoad writes decodes to that Load; an out-of-range
+// health reads as Unhealthy, and a truncated or overlong record fails.
+func TestNodeLoadRoundTrip(t *testing.T) {
 	nd, err := New(Config{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -133,34 +135,7 @@ func TestAdvertisementRoundTrip(t *testing.T) {
 	}
 	nd.SetHealth(1, Draining)
 
-	ad := nd.Advertise()
-	if ad.V != AdvertVersion {
-		t.Fatalf("advertisement version = %d, want %d", ad.V, AdvertVersion)
-	}
-	if ad.GPUs != 2 || len(ad.Shards) != 2 {
-		t.Fatalf("advertisement covers %d/%d shards, want 2/2", ad.GPUs, len(ad.Shards))
-	}
-	blob, err := MarshalAd(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalAd(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.V != ad.V || got.GPUs != ad.GPUs || got.Placement != ad.Placement || len(got.Shards) != len(ad.Shards) {
-		t.Fatalf("advertisement round trip changed the header: %+v != %+v", got, ad)
-	}
-	for i := range ad.Shards {
-		if got.Shards[i] != ad.Shards[i] {
-			t.Fatalf("shard %d round trip: %+v != %+v", i, got.Shards[i], ad.Shards[i])
-		}
-	}
-
-	l := NodeLoad(7, got)
-	if l.Shard != 7 {
-		t.Fatalf("NodeLoad id = %d, want 7", l.Shard)
-	}
+	l := nd.NodeLoad()
 	if l.Health != Healthy {
 		t.Fatalf("node health = %v, want healthy (best shard wins)", l.Health)
 	}
@@ -168,19 +143,30 @@ func TestAdvertisementRoundTrip(t *testing.T) {
 		t.Fatalf("NodeLoad folded %d sessions / %d bytes, want 1 / %d", l.Sessions, l.Bytes, 2<<20)
 	}
 	// The draining shard's free bytes are not headroom anyone can use.
-	if want := got.Shards[0].FreeBytes; l.MemFree != want {
+	if want := nd.Loads()[0].MemFree; l.MemFree != want {
 		t.Fatalf("NodeLoad headroom = %d, want the placeable shard's %d", l.MemFree, want)
 	}
-}
+	rec := AppendLoad(nil, l)
+	got, err := DecodeLoad(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != l {
+		t.Fatalf("load record round trip: %+v != %+v", got, l)
+	}
 
-// TestParseHealth checks unknown names conservatively parse unhealthy.
-func TestParseHealth(t *testing.T) {
-	for name, want := range map[string]HealthState{
-		"healthy": Healthy, "degraded": Degraded, "draining": Draining,
-		"unhealthy": Unhealthy, "banana": Unhealthy, "": Unhealthy,
+	for h, want := range map[HealthState]HealthState{
+		Healthy: Healthy, Degraded: Degraded, Draining: Draining, Unhealthy: Unhealthy,
+		Unhealthy + 1: Unhealthy, -1: Unhealthy,
 	} {
-		if got := ParseHealth(name); got != want {
-			t.Fatalf("ParseHealth(%q) = %v, want %v", name, got, want)
+		got, err := DecodeLoad(AppendLoad(nil, Load{Health: h}))
+		if err != nil || got.Health != want {
+			t.Fatalf("health %d decodes as %v (err %v), want %v", h, got.Health, err, want)
+		}
+	}
+	for _, bad := range [][]byte{nil, rec[:len(rec)-1], append(rec[:len(rec):len(rec)], 0)} {
+		if _, err := DecodeLoad(bad); err == nil {
+			t.Fatalf("DecodeLoad(%x) accepted a malformed record", bad)
 		}
 	}
 }
@@ -188,15 +174,50 @@ func TestParseHealth(t *testing.T) {
 // TestNodeLoadAllDrainingIsUnplaceable checks a node whose every shard
 // drains reports an unplaceable state so the router evacuates it.
 func TestNodeLoadAllDrainingIsUnplaceable(t *testing.T) {
-	ad := Advertisement{V: AdvertVersion, GPUs: 2, Shards: []ShardAd{
-		{GPU: 0, Health: "draining", FreeBytes: 1 << 30},
-		{GPU: 1, Health: "draining", FreeBytes: 1 << 30},
-	}}
-	l := NodeLoad(0, ad)
+	nd, err := New(Config{GPUs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.DrainAll()
+	l := nd.NodeLoad()
 	if l.Health.Placeable() {
 		t.Fatalf("all-draining node folded to placeable state %v", l.Health)
 	}
 	if l.MemFree != 0 {
-		t.Fatalf("all-draining node advertises %d free bytes as headroom, want 0", l.MemFree)
+		t.Fatalf("all-draining node reports %d free bytes as headroom, want 0", l.MemFree)
 	}
+}
+
+// FuzzDecodeLoad holds the load-record decoder on arbitrary bytes: it never
+// panics, a record it accepts carries one of the four health states, and
+// the record AppendLoad writes for what it decoded decodes to the same
+// Load.
+func FuzzDecodeLoad(f *testing.F) {
+	for _, l := range []Load{
+		{},
+		{Health: Healthy, Sessions: 3, Bytes: 6 << 20, MemFree: 1 << 30, Resident: 4 << 20, P99TurnNS: 41067},
+		{Health: Draining, Sessions: 2, Bytes: 1 << 20},
+		{Health: Unhealthy + 7, MemFree: -1, P99TurnNS: 1<<63 - 1},
+	} {
+		f.Add(AppendLoad(nil, l))
+	}
+	nd, err := New(Config{GPUs: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	nd.DrainAll()
+	f.Add(AppendLoad(nil, nd.NodeLoad()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := DecodeLoad(data)
+		if err != nil {
+			return
+		}
+		if l.Health < Healthy || l.Health > Unhealthy {
+			t.Fatalf("decoded health %d is none of the four states", l.Health)
+		}
+		got, err := DecodeLoad(AppendLoad(nil, l))
+		if err != nil || got != l {
+			t.Fatalf("round trip of %+v: %+v, %v", l, got, err)
+		}
+	})
 }

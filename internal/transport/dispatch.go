@@ -317,9 +317,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	return &Dispatcher{cfg: cfg, met: newDispMetrics(cfg.Metrics), sessions: make(map[int]*hostSession)}
 }
 
-// Metrics returns the registry holding the dispatcher's instruments.
-func (d *Dispatcher) Metrics() *metrics.Registry { return d.cfg.Metrics }
-
 func errResp(err error) *Response { return &Response{Status: "ERR", Err: err.Error()} }
 
 // Serve services one request from a connection goroutine, which takes a

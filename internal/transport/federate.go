@@ -8,9 +8,9 @@ import (
 
 // Federation verbs: the daemon-side half of the gvmfed protocol.
 //
-//	STA — capacity/health advertisement: the router polls it to drive
-//	      node-level placement (the same JSON as the -addr-file v2
-//	      trailer, but live).
+//	STA — load report: the node's shards folded into one node-level
+//	      node.Load, answered as one binary record (node.AppendLoad); the
+//	      router polls it to drive node-level placement.
 //	MIG — extract one session for cross-node migration: quiesce,
 //	      snapshot, serialize, and forget it. Sent by the router on the
 //	      session's own sticky connection when the node is draining.
@@ -31,15 +31,10 @@ import (
 // reference, rank and scheduling options.
 const migFrameRoom = 4 << 10
 
-// serveSTA answers the node's current capacity/health advertisement.
-// Connection-goroutine side, no owner submit: every input is an atomic
-// gauge or quantile read.
+// serveSTA answers the node's current load report. Connection-goroutine
+// side, no owner submit: every input is an atomic gauge or quantile read.
 func (d *Dispatcher) serveSTA() *Response {
-	ad, err := node.MarshalAd(d.cfg.Node.Advertise())
-	if err != nil {
-		return errResp(err)
-	}
-	return &Response{Status: "ACK", Data: ad}
+	return &Response{Status: "ACK", Data: node.AppendLoad(nil, d.cfg.Node.NodeLoad())}
 }
 
 // serveMIG extracts a session for cross-node migration and answers with

@@ -39,15 +39,19 @@ mkdir -p "$parent"
 git archive "$sha" | tar -x -C "$parent"
 
 # run <list> <tree> <args...>: one bench/run.sh run in that tree; the JSON
-# object it prints last is appended to the named list. A run that prints
-# none stops the script — a pair with a hole in it proves nothing.
+# object it prints last is appended to the named list. A run that exits
+# non-zero or prints none stops the script — a pair with a hole in it
+# proves nothing — and leaves its whole stdout and stderr beside each other.
+outlog=$PWD/.bench_build/pairs/last.out
 errlog=$PWD/.bench_build/pairs/last.err
 run() {
 	local -n list=$1
-	local tree=$2 json
+	local tree=$2 json status=0
 	shift 2
-	json=$(cd "$tree" && bash bench/run.sh "$@" 2>"$errlog" | tail -n 1) && jq -e .metrics >/dev/null 2>&1 <<<"$json" ||
-		{ echo "pairs.sh: bench/run.sh $* failed in $tree (stderr in $errlog)" >&2; exit 1; }
+	(cd "$tree" && bash bench/run.sh "$@") >"$outlog" 2>"$errlog" || status=$?
+	json=$(tail -n 1 "$outlog")
+	[ "$status" -eq 0 ] && jq -e .metrics >/dev/null 2>&1 <<<"$json" ||
+		{ echo "pairs.sh: bench/run.sh $* failed in $tree: exit status $status, stdout in $outlog, stderr in $errlog" >&2; exit 1; }
 	list+=("$json")
 }
 
