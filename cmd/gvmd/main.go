@@ -26,8 +26,6 @@ import (
 	"log"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -67,16 +65,12 @@ func main() {
 	maxSessionBytes := flag.Int64("max-session-bytes", 0, "reject REQ whose staging footprint (InBytes+OutBytes) exceeds this many bytes (0 = no per-session limit)")
 	overcommit := flag.Float64("overcommit", 1.0, "admit sessions while reserved bytes stay within this factor of each GPU's memory; above 1.0 idle sessions are evicted to host snapshots on demand")
 	memBytes := flag.Int64("mem", 0, "override each simulated GPU's device memory in bytes (0 = architecture default; shrink it to demo -overcommit eviction)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics and net/http/pprof at /debug/pprof/ (e.g. localhost:9090)")
+	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics, and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/ (e.g. localhost:9090)")
 	faultInject := flag.String("fault-inject", "", "inject simulated XID faults on kernel launches, e.g. 'gpu=0,after=25,kind=hang' or 'rate=0.01,seed=7,kinds=hang|fatal' (faulted shards are evacuated by live session migration)")
 	logLevel := flag.String("log-level", "error", "structured logging to stderr: debug (one line per verb), info (one line per flush), warn, error (simulation errors, bad preambles, frame read errors); empty disables")
 	flag.Parse()
 
 	reg := metrics.NewRegistry()
-	// The -metrics listener serves the default mux, which the net/http/pprof
-	// import has given /debug/pprof/: one debug listener covers telemetry and
-	// profiles.
-	http.Handle("/metrics", metrics.Handler(reg))
 
 	logger, err := slogByLevel(*logLevel)
 	if err != nil {
@@ -85,15 +79,15 @@ func main() {
 
 	var metricsURL string
 	if *metricsAddr != "" {
-		// Bind explicitly (rather than ListenAndServe) so ":0" resolves to
-		// a concrete port that can go into the addr file.
+		// Bind explicitly so ":0" resolves to a concrete port that can go
+		// into the addr file.
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatalf("gvmd: metrics listen %s: %v", *metricsAddr, err)
 		}
 		metricsURL = fmt.Sprintf("http://%s/metrics", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, nil); err != nil {
+			if err := metrics.Serve(mln, reg); err != nil {
 				log.Printf("gvmd: metrics: %v", err)
 			}
 		}()

@@ -29,8 +29,6 @@ import (
 	"log"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -60,7 +58,7 @@ func main() {
 	placement := flag.String("placement", "least-sessions", "node placement policy: "+strings.Join(node.PolicyNames(), "|"))
 	poll := flag.Duration("poll", 200*time.Millisecond, "backend load-report poll interval")
 	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes) and net/http/pprof at /debug/pprof/")
+	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes), and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/")
 	logLevel := flag.String("log-level", "", "structured routing/failover logging to stderr: debug|info|warn|error; empty disables")
 	flag.Parse()
 
@@ -90,9 +88,6 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
-	// Served on the -metrics listener beside /debug/pprof/, which the
-	// net/http/pprof import registers on the same default mux.
-	http.Handle("/metrics", metrics.Handler(reg))
 	var metricsURL string
 	if *metricsAddr != "" {
 		// Bind explicitly so ":0" resolves to a concrete port for the addr
@@ -103,7 +98,7 @@ func main() {
 		}
 		metricsURL = fmt.Sprintf("http://%s/metrics", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, nil); err != nil {
+			if err := metrics.Serve(mln, reg); err != nil {
 				log.Printf("gvmfed: metrics: %v", err)
 			}
 		}()

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -66,14 +66,18 @@ func nodeOpenSessions(s *ipc.Server) int {
 
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?\d+(\.\d+)?$`)
 
-// scrape reads a registry through the Prometheus text handler into a
-// sample map (integer-valued samples only, which is all the fed_*
+// scrape reads a registry through metrics.Serve on a loopback listener
+// into a sample map (integer-valued samples only, which is all the fed_*
 // series emit).
 func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
 	t.Helper()
-	ts := httptest.NewServer(metrics.Handler(reg))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go metrics.Serve(ln, reg)
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

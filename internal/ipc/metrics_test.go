@@ -2,8 +2,8 @@ package ipc
 
 import (
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,14 +15,19 @@ import (
 
 var promSampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?\d+$`)
 
-// scrapeMetrics GETs a /metrics endpoint serving reg, lints every sample
-// line against the Prometheus text format, and returns the samples as a
-// series -> value map keyed exactly as rendered (labels included).
+// scrapeMetrics GETs /metrics from metrics.Serve on a loopback listener,
+// lints every sample line against the Prometheus text format, and returns
+// the samples as a series -> value map keyed exactly as rendered (labels
+// included).
 func scrapeMetrics(t *testing.T, reg *metrics.Registry) map[string]int64 {
 	t.Helper()
-	ts := httptest.NewServer(metrics.Handler(reg))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go metrics.Serve(ln, reg)
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

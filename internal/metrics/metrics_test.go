@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,38 @@ func TestHistogramQuantileTornObserve(t *testing.T) {
 	h2.buckets[7].Store(1)
 	if got := h2.Quantile(0.99); got != BucketBound(7) {
 		t.Fatalf("bucket-only torn state: p99 = %d, want %d", got, BucketBound(7))
+	}
+}
+
+// TestHistogramScrapeTornObserve scrapes a histogram caught between an
+// Observe's bucket bump and its count bump: the exposition must stay valid
+// Prometheus, with +Inf at or above every finite bucket and _count equal
+// to +Inf. Rendering both from the count word put le="8" above +Inf.
+func TestHistogramScrapeTornObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("torn_ns", "")
+	h.Observe(700)
+	h.buckets[3].Add(1) // an Observe(5) whose count bump is not visible yet
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var maxFinite, inf, count int64 = -1, -1, -1
+	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		v, _ := strconv.ParseInt(line[sp+1:], 10, 64)
+		switch {
+		case strings.Contains(line, `le="+Inf"`):
+			inf = v
+		case strings.Contains(line, `le="`):
+			maxFinite = max(maxFinite, v)
+		case strings.HasPrefix(line, "torn_ns_count "):
+			count = v
+		}
+	}
+	if inf < maxFinite || count != inf {
+		t.Fatalf("+Inf %d, largest finite bucket %d, _count %d; want +Inf >= every finite bucket and _count == +Inf:\n%s",
+			inf, maxFinite, count, sb.String())
 	}
 }
 

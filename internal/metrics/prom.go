@@ -3,7 +3,6 @@ package metrics
 import (
 	"bufio"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -42,6 +41,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
+// writeHistogram renders +Inf and _count from the buckets it read, not from
+// the count word: Observe bumps a bucket before the count, so a racing
+// Observe could otherwise put a finite bucket above +Inf.
 func writeHistogram(bw *bufio.Writer, name string, s *series) {
 	var cum int64
 	for i := 0; i < HistBuckets; i++ {
@@ -53,9 +55,9 @@ func writeHistogram(bw *bufio.Writer, name string, s *series) {
 		writeSample(bw, name, "_bucket", s.labels,
 			strconv.FormatInt(BucketBound(i), 10), cum)
 	}
-	writeSample(bw, name, "_bucket", s.labels, "+Inf", s.h.Count())
+	writeSample(bw, name, "_bucket", s.labels, "+Inf", cum)
 	writeSample(bw, name, "_sum", s.labels, "", s.h.Sum())
-	writeSample(bw, name, "_count", s.labels, "", s.h.Count())
+	writeSample(bw, name, "_count", s.labels, "", cum)
 }
 
 // writeSample emits one line: name+suffix{labels,le="le"} value.
@@ -105,12 +107,4 @@ func escapeHelp(s string) string {
 	}
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// Handler serves the registry as a Prometheus /metrics endpoint.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
 }

@@ -4,7 +4,8 @@
 # Passes only if every worker verifies its results and reports a
 # turnaround time, and the daemon's /metrics endpoint serves well-formed
 # Prometheus text with nonzero verb counters and sessions placed on BOTH
-# gpu labels after the round, and the same listener serves net/http/pprof.
+# gpu labels after the round, and the same listener serves /debug/pprof/
+# and answers 404 on any other path.
 set -eu
 
 # fetch URL: curl if present, wget fallback.
@@ -19,13 +20,35 @@ fetch() {
     fi
 }
 
-# check_pprof METRICS_URL WHO: the -metrics listener also serves
-# net/http/pprof (the one debug listener); its allocation profile in text
-# form ends in the runtime.MemStats trailer the benchmark reads.
+# status URL: the HTTP status code a GET of URL answers.
+status() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -s -o /dev/null -w '%{http_code}' "$1"
+    else
+        wget -S -O /dev/null "$1" 2>&1 | awk '/HTTP\//{c=$2} END{print c}'
+    fi
+}
+
+# check_pprof METRICS_URL WHO: the -metrics listener (metrics.Serve, the
+# one debug listener) also serves /debug/pprof/. Its allocation profile in
+# text form ends in the runtime.MemStats trailer the benchmark reads, its
+# CPU profile is the gzip'd protobuf `go tool pprof` reads, and any path it
+# does not serve answers 404.
 check_pprof() {
-    prof=$(fetch "${1%/metrics}/debug/pprof/allocs?debug=1")
+    base=${1%/metrics}
+    prof=$(fetch "$base/debug/pprof/allocs?debug=1")
     if ! echo "$prof" | grep -q '^# runtime.MemStats'; then
         echo "smoke: $2's metrics listener serves no /debug/pprof/allocs MemStats trailer" >&2
+        exit 1
+    fi
+    magic=$(fetch "$base/debug/pprof/profile?seconds=1" | head -c 2 | od -An -tx1 | tr -d ' \n')
+    if [ "$magic" != 1f8b ]; then
+        echo "smoke: $2's /debug/pprof/profile is not gzip'd (starts '$magic')" >&2
+        exit 1
+    fi
+    code=$(status "$base/nope")
+    if [ "$code" != 404 ]; then
+        echo "smoke: $2's metrics listener answers $code, not 404, on /nope" >&2
         exit 1
     fi
     echo "smoke: $2 pprof OK"
