@@ -15,9 +15,14 @@ fmt:
 # The GOARCH=386 pass type-checks the tree on a 32-bit target: the ring
 # doorbell/sequence words are deliberately 32-bit atomics, and this
 # catches any accidental 64-bit atomic that would trap unaligned there.
+# The GOOS passes type-check the files Linux never builds: darwin the
+# !linux fallbacks (gpusim's backing_other.go, shm's futex_other.go),
+# windows shm's !unix mmap_other.go.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./internal/shm/
 
 # The architecture rules (DESIGN.md §3: one mechanism per concern) are the
 # rows of the root package's TestArchitecture (architecture_test.go); each

@@ -158,9 +158,6 @@ func MustNew(env *sim.Env, cfg Config) *Device {
 	return d
 }
 
-// Env returns the simulation environment the device lives in.
-func (d *Device) Env() *sim.Env { return d.env }
-
 // Arch returns the device's architecture description.
 func (d *Device) Arch() fermi.Arch { return d.arch }
 
@@ -368,9 +365,9 @@ func (c *Context) Address(n int64) (cuda.DevPtr, error) {
 }
 
 // place puts the off-card allocation at ptr on the card, backed by data
-// (SwapIn), or by fresh zeroed memory when data is nil. Device memory is
-// never attached short: data of any other length than the allocation is an
-// error.
+// (SwapIn), or by fresh zeroed memory (newBacking) when data is nil. Device
+// memory is never attached short: data of any other length than the
+// allocation is an error.
 func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
 	c.mustLive()
 	d := c.dev
@@ -396,7 +393,7 @@ func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
 		return fmt.Errorf("gpusim: device pointer %#x was freed or placed while it was being placed", uint64(ptr))
 	}
 	if d.functional && data == nil {
-		data = make([]byte, size)
+		data = newBacking(size)
 	}
 	d.bufs[i].place, d.bufs[i].data = at, data
 	return nil

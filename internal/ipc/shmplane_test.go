@@ -78,7 +78,11 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			if sess.Plane() != transport.PlaneShm {
 				t.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
 			}
-			view, err := shm.OpenFile(s.cfg.ShmDir, fmt.Sprintf("gvmd-seg-%d", sess.ID()))
+			segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-*"))
+			if len(segs) != 1 {
+				t.Fatalf("segment files %v, want the session's one", segs)
+			}
+			view, err := shm.OpenFile(s.cfg.ShmDir, filepath.Base(segs[0]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -568,9 +572,9 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 				if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
 					t.Fatalf("try %d: gvm sessions=%d, device in use=%d reserved=%d after the failed Request", try, open, inUse, reserved)
 				}
-				// Session segments are gvmd-seg-<id>; a ring daemon's own
-				// gvmd-seg-door-<pid> lives as long as it does.
-				if segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-[0-9]*")); len(segs) != 0 {
+				// Session segments are gvmd-seg-<pid>-<n>; a ring daemon's
+				// own gvmd-seg-<pid>-door<n> lives as long as it does.
+				if segs, _ := filepath.Glob(filepath.Join(s.cfg.ShmDir, "gvmd-seg-*-[0-9]*")); len(segs) != 0 {
 					t.Fatalf("try %d: segment files left behind: %v", try, segs)
 				}
 			}

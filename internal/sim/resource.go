@@ -23,12 +23,6 @@ func (e *Env) NewResource(capacity int) *Resource {
 	return &Resource{env: e, cap: capacity}
 }
 
-// Cap returns the total capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire blocks the process until n units (1 <= n <= cap) are granted.
 // Grants are strictly FIFO: a large request at the head blocks later small
 // requests (no barging), which matches hardware queue semantics.

@@ -46,9 +46,6 @@ func NewStore[T any](e *Env, capacity int) *Store[T] {
 // Len returns the number of buffered items.
 func (s *Store[T]) Len() int { return len(s.items) - s.head }
 
-// Cap returns the capacity (0 = unbounded).
-func (s *Store[T]) Cap() int { return s.cap }
-
 // Put enqueues v, blocking the process while the store is full.
 func (s *Store[T]) Put(p *Proc, v T) {
 	if s.cap == 0 || s.Len() < s.cap || s.gethead < len(s.getters) {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpuvirt/internal/gvm"
@@ -304,10 +306,20 @@ func (cs *ConnState) dropOwned(id int) {
 }
 
 // SegPrefix begins the name of every shm file a daemon creates: a session's
-// segment is SegPrefix + "<id>", the ring doorbell SegPrefix + "door-<pid>".
-// One prefix lets gvmd's start-up and shutdown sweeps (shm.RemoveStale)
-// reclaim them all.
+// segment is SegPrefix + "<pid>-<n>" and a ring doorbell SegPrefix +
+// "<pid>-door<n>", n from one process-wide counter. So two daemons on one
+// directory, or two servers in one process, never share a file, and gvmd's
+// sweeps (shm.RemoveStale) tell whose a file is: the start-up sweep takes
+// those of dead processes, the shutdown sweep its own.
 const SegPrefix = "gvmd-seg-"
+
+var segSeq atomic.Uint64
+
+// segName names a new shm file of this process: SegPrefix + "<pid>-" + kind
+// + "<n>".
+func segName(kind string) string {
+	return SegPrefix + strconv.Itoa(os.Getpid()) + "-" + kind + strconv.FormatUint(segSeq.Add(1), 10)
+}
 
 // NewDispatcher creates a dispatcher serving cfg.Node's shards.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
@@ -461,7 +473,7 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		inB: spec.InBytes, outB: spec.OutBytes,
 		owner: cs, d: d, plane: plane,
 	}
-	err = s.plane.create(d.cfg.ShmDir, SegPrefix+strconv.Itoa(s.id), s)
+	err = s.plane.create(d.cfg.ShmDir, segName(""), s)
 	// Owner phase: the plane becomes the session's pinned staging, and a ring
 	// joins the shard's sweep before the session is published; a failure so
 	// far unwinds like a release.

@@ -133,8 +133,8 @@ type hostPlane struct {
 
 // newHostPlane checks that the daemon serves plane kind and sizes its segment
 // for a session staging inB+outB bytes. The plane comes back unmapped: REQ
-// refuses a kind before it places anything, and a segment is named after the
-// session id only an opened session has (create).
+// refuses a kind before it places anything, and a segment is created only
+// for a session that opened (create).
 func newHostPlane(kind string, rings *RingHost, inB, outB int64) (hostPlane, error) {
 	switch kind {
 	case PlaneInline:

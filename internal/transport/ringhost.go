@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -39,7 +38,7 @@ type RingHost struct {
 }
 
 // NewRingHost creates the doorbell segment and one RingShard per shard.
-// The doorbell file is named SegPrefix + "door-<pid>", so the daemon's
+// The doorbell file is named SegPrefix + "<pid>-door<n>", so the daemon's
 // startup sweep reclaims a crashed daemon's along with its session
 // segments.
 func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
@@ -49,7 +48,7 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	name := fmt.Sprintf("%sdoor-%d", SegPrefix, os.Getpid())
+	name := segName("door")
 	seg, err := shm.NewFile(cfg.ShmDir, name, shm.DoorSegmentSize(cfg.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("transport: ring doorbell segment: %w", err)
