@@ -16,8 +16,8 @@ fmt:
 # doorbell/sequence words are deliberately 32-bit atomics, and this
 # catches any accidental 64-bit atomic that would trap unaligned there.
 # The GOOS passes type-check the files Linux never builds: darwin the
-# !linux fallbacks (gpusim's backing_other.go, shm's futex_other.go),
-# windows shm's !unix mmap_other.go.
+# !linux fallbacks (gpusim's backing_other.go, shm's futex_other.go and
+# hugepage_other.go), windows shm's !unix mmap_other.go.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...

@@ -5,10 +5,11 @@
 // Segments come in two flavors. In-memory segments serve the simulator
 // (optionally timing-only, carrying no bytes); there the manager stages
 // the segment into pinned host memory, as in the paper. File-backed
-// segments under /dev/shm — what POSIX shared memory is on Linux — serve
-// the real multi-process daemon, which maps them and binds each session's
-// pinned staging onto the mapping, so the segment IS the staging and no
-// second host copy exists.
+// segments in the daemon's -shm directory (default /dev/shm, what POSIX
+// shared memory is on Linux) serve the real multi-process daemon, which
+// maps them and binds each session's pinned staging onto the mapping, so
+// the segment IS the staging and no second host copy exists. A mapping of
+// 2 MiB or more is advised onto huge pages (hugepage_linux.go).
 package shm
 
 import (
@@ -112,6 +113,7 @@ func NewFile(dir, name string, n int64) (Segment, error) {
 	}
 	if err := f.Truncate(n); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, fmt.Errorf("shm: size %s: %w", path, err)
 	}
 	mapped, err := mapFile(f, n)
@@ -206,9 +208,9 @@ func gone(pid int) bool {
 	return errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
 }
 
-// fileSegment is a file under /dev/shm, mmap'd into the process:
-// ReadAt/WriteAt are plain memcpy and Bytes exposes the shared region
-// directly.
+// fileSegment is a file in the daemon's -shm directory (default /dev/shm),
+// mmap'd into the process: ReadAt/WriteAt are plain memcpy and Bytes
+// exposes the shared region directly.
 type fileSegment struct {
 	f      *os.File
 	size   int64

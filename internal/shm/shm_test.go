@@ -171,6 +171,22 @@ func TestFileSegmentEmpty(t *testing.T) {
 	}
 }
 
+// TestNewFileSizeFailureLeavesNoFile: a size the file cannot take — a
+// negative one, or 4 EiB, past ext4's limit — fails NewFile and leaves no
+// file behind.
+func TestNewFileSizeFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int64{-1, 1 << 62} {
+		if s, err := NewFile(dir, "seg-size", n); err == nil {
+			s.Close()
+			t.Fatalf("NewFile accepted a segment of %d bytes", n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "seg-size")); !os.IsNotExist(err) {
+			t.Fatalf("NewFile of %d bytes failed and left its file behind", n)
+		}
+	}
+}
+
 // TestFileSegmentUseAfterClose: access through a closed (unmapped)
 // segment is an error, not a fault.
 func TestFileSegmentUseAfterClose(t *testing.T) {
