@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"path"
 	"regexp"
 	"slices"
@@ -36,6 +37,10 @@ type archRow struct {
 type archCheck interface {
 	findings(tr *srcTree) []string
 }
+
+// suspendScope is where a client suspend verb could be declared or sent: the
+// engine, its front-ends and both clients.
+var suspendScope = []string{"internal/gvm", "internal/transport", "internal/fed", "internal/ipc", "internal/vgpu"}
 
 const (
 	modTransport = "gpuvirt/internal/transport"
@@ -339,8 +344,32 @@ var archRows = []archRow{
 			{file: "internal/gvm/suspend.go", repl: "\ntype bufReplay struct{ ptr *cuda.DevPtr }\n"},
 			{file: "internal/gpusim/device.go", find: "func (c *Context) SwapIn(p *sim.Proc, ptr cuda.DevPtr, data []byte) error {", repl: "func (c *Context) SwapIn(p *sim.Proc, ptr cuda.DevPtr, data []byte) (cuda.DevPtr, error) {"},
 			// resumeSession renamed, then a rebuild added to its body.
-			{file: "internal/gvm/suspend.go", find: "func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) error {", repl: "func (m *Manager) restoreSession(p *sim.Proc, s *session, evictedRestore bool) error {\n\tm.prepareOps(s)"},
+			{file: "internal/gvm/suspend.go", find: "func (m *Manager) resumeSession(p *sim.Proc, s *session) error {", repl: "func (m *Manager) restoreSession(p *sim.Proc, s *session) error {\n\tm.prepareOps(s)"},
 			{file: "internal/gpusim/device.go", find: "func (c *Context) SwapIn(", repl: "func (c *Context) PlaceBack("},
+		},
+	},
+	{
+		name: "one-suspend",
+		msg:  "a second way off the card (a SUS or RES verb, or a \"SUS\"/\"RES\" verb literal, in non-test gvm, transport, fed, ipc or vgpu, or a suspended residency in gvm):",
+		why: "One suspend: eviction with lazy restore is the only way an arena leaves the card — the manager, which " +
+			"sees every tenant, pages an idle arena out and the session's next verb brings it back — so no front-end " +
+			"or client declares or sends a SUS/RES verb, and gvm's residency is resident or evicted, with no " +
+			"client-held suspended state beside them for the protocol table and every migration to carry.",
+		checks: []archCheck{
+			refs{in: suspendScope, what: named(`^(SUS|RES)$`), max: 0},
+			refs{in: suspendScope, what: lit("SUS"), max: 0},
+			refs{in: suspendScope, what: lit("RES"), max: 0},
+			refs{in: []string{"internal/gvm"}, what: named(`^suspended$`), max: 0},
+		},
+		mutations: []archEdit{
+			{file: "internal/gvm/gvm.go", find: `"RCV", "RLS"}`, repl: `"RCV", "RLS", "SUS", "RES"}`},
+			{file: "internal/transport/frame.go", find: "\tcase \"BAT\":", repl: "\tcase \"SUS\":\n\t\treturn \"SUS\"\n\tcase \"BAT\":"},
+			{file: "internal/gvm/gvm.go", find: "\tevicted            //", repl: "\tsuspended\n\tevicted //"},
+			{file: "internal/gvm/suspend.go", repl: "\nconst RES Verb = RLS + 1\n"},
+			{file: "internal/vgpu/vgpu.go", repl: "\nfunc (v *VGPU) Resume(p *sim.Proc) error { return v.ack(p, gvm.RES) }\n"},
+		},
+		benign: []archEdit{
+			{file: "internal/gvm/suspend.go", repl: "\n// SUS and RES were the client's verbs; a suspended arena is an evicted one.\n"},
 		},
 	},
 	{
@@ -409,6 +438,51 @@ func TestArchitecture(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestArchitectureRowsMatchDesignDoc holds archRows and DESIGN.md to each
+// other in both directions: every row is cited there as
+// TestArchitecture/<row>, and every such citation names a row. A renamed
+// row and a citation of a row that does not exist must each make it fire.
+func TestArchitectureRowsMatchDesignDoc(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	for _, f := range rowCitations(archRows, doc) {
+		t.Error(f)
+	}
+	renamed := slices.Clone(archRows)
+	renamed[0].name += "-renamed"
+	if len(rowCitations(renamed, doc)) == 0 {
+		t.Errorf("renaming row %s goes unnoticed", archRows[0].name)
+	}
+	if len(rowCitations(archRows, doc+"\n`TestArchitecture/no-such-row`\n")) == 0 {
+		t.Error("a citation of a row that does not exist goes unnoticed")
+	}
+}
+
+var rowCitation = regexp.MustCompile(`TestArchitecture/([a-z0-9-]+)`)
+
+// rowCitations returns what keeps rows and doc apart: a row doc does not
+// cite, and a citation in doc that names no row.
+func rowCitations(rows []archRow, doc string) []string {
+	cited := map[string]bool{}
+	for _, m := range rowCitation.FindAllStringSubmatch(doc, -1) {
+		cited[m[1]] = true
+	}
+	var out []string
+	for _, r := range rows {
+		if !cited[r.name] {
+			out = append(out, fmt.Sprintf("row %s: DESIGN.md never cites TestArchitecture/%s", r.name, r.name))
+		}
+		delete(cited, r.name)
+	}
+	for c := range cited {
+		out = append(out, fmt.Sprintf("DESIGN.md cites TestArchitecture/%s, which is no row of archRows", c))
+	}
+	return out
 }
 
 func (r archRow) findings(tr *srcTree) []string {

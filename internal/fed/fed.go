@@ -278,7 +278,7 @@ func New(cfg Config) (*Router, error) {
 		migratedBytes: reg.Counter("fed_migrated_bytes_total",
 			"bytes moved by cross-node session migration (MIG blobs)"),
 	}
-	for _, v := range []string{"REQ", "BAT", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES"} {
+	for _, v := range []string{"REQ", "BAT", "SND", "STR", "STP", "RCV", "RLS"} {
 		r.met.proxyLat[v] = reg.Histogram("fed_proxy_latency_ns",
 			"wall-clock backend round-trip time through the proxy", metrics.L("verb", v))
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/ipc"
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/transport"
@@ -665,18 +666,32 @@ func TestRouterBadPreambleDrained(t *testing.T) {
 	}
 }
 
-// TestFederatedSuspendResume pins that SUS/RES proxy through the
-// router like any session verb.
-func TestFederatedSuspendResume(t *testing.T) {
-	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
-	want := directReference(t, "fedsus-ref", ref, 1)
+// TestFederatedEviction: an eviction is the node's own business. A
+// session whose input is staged through the router, evicted when a second
+// session lands on its one-session card, runs its cycle byte-identical to a
+// direct single-node run, its arena restored by the verbs the router
+// forwards.
+func TestFederatedEviction(t *testing.T) {
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}
+	want := directReference(t, "fedevict-ref", ref, 1)
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startNode(t, "fedsus-a", 1)
-	b := startNode(t, "fedsus-b", 1)
-	r := startRouter(t, "fedsus", "least-sessions", 50*time.Millisecond, a, b)
+	arch := fermi.TeslaC2070()
+	arch.MemBytes = 64 << 10 // one vecadd-4096 session's 48 KiB of arenas
+	node, err := ipc.NewServer(ipc.ServerConfig{
+		Listen:     []string{"inproc://fedevict-node"},
+		Functional: true,
+		ShmDir:     t.TempDir(),
+		Arch:       arch,
+		Overcommit: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	r := startRouter(t, "fedevict", "least-sessions", 50*time.Millisecond, node)
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -692,11 +707,13 @@ func TestFederatedSuspendResume(t *testing.T) {
 	if err := sess.SendInput(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Suspend(); err != nil {
-		t.Fatalf("Suspend through the router: %v", err)
+	other, err := c.Request(ref, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := sess.Resume(); err != nil {
-		t.Fatalf("Resume through the router: %v", err)
+	const evictions, restores = `gvm_evictions_total{gpu="0"}`, `gvm_restores_total{gpu="0"}`
+	if got := scrape(t, node.Metrics())[evictions]; got != 1 {
+		t.Fatalf("%s = %d after the second REQ, want 1", evictions, got)
 	}
 	if err := sess.Start(); err != nil {
 		t.Fatal(err)
@@ -708,9 +725,14 @@ func TestFederatedSuspendResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, want[0]) {
-		t.Fatal("suspend/resume through the router changed the output bytes")
+		t.Fatal("the evicted session's cycle through the router changed the output bytes")
 	}
-	if err := sess.Release(); err != nil {
-		t.Fatal(err)
+	if got := scrape(t, node.Metrics())[restores]; got != 1 {
+		t.Fatalf("%s = %d, want 1", restores, got)
+	}
+	for _, s := range []*ipc.Session{sess, other} {
+		if err := s.Release(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func (m *Manager) DirectVerb(id int, verb Verb) error {
 		return fmt.Errorf("gvm: DirectVerb: unknown session %d", id)
 	case s.notify == nil:
 		return fmt.Errorf("gvm: DirectVerb: session %d not bound", id)
-	case verb <= REQ || verb > RES:
+	case verb <= REQ || verb > RLS:
 		return fmt.Errorf("gvm: DirectVerb: unsupported verb %v", verb)
 	}
 	m.met.requests.Inc()

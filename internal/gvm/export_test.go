@@ -48,14 +48,14 @@ type ProtocolRow struct {
 	Next   string
 }
 
-// ProtocolTable is state.step over the eight named states, its preludes (a
-// restore, a replay) followed through to the verb's answer. Suspended and
-// evicted are a done session's.
+// ProtocolTable is state.step over the seven named states, its preludes (a
+// restore, a replay) followed through to the verb's answer. Evicted is a
+// done session's.
 func ProtocolTable() []ProtocolRow {
 	var rows []ProtocolRow
 	for _, st := range []state{{idle, resident}, {staged, resident}, {running, resident}, {done, resident},
-		{done, suspended}, {done, evicted}, {failed, resident}, {rerun, resident}} {
-		for v := SND; v <= RES; v++ {
+		{done, evicted}, {failed, resident}, {rerun, resident}} {
+		for v := SND; v <= RLS; v++ {
 			a, text, next := st.step(v)
 			for a == restoreFirst || a == replayFirst {
 				a, text, next = next.step(v)
@@ -63,8 +63,6 @@ func ProtocolTable() []ProtocolRow {
 			row := ProtocolRow{Prior: st.String(), Verb: v, Status: ERR, ErrSub: text, Next: next.String()}
 			switch a {
 			case refuse:
-			case refuseSuspended:
-				row.ErrSub = v.String() + " on suspended session"
 			case bounce:
 				row.ErrSub = RetryableMark
 			default:
@@ -86,7 +84,7 @@ func (m *Manager) StateOf(id int) string {
 
 // InjectEvicted does to session id what evictForAlloc does to its victim.
 func (m *Manager) InjectEvicted(p *sim.Proc, id int) {
-	m.suspendSession(p, m.sessions[id], evicted)
+	m.suspendSession(p, m.sessions[id])
 }
 
 // InjectFailed leaves session id as a device fault under its kernels does.

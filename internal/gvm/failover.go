@@ -12,12 +12,11 @@ import (
 // Session failover: ExtractSession packages a session's complete state —
 // arena snapshot, staging bytes, options — off a faulted or draining
 // shard, and AdoptSession rebuilds it, same id, on a healthy one. The
-// pair reuses the suspend/eviction machinery (suspend.go): extraction is
-// a suspend whose snapshot leaves the manager, adoption is an arrival in
-// the evicted state whose next restore materializes it — or, for a session
-// its client suspended, in the suspended state. D2H copies work
-// on a faulted device (only allocations and launches fail), so state is
-// always evacuable.
+// pair reuses the eviction machinery (suspend.go): extraction is an
+// eviction whose snapshot leaves the manager, adoption is an arrival in the
+// evicted state whose restore materializes it. D2H copies work on a faulted
+// device (only allocations and launches fail), so state is always
+// evacuable.
 
 // RetryableMark tags protocol error strings whose verb is safe to retry
 // once after the dispatcher has migrated the session to a healthy shard.
@@ -50,17 +49,16 @@ type ExtractedSession struct {
 	// serves without re-touching the device.
 	PinIn, PinOut []byte
 
-	// state is where the session stood as its client saw it: a cycle the
-	// device fault interrupted is a rerun (the target re-runs the flush, so
-	// the client's in-flight poll completes with correct results), and an
-	// eviction, the manager's own paging, does not travel — only a client's
-	// suspension does.
-	state state
+	// phase is where the session stood in its cycle: a cycle the device
+	// fault interrupted is a rerun (the target re-runs the flush, so the
+	// client's in-flight poll completes with correct results). Where its
+	// arena was does not travel: every adoption restores it.
+	phase phase
 	snap  *snapshot
 }
 
 // State names the state the session left its shard in (DESIGN.md §3).
-func (e *ExtractedSession) State() string { return e.state.String() }
+func (e *ExtractedSession) State() string { return phaseNames[e.phase] }
 
 // Bytes returns the total host bytes the migration moves (arena
 // snapshot plus staging copies) — the node_migrated_bytes_total unit.
@@ -69,11 +67,17 @@ func (e *ExtractedSession) Bytes() int64 {
 }
 
 // ExtractSession quiesces session id at its next verb boundary,
-// snapshots its device arenas (reusing the suspend engine) and staging
-// buffers, and removes it from this manager without the close
-// accounting — the session is moving, not ending. Must run on the
-// manager's owner goroutine with a live process p (the evacuation D2H
-// is charged on p's clock).
+// snapshots its device arenas (an eviction) and staging buffers, and
+// removes it from this manager without the close accounting — the session
+// is moving, not ending. Must run on the manager's owner goroutine with a
+// live process p (the evacuation D2H is charged on p's clock).
+//
+// No verb reaches the session while the evacuation's copies sleep, so it
+// spends them evicted rather than in a residency of its own: a front-end
+// extracts as cold work in one owner turn (transport.Dispatcher.extract),
+// whose env.Run drains the extraction before that turn's ring sweep. The
+// frame in flight has answered already (abortRun), a ring session has left
+// the sweep, and a socket frame waits behind the session's migMu.
 //
 // A session parked at the STR barrier cannot keep waiting (its barrier
 // peers are being migrated too): its unacknowledged STR completes with
@@ -116,21 +120,18 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	if m.sessions[id] != s {
 		return nil, fmt.Errorf("gvm: ExtractSession: session %d was released while it quiesced", id)
 	}
-	st := s.st
-	if st.phase == failed {
-		st.phase = rerun
+	ph := s.st.phase
+	if ph == failed {
+		ph = rerun
 	}
-	if st.res == resident {
-		m.suspendSession(p, s, suspended)
-	}
-	if st.res == evicted {
-		st.res = resident
+	if s.st.res == resident {
+		m.suspendSession(p, s)
 	}
 	snap := s.snap // the session's own is dropped with it below
 	ext := &ExtractedSession{
 		ID:      s.id,
 		Request: Request{Spec: s.spec, MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight},
-		state:   st, snap: &snap,
+		phase:   ph, snap: &snap,
 	}
 	if s.pinIn != nil && s.pinIn.Data() != nil {
 		ext.PinIn = append([]byte(nil), s.pinIn.Data()...)
@@ -157,9 +158,8 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 // to ext.ID. Like an opened session it needs a BindDirect before it takes
 // verbs. Its buffers get addresses off the card and its kernels and flush
 // ops are built against them once; the snapshot then goes back on the card
-// exactly as an evicted session's does. A session its client suspended
-// arrives suspended and stays down until RES. Any other arrives evicted and
-// is materialized eagerly; if the target is too loaded to restore right now
+// exactly as an evicted session's does: it arrives evicted and is
+// materialized eagerly; if the target is too loaded to restore right now
 // the snapshot stays intact and the next verb's transparent restore retries
 // — adoption itself only fails on an id collision (impossible under the
 // node's striped id scheme) or a buffer that is not the size ext.Spec gives
@@ -177,7 +177,7 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 		spec:     ext.Spec,
 		memQuota: ext.MemQuota, priority: ext.Priority, weight: sessionWeight(ext.Request),
 		lastUsed: p.Now(),
-		st:       ext.state,
+		st:       state{ext.phase, evicted},
 		// The footprint is what OpenSession charged; the build reserves the
 		// device bytes as it asks for them.
 		footprint: ext.Spec.InBytes + ext.Spec.OutBytes,
@@ -206,10 +206,6 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.PinOut)
 	m.sessions[s.id] = s
 	m.met.openSessions.Inc()
-	if s.st.res == suspended {
-		return nil
-	}
-	s.st.res = evicted
 	if err := m.restoreWithBackoff(p, s); err != nil {
 		// Lazy path: the snapshot is intact, the next verb retries.
 		if m.log != nil {

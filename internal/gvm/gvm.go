@@ -22,9 +22,9 @@
 // (BindDirect), and issues its verbs through DirectVerb. The verb engine
 // (serve, reading the protocol table state.step) never blocks its caller:
 // a verb's virtual cost is a calendar event, anything that has to wait — a
-// restore, a release, a suspend — runs on a transient process, and every
-// outcome goes to the session's notify hook. What a message hop, a second
-// copy or a status poll costs is the front-end's to charge.
+// restore, a release — runs on a transient process, and every outcome goes
+// to the session's notify hook. What a message hop, a second copy or a
+// status poll costs is the front-end's to charge.
 package gvm
 
 import (
@@ -57,7 +57,7 @@ const (
 	RLS             // release resources
 )
 
-var verbNames = [...]string{"REQ", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES"}
+var verbNames = [...]string{"REQ", "SND", "STR", "STP", "RCV", "RLS"}
 
 func (v Verb) String() string {
 	if v < 0 || int(v) >= len(verbNames) {
@@ -98,11 +98,11 @@ func (s Status) String() string {
 }
 
 // A session's protocol state is two small values: its phase, where it
-// stands in its cycle, and its residency, where its arena is. Eviction and
-// suspension keep the phase — a session paged out idle is idle again once
-// restored — so the state a client can name is the residency while the
-// arena is off the device and the phase otherwise, except that a failed
-// session is failed wherever its arena is.
+// stands in its cycle, and its residency, where its arena is. Eviction
+// keeps the phase — a session paged out idle is idle again once restored —
+// so the state a client can name is evicted while the arena is off the
+// device and the phase otherwise, except that a failed session is failed
+// wherever its arena is.
 type phase uint8
 
 const (
@@ -118,9 +118,8 @@ const (
 type residency uint8
 
 const (
-	resident  residency = iota
-	suspended           // the client's SUS paged the arena out; only RES brings it back
-	evicted             // the manager paged it out; the next verb that needs it restores it
+	resident residency = iota
+	evicted            // the manager paged it out; the next verb that needs it restores it
 )
 
 type state struct {
@@ -130,7 +129,7 @@ type state struct {
 
 var (
 	phaseNames     = [...]string{"idle", "staged", "running", "done", "failed", "rerun", "gone"}
-	residencyNames = [...]string{"resident", "suspended", "evicted"}
+	residencyNames = [...]string{"resident", "evicted"}
 )
 
 // String names the state as DESIGN.md §3's table does.
@@ -146,19 +145,16 @@ func (st state) String() string {
 type act uint8
 
 const (
-	refuse          act = iota // ERR with step's text
-	refuseSuspended            // ERR "<verb> on suspended session <id>"
-	bounce                     // ERR: the device fault, retryable until failover moves the session
-	restoreFirst               // restore the evicted arena, then step again
-	replayFirst                // re-run the interrupted flush, then step again
-	copyIn                     // SND: one host copy into staging, ACK
-	join                       // STR: join the barrier, ACK at the flush
-	ackNow                     // STP: ACK, the cycle is over
-	park                       // STP: ACK when the flush completes (never WAIT: polling is the front-end's)
-	copyOut                    // RCV: one host copy out of staging, ACK
-	free                       // RLS: tear down once nothing uses the buffers, ACK
-	pageOut                    // SUS: page the arena out unless it is already, ACK
-	pageIn                     // RES: restore the arena, ACK
+	refuse       act = iota // ERR with step's text
+	bounce                  // ERR: the device fault, retryable until failover moves the session
+	restoreFirst            // restore the evicted arena, then step again
+	replayFirst             // re-run the interrupted flush, then step again
+	copyIn                  // SND: one host copy into staging, ACK
+	join                    // STR: join the barrier, ACK at the flush
+	ackNow                  // STP: ACK, the cycle is over
+	park                    // STP: ACK when the flush completes (never WAIT: polling is the front-end's)
+	copyOut                 // RCV: one host copy out of staging, ACK
+	free                    // RLS: tear down once nothing uses the buffers, ACK
 )
 
 // step is the protocol: the one (state, verb) → (answer, next) function the
@@ -166,7 +162,7 @@ const (
 // the engine does with verb v on a session in state st, the error text when
 // it refuses, and the state the session is in once v is answered — or, for
 // restoreFirst and replayFirst, the state the prelude leaves it in, from
-// which v steps again. DESIGN.md §3's table is this function over the eight
+// which v steps again. DESIGN.md §3's table is this function over the seven
 // named states.
 func (st state) step(v Verb) (a act, text string, next state) {
 	needsArena := v == SND || v == STR || v == RCV || (v == STP && st.phase == rerun)
@@ -175,8 +171,6 @@ func (st state) step(v Verb) (a act, text string, next state) {
 		return free, "", state{phase: gone}
 	case st.phase == failed:
 		return bounce, "", st
-	case needsArena && st.res == suspended:
-		return refuseSuspended, "", st
 	case needsArena && st.res == evicted:
 		return restoreFirst, "", state{st.phase, resident}
 	case st.phase == rerun && (v == STP || v == RCV):
@@ -199,18 +193,8 @@ func (st state) step(v Verb) (a act, text string, next state) {
 		return refuse, "STP before STR", st
 	case v == RCV && st.phase == done:
 		return copyOut, "", st
-	case v == RCV:
-		return refuse, "RCV before completion", st
-	case v == SUS && st.phase == running:
-		return refuse, "SUS while running", st
-	case v == SUS && st.res == suspended:
-		return refuse, "already suspended", st
-	case v == SUS:
-		return pageOut, "", state{st.phase, suspended}
-	case st.res == resident: // RES
-		return refuse, "RES without SUS", st
 	}
-	return pageIn, "", state{st.phase, resident}
+	return refuse, "RCV before completion", st // RCV
 }
 
 // Request is what a REQ carries: the task and the session's options.
@@ -373,8 +357,6 @@ type managerMetrics struct {
 	sessionsClosed  *metrics.Counter
 	flushes         *metrics.Counter
 	barrierTimeouts *metrics.Counter
-	suspensions     *metrics.Counter
-	resumes         *metrics.Counter
 	evictions       *metrics.Counter
 	restores        *metrics.Counter
 	swapOutBytes    *metrics.Counter
@@ -410,7 +392,7 @@ type session struct {
 	failed error
 
 	// A session's device reservation (devBytes, the rounded bytes it
-	// logically holds) outlives eviction and suspension.
+	// logically holds) outlives eviction.
 	lastUsed sim.Time // LRU clock for victim selection
 	priority int      // lower evicts first (Request.Priority)
 	weight   int      // SM compute-time share (Request.Weight, normalized)
@@ -477,8 +459,6 @@ func New(env *sim.Env, cfg Config) *Manager {
 		sessionsClosed:  reg.Counter("gvm_sessions_closed_total", "sessions torn down by RLS", gl),
 		flushes:         reg.Counter("gvm_flushes_total", "barrier batch flushes", gl),
 		barrierTimeouts: reg.Counter("gvm_barrier_timeouts_total", "partial flushes forced by BarrierTimeout", gl),
-		suspensions:     reg.Counter("gvm_suspensions_total", "sessions suspended (SUS)", gl),
-		resumes:         reg.Counter("gvm_resumes_total", "sessions resumed (RES)", gl),
 		evictions:       reg.Counter("gvm_evictions_total", "sessions evicted to host snapshots to make room", gl),
 		restores:        reg.Counter("gvm_restores_total", "evicted sessions restored on their next verb", gl),
 		swapOutBytes:    reg.Counter("gvm_swap_bytes_total", "bytes moved between device arenas and host snapshots", gl, metrics.L("dir", "out")),
@@ -576,22 +556,19 @@ func (m *Manager) Start() {
 // serve performs what the protocol (state.step) says verb does in the
 // session's state. It is the one verb engine behind every front-end and must
 // not block, so costs are calendar events and anything that has to wait — a
-// restore, a release, a suspend — runs on a transient process. The state
-// moves where the verb's work does: at once for SND and STR, when the flush
-// completes for a parked STP, and on their processes for RLS, SUS, RES and a
-// restore.
+// restore, a release — runs on a transient process. The state moves where
+// the verb's work does: at once for SND and STR, when the flush completes
+// for a parked STP, and on their processes for RLS and a restore.
 func (m *Manager) serve(s *session, verb Verb) {
 	a, text, next := s.st.step(verb)
 	switch a {
 	case refuse:
 		s.tell(verb, ERR, "gvm: "+text)
-	case refuseSuspended:
-		s.tell(verb, ERR, fmt.Sprintf("gvm: %v on suspended session %d", verb, s.id))
 	case bounce:
 		s.tell(verb, ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed))
 	case restoreFirst:
-		// Manager-driven eviction is transparent: restore the arena before
-		// serving the verb, waiting out pressure from running sessions.
+		// Eviction is transparent: restore the arena before serving the
+		// verb, waiting out pressure from running sessions.
 		// Failure (device still full, nothing evictable, nothing running)
 		// leaves the snapshot intact so the verb can be retried.
 		if s.restore == nil {
@@ -628,27 +605,6 @@ func (m *Manager) serve(s *session, verb Verb) {
 				return // ReleaseSession got there while this one waited
 			}
 			notify(RLS, ACK, "")
-		})
-	case pageOut:
-		// Unlike an eviction, a client's suspension stays down until its
-		// explicit RES. An evicted arena's snapshot simply becomes the
-		// suspension: the client cannot know of the eviction, and no bytes
-		// move.
-		m.env.Go("gvm-sus", func(p *sim.Proc) {
-			if s.st.res == resident {
-				m.suspendSession(p, s, suspended)
-			}
-			s.st.res = suspended
-			m.met.suspensions.Inc()
-			s.tell(SUS, ACK, "")
-		})
-	case pageIn:
-		m.env.Go("gvm-res", func(p *sim.Proc) {
-			if err := m.resumeSession(p, s, false); err != nil {
-				s.tell(RES, ERR, err.Error())
-				return
-			}
-			s.tell(RES, ACK, "")
 		})
 	}
 }

@@ -22,7 +22,6 @@ import (
 const (
 	wireDone = 1 << iota
 	wireRerun
-	wireSuspended
 )
 
 // maxWireScratch bounds a blob's scratch count: an absent buffer is one
@@ -39,14 +38,11 @@ func (e *ExtractedSession) buffers() [][]byte {
 // cross-node transport.
 func (e *ExtractedSession) Encode() []byte {
 	var st byte
-	switch e.state.phase {
+	switch e.phase {
 	case done:
 		st = wireDone
 	case rerun:
 		st = wireRerun
-	}
-	if e.state.res == suspended {
-		st |= wireSuspended
 	}
 	bufs := e.buffers()
 	n := 1 + binary.MaxVarintLen64
@@ -76,17 +72,14 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 		return bad("no state byte")
 	}
 	st := data[0]
-	if st&^(wireDone|wireRerun|wireSuspended) != 0 || st&(wireDone|wireRerun) == wireDone|wireRerun {
+	if st&^(wireDone|wireRerun) != 0 || st&(wireDone|wireRerun) == wireDone|wireRerun {
 		return bad("bad state byte 0x%02x", st)
 	}
 	ext := &ExtractedSession{snap: &snapshot{}}
 	if st&wireDone != 0 {
-		ext.state.phase = done
+		ext.phase = done
 	} else if st&wireRerun != 0 {
-		ext.state.phase = rerun
-	}
-	if st&wireSuspended != 0 {
-		ext.state.res = suspended
+		ext.phase = rerun
 	}
 	nscr, k := binary.Uvarint(data[1:])
 	// Each buffer takes at least its presence byte.

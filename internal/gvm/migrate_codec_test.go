@@ -3,6 +3,7 @@ package gvm
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"gpuvirt/internal/task"
@@ -19,22 +20,28 @@ import (
 func FuzzDecodeExtracted(f *testing.F) {
 	roundUp := func(n int64) int64 { return (n + 255) &^ 255 }
 	vecadd, is := workloads.VectorAdd(64).Spec(0), workloads.ClassSIS().Spec(0)
-	blob := func(st state, pinIn, pinOut, in, out []byte, scratch ...[]byte) []byte {
-		return (&ExtractedSession{state: st, PinIn: pinIn, PinOut: pinOut,
+	blob := func(ph phase, pinIn, pinOut, in, out []byte, scratch ...[]byte) []byte {
+		return (&ExtractedSession{phase: ph, PinIn: pinIn, PinOut: pinOut,
 			snap: &snapshot{in: in, out: out, scratch: scratch}}).Encode()
 	}
-	staged := blob(state{}, make([]byte, 512), make([]byte, 256), make([]byte, 512), make([]byte, 256))
+	staged := blob(idle, make([]byte, 512), make([]byte, 256), make([]byte, 512), make([]byte, 256))
 	f.Add(staged)
-	f.Add(blob(state{phase: done, res: suspended}, nil, nil, nil, nil))
-	f.Add(blob(state{phase: rerun}, make([]byte, 512), nil, make([]byte, 512), make([]byte, 256)))
+	f.Add(blob(done, nil, nil, nil, nil))
+	// The retired suspended bit is a bad state byte.
+	suspended := append([]byte{0x04}, blob(done, nil, nil, nil, nil)[1:]...)
+	if _, err := DecodeExtracted(suspended); err == nil || !strings.Contains(err.Error(), "bad state byte 0x04") {
+		f.Fatalf("a blob with state byte 0x04 decoded: %v", err)
+	}
+	f.Add(suspended)
+	f.Add(blob(rerun, make([]byte, 512), nil, make([]byte, 512), make([]byte, 256)))
 	// Arena input that does not fill the 512-byte allocation vecadd needs.
-	f.Add(blob(state{}, nil, nil, []byte{1, 2, 3}, nil))
-	f.Add(blob(state{}, nil, nil, make([]byte, 100), nil))
+	f.Add(blob(idle, nil, nil, []byte{1, 2, 3}, nil))
+	f.Add(blob(idle, nil, nil, make([]byte, 100), nil))
 	// Class-S IS scratch that is not what the task builds: its block
 	// histogram shrunk to 256 bytes, its two buffers swapped, one too many.
-	f.Add(blob(state{phase: done}, nil, nil, nil, nil, make([]byte, 256), nil))
-	f.Add(blob(state{phase: done}, nil, nil, nil, nil, make([]byte, 8448), nil))
-	f.Add(blob(state{phase: done}, nil, nil, nil, nil, nil, nil, nil))
+	f.Add(blob(done, nil, nil, nil, nil, make([]byte, 256), nil))
+	f.Add(blob(done, nil, nil, nil, nil, make([]byte, 8448), nil))
+	f.Add(blob(done, nil, nil, nil, nil, nil, nil, nil))
 	f.Add(staged[:len(staged)-1])                      // truncated
 	f.Add(append(staged[:len(staged):len(staged)], 0)) // trailing
 	f.Add([]byte{wireDone | wireRerun, 0, 0, 0, 0, 0})

@@ -27,80 +27,58 @@ type protocolRow struct {
 	next   string
 }
 
-// protocolTable is the six-verb protocol (plus SUS/RES) as one table. The
-// verb engine is held to it below through two front-ends, and DESIGN.md §3
-// renders it (TestProtocolTableMatchesDesignDoc keeps the two from drifting).
+// protocolTable is the six-verb protocol as one table: seven named states
+// by the five verbs a session takes (REQ opens it). The verb engine is held
+// to it below through two front-ends, and DESIGN.md §3 renders it
+// (TestProtocolTableMatchesDesignDoc keeps the two from drifting).
 //
 // States: idle (opened), staged (idle with input staged), running (STR
 // flushed, stream busy), done (cycle complete, results in staging),
-// suspended (client SUS on a done session), evicted (the manager paged a
-// done session's arena out), failed (device fault under the session),
-// rerun (adopted mid-cycle, arena materialized, interrupted flush not yet
-// resolved), gone (released).
+// evicted (the manager paged a done session's arena out), failed (device
+// fault under the session), rerun (adopted mid-cycle, arena materialized,
+// interrupted flush not yet resolved), gone (released).
 var protocolTable = []protocolRow{
 	{"idle", gvm.SND, gvm.ACK, "", "staged"},
 	{"idle", gvm.STR, gvm.ACK, "", "running"},
 	{"idle", gvm.STP, gvm.ERR, "STP before STR", "idle"},
 	{"idle", gvm.RCV, gvm.ERR, "RCV before completion", "idle"},
 	{"idle", gvm.RLS, gvm.ACK, "", "gone"},
-	{"idle", gvm.SUS, gvm.ACK, "", "suspended"},
-	{"idle", gvm.RES, gvm.ERR, "RES without SUS", "idle"},
 
 	{"staged", gvm.SND, gvm.ACK, "", "staged"},
 	{"staged", gvm.STR, gvm.ACK, "", "running"},
 	{"staged", gvm.STP, gvm.ERR, "STP before STR", "staged"},
 	{"staged", gvm.RCV, gvm.ERR, "RCV before completion", "staged"},
 	{"staged", gvm.RLS, gvm.ACK, "", "gone"},
-	{"staged", gvm.SUS, gvm.ACK, "", "suspended"},
-	{"staged", gvm.RES, gvm.ERR, "RES without SUS", "staged"},
 
 	{"running", gvm.SND, gvm.ACK, "", "running"},
 	{"running", gvm.STR, gvm.ERR, "STR while already running", "running"},
 	{"running", gvm.STP, gvm.ACK, "", "done"},
 	{"running", gvm.RCV, gvm.ERR, "RCV before completion", "running"},
 	{"running", gvm.RLS, gvm.ACK, "", "gone"},
-	{"running", gvm.SUS, gvm.ERR, "SUS while running", "running"},
-	{"running", gvm.RES, gvm.ERR, "RES without SUS", "running"},
 
 	{"done", gvm.SND, gvm.ACK, "", "done"},
 	{"done", gvm.STR, gvm.ACK, "", "running"},
 	{"done", gvm.STP, gvm.ACK, "", "done"},
 	{"done", gvm.RCV, gvm.ACK, "", "done"},
 	{"done", gvm.RLS, gvm.ACK, "", "gone"},
-	{"done", gvm.SUS, gvm.ACK, "", "suspended"},
-	{"done", gvm.RES, gvm.ERR, "RES without SUS", "done"},
-
-	{"suspended", gvm.SND, gvm.ERR, "SND on suspended session", "suspended"},
-	{"suspended", gvm.STR, gvm.ERR, "STR on suspended session", "suspended"},
-	{"suspended", gvm.STP, gvm.ACK, "", "suspended"},
-	{"suspended", gvm.RCV, gvm.ERR, "RCV on suspended session", "suspended"},
-	{"suspended", gvm.RLS, gvm.ACK, "", "gone"},
-	{"suspended", gvm.SUS, gvm.ERR, "already suspended", "suspended"},
-	{"suspended", gvm.RES, gvm.ACK, "", "done"},
 
 	{"evicted", gvm.SND, gvm.ACK, "", "done"},
 	{"evicted", gvm.STR, gvm.ACK, "", "running"},
 	{"evicted", gvm.STP, gvm.ACK, "", "evicted"},
 	{"evicted", gvm.RCV, gvm.ACK, "", "done"},
 	{"evicted", gvm.RLS, gvm.ACK, "", "gone"},
-	{"evicted", gvm.SUS, gvm.ACK, "", "suspended"},
-	{"evicted", gvm.RES, gvm.ACK, "", "done"},
 
 	{"failed", gvm.SND, gvm.ERR, gvm.RetryableMark, "failed"},
 	{"failed", gvm.STR, gvm.ERR, gvm.RetryableMark, "failed"},
 	{"failed", gvm.STP, gvm.ERR, gvm.RetryableMark, "failed"},
 	{"failed", gvm.RCV, gvm.ERR, gvm.RetryableMark, "failed"},
 	{"failed", gvm.RLS, gvm.ACK, "", "gone"},
-	{"failed", gvm.SUS, gvm.ERR, gvm.RetryableMark, "failed"},
-	{"failed", gvm.RES, gvm.ERR, gvm.RetryableMark, "failed"},
 
 	{"rerun", gvm.SND, gvm.ACK, "", "staged"},
 	{"rerun", gvm.STR, gvm.ACK, "", "running"},
 	{"rerun", gvm.STP, gvm.ACK, "", "done"},
 	{"rerun", gvm.RCV, gvm.ERR, "RCV before completion", "running"},
 	{"rerun", gvm.RLS, gvm.ACK, "", "gone"},
-	{"rerun", gvm.SUS, gvm.ACK, "", "suspended"},
-	{"rerun", gvm.RES, gvm.ERR, "RES without SUS", "rerun"},
 }
 
 // surface drives one session of a fresh manager either bare — the engine's
@@ -152,10 +130,6 @@ func (sf *surface) verb(p *sim.Proc, v gvm.Verb) (gvm.Status, string) {
 		err = sf.v.ReceiveOutput(p, sf.collected)
 	case gvm.RLS:
 		err = sf.v.Release(p)
-	case gvm.SUS:
-		err = sf.v.Suspend(p)
-	case gvm.RES:
-		err = sf.v.Resume(p)
 	}
 	if err != nil {
 		return gvm.ERR, err.Error()
@@ -219,9 +193,6 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 		sf.must(p, gvm.STR)
 	case "done":
 		cycle()
-	case "suspended":
-		cycle()
-		sf.must(p, gvm.SUS)
 	case "evicted":
 		cycle()
 		sf.m.InjectEvicted(p, sf.id)
@@ -327,8 +298,9 @@ func TestProtocolTableMatchesDesignDoc(t *testing.T) {
 	for _, r := range gvm.ProtocolTable() {
 		engine = append(engine, protocolRow{r.Prior, r.Verb, r.Status, r.ErrSub, r.Next})
 	}
-	if len(engine) != len(protocolTable) {
-		t.Fatalf("gvm's table has %d rows, the test's %d", len(engine), len(protocolTable))
+	const states, verbs = 7, 5
+	if len(engine) != states*verbs || len(protocolTable) != states*verbs {
+		t.Fatalf("gvm's table has %d rows, the test's %d; want %d states × %d verbs", len(engine), len(protocolTable), states, verbs)
 	}
 	for i, want := range protocolTable {
 		if engine[i] != want {

@@ -9,21 +9,14 @@ import (
 	"gpuvirt/internal/sim"
 )
 
-// Suspend/resume extends the six-verb protocol with the facility the
-// paper's related work [9] (vCUDA) provides: the manager records a
-// session's complete GPU state — every device buffer's contents — in
-// host memory, releases the device resources, and can later restore the
-// session transparently. Suspended sessions keep their identity and
-// shared-memory segment; only the GPU footprint is evacuated, so other
-// sessions (or other tenants) can use the device memory meanwhile.
-//
-// The same machinery is the manager's internal evict/restore engine
-// (the residency layer): when an allocation cannot fit, the allocator's
-// evictor callback suspends the least-valuable idle session
-// (lowest priority, then LRU) and retries, and the victim's arena is
-// restored transparently on its next SND/STR/RCV. A session's logical
-// reservation (devBytes) survives eviction — "admitted" no longer
-// implies "resident".
+// The residency layer: when an allocation cannot fit, the allocator's
+// evictor callback evicts the least-valuable idle session (lowest priority,
+// then LRU) — its device buffers go to a host snapshot — and retries, and the
+// victim's arena is restored transparently on its next SND/STR/RCV. A
+// session's logical reservation (devBytes) survives eviction — "admitted" no
+// longer implies "resident". Eviction is the only way an arena leaves the
+// card: the client never asks for it, and extraction (failover.go) is an
+// eviction whose snapshot leaves the manager.
 //
 // A swap moves ownership, not bytes: the simulated device's memory is host
 // memory already, so an evacuation (gpusim.Context.SwapOut) hands each
@@ -37,13 +30,7 @@ import (
 // is resident again, so a restore that fails part-way only takes back off
 // the card what it placed and stays retryable.
 
-// The two extension verbs.
-const (
-	SUS Verb = iota + RLS + 1 // suspend: evacuate GPU state to the host
-	RES                       // resume: restore GPU state
-)
-
-// snapshot is a suspended session's saved device state: per device buffer
+// snapshot is an evicted session's saved device state: per device buffer
 // its rounded size and, from a functional device, the backing store it had
 // (nil from a timing-only one). Each session has one (session.snap),
 // reused by every eviction; a restored one lets go of its slices, so it
@@ -90,18 +77,18 @@ func (m *Manager) waitSettled(p *sim.Proc, s *session) {
 
 // suspendSession evacuates the session's device buffers into its snapshot
 // and takes them off the card (resident bytes drop; the logical reservation
-// and the addresses stay), leaving it with residency res. The evacuation is
-// a D2H transfer of the session's whole footprint, charged on p's clock, of
-// a resident session that is not running. The snapshot and the residency
-// are published before the first copy sleeps: from then on s is no eviction
-// victim, and a verb arriving for it waits in the restore path (or is
-// refused, suspended) instead of running on a half-evacuated arena.
-func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
+// and the addresses stay), leaving it evicted. The evacuation is a D2H
+// transfer of the session's whole footprint, charged on p's clock, of a
+// resident session that is not running. The snapshot and the residency are
+// published before the first copy sleeps: from then on s is no eviction
+// victim, and a verb arriving for it waits in the restore path for the
+// copies to settle instead of running on a half-evacuated arena.
+func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 	start := p.Now()
 	snap := &s.snap
 	snap.begin(m.env)
 	s.susp = snap
-	s.st.res = res
+	s.st.res = evicted
 	snap.total = 0
 	save := func(ptr cuda.DevPtr) ([]byte, int64) {
 		if ptr == 0 {
@@ -122,7 +109,7 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
 	snap.settle()
 	m.met.swapOutBytes.Add(snap.total)
 	if m.cfg.Tracer != nil {
-		m.cfg.trace("gvm", fmt.Sprintf("SUS s%d %dB", s.id, snap.total), start, p.Now())
+		m.cfg.trace("gvm", fmt.Sprintf("evict s%d %dB", s.id, snap.total), start, p.Now())
 	}
 }
 
@@ -131,9 +118,8 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session, res residency) {
 // and flush ops were built against those addresses and are not touched. On
 // failure (device memory still exhausted with nothing evictable) every
 // buffer it placed is taken back off the card and the snapshot stays
-// intact, so the resume can be retried. evictedRestore selects the metric
-// pair (lazy restore vs client RES).
-func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) error {
+// intact, so the resume can be retried.
+func (m *Manager) resumeSession(p *sim.Proc, s *session) error {
 	// Restoring may itself need room: the allocator's evictor runs inside
 	// these SwapIns and charges the evacuation on p, the running process.
 	// The snapshot may still be filling (another process's evacuation of s
@@ -173,14 +159,10 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 	clear(snap.scratch)
 	s.susp = nil
 	s.st.res = resident
-	if evictedRestore {
-		m.met.restores.Inc()
-	} else {
-		m.met.resumes.Inc()
-	}
+	m.met.restores.Inc()
 	m.met.swapInBytes.Add(snap.total)
 	if m.cfg.Tracer != nil {
-		m.cfg.trace("gvm", fmt.Sprintf("RES s%d %dB", s.id, snap.total), start, p.Now())
+		m.cfg.trace("gvm", fmt.Sprintf("restore s%d %dB", s.id, snap.total), start, p.Now())
 	}
 	return nil
 }
@@ -191,8 +173,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session, evictedRestore bool) er
 // virtual backoff instead of surfacing a spurious error on a verb that
 // is valid from the client's point of view — evictions are transparent,
 // so their restores must not fail while progress is possible. The wait
-// is bounded (a wedged strict barrier can pin memory forever), and
-// client-driven RES keeps fail-fast semantics via resumeSession.
+// is bounded (a wedged strict barrier can pin memory forever).
 //
 // Device faults fail fast: a faulted device rejects every Malloc, so no
 // amount of waiting for other sessions makes a restore succeed — without
@@ -222,7 +203,7 @@ func (m *Manager) restoreWithBackoff(p *sim.Proc, s *session) error {
 	delay := sim.Millisecond
 	var waited sim.Duration
 	for {
-		err := m.resumeSession(p, s, true)
+		err := m.resumeSession(p, s)
 		if err == nil {
 			return nil
 		}
@@ -292,13 +273,13 @@ func (m *Manager) restoreProgress(s *session) int {
 	return best
 }
 
-// evictForAlloc is the allocator's make-room callback: suspend the
+// evictForAlloc is the allocator's make-room callback: evict the
 // least-valuable idle session and let the allocation retry. The
 // evacuation is charged on the process that is running the Malloc —
 // restores of several sessions interleave across their virtual sleeps, so
 // only the environment knows which one that is. It returns false when
 // nothing is evictable (no process is running, or every session is
-// running, already suspended, or holds no device bytes).
+// running, already evicted, or holds no device bytes).
 func (m *Manager) evictForAlloc(need int64) bool {
 	p := m.env.Current()
 	if p == nil {
@@ -308,7 +289,7 @@ func (m *Manager) evictForAlloc(need int64) bool {
 	if v == nil {
 		return false
 	}
-	m.suspendSession(p, v, evicted) // a verb arriving meanwhile restores transparently
+	m.suspendSession(p, v) // a verb arriving meanwhile restores transparently
 	m.met.evictions.Inc()
 	if m.logs(slog.LevelInfo) {
 		m.log.Info("gvm evict", "session", v.id, "bytes", v.susp.total, "need", need)

@@ -71,7 +71,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		s := m.sessions[victim.ID]
 		wantIn, wantOut := arenas(dev, s)
 		addrIn, addrOut := s.devIn, s.devOut
-		m.suspendSession(p, s, evicted) // what evictForAlloc does to its victim
+		m.suspendSession(p, s) // what evictForAlloc does to its victim
 		if dev.MemInUse() != 0 {
 			t.Fatalf("MemInUse = %d after the eviction, want 0", dev.MemInUse())
 		}
@@ -80,7 +80,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		pin.run(p, input, STR)
 		resident, copied := dev.MemInUse(), dev.BytesH2D
 
-		err := m.resumeSession(p, s, true)
+		err := m.resumeSession(p, s)
 		if err == nil || !strings.Contains(err.Error(), "out of device memory") {
 			t.Fatalf("restore beside a running session: %v, want out of device memory", err)
 		}
@@ -98,7 +98,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 		}
 
 		pin.must(p, STP) // the flush is over: the pinning session is evictable
-		if err := m.resumeSession(p, s, true); err != nil {
+		if err := m.resumeSession(p, s); err != nil {
 			t.Fatalf("retried restore: %v", err)
 		}
 		gotIn, gotOut := arenas(dev, s)
@@ -312,7 +312,7 @@ func TestEvictionKeepsAddressesKernelsAndOps(t *testing.T) {
 		devIn, k0, op0 := s.devIn, s.kernels[0], &s.ops[0]
 		restores := m.met.restores.Value()
 		for i := 0; i < 3; i++ {
-			m.suspendSession(p, s, evicted)
+			m.suspendSession(p, s)
 			b.run(p, input, RCV)
 			if s.devIn != devIn || s.kernels[0] != k0 || &s.ops[0] != op0 {
 				t.Errorf("restore %d: devIn %#x, kernel %p, op %p; before the eviction %#x, %p, %p",

@@ -368,17 +368,6 @@ func (s *Session) Receive(buf []byte) error {
 	})
 }
 
-// Suspend issues SUS: the daemon evacuates the session's device arenas
-// into a host snapshot and frees its device memory. The session stays
-// alive (and keeps its reservation); Resume restores it.
-func (s *Session) Suspend() error { return s.verb("SUS") }
-
-// Resume issues RES, restoring a suspended session's device state.
-// Sessions the daemon evicted under memory pressure restore themselves
-// transparently on their next verb; explicit Resume is only needed
-// after an explicit Suspend.
-func (s *Session) Resume() error { return s.verb("RES") }
-
 // Release issues RLS and detaches the data plane.
 func (s *Session) Release() error {
 	err := s.verb("RLS")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -129,60 +128,37 @@ func FuzzMigBlob(f *testing.F) {
 	})
 }
 
-// TestADPSuspendedKey: a session its client suspended adopts suspended —
-// RCV refuses it until RES, and the bytes then match — and one it did not
-// adopts materialized, its results ready for RCV.
-func TestADPSuspendedKey(t *testing.T) {
-	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://adp-suspended-key"}, Functional: true})
+// TestADPRestoresDoneSession: a session that completed its cycle, moved
+// with MIG and landed with ADP, arrives with its arena restored and its
+// results ready for RCV.
+func TestADPRestoresDoneSession(t *testing.T) {
+	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://adp-done"}, Functional: true})
 	c := dialRaw(t, s.Addr())
 	defer c.Close()
-	trip := func(req transport.Request) transport.Response {
+	must := func(req transport.Request) transport.Response {
 		t.Helper()
 		if err := c.WriteRequest(&req); err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
-		resp, err := c.ReadResponse()
+		r, err := c.ReadResponse()
 		if err != nil {
 			t.Fatalf("%s: %v", req.Verb, err)
 		}
-		return *resp
-	}
-	must := func(req transport.Request) transport.Response {
-		t.Helper()
-		r := trip(req)
 		if r.Status != "ACK" {
 			t.Fatalf("%s: %s %s", req.Verb, r.Status, r.Err)
 		}
-		return r
+		return *r
 	}
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
 	in, want := vecaddInput(64, 1)
-	migrate := func(suspend bool) int {
-		t.Helper()
-		id := must(transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline}).Session
-		for _, v := range []string{"SND", "STR", "STP"} {
-			must(transport.Request{Verb: v, Session: id, Data: in})
-		}
-		if suspend {
-			must(transport.Request{Verb: "SUS", Session: id})
-		}
-		blob := append([]byte(nil), must(transport.Request{Verb: "MIG", Session: id}).Data...)
-		return must(transport.Request{Verb: "ADP", Ref: &ref, Data: blob}).Session
+	id := must(transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline}).Session
+	for _, v := range []string{"SND", "STR", "STP"} {
+		must(transport.Request{Verb: v, Session: id, Data: in})
 	}
-	rcv := func(id int) {
-		t.Helper()
-		if r := must(transport.Request{Verb: "RCV", Session: id}); !bytes.Equal(r.Data, want) {
-			t.Fatal("RCV of the adopted session: wrong bytes")
-		}
-		must(transport.Request{Verb: "RLS", Session: id})
+	blob := append([]byte(nil), must(transport.Request{Verb: "MIG", Session: id}).Data...)
+	id = must(transport.Request{Verb: "ADP", Ref: &ref, Data: blob}).Session
+	if r := must(transport.Request{Verb: "RCV", Session: id}); !bytes.Equal(r.Data, want) {
+		t.Fatal("RCV of the adopted session: wrong bytes")
 	}
-
-	id := migrate(true)
-	if r := trip(transport.Request{Verb: "RCV", Session: id}); r.Status != "ERR" || !strings.Contains(r.Err, "RCV on suspended session") {
-		t.Fatalf("RCV on the adopted suspended session: %s %q", r.Status, r.Err)
-	}
-	must(transport.Request{Verb: "RES", Session: id})
-	rcv(id)
-
-	rcv(migrate(false))
+	must(transport.Request{Verb: "RLS", Session: id})
 }

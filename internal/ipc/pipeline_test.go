@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,6 +115,9 @@ func TestBATMisuse(t *testing.T) {
 	one := func(verb string) func(ids) Request {
 		return func(id ids) Request { return bat(Request{Verb: verb, Session: id.own}) }
 	}
+	lone := func(verb string) func(ids) Request {
+		return func(id ids) Request { return Request{Verb: verb, Session: id.own} }
+	}
 	two := func(v1, v2 string) func(ids) Request {
 		return func(id ids) Request {
 			return bat(Request{Verb: v1, Session: id.own}, Request{Verb: v2, Session: id.own})
@@ -137,7 +141,9 @@ func TestBATMisuse(t *testing.T) {
 		}, "a frame carries one session's verbs", same, same},
 		{"STP-before-STR", one("STP"), "STP before STR", same, same},
 		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same, same},
-		{"RES-without-SUS", func(id ids) Request { return Request{Verb: "RES", Session: id.own} }, "RES without SUS", same, same},
+		// The retired suspend/resume verbs are no session verbs anywhere.
+		{"RES-without-SUS", lone("RES"), `transport: verb "RES" is not a session verb`, same, same},
+		{"lone-SUS", lone("SUS"), `transport: verb "SUS" is not a session verb`, same, same},
 		// Whose session an id names is each front-end's own table.
 		{"unknown-session", func(ids) Request { return bat(Request{Verb: "SND", Session: 999}) },
 			"transport: unknown session 999", "", "fed: unknown session 999"},
@@ -224,12 +230,17 @@ func TestBATMisuse(t *testing.T) {
 		})
 	}
 
-	// The sessions survive all that misuse and still run a normal cycle;
-	// once released, an id means nothing anymore (a socket can still say so
-	// — a released session's ring is gone).
+	// The sessions survive all that misuse and still run a byte-identical
+	// cycle; once released, an id means nothing anymore (a socket can still
+	// say so — a released session's ring is gone).
+	in, want := vecaddInput(64, 5)
 	for name, c := range carriers {
-		if err := c.sess.RunCycle(make([]byte, c.sess.InBytes()), make([]byte, c.sess.OutBytes())); err != nil {
+		out := make([]byte, c.sess.OutBytes())
+		if err := c.sess.RunCycle(in, out); err != nil {
 			t.Fatalf("%s session unusable after rejected frames: %v", name, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%s session computed wrong results after rejected frames", name)
 		}
 		if err := c.sess.Release(); err != nil {
 			t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/metrics"
+	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
 
@@ -42,117 +43,59 @@ func startTinyServer(t *testing.T, overcommit float64, ring bool) (*Server, stri
 	return srv, dir
 }
 
-// TestDaemonSuspendResumeOverWire drives the SUS/RES extension verbs
-// through the socket transport: state staged before the suspend must
-// survive the round trip to a host snapshot and back.
-func TestDaemonSuspendResumeOverWire(t *testing.T) {
-	srv := startServer(t, 1, true)
-	c, err := Dial(srv.Addr(), srv.cfg.ShmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const n = 2048
-	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make([]float32, 2*n)
-	for i := 0; i < n; i++ {
-		in[i] = float32(i)
-		in[n+i] = 5
-	}
-	if err := sess.SendInput(cuda.HostFloat32Bytes(in)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Suspend(); err != nil {
-		t.Fatalf("SUS over the wire: %v", err)
-	}
-	mgr := srv.node.Shard(0).Mgr
-	if gvmCount(mgr, "suspensions") != 1 {
-		t.Fatalf("suspensions = %d, want 1", gvmCount(mgr, "suspensions"))
-	}
-	// Verbs on a client-suspended session fail until the explicit RES.
-	if err := sess.Start(); err == nil {
-		t.Fatal("STR on suspended session succeeded")
-	} else if !strings.Contains(err.Error(), "suspended") {
-		t.Fatalf("STR error does not explain the suspension: %v", err)
-	}
-	if err := sess.Resume(); err != nil {
-		t.Fatalf("RES over the wire: %v", err)
-	}
-	if err := sess.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, n*4)
-	if err := sess.Receive(out); err != nil {
-		t.Fatal(err)
-	}
-	res := cuda.Float32s(byteMem(out), 0, n)
-	for i := 0; i < n; i++ {
-		if res[i] != float32(i)+5 {
-			t.Fatalf("out[%d] = %g, want %g (input lost across SUS/RES)", i, res[i], float32(i)+5)
-		}
-	}
-	if err := sess.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDaemonSuspendResumeOverRing drives SUS/RES as ring records: the
-// extension verbs ride the shared-memory control plane like any data
-// verb, never touching the socket.
-func TestDaemonSuspendResumeOverRing(t *testing.T) {
-	srv, dir := startTinyServer(t, 1.0, true)
-	c, err := Dial(srv.Addr(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const n = 2048
-	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make([]float32, 2*n)
-	for i := 0; i < n; i++ {
-		in[i] = float32(2 * i)
-		in[n+i] = 3
-	}
-	if err := sess.SendInput(cuda.HostFloat32Bytes(in)); err != nil {
-		t.Fatal(err)
-	}
-	trips := sess.RingTrips()
-	if err := sess.Suspend(); err != nil {
-		t.Fatalf("SUS over the ring: %v", err)
-	}
-	if err := sess.Resume(); err != nil {
-		t.Fatalf("RES over the ring: %v", err)
-	}
-	if got := sess.RingTrips(); got != trips+2 {
-		t.Fatalf("SUS/RES took %d ring trips, want 2", got-trips)
-	}
-	if err := sess.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, n*4)
-	if err := sess.Receive(out); err != nil {
-		t.Fatal(err)
-	}
-	res := cuda.Float32s(byteMem(out), 0, n)
-	for i := 0; i < n; i++ {
-		if res[i] != float32(2*i)+3 {
-			t.Fatalf("out[%d] = %g, want %g", i, res[i], float32(2*i)+3)
-		}
-	}
-	if err := sess.Release(); err != nil {
-		t.Fatal(err)
+// TestStagedInputSurvivesEviction: on every data plane, input a session
+// staged with a lone SND survives its arena leaving the card — a second
+// session's REQ evicts it — and the verbs after it restore the arena and
+// compute from that input, byte-identical to the host's sum.
+func TestStagedInputSurvivesEviction(t *testing.T) {
+	const n = 4096
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
+	for _, plane := range []string{transport.PlaneShm, transport.PlaneInline, transport.PlaneRing} {
+		t.Run(plane, func(t *testing.T) {
+			srv, dir := startTinyServer(t, 2, plane == transport.PlaneRing)
+			c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, Plane: plane})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sess, err := c.Request(ref, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, want := vecaddInput(n, 3)
+			if err := sess.SendInput(in); err != nil {
+				t.Fatal(err)
+			}
+			other, err := c.Request(ref, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr := srv.node.Shard(0).Mgr
+			if got := gvmCount(mgr, "evictions"); got != 1 {
+				t.Fatalf("evictions = %d after the second REQ, want 1", got)
+			}
+			if err := sess.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]byte, sess.OutBytes())
+			if err := sess.Receive(out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatal("staged input lost across the eviction")
+			}
+			if got := gvmCount(mgr, "restores"); got != 1 {
+				t.Fatalf("restores = %d, want 1", got)
+			}
+			for _, s := range []*Session{sess, other} {
+				if err := s.Release(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

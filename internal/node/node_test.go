@@ -12,6 +12,7 @@ import (
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
+	"gpuvirt/internal/vgpu"
 )
 
 // vecSpec builds a vector-add task spec over n float32 elements.
@@ -144,94 +145,101 @@ func TestNodeHalvesSaturatedTurnaround(t *testing.T) {
 	}
 }
 
-// TestSuspendResumeAcrossShards runs the SUS/RES extension on both
-// shards at once: each session's device footprint drops to zero on ITS
-// shard while suspended, and the restored state computes the right
-// answer afterwards — shard isolation for the suspend path.
-func TestSuspendResumeAcrossShards(t *testing.T) {
-	const n = 1024
+// TestEvictionStaysOnItsShard packs two sessions onto each of two
+// one-session cards: each shard's second REQ evicts its first session —
+// whose input is already staged — and only its own: the other shard's
+// arena stays on its card. Each evicted session's next verb restores it on
+// its shard, evicting its sibling in turn, and computes from the staged
+// input.
+func TestEvictionStaysOnItsShard(t *testing.T) {
+	const n = 4096 // 48 KiB of arenas per session
 	arch := fermi.TeslaC2070()
-	arch.MemBytes = 256 << 20
+	arch.MemBytes = 64 << 10 // one session's arenas per card
 	env := sim.NewEnv()
-	nd, err := New(Config{GPUs: 2, Arch: arch, Functional: true, SharedEnv: env})
+	nd, err := New(Config{GPUs: 2, Arch: arch, Functional: true, Overcommit: 2, SharedEnv: env})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		i := i
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			for _, sh := range nd.Shards() {
-				p.Wait(sh.Mgr.Ready())
-			}
+	evictions := func(shard int) int { return gvmCount(nd.Shard(shard).Mgr, "evictions") }
+	env.Go("client", func(p *sim.Proc) {
+		for _, sh := range nd.Shards() {
+			p.Wait(sh.Mgr.Ready())
+		}
+		type placed struct {
+			v     *vgpu.VGPU
+			shard int
+		}
+		connect := func() placed {
 			v, shard, err := nd.Connect(p, vecSpec(n))
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			in := make([]float32, 2*n)
+			return placed{v, shard}
+		}
+		first := []placed{connect(), connect()}
+		if first[0].shard == first[1].shard {
+			t.Fatalf("both first sessions landed on shard %d", first[0].shard)
+		}
+		ins := make([][]float32, 2)
+		for i, s := range first {
+			ins[i] = make([]float32, 2*n)
 			for j := 0; j < n; j++ {
-				in[j] = float32(j)
-				in[n+j] = float32(10 * (i + 1))
+				ins[i][j] = float32(j)
+				ins[i][n+j] = float32(10 * (i + 1))
 			}
-			if err := v.SendInput(p, cuda.HostFloat32Bytes(in)); err != nil {
-				t.Error(err)
-				return
+			if err := s.v.SendInput(p, cuda.HostFloat32Bytes(ins[i])); err != nil {
+				t.Fatal(err)
 			}
-			if err := v.Start(p); err != nil {
-				t.Error(err)
-				return
+		}
+		var second []placed
+		for k := range first {
+			other := nd.Shard(first[1-k].shard).Dev.MemInUse()
+			s := connect()
+			second = append(second, s)
+			if s.shard != first[k].shard {
+				t.Fatalf("second session %d landed on shard %d, want %d", k, s.shard, first[k].shard)
 			}
-			if err := v.Wait(p); err != nil {
-				t.Error(err)
-				return
+			if evictions(s.shard) != 1 {
+				t.Errorf("shard %d evictions = %d after its second REQ, want 1", s.shard, evictions(s.shard))
 			}
-			if err := v.Suspend(p); err != nil {
-				t.Error(err)
-				return
+			if got := nd.Shard(first[1-k].shard).Dev.MemInUse(); got != other || evictions(first[1-k].shard) != k {
+				t.Errorf("shard %d's REQ touched shard %d: %d bytes resident (was %d), %d evictions",
+					s.shard, first[1-k].shard, got, other, evictions(first[1-k].shard))
 			}
-			if got := nd.Shard(shard).Dev.MemInUse(); got != 0 {
-				t.Errorf("shard %d holds %d bytes while its session is suspended", shard, got)
-			}
-			if err := v.Resume(p); err != nil {
-				t.Error(err)
-				return
-			}
+		}
+		for i, s := range first {
 			out := make([]byte, n*4)
-			if err := v.ReceiveOutput(p, out); err != nil {
-				t.Error(err)
-				return
+			if err := s.v.RunCycle(p, nil, out); err != nil {
+				t.Fatal(err)
 			}
 			res := cuda.Float32s(memBytes(out), 0, n)
 			for j := 0; j < n; j++ {
-				if want := float32(j) + float32(10*(i+1)); res[j] != want {
-					t.Errorf("client %d: out[%d] = %g, want %g", i, j, res[j], want)
-					return
+				if want := ins[i][j] + ins[i][n+j]; res[j] != want {
+					t.Fatalf("session on shard %d: out[%d] = %g, want %g", s.shard, j, res[j], want)
 				}
 			}
-			if err := v.Release(p); err != nil {
+		}
+		for _, s := range append(first, second...) {
+			if err := s.v.Release(p); err != nil {
 				t.Error(err)
-				return
 			}
-			nd.Release(shard, int64(2*n*4), int64(n*4))
-		})
-	}
+			nd.Release(s.shard, int64(2*n*4), int64(n*4))
+		}
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if got := gvmCount(nd.Shard(i).Mgr, "suspensions"); got != 1 {
-			t.Errorf("shard %d suspensions = %d, want 1", i, got)
-		}
-		if got := gvmCount(nd.Shard(i).Mgr, "resumes"); got != 1 {
-			t.Errorf("shard %d resumes = %d, want 1", i, got)
+		if got, restores := evictions(i), gvmCount(nd.Shard(i).Mgr, "restores"); got != 2 || restores != 1 {
+			t.Errorf("shard %d: %d evictions, %d restores; want 2 and 1", i, got, restores)
 		}
 	}
 	for _, l := range nd.Loads() {
-		if l.Sessions != 0 || l.Bytes != 0 {
-			t.Errorf("shard %d placement not drained: %d sessions, %d bytes", l.Shard, l.Sessions, l.Bytes)
+		if l.Sessions != 0 || l.Bytes != 0 || l.Resident != 0 {
+			t.Errorf("shard %d not drained: %+v", l.Shard, l)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 			lat:  reg.Histogram("gvmd_verb_latency_ns", "wall-clock verb service time", metrics.L("verb", v)),
 		}
 	}
-	for _, v := range []string{"REQ", "BAT", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES", "STA", "MIG", "ADP"} {
+	for _, v := range []string{"REQ", "BAT", "SND", "STR", "STP", "RCV", "RLS", "STA", "MIG", "ADP"} {
 		dm.verbs[v] = mk(v)
 	}
 	dm.other = mk("other")
@@ -344,14 +344,14 @@ func (d *Dispatcher) Serve(req *Request, cs *ConnState, submit ShardSubmitter) (
 	switch req.Verb {
 	case "REQ", "ADP":
 		resp, ok = d.serveREQ(req, cs, submit)
-	case "BAT", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES":
-		resp, ok = d.serveFrame(req, cs, submit)
 	case "STA":
 		resp, ok = d.serveSTA(), true
 	case "MIG":
 		resp, ok = d.serveMIG(req, cs, submit)
 	default:
-		resp, ok = errResp(fmt.Errorf("transport: unknown verb %q", req.Verb)), true
+		// A frame, or a verb FrameSteps refuses as the ring host and the
+		// router do: "not a session verb".
+		resp, ok = d.serveFrame(req, cs, submit)
 	}
 	dur := time.Since(start)
 	vi.lat.Observe(int64(dur))

@@ -73,10 +73,6 @@ func intern(b []byte) string {
 		return "RCV"
 	case "RLS":
 		return "RLS"
-	case "SUS":
-		return "SUS"
-	case "RES":
-		return "RES"
 	case "BAT":
 		return "BAT"
 	case "STA":

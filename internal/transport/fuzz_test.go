@@ -167,7 +167,12 @@ func FuzzFrameSteps(f *testing.F) {
 	f.Add(bat(Request{Verb: "SND", Session: 1}, Request{Verb: "SND", Session: 1})) // duplicate verb
 	f.Add(bat(Request{Verb: "SND", Session: 1, Data: []byte{1}}, Request{Verb: "STR", Session: 1},
 		Request{Verb: "STP", Session: 1}, Request{Verb: "RCV", Session: 1})) // a cycle
-	lone, _ := EncodeRequestBinary(nil, Request{Verb: "SUS", Session: 4})
+	// A lone SUS, a retired verb: no session verb, whatever its session.
+	sus := Request{Verb: "SUS", Session: 4}
+	if _, _, _, err := FrameSteps(&sus, nil); err == nil || err.Error() != `transport: verb "SUS" is not a session verb` {
+		f.Fatalf("FrameSteps on a lone SUS: %v, want not a session verb", err)
+	}
+	lone, _ := EncodeRequestBinary(nil, sus)
 	f.Add(lone)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		req, err := decodeRequest(frame)

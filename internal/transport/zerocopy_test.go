@@ -213,7 +213,7 @@ func TestBufPoolClasses(t *testing.T) {
 // included, still round-trip.
 func TestInterning(t *testing.T) {
 	constants := []string{
-		"REQ", "SND", "STR", "STP", "RCV", "RLS", "SUS", "RES", "BAT", "STA", "MIG", "ADP",
+		"REQ", "SND", "STR", "STP", "RCV", "RLS", "BAT", "STA", "MIG", "ADP",
 		"ACK", "WAIT", "ERR",
 		PlaneShm, PlaneInline, PlaneRing,
 	}

@@ -153,7 +153,7 @@ func (h *Host) open(p *sim.Proc, r request) response {
 // STP of a running cycle parks in the engine, polls meanwhile are answered
 // without touching it, and the parked outcome is owed to the next poll
 // (BlockingSTP forwards it instead). Every other outcome but an STR's the
-// loop waits out, so copies, releases, suspends and transparent restores
+// loop waits out, so copies, releases and transparent restores
 // serialize as in the paper's manager; an STR without one is parked at the
 // barrier — or restoring an evicted arena on a transient process, which the
 // loop cannot tell apart and so lets overlap later requests.

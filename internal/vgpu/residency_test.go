@@ -34,10 +34,10 @@ func mixIn(sess, cycle, n int) []float32 {
 }
 
 // runResidencyMix runs `sessions` concurrent vecadd clients for `cycles`
-// cycles each on a card with memBytes of device memory, injecting an
-// explicit Suspend/Resume window at susPct% of the verb boundaries, and
-// returns every session's per-cycle output bytes.
-func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, susPct uint32) ([][][]byte, *gvm.Manager, *gpusim.Device) {
+// cycles each on a card with memBytes of device memory, idling a random
+// while at idlePct% of the verb boundaries, and returns every session's
+// per-cycle output bytes.
+func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, idlePct uint32) ([][][]byte, *gvm.Manager, *gpusim.Device) {
 	t.Helper()
 	const n = 4096
 	env := sim.NewEnv()
@@ -59,20 +59,14 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 				t.Errorf("session %d: %v", s, err)
 				return
 			}
-			// susWindow suspends the session, idles a random while (other
-			// sessions' REQs and restores land in the gap), and resumes.
-			susWindow := func() {
-				if susPct == 0 || lcgStep(&rng)%100 >= susPct {
-					return
-				}
-				if err := v.Suspend(p); err != nil {
-					t.Errorf("session %d: suspend: %v", s, err)
+			// idleWindow idles the session a random while: other sessions'
+			// REQs and restores land in the gap and evict it, and its next
+			// verb restores it.
+			idleWindow := func() {
+				if idlePct == 0 || lcgStep(&rng)%100 >= idlePct {
 					return
 				}
 				p.Sleep(sim.Duration(lcgStep(&rng)%2000) * sim.Microsecond)
-				if err := v.Resume(p); err != nil {
-					t.Errorf("session %d: resume: %v", s, err)
-				}
 			}
 			for c := 0; c < cycles; c++ {
 				in := mixIn(s, c, n)
@@ -80,7 +74,7 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 					t.Errorf("session %d cycle %d: SND: %v", s, c, err)
 					return
 				}
-				susWindow()
+				idleWindow()
 				if err := v.Start(p); err != nil {
 					t.Errorf("session %d cycle %d: STR: %v", s, c, err)
 					return
@@ -89,14 +83,14 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 					t.Errorf("session %d cycle %d: STP: %v", s, c, err)
 					return
 				}
-				susWindow()
+				idleWindow()
 				out := make([]byte, n*4)
 				if err := v.ReceiveOutput(p, out); err != nil {
 					t.Errorf("session %d cycle %d: RCV: %v", s, c, err)
 					return
 				}
 				outs[s][c] = out
-				susWindow()
+				idleWindow()
 			}
 			if err := v.Release(p); err != nil {
 				t.Errorf("session %d: RLS: %v", s, err)
@@ -111,9 +105,11 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, s
 
 // TestRandomizedSuspendResumeInterleavings is the residency layer's
 // equivalence test: three clients cycling on a card that fits only ~1.5
-// of their arenas, with randomized explicit suspend windows layered on
-// top of the engine's own evictions, must produce byte-identical outputs
-// to the same clients on an unconstrained card that never suspends.
+// of their arenas, with randomized idle windows between their verbs, so
+// that evictions (suspendSession) and restores (resumeSession) interleave
+// with each other and with the cycles at seeded points, must produce
+// byte-identical outputs to the same clients on an unconstrained card that
+// never evicts.
 func TestRandomizedSuspendResumeInterleavings(t *testing.T) {
 	const sessions, cycles = 3, 3
 	ref, refMgr, _ := runResidencyMix(t, 256<<20, sessions, cycles, 1, 0)
@@ -125,13 +121,13 @@ func TestRandomizedSuspendResumeInterleavings(t *testing.T) {
 		if gvmCount(mgr, "evictions") == 0 {
 			t.Errorf("seed %d: no evictions on a 96 KiB card under 3x pressure", seed)
 		}
-		if gvmCount(mgr, "restores")+gvmCount(mgr, "resumes") == 0 {
+		if gvmCount(mgr, "restores") == 0 {
 			t.Errorf("seed %d: nothing was ever restored", seed)
 		}
 		for s := 0; s < sessions; s++ {
 			for c := 0; c < cycles; c++ {
 				if string(got[s][c]) != string(ref[s][c]) {
-					t.Errorf("seed %d: session %d cycle %d output differs from never-suspended reference", seed, s, c)
+					t.Errorf("seed %d: session %d cycle %d output differs from the never-evicted reference", seed, s, c)
 				}
 			}
 		}
@@ -142,8 +138,9 @@ func TestRandomizedSuspendResumeInterleavings(t *testing.T) {
 }
 
 // TestEvictedSessionTransparentRestore pins the lazy restore path: a
-// session evicted by another's REQ is restored by its own next verb
-// without any client-visible SUS/RES traffic.
+// session evicted by another's REQ keeps its reservation off the card and
+// is restored by its own next verb, which evicts the other in turn — the
+// device swaps arenas instead of rejecting work.
 func TestEvictedSessionTransparentRestore(t *testing.T) {
 	const n = 4096
 	env := sim.NewEnv()
@@ -174,6 +171,11 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 		if gvmCount(mgr, "evictions") != 1 || gvmCount(mgr, "restores") != 0 {
 			t.Errorf("evictions=%d restores=%d after REQ, want 1/0", gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
 		}
+		// v1's arena sits in a host snapshot; its logical reservation
+		// persists, so reserved now exceeds resident.
+		if res, inUse := dev.MemReserved(), dev.MemInUse(); res <= inUse {
+			t.Errorf("reserved %d <= resident %d after eviction", res, inUse)
+		}
 		// v1's next verb transparently restores it (evicting v2 in turn)
 		// and the pre-eviction input survives the round trip.
 		if err := v1.Start(p); err != nil {
@@ -199,9 +201,8 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 		if gvmCount(mgr, "restores") == 0 {
 			t.Error("transparent restore did not count as a restore")
 		}
-		if gvmCount(mgr, "resumes") != 0 || gvmCount(mgr, "suspensions") != 0 {
-			t.Errorf("transparent path leaked into client SUS/RES counters: resumes=%d suspensions=%d",
-				gvmCount(mgr, "resumes"), gvmCount(mgr, "suspensions"))
+		if gvmCount(mgr, "evictions") != 2 {
+			t.Errorf("evictions = %d, want 2: v1's restore evicts idle v2", gvmCount(mgr, "evictions"))
 		}
 		if err := v1.Release(p); err != nil {
 			t.Error(err)
@@ -218,11 +219,12 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreFailureLeavesSnapshotRetryable drives a resume into memory
-// pressure it cannot relieve: the only other session is parked at an STR
-// barrier (running, hence evict-ineligible) and holds the whole card.
-// The RES must fail cleanly, leave the snapshot intact, and succeed when
-// retried after the pressure clears.
+// TestRestoreFailureLeavesSnapshotRetryable drives a restore into memory
+// pressure it cannot relieve at once: the only other session is parked at
+// an STR barrier (running, hence evict-ineligible) and holds the whole
+// card. Each failed attempt must leave the snapshot intact, and the restore
+// backs off until the barrier timeout flushes the holder, then succeeds and
+// the session computes from its pre-eviction input.
 func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 	const n = 4096
 	env := sim.NewEnv()
@@ -265,7 +267,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	env.Go("suspended", func(p *sim.Proc) {
+	env.Go("evicted", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -277,28 +279,19 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := v.Suspend(p); err != nil {
-			t.Error(err)
-			return
-		}
-		// Let the holder connect and park at the barrier, then try to
-		// resume while it pins the card.
+		// Let the holder evict this idle session and park at the barrier,
+		// then start while it pins the card.
 		p.Sleep(100 * sim.Millisecond)
-		if err := v.Resume(p); err == nil {
-			t.Error("RES succeeded while an unevictable session held the card")
-			return
+		if gvmCount(mgr, "evictions") == 0 || dev.MemReserved() <= dev.MemInUse() {
+			t.Errorf("the holder did not evict this session: %d evictions", gvmCount(mgr, "evictions"))
 		}
-		// The failed restore must not have consumed the snapshot: after
-		// the barrier timeout flushes the holder, the retry succeeds and
-		// the session computes from its pre-suspend input.
-		p.Sleep(400 * sim.Millisecond)
-		if err := v.Resume(p); err != nil {
-			t.Errorf("retried RES failed: %v", err)
-			return
-		}
+		restores := gvmCount(mgr, "restores")
 		if err := v.Start(p); err != nil {
 			t.Error(err)
 			return
+		}
+		if got := gvmCount(mgr, "restores") - restores; got != 1 {
+			t.Errorf("STR restored the arena %d times, want 1", got)
 		}
 		if err := v.Wait(p); err != nil {
 			t.Error(err)
@@ -312,7 +305,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 		res := cuda.Float32s(memBytes(out), 0, n)
 		for i := 0; i < n; i++ {
 			if res[i] != in[i]+in[n+i] {
-				t.Errorf("out[%d] = %g, want %g (snapshot damaged by failed resume)", i, res[i], in[i]+in[n+i])
+				t.Errorf("out[%d] = %g, want %g (snapshot damaged by a failed restore)", i, res[i], in[i]+in[n+i])
 				return
 			}
 		}

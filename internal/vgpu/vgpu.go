@@ -164,12 +164,3 @@ func (v *VGPU) RunCycle(p *sim.Proc, in, out []byte) error {
 	}
 	return v.ReceiveOutput(p, out)
 }
-
-// Suspend evacuates the VGPU's device state into the manager's host
-// memory and releases its device memory (extension verb SUS, the
-// facility of the paper's related work [9]). The session stays alive;
-// Resume restores it.
-func (v *VGPU) Suspend(p *sim.Proc) error { return v.ack(p, gvm.SUS) }
-
-// Resume restores a suspended VGPU's device state (extension verb RES).
-func (v *VGPU) Resume(p *sim.Proc) error { return v.ack(p, gvm.RES) }

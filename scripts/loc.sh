@@ -3,7 +3,8 @@
 #   - non-test Go lines outside bench/ (the figure ROADMAP aim 2 tracks),
 #   - per internal/ package: non-test lines and exported identifiers
 #     (top-level funcs, types, vars and consts, grouped or not, and methods
-#     on exported types; struct fields are not counted),
+#     on exported types; struct fields are not counted), and the non-test
+#     lines of transport, fed and gvm together (ROADMAP item 7's target),
 #   - the test-only-code guard's findings and allowlist size.
 # Both the exported-identifier counts and the guard's line come from the
 # root package's TestNoTestOnlyCode (deadcode_test.go), which reads the
@@ -37,6 +38,7 @@ for pkg in internal/*/; do
 	printf '%-24s %8d %9s\n' "$pkg" "$lines" "$n"
 done
 printf '%-24s %8s %9d\n' 'internal/ total' '' "$total"
+printf '%-24s %8d\n' 'transport+fed+gvm' "$(for p in transport fed gvm; do sources "./internal/$p"; done | xargs cat | wc -l)"
 
 guard=none
 if [ -f deadcode_test.go ]; then
