@@ -24,11 +24,13 @@ vet:
 	GOOS=darwin $(GO) vet ./...
 	GOOS=windows $(GO) vet ./internal/shm/
 
-# The architecture rules (DESIGN.md §3: one mechanism per concern) are the
-# rows of the root package's TestArchitecture (architecture_test.go); each
-# row carries its reason and the mutations that must make it fire.
+# The root package's rule tests: the architecture rules (DESIGN.md §3: one
+# mechanism per concern) are the rows of TestArchitecture
+# (architecture_test.go), each with its reason and the mutations that must
+# make it fire; TestArchitectureRowsMatchDesignDoc ties the rows to
+# DESIGN.md; TestNoTestOnlyCode (deadcode_test.go) is the dead-code guard.
 one-engine:
-	$(GO) test -run '^TestArchitecture$$' -count=1 .
+	$(GO) test -run '^(TestArchitecture|TestArchitectureRowsMatchDesignDoc|TestNoTestOnlyCode)$$' -count=1 .
 
 build:
 	$(GO) build ./...

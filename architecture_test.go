@@ -1,8 +1,9 @@
 // The architecture guard: one mechanism per concern (DESIGN.md §3). Each
 // row of archRows keeps one mechanism single, on the syntax of the tree's
 // non-test Go files (the parse TestNoTestOnlyCode reads too), and carries
-// the mutations that must make it fire. `make one-engine` runs this test; a
-// PR that removes a second mechanism adds a row here.
+// the mutations that must make it fire. `make one-engine` runs this test
+// with the other root rule tests; a PR that removes a second mechanism adds
+// a row here.
 package gpuvirt_test
 
 import (

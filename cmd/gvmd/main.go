@@ -16,7 +16,7 @@
 //	gvmd -listen tcp://:7070
 //	gvmd -listen ring:///tmp/gvmd.sock -listen tcp://:7070
 //
-// Clients connect with internal/ipc.Dial using the same address syntax
+// Clients connect with internal/ipc.DialOptions using the same address syntax
 // (see examples/multiprocess).
 package main
 

@@ -18,7 +18,7 @@
 //	gvmfed -listen tcp://:7080 -backend tcp://nodeA:7070 -backend tcp://nodeB:7070
 //	gvmfed -listen unix:///tmp/gvmfed.sock -backend-file /tmp/nodeA.addr -backend-file /tmp/nodeB.addr
 //
-// Clients connect with internal/ipc.Dial (or examples/multiprocess)
+// Clients connect with internal/ipc.DialOptions (or examples/multiprocess)
 // using gvmfed's address; -addr-file publishes it for scripts, like
 // gvmd's.
 package main

@@ -220,14 +220,6 @@ func (k *Kernel) TotalMemBytes() float64 {
 	return float64(k.Threads()) * k.MemBytesPerThread
 }
 
-// Clone returns a copy of the kernel with freshly copied Args, so a
-// template kernel can be launched with per-process arguments.
-func (k *Kernel) Clone() *Kernel {
-	c := *k
-	c.Args = append([]any(nil), k.Args...)
-	return &c
-}
-
 // RunFunctional executes the kernel body for every block in the grid, in
 // deterministic block order, against mem. It is the host-side reference
 // execution used by tests and functional examples. It returns an error if

@@ -90,15 +90,6 @@ func TestKernelValidate(t *testing.T) {
 	}
 }
 
-func TestKernelClone(t *testing.T) {
-	k := &Kernel{Name: "k", Grid: Dim(1), Block: Dim(32), Args: []any{1, 2}}
-	c := k.Clone()
-	c.Args[0] = 99
-	if k.Args[0] != 1 {
-		t.Fatal("Clone shares Args with the original")
-	}
-}
-
 type testMemory struct{ data []byte }
 
 func (m *testMemory) Bytes(p DevPtr, n int64) []byte { return m.data[p : int64(p)+n] }

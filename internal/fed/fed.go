@@ -229,7 +229,6 @@ func (fm *fedMetrics) lat(verb string) *metrics.Histogram {
 type Router struct {
 	cfg    Config
 	placer *node.Placer
-	reg    *metrics.Registry
 	met    *fedMetrics
 
 	backends []*backend
@@ -260,14 +259,13 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
+	reg := cfg.Metrics
 	r := &Router{
 		cfg:      cfg,
 		placer:   placer,
-		reg:      reg,
 		sessions: make(map[int]*fedSession),
 		quit:     make(chan struct{}),
 	}
@@ -307,9 +305,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	return r, nil
 }
-
-// Metrics returns the registry holding the fed_* series.
-func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
 // Placement returns the node-level policy name.
 func (r *Router) Placement() string { return r.placer.Policy() }

@@ -22,23 +22,31 @@ import (
 )
 
 // startNode runs one in-process gvmd backend on an inproc transport.
-func startNode(t *testing.T, name string, gpus int) *ipc.Server {
+func startNode(t *testing.T, name string, gpus int) *testNode {
 	t.Helper()
+	reg := metrics.NewRegistry()
 	s, err := ipc.NewServer(ipc.ServerConfig{
 		Listen:     []string{"inproc://" + name},
 		Functional: true,
 		GPUs:       gpus,
 		ShmDir:     t.TempDir(),
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s
+	return &testNode{Server: s, reg: reg}
+}
+
+// testNode is a backend daemon and the registry it was built with.
+type testNode struct {
+	*ipc.Server
+	reg *metrics.Registry
 }
 
 // startRouter runs a gvmfed router fronting the given backends.
-func startRouter(t *testing.T, name, policy string, poll time.Duration, nodes ...*ipc.Server) *Router {
+func startRouter(t *testing.T, name, policy string, poll time.Duration, nodes ...*testNode) *Router {
 	t.Helper()
 	backs := make([]string, len(nodes))
 	for i, n := range nodes {
@@ -55,12 +63,20 @@ func startRouter(t *testing.T, name, policy string, poll time.Duration, nodes ..
 	return r
 }
 
-// nodeOpenSessions sums live gvm sessions over a backend's shards (the
-// counters are atomic-backed, safe off-owner).
-func nodeOpenSessions(s *ipc.Server) int {
-	open := 0
-	for i := 0; i < s.Node().NumShards(); i++ {
-		open += s.Node().Shard(i).Mgr.OpenSessions()
+// nodeOpenSessions sums the gvm_open_sessions gauge over a backend's
+// shards, scraped from the node's registry. A shard without the sample
+// fails the test and the sum reads -1.
+func nodeOpenSessions(t *testing.T, n *testNode) int64 {
+	t.Helper()
+	samples := scrape(t, n.reg)
+	var open int64
+	for i := 0; i < n.Node().NumShards(); i++ {
+		v, ok := samples[fmt.Sprintf(`gvm_open_sessions{gpu="%d"}`, i)]
+		if !ok {
+			t.Errorf("node scrape has no gvm_open_sessions sample for gpu %d", i)
+			return -1
+		}
+		open += v
 	}
 	return open
 }
@@ -127,8 +143,8 @@ func directReference(t *testing.T, name string, ref workloads.Ref, ranks int) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := make([]byte, sess.InBytes())
-		out := make([]byte, sess.OutBytes())
+		in := make([]byte, w.Spec(0).InBytes)
+		out := make([]byte, w.Spec(0).OutBytes)
 		w.Fill(rank, in)
 		if err := sess.RunCycle(in, out); err != nil {
 			t.Fatal(err)
@@ -167,7 +183,7 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 			clients := make([]*ipc.Client, ranks)
 			sessions := make([]*ipc.Session, ranks)
 			for rank := 0; rank < ranks; rank++ {
-				c, err := ipc.Dial(r.Addr(), "")
+				c, err := ipc.DialOptions(r.Addr(), ipc.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,13 +198,13 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 			if policy == "least-sessions" {
 				// The canonical spread: 4 held sessions across 2 nodes must
 				// go 2/2.
-				if ao, bo := nodeOpenSessions(a), nodeOpenSessions(b); ao != 2 || bo != 2 {
+				if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 2 || bo != 2 {
 					t.Fatalf("least-sessions spread = %d/%d, want 2/2", ao, bo)
 				}
 			}
 			for rank, sess := range sessions {
-				in := make([]byte, sess.InBytes())
-				out := make([]byte, sess.OutBytes())
+				in := make([]byte, w.Spec(0).InBytes)
+				out := make([]byte, w.Spec(0).OutBytes)
 				w.Fill(rank, in)
 				if err := sess.RunCycle(in, out); err != nil {
 					t.Fatalf("%s: rank %d cycle: %v", policy, rank, err)
@@ -200,10 +216,10 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if ao, bo := nodeOpenSessions(a), nodeOpenSessions(b); ao != 0 || bo != 0 {
+			if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
 				t.Fatalf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
 			}
-			samples := scrape(t, r.Metrics())
+			samples := scrape(t, r.cfg.Metrics)
 			if got := samples[`fed_nodes{state="alive"}`]; got != 2 {
 				t.Errorf(`fed_nodes{state="alive"} = %d, want 2`, got)
 			}
@@ -245,7 +261,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, sess.InBytes())
+	in := make([]byte, w.Spec(0).InBytes)
 	w.Fill(0, in)
 	if err := sess.SendInput(in); err != nil {
 		t.Fatal(err)
@@ -256,20 +272,20 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 
 	// The session is mid-job on one of the nodes; drain that whole node.
 	src, dst := a, b
-	if nodeOpenSessions(b) == 1 {
+	if nodeOpenSessions(t, b) == 1 {
 		src, dst = b, a
 	}
-	if nodeOpenSessions(src) != 1 {
+	if nodeOpenSessions(t, src) != 1 {
 		t.Fatal("no backend owns the session after STR")
 	}
 	src.DrainAll()
 
 	// The router's next poll sees the node advertise itself unplaceable
 	// and evacuates it in the background.
-	for deadline := 400; nodeOpenSessions(dst) != 1 || nodeOpenSessions(src) != 0; deadline-- {
+	for deadline := 400; nodeOpenSessions(t, dst) != 1 || nodeOpenSessions(t, src) != 0; deadline-- {
 		if deadline == 0 {
 			t.Fatalf("session never migrated: src %d open, dst %d open",
-				nodeOpenSessions(src), nodeOpenSessions(dst))
+				nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -278,7 +294,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 	if err := sess.Wait(); err != nil {
 		t.Fatalf("Wait across cross-node migration: %v", err)
 	}
-	out := make([]byte, sess.OutBytes())
+	out := make([]byte, w.Spec(0).OutBytes)
 	if err := sess.Receive(out); err != nil {
 		t.Fatalf("Receive across cross-node migration: %v", err)
 	}
@@ -289,7 +305,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 	// The source node is fully empty: session registry, device memory,
 	// reservations, and placement counters.
 	sh := src.Node().Shard(0)
-	if open := sh.Mgr.OpenSessions(); open != 0 {
+	if open := nodeOpenSessions(t, src); open != 0 {
 		t.Errorf("source node still has %d open sessions", open)
 	}
 	if inUse := sh.Dev.MemInUse(); inUse != 0 {
@@ -305,7 +321,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 		}
 	}
 
-	samples := scrape(t, r.Metrics())
+	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_failovers_total"]; got < 1 {
 		t.Errorf("fed_failovers_total = %d, want >= 1", got)
 	}
@@ -351,7 +367,7 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = func() error {
-				c, err := ipc.Dial(r.Addr(), "")
+				c, err := ipc.DialOptions(r.Addr(), ipc.Options{})
 				if err != nil {
 					firstCycle.Done()
 					return err
@@ -362,8 +378,8 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 					firstCycle.Done()
 					return err
 				}
-				in := make([]byte, sess.InBytes())
-				out := make([]byte, sess.OutBytes())
+				in := make([]byte, w.Spec(0).InBytes)
+				out := make([]byte, w.Spec(0).OutBytes)
 				w.Fill(rank, in)
 				for i := 0; i < cycles; i++ {
 					if err := sess.RunCycle(in, out); err != nil {
@@ -402,11 +418,11 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 			t.Fatalf("rank %d lost its session: %v", rank, err)
 		}
 	}
-	if open := nodeOpenSessions(b); open != 0 {
+	if open := nodeOpenSessions(t, b); open != 0 {
 		t.Errorf("surviving node holds %d sessions after release, want 0", open)
 	}
 
-	samples := scrape(t, r.Metrics())
+	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_failovers_total"]; got < 1 {
 		t.Errorf("fed_failovers_total = %d, want >= 1 (4 sessions died with the node)", got)
 	}
@@ -461,7 +477,7 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 				}
 			}
 			errs[rank] = func() error {
-				c, err := ipc.Dial(r.Addr(), "")
+				c, err := ipc.DialOptions(r.Addr(), ipc.Options{})
 				if err != nil {
 					done()
 					return err
@@ -472,8 +488,8 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 					done()
 					return err
 				}
-				in := make([]byte, sess.InBytes())
-				out := make([]byte, sess.OutBytes())
+				in := make([]byte, w.Spec(0).InBytes)
+				out := make([]byte, w.Spec(0).OutBytes)
 				w.Fill(rank, in)
 				for i := 0; i < cycles; i++ {
 					if err := sess.RunCycle(in, out); err != nil {
@@ -509,10 +525,10 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	if ao, bo := nodeOpenSessions(a), nodeOpenSessions(b); ao != 0 || bo != 0 {
+	if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
 		t.Errorf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
 	}
-	samples := scrape(t, r.Metrics())
+	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_failovers_total"]; got < 1 {
 		t.Errorf("fed_failovers_total = %d, want >= 1 (node 0's sessions had to move)", got)
 	}
@@ -573,10 +589,10 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	trip(transport.Request{Verb: "STP", Session: vid})
 
 	src, dst, srcIdx := a, b, 0
-	if nodeOpenSessions(b) == 1 {
+	if nodeOpenSessions(t, b) == 1 {
 		src, dst, srcIdx = b, a, 1
 	}
-	if nodeOpenSessions(src) != 1 {
+	if nodeOpenSessions(t, src) != 1 {
 		t.Fatal("no node owns the session")
 	}
 
@@ -602,7 +618,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	// RCV response is in flight, the session cannot have moved — a move
 	// would have read the MIG blob into, and then pooled, the very
 	// buffer the in-flight response aliases.
-	if nodeOpenSessions(dst) != 0 {
+	if nodeOpenSessions(t, dst) != 0 {
 		t.Fatal("evacuation moved the session while its RCV response was still in flight")
 	}
 
@@ -619,14 +635,14 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 
 	// With the response delivered the evacuation proceeds: the session
 	// lands on the survivor and RLS empties both nodes.
-	for deadline := 400; nodeOpenSessions(dst) != 1; deadline-- {
+	for deadline := 400; nodeOpenSessions(t, dst) != 1; deadline-- {
 		if deadline == 0 {
 			t.Fatal("session never migrated after the response was read")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	trip(transport.Request{Verb: "RLS", Session: vid})
-	if ao, bo := nodeOpenSessions(a), nodeOpenSessions(b); ao != 0 || bo != 0 {
+	if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
 		t.Errorf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
 	}
 }
@@ -680,18 +696,20 @@ func TestFederatedEviction(t *testing.T) {
 	}
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // one vecadd-4096 session's 48 KiB of arenas
+	reg := metrics.NewRegistry()
 	node, err := ipc.NewServer(ipc.ServerConfig{
 		Listen:     []string{"inproc://fedevict-node"},
 		Functional: true,
 		ShmDir:     t.TempDir(),
 		Arch:       arch,
 		Overcommit: 2,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	r := startRouter(t, "fedevict", "least-sessions", 50*time.Millisecond, node)
+	r := startRouter(t, "fedevict", "least-sessions", 50*time.Millisecond, &testNode{Server: node, reg: reg})
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -701,8 +719,8 @@ func TestFederatedEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, w.Spec(0).InBytes)
+	out := make([]byte, w.Spec(0).OutBytes)
 	w.Fill(0, in)
 	if err := sess.SendInput(in); err != nil {
 		t.Fatal(err)
@@ -712,7 +730,7 @@ func TestFederatedEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const evictions, restores = `gvm_evictions_total{gpu="0"}`, `gvm_restores_total{gpu="0"}`
-	if got := scrape(t, node.Metrics())[evictions]; got != 1 {
+	if got := scrape(t, reg)[evictions]; got != 1 {
 		t.Fatalf("%s = %d after the second REQ, want 1", evictions, got)
 	}
 	if err := sess.Start(); err != nil {
@@ -727,7 +745,7 @@ func TestFederatedEviction(t *testing.T) {
 	if !bytes.Equal(out, want[0]) {
 		t.Fatal("the evicted session's cycle through the router changed the output bytes")
 	}
-	if got := scrape(t, node.Metrics())[restores]; got != 1 {
+	if got := scrape(t, reg)[restores]; got != 1 {
 		t.Fatalf("%s = %d, want 1", restores, got)
 	}
 	for _, s := range []*ipc.Session{sess, other} {

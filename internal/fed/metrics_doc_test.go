@@ -20,22 +20,24 @@ import (
 // prefix, which some registered family must carry.
 func TestMetricFamiliesMatchDesignDoc(t *testing.T) {
 	dir := t.TempDir()
+	nodeReg, fedReg := metrics.NewRegistry(), metrics.NewRegistry()
 	srv, err := ipc.NewServer(ipc.ServerConfig{
 		Listen:     []string{"ring://" + filepath.Join(dir, "gvmd.sock")},
 		ShmDir:     dir,
 		Functional: true,
+		Metrics:    nodeReg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	r, err := New(Config{Backends: []string{srv.Addr()}})
+	r, err := New(Config{Backends: []string{srv.Addr()}, Metrics: fedReg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	registered := map[string]bool{}
-	for _, reg := range []*metrics.Registry{srv.Metrics(), r.Metrics()} {
+	for _, reg := range []*metrics.Registry{nodeReg, fedReg} {
 		var b strings.Builder
 		if err := reg.WritePrometheus(&b); err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // startMidCycle opens a vecadd session of n elements through the router,
 // stages rank 0's input and starts its cycle, and returns the session and
 // the node it landed on.
-func startMidCycle(t *testing.T, r *Router, n int, nodes ...*ipc.Server) (*ipc.Session, int) {
+func startMidCycle(t *testing.T, r *Router, n int, nodes ...*testNode) (*ipc.Session, int) {
 	t.Helper()
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	w, err := workloads.FromRef(ref)
@@ -31,7 +31,7 @@ func startMidCycle(t *testing.T, r *Router, n int, nodes ...*ipc.Server) (*ipc.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, sess.InBytes())
+	in := make([]byte, w.Spec(0).InBytes)
 	w.Fill(0, in)
 	if err := sess.SendInput(in); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func startMidCycle(t *testing.T, r *Router, n int, nodes ...*ipc.Server) (*ipc.S
 		t.Fatal(err)
 	}
 	for i, node := range nodes {
-		if nodeOpenSessions(node) == 1 {
+		if nodeOpenSessions(t, node) == 1 {
 			return sess, i
 		}
 	}
@@ -54,7 +54,7 @@ func finishCycle(t *testing.T, sess *ipc.Session, want []byte) {
 	if err := sess.Wait(); err != nil {
 		t.Fatalf("STP: %v", err)
 	}
-	out := make([]byte, sess.OutBytes())
+	out := make([]byte, len(want))
 	if err := sess.Receive(out); err != nil {
 		t.Fatalf("RCV: %v", err)
 	}
@@ -88,22 +88,27 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	// The target counts the session as soon as ADP lands; the router counts
 	// the move only once ADP's answer is back, so wait for both.
 	moved := func() bool {
-		return nodeOpenSessions(dst) == 1 && nodeOpenSessions(src) == 0 &&
-			scrape(t, r.Metrics())["fed_migrated_bytes_total"] != 0
+		return nodeOpenSessions(t, dst) == 1 && nodeOpenSessions(t, src) == 0 &&
+			scrape(t, r.cfg.Metrics)["fed_migrated_bytes_total"] != 0
 	}
 	for deadline := 1000; !moved(); deadline-- {
 		if deadline == 0 {
 			t.Fatalf("session never left the draining node: src %d open, dst %d open",
-				nodeOpenSessions(src), nodeOpenSessions(dst))
+				nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	w, err := workloads.FromRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := w.Spec(0)
 	blob := int64(2) // the state byte and the scratch count
-	for _, size := range []int64{sess.InBytes(), sess.OutBytes(), sess.InBytes(), sess.OutBytes()} {
+	for _, size := range []int64{sp.InBytes, sp.OutBytes, sp.InBytes, sp.OutBytes} {
 		blob += 1 + int64(len(binary.AppendUvarint(nil, uint64(size)))) + size
 	}
-	samples := scrape(t, r.Metrics())
+	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_migrated_bytes_total"]; got != blob {
 		t.Errorf("fed_migrated_bytes_total = %d, want the %d-byte blob", got, blob)
 	}
@@ -184,21 +189,21 @@ func TestOversizedMIGServesInPlace(t *testing.T) {
 		src.DrainAll()
 		// The poller sees the node draining and its evacuation tries MIG,
 		// which either answers or takes the node down with it.
-		for deadline := 1000; r.met.lat("MIG").Count() == 0 && r.backends[idx].getState() != stateDead; deadline-- {
+		for deadline := 1000; scrape(t, r.cfg.Metrics)[`fed_proxy_latency_ns_count{verb="other"}`] == 0 && r.backends[idx].getState() != stateDead; deadline-- {
 			if deadline == 0 {
 				t.Fatal("the router never tried to migrate the session")
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		samples := scrape(t, r.Metrics())
+		samples := scrape(t, r.cfg.Metrics)
 		if got := samples[`fed_nodes{state="dead"}`]; got != 0 {
 			t.Errorf(`fed_nodes{state="dead"} = %d, want 0: a refused MIG is not node death`, got)
 		}
 		if got := samples["fed_migrated_bytes_total"]; got != 0 {
 			t.Errorf("fed_migrated_bytes_total = %d, want 0", got)
 		}
-		if nodeOpenSessions(src) != 1 || nodeOpenSessions(dst) != 0 {
-			t.Errorf("the session left its node: src %d open, dst %d open", nodeOpenSessions(src), nodeOpenSessions(dst))
+		if nodeOpenSessions(t, src) != 1 || nodeOpenSessions(t, dst) != 0 {
+			t.Errorf("the session left its node: src %d open, dst %d open", nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
 		}
 		finishCycle(t, sess, want[0])
 	})

@@ -459,7 +459,6 @@ func (c *Context) Free(p cuda.DevPtr) error {
 // real hardware; the simulator only differentiates bandwidth.
 type HostBuffer struct {
 	data   []byte
-	size   int64
 	pinned bool
 }
 
@@ -469,7 +468,7 @@ func (d *Device) AllocHost(n int64, pinned bool) *HostBuffer {
 	if n <= 0 {
 		panic("gpusim: AllocHost of non-positive size")
 	}
-	b := &HostBuffer{size: n, pinned: pinned}
+	b := &HostBuffer{pinned: pinned}
 	if d.functional {
 		b.data = make([]byte, n)
 	}
@@ -478,11 +477,8 @@ func (d *Device) AllocHost(n int64, pinned bool) *HostBuffer {
 
 // WrapHost wraps an existing host slice as a (pageable or pinned) buffer.
 func WrapHost(data []byte, pinned bool) *HostBuffer {
-	return &HostBuffer{data: data, size: int64(len(data)), pinned: pinned}
+	return &HostBuffer{data: data, pinned: pinned}
 }
-
-// Size returns the buffer's size in bytes.
-func (b *HostBuffer) Size() int64 { return b.size }
 
 // Data returns the backing slice (nil in timing-only mode).
 func (b *HostBuffer) Data() []byte { return b.data }

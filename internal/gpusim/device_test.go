@@ -361,7 +361,7 @@ func TestDeviceBytesOutOfRangePanics(t *testing.T) {
 func TestHostBufferWrap(t *testing.T) {
 	data := []byte{1, 2, 3}
 	b := WrapHost(data, true)
-	if b.Size() != 3 || !b.pinned || &b.Data()[0] != &data[0] {
+	if len(b.Data()) != 3 || !b.pinned || &b.Data()[0] != &data[0] {
 		t.Fatal("WrapHost did not alias the slice")
 	}
 }

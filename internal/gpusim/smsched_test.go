@@ -126,9 +126,9 @@ func TestKernelFullDeviceWave(t *testing.T) {
 	closeTo(t, makespan-arch.KernelLaunchOverhead, want, 1e-6, "full wave")
 
 	// Two waves take exactly twice as long.
-	k2 := k.Clone()
+	k2 := *k
 	k2.Grid = cuda.Dim(2 * arch.SMs)
-	makespan2, _ := launchAndTime(t, arch, k2)
+	makespan2, _ := launchAndTime(t, arch, &k2)
 	closeTo(t, makespan2-arch.KernelLaunchOverhead, 2*want, 1e-6, "two waves")
 }
 
@@ -369,10 +369,10 @@ func TestQuickSchedulerMonotoneInWork(t *testing.T) {
 			Name: "m", Grid: cuda.Dim(blocks), Block: cuda.Dim(128),
 			CyclesPerThread: float64(s%1000+1) * 100,
 		}
-		heavier := base.Clone()
+		heavier := *base
 		heavier.CyclesPerThread *= 2
 		t1, _ := launchAndTime(t, arch, base)
-		t2, _ := launchAndTime(t, arch, heavier)
+		t2, _ := launchAndTime(t, arch, &heavier)
 		return t2 >= t1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -74,6 +74,10 @@ func ProtocolTable() []ProtocolRow {
 	return rows
 }
 
+// NewestSession is the id of the session the manager opened last: a vgpu
+// client's, right after its Connect.
+func (m *Manager) NewestSession() int { return m.nextID }
+
 // StateOf names where session id stands: gvm's own state name, or gone.
 func (m *Manager) StateOf(id int) string {
 	if s, ok := m.sessions[id]; ok {

@@ -272,8 +272,6 @@ func (r *sizeRecorder) Malloc(n int64) (cuda.DevPtr, error) {
 	return 1, nil
 }
 
-func (r *sizeRecorder) Free(cuda.DevPtr) error { return nil }
-
 // rerunFlush re-runs an interrupted cycle on a freshly restored session:
 // the kernels are deterministic functions of the (migrated) staging
 // input, so the re-run reproduces the exact bytes the aborted flush

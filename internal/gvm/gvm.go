@@ -260,8 +260,8 @@ type Config struct {
 	FlushPolicy FlushPolicy
 	Tracer      *trace.Tracer
 	// Metrics receives the manager's instruments. nil creates a private
-	// registry (reachable via Manager.Metrics()); the daemon passes one
-	// shared registry so gvm, transport and ipc series scrape together.
+	// registry; the daemon passes one shared registry so gvm, transport
+	// and ipc series scrape together, and a test passes its own to read.
 	Metrics *metrics.Registry
 	// Log, when non-nil, receives one Info line per barrier flush.
 	Log *slog.Logger
@@ -481,10 +481,6 @@ func New(env *sim.Env, cfg Config) *Manager {
 	m.classMetrics(1)
 	return m
 }
-
-// Metrics returns the registry holding the manager's instruments (the
-// one from Config.Metrics, or the private one created in its absence).
-func (m *Manager) Metrics() *metrics.Registry { return m.reg }
 
 // SessionsOpened returns how many sessions REQ has provisioned.
 func (m *Manager) SessionsOpened() int { return int(m.met.sessionsOpened.Value()) }
@@ -1008,7 +1004,3 @@ func (m *Manager) Staging(session int) (in, out []byte) {
 	}
 	return in, out
 }
-
-// OpenSessions returns the number of live sessions. It reads the
-// registry gauge, so (unlike len(m.sessions)) it is safe off-owner.
-func (m *Manager) OpenSessions() int { return int(m.met.openSessions.Value()) }

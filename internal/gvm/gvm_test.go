@@ -75,8 +75,8 @@ func TestREQWithoutSpecErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("OpenSession accepted a REQ without a Spec")
 	}
-	if m.OpenSessions() != 0 {
-		t.Fatalf("OpenSessions = %d after the refused REQ", m.OpenSessions())
+	if m.met.openSessions.Value() != 0 {
+		t.Fatalf("OpenSessions = %d after the refused REQ", m.met.openSessions.Value())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestSessionAccounting(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		b := OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 64, OutBytes: 64}})
-		if m.OpenSessions() != 1 {
-			t.Errorf("OpenSessions = %d", m.OpenSessions())
+		if m.met.openSessions.Value() != 1 {
+			t.Errorf("OpenSessions = %d", m.met.openSessions.Value())
 		}
 		if st, msg := b.Verb(p, RLS); st != ACK {
 			t.Errorf("RLS: %v %s", st, msg)
@@ -145,9 +145,9 @@ func TestSessionAccounting(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.SessionsOpened() != 1 || m.met.sessionsClosed.Value() != 1 || m.OpenSessions() != 0 {
+	if m.SessionsOpened() != 1 || m.met.sessionsClosed.Value() != 1 || m.met.openSessions.Value() != 0 {
 		t.Fatalf("accounting: opened=%d closed=%d live=%d",
-			m.SessionsOpened(), m.met.sessionsClosed.Value(), m.OpenSessions())
+			m.SessionsOpened(), m.met.sessionsClosed.Value(), m.met.openSessions.Value())
 	}
 }
 

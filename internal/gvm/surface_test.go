@@ -103,7 +103,7 @@ func newSurface(t *testing.T, bare bool, p *sim.Proc, m *gvm.Manager, spec *task
 		if err != nil {
 			t.Fatalf("Connect: %v", err)
 		}
-		sf.v, sf.id = v, v.Session()
+		sf.v, sf.id = v, m.NewestSession()
 		sf.collected = make([]byte, spec.OutBytes)
 		return sf
 	}

@@ -352,18 +352,6 @@ func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) {
 	return ptr, nil
 }
 
-func (a *sessionAllocator) Free(p cuda.DevPtr) error {
-	size, ok := a.m.ctx.SizeOf(p)
-	if err := a.m.ctx.Free(p); err != nil {
-		return err
-	}
-	if ok {
-		a.s.devBytes -= size
-		a.m.dev.Unreserve(size)
-	}
-	return nil
-}
-
 // freeSessionBuffers releases the session's device buffers, on the card or
 // off it. The logical reservation is untouched: teardown returns it.
 func (m *Manager) freeSessionBuffers(s *session) {

@@ -143,9 +143,9 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if src.MemInUse() != 0 || src.MemReserved() != 0 || m.OpenSessions() != 0 {
+	if src.MemInUse() != 0 || src.MemReserved() != 0 || m.met.openSessions.Value() != 0 {
 		t.Fatalf("source after extraction: %d bytes in use, %d reserved, %d sessions; want 0",
-			src.MemInUse(), src.MemReserved(), m.OpenSessions())
+			src.MemInUse(), src.MemReserved(), m.met.openSessions.Value())
 	}
 
 	decode := func() *ExtractedSession {
@@ -169,9 +169,9 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 			if err := m.AdoptSession(p, bad); err == nil {
 				t.Errorf("AdoptSession accepted a blob with %s", name)
 			}
-			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.OpenSessions() != 0 {
+			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.met.openSessions.Value() != 0 {
 				t.Fatalf("refused blob (%s) left %d bytes in use, %d reserved, %d sessions",
-					name, dst.MemInUse(), dst.MemReserved(), m.OpenSessions())
+					name, dst.MemInUse(), dst.MemReserved(), m.met.openSessions.Value())
 			}
 		}
 
@@ -269,9 +269,9 @@ func TestAdoptRefusesScratchOfTheWrongSize(t *testing.T) {
 				t.Errorf("AdoptSession of a blob with %s: %v, want a final refusal", name, err)
 				return
 			}
-			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.OpenSessions() != 0 {
+			if dst.MemInUse() != 0 || dst.MemReserved() != 0 || m.met.openSessions.Value() != 0 {
 				t.Errorf("refused blob (%s) left %d bytes in use, %d reserved, %d sessions",
-					name, dst.MemInUse(), dst.MemReserved(), m.OpenSessions())
+					name, dst.MemInUse(), dst.MemReserved(), m.met.openSessions.Value())
 				return
 			}
 		}

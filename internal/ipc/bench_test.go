@@ -70,8 +70,8 @@ func benchCycles(b *testing.B, addr, shmDir string, clients int, serial bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ins[i] = make([]byte, sess[i].InBytes())
-		outs[i] = make([]byte, sess[i].OutBytes())
+		ins[i] = make([]byte, sess[i].inBytes)
+		outs[i] = make([]byte, sess[i].outBytes)
 		if err := sess[i].RunCycle(ins[i], outs[i]); err != nil { // warm up
 			b.Fatal(err)
 		}

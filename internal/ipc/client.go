@@ -51,15 +51,10 @@ type Client struct {
 	trips int64
 }
 
-// Dial connects to a daemon address — "unix:///path" (or a bare socket
-// path), "tcp://host:port", "ring:///path", "inproc://name". shmDir must
-// match the daemon's data-plane directory ("" = /dev/shm) when the shm or
-// ring plane is in play.
-func Dial(addr, shmDir string) (*Client, error) {
-	return DialOptions(addr, Options{ShmDir: shmDir})
-}
-
-// DialOptions connects to a daemon address with explicit options.
+// DialOptions connects to a daemon address — "unix:///path" (or a bare
+// socket path), "tcp://host:port", "ring:///path", "inproc://name". o.ShmDir
+// must match the daemon's data-plane directory ("" = /dev/shm) when the shm
+// or ring plane is in play.
 func DialOptions(addr string, o Options) (*Client, error) {
 	conn, plane, err := transport.Dial(addr)
 	if err != nil {
@@ -267,12 +262,6 @@ func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (
 
 // ID returns the daemon-assigned session id.
 func (s *Session) ID() int { return s.id }
-
-// InBytes returns the input staging size.
-func (s *Session) InBytes() int64 { return s.inBytes }
-
-// OutBytes returns the output staging size.
-func (s *Session) OutBytes() int64 { return s.outBytes }
 
 // Plane returns the data plane kind the session negotiated.
 func (s *Session) Plane() string { return s.plane.Kind() }

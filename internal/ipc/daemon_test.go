@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpuvirt/internal/cuda"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -119,12 +120,12 @@ func TestTCPInlineMatchesUnixShm(t *testing.T) {
 	unixAddr, tcpAddr := s.Addrs()[0], s.Addrs()[1]
 
 	const n = 2048
-	cu, err := Dial(unixAddr, s.cfg.ShmDir) // unix defaults to shm
+	cu, err := DialOptions(unixAddr, Options{ShmDir: s.cfg.ShmDir}) // unix defaults to shm
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cu.Close()
-	ct, err := Dial(tcpAddr, s.cfg.ShmDir) // tcp defaults to inline
+	ct, err := DialOptions(tcpAddr, Options{ShmDir: s.cfg.ShmDir}) // tcp defaults to inline
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestBadPreambleDrained(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Let the daemon see and reject the byte before the rest arrives.
-			for deadline := 400; scrapeMetrics(t, s.Metrics())["ipc_frame_errors_total"] == 0; deadline-- {
+			for deadline := 400; scrapeMetrics(t, s.cfg.Metrics)["ipc_frame_errors_total"] == 0; deadline-- {
 				if deadline == 0 {
 					t.Fatal("bad preamble never counted")
 				}
@@ -200,7 +201,7 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := vs.SendInput(make([]byte, vs.InBytes())); err != nil {
+			if err := vs.SendInput(make([]byte, vs.inBytes)); err != nil {
 				t.Fatal(err)
 			}
 			var memAfterREQ int64 = -1
@@ -214,7 +215,7 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 
 			// The survivor runs a full cycle; the barrier timeout flushes
 			// its STR without the dead peer.
-			survivor, err := Dial(s.Addr(), s.cfg.ShmDir)
+			survivor, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +227,7 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 					done <- err
 					return
 				}
-				if err := sess.RunCycle(make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())); err != nil {
+				if err := sess.RunCycle(make([]byte, sess.inBytes), make([]byte, sess.outBytes)); err != nil {
 					done <- err
 					return
 				}
@@ -246,7 +247,7 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 			for deadline := 400; deadline > 0; deadline-- {
 				open, mem := -1, int64(-1)
 				if !s.submitProbe(0, func() {
-					open = s.node.Shard(0).Mgr.OpenSessions()
+					open = gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions")
 					mem = s.node.Shard(0).Dev.MemInUse()
 				}) {
 					t.Fatal("server closed early")
@@ -330,7 +331,7 @@ func TestIdleClientOutlivesTimeout(t *testing.T) {
 // same daemon, no socket files involved.
 func TestInprocTransport(t *testing.T) {
 	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://daemon-test"}, Functional: true})
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { s.Close() })
-			c, err := Dial(s.Addr(), dir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,10 +377,17 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 			go func() { parked <- sess.Start() }()
 			// REQ and STR are the two requests gvm has seen once the STR is in;
 			// the probe then orders us behind the owner pass that parked it.
-			for mgr := s.node.Shard(0).Mgr; gvmCount(mgr, "requests") < 2; {
+			for mgr := s.node.Shard(0).Mgr; gvmCount(t, s.cfg.Metrics, mgr, "gvm_requests_total") < 2; {
 				time.Sleep(time.Millisecond)
 			}
 			s.submitProbe(0, func() {})
+			// A scrape after Close would read the unmapped ring doorbell, so
+			// the check below reads the live series; this scrape proves the
+			// manager registered it, and that the REQ's session is open.
+			if open := gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions"); open != 1 {
+				t.Fatalf("gpu 0 holds %d open sessions before Close, want 1", open)
+			}
+			openSessions := s.cfg.Metrics.Gauge("gvm_open_sessions", "", metrics.L("gpu", "0"))
 
 			closed := make(chan error, 1)
 			go func() { closed <- s.Close() }()
@@ -399,11 +407,11 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Error("the client's parked STR never returned")
 			}
-			if open := s.disp.OpenSessions(); open != 0 {
-				t.Errorf("%d dispatcher sessions left", open)
+			if open := placedSessions(s); open != 0 {
+				t.Errorf("%d sessions still placed", open)
 			}
 			sh := s.node.Shard(0)
-			if open, inUse, reserved := sh.Mgr.OpenSessions(), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
+			if open, inUse, reserved := openSessions.Value(), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
 				t.Errorf("gpu 0: %d open sessions, %d bytes in use, %d reserved", open, inUse, reserved)
 			}
 			if segs := ringSegments(t, dir); len(segs) != 0 {

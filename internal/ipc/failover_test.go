@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpuvirt/internal/gpusim"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/node"
 	"gpuvirt/internal/shm"
 	"gpuvirt/internal/transport"
@@ -21,7 +22,7 @@ func shardStats(t *testing.T, s *Server, shard int) (open int, inUse, reserved i
 	t.Helper()
 	if !s.submitProbe(shard, func() {
 		sh := s.node.Shard(shard)
-		open = sh.Mgr.OpenSessions()
+		open = gvmCount(t, s.cfg.Metrics, sh.Mgr, "gvm_open_sessions")
 		inUse = sh.Dev.MemInUse()
 		reserved = sh.Dev.MemReserved()
 	}) {
@@ -99,7 +100,7 @@ func drainMidJob(t *testing.T, s *Server) {
 	}
 
 	// Migration-free reference: same workload, same rank, same input.
-	cRef, err := Dial(s.Addr(), s.cfg.ShmDir)
+	cRef, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func drainMidJob(t *testing.T, s *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, refSess.InBytes())
-	want := make([]byte, refSess.OutBytes())
+	in := make([]byte, refSess.inBytes)
+	want := make([]byte, refSess.outBytes)
 	w.Fill(0, in)
 	if err := refSess.RunCycle(in, want); err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func drainMidJob(t *testing.T, s *Server) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func drainMidJob(t *testing.T, s *Server) {
 	if err := sess.Wait(); err != nil {
 		t.Fatalf("Wait across migration: %v", err)
 	}
-	out := make([]byte, sess.OutBytes())
+	out := make([]byte, sess.outBytes)
 	if err := sess.Receive(out); err != nil {
 		t.Fatalf("Receive across migration: %v", err)
 	}
@@ -168,7 +169,7 @@ func drainMidJob(t *testing.T, s *Server) {
 	for deadline := 400; ; deadline-- {
 		srcOpen, _, _ := shardStats(t, s, src)
 		dstOpen, _, _ := shardStats(t, s, dst)
-		if srcOpen == 0 && dstOpen == 1 && scrapeMetrics(t, s.Metrics())["node_migration_latency_ns_count"] >= 1 {
+		if srcOpen == 0 && dstOpen == 1 && scrapeMetrics(t, s.cfg.Metrics)["node_migration_latency_ns_count"] >= 1 {
 			break
 		}
 		if deadline == 0 {
@@ -177,7 +178,7 @@ func drainMidJob(t *testing.T, s *Server) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	samples := scrapeMetrics(t, s.Metrics())
+	samples := scrapeMetrics(t, s.cfg.Metrics)
 	if got := samples["node_failovers_total"]; got < 1 {
 		t.Errorf("node_failovers_total = %d, want >= 1", got)
 	}
@@ -205,7 +206,7 @@ func drainMidJob(t *testing.T, s *Server) {
 		return
 	}
 	waitNoSegments(t, s.cfg.ShmDir)
-	if onSrc, onDst := ringSessions(scrapeMetrics(t, s.Metrics())); onSrc != 0 || onDst != 0 {
+	if onSrc, onDst := ringSessions(scrapeMetrics(t, s.cfg.Metrics)); onSrc != 0 || onDst != 0 {
 		t.Errorf("ring sessions after RLS: %d on the source's sweep, %d on the target's; want 0 and 0", onSrc, onDst)
 	}
 
@@ -218,10 +219,10 @@ func drainMidJob(t *testing.T, s *Server) {
 		}
 	}
 	bell := fmt.Sprintf(`gvmd_ring_doorbells_total{gpu="%d"}`, dst)
-	bells0 := scrapeMetrics(t, s.Metrics())[bell]
+	bells0 := scrapeMetrics(t, s.cfg.Metrics)[bell]
 	_, wakes0 := shm.FutexStats()
 	time.Sleep(300 * time.Millisecond)
-	bells := scrapeMetrics(t, s.Metrics())[bell] - bells0
+	bells := scrapeMetrics(t, s.cfg.Metrics)[bell] - bells0
 	_, wakes := shm.FutexStats()
 	if bells != 0 || wakes != wakes0 {
 		t.Errorf("idle after the move: the target's doorbell rang %d times and %d futex wakes were paid in 300ms, want 0 and 0", bells, wakes-wakes0)
@@ -278,7 +279,7 @@ func TestDrainAllServesInPlace(t *testing.T) {
 				for i, sess := range sessions {
 					cycle(sess, len(sessions)+i)
 				}
-				samples := scrapeMetrics(t, s.Metrics())
+				samples := scrapeMetrics(t, s.cfg.Metrics)
 				for gpu := 0; gpu < gpus; gpu++ {
 					key := fmt.Sprintf(`gvm_swap_bytes_total{dir="out",gpu="%d"}`, gpu)
 					if got, ok := samples[key]; !ok || got != 0 {
@@ -331,7 +332,9 @@ func TestRingREQRacesDrain(t *testing.T) {
 				sess, reqErr = c.Request(ref, 0)
 				over.Store(true)
 			}()
-			for s.disp.OpenSessions() == 0 && !over.Load() {
+			// The ring joins gpu 0's sweep right before the REQ publishes
+			// its session.
+			for ring := s.cfg.Metrics.Gauge("gvmd_ring_sessions", "", metrics.L("gpu", "0")); ring.Value() == 0 && !over.Load(); {
 			}
 			for start := time.Now(); time.Since(start) < delay; {
 			}
@@ -351,10 +354,10 @@ func TestRingREQRacesDrain(t *testing.T) {
 					t.Fatal("server closed early")
 				}
 			}
-			samples := scrapeMetrics(t, s.Metrics())
+			samples := scrapeMetrics(t, s.cfg.Metrics)
 			for deadline := 400; samples["node_failovers_total"] == 0 && deadline > 0; deadline-- {
 				time.Sleep(5 * time.Millisecond)
-				samples = scrapeMetrics(t, s.Metrics())
+				samples = scrapeMetrics(t, s.cfg.Metrics)
 			}
 			if got := samples["node_failovers_total"]; got != 1 {
 				t.Fatalf("try %d (drain after %v): node_failovers_total = %d, want 1", try, delay, got)
@@ -362,7 +365,7 @@ func TestRingREQRacesDrain(t *testing.T) {
 			if sum := samples[`gvmd_ring_sessions{gpu="0"}`] + samples[`gvmd_ring_sessions{gpu="1"}`]; sum != 1 {
 				t.Fatalf("try %d (drain after %v): the session's ring is on %d shards' sweeps, want 1", try, delay, sum)
 			}
-			in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+			in, out := make([]byte, sess.inBytes), make([]byte, sess.outBytes)
 			w.Fill(0, in)
 			if err := sess.RunCycle(in, out); err != nil {
 				t.Fatalf("try %d (drain after %v): cycle: %v", try, delay, err)
@@ -420,7 +423,7 @@ func TestChaosFaultInjection8Clients(t *testing.T) {
 				go func(rank int) {
 					defer wg.Done()
 					errs[rank] = func() error {
-						c, err := Dial(s.Addr(), s.cfg.ShmDir)
+						c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 						if err != nil {
 							return err
 						}
@@ -429,8 +432,8 @@ func TestChaosFaultInjection8Clients(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						in := make([]byte, sess.InBytes())
-						out := make([]byte, sess.OutBytes())
+						in := make([]byte, sess.inBytes)
+						out := make([]byte, sess.outBytes)
 						w.Fill(rank, in)
 						for i := 0; i < cycles; i++ {
 							if err := sess.RunCycle(in, out); err != nil {
@@ -464,8 +467,8 @@ func TestChaosFaultInjection8Clients(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				in := make([]byte, sess.InBytes())
-				want := make([]byte, sess.OutBytes())
+				in := make([]byte, sess.inBytes)
+				want := make([]byte, sess.outBytes)
 				w.Fill(rank, in)
 				if err := sess.RunCycle(in, want); err != nil {
 					t.Fatal(err)
@@ -478,7 +481,7 @@ func TestChaosFaultInjection8Clients(t *testing.T) {
 				}
 			}
 
-			samples := scrapeMetrics(t, s.Metrics())
+			samples := scrapeMetrics(t, s.cfg.Metrics)
 			faults := samples[`gpusim_faults_total{gpu="0",kind="hang"}`] +
 				samples[`gpusim_faults_total{gpu="0",kind="fatal"}`]
 			if tc.name == "deterministic-hang" && faults != 1 {

@@ -47,7 +47,7 @@ func startServer(t *testing.T, parties int, functional bool) *Server {
 
 func TestSingleClientFunctionalVecAdd(t *testing.T) {
 	s := startServer(t, 1, true)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestSingleClientFunctionalVecAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.InBytes() != 2*n*4 || sess.OutBytes() != n*4 {
-		t.Fatalf("sizes = %d/%d", sess.InBytes(), sess.OutBytes())
+	if sess.inBytes != 2*n*4 || sess.outBytes != n*4 {
+		t.Fatalf("sizes = %d/%d", sess.inBytes, sess.outBytes)
 	}
 	in := make([]float32, 2*n)
 	for i := 0; i < n; i++ {
@@ -129,7 +129,7 @@ func TestDaemonCycleIsBareCycle(t *testing.T) {
 	}
 
 	s := startServer(t, 1, false)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBarrierAcrossRealConnections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), s.cfg.ShmDir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -191,7 +191,7 @@ func TestBarrierAcrossRealConnections(t *testing.T) {
 
 func TestUnknownWorkloadRejected(t *testing.T) {
 	s := startServer(t, 1, false)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 
 func TestProtocolMisuse(t *testing.T) {
 	s := startServer(t, 1, false)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestProtocolMisuse(t *testing.T) {
 
 func TestDisconnectCleansUpSessions(t *testing.T) {
 	s := startServer(t, 1, false)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDisconnectCleansUpSessions(t *testing.T) {
 	deadline := 400
 	for ; deadline > 0; deadline-- {
 		open := -1
-		if !s.submitProbe(0, func() { open = s.node.Shard(0).Mgr.OpenSessions() }) {
+		if !s.submitProbe(0, func() { open = gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions") }) {
 			t.Fatal("server closed early")
 		}
 		if open == 0 {
@@ -267,7 +267,7 @@ var probed = func() chan struct{} {
 
 func TestMultipleCyclesOneSession(t *testing.T) {
 	s := startServer(t, 1, true)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDaemonBarrierTimeoutUnwedges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), dir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -382,7 +382,7 @@ func TestDaemonMultiGPU(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), dir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				placed.Done()
 				errs[i] = err

@@ -62,7 +62,7 @@ func scrapeMetrics(t *testing.T, reg *metrics.Registry) map[string]int64 {
 // counts must be consistent with the client's own round-trip accounting.
 func TestMetricsEndpoint(t *testing.T) {
 	s := startServer(t, 1, true)
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+	in, out := make([]byte, sess.inBytes), make([]byte, sess.outBytes)
 	for i := 0; i < cycles; i++ {
 		if err := sess.RunCycle(in, out); err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	samples := scrapeMetrics(t, s.Metrics())
+	samples := scrapeMetrics(t, s.cfg.Metrics)
 	verb := func(v string) int64 { return samples[`gvmd_verb_requests_total{verb="`+v+`"}`] }
 
 	// Frame-level counters must match the client's round trips exactly:
@@ -124,10 +124,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("node_placed_sessions = %d, want 0 after release", samples[`node_placed_sessions{gpu="0"}`])
 	}
 	// Data-plane byte counters: InBytes per SND, OutBytes per RCV.
-	if got, want := samples[`gvmd_verb_bytes_total{dir="in",verb="SND"}`], int64(cycles)*sess.InBytes(); got != want {
+	if got, want := samples[`gvmd_verb_bytes_total{dir="in",verb="SND"}`], int64(cycles)*sess.inBytes; got != want {
 		t.Fatalf("SND bytes = %d, want %d", got, want)
 	}
-	if got, want := samples[`gvmd_verb_bytes_total{dir="out",verb="RCV"}`], int64(cycles)*sess.OutBytes(); got != want {
+	if got, want := samples[`gvmd_verb_bytes_total{dir="out",verb="RCV"}`], int64(cycles)*sess.outBytes; got != want {
 		t.Fatalf("RCV bytes = %d, want %d", got, want)
 	}
 	// Connection-layer series: this client is still connected.

@@ -24,7 +24,7 @@ func TestPipelinedCycleOneRoundTrip(t *testing.T) {
 	in := make([]byte, 2*n*4)
 	out := make([]byte, n*4)
 
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMaxSessionBytes(t *testing.T) {
 		Functional:      true,
 		MaxSessionBytes: 16 << 10,
 	})
-	c, err := Dial(s.Addr(), s.cfg.ShmDir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBATMisuse(t *testing.T) {
 	type carrier struct{ sess, sibling, other *Session }
 	open := func(addr, dir string) carrier {
 		dial := func() *Client {
-			c, err := Dial(addr, dir)
+			c, err := DialOptions(addr, Options{ShmDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestBATMisuse(t *testing.T) {
 	ask := func(c carrier, frame func(ids) Request) string {
 		req := frame(ids{c.sess.ID(), c.sibling.ID(), c.other.ID()})
 		if len(req.Batch) > 0 && req.Batch[0].Verb == "SND" && req.Batch[0].Session == c.sess.ID() {
-			if err := c.sess.plane.StageIn(make([]byte, c.sess.InBytes()), &req.Batch[0]); err != nil {
+			if err := c.sess.plane.StageIn(make([]byte, c.sess.inBytes), &req.Batch[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -235,7 +235,7 @@ func TestBATMisuse(t *testing.T) {
 	// say so — a released session's ring is gone).
 	in, want := vecaddInput(64, 5)
 	for name, c := range carriers {
-		out := make([]byte, c.sess.OutBytes())
+		out := make([]byte, c.sess.outBytes)
 		if err := c.sess.RunCycle(in, out); err != nil {
 			t.Fatalf("%s session unusable after rejected frames: %v", name, err)
 		}
@@ -295,7 +295,7 @@ func runStressRace(t *testing.T, gpus int) {
 		Functional: true,
 	})
 	ref := make([][]byte, clients)
-	serial, err := Dial(refSrv.Addr(), refSrv.cfg.ShmDir)
+	serial, err := DialOptions(refSrv.Addr(), Options{ShmDir: refSrv.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func runStressRace(t *testing.T, gpus int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]byte, sess.OutBytes())
+		out := make([]byte, sess.outBytes)
 		if err := sess.RunCycle(input(r), out); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func runStressRace(t *testing.T, gpus int) {
 			default:
 			}
 			var sb strings.Builder
-			if err := s.Metrics().WritePrometheus(&sb); err != nil {
+			if err := s.cfg.Metrics.WritePrometheus(&sb); err != nil {
 				t.Errorf("scrape: %v", err)
 				return
 			}
@@ -355,7 +355,7 @@ func runStressRace(t *testing.T, gpus int) {
 				}
 			}
 			defer signal()
-			c, err := Dial(s.Addr(), s.cfg.ShmDir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 			if err != nil {
 				errs <- err
 				return
@@ -369,7 +369,7 @@ func runStressRace(t *testing.T, gpus int) {
 			}
 			signal()
 			openWG.Wait()
-			out := make([]byte, sess.OutBytes())
+			out := make([]byte, sess.outBytes)
 			for i := 0; i < iters; i++ {
 				if err := sess.RunCycle(in, out); err != nil {
 					errs <- fmt.Errorf("client %d iter %d: %w", rank, i, err)
@@ -442,7 +442,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 	}
 	vc.Close() // gone before the barrier flushes or the response is written
 
-	survivor, err := Dial(s.Addr(), s.cfg.ShmDir)
+	survivor, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := sess.RunCycle(make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())); err != nil {
+		if err := sess.RunCycle(make([]byte, sess.inBytes), make([]byte, sess.outBytes)); err != nil {
 			done <- err
 			return
 		}
@@ -472,7 +472,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 	for deadline := 400; deadline > 0; deadline-- {
 		open, mem := -1, int64(-1)
 		if !s.submitProbe(0, func() {
-			open = s.node.Shard(0).Mgr.OpenSessions()
+			open = gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions")
 			mem = s.node.Shard(0).Dev.MemInUse()
 		}) {
 			t.Fatal("server closed early")

@@ -2,8 +2,10 @@ package ipc
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,7 +73,7 @@ func TestStagedInputSurvivesEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 			mgr := srv.node.Shard(0).Mgr
-			if got := gvmCount(mgr, "evictions"); got != 1 {
+			if got := gvmCount(t, srv.cfg.Metrics, mgr, "gvm_evictions_total"); got != 1 {
 				t.Fatalf("evictions = %d after the second REQ, want 1", got)
 			}
 			if err := sess.Start(); err != nil {
@@ -80,14 +82,14 @@ func TestStagedInputSurvivesEviction(t *testing.T) {
 			if err := sess.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			out := make([]byte, sess.OutBytes())
+			out := make([]byte, sess.outBytes)
 			if err := sess.Receive(out); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out, want) {
 				t.Fatal("staged input lost across the eviction")
 			}
-			if got := gvmCount(mgr, "restores"); got != 1 {
+			if got := gvmCount(t, srv.cfg.Metrics, mgr, "gvm_restores_total"); got != 1 {
 				t.Fatalf("restores = %d, want 1", got)
 			}
 			for _, s := range []*Session{sess, other} {
@@ -105,7 +107,7 @@ func TestStagedInputSurvivesEviction(t *testing.T) {
 // must restore it mid-batch, transparently, with byte-identical results.
 func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 	srv, dir := startTinyServer(t, 4.0, false)
-	c, err := Dial(srv.Addr(), dir)
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 		t.Fatalf("REQ within the overcommit quota rejected: %v", err)
 	}
 	mgr := srv.node.Shard(0).Mgr
-	if gvmCount(mgr, "evictions") == 0 {
+	if gvmCount(t, srv.cfg.Metrics, mgr, "gvm_evictions_total") == 0 {
 		t.Fatal("second session became resident without evicting the first")
 	}
 	mk := func(seed int) ([]float32, []byte) {
@@ -149,8 +151,8 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 		}
 	}
 	// Each cycle's BAT hit a swapped-out session: restores accumulated.
-	if gvmCount(mgr, "restores") < 3 {
-		t.Fatalf("restores = %d, want >= 3 (one per ping-pong)", gvmCount(mgr, "restores"))
+	if gvmCount(t, srv.cfg.Metrics, mgr, "gvm_restores_total") < 3 {
+		t.Fatalf("restores = %d, want >= 3 (one per ping-pong)", gvmCount(t, srv.cfg.Metrics, mgr, "gvm_restores_total"))
 	}
 	if err := s1.Release(); err != nil {
 		t.Fatal(err)
@@ -158,8 +160,8 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 	if err := s2.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if open := srv.disp.OpenSessions(); open != 0 {
-		t.Fatalf("%d dispatcher sessions leaked", open)
+	if open := placedSessions(srv); open != 0 {
+		t.Fatalf("%d placed sessions leaked", open)
 	}
 	dev := srv.node.Shard(0).Dev
 	if dev.MemInUse() != 0 || dev.MemReserved() != 0 {
@@ -172,7 +174,7 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 // manager's allocation-time check, and an in-quota one works.
 func TestDaemonQuotaAndPriorityOnREQ(t *testing.T) {
 	srv := startServer(t, 1, true)
-	c, err := Dial(srv.Addr(), srv.cfg.ShmDir)
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: srv.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 		Overcommit:  4,
 		ExecWorkers: 1,
 	})
-	c, err := Dial(s.Addr(), dir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -273,14 +275,14 @@ func TestSwapCycleAllocatesNoArena(t *testing.T) {
 	const cycles = 64
 	cycle, s := startOversub(t)
 	mgr := s.node.Shard(0).Mgr
-	evictions := gvmCount(mgr, "evictions")
+	evictions := gvmCount(t, s.cfg.Metrics, mgr, "gvm_evictions_total")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < cycles; i++ {
 		cycle(i)
 	}
 	runtime.ReadMemStats(&after)
-	if got := gvmCount(mgr, "evictions") - evictions; got < cycles*9/10 {
+	if got := gvmCount(t, s.cfg.Metrics, mgr, "gvm_evictions_total") - evictions; got < cycles*9/10 {
 		t.Fatalf("%d evictions in %d cycles: the card was not oversubscribed", got, cycles)
 	}
 	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= oversubFootprint/4 {
@@ -288,9 +290,44 @@ func TestSwapCycleAllocatesNoArena(t *testing.T) {
 	}
 }
 
-// gvmCount reads the manager's gvm_<name>_total{labels} counter from its
-// registry: registering a series again returns the live one.
-func gvmCount(m *gvm.Manager, name string, labels ...metrics.Label) int {
+// gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>",
+// labels}, from a scrape of reg, the registry the daemon was built with. A
+// family reg does not hold fails the test and reads -1: a misspelt name
+// never reads as a zero.
+func gvmCount(t testing.TB, reg *metrics.Registry, m *gvm.Manager, family string, labels ...metrics.Label) int {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Error(err)
+		return -1
+	}
 	labels = append(labels, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))
-	return int(m.Metrics().Counter("gvm_"+name+"_total", "", labels...).Value())
+	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
+	kv := make([]string, len(labels))
+	for i, l := range labels {
+		kv[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+	}
+	key := family + "{" + strings.Join(kv, ",") + "} "
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, key); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Error(err)
+				return -1
+			}
+			return n
+		}
+	}
+	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
+	return -1
+}
+
+// placedSessions is how many sessions s's placement layer holds. A
+// dispatcher session keeps its placement until it is retired, so 0 means
+// no dispatcher session is left either.
+func placedSessions(s *Server) (n int64) {
+	for _, l := range s.node.Loads() {
+		n += l.Sessions
+	}
+	return n
 }

@@ -41,7 +41,7 @@ func startRingServer(t testing.TB, gpus int) (*Server, string) {
 // cycle travels as a ring record, one BAT trip per cycle.
 func TestRingCycle(t *testing.T) {
 	srv, dir := startRingServer(t, 1)
-	c, err := Dial(srv.Addr(), dir)
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestRingCycle(t *testing.T) {
 	if sess.Plane() != transport.PlaneRing {
 		t.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneRing)
 	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, sess.inBytes)
+	out := make([]byte, sess.outBytes)
 	w.Fill(0, in)
 	for i := 0; i < 3; i++ {
 		if err := sess.RunCycle(in, out); err != nil {
@@ -98,8 +98,8 @@ func TestRingSerialVerbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, sess.inBytes)
+	out := make([]byte, sess.outBytes)
 	w.Fill(0, in)
 	if err := sess.RunCycle(in, out); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestRingFallback(t *testing.T) {
 	defer srv.Close()
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	// A ring:// address dials the unix socket and asks for the ring plane.
-	c, err := Dial("ring://"+filepath.Join(dir, "gvmd.sock"), dir)
+	c, err := DialOptions("ring://"+filepath.Join(dir, "gvmd.sock"), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestRingFallback(t *testing.T) {
 	if _, err := c.Request(ref, 0); err == nil || !strings.Contains(err.Error(), "ring:// listener") {
 		t.Fatalf("ring REQ against a ring-less daemon: %v, want an error naming the missing ring:// listener", err)
 	}
-	if got := srv.disp.OpenSessions(); got != 0 {
+	if got := placedSessions(srv); got != 0 {
 		t.Fatalf("%d sessions open after the rejected REQ", got)
 	}
-	c2, err := Dial(srv.Addr(), dir)
+	c2, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRing8ClientRace(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = func() error {
-				c, err := Dial(srv.Addr(), dir)
+				c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 				if err != nil {
 					return err
 				}
@@ -196,8 +196,8 @@ func TestRing8ClientRace(t *testing.T) {
 				if sess.Plane() != transport.PlaneRing {
 					return fmt.Errorf("rank %d plane = %q, want ring", rank, sess.Plane())
 				}
-				in := make([]byte, sess.InBytes())
-				out := make([]byte, sess.OutBytes())
+				in := make([]byte, sess.inBytes)
+				out := make([]byte, sess.outBytes)
 				w.Fill(rank, in)
 				for i := 0; i < cycles; i++ {
 					if err := sess.RunCycle(in, out); err != nil {
@@ -230,8 +230,8 @@ func TestRing8ClientRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := make([]byte, sess.InBytes())
-		want := make([]byte, sess.OutBytes())
+		in := make([]byte, sess.inBytes)
+		want := make([]byte, sess.outBytes)
 		w.Fill(rank, in)
 		if err := sess.RunCycle(in, want); err != nil {
 			t.Fatal(err)
@@ -302,8 +302,8 @@ func TestRingOrphanReclaim(t *testing.T) {
 	if n := len(ringSegments(t, dir)); n != 1 {
 		t.Fatalf("session segments = %d, want 1", n)
 	}
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, sess.inBytes)
+	out := make([]byte, sess.outBytes)
 	w.Fill(0, in)
 	if err := sess.RunCycle(in, out); err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestRingOrphanReclaim(t *testing.T) {
 	<-done
 
 	// The daemon stays healthy: a fresh client gets a fresh session.
-	c2, err := Dial(srv.Addr(), dir)
+	c2, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestTwoServersOneShmDir(t *testing.T) {
 	}
 	cycle := func(srv *Server) {
 		t.Helper()
-		c, err := Dial(srv.Addr(), dir)
+		c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestTwoServersOneShmDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+		in, out := make([]byte, sess.inBytes), make([]byte, sess.outBytes)
 		w.Fill(0, in)
 		if err := sess.RunCycle(in, out); err != nil {
 			t.Fatal(err)
@@ -517,7 +517,7 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 	}
 
 	srv, dir := startRingServer(t, 1)
-	c, err := Dial(srv.Addr(), dir)
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +530,8 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Release()
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, sess.inBytes)
+	out := make([]byte, sess.outBytes)
 	for i := range in {
 		in[i] = byte(i)
 	}
@@ -556,7 +556,7 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 // same cycle over a unix socket.
 func BenchmarkRingCycle(b *testing.B) {
 	srv, dir := startRingServer(b, 1)
-	c, err := Dial(srv.Addr(), dir)
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -566,8 +566,8 @@ func BenchmarkRingCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sess.Release()
-	in := make([]byte, sess.InBytes())
-	out := make([]byte, sess.OutBytes())
+	in := make([]byte, sess.inBytes)
+	out := make([]byte, sess.outBytes)
 	if err := sess.RunCycle(in, out); err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,7 @@ type ServerConfig struct {
 	FaultPlan *gpusim.FaultPlan
 	// Metrics is the registry shared by the manager, the dispatcher and
 	// the server's own connection instruments; a /metrics scrape of it
-	// covers the whole daemon path. nil creates one (Server.Metrics()).
+	// covers the whole daemon path. nil creates a private one.
 	Metrics *metrics.Registry
 	// Slog receives structured logging: one Debug line per verb served,
 	// one Info line per barrier flush, and an Error line per simulation
@@ -245,10 +245,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Metrics returns the daemon's shared telemetry registry (every shard's
-// manager, the dispatcher, the node and connection-layer series).
-func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
 // Node returns the daemon's shard layer: per-GPU managers plus the
 // placement policy. Tests and stats consumers address shards explicitly

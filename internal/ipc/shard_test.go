@@ -33,7 +33,7 @@ func TestPlacementPoliciesEndToEnd(t *testing.T) {
 			const n = 1024
 			var sessions []*Session
 			for i := 0; i < 4; i++ {
-				c, err := Dial(s.Addr(), s.cfg.ShmDir)
+				c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 
 	// The survivor lands on the other shard (least-sessions) and runs a
 	// full cycle behind its own barrier timeout.
-	survivor, err := Dial(s.Addr(), s.cfg.ShmDir)
+	survivor, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := sess.RunCycle(make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())); err != nil {
+		if err := sess.RunCycle(make([]byte, sess.inBytes), make([]byte, sess.outBytes)); err != nil {
 			done <- err
 			return
 		}
@@ -153,7 +153,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 		for shard := 0; shard < 2 && clean; shard++ {
 			open, mem := -1, int64(-1)
 			if !s.submitProbe(shard, func() {
-				open = s.node.Shard(shard).Mgr.OpenSessions()
+				open = gvmCount(t, s.cfg.Metrics, s.node.Shard(shard).Mgr, "gvm_open_sessions")
 				mem = s.node.Shard(shard).Dev.MemInUse()
 			}) {
 				t.Fatal("server closed early")
@@ -183,7 +183,7 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 		GPUs:       2,
 	})
 	for i := 0; i < 2; i++ {
-		c, err := Dial(s.Addr(), s.cfg.ShmDir)
+		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.SendInput(make([]byte, sess.InBytes())); err != nil {
+		if err := sess.SendInput(make([]byte, sess.inBytes)); err != nil {
 			t.Fatal(err)
 		}
 		// The session stays open: Close has to reclaim it.
@@ -200,7 +200,7 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		open, mem := -1, int64(-1)
 		if !s.submitProbe(shard, func() {
-			open = s.node.Shard(shard).Mgr.OpenSessions()
+			open = gvmCount(t, s.cfg.Metrics, s.node.Shard(shard).Mgr, "gvm_open_sessions")
 			mem = s.node.Shard(shard).Dev.MemInUse()
 		}) {
 			t.Fatal("server closed early")
@@ -215,7 +215,7 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 	// Close waited for every owner, so the shards are quiescent and safe
 	// to read directly.
 	for shard := 0; shard < 2; shard++ {
-		if open := s.node.Shard(shard).Mgr.OpenSessions(); open != 0 {
+		if open := gvmCount(t, s.cfg.Metrics, s.node.Shard(shard).Mgr, "gvm_open_sessions"); open != 0 {
 			t.Errorf("gpu %d still has %d open sessions after Close", shard, open)
 		}
 		if mem := s.node.Shard(shard).Dev.MemInUse(); mem != 0 {
@@ -240,7 +240,7 @@ func TestMetricsMultiGPUScrape(t *testing.T) {
 	})
 	var sessions []*Session
 	for i := 0; i < 2; i++ {
-		c, err := Dial(s.Addr(), s.cfg.ShmDir)
+		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestMetricsMultiGPUScrape(t *testing.T) {
 		}
 		sessions = append(sessions, sess)
 	}
-	samples := scrapeMetrics(t, s.Metrics())
+	samples := scrapeMetrics(t, s.cfg.Metrics)
 	for shard := 0; shard < 2; shard++ {
 		gpu := fmt.Sprintf(`{gpu="%d"}`, shard)
 		if got := samples["gvm_sessions_opened_total"+gpu]; got != 1 {
@@ -272,7 +272,7 @@ func TestMetricsMultiGPUScrape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	samples = scrapeMetrics(t, s.Metrics())
+	samples = scrapeMetrics(t, s.cfg.Metrics)
 	for shard := 0; shard < 2; shard++ {
 		gpu := fmt.Sprintf(`{gpu="%d"}`, shard)
 		if got := samples["node_placed_sessions"+gpu]; got != 0 {

@@ -65,7 +65,7 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 				addr = "unix://" + tempSocket(t)
 			}
 			s := startServerOn(t, ServerConfig{Listen: []string{addr}, Functional: true, GPUs: 2})
-			c, err := Dial(s.Addr(), s.cfg.ShmDir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer view.Close()
-			inB, outB := sess.InBytes(), sess.OutBytes()
+			inB, outB := sess.inBytes, sess.outBytes
 
 			mark := byte(0)
 			checkAlias := func(when string) int {
@@ -167,7 +167,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 	const clients, cycles, n = 4, 12, 4096
 	// Inline reference, serial, no migration.
 	refSrv := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
-	rc, err := Dial(refSrv.Addr(), "")
+	rc, err := DialOptions(refSrv.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 		}
 		for cy := 0; cy < cycles; cy++ {
 			in, _ := vecaddInput(n, r*100+cy)
-			out := make([]byte, sess.OutBytes())
+			out := make([]byte, sess.outBytes)
 			if err := sess.RunCycle(in, out); err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			errs[r] = func() error {
-				c, err := Dial(s.Addr(), s.cfg.ShmDir)
+				c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 				if err != nil {
 					return err
 				}
@@ -221,7 +221,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 				if sess.Plane() != transport.PlaneShm {
 					return fmt.Errorf("plane = %q", sess.Plane())
 				}
-				out := make([]byte, sess.OutBytes())
+				out := make([]byte, sess.outBytes)
 				for cy := 0; cy < cycles; cy++ {
 					in, _ := vecaddInput(n, r*100+cy)
 					if err := sess.RunCycle(in, out); err != nil {
@@ -256,7 +256,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 			t.Fatalf("client %d: %v", r, err)
 		}
 	}
-	if got := scrapeMetrics(t, s.Metrics())["node_failovers_total"]; got < 1 {
+	if got := scrapeMetrics(t, s.cfg.Metrics)["node_failovers_total"]; got < 1 {
 		t.Errorf("node_failovers_total = %d, want >= 1 (drain moved nobody)", got)
 	}
 	waitShardsClean(t, s)
@@ -328,7 +328,7 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 				addr = "ring://" + filepath.Join(dir, "gvmd.sock")
 			}
 			s := startServerOn(t, ServerConfig{Listen: []string{addr}, ShmDir: dir, Functional: true})
-			c, err := Dial(s.Addr(), dir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,16 +346,16 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 			c.Close()
 
 			waitShardsClean(t, s)
-			for deadline := 400; s.disp.OpenSessions() != 0 || len(ringSegments(t, dir)) != 0; deadline-- {
+			for deadline := 400; placedSessions(s) != 0 || len(ringSegments(t, dir)) != 0; deadline-- {
 				if deadline == 0 {
-					t.Fatalf("after teardown: %d dispatcher sessions, segments %v",
-						s.disp.OpenSessions(), ringSegments(t, dir))
+					t.Fatalf("after teardown: %d placed sessions, segments %v",
+						placedSessions(s), ringSegments(t, dir))
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
 
 			// The daemon is alive and a fresh session computes correctly.
-			c2, err := Dial(s.Addr(), dir)
+			c2, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +364,7 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]byte, s2.OutBytes())
+			out := make([]byte, s2.outBytes)
 			if err := s2.RunCycle(in, out); err != nil {
 				t.Fatal(err)
 			}
@@ -419,7 +419,7 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 				go func(ci int) {
 					defer wg.Done()
 					errs[ci] = func() error {
-						c, err := Dial(s.Addr(), dir)
+						c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 						if err != nil {
 							return err
 						}
@@ -432,7 +432,7 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 							}
 							ss = append(ss, sess)
 						}
-						out := make([]byte, ss[0].OutBytes())
+						out := make([]byte, ss[0].outBytes)
 						for r := 0; r < rounds; r++ {
 							for k, sess := range ss {
 								in, want := vecaddInput(n, ci*1000+r*10+k)
@@ -460,9 +460,9 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 				}
 			}
 			mgr := s.node.Shard(0).Mgr
-			swapOut := gvmCount(mgr, "swap_bytes", metrics.L("dir", "out"))
-			swapIn := gvmCount(mgr, "swap_bytes", metrics.L("dir", "in"))
-			evictions, restores := gvmCount(mgr, "evictions"), gvmCount(mgr, "restores")
+			swapOut := gvmCount(t, s.cfg.Metrics, mgr, "gvm_swap_bytes_total", metrics.L("dir", "out"))
+			swapIn := gvmCount(t, s.cfg.Metrics, mgr, "gvm_swap_bytes_total", metrics.L("dir", "in"))
+			evictions, restores := gvmCount(t, s.cfg.Metrics, mgr, "gvm_evictions_total"), gvmCount(t, s.cfg.Metrics, mgr, "gvm_restores_total")
 			counts := fmt.Sprintf("%d evictions, %d restores, %d bytes out, %d in", evictions, restores, swapOut, swapIn)
 			switch {
 			case tc.overcommit > 1 && (evictions == 0 || restores == 0 || swapOut == 0 || swapIn == 0):
@@ -487,7 +487,7 @@ func warmShmCycle(tb testing.TB, n int) (sess *Session, in, out []byte) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	c, err := Dial(s.Addr(), dir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -500,8 +500,8 @@ func warmShmCycle(tb testing.TB, n int) (sess *Session, in, out []byte) {
 	if sess.Plane() != transport.PlaneShm {
 		tb.Fatalf("plane = %q, want %q", sess.Plane(), transport.PlaneShm)
 	}
-	in = make([]byte, sess.InBytes())
-	out = make([]byte, sess.OutBytes())
+	in = make([]byte, sess.inBytes)
+	out = make([]byte, sess.outBytes)
 	if err := sess.RunCycle(in, out); err != nil {
 		tb.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func warmShmCycle(tb testing.TB, n int) (sess *Session, in, out []byte) {
 // only host copies left are the client's own StageIn/CollectOut.
 func BenchmarkShmPlaneCycle(b *testing.B) {
 	sess, in, out := warmShmCycle(b, 1<<20)
-	b.SetBytes(sess.InBytes() + sess.OutBytes())
+	b.SetBytes(sess.inBytes + sess.outBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -556,7 +556,7 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 	for _, scheme := range []string{"unix", "ring"} {
 		t.Run(scheme, func(t *testing.T) {
 			s := startServerOn(t, ServerConfig{Listen: []string{scheme + "://" + tempSocket(t)}, Functional: true})
-			c, err := Dial(s.Addr(), t.TempDir())
+			c, err := DialOptions(s.Addr(), Options{ShmDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -566,7 +566,7 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 				if _, err := c.Request(ref, 0); err == nil {
 					t.Fatal("Request attached a segment from the wrong directory")
 				}
-				if got := s.disp.OpenSessions(); got != 0 {
+				if got := placedSessions(s); got != 0 {
 					t.Fatalf("try %d: %d sessions open after the failed Request", try, got)
 				}
 				if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
@@ -583,8 +583,8 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Request with the daemon's directory, after the failed ones: %v", err)
 			}
-			out := make([]byte, sess.OutBytes())
-			if err := sess.RunCycle(make([]byte, sess.InBytes()), out); err != nil {
+			out := make([]byte, sess.outBytes)
+			if err := sess.RunCycle(make([]byte, sess.inBytes), out); err != nil {
 				t.Fatalf("cycle on the session opened after the failed ones: %v", err)
 			}
 			if scheme == "ring" {

@@ -10,7 +10,7 @@ import (
 // its own and returns its cycle.
 func oneSession(t *testing.T, s *Server, dir string) func(int) {
 	t.Helper()
-	c, err := Dial(s.Addr(), dir)
+	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func oneSession(t *testing.T, s *Server, dir string) func(int) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Release() })
-	in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+	in, out := make([]byte, sess.inBytes), make([]byte, sess.outBytes)
 	return func(int) {
 		if err := sess.RunCycle(in, out); err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func TestParkedFrameHoldsNoShard(t *testing.T) {
 	open := func(shard int) *Session {
 		t.Helper()
 		before := opened(shard)
-		c, err := Dial(s.Addr(), s.cfg.ShmDir)
+		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,16 +57,16 @@ func TestParkedFrameHoldsNoShard(t *testing.T) {
 		return sess
 	}
 	a, b, peer, d := open(0), open(1), open(0), open(1)
-	in, out := make([]byte, a.InBytes()), make([]byte, a.OutBytes())
+	in, out := make([]byte, a.inBytes), make([]byte, a.outBytes)
 
 	if err := a.SendInput(in); err != nil {
 		t.Fatal(err)
 	}
 	mgr0 := s.node.Shard(0).Mgr
-	seen := gvmCount(mgr0, "requests")
+	seen := gvmCount(t, s.cfg.Metrics, mgr0, "gvm_requests_total")
 	parked := make(chan error, 1)
 	go func() { parked <- a.Start() }()
-	for gvmCount(mgr0, "requests") == seen {
+	for gvmCount(t, s.cfg.Metrics, mgr0, "gvm_requests_total") == seen {
 		time.Sleep(time.Millisecond)
 	}
 	// The STR has reached gvm; a turn of our own orders us behind the one
@@ -129,7 +129,7 @@ func TestNoTurnAfterClose(t *testing.T) {
 				Listen: []string{scheme + "://" + filepath.Join(dir, "gvmd.sock")},
 				ShmDir: dir, GPUs: 2, Functional: true,
 			})
-			c, err := Dial(s.Addr(), dir)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestNoTurnAfterClose(t *testing.T) {
 // parked on its doorbell; nothing else is going to sweep.
 func TestSocketRLSSweepsItsRingSession(t *testing.T) {
 	s, dir := startRingServer(t, 1)
-	c, err := Dial(s.Addr(), t.TempDir()) // not the daemon's directory: attach fails
+	c, err := DialOptions(s.Addr(), Options{ShmDir: t.TempDir()}) // not the daemon's directory: attach fails
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func BenchmarkReqUnderBusyRing(b *testing.B) {
 		wg   sync.WaitGroup
 	)
 	for i := 0; i < 2; i++ {
-		rc, err := Dial(s.Addr(), dir)
+		rc, err := DialOptions(s.Addr(), Options{ShmDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkReqUnderBusyRing(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in, out := make([]byte, sess.InBytes()), make([]byte, sess.OutBytes())
+			in, out := make([]byte, sess.inBytes), make([]byte, sess.outBytes)
 			for !halt.Load() {
 				if err := sess.RunCycle(in, out); err != nil {
 					b.Error(err)

@@ -70,18 +70,16 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // completed Observe calls.
 const HistBuckets = 40
 
-// Histogram is a fixed-bucket log2 histogram: Observe costs three atomic
+// Histogram is a fixed-bucket log2 histogram: Observe costs two atomic
 // adds and no float math, which keeps it viable inside the verb hot path.
+// Its count is the sum of its buckets.
 type Histogram struct {
 	buckets [HistBuckets]atomic.Int64
 	sum     atomic.Int64
-	count   atomic.Int64
 }
 
 // Observe records one value (negative values clamp to zero, values
-// beyond the largest finite bound clamp into the last bucket). The
-// bucket is bumped before sum/count so a concurrent Quantile never
-// observes a count that outruns the buckets.
+// beyond the largest finite bound clamp into the last bucket).
 func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -95,14 +93,10 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[idx].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // Sum returns the running total of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // BucketBound returns bucket i's inclusive upper bound (2^i).
 func BucketBound(i int) int64 { return 1 << uint(i) }
@@ -112,9 +106,9 @@ func BucketBound(i int) int64 { return 1 << uint(i) }
 // observation — an overestimate by at most 2x, which is what a log2
 // histogram can promise. It returns 0 when nothing has been observed.
 // Safe to call concurrently with Observe: the rank is computed against
-// the bucket counts actually read (not the separately-updated count
-// word), so an Observe racing the scrape can never push the rank past
-// the buckets and flash the max bound as a phantom tail.
+// the bucket counts actually read, so an Observe racing the scrape can
+// never push the rank past the buckets and flash the max bound as a
+// phantom tail.
 func (h *Histogram) Quantile(q float64) int64 {
 	var counts [HistBuckets]int64
 	var total int64

@@ -41,9 +41,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHistogram renders +Inf and _count from the buckets it read, not from
-// the count word: Observe bumps a bucket before the count, so a racing
-// Observe could otherwise put a finite bucket above +Inf.
+// writeHistogram renders +Inf and _count from the buckets it read, so a
+// racing Observe cannot put a finite bucket above +Inf.
 func writeHistogram(bw *bufio.Writer, name string, s *series) {
 	var cum int64
 	for i := 0; i < HistBuckets; i++ {

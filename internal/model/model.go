@@ -4,11 +4,7 @@
 // predicted speedup (equation 5) and its asymptotic bound (equation 6).
 package model
 
-import (
-	"fmt"
-
-	"gpuvirt/internal/sim"
-)
+import "gpuvirt/internal/sim"
 
 // Params are the measured per-task profile parameters of Table I/II.
 type Params struct {
@@ -19,19 +15,6 @@ type Params struct {
 	TdataIn    sim.Duration // average host->device transfer time
 	TdataOut   sim.Duration // average device->host transfer time
 	Tcomp      sim.Duration // average kernel compute time
-}
-
-// Validate reports out-of-domain parameters.
-func (p Params) Validate() error {
-	if p.Ntask < 1 {
-		return fmt.Errorf("model: Ntask = %d, must be >= 1", p.Ntask)
-	}
-	for _, d := range []sim.Duration{p.Tinit, p.TctxSwitch, p.TdataIn, p.TdataOut, p.Tcomp} {
-		if d < 0 {
-			return fmt.Errorf("model: negative time parameter in %+v", p)
-		}
-	}
-	return nil
 }
 
 // CycleTime returns one task's bare execution cycle Tin + Tcomp + Tout

@@ -185,23 +185,6 @@ func TestDeviation(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	good := Params{Ntask: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Params{
-		{Ntask: 0},
-		{Ntask: 1, Tcomp: -1},
-		{Ntask: 1, TdataIn: -5},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, p)
-		}
-	}
-}
-
 func TestCycleTime(t *testing.T) {
 	p := Params{Ntask: 1, TdataIn: 5, Tcomp: 20, TdataOut: 3}
 	if p.CycleTime() != 28 {

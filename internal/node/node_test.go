@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -46,20 +47,17 @@ func TestNodeSpreadsSessions(t *testing.T) {
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]int, 4)
-	placed := make([]int, 4)
 	for i := 0; i < 4; i++ {
 		i := i
 		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			for _, sh := range nd.Shards() {
 				p.Wait(sh.Mgr.Ready())
 			}
-			v, shard, err := nd.Connect(p, vecSpec(1<<20))
+			v, _, err := nd.Connect(p, vecSpec(1<<20))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ids[i], placed[i] = v.Session(), shard
 			if err := v.RunCycle(p, nil, nil); err != nil {
 				t.Error(err)
 			}
@@ -74,16 +72,19 @@ func TestNodeSpreadsSessions(t *testing.T) {
 			nd.Shard(0).Dev.KernelsRun, nd.Shard(1).Dev.KernelsRun)
 	}
 	// Session ids are striped per shard (GPUIndex+1, GPUIndex+1+GPUs, ...),
-	// so they never collide across shards and the id alone names the owner.
-	seen := map[int]bool{}
-	for i, id := range ids {
-		if seen[id] {
-			t.Fatalf("session id %d minted twice", id)
+	// so they never collide across shards and the id alone names the owner:
+	// of the four ids minted, each shard holds exactly those striped to it.
+	env.Go("release", func(p *sim.Proc) {
+		for id := 1; id <= 4; id++ {
+			for i, sh := range nd.Shards() {
+				if held, want := sh.Mgr.ReleaseSession(p, id), (id-1)%len(nd.shards) == i; held != want {
+					t.Errorf("shard %d holds session %d: %v, want %v", i, id, held, want)
+				}
+			}
 		}
-		seen[id] = true
-		if got := (id - 1) % len(nd.shards); got != placed[i] {
-			t.Errorf("session %d's id stripes to shard %d, but it was placed on shard %d", id, got, placed[i])
-		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -156,14 +157,15 @@ func TestEvictionStaysOnItsShard(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // one session's arenas per card
 	env := sim.NewEnv()
-	nd, err := New(Config{GPUs: 2, Arch: arch, Functional: true, Overcommit: 2, SharedEnv: env})
+	reg := metrics.NewRegistry()
+	nd, err := New(Config{GPUs: 2, Arch: arch, Functional: true, Overcommit: 2, SharedEnv: env, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	evictions := func(shard int) int { return gvmCount(nd.Shard(shard).Mgr, "evictions") }
+	evictions := func(shard int) int { return gvmCount(t, reg, nd.Shard(shard).Mgr, "gvm_evictions_total") }
 	env.Go("client", func(p *sim.Proc) {
 		for _, sh := range nd.Shards() {
 			p.Wait(sh.Mgr.Ready())
@@ -233,7 +235,7 @@ func TestEvictionStaysOnItsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if got, restores := evictions(i), gvmCount(nd.Shard(i).Mgr, "restores"); got != 2 || restores != 1 {
+		if got, restores := evictions(i), gvmCount(t, reg, nd.Shard(i).Mgr, "gvm_restores_total"); got != 2 || restores != 1 {
 			t.Errorf("shard %d: %d evictions, %d restores; want 2 and 1", i, got, restores)
 		}
 	}
@@ -244,8 +246,28 @@ func TestEvictionStaysOnItsShard(t *testing.T) {
 	}
 }
 
-// gvmCount reads the manager's gvm_<name>_total counter from its registry:
-// registering a series again returns the live one.
-func gvmCount(m *gvm.Manager, name string) int {
-	return int(m.Metrics().Counter("gvm_"+name+"_total", "", metrics.L("gpu", strconv.Itoa(m.GPUIndex()))).Value())
+// gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>"}, from
+// a scrape of reg, the registry the test built the node with. A family reg
+// does not hold fails the test and reads -1: a misspelt name never reads
+// as a zero.
+func gvmCount(t *testing.T, reg *metrics.Registry, m *gvm.Manager, family string) int {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Error(err)
+		return -1
+	}
+	key := fmt.Sprintf("%s{gpu=%q} ", family, strconv.Itoa(m.GPUIndex()))
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, key); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Error(err)
+				return -1
+			}
+			return n
+		}
+	}
+	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
+	return -1
 }

@@ -8,6 +8,7 @@ import (
 	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/kernels"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 )
@@ -35,7 +36,8 @@ func TestOvercommitAdmitsBeyondCapacity(t *testing.T) {
 	env := sim.NewEnv()
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // fits one session's arenas
-	nd, err := New(Config{GPUs: 1, Arch: arch, Overcommit: 2.0, SharedEnv: env})
+	reg := metrics.NewRegistry()
+	nd, err := New(Config{GPUs: 1, Arch: arch, Overcommit: 2.0, SharedEnv: env, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestOvercommitAdmitsBeyondCapacity(t *testing.T) {
 			t.Errorf("session within the 2x quota rejected: %v", err)
 			return
 		}
-		if gvmCount(nd.Shard(0).Mgr, "evictions") == 0 {
+		if gvmCount(t, reg, nd.Shard(0).Mgr, "gvm_evictions_total") == 0 {
 			t.Error("second session became resident without an eviction")
 		}
 		// Third exceeds the quota: the NODE rejects it (the managers never
@@ -103,9 +105,10 @@ func TestOvercommitStressTenX(t *testing.T) {
 	env := sim.NewEnv()
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // one session resident at a time
+	reg := metrics.NewRegistry()
 	nd, err := New(Config{
 		GPUs: 1, Arch: arch, Functional: true,
-		Overcommit: 10, SharedEnv: env,
+		Overcommit: 10, SharedEnv: env, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +157,12 @@ func TestOvercommitStressTenX(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if gvmCount(mgr, "evictions") == 0 || gvmCount(mgr, "restores") == 0 {
+	if gvmCount(t, reg, mgr, "gvm_evictions_total") == 0 || gvmCount(t, reg, mgr, "gvm_restores_total") == 0 {
 		t.Fatalf("10x packing ran without swapping: evictions=%d restores=%d",
-			gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
+			gvmCount(t, reg, mgr, "gvm_evictions_total"), gvmCount(t, reg, mgr, "gvm_restores_total"))
 	}
-	if mgr.OpenSessions() != 0 {
-		t.Fatalf("%d sessions leaked", mgr.OpenSessions())
+	if open := gvmCount(t, reg, mgr, "gvm_open_sessions"); open != 0 {
+		t.Fatalf("%d sessions leaked", open)
 	}
 	if dev.MemInUse() != 0 || dev.MemReserved() != 0 {
 		t.Fatalf("leak: resident=%d reserved=%d", dev.MemInUse(), dev.MemReserved())

@@ -24,8 +24,6 @@ import (
 
 // Segment is a fixed-size shared memory region.
 type Segment interface {
-	// Size returns the segment's capacity in bytes.
-	Size() int64
 	// WriteAt copies p into the segment at off. In timing-only segments
 	// it validates bounds and discards the data.
 	WriteAt(p []byte, off int64) error
@@ -55,8 +53,6 @@ type memSegment struct {
 	size int64
 	data []byte
 }
-
-func (s *memSegment) Size() int64 { return s.size }
 
 func (s *memSegment) check(n int, off int64) error {
 	if off < 0 || off+int64(n) > s.size {
@@ -218,8 +214,6 @@ type fileSegment struct {
 	owner  bool
 	mapped []byte
 }
-
-func (s *fileSegment) Size() int64 { return s.size }
 
 func (s *fileSegment) check(n int, off int64) error {
 	if off < 0 || off+int64(n) > s.size {

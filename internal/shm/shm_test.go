@@ -12,8 +12,8 @@ import (
 func TestMemorySegmentRoundTrip(t *testing.T) {
 	s := NewMemory(64, true)
 	defer s.Close()
-	if s.Size() != 64 {
-		t.Fatalf("Size = %d", s.Size())
+	if n := len(s.Bytes()); n != 64 {
+		t.Fatalf("segment is %d bytes, want 64", n)
 	}
 	data := []byte("hello shared memory")
 	if err := s.WriteAt(data, 8); err != nil {
@@ -93,8 +93,8 @@ func TestFileSegmentRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("cross-attachment read %v, want %v", got, data)
 	}
-	if o.Size() != 128 {
-		t.Fatalf("attached size = %d", o.Size())
+	if n := len(o.Bytes()); n != 128 {
+		t.Fatalf("attached segment is %d bytes, want 128", n)
 	}
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestFileSegmentBounds(t *testing.T) {
 	if err := s.ReadAt(make([]byte, 8), -1); err == nil {
 		t.Fatal("negative-offset read accepted")
 	}
-	if b := s.Bytes(); int64(len(b)) != s.Size() {
-		t.Fatalf("mapped slice is %d bytes, segment is %d", len(b), s.Size())
+	if n := len(s.Bytes()); n != 16 {
+		t.Fatalf("mapped slice is %d bytes, segment is 16", n)
 	}
 }
 

@@ -31,12 +31,6 @@ type Proc struct {
 // consumers) may outlive the simulation without erroring Run.
 func (p *Proc) Daemonize() { p.daemon = true }
 
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 

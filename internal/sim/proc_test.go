@@ -212,7 +212,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 		t.Fatal("Run returned past a panicking process")
 	}()
 	if e.Current() != nil {
-		t.Fatalf("Current() = %v after the panic unwound, want nil", e.Current().Name())
+		t.Fatalf("Current() = %v after the panic unwound, want nil", e.Current().name)
 	}
 	workers.Lock()
 	for _, w := range workers.free {
@@ -291,7 +291,7 @@ func TestReusedProcCarriesNothingOver(t *testing.T) {
 	}
 	var name string
 	second := e.Go("worker", func(p *Proc) {
-		name = p.Name()
+		name = p.name
 		p.Wait(e.NewEvent()) // never fires
 	})
 	if second != first {

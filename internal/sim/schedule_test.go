@@ -38,7 +38,7 @@ type schedRun struct {
 func (s *schedRun) log(step int, what string) {
 	who := "-"
 	if p := s.env.Current(); p != nil {
-		who = p.Name()
+		who = p.name
 	}
 	fmt.Fprintf(s.h, "%d %s %d %s\n", s.env.Now(), who, step, what)
 }

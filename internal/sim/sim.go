@@ -44,9 +44,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Seconds returns t as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
 // Milliseconds returns t as a floating-point number of milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / 1e6 }
 
@@ -245,9 +242,6 @@ type Event struct {
 
 // NewEvent returns a fresh unfired event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
-
-// Value returns the value the event fired with (nil before firing).
-func (ev *Event) Value() any { return ev.val }
 
 // Fire fires the event with value v, waking all waiters at the current
 // instant in FIFO order. Firing an already-fired event is a no-op.

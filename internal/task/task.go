@@ -10,7 +10,6 @@ import "gpuvirt/internal/cuda"
 // Allocator allocates device memory; gpusim.Context implements it.
 type Allocator interface {
 	Malloc(n int64) (cuda.DevPtr, error)
-	Free(p cuda.DevPtr) error
 }
 
 // Buffers gives a kernel builder access to the task's device buffers.

@@ -836,10 +836,3 @@ func (d *Dispatcher) migrate(s *hostSession, submit ShardSubmitter) error {
 	}
 	return nil
 }
-
-// OpenSessions returns the number of live dispatcher sessions.
-func (d *Dispatcher) OpenSessions() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.sessions)
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpuvirt/internal/gvm"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 	"gpuvirt/internal/workloads"
@@ -115,7 +116,8 @@ func TestUnknownSessionAnswered(t *testing.T) {
 // it then refuses to bind (a spec with a negative size reaches BindDirect,
 // which holds staging to the spec) answers ERR and leaves nothing behind.
 func TestREQFailureReleasesSession(t *testing.T) {
-	env, dev, mgr, host := newRig(t, true, 1, nil)
+	reg := metrics.NewRegistry()
+	env, dev, mgr, host := newRig(t, true, 1, func(c *gvm.Config) { c.Metrics = reg })
 	var err error
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
@@ -127,9 +129,9 @@ func TestREQFailureReleasesSession(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "BindDirect") {
 		t.Fatalf("Connect: %v, want the bind's refusal", err)
 	}
-	if mgr.OpenSessions() != 0 || dev.MemReserved() != 0 || dev.MemInUse() != 0 {
+	if gvmCount(t, reg, mgr, "gvm_open_sessions") != 0 || dev.MemReserved() != 0 || dev.MemInUse() != 0 {
 		t.Fatalf("refused REQ left %d sessions, %d bytes reserved, %d in use",
-			mgr.OpenSessions(), dev.MemReserved(), dev.MemInUse())
+			gvmCount(t, reg, mgr, "gvm_open_sessions"), dev.MemReserved(), dev.MemInUse())
 	}
 }
 

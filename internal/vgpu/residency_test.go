@@ -3,6 +3,7 @@ package vgpu
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -36,15 +37,15 @@ func mixIn(sess, cycle, n int) []float32 {
 // runResidencyMix runs `sessions` concurrent vecadd clients for `cycles`
 // cycles each on a card with memBytes of device memory, idling a random
 // while at idlePct% of the verb boundaries, and returns every session's
-// per-cycle output bytes.
-func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, idlePct uint32) ([][][]byte, *gvm.Manager, *gpusim.Device) {
+// per-cycle output bytes. The manager's series land in reg.
+func runResidencyMix(t *testing.T, reg *metrics.Registry, memBytes int64, sessions, cycles int, seed, idlePct uint32) ([][][]byte, *gvm.Manager, *gpusim.Device) {
 	t.Helper()
 	const n = 4096
 	env := sim.NewEnv()
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = memBytes
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	outs := make([][][]byte, sessions)
@@ -112,16 +113,18 @@ func runResidencyMix(t *testing.T, memBytes int64, sessions, cycles int, seed, i
 // never evicts.
 func TestRandomizedSuspendResumeInterleavings(t *testing.T) {
 	const sessions, cycles = 3, 3
-	ref, refMgr, _ := runResidencyMix(t, 256<<20, sessions, cycles, 1, 0)
-	if gvmCount(refMgr, "evictions") != 0 {
-		t.Fatalf("reference run evicted %d sessions on an unconstrained card", gvmCount(refMgr, "evictions"))
+	reg := metrics.NewRegistry()
+	ref, refMgr, _ := runResidencyMix(t, reg, 256<<20, sessions, cycles, 1, 0)
+	if gvmCount(t, reg, refMgr, "gvm_evictions_total") != 0 {
+		t.Fatalf("reference run evicted %d sessions on an unconstrained card", gvmCount(t, reg, refMgr, "gvm_evictions_total"))
 	}
 	for _, seed := range []uint32{2, 77, 4242} {
-		got, mgr, dev := runResidencyMix(t, 96<<10, sessions, cycles, seed, 40)
-		if gvmCount(mgr, "evictions") == 0 {
+		reg := metrics.NewRegistry()
+		got, mgr, dev := runResidencyMix(t, reg, 96<<10, sessions, cycles, seed, 40)
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") == 0 {
 			t.Errorf("seed %d: no evictions on a 96 KiB card under 3x pressure", seed)
 		}
-		if gvmCount(mgr, "restores") == 0 {
+		if gvmCount(t, reg, mgr, "gvm_restores_total") == 0 {
 			t.Errorf("seed %d: nothing was ever restored", seed)
 		}
 		for s := 0; s < sessions; s++ {
@@ -147,7 +150,8 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // fits one ~48 KiB session
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	reg := metrics.NewRegistry()
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
@@ -168,8 +172,8 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 			t.Errorf("second REQ did not evict the idle session: %v", err)
 			return
 		}
-		if gvmCount(mgr, "evictions") != 1 || gvmCount(mgr, "restores") != 0 {
-			t.Errorf("evictions=%d restores=%d after REQ, want 1/0", gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 1 || gvmCount(t, reg, mgr, "gvm_restores_total") != 0 {
+			t.Errorf("evictions=%d restores=%d after REQ, want 1/0", gvmCount(t, reg, mgr, "gvm_evictions_total"), gvmCount(t, reg, mgr, "gvm_restores_total"))
 		}
 		// v1's arena sits in a host snapshot; its logical reservation
 		// persists, so reserved now exceeds resident.
@@ -198,11 +202,11 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 				return
 			}
 		}
-		if gvmCount(mgr, "restores") == 0 {
+		if gvmCount(t, reg, mgr, "gvm_restores_total") == 0 {
 			t.Error("transparent restore did not count as a restore")
 		}
-		if gvmCount(mgr, "evictions") != 2 {
-			t.Errorf("evictions = %d, want 2: v1's restore evicts idle v2", gvmCount(mgr, "evictions"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 2 {
+			t.Errorf("evictions = %d, want 2: v1's restore evicts idle v2", gvmCount(t, reg, mgr, "gvm_evictions_total"))
 		}
 		if err := v1.Release(p); err != nil {
 			t.Error(err)
@@ -231,8 +235,10 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // one session's arenas at a time
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
+	reg := metrics.NewRegistry()
 	mgr := gvm.New(env, gvm.Config{
-		Device: dev, MaxSessionBytes: 1 << 30,
+		Metrics: reg,
+		Device:  dev, MaxSessionBytes: 1 << 30,
 		Parties: 2, BarrierTimeout: 250 * sim.Millisecond,
 	})
 	mgr.Start()
@@ -282,15 +288,15 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 		// Let the holder evict this idle session and park at the barrier,
 		// then start while it pins the card.
 		p.Sleep(100 * sim.Millisecond)
-		if gvmCount(mgr, "evictions") == 0 || dev.MemReserved() <= dev.MemInUse() {
-			t.Errorf("the holder did not evict this session: %d evictions", gvmCount(mgr, "evictions"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") == 0 || dev.MemReserved() <= dev.MemInUse() {
+			t.Errorf("the holder did not evict this session: %d evictions", gvmCount(t, reg, mgr, "gvm_evictions_total"))
 		}
-		restores := gvmCount(mgr, "restores")
+		restores := gvmCount(t, reg, mgr, "gvm_restores_total")
 		if err := v.Start(p); err != nil {
 			t.Error(err)
 			return
 		}
-		if got := gvmCount(mgr, "restores") - restores; got != 1 {
+		if got := gvmCount(t, reg, mgr, "gvm_restores_total") - restores; got != 1 {
 			t.Errorf("STR restored the arena %d times, want 1", got)
 		}
 		if err := v.Wait(p); err != nil {
@@ -330,7 +336,8 @@ func TestPriorityOrdersEviction(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 112 << 10 // fits two ~48 KiB sessions, not three
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	reg := metrics.NewRegistry()
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
@@ -352,8 +359,8 @@ func TestPriorityOrdersEviction(t *testing.T) {
 			t.Errorf("third REQ did not evict: %v", err)
 			return
 		}
-		if gvmCount(mgr, "evictions") != 1 {
-			t.Errorf("evictions = %d, want 1", gvmCount(mgr, "evictions"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 1 {
+			t.Errorf("evictions = %d, want 1", gvmCount(t, reg, mgr, "gvm_evictions_total"))
 		}
 		// high (priority 10) must still be resident: its verb restores
 		// nothing. low (priority 0) was the victim despite being more
@@ -362,15 +369,15 @@ func TestPriorityOrdersEviction(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if gvmCount(mgr, "restores") != 0 {
-			t.Errorf("high-priority session was evicted (restores = %d)", gvmCount(mgr, "restores"))
+		if gvmCount(t, reg, mgr, "gvm_restores_total") != 0 {
+			t.Errorf("high-priority session was evicted (restores = %d)", gvmCount(t, reg, mgr, "gvm_restores_total"))
 		}
 		if err := low.SendInput(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
-		if gvmCount(mgr, "restores") != 1 {
-			t.Errorf("low-priority session was not the victim (restores = %d)", gvmCount(mgr, "restores"))
+		if gvmCount(t, reg, mgr, "gvm_restores_total") != 1 {
+			t.Errorf("low-priority session was not the victim (restores = %d)", gvmCount(t, reg, mgr, "gvm_restores_total"))
 		}
 		for _, v := range []*VGPU{high, low, third} {
 			if err := v.Release(p); err != nil {
@@ -390,7 +397,8 @@ func TestPriorityOrdersEviction(t *testing.T) {
 func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	reg := metrics.NewRegistry()
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
@@ -424,16 +432,36 @@ func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.OpenSessions() != 0 {
-		t.Fatalf("%d sessions leaked", mgr.OpenSessions())
+	if gvmCount(t, reg, mgr, "gvm_open_sessions") != 0 {
+		t.Fatalf("%d sessions leaked", gvmCount(t, reg, mgr, "gvm_open_sessions"))
 	}
 	if dev.MemReserved() != 0 || dev.MemInUse() != 0 {
 		t.Fatalf("leak after quota rejections: reserved=%d resident=%d", dev.MemReserved(), dev.MemInUse())
 	}
 }
 
-// gvmCount reads the manager's gvm_<name>_total counter from its registry:
-// registering a series again returns the live one.
-func gvmCount(m *gvm.Manager, name string) int {
-	return int(m.Metrics().Counter("gvm_"+name+"_total", "", metrics.L("gpu", strconv.Itoa(m.GPUIndex()))).Value())
+// gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>"}, from
+// a scrape of reg, the registry the test built the manager with. A family
+// reg does not hold fails the test and reads -1: a misspelt name never
+// reads as a zero.
+func gvmCount(t *testing.T, reg *metrics.Registry, m *gvm.Manager, family string) int {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Error(err)
+		return -1
+	}
+	key := fmt.Sprintf("%s{gpu=%q} ", family, strconv.Itoa(m.GPUIndex()))
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, key); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Error(err)
+				return -1
+			}
+			return n
+		}
+	}
+	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
+	return -1
 }

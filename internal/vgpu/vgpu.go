@@ -70,9 +70,6 @@ func (h *Host) ConnectOpts(p *sim.Proc, open gvm.Request) (*VGPU, error) {
 	return v, nil
 }
 
-// Session returns the manager-assigned session id.
-func (v *VGPU) Session() int { return v.session }
-
 func (v *VGPU) call(p *sim.Proc, verb gvm.Verb) response {
 	v.host.req.send(p, request{verb: verb, session: v.session, reply: v.resp})
 	return v.resp.recv(p)

@@ -9,6 +9,7 @@ import (
 	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/kernels"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
 	"gpuvirt/internal/workloads"
@@ -55,7 +56,8 @@ func vecSpec(n int) *task.Spec {
 
 func TestFullProtocolFunctional(t *testing.T) {
 	const n = 2048
-	env, _, mgr, host := newRig(t, true, 1, nil)
+	reg := metrics.NewRegistry()
+	env, _, mgr, host := newRig(t, true, 1, func(c *gvm.Config) { c.Metrics = reg })
 	env.Go("client", func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
@@ -87,8 +89,8 @@ func TestFullProtocolFunctional(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.OpenSessions() != 0 {
-		t.Fatalf("%d sessions leaked", mgr.OpenSessions())
+	if gvmCount(t, reg, mgr, "gvm_open_sessions") != 0 {
+		t.Fatalf("%d sessions leaked", gvmCount(t, reg, mgr, "gvm_open_sessions"))
 	}
 }
 
@@ -228,7 +230,8 @@ func TestBlockingSTPNoPolling(t *testing.T) {
 }
 
 func TestREQRejectsInvalidKernel(t *testing.T) {
-	env, _, mgr, host := newRig(t, false, 1, nil)
+	reg := metrics.NewRegistry()
+	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.Metrics = reg })
 	spec := &task.Spec{
 		Name: "bad", InBytes: 16, OutBytes: 16,
 		Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
@@ -244,7 +247,7 @@ func TestREQRejectsInvalidKernel(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.OpenSessions() != 0 {
+	if gvmCount(t, reg, mgr, "gvm_open_sessions") != 0 {
 		t.Fatal("failed REQ leaked a session")
 	}
 }
@@ -417,7 +420,9 @@ func TestSessionQuotaRejectsOverCommit(t *testing.T) {
 func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 	// Parties=3 but only two clients ever arrive: with BarrierTimeout the
 	// manager flushes the partial batch instead of wedging the node.
+	reg := metrics.NewRegistry()
 	env, _, mgr, host := newRig(t, false, 3, func(c *gvm.Config) {
+		c.Metrics = reg
 		c.BarrierTimeout = 250 * sim.Millisecond
 	})
 	var done []sim.Time
@@ -442,13 +447,15 @@ func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("%d clients completed, want 2 (timeout flush)", len(done))
 	}
-	if gvmCount(mgr, "barrier_timeouts") != 1 {
-		t.Fatalf("BarrierTimeouts = %d, want 1", gvmCount(mgr, "barrier_timeouts"))
+	if gvmCount(t, reg, mgr, "gvm_barrier_timeouts_total") != 1 {
+		t.Fatalf("BarrierTimeouts = %d, want 1", gvmCount(t, reg, mgr, "gvm_barrier_timeouts_total"))
 	}
 }
 
 func TestBarrierTimeoutNotFiredWhenAllArrive(t *testing.T) {
+	reg := metrics.NewRegistry()
 	env, _, mgr, host := newRig(t, false, 2, func(c *gvm.Config) {
+		c.Metrics = reg
 		c.BarrierTimeout = 10 * sim.Second
 	})
 	for i := 0; i < 2; i++ {
@@ -467,8 +474,8 @@ func TestBarrierTimeoutNotFiredWhenAllArrive(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if gvmCount(mgr, "barrier_timeouts") != 0 {
-		t.Fatalf("BarrierTimeouts = %d, want 0", gvmCount(mgr, "barrier_timeouts"))
+	if gvmCount(t, reg, mgr, "gvm_barrier_timeouts_total") != 0 {
+		t.Fatalf("BarrierTimeouts = %d, want 0", gvmCount(t, reg, mgr, "gvm_barrier_timeouts_total"))
 	}
 	if mgr.Flushes() != 1 {
 		t.Fatalf("Flushes = %d, want 1", mgr.Flushes())
@@ -487,7 +494,8 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 	arch.MemBytes = 2 << 20 // tiny card: one ~1.5MiB session resident at a time
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
 	// Lift the shm quota so device memory is the binding constraint.
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	reg := metrics.NewRegistry()
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	spec := &task.Spec{Name: "big", InBytes: 1 << 20, OutBytes: 512 << 10}
@@ -504,8 +512,8 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 			t.Errorf("second session rejected on a full device: %v", err)
 			return
 		}
-		if gvmCount(mgr, "evictions") != 1 {
-			t.Errorf("evictions = %d, want 1", gvmCount(mgr, "evictions"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 1 {
+			t.Errorf("evictions = %d, want 1", gvmCount(t, reg, mgr, "gvm_evictions_total"))
 		}
 		// v1's arena sits in a host snapshot; its logical reservation
 		// persists, so reserved now exceeds resident.
@@ -518,8 +526,8 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 			t.Errorf("SND on evicted session: %v", err)
 			return
 		}
-		if gvmCount(mgr, "evictions") != 2 || gvmCount(mgr, "restores") != 1 {
-			t.Errorf("evictions=%d restores=%d, want 2/1", gvmCount(mgr, "evictions"), gvmCount(mgr, "restores"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 2 || gvmCount(t, reg, mgr, "gvm_restores_total") != 1 {
+			t.Errorf("evictions=%d restores=%d, want 2/1", gvmCount(t, reg, mgr, "gvm_evictions_total"), gvmCount(t, reg, mgr, "gvm_restores_total"))
 		}
 		if err := v2.Release(p); err != nil {
 			t.Error(err)
@@ -548,7 +556,8 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 4 << 20
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30})
+	reg := metrics.NewRegistry()
+	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go("client", func(p *sim.Proc) {
@@ -572,8 +581,8 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if gvmCount(mgr, "evictions") != 1 {
-			t.Errorf("evictions = %d, want 1: the filler's REQ evicts MG", gvmCount(mgr, "evictions"))
+		if gvmCount(t, reg, mgr, "gvm_evictions_total") != 1 {
+			t.Errorf("evictions = %d, want 1: the filler's REQ evicts MG", gvmCount(t, reg, mgr, "gvm_evictions_total"))
 		}
 		if err := v.Start(p); err != nil {
 			t.Error(err)
@@ -591,8 +600,8 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 		if err := w.Check(0, out); err != nil {
 			t.Error(err)
 		}
-		if gvmCount(mgr, "restores") != 1 {
-			t.Errorf("restores = %d, want 1", gvmCount(mgr, "restores"))
+		if gvmCount(t, reg, mgr, "gvm_restores_total") != 1 {
+			t.Errorf("restores = %d, want 1", gvmCount(t, reg, mgr, "gvm_restores_total"))
 		}
 		for _, s := range []*VGPU{v, other} {
 			if err := s.Release(p); err != nil {
