@@ -9,9 +9,11 @@ package gpuvirt_test
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -388,6 +390,28 @@ var archRows = []archRow{
 			{file: "internal/transport/exec.go", find: "import (", repl: "import (\n\tjs \"encoding/json\""},
 			{file: "internal/node/advert.go", find: "import (", repl: "import (\n\t\"encoding/json\""},
 			{file: "cmd/gvmd/main.go", find: "import (", repl: "import (\n\t_ \"encoding/json\""},
+		},
+	},
+	{
+		name: "every-flag-tabled",
+		msg:  "a daemon flag no row of its binary's config table sets (configRows in cmd/gvmd's and cmd/gvmfed's tests):",
+		why: "Every option is wired and tested: gvmd and gvmfed parse their flags in a pure config(args), and each flag " +
+			"is a row of TestConfig's table naming the field it must set. An option no command line sets is deleted, " +
+			"not kept untested.",
+		checks: []archCheck{
+			tabledFlags{dir: "cmd/gvmd", table: "configRows"},
+			tabledFlags{dir: "cmd/gvmfed", table: "configRows"},
+		},
+		mutations: []archEdit{
+			{file: "cmd/gvmd/main.go", find: "\tif err := fs.Parse(args); err != nil {", repl: "\tfs.Bool(\"untabled\", false, \"a flag no row sets\")\n\tif err := fs.Parse(args); err != nil {"},
+			{file: "cmd/gvmfed/main.go", find: "\tif err := fs.Parse(args); err != nil {", repl: "\tvar retries int\n\tfs.IntVar(&retries, \"retries\", 3, \"a flag no row sets\")\n\tif err := fs.Parse(args); err != nil {"},
+			// The flag package's own set, from another file of the binary.
+			{file: "cmd/gvmd/verbose.go", repl: "package main\n\nimport \"flag\"\n\nvar verbose = flag.Bool(\"verbose\", false, \"\")\n"},
+			// A name the row cannot read.
+			{file: "cmd/gvmfed/main.go", find: "\tif err := fs.Parse(args); err != nil {", repl: "\tfs.Duration(pollName, 0, \"\")\n\tif err := fs.Parse(args); err != nil {"},
+		},
+		benign: []archEdit{
+			{file: "cmd/gvmd/main.go", repl: "\n// fs.Bool(\"untabled\", false, \"\") in a comment defines nothing.\n"},
 		},
 	},
 	{
@@ -1074,4 +1098,118 @@ func (c chans) findings(tr *srcTree) []string {
 		})
 	}
 	return out
+}
+
+// tabledFlags fails on a flag that a non-test file of dir defines — a
+// definer of the flag package or of a set made by flag.NewFlagSet, called
+// with a literal name — and that no string literal "-name" or "-name=…" of
+// table names. table is a top-level var of dir's test files: the rows
+// those files hold the binary's flag handling to. A definer whose name is
+// not a literal, and a missing table, are findings too.
+type tabledFlags struct {
+	dir, table string
+}
+
+// flagDefiners are the flag.FlagSet methods (and flag functions) that
+// define a flag.
+var flagDefiners = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Text)(Var|Func)?$|^(Var|Func)$`)
+
+func (c tabledFlags) findings(tr *srcTree) []string {
+	files, out := tr.scope([]string{c.dir}, nil)
+	tabled, err := tableStrings(c.dir, c.table)
+	if err != nil {
+		out = append(out, fmt.Sprintf("%s: %v", c.dir, err))
+	}
+	for _, f := range files {
+		sets := map[string]bool{}
+		if n := importName(f.ast, "flag"); n != "" {
+			sets[n] = true
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && qual("flag", "NewFlagSet")(f, unCall(as.Rhs[0])) {
+				if id, ok := as.Lhs[0].(*ast.Ident); ok {
+					sets[id.Name] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			ce, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			se, ok := ce.Fun.(*ast.SelectorExpr)
+			if !ok || !flagDefiners.MatchString(se.Sel.Name) {
+				return true
+			}
+			if x, ok := se.X.(*ast.Ident); !ok || !sets[x.Name] {
+				return true
+			}
+			i := 0
+			if strings.HasSuffix(se.Sel.Name, "Var") {
+				i = 1
+			}
+			var name string
+			if i < len(ce.Args) {
+				if bl, ok := ce.Args[i].(*ast.BasicLit); ok && bl.Kind == token.STRING {
+					name, _ = strconv.Unquote(bl.Value)
+				}
+			}
+			switch {
+			case name == "":
+				out = append(out, fmt.Sprintf("%s: %s defines a flag whose name is not a literal", tr.at(ce), f.text(ce)))
+			case !slices.ContainsFunc(tabled, func(s string) bool { return s == "-"+name || strings.HasPrefix(s, "-"+name+"=") }):
+				out = append(out, fmt.Sprintf("%s: flag -%s is no row of %s", tr.at(ce), name, c.table))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// unCall is the function a call expression calls, or e itself.
+func unCall(e ast.Expr) ast.Node {
+	if ce, ok := e.(*ast.CallExpr); ok {
+		return ce.Fun
+	}
+	return e
+}
+
+// tableStrings returns every string literal in the value of the top-level
+// var table declared by a test file of dir.
+func tableStrings(dir, table string) ([]string, error) {
+	tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range tests {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				vs := sp.(*ast.ValueSpec)
+				if !slices.ContainsFunc(vs.Names, func(id *ast.Ident) bool { return id.Name == table }) {
+					continue
+				}
+				var strs []string
+				for _, v := range vs.Values {
+					ast.Inspect(v, func(n ast.Node) bool {
+						if bl, ok := n.(*ast.BasicLit); ok && bl.Kind == token.STRING {
+							s, _ := strconv.Unquote(bl.Value)
+							strs = append(strs, s)
+						}
+						return true
+					})
+				}
+				return strs, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("no test file declares the table %s", table)
 }

@@ -15,12 +15,16 @@
 //	gvmd -listen unix:///tmp/gvmd.sock -parties 4 -functional
 //	gvmd -listen tcp://:7070
 //	gvmd -listen ring:///tmp/gvmd.sock -listen tcp://:7070
+//	gvmd -listen ring:///tmp/gvmd.sock -mem 1576960 -overcommit 4
 //
-// Clients connect with internal/ipc.DialOptions using the same address syntax
-// (see examples/multiprocess).
+// Every shard models the paper's Tesla C2070 (-mem overrides its memory),
+// and a new session goes to the shard holding the fewest sessions. gvmd -h
+// lists the flags. Clients connect with internal/ipc.DialOptions using the same
+// address syntax (see examples/multiprocess).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,111 +54,132 @@ func (l *listenFlags) Set(v string) error {
 }
 
 func main() {
+	d, err := config(os.Args[1:])
+	if err == nil {
+		err = run(d)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("gvmd: %v", err)
+	}
+}
+
+// daemon is what gvmd's command line sets: the server's configuration,
+// plus the settings only the binary itself reads.
+type daemon struct {
+	srv         ipc.ServerConfig
+	addrFile    string // bound addresses, then the metrics URL, one per line
+	metricsAddr string // "" serves no metrics
+}
+
+// config parses gvmd's command line and makes every check that needs no
+// listener, segment or signal, so a bad flag fails before anything starts.
+func config(args []string) (daemon, error) {
+	fs := flag.NewFlagSet("gvmd", flag.ContinueOnError)
 	var listen listenFlags
-	flag.Var(&listen, "listen", "transport address to serve: unix:///path, tcp://host:port, ring:///path (repeatable; default unix:///tmp/gvmd.sock)")
-	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
-	parties := flag.Int("parties", 1, "STR barrier width (number of SPMD processes)")
-	functional := flag.Bool("functional", true, "carry real data and compute real results")
-	shmDir := flag.String("shm", "", "shared-memory directory (default /dev/shm)")
-	archName := flag.String("arch", "c2070", "gpu architecture: c2070|c2050|gtx480|c1060")
-	gpus := flag.Int("gpus", 1, "number of per-GPU manager shards the daemon runs (each behind its own owner lock, with its own STR barrier)")
-	placement := flag.String("placement", "least-sessions", "session placement policy across shards: "+strings.Join(node.PolicyNames(), "|"))
-	barrierTimeout := flag.Duration("barrier-timeout", 0, "flush partial STR batches after this long (0 = strict barrier)")
-	execWorkers := flag.Int("exec-workers", 0, "functional kernel execution worker pool (0 = GOMAXPROCS, 1 = serial)")
-	preemptRatio := flag.Float64("preempt-ratio", 0, "wave-boundary preemption threshold: a pending kernel preempts an active one iff weight > ratio*activeWeight (0 = default 1.0, negative disables)")
-	maxSessionBytes := flag.Int64("max-session-bytes", 0, "reject REQ whose staging footprint (InBytes+OutBytes) exceeds this many bytes (0 = no per-session limit)")
-	overcommit := flag.Float64("overcommit", 1.0, "admit sessions while reserved bytes stay within this factor of each GPU's memory; above 1.0 idle sessions are evicted to host snapshots on demand")
-	memBytes := flag.Int64("mem", 0, "override each simulated GPU's device memory in bytes (0 = architecture default; shrink it to demo -overcommit eviction)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics, and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/ (e.g. localhost:9090)")
-	faultInject := flag.String("fault-inject", "", "inject simulated XID faults on kernel launches, e.g. 'gpu=0,after=25,kind=hang' or 'rate=0.01,seed=7,kinds=hang|fatal' (faulted shards are evacuated by live session migration)")
-	logLevel := flag.String("log-level", "error", "structured logging to stderr: debug (one line per verb), info (one line per flush), warn, error (simulation errors, bad preambles, frame read errors); empty disables")
-	flag.Parse()
-
-	reg := metrics.NewRegistry()
-
+	fs.Var(&listen, "listen", "transport address to serve: unix:///path, tcp://host:port, ring:///path (repeatable; default unix:///tmp/gvmd.sock)")
+	addrFile := fs.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
+	parties := fs.Int("parties", 1, "STR barrier width (number of SPMD processes)")
+	functional := fs.Bool("functional", true, "carry real data and compute real results")
+	shmDir := fs.String("shm", "", "shared-memory directory (default /dev/shm)")
+	gpus := fs.Int("gpus", 1, "number of per-GPU manager shards the daemon runs (each behind its own owner lock, with its own STR barrier)")
+	placement := fs.String("placement", node.LeastSessions, "session placement across shards; "+node.LeastSessions+" is the one policy")
+	barrierTimeout := fs.Duration("barrier-timeout", 0, "flush partial STR batches after this long (0 = strict barrier)")
+	maxSessionBytes := fs.Int64("max-session-bytes", 0, "reject REQ whose staging footprint (InBytes+OutBytes) exceeds this many bytes (0 = no per-session limit)")
+	overcommit := fs.Float64("overcommit", 1.0, "admit sessions while reserved bytes stay within this factor of each GPU's memory; above 1.0 idle sessions are evicted to host snapshots on demand")
+	memBytes := fs.Int64("mem", 0, "override each simulated C2070's device memory in bytes (0 = its 6 GB; shrink it to demo -overcommit eviction)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics, and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/ (e.g. localhost:9090)")
+	faultInject := fs.String("fault-inject", "", "inject simulated XID faults on kernel launches, e.g. 'gpu=0,after=25,kind=hang' or 'rate=0.01,seed=7,kinds=hang|fatal' (faulted shards are evacuated by live session migration)")
+	logLevel := fs.String("log-level", "error", "structured logging to stderr: debug (one line per verb), info (one line per flush), warn, error (simulation errors, bad preambles, frame read errors); empty disables")
+	if err := fs.Parse(args); err != nil {
+		return daemon{}, err
+	}
+	if _, err := node.NewPlacer(*placement, "GPU"); err != nil {
+		return daemon{}, err
+	}
 	logger, err := slogByLevel(*logLevel)
 	if err != nil {
-		log.Fatalf("gvmd: %v", err)
-	}
-
-	var metricsURL string
-	if *metricsAddr != "" {
-		// Bind explicitly so ":0" resolves to a concrete port that can go
-		// into the addr file.
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatalf("gvmd: metrics listen %s: %v", *metricsAddr, err)
-		}
-		metricsURL = fmt.Sprintf("http://%s/metrics", mln.Addr())
-		go func() {
-			if err := metrics.Serve(mln, reg); err != nil {
-				log.Printf("gvmd: metrics: %v", err)
-			}
-		}()
-		log.Printf("gvmd: metrics on %s", metricsURL)
-	}
-
-	arch, err := archByName(*archName)
-	if err != nil {
-		log.Fatalf("gvmd: %v", err)
+		return daemon{}, err
 	}
 	var faultPlan *gpusim.FaultPlan
 	if *faultInject != "" {
-		faultPlan, err = gpusim.ParseFaultSpec(*faultInject)
-		if err != nil {
-			log.Fatalf("gvmd: -fault-inject: %v", err)
+		if faultPlan, err = gpusim.ParseFaultSpec(*faultInject); err != nil {
+			return daemon{}, fmt.Errorf("-fault-inject: %w", err)
 		}
 	}
 	if *memBytes < 0 {
-		log.Fatalf("gvmd: -mem must be >= 0, got %d", *memBytes)
+		return daemon{}, fmt.Errorf("-mem must be >= 0, got %d", *memBytes)
 	}
+	arch := fermi.TeslaC2070()
 	if *memBytes > 0 {
 		arch.MemBytes = *memBytes
 	}
 	if len(listen) == 0 {
 		listen = listenFlags{"unix:///tmp/gvmd.sock"}
 	}
+	return daemon{
+		srv: ipc.ServerConfig{
+			Listen:          listen,
+			Arch:            arch,
+			Parties:         *parties,
+			Functional:      *functional,
+			ShmDir:          *shmDir,
+			GPUs:            *gpus,
+			Placement:       *placement,
+			MaxSessionBytes: *maxSessionBytes,
+			Overcommit:      *overcommit,
+			BarrierTimeout:  *barrierTimeout,
+			FaultPlan:       faultPlan,
+			Slog:            logger,
+		},
+		addrFile:    *addrFile,
+		metricsAddr: *metricsAddr,
+	}, nil
+}
+
+// run starts the daemon d describes, serves until SIGINT or SIGTERM
+// (SIGUSR1 drains), and shuts it down: the server first, then the metrics
+// listener, so a scrape can come in until the end, then whatever files a
+// forced exit left behind.
+func run(d daemon) error {
+	d.srv.Metrics = metrics.NewRegistry()
+	var metricsURL string
+	if d.metricsAddr != "" {
+		// Bind explicitly so ":0" resolves to a concrete port that can go
+		// into the addr file.
+		mln, err := net.Listen("tcp", d.metricsAddr)
+		if err != nil {
+			return fmt.Errorf("metrics listen %s: %w", d.metricsAddr, err)
+		}
+		defer mln.Close()
+		metricsURL = fmt.Sprintf("http://%s/metrics", mln.Addr())
+		go func() {
+			if err := metrics.Serve(mln, d.srv.Metrics); err != nil && !errors.Is(err, net.ErrClosed) {
+				log.Printf("gvmd: metrics: %v", err)
+			}
+		}()
+		log.Printf("gvmd: metrics on %s", metricsURL)
+	}
 
 	// Clean up after a daemon that died without its signal handler: stale
 	// unix sockets block the new bind, stale segments leak /dev/shm.
-	for _, addr := range listen {
-		if scheme, target := transport.SplitAddr(addr); scheme == "unix" || scheme == "ring" {
-			os.Remove(target)
-		}
-	}
+	removeSockets(d.srv.Listen)
 	// A segment names the pid that made it, so the sweep spares another live
 	// daemon's on the same directory. It runs before the server makes any,
 	// so it also takes those named with this pid: a killed predecessor's.
-	if n, err := shm.RemoveStale(*shmDir, transport.SegPrefix, 0); err != nil {
+	if n, err := shm.RemoveStale(d.srv.ShmDir, transport.SegPrefix, 0); err != nil {
 		log.Printf("gvmd: stale segment cleanup: %v", err)
 	} else if n > 0 {
 		log.Printf("gvmd: removed %d stale shm segment(s)", n)
 	}
 
-	srv, err := ipc.NewServer(ipc.ServerConfig{
-		Listen:          listen,
-		Arch:            arch,
-		Parties:         *parties,
-		Functional:      *functional,
-		ShmDir:          *shmDir,
-		GPUs:            *gpus,
-		Placement:       *placement,
-		ExecWorkers:     *execWorkers,
-		PreemptRatio:    *preemptRatio,
-		MaxSessionBytes: *maxSessionBytes,
-		Overcommit:      *overcommit,
-		BarrierTimeout:  *barrierTimeout,
-		FaultPlan:       faultPlan,
-		Metrics:         reg,
-		Slog:            logger,
-	})
+	srv, err := ipc.NewServer(d.srv)
 	if err != nil {
-		log.Fatalf("gvmd: %v", err)
+		return err
 	}
 	addrs := srv.Addrs()
-	log.Printf("gvmd: serving %dx %s on %s (placement=%s parties=%d/shard functional=%v)",
-		*gpus, arch.Name, strings.Join(addrs, ", "), srv.Node().Policy(), *parties, *functional)
-	if *addrFile != "" {
+	log.Printf("gvmd: serving %dx %s on %s (parties=%d/shard functional=%v)",
+		srv.Node().NumShards(), d.srv.Arch.Name, strings.Join(addrs, ", "), d.srv.Parties, d.srv.Functional)
+	if d.addrFile != "" {
 		// Written only after every listener is bound, so a waiter that
 		// sees the file can connect immediately. The metrics URL rides
 		// along as an extra http:// line for scrapers to discover (head
@@ -163,12 +188,13 @@ func main() {
 		if metricsURL != "" {
 			lines = append(lines, metricsURL)
 		}
-		if err := os.WriteFile(*addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(d.addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			srv.Close()
-			log.Fatalf("gvmd: write %s: %v", *addrFile, err)
+			return fmt.Errorf("write %s: %w", d.addrFile, err)
 		}
 	}
 
+	// Room for the signal that shuts down and a second that forces the exit.
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	// SIGUSR1 gracefully drains the WHOLE node: every shard stops taking
@@ -178,14 +204,11 @@ func main() {
 	// other nodes; standalone, sessions keep serving in place until their
 	// clients finish (no placements ping-pong between shards that are
 	// both about to drain).
-	var got os.Signal
-	for got == nil || got == syscall.SIGUSR1 {
-		got = <-sig
-		if got != syscall.SIGUSR1 {
-			break
-		}
+	got := <-sig
+	for got == syscall.SIGUSR1 {
 		log.Printf("gvmd: SIGUSR1: draining all %d gpu(s)", srv.Node().NumShards())
 		srv.DrainAll()
+		got = <-sig
 	}
 	log.Printf("gvmd: %v: shutting down", got)
 	done := make(chan struct{})
@@ -205,15 +228,22 @@ func main() {
 	// Belt and braces: sockets are normally unlinked by listener close and
 	// segments by session teardown, but a forced exit must not leave
 	// residue for the next run to trip over.
+	removeSockets(d.srv.Listen)
+	if d.addrFile != "" {
+		os.Remove(d.addrFile)
+	}
+	shm.RemoveStale(d.srv.ShmDir, transport.SegPrefix, os.Getpid())
+	return nil
+}
+
+// removeSockets unlinks the socket file of every unix:// and ring://
+// address.
+func removeSockets(listen []string) {
 	for _, addr := range listen {
 		if scheme, target := transport.SplitAddr(addr); scheme == "unix" || scheme == "ring" {
 			os.Remove(target)
 		}
 	}
-	if *addrFile != "" {
-		os.Remove(*addrFile)
-	}
-	shm.RemoveStale(*shmDir, transport.SegPrefix, os.Getpid())
 }
 
 func slogByLevel(level string) (*slog.Logger, error) {
@@ -234,19 +264,4 @@ func slogByLevel(level string) (*slog.Logger, error) {
 		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
-}
-
-func archByName(name string) (fermi.Arch, error) {
-	switch name {
-	case "c2070":
-		return fermi.TeslaC2070(), nil
-	case "c2050":
-		return fermi.TeslaC2050(), nil
-	case "gtx480":
-		return fermi.GeForceGTX480(), nil
-	case "c1060":
-		return fermi.TeslaC1060(), nil
-	default:
-		return fermi.Arch{}, fmt.Errorf("unknown architecture %q", name)
-	}
 }

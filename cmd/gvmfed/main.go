@@ -1,9 +1,9 @@
 // Command gvmfed runs the federation router: a second placement level
 // fronting N gvmd nodes. Clients dial gvmfed exactly as they would a
 // single gvmd — same six-verb protocol, same retry behavior — and the
-// router places each session on a backend node with the SAME placement
-// policies gvmd uses across its GPU shards (two-level placement: the
-// router picks the node, the node's policy picks the GPU).
+// router places each session on a backend node with the SAME placer gvmd
+// uses across its GPU shards (two-level placement: the router picks the
+// node holding the fewest sessions, the node picks the GPU the same way).
 //
 // The router polls every backend's load report (the STA verb: the node's
 // shards folded into one binary node-level load record) to drive
@@ -20,10 +20,11 @@
 //
 // Clients connect with internal/ipc.DialOptions (or examples/multiprocess)
 // using gvmfed's address; -addr-file publishes it for scripts, like
-// gvmd's.
+// gvmd's. gvmfed -h lists the flags.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,94 +52,132 @@ func (l *repeatedFlags) Set(v string) error {
 }
 
 func main() {
-	var listen, backends, backendFiles repeatedFlags
-	flag.Var(&listen, "listen", "transport address to serve clients on: tcp://host:port, unix:///path, inproc://name (repeatable; default tcp://127.0.0.1:7080)")
-	flag.Var(&backends, "backend", "backend gvmd address, e.g. tcp://host:7070 (repeatable)")
-	flag.Var(&backendFiles, "backend-file", "read one backend gvmd address from this -addr-file (first line; repeatable)")
-	placement := flag.String("placement", "least-sessions", "node placement policy: "+strings.Join(node.PolicyNames(), "|"))
-	poll := flag.Duration("poll", 200*time.Millisecond, "backend load-report poll interval")
-	addrFile := flag.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes), and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/")
-	logLevel := flag.String("log-level", "", "structured routing/failover logging to stderr: debug|info|warn|error; empty disables")
-	flag.Parse()
+	r, err := config(os.Args[1:])
+	if err == nil {
+		err = run(r)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("gvmfed: %v", err)
+	}
+}
 
+// router is what gvmfed's command line sets: the router's configuration,
+// plus the settings only the binary itself reads.
+type router struct {
+	fed         fed.Config
+	listen      []string
+	addrFile    string // bound addresses, then the metrics URL, one per line
+	metricsAddr string // "" serves no metrics
+}
+
+// config parses gvmfed's command line, reads every -backend-file and makes
+// every check that needs no listener, so a bad flag fails before anything
+// starts.
+func config(args []string) (router, error) {
+	fs := flag.NewFlagSet("gvmfed", flag.ContinueOnError)
+	var listen, backends, backendFiles repeatedFlags
+	fs.Var(&listen, "listen", "transport address to serve clients on: tcp://host:port, unix:///path, inproc://name (repeatable; default tcp://127.0.0.1:7080)")
+	fs.Var(&backends, "backend", "backend gvmd address, e.g. tcp://host:7070 (repeatable)")
+	fs.Var(&backendFiles, "backend-file", "read one backend gvmd address from this -addr-file (first line; repeatable)")
+	placement := fs.String("placement", node.LeastSessions, "node placement; "+node.LeastSessions+" is the one policy")
+	poll := fs.Duration("poll", 200*time.Millisecond, "backend load-report poll interval")
+	addrFile := fs.String("addr-file", "", "write the bound addresses to this file, one per line (useful with tcp://...:0)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus text metrics at http://<addr>/metrics (fed_* series: nodes by state, placements, proxy latency, failovers, migrated bytes), and CPU profiles, traces and runtime/pprof profiles at /debug/pprof/")
+	logLevel := fs.String("log-level", "", "structured routing/failover logging to stderr: debug|info|warn|error; empty disables")
+	if err := fs.Parse(args); err != nil {
+		return router{}, err
+	}
 	logger, err := slogByLevel(*logLevel)
 	if err != nil {
-		log.Fatalf("gvmfed: %v", err)
+		return router{}, err
 	}
 	for _, f := range backendFiles {
 		addr, err := readAddrFile(f)
 		if err != nil {
-			log.Fatalf("gvmfed: -backend-file %s: %v", f, err)
+			return router{}, fmt.Errorf("-backend-file %s: %w", f, err)
 		}
 		backends = append(backends, addr)
 	}
 	if len(backends) == 0 {
-		log.Fatalf("gvmfed: no backends (use -backend or -backend-file)")
+		return router{}, errors.New("no backends (use -backend or -backend-file)")
+	}
+	if _, err := node.NewPlacer(*placement, "node"); err != nil {
+		return router{}, err
 	}
 	if len(listen) == 0 {
 		listen = repeatedFlags{"tcp://127.0.0.1:7080"}
 	}
 	for _, addr := range listen {
-		if scheme, target := transport.SplitAddr(addr); scheme == "unix" {
-			os.Remove(target) // stale socket from an unclean exit blocks the bind
-		} else if scheme == "ring" {
-			log.Fatalf("gvmfed: ring:// cannot front remote nodes (the mapped segment lives with one daemon); use tcp:// or unix://")
+		if scheme, _ := transport.SplitAddr(addr); scheme == "ring" {
+			return router{}, errors.New("ring:// cannot front remote nodes (the mapped segment lives with one daemon); use tcp:// or unix://")
 		}
 	}
+	return router{
+		fed: fed.Config{
+			Backends:     backends,
+			Placement:    *placement,
+			PollInterval: *poll,
+			Log:          logger,
+		},
+		listen:      listen,
+		addrFile:    *addrFile,
+		metricsAddr: *metricsAddr,
+	}, nil
+}
 
-	reg := metrics.NewRegistry()
+// run starts the router r describes, serves until SIGINT or SIGTERM and
+// shuts it down: the router first, then the metrics listener, then
+// whatever files a forced exit left behind.
+func run(r router) error {
+	removeSockets(r.listen) // a stale socket from an unclean exit blocks the bind
+	r.fed.Metrics = metrics.NewRegistry()
 	var metricsURL string
-	if *metricsAddr != "" {
+	if r.metricsAddr != "" {
 		// Bind explicitly so ":0" resolves to a concrete port for the addr
 		// file.
-		mln, err := net.Listen("tcp", *metricsAddr)
+		mln, err := net.Listen("tcp", r.metricsAddr)
 		if err != nil {
-			log.Fatalf("gvmfed: metrics listen %s: %v", *metricsAddr, err)
+			return fmt.Errorf("metrics listen %s: %w", r.metricsAddr, err)
 		}
+		defer mln.Close()
 		metricsURL = fmt.Sprintf("http://%s/metrics", mln.Addr())
 		go func() {
-			if err := metrics.Serve(mln, reg); err != nil {
+			if err := metrics.Serve(mln, r.fed.Metrics); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("gvmfed: metrics: %v", err)
 			}
 		}()
 		log.Printf("gvmfed: metrics on %s", metricsURL)
 	}
 
-	router, err := fed.New(fed.Config{
-		Backends:     backends,
-		Placement:    *placement,
-		PollInterval: *poll,
-		Metrics:      reg,
-		Log:          logger,
-	})
+	rt, err := fed.New(r.fed)
 	if err != nil {
-		log.Fatalf("gvmfed: %v", err)
+		return err
 	}
-	if err := router.Start(listen); err != nil {
-		log.Fatalf("gvmfed: %v", err)
+	if err := rt.Start(r.listen); err != nil {
+		return err
 	}
-	addrs := router.Addrs()
-	log.Printf("gvmfed: routing %s across %d node(s): %s (placement=%s poll=%v)",
-		strings.Join(addrs, ", "), len(backends), strings.Join(backends, ", "), router.Placement(), *poll)
-	if *addrFile != "" {
+	addrs := rt.Addrs()
+	log.Printf("gvmfed: routing %s across %d node(s): %s (poll=%v)",
+		strings.Join(addrs, ", "), len(r.fed.Backends), strings.Join(r.fed.Backends, ", "), r.fed.PollInterval)
+	if r.addrFile != "" {
 		lines := append([]string{}, addrs...)
 		if metricsURL != "" {
 			lines = append(lines, metricsURL)
 		}
-		if err := os.WriteFile(*addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			router.Close()
-			log.Fatalf("gvmfed: write %s: %v", *addrFile, err)
+		if err := os.WriteFile(r.addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			rt.Close()
+			return fmt.Errorf("write %s: %w", r.addrFile, err)
 		}
 	}
 
+	// Room for the signal that shuts down and a second that forces the exit.
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	log.Printf("gvmfed: %v: shutting down", got)
 	done := make(chan struct{})
 	go func() {
-		if err := router.Close(); err != nil {
+		if err := rt.Close(); err != nil {
 			log.Printf("gvmfed: close: %v", err)
 		}
 		close(done)
@@ -148,13 +187,19 @@ func main() {
 	case got = <-sig:
 		log.Printf("gvmfed: %v: forcing exit", got)
 	}
+	removeSockets(r.listen)
+	if r.addrFile != "" {
+		os.Remove(r.addrFile)
+	}
+	return nil
+}
+
+// removeSockets unlinks the socket file of every unix:// address.
+func removeSockets(listen []string) {
 	for _, addr := range listen {
 		if scheme, target := transport.SplitAddr(addr); scheme == "unix" {
 			os.Remove(target)
 		}
-	}
-	if *addrFile != "" {
-		os.Remove(*addrFile)
 	}
 }
 

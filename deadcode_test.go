@@ -38,6 +38,7 @@ var testOnlyAllowed = map[string]string{
 	"sim.Env.Scheduled":  "ipc and gpusim tests pin calendar entries per operation; the latency budget reads it",
 	"gpusim.MustNew":     "the device constructor of 20 test call sites in direct, gvm, ipc and vgpu; gpusim.New only fails on an invalid Arch",
 	"trace.Tracer.Spans": "gvm and trace tests read the recorded spans; ROADMAP item 2 folds internal/trace into the span recorder",
+	"fermi.TeslaC1060":   "the pre-Fermi reference card of gpusim's overlap test and the root AblationOverlap benchmark (DESIGN.md §6)",
 }
 
 // guardEdits are edits of the tree that the guard must answer as listed:
@@ -61,10 +62,12 @@ var guardEdits = []struct {
 		fires: []string{"node.ProbeWeight", "node.probeBytes"},
 	},
 	{
-		name: "policy-reached-through-its-interface",
+		// A third Listener that ListenAddr returns: its methods are reached
+		// only through the interface.
+		name: "listener-reached-through-its-interface",
 		edits: []archEdit{
-			{file: "internal/node/placement.go", find: "\tcase SLO:\n", repl: "\tcase \"first\":\n\t\treturn firstFit{}, nil\n\tcase SLO:\n"},
-			{file: "internal/node/placement.go", repl: "\ntype firstFit struct{}\n\nfunc (firstFit) Name() string { return \"first\" }\n\nfunc (firstFit) Pick(cands []Load, _ int64) int { return 0 }\n"},
+			{file: "internal/transport/transport.go", find: "\t\treturn listenInproc(target)\n", repl: "\t\treturn listenInproc(target)\n\t}\n\tif target == \"-\" {\n\t\treturn nopListener{}, nil\n"},
+			{file: "internal/transport/transport.go", repl: "\ntype nopListener struct{}\n\nfunc (nopListener) Accept() (net.Conn, error) { return nil, net.ErrClosed }\nfunc (nopListener) Close() error               { return nil }\nfunc (nopListener) Addr() string                { return \"nop://-\" }\nfunc (nopListener) DefaultPlane() string        { return PlaneInline }\n"},
 		},
 	},
 	{

@@ -5,9 +5,9 @@
 //
 // Placement is hierarchical: each backend node answers the router's STA
 // poll with its shards folded into one node-level Load (a binary load
-// record), and the router runs the SAME node.Placer + node.Policy
-// machinery the daemon itself uses for shards — the router picks the
-// node, the node's own policy picks the GPU. Every session gets its own
+// record), and the router runs the SAME node.Placer the daemon itself
+// uses for shards — the router picks the node, the node's own placer picks
+// the GPU. Every session gets its own
 // sticky backend connection: REQ opens it, later frames — each one
 // session's verbs, checked by the daemon's own frame rule
 // (transport.FrameSteps) before the router looks the session up — are
@@ -18,7 +18,7 @@
 // Failover extends PR9's live migration across nodes. When a backend
 // drains (SIGUSR1 → whole node) the router extracts each session via
 // MIG on its sticky connection, re-places it through the node-level
-// policy, and adopts it on the survivor with ADP — same virtual session
+// placer, and adopts it on the survivor with ADP — same virtual session
 // id, so the client never notices. When a backend dies outright the
 // state is gone; the router answers the in-flight verbs with retryable
 // errors, re-creates the session from its recorded REQ parameters on a
@@ -46,8 +46,8 @@ type Config struct {
 	// Backends are the gvmd nodes to front, in URL form (tcp://host:port,
 	// unix:///path, inproc://name). At least one.
 	Backends []string
-	// Placement names the NODE-level policy (node.PolicyNames, the same
-	// set as gvmd -placement). Default least-sessions.
+	// Placement must be "" or node.LeastSessions, the one policy. It is
+	// kept only because bench/gvmload sets it.
 	Placement string
 	// PollInterval is the load-report poll period (default 200ms).
 	PollInterval time.Duration
@@ -131,23 +131,12 @@ func (b *backend) load() node.Load {
 	b.mu.Unlock()
 	l.Shard = b.idx
 	bytesDelta := b.bytes.Load() - bytesAtPoll
-	l.MemFree -= bytesDelta
-	if l.MemFree < 0 {
-		l.MemFree = 0
-	}
-	l.Bytes += bytesDelta
-	if l.Bytes < 0 {
-		l.Bytes = 0
-	}
-	l.Sessions += b.sessions.Value() - sessionsAtPoll
-	if l.Sessions < 0 {
-		l.Sessions = 0
-	}
+	l.MemFree = max(l.MemFree-bytesDelta, 0)
+	l.Bytes = max(l.Bytes+bytesDelta, 0)
+	l.Sessions = max(l.Sessions+b.sessions.Value()-sessionsAtPoll, 0)
 	switch st {
 	case stateDraining:
-		if l.Health < node.Draining {
-			l.Health = node.Draining
-		}
+		l.Health = max(l.Health, node.Draining)
 	case stateDead:
 		l.Health = node.Unhealthy
 	}
@@ -305,9 +294,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	return r, nil
 }
-
-// Placement returns the node-level policy name.
-func (r *Router) Placement() string { return r.placer.Policy() }
 
 // Start polls every backend once (so placement has capacity data before
 // the first REQ), binds the listen addresses, and begins serving.

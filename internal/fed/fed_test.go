@@ -17,6 +17,7 @@ import (
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/ipc"
 	"gpuvirt/internal/metrics"
+	"gpuvirt/internal/node"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
@@ -46,13 +47,13 @@ type testNode struct {
 }
 
 // startRouter runs a gvmfed router fronting the given backends.
-func startRouter(t *testing.T, name, policy string, poll time.Duration, nodes ...*testNode) *Router {
+func startRouter(t *testing.T, name string, poll time.Duration, nodes ...*testNode) *Router {
 	t.Helper()
 	backs := make([]string, len(nodes))
 	for i, n := range nodes {
 		backs[i] = n.Addr()
 	}
-	r, err := New(Config{Backends: backs, Placement: policy, PollInterval: poll})
+	r, err := New(Config{Backends: backs, PollInterval: poll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,12 @@ func directReference(t *testing.T, name string, ref workloads.Ref, ranks int) []
 	return want
 }
 
-// TestFederationMatrixByteIdentical is the satellite matrix: an inproc
-// router fronting 2 nodes under each node-level policy must serve RCV
-// bytes identical to a direct single-node serial run — the federation
-// hop, the forced inline plane, and the node-level placement must be
-// invisible in the data.
+// TestFederationMatrixByteIdentical runs an inproc router fronting 2 nodes
+// once per node-level policy name the router has known. Under the one
+// policy it must spread 4 held sessions 2/2 and serve RCV bytes identical
+// to a direct single-node serial run — the federation hop, the forced
+// inline plane, and the node-level placement must be invisible in the
+// data. A retired name must fail New with an error naming the one policy.
 func TestFederationMatrixByteIdentical(t *testing.T) {
 	const ranks = 4
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 512}}
@@ -171,14 +173,21 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 	}
 	want := directReference(t, "fedmatrix-ref", ref, ranks)
 
-	for _, policy := range []string{"least-sessions", "least-memory", "slo"} {
+	for _, policy := range []string{node.LeastSessions, "least-memory", "slo"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
-			a := startNode(t, "fedmatrix-a-"+policy, 2)
-			b := startNode(t, "fedmatrix-b-"+policy, 2)
-			r := startRouter(t, "fedmatrix-"+policy, policy, 50*time.Millisecond, a, b)
+			if policy != node.LeastSessions {
+				_, err := New(Config{Backends: []string{"inproc://fedmatrix-unused"}, Placement: policy})
+				if err == nil || !strings.Contains(err.Error(), node.LeastSessions) {
+					t.Fatalf("New with placement %q: %v, want an error naming %s", policy, err, node.LeastSessions)
+				}
+				return
+			}
+			a := startNode(t, "fedmatrix-a", 2)
+			b := startNode(t, "fedmatrix-b", 2)
+			r := startRouter(t, "fedmatrix", 50*time.Millisecond, a, b)
 
-			// Open every session up front so the policy sees the earlier
+			// Open every session up front so the placer sees the earlier
 			// placements, then run the cycles pipelined through the proxy.
 			clients := make([]*ipc.Client, ranks)
 			sessions := make([]*ipc.Session, ranks)
@@ -195,12 +204,9 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 				}
 				sessions[rank] = sess
 			}
-			if policy == "least-sessions" {
-				// The canonical spread: 4 held sessions across 2 nodes must
-				// go 2/2.
-				if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 2 || bo != 2 {
-					t.Fatalf("least-sessions spread = %d/%d, want 2/2", ao, bo)
-				}
+			// The canonical spread: 4 held sessions across 2 nodes go 2/2.
+			if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 2 || bo != 2 {
+				t.Fatalf("spread = %d/%d, want 2/2", ao, bo)
 			}
 			for rank, sess := range sessions {
 				in := make([]byte, w.Spec(0).InBytes)
@@ -250,7 +256,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 
 	a := startNode(t, "fedmig-a", 1)
 	b := startNode(t, "fedmig-b", 1)
-	r := startRouter(t, "fedmig", "least-sessions", 20*time.Millisecond, a, b)
+	r := startRouter(t, "fedmig", 20*time.Millisecond, a, b)
 
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
@@ -353,7 +359,7 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 
 	a := startNode(t, "fedchaos-a", 2)
 	b := startNode(t, "fedchaos-b", 2)
-	r := startRouter(t, "fedchaos", "least-sessions", 20*time.Millisecond, a, b)
+	r := startRouter(t, "fedchaos", 20*time.Millisecond, a, b)
 
 	var (
 		firstCycle sync.WaitGroup
@@ -455,7 +461,7 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 
 	a := startNode(t, "feddrain-a", 2)
 	b := startNode(t, "feddrain-b", 2)
-	r := startRouter(t, "feddrain", "least-sessions", 10*time.Millisecond, a, b)
+	r := startRouter(t, "feddrain", 10*time.Millisecond, a, b)
 
 	var (
 		firstCycle sync.WaitGroup
@@ -554,7 +560,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 
 	a := startNode(t, "fedpark-a", 1)
 	b := startNode(t, "fedpark-b", 1)
-	r := startRouter(t, "fedpark", "least-sessions", 10*time.Millisecond, a, b)
+	r := startRouter(t, "fedpark", 10*time.Millisecond, a, b)
 
 	nc, _, err := transport.DialAddr(r.Addr())
 	if err != nil {
@@ -709,7 +715,7 @@ func TestFederatedEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	r := startRouter(t, "fedevict", "least-sessions", 50*time.Millisecond, &testNode{Server: node, reg: reg})
+	r := startRouter(t, "fedevict", 50*time.Millisecond, &testNode{Server: node, reg: reg})
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func (r *Router) recreateLocked(s *fedSession) error {
 }
 
 // migrateLocked live-migrates the session off its draining node:
-// extract with MIG, re-place through the node-level policy, adopt with
+// extract with MIG, re-place through the node-level placer, adopt with
 // ADP. On success the virtual id is unchanged and staged state carries
 // over — the client cannot tell. Caller holds s.mu.
 func (r *Router) migrateLocked(s *fedSession) error {

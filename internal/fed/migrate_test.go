@@ -77,7 +77,7 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	want := directReference(t, "fedceil-ref", ref, 1)
 	a := startNode(t, "fedceil-a", 1)
 	b := startNode(t, "fedceil-b", 1)
-	r := startRouter(t, "fedceil", "least-sessions", 20*time.Millisecond, a, b)
+	r := startRouter(t, "fedceil", 20*time.Millisecond, a, b)
 	sess, idx := startMidCycle(t, r, n, a, b)
 	src, dst := a, b
 	if idx == 1 {
@@ -179,7 +179,7 @@ func TestOversizedMIGServesInPlace(t *testing.T) {
 	t.Run("gvmfed", func(t *testing.T) {
 		a := startNode(t, "fedbig-a", 1)
 		b := startNode(t, "fedbig-b", 1)
-		r := startRouter(t, "fedbig", "least-sessions", 20*time.Millisecond, a, b)
+		r := startRouter(t, "fedbig", 20*time.Millisecond, a, b)
 		sess, idx := startMidCycle(t, r, n, a, b)
 		src, dst := a, b
 		if idx == 1 {

@@ -155,7 +155,7 @@ func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Re
 	cc.owned = append(cc.owned, vid)
 	if r.cfg.Log != nil {
 		r.cfg.Log.Debug("session placed",
-			"vsession", vid, "node", b.idx, "backend-session", resp.Session, "policy", r.placer.Policy())
+			"vsession", vid, "node", b.idx, "backend-session", resp.Session)
 	}
 	resp.Session = vid
 	return resp, s

@@ -111,27 +111,6 @@ func TeslaC2070() Arch {
 	}
 }
 
-// TeslaC2050 is the 3 GB sibling of the C2070.
-func TeslaC2050() Arch {
-	a := TeslaC2070()
-	a.Name = "Tesla C2050 (Fermi GF100)"
-	a.MemBytes = 3 * 1024 * 1024 * 1024
-	return a
-}
-
-// GeForceGTX480 is the consumer Fermi part: 15 SMs, higher clock, smaller
-// memory, single copy engine.
-func GeForceGTX480() Arch {
-	a := TeslaC2070()
-	a.Name = "GeForce GTX 480 (Fermi GF100)"
-	a.SMs = 15
-	a.ClockHz = 1.40e9
-	a.MemBytes = 1536 * 1024 * 1024
-	a.MemBandwidth = 177e9
-	a.CopyEngines = 1
-	return a
-}
-
 // TeslaC1060 is a pre-Fermi (GT200, compute capability 1.3) reference
 // point: no concurrent kernel execution and no copy/compute overlap. It is
 // used by ablation benchmarks to show how much of the paper's gain depends

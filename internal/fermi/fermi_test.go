@@ -9,7 +9,7 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	for _, a := range []Arch{TeslaC2070(), TeslaC2050(), GeForceGTX480(), TeslaC1060()} {
+	for _, a := range []Arch{TeslaC2070(), TeslaC1060()} {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: %v", a.Name, err)
 		}

@@ -273,7 +273,8 @@ func TestOppositeDirectionsOverlapWithTwoEngines(t *testing.T) {
 
 func TestSingleCopyEngineSerializesDirections(t *testing.T) {
 	env := sim.NewEnv()
-	arch := fermi.GeForceGTX480() // 1 copy engine
+	arch := fermi.TeslaC2070()
+	arch.CopyEngines = 1 // a GeForce GTX 480's one copy engine
 	dev := MustNew(env, Config{Arch: arch})
 	var n int64 = 8 << 20
 	var finishes []sim.Time

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpuvirt/internal/cuda"
+	"gpuvirt/internal/fed"
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/transport"
@@ -381,13 +382,9 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			s.submitProbe(0, func() {})
-			// A scrape after Close would read the unmapped ring doorbell, so
-			// the check below reads the live series; this scrape proves the
-			// manager registered it, and that the REQ's session is open.
 			if open := gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions"); open != 1 {
 				t.Fatalf("gpu 0 holds %d open sessions before Close, want 1", open)
 			}
-			openSessions := s.cfg.Metrics.Gauge("gvm_open_sessions", "", metrics.L("gpu", "0"))
 
 			closed := make(chan error, 1)
 			go func() { closed <- s.Close() }()
@@ -411,12 +408,83 @@ func TestCloseWithFrameParkedAtBarrier(t *testing.T) {
 				t.Errorf("%d sessions still placed", open)
 			}
 			sh := s.node.Shard(0)
-			if open, inUse, reserved := openSessions.Value(), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
+			if open, inUse, reserved := gvmCount(t, s.cfg.Metrics, sh.Mgr, "gvm_open_sessions"), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
 				t.Errorf("gpu 0: %d open sessions, %d bytes in use, %d reserved", open, inUse, reserved)
 			}
 			if segs := ringSegments(t, dir); len(segs) != 0 {
 				t.Errorf("segments left: %v", segs)
 			}
 		})
+	}
+}
+
+// TestScrapeAfterClose scrapes a daemon's registry after Close on every
+// listener kind, and a gvmfed router's: a func-backed series reads only
+// memory its owner never frees, so a scrape that races a shutdown cannot
+// fault. A ring daemon's doorbell count keeps its final value.
+func TestScrapeAfterClose(t *testing.T) {
+	regs := map[string]*metrics.Registry{}
+	var servers []*Server
+	var ring *Server
+	for _, scheme := range []string{"inproc", "unix", "tcp", "ring"} {
+		addr := scheme + "://" + tempSocket(t)
+		switch scheme {
+		case "inproc":
+			addr = "inproc://scrape-after-close"
+		case "tcp":
+			addr = "tcp://127.0.0.1:0"
+		}
+		dir := t.TempDir()
+		regs[scheme] = metrics.NewRegistry()
+		s := startServerOn(t, ServerConfig{Listen: []string{addr}, ShmDir: dir, Functional: true, Metrics: regs[scheme]})
+		servers = append(servers, s)
+		if scheme == "ring" {
+			ring = s
+		}
+		c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.RunCycle(make([]byte, 2*64*4), make([]byte, 64*4)); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if err := sess.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	regs["gvmfed"] = metrics.NewRegistry()
+	r, err := fed.New(fed.Config{Backends: []string{servers[0].Addr()}, PollInterval: time.Hour, Metrics: regs["gvmfed"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start([]string{"inproc://scrape-after-close-fed"}); err != nil {
+		t.Fatal(err)
+	}
+	rings := gvmCount(t, ring.cfg.Metrics, ring.node.Shard(0).Mgr, "gvmd_ring_doorbells_total")
+	if rings < 1 {
+		t.Fatalf("the ring cycle rang the doorbell %d times", rings)
+	}
+
+	if err := r.Close(); err != nil {
+		t.Error(err)
+	}
+	for _, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+	for name, reg := range regs {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Errorf("%s: scrape after Close: %v", name, err)
+		}
+	}
+	// Close's own kick (RingAll) rings once more.
+	if after := gvmCount(t, ring.cfg.Metrics, ring.node.Shard(0).Mgr, "gvmd_ring_doorbells_total"); after != rings+1 {
+		t.Errorf("gvmd_ring_doorbells_total reads %d after Close, want its final %d", after, rings+1)
 	}
 }

@@ -34,18 +34,14 @@ type ServerConfig struct {
 	// ExecWorkers sizes the functional kernel-execution worker pool
 	// (gpusim.Config.ExecWorkers): 0 = GOMAXPROCS, 1 = serial.
 	ExecWorkers int
-	// PreemptRatio is each GPU's wave-boundary preemption threshold
-	// (gpusim.Config.PreemptRatio): a pending kernel preempts an active
-	// one iff its weight exceeds ratio x the active kernel's weight.
-	// 0 = default 1.0; negative disables preemption.
-	PreemptRatio float64
 	// GPUs is the number of per-GPU manager shards the daemon runs
 	// (default 1). Each shard is an independent sim.Env + device +
 	// gvm.Manager behind its own owner lock, so shards serve verbs in
 	// parallel; Parties is the STR barrier width of EACH shard.
 	GPUs int
-	// Placement names the policy assigning new sessions to shards (see
-	// node.PolicyNames; default least-sessions).
+	// Placement must be "" or node.LeastSessions, the one policy; any
+	// other name fails NewServer. It is kept only because bench/gvmload
+	// sets it, and goes when the benchmark stops passing it.
 	Placement string
 	// MaxSessionBytes caps one session's staging footprint
 	// (InBytes+OutBytes); REQ beyond the limit is rejected with a clear
@@ -134,6 +130,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if len(cfg.Listen) == 0 {
 		return nil, errors.New("ipc: no listen address (set Listen)")
 	}
+	// The node places with the one policy; this only refuses another name.
+	if _, err := node.NewPlacer(cfg.Placement, "GPU"); err != nil {
+		return nil, err
+	}
 	var lns []transport.Listener
 	closeAll := func() {
 		for _, ln := range lns {
@@ -170,9 +170,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Arch:            cfg.Arch,
 		Functional:      cfg.Functional,
 		ExecWorkers:     cfg.ExecWorkers,
-		PreemptRatio:    cfg.PreemptRatio,
 		Parties:         cfg.Parties,
-		Placement:       cfg.Placement,
 		MaxSessionBytes: cfg.MaxSessionBytes,
 		Overcommit:      cfg.Overcommit,
 		BarrierTimeout:  cfg.BarrierTimeout,
@@ -246,8 +244,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Node returns the daemon's shard layer: per-GPU managers plus the
-// placement policy. Tests and stats consumers address shards explicitly
+// Node returns the daemon's shard layer: per-GPU managers plus their
+// placement. Tests and stats consumers address shards explicitly
 // (there is no "the device" on a multi-GPU daemon).
 func (s *Server) Node() *node.Node { return s.node }
 

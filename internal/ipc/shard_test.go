@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,24 +13,32 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// TestPlacementPoliciesEndToEnd boots a 2-shard daemon once per built-in
-// placement policy and drives it over the wire: four uniform sessions
-// opened back to back (and held open) must balance 2/2 under every
-// policy, and the cycle a placed session runs must come back correct
-// from whichever shard owns it.
+// TestPlacementPoliciesEndToEnd boots a 2-shard daemon once per placement
+// name the daemon has known. Under the one policy it drives the daemon
+// over the wire: four uniform sessions opened back to back (and held open)
+// must balance 2/2, and the cycle a placed session runs must come back
+// correct from whichever shard owns it. Each retired name must fail
+// start-up with an error naming the one policy.
 func TestPlacementPoliciesEndToEnd(t *testing.T) {
-	for _, policy := range node.PolicyNames() {
+	for _, policy := range []string{node.LeastSessions, "least-memory", "weighted-bytes", "slo"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
-			s := startServerOn(t, ServerConfig{
+			cfg := ServerConfig{
 				Listen:     []string{"inproc://policy-" + policy},
 				Functional: true,
 				GPUs:       2,
 				Placement:  policy,
-			})
-			if got := s.node.Policy(); got != policy {
-				t.Fatalf("daemon runs policy %q, want %q", got, policy)
 			}
+			if policy != node.LeastSessions {
+				if s, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), node.LeastSessions) {
+					if s != nil {
+						s.Close()
+					}
+					t.Fatalf("NewServer with placement %q: %v, want an error naming %s", policy, err, node.LeastSessions)
+				}
+				return
+			}
+			s := startServerOn(t, cfg)
 			const n = 1024
 			var sessions []*Session
 			for i := 0; i < 4; i++ {
@@ -44,8 +53,8 @@ func TestPlacementPoliciesEndToEnd(t *testing.T) {
 				}
 				sessions = append(sessions, sess)
 			}
-			// Uniform sessions arriving one at a time: every built-in
-			// policy degenerates to strict alternation, so the split is 2/2.
+			// Uniform sessions arriving one at a time alternate, so the
+			// split is 2/2.
 			for shard := 0; shard < 2; shard++ {
 				opened := -1
 				if !s.submitProbe(shard, func() { opened = s.node.Shard(shard).Mgr.SessionsOpened() }) {

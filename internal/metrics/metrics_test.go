@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -215,6 +216,41 @@ func TestHistogramQuantileConcurrentObserve(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) of the observed
+// distribution as the upper bound of the bucket holding the rank-q
+// observation — an overestimate by at most 2x, which is what a log2
+// histogram can promise. It returns 0 when nothing has been observed.
+// Safe to call concurrently with Observe: the rank is computed against
+// the bucket counts actually read, so an Observe racing the scrape can
+// never push the rank past the buckets and flash the max bound as a
+// phantom tail.
+func (h *Histogram) Quantile(q float64) int64 {
+	var counts [HistBuckets]int64
+	var total int64
+	for i := 0; i < HistBuckets; i++ {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > total {
+		rank = total
+	}
+	var cum int64
+	for i := 0; i < HistBuckets; i++ {
+		cum += counts[i]
+		if cum >= rank {
+			return BucketBound(i)
+		}
+	}
+	return BucketBound(HistBuckets - 1)
 }
 
 func TestHistogramQuantile(t *testing.T) {

@@ -8,18 +8,18 @@ import (
 
 // The load report is what a gvmd node answers STA with: its shards folded
 // into the one node-level Load the federation router places against with
-// the same Placer/Policy machinery the node uses for its shards. It
-// travels as one binary record of six varints — health, sessions, bytes,
-// headroom, resident, p99 — inside the answer's frame.
+// the same Placer the node uses for its shards. It travels as one binary
+// record of five varints — health, sessions, bytes, headroom, resident —
+// inside the answer's frame.
 
 // NodeLoad folds the node's shards into one node-level Load: sessions,
 // reserved and resident bytes summed over every shard, headroom summed
 // over PLACEABLE shards only (a draining shard's free bytes are not
-// headroom anyone can use), p99 the worst placeable shard's. The node's
+// headroom anyone can use). The node's
 // health is the best shard's — one healthy shard keeps the node
 // placeable, while a node whose every shard is draining or dead reports
 // the worst state so the router evacuates it. Safe from any goroutine
-// (every input is an atomic gauge or a quantile read).
+// (every input is an atomic gauge).
 func (n *Node) NodeLoad() Load {
 	l := Load{Health: Unhealthy}
 	for _, sh := range n.Loads() {
@@ -29,7 +29,6 @@ func (n *Node) NodeLoad() Load {
 		l.Resident += sh.Resident
 		if sh.Health.Placeable() {
 			l.MemFree += sh.MemFree
-			l.P99TurnNS = max(l.P99TurnNS, sh.P99TurnNS)
 		}
 	}
 	return l
@@ -38,7 +37,7 @@ func (n *Node) NodeLoad() Load {
 // AppendLoad appends l's load record to b. Shard is not part of it: the
 // reader knows which target it asked.
 func AppendLoad(b []byte, l Load) []byte {
-	for _, v := range [...]int64{int64(l.Health), l.Sessions, l.Bytes, l.MemFree, l.Resident, l.P99TurnNS} {
+	for _, v := range [...]int64{int64(l.Health), l.Sessions, l.Bytes, l.MemFree, l.Resident} {
 		b = binary.AppendVarint(b, v)
 	}
 	return b
@@ -47,7 +46,7 @@ func AppendLoad(b []byte, l Load) []byte {
 // DecodeLoad parses one load record. A truncated record or trailing bytes
 // is an error; a health value outside the four states reads as Unhealthy.
 func DecodeLoad(data []byte) (Load, error) {
-	var v [6]int64
+	var v [5]int64
 	for i := range v {
 		x, k := binary.Varint(data)
 		if k <= 0 {
@@ -62,5 +61,5 @@ func DecodeLoad(data []byte) (Load, error) {
 	if v[0] < int64(Healthy) || v[0] > int64(Unhealthy) {
 		h = Unhealthy
 	}
-	return Load{Health: h, Sessions: v[1], Bytes: v[2], MemFree: v[3], Resident: v[4], P99TurnNS: v[5]}, nil
+	return Load{Health: h, Sessions: v[1], Bytes: v[2], MemFree: v[3], Resident: v[4]}, nil
 }

@@ -1,7 +1,7 @@
 // Package node is the multi-GPU layer above gvm: it owns N independent
 // per-GPU shards — each one a sim.Env, a simulated device, and a
-// gvm.Manager (the paper's one-GPU GVM) — plus the pluggable placement
-// policy that assigns new sessions to shards. The paper's design is one
+// gvm.Manager (the paper's one-GPU GVM) — plus the placement that assigns
+// new sessions to shards. The paper's design is one
 // manager per GPU context; a multi-GPU HPC node (Section VII, and the
 // authors' journal extension arXiv:1511.07658) is therefore N managers
 // behind one placement decision, not one manager with extra devices.
@@ -49,20 +49,12 @@ type Config struct {
 	Functional bool
 	// ExecWorkers sizes each device's functional kernel-execution pool.
 	ExecWorkers int
-	// PreemptRatio is each shard's wave-boundary preemption threshold
-	// (gpusim.Config.PreemptRatio): a pending kernel preempts an active
-	// one iff its weight exceeds ratio x the active kernel's weight.
-	// 0 = default 1.0; negative disables preemption.
-	PreemptRatio float64
 	// Parties is the STR barrier width OF EACH SHARD: a shard flushes
 	// when Parties of ITS sessions have issued STR. Placement decides
 	// which sessions share a shard (and hence a barrier), so Parties > 1
 	// with GPUs > 1 needs client counts in multiples of Parties*GPUs for
 	// strict barriers to fill. Default 1 (no barrier batching).
 	Parties int
-	// Placement names the policy assigning sessions to shards (see
-	// PolicyNames; default least-sessions). Validated by New.
-	Placement string
 	// MaxSessionBytes caps one session's staging footprint
 	// (InBytes+OutBytes); Place rejects a larger session with an error
 	// naming the limit. 0 = no per-session cap (device-memory fit still
@@ -95,7 +87,7 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Node owns the shards and the placement policy. Placement state is O(1)
+// Node owns the shards and their placement. Placement state is O(1)
 // per operation: per-shard session and byte counters move on Place and
 // Release, so choosing a shard never rescans live sessions.
 type Node struct {
@@ -110,10 +102,6 @@ type Node struct {
 	// be read off-lock (Loads, tests, /metrics).
 	placedSessions []*metrics.Gauge
 	placedBytes    []*metrics.Gauge
-	// turnNS are the shards' live gvm_turnaround_ns histograms (the same
-	// instruments the managers observe into — registration is
-	// idempotent); the SLO policy reads their p99 at placement time.
-	turnNS []*metrics.Histogram
 	// health holds each shard's HealthState in the node_shard_health
 	// gauge (the gauge atomic IS the state, so scrapes and Place read
 	// the same word). Escalations go through SetHealth.
@@ -123,7 +111,7 @@ type Node struct {
 	faultHandler func(shard int, h HealthState)
 }
 
-// New builds the node's shards and validates the placement config. Call
+// New builds the node's shards and validates the config. Call
 // Start to bring the managers up.
 func New(cfg Config) (*Node, error) {
 	if cfg.GPUs == 0 {
@@ -144,25 +132,20 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Overcommit == 0 {
 		cfg.Overcommit = 1.0
 	}
-	placer, err := NewPlacer(cfg.Placement, "GPU")
-	if err != nil {
-		return nil, err
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	n := &Node{cfg: cfg, placer: placer}
+	n := &Node{cfg: cfg, placer: &Placer{Noun: "GPU"}}
 	for i := 0; i < cfg.GPUs; i++ {
 		env := cfg.SharedEnv
 		if env == nil {
 			env = sim.NewEnv()
 		}
 		dev, err := gpusim.New(env, gpusim.Config{
-			Arch:         cfg.Arch,
-			Functional:   cfg.Functional,
-			ExecWorkers:  cfg.ExecWorkers,
-			PreemptRatio: cfg.PreemptRatio,
+			Arch:        cfg.Arch,
+			Functional:  cfg.Functional,
+			ExecWorkers: cfg.ExecWorkers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("node: gpu %d: %w", i, err)
@@ -186,10 +169,6 @@ func New(cfg Config) (*Node, error) {
 			reg.Gauge("node_placed_sessions", "sessions the placement layer has assigned to the shard", gl))
 		n.placedBytes = append(n.placedBytes,
 			reg.Gauge("node_placed_bytes", "staging bytes the placement layer has reserved on the shard", gl))
-		// gvm.New above already registered this series; the idempotent
-		// registry hands back the same instrument the manager observes.
-		n.turnNS = append(n.turnNS,
-			reg.Histogram("gvm_turnaround_ns", "virtual ns from STR arrival to cycle completion", gl))
 		n.health = append(n.health,
 			reg.Gauge("node_shard_health", "shard health state: 0 healthy, 1 degraded, 2 draining, 3 unhealthy", gl))
 		// Device fault events drive the shard health machine. The counter
@@ -244,9 +223,6 @@ func (n *Node) Shard(i int) *Shard { return n.shards[i] }
 // Shards returns every shard in index order.
 func (n *Node) Shards() []*Shard { return n.shards }
 
-// Policy returns the active placement policy's name.
-func (n *Node) Policy() string { return n.placer.Policy() }
-
 // quota returns a shard's admission capacity: Overcommit x device memory,
 // the ceiling its reserved (placed) bytes may reach. Every shard shares
 // the node's architecture, so every shard has the same quota.
@@ -259,19 +235,18 @@ func (n *Node) Loads() []Load {
 	loads := make([]Load, len(n.shards))
 	for i, sh := range n.shards {
 		loads[i] = Load{
-			Shard:     i,
-			Health:    HealthState(n.health[i].Value()),
-			Sessions:  n.placedSessions[i].Value(),
-			Bytes:     n.placedBytes[i].Value(),
-			MemFree:   n.quota() - n.placedBytes[i].Value(),
-			Resident:  sh.Dev.MemResident(),
-			P99TurnNS: n.turnNS[i].Quantile(0.99),
+			Shard:    i,
+			Health:   HealthState(n.health[i].Value()),
+			Sessions: n.placedSessions[i].Value(),
+			Bytes:    n.placedBytes[i].Value(),
+			MemFree:  n.quota() - n.placedBytes[i].Value(),
+			Resident: sh.Dev.MemResident(),
 		}
 	}
 	return loads
 }
 
-// Place runs admission control and the placement policy for a session
+// Place runs admission control and placement for a session
 // with the given staging footprint, reserving the footprint on the
 // chosen shard. Admission is by RESERVED bytes against the overcommit
 // quota (reserved <= Overcommit x capacity), not by physical fit: under
@@ -288,9 +263,8 @@ func (n *Node) Place(inBytes, outBytes int64) (int, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// The shared two-level Placer does the health filter and the policy
-	// pick; n.mu makes snapshot→select→reserve atomic against concurrent
-	// Places.
+	// The shared two-level Placer does the health filter and the pick;
+	// n.mu makes snapshot→select→reserve atomic against concurrent Places.
 	idx, err := n.placer.Select(n.Loads(), footprint)
 	if err != nil {
 		return -1, fmt.Errorf("node: %v (overcommit %.2g)", err, n.cfg.Overcommit)

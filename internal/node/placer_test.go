@@ -1,14 +1,14 @@
 package node
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
 // TestPlacerSharedAcrossLevels pins the two-level placement contract:
-// the SAME Policy implementation drives a Placer at the node→shard
-// level and at the federation→node level — only the Loads and the noun
-// differ.
+// the SAME Placer runs at the node→shard level and at the federation→node
+// level — only the Loads and the noun differ.
 func TestPlacerSharedAcrossLevels(t *testing.T) {
 	loads := []Load{
 		{Shard: 0, Health: Healthy, Sessions: 3, MemFree: 1 << 30},
@@ -29,24 +29,34 @@ func TestPlacerSharedAcrossLevels(t *testing.T) {
 	}
 }
 
+// TestPlacerUnknownPolicy checks the one policy's names: "" and
+// least-sessions build a placer, and any other name, the retired ones
+// included, fails with an error naming the one policy.
 func TestPlacerUnknownPolicy(t *testing.T) {
-	if _, err := NewPlacer("no-such-policy", "node"); err == nil {
-		t.Fatal("NewPlacer accepted an unknown policy name")
+	for _, name := range []string{"", LeastSessions} {
+		if _, err := NewPlacer(name, "node"); err != nil {
+			t.Errorf("NewPlacer(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"no-such-policy", "least-memory", "weighted-bytes", "slo"} {
+		_, err := NewPlacer(name, "node")
+		if err == nil || !strings.Contains(err.Error(), LeastSessions) {
+			t.Errorf("NewPlacer(%q) = %v, want an error naming %s", name, err, LeastSessions)
+		}
 	}
 }
 
 // TestPlacerFiltersUnplaceable checks that degraded/draining/unhealthy
-// targets are invisible to the policy even when they have the most
-// headroom.
+// targets are never picked even when they hold the fewest sessions.
 func TestPlacerFiltersUnplaceable(t *testing.T) {
-	pl, err := NewPlacer("least-memory", "node")
+	pl, err := NewPlacer(LeastSessions, "node")
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := []Load{
 		{Shard: 0, Health: Draining, MemFree: 8 << 30},
 		{Shard: 1, Health: Unhealthy, MemFree: 8 << 30},
-		{Shard: 2, Health: Healthy, Bytes: 4 << 20, MemFree: 1 << 30},
+		{Shard: 2, Health: Healthy, Sessions: 5, Bytes: 4 << 20, MemFree: 1 << 30},
 		{Shard: 3, Health: Degraded, MemFree: 8 << 30},
 	}
 	for i := 0; i < 3; i++ {
@@ -169,6 +179,12 @@ func TestNodeLoadRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeLoad(%x) accepted a malformed record", bad)
 		}
 	}
+	// The record once carried a sixth varint, a p99 turnaround: a node that
+	// still sends one is refused, not half read.
+	six := binary.AppendVarint(append([]byte(nil), rec...), 41067)
+	if _, err := DecodeLoad(six); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("DecodeLoad of a six-field record = %v, want a trailing-bytes error", err)
+	}
 }
 
 // TestNodeLoadAllDrainingIsUnplaceable checks a node whose every shard
@@ -195,9 +211,9 @@ func TestNodeLoadAllDrainingIsUnplaceable(t *testing.T) {
 func FuzzDecodeLoad(f *testing.F) {
 	for _, l := range []Load{
 		{},
-		{Health: Healthy, Sessions: 3, Bytes: 6 << 20, MemFree: 1 << 30, Resident: 4 << 20, P99TurnNS: 41067},
+		{Health: Healthy, Sessions: 3, Bytes: 6 << 20, MemFree: 1 << 30, Resident: 4 << 20},
 		{Health: Draining, Sessions: 2, Bytes: 1 << 20},
-		{Health: Unhealthy + 7, MemFree: -1, P99TurnNS: 1<<63 - 1},
+		{Health: Unhealthy + 7, MemFree: -1, Resident: 1<<63 - 1},
 	} {
 		f.Add(AppendLoad(nil, l))
 	}

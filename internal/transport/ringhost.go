@@ -72,10 +72,11 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 		}
 		// The doorbell word's upper 31 bits ARE the ring count, so the
 		// counter comes for free (it wraps at 2^31 rings, like any u32-
-		// backed counter would).
-		d := door
+		// backed counter would). It reads through counted, which Close
+		// moves off the mapping.
+		rs.counted.Store(door)
 		cfg.Metrics.CounterFunc("gvmd_ring_doorbells_total", "shard submission doorbell rings", func() int64 {
-			return int64(d.Load() >> 1)
+			return int64(rs.counted.Load().Load() >> 1)
 		}, gpu)
 		h.shards[i] = rs
 	}
@@ -86,13 +87,17 @@ func NewRingHost(cfg RingHostConfig) (*RingHost, error) {
 func (h *RingHost) Shard(i int) *RingShard { return h.shards[i] }
 
 // Close unmaps every session segment still on a shard's sweep and the
-// doorbell segment. Call only once no turn can run on any shard anymore.
+// doorbell segment, whose counts it first copies for later scrapes. Call
+// only once no turn can run on any shard anymore.
 func (h *RingHost) Close() error {
 	for _, rs := range h.shards {
 		for _, s := range rs.sessions {
 			s.unmap()
 		}
 		rs.sessions = nil
+		final := new(atomic.Uint32)
+		final.Store(rs.door.Load())
+		rs.counted.Store(final)
 	}
 	return h.doorSeg.Close()
 }
@@ -111,8 +116,9 @@ func (h *RingHost) RingAll() {
 // turns), leaves (extract's turn) and is unmapped (the sweep after a retire)
 // inside turns, and the sweep takes no lock.
 type RingShard struct {
-	door *atomic.Uint32
-	off  uint32 // door's offset in the doorbell segment
+	door    *atomic.Uint32
+	off     uint32                        // door's offset in the doorbell segment
+	counted atomic.Pointer[atomic.Uint32] // door, then its final copy once Close unmaps it
 
 	sessions []*ringSession
 

@@ -9,14 +9,17 @@
 # the delta against the metric's bound, the pairs the change won (ties count
 # for neither), the parent's interquartile range and every run made; then
 # the failed operations, and the exact counters and the socket layers'
-# syscall and CPU counters of one traced run per side. It exits non-zero
-# when a row reads WORSE (a median past its bound), after printing every row.
+# syscall and CPU counters of one traced run per side. A run of a pair that
+# fails stops the script; a traced run that fails prints as FAILED (exit N)
+# with its last stderr line, and the script goes on. It exits non-zero when
+# a row reads WORSE (a median past its bound) or a traced run failed, after
+# printing every row.
 # Defaults: every workload, 10 pairs, BENCHMARK.json's run_seconds. Progress
 # goes to stderr. It reads bench/ and BENCHMARK.json and writes neither.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,15p' "$0" >&2; exit 2; }
+usage() { sed -n '2,18p' "$0" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 rev=$1; shift
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
@@ -38,9 +41,9 @@ rm -rf "$parent"
 mkdir -p "$parent"
 git archive "$sha" | tar -x -C "$parent"
 
-# run <list> <tree> <args...>: one bench/run.sh run in that tree; the JSON
-# object it prints last is appended to the named list. A run that exits
-# non-zero or prints none stops the script — a pair with a hole in it
+# run <list> <tree> <args...>: one bench/run.sh run of a pair in that tree;
+# the JSON object it prints last is appended to the named list. A run that
+# exits non-zero or prints none stops the script — a pair with a hole in it
 # proves nothing — and leaves its whole stdout and stderr beside each other.
 outlog=$PWD/.bench_build/pairs/last.out
 errlog=$PWD/.bench_build/pairs/last.err
@@ -73,7 +76,7 @@ cuda.exec_vecadd_ns cuda.exec_vecadd_gbps'
 echo "# Paired benchmark runs: parent $sha vs change (working tree at $(git rev-parse --short HEAD)), bash bench/run.sh --workload W --seed <pair> --seconds $seconds,"
 echo "# $pairs alternating pairs per workload (odd pairs parent first), $(nproc)-CPU container, $(go env GOVERSION). Every run made is listed."
 echo "# Columns: workload, metric, medians, delta vs BENCHMARK.json bound, pairs in which the change read better, parent IQR, every run in pair order."
-traced= worse=
+traced= worse= tracefailed=
 for w in $workloads; do
 	p_json=() c_json=()
 	for i in $(seq 1 "$pairs"); do
@@ -114,19 +117,40 @@ for w in $workloads; do
 		printf '%-10s failed ops: parent %s of %s, change %s of %s\n' "$w" "$pf" "$pa" "$cf" "$ca"
 	fi
 
+	# A traced run that fails does not stop the script: its side reads
+	# FAILED (exit N) beside the last line it wrote to stderr, the other
+	# side's counters still print, and the script exits non-zero at the end.
 	echo "pairs.sh: $w traced run" >&2
-	t_json=()
-	run t_json "$parent" --workload "$w" --seed 1 --seconds 5 --trace 1
-	run t_json . --workload "$w" --seed 1 --seconds 5 --trace 1
+	t_json=() t_fail=()
+	for tree in "$parent" .; do
+		status=0
+		(cd "$tree" && bash bench/run.sh --workload "$w" --seed 1 --seconds 5 --trace 1) >"$outlog" 2>"$errlog" || status=$?
+		json=$(tail -n 1 "$outlog")
+		if [ "$status" -eq 0 ] && jq -e .metrics >/dev/null 2>&1 <<<"$json"; then
+			t_json+=("$json") t_fail+=("")
+		else
+			side=change
+			[ "$tree" = . ] || side=parent
+			t_json+=("") t_fail+=("FAILED (exit $status)")
+			traced+=$(printf '%-10s %s traced run FAILED (exit %s), last stderr line: %s' "$w" "$side" "$status" "$(tail -n 1 "$errlog")")$'\n'
+			tracefailed+=" $w/$side"
+		fi
+	done
 	for c in $counters; do
-		traced+=$(printf '%-10s %-36s %.6g / %.6g' "$w" "$c" \
-			"$(jq -r ".metrics[\"$c\"].value" <<<"${t_json[0]}")" "$(jq -r ".metrics[\"$c\"].value" <<<"${t_json[1]}")")$'\n'
+		v=()
+		for j in 0 1; do
+			if [ -n "${t_fail[$j]}" ]; then
+				v+=("${t_fail[$j]}")
+			else
+				v+=("$(printf '%.6g' "$(jq -r ".metrics[\"$c\"].value" <<<"${t_json[$j]}")")")
+			fi
+		done
+		traced+=$(printf '%-10s %-36s %s / %s' "$w" "$c" "${v[0]}" "${v[1]}")$'\n'
 	done
 done
 echo
 echo "# Exact counters and the claimed layer, one traced run per side (--trace 1 --seconds 5 --seed 1): parent / change"
 printf '%s' "$traced"
-if [ -n "$worse" ]; then
-	echo "pairs.sh: WORSE than the parent past the bound:$worse" >&2
-	exit 1
-fi
+[ -z "$tracefailed" ] || echo "pairs.sh: traced runs failed:$tracefailed" >&2
+[ -z "$worse" ] || echo "pairs.sh: WORSE than the parent past the bound:$worse" >&2
+[ -z "$tracefailed$worse" ] || exit 1
