@@ -7,6 +7,24 @@ import (
 	"gpuvirt/internal/fermi"
 )
 
+// TestPolicyByName checks the policy names a placer is built from: "" is
+// the default, least-sessions, and an unknown name fails with an error
+// naming the one valid choice.
+func TestPolicyByName(t *testing.T) {
+	for _, name := range []string{"", LeastSessions} {
+		if _, err := NewPlacer(name, "GPU"); err != nil {
+			t.Errorf("NewPlacer(%q): %v", name, err)
+		}
+	}
+	_, err := NewPlacer("bogus", "GPU")
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	if !strings.Contains(err.Error(), LeastSessions) {
+		t.Fatalf("error %q does not name policy %q", err, LeastSessions)
+	}
+}
+
 // TestPolicyPicks pins the placer's choice on a fixed candidate set: the
 // fewest placed sessions, whatever the bytes and headroom say.
 func TestPolicyPicks(t *testing.T) {

@@ -29,19 +29,12 @@ func TestPlacerSharedAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestPlacerUnknownPolicy checks the one policy's names: "" and
-// least-sessions build a placer, and any other name, the retired ones
-// included, fails with an error naming the one policy.
+// TestPlacerUnknownPolicy checks that any name but the one policy's, the
+// retired policies' names included, fails to build a placer.
 func TestPlacerUnknownPolicy(t *testing.T) {
-	for _, name := range []string{"", LeastSessions} {
-		if _, err := NewPlacer(name, "node"); err != nil {
-			t.Errorf("NewPlacer(%q): %v", name, err)
-		}
-	}
 	for _, name := range []string{"no-such-policy", "least-memory", "weighted-bytes", "slo"} {
-		_, err := NewPlacer(name, "node")
-		if err == nil || !strings.Contains(err.Error(), LeastSessions) {
-			t.Errorf("NewPlacer(%q) = %v, want an error naming %s", name, err, LeastSessions)
+		if _, err := NewPlacer(name, "node"); err == nil {
+			t.Errorf("NewPlacer accepted the unknown policy name %q", name)
 		}
 	}
 }
