@@ -6,8 +6,10 @@ import (
 )
 
 // The typed-view helpers below alias device memory as numeric slices.
-// Device allocations are 256-byte aligned (see gpusim's allocator), so the
-// unsafe reinterpretation is always correctly aligned.
+// Device allocations are 256-byte aligned (see gpusim's allocator), except
+// one that lives on a session's staging, which starts where its staging
+// region does: 4-byte aligned in a mapped segment, whose output region
+// follows the input bytes. amd64 and arm64 load such floats unaligned.
 
 // Float32s views n float32 values of device memory at p.
 func Float32s(m Memory, p DevPtr, n int) []float32 {

@@ -18,13 +18,17 @@
 // alias another tenant's fresh allocation at the same physical offset:
 // touching an allocation that is off the card panics.
 //
-// Device memory is host memory, one slice per placed allocation, and three
+// Device memory is host memory, one slice per placed allocation, and four
 // rules govern it: a Malloc always hands out zeroed memory; a swap
 // (Context.SwapOut / SwapIn) moves ownership of an allocation's slice to
 // the caller and back instead of copying it, while the virtual clock still
-// charges the full PCIe transfer each way; and a slice is only ever
-// attached to an allocation of exactly its length. So evacuating a tenant
-// costs the host nothing proportional to its footprint, and no tenant can
+// charges the full PCIe transfer each way; a slice is only ever attached to
+// an allocation it fills, up to the allocator's rounding; and an allocation
+// may sit on caller memory (MallocUnbacked, Rebind), which gpusim never
+// allocates, keeps or reuses, and which a copy from or to that same memory
+// does not move — the copy engines still charge the transfer. So
+// evacuating a tenant costs the host nothing proportional to its footprint,
+// a staging buffer can be the device memory it stages, and no tenant can
 // read what another left behind.
 package gpusim
 
@@ -194,7 +198,8 @@ const addrBase cuda.DevPtr = 1 << 40
 
 // devBuf is one live allocation: its address and rounded size, and while it
 // is on the card its placement (0 while off it) and, on a functional
-// device, its backing store.
+// device, its backing store: size bytes, or from caller memory as few as
+// the allocation was asked for (nil while an unbacked one awaits Rebind).
 type devBuf struct {
 	addr  cuda.DevPtr
 	size  int64
@@ -225,6 +230,9 @@ func (d *Device) Bytes(p cuda.DevPtr, n int64) []byte {
 		if off+n <= b.size {
 			if b.place == 0 {
 				panic(fmt.Sprintf("gpusim: device memory access to swapped-out allocation %#x: ptr=%#x n=%d", uint64(b.addr), uint64(p), n))
+			}
+			if off+n > int64(len(b.data)) {
+				panic(fmt.Sprintf("gpusim: device memory access past the %d backed bytes of allocation %#x: ptr=%#x n=%d", len(b.data), uint64(b.addr), uint64(p), n))
 			}
 			return b.data[off : off+n : off+n]
 		}
@@ -337,16 +345,50 @@ func (c *Context) Release() {
 // Malloc allocates device memory for this context: a fresh address, placed
 // on the card and, in functional mode, zeroed. On a device with a memory or
 // fatal fault it fails with a *FaultError.
-func (c *Context) Malloc(n int64) (cuda.DevPtr, error) {
+func (c *Context) Malloc(n int64) (cuda.DevPtr, error) { return c.malloc(n, true) }
+
+// MallocUnbacked is Malloc without the memory: the allocation takes its
+// place on the card, and its bytes are caller memory that Rebind (or a
+// SwapIn) attaches later; until then a functional access to it panics.
+func (c *Context) MallocUnbacked(n int64) (cuda.DevPtr, error) { return c.malloc(n, false) }
+
+func (c *Context) malloc(n int64, fresh bool) (cuda.DevPtr, error) {
 	ptr, err := c.Address(n)
 	if err != nil {
 		return 0, err
 	}
-	if err := c.place(ptr, nil); err != nil {
+	if err := c.place(ptr, nil, fresh); err != nil {
 		_ = c.Free(ptr) // the address, which is off the card
 		return 0, err
 	}
 	return ptr, nil
+}
+
+// Rebind puts the allocation at ptr, which must be on the card, on caller
+// memory data without a transfer, a copy or a charge; what it held before is
+// dropped. gpusim keeps data no longer than the allocation stays on the card.
+func (c *Context) Rebind(ptr cuda.DevPtr, data []byte) error {
+	c.mustLive()
+	d := c.dev
+	i, ok := d.find(ptr)
+	if !ok || d.bufs[i].place == 0 {
+		return fmt.Errorf("gpusim: rebind of device pointer %#x, which is not an allocation on the card", uint64(ptr))
+	}
+	if err := d.fits(data, d.bufs[i].size); err != nil {
+		return err
+	}
+	d.bufs[i].data = data
+	return nil
+}
+
+// fits checks that data may back an allocation of size bytes: it is absent,
+// or it fills the allocation up to the allocator's rounding (a caller's
+// buffer holds only the bytes asked for).
+func (d *Device) fits(data []byte, size int64) error {
+	if data != nil && d.alloc.RoundUp(int64(len(data))) != size {
+		return fmt.Errorf("gpusim: %d bytes of backing for a %d-byte allocation", len(data), size)
+	}
+	return nil
 }
 
 // Address allocates n bytes off the card: an address kernels can be built
@@ -365,10 +407,10 @@ func (c *Context) Address(n int64) (cuda.DevPtr, error) {
 }
 
 // place puts the off-card allocation at ptr on the card, backed by data
-// (SwapIn), or by fresh zeroed memory (newBacking) when data is nil. Device
-// memory is never attached short: data of any other length than the
-// allocation is an error.
-func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
+// (SwapIn), or when data is nil by fresh zeroed memory (newBacking) if
+// fresh, else by nothing yet (MallocUnbacked). Device memory is never
+// attached short: data that does not fill the allocation is an error.
+func (c *Context) place(ptr cuda.DevPtr, data []byte, fresh bool) error {
 	c.mustLive()
 	d := c.dev
 	if err := d.faultFor(XidMemory, XidFatal); err != nil {
@@ -379,8 +421,8 @@ func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
 		return fmt.Errorf("gpusim: swap-in of device pointer %#x, which is not an allocation off the card", uint64(ptr))
 	}
 	size := d.bufs[i].size
-	if data != nil && int64(len(data)) != size {
-		return fmt.Errorf("gpusim: %d bytes of backing for a %d-byte allocation", len(data), size)
+	if err := d.fits(data, size); err != nil {
+		return err
 	}
 	// The evictor may sleep in here, and other processes may free or place
 	// allocations meanwhile: look ptr up again once it returns.
@@ -392,7 +434,7 @@ func (c *Context) place(ptr cuda.DevPtr, data []byte) error {
 		_ = d.alloc.Free(at)
 		return fmt.Errorf("gpusim: device pointer %#x was freed or placed while it was being placed", uint64(ptr))
 	}
-	if d.functional && data == nil {
+	if d.functional && data == nil && fresh {
 		data = newBacking(size)
 	}
 	d.bufs[i].place, d.bufs[i].data = at, data
@@ -500,7 +542,7 @@ func (c *Context) memcpyH2D(p *sim.Proc, dst cuda.DevPtr, src *HostBuffer, off, 
 	start := p.Now()
 	p.Sleep(d.arch.TransferTime(n, true, src.pinned))
 	if d.functional && src.data != nil {
-		copy(d.Bytes(dst, n), src.data[off:off+n])
+		move(d.Bytes(dst, n), src.data[off:off+n])
 	}
 	d.BytesH2D += n
 	d.h2dEngine.Release(1)
@@ -524,12 +566,20 @@ func (c *Context) memcpyD2H(p *sim.Proc, dst *HostBuffer, off int64, src cuda.De
 	start := p.Now()
 	p.Sleep(d.arch.TransferTime(n, false, dst.pinned))
 	if d.functional && dst.data != nil {
-		copy(dst.data[off:off+n], d.Bytes(src, n))
+		move(dst.data[off:off+n], d.Bytes(src, n))
 	}
 	d.BytesD2H += n
 	d.d2hEngine.Release(1)
 	if d.tracer != nil {
 		d.emit("d2h", fmt.Sprintf("ctx%d D2H %dB", c.id, n), start, p.Now())
+	}
+}
+
+// move is a transfer's host memmove: none when device and host range are
+// the same memory (an allocation on caller memory, Rebind).
+func move(dst, src []byte) {
+	if &dst[0] != &src[0] {
+		copy(dst, src)
 	}
 }
 
@@ -574,11 +624,12 @@ func (c *Context) SwapOut(p *sim.Proc, ptr cuda.DevPtr) ([]byte, int64, error) {
 // SwapIn is SwapOut's inverse: it places the off-card allocation at ptr
 // back on the card like Malloc would (evictor and fault checks included)
 // with data as its backing store — the caller must not touch data while the
-// allocation is on the card — and charges the full host-to-device transfer
+// allocation is on the card, unless it shares it with the device on purpose
+// (MallocUnbacked) — and charges the full host-to-device transfer
 // on p exactly as a pinned MemcpyH2D would. With nil data (a timing-only
 // snapshot) the allocation is zeroed like any other.
 func (c *Context) SwapIn(p *sim.Proc, ptr cuda.DevPtr, data []byte) error {
-	if err := c.place(ptr, data); err != nil {
+	if err := c.place(ptr, data, true); err != nil {
 		return err
 	}
 	size, _ := c.SizeOf(ptr)
@@ -600,7 +651,8 @@ const MaxLaunchWeight = 1024
 // fails at once with a *FaultError; an injector installed via
 // SetFaultInjector is ticked first, so a launch may itself trip the fault
 // it then fails with. A kernel such a fault aborts in flight fails with the
-// fault's *FaultError too.
+// fault's *FaultError too. On a functional device, a kernel whose body
+// panics fails with the panic as an error that is no *FaultError.
 func (c *Context) Launch(p *sim.Proc, k *cuda.Kernel, weight int) error {
 	ls, err := c.dispatch(p, k, weight)
 	if err != nil {

@@ -118,7 +118,8 @@ type launchState struct {
 	// floorAborted marks a kernel an abort completed while it waited out
 	// its memory floor: the floor timer still names the record.
 	floorAborted bool
-	// done fires at completion with nil or an abort's *FaultError. It and
+	// done fires at completion with nil, an abort's *FaultError or the
+	// error of a body that panicked. It and
 	// fire, bound to floorEnded(this record) when the record is made, stay
 	// with the record across reuse.
 	done *sim.Event
@@ -532,21 +533,32 @@ func (s *smScheduler) floorEnded(ls *launchState) {
 // kernel can run it later through the record's bound fire.
 func (s *smScheduler) fireLaunch(ls *launchState) {
 	s.dev.KernelsRun++
+	var err error
 	if s.dev.functional && ls.k.Func != nil {
-		// Device.Bytes only reads the allocation table, so concurrent
-		// block bodies may resolve pointers safely while they write
-		// their disjoint output ranges.
-		if err := s.dev.exec.Run(ls.k, s.dev); err != nil {
-			panic(err)
-		}
+		err = s.dev.runBody(ls.k)
 	}
 	if s.dev.tracing() {
 		s.dev.emit("sm", fmt.Sprintf("ctx%d kernel %s", ls.ctx.id, ls.k.Name), ls.start, s.env.Now())
 	}
-	s.complete(ls, nil)
+	s.complete(ls, err)
 }
 
-// complete fires ls's done with err (nil, or an abort's *FaultError). On an
+// runBody runs k's functional body over device memory. A body that panics —
+// say on indices a client staged — fails its launch with the panic as the
+// error, and the device stays healthy. Device.Bytes only reads the
+// allocation table, so concurrent block bodies may resolve pointers safely
+// while they write their disjoint output ranges.
+func (d *Device) runBody(k *cuda.Kernel) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("gpusim: kernel %q failed: %v", k.Name, r)
+		}
+	}()
+	return d.exec.Run(k, d)
+}
+
+// complete fires ls's done with err (nil, an abort's *FaultError, or the
+// panic of the kernel's functional body). On an
 // architecture without copy/compute overlap the kernel has held the
 // exclusive engine since its launch: it is released first, so a transfer
 // queued behind the kernel is granted at this instant ahead of the

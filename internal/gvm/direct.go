@@ -3,6 +3,7 @@ package gvm
 import (
 	"fmt"
 
+	"gpuvirt/internal/cuda"
 	"gpuvirt/internal/gpusim"
 )
 
@@ -16,12 +17,16 @@ type DirectNotify func(verb Verb, st Status, errMsg string)
 // BindDirect gives a session its two caller-owned halves: pinned staging
 // (in, out) and the control surface (notify). The daemon binds the regions
 // of the session's mapped segment (shm and ring planes), so a client
-// writing the mapped file IS writing pinned staging, SND/RCV move zero
-// bytes and H2D/D2H work on the mapping in place — or heap buffers (inline
-// plane, the mqueue front-end). A timing-only device gets nil staging and
-// the session stays data-less. The memory must stay valid until the release
-// is acknowledged or ExtractSession returns; both wait out a flush in
-// flight. Every open and every adoption is followed by one BindDirect.
+// writing the mapped file IS writing pinned staging and SND/RCV move zero
+// bytes — or heap buffers (inline plane, the mqueue front-end). The staging
+// is the session's device memory too: its output buffer, and its input
+// buffer unless a kernel writes it (task.Spec.WritesIn), live on it, so
+// H2D and D2H move no bytes either and only charge their transfer time
+// (restage). A timing-only device gets nil staging and the session stays
+// data-less; a functional one must get staging. The memory must stay valid
+// until the release is acknowledged or ExtractSession returns; both wait out
+// a flush in flight and take the session's buffers off it. Every open and
+// every adoption is followed by one BindDirect.
 func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error {
 	s, ok := m.sessions[id]
 	switch {
@@ -36,16 +41,42 @@ func (m *Manager) BindDirect(id int, in, out []byte, notify DirectNotify) error 
 		}
 		if s.pinIn != nil {
 			s.pinIn = gpusim.WrapHost(in, !m.cfg.PageableStaging)
+			if !s.spec.WritesIn {
+				if err := m.restage(s, s.devIn, in); err != nil {
+					return err
+				}
+			}
 		}
 		if s.pinOut != nil {
 			s.pinOut = gpusim.WrapHost(out, !m.cfg.PageableStaging)
+			if err := m.restage(s, s.devOut, out); err != nil {
+				return err
+			}
 		}
+	} else if m.dev.Functional() && s.spec.InBytes+s.spec.OutBytes > 0 {
+		return fmt.Errorf("gvm: BindDirect: session %d stages %d+%d bytes on a functional device and got no staging", id, s.spec.InBytes, s.spec.OutBytes)
 	}
 	s.notify = notify
 	// Prebind the copy-completion closures so the hot path schedules them
 	// without allocating.
 	s.sndDone = func() { m.copied(s, SND, s.spec.InBytes) }
 	s.rcvDone = func() { m.copied(s, RCV, s.spec.OutBytes) }
+	return nil
+}
+
+// restage puts a staged device buffer on the staging b just bound, without
+// a copy: an opened session's buffer holds no bytes yet, and an adopted
+// one's hold what b holds already — the inline plane binds the extraction's
+// own buffers (Staging), and a mapped segment held the bytes all along (a
+// copy into it would race the client staging its next input). An evicted
+// buffer stays off the card; its restore places it on the staging.
+func (m *Manager) restage(s *session, ptr cuda.DevPtr, b []byte) error {
+	if s.susp != nil {
+		return nil
+	}
+	if err := m.ctx.Rebind(ptr, b); err != nil {
+		return fmt.Errorf("gvm: BindDirect: session %d: %w", s.id, err)
+	}
 	return nil
 }
 

@@ -199,9 +199,9 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	s.snap.total = s.devBytes
 	s.susp = &s.snap
 	m.bindClassMetrics(s)
-	// Staging is the snapshot's own buffers (no copy): an inline session
-	// keeps them, a mapped plane rebinds onto its segment, which held the
-	// same bytes all along.
+	// Staging is the snapshot's own buffers (no copy), and the restore puts
+	// the staged arenas on it: an inline session keeps them, a mapped plane
+	// rebinds onto its segment, which held the same bytes all along.
 	s.pinIn = m.newStaging(ext.Spec.InBytes, ext.PinIn)
 	s.pinOut = m.newStaging(ext.Spec.OutBytes, ext.PinOut)
 	m.sessions[s.id] = s
@@ -229,10 +229,11 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 // rounds allocations with roundUp — the arenas, and the scratch its
 // builder asks for, run dry against an allocator that only records sizes
 // — and holds every buffer to them: each is absent (a timing-only source)
-// or exactly its allocation. A restore makes an arena buffer device memory
-// as it is, the scratch, in order, as the builder's allocations, so a short
-// one would fault the first kernel that runs off its end; staging becomes
-// the session's staging as it is.
+// or fills its allocation, from the bytes asked for (an arena that lived on
+// its staging) up to the rounded size. A restore makes an arena buffer
+// device memory as it is, the scratch, in order, as the builder's
+// allocations, so a short one would fault the first kernel that runs off
+// its end; staging becomes the session's staging as it is.
 func (e *ExtractedSession) size(roundUp func(int64) int64) error {
 	var asked sizeRecorder
 	if e.Spec.Build != nil {
@@ -251,9 +252,10 @@ func (e *ExtractedSession) size(roundUp func(int64) int64) error {
 		sn.scrSizes = append(sn.scrSizes, roundUp(asked[i]))
 	}
 	sn.total = 0
+	ask := append([]int64{e.Spec.InBytes, e.Spec.OutBytes, e.Spec.InBytes, e.Spec.OutBytes}, asked...)
 	want := append([]int64{e.Spec.InBytes, e.Spec.OutBytes, sn.inSize, sn.outSize}, sn.scrSizes...)
 	for i, b := range e.buffers() {
-		if b != nil && int64(len(b)) != want[i] {
+		if n := int64(len(b)); b != nil && (n < ask[i] || n > want[i]) {
 			return fmt.Errorf("buffer %d (staged in, staged out, arena in, arena out, scratch...) is %d bytes, the task allocates %d",
 				i, len(b), want[i])
 		}

@@ -675,16 +675,18 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 
 // build gives a session its device buffers through alloc, builds its kernel
 // sequence against their addresses and prepares its flush ops: once per
-// session, since an eviction keeps the addresses.
-func (m *Manager) build(s *session, alloc task.Allocator) error {
+// session, since an eviction keeps the addresses. The output buffer, and
+// the input buffer unless a kernel writes it, take no memory of their own:
+// they live on the session's staging (BindDirect).
+func (m *Manager) build(s *session, alloc *sessionAllocator) error {
 	var err error
 	if s.spec.InBytes > 0 {
-		if s.devIn, err = alloc.Malloc(s.spec.InBytes); err != nil {
+		if s.devIn, err = alloc.malloc(s.spec.InBytes, !s.spec.WritesIn); err != nil {
 			return err
 		}
 	}
 	if s.spec.OutBytes > 0 {
-		if s.devOut, err = alloc.Malloc(s.spec.OutBytes); err != nil {
+		if s.devOut, err = alloc.malloc(s.spec.OutBytes, true); err != nil {
 			return err
 		}
 	}
@@ -881,15 +883,10 @@ func (m *Manager) prepareOps(s *session) {
 			}
 			s.launches.Inc()
 			// A hang or fatal fault fails the launch, or aborts the kernel
-			// in flight; either way Launch returns its *FaultError.
+			// in flight, with its *FaultError; a kernel body that panicked
+			// on what the client staged fails it with an error of its own.
 			if err := ctx.Launch(p, k, s.weight); err != nil {
-				if _, ok := gpusim.IsFault(err); ok {
-					s.failed = err
-					return
-				}
-				// Non-fault launch errors are manager bugs: the kernel was
-				// validated at REQ and resources are stream-serialized.
-				panic(fmt.Sprintf("gvm: session %d: %v", s.id, err))
+				s.failed = err
 			}
 		})
 	}
@@ -903,12 +900,18 @@ func (m *Manager) prepareOps(s *session) {
 			turn := int64(m.env.Now() - s.strArrived)
 			m.met.turnaroundNS.Observe(turn)
 			s.turnClassNS.Observe(turn)
-		} else {
+		} else if _, fault := gpusim.IsFault(s.failed); fault {
 			// The cycle died on a device fault: answer pending polls with a
 			// retryable error so the client backs off while the failover
 			// engine migrates the session (the rerun happens there).
 			s.st.phase = failed
 			st, errMsg = ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed)
+		} else {
+			// A kernel failed on its own: the cycle is abandoned with an
+			// error no retry mends, and the session and its shard serve on.
+			s.st.phase = idle
+			st, errMsg = ERR, fmt.Sprintf("gvm: session %d: %v", s.id, s.failed)
+			s.failed = nil
 		}
 		if s.stpWaiting {
 			s.stpWaiting = false
@@ -968,6 +971,9 @@ func (m *Manager) teardown(s *session) {
 	}
 	s.notify = nil
 	m.freeSessionBuffers(s)
+	// An evicted arena's staged halves are the caller's staging, which the
+	// front-end may unmap once the session is gone.
+	s.snap.in, s.snap.out = nil, nil
 	if s.stream != nil {
 		s.stream.Close()
 		s.stream = nil
@@ -985,8 +991,8 @@ func (m *Manager) teardown(s *session) {
 }
 
 // Staging exposes a session's pinned staging buffers: in receives SND
-// payloads before the H2D flush, out holds RCV results after the D2H
-// flush. Slices are nil for unknown sessions, timing-only devices,
+// payloads before the flush, out holds RCV results once it completed.
+// Slices are nil for unknown sessions, timing-only devices,
 // zero-sized directions, and sessions nothing has been bound to yet. The
 // caller owns synchronization: it must not
 // touch in/out while the session's stream is flushing (between STR and a

@@ -138,9 +138,16 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session) error {
 		}
 		return m.ctx.SwapIn(p, ptr, data)
 	}
-	err := place(s.devIn, snap.in)
-	if err == nil {
-		err = place(s.devOut, snap.out)
+	// The staged buffers go back on the session's staging, which is what
+	// they were; the snapshot's hold on them only ever travels in a
+	// migration blob.
+	in := snap.in
+	if !s.spec.WritesIn && s.pinIn != nil {
+		in = s.pinIn.Data()
+	}
+	err := place(s.devIn, in)
+	if err == nil && s.pinOut != nil {
+		err = place(s.devOut, s.pinOut.Data())
 	}
 	for i := 0; err == nil && i < len(s.scratch); i++ {
 		err = place(s.scratch[i], snap.scratch[i])
@@ -333,15 +340,22 @@ type sessionAllocator struct {
 	offCard bool
 }
 
-func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) {
+func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) { return a.malloc(n, false) }
+
+// malloc allocates n bytes for the session; a staged allocation's memory is
+// the session's staging (BindDirect), not the device's.
+func (a *sessionAllocator) malloc(n int64, staged bool) (cuda.DevPtr, error) {
 	rounded := a.m.dev.RoundUp(n)
 	if a.s.memQuota > 0 && a.s.devBytes+rounded > a.s.memQuota {
 		return 0, fmt.Errorf("gvm: session %d memory quota exceeded: %d bytes held + %d requested > quota %d",
 			a.s.id, a.s.devBytes, rounded, a.s.memQuota)
 	}
 	malloc := a.m.ctx.Malloc
-	if a.offCard {
+	switch {
+	case a.offCard:
 		malloc = a.m.ctx.Address
+	case staged:
+		malloc = a.m.ctx.MallocUnbacked
 	}
 	ptr, err := malloc(n)
 	if err != nil {

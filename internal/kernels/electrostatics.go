@@ -27,7 +27,8 @@ type ESParams struct {
 // NewElectrostatics builds the direct Coulomb summation kernel.
 // atoms points to natoms packed float32 quads (x, y, z, q); out points to
 // GridX*GridY float32 potentials. nit slices are evaluated, each shifting
-// the plane by one spacing in z (results accumulate into out).
+// the plane by one spacing in z (results accumulate into out, which each
+// launch zeroes first).
 //
 // Cost model: 9 lane-cycles per atom per lattice point (3 subs, 3 mults,
 // 2 adds, rsqrt) as in Stone et al.'s analysis.
@@ -57,6 +58,13 @@ func esBlock(bc *cuda.BlockCtx) {
 	out := cuda.Float32s(bc.Mem, bc.Ptr(1), points)
 	stride := bc.GridDim.Count() * bc.BlockDim.Count()
 	base := bc.GlobalBase()
+	// The block's points start from zero: out is device memory that holds
+	// the previous launch's potentials.
+	for t := 0; t < bc.BlockDim.X; t++ {
+		for i := base + t; i < points; i += stride {
+			out[i] = 0
+		}
+	}
 	for it := 0; it < nit; it++ {
 		z := p.Z + float32(it)*p.Spacing
 		for t := 0; t < bc.BlockDim.X; t++ {

@@ -39,4 +39,11 @@ type Spec struct {
 	InBytes  int64 // bytes staged host->device per cycle
 	OutBytes int64 // bytes staged device->host per cycle
 	Build    KernelBuilder
+	// WritesIn says a kernel of the task writes its input buffer (an
+	// in-place transform). The virtualized path backs a task's device
+	// input with the staging the client writes, so that H2D moves nothing;
+	// a task that writes it gets a private device input instead, which H2D
+	// refills from staging every cycle, or a re-run would start from the
+	// last run's leftovers.
+	WritesIn bool
 }

@@ -91,6 +91,7 @@ func FT(edge, nit, gridBlocks int) Workload {
 			Name:     w.Name,
 			InBytes:  int64(16 * points), // interleaved complex input
 			OutBytes: int64(16 * nit),    // per-iteration checksums
+			WritesIn: true,               // the FFT runs in place
 			Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
 				bufs := kernels.FTBuffers{
 					NX: edge, NY: edge, NZ: edge,

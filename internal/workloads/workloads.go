@@ -410,6 +410,7 @@ func CG(na, nonzer, nit, gridBlocks int) Workload {
 			Name:     w.Name,
 			InBytes:  rowBytes + colBytes + valBytes + xBytes,
 			OutBytes: int64(8*na) + 64, // z + the scalars slab (zeta)
+			WritesIn: true,             // x is normalized in place
 			Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
 				bufs := kernels.CGBuffers{
 					N:          na,

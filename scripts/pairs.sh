@@ -8,8 +8,9 @@
 # first). Per end-to-end metric of BENCHMARK.json it prints both medians,
 # the delta against the metric's bound, the pairs the change won (ties count
 # for neither), the parent's interquartile range and every run made; then
-# the failed operations, and the exact counters and the socket layers'
-# syscall and CPU counters of one traced run per side. A run of a pair that
+# the failed operations, and the exact counters, the socket layers' syscall
+# and CPU counters and the STR span's self time of one traced run per side
+# (n/a where that side's JSON has no such metric). A run of a pair that
 # fails stops the script; a traced run that fails prints as FAILED (exit N)
 # with its last stderr line, and the script goes on. It exits non-zero when
 # a row reads WORSE (a median past its bound) or a traced run failed, after
@@ -19,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,18p' "$0" >&2; exit 2; }
+usage() { sed -n '2,19p' "$0" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 rev=$1; shift
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
@@ -70,8 +71,8 @@ stats() {
 counters='gpusim.virtual_ms_per_cycle ipc.round_trips_per_cycle transport.frame_bytes_per_cycle
 gvm.restores_per_cycle gvm.evictions_per_cycle gvm.swap_bytes_per_cycle gpusim.launches_per_cycle
 ipc.daemon_mallocs_per_cycle ipc.daemon_alloc_bytes_per_cycle ipc.daemon_gc_per_kcycle
-ipc.daemon_syscalls_per_cycle fed.router_syscalls_per_cycle fed.router_user_us_per_cycle
-cuda.exec_vecadd_ns cuda.exec_vecadd_gbps'
+ipc.daemon_syscalls_per_cycle ipc.daemon_user_us_per_cycle fed.router_syscalls_per_cycle
+fed.router_user_us_per_cycle cuda.exec_vecadd_ns cuda.exec_vecadd_gbps trace.str_self_us'
 
 echo "# Paired benchmark runs: parent $sha vs change (working tree at $(git rev-parse --short HEAD)), bash bench/run.sh --workload W --seed <pair> --seconds $seconds,"
 echo "# $pairs alternating pairs per workload (odd pairs parent first), $(nproc)-CPU container, $(go env GOVERSION). Every run made is listed."
@@ -139,17 +140,20 @@ for w in $workloads; do
 	for c in $counters; do
 		v=()
 		for j in 0 1; do
+			val=$(jq -r ".metrics[\"$c\"].value // empty" <<<"${t_json[$j]}")
 			if [ -n "${t_fail[$j]}" ]; then
 				v+=("${t_fail[$j]}")
+			elif [ -z "$val" ]; then
+				v+=("n/a")
 			else
-				v+=("$(printf '%.6g' "$(jq -r ".metrics[\"$c\"].value" <<<"${t_json[$j]}")")")
+				v+=("$(printf '%.6g' "$val")")
 			fi
 		done
 		traced+=$(printf '%-10s %-36s %s / %s' "$w" "$c" "${v[0]}" "${v[1]}")$'\n'
 	done
 done
 echo
-echo "# Exact counters and the claimed layer, one traced run per side (--trace 1 --seconds 5 --seed 1): parent / change"
+echo "# Exact counters and the traced layers, one traced run per side (--trace 1 --seconds 5 --seed 1): parent / change"
 printf '%s' "$traced"
 [ -z "$tracefailed" ] || echo "pairs.sh: traced runs failed:$tracefailed" >&2
 [ -z "$worse" ] || echo "pairs.sh: WORSE than the parent past the bound:$worse" >&2
