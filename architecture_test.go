@@ -171,19 +171,19 @@ var archRows = []archRow{
 	},
 	{
 		name: "one-way-onto-a-shard",
-		msg:  "a second way onto a shard (a work queue, a goroutine outside the allowed four, Env.Run() outside Server.turn, or a second ipc-request process site):",
+		msg:  "a second way onto a shard (a work queue, a goroutine outside the allowed four, Env.Run() outside Server.turn, or a second Env.Go site for cold work):",
 		why: "One way onto a shard: its owner is whoever holds its lock for a turn (ipc.Server.turn), so non-test " +
 			"internal/ipc declares no work queue, calls Env.Run() in that one function only, and starts no goroutine but " +
 			"the ring daemon's sweep loop (which parks on its doorbell itself), the accept and connection loops and the " +
-			"background evacuation — a per-shard owner goroutine cannot come back; and one process name for cold owner " +
-			"work, started in one place (transport.Dispatcher.onShard), never per frame.",
+			"background evacuation — a per-shard owner goroutine cannot come back; and cold owner work gets a process " +
+			"in one place (Env.Go in transport.Dispatcher.onShard), never per frame.",
 		checks: []archCheck{
 			refs{in: []string{"internal/ipc"}, what: named(`workItem`), max: 0},
 			chans{in: []string{"internal/ipc"}, re: `^\[|^(<-)?chan(<-)? (workItem|func)`},
 			gos{in: []string{"internal/ipc"}, allow: `^s\.(ringOwner|accept|serveConn|disp\.EvacuateShard)$`},
 			refs{in: []string{"internal/ipc"}, what: call("Run", 0), max: 1},
 			refs{in: []string{"internal/ipc"}, within: "Server.turn", what: call("Run", 0), min: 1, max: -1},
-			refs{in: []string{"internal/ipc", "internal/transport"}, what: lit("ipc-request"), max: 1},
+			refs{in: []string{"internal/ipc", "internal/transport"}, what: call("Go", 1), max: 1},
 		},
 		mutations: []archEdit{
 			{file: "internal/ipc/server.go", repl: "\ntype workItem struct{ run func() }\n"},
@@ -194,7 +194,7 @@ var archRows = []archRow{
 			{file: "internal/ipc/server.go", repl: "\nfunc (s *Server) probe(env *sim.Env) error { return env.Run() }\n"},
 			// The turn renamed: the one Run() call is no longer in Server.turn.
 			{file: "internal/ipc/server.go", find: "func (s *Server) turn(", repl: "func (s *Server) turnz("},
-			{file: "internal/transport/ringhost.go", repl: "\nfunc probeCold(e *sim.Env) { e.Go(\"ipc-request\", nil) }\n"},
+			{file: "internal/transport/ringhost.go", repl: "\nfunc probeCold(e *sim.Env) { e.Go(nil) }\n"},
 		},
 	},
 	{

@@ -267,7 +267,6 @@ func BenchmarkAblationBlockingSTP(b *testing.B) {
 	w := workloads.PaperEP()
 	base := spmd.Config{Arch: experiments.Arch(), N: 8, SpecFor: w.Spec, SwitchCost: w.SwitchCost}
 	var polled, blocking float64
-	var polls int
 	for i := 0; i < b.N; i++ {
 		r1, err := spmd.RunVirt(base)
 		if err != nil {
@@ -281,11 +280,9 @@ func BenchmarkAblationBlockingSTP(b *testing.B) {
 		}
 		polled = r1.Turnaround.Seconds() * 1e3
 		blocking = r2.Turnaround.Seconds() * 1e3
-		polls = r1.STPPolls
 	}
 	b.ReportMetric(polled, "polled-ms")
 	b.ReportMetric(blocking, "blocking-ms")
-	b.ReportMetric(float64(polls), "stp-polls")
 }
 
 // --- Simulator micro-benchmarks ---

@@ -93,6 +93,52 @@ var guardEdits = []struct {
 		name:  "string-method",
 		edits: []archEdit{{file: "internal/ipc/client.go", repl: "\nfunc (c *Client) String() string { return \"ipc client\" }\n"}},
 	},
+	{
+		// Close counts, and only a test would read the count.
+		name:  "field-only-tests-read",
+		edits: closesField,
+		fires: []string{"ipc.Client.closes"},
+	},
+	{
+		name:  "field-read-by-dead-code",
+		edits: slices.Concat(closesField, []archEdit{{file: "internal/ipc/client.go", repl: "\nfunc (c *Client) closeCount() int { return c.closes }\n"}}),
+		fires: []string{"ipc.Client.closeCount", "ipc.Client.closes"},
+	},
+	{
+		// An allowlisted accessor keeps the field it reads (sim.Env.switches
+		// in the tree as it is), not a helper it calls.
+		name: "helper-of-an-allowlisted-declaration",
+		edits: []archEdit{{file: "internal/sim/sim.go",
+			find: "func (e *Env) Switches() uint64 { return e.switches }\n",
+			repl: "func (e *Env) Switches() uint64 { return e.switchCount() }\n\nfunc (e *Env) switchCount() uint64 { return e.switches }\n"}},
+		fires: []string{"sim.Env.switchCount", "sim.Env.switches"},
+	},
+	{
+		// Four fields production reads only indirectly, on one tree (the
+		// guard then names whichever it misses): encoding/json reads a
+		// tagged field by reflection; a generic type's field is read through
+		// an instance; sync/atomic reads a field through its address; c.n
+		// reads the embedded probeBase too, which Uses does not record.
+		name: "fields-read-indirectly",
+		edits: []archEdit{
+			{file: "bench/gvmload/main.go", find: "\t\tFailed    int              `json:\"failed\"`\n", repl: "\t\tFailed    int              `json:\"failed\"`\n\t\tProbes    int              `json:\"probes\"`\n"},
+			{file: "bench/gvmload/main.go", find: "{correct, r.attempted, r.failed, make(", repl: "{correct, r.attempted, r.failed, 0, make("},
+			{file: "internal/sim/store.go", find: "\tcap     int\n", repl: "\tcap     int\n\tPuts    int\n"},
+			{file: "internal/sim/store.go", find: "\ts.deliver(v)\n\treturn true\n", repl: "\ts.Puts++\n\ts.deliver(v)\n\treturn true\n"},
+			{file: "internal/gpusim/stream.go", find: "\ts.ops.TryPut(streamOp{})\n", repl: "\tif s.ops.Puts >= 0 {\n\t\ts.ops.TryPut(streamOp{})\n\t}\n"},
+			{file: "internal/metrics/metrics.go", find: "type Registry struct {\n", repl: "type Registry struct {\n\tcounters int64\n"},
+			{file: "internal/metrics/metrics.go", find: "\ts := r.register(name, help, kindCounter, labels, nil)\n", repl: "\tatomic.AddInt64(&r.counters, 1)\n\ts := r.register(name, help, kindCounter, labels, nil)\n"},
+			{file: "internal/ipc/client.go", find: "type Client struct {\n", repl: "type Client struct {\n\tprobeBase\n"},
+			{file: "internal/ipc/client.go", find: "\terr := c.conn.Close()\n", repl: "\terr := c.conn.Close()\n\t_ = c.n\n"},
+			{file: "internal/ipc/client.go", repl: "\ntype probeBase struct{ n int }\n"},
+		},
+	},
+}
+
+// closesField is a field of ipc.Client that Close writes and nothing reads.
+var closesField = []archEdit{
+	{file: "internal/ipc/client.go", find: "\tnoPipeline bool\n", repl: "\tnoPipeline bool\n\tcloses     int\n"},
+	{file: "internal/ipc/client.go", find: "\terr := c.conn.Close()\n", repl: "\tc.closes++\n\terr := c.conn.Close()\n"},
 }
 
 // TestNoTestOnlyCode fails on every top-level func, method or type, and
@@ -102,9 +148,13 @@ var guardEdits = []struct {
 // used too when a live interface that has it reaches it: an interface that
 // non-test code names, writes as a literal or passes a value as, and error,
 // fmt.Stringer and io.Writer, which the standard library reaches through
-// any. Declarations found dead are taken out of the counts and the scan
-// repeats, so a helper only dead code calls is dead too. Each of guardEdits
-// must then be answered as listed.
+// any. It fails too on every struct field declared there that no non-test
+// code reads: an assignment target, ++/-- and a composite-literal key only
+// write it, &x.f and a promoted selector's embedded hops read it, a generic
+// type's instances share their fields, and a struct with json: tags is
+// exempt. Declarations found dead are taken out of the counts and the scan
+// repeats, so a helper or field only dead code uses is dead too. Each of
+// guardEdits must then be answered as listed.
 func TestNoTestOnlyCode(t *testing.T) {
 	tr := repoTree(t)
 	dead, err := testOnlyDecls(tr)
@@ -123,6 +173,10 @@ func TestNoTestOnlyCode(t *testing.T) {
 		}
 		findings++
 		lines += d.lines
+		if _, field := d.obj.(*types.Var); field {
+			t.Errorf("%s: field %s is read by no non-test code (%d lines); delete it, or have production read it", d.pos, d.key, d.lines)
+			continue
+		}
 		t.Errorf("%s: %s is used by no non-test code outside its own declaration (%d lines); delete it or move it into a _test.go file", d.pos, d.key, d.lines)
 	}
 	for key := range testOnlyAllowed {
@@ -368,7 +422,12 @@ func (tt *typedTree) Import(ip string) (*types.Package, error) {
 	for i, sf := range p.files {
 		files[i] = sf.ast
 	}
-	p.info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	p.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: tt, Sizes: types.SizesFor("gc", linuxBuild.GOARCH)}
 	pkg, err := conf.Check(ip, tt.tr.fset, files, p.info)
 	if err != nil {
@@ -513,15 +572,7 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 		}
 	}
 	for _, p := range tt.pkgs {
-		for id, obj := range p.info.Uses {
-			switch obj := obj.(type) {
-			case *types.Func:
-				use(id.Pos(), obj.Origin())
-			case *types.TypeName:
-				use(id.Pos(), obj)
-				useIface(id.Pos(), obj.Type())
-			}
-		}
+		written := map[*ast.Ident]bool{}
 		for _, sf := range p.files {
 			// An interface type's own declaration does not use it.
 			ast.Inspect(sf.ast, func(n ast.Node) bool {
@@ -531,8 +582,38 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 						return false
 					}
 				}
+				inspectWrite(n, written)
 				return inspectUse(p.info, n, useIface)
 			})
+		}
+		for id, obj := range p.info.Uses {
+			switch obj := obj.(type) {
+			case *types.Func:
+				use(id.Pos(), obj.Origin())
+			case *types.TypeName:
+				use(id.Pos(), obj)
+				useIface(id.Pos(), obj.Type())
+			case *types.Var:
+				if obj.IsField() && !written[id] {
+					use(id.Pos(), obj.Origin())
+				}
+			}
+		}
+		// A promoted selector reads the embedded fields on its path, which
+		// Uses does not record.
+		for e, s := range p.info.Selections {
+			t, path := s.Recv(), s.Index()
+			for _, i := range path[:len(path)-1] {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				use(e.Pos(), st.Field(i).Origin())
+				t = st.Field(i).Type()
+			}
 		}
 	}
 	for _, it := range reachedThroughAny() {
@@ -595,19 +676,57 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 				continue
 			}
 			d.dead, changed = true, true
+			_, kept := testOnlyAllowed[d.key]
 			for k, n := range d.uses {
+				if _, field := k.(*types.Var); kept && field {
+					continue // the state an allowlisted accessor exposes stays
+				}
 				counts[k] -= n
 			}
 		}
 	}
 	var out []*decl
-	for _, d := range all {
-		if d.dead {
-			out = append(out, d)
+	for _, ds := range byFile {
+		for _, d := range ds {
+			if d.dead {
+				out = append(out, d)
+			}
+			for _, in := range d.inner {
+				// A dead type's fields are its lines, reported once.
+				if _, field := in.obj.(*types.Var); in.dead && !(d.dead && field) {
+					out = append(out, in)
+				}
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, nil
+}
+
+// inspectWrite records the field names n writes and does not read: an
+// assignment's or ++/--'s target, and a composite literal's keys.
+func inspectWrite(n ast.Node, written map[*ast.Ident]bool) {
+	target := func(e ast.Expr) {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[s.Sel] = true
+		}
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, e := range n.Lhs {
+			target(e)
+		}
+	case *ast.IncDecStmt:
+		target(n.X)
+	case *ast.CompositeLit:
+		for _, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			}
+		}
+	}
 }
 
 // inspectUse records the interfaces n makes a value of: an interface literal,
@@ -697,7 +816,11 @@ func fileDecls(fset *token.FileSet, sf *srcFile, info *types.Info) []*decl {
 			} else if name == "main" || name == "init" {
 				continue
 			}
-			out = append(out, add(key, gd.Name, gd.Doc, gd.Pos(), gd.End()))
+			d := add(key, gd.Name, gd.Doc, gd.Pos(), gd.End())
+			if gd.Body != nil {
+				d.inner = fieldDecls(d.key, gd.Body, add)
+			}
+			out = append(out, d)
 		case *ast.GenDecl:
 			if gd.Tok != token.TYPE {
 				continue
@@ -715,12 +838,69 @@ func fileDecls(fset *token.FileSet, sf *srcFile, info *types.Info) []*decl {
 							d.inner = append(d.inner, add(d.key+"."+m.Names[0].Name, m.Names[0], m.Doc, m.Pos(), m.End()))
 						}
 					}
+				} else {
+					d.inner = fieldDecls(d.key, ts.Type, add)
 				}
 				out = append(out, d)
 			}
 		}
 	}
 	return out
+}
+
+// fieldDecls returns the fields of the struct types n holds, each keyed
+// under key (and a local type's name), unless its struct's fields carry
+// json: tags: encoding/json reads those by reflection. A field's range is
+// its declaration, so that the uses its type makes are its own; names that
+// share a declaration are their names alone.
+func fieldDecls(key string, n ast.Node, add func(string, *ast.Ident, *ast.CommentGroup, token.Pos, token.Pos) *decl) []*decl {
+	var out []*decl
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			out = append(out, fieldDecls(key+"."+n.Name.Name, n.Type, add)...)
+			return false
+		case *ast.StructType:
+			for _, f := range n.Fields.List {
+				if f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`) {
+					return true
+				}
+			}
+			for _, f := range n.Fields.List {
+				names := f.Names
+				if len(names) == 0 {
+					names = []*ast.Ident{embeddedIdent(f.Type)}
+				}
+				for _, id := range names {
+					if id.Name == "_" {
+						continue
+					}
+					if len(names) == 1 {
+						out = append(out, add(key+"."+id.Name, id, f.Doc, f.Pos(), f.End()))
+					} else {
+						out = append(out, add(key+"."+id.Name, id, nil, id.Pos(), id.End()))
+					}
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// embeddedIdent is the name of an embedded field: T of T, *T, p.T and T[A].
+func embeddedIdent(e ast.Expr) *ast.Ident {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return embeddedIdent(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel
+	case *ast.IndexExpr:
+		return embeddedIdent(e.X)
+	case *ast.IndexListExpr:
+		return embeddedIdent(e.X)
+	}
+	return e.(*ast.Ident)
 }
 
 func recvType(e ast.Expr) string {

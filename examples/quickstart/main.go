@@ -57,7 +57,7 @@ func main() {
 
 	for w := 0; w < workers; w++ {
 		w := w
-		env.Go(fmt.Sprintf("worker-%d", w), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			start := p.Now()
 

@@ -26,7 +26,7 @@ func TestAttachRunDetachFunctional(t *testing.T) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070(), Functional: true})
 	const n = 1024
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		pr, err := Attach(p, dev, vecSpec(n), 0)
 		if err != nil {
 			t.Error(err)
@@ -67,7 +67,7 @@ func memOf(b []byte) cuda.Memory { return sliceMem(b) }
 func TestAttachRejectsOOM(t *testing.T) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		spec := &task.Spec{Name: "huge", InBytes: 64 << 30, OutBytes: 8}
 		if _, err := Attach(p, dev, spec, 0); err == nil {
 			t.Error("Attach accepted 64 GiB on a 6 GiB card")
@@ -84,7 +84,7 @@ func TestAttachRejectsOOM(t *testing.T) {
 func TestAttachRejectsBadKernel(t *testing.T) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		spec := &task.Spec{
 			Name: "bad", InBytes: 8, OutBytes: 8,
 			Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
@@ -109,7 +109,7 @@ func TestCyclesSerializeAcrossProcesses(t *testing.T) {
 	const n = 1 << 22
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
-		env.Go("p", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			pr, err := Attach(p, dev, vecSpec(n), 0)
 			if err != nil {
 				t.Error(err)
@@ -140,7 +140,7 @@ func TestRunPhasesSplitsTheCycle(t *testing.T) {
 	env := sim.NewEnv()
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
 	const n = 1 << 22
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		pr, err := Attach(p, dev, vecSpec(n), 0)
 		if err != nil {
 			t.Error(err)
@@ -175,7 +175,7 @@ func TestSwitchCostOverride(t *testing.T) {
 	var ends [2]sim.Time
 	for i := 0; i < 2; i++ {
 		i := i
-		env.Go("p", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			pr, err := Attach(p, dev, &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}, override)
 			if err != nil {
 				t.Error(err)

@@ -187,7 +187,7 @@ func pureGPUTime(w workloads.Workload) (sim.Duration, error) {
 	spec := w.Spec(0)
 	var total sim.Duration
 	var runErr error
-	env.Go("pure", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		ctx := dev.CreateContext(p)
 		ctx.Acquire(p)
 		defer ctx.Release()

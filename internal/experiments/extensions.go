@@ -102,7 +102,7 @@ func clusterJob(w workloads.Workload, parties, local, remote int, ic interconnec
 	errs := make([]error, local+remote)
 	for i := range errs {
 		far := i >= local
-		env.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			var spent sim.Duration
 			hop := func(n int64) {
 				if far {
@@ -207,7 +207,7 @@ func ExtensionMultiGPU() ([]MultiGPURow, error) {
 		errs := make([]error, 8)
 		for i := 0; i < 8; i++ {
 			i := i
-			env.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				// Clients never pay Tinit (the paper's design): wait out
 				// every shard's bring-up before starting the clock.
 				for _, sh := range nd.Shards() {

@@ -145,7 +145,7 @@ func interfRun(p interfParams) (interfTrial, error) {
 	// of a GPU's sessions through its single context: Context.Acquire is a
 	// whole-device mutex, so per-tenant contexts would serialize. QoS
 	// isolation between the tenants comes from per-launch weights.
-	env.Go("main", func(pr *sim.Proc) {
+	env.Go(func(pr *sim.Proc) {
 		c := dev.CreateContext(pr)
 		c.Acquire(pr)
 		// Device and context initialization cost virtual time (the paper's
@@ -161,7 +161,7 @@ func interfRun(p interfParams) (interfTrial, error) {
 			}
 		}
 
-		env.Go("latency", func(pr *sim.Proc) {
+		env.Go(func(pr *sim.Proc) {
 			defer finish()
 			defer func() { stop = true }()
 			a := c.MustMalloc(interfHotN * 4)
@@ -221,7 +221,7 @@ func interfRun(p interfParams) (interfTrial, error) {
 		})
 
 		for t := 0; t < p.batchTenants; t++ {
-			env.Go(fmt.Sprintf("batch%d", t), func(pr *sim.Proc) {
+			env.Go(func(pr *sim.Proc) {
 				defer finish()
 				k := &cuda.Kernel{
 					Name: "batch", Grid: cuda.Dim(interfBatchGrid), Block: cuda.Dim(interfBatchBlock),
@@ -265,7 +265,7 @@ func fairnessRun(ws []int, honorWeights bool, dur sim.Duration) (FairnessRun, er
 	var errs []error
 	// As in interfRun, the tenants share one context: contexts serialize
 	// at the device arbiter, launches within a context schedule by weight.
-	env.Go("main", func(pr *sim.Proc) {
+	env.Go(func(pr *sim.Proc) {
 		c := dev.CreateContext(pr)
 		c.Acquire(pr)
 		// Anchor the race window after device/context init, which costs
@@ -275,7 +275,7 @@ func fairnessRun(ws []int, honorWeights bool, dur sim.Duration) (FairnessRun, er
 		allDone := env.NewEvent()
 		for t, w := range ws {
 			t, w := t, w
-			env.Go(fmt.Sprintf("tenant%d", t), func(pr *sim.Proc) {
+			env.Go(func(pr *sim.Proc) {
 				defer func() {
 					if remaining--; remaining == 0 {
 						allDone.Fire(nil)

@@ -25,14 +25,16 @@ import (
 // startNode runs one in-process gvmd backend on an inproc transport.
 func startNode(t *testing.T, name string, gpus int) *testNode {
 	t.Helper()
+	return startNodeWith(t, ipc.ServerConfig{Listen: []string{"inproc://" + name}, GPUs: gpus})
+}
+
+// startNodeWith runs cfg as a functional in-process backend with a
+// registry and an shm directory of its own.
+func startNodeWith(t *testing.T, cfg ipc.ServerConfig) *testNode {
+	t.Helper()
 	reg := metrics.NewRegistry()
-	s, err := ipc.NewServer(ipc.ServerConfig{
-		Listen:     []string{"inproc://" + name},
-		Functional: true,
-		GPUs:       gpus,
-		ShmDir:     t.TempDir(),
-		Metrics:    reg,
-	})
+	cfg.Functional, cfg.ShmDir, cfg.Metrics = true, t.TempDir(), reg
+	s, err := ipc.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package fed
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/ipc"
+	"gpuvirt/internal/node"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
@@ -67,12 +70,12 @@ func finishCycle(t *testing.T, sess *ipc.Session, want []byte) {
 }
 
 // TestCrossNodeMigrationUnderTheFrameCeiling drains the node under a
-// 30 MiB-footprint vecadd. Its blob — staged in and out, arena in and out,
-// each behind a presence byte and a uvarint length — is ≈ 60 MiB, inside a
-// 64 MiB frame, so the session migrates: fed_migrated_bytes_total rises by
-// exactly the blob, no node is marked dead, and RCV is byte-identical.
+// 60 MiB-footprint vecadd. Its blob — staged in and out, each behind a
+// presence byte and a uvarint length — is ≈ 60 MiB, inside a 64 MiB frame,
+// so the session migrates: fed_migrated_bytes_total rises by exactly the
+// blob, no node is marked dead, and RCV is byte-identical.
 func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
-	const n = 2621440
+	const n = 5 << 20
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	want := directReference(t, "fedceil-ref", ref, 1)
 	a := startNode(t, "fedceil-a", 1)
@@ -105,7 +108,7 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	}
 	sp := w.Spec(0)
 	blob := int64(2) // the state byte and the scratch count
-	for _, size := range []int64{sp.InBytes, sp.OutBytes, sp.InBytes, sp.OutBytes} {
+	for _, size := range []int64{sp.InBytes, sp.OutBytes} {
 		blob += 1 + int64(len(binary.AppendUvarint(nil, uint64(size)))) + size
 	}
 	samples := scrape(t, r.cfg.Metrics)
@@ -119,13 +122,13 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 }
 
 // TestOversizedMIGServesInPlace: a session whose blob no frame can carry —
-// a 36 MiB-footprint vecadd, ≈ 72 MiB of blob — stays where it is. Raw,
+// a 72 MiB-footprint vecadd, ≈ 72 MiB of blob — stays where it is. Raw,
 // MIG answers ERR naming both sizes on a connection that stays up, and the
 // cycle MIG interrupted completes on the source, byte for byte. Through
 // gvmfed, draining the node leaves it draining, not dead, and the session
 // served on it.
 func TestOversizedMIGServesInPlace(t *testing.T) {
-	const n = 3 << 20
+	const n = 6 << 20
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	want := directReference(t, "fedbig-ref", ref, 1)
 	w, err := workloads.FromRef(ref)
@@ -207,4 +210,163 @@ func TestOversizedMIGServesInPlace(t *testing.T) {
 		}
 		finishCycle(t, sess, want[0])
 	})
+}
+
+// TestWritesInSessionMigratesByteIdentically moves an FT session, whose
+// kernels rewrite their input in place (task.Spec.WritesIn), so that its
+// input arena is private device memory that a MIG blob does not carry: the
+// target refills it from the staged input at the next H2D. It moves mid-cycle
+// — a hang on the 38th launch, the 8th of the third cycle's 15, leaves the
+// cycle to rerun — and after a completed cycle, over gvmfed's MIG/ADP and
+// over a node's own evacuation of a shard, and RCV must equal a direct run's
+// bytes every time, as must one more cycle on the target. An in-node move
+// hands the input arena over and counts it in node_migrated_bytes_total.
+func TestWritesInSessionMigratesByteIdentically(t *testing.T) {
+	ref := workloads.Ref{Name: "ft", Params: map[string]int{"edge": 8, "nit": 2, "grid": 4}}
+	w, err := workloads.FromRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := directReference(t, "fedwritesin-ref", ref, 1)[0]
+	in := make([]byte, w.Spec(0).InBytes)
+	w.Fill(0, in)
+	// A fault plan without gpu= arms every device: the source faults in the
+	// third cycle, the target makes 30 launches, the replay and one cycle.
+	hang, err := gpusim.ParseFaultSpec("after=38,kind=hang")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cycle := func(t *testing.T, sess *ipc.Session, when string) {
+		t.Helper()
+		out := make([]byte, len(want))
+		if err := sess.RunCycle(in, out); err != nil || !bytes.Equal(out, want) {
+			t.Fatalf("%s: %v, bytes equal to the direct run's: %v", when, err, bytes.Equal(out, want))
+		}
+	}
+	// open opens ref on addr and runs two verified cycles.
+	open := func(t *testing.T, addr string) *ipc.Session {
+		c, err := ipc.DialOptions(addr, ipc.Options{NoPipeline: true, Plane: transport.PlaneInline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		sess, err := c.Request(ref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle(t, sess, "first cycle")
+		cycle(t, sess, "second cycle")
+		return sess
+	}
+	// stage starts the third cycle, which the source faults under in the
+	// rerun case, and waits for it otherwise.
+	stage := func(t *testing.T, sess *ipc.Session, rerun bool) {
+		if err := sess.SendInput(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if !rerun {
+			if err := sess.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// finish collects the moved session's cycle and runs one more.
+	finish := func(t *testing.T, sess *ipc.Session) {
+		if err := sess.Wait(); err != nil {
+			t.Fatalf("STP: %v", err)
+		}
+		out := make([]byte, len(want))
+		if err := sess.Receive(out); err != nil || !bytes.Equal(out, want) {
+			t.Fatalf("RCV after the move: %v, bytes equal to the direct run's: %v", err, bytes.Equal(out, want))
+		}
+		cycle(t, sess, "a cycle on the target")
+		if err := sess.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// faulted holds a rerun case's source device to the one hang that
+	// interrupted the cycle.
+	faulted := func(t *testing.T, n *testNode, gpu int, rerun bool) {
+		got := scrape(t, n.reg)[fmt.Sprintf(`gpusim_faults_total{gpu="%d",kind="hang"}`, gpu)]
+		if want := map[bool]int64{true: 1, false: 0}[rerun]; got != want {
+			t.Errorf("the source gpu faulted %d times, want %d", got, want)
+		}
+	}
+	await := func(t *testing.T, what string, moved func() bool) {
+		for deadline := 1000; !moved(); deadline-- {
+			if deadline == 0 {
+				t.Fatalf("the session never moved %s", what)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	for _, rerun := range []bool{true, false} {
+		name := map[bool]string{true: "rerun", false: "done"}[rerun]
+		t.Run("gvmfed/"+name, func(t *testing.T) {
+			cfg := func(n string) ipc.ServerConfig {
+				c := ipc.ServerConfig{Listen: []string{"inproc://fedwritesin-" + name + n}, GPUs: 1}
+				if rerun {
+					c.FaultPlan = hang
+				}
+				return c
+			}
+			a, b := startNodeWith(t, cfg("a")), startNodeWith(t, cfg("b"))
+			r := startRouter(t, "fedwritesin-"+name, 20*time.Millisecond, a, b)
+			sess := open(t, r.Addr())
+			src, dst := a, b
+			if nodeOpenSessions(t, b) == 1 {
+				src, dst = b, a
+			}
+			stage(t, sess, rerun)
+			if !rerun {
+				src.DrainAll()
+			}
+			// Only a MIG counts blob bytes: a re-created session would lose
+			// the staged input and never answer this STP.
+			await(t, "across nodes", func() bool {
+				return nodeOpenSessions(t, dst) == 1 && nodeOpenSessions(t, src) == 0 &&
+					scrape(t, r.cfg.Metrics)["fed_migrated_bytes_total"] != 0
+			})
+			finish(t, sess)
+			faulted(t, src, 0, rerun)
+			if dead := scrape(t, r.cfg.Metrics)[`fed_nodes{state="dead"}`]; dead != 0 {
+				t.Errorf(`fed_nodes{state="dead"} = %d, want 0`, dead)
+			}
+		})
+		t.Run("in-node/"+name, func(t *testing.T) {
+			c := ipc.ServerConfig{Listen: []string{"inproc://nodewritesin-" + name}, GPUs: 2}
+			if rerun {
+				c.FaultPlan = hang
+			}
+			n := startNodeWith(t, c)
+			sess := open(t, n.Addr())
+			sessions := func(gpu int) int64 {
+				return scrape(t, n.reg)[fmt.Sprintf(`gvm_open_sessions{gpu="%d"}`, gpu)]
+			}
+			src := 0
+			if sessions(1) == 1 {
+				src = 1
+			}
+			stage(t, sess, rerun)
+			if !rerun {
+				n.Node().SetHealth(src, node.Draining)
+			}
+			await(t, "across shards", func() bool {
+				return sessions(src) == 0 && sessions(1-src) == 1 && scrape(t, n.reg)["node_migrated_bytes_total"] != 0
+			})
+			// An in-node move hands over the private input arena beside the
+			// staged input and output, and counts it.
+			spec := w.Spec(0)
+			if got, least := scrape(t, n.reg)["node_migrated_bytes_total"], 2*spec.InBytes+spec.OutBytes; got < least {
+				t.Errorf("node_migrated_bytes_total = %d, want at least %d: the input arena, staged in and staged out", got, least)
+			}
+			finish(t, sess)
+			faulted(t, n, src, rerun)
+		})
+	}
 }

@@ -127,16 +127,32 @@ func TestOccupancyReferenceCases(t *testing.T) {
 		if occ.WarpsPerBlock != c.wantWarps {
 			t.Errorf("%s: WarpsPerBlock = %d, want %d", c.name, occ.WarpsPerBlock, c.wantWarps)
 		}
-		if math.Abs(occ.Fraction-c.wantFrac) > 1e-9 {
-			t.Errorf("%s: Fraction = %v, want %v", c.name, occ.Fraction, c.wantFrac)
+		if frac := occupancyFraction(a, occ); math.Abs(frac-c.wantFrac) > 1e-9 {
+			t.Errorf("%s: fraction = %v, want %v", c.name, frac, c.wantFrac)
 		}
-		if occ.LimitedBy != c.wantLimit {
-			t.Errorf("%s: LimitedBy = %s, want %s", c.name, occ.LimitedBy, c.wantLimit)
-		}
-		if occ.ResidentBlocks != occ.BlocksPerSM*a.SMs {
-			t.Errorf("%s: ResidentBlocks = %d, want %d", c.name, occ.ResidentBlocks, occ.BlocksPerSM*a.SMs)
+		if got := blocksAllowedBy(a, c.r, occ.WarpsPerBlock, c.wantLimit); got != occ.BlocksPerSM {
+			t.Errorf("%s: %s allow %d blocks, but %d are resident: %s is not the binding limit", c.name, c.wantLimit, got, occ.BlocksPerSM, c.wantLimit)
 		}
 	}
+}
+
+// occupancyFraction is the share of the SM's warp slots occ fills.
+func occupancyFraction(a Arch, occ Occupancy) float64 {
+	return float64(occ.BlocksPerSM*occ.WarpsPerBlock) / float64(a.MaxWarpsPerSM)
+}
+
+// blocksAllowedBy is how many blocks of r one SM's limit alone admits:
+// "blocks", "warps", "registers" or "sharedmem".
+func blocksAllowedBy(a Arch, r BlockResources, warps int, limit string) int {
+	switch limit {
+	case "warps":
+		return a.MaxWarpsPerSM / warps
+	case "registers":
+		return a.RegsPerSM / (roundUp(r.RegsPerThread*a.WarpSize, a.RegAllocUnit) * warps)
+	case "sharedmem":
+		return a.SharedMemPerSM / roundUp(r.SharedMemPerBlock, a.SharedAllocUnit)
+	}
+	return a.MaxBlocksPerSM
 }
 
 func TestOccupancyErrors(t *testing.T) {
@@ -188,7 +204,7 @@ func TestQuickOccupancyRespectsLimits(t *testing.T) {
 				return false
 			}
 		}
-		if occ.Fraction <= 0 || occ.Fraction > 1 {
+		if f := occupancyFraction(a, occ); f <= 0 || f > 1 {
 			return false
 		}
 		return true

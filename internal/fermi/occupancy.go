@@ -13,12 +13,8 @@ type BlockResources struct {
 // Occupancy is the result of the occupancy calculation for one kernel on
 // one architecture.
 type Occupancy struct {
-	BlocksPerSM    int     // active thread blocks per SM
-	WarpsPerBlock  int     // allocation-granular warps per block
-	ActiveWarps    int     // warps resident per SM
-	Fraction       float64 // ActiveWarps / MaxWarpsPerSM
-	LimitedBy      string  // "blocks", "warps", "registers" or "sharedmem"
-	ResidentBlocks int     // BlocksPerSM x SMs: device-wide capacity
+	BlocksPerSM   int // active thread blocks per SM
+	WarpsPerBlock int // allocation-granular warps per block
 }
 
 func roundUp(v, unit int) int {
@@ -84,17 +80,5 @@ func (a Arch) Occupancy(r BlockResources) (Occupancy, error) {
 	if blocks < 1 {
 		return Occupancy{}, fmt.Errorf("fermi: kernel cannot fit a single block on an SM (limited by %s)", limit)
 	}
-
-	active := blocks * warps
-	if active > a.MaxWarpsPerSM {
-		active = a.MaxWarpsPerSM
-	}
-	return Occupancy{
-		BlocksPerSM:    blocks,
-		WarpsPerBlock:  warps,
-		ActiveWarps:    active,
-		Fraction:       float64(active) / float64(a.MaxWarpsPerSM),
-		LimitedBy:      limit,
-		ResidentBlocks: blocks * a.SMs,
-	}, nil
+	return Occupancy{BlocksPerSM: blocks, WarpsPerBlock: warps}, nil
 }

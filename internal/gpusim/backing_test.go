@@ -22,7 +22,7 @@ func TestBackingRule(t *testing.T) {
 	for _, size := range []int64{64 << 10, huge - 256, huge, 2 * huge, 2*huge + 256<<10} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
 			env, dev := newTestDevice(t, true)
-			env.Go("backing", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				ctx := dev.CreateContext(p)
 				ptr, err := ctx.Malloc(size)
 				if err != nil {

@@ -18,7 +18,7 @@ import (
 // without gpusim keeping it.
 func TestCallerMemoryBacksAllocation(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("caller", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		ptr, err := c.MallocUnbacked(1000)
 		if err != nil {
@@ -62,8 +62,8 @@ func TestCallerMemoryBacksAllocation(t *testing.T) {
 		if d := p.Now() - start; d != apart+sim.Time(dev.Arch().TransferTime(1000, false, true)) {
 			t.Errorf("same-memory H2D+D2H took %v, want one H2D (%v) and one D2H", d, apart)
 		}
-		if string(staging[:6]) != "staged" || dev.BytesH2D != 2000 || dev.BytesD2H != 1000 {
-			t.Errorf("same-memory transfers: staging %q, %d B H2D, %d B D2H", staging[:6], dev.BytesH2D, dev.BytesD2H)
+		if string(staging[:6]) != "staged" {
+			t.Errorf("same-memory transfers: staging %q", staging[:6])
 		}
 
 		data, size, err := c.SwapOut(p, ptr)
@@ -91,7 +91,7 @@ func TestCallerMemoryBacksAllocation(t *testing.T) {
 // *FaultError, and leaves the device healthy for the next launch.
 func TestKernelPanicFailsItsLaunch(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("launch", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		buf := c.MustMalloc(256)
 		wild := &cuda.Kernel{Name: "wild", Grid: cuda.Dim(4), Block: cuda.Dim(32), CyclesPerThread: 1,

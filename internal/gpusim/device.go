@@ -82,10 +82,9 @@ type Device struct {
 	d2hEngine *sim.Resource
 	exclusive *sim.Resource // serializes copies and kernels when the arch lacks overlap
 
-	driver       *sim.Resource // serializes device init and context creation
-	initialized  bool
-	nextCtxID    int
-	nextStreamID int
+	driver      *sim.Resource // serializes device init and context creation
+	initialized bool
+	nextCtxID   int
 
 	arbOwner     *Context // context currently owning the device
 	arbHolder    bool
@@ -104,8 +103,6 @@ type Device struct {
 
 	// Counters for tests and reporting.
 	ContextSwitches int
-	BytesH2D        int64
-	BytesD2H        int64
 	KernelsRun      int
 	// preemptions counts wave-boundary preemptions (kernels demoted from
 	// the concurrent-kernel window so a higher-weight kernel could run).
@@ -544,7 +541,6 @@ func (c *Context) memcpyH2D(p *sim.Proc, dst cuda.DevPtr, src *HostBuffer, off, 
 	if d.functional && src.data != nil {
 		move(d.Bytes(dst, n), src.data[off:off+n])
 	}
-	d.BytesH2D += n
 	d.h2dEngine.Release(1)
 	if d.tracer != nil {
 		d.emit("h2d", fmt.Sprintf("ctx%d H2D %dB", c.id, n), start, p.Now())
@@ -568,7 +564,6 @@ func (c *Context) memcpyD2H(p *sim.Proc, dst *HostBuffer, off int64, src cuda.De
 	if d.functional && dst.data != nil {
 		move(dst.data[off:off+n], d.Bytes(src, n))
 	}
-	d.BytesD2H += n
 	d.d2hEngine.Release(1)
 	if d.tracer != nil {
 		d.emit("d2h", fmt.Sprintf("ctx%d D2H %dB", c.id, n), start, p.Now())

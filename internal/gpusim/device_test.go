@@ -44,7 +44,7 @@ func TestContextCreationCosts(t *testing.T) {
 	arch := dev.Arch()
 	var finished []sim.Time
 	for i := 0; i < 8; i++ {
-		env.Go("init", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			dev.CreateContext(p)
 			finished = append(finished, p.Now())
 		})
@@ -65,7 +65,7 @@ func TestContextCreationCosts(t *testing.T) {
 func TestContextSwitchCostsAndCounting(t *testing.T) {
 	env, dev := newTestDevice(t, false)
 	var c1, c2 *Context
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c1 = dev.CreateContext(p)
 		c2 = dev.CreateContext(p)
 
@@ -98,7 +98,7 @@ func TestContextSwitchCostsAndCounting(t *testing.T) {
 
 func TestContextSwitchOverride(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c1 := dev.CreateContext(p)
 		c2 := dev.CreateContext(p)
 		c2.SwitchCost = 220 * sim.Millisecond
@@ -120,13 +120,13 @@ func TestContextArbiterFIFOSerializesCycles(t *testing.T) {
 	env, dev := newTestDevice(t, false)
 	var done []sim.Time
 	var ctxs []*Context
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			ctxs = append(ctxs, dev.CreateContext(p))
 		}
 		for i := 0; i < 3; i++ {
 			c := ctxs[i]
-			env.Go("user", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				c.Acquire(p)
 				p.Sleep(10 * sim.Millisecond)
 				c.Release()
@@ -157,7 +157,7 @@ func TestContextArbiterFIFOSerializesCycles(t *testing.T) {
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("bad", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		defer func() {
 			if recover() == nil {
@@ -171,7 +171,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 
 func TestDestroyedContextPanics(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("bad", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Destroy()
 		defer func() {
@@ -188,7 +188,7 @@ func TestMemcpyTiming(t *testing.T) {
 	env, dev := newTestDevice(t, false)
 	arch := dev.Arch()
 	var n int64 = 10 << 20
-	env.Go("xfer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		dst := c.MustMalloc(n)
 		host := dev.AllocHost(n, false)
@@ -210,9 +210,6 @@ func TestMemcpyTiming(t *testing.T) {
 		}
 	})
 	run(t, env)
-	if dev.BytesH2D != 2*n || dev.BytesD2H != n {
-		t.Fatalf("byte counters: H2D=%d D2H=%d", dev.BytesH2D, dev.BytesD2H)
-	}
 }
 
 func TestSameDirectionTransfersSerialize(t *testing.T) {
@@ -221,14 +218,14 @@ func TestSameDirectionTransfersSerialize(t *testing.T) {
 	var n int64 = 8 << 20
 	one := arch.TransferTime(n, true, false)
 	var finish []sim.Time
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		dst1, dst2 := c.MustMalloc(n), c.MustMalloc(n)
 		h := dev.AllocHost(n, false)
 		t0 := p.Now()
 		for _, dst := range []cuda.DevPtr{dst1, dst2} {
 			dst := dst
-			env.Go("x", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				c.MemcpyH2D(p, dst, h, n)
 				finish = append(finish, p.Now().Add(-sim.Duration(t0)))
 			})
@@ -245,15 +242,15 @@ func TestOppositeDirectionsOverlapWithTwoEngines(t *testing.T) {
 	arch := dev.Arch()
 	var n int64 = 8 << 20
 	var finish []sim.Time
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		d := c.MustMalloc(n)
 		h := dev.AllocHost(n, false)
-		env.Go("in", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c.MemcpyH2D(p, d, h, n)
 			finish = append(finish, p.Now())
 		})
-		env.Go("out", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c.MemcpyD2H(p, h, d, n)
 			finish = append(finish, p.Now())
 		})
@@ -278,16 +275,16 @@ func TestSingleCopyEngineSerializesDirections(t *testing.T) {
 	dev := MustNew(env, Config{Arch: arch})
 	var n int64 = 8 << 20
 	var finishes []sim.Time
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		d := c.MustMalloc(n)
 		h := dev.AllocHost(n, false)
 		t0 := p.Now()
-		env.Go("in", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c.MemcpyH2D(p, d, h, n)
 			finishes = append(finishes, p.Now().Add(-sim.Duration(t0)))
 		})
-		env.Go("out", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c.MemcpyD2H(p, h, d, n)
 			finishes = append(finishes, p.Now().Add(-sim.Duration(t0)))
 		})
@@ -305,7 +302,7 @@ func TestSingleCopyEngineSerializesDirections(t *testing.T) {
 
 func TestFunctionalMemcpyMovesBytes(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("io", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		d := c.MustMalloc(16)
 		src := dev.AllocHost(16, false)
@@ -326,7 +323,7 @@ func TestFunctionalMemcpyMovesBytes(t *testing.T) {
 
 func TestTimingOnlyModeHasNoBacking(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("io", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		d := c.MustMalloc(16)
 		if dev.Bytes(d, 16) != nil {
@@ -348,7 +345,7 @@ func TestTimingOnlyModeHasNoBacking(t *testing.T) {
 
 func TestDeviceBytesOutOfRangePanics(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("oob", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")
@@ -369,7 +366,7 @@ func TestHostBufferWrap(t *testing.T) {
 
 func TestContextFreeAndSizeOf(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		ptr := c.MustMalloc(1000)
 		size, ok := c.SizeOf(ptr)
@@ -410,7 +407,7 @@ func TestContextFreeAndSizeOf(t *testing.T) {
 
 func TestFreeUnknownPointerErrors(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		if err := c.Free(cuda.DevPtr(512)); err == nil {
 			t.Error("Free of unknown pointer succeeded")
@@ -440,13 +437,13 @@ func panics(fn func()) (did bool) {
 // allocates the freed placement meanwhile gets another address, reads
 // zeros and cannot reach them (MASK's isolation rule) while the evicted
 // address faults, a swap-in of that address elsewhere on the card returns
-// them untouched, and the clock and byte counters read exactly what
+// them untouched, and the clock reads exactly what
 // MemcpyD2H+Free and Malloc+MemcpyH2D of the same size charge.
 func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 	const n = 1000 // rounds up to 1024
 	env, dev := newTestDevice(t, true)
 	var outCost, inCost sim.Duration
-	env.Go("swap", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		tenant := dev.CreateContext(p)
 		other := dev.CreateContext(p)
 		ptr := tenant.MustMalloc(n)
@@ -523,15 +520,12 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 				return
 			}
 		}
-		if dev.BytesD2H != size || dev.BytesH2D != size {
-			t.Errorf("BytesD2H/H2D = %d/%d, want %d/%d", dev.BytesD2H, dev.BytesH2D, size, size)
-		}
 	})
 	run(t, env)
 
 	// The same sizes through the copying calls on an identical device.
 	env, dev = newTestDevice(t, true)
-	env.Go("copy", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		ctx := dev.CreateContext(p)
 		ptr := ctx.MustMalloc(n)
 		size, _ := ctx.SizeOf(ptr)
@@ -562,7 +556,7 @@ func TestSwapTransfersOwnershipAndIsolates(t *testing.T) {
 func TestSwapMisuseErrors(t *testing.T) {
 	for _, functional := range []bool{true, false} {
 		env, dev := newTestDevice(t, functional)
-		env.Go("misuse", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			ctx := dev.CreateContext(p)
 			if _, _, err := ctx.SwapOut(p, 0x4000); err == nil {
 				t.Error("SwapOut of a wild pointer succeeded")
@@ -587,7 +581,7 @@ func TestSwapMisuseErrors(t *testing.T) {
 			if _, _, err := ctx.SwapOut(p, ptr); err == nil {
 				t.Error("second SwapOut of one pointer succeeded")
 			}
-			before := dev.BytesH2D
+			before := p.Now()
 			if err := ctx.SwapIn(p, ptr, make([]byte, 100)); err == nil {
 				t.Error("SwapIn attached 100 bytes as a 512-byte allocation")
 			}
@@ -597,8 +591,8 @@ func TestSwapMisuseErrors(t *testing.T) {
 			if err := ctx.SwapIn(p, freed, nil); err == nil {
 				t.Error("SwapIn of a freed pointer succeeded")
 			}
-			if dev.MemInUse() != 0 || dev.BytesH2D != before {
-				t.Errorf("rejected SwapIn left %d bytes in use, charged %d", dev.MemInUse(), dev.BytesH2D-before)
+			if dev.MemInUse() != 0 || p.Now() != before {
+				t.Errorf("rejected SwapIn left %d bytes in use, charged %v", dev.MemInUse(), p.Now().Sub(before))
 			}
 			// A timing-only snapshot (nil data) restores as zeroed memory.
 			if err := ctx.SwapIn(p, ptr, nil); err != nil {
@@ -623,7 +617,7 @@ func TestSwapMisuseErrors(t *testing.T) {
 // no address is ever handed out twice.
 func TestAddressOffTheCard(t *testing.T) {
 	env, dev := newTestDevice(t, true)
-	env.Go("off", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		ctx := dev.CreateContext(p)
 		a, err := ctx.Address(1000)
 		if err != nil {
@@ -641,13 +635,13 @@ func TestAddressOffTheCard(t *testing.T) {
 			return
 		}
 		dev.Bytes(a, 1024)[0] = 7
-		start, d2h := p.Now(), dev.BytesD2H
+		start := p.Now()
 		if data, err := ctx.Unplace(a); err != nil || len(data) != 1024 || data[0] != 7 {
 			t.Errorf("Unplace = %d bytes (first %v), %v; want the placed backing", len(data), data[:min(len(data), 1)], err)
 		}
-		if dev.MemInUse() != 0 || p.Now() != start || dev.BytesD2H != d2h {
-			t.Errorf("Unplace left %d bytes in use, took %v, moved %d bytes; want 0, 0, 0",
-				dev.MemInUse(), p.Now().Sub(start), dev.BytesD2H-d2h)
+		if dev.MemInUse() != 0 || p.Now() != start {
+			t.Errorf("Unplace left %d bytes in use, took %v; want 0, 0",
+				dev.MemInUse(), p.Now().Sub(start))
 		}
 		if !panics(func() { dev.Bytes(a, 1) }) {
 			t.Error("Bytes on an unplaced address did not fault")
@@ -681,11 +675,11 @@ func TestAddressOffTheCard(t *testing.T) {
 func TestSwapOutRace(t *testing.T) {
 	env, dev := newTestDevice(t, true)
 	won := 0
-	env.Go("setup", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		ctx := dev.CreateContext(p)
 		ptr := ctx.MustMalloc(4096)
 		for i := 0; i < 2; i++ {
-			env.Go("swapper", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				if data, _, err := ctx.SwapOut(p, ptr); err == nil && len(data) == 4096 {
 					won++
 				} else if err == nil {
@@ -702,7 +696,7 @@ func TestSwapOutRace(t *testing.T) {
 
 func TestSchedulerUtilization(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("p", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		if utilization(dev.sched) != 0 {
 			t.Error("idle utilization != 0")
 		}

@@ -76,7 +76,7 @@ func TestInjectFaultEscalatesOnly(t *testing.T) {
 // device-to-host.
 func TestMemoryFaultFailsMallocsNotCopies(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -108,7 +108,7 @@ func TestMemoryFaultFailsMallocsNotCopies(t *testing.T) {
 // payload, and later launches fail synchronously.
 func TestHangFaultAbortsInFlightKernels(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -118,7 +118,7 @@ func TestHangFaultAbortsInFlightKernels(t *testing.T) {
 			t.Errorf("launch: %v", err)
 			return
 		}
-		env.Go("fault", func(q *sim.Proc) {
+		env.Go(func(q *sim.Proc) {
 			q.Sleep(sim.Millisecond) // well inside the kernel's runtime
 			dev.InjectFault(XidHang)
 		})
@@ -148,7 +148,7 @@ func TestFaultInjectorAfterN(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetFaultInjector(plan.ForGPU(0))
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -178,7 +178,7 @@ func TestFaultInjectorRateSeeded(t *testing.T) {
 	}
 	env, dev := newTestDevice(t, false)
 	dev.SetFaultInjector(plan.ForGPU(0))
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()

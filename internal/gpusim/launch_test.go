@@ -26,11 +26,11 @@ func startLaunch(c *Context, p *sim.Proc, k *cuda.Kernel, w int) (*sim.Event, er
 // what Launch returns, not a silent success.
 func TestLaunchReturnsAbortFault(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
-		env.Go("fault", func(q *sim.Proc) {
+		env.Go(func(q *sim.Proc) {
 			q.Sleep(sim.Millisecond) // well inside the kernel's runtime
 			dev.InjectFault(XidHang)
 		})
@@ -83,13 +83,13 @@ func TestRecycledLaunchRecordCarriesNothingOver(t *testing.T) {
 			faults++
 		}
 	}
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		for i := 0; i < light; i++ {
 			i := i
 			procs++
-			env.Go(fmt.Sprintf("light%d", i), func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				for r := 0; r < rounds; r++ {
 					k := batchKernel(fmt.Sprintf("light%d.%d", i, r), 168, float64(5e3*(i+1)+1e3*r))
 					if err := launch(p, c, k, 1); err != nil {
@@ -100,7 +100,7 @@ func TestRecycledLaunchRecordCarriesNothingOver(t *testing.T) {
 			})
 		}
 		procs++
-		env.Go("heavy", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
 				p.Sleep(200 * sim.Microsecond)
 				if err := launch(p, c, batchKernel(fmt.Sprintf("heavy.%d", r), 84, 3e4), 4); err != nil {
@@ -110,7 +110,7 @@ func TestRecycledLaunchRecordCarriesNothingOver(t *testing.T) {
 			abortable(p, c, "heavy.abort")
 		})
 		procs++
-		env.Go("floored", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
 				// One block of trivial work moving 288 MB: done by its
 				// memory floor (2 ms at 144 GB/s), not by its blocks.
@@ -183,11 +183,11 @@ func TestHangAbortsAKernelOnItsMemoryFloor(t *testing.T) {
 		return &cuda.Kernel{Name: name, Grid: cuda.Dim(1), Block: cuda.Dim(32), CyclesPerThread: 1,
 			MemBytesPerThread: 9e6, Func: func(*cuda.BlockCtx) { ran[name]++ }}
 	}
-	env.Go("t", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
-		env.Go("fault", func(q *sim.Proc) {
+		env.Go(func(q *sim.Proc) {
 			q.Sleep(floor / 2) // the block is long done, the floor is not
 			dev.InjectFault(XidHang)
 			// The device comes back, and a second floored kernel runs while

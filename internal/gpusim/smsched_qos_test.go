@@ -19,7 +19,7 @@ func launchQoS(t *testing.T, cfg Config, ws []int, ks ...*cuda.Kernel) (makespan
 	env := sim.NewEnv()
 	dev = MustNew(env, cfg)
 	each = make([]sim.Duration, len(ks))
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -32,7 +32,7 @@ func launchQoS(t *testing.T, cfg Config, ws []int, ks ...*cuda.Kernel) (makespan
 				t.Errorf("launch %s: %v", k.Name, err)
 				return
 			}
-			env.Go(k.Name, func(q *sim.Proc) {
+			env.Go(func(q *sim.Proc) {
 				q.Wait(ev)
 				each[i] = q.Now().Sub(start)
 			})
@@ -168,7 +168,7 @@ func TestWeightsPreserveFunctionalResults(t *testing.T) {
 		env := sim.NewEnv()
 		dev := MustNew(env, cfg)
 		out := make([]byte, 0, 3*n*4)
-		env.Go("main", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c := dev.CreateContext(p)
 			c.Acquire(p)
 			defer c.Release()

@@ -56,7 +56,7 @@ func launchAndTime(t *testing.T, arch fermi.Arch, ks ...*cuda.Kernel) (makespan 
 	env := sim.NewEnv()
 	dev := MustNew(env, Config{Arch: arch})
 	each = make([]sim.Duration, len(ks))
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		start := p.Now()
@@ -64,7 +64,7 @@ func launchAndTime(t *testing.T, arch fermi.Arch, ks ...*cuda.Kernel) (makespan 
 		remaining := len(ks)
 		for i, k := range ks {
 			i, k := i, k
-			env.Go("launcher", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				if err := c.Launch(p, k, 1); err != nil {
 					t.Errorf("launch %s: %v", k.Name, err)
 				}
@@ -219,7 +219,7 @@ func TestMemoryBandwidthFloor(t *testing.T) {
 func TestLaunchInvalidKernelFails(t *testing.T) {
 	env := sim.NewEnv()
 	dev := MustNew(env, Config{Arch: fermi.TeslaC2070()})
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -239,7 +239,7 @@ func TestFunctionalKernelComputes(t *testing.T) {
 	arch.MemBytes = 16 << 20
 	dev := MustNew(env, Config{Arch: arch, Functional: true})
 	const n = 4096
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()

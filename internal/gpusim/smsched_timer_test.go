@@ -25,7 +25,7 @@ func TestLaunchSchedulesOneEventPerWave(t *testing.T) {
 	perWave := occ.BlocksPerSM * dev.arch.SMs
 	waves := uint64((k.Blocks() + perWave - 1) / perWave)
 	var events uint64
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -76,7 +76,7 @@ func TestOneTimerSameSchedule(t *testing.T) {
 	runNext := func(abort bool) (took sim.Duration, events uint64) {
 		env := sim.NewEnv()
 		dev := MustNew(env, Config{Arch: fermi.TeslaC2070()})
-		env.Go("main", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			c := dev.CreateContext(p)
 			c.Acquire(p)
 			defer c.Release()

@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-
-	"gpuvirt/internal/sim"
-)
+import "gpuvirt/internal/sim"
 
 // Stream is a CUDA stream: a FIFO of asynchronous device operations.
 // Operations within a stream execute in order; operations in different
@@ -16,7 +12,6 @@ import (
 // immediately from EnqueueCB.
 type Stream struct {
 	ctx  *Context
-	id   int
 	ops  *sim.Store[streamOp]
 	idle *sim.Event // created lazily by Synchronize while the stream is busy
 	busy int        // queued + in-flight operations
@@ -30,13 +25,8 @@ type streamOp struct {
 // NewStream creates a stream in this context and starts its runner.
 func (c *Context) NewStream() *Stream {
 	c.mustLive()
-	c.dev.nextStreamID++
-	s := &Stream{
-		ctx: c,
-		id:  c.dev.nextStreamID,
-		ops: sim.NewStore[streamOp](c.dev.env, 0),
-	}
-	c.dev.env.Go(fmt.Sprintf("stream-%d", s.id), s.runner)
+	s := &Stream{ctx: c, ops: sim.NewStore[streamOp](c.dev.env, 0)}
+	c.dev.env.Go(s.runner)
 	return s
 }
 

@@ -27,7 +27,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 	arch := dev.Arch()
 	var n int64 = 4 << 20
 	var total sim.Duration
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -65,7 +65,7 @@ func TestTwoStreamsOverlapCopyAndCompute(t *testing.T) {
 		CyclesPerThread: 10e-3 * 32 * 1.15e9 / 1024}
 	var n int64 = 20 << 20
 	var makespan sim.Duration
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -104,7 +104,7 @@ func TestNoOverlapOnPreFermi(t *testing.T) {
 		CyclesPerThread: kernelSec * float64(arch.CoresPerSM) * arch.ClockHz / 512}
 	var n int64 = 20 << 20
 	var makespan sim.Duration
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -140,7 +140,7 @@ func TestStreamsFromManyProcessesConcurrentKernels(t *testing.T) {
 	aloneK := mk()
 	alone := sim.Duration(expectSingleKernelTime(arch, aloneK) * 1e9)
 	var makespan sim.Duration
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()
@@ -169,7 +169,7 @@ func TestStreamsFromManyProcessesConcurrentKernels(t *testing.T) {
 
 func TestStreamClose(t *testing.T) {
 	env, dev := newTestDevice(t, false)
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		s := c.NewStream()
 		s.Close()

@@ -17,7 +17,7 @@ func TestReproZeroWorkPreempt(t *testing.T) {
 	env := sim.NewEnv()
 	dev := MustNew(env, Config{Arch: arch})
 	var doneA, doneZ bool
-	env.Go("main", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		c := dev.CreateContext(p)
 		c.Acquire(p)
 		defer c.Release()

@@ -60,10 +60,14 @@ type ExtractedSession struct {
 // State names the state the session left its shard in (DESIGN.md §3).
 func (e *ExtractedSession) State() string { return phaseNames[e.phase] }
 
-// Bytes returns the total host bytes the migration moves (arena
-// snapshot plus staging copies) — the node_migrated_bytes_total unit.
+// Bytes is node_migrated_bytes_total's unit: the buffers a MIG blob carries,
+// and a WritesIn input arena, which only an in-node move hands over.
 func (e *ExtractedSession) Bytes() int64 {
-	return e.snap.total + int64(len(e.PinIn)) + int64(len(e.PinOut))
+	n := int64(len(e.snap.in))
+	for _, b := range e.buffers() {
+		n += int64(len(b))
+	}
+	return n
 }
 
 // ExtractSession quiesces session id at its next verb boundary,
@@ -226,14 +230,14 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 }
 
 // size gives the snapshot the sizes e.Spec allocates on a device that
-// rounds allocations with roundUp — the arenas, and the scratch its
-// builder asks for, run dry against an allocator that only records sizes
-// — and holds every buffer to them: each is absent (a timing-only source)
-// or fills its allocation, from the bytes asked for (an arena that lived on
-// its staging) up to the rounded size. A restore makes an arena buffer
-// device memory as it is, the scratch, in order, as the builder's
-// allocations, so a short one would fault the first kernel that runs off
-// its end; staging becomes the session's staging as it is.
+// rounds allocations with roundUp — the scratch its builder asks for, run
+// dry against an allocator that only records sizes — and holds every
+// buffer to them: each is absent (a timing-only source) or fills its
+// allocation, from the bytes asked for up to the rounded size, and staging
+// is exactly the spec's. A restore makes a scratch buffer, in order, device
+// memory as it is, so a short one would fault the first kernel that runs
+// off its end; staging becomes the session's staging, and its input and
+// output arenas' memory, as it is.
 func (e *ExtractedSession) size(roundUp func(int64) int64) error {
 	var asked sizeRecorder
 	if e.Spec.Build != nil {
@@ -246,21 +250,16 @@ func (e *ExtractedSession) size(roundUp func(int64) int64) error {
 	if len(sn.scratch) > len(asked) {
 		return fmt.Errorf("%d scratch buffers, the task builds %d", len(sn.scratch), len(asked))
 	}
-	sn.inSize, sn.outSize = roundUp(e.Spec.InBytes), roundUp(e.Spec.OutBytes)
 	sn.scrSizes = sn.scrSizes[:0]
 	for i := range sn.scratch {
 		sn.scrSizes = append(sn.scrSizes, roundUp(asked[i]))
 	}
-	sn.total = 0
-	ask := append([]int64{e.Spec.InBytes, e.Spec.OutBytes, e.Spec.InBytes, e.Spec.OutBytes}, asked...)
-	want := append([]int64{e.Spec.InBytes, e.Spec.OutBytes, sn.inSize, sn.outSize}, sn.scrSizes...)
+	ask := append([]int64{e.Spec.InBytes, e.Spec.OutBytes}, asked...)
+	want := append([]int64{e.Spec.InBytes, e.Spec.OutBytes}, sn.scrSizes...)
 	for i, b := range e.buffers() {
 		if n := int64(len(b)); b != nil && (n < ask[i] || n > want[i]) {
-			return fmt.Errorf("buffer %d (staged in, staged out, arena in, arena out, scratch...) is %d bytes, the task allocates %d",
+			return fmt.Errorf("buffer %d (staged in, staged out, scratch...) is %d bytes, the task allocates %d",
 				i, len(b), want[i])
-		}
-		if i >= 2 {
-			sn.total += want[i] // the arena total
 		}
 	}
 	return nil

@@ -532,7 +532,7 @@ func (m *Manager) HostCopyTime(n int64) sim.Duration {
 // Start spawns the manager's initialization: device + context creation, the
 // only Tinit in the system, which clients never pay.
 func (m *Manager) Start() {
-	m.env.Go("gvm", func(p *sim.Proc) {
+	m.env.Go(func(p *sim.Proc) {
 		start := p.Now()
 		m.ctx = m.dev.CreateContext(p)
 		// The manager holds its device for its whole lifetime: all work
@@ -578,7 +578,7 @@ func (m *Manager) serve(s *session, verb Verb) {
 			}
 		}
 		s.restoreVerb = verb
-		m.env.Go("gvm-restore", s.restore)
+		m.env.Go(s.restore)
 	case replayFirst:
 		m.rerunFlush(s)
 		m.serve(s, verb)
@@ -595,7 +595,7 @@ func (m *Manager) serve(s *session, verb Verb) {
 	case copyOut:
 		m.after(m.HostCopyTime(s.spec.OutBytes), s.rcvDone)
 	case free:
-		m.env.Go("gvm-rls", func(p *sim.Proc) {
+		m.env.Go(func(p *sim.Proc) {
 			notify := s.notify // teardown detaches it; the ack is its last call
 			if !m.release(p, s) {
 				return // ReleaseSession got there while this one waited
@@ -776,7 +776,7 @@ func (m *Manager) armBarrierTimeout() {
 		if m.strGen != gen || len(m.strPending) == 0 {
 			return
 		}
-		m.env.Go("gvm-barrier-timeout", func(p *sim.Proc) {
+		m.env.Go(func(p *sim.Proc) {
 			// Re-check: between this proc being scheduled and it
 			// running, the original barrier may have completed and
 			// a NEW generation's first STR may now be pending. A
@@ -973,7 +973,7 @@ func (m *Manager) teardown(s *session) {
 	m.freeSessionBuffers(s)
 	// An evicted arena's staged halves are the caller's staging, which the
 	// front-end may unmap once the session is gone.
-	s.snap.in, s.snap.out = nil, nil
+	s.snap.in = nil
 	if s.stream != nil {
 		s.stream.Close()
 		s.stream = nil

@@ -48,7 +48,7 @@ func TestNewRequiresDevice(t *testing.T) {
 func TestManagerInitializationPaysTinitOnce(t *testing.T) {
 	env, m := newManager(t, nil)
 	var readyAt sim.Time = -1
-	env.Go("probe", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		readyAt = p.Now()
 	})
@@ -65,7 +65,7 @@ func TestManagerInitializationPaysTinitOnce(t *testing.T) {
 func TestREQWithoutSpecErrors(t *testing.T) {
 	env, m := newManager(t, nil)
 	var err error
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		_, err = m.OpenSession(p, Request{})
 	})
@@ -83,7 +83,7 @@ func TestREQWithoutSpecErrors(t *testing.T) {
 func TestUnknownSessionDropped(t *testing.T) {
 	env, m := newManager(t, nil)
 	var err error
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		// SND against a session that does not exist: refused to the caller
 		// (a front-end answers its client; vgpu's
@@ -104,7 +104,7 @@ func TestUnknownSessionDropped(t *testing.T) {
 func TestUnknownVerbErrors(t *testing.T) {
 	env, m := newManager(t, nil)
 	var err error
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		b := OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}})
 		err = m.DirectVerb(b.ID, Verb(42))
@@ -132,7 +132,7 @@ func TestHostCopyTime(t *testing.T) {
 
 func TestSessionAccounting(t *testing.T) {
 	env, m := newManager(t, nil)
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		b := OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 64, OutBytes: 64}})
 		if m.met.openSessions.Value() != 1 {
@@ -160,7 +160,7 @@ func TestZeroConfigStagesPinned(t *testing.T) {
 	cycle := func(mut func(*Config)) sim.Duration {
 		env, m := newManager(t, mut)
 		var d sim.Duration
-		env.Go("front-end", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(m.Ready())
 			b := OpenBare(t, p, m, Request{Spec: spec})
 			t0 := p.Now()

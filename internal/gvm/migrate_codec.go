@@ -11,9 +11,11 @@ import (
 // (the dispatcher calls DecodeExtracted and adopts). The blob carries only
 // what the target cannot work out for itself: a state byte (a staged
 // session travels as idle: the two answer every verb alike, and its input
-// rides as staged in), the scratch count, then staged in, staged out,
-// arena in, arena out and each scratch buffer, each a presence byte and,
-// if present, a uvarint length and the bytes. Kernel builders are
+// rides as staged in), the scratch count, then staged in, staged out and
+// each scratch buffer, each a presence byte and, if present, a uvarint
+// length and the bytes. The arenas do not travel: a restore puts them on
+// the staging, bar a WritesIn input, which the next flush's (or replay's)
+// H2D refills from the staging before a kernel reads it. Kernel builders are
 // closures, so ADP's REQ fields carry the workload reference, rank and
 // scheduling options, the target rebuilds the spec from its own registry,
 // and AdoptSession derives every size from that spec.
@@ -31,11 +33,10 @@ const maxWireScratch = 1 << 12
 
 // buffers lists the session's buffers in wire order.
 func (e *ExtractedSession) buffers() [][]byte {
-	return append([][]byte{e.PinIn, e.PinOut, e.snap.in, e.snap.out}, e.snap.scratch...)
+	return append([][]byte{e.PinIn, e.PinOut}, e.snap.scratch...)
 }
 
-// Encode serializes the extracted session (arena snapshot included) for
-// cross-node transport.
+// Encode serializes the extracted session for cross-node transport.
 func (e *ExtractedSession) Encode() []byte {
 	var st byte
 	switch e.phase {
@@ -87,7 +88,7 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 		return bad("bad scratch count")
 	}
 	data = data[1+k:]
-	bufs := make([][]byte, 4+nscr)
+	bufs := make([][]byte, 2+nscr)
 	for i := range bufs {
 		switch {
 		case len(data) > 0 && data[0] == 0:
@@ -106,6 +107,6 @@ func DecodeExtracted(data []byte) (*ExtractedSession, error) {
 	if len(data) != 0 {
 		return bad("%d trailing bytes", len(data))
 	}
-	ext.PinIn, ext.PinOut, ext.snap.in, ext.snap.out, ext.snap.scratch = bufs[0], bufs[1], bufs[2], bufs[3], bufs[4:]
+	ext.PinIn, ext.PinOut, ext.snap.scratch = bufs[0], bufs[1], bufs[2:]
 	return ext, nil
 }

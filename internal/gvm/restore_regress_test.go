@@ -30,7 +30,7 @@ func TestRestoreBlockedByParkedBarrierIsRetryable(t *testing.T) {
 	m := New(env, Config{Device: dev, Parties: 3, BarrierTimeout: 0, MaxSessionBytes: 1 << 30})
 	m.Start()
 
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		a := openKB(t, p, m, "A", 120, 5)
 		c := openKB(t, p, m, "C", 8, 5)
@@ -100,7 +100,7 @@ func TestRestoreWaitsOutRunningFlush(t *testing.T) {
 	m := New(env, Config{Device: dev, Parties: 1, BarrierTimeout: 0, MaxSessionBytes: 1 << 30})
 	m.Start()
 
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		a := openKB(t, p, m, "A", 160, 5)
 		b := openKB(t, p, m, "B", 100, 0)
@@ -174,7 +174,7 @@ func TestInterleavedDaemonRestoresEvictOnTheirOwnProcess(t *testing.T) {
 	}
 	var b1, b2 int
 	var issued sim.Time
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		b1 = open(p, "big1", big)
 		b2 = open(p, "big2", big)

@@ -26,7 +26,7 @@ func expectErr(t *testing.T, p *sim.Proc, b *BareSession, v Verb, sub string) {
 func TestEvictedIdleStaysIdle(t *testing.T) {
 	spec := workloads.VectorAdd(SurfaceTestN).Spec(0)
 	env, dev, m := swapTestManager(1 << 20)
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		sf := OpenBare(t, p, m, Request{Spec: spec})
 		m.InjectEvicted(p, sf.ID)
@@ -53,7 +53,7 @@ func TestEvictedRerunRestoresAsRerun(t *testing.T) {
 	input := make([]byte, spec.InBytes)
 	w.Fill(0, input)
 	env, dev, m := swapTestManager(1 << 20)
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		sf := OpenBare(t, p, m, Request{Spec: spec})
 		sf.run(p, input, SND)

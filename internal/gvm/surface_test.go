@@ -220,7 +220,7 @@ func runRow(t *testing.T, bare bool, row protocolRow) (st gvm.Status, msg, next 
 	spec := gvm.SlowKernels(w.Spec(0))
 	input := make([]byte, spec.InBytes)
 	w.Fill(0, input)
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		sf := newSurface(t, bare, p, m, spec)
 		sf.enter(p, row.prior, input)

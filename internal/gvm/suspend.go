@@ -30,15 +30,14 @@ import (
 // is resident again, so a restore that fails part-way only takes back off
 // the card what it placed and stays retryable.
 
-// snapshot is an evicted session's saved device state: per device buffer
-// its rounded size and, from a functional device, the backing store it had
-// (nil from a timing-only one). Each session has one (session.snap),
-// reused by every eviction; a restored one lets go of its slices, so it
-// never aliases live device memory.
+// snapshot is an evicted session's saved device state: the backing store
+// its input arena and each scratch buffer had on a functional device (nil
+// on a timing-only one; the output arena is its staging), and each scratch
+// buffer's rounded size. Each session has one (session.snap), reused by
+// every eviction; a restored one lets go of its slices, so it never
+// aliases live device memory.
 type snapshot struct {
-	in, out  []byte
-	inSize   int64
-	outSize  int64
+	in       []byte
 	scratch  [][]byte
 	scrSizes []int64
 	total    int64
@@ -98,8 +97,8 @@ func (m *Manager) suspendSession(p *sim.Proc, s *session) {
 		snap.total += size
 		return data, size
 	}
-	snap.in, snap.inSize = save(s.devIn)
-	snap.out, snap.outSize = save(s.devOut)
+	snap.in, _ = save(s.devIn)
+	save(s.devOut)
 	snap.scratch, snap.scrSizes = snap.scratch[:0], snap.scrSizes[:0]
 	for _, ptr := range s.scratch {
 		data, size := save(ptr)
@@ -162,7 +161,7 @@ func (m *Manager) resumeSession(p *sim.Proc, s *session) error {
 		}
 		return err
 	}
-	snap.in, snap.out = nil, nil
+	snap.in = nil
 	clear(snap.scratch)
 	s.susp = nil
 	s.st.res = resident

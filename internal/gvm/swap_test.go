@@ -64,7 +64,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 	env, dev, m := swapTestManager(256 + 20<<10)
 	input := make([]byte, spec.InBytes)
 	w.Fill(0, input)
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		victim := OpenBare(t, p, m, Request{Spec: spec})
 		victim.run(p, input, STP)
@@ -78,14 +78,14 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 
 		pin := OpenBare(t, p, m, Request{Spec: slow})
 		pin.run(p, input, STR)
-		resident, copied := dev.MemInUse(), dev.BytesH2D
+		resident, start := dev.MemInUse(), p.Now()
 
 		err := m.resumeSession(p, s)
 		if err == nil || !strings.Contains(err.Error(), "out of device memory") {
 			t.Fatalf("restore beside a running session: %v, want out of device memory", err)
 		}
-		if got := dev.BytesH2D - copied; got != spec.InBytes {
-			t.Fatalf("failed restore transferred %d bytes, want the input buffer's %d: it did not fail on the second buffer", got, spec.InBytes)
+		if got, want := p.Now().Sub(start), dev.Arch().TransferTime(spec.InBytes, true, true); got != want {
+			t.Fatalf("failed restore took %v, want the input buffer's pinned H2D (%v): it did not fail on the second buffer", got, want)
 		}
 		if s.susp == nil || s.devIn != addrIn || s.devOut != addrOut || onCard(dev, s.devIn) || onCard(dev, s.devOut) ||
 			dev.MemInUse() != resident {
@@ -93,7 +93,7 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 				uint64(s.devIn), onCard(dev, s.devIn), uint64(s.devOut), onCard(dev, s.devOut), dev.MemInUse(), resident, s.susp != nil,
 				uint64(addrIn), uint64(addrOut))
 		}
-		if !bytes.Equal(s.susp.in[:spec.InBytes], wantIn) || !bytes.Equal(s.susp.out[:spec.OutBytes], wantOut) {
+		if !bytes.Equal(s.susp.in[:spec.InBytes], wantIn) || !bytes.Equal(s.pinOut.Data(), wantOut) {
 			t.Fatal("failed restore damaged the snapshot")
 		}
 
@@ -118,9 +118,9 @@ func TestFailedPartialRestoreKeepsSnapshot(t *testing.T) {
 // TestMigrationRoundTripMovesArena: ExtractSession → Encode →
 // DecodeExtracted → AdoptSession onto a second device keeps arenas and
 // results byte-identical and leaves nothing on the source; a blob whose
-// arena buffer is not the allocation the spec's kernels address — a byte
-// short, not a whole allocation, or smaller than the spec's — is refused
-// before anything is attached.
+// staged buffer is not the spec's size — a byte short, a fraction of it or
+// a byte over — is refused before anything is attached: the restore puts
+// the arenas on the staging.
 func TestMigrationRoundTripMovesArena(t *testing.T) {
 	w := workloads.VectorAdd(SurfaceTestN)
 	spec := w.Spec(0)
@@ -129,7 +129,7 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 
 	var blob, wantIn, wantOut []byte
 	env, src, m := swapTestManager(1 << 20)
-	env.Go("source", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		sf := OpenBare(t, p, m, Request{Spec: spec})
 		sf.run(p, input, STP)
@@ -157,15 +157,15 @@ func TestMigrationRoundTripMovesArena(t *testing.T) {
 		return ext
 	}
 	env, dst, m := swapTestManager(1 << 20)
-	env.Go("target", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		short := decode()
-		short.snap.out = short.snap.out[:len(short.snap.out)-1]
+		short.PinOut = short.PinOut[:len(short.PinOut)-1]
 		odd := decode()
-		odd.snap.in = odd.snap.in[:100]
-		small := decode()
-		small.snap.in = small.snap.in[:256]
-		for name, bad := range map[string]*ExtractedSession{"a short buffer": short, "an unrounded size": odd, "an input arena smaller than the spec's": small} {
+		odd.PinIn = odd.PinIn[:100]
+		long := decode()
+		long.PinIn = append(long.PinIn, 0)
+		for name, bad := range map[string]*ExtractedSession{"a short staged output": short, "a 100-byte staged input": odd, "a staged input longer than the spec's": long} {
 			if err := m.AdoptSession(p, bad); err == nil {
 				t.Errorf("AdoptSession accepted a blob with %s", name)
 			}
@@ -218,7 +218,7 @@ func TestAdoptRefusesScratchOfTheWrongSize(t *testing.T) {
 
 	var blob []byte
 	env, _, m := swapTestManager(4 << 20)
-	env.Go("source", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		sf := OpenBare(t, p, m, Request{Spec: spec})
 		sf.run(p, input, STP)
@@ -241,7 +241,7 @@ func TestAdoptRefusesScratchOfTheWrongSize(t *testing.T) {
 		return ext
 	}
 	env, dst, m := swapTestManager(4 << 20)
-	env.Go("target", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		// Each lie goes through the wire form, so a peer can send it.
 		rewire := func(ext *ExtractedSession) *ExtractedSession {
@@ -329,7 +329,7 @@ func TestEvictionKeepsAddressesKernelsAndOps(t *testing.T) {
 
 	var blob []byte
 	env, _, m := swapTestManager(1 << 20)
-	env.Go("source", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		b := OpenBare(t, p, m, Request{Spec: spec})
 		b.run(p, input, RCV)
@@ -351,7 +351,7 @@ func TestEvictionKeepsAddressesKernelsAndOps(t *testing.T) {
 	}
 
 	env, _, m = swapTestManager(1 << 20)
-	env.Go("target", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		ext, err := DecodeExtracted(blob)
 		if err != nil {
@@ -383,7 +383,7 @@ func TestStagedBuffersLiveOnStaging(t *testing.T) {
 	cg := workloads.CG(100, 3, 2, 2)
 	env, dev, m := swapTestManager(1 << 22)
 	same := func(a, b []byte) bool { return &a[0] == &b[0] && len(a) == len(b) }
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		for _, w := range []workloads.Workload{vec, cg} {
 			spec := w.Spec(0)

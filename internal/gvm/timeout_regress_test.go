@@ -28,7 +28,7 @@ func TestStaleBarrierTimerDoesNotFlushNewGeneration(t *testing.T) {
 		c.BarrierTimeout = timeout
 	})
 	var sA, sC *session
-	env.Go("driver", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		open := func() *session {
 			return m.sessions[OpenBare(t, p, m, Request{Spec: &task.Spec{Name: "t", InBytes: 8, OutBytes: 8}}).ID]

@@ -83,18 +83,18 @@ func FuzzMigBlob(f *testing.F) {
 	blob := append([]byte(nil), mig.Data...)
 	src.Close()
 	f.Add(blob)
-	// The blob's wire form: a state byte, a scratch count, then staged in,
-	// staged out, arena in, arena out (presence byte, uvarint length, bytes).
+	// The blob's wire form: a state byte, a scratch count, then staged in
+	// and staged out (presence byte, uvarint length, bytes).
 	buf := func(b []byte) []byte { return append(binary.AppendUvarint([]byte{1}, uint64(len(b))), b...) }
-	f.Add(slices.Concat([]byte{0, 0}, buf(in), buf(make([]byte, 256)), buf(in), buf(make([]byte, 256))))
-	// Arena input that does not fill the 512-byte allocation vecadd needs.
-	f.Add(slices.Concat([]byte{0, 0, 0, 0}, buf([]byte{1, 2, 3}), []byte{0}))
-	f.Add(slices.Concat([]byte{0, 0, 0, 0}, buf(make([]byte, 100)), []byte{0}))
+	f.Add(slices.Concat([]byte{0, 0}, buf(in), buf(make([]byte, 256))))
+	// Staged input that is not the 512 bytes vecadd stages.
+	f.Add(slices.Concat([]byte{0, 0}, buf([]byte{1, 2, 3}), []byte{0}))
+	f.Add(slices.Concat([]byte{0, 0}, buf(make([]byte, 100)), []byte{0}))
 	// A scratch buffer vecadd does not build.
-	f.Add(slices.Concat([]byte{1, 1, 0, 0, 0, 0}, buf(make([]byte, 256))))
-	f.Add(blob[:len(blob)-1])       // truncated
-	f.Add(append(blob, 0))          // trailing
-	f.Add([]byte{3, 0, 0, 0, 0, 0}) // done and rerun at once
+	f.Add(slices.Concat([]byte{1, 1, 0, 0}, buf(make([]byte, 256))))
+	f.Add(blob[:len(blob)-1]) // truncated
+	f.Add(append(blob, 0))    // trailing
+	f.Add([]byte{3, 0, 0, 0}) // done and rerun at once
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, blob []byte) {

@@ -96,7 +96,7 @@ func TestDaemonCycleIsBareCycle(t *testing.T) {
 	m := gvm.New(env, gvm.Config{Device: gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})})
 	m.Start()
 	var bare sim.Duration
-	env.Go("front-end", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(m.Ready())
 		id, err := m.OpenSession(p, gvm.Request{Spec: spec})
 		if err != nil {

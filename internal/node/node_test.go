@@ -48,8 +48,7 @@ func TestNodeSpreadsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		i := i
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			for _, sh := range nd.Shards() {
 				p.Wait(sh.Mgr.Ready())
 			}
@@ -74,7 +73,7 @@ func TestNodeSpreadsSessions(t *testing.T) {
 	// Session ids are striped per shard (GPUIndex+1, GPUIndex+1+GPUs, ...),
 	// so they never collide across shards and the id alone names the owner:
 	// of the four ids minted, each shard holds exactly those striped to it.
-	env.Go("release", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		for id := 1; id <= 4; id++ {
 			for i, sh := range nd.Shards() {
 				if held, want := sh.Mgr.ReleaseSession(p, id), (id-1)%len(nd.shards) == i; held != want {
@@ -115,7 +114,7 @@ func TestNodeHalvesSaturatedTurnaround(t *testing.T) {
 		}
 		var makespan sim.Duration
 		for i := 0; i < 8; i++ {
-			env.Go("c", func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				for _, sh := range nd.Shards() {
 					p.Wait(sh.Mgr.Ready())
 				}
@@ -166,7 +165,7 @@ func TestEvictionStaysOnItsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	evictions := func(shard int) int { return gvmCount(t, reg, nd.Shard(shard).Mgr, "gvm_evictions_total") }
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		for _, sh := range nd.Shards() {
 			p.Wait(sh.Mgr.Ready())
 		}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -44,7 +43,7 @@ func TestOvercommitAdmitsBeyondCapacity(t *testing.T) {
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(nd.Shard(0).Mgr.Ready())
 		v1, idx1, err := nd.Connect(p, ocSpec(n))
 		if err != nil {
@@ -120,7 +119,7 @@ func TestOvercommitStressTenX(t *testing.T) {
 	dev := nd.Shard(0).Dev
 	for s := 0; s < sessions; s++ {
 		s := s
-		env.Go(fmt.Sprintf("client-%d", s), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			spec := ocSpec(n)
 			v, idx, err := nd.Connect(p, spec)

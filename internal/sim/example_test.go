@@ -11,11 +11,11 @@ func Example() {
 	env := sim.NewEnv()
 	ready := env.NewEvent()
 
-	env.Go("producer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Sleep(10 * sim.Millisecond)
 		ready.Fire("payload")
 	})
-	env.Go("consumer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		v := p.Wait(ready)
 		fmt.Printf("consumer got %q at %v\n", v, p.Now())
 	})
@@ -32,7 +32,7 @@ func ExampleResource() {
 	r := env.NewResource(2)
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Go(fmt.Sprintf("user-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			r.Acquire(p, 1)
 			p.Sleep(5 * sim.Millisecond)
 			r.Release(1)

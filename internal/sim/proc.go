@@ -16,7 +16,6 @@ import (
 // returns.
 type Proc struct {
 	env    *Env
-	name   string
 	daemon bool
 	// resume is the one handoff closure every park/unpark of this process
 	// schedules, bound once at spawn so the hot path (Sleep, WaitUntil,
@@ -107,7 +106,7 @@ func releaseWorker(w *worker) {
 // valid until fn returns: a finished process is reused by a later Go of the
 // same Env, so a transient process costs no allocation once one has run,
 // and an Env keeps as many as it ever ran at once.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+func (e *Env) Go(fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
 		p = e.procFree[n-1]
@@ -117,7 +116,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		p = &Proc{env: e}
 		p.resume = func() { e.handoff(p) }
 	}
-	p.name, p.fn = name, fn
+	p.fn = fn
 	e.schedule(e.now, p.resume)
 	return p
 }
@@ -142,7 +141,7 @@ func (e *Env) handoff(p *Proc) {
 	e.cur = nil
 	if w.p == nil {
 		releaseWorker(w)
-		p.name, p.daemon = "", false
+		p.daemon = false
 		e.procFree = append(e.procFree, p)
 	}
 }

@@ -9,7 +9,7 @@ import "testing"
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEnv()
 	for i := 0; i < 2; i++ {
-		e.Go("ping", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for n := 0; n < b.N/2; n++ {
 				p.WaitUntil(p.Now())
 			}
@@ -33,7 +33,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Go("transient", body)
+		e.Go(body)
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 // nothing can run before it wakes, so the sleep is a clock advance.
 func BenchmarkProcSleepUncontended(b *testing.B) {
 	e := NewEnv()
-	e.Go("sleeper", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for n := 0; n < b.N; n++ {
 			p.Sleep(Microsecond)
 		}

@@ -14,7 +14,7 @@ import (
 func TestSleepSkipTimerAtSameInstantRunsFirst(t *testing.T) {
 	e := NewEnv()
 	var log []string
-	e.Go("sleeper", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		e.After(5, func() { log = append(log, "timer@"+e.Now().String()) })
 		p.Sleep(5) // the timer is due at exactly the wake-up instant and was scheduled first
 		log = append(log, "sleeper@"+e.Now().String())
@@ -34,11 +34,11 @@ func TestSleepSkipForbiddenByPendingSameInstantWork(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
 	var log []string
-	e.Go("waiter", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Wait(ev)
 		log = append(log, "waiter@"+e.Now().String())
 	})
-	e.Go("firer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		ev.Fire(nil) // queues the waiter at this instant; the calendar is empty
 		p.Sleep(5)
 		log = append(log, "firer@"+e.Now().String())
@@ -54,7 +54,7 @@ func TestSleepSkipForbiddenByPendingSameInstantWork(t *testing.T) {
 func TestSleepPastHorizonParksUntilNextRun(t *testing.T) {
 	e := NewEnv()
 	woke := Time(-1)
-	e.Go("sleeper", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(4) // within the horizon, nothing else to run: no switch
 		p.Sleep(21)
 		woke = e.Now()
@@ -77,7 +77,7 @@ func TestYieldOnEmptyQueueKeepsControl(t *testing.T) {
 	e := NewEnv()
 	e.After(3, func() {})
 	steps := 0
-	e.Go("lone", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for ; steps < 4; steps++ {
 			p.WaitUntil(p.Now())
 			if e.Now() != 0 || e.Current() != p {
@@ -98,8 +98,8 @@ func TestYieldOnEmptyQueueKeepsControl(t *testing.T) {
 func TestWaitUntilPastInstantIsAYield(t *testing.T) {
 	e := NewEnv()
 	var log []string
-	e.Go("a", func(p *Proc) { p.Sleep(5); p.WaitUntil(2); log = append(log, "a") })
-	e.Go("b", func(p *Proc) { p.Sleep(5); log = append(log, "b") })
+	e.Go(func(p *Proc) { p.Sleep(5); p.WaitUntil(2); log = append(log, "a") })
+	e.Go(func(p *Proc) { p.Sleep(5); log = append(log, "b") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFiredWaiterAndSleeperAtOneInstantKeepOrder(t *testing.T) {
 		ev := e.NewEvent()
 		var log []string
 		mark := func(s string) { log = append(log, s+"@"+e.Now().String()) }
-		e.Go("waiter", func(p *Proc) { p.Wait(ev); mark("waiter") })
+		e.Go(func(p *Proc) { p.Wait(ev); mark("waiter") })
 		sleeper := func(p *Proc) { p.Sleep(5); mark("sleeper") }
 		firer := func(p *Proc) {
 			p.Sleep(5)
@@ -125,12 +125,12 @@ func TestFiredWaiterAndSleeperAtOneInstantKeepOrder(t *testing.T) {
 		}
 		want := []string{"fired@5ns", "sleeper@5ns", "waiter@5ns", "firer@6ns"}
 		if sleeperFirst {
-			e.Go("sleeper", sleeper)
-			e.Go("firer", firer)
+			e.Go(sleeper)
+			e.Go(firer)
 			want = []string{"sleeper@5ns", "fired@5ns", "waiter@5ns", "firer@6ns"}
 		} else {
-			e.Go("firer", firer)
-			e.Go("sleeper", sleeper)
+			e.Go(firer)
+			e.Go(sleeper)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestWorkersBoundedAcrossEnvs(t *testing.T) {
 		e := NewEnv()
 		for k := 0; k < procs; k++ {
 			k := k
-			e.Go("short", func(p *Proc) {
+			e.Go(func(p *Proc) {
 				p.Sleep(Duration(k)) // all eight are alive at once
 				p.WaitUntil(p.Now())
 			})
@@ -177,7 +177,7 @@ func TestWorkersSharedByConcurrentEnvs(t *testing.T) {
 				sum := 0
 				for k := 1; k <= 4; k++ {
 					k := k
-					e.Go("p", func(p *Proc) {
+					e.Go(func(p *Proc) {
 						p.Sleep(Duration(k))
 						sum += k
 						p.WaitUntil(p.Now())
@@ -196,7 +196,7 @@ func TestWorkersSharedByConcurrentEnvs(t *testing.T) {
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	e := NewEnv()
 	var dead *worker
-	e.Go("bad", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(1)
 		p.WaitUntil(p.Now())
 		dead = p.w
@@ -212,7 +212,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 		t.Fatal("Run returned past a panicking process")
 	}()
 	if e.Current() != nil {
-		t.Fatalf("Current() = %v after the panic unwound, want nil", e.Current().name)
+		t.Fatalf("Current() = %p after the panic unwound, want nil", e.Current())
 	}
 	workers.Lock()
 	for _, w := range workers.free {
@@ -222,7 +222,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	}
 	workers.Unlock()
 	ran := false
-	e.Go("next", func(p *Proc) { p.Sleep(1); ran = true })
+	e.Go(func(p *Proc) { p.Sleep(1); ran = true })
 	if err := e.Run(); err != nil || !ran {
 		t.Fatalf("the next process on the same Env: err=%v ran=%v", err, ran)
 	}
@@ -237,7 +237,7 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 	go func() {
 		returned := false
 		defer func() { done <- returned }()
-		e.Go("exits", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			p.Sleep(1)
 			runtime.Goexit()
 		})
@@ -253,7 +253,7 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 		t.Fatal("Run hung on a process that called Goexit")
 	}
 	ran := false
-	e.Go("next", func(p *Proc) { ran = true })
+	e.Go(func(p *Proc) { ran = true })
 	if err := e.Run(); err != nil || !ran {
 		t.Fatalf("the next process on the same Env: err=%v ran=%v", err, ran)
 	}
@@ -267,7 +267,7 @@ func TestTransientProcessAllocatesNothing(t *testing.T) {
 	ran := 0
 	body := func(*Proc) { ran++ }
 	spawn := func() {
-		e.Go("transient", body)
+		e.Go(body)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -281,17 +281,15 @@ func TestTransientProcessAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReusedProcCarriesNothingOver: a reused Proc has the name its new Go
-// gave it and is no daemon, so blocking forever in it is a deadlock again.
+// TestReusedProcCarriesNothingOver: a reused Proc is no daemon, so blocking
+// forever in it is a deadlock again.
 func TestReusedProcCarriesNothingOver(t *testing.T) {
 	e := NewEnv()
-	first := e.Go("daemon", func(p *Proc) { p.Daemonize() })
+	first := e.Go(func(p *Proc) { p.Daemonize() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var name string
-	second := e.Go("worker", func(p *Proc) {
-		name = p.name
+	second := e.Go(func(p *Proc) {
 		p.Wait(e.NewEvent()) // never fires
 	})
 	if second != first {
@@ -299,8 +297,5 @@ func TestReusedProcCarriesNothingOver(t *testing.T) {
 	}
 	if err := e.Run(); err == nil {
 		t.Fatal("a process blocked forever in a reused daemon's Proc is not a deadlock")
-	}
-	if name != "worker" {
-		t.Fatalf("reused Proc is named %q, want %q", name, "worker")
 	}
 }

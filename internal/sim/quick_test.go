@@ -48,7 +48,7 @@ func TestQuickSleepPrefixSums(t *testing.T) {
 	f := func(ds []uint16, noise []uint16) bool {
 		e := NewEnv()
 		var wakes []Time
-		e.Go("main", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for _, d := range ds {
 				p.Sleep(Duration(d) * Microsecond)
 				wakes = append(wakes, p.Now())
@@ -56,7 +56,7 @@ func TestQuickSleepPrefixSums(t *testing.T) {
 		})
 		for _, n := range noise {
 			d := Duration(n) * Microsecond
-			e.Go("noise", func(p *Proc) { p.Sleep(d) })
+			e.Go(func(p *Proc) { p.Sleep(d) })
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -86,7 +86,7 @@ func TestQuickResourceSerializes(t *testing.T) {
 		r := e.NewResource(1)
 		var doneAt []Time
 		for i := 0; i < count; i++ {
-			e.Go("u", func(p *Proc) {
+			e.Go(func(p *Proc) {
 				r.Acquire(p, 1)
 				p.Sleep(service)
 				r.Release(1)
@@ -118,12 +118,12 @@ func TestQuickStoreFIFO(t *testing.T) {
 		e := NewEnv()
 		s := NewStore[int64](e, capacity)
 		var got []int64
-		e.Go("producer", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for _, v := range vals {
 				s.Put(p, v)
 			}
 		})
-		e.Go("consumer", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for range vals {
 				got = append(got, s.Get(p))
 			}

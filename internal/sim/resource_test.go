@@ -8,7 +8,7 @@ func TestResourceBasicAcquireRelease(t *testing.T) {
 	var doneAt [3]Time
 	for i := 0; i < 3; i++ {
 		i := i
-		e.Go("u", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			r.Acquire(p, 1)
 			p.Sleep(10 * Millisecond)
 			r.Release(1)
@@ -34,18 +34,18 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource(4)
 	var order []string
-	e.Go("big-then-small", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		r.Acquire(p, 3) // holds 3 of 4
 		p.Sleep(10 * Millisecond)
 		r.Release(3)
 	})
-	e.Go("big", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(Millisecond)
 		r.Acquire(p, 4) // queued: needs all 4
 		order = append(order, "big")
 		r.Release(4)
 	})
-	e.Go("small", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(2 * Millisecond)
 		r.Acquire(p, 1) // one unit IS free, but big is ahead: must wait
 		order = append(order, "small")

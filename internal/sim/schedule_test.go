@@ -31,6 +31,9 @@ type schedRun struct {
 	res *Resource
 	st  *Store[int]
 	ids int
+	// names holds each live process's name, p1, p2, … in spawn order: a
+	// finished Proc is reused by a later Go, which names it anew.
+	names map[*Proc]string
 }
 
 // log records one step under the name of the process the engine says holds
@@ -38,14 +41,19 @@ type schedRun struct {
 func (s *schedRun) log(step int, what string) {
 	who := "-"
 	if p := s.env.Current(); p != nil {
-		who = p.name
+		who = s.names[p]
 	}
 	fmt.Fprintf(s.h, "%d %s %d %s\n", s.env.Now(), who, step, what)
 }
 
 func (s *schedRun) spawn(seed uint64, depth int) {
+	s.goNamed(s.body(seed, depth))
+}
+
+// goNamed spawns fn as the next process in spawn order.
+func (s *schedRun) goNamed(fn func(p *Proc)) {
 	s.ids++
-	s.env.Go(fmt.Sprintf("p%d", s.ids), s.body(seed, depth))
+	s.names[s.env.Go(fn)] = fmt.Sprintf("p%d", s.ids)
 }
 
 // body is one process's program, drawn from its own generator so that what a
@@ -97,8 +105,7 @@ func (s *schedRun) body(seed uint64, depth int) func(p *Proc) {
 				// One put per get, so every Get is served; a getter that
 				// dawdles lets the capacity-1 store fill and block putters.
 				d, late, v := Duration(r.Intn(4)), Duration(r.Intn(6)-2), int(r.Intn(100))
-				s.ids++
-				s.env.Go(fmt.Sprintf("p%d", s.ids), func(c *Proc) {
+				s.goNamed(func(c *Proc) {
 					c.Sleep(d)
 					s.log(v, "put")
 					s.st.Put(c, v)
@@ -152,7 +159,7 @@ func waitAny(p *Proc, evs ...*Event) int {
 // hash of its log.
 func scheduleHash(t *testing.T, seed uint64) uint64 {
 	r := NewRand(seed)
-	s := &schedRun{env: NewEnv(), h: fnv.New64a()}
+	s := &schedRun{env: NewEnv(), h: fnv.New64a(), names: map[*Proc]string{}}
 	s.res = s.env.NewResource(2)
 	s.st = NewStore[int](s.env, 1)
 	for k := 0; k < 5; k++ {

@@ -107,7 +107,7 @@ func TestWaitAnyDetachesLosers(t *testing.T) {
 	e := NewEnv()
 	longLived := e.NewEvent()
 	const rounds = 50
-	e.Go("waiter", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for r := 0; r < rounds; r++ {
 			winner := e.NewEvent()
 			e.After(1, func() { winner.Fire(r) })
@@ -134,7 +134,7 @@ func TestWaitAnyStillFiresAfterDetach(t *testing.T) {
 	e := NewEnv()
 	a, b := e.NewEvent(), e.NewEvent()
 	var first int
-	e.Go("waiter", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		e.After(1, func() { a.Fire("a") })
 		first = waitAny(p, a, b)
 		// b lost and was detached; firing it later must still wake a

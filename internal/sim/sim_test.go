@@ -48,7 +48,7 @@ func TestTieBreakFIFO(t *testing.T) {
 func TestProcessSleep(t *testing.T) {
 	e := NewEnv()
 	var woke Time
-	e.Go("sleeper", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(42 * Millisecond)
 		woke = p.Now()
 	})
@@ -62,7 +62,7 @@ func TestProcessSleep(t *testing.T) {
 
 func TestNegativeSleepIsZero(t *testing.T) {
 	e := NewEnv()
-	e.Go("p", func(p *Proc) { p.Sleep(-5 * Millisecond) })
+	e.Go(func(p *Proc) { p.Sleep(-5 * Millisecond) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func TestNegativeSleepIsZero(t *testing.T) {
 func TestTwoProcessesInterleave(t *testing.T) {
 	e := NewEnv()
 	var trace []string
-	e.Go("a", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		trace = append(trace, "a0")
 		p.Sleep(10 * Millisecond)
 		trace = append(trace, "a10")
 		p.Sleep(20 * Millisecond)
 		trace = append(trace, "a30")
 	})
-	e.Go("b", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		trace = append(trace, "b0")
 		p.Sleep(15 * Millisecond)
 		trace = append(trace, "b15")
@@ -105,7 +105,7 @@ func TestEventFireWakesWaiters(t *testing.T) {
 	ev := e.NewEvent()
 	var got []any
 	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) { got = append(got, p.Wait(ev)) })
+		e.Go(func(p *Proc) { got = append(got, p.Wait(ev)) })
 	}
 	e.After(5*Millisecond, func() { ev.Fire("hello") })
 	if err := e.Run(); err != nil {
@@ -126,7 +126,7 @@ func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 	ev := e.NewEvent()
 	ev.Fire(7)
 	var at Time = -1
-	e.Go("w", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		if v := p.Wait(ev); v != 7 {
 			t.Errorf("value = %v, want 7", v)
 		}
@@ -190,7 +190,7 @@ func TestWaitAnyReturnsEarliest(t *testing.T) {
 	e := NewEnv()
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
 	var idx int = -1
-	e.Go("w", func(p *Proc) { idx = waitAny(p, a, b, c) })
+	e.Go(func(p *Proc) { idx = waitAny(p, a, b, c) })
 	e.After(10*Millisecond, func() { b.Fire(nil) })
 	e.After(20*Millisecond, func() { a.Fire(nil) })
 	e.After(30*Millisecond, func() { c.Fire(nil) })
@@ -205,7 +205,7 @@ func TestWaitAnyReturnsEarliest(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
-	e.Go("stuck", func(p *Proc) { p.Wait(ev) })
+	e.Go(func(p *Proc) { p.Wait(ev) })
 	if err := e.Run(); err == nil {
 		t.Fatal("Run returned nil, want deadlock error")
 	}
@@ -235,9 +235,9 @@ func TestRunUntilHorizon(t *testing.T) {
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEnv()
 	var childAt Time = -1
-	e.Go("parent", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(5 * Millisecond)
-		p.env.Go("child", func(c *Proc) {
+		p.env.Go(func(c *Proc) {
 			c.Sleep(5 * Millisecond)
 			childAt = c.Now()
 		})
@@ -253,7 +253,7 @@ func TestSpawnFromProcess(t *testing.T) {
 func TestYieldRunsAfterPendingEvents(t *testing.T) {
 	e := NewEnv()
 	var order []string
-	e.Go("y", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.env.At(0, func() { order = append(order, "pending") })
 		p.WaitUntil(p.Now())
 		order = append(order, "yielded")
@@ -297,11 +297,11 @@ func TestManyProcessesDeterministic(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			name := string(rune('A' + i))
 			d := Duration(i%7) * Millisecond
-			e.Go(name, func(p *Proc) {
+			e.Go(func(p *Proc) {
 				p.Sleep(d)
-				trace = append(trace, p.name)
+				trace = append(trace, name)
 				p.Sleep(d)
-				trace = append(trace, p.name)
+				trace = append(trace, name)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -323,7 +323,7 @@ func TestManyProcessesDeterministic(t *testing.T) {
 func TestDaemonBlockedIsNotDeadlock(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
-	e.Go("daemon", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Daemonize()
 		p.Wait(ev) // never fires
 	})
@@ -344,20 +344,20 @@ func TestCurrentTracksTheRunningProcess(t *testing.T) {
 	check := func(p *Proc, where string) {
 		t.Helper()
 		if got := e.Current(); got != p {
-			t.Errorf("%s: Current = %v, want %s", where, got, p.name)
+			t.Errorf("%s: Current = %p, want %p", where, got, p)
 		}
 	}
 	var child *Proc
-	a := e.Go("a", func(p *Proc) {
+	a := e.Go(func(p *Proc) {
 		check(p, "a start")
 		p.Sleep(2 * Millisecond) // b runs meanwhile
 		check(p, "a after Sleep")
-		child = e.Go("child", func(c *Proc) { check(c, "child") })
+		child = e.Go(func(c *Proc) { check(c, "child") })
 		check(p, "a after Go") // spawning does not hand control over
 		p.Wait(ev)
 		check(p, "a after Wait")
 	})
-	e.Go("b", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		check(p, "b start")
 		p.Sleep(Millisecond)
 		check(p, "b after Sleep") // a is parked in its own Sleep
@@ -368,7 +368,7 @@ func TestCurrentTracksTheRunningProcess(t *testing.T) {
 	})
 	e.After(3*Millisecond, func() {
 		if got := e.Current(); got != nil {
-			t.Errorf("timer callback: Current = %s, want nil", got.name)
+			t.Errorf("timer callback: Current = %p, want nil", got)
 		}
 	})
 	if err := e.Run(); err != nil {

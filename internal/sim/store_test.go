@@ -6,13 +6,13 @@ func TestStoreFIFO(t *testing.T) {
 	e := NewEnv()
 	s := NewStore[int](e, 0)
 	var got []int
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			s.Put(p, i)
 			p.Sleep(Millisecond)
 		}
 	})
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			got = append(got, s.Get(p))
 		}
@@ -31,13 +31,13 @@ func TestStoreGetBlocksUntilPut(t *testing.T) {
 	e := NewEnv()
 	s := NewStore[string](e, 0)
 	var gotAt Time
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		if v := s.Get(p); v != "x" {
 			t.Errorf("Get = %q", v)
 		}
 		gotAt = p.Now()
 	})
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(7 * Millisecond)
 		s.Put(p, "x")
 	})
@@ -53,13 +53,13 @@ func TestStorePutBlocksWhenFull(t *testing.T) {
 	e := NewEnv()
 	s := NewStore[int](e, 2)
 	var putDone Time
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		s.Put(p, 1)
 		s.Put(p, 2)
 		s.Put(p, 3) // blocks: capacity 2
 		putDone = p.Now()
 	})
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(10 * Millisecond)
 		_ = s.Get(p)
 	})
@@ -94,8 +94,8 @@ func TestStoreHandoffToWaitingGetter(t *testing.T) {
 	e := NewEnv()
 	s := NewStore[int](e, 1)
 	var got int
-	e.Go("g", func(p *Proc) { got = s.Get(p) })
-	e.Go("p", func(p *Proc) {
+	e.Go(func(p *Proc) { got = s.Get(p) })
+	e.Go(func(p *Proc) {
 		p.Sleep(Millisecond)
 		s.Put(p, 42)
 	})

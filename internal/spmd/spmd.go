@@ -71,9 +71,7 @@ type Result struct {
 	PerProcess []sim.Duration // each process's completion time
 	// Device/manager statistics.
 	ContextSwitches int
-	KernelsRun      int
 	Flushes         int
-	STPPolls        int
 }
 
 func (r Result) String() string {
@@ -97,7 +95,7 @@ func RunDirect(cfg Config) (Result, error) {
 	errs := make([]error, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		i := i
-		env.Go(fmt.Sprintf("spmd-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			pr, err := direct.Attach(p, dev, cfg.SpecFor(i), cfg.SwitchCost)
 			if err != nil {
 				errs[i] = err
@@ -133,7 +131,6 @@ func RunDirect(cfg Config) (Result, error) {
 		}
 	}
 	res.ContextSwitches = dev.ContextSwitches
-	res.KernelsRun = dev.KernelsRun
 	return res, nil
 }
 
@@ -168,10 +165,9 @@ func RunVirt(cfg Config) (Result, error) {
 	host := vgpu.Serve(mgr, vgpu.Config{BlockingSTP: cfg.BlockingSTP})
 	res := Result{Mode: "virt", N: cfg.N, PerProcess: make([]sim.Duration, cfg.N)}
 	errs := make([]error, cfg.N)
-	polls := make([]int, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		i := i
-		env.Go(fmt.Sprintf("spmd-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			t0 := p.Now()
 			spec := cfg.SpecFor(i)
@@ -202,7 +198,6 @@ func RunVirt(cfg Config) (Result, error) {
 			if cfg.Functional && cfg.CheckOutput != nil && out != nil {
 				errs[i] = cfg.CheckOutput(i, out)
 			}
-			polls[i] = v.Polls
 			if err := v.Release(p); err != nil && errs[i] == nil {
 				errs[i] = err
 			}
@@ -221,11 +216,7 @@ func RunVirt(cfg Config) (Result, error) {
 			res.Turnaround = d
 		}
 	}
-	for _, n := range polls {
-		res.STPPolls += n
-	}
 	res.ContextSwitches = dev.ContextSwitches
-	res.KernelsRun = dev.KernelsRun
 	res.Flushes = mgr.Flushes()
 	return res, nil
 }
@@ -266,7 +257,7 @@ func Profile(cfg Config) (model.Params, error) {
 	// Tinit: N processes initialize simultaneously; the total is when the
 	// last context exists.
 	for i := 0; i < cfg.N; i++ {
-		env.Go("init", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			pr, err := direct.Attach(p, dev, cfg.SpecFor(0), cfg.SwitchCost)
 			if err != nil {
 				profErr = err

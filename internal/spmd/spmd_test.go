@@ -7,6 +7,7 @@ import (
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
+	"gpuvirt/internal/trace"
 	"gpuvirt/internal/workloads"
 )
 
@@ -217,19 +218,21 @@ func TestMultiCycleRuns(t *testing.T) {
 	w := workloads.VectorAdd(1 << 16)
 	cfg := cfgFor(w, 2, false)
 	cfg.Cycles = 3
-	dres, err := RunDirect(cfg)
-	if err != nil {
+	// The device's sm lane records one span per kernel run.
+	cfg.Tracer = trace.New()
+	if _, err := RunDirect(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if dres.KernelsRun != 6 {
-		t.Fatalf("direct KernelsRun = %d, want 6 (2 procs x 3 cycles)", dres.KernelsRun)
+	if n := len(cfg.Tracer.LaneSpans("sm")); n != 6 {
+		t.Fatalf("direct ran %d kernels, want 6 (2 procs x 3 cycles)", n)
 	}
+	cfg.Tracer = trace.New()
 	vres, err := RunVirt(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vres.KernelsRun != 6 {
-		t.Fatalf("virt KernelsRun = %d, want 6", vres.KernelsRun)
+	if n := len(cfg.Tracer.LaneSpans("sm")); n != 6 {
+		t.Fatalf("virt ran %d kernels, want 6", n)
 	}
 	if vres.Flushes != 3 {
 		t.Fatalf("virt Flushes = %d, want 3 (one barrier per cycle)", vres.Flushes)

@@ -58,7 +58,7 @@ type ShardSubmitter func(shard int, start func(), done <-chan struct{}) bool
 func (d *Dispatcher) onShard(submit ShardSubmitter, shard int, fn func(p *sim.Proc)) bool {
 	done := make(chan struct{})
 	return submit(shard, func() {
-		d.cfg.Node.Shard(shard).Env.Go("ipc-request", func(p *sim.Proc) {
+		d.cfg.Node.Shard(shard).Env.Go(func(p *sim.Proc) {
 			p.Daemonize() // it may wait on events only another turn fires
 			fn(p)
 			close(done)
@@ -133,7 +133,7 @@ func newDispMetrics(reg *metrics.Registry) *dispMetrics {
 		failovers: reg.Counter("node_failovers_total",
 			"sessions live-migrated off unhealthy or draining shards"),
 		migratedBytes: reg.Counter("node_migrated_bytes_total",
-			"host bytes moved by session failover (arena snapshots plus staging)"),
+			"host bytes moved by session failover (staged input and output, scratch snapshots and a WritesIn input arena)"),
 		migLatencyNS: reg.Histogram("node_migration_latency_ns",
 			"wall-clock latency of one session failover (extract to adopt)"),
 	}

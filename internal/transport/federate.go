@@ -81,7 +81,7 @@ func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter
 	d.retire(s)
 	if d.cfg.Log != nil {
 		d.cfg.Log.Info("session extracted for cross-node migration",
-			"session", s.id, "gpu", from, "bytes", ext.Bytes())
+			"session", s.id, "gpu", from, "bytes", len(blob))
 	}
 	return &Response{Status: "ACK", Session: s.id, Data: blob}, true
 }

@@ -106,7 +106,7 @@ func Serve(mgr *gvm.Manager, cfg Config) *Host {
 	}
 	h := &Host{mgr: mgr, cfg: cfg, sessions: make(map[int]*hostSession),
 		req: newMqueue[request](mgr.Env(), cfg.MsgLatency)}
-	mgr.Env().Go("vgpu", func(p *sim.Proc) {
+	mgr.Env().Go(func(p *sim.Proc) {
 		p.Daemonize()
 		p.Wait(mgr.Ready()) // clients arriving during manager initialization queue
 		for {
@@ -235,7 +235,7 @@ func (s *hostSession) notify(verb gvm.Verb, st gvm.Status, errMsg string) {
 		// (a timeout flush, a blocking STP's completion): one reply process
 		// per burst sends an instant's outcomes.
 		if h.late = append(h.late, o); len(h.late) == 1 {
-			h.mgr.Env().Go("vgpu-reply", func(p *sim.Proc) { sendAll(p, &h.late, nil) })
+			h.mgr.Env().Go(func(p *sim.Proc) { sendAll(p, &h.late, nil) })
 		}
 	}
 }

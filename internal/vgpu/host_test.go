@@ -16,10 +16,10 @@ func TestQueueSendRecvLatency(t *testing.T) {
 	q := newMqueue[string](env, 50*sim.Microsecond)
 	var recvAt sim.Time
 	var got string
-	env.Go("producer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		q.send(p, "msg") // pays one hop on the sender
 	})
-	env.Go("consumer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		got = q.recv(p) // pays one hop on the receiver
 		recvAt = p.Now()
 	})
@@ -38,12 +38,12 @@ func TestQueueFIFOOrdering(t *testing.T) {
 	env := sim.NewEnv()
 	q := newMqueue[int](env, sim.Microsecond)
 	var got []int
-	env.Go("producer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			q.send(p, i)
 		}
 	})
-	env.Go("consumer", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			got = append(got, q.recv(p))
 		}
@@ -69,7 +69,7 @@ func TestREQPaysFourHops(t *testing.T) {
 		env, _, mgr := newManager(t, false, 1, nil)
 		host := Serve(mgr, Config{MsgLatency: c.set})
 		var took sim.Duration
-		env.Go("client", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			t0 := p.Now()
 			if _, err := host.Connect(p, vecSpec(64)); err != nil {
@@ -92,7 +92,7 @@ func TestREQPaysFourHops(t *testing.T) {
 func TestUnknownSessionAnswered(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, nil)
 	var err error
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, cerr := host.Connect(p, vecSpec(64))
 		if cerr != nil {
@@ -119,7 +119,7 @@ func TestREQFailureReleasesSession(t *testing.T) {
 	reg := metrics.NewRegistry()
 	env, dev, mgr, host := newRig(t, true, 1, func(c *gvm.Config) { c.Metrics = reg })
 	var err error
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		_, err = host.Connect(p, &task.Spec{Name: "bad", InBytes: -8, OutBytes: 16})
 	})
@@ -148,7 +148,7 @@ func TestFrontEndCostClosedForm(t *testing.T) {
 	env, _, mgr := newManager(t, false, 1, nil)
 	host := Serve(mgr, Config{MsgLatency: hop, BlockingSTP: true})
 	var through sim.Duration
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, spec)
 		if err != nil {
@@ -170,7 +170,7 @@ func TestFrontEndCostClosedForm(t *testing.T) {
 
 	env, _, twin := newManager(t, false, 1, nil)
 	var bare sim.Duration
-	env.Go("front-end", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(twin.Ready())
 		id, err := twin.OpenSession(p, gvm.Request{Spec: spec})
 		if err != nil {

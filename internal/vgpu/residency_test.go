@@ -52,7 +52,7 @@ func runResidencyMix(t *testing.T, reg *metrics.Registry, memBytes int64, sessio
 	for s := 0; s < sessions; s++ {
 		s := s
 		outs[s] = make([][]byte, cycles)
-		env.Go(fmt.Sprintf("client-%d", s), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			rng := seed + uint32(s)*977
 			p.Wait(mgr.Ready())
 			v, err := host.Connect(p, vecSpec(n))
@@ -154,7 +154,7 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v1, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -244,7 +244,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	var in []float32
-	env.Go("holder", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -273,7 +273,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	env.Go("evicted", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -340,7 +340,7 @@ func TestPriorityOrdersEviction(t *testing.T) {
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		high, err := host.ConnectOpts(p, gvm.Request{Spec: vecSpec(n), Priority: 10})
 		if err != nil {
@@ -401,7 +401,7 @@ func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		// Arenas alone exceed the quota: REQ is rejected.
 		spec := &task.Spec{Name: "q", InBytes: 1 << 20, OutBytes: 512 << 10}

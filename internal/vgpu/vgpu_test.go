@@ -1,7 +1,6 @@
 package vgpu
 
 import (
-	"fmt"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -58,7 +57,7 @@ func TestFullProtocolFunctional(t *testing.T) {
 	const n = 2048
 	reg := metrics.NewRegistry()
 	env, _, mgr, host := newRig(t, true, 1, func(c *gvm.Config) { c.Metrics = reg })
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -106,7 +105,7 @@ func TestEightClientsBarrierAndConcurrency(t *testing.T) {
 	env, dev, mgr, host := newRig(t, false, 8, nil)
 	var ends []sim.Time
 	for i := 0; i < 8; i++ {
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			v, err := host.Connect(p, vecSpec(n))
 			if err != nil {
@@ -146,7 +145,7 @@ func TestBarrierActuallyBlocksEarlyClients(t *testing.T) {
 	const n = 1 << 12
 	env, _, mgr, host := newRig(t, false, 2, nil)
 	var firstStartDone sim.Time
-	env.Go("early", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(n))
 		if err != nil {
@@ -167,7 +166,7 @@ func TestBarrierActuallyBlocksEarlyClients(t *testing.T) {
 		}
 	})
 	var lateArrive sim.Time
-	env.Go("late", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		p.Sleep(500 * sim.Millisecond)
 		v, err := host.Connect(p, vecSpec(n))
@@ -203,7 +202,7 @@ func TestBlockingSTPNoPolling(t *testing.T) {
 		env, _, mgr := newManager(t, false, 1, nil)
 		host := Serve(mgr, Config{BlockingSTP: blocking})
 		polls := 0
-		env.Go("client", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			v, err := host.Connect(p, vecSpec(n))
 			if err != nil {
@@ -238,7 +237,7 @@ func TestREQRejectsInvalidKernel(t *testing.T) {
 			return []*cuda.Kernel{{Name: "bad", Grid: cuda.Dim(1), Block: cuda.Dim(4096)}}, nil
 		},
 	}
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		if _, err := host.Connect(p, spec); err == nil {
 			t.Error("Connect accepted an invalid kernel")
@@ -255,7 +254,7 @@ func TestREQRejectsInvalidKernel(t *testing.T) {
 func TestREQRejectsOOM(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, nil)
 	spec := &task.Spec{Name: "huge", InBytes: 64 << 30, OutBytes: 16}
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		if _, err := host.Connect(p, spec); err == nil {
 			t.Error("Connect accepted a 64 GiB allocation on a 6 GiB card")
@@ -268,7 +267,7 @@ func TestREQRejectsOOM(t *testing.T) {
 
 func TestRCVBeforeCompletionErrors(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, nil)
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(1<<12))
 		if err != nil {
@@ -287,7 +286,7 @@ func TestRCVBeforeCompletionErrors(t *testing.T) {
 
 func TestDoubleSTRErrors(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, nil)
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(1<<22))
 		if err != nil {
@@ -317,7 +316,7 @@ func TestDoubleSTRErrors(t *testing.T) {
 
 func TestInputSizeValidation(t *testing.T) {
 	env, _, mgr, host := newRig(t, true, 1, nil)
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, vecSpec(1024))
 		if err != nil {
@@ -338,7 +337,7 @@ func TestInputSizeValidation(t *testing.T) {
 
 func TestConnectNilSpec(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, nil)
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		if _, err := host.Connect(p, nil); err == nil {
 			t.Error("Connect accepted nil spec")
@@ -362,7 +361,7 @@ func TestScratchBuffersFreedOnRelease(t *testing.T) {
 			return nil, nil
 		},
 	}
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v, err := host.Connect(p, spec)
 		if err != nil {
@@ -390,7 +389,7 @@ func TestScratchBuffersFreedOnRelease(t *testing.T) {
 
 func TestSessionQuotaRejectsOverCommit(t *testing.T) {
 	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.MaxSessionBytes = 1 << 20 })
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		// First session fits the 1 MiB quota.
 		small := &task.Spec{Name: "small", InBytes: 512 << 10, OutBytes: 128 << 10}
@@ -427,7 +426,7 @@ func TestBarrierTimeoutFlushesPartialBatch(t *testing.T) {
 	})
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			v, err := host.Connect(p, vecSpec(1<<16))
 			if err != nil {
@@ -459,7 +458,7 @@ func TestBarrierTimeoutNotFiredWhenAllArrive(t *testing.T) {
 		c.BarrierTimeout = 10 * sim.Second
 	})
 	for i := 0; i < 2; i++ {
-		env.Go("client", func(p *sim.Proc) {
+		env.Go(func(p *sim.Proc) {
 			p.Wait(mgr.Ready())
 			v, err := host.Connect(p, vecSpec(1<<16))
 			if err != nil {
@@ -499,7 +498,7 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	spec := &task.Spec{Name: "big", InBytes: 1 << 20, OutBytes: 512 << 10}
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		v1, err := host.Connect(p, spec)
 		if err != nil {
@@ -560,7 +559,7 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
-	env.Go("client", func(p *sim.Proc) {
+	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		spec := w.Spec(0)
 		v, err := host.Connect(p, spec)
@@ -631,7 +630,7 @@ func TestFlushPolicySJFImprovesMeanTurnaround(t *testing.T) {
 			if i == 0 {
 				n = 1 << 24 // big: 128 MiB in
 			}
-			env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+			env.Go(func(p *sim.Proc) {
 				p.Wait(mgr.Ready())
 				// Stagger arrivals so the big task reaches the barrier
 				// first (its SND staging takes ~6 ms; the small tasks
