@@ -16,13 +16,11 @@ import (
 	"gpuvirt/internal/experiments"
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/gpusim"
-	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/kernels"
 	"gpuvirt/internal/model"
 	"gpuvirt/internal/shm"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/spmd"
-	"gpuvirt/internal/task"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
@@ -366,47 +364,6 @@ func BenchmarkExtensionMultiGPU(b *testing.B) {
 	for _, r := range rows {
 		b.ReportMetric(r.Scaling, fmt.Sprintf("%dgpu-scaling", r.GPUs))
 	}
-}
-
-// AblationFlushPolicy: flush-order sensitivity under a heterogeneous
-// batch (one large task, seven small). Under simultaneous SPMD arrival,
-// FIFO naturally approximates SJF — staging time correlates with job
-// size, so small jobs reach the barrier first — while the adversarial
-// largest-first order multiplies mean turnaround. (When a large job
-// arrives first, SJF strictly beats FIFO: see
-// vgpu.TestFlushPolicySJFImprovesMeanTurnaround.)
-func BenchmarkAblationFlushPolicy(b *testing.B) {
-	specFor := func(i int) *task.Spec {
-		if i == 0 {
-			return workloads.VectorAdd(1 << 24).Spec(i) // 128 MiB in
-		}
-		return workloads.VectorAdd(1 << 18).Spec(i) // 2 MiB in
-	}
-	run := func(policy gvm.FlushPolicy) float64 {
-		cfg := spmd.Config{
-			Arch: experiments.Arch(), N: 8,
-			SpecFor:     specFor,
-			FlushPolicy: policy,
-		}
-		res, err := spmd.RunVirt(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mean float64
-		for _, d := range res.PerProcess {
-			mean += d.Seconds() * 1e3
-		}
-		return mean / float64(len(res.PerProcess))
-	}
-	var fifo, sjf, ljf float64
-	for i := 0; i < b.N; i++ {
-		fifo = run(gvm.FlushFIFO)
-		sjf = run(gvm.FlushSJF)
-		ljf = run(gvm.FlushLJF)
-	}
-	b.ReportMetric(fifo, "fifo-meanturn-ms")
-	b.ReportMetric(sjf, "sjf-meanturn-ms")
-	b.ReportMetric(ljf, "ljf-meanturn-ms")
 }
 
 // --- Data-plane fast paths: parallel executor, IPC framing, shm ---

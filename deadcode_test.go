@@ -2,8 +2,8 @@
 // It type-checks the Linux build of the tree's one parse and resolves every
 // use to the object it names, so a method whose name a field or another
 // method shares is not kept alive by that name. `make loc` quotes this
-// test's -v lines: the guard's findings and the exported identifiers per
-// internal/ package.
+// test's -v lines: the guard's findings, the options and the exported
+// identifiers per internal/ package.
 package gpuvirt_test
 
 import (
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -39,6 +40,18 @@ var testOnlyAllowed = map[string]string{
 	"gpusim.MustNew":     "the device constructor of 20 test call sites in direct, gvm, ipc and vgpu; gpusim.New only fails on an invalid Arch",
 	"trace.Tracer.Spans": "gvm and trace tests read the recorded spans; ROADMAP item 2 folds internal/trace into the span recorder",
 	"fermi.TeslaC1060":   "the pre-Fermi reference card of gpusim's overlap test and the root AblationOverlap benchmark (DESIGN.md §6)",
+}
+
+// optionAllowed names the options the guard lets tests alone set, each with
+// the test or ablation that sets it: a reference path the paper's numbers
+// are measured against, which no command line needs.
+var optionAllowed = map[string]string{
+	"gpusim.Config.PreemptRatio":   "-1 is the no-preemption QoS reference of gpusim's smsched_qos_test and of the experiments' interference harness",
+	"ipc.Options.Plane":            "the ipc and fed tests that force a data plane other than the transport's default, such as inline over unix://",
+	"ipc.ServerConfig.ExecWorkers": "1 is the serial kernel executor of ipc's startOversub, so that what its cycle allocates does not depend on the host's cores",
+	"spmd.Config.BlockingSTP":      "the root BenchmarkAblationBlockingSTP; vgpu's TestFrontEndCostClosedForm needs the same path",
+	"spmd.Config.PageableStaging":  "the root BenchmarkAblationPinned",
+	"spmd.Config.PartiesOverride":  "the root BenchmarkAblationBarrier",
 }
 
 // guardEdits are edits of the tree that the guard must answer as listed:
@@ -133,6 +146,30 @@ var guardEdits = []struct {
 			{file: "internal/ipc/client.go", repl: "\ntype probeBase struct{ n int }\n"},
 		},
 	},
+	{
+		// Two options DialOptions reads: nothing outside tests sets Retries,
+		// and bench/gvmload sets Backoff only to a constant zero.
+		name: "options-only-tests-set",
+		edits: []archEdit{
+			{file: "internal/ipc/client.go", find: "\tNoPipeline bool\n}\n", repl: "\tNoPipeline bool\n\tRetries    int\n\tBackoff    time.Duration\n}\n"},
+			{file: "internal/ipc/client.go", find: "\tif o.Plane != \"\" {\n", repl: "\t_, _ = o.Retries, o.Backoff\n\tif o.Plane != \"\" {\n"},
+			{file: "bench/gvmload/traced.go", find: "ipc.Options{NoPipeline: true}, each, always(pipelined))", repl: "ipc.Options{NoPipeline: true, Backoff: 0}, each, always(pipelined))"},
+		},
+		fires: []string{"ipc.Options.Backoff", "ipc.Options.Retries"},
+	},
+	{
+		// An option only bench/gvmload sets (as Options.NoPipeline in the
+		// tree as it is), and one node sets by forwarding its own.
+		name: "options-set-outside-tests",
+		edits: []archEdit{
+			{file: "internal/ipc/client.go", find: "\tNoPipeline bool\n}\n", repl: "\tNoPipeline bool\n\tRetries    int\n}\n"},
+			{file: "internal/ipc/client.go", find: "\tif o.Plane != \"\" {\n", repl: "\t_ = o.Retries\n\tif o.Plane != \"\" {\n"},
+			{file: "bench/gvmload/traced.go", find: "ipc.Options{NoPipeline: true}, each, always(pipelined))", repl: "ipc.Options{NoPipeline: true, Retries: 2}, each, always(pipelined))"},
+			{file: "internal/gpusim/device.go", find: "\tPreemptRatio float64\n", repl: "\tPreemptRatio float64\n\tOvercommit   float64\n"},
+			{file: "internal/gpusim/device.go", find: "\tif err := cfg.Arch.Validate(); err != nil {\n", repl: "\t_ = cfg.Overcommit\n\tif err := cfg.Arch.Validate(); err != nil {\n"},
+			{file: "internal/node/node.go", find: "\t\t\tExecWorkers: cfg.ExecWorkers,\n", repl: "\t\t\tExecWorkers: cfg.ExecWorkers,\n\t\t\tOvercommit:  cfg.Overcommit,\n"},
+		},
+	},
 }
 
 // closesField is a field of ipc.Client that Close writes and nothing reads.
@@ -153,26 +190,41 @@ var closesField = []archEdit{
 // write it, &x.f and a promoted selector's embedded hops read it, a generic
 // type's instances share their fields, and a struct with json: tags is
 // exempt. Declarations found dead are taken out of the counts and the scan
-// repeats, so a helper or field only dead code uses is dead too. Each of
-// guardEdits must then be answered as listed.
+// repeats, so a helper or field only dead code uses is dead too. And it
+// fails on every option, an exported field of an exported struct type named
+// …Config or …Options, that no non-test code sets to anything but a
+// constant zero, unless optionAllowed names it. Each of guardEdits must
+// then be answered as listed.
 func TestNoTestOnlyCode(t *testing.T) {
 	tr := repoTree(t)
-	dead, err := testOnlyDecls(tr)
+	dead, options, err := testOnlyDecls(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(testOnlyAllowed) > 5 {
 		t.Errorf("the allowlist has %d entries; it holds at most 5", len(testOnlyAllowed))
 	}
-	var findings, lines int
+	if len(optionAllowed) > 6 {
+		t.Errorf("the option allowlist has %d entries; it holds at most 6", len(optionAllowed))
+	}
+	var findings, lines, unset int
 	allowed := map[string]bool{}
 	for _, d := range dead {
-		if _, ok := testOnlyAllowed[d.key]; ok {
+		allow := testOnlyAllowed
+		if d.unset {
+			unset++
+			allow = optionAllowed
+		}
+		if _, ok := allow[d.key]; ok {
 			allowed[d.key] = true
 			continue
 		}
 		findings++
 		lines += d.lines
+		if d.unset {
+			t.Errorf("%s: option %s is set only by tests (%d lines); delete it, or allowlist it naming the test or ablation that sets it", d.pos, d.key, d.lines)
+			continue
+		}
 		if _, field := d.obj.(*types.Var); field {
 			t.Errorf("%s: field %s is read by no non-test code (%d lines); delete it, or have production read it", d.pos, d.key, d.lines)
 			continue
@@ -184,7 +236,14 @@ func TestNoTestOnlyCode(t *testing.T) {
 			t.Errorf("allowlist entry %s names no test-only declaration; drop it", key)
 		}
 	}
-	t.Logf("test-only declarations: %d findings (%d lines), allowlist %d", findings, lines, len(testOnlyAllowed))
+	for key := range optionAllowed {
+		if !allowed[key] {
+			t.Errorf("option allowlist entry %s names no option only tests set; drop it", key)
+		}
+	}
+	t.Logf("test-only declarations: %d findings (%d lines), allowlist %d; options: %d Config/Options fields, %d set only by tests, allowlist %d",
+		findings, lines, len(testOnlyAllowed), len(options), unset, len(optionAllowed))
+	t.Logf("option fields: %s", strings.Join(options, " "))
 	t.Logf("exported identifiers: %s", exportedIdents(tr))
 
 	before := map[string]bool{}
@@ -200,7 +259,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dead, err := testOnlyDecls(mt)
+			dead, _, err := testOnlyDecls(mt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -501,6 +560,8 @@ type decl struct {
 	inner    []*decl     // an interface type's methods
 	uses     map[any]int // what it uses: objects, and interfaces (*types.Interface)
 	dead     bool
+	option   bool // an exported field of an exported *Config or *Options struct
+	unset    bool // an option that no non-test code sets
 }
 
 // ifaceEdge is one way to reach a method: a call of method on a value of
@@ -511,12 +572,14 @@ type ifaceEdge struct {
 }
 
 // testOnlyDecls returns the declarations of the tree that the fixed-point
-// scan finds dead, allowlisted ones included, sorted by key. Every call
-// type-checks the whole tree: the edited trees of guardEdits too.
-func testOnlyDecls(tr *srcTree) ([]*decl, error) {
+// scan finds dead and the live options no non-test code sets, allowlisted
+// ones included, and the keys of every option the tree declares, each
+// sorted. Every call type-checks the whole tree: the edited trees of
+// guardEdits too.
+func testOnlyDecls(tr *srcTree) ([]*decl, []string, error) {
 	tt, err := typecheck(tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// The candidates, by file, in source order, and by object.
@@ -571,6 +634,7 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 			use(pos, it)
 		}
 	}
+	sets := map[types.Object]int{}
 	for _, p := range tt.pkgs {
 		written := map[*ast.Ident]bool{}
 		for _, sf := range p.files {
@@ -583,6 +647,7 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 					}
 				}
 				inspectWrite(n, written)
+				inspectSet(p.info, n, sets)
 				return inspectUse(p.info, n, useIface)
 			})
 		}
@@ -686,21 +751,27 @@ func testOnlyDecls(tr *srcTree) ([]*decl, error) {
 		}
 	}
 	var out []*decl
+	var options []string
 	for _, ds := range byFile {
 		for _, d := range ds {
 			if d.dead {
 				out = append(out, d)
 			}
 			for _, in := range d.inner {
+				if in.option {
+					options = append(options, in.key)
+					in.unset = !in.dead && sets[in.obj] == 0
+				}
 				// A dead type's fields are its lines, reported once.
-				if _, field := in.obj.(*types.Var); in.dead && !(d.dead && field) {
+				if _, field := in.obj.(*types.Var); in.dead && !(d.dead && field) || in.unset {
 					out = append(out, in)
 				}
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out, nil
+	sort.Strings(options)
+	return out, options, nil
 }
 
 // inspectWrite records the field names n writes and does not read: an
@@ -723,6 +794,70 @@ func inspectWrite(n ast.Node, written map[*ast.Ident]bool) {
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
 				if id, ok := kv.Key.(*ast.Ident); ok {
 					written[id] = true
+				}
+			}
+		}
+	}
+}
+
+// inspectSet counts the fields n sets to anything but a constant zero value
+// (0, false, "", nil): a composite literal's key, an assignment's or
+// ++/--'s target and &x.f, each with the fields its target is reached
+// through, so that x.f[i] = v and x.f.g = v set f too.
+func inspectSet(info *types.Info, n ast.Node, sets map[types.Object]int) {
+	set := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			sets[v.Origin()]++
+		}
+	}
+	target := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				set(x.Sel)
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	zero := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		if tv.IsNil() {
+			return true
+		}
+		switch v := tv.Value; {
+		case v == nil:
+			return false
+		case v.Kind() == constant.Bool:
+			return !constant.BoolVal(v)
+		case v.Kind() == constant.String:
+			return constant.StringVal(v) == ""
+		}
+		return constant.Sign(tv.Value) == 0
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, e := range n.Lhs {
+			if len(n.Rhs) != len(n.Lhs) || !zero(n.Rhs[i]) {
+				target(e)
+			}
+		}
+	case *ast.IncDecStmt:
+		target(n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			target(n.X)
+		}
+	case *ast.CompositeLit:
+		for _, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok && !zero(kv.Value) {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					set(id)
 				}
 			}
 		}
@@ -840,12 +975,35 @@ func fileDecls(fset *token.FileSet, sf *srcFile, info *types.Info) []*decl {
 					}
 				} else {
 					d.inner = fieldDecls(d.key, ts.Type, add)
+					markOptions(ts, d.inner, info)
 				}
 				out = append(out, d)
 			}
 		}
 	}
 	return out
+}
+
+// markOptions marks the options among a type's fields: the exported fields
+// of an exported struct type whose name ends in Config or Options.
+func markOptions(ts *ast.TypeSpec, fields []*decl, info *types.Info) {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+		return
+	}
+	option := map[types.Object]bool{}
+	for _, f := range st.Fields.List {
+		names := f.Names
+		if len(names) == 0 {
+			names = []*ast.Ident{embeddedIdent(f.Type)}
+		}
+		for _, id := range names {
+			option[info.Defs[id]] = id.IsExported()
+		}
+	}
+	for _, d := range fields {
+		d.option = option[d.obj]
+	}
 }
 
 // fieldDecls returns the fields of the struct types n holds, each keyed

@@ -97,11 +97,10 @@ func parent(workers int, connect string, timeout, duration time.Duration, weight
 		shmDir = dir
 
 		srv, err := ipc.NewServer(ipc.ServerConfig{
-			Listen:      []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
-			Parties:     workers, // barrier: all workers' streams flush together
-			Functional:  true,
-			ShmDir:      dir,
-			ExecWorkers: 0, // kernel-execution pool: one worker per core
+			Listen:     []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
+			Parties:    workers, // barrier: all workers' streams flush together
+			Functional: true,
+			ShmDir:     dir,
 		})
 		if err != nil {
 			log.Fatal(err)

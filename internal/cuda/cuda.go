@@ -210,11 +210,6 @@ func (k *Kernel) Validate(arch fermi.Arch) error {
 	return nil
 }
 
-// TotalWorkCycles returns the cost model's total lane-cycles for the launch.
-func (k *Kernel) TotalWorkCycles() float64 {
-	return float64(k.Threads()) * k.CyclesPerThread
-}
-
 // TotalMemBytes returns the cost model's total device-memory traffic.
 func (k *Kernel) TotalMemBytes() float64 {
 	return float64(k.Threads()) * k.MemBytesPerThread

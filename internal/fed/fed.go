@@ -165,7 +165,6 @@ type fedSession struct {
 	// REQ parameters, kept for dead-backend re-creation.
 	ref      workloads.Ref
 	rank     int
-	memQuota int64
 	priority int
 	weight   int
 	inB      int64

@@ -59,8 +59,7 @@ func (r *Router) recreateLocked(s *fedSession) error {
 	r.dropBackendLocked(s, true)
 	fwd := &transport.Request{
 		Verb: "REQ", Ref: &s.ref, Rank: s.rank,
-		Plane:    transport.PlaneInline,
-		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
+		Plane: transport.PlaneInline, Priority: s.priority, Weight: s.weight,
 	}
 	b, conn, resp, err := r.openOn(fwd, s.inB+s.outB)
 	if err != nil {
@@ -109,7 +108,7 @@ func (r *Router) migrateLocked(s *fedSession) error {
 	// attached until an adoption has sent it.
 	adp := &transport.Request{
 		Verb: "ADP", Ref: &s.ref, Rank: s.rank,
-		MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight,
+		Priority: s.priority, Weight: s.weight,
 		Data: resp.Data,
 	}
 	// A node that refuses the adoption leaves the others to try.

@@ -142,7 +142,7 @@ func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Re
 	s := &fedSession{
 		owner: cc,
 		ref:   *req.Ref, rank: req.Rank,
-		memQuota: req.MemQuota, priority: req.Priority, weight: req.Weight,
+		priority: req.Priority, weight: req.Weight,
 		inB: resp.InBytes, outB: resp.OutBytes,
 		// A fresh session needs no restaging: a direct gvmd computes on
 		// zero-filled staging, and the router must be indistinguishable.

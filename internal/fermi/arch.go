@@ -183,9 +183,6 @@ func (a Arch) Validate() error {
 	return nil
 }
 
-// TotalCores returns SMs x CoresPerSM.
-func (a Arch) TotalCores() int { return a.SMs * a.CoresPerSM }
-
 // TransferTime returns the virtual time to move n bytes across the host
 // link in the given direction, using pinned or pageable buffers.
 func (a Arch) TransferTime(n int64, toDevice, pinned bool) sim.Duration {

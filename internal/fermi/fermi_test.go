@@ -21,9 +21,6 @@ func TestC2070Geometry(t *testing.T) {
 	if a.SMs != 14 || a.CoresPerSM != 32 {
 		t.Fatalf("C2070 geometry = %dx%d, want 14x32 (paper, Section VI)", a.SMs, a.CoresPerSM)
 	}
-	if a.TotalCores() != 448 {
-		t.Fatalf("TotalCores = %d, want 448", a.TotalCores())
-	}
 	if a.MaxConcurrentKernels != 16 {
 		t.Fatalf("MaxConcurrentKernels = %d, want 16", a.MaxConcurrentKernels)
 	}

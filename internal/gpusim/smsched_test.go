@@ -333,10 +333,10 @@ func TestQuickSchedulerWorkConservation(t *testing.T) {
 				CyclesPerThread: cycles,
 			}
 			ks = append(ks, k)
-			totalWork += k.TotalWorkCycles()
+			totalWork += float64(k.Threads()) * k.CyclesPerThread
 		}
 		makespan, _ := launchAndTime(t, arch, ks...)
-		peak := float64(arch.TotalCores()) * arch.ClockHz
+		peak := float64(arch.SMs*arch.CoresPerSM) * arch.ClockHz
 		lower := totalWork / peak
 		// Upper bound: every block serialized at the single-warp rate
 		// (the pathological floor), plus launch overheads.

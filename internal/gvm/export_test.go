@@ -48,13 +48,13 @@ type ProtocolRow struct {
 	Next   string
 }
 
-// ProtocolTable is state.step over the seven named states, its preludes (a
+// ProtocolTable is state.step over the eight named states, its preludes (a
 // restore, a replay) followed through to the verb's answer. Evicted is a
 // done session's.
 func ProtocolTable() []ProtocolRow {
 	var rows []ProtocolRow
 	for _, st := range []state{{idle, resident}, {staged, resident}, {running, resident}, {done, resident},
-		{done, evicted}, {failed, resident}, {rerun, resident}} {
+		{done, evicted}, {abandoned, resident}, {failed, resident}, {rerun, resident}} {
 		for v := SND; v <= RLS; v++ {
 			a, text, next := st.step(v)
 			for a == restoreFirst || a == replayFirst {
@@ -65,6 +65,8 @@ func ProtocolTable() []ProtocolRow {
 			case refuse:
 			case bounce:
 				row.ErrSub = RetryableMark
+			case kernelErr:
+				row.ErrSub = KernelErr
 			default:
 				row.Status = ACK
 			}
@@ -96,6 +98,16 @@ func (m *Manager) InjectFailed(id int) {
 	s := m.sessions[id]
 	s.failed = errors.New("injected device fault")
 	s.st.phase = failed
+}
+
+// KernelErr is the kernel's own error InjectAbandoned leaves behind.
+const KernelErr = "injected kernel failure"
+
+// InjectAbandoned leaves session id as a kernel failing on its own does.
+func (m *Manager) InjectAbandoned(id int) {
+	s := m.sessions[id]
+	s.failed = errors.New(KernelErr)
+	s.st.phase = abandoned
 }
 
 // InjectRerun leaves session id as AdoptSession leaves an interrupted cycle.

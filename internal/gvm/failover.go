@@ -125,8 +125,11 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 		return nil, fmt.Errorf("gvm: ExtractSession: session %d was released while it quiesced", id)
 	}
 	ph := s.st.phase
-	if ph == failed {
+	switch ph {
+	case failed:
 		ph = rerun
+	case abandoned:
+		ph = idle // the kernel's error stays behind with the cycle
 	}
 	if s.st.res == resident {
 		m.suspendSession(p, s)
@@ -134,7 +137,7 @@ func (m *Manager) ExtractSession(p *sim.Proc, id int) (*ExtractedSession, error)
 	snap := s.snap // the session's own is dropped with it below
 	ext := &ExtractedSession{
 		ID:      s.id,
-		Request: Request{Spec: s.spec, MemQuota: s.memQuota, Priority: s.priority, Weight: s.weight},
+		Request: Request{Spec: s.spec, Priority: s.priority, Weight: s.weight},
 		phase:   ph, snap: &snap,
 	}
 	if s.pinIn != nil && s.pinIn.Data() != nil {
@@ -179,7 +182,7 @@ func (m *Manager) AdoptSession(p *sim.Proc, ext *ExtractedSession) error {
 	}
 	s := &session{
 		spec:     ext.Spec,
-		memQuota: ext.MemQuota, priority: ext.Priority, weight: sessionWeight(ext.Request),
+		priority: ext.Priority, weight: sessionWeight(ext.Request),
 		lastUsed: p.Now(),
 		st:       state{ext.phase, evicted},
 		// The footprint is what OpenSession charged; the build reserves the

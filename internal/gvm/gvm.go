@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/bits"
-	"sort"
 	"strconv"
 
 	"gpuvirt/internal/cuda"
@@ -106,13 +105,14 @@ func (s Status) String() string {
 type phase uint8
 
 const (
-	idle    phase = iota // opened, or its cycle abandoned
-	staged               // SND staged input; no cycle started
-	running              // STR joined the barrier, or the flush is on the stream
-	done                 // the cycle completed; results sit in staging
-	failed               // a device fault hit the cycle (session.failed says which)
-	rerun                // adopted mid-cycle: the interrupted cycle is still owed
-	gone                 // released
+	idle      phase = iota // opened, or taken off the STR barrier by a move
+	staged                 // SND staged input; no cycle started
+	running                // STR joined the barrier, or the flush is on the stream
+	done                   // the cycle completed; results sit in staging
+	abandoned              // a kernel failed on its own (session.failed says how)
+	failed                 // a device fault hit the cycle (session.failed says which)
+	rerun                  // adopted mid-cycle: the interrupted cycle is still owed
+	gone                   // released
 )
 
 type residency uint8
@@ -128,7 +128,7 @@ type state struct {
 }
 
 var (
-	phaseNames     = [...]string{"idle", "staged", "running", "done", "failed", "rerun", "gone"}
+	phaseNames     = [...]string{"idle", "staged", "running", "done", "abandoned", "failed", "rerun", "gone"}
 	residencyNames = [...]string{"resident", "evicted"}
 )
 
@@ -147,6 +147,7 @@ type act uint8
 const (
 	refuse       act = iota // ERR with step's text
 	bounce                  // ERR: the device fault, retryable until failover moves the session
+	kernelErr               // STP, RCV: ERR with the kernel's own error, which no retry mends
 	restoreFirst            // restore the evicted arena, then step again
 	replayFirst             // re-run the interrupted flush, then step again
 	copyIn                  // SND: one host copy into staging, ACK
@@ -162,7 +163,7 @@ const (
 // the engine does with verb v on a session in state st, the error text when
 // it refuses, and the state the session is in once v is answered — or, for
 // restoreFirst and replayFirst, the state the prelude leaves it in, from
-// which v steps again. DESIGN.md §3's table is this function over the seven
+// which v steps again. DESIGN.md §3's table is this function over the eight
 // named states.
 func (st state) step(v Verb) (a act, text string, next state) {
 	needsArena := v == SND || v == STR || v == RCV || (v == STP && st.phase == rerun)
@@ -171,13 +172,15 @@ func (st state) step(v Verb) (a act, text string, next state) {
 		return free, "", state{phase: gone}
 	case st.phase == failed:
 		return bounce, "", st
+	case st.phase == abandoned && (v == STP || v == RCV):
+		return kernelErr, "", st
 	case needsArena && st.res == evicted:
 		return restoreFirst, "", state{st.phase, resident}
 	case st.phase == rerun && (v == STP || v == RCV):
 		// The client waits on the interrupted cycle's results; its own SND or
 		// STR supersedes that cycle instead, re-driving it.
 		return replayFirst, "", state{running, st.res}
-	case v == SND && (st.phase == idle || st.phase == rerun):
+	case v == SND && (st.phase == idle || st.phase == abandoned || st.phase == rerun):
 		return copyIn, "", state{staged, st.res}
 	case v == SND:
 		return copyIn, "", st
@@ -200,10 +203,6 @@ func (st state) step(v Verb) (a act, text string, next state) {
 // Request is what a REQ carries: the task and the session's options.
 type Request struct {
 	Spec *task.Spec
-	// MemQuota is a hard per-session device-memory limit in
-	// bytes, enforced at every Malloc the session performs (HAMi-style).
-	// 0 means unlimited.
-	MemQuota int64
 	// Priority orders eviction victims: lower-priority
 	// sessions are evicted first when the device cannot fit an
 	// allocation. Equal priorities fall back to LRU. 0 is the default.
@@ -255,57 +254,13 @@ type Config struct {
 	// batch, so a crashed SPMD rank cannot wedge the node. 0 disables
 	// the timeout (strict barrier, the paper's behaviour).
 	BarrierTimeout sim.Duration
-	// FlushPolicy orders the sessions within a barrier batch when their
-	// streams flush (extension; the paper flushes in STR arrival order).
-	FlushPolicy FlushPolicy
-	Tracer      *trace.Tracer
+	Tracer         *trace.Tracer
 	// Metrics receives the manager's instruments. nil creates a private
 	// registry; the daemon passes one shared registry so gvm, transport
 	// and ipc series scrape together, and a test passes its own to read.
 	Metrics *metrics.Registry
 	// Log, when non-nil, receives one Info line per barrier flush.
 	Log *slog.Logger
-}
-
-// FlushPolicy orders sessions within a barrier batch.
-type FlushPolicy int
-
-const (
-	// FlushFIFO flushes in STR arrival order (the paper's behaviour).
-	FlushFIFO FlushPolicy = iota
-	// FlushSJF flushes the session with the smallest estimated cost
-	// first: under heterogeneous tasks the engine-queue ordering then
-	// minimizes mean turnaround, classic shortest-job-first.
-	FlushSJF
-	// FlushLJF flushes the largest estimated cost first (the
-	// anti-policy, for the ablation's upper bound).
-	FlushLJF
-)
-
-func (f FlushPolicy) String() string {
-	switch f {
-	case FlushFIFO:
-		return "fifo"
-	case FlushSJF:
-		return "sjf"
-	case FlushLJF:
-		return "ljf"
-	default:
-		return fmt.Sprintf("FlushPolicy(%d)", int(f))
-	}
-}
-
-// estimateCost scores a session's cycle for flush ordering: transfer
-// time at pageable bandwidth plus modeled compute time at device peak.
-func (m *Manager) estimateCost(s *session) float64 {
-	arch := m.dev.Arch()
-	sec := arch.TransferTime(s.spec.InBytes, true, true).Seconds() +
-		arch.TransferTime(s.spec.OutBytes, false, true).Seconds()
-	peak := float64(arch.TotalCores()) * arch.ClockHz
-	for _, k := range s.kernels {
-		sec += k.TotalWorkCycles() / peak
-	}
-	return sec
 }
 
 // The manager's two fixed host-side costs. hostCopyBW is host memcpy
@@ -388,7 +343,8 @@ type session struct {
 	snap       snapshot  // the session's one snapshot, reused by every eviction
 	// failed is the first device fault that hit this session's kernels:
 	// the cause its failed phase answers with until the failover engine
-	// migrates it to a healthy shard, where the cycle re-runs.
+	// migrates it to a healthy shard, where the cycle re-runs. Or it is a
+	// kernel's own error, which its abandoned phase answers with.
 	failed error
 
 	// A session's device reservation (devBytes, the rounded bytes it
@@ -396,7 +352,6 @@ type session struct {
 	lastUsed sim.Time // LRU clock for victim selection
 	priority int      // lower evicts first (Request.Priority)
 	weight   int      // SM compute-time share (Request.Weight, normalized)
-	memQuota int64    // hard Malloc-time limit, 0 = unlimited
 	devBytes int64    // logical device bytes reserved by this session
 
 	// Prebound per-weight-class instruments (label class="<weight
@@ -562,6 +517,8 @@ func (m *Manager) serve(s *session, verb Verb) {
 		s.tell(verb, ERR, "gvm: "+text)
 	case bounce:
 		s.tell(verb, ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed))
+	case kernelErr:
+		s.tell(verb, ERR, fmt.Sprintf("gvm: session %d: %v", s.id, s.failed))
 	case restoreFirst:
 		// Eviction is transparent: restore the arena before serving the
 		// verb, waiting out pressure from running sessions.
@@ -647,7 +604,7 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 	}
 	s := &session{
 		id: m.mintSessionID(), spec: r.Spec,
-		memQuota: r.MemQuota, priority: r.Priority, lastUsed: p.Now(),
+		priority: r.Priority, lastUsed: p.Now(),
 		weight: sessionWeight(r),
 	}
 	m.bindClassMetrics(s)
@@ -656,9 +613,8 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 
 	s.pinIn = m.newStaging(r.Spec.InBytes, nil)
 	s.pinOut = m.newStaging(r.Spec.OutBytes, nil)
-	// All of a session's device allocations flow through its quota
-	// allocator: it enforces the hard MemQuota at Malloc time and keeps
-	// the device's reserved-bytes gauge in step with what the session
+	// All of a session's device allocations flow through its allocator: it
+	// keeps the device's reserved-bytes gauge in step with what the session
 	// logically holds (the reservation survives eviction).
 	if err := m.build(s, &sessionAllocator{m: m, s: s}); err != nil {
 		m.teardown(s)
@@ -815,16 +771,6 @@ func (m *Manager) flushBatch(timedOut bool) {
 		m.log.Info("gvm flush",
 			"sessions", len(batch), "timed_out", timedOut, "gen", m.strGen)
 	}
-	switch m.cfg.FlushPolicy {
-	case FlushSJF:
-		sort.SliceStable(batch, func(i, j int) bool {
-			return m.estimateCost(batch[i]) < m.estimateCost(batch[j])
-		})
-	case FlushLJF:
-		sort.SliceStable(batch, func(i, j int) bool {
-			return m.estimateCost(batch[i]) > m.estimateCost(batch[j])
-		})
-	}
 	for _, bs := range batch {
 		m.flush(bs)
 	}
@@ -894,28 +840,26 @@ func (m *Manager) prepareOps(s *session) {
 		s.ops = append(s.ops, func(p *sim.Proc) { ctx.MemcpyD2H(p, s.pinOut, s.devOut, s.spec.OutBytes) })
 	}
 	s.finishCB = func() {
-		st, errMsg := ACK, ""
 		if s.failed == nil {
 			s.st.phase = done
 			turn := int64(m.env.Now() - s.strArrived)
 			m.met.turnaroundNS.Observe(turn)
 			s.turnClassNS.Observe(turn)
 		} else if _, fault := gpusim.IsFault(s.failed); fault {
-			// The cycle died on a device fault: answer pending polls with a
-			// retryable error so the client backs off while the failover
-			// engine migrates the session (the rerun happens there).
+			// The cycle died on a device fault: polls get a retryable error
+			// so the client backs off while the failover engine migrates
+			// the session (the rerun happens there).
 			s.st.phase = failed
-			st, errMsg = ERR, retryableSessionErr(s.id, m.cfg.GPUIndex, s.failed)
 		} else {
 			// A kernel failed on its own: the cycle is abandoned with an
-			// error no retry mends, and the session and its shard serve on.
-			s.st.phase = idle
-			st, errMsg = ERR, fmt.Sprintf("gvm: session %d: %v", s.id, s.failed)
-			s.failed = nil
+			// error no retry mends, which STP and RCV answer until another
+			// cycle starts; the session and its shard serve on.
+			s.st.phase = abandoned
 		}
 		if s.stpWaiting {
+			// The parked STP is answered as one arriving now would be.
 			s.stpWaiting = false
-			s.tell(STP, st, errMsg)
+			m.serve(s, STP)
 		}
 	}
 }
@@ -923,6 +867,7 @@ func (m *Manager) prepareOps(s *session) {
 // flush enqueues one session's full GPU cycle on its stream; the finish
 // callback rides the last operation.
 func (m *Manager) flush(s *session) {
+	s.failed = nil // an abandoned cycle's error ends with it
 	n := len(s.ops)
 	if n == 0 {
 		s.finishCB()

@@ -75,3 +75,32 @@ func TestEvictedRerunRestoresAsRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAbandonedCycleStaysBehindAMove: the kernel's error an abandoned
+// session answers belongs to its cycle, which a move does not carry — the
+// session leaves idle, as a MIG blob, whose state byte has no such phase,
+// would say anyway.
+func TestAbandonedCycleStaysBehindAMove(t *testing.T) {
+	w := workloads.VectorAdd(SurfaceTestN)
+	spec := w.Spec(0)
+	input := make([]byte, spec.InBytes)
+	w.Fill(0, input)
+	env, _, m := swapTestManager(1 << 20)
+	env.Go(func(p *sim.Proc) {
+		p.Wait(m.Ready())
+		sf := OpenBare(t, p, m, Request{Spec: spec})
+		sf.run(p, input, SND)
+		m.InjectAbandoned(sf.ID)
+		expectErr(t, p, sf, STP, KernelErr)
+		ext, err := m.ExtractSession(p, sf.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ext.State(); got != "idle" {
+			t.Errorf("an abandoned session leaves %s, want idle", got)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

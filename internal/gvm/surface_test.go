@@ -27,15 +27,15 @@ type protocolRow struct {
 	next   string
 }
 
-// protocolTable is the six-verb protocol as one table: seven named states
+// protocolTable is the six-verb protocol as one table: eight named states
 // by the five verbs a session takes (REQ opens it). The verb engine is held
 // to it below through two front-ends, and DESIGN.md §3 renders it
 // (TestProtocolTableMatchesDesignDoc keeps the two from drifting).
 //
 // States: idle (opened), staged (idle with input staged), running (STR
 // flushed, stream busy), done (cycle complete, results in staging),
-// evicted (the manager paged a done session's arena out), failed (device
-// fault under the session), rerun (adopted mid-cycle, arena materialized,
+// evicted (the manager paged a done session's arena out), abandoned (a
+// kernel failed on its own), failed (device fault under the session), rerun (adopted mid-cycle, arena materialized,
 // interrupted flush not yet resolved), gone (released).
 var protocolTable = []protocolRow{
 	{"idle", gvm.SND, gvm.ACK, "", "staged"},
@@ -67,6 +67,12 @@ var protocolTable = []protocolRow{
 	{"evicted", gvm.STP, gvm.ACK, "", "evicted"},
 	{"evicted", gvm.RCV, gvm.ACK, "", "done"},
 	{"evicted", gvm.RLS, gvm.ACK, "", "gone"},
+
+	{"abandoned", gvm.SND, gvm.ACK, "", "staged"},
+	{"abandoned", gvm.STR, gvm.ACK, "", "running"},
+	{"abandoned", gvm.STP, gvm.ERR, gvm.KernelErr, "abandoned"},
+	{"abandoned", gvm.RCV, gvm.ERR, gvm.KernelErr, "abandoned"},
+	{"abandoned", gvm.RLS, gvm.ACK, "", "gone"},
 
 	{"failed", gvm.SND, gvm.ERR, gvm.RetryableMark, "failed"},
 	{"failed", gvm.STR, gvm.ERR, gvm.RetryableMark, "failed"},
@@ -196,6 +202,9 @@ func (sf *surface) enter(p *sim.Proc, prior string, input []byte) {
 	case "evicted":
 		cycle()
 		sf.m.InjectEvicted(p, sf.id)
+	case "abandoned":
+		sndIn()
+		sf.m.InjectAbandoned(sf.id)
 	case "failed":
 		sndIn()
 		sf.m.InjectFailed(sf.id)
@@ -282,6 +291,8 @@ func renderProtocolTable(rows []protocolRow) string {
 		switch {
 		case r.errSub == gvm.RetryableMark:
 			answer += " retryable"
+		case r.errSub == gvm.KernelErr:
+			answer += " the kernel's error"
 		case r.errSub != "":
 			answer += " \"" + r.errSub + "\""
 		}
@@ -298,7 +309,7 @@ func TestProtocolTableMatchesDesignDoc(t *testing.T) {
 	for _, r := range gvm.ProtocolTable() {
 		engine = append(engine, protocolRow{r.Prior, r.Verb, r.Status, r.ErrSub, r.Next})
 	}
-	const states, verbs = 7, 5
+	const states, verbs = 8, 5
 	if len(engine) != states*verbs || len(protocolTable) != states*verbs {
 		t.Fatalf("gvm's table has %d rows, the test's %d; want %d states × %d verbs", len(engine), len(protocolTable), states, verbs)
 	}

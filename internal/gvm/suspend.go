@@ -328,8 +328,7 @@ func (m *Manager) evictionVictim() *session {
 }
 
 // sessionAllocator is the task.Allocator a session's device allocations
-// flow through: it enforces the session's hard memory quota (HAMi-style,
-// at Malloc time) and keeps the session's logical reservation — and the
+// flow through: it keeps the session's logical reservation — and the
 // device's reserved-bytes gauge — in step with what the session holds.
 // offCard hands out addresses off the card instead, for an adopted
 // session's restore to place.
@@ -344,11 +343,6 @@ func (a *sessionAllocator) Malloc(n int64) (cuda.DevPtr, error) { return a.mallo
 // malloc allocates n bytes for the session; a staged allocation's memory is
 // the session's staging (BindDirect), not the device's.
 func (a *sessionAllocator) malloc(n int64, staged bool) (cuda.DevPtr, error) {
-	rounded := a.m.dev.RoundUp(n)
-	if a.s.memQuota > 0 && a.s.devBytes+rounded > a.s.memQuota {
-		return 0, fmt.Errorf("gvm: session %d memory quota exceeded: %d bytes held + %d requested > quota %d",
-			a.s.id, a.s.devBytes, rounded, a.s.memQuota)
-	}
 	malloc := a.m.ctx.Malloc
 	switch {
 	case a.offCard:
@@ -360,6 +354,7 @@ func (a *sessionAllocator) malloc(n int64, staged bool) (cuda.DevPtr, error) {
 	if err != nil {
 		return 0, err
 	}
+	rounded := a.m.dev.RoundUp(n)
 	a.s.devBytes += rounded
 	a.m.dev.Reserve(rounded)
 	return ptr, nil

@@ -214,10 +214,6 @@ type Session struct {
 // SessionOptions are the optional REQ parameters a client may attach
 // when opening a session.
 type SessionOptions struct {
-	// MemQuota is a hard per-session device-memory cap in bytes, enforced
-	// daemon-side at every allocation. 0 = unlimited. Daemons predating
-	// the field ignore it (the wire encoding is backward compatible).
-	MemQuota int64
 	// Priority orders eviction under memory pressure: lower-priority
 	// sessions are evicted first. 0 is the default class.
 	Priority int
@@ -236,7 +232,7 @@ func (c *Client) Request(ref workloads.Ref, rank int) (*Session, error) {
 // RequestOptions opens a VGPU session with explicit session options.
 func (c *Client) RequestOptions(ref workloads.Ref, rank int, o SessionOptions) (*Session, error) {
 	resp, err := c.roundTrip(&Request{Verb: "REQ", Ref: &ref, Rank: rank, Plane: c.plane,
-		MemQuota: o.MemQuota, Priority: o.Priority, Weight: o.Weight})
+		Priority: o.Priority, Weight: o.Weight})
 	if err != nil {
 		return nil, err
 	}

@@ -169,26 +169,27 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 	}
 }
 
-// TestDaemonQuotaAndPriorityOnREQ sends the optional MemQuota/Priority
-// REQ fields over the binary wire: an under-quota REQ is rejected by the
-// manager's allocation-time check, and an in-quota one works.
-func TestDaemonQuotaAndPriorityOnREQ(t *testing.T) {
+// TestDaemonPriorityOnREQ sends the optional Priority REQ field over the
+// binary wire: the session's cycle is counted under the weight class its
+// priority derives (max(1, Priority+1) = 4).
+func TestDaemonPriorityOnREQ(t *testing.T) {
 	srv := startServer(t, 1, true)
 	c, err := DialOptions(srv.Addr(), Options{ShmDir: srv.cfg.ShmDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const n = 2048 // 16 KiB in + 8 KiB out of arenas
+	const n = 2048
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	if _, err := c.RequestOptions(ref, 0, SessionOptions{MemQuota: 8 << 10}); err == nil {
-		t.Fatal("REQ exceeding its own MemQuota accepted")
-	} else if !strings.Contains(err.Error(), "quota") {
-		t.Fatalf("rejection does not name the quota: %v", err)
-	}
-	sess, err := c.RequestOptions(ref, 0, SessionOptions{MemQuota: 64 << 10, Priority: 3})
+	sess, err := c.RequestOptions(ref, 0, SessionOptions{Priority: 3})
 	if err != nil {
-		t.Fatalf("in-quota REQ rejected: %v", err)
+		t.Fatal(err)
+	}
+	if err := sess.RunCycle(make([]byte, 8*n), make([]byte, 4*n)); err != nil {
+		t.Fatal(err)
+	}
+	if got := gvmCount(t, srv.cfg.Metrics, srv.node.Shard(0).Mgr, "gpusim_sched_launches_total", metrics.L("class", "4")); got != 1 {
+		t.Errorf("class-4 launches = %d, want the priority-3 session's 1", got)
 	}
 	if err := sess.Release(); err != nil {
 		t.Fatal(err)

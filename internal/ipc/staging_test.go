@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -184,47 +185,53 @@ func TestShmSessionAllocatesNoDeviceBacking(t *testing.T) {
 // client staged, so keys out of range panic its kernel body. That fails the
 // cycle with an error naming the kernel — not retryable, since no shard
 // could run those keys — and nothing else: the shard stays healthy, the
-// next session on it computes, and the daemon shuts down.
+// next session on it computes, and the daemon shuts down. Unpipelined, the
+// STP is a trip of its own that may arrive after the flush has ended; it
+// gets the kernel's error all the same.
 func TestKernelPanicFailsOnlyItsCycle(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sess, err := c.Request(workloads.Ref{Name: "is"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Repeat([]byte{0x7f}, int(sess.inBytes))
-	done := make(chan error, 1)
-	go func() { done <- sess.RunCycle(bad, make([]byte, sess.outBytes)) }()
-	select {
-	case err := <-done:
-		switch {
-		case err == nil:
-			t.Fatal("a cycle over out-of-range keys succeeded")
-		case !strings.Contains(err.Error(), `kernel "is-histogram"`) || gvm.IsRetryable(err.Error()):
-			t.Fatalf("cycle error %q, want a non-retryable one naming the kernel", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("a cycle whose kernel panicked never answered")
-	}
-	if h := s.node.Health(0); h != node.Healthy {
-		t.Fatalf("shard health %v after a kernel's own failure, want healthy", h)
-	}
-	if err := sess.Release(); err != nil {
-		t.Fatal(err)
-	}
-	out := vecaddCycle(t, c, 1024, 0)
-	if res := out[4*7 : 4*8]; !bytes.Equal(res, []byte{0, 0, 0xf0, 0x40}) { // 7 + 0.5
-		t.Fatalf("vecadd after the failed cycle: out[7] bytes %v", res)
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Server.Close did not return")
+	for _, noPipeline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("no-pipeline=%v", noPipeline), func(t *testing.T) {
+			s := startServer(t, 1, true)
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, NoPipeline: noPipeline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sess, err := c.Request(workloads.Ref{Name: "is"}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := bytes.Repeat([]byte{0x7f}, int(sess.inBytes))
+			done := make(chan error, 1)
+			go func() { done <- sess.RunCycle(bad, make([]byte, sess.outBytes)) }()
+			select {
+			case err := <-done:
+				switch {
+				case err == nil:
+					t.Fatal("a cycle over out-of-range keys succeeded")
+				case !strings.Contains(err.Error(), `kernel "is-histogram"`) || gvm.IsRetryable(err.Error()):
+					t.Fatalf("cycle error %q, want a non-retryable one naming the kernel", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a cycle whose kernel panicked never answered")
+			}
+			if h := s.node.Health(0); h != node.Healthy {
+				t.Fatalf("shard health %v after a kernel's own failure, want healthy", h)
+			}
+			if err := sess.Release(); err != nil {
+				t.Fatal(err)
+			}
+			out := vecaddCycle(t, c, 1024, 0)
+			if res := out[4*7 : 4*8]; !bytes.Equal(res, []byte{0, 0, 0xf0, 0x40}) { // 7 + 0.5
+				t.Fatalf("vecadd after the failed cycle: out[7] bytes %v", res)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Server.Close did not return")
+			}
+		})
 	}
 }

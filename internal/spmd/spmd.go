@@ -25,9 +25,6 @@ type Config struct {
 	N          int // number of SPMD processes (<= CPU cores per node)
 	Cycles     int // GPU execution cycles per process (default 1)
 	Functional bool
-	// ExecWorkers sizes the functional-execution worker pool
-	// (gpusim.Config.ExecWorkers): 0 = GOMAXPROCS, 1 = serial.
-	ExecWorkers int
 
 	// SpecFor returns process i's task description. All processes run
 	// the same program under SPMD; the spec may still differ per rank
@@ -50,8 +47,6 @@ type Config struct {
 	// N (all processes flush together). 1 disables barrier batching —
 	// the ablation of the paper's synchronized-flush design.
 	PartiesOverride int
-	// FlushPolicy orders sessions within a barrier batch (extension).
-	FlushPolicy gvm.FlushPolicy
 
 	Tracer *trace.Tracer
 }
@@ -87,7 +82,7 @@ func RunDirect(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	env := sim.NewEnv()
-	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers, Tracer: cfg.Tracer})
+	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, Tracer: cfg.Tracer})
 	if err != nil {
 		return Result{}, err
 	}
@@ -146,7 +141,7 @@ func RunVirt(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	env := sim.NewEnv()
-	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers, Tracer: cfg.Tracer})
+	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, Tracer: cfg.Tracer})
 	if err != nil {
 		return Result{}, err
 	}
@@ -158,7 +153,6 @@ func RunVirt(cfg Config) (Result, error) {
 		Device:          dev,
 		Parties:         parties,
 		PageableStaging: cfg.PageableStaging,
-		FlushPolicy:     cfg.FlushPolicy,
 		Tracer:          cfg.Tracer,
 	})
 	mgr.Start()
@@ -244,7 +238,7 @@ func Profile(cfg Config) (model.Params, error) {
 		return model.Params{}, err
 	}
 	env := sim.NewEnv()
-	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers})
+	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional})
 	if err != nil {
 		return model.Params{}, err
 	}

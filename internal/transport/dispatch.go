@@ -405,7 +405,7 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		return errResp(err), true
 	}
 	spec := w.Spec(req.Rank)
-	r := gvm.Request{Spec: spec, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight}
+	r := gvm.Request{Spec: spec, Priority: req.Priority, Weight: req.Weight}
 	kind := req.Plane
 	var ext *gvm.ExtractedSession
 	if req.Verb == "ADP" {

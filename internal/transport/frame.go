@@ -23,10 +23,10 @@ import (
 // appends a sub-request count and each sub-request's fields (same
 // layout, no nesting); single-verb frames carry no batch section at all,
 // so they are byte-identical to the pre-batch format. A frame whose REQ
-// carries extension fields (MemQuota, Priority, Weight) appends, after the batch
+// carries extension fields (Priority, Weight) appends, after the batch
 // section (count 0 when there is none), an extension-flags uvarint
-// followed by one varint per set flag — bit 0 MemQuota, bit 1 Priority,
-// bit 2 Weight.
+// followed by one varint per set flag — bit 1 Priority, bit 2 Weight. Bit
+// 0, a retired per-session memory quota, is refused like any unknown flag.
 // Frames without extension fields omit the section entirely, keeping
 // them byte-identical to the pre-extension format.
 // Response payload: status, session, err, plane, segment, inBytes,
@@ -226,7 +226,7 @@ func (e *frameEncoder) encodeRequest(req *Request) error {
 	e.reset()
 	e.buf = append(e.buf, frameMagic, kindRequest, 0, 0, 0, 0)
 	e.requestFields(req)
-	ext := req.MemQuota != 0 || req.Priority != 0 || req.Weight != 0
+	ext := req.Priority != 0 || req.Weight != 0
 	if len(req.Batch) > 0 || ext {
 		// The extension section sits after the batch section, so a frame
 		// carrying extensions always emits the batch count (possibly 0).
@@ -235,18 +235,15 @@ func (e *frameEncoder) encodeRequest(req *Request) error {
 			if len(req.Batch[i].Batch) > 0 {
 				return fmt.Errorf("transport: nested batch in %s frame", req.Verb)
 			}
-			if req.Batch[i].MemQuota != 0 || req.Batch[i].Priority != 0 || req.Batch[i].Weight != 0 {
+			if req.Batch[i].Priority != 0 || req.Batch[i].Weight != 0 {
 				// REQ is disallowed inside BAT, and the fields are REQ-only.
-				return fmt.Errorf("transport: MemQuota/Priority/Weight on batch sub-request %s", req.Batch[i].Verb)
+				return fmt.Errorf("transport: Priority/Weight on batch sub-request %s", req.Batch[i].Verb)
 			}
 			e.requestFields(&req.Batch[i])
 		}
 	}
 	if ext {
 		var flags uint64
-		if req.MemQuota != 0 {
-			flags |= 1
-		}
 		if req.Priority != 0 {
 			flags |= 2
 		}
@@ -254,9 +251,6 @@ func (e *frameEncoder) encodeRequest(req *Request) error {
 			flags |= 4
 		}
 		e.uvarint(flags)
-		if flags&1 != 0 {
-			e.varint(req.MemQuota)
-		}
 		if flags&2 != 0 {
 			e.varint(int64(req.Priority))
 		}
@@ -576,7 +570,7 @@ func (r *frameReader) requestFields(req *Request) {
 	req.Plane = r.str()
 	req.Data = r.bytesVal()
 	req.Batch = nil
-	req.MemQuota, req.Priority, req.Weight = 0, 0, 0
+	req.Priority, req.Weight = 0, 0
 }
 
 // requestExt decodes the optional trailing extension section: an
@@ -585,16 +579,13 @@ func (r *frameReader) requestFields(req *Request) {
 // would desynchronize the reader.
 func (r *frameReader) requestExt(req *Request) {
 	flags := r.uvarint()
-	if flags&1 != 0 {
-		req.MemQuota = r.varint()
-	}
 	if flags&2 != 0 {
 		req.Priority = int(r.varint())
 	}
 	if flags&4 != 0 {
 		req.Weight = int(r.varint())
 	}
-	if flags&^uint64(7) != 0 {
+	if flags&^uint64(6) != 0 {
 		r.fail("unknown request extension flags %#x", flags)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,13 +56,12 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 
 func TestBinaryRequestExtensionRoundTrip(t *testing.T) {
 	reqs := []Request{
-		{Verb: "REQ", Ref: refp("mm", map[string]int{"n": 64}), MemQuota: 1 << 30},
+		{Verb: "REQ", Ref: refp("mm", map[string]int{"n": 64}), Weight: 1 << 30},
 		{Verb: "REQ", Ref: refp("mm", nil), Priority: 7},
 		{Verb: "REQ", Ref: refp("mm", nil), Priority: -2},
-		{Verb: "REQ", Ref: refp("mm", nil), MemQuota: 4096, Priority: 3},
 		{Verb: "REQ", Ref: refp("mm", nil), Weight: 8},
-		{Verb: "REQ", Ref: refp("mm", nil), MemQuota: 4096, Priority: 3, Weight: 4},
-		{Verb: "BAT", MemQuota: 96 << 10, Batch: []Request{
+		{Verb: "REQ", Ref: refp("mm", nil), Priority: 3, Weight: 4},
+		{Verb: "BAT", Priority: 96 << 10, Batch: []Request{
 			{Verb: "SND", Session: 4, Data: []byte{9}},
 			{Verb: "STR", Session: 4},
 		}},
@@ -75,11 +75,11 @@ func TestBinaryRequestExtensionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
-		// requestsEqual covers MemQuota/Priority, but assert them directly
+		// requestsEqual covers Priority/Weight, but assert them directly
 		// too: they are the fields under test.
-		if got.MemQuota != want.MemQuota || got.Priority != want.Priority {
-			t.Fatalf("extensions lost: got quota=%d prio=%d, want quota=%d prio=%d",
-				got.MemQuota, got.Priority, want.MemQuota, want.Priority)
+		if got.Priority != want.Priority || got.Weight != want.Weight {
+			t.Fatalf("extensions lost: got prio=%d weight=%d, want prio=%d weight=%d",
+				got.Priority, got.Weight, want.Priority, want.Weight)
 		}
 		if !requestsEqual(got, want) {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
@@ -97,30 +97,37 @@ func TestBinaryRequestExtensionRoundTrip(t *testing.T) {
 
 func TestBinaryRequestExtensionUnknownFlagRejected(t *testing.T) {
 	// Priority 1 encodes as a trailing [flags=0x02, zigzag(1)=0x02] pair;
-	// flipping the flags byte to an unassigned bit must fail the frame —
-	// the decoder cannot know how long an unknown extension is.
-	frame, err := EncodeRequestBinary(nil, Request{Verb: "REQ", Ref: refp("mm", nil), Priority: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[len(frame)-2] != 0x02 {
-		t.Fatalf("flags byte = %#x, want 0x02 (layout changed?)", frame[len(frame)-2])
-	}
-	frame[len(frame)-2] = 0x08
-	if _, err := decodeRequest(frame); err == nil ||
-		!strings.Contains(err.Error(), "unknown request extension") {
-		t.Fatalf("unknown flag: got %v, want extension-flags rejection", err)
+	// a flags byte naming an unassigned bit must fail the frame — the
+	// decoder cannot know how long an unknown extension is.
+	for _, flags := range []byte{
+		0x08,
+		// Bit 0, the retired per-session memory quota: [0x01, 0x02] is an
+		// older client's REQ with a 1-byte quota.
+		0x01,
+	} {
+		frame, err := EncodeRequestBinary(nil, Request{Verb: "REQ", Ref: refp("mm", nil), Priority: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame[len(frame)-2] != 0x02 {
+			t.Fatalf("flags byte = %#x, want 0x02 (layout changed?)", frame[len(frame)-2])
+		}
+		frame[len(frame)-2] = flags
+		want := fmt.Sprintf("unknown request extension flags %#x", flags)
+		if _, err := decodeRequest(frame); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("flags %#x: got %v, want %q", flags, err, want)
+		}
 	}
 }
 
 func TestBinaryExtensionOnBatchSubRequestRejected(t *testing.T) {
-	// MemQuota/Priority are REQ-only and REQ is disallowed inside BAT; the
+	// Priority/Weight are REQ-only and REQ is disallowed inside BAT; the
 	// encoder refuses rather than silently dropping the fields.
 	_, err := EncodeRequestBinary(nil, Request{Verb: "BAT", Batch: []Request{
-		{Verb: "SND", Session: 1, MemQuota: 4096},
+		{Verb: "SND", Session: 1, Weight: 4},
 	}})
 	if err == nil || !strings.Contains(err.Error(), "batch sub-request") {
-		t.Fatalf("quota on sub-request: got %v, want encode rejection", err)
+		t.Fatalf("weight on sub-request: got %v, want encode rejection", err)
 	}
 }
 
@@ -178,7 +185,7 @@ func TestBinaryWrongKindRejected(t *testing.T) {
 var (
 	fullRequest = Request{
 		Verb: "BAT", Session: 5, Rank: 3, Ref: refp("mm", map[string]int{"n": 64}), Plane: PlaneRing,
-		Data: []byte{1, 2}, MemQuota: 1 << 20, Priority: 2, Weight: 3,
+		Data: []byte{1, 2}, Priority: 2, Weight: 3,
 		Batch: []Request{{Verb: "SND", Session: 5, Data: []byte{3}}, {Verb: "STR", Session: 5}},
 	}
 	fullResponse = Response{
@@ -215,7 +222,7 @@ func prefill(t testing.TB, v any) {
 func TestDecodeIntoReusedValue(t *testing.T) {
 	reqs := []Request{
 		{Verb: "REQ", Session: 2, Rank: 1, Ref: refp("mm", map[string]int{"n": 64, "nit": 2}), Plane: PlaneRing,
-			MemQuota: 4096, Priority: 3, Weight: 2},
+			Priority: 3, Weight: 2},
 		{Verb: "SND", Session: 7, Plane: PlaneInline, Data: []byte{1, 2, 3}},
 		{Verb: "BAT", Batch: []Request{
 			{Verb: "SND", Session: 7, Data: []byte{4}}, {Verb: "STR", Session: 7},

@@ -89,6 +89,8 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 	f.Add(seed)
 	withRef, _ := EncodeRequestBinary(nil, Request{Verb: "REQ", Ref: refp("mm", map[string]int{"n": 2048})})
 	f.Add(withRef)
+	withExt, _ := EncodeRequestBinary(nil, Request{Verb: "REQ", Ref: refp("mm", nil), Priority: 2, Weight: 3})
+	f.Add(withExt)
 	f.Add([]byte{frameMagic, kindRequest, 0, 0, 0, 0})
 	f.Add([]byte{frameMagic, kindRequest, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte("garbage"))
@@ -222,7 +224,7 @@ func requestsEqual(a, b Request) bool {
 			return false
 		}
 	}
-	if a.MemQuota != b.MemQuota || a.Priority != b.Priority || a.Weight != b.Weight {
+	if a.Priority != b.Priority || a.Weight != b.Weight {
 		return false
 	}
 	if !bytesEqualStrict(a.Data, b.Data) {

@@ -29,11 +29,6 @@ type Request struct {
 	// must not nest batches. Empty for ordinary single-verb frames, whose
 	// wire form is unchanged from the pre-batch protocol.
 	Batch []Request
-	// MemQuota (REQ and ADP only) is an optional hard per-session
-	// device-memory limit in bytes, enforced by the manager at every
-	// allocation. 0 (the wire default) means unlimited; frames without the
-	// field are byte-identical to the pre-quota format.
-	MemQuota int64
 	// Priority (REQ and ADP only) orders eviction under memory pressure:
 	// lower priority sessions are evicted first. 0 is the default class.
 	Priority int

@@ -12,7 +12,6 @@ import (
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
-	"gpuvirt/internal/task"
 )
 
 // lcgStep is the deterministic RNG used by the residency tests (no
@@ -387,56 +386,6 @@ func TestPriorityOrdersEviction(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMemQuotaEnforcedAtMalloc pins HAMi-style hard quotas: every device
-// allocation a session makes — REQ arenas and Build-time scratch alike —
-// counts against its MemQuota, and the first allocation over the line
-// fails with a quota error (not a device OOM).
-func TestMemQuotaEnforcedAtMalloc(t *testing.T) {
-	env := sim.NewEnv()
-	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070()})
-	reg := metrics.NewRegistry()
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
-	mgr.Start()
-	host := Serve(mgr, Config{})
-	env.Go(func(p *sim.Proc) {
-		p.Wait(mgr.Ready())
-		// Arenas alone exceed the quota: REQ is rejected.
-		spec := &task.Spec{Name: "q", InBytes: 1 << 20, OutBytes: 512 << 10}
-		if _, err := host.ConnectOpts(p, gvm.Request{Spec: spec, MemQuota: 1 << 20}); err == nil {
-			t.Error("REQ exceeded its quota and was accepted")
-		}
-		// Arenas fit, but a Build-time scratch pushes past the quota.
-		scratchSpec := &task.Spec{
-			Name: "qs", InBytes: 1 << 20, OutBytes: 512 << 10,
-			Build: func(b *task.Buffers) ([]*cuda.Kernel, error) {
-				_, err := b.NewScratch(1 << 20)
-				return nil, err
-			},
-		}
-		if _, err := host.ConnectOpts(p, gvm.Request{Spec: scratchSpec, MemQuota: 2 << 20}); err == nil {
-			t.Error("scratch allocation exceeded the quota and was accepted")
-		}
-		// The same spec under a sufficient quota works.
-		v, err := host.ConnectOpts(p, gvm.Request{Spec: scratchSpec, MemQuota: 4 << 20})
-		if err != nil {
-			t.Errorf("in-quota REQ rejected: %v", err)
-			return
-		}
-		if err := v.Release(p); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if gvmCount(t, reg, mgr, "gvm_open_sessions") != 0 {
-		t.Fatalf("%d sessions leaked", gvmCount(t, reg, mgr, "gvm_open_sessions"))
-	}
-	if dev.MemReserved() != 0 || dev.MemInUse() != 0 {
-		t.Fatalf("leak after quota rejections: reserved=%d resident=%d", dev.MemReserved(), dev.MemInUse())
 	}
 }
 

@@ -1,6 +1,9 @@
 package vgpu
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -11,6 +14,7 @@ import (
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/task"
+	"gpuvirt/internal/trace"
 	"gpuvirt/internal/workloads"
 )
 
@@ -616,72 +620,71 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 	}
 }
 
-func TestFlushPolicySJFImprovesMeanTurnaround(t *testing.T) {
-	// Heterogeneous batch: 7 small tasks and 1 big one. When the big
-	// task's STR arrives first, FIFO puts its transfers at the head of
-	// the engine queue and every small task waits; SJF reorders the
-	// flush so the small tasks finish first, cutting mean turnaround.
-	run := func(policy gvm.FlushPolicy) (mean, max float64) {
-		env, _, mgr, host := newRig(t, false, 8, func(c *gvm.Config) { c.FlushPolicy = policy })
-		var times []float64
-		for i := 0; i < 8; i++ {
-			i := i
-			n := 1 << 16 // small: 512 KiB in
-			if i == 0 {
-				n = 1 << 24 // big: 128 MiB in
+// TestBarrierFlushesInArrivalOrder pins the paper's flush order: a barrier
+// batch's streams reach the copy engines in STR arrival order. The batch is
+// heterogeneous — one 128 MiB task whose STR arrives first, then seven small
+// ones, each its own size so that an engine span names its session — so a
+// flush that reordered by cost (shortest first) would show.
+func TestBarrierFlushesInArrivalOrder(t *testing.T) {
+	env := sim.NewEnv()
+	tr := trace.New()
+	dev := gpusim.MustNew(env, gpusim.Config{Arch: fermi.TeslaC2070(), Tracer: tr})
+	mgr := gvm.New(env, gvm.Config{Device: dev, Parties: 8})
+	mgr.Start()
+	host := Serve(mgr, Config{})
+	elems := func(i int) int {
+		if i == 0 {
+			return 1 << 24 // 128 MiB in
+		}
+		return 1<<16 + i<<10 // about 512 KiB in
+	}
+	var arrived []int
+	for i := 0; i < 8; i++ {
+		env.Go(func(p *sim.Proc) {
+			p.Wait(mgr.Ready())
+			// The big task reaches the barrier first: its SND staging
+			// takes about 6 ms, and the small tasks start after 10 ms.
+			if i != 0 {
+				p.Sleep(10*sim.Millisecond + sim.Duration(i)*sim.Microsecond)
 			}
-			env.Go(func(p *sim.Proc) {
-				p.Wait(mgr.Ready())
-				// Stagger arrivals so the big task reaches the barrier
-				// first (its SND staging takes ~6 ms; the small tasks
-				// start after 10 ms).
-				if i != 0 {
-					p.Sleep(10*sim.Millisecond + sim.Duration(i)*sim.Microsecond)
-				}
-				t0 := p.Now()
-				v, err := host.Connect(p, vecSpec(n))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := v.RunCycle(p, nil, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				times = append(times, p.Now().Sub(t0).Seconds())
-			})
-		}
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range times {
-			mean += v
-			if v > max {
-				max = v
+			v, err := host.Connect(p, vecSpec(elems(i)))
+			if err == nil {
+				err = v.SendInput(p, nil)
 			}
+			if err == nil {
+				arrived = append(arrived, i)
+				err = v.Start(p)
+			}
+			if err == nil {
+				err = v.Wait(p)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(arrived, want) {
+		t.Fatalf("STRs arrived in order %v, want %v", arrived, want)
+	}
+	for lane, bytesPerElem := range map[string]int{"h2d": 8, "d2h": 4} {
+		session := map[string]int{}
+		for i := range 8 {
+			session[strconv.Itoa(elems(i)*bytesPerElem)+"B"] = i
 		}
-		return mean / float64(len(times)), max
-	}
-	fifoMean, fifoMax := run(gvm.FlushFIFO)
-	sjfMean, sjfMax := run(gvm.FlushSJF)
-	ljfMean, _ := run(gvm.FlushLJF)
-	if sjfMean >= fifoMean {
-		t.Fatalf("SJF mean %.4fs not better than FIFO %.4fs", sjfMean, fifoMean)
-	}
-	if sjfMean >= ljfMean {
-		t.Fatalf("SJF mean %.4fs not better than LJF %.4fs", sjfMean, ljfMean)
-	}
-	// Makespan is engine-bound and barely moves.
-	if sjfMax > fifoMax*1.05 {
-		t.Fatalf("SJF makespan %.4fs regressed vs FIFO %.4fs", sjfMax, fifoMax)
-	}
-}
-
-func TestFlushPolicyStrings(t *testing.T) {
-	if gvm.FlushFIFO.String() != "fifo" || gvm.FlushSJF.String() != "sjf" || gvm.FlushLJF.String() != "ljf" {
-		t.Fatal("policy names wrong")
-	}
-	if gvm.FlushPolicy(9).String() == "" {
-		t.Fatal("unknown policy empty")
+		var served []int
+		for _, s := range tr.LaneSpans(lane) {
+			f := strings.Fields(s.Label)
+			i, ok := session[f[len(f)-1]]
+			if !ok {
+				t.Fatalf("%s span %q is no session's copy", lane, s.Label)
+			}
+			served = append(served, i)
+		}
+		if !slices.Equal(served, arrived) {
+			t.Errorf("the %s engine served the sessions in order %v, want STR arrival order %v", lane, served, arrived)
+		}
 	}
 }

@@ -5,11 +5,15 @@
 #     (top-level funcs, types, vars and consts, grouped or not, and methods
 #     on exported types; struct fields are not counted), and the non-test
 #     lines of transport, fed and gvm together (ROADMAP item 7's target),
-#   - the test-only-code guard's findings and allowlist size.
-# Both the exported-identifier counts and the guard's line come from the
-# root package's TestNoTestOnlyCode (deadcode_test.go), which reads the
-# tree's one parse; "-" and "none" in a tree without them.
-# Run it on two checkouts and subtract to get a PR's deltas:
+#   - the test-only-code guard's findings and allowlist size,
+#   - the guard's option count (exported fields of exported *Config and
+#     *Options structs), how many only tests set, and its option allowlist
+#     size, then every option's name, one a line.
+# The exported-identifier counts, the guard's lines and the option names
+# come from the root package's TestNoTestOnlyCode (deadcode_test.go), which
+# reads the tree's one parse; "-" and "none" in a tree without them.
+# Run it on two checkouts and subtract to get a PR's deltas; diff the two
+# outputs for the options a PR removed (<) and added (>):
 #   scripts/loc.sh > after.txt; scripts/loc.sh /path/to/parent > before.txt
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -20,7 +24,7 @@ sources() { # non-test Go files under $1, bench/ and build trees excluded
 
 log=
 if [ -f deadcode_test.go ]; then
-	log=$({ go test -run '^TestNoTestOnlyCode$' -count=1 -v . || true; } | grep -e 'test-only declarations: ' -e 'exported identifiers: ' || true)
+	log=$({ go test -run '^TestNoTestOnlyCode$' -count=1 -v . || true; } | grep -e 'test-only declarations: ' -e 'exported identifiers: ' -e 'option fields: ' || true)
 fi
 declare -A exp
 for kv in $(printf '%s\n' "$log" | grep -o 'exported identifiers: .*' | cut -d' ' -f3-); do
@@ -44,4 +48,12 @@ guard=none
 if [ -f deadcode_test.go ]; then
 	guard=$(printf '%s\n' "$log" | grep -o 'test-only declarations: .*' || echo 'test-only declarations: scan failed')
 fi
-printf '\n%s\n' "$guard"
+printf '\n%s\n' "${guard%%; options: *}"
+case $guard in
+*'; options: '*)
+	printf 'options: %s\n' "${guard#*; options: }"
+	for o in $(printf '%s\n' "$log" | grep -o 'option fields: .*' | cut -d' ' -f3-); do
+		printf '  option %s\n' "$o"
+	done
+	;;
+esac
