@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci fmt vet one-engine build test race flake bench-short bench-schema interference-short chaos-short fed-short smoke repro loc pairs
+.PHONY: all ci fmt vet one-engine build test race flake fuzz-short bench-short bench-schema interference-short chaos-short fed-short smoke repro loc pairs
 
 all: ci
 
 # Tier-1 gate (README "CI gate"): everything a change must keep green.
-ci: fmt vet one-engine build test race bench-short bench-schema interference-short chaos-short fed-short smoke repro
+ci: fmt vet one-engine build test race fuzz-short bench-short bench-schema interference-short chaos-short fed-short smoke repro
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:
@@ -55,6 +55,21 @@ race:
 # allowed.
 flake:
 	$(GO) test -race -shuffle=on -count=20 ./internal/ipc/ ./internal/fed/ ./internal/transport/ ./internal/gvm/ ./internal/gpusim/ ./internal/vgpu/ ./internal/sim/ ./internal/cuda/
+
+# Every Fuzz* target for FUZZTIME under -fuzz, one at a time (a plain
+# `go test` runs only their seeds). An input that fails a target stops the
+# run and stays in that package's testdata/fuzz/<target>/, where every later
+# `go test` runs it as a seed.
+FUZZTIME ?= 3s
+fuzz-short:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-short: $$fz ./$$(dirname $$f)"; \
+			out=$$($(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f) 2>&1) || \
+				{ echo "$$out"; exit 1; }; \
+			echo "$$out" | tail -n 1; \
+		done; \
+	done
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, the evict+restore

@@ -1,8 +1,10 @@
 package ipc
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -264,48 +266,54 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 }
 
 // TestRequestTimeout points a client at a listener that accepts and
-// reads but never answers: with a request timeout set the round trip
-// fails with a deadline error instead of blocking forever.
+// reads but never answers, over each stream scheme (unix and tcp frames
+// move by raw syscalls, inproc's by its pipe): with a request timeout set
+// the round trip fails with a deadline error instead of blocking forever.
 func TestRequestTimeout(t *testing.T) {
-	ln, err := transport.ListenAddr("tcp://127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // a daemon that went out to lunch
-		defer wg.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		buf := make([]byte, 4096)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
+	for _, addr := range []string{"unix://" + tempSocket(t), "tcp://127.0.0.1:0", "inproc://mute-daemon"} {
+		scheme, _ := transport.SplitAddr(addr)
+		t.Run(scheme, func(t *testing.T) {
+			ln, err := transport.ListenAddr(addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	c, err := DialOptions(ln.Addr(), Options{Timeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+			defer ln.Close()
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // a daemon that went out to lunch
+				defer wg.Done()
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				buf := make([]byte, 4096)
+				for {
+					if _, err := conn.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			c, err := DialOptions(ln.Addr(), Options{Timeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			start := time.Now()
+			_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
+			if err == nil {
+				t.Fatal("request against a mute daemon succeeded")
+			}
+			if !strings.Contains(err.Error(), "no response within") || !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("got %v, want request-timeout error", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("timeout took %v, deadline not applied", elapsed)
+			}
+			c.Close() // unblocks the mute server's read loop
+			wg.Wait()
+		})
 	}
-	defer c.Close()
-	start := time.Now()
-	_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
-	if err == nil {
-		t.Fatal("request against a mute daemon succeeded")
-	}
-	if !strings.Contains(err.Error(), "no response within") {
-		t.Fatalf("got %v, want request-timeout error", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v, deadline not applied", elapsed)
-	}
-	c.Close() // unblocks the mute server's read loop
-	wg.Wait()
 }
 
 // TestIdleClientOutlivesTimeout: a round trip sets the connection's

@@ -196,8 +196,8 @@ func (e *frameEncoder) finish() error {
 }
 
 // buffers resolves the segment list against the (final) meta buffer into
-// a reusable net.Buffers for writev.
-func (e *frameEncoder) buffers() net.Buffers {
+// the reusable e.iov for writev.
+func (e *frameEncoder) buffers() {
 	e.iovBuf = e.iovBuf[:0]
 	for _, s := range e.segs {
 		if s.ext != nil {
@@ -207,7 +207,6 @@ func (e *frameEncoder) buffers() net.Buffers {
 		}
 	}
 	e.iov = net.Buffers(e.iovBuf)
-	return e.iov
 }
 
 // flatten appends the complete contiguous frame to dst.

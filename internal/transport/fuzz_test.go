@@ -26,12 +26,24 @@ func fuzzPipeConn(t testing.TB) (*Conn, *Conn) {
 
 // FuzzReadRequest feeds an arbitrary byte stream to Conn.ReadRequest, the
 // path every socket client's bytes take, in reads of random sizes (seeded
-// by the second input; chunkConn): header, then a payload of the length
-// the header claims. It must never panic or hang; a stream that holds one
-// whole frame must read — into a connection whose retained request still
-// holds a rich frame — exactly as the bare decoder decodes that frame into
-// a zero value, and anything shorter must fail as a truncated frame would.
+// by the second input; chunkConn). FuzzReadRequestSocket
+// (rawconn_linux_test.go) feeds the same streams through a real socket;
+// checkStreamRead holds both to one rule.
 func FuzzReadRequest(f *testing.F) {
+	addStreamSeeds(f)
+	f.Fuzz(func(t *testing.T, stream []byte, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewConn(&chunkConn{stream: stream, next: func() int { return 1 + rng.Intn(headerLen+len(stream)) }})
+		defer a.Release()
+		prefill(t, &a.req)
+		got, err := a.ReadRequest()
+		checkStreamRead(t, stream, got, err)
+	})
+}
+
+// addStreamSeeds seeds a stream fuzz target with a byte stream and the seed
+// of its chunk sizes.
+func addStreamSeeds(f *testing.F) {
 	whole, _ := EncodeRequestBinary(nil, Request{Verb: "SND", Session: 7, Data: []byte{1, 2, 3}})
 	f.Add(whole, int64(0))
 	f.Add(whole[:headerLen-1], int64(1))                                     // truncated header
@@ -42,43 +54,45 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{frameMagic, kindRequest, 0, 0, 0, 0}, int64(6))             // empty payload
 	f.Add([]byte(`{"verb":"REQ"}`+"\n"), int64(7))                           // another protocol entirely
 	f.Add([]byte{}, int64(8))
-	f.Fuzz(func(t *testing.T, stream []byte, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		a := NewConn(&chunkConn{stream: stream, next: func() int { return 1 + rng.Intn(headerLen+len(stream)) }})
-		defer a.Release()
-		prefill(t, &a.req)
-		got, err := a.ReadRequest()
-		var n uint32
-		if len(stream) >= headerLen {
-			if n = binary.LittleEndian.Uint32(stream[2:6]); int64(n) <= int64(len(stream)-headerLen) {
-				want, werr := decodeRequest(stream[:headerLen+int(n)])
-				if (err == nil) != (werr == nil) {
-					t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
-				}
-				if err == nil && !requestsEqual(*got, want) {
-					t.Fatalf("stream read %+v, whole-frame decode %+v", *got, want)
-				}
-				return
+}
+
+// checkStreamRead is the rule for one ReadRequest, into a connection whose
+// retained request held a rich frame, off a stream that then ended: it must
+// not panic or hang; a stream that holds one whole frame must read exactly
+// as the bare decoder decodes that frame into a zero value, and anything
+// shorter must fail as a truncated frame would.
+func checkStreamRead(t *testing.T, stream []byte, got *Request, err error) {
+	t.Helper()
+	var n uint32
+	if len(stream) >= headerLen {
+		if n = binary.LittleEndian.Uint32(stream[2:6]); int64(n) <= int64(len(stream)-headerLen) {
+			want, werr := decodeRequest(stream[:headerLen+int(n)])
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("stream read: %v; whole-frame decode: %v", err, werr)
 			}
+			if err == nil && !requestsEqual(*got, want) {
+				t.Fatalf("stream read %+v, whole-frame decode %+v", *got, want)
+			}
+			return
 		}
-		if err == nil {
-			t.Fatalf("a %d-byte stream short of one frame read as %+v", len(stream), got)
-		}
-		want := "transport: truncated frame: unexpected EOF"
-		switch {
-		case len(stream) == 0:
-			want = "EOF"
-		case len(stream) < headerLen:
-			want = "transport: truncated frame header: unexpected EOF"
-		case stream[0] != frameMagic || stream[1] != kindRequest || n > MaxFrame:
-			return // a bad header fails before any payload is read
-		case len(stream) == headerLen:
-			want = "transport: truncated frame: EOF"
-		}
-		if err.Error() != want {
-			t.Fatalf("a %d-byte stream short of one frame failed with %q, want %q", len(stream), err, want)
-		}
-	})
+	}
+	if err == nil {
+		t.Fatalf("a %d-byte stream short of one frame read as %+v", len(stream), got)
+	}
+	want := "transport: truncated frame: unexpected EOF"
+	switch {
+	case len(stream) == 0:
+		want = "EOF"
+	case len(stream) < headerLen:
+		want = "transport: truncated frame header: unexpected EOF"
+	case stream[0] != frameMagic || stream[1] != kindRequest || n > MaxFrame:
+		return // a bad header fails before any payload is read
+	case len(stream) == headerLen:
+		want = "transport: truncated frame: EOF"
+	}
+	if err.Error() != want {
+		t.Fatalf("a %d-byte stream short of one frame failed with %q, want %q", len(stream), err, want)
+	}
 }
 
 // FuzzDecodeRequestBinary feeds arbitrary bytes to the binary request
@@ -111,6 +125,64 @@ func FuzzDecodeRequestBinary(f *testing.F) {
 		}
 		if !requestsEqual(req, again) {
 			t.Fatalf("unstable round trip: %+v vs %+v", req, again)
+		}
+	})
+}
+
+// FuzzDecodeResponseBinary feeds arbitrary bytes to the response decoder
+// gvmfed and every client run on a daemon's bytes: it must never panic; a
+// frame that decodes must decode the same into a value that held a rich
+// frame, and re-encode and decode back equal. The seeds are the responses
+// a daemon writes: REQ's, a pipelined cycle's BAT with its RCV payload, a
+// lone RCV, a failed BAT and an ERR.
+func FuzzDecodeResponseBinary(f *testing.F) {
+	out := []byte("0123456789abcdef")
+	for _, resp := range []Response{
+		{Status: "ACK", Session: 1, Plane: PlaneInline, InBytes: 16, OutBytes: 16, VirtualMS: 0.5},
+		{Status: "ACK", Batch: []Response{
+			{Status: "ACK", Session: 1, VirtualMS: 0.5},
+			{Status: "ACK", Session: 1, VirtualMS: 0.5},
+			{Status: "ACK", Session: 1, VirtualMS: 0.54},
+			{Status: "ACK", Session: 1, VirtualMS: 0.54, Data: out},
+		}},
+		{Status: "ACK", Session: 2, VirtualMS: 1.25, Data: out},
+		{Status: "ACK", Batch: []Response{
+			{Status: "ERR", Session: 3, Err: "gvm: session 3: not bound", VirtualMS: 2},
+			{Status: "ERR", Session: 3, Err: "transport: skipped after earlier BAT failure"},
+		}},
+		{Status: "ERR", Err: "transport: unknown session 9"},
+	} {
+		frame, err := EncodeResponseBinary(nil, resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Add([]byte{frameMagic, kindResponse, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		resp, err := decodeResponse(frame) // must not panic
+		var reused Response
+		prefill(t, &reused)
+		if rerr := DecodeResponseBinaryInto(&reused, frame); (rerr == nil) != (err == nil) {
+			t.Fatalf("decode into a zero value: %v; into a reused one: %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if !responsesEqual(reused, resp) {
+			t.Fatalf("decode into a reused value %+v, into a zero value %+v", reused, resp)
+		}
+		enc, err := EncodeResponseBinary(nil, resp)
+		if err != nil {
+			t.Fatalf("re-encode of decoded response failed: %v", err)
+		}
+		again, err := decodeResponse(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !responsesEqual(resp, again) {
+			t.Fatalf("unstable round trip: %+v vs %+v", resp, again)
 		}
 	})
 }

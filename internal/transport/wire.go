@@ -107,8 +107,9 @@ func RejectConn(nc net.Conn) {
 // length-prefixed binary format (frame.go), reusing one encode buffer, one
 // read buffer and one decoded frame across frames.
 type Conn struct {
-	c  net.Conn
-	we frameEncoder // reused scatter-gather encoder
+	c   net.Conn
+	raw rawConn      // the fd path frames take when c has one
+	we  frameEncoder // reused scatter-gather encoder
 	// rbuf is the connection's one read buffer, pooled, used at full length:
 	// rbuf[rd:wr] arrived and is not consumed yet. A frame is decoded where
 	// it landed, so what a read returns aliases rbuf.
@@ -131,9 +132,12 @@ const (
 	rbufMin = 4 << 10
 )
 
-// NewConn wraps a connection with the binary frame codec.
+// NewConn wraps a connection with the binary frame codec. A socket's frames
+// move by raw non-blocking syscalls (rawconn_linux.go), a pipe's by net.Conn.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c}
+	conn := &Conn{c: c}
+	conn.bindRaw(c)
+	return conn
 }
 
 // Close closes the underlying connection.
@@ -180,25 +184,29 @@ func (c *Conn) WriteResponse(resp *Response) error {
 	return c.writeFrame()
 }
 
-// writeFrame flushes the encoder's segment list. A single-segment frame
-// (everything inline) takes the plain Write path; multi-segment frames use
-// writev so large payloads are never copied into the encode buffer.
+// writeFrame flushes the encoder's segment list, large payloads straight
+// from the caller's memory: they are never copied into the encode buffer.
 func (c *Conn) writeFrame() error {
-	bufs := c.we.buffers()
-	var err error
-	if len(bufs) == 1 {
-		_, err = c.c.Write(bufs[0])
-	} else {
-		// WriteTo consumes the slice (advances/nils entries); the encoder
-		// rebuilds it from its segment list on the next frame. Called on the
-		// encoder's own iov field (not a local) so the net.Buffers header does
-		// not escape to the heap on every frame.
-		_, err = c.we.iov.WriteTo(c.c)
-	}
+	c.we.buffers()
+	err := c.flush()
 	// Whether the write completed or died short, the frame is over: drop
 	// payload aliases so the reused encoder does not pin (or later alias)
 	// the caller's pooled buffers.
 	c.we.clearAliases()
+	return err
+}
+
+// flushConn is flush over net.Conn: one Write for a single segment, else
+// net.Buffers' writev. WriteTo consumes c.we.iov, which the encoder rebuilds
+// for the next frame; called on the field, not a local, so the net.Buffers
+// header does not escape to the heap on every frame.
+func (c *Conn) flushConn() error {
+	var err error
+	if len(c.we.iov) == 1 {
+		_, err = c.c.Write(c.we.iov[0])
+	} else {
+		_, err = c.we.iov.WriteTo(c.c)
+	}
 	return err
 }
 
@@ -286,7 +294,7 @@ func (c *Conn) fill(need int) error {
 		}
 	}
 	for c.wr-c.rd < need {
-		m, err := c.c.Read(c.rbuf[c.wr:])
+		m, err := c.readSome(c.rbuf[c.wr:])
 		c.wr += m
 		if err != nil && c.wr-c.rd < need {
 			return err
