@@ -118,7 +118,7 @@ smoke:
 repro:
 	$(GO) run ./cmd/gvmbench -experiment all | cmp - results/gvmbench_full.txt
 
-# Size of the code a PR has to carry: non-test Go lines outside bench/,
+# Size of the code a PR has to carry: non-test and test Go lines outside bench/,
 # exported identifiers per internal/ package, and the findings of the
 # test-only-code guard (TestNoTestOnlyCode). CHANGES.md entries quote its
 # deltas against the parent commit.

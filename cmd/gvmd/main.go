@@ -218,6 +218,9 @@ func run(d daemon) error {
 		if err := srv.Close(); err != nil {
 			log.Printf("gvmd: close: %v", err)
 		}
+		if held := srv.Audit(); len(held) > 0 {
+			log.Printf("gvmd: still held after close: %s", strings.Join(held, ", "))
+		}
 		close(done)
 	}()
 	select {

@@ -180,6 +180,9 @@ func run(r router) error {
 		if err := rt.Close(); err != nil {
 			log.Printf("gvmfed: close: %v", err)
 		}
+		if held := rt.Audit(); len(held) > 0 {
+			log.Printf("gvmfed: still held after close: %s", strings.Join(held, ", "))
+		}
 		close(done)
 	}()
 	select {

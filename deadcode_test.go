@@ -48,7 +48,7 @@ var testOnlyAllowed = map[string]string{
 var optionAllowed = map[string]string{
 	"gpusim.Config.PreemptRatio":   "-1 is the no-preemption QoS reference of gpusim's smsched_qos_test and of the experiments' interference harness",
 	"ipc.Options.Plane":            "the ipc and fed tests that force a data plane other than the transport's default, such as inline over unix://",
-	"ipc.ServerConfig.ExecWorkers": "1 is the serial kernel executor of ipc's startOversub, so that what its cycle allocates does not depend on the host's cores",
+	"ipc.ServerConfig.ExecWorkers": "1 is the serial kernel executor of ipc's oversub daemon config, so that what its cycle allocates does not depend on the host's cores",
 	"spmd.Config.BlockingSTP":      "the root BenchmarkAblationBlockingSTP; vgpu's TestFrontEndCostClosedForm needs the same path",
 	"spmd.Config.PageableStaging":  "the root BenchmarkAblationPinned",
 	"spmd.Config.PartiesOverride":  "the root BenchmarkAblationBarrier",

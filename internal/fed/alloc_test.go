@@ -3,7 +3,9 @@ package fed
 import (
 	"net"
 	"testing"
+	"time"
 
+	"gpuvirt/internal/ipc"
 	"gpuvirt/internal/transport"
 )
 
@@ -12,19 +14,14 @@ import (
 // client frame in, id rewrite, pooled zero-copy frame to the backend,
 // response back with the id restored — allocates nothing in the router.
 func TestWarmProxyHopZeroAlloc(t *testing.T) {
-	r, err := New(Config{Backends: []string{"inproc://alloc-fake"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The router is not Started: the backend is never dialed or polled.
-	// Hand-wire a placed session to an in-memory echo peer standing in
-	// for the backend daemon.
+	r := startFed(t, time.Hour, ipc.ServerConfig{}).r
+	// Hand-wire a session placed on the one backend to an in-memory echo
+	// peer standing in for the backend daemon.
 	routerEnd, backendEnd := net.Pipe()
 	conn, peer := transport.NewConn(routerEnd), transport.NewConn(backendEnd)
-	t.Cleanup(func() { conn.Close(); peer.Close() })
-	done := make(chan struct{})
-	t.Cleanup(func() { close(done) })
+	done, served := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer func() { peer.Close(); peer.Release(); close(served) }()
 		for {
 			req, err := peer.ReadRequest()
 			if err != nil {
@@ -46,8 +43,21 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 
 	cc := &clientConn{}
 	s := &fedSession{vid: 1, owner: cc, staged: true, inB: 64 << 10, outB: 64 << 10}
-	s.attachLocked(r.backends[0], 42, conn)
+	b, err := r.place(s.inB + s.outB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.attachLocked(b, 42, conn)
 	r.sessions[1] = s
+	defer func() {
+		// The session ends as a released one does: its sticky connection
+		// and placement go, and the echo peer sees the pipe close.
+		close(done)
+		s.mu.Lock()
+		r.unregisterLocked(s, true)
+		s.mu.Unlock()
+		<-served
+	}()
 
 	payload := make([]byte, 64<<10)
 	for i := range payload {

@@ -370,13 +370,31 @@ func (r *Router) Close() error {
 	for _, b := range r.backends {
 		b.mu.Lock()
 		if b.ctl != nil {
-			_ = b.ctl.Close()
-			b.ctl = nil
+			_ = b.ctl.Close() // a poll reading it fails and lets it go
 		}
 		b.mu.Unlock()
 	}
 	r.wg.Wait()
+	for _, b := range r.backends {
+		b.mu.Lock()
+		if b.ctl != nil { // the poll loop is over: no read is in flight
+			_ = b.ctl.Close()
+			b.ctl.Release()
+		}
+		b.mu.Unlock()
+	}
 	return err
+}
+
+// Audit names what the router still holds as item=count: the sessions in
+// its table.
+func (r *Router) Audit() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.sessions); n != 0 {
+		return []string{fmt.Sprintf("fed-sessions=%d", n)}
+	}
+	return nil
 }
 
 // nodeLoads snapshots every backend's node-level Load in index order.
@@ -396,8 +414,7 @@ func (r *Router) markDead(b *backend, cause error) {
 	was := b.state
 	b.state = stateDead
 	if b.ctl != nil {
-		_ = b.ctl.Close()
-		b.ctl = nil
+		_ = b.ctl.Close() // released by the poll reading it, or by Close
 	}
 	b.mu.Unlock()
 	if was != stateDead && r.cfg.Log != nil {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,66 +23,143 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// startNode runs one in-process gvmd backend on an inproc transport.
-func startNode(t *testing.T, name string, gpus int) *testNode {
-	t.Helper()
-	return startNodeWith(t, ipc.ServerConfig{Listen: []string{"inproc://" + name}, GPUs: gpus})
-}
-
-// startNodeWith runs cfg as a functional in-process backend with a
-// registry and an shm directory of its own.
-func startNodeWith(t *testing.T, cfg ipc.ServerConfig) *testNode {
-	t.Helper()
-	reg := metrics.NewRegistry()
-	cfg.Functional, cfg.ShmDir, cfg.Metrics = true, t.TempDir(), reg
-	s, err := ipc.NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return &testNode{Server: s, reg: reg}
-}
-
 // testNode is a backend daemon and the registry it was built with.
 type testNode struct {
 	*ipc.Server
 	reg *metrics.Registry
 }
 
-// startRouter runs a gvmfed router fronting the given backends.
-func startRouter(t *testing.T, name string, poll time.Duration, nodes ...*testNode) *Router {
-	t.Helper()
-	backs := make([]string, len(nodes))
-	for i, n := range nodes {
-		backs[i] = n.Addr()
-	}
-	r, err := New(Config{Backends: backs, PollInterval: poll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Start([]string{"inproc://" + name}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return r
+// fedStack is a test's federation, started by startFed: backend daemons
+// and, unless it was started without a poll interval, a router in front.
+type fedStack struct {
+	r     *Router
+	nodes []*testNode
 }
 
-// nodeOpenSessions sums the gvm_open_sessions gauge over a backend's
-// shards, scraped from the node's registry. A shard without the sample
-// fails the test and the sum reads -1.
-func nodeOpenSessions(t *testing.T, n *testNode) int64 {
+var (
+	fedSeq   atomic.Int64 // names the inproc addresses
+	stacksMu sync.Mutex
+	stacks   = map[*testing.T][]*fedStack{} // each running test's, in start order
+)
+
+// startFed is how a fed test starts daemons and a router: one functional
+// backend per cfg, on an inproc address, a registry and an shm directory of
+// its own unless cfg names them, and — poll > 0 — a router polling them at
+// that interval on an inproc address and a unix one (Addrs()[1]). A test's
+// stacks end together, after every cleanup registered since the first of
+// them started (every client's): the routers' audits, then their Close, then
+// the backends' audits, then their Close, then a scrape of every registry.
+func startFed(t *testing.T, poll time.Duration, cfgs ...ipc.ServerConfig) *fedStack {
 	t.Helper()
-	samples := scrape(t, n.reg)
-	var open int64
-	for i := 0; i < n.Node().NumShards(); i++ {
-		v, ok := samples[fmt.Sprintf(`gvm_open_sessions{gpu="%d"}`, i)]
-		if !ok {
-			t.Errorf("node scrape has no gvm_open_sessions sample for gpu %d", i)
-			return -1
+	dir := t.TempDir() // its removal runs after the stacks end
+	f := &fedStack{}
+	backends := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		if len(cfg.Listen) == 0 {
+			cfg.Listen = []string{fmt.Sprintf("inproc://fed-node-%d", fedSeq.Add(1))}
 		}
-		open += v
+		if cfg.ShmDir == "" {
+			cfg.ShmDir = t.TempDir()
+		}
+		if cfg.Metrics == nil {
+			cfg.Metrics = metrics.NewRegistry()
+		}
+		cfg.Functional = true
+		s, err := ipc.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.nodes = append(f.nodes, &testNode{Server: s, reg: cfg.Metrics})
+		backends[i] = s.Addr()
 	}
-	return open
+	stacksMu.Lock()
+	fleet, ok := stacks[t]
+	stacks[t] = append(fleet, f)
+	stacksMu.Unlock()
+	if !ok {
+		t.Cleanup(func() { endFed(t) })
+	}
+	if poll > 0 {
+		r, err := New(Config{Backends: backends, PollInterval: poll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.r = r
+		if err := r.Start([]string{fmt.Sprintf("inproc://fed-router-%d", fedSeq.Add(1)), "unix://" + filepath.Join(dir, "fed.sock")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// endFed ends t's stacks in startFed's order.
+func endFed(t *testing.T) {
+	stacksMu.Lock()
+	fleet := stacks[t]
+	delete(stacks, t)
+	stacksMu.Unlock()
+	for _, f := range fleet {
+		if f.r == nil {
+			continue
+		}
+		if !t.Failed() {
+			// The router's audit reads once: its clients' hang-ups release
+			// after they have gone.
+			held := f.r.Audit()
+			for end := time.Now().Add(5 * time.Second); len(held) > 0 && time.Now().Before(end); held = f.r.Audit() {
+				time.Sleep(5 * time.Millisecond)
+			}
+			for _, item := range held {
+				t.Errorf("the router still holds %s", item)
+			}
+		}
+		if err := f.r.Close(); err != nil {
+			t.Errorf("close the router: %v", err)
+		}
+	}
+	for _, f := range fleet {
+		for _, n := range f.nodes {
+			if t.Failed() {
+				break
+			}
+			// A node the test closed itself is read once: first let the
+			// connections its clients and the router dropped end.
+			for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+				if conns, _ := n.reg.Value("ipc_connections"); conns == 0 {
+					break
+				}
+			}
+			for _, item := range n.Audit() {
+				t.Errorf("%s still holds %s", n.Addr(), item)
+			}
+		}
+	}
+	for _, f := range fleet {
+		regs := []*metrics.Registry{}
+		if f.r != nil {
+			regs = append(regs, f.r.cfg.Metrics)
+		}
+		for _, n := range f.nodes {
+			if err := n.Close(); err != nil {
+				t.Errorf("close %s: %v", n.Addr(), err)
+			}
+			regs = append(regs, n.reg)
+		}
+		for _, reg := range regs {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Errorf("scrape after close: %v", err)
+			}
+		}
+	}
+}
+
+// sessionsOn is how many sessions node n's managers hold, over its shards.
+func sessionsOn(n *testNode) (sum int64) {
+	for gpu := 0; gpu < n.Node().NumShards(); gpu++ {
+		open, _ := n.reg.Value("gvm_open_sessions", metrics.L("gpu", strconv.Itoa(gpu)))
+		sum += open
+	}
+	return sum
 }
 
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?\d+(\.\d+)?$`)
@@ -128,9 +206,9 @@ func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
 // dedicated single-node daemon with serial verbs — the migration-free,
 // federation-free baseline every federated run must match byte for
 // byte.
-func directReference(t *testing.T, name string, ref workloads.Ref, ranks int) [][]byte {
+func directReference(t *testing.T, ref workloads.Ref, ranks int) [][]byte {
 	t.Helper()
-	srv := startNode(t, name, 1)
+	srv := startFed(t, 0, ipc.ServerConfig{}).nodes[0]
 	c, err := ipc.DialOptions(srv.Addr(), ipc.Options{NoPipeline: true, Plane: transport.PlaneInline})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +251,7 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := directReference(t, "fedmatrix-ref", ref, ranks)
+	want := directReference(t, ref, ranks)
 
 	for _, policy := range []string{node.LeastSessions, "least-memory", "slo"} {
 		policy := policy
@@ -185,9 +263,8 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 				}
 				return
 			}
-			a := startNode(t, "fedmatrix-a", 2)
-			b := startNode(t, "fedmatrix-b", 2)
-			r := startRouter(t, "fedmatrix", 50*time.Millisecond, a, b)
+			f := startFed(t, 50*time.Millisecond, ipc.ServerConfig{GPUs: 2}, ipc.ServerConfig{GPUs: 2})
+			a, b, r := f.nodes[0], f.nodes[1], f.r
 
 			// Open every session up front so the placer sees the earlier
 			// placements, then run the cycles pipelined through the proxy.
@@ -207,7 +284,7 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 				sessions[rank] = sess
 			}
 			// The canonical spread: 4 held sessions across 2 nodes go 2/2.
-			if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 2 || bo != 2 {
+			if ao, bo := sessionsOn(a), sessionsOn(b); ao != 2 || bo != 2 {
 				t.Fatalf("spread = %d/%d, want 2/2", ao, bo)
 			}
 			for rank, sess := range sessions {
@@ -223,9 +300,6 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 				if err := sess.Release(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
-				t.Fatalf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
 			}
 			samples := scrape(t, r.cfg.Metrics)
 			if got := samples[`fed_nodes{state="alive"}`]; got != 2 {
@@ -250,15 +324,14 @@ func TestFederationMatrixByteIdentical(t *testing.T) {
 func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 	const n = 1024
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	want := directReference(t, "fedmig-ref", ref, 1)
+	want := directReference(t, ref, 1)
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	a := startNode(t, "fedmig-a", 1)
-	b := startNode(t, "fedmig-b", 1)
-	r := startRouter(t, "fedmig", 20*time.Millisecond, a, b)
+	f := startFed(t, 20*time.Millisecond, ipc.ServerConfig{}, ipc.ServerConfig{})
+	a, b, r := f.nodes[0], f.nodes[1], f.r
 
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
@@ -280,20 +353,20 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 
 	// The session is mid-job on one of the nodes; drain that whole node.
 	src, dst := a, b
-	if nodeOpenSessions(t, b) == 1 {
+	if sessionsOn(b) == 1 {
 		src, dst = b, a
 	}
-	if nodeOpenSessions(t, src) != 1 {
+	if sessionsOn(src) != 1 {
 		t.Fatal("no backend owns the session after STR")
 	}
 	src.DrainAll()
 
 	// The router's next poll sees the node advertise itself unplaceable
 	// and evacuates it in the background.
-	for deadline := 400; nodeOpenSessions(t, dst) != 1 || nodeOpenSessions(t, src) != 0; deadline-- {
+	for deadline := 400; sessionsOn(dst) != 1 || sessionsOn(src) != 0; deadline-- {
 		if deadline == 0 {
 			t.Fatalf("session never migrated: src %d open, dst %d open",
-				nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
+				sessionsOn(src), sessionsOn(dst))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -313,7 +386,7 @@ func TestCrossNodeMigrationMidJobByteIdentical(t *testing.T) {
 	// The source node is fully empty: session registry, device memory,
 	// reservations, and placement counters.
 	sh := src.Node().Shard(0)
-	if open := nodeOpenSessions(t, src); open != 0 {
+	if open := sessionsOn(src); open != 0 {
 		t.Errorf("source node still has %d open sessions", open)
 	}
 	if inUse := sh.Dev.MemInUse(); inUse != 0 {
@@ -357,11 +430,10 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := directReference(t, "fedchaos-ref", ref, clients)
+	want := directReference(t, ref, clients)
 
-	a := startNode(t, "fedchaos-a", 2)
-	b := startNode(t, "fedchaos-b", 2)
-	r := startRouter(t, "fedchaos", 20*time.Millisecond, a, b)
+	f := startFed(t, 20*time.Millisecond, ipc.ServerConfig{GPUs: 2}, ipc.ServerConfig{GPUs: 2})
+	a, r := f.nodes[0], f.r
 
 	var (
 		firstCycle sync.WaitGroup
@@ -426,9 +498,6 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 			t.Fatalf("rank %d lost its session: %v", rank, err)
 		}
 	}
-	if open := nodeOpenSessions(t, b); open != 0 {
-		t.Errorf("surviving node holds %d sessions after release, want 0", open)
-	}
 
 	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_failovers_total"]; got < 1 {
@@ -459,11 +528,10 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := directReference(t, "feddrain-ref", ref, clients)
+	want := directReference(t, ref, clients)
 
-	a := startNode(t, "feddrain-a", 2)
-	b := startNode(t, "feddrain-b", 2)
-	r := startRouter(t, "feddrain", 10*time.Millisecond, a, b)
+	f := startFed(t, 10*time.Millisecond, ipc.ServerConfig{GPUs: 2}, ipc.ServerConfig{GPUs: 2})
+	a, r := f.nodes[0], f.r
 
 	var (
 		firstCycle sync.WaitGroup
@@ -533,9 +601,6 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
-		t.Errorf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
-	}
 	samples := scrape(t, r.cfg.Metrics)
 	if got := samples["fed_failovers_total"]; got < 1 {
 		t.Errorf("fed_failovers_total = %d, want >= 1 (node 0's sessions had to move)", got)
@@ -554,25 +619,24 @@ func TestDrainUnderLoadByteIdentical(t *testing.T) {
 // the race detector here.
 func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}
-	want := directReference(t, "fedpark-ref", ref, 1)
+	want := directReference(t, ref, 1)
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	a := startNode(t, "fedpark-a", 1)
-	b := startNode(t, "fedpark-b", 1)
-	r := startRouter(t, "fedpark", 10*time.Millisecond, a, b)
+	f := startFed(t, 10*time.Millisecond, ipc.ServerConfig{}, ipc.ServerConfig{})
+	a, b, r := f.nodes[0], f.nodes[1], f.r
 
 	nc, _, err := transport.DialAddr(r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
 	if err := transport.WritePreamble(nc); err != nil {
 		t.Fatal(err)
 	}
 	conn := transport.NewConn(nc)
+	defer func() { conn.Close(); conn.Release() }()
 
 	trip := func(req transport.Request) transport.Response {
 		t.Helper()
@@ -597,10 +661,10 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	trip(transport.Request{Verb: "STP", Session: vid})
 
 	src, dst, srcIdx := a, b, 0
-	if nodeOpenSessions(t, b) == 1 {
+	if sessionsOn(b) == 1 {
 		src, dst, srcIdx = b, a, 1
 	}
-	if nodeOpenSessions(t, src) != 1 {
+	if sessionsOn(src) != 1 {
 		t.Fatal("no node owns the session")
 	}
 
@@ -626,7 +690,7 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 	// RCV response is in flight, the session cannot have moved — a move
 	// would have read the MIG blob into, and then pooled, the very
 	// buffer the in-flight response aliases.
-	if nodeOpenSessions(t, dst) != 0 {
+	if sessionsOn(dst) != 0 {
 		t.Fatal("evacuation moved the session while its RCV response was still in flight")
 	}
 
@@ -643,16 +707,13 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 
 	// With the response delivered the evacuation proceeds: the session
 	// lands on the survivor and RLS empties both nodes.
-	for deadline := 400; nodeOpenSessions(t, dst) != 1; deadline-- {
+	for deadline := 400; sessionsOn(dst) != 1; deadline-- {
 		if deadline == 0 {
 			t.Fatal("session never migrated after the response was read")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	trip(transport.Request{Verb: "RLS", Session: vid})
-	if ao, bo := nodeOpenSessions(t, a), nodeOpenSessions(t, b); ao != 0 || bo != 0 {
-		t.Errorf("backends hold %d/%d sessions after release, want 0/0", ao, bo)
-	}
 }
 
 // TestRouterBadPreambleDrained: like gvmd, the router drains a
@@ -660,17 +721,9 @@ func TestEvacuationWaitsForInFlightResponse(t *testing.T) {
 // JSON codec's 'J' or '{' — before closing it, so bytes the client sends
 // behind the bad one do not fail with EPIPE or a reset.
 func TestRouterBadPreambleDrained(t *testing.T) {
-	n := startNode(t, "fed-preamble-n0", 1)
-	r, err := New(Config{Backends: []string{n.Addr()}, Placement: "least-sessions", PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Start([]string{"unix://" + filepath.Join(t.TempDir(), "fed.sock")}); err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := startFed(t, time.Hour, ipc.ServerConfig{}).r
 	for _, first := range []byte{'X', 'J', '{'} {
-		nc, _, err := transport.DialAddr(r.Addrs()[0])
+		nc, _, err := transport.DialAddr(r.Addrs()[1]) // unix: a socket half-closes
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -697,27 +750,15 @@ func TestRouterBadPreambleDrained(t *testing.T) {
 // forwards.
 func TestFederatedEviction(t *testing.T) {
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}
-	want := directReference(t, "fedevict-ref", ref, 1)
+	want := directReference(t, ref, 1)
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10 // one vecadd-4096 session's 48 KiB of arenas
-	reg := metrics.NewRegistry()
-	node, err := ipc.NewServer(ipc.ServerConfig{
-		Listen:     []string{"inproc://fedevict-node"},
-		Functional: true,
-		ShmDir:     t.TempDir(),
-		Arch:       arch,
-		Overcommit: 2,
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-	r := startRouter(t, "fedevict", 50*time.Millisecond, &testNode{Server: node, reg: reg})
+	f := startFed(t, 50*time.Millisecond, ipc.ServerConfig{Arch: arch, Overcommit: 2})
+	r, reg := f.r, f.nodes[0].reg
 	c, err := ipc.DialOptions(r.Addr(), ipc.Options{NoPipeline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -759,6 +800,111 @@ func TestFederatedEviction(t *testing.T) {
 	for _, s := range []*ipc.Session{sess, other} {
 		if err := s.Release(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestBATMisuseThroughRouter is ipc's TestBATMisuse for the router, the
+// third front-end that checks a frame with transport.FrameSteps: a
+// malformed or mistimed frame draws through it the status and error text a
+// direct socket to a daemon draws, but for whose session an id names, which
+// is each front-end's own table.
+func TestBATMisuseThroughRouter(t *testing.T) {
+	type ids struct{ own, sibling, foreign int } // foreign: another connection's
+	bat := func(subs ...transport.Request) transport.Request { return transport.Request{Verb: "BAT", Batch: subs} }
+	lone := func(verb string) func(ids) transport.Request {
+		return func(id ids) transport.Request { return transport.Request{Verb: verb, Session: id.own} }
+	}
+	steps := func(verbs ...string) func(ids) transport.Request {
+		return func(id ids) transport.Request {
+			req := bat()
+			for _, v := range verbs {
+				req.Batch = append(req.Batch, transport.Request{Verb: v, Session: id.own})
+			}
+			return req
+		}
+	}
+	rows := []struct {
+		name  string
+		frame func(ids) transport.Request
+		want  string // in the router's error text; "" = exactly the daemon's answer
+	}{
+		{"empty", steps(), ""},
+		{"req-inside", steps("REQ"), ""},
+		{"duplicate-verb", steps("SND", "SND"), ""},
+		{"out-of-order", steps("STR", "SND"), ""},
+		{"verb-behind-RLS", steps("RLS", "SND"), ""},
+		{"two-sessions", func(id ids) transport.Request {
+			return bat(transport.Request{Verb: "SND", Session: id.own}, transport.Request{Verb: "SND", Session: id.sibling})
+		}, ""},
+		{"STP-before-STR", steps("STP"), ""},
+		{"RCV-before-completion", steps("SND", "RCV"), ""},
+		{"RES-without-SUS", lone("RES"), ""},
+		{"lone-SUS", lone("SUS"), ""},
+		{"unknown-session", func(ids) transport.Request { return bat(transport.Request{Verb: "SND", Session: 999}) }, "fed: unknown session 999"},
+		{"foreign-session", func(id ids) transport.Request { return bat(transport.Request{Verb: "SND", Session: id.foreign}) }, "belongs to another connection"},
+	}
+	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
+	var inBytes int
+	trip := func(c *transport.Conn, req transport.Request) *transport.Response {
+		t.Helper()
+		if err := c.WriteRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.ReadResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	// open opens own and sibling on one connection to addr and foreign on
+	// another, inline, in that order: the ids agree on both front-ends.
+	open := func(addr string) (*transport.Conn, ids) {
+		dial := func() *transport.Conn {
+			c, _, err := transport.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close(); c.Release() })
+			return c
+		}
+		req := func(c *transport.Conn) int {
+			resp := trip(c, transport.Request{Verb: "REQ", Ref: &ref, Plane: transport.PlaneInline})
+			if resp.Status != "ACK" {
+				t.Fatalf("REQ: %s", resp.Err)
+			}
+			inBytes = int(resp.InBytes)
+			return resp.Session
+		}
+		c := dial()
+		id := ids{own: req(c), sibling: req(c)}
+		id.foreign = req(dial())
+		return c, id
+	}
+	// answer sends the frame, a leading SND of its own session's carrying
+	// the input, and returns its error, else its first failing step's.
+	answer := func(c *transport.Conn, id ids, frame func(ids) transport.Request) string {
+		req := frame(id)
+		if len(req.Batch) > 0 && req.Batch[0].Verb == "SND" && req.Batch[0].Session == id.own {
+			req.Batch[0].Data = make([]byte, inBytes)
+		}
+		resp := trip(c, req)
+		if resp.Status != "ACK" {
+			return resp.Status + " " + resp.Err
+		}
+		for _, r := range resp.Batch {
+			if r.Status != "ACK" {
+				return r.Status + " " + r.Err
+			}
+		}
+		return ""
+	}
+	direct, directIDs := open(startFed(t, 0, ipc.ServerConfig{}).nodes[0].Addr())
+	routed, routedIDs := open(startFed(t, time.Hour, ipc.ServerConfig{}).r.Addr())
+	for _, row := range rows {
+		want, got := answer(direct, directIDs, row.frame), answer(routed, routedIDs, row.frame)
+		if row.want == "" && got != want || row.want != "" && !strings.Contains(got, row.want) {
+			t.Errorf("%s: the router answers %q, the daemon %q", row.name, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gpuvirt/internal/ipc"
 	"gpuvirt/internal/metrics"
@@ -19,25 +20,9 @@ import (
 // member; a trailing `{...}` is a label set; a `prefix_*` row names a
 // prefix, which some registered family must carry.
 func TestMetricFamiliesMatchDesignDoc(t *testing.T) {
-	dir := t.TempDir()
-	nodeReg, fedReg := metrics.NewRegistry(), metrics.NewRegistry()
-	srv, err := ipc.NewServer(ipc.ServerConfig{
-		Listen:     []string{"ring://" + filepath.Join(dir, "gvmd.sock")},
-		ShmDir:     dir,
-		Functional: true,
-		Metrics:    nodeReg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	r, err := New(Config{Backends: []string{srv.Addr()}, Metrics: fedReg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	f := startFed(t, time.Hour, ipc.ServerConfig{Listen: []string{"ring://" + filepath.Join(t.TempDir(), "gvmd.sock")}})
 	registered := map[string]bool{}
-	for _, reg := range []*metrics.Registry{nodeReg, fedReg} {
+	for _, reg := range []*metrics.Registry{f.nodes[0].reg, f.r.cfg.Metrics} {
 		var b strings.Builder
 		if err := reg.WritePrometheus(&b); err != nil {
 			t.Fatal(err)

@@ -43,7 +43,7 @@ func startMidCycle(t *testing.T, r *Router, n int, nodes ...*testNode) (*ipc.Ses
 		t.Fatal(err)
 	}
 	for i, node := range nodes {
-		if nodeOpenSessions(t, node) == 1 {
+		if sessionsOn(node) == 1 {
 			return sess, i
 		}
 	}
@@ -77,10 +77,9 @@ func finishCycle(t *testing.T, sess *ipc.Session, want []byte) {
 func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	const n = 5 << 20
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	want := directReference(t, "fedceil-ref", ref, 1)
-	a := startNode(t, "fedceil-a", 1)
-	b := startNode(t, "fedceil-b", 1)
-	r := startRouter(t, "fedceil", 20*time.Millisecond, a, b)
+	want := directReference(t, ref, 1)
+	f := startFed(t, 20*time.Millisecond, ipc.ServerConfig{}, ipc.ServerConfig{})
+	a, b, r := f.nodes[0], f.nodes[1], f.r
 	sess, idx := startMidCycle(t, r, n, a, b)
 	src, dst := a, b
 	if idx == 1 {
@@ -91,13 +90,13 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 	// The target counts the session as soon as ADP lands; the router counts
 	// the move only once ADP's answer is back, so wait for both.
 	moved := func() bool {
-		return nodeOpenSessions(t, dst) == 1 && nodeOpenSessions(t, src) == 0 &&
+		return sessionsOn(dst) == 1 && sessionsOn(src) == 0 &&
 			scrape(t, r.cfg.Metrics)["fed_migrated_bytes_total"] != 0
 	}
 	for deadline := 1000; !moved(); deadline-- {
 		if deadline == 0 {
 			t.Fatalf("session never left the draining node: src %d open, dst %d open",
-				nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
+				sessionsOn(src), sessionsOn(dst))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -130,19 +129,19 @@ func TestCrossNodeMigrationUnderTheFrameCeiling(t *testing.T) {
 func TestOversizedMIGServesInPlace(t *testing.T) {
 	const n = 6 << 20
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
-	want := directReference(t, "fedbig-ref", ref, 1)
+	want := directReference(t, ref, 1)
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("raw", func(t *testing.T) {
-		node := startNode(t, "fedbig-raw", 1)
+		node := startFed(t, 0, ipc.ServerConfig{}).nodes[0]
 		conn, _, err := transport.Dial(node.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
+		defer func() { conn.Close(); conn.Release() }()
 		trip := func(req transport.Request) *transport.Response {
 			t.Helper()
 			if err := conn.WriteRequest(&req); err != nil {
@@ -180,9 +179,8 @@ func TestOversizedMIGServesInPlace(t *testing.T) {
 	})
 
 	t.Run("gvmfed", func(t *testing.T) {
-		a := startNode(t, "fedbig-a", 1)
-		b := startNode(t, "fedbig-b", 1)
-		r := startRouter(t, "fedbig", 20*time.Millisecond, a, b)
+		f := startFed(t, 20*time.Millisecond, ipc.ServerConfig{}, ipc.ServerConfig{})
+		a, b, r := f.nodes[0], f.nodes[1], f.r
 		sess, idx := startMidCycle(t, r, n, a, b)
 		src, dst := a, b
 		if idx == 1 {
@@ -205,8 +203,8 @@ func TestOversizedMIGServesInPlace(t *testing.T) {
 		if got := samples["fed_migrated_bytes_total"]; got != 0 {
 			t.Errorf("fed_migrated_bytes_total = %d, want 0", got)
 		}
-		if nodeOpenSessions(t, src) != 1 || nodeOpenSessions(t, dst) != 0 {
-			t.Errorf("the session left its node: src %d open, dst %d open", nodeOpenSessions(t, src), nodeOpenSessions(t, dst))
+		if sessionsOn(src) != 1 || sessionsOn(dst) != 0 {
+			t.Errorf("the session left its node: src %d open, dst %d open", sessionsOn(src), sessionsOn(dst))
 		}
 		finishCycle(t, sess, want[0])
 	})
@@ -227,7 +225,7 @@ func TestWritesInSessionMigratesByteIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := directReference(t, "fedwritesin-ref", ref, 1)[0]
+	want := directReference(t, ref, 1)[0]
 	in := make([]byte, w.Spec(0).InBytes)
 	w.Fill(0, in)
 	// A fault plan without gpu= arms every device: the source faults in the
@@ -308,18 +306,15 @@ func TestWritesInSessionMigratesByteIdentically(t *testing.T) {
 	for _, rerun := range []bool{true, false} {
 		name := map[bool]string{true: "rerun", false: "done"}[rerun]
 		t.Run("gvmfed/"+name, func(t *testing.T) {
-			cfg := func(n string) ipc.ServerConfig {
-				c := ipc.ServerConfig{Listen: []string{"inproc://fedwritesin-" + name + n}, GPUs: 1}
-				if rerun {
-					c.FaultPlan = hang
-				}
-				return c
+			cfg := ipc.ServerConfig{}
+			if rerun {
+				cfg.FaultPlan = hang
 			}
-			a, b := startNodeWith(t, cfg("a")), startNodeWith(t, cfg("b"))
-			r := startRouter(t, "fedwritesin-"+name, 20*time.Millisecond, a, b)
+			f := startFed(t, 20*time.Millisecond, cfg, cfg)
+			a, b, r := f.nodes[0], f.nodes[1], f.r
 			sess := open(t, r.Addr())
 			src, dst := a, b
-			if nodeOpenSessions(t, b) == 1 {
+			if sessionsOn(b) == 1 {
 				src, dst = b, a
 			}
 			stage(t, sess, rerun)
@@ -329,7 +324,7 @@ func TestWritesInSessionMigratesByteIdentically(t *testing.T) {
 			// Only a MIG counts blob bytes: a re-created session would lose
 			// the staged input and never answer this STP.
 			await(t, "across nodes", func() bool {
-				return nodeOpenSessions(t, dst) == 1 && nodeOpenSessions(t, src) == 0 &&
+				return sessionsOn(dst) == 1 && sessionsOn(src) == 0 &&
 					scrape(t, r.cfg.Metrics)["fed_migrated_bytes_total"] != 0
 			})
 			finish(t, sess)
@@ -339,11 +334,11 @@ func TestWritesInSessionMigratesByteIdentically(t *testing.T) {
 			}
 		})
 		t.Run("in-node/"+name, func(t *testing.T) {
-			c := ipc.ServerConfig{Listen: []string{"inproc://nodewritesin-" + name}, GPUs: 2}
+			c := ipc.ServerConfig{GPUs: 2}
 			if rerun {
 				c.FaultPlan = hang
 			}
-			n := startNodeWith(t, c)
+			n := startFed(t, 0, c).nodes[0]
 			sess := open(t, n.Addr())
 			sessions := func(gpu int) int64 {
 				return scrape(t, n.reg)[fmt.Sprintf(`gvm_open_sessions{gpu="%d"}`, gpu)]

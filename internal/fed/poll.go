@@ -32,9 +32,9 @@ func (r *Router) pollLoop() {
 
 // installCtl stores a freshly dialed control connection, unless a verb
 // goroutine marked the backend dead since the dial — markDead already
-// closed (a nil) b.ctl, and dead nodes are never polled again, so an
-// installed connection would sit open until Router.Close. Reports
-// whether the backend is still worth polling.
+// closed b.ctl, and dead nodes are never polled again, so an installed
+// connection would sit open until Router.Close. Reports whether the
+// backend is still worth polling.
 func (b *backend) installCtl(ctl *transport.Conn) bool {
 	b.mu.Lock()
 	if b.state == stateDead {

@@ -243,12 +243,12 @@ type Config struct {
 	// an ablation: pageable staging transfers more slowly and, on real
 	// hardware, would forbid async overlap.
 	PageableStaging bool
-	// MaxSessionBytes caps the aggregate shared-memory (and staging)
-	// footprint of live sessions; REQ beyond the cap is rejected. The
-	// paper: "the shared memory size is user-customizable to ensure the
-	// total size does not exceed the GPU memory size". 0 defaults to the
-	// device's memory size; a node passes its shard's overcommit quota.
-	MaxSessionBytes int64
+	// QuotaBytes caps the aggregate shared-memory (and staging) footprint
+	// of live sessions; REQ beyond the quota is rejected. The paper: "the
+	// shared memory size is user-customizable to ensure the total size does
+	// not exceed the GPU memory size". 0 defaults to the device's memory
+	// size; a node passes its shard's quota, Overcommit x MemBytes.
+	QuotaBytes int64
 	// BarrierTimeout bounds how long buffered STR requests wait for the
 	// remaining parties. When it expires the manager flushes the partial
 	// batch, so a crashed SPMD rank cannot wedge the node. 0 disables
@@ -593,7 +593,7 @@ func (m *Manager) OpenSession(p *sim.Proc, r Request) (int, error) {
 	start := p.Now()
 	p.Sleep(resourceSetup)
 	footprint := r.Spec.InBytes + r.Spec.OutBytes
-	quota := m.cfg.MaxSessionBytes
+	quota := m.cfg.QuotaBytes
 	if quota == 0 {
 		quota = m.dev.Arch().MemBytes
 	}

@@ -27,7 +27,7 @@ func TestRestoreBlockedByParkedBarrierIsRetryable(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 256 << 10 // A(120K) + C(8K) + D(100K) fit; B(100K) cannot join
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
-	m := New(env, Config{Device: dev, Parties: 3, BarrierTimeout: 0, MaxSessionBytes: 1 << 30})
+	m := New(env, Config{Device: dev, Parties: 3, BarrierTimeout: 0, QuotaBytes: 1 << 30})
 	m.Start()
 
 	env.Go(func(p *sim.Proc) {
@@ -97,7 +97,7 @@ func TestRestoreWaitsOutRunningFlush(t *testing.T) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 256 << 10
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
-	m := New(env, Config{Device: dev, Parties: 1, BarrierTimeout: 0, MaxSessionBytes: 1 << 30})
+	m := New(env, Config{Device: dev, Parties: 1, BarrierTimeout: 0, QuotaBytes: 1 << 30})
 	m.Start()
 
 	env.Go(func(p *sim.Proc) {
@@ -149,7 +149,7 @@ func TestInterleavedDaemonRestoresEvictOnTheirOwnProcess(t *testing.T) {
 	// allocator keeps its first alignment unit to itself).
 	arch.MemBytes = 2*big + 256
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
-	m := New(env, Config{Device: dev, MaxSessionBytes: 1 << 30})
+	m := New(env, Config{Device: dev, QuotaBytes: 1 << 30})
 	m.Start()
 
 	type outcome struct {

@@ -24,7 +24,7 @@ func swapTestManager(memBytes int64) (*sim.Env, *gpusim.Device, *Manager) {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = memBytes
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
-	m := New(env, Config{Device: dev, MaxSessionBytes: 1 << 30})
+	m := New(env, Config{Device: dev, QuotaBytes: 1 << 30})
 	m.Start()
 	return env, dev, m
 }

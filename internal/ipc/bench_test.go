@@ -23,20 +23,11 @@ func BenchmarkDaemonThroughput(b *testing.B) {
 		{"ring", "ring:///tmp/gvmd-bench-ring.sock"},
 	} {
 		b.Run(tr.name, func(b *testing.B) {
-			shmDir := b.TempDir()
-			s, err := NewServer(ServerConfig{
-				Listen:     []string{tr.addr},
-				Functional: true,
-				ShmDir:     shmDir,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
+			s := startDaemon(b, ServerConfig{Listen: []string{tr.addr}, Functional: true})
 			for _, clients := range []int{1, 8} {
 				for _, mode := range []string{"pipelined", "serial"} {
 					b.Run(fmt.Sprintf("c%d-%s", clients, mode), func(b *testing.B) {
-						benchCycles(b, s.Addr(), shmDir, clients, mode == "serial")
+						benchCycles(b, s.Addr(), s.dir, clients, mode == "serial")
 					})
 				}
 			}
@@ -106,9 +97,8 @@ func BenchmarkCrossNodeMigration(b *testing.B) {
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	var conns [2]*transport.Conn
 	for i := range conns {
-		s := startServerOn(b, ServerConfig{Listen: []string{fmt.Sprintf("inproc://bench-mig-%d", i)}, Functional: true})
+		s := startDaemon(b, ServerConfig{Listen: []string{fmt.Sprintf("inproc://bench-mig-%d", i)}, Functional: true})
 		conns[i] = dialRaw(b, s.Addr())
-		defer conns[i].Close()
 	}
 	trip := func(c *transport.Conn, req *transport.Request) *transport.Response {
 		if err := c.WriteRequest(req); err != nil {

@@ -23,7 +23,9 @@ func dialRaw(t testing.TB, addr string) *transport.Conn {
 	if err := transport.WritePreamble(nc); err != nil {
 		t.Fatal(err)
 	}
-	return transport.NewConn(nc)
+	c := transport.NewConn(nc)
+	t.Cleanup(func() { c.Close(); c.Release() })
+	return c
 }
 
 // FuzzMigBlob sends arbitrary bytes as an ADP migration blob — which a
@@ -38,18 +40,13 @@ func dialRaw(t testing.TB, addr string) *transport.Conn {
 // The seed is a real blob: a staged session pulled off the same daemon with
 // MIG.
 func FuzzMigBlob(f *testing.F) {
-	s, err := NewServer(ServerConfig{
+	s := startDaemon(f, ServerConfig{
 		Listen:     []string{"inproc://fuzz-migblob"},
-		ShmDir:     f.TempDir(),
 		Functional: true,
 		// A mutated workload size must be turned away by admission, not
 		// allocated.
 		MaxSessionBytes: 1 << 20,
 	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { s.Close() })
 	dial := func(t testing.TB) *transport.Conn {
 		c := dialRaw(t, s.Addr())
 		_ = c.SetDeadline(time.Now().Add(10 * time.Second)) // a hung daemon fails the input
@@ -82,6 +79,7 @@ func FuzzMigBlob(f *testing.F) {
 	}
 	blob := append([]byte(nil), mig.Data...)
 	src.Close()
+	src.Release()
 	f.Add(blob)
 	// The blob's wire form: a state byte, a scratch count, then staged in
 	// and staged out (presence byte, uvarint length, bytes).
@@ -124,7 +122,10 @@ func FuzzMigBlob(f *testing.F) {
 			}
 		}
 		c.Close()
-		waitShardsClean(t, s)
+		c.Release()
+		if held := s.Audit(); len(held) > 0 {
+			t.Fatalf("the daemon still holds %v once the connection is gone", held)
+		}
 	})
 }
 
@@ -132,9 +133,7 @@ func FuzzMigBlob(f *testing.F) {
 // with MIG and landed with ADP, arrives with its arena restored and its
 // results ready for RCV.
 func TestADPRestoresDoneSession(t *testing.T) {
-	s := startServerOn(t, ServerConfig{Listen: []string{"inproc://adp-done"}, Functional: true})
-	c := dialRaw(t, s.Addr())
-	defer c.Close()
+	c := dialRaw(t, startDaemon(t, ServerConfig{Listen: []string{"inproc://adp-done"}, Functional: true}).Addr())
 	must := func(req transport.Request) transport.Response {
 		t.Helper()
 		if err := c.WriteRequest(&req); err != nil {

@@ -1,13 +1,16 @@
 package ipc
 
 import (
+	"cmp"
+	"io"
 	"math"
 	"os"
 	"sync"
 	"testing"
 
-	"gpuvirt/internal/cuda"
 	"time"
+
+	"gpuvirt/internal/cuda"
 
 	"gpuvirt/internal/fermi"
 	"gpuvirt/internal/gpusim"
@@ -16,7 +19,7 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-func tempSocket(t *testing.T) string {
+func tempSocket(t testing.TB) string {
 	t.Helper()
 	f, err := os.CreateTemp("/tmp", "gvmd-*.sock")
 	if err != nil {
@@ -29,29 +32,91 @@ func tempSocket(t *testing.T) string {
 	return path
 }
 
-func startServer(t *testing.T, parties int, functional bool) *Server {
-	t.Helper()
-	dir := t.TempDir()
-	s, err := NewServer(ServerConfig{
-		Listen:     []string{"unix://" + tempSocket(t)},
-		Parties:    parties,
-		Functional: functional,
-		ShmDir:     dir,
-	})
-	if err != nil {
-		t.Fatal(err)
+// daemon is a test's gvmd, started by startDaemon.
+type daemon struct {
+	*Server
+	dir string // its shm directory
+}
+
+// fleets holds each running test's daemons, in start order.
+var (
+	fleetsMu sync.Mutex
+	fleets   = map[testing.TB][]*daemon{}
+)
+
+// startDaemon is how an ipc test starts a daemon: cfg, on a unix socket
+// and an shm directory of the test's own unless it names them. A test's
+// daemons end together, in one order, after every cleanup registered since
+// the first of them started (every client's, dial's): each daemon's audit,
+// which fails the test on whatever it still holds, then Close, then a
+// scrape of its registry. The audit reads the frame-buffer pool
+// process-wide, so it waits for every client of every daemon.
+func startDaemon(tb testing.TB, cfg ServerConfig) *daemon {
+	tb.Helper()
+	if cfg.ShmDir == "" {
+		cfg.ShmDir = tb.TempDir() // its removal runs after the daemons end
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	if len(cfg.Listen) == 0 {
+		cfg.Listen = []string{"unix://" + tempSocket(tb)}
+	}
+	s, err := NewServer(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := &daemon{Server: s, dir: cfg.ShmDir}
+	fleetsMu.Lock()
+	fleet, ok := fleets[tb]
+	fleets[tb] = append(fleet, d)
+	fleetsMu.Unlock()
+	if !ok {
+		tb.Cleanup(func() { endDaemons(tb) })
+	}
+	return d
+}
+
+// endDaemons ends tb's daemons: audits, then Close, then scrapes.
+func endDaemons(tb testing.TB) {
+	fleetsMu.Lock()
+	fleet := fleets[tb]
+	delete(fleets, tb)
+	fleetsMu.Unlock()
+	if !tb.Failed() {
+		for _, d := range fleet {
+			// A daemon the test closed itself is read once: first let the
+			// connections its clients dropped end.
+			for end := time.Now().Add(5 * time.Second); d.met.connections.Value() > 0 && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			for _, item := range d.Audit() {
+				tb.Errorf("%s still holds %s", d.Addr(), item)
+			}
+		}
+	}
+	for _, d := range fleet {
+		if err := d.Close(); err != nil {
+			tb.Errorf("close %s: %v", d.Addr(), err)
+		}
+		if err := d.cfg.Metrics.WritePrometheus(io.Discard); err != nil {
+			tb.Errorf("scrape %s after close: %v", d.Addr(), err)
+		}
+	}
+}
+
+// dial connects a client to d's first address, on d's shm directory unless
+// o names one; the client closes before d's audit.
+func (d *daemon) dial(tb testing.TB, o Options) *Client {
+	tb.Helper()
+	o.ShmDir = cmp.Or(o.ShmDir, d.dir)
+	c, err := DialOptions(d.Addr(), o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c
 }
 
 func TestSingleClientFunctionalVecAdd(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := startDaemon(t, ServerConfig{Functional: true}).dial(t, Options{})
 
 	const n = 2048
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
@@ -128,12 +193,7 @@ func TestDaemonCycleIsBareCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := startServer(t, 1, false)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := startDaemon(t, ServerConfig{}).dial(t, Options{})
 	sess, err := c.Request(ref, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +215,7 @@ type byteMem []byte
 func (b byteMem) Bytes(p cuda.DevPtr, n int64) []byte { return b[p : int64(p)+n] }
 
 func TestBarrierAcrossRealConnections(t *testing.T) {
-	s := startServer(t, 3, false)
+	s := startDaemon(t, ServerConfig{Parties: 3})
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := 0; i < 3; i++ {
@@ -163,7 +223,7 @@ func TestBarrierAcrossRealConnections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.dir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -190,24 +250,14 @@ func TestBarrierAcrossRealConnections(t *testing.T) {
 }
 
 func TestUnknownWorkloadRejected(t *testing.T) {
-	s := startServer(t, 1, false)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := startDaemon(t, ServerConfig{}).dial(t, Options{})
 	if _, err := c.Request(workloads.Ref{Name: "nope"}, 0); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestProtocolMisuse(t *testing.T) {
-	s := startServer(t, 1, false)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := startDaemon(t, ServerConfig{}).dial(t, Options{})
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -226,30 +276,14 @@ func TestProtocolMisuse(t *testing.T) {
 	}
 }
 
+// TestDisconnectCleansUpSessions: a client hangs up holding a session,
+// and the daemon's audit finds it released.
 func TestDisconnectCleansUpSessions(t *testing.T) {
-	s := startServer(t, 1, false)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := startDaemon(t, ServerConfig{}).dial(t, Options{})
 	if _, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	// The daemon releases the abandoned session; the manager ends with
-	// zero open sessions. Poll briefly: cleanup is asynchronous.
-	deadline := 400
-	for ; deadline > 0; deadline-- {
-		open := -1
-		if !s.submitProbe(0, func() { open = gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions") }) {
-			t.Fatal("server closed early")
-		}
-		if open == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("abandoned session never released")
 }
 
 // submitProbe runs fn in a turn of its own as one shard's owner (test
@@ -266,12 +300,7 @@ var probed = func() chan struct{} {
 }()
 
 func TestMultipleCyclesOneSession(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := startDaemon(t, ServerConfig{Functional: true}).dial(t, Options{})
 	const n = 512
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
 	if err != nil {
@@ -318,17 +347,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 func TestDaemonBarrierTimeoutUnwedges(t *testing.T) {
 	// Parties=3 but only two clients ever show up: with a barrier
 	// timeout the daemon flushes the partial batch and both complete.
-	dir := t.TempDir()
-	s, err := NewServer(ServerConfig{
-		Listen:         []string{"unix://" + tempSocket(t)},
-		Parties:        3,
-		ShmDir:         dir,
-		BarrierTimeout: 100 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := startDaemon(t, ServerConfig{Parties: 3, BarrierTimeout: 100 * sim.Millisecond})
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
@@ -336,7 +355,7 @@ func TestDaemonBarrierTimeoutUnwedges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.dir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -362,17 +381,7 @@ func TestDaemonMultiGPU(t *testing.T) {
 	// Barriers are per shard: with 2 shards at Parties=2 each,
 	// least-sessions placement puts 2 of the 4 clients on each shard and
 	// each shard's barrier fills independently.
-	dir := t.TempDir()
-	s, err := NewServer(ServerConfig{
-		Listen:  []string{"unix://" + tempSocket(t)},
-		Parties: 2,
-		ShmDir:  dir,
-		GPUs:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := startDaemon(t, ServerConfig{Parties: 2, GPUs: 2})
 	const clients = 4
 	var wg, placed sync.WaitGroup
 	errs := make([]error, clients)
@@ -382,7 +391,7 @@ func TestDaemonMultiGPU(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
+			c, err := DialOptions(s.Addr(), Options{ShmDir: s.dir})
 			if err != nil {
 				placed.Done()
 				errs[i] = err

@@ -61,12 +61,8 @@ func scrapeMetrics(t *testing.T, reg *metrics.Registry) map[string]int64 {
 // scrapes its registry over HTTP: the per-verb counters and histogram
 // counts must be consistent with the client's own round-trip accounting.
 func TestMetricsEndpoint(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	s := startDaemon(t, ServerConfig{Functional: true})
+	c := s.dial(t, Options{})
 
 	const n, cycles = 256, 3
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gpuvirt/internal/cuda"
-	"gpuvirt/internal/fed"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -19,16 +18,12 @@ import (
 // pipelining: a full SND+STR+STP+RCV cycle must cost exactly one frame
 // exchange, while a NoPipeline client pays four.
 func TestPipelinedCycleOneRoundTrip(t *testing.T) {
-	s := startServer(t, 1, true)
+	s := startDaemon(t, ServerConfig{Functional: true})
 	const n = 512
 	in := make([]byte, 2*n*4)
 	out := make([]byte, n*4)
 
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := s.dial(t, Options{})
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +39,7 @@ func TestPipelinedCycleOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, NoPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
+	serial := s.dial(t, Options{NoPipeline: true})
 	ssess, err := serial.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -69,19 +60,15 @@ func TestPipelinedCycleOneRoundTrip(t *testing.T) {
 // whose staging footprint exceeds the daemon limit is rejected with an
 // error that names the limit, and a REQ within the limit still works.
 func TestMaxSessionBytes(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:          []string{"unix://" + tempSocket(t)},
 		Functional:      true,
 		MaxSessionBytes: 16 << 10,
 	})
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := s.dial(t, Options{})
 
 	// n=4096 floats: in 2*4096*4 = 32 KiB alone busts the 16 KiB cap.
-	_, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}, 0)
+	_, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}, 0)
 	if err == nil {
 		t.Fatal("oversized REQ accepted despite MaxSessionBytes")
 	}
@@ -98,12 +85,13 @@ func TestMaxSessionBytes(t *testing.T) {
 }
 
 // TestBATMisuse pins what a malformed or mistimed frame draws from the
-// daemon, on every carrier: a frame that is wrong as a whole is rejected
+// daemon, on both carriers: a frame that is wrong as a whole is rejected
 // whole, before any owner work; a verb the session's state does not allow
-// fails as its own step. The socket dispatcher, the ring host and the
-// federation router check a frame with one function (transport.FrameSteps)
-// in front of one engine, so every row a carrier can express must answer
-// the same status and the same error text as the direct socket. (States a
+// fails as its own step. The socket dispatcher and the ring host check a
+// frame with one function (transport.FrameSteps) in front of one engine, so
+// every row the ring can express must answer the same status and the same
+// error text as the socket (fed's TestBATMisuseThroughRouter holds the
+// router, the function's third caller, to the socket's answers). (States a
 // carrier cannot reach — a second verb while the first still runs, since
 // each carrier serves a session's frames one at a time — are held to the
 // same table one level down, in gvm's TestProtocolTableOnBothSurfaces.)
@@ -129,26 +117,25 @@ func TestBATMisuse(t *testing.T) {
 		frame func(ids) Request
 		unix  string // wanted in the socket's error text
 		ring  string // in the ring's: same, its own wording, or "" (cannot express the row)
-		fed   string // in the router's, likewise
 	}{
-		{"empty", func(ids) Request { return bat() }, "empty BAT", same, same},
-		{"req-inside", one("REQ"), "not allowed in BAT", same, same},
-		{"duplicate-verb", two("SND", "SND"), "once each", same, same},
-		{"out-of-order", two("STR", "SND"), "order", same, same},
-		{"verb-behind-RLS", two("RLS", "SND"), "order", same, same},
+		{"empty", func(ids) Request { return bat() }, "empty BAT", same},
+		{"req-inside", one("REQ"), "not allowed in BAT", same},
+		{"duplicate-verb", two("SND", "SND"), "once each", same},
+		{"out-of-order", two("STR", "SND"), "order", same},
+		{"verb-behind-RLS", two("RLS", "SND"), "order", same},
 		{"two-sessions", func(id ids) Request {
 			return bat(Request{Verb: "SND", Session: id.own}, Request{Verb: "SND", Session: id.sibling})
-		}, "a frame carries one session's verbs", same, same},
-		{"STP-before-STR", one("STP"), "STP before STR", same, same},
-		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same, same},
+		}, "a frame carries one session's verbs", same},
+		{"STP-before-STR", one("STP"), "STP before STR", same},
+		{"RCV-before-completion", two("SND", "RCV"), "RCV before completion", same},
 		// The retired suspend/resume verbs are no session verbs anywhere.
-		{"RES-without-SUS", lone("RES"), `transport: verb "RES" is not a session verb`, same, same},
-		{"lone-SUS", lone("SUS"), `transport: verb "SUS" is not a session verb`, same, same},
+		{"RES-without-SUS", lone("RES"), `transport: verb "RES" is not a session verb`, same},
+		{"lone-SUS", lone("SUS"), `transport: verb "SUS" is not a session verb`, same},
 		// Whose session an id names is each front-end's own table.
 		{"unknown-session", func(ids) Request { return bat(Request{Verb: "SND", Session: 999}) },
-			"transport: unknown session 999", "", "fed: unknown session 999"},
+			"transport: unknown session 999", ""},
 		{"foreign-session", func(id ids) Request { return bat(Request{Verb: "SND", Session: id.foreign}) },
-			"belongs to another connection", "on session", "belongs to another connection"},
+			"belongs to another connection", "on session"},
 	}
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}
 	// Per carrier: a session to misuse, a second one on its connection, and
@@ -174,20 +161,11 @@ func TestBATMisuse(t *testing.T) {
 		mine := dial()
 		return carrier{request(mine), request(mine), request(dial())}
 	}
-	ringSrv, _ := startRingServer(t, 1)
-	unixSrv, backend := startServer(t, 1, true), startServer(t, 1, true)
-	router, err := fed.New(fed.Config{Backends: []string{backend.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Start([]string{"unix://" + tempSocket(t)}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { router.Close() })
+	ringSrv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+	unixSrv := startDaemon(t, ServerConfig{Functional: true})
 	carriers := map[string]carrier{
-		"unix": open(unixSrv.Addr(), unixSrv.cfg.ShmDir),
-		"ring": open(ringSrv.Addr(), ringSrv.cfg.ShmDir),
-		"fed":  open(router.Addr(), ""),
+		"unix": open(unixSrv.Addr(), unixSrv.dir),
+		"ring": open(ringSrv.Addr(), ringSrv.dir),
 	}
 	// ask sends the frame — its SND staged the way the session's plane
 	// stages one — and returns its own error, else its first failing step's.
@@ -216,16 +194,14 @@ func TestBATMisuse(t *testing.T) {
 			if !strings.Contains(unix, row.unix) {
 				t.Errorf("unix: got %q, want an error containing %q", unix, row.unix)
 			}
-			for name, want := range map[string]string{"ring": row.ring, "fed": row.fed} {
-				if want == "" {
-					continue
-				}
-				got := ask(carriers[name], row.frame)
-				if want == same && got != unix {
-					t.Errorf("carriers disagree: unix %q, %s %q", unix, name, got)
-				} else if want != same && !strings.Contains(got, want) {
-					t.Errorf("%s: got %q, want an error containing %q", name, got, want)
-				}
+			if row.ring == "" {
+				return
+			}
+			got := ask(carriers["ring"], row.frame)
+			if row.ring == same && got != unix {
+				t.Errorf("carriers disagree: unix %q, ring %q", unix, got)
+			} else if row.ring != same && !strings.Contains(got, row.ring) {
+				t.Errorf("ring: got %q, want an error containing %q", got, row.ring)
 			}
 		})
 	}
@@ -273,7 +249,7 @@ func runStressRace(t *testing.T, gpus int) {
 		iters   = 50
 		n       = 128
 	)
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:     []string{fmt.Sprintf("inproc://stress-g%d", gpus)},
 		Functional: true,
 		GPUs:       gpus,
@@ -290,7 +266,7 @@ func runStressRace(t *testing.T, gpus int) {
 
 	// Serial reference pass on a separate single-shard daemon: one
 	// client, one cycle per distinct input.
-	refSrv := startServerOn(t, ServerConfig{
+	refSrv := startDaemon(t, ServerConfig{
 		Listen:     []string{fmt.Sprintf("inproc://stress-ref-g%d", gpus)},
 		Functional: true,
 	})
@@ -409,7 +385,7 @@ func runStressRace(t *testing.T, gpus int) {
 // two-party barrier. The surviving party must complete (barrier timeout)
 // and the dead client's session and device memory must be reclaimed.
 func TestDisconnectMidBAT(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:         []string{"unix://" + tempSocket(t)},
 		Parties:        2,
 		Functional:     true,
@@ -442,11 +418,7 @@ func TestDisconnectMidBAT(t *testing.T) {
 	}
 	vc.Close() // gone before the barrier flushes or the response is written
 
-	survivor, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer survivor.Close()
+	survivor := s.dial(t, Options{})
 	done := make(chan error, 1)
 	go func() {
 		sess, err := survivor.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}, 1)
@@ -468,19 +440,4 @@ func TestDisconnectMidBAT(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("survivor wedged behind the dead client's mid-BAT barrier slot")
 	}
-
-	for deadline := 400; deadline > 0; deadline-- {
-		open, mem := -1, int64(-1)
-		if !s.submitProbe(0, func() {
-			open = gvmCount(t, s.cfg.Metrics, s.node.Shard(0).Mgr, "gvm_open_sessions")
-			mem = s.node.Shard(0).Dev.MemInUse()
-		}) {
-			t.Fatal("server closed early")
-		}
-		if open == 0 && mem == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("mid-BAT disconnect leaked the session or device memory")
 }

@@ -2,12 +2,8 @@ package ipc
 
 import (
 	"bytes"
-	"fmt"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -18,31 +14,13 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// startTinyServer boots a functional daemon whose single GPU fits about
-// one vecadd-4096 session (48 KiB of arenas on a 64 KiB card) at the
-// given overcommit factor.
-func startTinyServer(t *testing.T, overcommit float64, ring bool) (*Server, string) {
-	t.Helper()
-	dir := t.TempDir()
+// tiny is a functional daemon whose single GPU fits about one vecadd-4096
+// session (48 KiB of arenas on a 64 KiB card) at the given overcommit
+// factor.
+func tiny(overcommit float64) ServerConfig {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 64 << 10
-	cfg := ServerConfig{
-		ShmDir:     dir,
-		Functional: true,
-		Arch:       arch,
-		Overcommit: overcommit,
-	}
-	scheme := "unix://"
-	if ring {
-		scheme = "ring://"
-	}
-	cfg.Listen = []string{scheme + filepath.Join(dir, "gvmd.sock")}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, dir
+	return ServerConfig{Functional: true, Arch: arch, Overcommit: overcommit}
 }
 
 // TestStagedInputSurvivesEviction: on every data plane, input a session
@@ -54,12 +32,12 @@ func TestStagedInputSurvivesEviction(t *testing.T) {
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	for _, plane := range []string{transport.PlaneShm, transport.PlaneInline, transport.PlaneRing} {
 		t.Run(plane, func(t *testing.T) {
-			srv, dir := startTinyServer(t, 2, plane == transport.PlaneRing)
-			c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, Plane: plane})
-			if err != nil {
-				t.Fatal(err)
+			cfg := tiny(2)
+			if plane == transport.PlaneRing {
+				cfg.Listen = []string{"ring://" + tempSocket(t)}
 			}
-			defer c.Close()
+			srv := startDaemon(t, cfg)
+			c := srv.dial(t, Options{Plane: plane})
 			sess, err := c.Request(ref, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -106,12 +84,8 @@ func TestStagedInputSurvivesEviction(t *testing.T) {
 // every BAT's first verb lands on an evicted session and the manager
 // must restore it mid-batch, transparently, with byte-identical results.
 func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
-	srv, dir := startTinyServer(t, 4.0, false)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(t, tiny(4))
+	c := srv.dial(t, Options{})
 	const n = 4096
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	s1, err := c.Request(ref, 0)
@@ -160,25 +134,14 @@ func TestDaemonEvictionDuringPipelinedBAT(t *testing.T) {
 	if err := s2.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if open := placedSessions(srv); open != 0 {
-		t.Fatalf("%d placed sessions leaked", open)
-	}
-	dev := srv.node.Shard(0).Dev
-	if dev.MemInUse() != 0 || dev.MemReserved() != 0 {
-		t.Fatalf("leak: resident=%d reserved=%d", dev.MemInUse(), dev.MemReserved())
-	}
 }
 
 // TestDaemonPriorityOnREQ sends the optional Priority REQ field over the
 // binary wire: the session's cycle is counted under the weight class its
 // priority derives (max(1, Priority+1) = 4).
 func TestDaemonPriorityOnREQ(t *testing.T) {
-	srv := startServer(t, 1, true)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: srv.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(t, ServerConfig{Functional: true})
+	c := srv.dial(t, Options{})
 	const n = 2048
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	sess, err := c.RequestOptions(ref, 0, SessionOptions{Priority: 3})
@@ -206,35 +169,26 @@ const (
 	oversubFootprint = 3 * 4 * oversubN // two input vectors and the sum
 )
 
-// startOversub boots the oversubscribed daemon behind a unix socket, opens
-// and warms the sessions, and returns the function that runs cycle i —
-// on session i mod 8, output verified — with the daemon. Its kernels run
-// serially, as the benchmark's one-CPU daemon runs them, so what a cycle
-// allocates does not depend on the host's core count.
-func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
-	tb.Helper()
-	dir := tb.TempDir()
+// oversub is the oversubscribed daemon. Its kernels run serially, as the
+// benchmark's one-CPU daemon runs them, so what a cycle allocates does not
+// depend on the host's core count.
+func oversub() ServerConfig {
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = 100 << 10
-	s = startServerOn(tb, ServerConfig{
-		Listen:      []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
-		ShmDir:      dir,
-		Functional:  true,
-		Arch:        arch,
-		Overcommit:  4,
-		ExecWorkers: 1,
-	})
-	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { c.Close() })
+	return ServerConfig{Functional: true, Arch: arch, Overcommit: 4, ExecWorkers: 1}
+}
+
+// oversubCycles opens and warms the sessions on s and returns the function
+// that runs cycle i: on session i mod 8, output verified.
+func oversubCycles(tb testing.TB, s *daemon) func(i int) {
+	tb.Helper()
+	c := s.dial(tb, Options{})
 	var (
 		sess      [oversubSessions]*Session
 		ins, want [oversubSessions][]byte
 	)
 	out := make([]byte, 4*oversubN)
-	cycle = func(i int) {
+	cycle := func(i int) {
 		k := i % oversubSessions
 		if err := sess[k].RunCycle(ins[k], out); err != nil {
 			tb.Fatalf("cycle %d: %v", i, err)
@@ -244,13 +198,14 @@ func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 		}
 	}
 	for k := range sess {
+		var err error
 		if sess[k], err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": oversubN}}, k); err != nil {
 			tb.Fatal(err)
 		}
 		ins[k], want[k] = vecaddInput(oversubN, k)
 		cycle(k)
 	}
-	return cycle, s
+	return cycle
 }
 
 // BenchmarkOversubCycle is one warm cycle on an evicted session: a verb
@@ -260,7 +215,7 @@ func startOversub(tb testing.TB) (cycle func(i int), s *Server) {
 // so B/op and allocs/op read 0 (TestSocketCycleDaemonAllocs holds them
 // there).
 func BenchmarkOversubCycle(b *testing.B) {
-	cycle, _ := startOversub(b)
+	cycle := oversubCycles(b, startDaemon(b, oversub()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -274,7 +229,8 @@ func BenchmarkOversubCycle(b *testing.B) {
 // per evict+restore cycle.
 func TestSwapCycleAllocatesNoArena(t *testing.T) {
 	const cycles = 64
-	cycle, s := startOversub(t)
+	s := startDaemon(t, oversub())
+	cycle := oversubCycles(t, s)
 	mgr := s.node.Shard(0).Mgr
 	evictions := gvmCount(t, s.cfg.Metrics, mgr, "gvm_evictions_total")
 	var before, after runtime.MemStats
@@ -292,43 +248,15 @@ func TestSwapCycleAllocatesNoArena(t *testing.T) {
 }
 
 // gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>",
-// labels}, from a scrape of reg, the registry the daemon was built with. A
-// family reg does not hold fails the test and reads -1: a misspelt name
-// never reads as a zero.
+// labels}, from reg, the registry the daemon was built with. A sample reg
+// does not hold fails the test and reads -1: a misspelt name never reads as
+// a zero.
 func gvmCount(t testing.TB, reg *metrics.Registry, m *gvm.Manager, family string, labels ...metrics.Label) int {
 	t.Helper()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Error(err)
+	n, ok := reg.Value(family, append(labels, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))...)
+	if !ok {
+		t.Errorf("the registry holds no sample %s%v for gpu %d", family, labels, m.GPUIndex())
 		return -1
 	}
-	labels = append(labels, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
-	kv := make([]string, len(labels))
-	for i, l := range labels {
-		kv[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
-	}
-	key := family + "{" + strings.Join(kv, ",") + "} "
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, key); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				t.Error(err)
-				return -1
-			}
-			return n
-		}
-	}
-	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
-	return -1
-}
-
-// placedSessions is how many sessions s's placement layer holds. A
-// dispatcher session keeps its placement until it is retired, so 0 means
-// no dispatcher session is left either.
-func placedSessions(s *Server) (n int64) {
-	for _, l := range s.node.Loads() {
-		n += l.Sessions
-	}
-	return n
+	return int(n)
 }

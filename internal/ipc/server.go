@@ -1,13 +1,17 @@
 package ipc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,7 +106,8 @@ type Server struct {
 	disp  *transport.Dispatcher
 	rings *transport.RingHost // non-nil when a ring:// listener is bound
 
-	met serverMetrics
+	met     serverMetrics
+	poolOut int64 // pool buffers out when the server started
 
 	mu     sync.Mutex
 	closed bool
@@ -213,6 +218,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Log:        cfg.Slog,
 		Rings:      s.rings,
 	})
+	gets, puts, _, _ := transport.PoolStats()
+	s.poolOut = gets - puts
 	s.owner = make([]sync.Mutex, n.NumShards())
 	s.met.queueWaitNS = make([]*metrics.Histogram, n.NumShards())
 	for i := range s.owner {
@@ -317,6 +324,61 @@ func (s *Server) Close() error {
 		}
 	}
 	return err
+}
+
+// Audit names, as item=count, everything the daemon still holds (DESIGN §8
+// lists the items). A serving daemon is polled until clean or for 5 s, what
+// a hang-up or evacuation releases coming after its client has gone; a
+// closed one runs no turn and is read once.
+func (s *Server) Audit() []string {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if held, closed := s.audit(); len(held) == 0 || closed || time.Now().After(deadline) {
+			return held
+		}
+	}
+}
+
+func (s *Server) audit() (held []string, closed bool) {
+	note := func(item string, n int64) {
+		if n != 0 {
+			held = append(held, fmt.Sprintf("%s=%d", item, n))
+		}
+	}
+	read := func(name string, labels ...metrics.Label) int64 {
+		v, ok := s.cfg.Metrics.Value(name, labels...)
+		if !ok {
+			held = append(held, "no series "+name)
+		}
+		return v
+	}
+	for i := 0; i < s.node.NumShards(); i++ {
+		gpu := metrics.L("gpu", strconv.Itoa(i))
+		shard := func() {
+			for _, name := range []string{"gvm_open_sessions", "gvm_mem_in_use_bytes", "gvm_reserved_bytes", "node_placed_sessions", "node_placed_bytes", "gvmd_ring_sessions"} {
+				if name != "gvmd_ring_sessions" || s.rings != nil {
+					note(fmt.Sprintf("%s{gpu=%q}", name, gpu.Value), read(name, gpu))
+				}
+			}
+			if s.rings != nil {
+				note(fmt.Sprintf("ring-sweep{gpu=%q}", gpu.Value), int64(s.rings.Shard(i).Sessions()))
+			}
+		}
+		if ok, _ := s.turn(s.stop, i, shard); !ok {
+			closed = true
+			shard()
+		}
+	}
+	sessions, owned := s.disp.Held()
+	note("dispatcher-sessions", int64(sessions))
+	note("owned-ids", owned)
+	note("pool-buffers", max(0, read("transport_pool_gets_total")-read("transport_pool_puts_total")-s.poolOut))
+	segs, _ := filepath.Glob(filepath.Join(cmp.Or(s.cfg.ShmDir, shm.DefaultDir()), transport.SegPrefix+strconv.Itoa(os.Getpid())+"-*"))
+	for _, seg := range segs {
+		if closed || s.rings == nil || !strings.Contains(seg, "-door") {
+			held = append(held, "segment "+filepath.Base(seg))
+		}
+	}
+	return held, closed
 }
 
 // turn makes the calling goroutine shard's simulation owner for one

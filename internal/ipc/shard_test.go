@@ -38,15 +38,11 @@ func TestPlacementPoliciesEndToEnd(t *testing.T) {
 				}
 				return
 			}
-			s := startServerOn(t, cfg)
+			s := startDaemon(t, cfg)
 			const n = 1024
 			var sessions []*Session
 			for i := 0; i < 4; i++ {
-				c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
+				c := s.dial(t, Options{})
 				sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, i)
 				if err != nil {
 					t.Fatal(err)
@@ -93,7 +89,7 @@ func TestPlacementPoliciesEndToEnd(t *testing.T) {
 // dead client's session, device memory, and placement reservation are
 // all reclaimed from the shard that owned them.
 func TestShardedDisconnectMidBAT(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:         []string{"inproc://sharded-midbat"},
 		GPUs:           2,
 		Parties:        2,
@@ -128,11 +124,7 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 
 	// The survivor lands on the other shard (least-sessions) and runs a
 	// full cycle behind its own barrier timeout.
-	survivor, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer survivor.Close()
+	survivor := s.dial(t, Options{})
 	done := make(chan error, 1)
 	go func() {
 		sess, err := survivor.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 256}}, 1)
@@ -154,49 +146,19 @@ func TestShardedDisconnectMidBAT(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("survivor wedged behind a dead client on another shard")
 	}
-
-	// Every shard ends empty: sessions, device memory, and the node
-	// layer's placement reservations.
-	for deadline := 400; deadline > 0; deadline-- {
-		clean := true
-		for shard := 0; shard < 2 && clean; shard++ {
-			open, mem := -1, int64(-1)
-			if !s.submitProbe(shard, func() {
-				open = gvmCount(t, s.cfg.Metrics, s.node.Shard(shard).Mgr, "gvm_open_sessions")
-				mem = s.node.Shard(shard).Dev.MemInUse()
-			}) {
-				t.Fatal("server closed early")
-			}
-			clean = open == 0 && mem == 0
-		}
-		if clean {
-			for _, l := range s.node.Loads() {
-				if l.Sessions != 0 || l.Bytes != 0 {
-					t.Fatalf("gpu %d placement not drained: %d sessions, %d bytes", l.Shard, l.Sessions, l.Bytes)
-				}
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("mid-BAT disconnect leaked a session, device memory, or a placement reservation")
 }
 
 // TestCloseReclaimsEveryShard opens one session per shard with staged
 // input, then closes the daemon: Close must tear every shard's sessions
 // down before its owner goroutine exits, returning all device memory.
 func TestCloseReclaimsEveryShard(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:     []string{"inproc://close-reclaim"},
 		Functional: true,
 		GPUs:       2,
 	})
 	for i := 0; i < 2; i++ {
-		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		c := s.dial(t, Options{})
 		sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}, i)
 		if err != nil {
 			t.Fatal(err)
@@ -218,23 +180,9 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 			t.Fatalf("gpu %d before Close: %d open sessions, %d bytes in use; want 1 and > 0", shard, open, mem)
 		}
 	}
+	// The audit after this Close reads every shard directly: no turn runs.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// Close waited for every owner, so the shards are quiescent and safe
-	// to read directly.
-	for shard := 0; shard < 2; shard++ {
-		if open := gvmCount(t, s.cfg.Metrics, s.node.Shard(shard).Mgr, "gvm_open_sessions"); open != 0 {
-			t.Errorf("gpu %d still has %d open sessions after Close", shard, open)
-		}
-		if mem := s.node.Shard(shard).Dev.MemInUse(); mem != 0 {
-			t.Errorf("gpu %d still holds %d bytes after Close", shard, mem)
-		}
-	}
-	for _, l := range s.node.Loads() {
-		if l.Sessions != 0 || l.Bytes != 0 {
-			t.Errorf("gpu %d placement not drained after Close: %d sessions, %d bytes", l.Shard, l.Sessions, l.Bytes)
-		}
 	}
 }
 
@@ -242,18 +190,14 @@ func TestCloseReclaimsEveryShard(t *testing.T) {
 // scrapes /metrics live: the manager and node series must appear once
 // per gpu label, with the placement gauges draining after release.
 func TestMetricsMultiGPUScrape(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:     []string{"inproc://scrape-shards"},
 		Functional: true,
 		GPUs:       2,
 	})
 	var sessions []*Session
 	for i := 0; i < 2; i++ {
-		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		c := s.dial(t, Options{})
 		sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 512}}, i)
 		if err != nil {
 			t.Fatal(err)

@@ -34,7 +34,7 @@ func vecaddInput(n, seed int) (in, want []byte) {
 }
 
 // owningShard finds the shard whose manager holds session id.
-func owningShard(t *testing.T, s *Server, id int) int {
+func owningShard(t *testing.T, s *daemon, id int) int {
 	t.Helper()
 	for shard := 0; shard < s.node.NumShards(); shard++ {
 		var in []byte
@@ -64,12 +64,8 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			if scheme == "unix" {
 				addr = "unix://" + tempSocket(t)
 			}
-			s := startServerOn(t, ServerConfig{Listen: []string{addr}, Functional: true, GPUs: 2})
-			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			s := startDaemon(t, ServerConfig{Listen: []string{addr}, Functional: true, GPUs: 2})
+			c := s.dial(t, Options{})
 			const n = 1024
 			sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
 			if err != nil {
@@ -128,7 +124,7 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			// Wait for the target to hold it: between the source's extract and
 			// the target's adopt no shard does.
 			for deadline := 400; ; deadline-- {
-				if open, _, _ := shardStats(t, s, 1-src); open == 1 {
+				if gvmCount(t, s.cfg.Metrics, s.node.Shard(1-src).Mgr, "gvm_open_sessions") == 1 {
 					break
 				}
 				if deadline == 0 {
@@ -152,7 +148,6 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 			if err := sess.Release(); err != nil {
 				t.Fatal(err)
 			}
-			waitShardsClean(t, s)
 		})
 	}
 }
@@ -166,12 +161,8 @@ func TestShmPlaneStagingAliasesSegment(t *testing.T) {
 func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 	const clients, cycles, n = 4, 12, 4096
 	// Inline reference, serial, no migration.
-	refSrv := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
-	rc, err := DialOptions(refSrv.Addr(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	refSrv := startDaemon(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
+	rc := refSrv.dial(t, Options{})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}
 	want := make([][][]byte, clients)
 	for r := 0; r < clients; r++ {
@@ -195,11 +186,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 		}
 	}
 
-	s := startServerOn(t, ServerConfig{
-		Listen:     []string{"unix://" + tempSocket(t)},
-		Functional: true,
-		GPUs:       2,
-	})
+	s := startDaemon(t, ServerConfig{Functional: true, GPUs: 2})
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	started := make(chan struct{}, clients)
@@ -209,7 +196,7 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			errs[r] = func() error {
-				c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
+				c, err := DialOptions(s.Addr(), Options{ShmDir: s.dir})
 				if err != nil {
 					return err
 				}
@@ -258,10 +245,6 @@ func TestShmPlaneDrainUnderLoadByteIdentical(t *testing.T) {
 	}
 	if got := scrapeMetrics(t, s.cfg.Metrics)["node_failovers_total"]; got < 1 {
 		t.Errorf("node_failovers_total = %d, want >= 1 (drain moved nobody)", got)
-	}
-	waitShardsClean(t, s)
-	if segs := ringSegments(t, s.cfg.ShmDir); len(segs) != 0 {
-		t.Fatalf("segments left behind: %v", segs)
 	}
 }
 
@@ -322,22 +305,18 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			addr := "unix://" + tempSocket(t)
+			scheme := "unix://"
 			if tc.ring {
-				addr = "ring://" + filepath.Join(dir, "gvmd.sock")
+				scheme = "ring://"
 			}
-			s := startServerOn(t, ServerConfig{Listen: []string{addr}, ShmDir: dir, Functional: true})
-			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := startDaemon(t, ServerConfig{Listen: []string{scheme + tempSocket(t)}, Functional: true})
+			c := s.dial(t, Options{})
 			sess, err := c.Request(ref, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ringSegments(t, dir)) != 1 {
-				t.Fatalf("segments after REQ: %v", ringSegments(t, dir))
+			if len(ringSegments(t, s.dir)) != 1 {
+				t.Fatalf("segments after REQ: %v", ringSegments(t, s.dir))
 			}
 			in, want := vecaddInput(n, 3)
 			if err := tc.run(sess, in); err != nil {
@@ -345,21 +324,8 @@ func TestShmPlaneTeardownMidCycle(t *testing.T) {
 			}
 			c.Close()
 
-			waitShardsClean(t, s)
-			for deadline := 400; placedSessions(s) != 0 || len(ringSegments(t, dir)) != 0; deadline-- {
-				if deadline == 0 {
-					t.Fatalf("after teardown: %d placed sessions, segments %v",
-						placedSessions(s), ringSegments(t, dir))
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-
 			// The daemon is alive and a fresh session computes correctly.
-			c2, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c2.Close()
+			c2 := s.dial(t, Options{})
 			s2, err := c2.Request(ref, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -401,12 +367,10 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 		{"ring", 4, 4},
 	} {
 		t.Run(fmt.Sprintf("%s-%gx", tc.scheme, tc.overcommit), func(t *testing.T) {
-			dir := t.TempDir()
 			arch := fermi.TeslaC2070()
 			arch.MemBytes = 102400
-			s := startServerOn(t, ServerConfig{
-				Listen:     []string{tc.scheme + "://" + filepath.Join(dir, "gvmd.sock")},
-				ShmDir:     dir,
+			s := startDaemon(t, ServerConfig{
+				Listen:     []string{tc.scheme + "://" + tempSocket(t)},
 				Functional: true,
 				Arch:       arch,
 				Overcommit: tc.overcommit,
@@ -419,7 +383,7 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 				go func(ci int) {
 					defer wg.Done()
 					errs[ci] = func() error {
-						c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
+						c, err := DialOptions(s.Addr(), Options{ShmDir: s.dir})
 						if err != nil {
 							return err
 						}
@@ -470,8 +434,6 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 			case tc.overcommit == 1 && (evictions != 0 || restores != 0 || swapOut != 0 || swapIn != 0):
 				t.Fatalf("sessions that fit were swapped: %s", counts)
 			}
-			waitShardsClean(t, s)
-			waitNoSegments(t, dir)
 		})
 	}
 }
@@ -481,18 +443,8 @@ func TestShmPlaneOversubscribed(t *testing.T) {
 // and returns the session with buffers sized for RunCycle.
 func warmShmCycle(tb testing.TB, n int) (sess *Session, in, out []byte) {
 	tb.Helper()
-	dir := tb.TempDir()
-	s, err := NewServer(ServerConfig{Listen: []string{fmt.Sprintf("inproc://shm-cycle-%d", n)}, ShmDir: dir, Functional: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { s.Close() })
-	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { c.Close() })
-	sess, err = c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
+	s := startDaemon(tb, ServerConfig{Listen: []string{fmt.Sprintf("inproc://shm-cycle-%d", n)}, Functional: true})
+	sess, err := s.dial(tb, Options{}).Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": n}}, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -555,7 +507,7 @@ func TestShmPlaneCycleAllocBudget(t *testing.T) {
 func TestRequestAttachFailureReleasesSession(t *testing.T) {
 	for _, scheme := range []string{"unix", "ring"} {
 		t.Run(scheme, func(t *testing.T) {
-			s := startServerOn(t, ServerConfig{Listen: []string{scheme + "://" + tempSocket(t)}, Functional: true})
+			s := startDaemon(t, ServerConfig{Listen: []string{scheme + "://" + tempSocket(t)}, Functional: true})
 			c, err := DialOptions(s.Addr(), Options{ShmDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
@@ -566,10 +518,11 @@ func TestRequestAttachFailureReleasesSession(t *testing.T) {
 				if _, err := c.Request(ref, 0); err == nil {
 					t.Fatal("Request attached a segment from the wrong directory")
 				}
-				if got := placedSessions(s); got != 0 {
-					t.Fatalf("try %d: %d sessions open after the failed Request", try, got)
+				if got := s.node.Loads()[0].Sessions; got != 0 {
+					t.Fatalf("try %d: %d sessions placed after the failed Request", try, got)
 				}
-				if open, inUse, reserved := shardStats(t, s, 0); open != 0 || inUse != 0 || reserved != 0 {
+				sh := s.node.Shard(0)
+				if open, inUse, reserved := gvmCount(t, s.cfg.Metrics, sh.Mgr, "gvm_open_sessions"), sh.Dev.MemInUse(), sh.Dev.MemReserved(); open != 0 || inUse != 0 || reserved != 0 {
 					t.Fatalf("try %d: gvm sessions=%d, device in use=%d reserved=%d after the failed Request", try, open, inUse, reserved)
 				}
 				// Session segments are gvmd-seg-<pid>-<n>; a ring daemon's

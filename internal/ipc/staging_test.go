@@ -67,14 +67,10 @@ func stagedCycles(t *testing.T, c *Client, ref workloads.Ref, cycles int) []byte
 // plane and on the inline one. A kernel that accumulates into its output
 // returns N times the answer on the N-th cycle here.
 func TestEveryWorkloadRepeatsThroughTheDaemon(t *testing.T) {
-	s := startServer(t, 1, true)
+	s := startDaemon(t, ServerConfig{Functional: true})
 	for _, plane := range []string{transport.PlaneShm, transport.PlaneInline} {
 		t.Run(plane, func(t *testing.T) {
-			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, Plane: plane})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := s.dial(t, Options{Plane: plane})
 			for _, name := range workloads.Names() {
 				stagedCycles(t, c, workloads.Ref{Name: name, Params: smallParams[name]}, 3)
 			}
@@ -95,12 +91,8 @@ func TestStagingBacksEveryPlane(t *testing.T) {
 		{"ring", transport.PlaneRing},
 	} {
 		t.Run(tc.plane, func(t *testing.T) {
-			s := startServerOn(t, ServerConfig{Listen: []string{tc.scheme + "://" + tempSocket(t)}, Functional: true})
-			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, Plane: tc.plane})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			s := startDaemon(t, ServerConfig{Listen: []string{tc.scheme + "://" + tempSocket(t)}, Functional: true})
+			c := s.dial(t, Options{Plane: tc.plane})
 			stagedCycles(t, c, ref, 2)
 		})
 	}
@@ -113,12 +105,8 @@ func TestStagingBacksEveryPlane(t *testing.T) {
 // whose device input is the staging itself (vecadd), because nothing
 // writes it.
 func TestRerunWithoutRestageIsIdentical(t *testing.T) {
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	s := startDaemon(t, ServerConfig{Functional: true})
+	c := s.dial(t, Options{})
 	for _, name := range []string{"cg", "ft", "vecadd"} {
 		ref := workloads.Ref{Name: name, Params: smallParams[name]}
 		w, err := workloads.FromRef(ref)
@@ -152,12 +140,8 @@ func TestRerunWithoutRestageIsIdentical(t *testing.T) {
 // each arena was once a heap slice (8 + 4 MiB, plus huge-page slack).
 func TestShmSessionAllocatesNoDeviceBacking(t *testing.T) {
 	const n = 1 << 20
-	s := startServer(t, 1, true)
-	c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	s := startDaemon(t, ServerConfig{Functional: true})
+	c := s.dial(t, Options{})
 	in, want := vecaddInput(n, 3)
 	out := make([]byte, len(want))
 	var before, after runtime.MemStats
@@ -191,12 +175,8 @@ func TestShmSessionAllocatesNoDeviceBacking(t *testing.T) {
 func TestKernelPanicFailsOnlyItsCycle(t *testing.T) {
 	for _, noPipeline := range []bool{false, true} {
 		t.Run(fmt.Sprintf("no-pipeline=%v", noPipeline), func(t *testing.T) {
-			s := startServer(t, 1, true)
-			c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir, NoPipeline: noPipeline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			s := startDaemon(t, ServerConfig{Functional: true})
+			c := s.dial(t, Options{NoPipeline: noPipeline})
 			sess, err := c.Request(workloads.Ref{Name: "is"}, 0)
 			if err != nil {
 				t.Fatal(err)

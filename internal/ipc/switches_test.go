@@ -8,13 +8,9 @@ import (
 
 // oneSession opens one vecadd session (n = 1024) on s over a connection of
 // its own and returns its cycle.
-func oneSession(t *testing.T, s *Server, dir string) func(int) {
+func oneSession(t *testing.T, s *daemon) func(int) {
 	t.Helper()
-	c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := s.dial(t, Options{})
 	sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +26,7 @@ func oneSession(t *testing.T, s *Server, dir string) func(int) {
 
 // ownerSwitches reads shard 0's process hand-off counter in a turn of its
 // own as the shard's owner; the probe is no process and costs no hand-off.
-func ownerSwitches(tb testing.TB, s *Server) uint64 {
+func ownerSwitches(tb testing.TB, s *daemon) uint64 {
 	tb.Helper()
 	var n uint64
 	if !s.submitProbe(0, func() { n = s.node.Shard(0).Env.Switches() }) {
@@ -52,19 +48,20 @@ func TestWarmCycleProcessSwitches(t *testing.T) {
 	const cycles = 16
 	for _, tc := range []struct {
 		name  string
-		start func(t *testing.T) (cycle func(i int), s *Server)
+		start func(t *testing.T) (cycle func(i int), s *daemon)
 		want  uint64 // hand-offs per warm cycle
 	}{
-		{"ring", func(t *testing.T) (func(int), *Server) {
-			s, dir := startRingServer(t, 1)
-			return oneSession(t, s, dir), s
+		{"ring", func(t *testing.T) (func(int), *daemon) {
+			s := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+			return oneSession(t, s), s
 		}, 2},
-		{"unix", func(t *testing.T) (func(int), *Server) {
-			s := startServer(t, 1, true)
-			return oneSession(t, s, s.cfg.ShmDir), s
+		{"unix", func(t *testing.T) (func(int), *daemon) {
+			s := startDaemon(t, ServerConfig{Functional: true})
+			return oneSession(t, s), s
 		}, 2},
-		{"oversub", func(t *testing.T) (func(int), *Server) {
-			return startOversub(t)
+		{"oversub", func(t *testing.T) (func(int), *daemon) {
+			s := startDaemon(t, oversub())
+			return oversubCycles(t, s), s
 		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,20 +107,19 @@ func TestSocketCycleDaemonAllocs(t *testing.T) {
 		want  float64
 	}{
 		{"ring", func(t *testing.T) func(int) {
-			s, dir := startRingServer(t, 1)
-			return oneSession(t, s, dir)
+			s := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+			return oneSession(t, s)
 		}, daemonCycleAllocs},
 		{"unix", func(t *testing.T) func(int) {
-			s := startServer(t, 1, true)
-			return oneSession(t, s, s.cfg.ShmDir)
+			s := startDaemon(t, ServerConfig{Functional: true})
+			return oneSession(t, s)
 		}, daemonCycleAllocs},
 		{"tcp", func(t *testing.T) func(int) {
-			s := startServerOn(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
-			return oneSession(t, s, s.cfg.ShmDir)
+			s := startDaemon(t, ServerConfig{Listen: []string{"tcp://127.0.0.1:0"}, Functional: true})
+			return oneSession(t, s)
 		}, daemonCycleAllocs},
 		{"oversub", func(t *testing.T) func(int) {
-			cycle, _ := startOversub(t)
-			return cycle
+			return oversubCycles(t, startDaemon(t, oversub()))
 		}, daemonCycleAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

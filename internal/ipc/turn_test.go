@@ -23,7 +23,7 @@ import (
 // cycles on the daemon's second shard. The parked frame returns when its
 // peer's connection takes the turn that completes the barrier.
 func TestParkedFrameHoldsNoShard(t *testing.T) {
-	s := startServerOn(t, ServerConfig{
+	s := startDaemon(t, ServerConfig{
 		Listen:  []string{"unix://" + tempSocket(t)},
 		Parties: 2, GPUs: 2, Functional: true,
 	})
@@ -42,11 +42,7 @@ func TestParkedFrameHoldsNoShard(t *testing.T) {
 	open := func(shard int) *Session {
 		t.Helper()
 		before := opened(shard)
-		c, err := DialOptions(s.Addr(), Options{ShmDir: s.cfg.ShmDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
+		c := s.dial(t, Options{})
 		sess, err := c.Request(ref, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -125,15 +121,11 @@ func TestNoTurnAfterClose(t *testing.T) {
 	for _, scheme := range []string{"unix", "ring"} {
 		t.Run(scheme, func(t *testing.T) {
 			dir := t.TempDir()
-			s := startServerOn(t, ServerConfig{
+			s := startDaemon(t, ServerConfig{
 				Listen: []string{scheme + "://" + filepath.Join(dir, "gvmd.sock")},
 				ShmDir: dir, GPUs: 2, Functional: true,
 			})
-			c, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := s.dial(t, Options{})
 			if _, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +186,7 @@ func TestNoTurnAfterClose(t *testing.T) {
 // the session's segment inside its own turn. The ring owner loop may be
 // parked on its doorbell; nothing else is going to sweep.
 func TestSocketRLSSweepsItsRingSession(t *testing.T) {
-	s, dir := startRingServer(t, 1)
+	s := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
 	c, err := DialOptions(s.Addr(), Options{ShmDir: t.TempDir()}) // not the daemon's directory: attach fails
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +197,7 @@ func TestSocketRLSSweepsItsRingSession(t *testing.T) {
 		if _, err := c.Request(ref, 0); err == nil {
 			t.Fatal("Request attached a segment from the wrong directory")
 		}
-		if segs := ringSegments(t, dir); len(segs) != 0 {
+		if segs := ringSegments(t, s.dir); len(segs) != 0 {
 			t.Fatalf("try %d: the RLS was answered with %v still on disk", try, segs)
 		}
 	}
@@ -217,18 +209,14 @@ func TestSocketRLSSweepsItsRingSession(t *testing.T) {
 // ring owner loop. The median is reported beside the mean; CHANGES.md quotes
 // it, nothing asserts it.
 func BenchmarkReqUnderBusyRing(b *testing.B) {
-	s, dir := startRingServer(b, 1)
+	s := startDaemon(b, ServerConfig{Listen: []string{"ring://" + tempSocket(b)}, Functional: true})
 	ref := workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 1024}}
 	var (
 		halt atomic.Bool
 		wg   sync.WaitGroup
 	)
 	for i := 0; i < 2; i++ {
-		rc, err := DialOptions(s.Addr(), Options{ShmDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rc.Close()
+		rc := s.dial(b, Options{})
 		sess, err := rc.Request(ref, i)
 		if err != nil {
 			b.Fatal(err)
@@ -248,11 +236,7 @@ func BenchmarkReqUnderBusyRing(b *testing.B) {
 			}
 		}()
 	}
-	c, err := DialOptions(s.Addr(), Options{ShmDir: dir, Plane: transport.PlaneShm})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := s.dial(b, Options{Plane: transport.PlaneShm})
 	lat := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -186,7 +186,23 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 	r.register(name, help, kindGauge, labels, fn)
 }
 
-func (r *Registry) register(name, help string, k kind, labels []Label, fn func() int64) *series {
+// Value reads the counter or gauge name{labels}, if the registry holds it.
+func (r *Registry) Value(name string, labels ...Label) (v int64, ok bool) {
+	_, key := seriesKey(labels)
+	r.mu.Lock()
+	var s *series
+	if f := r.fams[name]; f != nil {
+		s = f.byKey[key]
+	}
+	r.mu.Unlock()
+	if s == nil {
+		return 0, false
+	}
+	return s.value(), true
+}
+
+// seriesKey sorts a copy of labels and encodes them as a family's map key.
+func seriesKey(labels []Label) ([]Label, string) {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var key strings.Builder
@@ -196,6 +212,11 @@ func (r *Registry) register(name, help string, k kind, labels []Label, fn func()
 		key.WriteString(l.Value)
 		key.WriteByte(0xfe)
 	}
+	return ls, key.String()
+}
+
+func (r *Registry) register(name, help string, k kind, labels []Label, fn func() int64) *series {
+	ls, key := seriesKey(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.fams[name]
@@ -206,7 +227,7 @@ func (r *Registry) register(name, help string, k kind, labels []Label, fn func()
 	} else if f.kind != k {
 		panic(fmt.Sprintf("metrics: %s registered as %v, requested as %v", name, f.kind, k))
 	}
-	if s := f.byKey[key.String()]; s != nil {
+	if s := f.byKey[key]; s != nil {
 		return s
 	}
 	s := &series{labels: ls, fn: fn}
@@ -220,7 +241,7 @@ func (r *Registry) register(name, help string, k kind, labels []Label, fn func()
 			s.h = &Histogram{}
 		}
 	}
-	f.byKey[key.String()] = s
+	f.byKey[key] = s
 	f.series = append(f.series, s)
 	return s
 }

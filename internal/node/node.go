@@ -158,7 +158,7 @@ func New(cfg Config) (*Node, error) {
 			GPUIndex:        i,
 			SessionIDStride: cfg.GPUs,
 			Parties:         cfg.Parties,
-			MaxSessionBytes: n.quota(),
+			QuotaBytes:      n.quota(),
 			BarrierTimeout:  cfg.BarrierTimeout,
 			Metrics:         reg,
 			Log:             cfg.Log,

@@ -1,9 +1,7 @@
 package node
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -246,27 +244,15 @@ func TestEvictionStaysOnItsShard(t *testing.T) {
 }
 
 // gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>"}, from
-// a scrape of reg, the registry the test built the node with. A family reg
+// reg, the registry the test built the node with. A family reg
 // does not hold fails the test and reads -1: a misspelt name never reads
 // as a zero.
 func gvmCount(t *testing.T, reg *metrics.Registry, m *gvm.Manager, family string) int {
 	t.Helper()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Error(err)
+	n, ok := reg.Value(family, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))
+	if !ok {
+		t.Errorf("the registry holds no sample %s for gpu %d", family, m.GPUIndex())
 		return -1
 	}
-	key := fmt.Sprintf("%s{gpu=%q} ", family, strconv.Itoa(m.GPUIndex()))
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, key); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				t.Error(err)
-				return -1
-			}
-			return n
-		}
-	}
-	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
-	return -1
+	return int(n)
 }

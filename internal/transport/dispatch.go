@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,7 @@ type Dispatcher struct {
 
 	mu       sync.RWMutex // guards the session table
 	sessions map[int]*hostSession
+	ownedIDs atomic.Int64 // ids in every connection's owned list
 }
 
 // dispMetrics are the dispatcher's registry-backed instruments. All maps
@@ -296,13 +298,18 @@ type ConnState struct {
 	resp         Response // a BAT frame's answer, valid until the connection's next frame
 }
 
-func (cs *ConnState) dropOwned(id int) {
-	for i, o := range cs.owned {
-		if o == id {
-			cs.owned = append(cs.owned[:i], cs.owned[i+1:]...)
-			return
-		}
+func (d *Dispatcher) disown(cs *ConnState, id int) {
+	if i := slices.Index(cs.owned, id); i >= 0 {
+		cs.owned = slices.Delete(cs.owned, i, i+1)
+		d.ownedIDs.Add(-1)
 	}
+}
+
+// Held reports the sessions in the table and the ids connections own.
+func (d *Dispatcher) Held() (sessions int, owned int64) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.sessions), d.ownedIDs.Load()
 }
 
 // SegPrefix begins the name of every shm file a daemon creates: a session's
@@ -514,6 +521,7 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 	d.sessions[s.id] = s
 	d.mu.Unlock()
 	cs.owned = append(cs.owned, s.id)
+	d.ownedIDs.Add(1)
 }
 
 // serveFrame serves a session verb or a pipelined BAT of them: one
@@ -539,7 +547,7 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 		// until the connection drops. Served as that one session's hang-up.
 		if s, err := d.owned(id, cs); err == nil && s.plane.ring != nil {
 			vms, ok := d.drop(s, submit)
-			cs.dropOwned(id)
+			d.disown(cs, id)
 			return &Response{Status: "ACK", Session: id, VirtualMS: vms}, ok
 		}
 	}
@@ -598,7 +606,7 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 				r.Status, r.Err = "ERR", err.Error()
 			}
 		case r.Status == "ACK" && verbs[i] == gvm.RLS:
-			cs.dropOwned(id)
+			d.disown(cs, id)
 		}
 		if bat && r.Status == "ERR" {
 			d.met.verb(verbs[i].String()).errs.Inc()
@@ -671,6 +679,7 @@ func (d *Dispatcher) HangUp(cs *ConnState, submit ShardSubmitter) {
 			d.drop(s, submit)
 		}
 	}
+	d.ownedIDs.Add(-int64(len(cs.owned)))
 	cs.owned = nil
 }
 

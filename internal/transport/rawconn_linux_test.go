@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -211,4 +212,98 @@ func FuzzReadRequestSocket(f *testing.F) {
 		got, err := a.ReadRequest()
 		checkStreamRead(t, stream, got, err)
 	})
+}
+
+// rawReads counts a socket's read syscalls: RawConn calls the read callback
+// once for each read(2) it lets the connection make (EINTR retries aside).
+type rawReads struct {
+	net.Conn
+	reads int
+}
+
+func (c *rawReads) SyscallConn() (syscall.RawConn, error) {
+	rc, err := c.Conn.(syscall.Conn).SyscallConn()
+	return countedRaw{rc, &c.reads}, err
+}
+
+type countedRaw struct {
+	syscall.RawConn
+	reads *int
+}
+
+func (rc countedRaw) Read(f func(fd uintptr) bool) error {
+	return rc.RawConn.Read(func(fd uintptr) bool { *rc.reads++; return f(fd) })
+}
+
+// socketPair returns the two ends of a connected unix stream socket pair.
+func socketPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends [2]net.Conn
+	for i, fd := range fds {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		ends[i], err = net.FileConn(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { ends[0].Close(); ends[1].Close() })
+	return ends[0], ends[1]
+}
+
+// TestWarmFrameIsOneRead: over a unix socket pair, once both ends are warm,
+// a pipelined inline cycle's BAT request (8 246 B, a 1 024-element vecadd's
+// input) and its response (4 200 B, the output) each cost exactly one read
+// syscall on the raw path a socket takes — the frame lands in the read
+// buffer in one piece and is decoded there.
+func TestWarmFrameIsOneRead(t *testing.T) {
+	a, b := socketPair(t)
+	ca, cb := &rawReads{Conn: a}, &rawReads{Conn: b}
+	client, server := NewConn(ca), NewConn(cb)
+	if client.raw.rc == nil || server.raw.rc == nil {
+		t.Fatal("a socket took the net.Conn path, not the raw one")
+	}
+	defer client.Release()
+	defer server.Release()
+	in, out := make([]byte, 8192), make([]byte, 4096)
+	req := Request{Verb: "BAT", Batch: []Request{
+		{Verb: "SND", Session: 1, Data: in},
+		{Verb: "STR", Session: 1}, {Verb: "STP", Session: 1}, {Verb: "RCV", Session: 1},
+	}}
+	resp := Response{Status: "ACK", Batch: []Response{
+		{Status: "ACK", Session: 1, VirtualMS: 0.25}, {Status: "ACK", Session: 1, VirtualMS: 0.25},
+		{Status: "ACK", Session: 1, VirtualMS: 0.25}, {Status: "ACK", Session: 1, VirtualMS: 0.25, Data: out},
+	}}
+	qf, _ := EncodeRequestBinary(nil, req)
+	sf, _ := EncodeResponseBinary(nil, resp)
+	if len(qf) != 8246 || len(sf) != 4200 {
+		t.Fatalf("frames are %d and %d bytes, want 8246 and 4200", len(qf), len(sf))
+	}
+	for i := 0; i < 4; i++ {
+		// Each write completes into the socket buffer before the read starts,
+		// so what a read can take is the whole frame.
+		if err := client.WriteRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+		reads := cb.reads
+		if _, err := server.ReadRequest(); err != nil {
+			t.Fatal(err)
+		}
+		reqReads := cb.reads - reads
+		if err := server.WriteResponse(&resp); err != nil {
+			t.Fatal(err)
+		}
+		reads = ca.reads
+		if _, err := client.ReadResponse(); err != nil {
+			t.Fatal(err)
+		}
+		respReads := ca.reads - reads
+		if i > 0 && (reqReads != 1 || respReads != 1) { // the first exchange sizes the buffers
+			t.Fatalf("warm exchange %d: request took %d reads, response %d; want 1 each", i, reqReads, respReads)
+		}
+	}
 }

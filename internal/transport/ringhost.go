@@ -93,6 +93,7 @@ func (h *RingHost) Close() error {
 	for _, rs := range h.shards {
 		for _, s := range rs.sessions {
 			s.unmap()
+			rs.open.Dec()
 		}
 		rs.sessions = nil
 		final := new(atomic.Uint32)
@@ -126,6 +127,9 @@ type RingShard struct {
 	sweeps  *metrics.Counter
 	open    *metrics.Gauge
 }
+
+// Sessions is how many session rings the shard's sweep walks. Owner-only.
+func (rs *RingShard) Sessions() int { return len(rs.sessions) }
 
 // Door returns the shard's submission doorbell word.
 func (rs *RingShard) Door() *atomic.Uint32 { return rs.door }

@@ -4,9 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
 	"strconv"
-	"syscall"
 	"testing"
 
 	"gpuvirt/internal/workloads"
@@ -209,87 +207,6 @@ func TestReadTruncationErrors(t *testing.T) {
 			if off == 0 && err != io.EOF {
 				t.Fatalf("cut at %d, between frames: %v is not io.EOF itself", cut, err)
 			}
-		}
-	}
-}
-
-// readCounter counts the Read calls made on a connection.
-type readCounter struct {
-	net.Conn
-	reads int
-}
-
-func (c *readCounter) Read(p []byte) (int, error) {
-	c.reads++
-	return c.Conn.Read(p)
-}
-
-// socketPair returns the two ends of a connected unix stream socket pair.
-func socketPair(t *testing.T) (net.Conn, net.Conn) {
-	t.Helper()
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ends [2]net.Conn
-	for i, fd := range fds {
-		f := os.NewFile(uintptr(fd), "socketpair")
-		ends[i], err = net.FileConn(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() { ends[0].Close(); ends[1].Close() })
-	return ends[0], ends[1]
-}
-
-// TestWarmFrameIsOneRead: over a unix socket pair, once both ends are warm,
-// a pipelined inline cycle's BAT request (8 246 B, a 1 024-element vecadd's
-// input) and its response (4 200 B, the output) each cost exactly one Read
-// of the connection — the frame lands in the read buffer in one piece and
-// is decoded there.
-func TestWarmFrameIsOneRead(t *testing.T) {
-	a, b := socketPair(t)
-	ca, cb := &readCounter{Conn: a}, &readCounter{Conn: b}
-	client, server := NewConn(ca), NewConn(cb)
-	defer client.Release()
-	defer server.Release()
-	in, out := make([]byte, 8192), make([]byte, 4096)
-	req := Request{Verb: "BAT", Batch: []Request{
-		{Verb: "SND", Session: 1, Data: in},
-		{Verb: "STR", Session: 1}, {Verb: "STP", Session: 1}, {Verb: "RCV", Session: 1},
-	}}
-	resp := Response{Status: "ACK", Batch: []Response{
-		{Status: "ACK", Session: 1, VirtualMS: 0.25}, {Status: "ACK", Session: 1, VirtualMS: 0.25},
-		{Status: "ACK", Session: 1, VirtualMS: 0.25}, {Status: "ACK", Session: 1, VirtualMS: 0.25, Data: out},
-	}}
-	qf, _ := EncodeRequestBinary(nil, req)
-	sf, _ := EncodeResponseBinary(nil, resp)
-	if len(qf) != 8246 || len(sf) != 4200 {
-		t.Fatalf("frames are %d and %d bytes, want 8246 and 4200", len(qf), len(sf))
-	}
-	for i := 0; i < 4; i++ {
-		// Each write completes into the socket buffer before the read starts,
-		// so what a read can take is the whole frame.
-		if err := client.WriteRequest(&req); err != nil {
-			t.Fatal(err)
-		}
-		reads := cb.reads
-		if _, err := server.ReadRequest(); err != nil {
-			t.Fatal(err)
-		}
-		reqReads := cb.reads - reads
-		if err := server.WriteResponse(&resp); err != nil {
-			t.Fatal(err)
-		}
-		reads = ca.reads
-		if _, err := client.ReadResponse(); err != nil {
-			t.Fatal(err)
-		}
-		respReads := ca.reads - reads
-		if i > 0 && (reqReads != 1 || respReads != 1) { // the first exchange sizes the buffers
-			t.Fatalf("warm exchange %d: request took %d reads, response %d; want 1 each", i, reqReads, respReads)
 		}
 	}
 }

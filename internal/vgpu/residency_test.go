@@ -1,9 +1,7 @@
 package vgpu
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 
 	"gpuvirt/internal/cuda"
@@ -44,7 +42,7 @@ func runResidencyMix(t *testing.T, reg *metrics.Registry, memBytes int64, sessio
 	arch := fermi.TeslaC2070()
 	arch.MemBytes = memBytes
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
+	mgr := gvm.New(env, gvm.Config{Device: dev, QuotaBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	outs := make([][][]byte, sessions)
@@ -150,7 +148,7 @@ func TestEvictedSessionTransparentRestore(t *testing.T) {
 	arch.MemBytes = 64 << 10 // fits one ~48 KiB session
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
 	reg := metrics.NewRegistry()
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
+	mgr := gvm.New(env, gvm.Config{Device: dev, QuotaBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go(func(p *sim.Proc) {
@@ -237,7 +235,7 @@ func TestRestoreFailureLeavesSnapshotRetryable(t *testing.T) {
 	reg := metrics.NewRegistry()
 	mgr := gvm.New(env, gvm.Config{
 		Metrics: reg,
-		Device:  dev, MaxSessionBytes: 1 << 30,
+		Device:  dev, QuotaBytes: 1 << 30,
 		Parties: 2, BarrierTimeout: 250 * sim.Millisecond,
 	})
 	mgr.Start()
@@ -336,7 +334,7 @@ func TestPriorityOrdersEviction(t *testing.T) {
 	arch.MemBytes = 112 << 10 // fits two ~48 KiB sessions, not three
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
 	reg := metrics.NewRegistry()
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
+	mgr := gvm.New(env, gvm.Config{Device: dev, QuotaBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go(func(p *sim.Proc) {
@@ -390,27 +388,15 @@ func TestPriorityOrdersEviction(t *testing.T) {
 }
 
 // gvmCount reads m's sample of a gvm family, family{gpu="<m's GPU>"}, from
-// a scrape of reg, the registry the test built the manager with. A family
+// reg, the registry the test built the manager with. A family
 // reg does not hold fails the test and reads -1: a misspelt name never
 // reads as a zero.
 func gvmCount(t *testing.T, reg *metrics.Registry, m *gvm.Manager, family string) int {
 	t.Helper()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Error(err)
+	n, ok := reg.Value(family, metrics.L("gpu", strconv.Itoa(m.GPUIndex())))
+	if !ok {
+		t.Errorf("the registry holds no sample %s for gpu %d", family, m.GPUIndex())
 		return -1
 	}
-	key := fmt.Sprintf("%s{gpu=%q} ", family, strconv.Itoa(m.GPUIndex()))
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, key); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				t.Error(err)
-				return -1
-			}
-			return n
-		}
-	}
-	t.Errorf("the registry holds no sample %s", strings.TrimSpace(key))
-	return -1
+	return int(n)
 }

@@ -392,7 +392,7 @@ func TestScratchBuffersFreedOnRelease(t *testing.T) {
 }
 
 func TestSessionQuotaRejectsOverCommit(t *testing.T) {
-	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.MaxSessionBytes = 1 << 20 })
+	env, _, mgr, host := newRig(t, false, 1, func(c *gvm.Config) { c.QuotaBytes = 1 << 20 })
 	env.Go(func(p *sim.Proc) {
 		p.Wait(mgr.Ready())
 		// First session fits the 1 MiB quota.
@@ -498,7 +498,7 @@ func TestSuspendedSessionFreesRoomForOthers(t *testing.T) {
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch})
 	// Lift the shm quota so device memory is the binding constraint.
 	reg := metrics.NewRegistry()
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
+	mgr := gvm.New(env, gvm.Config{Device: dev, QuotaBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	spec := &task.Spec{Name: "big", InBytes: 1 << 20, OutBytes: 512 << 10}
@@ -560,7 +560,7 @@ func TestSuspendResumeMGScratchState(t *testing.T) {
 	arch.MemBytes = 4 << 20
 	dev := gpusim.MustNew(env, gpusim.Config{Arch: arch, Functional: true})
 	reg := metrics.NewRegistry()
-	mgr := gvm.New(env, gvm.Config{Device: dev, MaxSessionBytes: 1 << 30, Metrics: reg})
+	mgr := gvm.New(env, gvm.Config{Device: dev, QuotaBytes: 1 << 30, Metrics: reg})
 	mgr.Start()
 	host := Serve(mgr, Config{})
 	env.Go(func(p *sim.Proc) {

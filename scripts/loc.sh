@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Size of the code a PR has to carry (make loc). Prints
 #   - non-test Go lines outside bench/ (the figure ROADMAP aim 2 tracks),
-#   - per internal/ package: non-test lines and exported identifiers
+#   - test Go lines outside bench/ (ROADMAP item 25's figure),
+#   - per internal/ package: non-test lines, test lines and exported identifiers
 #     (top-level funcs, types, vars and consts, grouped or not, and methods
 #     on exported types; struct fields are not counted), and the non-test
 #     lines of transport, fed and gvm together (ROADMAP item 7's target),
@@ -21,6 +22,9 @@ cd "${1:-$(dirname "$0")/..}"
 sources() { # non-test Go files under $1, bench/ and build trees excluded
 	find "$1" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 }
+tests() { # test Go files under $1, likewise
+	find "$1" -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+}
 
 log=
 if [ -f deadcode_test.go ]; then
@@ -31,17 +35,19 @@ for kv in $(printf '%s\n' "$log" | grep -o 'exported identifiers: .*' | cut -d' 
 	exp[${kv%=*}]=${kv#*=}
 done
 
-printf 'non-test Go lines outside bench/: %d\n\n' "$(sources . | xargs cat | wc -l)"
-printf '%-24s %8s %9s\n' package lines exported
+printf 'non-test Go lines outside bench/: %d\n' "$(sources . | xargs cat | wc -l)"
+printf 'test Go lines outside bench/: %d\n\n' "$(tests . | xargs cat | wc -l)"
+printf '%-24s %8s %8s %9s\n' package lines tests exported
 total=0
 for pkg in internal/*/; do
 	pkg=${pkg%/}
 	lines=$(sources "./$pkg" | xargs -r cat | wc -l)
+	tlines=$(tests "./$pkg" | xargs -r cat | wc -l)
 	n=${exp[$pkg]:--}
 	[ "$n" = - ] || total=$((total + n))
-	printf '%-24s %8d %9s\n' "$pkg" "$lines" "$n"
+	printf '%-24s %8d %8d %9s\n' "$pkg" "$lines" "$tlines" "$n"
 done
-printf '%-24s %8s %9d\n' 'internal/ total' '' "$total"
+printf '%-24s %8s %8s %9d\n' 'internal/ total' '' '' "$total"
 printf '%-24s %8d\n' 'transport+fed+gvm' "$(for p in transport fed gvm; do sources "./internal/$p"; done | xargs cat | wc -l)"
 
 guard=none
