@@ -171,16 +171,16 @@ var archRows = []archRow{
 	},
 	{
 		name: "one-way-onto-a-shard",
-		msg:  "a second way onto a shard (a work queue, a goroutine outside the allowed four, Env.Run() outside Server.turn, or a second Env.Go site for cold work):",
+		msg:  "a second way onto a shard (a work queue, a goroutine outside the allowed two, Env.Run() outside Server.turn, or a second Env.Go site for cold work):",
 		why: "One way onto a shard: its owner is whoever holds its lock for a turn (ipc.Server.turn), so non-test " +
 			"internal/ipc declares no work queue, calls Env.Run() in that one function only, and starts no goroutine but " +
-			"the ring daemon's sweep loop (which parks on its doorbell itself), the accept and connection loops and the " +
-			"background evacuation — a per-shard owner goroutine cannot come back; and cold owner work gets a process " +
+			"the ring daemon's sweep loop (which parks on its doorbell itself) and the background evacuation (connections " +
+			"are transport.Door's) — a per-shard owner goroutine cannot come back; and cold owner work gets a process " +
 			"in one place (Env.Go in transport.Dispatcher.onShard), never per frame.",
 		checks: []archCheck{
 			refs{in: []string{"internal/ipc"}, what: named(`workItem`), max: 0},
 			chans{in: []string{"internal/ipc"}, re: `^\[|^(<-)?chan(<-)? (workItem|func)`},
-			gos{in: []string{"internal/ipc"}, allow: `^s\.(ringOwner|accept|serveConn|disp\.EvacuateShard)$`},
+			gos{in: []string{"internal/ipc"}, allow: `^s\.(ringOwner|disp\.EvacuateShard)$`},
 			refs{in: []string{"internal/ipc"}, what: call("Run", 0), max: 1},
 			refs{in: []string{"internal/ipc"}, within: "Server.turn", what: call("Run", 0), min: 1, max: -1},
 			refs{in: []string{"internal/ipc", "internal/transport"}, what: call("Go", 1), max: 1},
@@ -189,7 +189,7 @@ var archRows = []archRow{
 			{file: "internal/ipc/server.go", repl: "\ntype workItem struct{ run func() }\n"},
 			{file: "internal/ipc/server.go", repl: "\nvar probeWork chan func()\n"},
 			{file: "internal/ipc/server.go", repl: "\nvar probeWork []chan int\n"},
-			{file: "internal/ipc/server.go", find: "go s.accept(ln)", repl: "go s.accept(ln)\n\t\tgo s.waker()"},
+			{file: "internal/ipc/server.go", find: "go s.ringOwner(i)", repl: "go s.ringOwner(i)\n\t\t\tgo s.waker()"},
 			{file: "internal/ipc/server.go", repl: "\nfunc (s *Server) probe() {\n\tgo func() {}()\n}\n"},
 			{file: "internal/ipc/server.go", repl: "\nfunc (s *Server) probe(env *sim.Env) error { return env.Run() }\n"},
 			// The turn renamed: the one Run() call is no longer in Server.turn.
@@ -412,6 +412,37 @@ var archRows = []archRow{
 		},
 		benign: []archEdit{
 			{file: "cmd/gvmd/main.go", repl: "\n// fs.Bool(\"untabled\", false, \"\") in a comment defines nothing.\n"},
+		},
+	},
+	{
+		name: "one-front-door",
+		msg:  "a second front door (a Listener.Accept loop, a preamble check or a frame read loop outside transport.Door):",
+		why: "One front door (DESIGN.md §3): gvmd and gvmfed reach their clients through transport.Door alone, which " +
+			"binds the listen addresses, accepts, checks the preamble, runs each connection's read loop, hangs it up and " +
+			"keeps the set of connections Close ends; ipc and fed say only how a frame is answered and what a hang-up " +
+			"releases. Two copies of that loop once let a closed gvmd answer STA on a connection opened before Close, " +
+			"and let the router's Close wait behind a frame parked at a backend barrier. metrics.Serve's HTTP accept " +
+			"serves no daemon connection.",
+		checks: []archCheck{
+			refs{in: []string{"internal/...", "cmd/...", "examples/..."}, except: []string{"internal/metrics/serve.go"}, what: call("Accept", 0), max: 1},
+			refs{in: []string{"internal/transport/door.go"}, within: "Door.accept", what: call("Accept", 0), min: 1, max: -1},
+			refs{in: []string{"internal/...", "cmd/...", "examples/..."}, what: named(`^(?i)readPreamble$`), max: 2},
+			refs{in: []string{"internal/transport/door.go"}, within: "Door.serve", what: call("readPreamble", 1), min: 1, max: -1},
+			refs{in: []string{"internal/...", "cmd/...", "examples/..."}, what: call("ReadRequest", 0), max: 1},
+			refs{in: []string{"internal/transport/door.go"}, within: "Door.serve", what: call("ReadRequest", 0), min: 1, max: -1},
+		},
+		mutations: []archEdit{
+			// A second accept loop, the router's own again.
+			{file: "internal/fed/proxy.go", repl: "\nfunc (r *Router) acceptz(ln net.Listener) {\n\tfor {\n\t\tif _, err := ln.Accept(); err != nil {\n\t\t\treturn\n\t\t}\n\t}\n}\n"},
+			// A preamble check in the daemon.
+			{file: "internal/ipc/server.go", repl: "\nfunc probePreamble(nc net.Conn) error { return transport.ReadPreamble(nc) }\n"},
+			// A read loop of the daemon's own.
+			{file: "internal/ipc/server.go", repl: "\nfunc probeRead(c *transport.Conn) { _, _ = c.ReadRequest() }\n"},
+			// The door's loop renamed: its anchor is gone.
+			{file: "internal/transport/door.go", find: "func (d *Door) accept(", repl: "func (d *Door) acceptz("},
+		},
+		benign: []archEdit{
+			{file: "internal/metrics/serve.go", repl: "\n// ln.Accept() in a comment accepts nothing.\n"},
 		},
 	},
 	{

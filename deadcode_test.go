@@ -75,7 +75,7 @@ var guardEdits = []struct {
 		fires: []string{"node.ProbeWeight", "node.probeBytes"},
 	},
 	{
-		// A third Listener that ListenAddr returns: its methods are reached
+		// A third listener that listen returns: its methods are reached
 		// only through the interface.
 		name: "listener-reached-through-its-interface",
 		edits: []archEdit{

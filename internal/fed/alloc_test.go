@@ -41,8 +41,8 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 		}
 	}()
 
-	cc := &clientConn{}
-	s := &fedSession{vid: 1, owner: cc, staged: true, inB: 64 << 10, outB: 64 << 10}
+	cs := &transport.ConnState{}
+	s := &fedSession{vid: 1, owner: cs, staged: true, inB: 64 << 10, outB: 64 << 10}
 	b, err := r.place(s.inB + s.outB)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestWarmProxyHopZeroAlloc(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	hop := func() {
-		resp, locked := r.serveFrame(&transport.Request{Verb: "SND", Session: 1, Data: payload}, cc)
+		resp, locked := r.serveFrame(&transport.Request{Verb: "SND", Session: 1, Data: payload}, cs)
 		if locked == nil {
 			t.Fatal("hop did not return the locked session")
 		}

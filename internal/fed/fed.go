@@ -150,12 +150,15 @@ func (b *backend) load() node.Load {
 // verb never races the session between nodes.
 type fedSession struct {
 	vid   int
-	owner *clientConn
+	owner *transport.ConnState // the one client connection that may address it
 
 	mu     sync.Mutex
 	b      *backend
 	realID int
-	conn   *transport.Conn
+	// conn is the sticky backend connection, changed under mu. It is atomic
+	// for Router.Close alone, which closes it under a frame that holds mu
+	// for its whole backend trip.
+	conn atomic.Pointer[transport.Conn]
 	// placed reports whether the session currently holds a reservation in
 	// b's counters (false between losing a backend and landing on the
 	// next one).
@@ -179,21 +182,6 @@ type fedSession struct {
 	// (a pipelined client's replayed BAT leads with SND and sails
 	// through).
 	staged bool
-}
-
-// clientConn identifies one accepted client connection; sessions are
-// owned by the connection that opened them, like the daemon's ConnState.
-type clientConn struct {
-	owned []int
-}
-
-func (cc *clientConn) dropOwned(vid int) {
-	for i, o := range cc.owned {
-		if o == vid {
-			cc.owned = append(cc.owned[:i], cc.owned[i+1:]...)
-			return
-		}
-	}
 }
 
 // fedMetrics are the router's registry-backed instruments, built once.
@@ -227,11 +215,13 @@ type Router struct {
 	mu       sync.Mutex
 	sessions map[int]*fedSession
 	nextVID  int
-	closed   bool
 
-	lns  []transport.Listener
-	quit chan struct{}
-	wg   sync.WaitGroup
+	door *transport.Door
+	// closing is set once Close begins: no backend trip or placement starts
+	// after it, so a frame cannot park on a connection Close did not see.
+	closing atomic.Bool
+	quit    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // New builds a router fronting cfg.Backends. Call Start to bind
@@ -303,70 +293,46 @@ func (r *Router) Start(listen []string) error {
 	for _, b := range r.backends {
 		r.pollBackend(b)
 	}
-	for _, addr := range listen {
-		ln, err := transport.ListenAddr(addr)
-		if err != nil {
-			for _, l := range r.lns {
-				l.Close()
-			}
-			return fmt.Errorf("fed: listen %s: %w", addr, err)
-		}
-		r.lns = append(r.lns, ln)
+	door, err := transport.Serve(listen, r.cfg.Metrics, r.cfg.Log, r.answer, r.hangUp)
+	if err != nil {
+		return fmt.Errorf("fed: %w", err)
 	}
-	for _, ln := range r.lns {
-		ln := ln
-		r.wg.Add(1)
-		go r.accept(ln)
-	}
+	r.door = door
 	r.wg.Add(1)
 	go r.pollLoop()
 	return nil
 }
 
 // Addr returns the first bound listener address in URL form.
-func (r *Router) Addr() string { return r.lns[0].Addr() }
+func (r *Router) Addr() string { return r.door.Addrs()[0] }
 
 // Addrs returns every bound listener address in URL form.
-func (r *Router) Addrs() []string {
-	addrs := make([]string, len(r.lns))
-	for i, ln := range r.lns {
-		addrs[i] = ln.Addr()
-	}
-	return addrs
-}
+func (r *Router) Addrs() []string { return r.door.Addrs() }
 
-// Close shuts the router down: listeners close, every session's sticky
-// backend connection drops (the backend daemons release the sessions on
-// hang-up, exactly as if the clients had disconnected).
+// Close shuts the router down: every client connection ends, and its
+// hang-up drops its sessions' sticky backend connections (the backend
+// daemons release the sessions on hang-up, exactly as if the clients had
+// disconnected).
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.closing.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.closed = true
-	live := make([]*fedSession, 0, len(r.sessions))
+	// A frame forwarding to a backend holds its session's mu for the whole
+	// trip, parked at a backend barrier perhaps: close the sticky
+	// connections under it first, so the trip fails and the door can end
+	// its connection.
+	r.mu.Lock()
 	for _, s := range r.sessions {
-		live = append(live, s)
+		if c := s.conn.Load(); c != nil {
+			_ = c.Close()
+		}
 	}
 	r.mu.Unlock()
-	close(r.quit)
 	var err error
-	for _, ln := range r.lns {
-		if cerr := ln.Close(); err == nil {
-			err = cerr
-		}
+	if r.door != nil {
+		err = r.door.Close()
 	}
-	for _, s := range live {
-		s.mu.Lock()
-		if !s.closed {
-			s.closed = true
-			if s.conn != nil {
-				_ = s.conn.Close()
-			}
-		}
-		s.mu.Unlock()
-	}
+	close(r.quit)
 	for _, b := range r.backends {
 		b.mu.Lock()
 		if b.ctl != nil {
@@ -410,6 +376,9 @@ func (r *Router) nodeLoads() []node.Load {
 // it are re-created lazily on their next verb; in-flight verbs answer
 // retryable errors the clients replay.
 func (r *Router) markDead(b *backend, cause error) {
+	if r.closing.Load() {
+		return // the router closed the connection itself
+	}
 	b.mu.Lock()
 	was := b.state
 	b.state = stateDead
@@ -434,14 +403,14 @@ func (r *Router) register(s *fedSession) int {
 
 // lookup resolves a virtual session id for a client connection, with
 // the same ownership rule as the daemon.
-func (r *Router) lookup(vid int, cc *clientConn) (*fedSession, error) {
+func (r *Router) lookup(vid int, cs *transport.ConnState) (*fedSession, error) {
 	r.mu.Lock()
 	s := r.sessions[vid]
 	r.mu.Unlock()
 	if s == nil {
 		return nil, fmt.Errorf("fed: unknown session %d", vid)
 	}
-	if s.owner != cc {
+	if s.owner != cs {
 		return nil, fmt.Errorf("fed: session %d belongs to another connection", vid)
 	}
 	return s, nil
@@ -474,7 +443,8 @@ func (r *Router) unplace(b *backend, footprint int64) {
 // attachLocked binds a session to its (new) backend incarnation; the
 // caller already holds the reservation from place. Caller holds s.mu.
 func (s *fedSession) attachLocked(b *backend, realID int, conn *transport.Conn) {
-	s.b, s.realID, s.conn = b, realID, conn
+	s.b, s.realID = b, realID
+	s.conn.Store(conn)
 	s.placed = true
 }
 
@@ -485,12 +455,11 @@ func (s *fedSession) attachLocked(b *backend, realID int, conn *transport.Conn) 
 // response's Data is still in flight to the client (it aliases that
 // buffer), letting the GC reclaim it instead.
 func (r *Router) dropBackendLocked(s *fedSession, releaseBuf bool) {
-	if s.conn != nil {
-		_ = s.conn.Close()
+	if conn := s.conn.Swap(nil); conn != nil {
+		_ = conn.Close()
 		if releaseBuf {
-			s.conn.Release()
+			conn.Release()
 		}
-		s.conn = nil
 	}
 	if s.placed {
 		s.placed = false

@@ -26,7 +26,14 @@ import (
 // testNode is a backend daemon and the registry it was built with.
 type testNode struct {
 	*ipc.Server
-	reg *metrics.Registry
+	reg    *metrics.Registry
+	closed atomic.Bool // the test closed it itself
+}
+
+// Close closes the node, noting that the test did.
+func (n *testNode) Close() error {
+	n.closed.Store(true)
+	return n.Server.Close()
 }
 
 // fedStack is a test's federation, started by startFed: backend daemons
@@ -47,8 +54,9 @@ var (
 // its own unless cfg names them, and — poll > 0 — a router polling them at
 // that interval on an inproc address and a unix one (Addrs()[1]). A test's
 // stacks end together, after every cleanup registered since the first of
-// them started (every client's): the routers' audits, then their Close, then
-// the backends' audits, then their Close, then a scrape of every registry.
+// them started (every client's): the routers' audits, then their Close and
+// audits again, then the backends' audits, then their Close and audits
+// again, then a scrape of every registry.
 func startFed(t *testing.T, poll time.Duration, cfgs ...ipc.ServerConfig) *fedStack {
 	t.Helper()
 	dir := t.TempDir() // its removal runs after the stacks end
@@ -116,33 +124,44 @@ func endFed(t *testing.T) {
 		if err := f.r.Close(); err != nil {
 			t.Errorf("close the router: %v", err)
 		}
+		if held := f.r.Audit(); len(held) > 0 && !t.Failed() {
+			t.Errorf("the router still holds %s after Close", strings.Join(held, ", "))
+		}
 	}
-	for _, f := range fleet {
-		for _, n := range f.nodes {
-			if t.Failed() {
-				break
-			}
-			// A node the test closed itself is read once: first let the
-			// connections its clients and the router dropped end.
-			for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-				if conns, _ := n.reg.Value("ipc_connections"); conns == 0 {
-					break
-				}
-			}
+	audit := func(n *testNode, when string) {
+		if !t.Failed() {
 			for _, item := range n.Audit() {
-				t.Errorf("%s still holds %s", n.Addr(), item)
+				t.Errorf("%s still holds %s%s", n.Addr(), item, when)
+			}
+		}
+	}
+	// The serving nodes first: their audits wait until the pool the audit
+	// reads process-wide has every buffer back (the router's sticky
+	// connections end on the nodes after its Close), and a closed node is
+	// read once.
+	for _, closed := range []bool{false, true} {
+		for _, f := range fleet {
+			for _, n := range f.nodes {
+				if n.closed.Load() == closed {
+					audit(n, "")
+				}
 			}
 		}
 	}
 	for _, f := range fleet {
+		for _, n := range f.nodes {
+			if err := n.Close(); err != nil {
+				t.Errorf("close %s: %v", n.Addr(), err)
+			}
+		}
+	}
+	for _, f := range fleet { // after every Close: nodes may share an shm directory
 		regs := []*metrics.Registry{}
 		if f.r != nil {
 			regs = append(regs, f.r.cfg.Metrics)
 		}
 		for _, n := range f.nodes {
-			if err := n.Close(); err != nil {
-				t.Errorf("close %s: %v", n.Addr(), err)
-			}
+			audit(n, " after Close")
 			regs = append(regs, n.reg)
 		}
 		for _, reg := range regs {
@@ -519,7 +538,7 @@ func TestFederationChaosKillNodeMidRun(t *testing.T) {
 // vs background-evacuation race: a verb response can alias its sticky
 // connection's pooled read buffer, and the evacuation goroutine used to
 // be able to reuse (MIG) and pool (teardown) that buffer while the
-// response bytes were still on their way to the client — serveConn now
+// response bytes were still on their way to the client — Router.answer now
 // holds the session locks across the client write. Run under -race.
 func TestDrainUnderLoadByteIdentical(t *testing.T) {
 	const clients, cycles = 4, 6

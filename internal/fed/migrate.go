@@ -32,12 +32,12 @@ import (
 // verb is forwarded: re-create it if its node died, migrate it off a
 // draining node. Caller holds s.mu.
 func (r *Router) ensurePlacedLocked(s *fedSession) error {
-	if s.conn == nil || s.b.getState() == stateDead {
+	if s.conn.Load() == nil || s.b.getState() == stateDead {
 		return r.recreateLocked(s)
 	}
 	if s.b.getState() == stateDraining {
 		if err := r.migrateLocked(s); err != nil {
-			if s.conn == nil {
+			if s.conn.Load() == nil {
 				return err // the move failed AND the session is gone
 			}
 			// Migration failed but the session still lives on the
@@ -158,7 +158,7 @@ func (r *Router) evacuate(b *backend) {
 	moved := 0
 	for _, s := range victims {
 		s.mu.Lock()
-		if !s.closed && s.b == b && s.conn != nil {
+		if !s.closed && s.b == b && s.conn.Load() != nil {
 			if err := r.ensurePlacedLocked(s); err == nil && s.b != b {
 				moved++
 			}

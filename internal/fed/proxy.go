@@ -3,8 +3,6 @@ package fed
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"strings"
 	"time"
 
@@ -12,6 +10,9 @@ import (
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
 )
+
+// errClosed fails a backend trip or placement once Router.Close has begun.
+var errClosed = errors.New("the router is closing")
 
 func errResp(err error) *transport.Response {
 	return &transport.Response{Status: "ERR", Err: err.Error()}
@@ -34,85 +35,48 @@ func lostSession(resp *transport.Response) bool {
 			strings.Contains(resp.Err, "is closed"))
 }
 
-func (r *Router) accept(ln transport.Listener) {
-	defer r.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Client handlers are not tracked by wg — one may sit in a slow
-		// backend round trip, and Close must not wait for it.
-		go r.serveConn(conn)
+// answer serves one client frame. A frame's response is usually its
+// session's sticky backend connection's retained one (trip: "valid until the
+// next trip"), and the poller's background evacuate() migrates sessions
+// concurrently — its MIG trip reads into that same response and buffer, and
+// its teardown hands the buffer back to the pool. serveREQ and serveFrame
+// therefore return with the session still LOCKED; the lock drops only after
+// the response bytes have left for the client.
+func (r *Router) answer(c *transport.Conn, cs *transport.ConnState, req *transport.Request) bool {
+	var resp *transport.Response
+	var locked *fedSession
+	if req.Verb == "REQ" {
+		resp, locked = r.serveREQ(req, cs)
+	} else {
+		resp, locked = r.serveFrame(req, cs)
 	}
+	werr := c.WriteResponse(resp)
+	if locked != nil {
+		locked.mu.Unlock()
+	}
+	return werr == nil
 }
 
-// serveConn runs one client connection's request loop.
-func (r *Router) serveConn(nc net.Conn) {
-	if err := transport.ReadPreamble(nc); err != nil {
-		if errors.Is(err, io.EOF) {
-			nc.Close()
-		} else {
-			transport.RejectConn(nc)
-		}
-		return
-	}
-	conn := transport.NewConn(nc)
-	cc := &clientConn{}
-	defer func() {
-		conn.Close()
-		conn.Release()
-		r.hangUp(cc)
-	}()
-	for {
-		req, err := conn.ReadRequest()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && r.cfg.Log != nil {
-				r.cfg.Log.Debug("client read", "err", err)
-			}
-			return
-		}
-		// A frame's response is usually its session's sticky backend
-		// connection's retained one (trip: "valid until the next trip"), and
-		// the poller's background evacuate() migrates sessions concurrently —
-		// its MIG trip reads into that same response and buffer, and its
-		// teardown hands the buffer back to the pool. serveREQ and serveFrame
-		// therefore return with the session still LOCKED; the lock drops only
-		// after the response bytes have left for the client.
-		var resp *transport.Response
-		var locked *fedSession
-		if req.Verb == "REQ" {
-			resp, locked = r.serveREQ(req, cc)
-		} else {
-			resp, locked = r.serveFrame(req, cc)
-		}
-		werr := conn.WriteResponse(resp)
-		if locked != nil {
-			locked.mu.Unlock()
-		}
-		if werr != nil {
-			return
+// hangUp releases every session the table names cs the owner of — what a
+// client that disconnected left open: closing each sticky backend
+// connection makes the backend daemon release the real session exactly as
+// if the client had dialed it directly.
+func (r *Router) hangUp(cs *transport.ConnState) {
+	var gone []*fedSession
+	r.mu.Lock()
+	for _, s := range r.sessions {
+		if s.owner == cs {
+			gone = append(gone, s)
 		}
 	}
-}
-
-// hangUp releases every session a disconnected client left open:
-// closing each sticky backend connection makes the backend daemon
-// release the real session exactly as if the client had dialed it
-// directly.
-func (r *Router) hangUp(cc *clientConn) {
-	for _, vid := range cc.owned {
-		r.mu.Lock()
-		s := r.sessions[vid]
-		r.mu.Unlock()
-		if s == nil || s.owner != cc {
-			continue
-		}
+	r.mu.Unlock()
+	for _, s := range gone {
 		s.mu.Lock()
-		r.unregisterLocked(s, true)
+		if !s.closed {
+			r.unregisterLocked(s, true)
+		}
 		s.mu.Unlock()
 	}
-	cc.owned = nil
 }
 
 // serveREQ places a new session at the node level and opens its sticky
@@ -120,7 +84,7 @@ func (r *Router) hangUp(cc *clientConn) {
 // payloads must travel through the router, and a shm or ring segment
 // names a path on the backend's machine that the client cannot map. Like
 // serveFrame, it returns the opened session still LOCKED.
-func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Response, *fedSession) {
+func (r *Router) serveREQ(req *transport.Request, cs *transport.ConnState) (*transport.Response, *fedSession) {
 	if req.Ref == nil {
 		return errResp(errors.New("fed: REQ needs a workload reference")), nil
 	}
@@ -140,7 +104,7 @@ func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Re
 		return resp, nil
 	}
 	s := &fedSession{
-		owner: cc,
+		owner: cs,
 		ref:   *req.Ref, rank: req.Rank,
 		priority: req.Priority, weight: req.Weight,
 		inB: resp.InBytes, outB: resp.OutBytes,
@@ -152,7 +116,6 @@ func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Re
 	s.mu.Lock()
 	s.attachLocked(b, resp.Session, conn)
 	vid := r.register(s)
-	cc.owned = append(cc.owned, vid)
 	if r.cfg.Log != nil {
 		r.cfg.Log.Debug("session placed",
 			"vsession", vid, "node", b.idx, "backend-session", resp.Session)
@@ -172,6 +135,9 @@ func (r *Router) serveREQ(req *transport.Request, cc *clientConn) (*transport.Re
 func (r *Router) openOn(fwd *transport.Request, footprint int64) (b *backend, conn *transport.Conn, resp *transport.Response, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= len(r.backends); attempt++ {
+		if r.closing.Load() {
+			return nil, nil, resp, errClosed
+		}
 		if b, err = r.place(footprint); err != nil {
 			if lastErr != nil {
 				err = fmt.Errorf("%v (last backend error: %v)", err, lastErr)
@@ -213,11 +179,15 @@ func tripConn(conn *transport.Conn, req *transport.Request) (*transport.Response
 // retained one, its Data in the connection's read buffer: valid until the
 // next trip on this session.
 func (r *Router) trip(s *fedSession, req *transport.Request) (*transport.Response, error) {
+	if r.closing.Load() {
+		return nil, errClosed
+	}
+	conn := s.conn.Load()
 	start := time.Now()
-	if err := s.conn.WriteRequest(req); err != nil {
+	if err := conn.WriteRequest(req); err != nil {
 		return nil, err
 	}
-	resp, err := s.conn.ReadResponse()
+	resp, err := conn.ReadResponse()
 	if err != nil {
 		return nil, err
 	}
@@ -244,13 +214,13 @@ func needsStagedInput(verb gvm.Verb) bool {
 // alias the sticky connection's read buffer, so the caller must write
 // it to the client before unlocking, or a concurrent evacuation could
 // overwrite or pool the buffer mid-write.
-func (r *Router) serveFrame(req *transport.Request, cc *clientConn) (*transport.Response, *fedSession) {
+func (r *Router) serveFrame(req *transport.Request, cs *transport.ConnState) (*transport.Response, *fedSession) {
 	var buf [5]gvm.Verb // a frame has five steps at most; the backing stays on the stack
 	vid, verbs, bat, err := transport.FrameSteps(req, buf[:0])
 	if err != nil {
 		return errResp(err), nil
 	}
-	s, err := r.lookup(vid, cc)
+	s, err := r.lookup(vid, cs)
 	if err != nil {
 		return errResp(err), nil
 	}
@@ -348,7 +318,6 @@ func (r *Router) forwardRun(s *fedSession, req *transport.Request, verbs []gvm.V
 		// on its way to the client: leave that buffer to the GC then, not
 		// the pool.
 		r.unregisterLocked(s, !aliased)
-		s.owner.dropOwned(s.vid)
 	}
 	return resp
 }

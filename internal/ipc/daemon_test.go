@@ -6,11 +6,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"gpuvirt/internal/cuda"
+	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/sim"
 	"gpuvirt/internal/transport"
 	"gpuvirt/internal/workloads"
@@ -221,7 +221,7 @@ func TestDisconnectMidSessionFreesResources(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout points a client at a listener that accepts and
+// TestRequestTimeout points a client at a front door that accepts and
 // reads but never answers, over each stream scheme (unix and tcp frames
 // move by raw syscalls, inproc's by its pipe): with a request timeout set
 // the round trip fails with a deadline error instead of blocking forever.
@@ -229,28 +229,17 @@ func TestRequestTimeout(t *testing.T) {
 	for _, addr := range []string{"unix://" + tempSocket(t), "tcp://127.0.0.1:0", "inproc://mute-daemon"} {
 		scheme, _ := transport.SplitAddr(addr)
 		t.Run(scheme, func(t *testing.T) {
-			ln, err := transport.ListenAddr(addr)
+			lunch := make(chan struct{})
+			// A daemon that went out to lunch: it reads a frame and never answers.
+			door, err := transport.Serve([]string{addr}, metrics.NewRegistry(), nil,
+				func(*transport.Conn, *transport.ConnState, *transport.Request) bool { <-lunch; return false },
+				func(*transport.ConnState) {})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ln.Close()
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // a daemon that went out to lunch
-				defer wg.Done()
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				buf := make([]byte, 4096)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-			c, err := DialOptions(ln.Addr(), Options{Timeout: 100 * time.Millisecond})
+			defer door.Close()
+			defer close(lunch)
+			c, err := DialOptions(door.Addrs()[0], Options{Timeout: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,8 +255,6 @@ func TestRequestTimeout(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
 				t.Fatalf("timeout took %v, deadline not applied", elapsed)
 			}
-			c.Close() // unblocks the mute server's read loop
-			wg.Wait()
 		})
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"time"
 
 	"gpuvirt/internal/cuda"
 
@@ -35,7 +34,14 @@ func tempSocket(t testing.TB) string {
 // daemon is a test's gvmd, started by startDaemon.
 type daemon struct {
 	*Server
-	dir string // its shm directory
+	dir    string      // its shm directory
+	closed atomic.Bool // the test closed it itself
+}
+
+// Close closes the daemon, noting that the test did.
+func (d *daemon) Close() error {
+	d.closed.Store(true)
+	return d.Server.Close()
 }
 
 // fleets holds each running test's daemons, in start order.
@@ -48,9 +54,10 @@ var (
 // and an shm directory of the test's own unless it names them. A test's
 // daemons end together, in one order, after every cleanup registered since
 // the first of them started (every client's, dial's): each daemon's audit,
-// which fails the test on whatever it still holds, then Close, then a
-// scrape of its registry. The audit reads the frame-buffer pool
-// process-wide, so it waits for every client of every daemon.
+// which fails the test on whatever it still holds, then Close, then the
+// audit once more — the shutdown path — and a scrape of its registry. The
+// audit reads the frame-buffer pool process-wide, so it waits for every
+// client of every daemon.
 func startDaemon(tb testing.TB, cfg ServerConfig) *daemon {
 	tb.Helper()
 	if cfg.ShmDir == "" {
@@ -74,21 +81,26 @@ func startDaemon(tb testing.TB, cfg ServerConfig) *daemon {
 	return d
 }
 
-// endDaemons ends tb's daemons: audits, then Close, then scrapes.
+// endDaemons ends tb's daemons: audits, then Close, then audits again and
+// scrapes. A daemon the test closed itself is read once.
 func endDaemons(tb testing.TB) {
 	fleetsMu.Lock()
 	fleet := fleets[tb]
 	delete(fleets, tb)
 	fleetsMu.Unlock()
-	if !tb.Failed() {
-		for _, d := range fleet {
-			// A daemon the test closed itself is read once: first let the
-			// connections its clients dropped end.
-			for end := time.Now().Add(5 * time.Second); d.met.connections.Value() > 0 && time.Now().Before(end); {
-				time.Sleep(time.Millisecond)
-			}
+	audit := func(d *daemon, when string) {
+		if !tb.Failed() {
 			for _, item := range d.Audit() {
-				tb.Errorf("%s still holds %s", d.Addr(), item)
+				tb.Errorf("%s still holds %s%s", d.Addr(), item, when)
+			}
+		}
+	}
+	// The serving daemons first: their audits wait until the pool the audit
+	// reads process-wide has every buffer back, and a closed one is read once.
+	for _, closed := range []bool{false, true} {
+		for _, d := range fleet {
+			if d.closed.Load() == closed {
+				audit(d, "")
 			}
 		}
 	}
@@ -96,6 +108,9 @@ func endDaemons(tb testing.TB) {
 		if err := d.Close(); err != nil {
 			tb.Errorf("close %s: %v", d.Addr(), err)
 		}
+	}
+	for _, d := range fleet { // after every Close: daemons may share an shm directory
+		audit(d, " after Close")
 		if err := d.cfg.Metrics.WritePrometheus(io.Discard); err != nil {
 			tb.Errorf("scrape %s after close: %v", d.Addr(), err)
 		}

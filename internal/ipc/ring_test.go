@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -498,5 +499,34 @@ func BenchmarkRingCycle(b *testing.B) {
 		if err := sess.RunCycle(in, out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRingRLSLeavesNothingHeld: sessions opened over one connection and
+// released through their rings leave nothing behind while that connection
+// stays open — the session table is the one record of who owns what, and a
+// ring RLS takes the session out of it. What the audit may name is the open
+// connection's own two read buffers, its client end's and the daemon's.
+func TestRingRLSLeavesNothingHeld(t *testing.T) {
+	s := startDaemon(t, ServerConfig{Listen: []string{"ring://" + tempSocket(t)}, Functional: true})
+	c := s.dial(t, Options{})
+	for i := 0; i < 3; i++ {
+		sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 64}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Plane() != transport.PlaneRing {
+			t.Fatalf("session %d rides the %s plane, want ring", i, sess.Plane())
+		}
+		if err := sess.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, _ := s.audit()
+	for end := time.Now().Add(5 * time.Second); !slices.Equal(held, []string{"pool-buffers=2"}) && time.Now().Before(end); held, _ = s.audit() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !slices.Equal(held, []string{"pool-buffers=2"}) {
+		t.Errorf("with the connection still open, the daemon holds %v, want only its two read buffers", held)
 	}
 }

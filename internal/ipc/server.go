@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpuvirt/internal/fermi"
@@ -90,8 +89,8 @@ type ServerConfig struct {
 // single-threaded discipline of each simulator is preserved under
 // concurrent clients while distinct shards run in parallel.
 type Server struct {
-	cfg ServerConfig
-	lns []transport.Listener
+	cfg  ServerConfig
+	door *transport.Door
 
 	owner []sync.Mutex // per shard: its holder is the shard's owner for one turn
 	// Shutdown is two steps. stop closes first and fails every turn a
@@ -106,21 +105,12 @@ type Server struct {
 	disp  *transport.Dispatcher
 	rings *transport.RingHost // non-nil when a ring:// listener is bound
 
-	met     serverMetrics
-	poolOut int64 // pool buffers out when the server started
+	// queueWaitNS, per shard: wall ns a submit waited for the shard's lock.
+	queueWaitNS []*metrics.Histogram
+	poolOut     int64 // pool buffers out when the server started
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 	wg     sync.WaitGroup
-}
-
-// serverMetrics are the server's own connection-layer instruments; the
-// managers' and dispatcher's series live in the same shared registry.
-type serverMetrics struct {
-	connections *metrics.Gauge       // live client connections
-	disconnects *metrics.Counter     // connections that have ended
-	frameErrors *metrics.Counter     // bad preambles, non-EOF read errors
-	queueWaitNS []*metrics.Histogram // per shard: wall ns a submit waited for the shard's lock
 }
 
 // NewServer creates and starts a daemon listening on every address in
@@ -139,20 +129,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if _, err := node.NewPlacer(cfg.Placement, "GPU"); err != nil {
 		return nil, err
 	}
-	var lns []transport.Listener
-	closeAll := func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}
-	for _, addr := range cfg.Listen {
-		ln, err := transport.ListenAddr(addr)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ipc: listen %s: %w", addr, err)
-		}
-		lns = append(lns, ln)
-	}
 	if cfg.GPUs == 0 {
 		cfg.GPUs = 1
 	}
@@ -161,14 +137,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:  cfg,
-		lns:  lns,
 		stop: make(chan struct{}),
 		quit: make(chan struct{}),
-		met: serverMetrics{
-			connections: cfg.Metrics.Gauge("ipc_connections", "live client connections"),
-			disconnects: cfg.Metrics.Counter("ipc_disconnects_total", "client connections ended"),
-			frameErrors: cfg.Metrics.Counter("ipc_frame_errors_total", "bad preambles and non-EOF frame read errors"),
-		},
 	}
 	n, err := node.New(node.Config{
 		GPUs:            cfg.GPUs,
@@ -184,26 +154,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Log:             cfg.Slog,
 	})
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
 	s.node = n
 	if err := n.Start(); err != nil { // bring every shard's manager up
-		closeAll()
 		return nil, err
 	}
 	// A ring:// listener turns the ring control plane on: the daemon lays
 	// a doorbell segment out and runs a sweep loop per shard (ringOwner)
 	// beside the connections' own turns.
-	for _, ln := range lns {
-		if ln.DefaultPlane() == transport.PlaneRing {
+	for _, addr := range cfg.Listen {
+		if scheme, _ := transport.SplitAddr(addr); scheme == "ring" {
 			rh, rerr := transport.NewRingHost(transport.RingHostConfig{
 				ShmDir:  cfg.ShmDir,
 				Shards:  n.NumShards(),
 				Metrics: cfg.Metrics,
 			})
 			if rerr != nil {
-				closeAll()
 				return nil, rerr
 			}
 			s.rings = rh
@@ -221,9 +188,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	gets, puts, _, _ := transport.PoolStats()
 	s.poolOut = gets - puts
 	s.owner = make([]sync.Mutex, n.NumShards())
-	s.met.queueWaitNS = make([]*metrics.Histogram, n.NumShards())
+	s.queueWaitNS = make([]*metrics.Histogram, n.NumShards())
 	for i := range s.owner {
-		s.met.queueWaitNS[i] = cfg.Metrics.Histogram("gvmd_owner_queue_wait_ns",
+		s.queueWaitNS[i] = cfg.Metrics.Histogram("gvmd_owner_queue_wait_ns",
 			"wall ns a submission waited for its turn as the shard's simulation owner",
 			metrics.L("gpu", strconv.Itoa(i)))
 	}
@@ -238,15 +205,28 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		go s.disp.EvacuateShard(shard, s.submit)
 	})
-	s.wg.Add(len(lns))
+	// The door hands each frame to the dispatcher, which runs payload staging
+	// on the connection's goroutine, outside the shard's lock, and takes a
+	// turn only for the frame's owner-side phase, so the critical section
+	// stays O(scheduling), not O(bytes). A hang-up releases the sessions the
+	// connection owns, each on its own shard.
+	s.door, err = transport.Serve(cfg.Listen, cfg.Metrics, cfg.Slog,
+		func(c *transport.Conn, cs *transport.ConnState, req *transport.Request) bool {
+			resp, ok := s.disp.Serve(req, cs, s.submit)
+			return ok && c.WriteResponse(resp) == nil
+		},
+		func(cs *transport.ConnState) { s.disp.HangUp(cs, s.submit) })
+	if err != nil {
+		if s.rings != nil {
+			s.rings.Close()
+		}
+		return nil, fmt.Errorf("ipc: %w", err)
+	}
 	if s.rings != nil {
 		s.wg.Add(n.NumShards())
 		for i := 0; i < n.NumShards(); i++ {
 			go s.ringOwner(i)
 		}
-	}
-	for _, ln := range lns {
-		go s.accept(ln)
 	}
 	return s, nil
 }
@@ -267,36 +247,23 @@ func (s *Server) DrainAll() {
 
 // Addr returns the first listener's address in URL form (Dial accepts
 // it directly).
-func (s *Server) Addr() string { return s.lns[0].Addr() }
+func (s *Server) Addr() string { return s.door.Addrs()[0] }
 
 // Addrs returns every bound listener address in URL form, in the order
 // configured — useful with tcp://...:0, where the OS picks the port.
-func (s *Server) Addrs() []string {
-	addrs := make([]string, len(s.lns))
-	for i, ln := range s.lns {
-		addrs[i] = ln.Addr()
-	}
-	return addrs
-}
+func (s *Server) Addrs() []string { return s.door.Addrs() }
 
-// Close shuts the daemon down, releasing every live session so device
-// memory and file-backed shm segments are reclaimed (unix listeners
-// unlink their socket files as they close).
+// Close shuts the daemon down: every connection ends and every live session
+// is released, so device memory and file-backed shm segments are reclaimed
+// (unix listeners unlink their socket files as they close).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	var err error
-	for _, ln := range s.lns {
-		if cerr := ln.Close(); err == nil {
-			err = cerr
-		}
-	}
+	// stop first: a frame parked at the STR barrier fails its turn, so its
+	// connection ends like any other while the door waits for it.
 	close(s.stop)
+	err := s.door.Close()
 	// Barrier: a turn re-checks stop under its shard's lock, so once every
 	// lock has been through our hands no connection's or failover's turn is
 	// running or will start: the shards are the releases' and the ring loops'.
@@ -304,9 +271,10 @@ func (s *Server) Close() error {
 		s.owner[i].Lock()
 		s.owner[i].Unlock()
 	}
-	// Tear down sessions abandoned by still-connected clients before the
-	// ring owners stop, so every shard's segments and device memory are freed.
-	s.disp.ReleaseAll(func(shard int, start func(), done <-chan struct{}) bool {
+	// Tear down what the hang-ups could not (their turns failed once stop
+	// closed) before the ring owners stop, so every shard's segments and
+	// device memory are freed.
+	s.disp.HangUp(nil, func(shard int, start func(), done <-chan struct{}) bool {
 		return s.submitUntil(s.quit, shard, start, done)
 	})
 	close(s.quit)
@@ -368,9 +336,7 @@ func (s *Server) audit() (held []string, closed bool) {
 			shard()
 		}
 	}
-	sessions, owned := s.disp.Held()
-	note("dispatcher-sessions", int64(sessions))
-	note("owned-ids", owned)
+	note("dispatcher-sessions", int64(s.disp.Held()))
 	note("pool-buffers", max(0, read("transport_pool_gets_total")-read("transport_pool_puts_total")-s.poolOut))
 	segs, _ := filepath.Glob(filepath.Join(cmp.Or(s.cfg.ShmDir, shm.DefaultDir()), transport.SegPrefix+strconv.Itoa(os.Getpid())+"-*"))
 	for _, seg := range segs {
@@ -394,7 +360,7 @@ func (s *Server) turn(end <-chan struct{}, shard int, start func()) (ok, swept b
 	} else {
 		asked := time.Now()
 		mu.Lock()
-		s.met.queueWaitNS[shard].Observe(int64(time.Since(asked)))
+		s.queueWaitNS[shard].Observe(int64(time.Since(asked)))
 	}
 	defer mu.Unlock()
 	select {
@@ -485,71 +451,5 @@ func (s *Server) submitUntil(end <-chan struct{}, shard int, start func(), done 
 		return true
 	case <-end:
 		return false
-	}
-}
-
-func (s *Server) accept(ln transport.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Connection handlers are not tracked by wg: a handler may be
-		// parked at the STR barrier waiting for peers, and Close must
-		// not wait for it.
-		go s.serveConn(conn, ln.DefaultPlane())
-	}
-}
-
-func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
-	if err := transport.ReadPreamble(nc); err != nil {
-		if errors.Is(err, io.EOF) {
-			nc.Close()
-			return
-		}
-		if s.cfg.Slog != nil {
-			s.cfg.Slog.Error("bad preamble", "err", err)
-		}
-		s.met.frameErrors.Inc()
-		transport.RejectConn(nc)
-		return
-	}
-	conn := transport.NewConn(nc)
-	s.met.connections.Inc()
-	defer func() {
-		conn.Close()
-		// This goroutine is the connection's only reader and its read
-		// loop has exited, so the pooled read buffer can go back.
-		conn.Release()
-		s.met.connections.Dec()
-		s.met.disconnects.Inc()
-	}()
-	cs := &transport.ConnState{DefaultPlane: defaultPlane}
-	defer func() {
-		// Release sessions the client abandoned, each on its own shard.
-		s.disp.HangUp(cs, s.submit)
-	}()
-	for {
-		req, err := conn.ReadRequest()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				if s.cfg.Slog != nil {
-					s.cfg.Slog.Error("frame read", "err", err)
-				}
-				s.met.frameErrors.Inc()
-			}
-			return
-		}
-		// The dispatcher runs payload staging here, outside the shard's
-		// lock, and takes a turn only for the frame's owner-side phase, so
-		// the critical section stays O(scheduling), not O(bytes).
-		resp, ok := s.disp.Serve(req, cs, s.submit)
-		if !ok {
-			return
-		}
-		if err := conn.WriteResponse(resp); err != nil {
-			return
-		}
 	}
 }

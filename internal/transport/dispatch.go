@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -86,7 +85,6 @@ type Dispatcher struct {
 
 	mu       sync.RWMutex // guards the session table
 	sessions map[int]*hostSession
-	ownedIDs atomic.Int64 // ids in every connection's owned list
 }
 
 // dispMetrics are the dispatcher's registry-backed instruments. All maps
@@ -286,30 +284,22 @@ func (s *hostSession) copyOut(resp *Response) error {
 	return nil
 }
 
-// ConnState is the dispatcher's per-connection state: which sessions the
-// connection opened (released if it drops) and the data plane a REQ gets
-// when the client does not ask for one. Only the owning connection may
-// address its sessions.
+// ConnState is one accepted connection as its front door (Door) hands it
+// to the daemon or router serving it: the owner a session names (the one
+// connection that may address it, and whose hang-up releases it) and the
+// data plane a REQ gets when the client does not ask for one.
 type ConnState struct {
-	// DefaultPlane is set by the server from the accepting transport:
-	// PlaneShm for co-located transports, PlaneInline for tcp.
+	// DefaultPlane is the accepting transport's: PlaneShm for co-located
+	// transports, PlaneInline for tcp, PlaneRing for ring.
 	DefaultPlane string
-	owned        []int
 	resp         Response // a BAT frame's answer, valid until the connection's next frame
 }
 
-func (d *Dispatcher) disown(cs *ConnState, id int) {
-	if i := slices.Index(cs.owned, id); i >= 0 {
-		cs.owned = slices.Delete(cs.owned, i, i+1)
-		d.ownedIDs.Add(-1)
-	}
-}
-
-// Held reports the sessions in the table and the ids connections own.
-func (d *Dispatcher) Held() (sessions int, owned int64) {
+// Held reports the sessions in the table.
+func (d *Dispatcher) Held() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.sessions), d.ownedIDs.Load()
+	return len(d.sessions)
 }
 
 // SegPrefix begins the name of every shm file a daemon creates: a session's
@@ -494,7 +484,7 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 		d.onShard(submit, shard, func(p *sim.Proc) { d.release(p, s) })
 		return errResp(err), true
 	}
-	d.publish(s, cs)
+	d.publish(s)
 	return &Response{
 		Status:    "ACK",
 		Session:   s.id,
@@ -508,7 +498,7 @@ func (d *Dispatcher) serveREQ(req *Request, cs *ConnState, submit ShardSubmitter
 
 // publish makes a fully opened session addressable by its connection, its
 // socket frames' entry into the engine bound.
-func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
+func (d *Dispatcher) publish(s *hostSession) {
 	s.done = make(chan struct{}, 1)
 	finished := func() {
 		select {
@@ -520,8 +510,6 @@ func (d *Dispatcher) publish(s *hostSession, cs *ConnState) {
 	d.mu.Lock()
 	d.sessions[s.id] = s
 	d.mu.Unlock()
-	cs.owned = append(cs.owned, s.id)
-	d.ownedIDs.Add(1)
 }
 
 // serveFrame serves a session verb or a pipelined BAT of them: one
@@ -547,7 +535,6 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 		// until the connection drops. Served as that one session's hang-up.
 		if s, err := d.owned(id, cs); err == nil && s.plane.ring != nil {
 			vms, ok := d.drop(s, submit)
-			d.disown(cs, id)
 			return &Response{Status: "ACK", Session: id, VirtualMS: vms}, ok
 		}
 	}
@@ -600,13 +587,10 @@ func (d *Dispatcher) serveFrame(req *Request, cs *ConnState, submit ShardSubmitt
 
 	for i := range resps {
 		r := &resps[i]
-		switch {
-		case r.Status == "ACK" && verbs[i] == gvm.RCV:
+		if r.Status == "ACK" && verbs[i] == gvm.RCV {
 			if err := s.copyOut(r); err != nil {
 				r.Status, r.Err = "ERR", err.Error()
 			}
-		case r.Status == "ACK" && verbs[i] == gvm.RLS:
-			d.disown(cs, id)
 		}
 		if bat && r.Status == "ERR" {
 			d.met.verb(verbs[i].String()).errs.Inc()
@@ -667,32 +651,20 @@ func (d *Dispatcher) retire(s *hostSession) {
 	d.cfg.Node.Release(shard, s.inB, s.outB)
 }
 
-// HangUp releases every session a disconnected client left open,
-// submitting each teardown to its owning shard. Connection-goroutine
-// side (servers call it from the connection's cleanup).
+// HangUp releases, each on its own shard, the sessions the table names cs
+// the owner of: what a connection that ended left open. A nil cs owns every
+// session: shutdown reclaims the device memory and file-backed segments of
+// clients still connected. Connection-goroutine side.
 func (d *Dispatcher) HangUp(cs *ConnState, submit ShardSubmitter) {
-	for _, id := range cs.owned {
-		d.mu.RLock()
-		s := d.sessions[id]
-		d.mu.RUnlock()
-		if s != nil && s.owner == cs {
-			d.drop(s, submit)
+	var gone []*hostSession
+	d.mu.RLock()
+	for _, s := range d.sessions {
+		if cs == nil || s.owner == cs {
+			gone = append(gone, s)
 		}
 	}
-	d.ownedIDs.Add(-int64(len(cs.owned)))
-	cs.owned = nil
-}
-
-// ReleaseAll tears down every live session on every shard; servers call
-// it at shutdown so device memory and file-backed segments are reclaimed.
-func (d *Dispatcher) ReleaseAll(submit ShardSubmitter) {
-	d.mu.RLock()
-	live := make([]*hostSession, 0, len(d.sessions))
-	for _, s := range d.sessions {
-		live = append(live, s)
-	}
 	d.mu.RUnlock()
-	for _, s := range live {
+	for _, s := range gone {
 		d.drop(s, submit)
 	}
 }

@@ -77,7 +77,6 @@ func (d *Dispatcher) serveMIG(req *Request, cs *ConnState, submit ShardSubmitter
 	// connection stays up (the router owns its lifetime) but the id no
 	// longer resolves here. ExtractSession quiesced the stream and dropped
 	// the gvm session, so nothing references a mapped plane's staging.
-	d.disown(cs, s.id)
 	d.retire(s)
 	if d.cfg.Log != nil {
 		d.cfg.Log.Info("session extracted for cross-node migration",

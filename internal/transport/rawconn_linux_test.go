@@ -25,7 +25,7 @@ func rawPair(t *testing.T, scheme string) (client, server *Conn, snc net.Conn) {
 		"tcp":    "tcp://127.0.0.1:0",
 		"inproc": "inproc://" + t.Name(),
 	}[scheme]
-	ln, err := ListenAddr(addr)
+	ln, err := listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

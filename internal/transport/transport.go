@@ -2,9 +2,10 @@
 // virtualization stack. It separates three concerns that used to be
 // fused inside package ipc:
 //
-//   - The transport — how a client reaches the daemon: dial/listen
-//     (Dial, ListenAddr) plus the round-trip framing that runs on the
-//     resulting connection (Conn). There are four, one row each of the
+//   - The transport — how a client reaches the daemon: Dial, the daemon's
+//     front door (Door: listen, accept, the preamble, the read loop, the
+//     hang-up) and the round-trip framing that runs on the resulting
+//     connection (Conn). There are four, one row each of the
 //     schemes table: unix (Unix-domain sockets, the classic gvmd path),
 //     tcp (remote rCUDA-style access across nodes), inproc (a socket-free
 //     in-process pipe for tests and co-located deployments) and ring (a
@@ -60,8 +61,8 @@ const (
 	PlaneRing = "ring"
 )
 
-// Listener accepts connections on one bound address.
-type Listener interface {
+// listener accepts connections on one bound address.
+type listener interface {
 	Accept() (net.Conn, error)
 	Close() error
 	// Addr returns the bound address in URL form (with the actual port
@@ -140,8 +141,8 @@ func Dial(addr string) (*Conn, string, error) {
 	return NewConn(nc), plane, nil
 }
 
-// ListenAddr binds a listener on a transport address.
-func ListenAddr(addr string) (Listener, error) {
+// listen binds a listener on a transport address.
+func listen(addr string) (listener, error) {
 	name, target := SplitAddr(addr)
 	sch, err := lookupScheme(name)
 	if err != nil {
@@ -190,7 +191,7 @@ func dialInproc(name string) (net.Conn, error) {
 	}
 }
 
-func listenInproc(name string) (Listener, error) {
+func listenInproc(name string) (listener, error) {
 	if name == "" {
 		return nil, errors.New("transport: inproc listener needs a name")
 	}

@@ -32,7 +32,7 @@ func TestDialUnknownScheme(t *testing.T) {
 	if _, _, err := DialAddr("bogus://x"); err == nil {
 		t.Fatal("dial on an unregistered scheme succeeded")
 	}
-	if _, err := ListenAddr("bogus://x"); err == nil {
+	if _, err := listen("bogus://x"); err == nil {
 		t.Fatal("listen on an unregistered scheme succeeded")
 	}
 }
@@ -54,7 +54,7 @@ func TestDefaultPlanes(t *testing.T) {
 }
 
 func TestInprocLifecycle(t *testing.T) {
-	ln, err := ListenAddr("inproc://lifecycle")
+	ln, err := listen("inproc://lifecycle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestInprocLifecycle(t *testing.T) {
 		t.Fatalf("Addr = %q", ln.Addr())
 	}
 	// Double-listen on the same name is rejected.
-	if _, err := ListenAddr("inproc://lifecycle"); err == nil {
+	if _, err := listen("inproc://lifecycle"); err == nil {
 		t.Fatal("second listener on the same inproc name accepted")
 	}
 	// Dial/accept hand over a usable duplex pipe.
@@ -105,7 +105,7 @@ func TestInprocLifecycle(t *testing.T) {
 	if _, _, err := DialAddr("inproc://lifecycle"); err == nil {
 		t.Fatal("dial on a closed inproc name succeeded")
 	}
-	ln2, err := ListenAddr("inproc://lifecycle")
+	ln2, err := listen("inproc://lifecycle")
 	if err != nil {
 		t.Fatalf("name not released by Close: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestInprocDialUnknownName(t *testing.T) {
 }
 
 func TestInprocConnSupportsDeadlines(t *testing.T) {
-	ln, err := ListenAddr("inproc://deadline")
+	ln, err := listen("inproc://deadline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func WritePreamble(w io.Writer) error {
 	return err
 }
 
-// ReadPreamble consumes and checks a client's preamble byte.
-func ReadPreamble(r io.Reader) error {
+// readPreamble consumes and checks a client's preamble byte.
+func readPreamble(r io.Reader) error {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return err
@@ -89,12 +89,12 @@ func ReadPreamble(r io.Reader) error {
 // it is turning away.
 const rejectGrace = time.Second
 
-// RejectConn turns a freshly accepted connection away without failing
+// rejectConn turns a freshly accepted connection away without failing
 // the client's own writes: it sends its first request right behind the
 // preamble, and closing a socket with that unread resets it (EPIPE or
 // ECONNRESET instead of a clean EOF). So, bounded by rejectGrace:
 // half-close, discard at most MaxFrame bytes, and close.
-func RejectConn(nc net.Conn) {
+func rejectConn(nc net.Conn) {
 	_ = nc.SetDeadline(time.Now().Add(rejectGrace))
 	if hc, ok := nc.(interface{ CloseWrite() error }); ok {
 		_ = hc.CloseWrite()
